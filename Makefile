@@ -13,10 +13,14 @@ verify: tier1 lint golden fuzz-smoke distributed-e2e
 
 # tier1 is the repo's baseline check (ROADMAP.md): everything builds,
 # vets, and tests green, with the race detector on the concurrent
-# packages.
+# packages. bench/ is a nested module the root ./... patterns do not
+# reach, so it is built and vetted here explicitly — an engine or service
+# API change that breaks bench/rigs.go must fail tier 1 (its ~20 s test
+# suite stays out: `cd bench && go test .`).
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/cache/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
 	$(GO) test -race -run 'TestEpoch|TestSnapshot|TestSample' ./internal/regress/
@@ -84,8 +88,9 @@ bench:
 # Two gates hold on every host regardless of core count:
 #   - threads=2 must never lose to threads=1 (floor 1.0x). The spin-park
 #     barrier makes sharding near-free on multi-core hosts, and on a
-#     single-core host the engine falls back to the serial tick path, so
-#     there is no configuration where turning sharding on should cost.
+#     single-core host no workers start, so an exact run is the same
+#     serial tick threads=1 takes; there is no configuration where
+#     turning sharding on should cost.
 #   - the sharded steady-state tick allocates nothing: 0 allocs/op ceiling
 #     on BenchmarkEngineShardedTick (which forces workers up, so it
 #     measures the staged arenas and barrier on any host).

@@ -59,14 +59,6 @@ func (b *Backend) Name() string { return b.name }
 // Kind implements engine.Module.
 func (b *Backend) Kind() engine.ModelKind { return engine.Analytical }
 
-// Busy implements engine.Ticker: the backend needs no per-cycle work, but
-// the engine must not deadlock while responses are pending — completions
-// are scheduled events, so Busy can always report false.
-func (b *Backend) Busy() bool { return false }
-
-// Tick implements engine.Ticker as a no-op (analytical module).
-func (b *Backend) Tick(uint64) {}
-
 // Accept implements mem.Port: classify, meter, and schedule completion.
 func (b *Backend) Accept(r *mem.Request) bool {
 	now := b.eng.Cycle()

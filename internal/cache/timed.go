@@ -109,7 +109,7 @@ func (c *Timed) Busy() bool {
 	return c.inflight > 0 || len(c.toDown) > 0
 }
 
-// SetWake implements engine.WakeAware: an idle cache leaves the engine's
+// SetWake implements engine.Ticker: an idle cache leaves the engine's
 // per-cycle tick set and re-enters it when a request arrives.
 func (c *Timed) SetWake(wake func()) { c.wake = wake }
 

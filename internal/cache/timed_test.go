@@ -12,12 +12,11 @@ import (
 
 // stubDown is a downstream port with fixed latency and optional refusal.
 type stubDown struct {
-	eng      *engine.Engine
-	latency  uint64
-	refuse   bool
-	reads    []*mem.Request
-	writes   []*mem.Request
-	inflight int
+	eng     *engine.Engine
+	latency uint64
+	refuse  bool
+	reads   []*mem.Request
+	writes  []*mem.Request
 }
 
 func (s *stubDown) Accept(r *mem.Request) bool {
@@ -29,22 +28,11 @@ func (s *stubDown) Accept(r *mem.Request) bool {
 		return true
 	}
 	s.reads = append(s.reads, r)
-	s.inflight++
 	s.eng.Schedule(s.latency, func() {
-		s.inflight--
 		r.Complete(mem.LevelDRAM)
 	})
 	return true
 }
-
-// Busy-keeping ticker so the engine does not fast-forward past the stub's
-// in-flight completions while the cache itself is idle.
-type stubTicker struct{ s *stubDown }
-
-func (t stubTicker) Name() string           { return "stubDown" }
-func (t stubTicker) Kind() engine.ModelKind { return engine.CycleAccurate }
-func (t stubTicker) Tick(uint64)            {}
-func (t stubTicker) Busy() bool             { return t.s.inflight > 0 }
 
 type harness struct {
 	eng   *engine.Engine
@@ -60,7 +48,6 @@ func newHarness(t *testing.T, cfg config.Cache) *harness {
 	down := &stubDown{eng: eng, latency: 50}
 	c := NewTimed("l1", cfg, mem.LevelL1, eng, down, g)
 	eng.Register(c)
-	eng.Register(stubTicker{down})
 	return &harness{eng: eng, cache: c, down: down, g: g}
 }
 

@@ -1,5 +1,6 @@
 // Package cliutil holds small helpers shared by the command-line front
-// ends (cmd/sweep, cmd/explore, cmd/swiftsimd).
+// ends (cmd/sweep, cmd/explore, cmd/swiftsimd) and, for the execution-mode
+// rules, by the sweep service behind them.
 package cliutil
 
 import (
@@ -44,6 +45,8 @@ type Modes struct {
 // front ends fail with one actionable message instead of the simulator's
 // deeper error (or a silently ignored flag):
 //
+//   - Negative thread and epoch counts are rejected (0 means the
+//     default everywhere, so a negative value has no reading).
 //   - Relaxed-sync epochs only exist in a parallel engine assembly:
 //     epochCycles > 1 on a serial run (engineThreads <= 1) would be
 //     silently ignored, so the contradiction is rejected. 0 or 1 (exact
@@ -53,6 +56,9 @@ type Modes struct {
 //     contradiction, and an enabled fraction must lie in [0,1) with a
 //     non-negative stride.
 func ValidateModes(m Modes) error {
+	if m.EngineThreads < 0 {
+		return fmt.Errorf("-engine-threads must be >= 0, got %d", m.EngineThreads)
+	}
 	if m.EpochCycles < 0 {
 		return fmt.Errorf("-epoch-cycles must be >= 0, got %d", m.EpochCycles)
 	}

@@ -51,6 +51,7 @@ func TestValidateModes(t *testing.T) {
 		{"relaxed zero threads", Modes{EpochCycles: 8}, true},
 		{"relaxed negative threads", Modes{EngineThreads: -1, EpochCycles: 8}, true},
 		{"smallest relaxed serial", Modes{EngineThreads: 1, EpochCycles: 2}, true},
+		{"negative threads", Modes{EngineThreads: -1}, true},
 		{"negative epoch", Modes{EngineThreads: 4, EpochCycles: -1}, true},
 		{"negative epoch serial", Modes{EpochCycles: -3}, true},
 

@@ -99,7 +99,7 @@ func (p *Partition) Kind() engine.ModelKind { return engine.CycleAccurate }
 // requests are queued (in-flight accesses complete via scheduled events).
 func (p *Partition) Busy() bool { return len(p.queue) > 0 }
 
-// SetWake implements engine.WakeAware: an idle partition (empty queue)
+// SetWake implements engine.Ticker: an idle partition (empty queue)
 // leaves the per-cycle tick set; an arriving request re-activates it. Bank
 // timing state is kept in absolute cycles, so skipped idle cycles do not
 // disturb it.

@@ -72,8 +72,7 @@ func TestActiveSetOscillation(t *testing.T) {
 }
 
 // TestWakeDuringFastForward: an event that lands mid-fast-forward and wakes
-// an idle module gets that module ticked at the event's cycle, exactly as
-// the tick-everything engine would have.
+// an idle module gets that module ticked at the event's cycle.
 func TestWakeDuringFastForward(t *testing.T) {
 	e := New()
 	tk := &wakeTicker{name: "sleeper"}
@@ -152,8 +151,8 @@ func TestActiveSetRegistrationOrder(t *testing.T) {
 
 // TestActiveSetSameCycleVisibility: waking a later-registered idle module
 // ticks it the same cycle (downstream visibility); waking an
-// earlier-registered one defers to the next visited cycle — both matching
-// the tick-everything engine's registration-order semantics.
+// earlier-registered one defers to the next visited cycle — the
+// registration-order semantics of ticking every module every cycle.
 func TestActiveSetSameCycleVisibility(t *testing.T) {
 	e := New()
 	up := &wakeTicker{name: "up"}
@@ -211,48 +210,23 @@ func containsCycle(log []uint64, c uint64) bool {
 	return false
 }
 
-// TestActiveSetMixedLegacy: legacy (non-wake-aware) tickers keep the
-// tick-every-cycle contract alongside wake-aware ones, and their Busy()
-// still gates fast-forwarding.
-func TestActiveSetMixedLegacy(t *testing.T) {
-	e := New()
-	wa := &wakeTicker{name: "modern"}
-	lg := &fakeTicker{name: "legacy", busyUntil: 50}
-	e.Register(wa)
-	e.Register(lg)
-	done := false
-	e.Schedule(200, func() { done = true })
-	if _, err := e.Run(func() bool { return done }, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Legacy busy until cycle 50: all of 0..50 visited, then fast-forward.
-	if lg.ticks < 50 {
-		t.Errorf("legacy ticker ticked %d times, want >= 50", lg.ticks)
-	}
-	// The wake-aware ticker was never woken after its registration tick, so
-	// it must not have been ticked on the legacy-driven cycles.
-	if wa.ticks > 2 {
-		t.Errorf("idle wake-aware ticker ticked %d times next to a busy legacy one", wa.ticks)
-	}
-	if e.SkippedCycles() < 100 {
-		t.Errorf("SkippedCycles = %d, want the idle tail skipped", e.SkippedCycles())
-	}
-}
-
 // BenchmarkEngineActiveSet quantifies the scheduling win: many registered
 // tickers, few busy — the common late-simulation state where most SMs have
-// drained. "wake" uses the active set; "legacy" models the old engine via
-// non-wake-aware tickers that are ticked and polled every cycle.
+// drained.
 func BenchmarkEngineActiveSet(b *testing.B) {
 	const nTickers = 256
 	const busyTickers = 4
 	const horizon = 10_000
 
-	run := func(b *testing.B, mk func(i int) Ticker) {
+	b.Run("wake", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := New()
 			for k := 0; k < nTickers; k++ {
-				e.Register(mk(k))
+				w := &wakeTicker{name: fmt.Sprintf("t%d", k)}
+				if k < busyTickers {
+					w.work = horizon
+				}
+				e.Register(w)
 			}
 			done := false
 			e.Schedule(horizon+1, func() { done = true })
@@ -261,24 +235,5 @@ func BenchmarkEngineActiveSet(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(horizon)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-	}
-
-	b.Run("wake", func(b *testing.B) {
-		run(b, func(i int) Ticker {
-			w := &wakeTicker{name: fmt.Sprintf("t%d", i)}
-			if i < busyTickers {
-				w.work = horizon
-			}
-			return w
-		})
-	})
-	b.Run("legacy", func(b *testing.B) {
-		run(b, func(i int) Ticker {
-			f := &fakeTicker{name: fmt.Sprintf("t%d", i)}
-			if i < busyTickers {
-				f.busyUntil = horizon
-			}
-			return f
-		})
 	})
 }

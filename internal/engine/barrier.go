@@ -17,12 +17,10 @@
 //   - the coordinator is itself a worker: it runs the first shard with
 //     work inline while the others execute, so an n-shard cycle pays
 //     n-1 publishes instead of n sends plus a WaitGroup;
-//   - workers are started only when the host can actually run them
-//     (GOMAXPROCS > 1). On a single-proc host exact-mode sharded
-//     assemblies fall back to the plain serial tick path (see
-//     tickActive), which produces byte-identical results by
-//     construction — the staged protocol exists precisely to reproduce
-//     the serial order.
+//   - workers are started only when there is more than one shard and the
+//     host can actually run them (GOMAXPROCS > 1). Otherwise an exact run
+//     ticks serially (see beginRun) and a relaxed one runs its passes
+//     inline on the coordinator.
 //
 // The park/unpark protocol is the standard flag-then-recheck pairing:
 // the waiter sets its parked flag and re-reads the condition before
@@ -131,18 +129,17 @@ func (e *Engine) awaitShards() {
 	e.coordParked.Store(0)
 }
 
-// startWorkers spawns the persistent shard workers. On a host without
-// spare parallelism (GOMAXPROCS == 1) it spawns none — tickActive then
-// takes the serial fallback in exact mode and the inline pass in epoch
-// mode, avoiding pure-overhead goroutine switching. forceWorkers (tests
-// and the sharded-tick benchmark) overrides the host check so the
-// concurrent path stays exercised on single-proc machines.
+// startWorkers spawns the persistent shard workers. With a single shard,
+// or on a host without spare parallelism (GOMAXPROCS == 1), it spawns none,
+// avoiding pure-overhead goroutine switching. forceWorkers (tests and the
+// sharded-tick benchmark) overrides both checks so the concurrent path
+// stays exercised on single-proc machines.
 func (e *Engine) startWorkers() {
 	if e.workersUp {
 		return
 	}
 	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 && !e.forceWorkers {
+	if (procs <= 1 || len(e.shards) < 2) && !e.forceWorkers {
 		return
 	}
 	e.spinCount = 0
@@ -153,14 +150,8 @@ func (e *Engine) startWorkers() {
 	}
 	e.workersUp = true
 	e.workerStop.Store(false)
-	if e.coordWake == nil {
-		e.coordWake = make(chan struct{}, 1)
-	}
 	e.workerWG.Add(len(e.shards))
 	for _, sc := range e.shards {
-		if sc.sig.wake == nil {
-			sc.sig.wake = make(chan struct{}, 1)
-		}
 		go sc.workerLoop(sc.sig.cmd.Load())
 	}
 }
@@ -180,20 +171,19 @@ func (e *Engine) stopWorkers() {
 	e.workerWG.Wait()
 }
 
-// dispatchShards runs every shard whose pass list is non-empty, with
-// epochK local cycles per shard (1 = exact mode). The coordinator takes
-// the first such shard inline — it would otherwise only wait — and the
-// remaining shards run on their workers. With a single busy shard, or no
-// workers (single-proc host under epoch mode, or a Run that has not
-// started them), every pass runs inline on the coordinator; the staging
-// discipline is identical either way, which is what keeps results
-// byte-identical across hosts and thread counts.
-func (e *Engine) dispatchShards(epochK int) {
+// dispatchShards runs every shard whose pass list is non-empty, with k
+// local cycles per shard. The coordinator takes the first such shard
+// inline — it would otherwise only wait — and the remaining shards run on
+// their workers. With a single busy shard, or no workers, every pass runs
+// inline on the coordinator; the staging discipline is identical either
+// way, which is what keeps results byte-identical across hosts and thread
+// counts.
+func (e *Engine) dispatchShards(k int) {
 	nWork := 0
 	for _, sc := range e.shards {
 		if len(sc.list) > 0 {
 			nWork++
-			sc.epochK = epochK
+			sc.k = k
 			sc.staging = true
 		}
 	}
@@ -226,7 +216,6 @@ func (e *Engine) dispatchShards(epochK int) {
 	}
 	for _, sc := range e.shards {
 		sc.staging = false
-		sc.epochK = 0
 	}
 	for _, sc := range e.shards {
 		if sc.panicVal != nil {

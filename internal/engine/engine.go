@@ -56,37 +56,29 @@ type Module interface {
 	Kind() ModelKind
 }
 
-// Ticker is a cycle-accurate module that needs per-cycle evaluation.
+// Ticker is a cycle-accurate module that needs per-cycle evaluation and
+// self-reports its idle→busy transitions. At registration the engine
+// installs a wake callback; the module must invoke it whenever external
+// input (a port Accept, a completion event, a kernel launch) may have given
+// it per-cycle work while it was idle. In exchange the engine stops ticking
+// the module while it is idle: each simulated cycle touches only the active
+// set, and the all-idle check is an O(1) counter test instead of an
+// O(modules) Busy() scan.
 type Ticker interface {
 	Module
 	// Tick advances the module by one cycle.
 	Tick(cycle uint64)
-	// Busy reports whether the module has pending per-cycle work. When
-	// every registered Ticker is idle the engine jumps to the next
-	// scheduled event instead of ticking through empty cycles.
+	// Busy reports whether the module has pending per-cycle work. It is
+	// polled after every tick and on every wake; when no ticker is busy
+	// the engine jumps to the next scheduled event instead of ticking
+	// through empty cycles.
 	Busy() bool
-}
-
-// WakeAware is a Ticker that self-reports idle→busy transitions. At
-// registration the engine installs a wake callback; the module must invoke
-// it whenever external input (a port Accept, a completion event, a kernel
-// launch) may have given it per-cycle work while it was idle. In exchange
-// the engine stops ticking the module while it is idle: each simulated
-// cycle touches only the active set, and the all-idle check is an O(1)
-// counter test instead of an O(modules) Busy() scan.
-//
-// Tickers that do not implement WakeAware fall back to the compatible
-// legacy contract: they are ticked on every simulated (non-skipped) cycle
-// and their Busy() is polled each cycle.
-//
-// The wake callback is idempotent and cheap when the module is already
-// active, so modules may call it conservatively. It must only be invoked
-// from within the engine's run loop (module ticks or scheduled events) or
-// while the engine is stopped — never from another goroutine.
-type WakeAware interface {
-	Ticker
 	// SetWake installs the engine's activation callback. It is called
-	// once, at Register time. Modules must tolerate running without a
+	// once, at Register time. The callback is idempotent and cheap when
+	// the module is already active, so modules may call it conservatively.
+	// It must only be invoked from within the engine's run loop (module
+	// ticks or scheduled events) or while the engine is stopped — never
+	// from another goroutine. Modules must tolerate running without a
 	// callback installed (standalone unit tests drive Tick directly).
 	SetWake(wake func())
 }
@@ -153,28 +145,22 @@ func (q *eventQueue) siftDown(i int) {
 
 // tickerEntry is the engine's per-ticker scheduling state.
 type tickerEntry struct {
-	t         Ticker
-	wakeAware bool
-	// pre is non-nil for tickers implementing PreTicker; the engine runs
-	// PreTick immediately before Tick in serial mode, and hoists it into
-	// the serial pre-phase of the barrier protocol in parallel mode.
+	t Ticker
+	// pre is non-nil for tickers implementing PreTicker; see PreTicker for
+	// where the engine runs it.
 	pre PreTicker
-	// shard is the entry's shard index (-1 = serial shard); sctx is the
-	// owning shard's staging context, nil for serial entries.
-	shard int
-	sctx  *shardCtx
-	// active marks membership in the active list. Wake-aware tickers are
-	// active while busy (as of their last post-tick Busy poll) or pending;
-	// legacy tickers are permanently active.
+	// sctx is the owning shard's staging context, nil for serial entries.
+	sctx *shardCtx
+	// active marks membership in the active list: the ticker is busy (as
+	// of its last Busy poll) or pending.
 	active bool
-	// busy is the wake-aware ticker's last polled Busy() state. Only busy
-	// tickers keep the engine from fast-forwarding.
+	// busy is the ticker's last polled Busy() state. Only busy tickers
+	// keep the engine from fast-forwarding.
 	busy bool
 	// pending guarantees at least one tick at the next simulated cycle
 	// (set by the wake callback; cleared when the tick happens). A
-	// pending-but-idle ticker does not prevent fast-forwarding — exactly
-	// like the legacy engine, it is simply ticked at whichever cycle the
-	// engine visits next.
+	// pending-but-idle ticker does not prevent fast-forwarding — it is
+	// simply ticked at whichever cycle the engine visits next.
 	pending bool
 }
 
@@ -183,9 +169,7 @@ type tickerEntry struct {
 //
 // Tickers are evaluated through an active set: each simulated cycle ticks,
 // in registration order, only the tickers that are busy or were explicitly
-// woken (see WakeAware). Legacy tickers without wake support stay in the
-// active set permanently and are polled for Busy every cycle, preserving
-// the original tick-everything semantics for them.
+// woken (see Ticker.SetWake).
 type Engine struct {
 	cycle   uint64
 	seq     uint64
@@ -193,11 +177,8 @@ type Engine struct {
 	// active holds the indices of active entries, sorted ascending so the
 	// tick order within the active set is registration order.
 	active []int
-	// legacy holds the indices of non-wake-aware tickers (a subset of
-	// active), polled for Busy each cycle.
-	legacy []int
-	// busyCount counts wake-aware entries whose last poll reported busy;
-	// with no legacy tickers the all-idle check is busyCount == 0.
+	// busyCount counts entries whose last poll reported busy; the all-idle
+	// check is busyCount == 0.
 	busyCount int
 	// tickPos is the current index into active during the tick phase, or
 	// -1 outside it; activations during the phase use it to decide whether
@@ -227,23 +208,22 @@ type Engine struct {
 	// windows match the serial engine byte-for-byte).
 	preSample func()
 
-	// parallel (sharded) execution state; see parallel.go. nShards == 0
-	// means serial mode — the default, and the only mode plain Register
-	// ever produces.
-	nShards       int
-	shards        []*shardCtx
-	pLo, pHi      int // contiguous registration-index range of sharded entries
-	shardsChecked bool
+	// sharded execution state; see parallel.go. shards is empty until
+	// SetParallel; pLo < 0 until the first RegisterSharded.
+	shards   []*shardCtx
+	pLo, pHi int // contiguous registration-index range of sharded entries
 	// segCount is the number of sharded entries currently on the active
 	// list. They always occupy one contiguous run of positions (the active
 	// list is sorted and [pLo, pHi] contains only sharded entries), so the
-	// barrier and the epoch catch-up skip the whole segment in O(1)
-	// instead of scanning it.
+	// catch-up cycles skip the whole segment in O(1) instead of scanning it.
 	segCount int
+	// headHi is the run's execution mode, chosen once per RunCtx (beginRun):
+	// the last registration index of tickCycle's serial head. pLo-1 stages
+	// the sharded segment; maxInt lets the head cover every entry, which is
+	// the plain serial tick.
+	headHi int
 	// persistent worker state (barrier.go). workersUp is only set when the
-	// host has spare parallelism (or forceWorkers, for tests/benchmarks);
-	// exact-mode sharded engines without workers take the plain serial
-	// tick path, which is byte-identical by construction.
+	// host has spare parallelism (or forceWorkers, for tests/benchmarks).
 	workersUp    bool
 	forceWorkers bool
 	spinCount    int
@@ -252,24 +232,24 @@ type Engine struct {
 	barDone      atomic.Int32
 	coordParked  atomic.Uint32
 	coordWake    chan struct{}
-	// preStaging routes Schedule calls made during the parallel pre-phase
-	// (downstream drains) into preStage, so their event sequence numbers
-	// interleave with the shard-staged ones exactly as in serial order.
+	// preStaging routes Schedule calls made during the exact-mode serial
+	// pre-phase (downstream drains) into preStage, so their event sequence
+	// numbers interleave with the shard-staged ones exactly as in serial
+	// order.
 	preStaging bool
 	preIdx     int
-	preStage   []stagedEvent
+	preStage   []stagedOp
 	// epochK > 1 enables relaxed-sync epochs: shards run epochK local
-	// cycles between every barrier instead of one; see epoch.go.
+	// cycles between every barrier instead of one; see parallel.go.
 	epochK int
-	// segScratch/activeScratch/mergeCur/deferScratch are retained buffers
-	// for the barrier's segment snapshot, active-list rebuild, staged-queue
-	// merge and defer fold (no per-cycle allocations in steady state).
+	// segScratch/activeScratch/deferScratch are retained buffers for the
+	// barrier's segment snapshot, active-list rebuild and defer fold (no
+	// per-cycle allocations in steady state).
 	segScratch    []int
 	activeScratch []int
-	mergeCur      []int
 	deferScratch  []func()
 	// batchWake diverts activations into wakeBuf during the event-fire
-	// phases, where a burst of completion events would otherwise pay one
+	// phase, where a burst of completion events would otherwise pay one
 	// O(active) list insertion each; flushWakes folds the batch with a
 	// single merge.
 	batchWake bool
@@ -335,7 +315,7 @@ func (e *Engine) sample() {
 
 // New returns an empty engine at cycle 0.
 func New() *Engine {
-	return &Engine{tickPos: -1, pLo: -1}
+	return &Engine{tickPos: -1, pLo: -1, headHi: maxInt, epochK: 1}
 }
 
 // Cycle returns the current simulated cycle.
@@ -380,43 +360,41 @@ func (e *Engine) AddModule(m Module) {
 
 // Register adds a cycle-accurate ticker (and records it in the inventory).
 // Tickers are ticked in registration order, so assemblies should register
-// upstream modules (schedulers) before downstream ones (caches, DRAM).
-//
-// A ticker implementing WakeAware gets its wake callback installed here and
-// enters the active set only while it has work; any other ticker is ticked
-// every simulated cycle, as the original engine did.
-func (e *Engine) Register(t Ticker) {
+// upstream modules (schedulers) before downstream ones (caches, DRAM). The
+// ticker gets its wake callback installed here and enters the active set
+// only while it has work.
+func (e *Engine) Register(t Ticker) { e.register(t, nil) }
+
+// register is Register and RegisterSharded's common part; sc is the owning
+// shard's context, nil for a serial entry. It returns the registration
+// index.
+func (e *Engine) register(t Ticker, sc *shardCtx) int {
 	idx := len(e.entries)
-	wa, wakeAware := t.(WakeAware)
-	en := tickerEntry{t: t, wakeAware: wakeAware, shard: -1}
+	en := tickerEntry{t: t, sctx: sc}
 	en.pre, _ = t.(PreTicker)
 	e.entries = append(e.entries, en)
 	e.modules = append(e.modules, t)
-	if wakeAware {
+	if sc == nil {
 		// Serial entries wake through activate directly: they are never
-		// woken from inside a parallel shard pass (cross-shard effects go
-		// through Defer/Schedule, applied at the barrier with staging off),
-		// so the wakeEntry staging check would be a dead branch on a hot
-		// path. Sharded entries (RegisterSharded) get the staging-aware
-		// callback.
-		wa.SetWake(func() { e.activate(idx) })
-		// Start pending so the first simulated cycle ticks every module
-		// once, letting it publish its initial busy state.
-		e.activate(idx)
+		// woken from inside a shard pass (cross-shard effects go through
+		// Defer/Schedule, applied at the barrier with staging off), so
+		// wakeEntry's staging check would be a dead branch on a hot path.
+		t.SetWake(func() { e.activate(idx) })
 	} else {
-		e.legacy = append(e.legacy, idx)
-		en := &e.entries[idx]
-		en.active = true
-		e.active = append(e.active, idx) // idx is the largest: stays sorted
+		t.SetWake(func() { e.wakeEntry(idx) })
 	}
+	// Start pending so the first simulated cycle ticks every module once,
+	// letting it publish its initial busy state.
+	e.activate(idx)
+	return idx
 }
 
 // activate marks entry idx pending and inserts it into the active list. It
 // is idempotent and cheap when the ticker is already active. Activations
 // that land at or before the current tick position take effect next cycle
-// (the registration-order pass has already moved past them), matching the
-// legacy engine, where a module woken by a later-registered module's tick
-// saw the new state only on its next tick.
+// (the registration-order pass has already moved past them): a module woken
+// by a later-registered module's tick sees the new state only on its next
+// tick.
 func (e *Engine) activate(idx int) {
 	en := &e.entries[idx]
 	en.pending = true
@@ -443,8 +421,7 @@ func (e *Engine) activate(idx int) {
 	}
 	// Poll Busy on insertion: a module woken at a position the current tick
 	// pass has already visited is only ticked next cycle, but it must gate
-	// fast-forwarding now — the legacy engine's post-pass Busy scan covered
-	// every ticker, active or not.
+	// fast-forwarding now.
 	if en.t.Busy() && !en.busy {
 		en.busy = true
 		e.busyCount++
@@ -472,10 +449,10 @@ func (e *Engine) Inventory() []ModuleInfo {
 // next cycle boundary; analytical modules should use delays >= 1.
 func (e *Engine) Schedule(delay uint64, fn func()) {
 	if e.preStaging {
-		// Parallel pre-phase (downstream drains): stage the event so its
+		// Exact-mode pre-phase (downstream drains): stage the event so its
 		// sequence number is assigned at the barrier, interleaved with the
 		// shard-staged events in exact serial order.
-		e.preStage = append(e.preStage, stagedEvent{idx: e.preIdx, cyc: e.cycle, delay: delay, fn: fn})
+		e.preStage = append(e.preStage, stagedOp{idx: e.preIdx, cyc: e.cycle, delay: delay, fn: fn})
 		return
 	}
 	e.seq++
@@ -521,13 +498,10 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 	if done() {
 		return e.cycle, nil
 	}
-	if e.nShards > 1 && e.pLo >= 0 {
-		if err := e.checkShardLayout(); err != nil {
-			return e.cycle, err
-		}
-		e.startWorkers()
-		defer e.stopWorkers()
+	if err := e.beginRun(); err != nil {
+		return e.cycle, err
 	}
+	defer e.stopWorkers()
 	var cancelCh <-chan struct{}
 	if ctx != nil {
 		cancelCh = ctx.Done()
@@ -549,20 +523,8 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 			return e.cycle, fmt.Errorf("%w (%d cycles)", ErrCycleLimit, maxCycles)
 		}
 
-		// Fire events due this cycle. Events may schedule more events
-		// for the same cycle; they run in FIFO order after it. Wakes are
-		// batched across the burst and folded in one merge.
-		if len(e.events) > 0 && e.events[0].cycle <= e.cycle {
-			e.batchWake = true
-			for len(e.events) > 0 && e.events[0].cycle <= e.cycle {
-				ev := e.events.pop()
-				e.firedEvents++
-				ev.fn()
-			}
-			e.flushWakes()
-		}
-
-		e.tickActive()
+		e.fireDue()
+		e.tickCycle()
 		e.tickedCycles++
 		if e.traceOn && e.cycle >= e.nextSample {
 			e.sample()
@@ -593,43 +555,33 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 	}
 }
 
-// tickActive ticks the active set in registration order. After each
-// wake-aware ticker's tick its Busy() is re-polled: a ticker that is idle
-// and not re-woken leaves the active set and is not touched again until a
-// wake. Activations occurring during the pass (a scheduler assigning work
-// to a downstream module, for instance) are ticked this same cycle when
-// their registration index has not been passed yet — the same visibility
-// the tick-everything engine provided.
-//
-// In parallel mode (SetParallel(n>1) with sharded registrations) the cycle
-// is instead split into serial head, concurrent shard passes, a
-// deterministic barrier and a serial tail; see tickSharded in parallel.go.
-// Exact-mode sharded engines without workers (startWorkers declined to
-// spawn any: single-proc host, no forceWorkers) tick serially instead —
-// the staged protocol reproduces the serial order exactly, so the results
-// are byte-identical and the per-cycle staging cost is saved where no
-// speedup was available anyway. Epoch mode has no serial equivalent and
-// always runs its own protocol, inline when workers are down.
-func (e *Engine) tickActive() {
-	if e.nShards > 1 && e.pLo >= 0 {
-		if e.epochK > 1 {
-			e.tickEpoch()
-			return
-		}
-		if e.workersUp {
-			e.tickSharded()
-			return
-		}
+// fireDue fires the events due at the current cycle, if any. It is only
+// the test, small enough to inline into the run loop: most iterations of a
+// cycle-by-cycle stretch have nothing due, and a call per iteration is
+// measurable there (EXPERIMENTS.md, PR 12).
+func (e *Engine) fireDue() {
+	if len(e.events) > 0 && e.events[0].cycle <= e.cycle {
+		e.fireBurst()
 	}
-	e.tickPos = 0
-	e.tickSerialRange(maxInt)
-	e.tickPos = -1
+}
+
+// fireBurst is the one event-fire loop. Events may schedule more events
+// for the same cycle; they run in FIFO order after it. Wakes are batched
+// across the burst and folded in one merge.
+func (e *Engine) fireBurst() {
+	e.batchWake = true
+	for len(e.events) > 0 && e.events[0].cycle <= e.cycle {
+		ev := e.events.pop()
+		e.firedEvents++
+		ev.fn()
+	}
+	e.flushWakes()
 }
 
 // flushWakes ends a batchWake window, merging the buffered activations
 // into the active list in one backward in-place pass: O(active + batch)
 // for the whole burst instead of O(active) per wake. It must only run
-// outside the tick phase (tickPos == -1) — the event-fire windows — so no
+// outside the tick phase (tickPos == -1) — the event-fire window — so no
 // tickPos adjustment is needed.
 func (e *Engine) flushWakes() {
 	e.batchWake = false
@@ -658,11 +610,15 @@ func (e *Engine) flushWakes() {
 }
 
 // tickSerialRange advances tickPos through the active list, ticking every
-// entry whose registration index is <= hi. It is the serial engine's whole
-// tick pass when hi is maxInt, and the head/tail phases of a sharded cycle
-// otherwise. PreTicker entries get their PreTick immediately before Tick,
-// which in serial mode is exactly where the drain used to live inside
-// Tick itself.
+// entry whose registration index is <= hi, in registration order. After
+// each tick the entry's Busy() is re-polled: a ticker that is idle and not
+// re-woken leaves the active set and is not touched again until a wake.
+// Activations occurring during the pass (a scheduler assigning work to a
+// downstream module, for instance) are ticked this same cycle when their
+// registration index has not been passed yet. PreTicker entries get their
+// PreTick immediately before Tick. With hi = maxInt this is a serial run's
+// whole cycle; otherwise it is the head or tail of a staged one (see
+// tickCycle in parallel.go).
 func (e *Engine) tickSerialRange(hi int) {
 	for e.tickPos < len(e.active) {
 		idx := e.active[e.tickPos]
@@ -675,35 +631,32 @@ func (e *Engine) tickSerialRange(hi int) {
 			en.pre.PreTick(e.cycle)
 		}
 		en.t.Tick(e.cycle)
-		if en.wakeAware {
-			nowBusy := en.t.Busy()
-			if nowBusy != en.busy {
-				en.busy = nowBusy
-				if nowBusy {
-					e.busyCount++
-				} else {
-					e.busyCount--
-				}
+		nowBusy := en.t.Busy()
+		if nowBusy != en.busy {
+			en.busy = nowBusy
+			if nowBusy {
+				e.busyCount++
+			} else {
+				e.busyCount--
 			}
-			if !nowBusy && !en.pending {
-				en.active = false
-				if en.sctx != nil {
-					e.segCount--
-				}
-				e.active = append(e.active[:e.tickPos], e.active[e.tickPos+1:]...)
-				continue
+		}
+		if !nowBusy && !en.pending {
+			en.active = false
+			if en.sctx != nil {
+				e.segCount--
 			}
+			e.active = append(e.active[:e.tickPos], e.active[e.tickPos+1:]...)
+			continue
 		}
 		e.tickPos++
 	}
 }
 
 // anyBusy reports whether any ticker still has per-cycle work: an O(1)
-// counter check over the wake-aware modules, plus a Busy poll of the
-// legacy tickers (none in the standard assemblies).
+// counter check.
 //
 // In relaxed-epoch mode a pending sharded entry also counts: the epoch's
-// catch-up phase skips the sharded segment, so an entry woken by a staged
+// catch-up cycles skip the sharded segment, so an entry woken by a staged
 // completion event firing mid-catch-up has not been ticked since its wake
 // and its polled Busy state is stale (an SM recomputes busyCache only
 // inside Tick). The exact engine has no such window — an event-phase wake
@@ -712,11 +665,6 @@ func (e *Engine) tickSerialRange(hi int) {
 func (e *Engine) anyBusy() bool {
 	if e.busyCount > 0 {
 		return true
-	}
-	for _, idx := range e.legacy {
-		if e.entries[idx].t.Busy() {
-			return true
-		}
 	}
 	if e.epochK > 1 && e.segCount > 0 {
 		// The sharded entries sit in one contiguous run of the sorted
@@ -729,4 +677,11 @@ func (e *Engine) anyBusy() bool {
 		}
 	}
 	return false
+}
+
+// Quiescent reports whether the engine holds no pending work at all: no
+// scheduled events and no busy ticker. Snapshots are only taken at
+// quiescent points — there is no in-flight state to serialize then.
+func (e *Engine) Quiescent() bool {
+	return len(e.events) == 0 && !e.anyBusy()
 }

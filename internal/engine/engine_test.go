@@ -21,6 +21,7 @@ type fakeTicker struct {
 func (f *fakeTicker) Name() string    { return f.name }
 func (f *fakeTicker) Kind() ModelKind { return CycleAccurate }
 func (f *fakeTicker) Busy() bool      { return f.cycle < f.busyUntil }
+func (f *fakeTicker) SetWake(func())  {}
 func (f *fakeTicker) Tick(cycle uint64) {
 	f.cycle = cycle
 	f.ticks++

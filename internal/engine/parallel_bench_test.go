@@ -93,34 +93,24 @@ func newShardedBenchEngine(nSMs, nShards int) (*Engine, *benchCollector) {
 // loop does — event phase with batched wakes, then the tick — without the
 // loop's done()/context scaffolding, so b.N counts cycles.
 func stepCycle(e *Engine) {
-	if len(e.events) > 0 && e.events[0].cycle <= e.cycle {
-		e.batchWake = true
-		for len(e.events) > 0 && e.events[0].cycle <= e.cycle {
-			ev := e.events.pop()
-			e.firedEvents++
-			ev.fn()
-		}
-		e.flushWakes()
-	}
-	e.tickActive()
+	e.fireDue()
+	e.tickCycle()
 	e.tickedCycles++
 	e.cycle++
 }
 
 // BenchmarkEngineShardedTick measures the steady-state cost of one
 // sharded simulated cycle: worker dispatch and join through the
-// spin-then-park barrier, staged event/defer arenas, and the fused
-// barrier fold. The committed floor is 0 B/op and 0 allocs/op — the
+// spin-then-park barrier, the staged arenas, and the fold. The committed floor is 0 B/op and 0 allocs/op — the
 // sharded hot path must not touch the heap once arenas are warm (gated
 // via `benchcmp -metric allocs/op -max` in `make benchcmp`).
 func BenchmarkEngineShardedTick(b *testing.B) {
 	for _, nShards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", nShards), func(b *testing.B) {
 			e, _ := newShardedBenchEngine(32, nShards)
-			if err := e.checkShardLayout(); err != nil {
+			if err := e.beginRun(); err != nil {
 				b.Fatal(err)
 			}
-			e.startWorkers()
 			defer e.stopWorkers()
 			// Warm the arenas: grow staged queues, the event heap, the
 			// active-list scratch buffers to their steady-state capacity.

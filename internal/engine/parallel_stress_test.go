@@ -28,39 +28,67 @@ func stressGOMAXPROCS() func() {
 	return func() { runtime.GOMAXPROCS(prev) }
 }
 
-// TestBarrierStressRandomImbalance: sharded runs with randomized per-SM
-// work and event budgets — shards finish their passes at very different
-// times, so fast shards hit the barrier and park (or spin) while slow ones
-// still stage — must still match the serial engine's history exactly, for
-// several seeds and shard counts that do not divide the SM count.
+// TestBarrierStressRandomImbalance: runs with randomized per-SM work and
+// event budgets — shards finish their passes at very different times, so
+// fast shards hit the barrier and park (or spin) while slow ones still
+// stage — over the whole (shards, k, workers) matrix of the one cycle
+// routine. At k = 1 every cell, including a single shard registered
+// through RegisterSharded, must match a plain-Register serial engine's
+// history exactly. At k > 1 there is no serial equivalent; the schedule is
+// a function of (assembly, k) alone, so every shard count and worker mode
+// must agree with the first cell. "inline" cells run at GOMAXPROCS = 1
+// without forced workers: the exact ones take the serial tick, the relaxed
+// ones run their passes on the coordinator.
 func TestBarrierStressRandomImbalance(t *testing.T) {
-	defer stressGOMAXPROCS()()
-	const nSMs = 12
+	// 12 is a multiple of every shard count below, so siblings (sm[i] wakes
+	// sm[i+12]) share a shard in every cell and all cells model one system.
+	const nSMs, sibStep = 24, 12
 	horizon := uint64(500)
+	seeds := uint64(4)
 	if testing.Short() {
-		horizon = 200
+		horizon, seeds = 200, 2
 	}
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, nShards := range []int{2, 3, 4} {
-			imbalance := func(f *parallelFixture) {
-				rng := rand.New(rand.NewPCG(seed, uint64(nShards)))
-				for _, sm := range f.sms {
-					sm.work = rng.IntN(6) // zero = starts idle, woken later
-					sm.budget = rng.IntN(12)
+	build := func(seed uint64, nShards, k int, forced bool) *parallelFixture {
+		f := newParallelFixture(nSMs, nShards, sibStep)
+		f.e.forceWorkers = forced
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		for _, sm := range f.sms {
+			sm.work = rng.IntN(6) // zero = starts idle, woken later
+			sm.budget = rng.IntN(12)
+		}
+		if k > 1 {
+			f.relax(k)
+		}
+		f.run(t, horizon)
+		return f
+	}
+	// want[seed][k]: the serial history at k = 1, the first cell's otherwise.
+	want := map[[2]uint64]string{}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		want[[2]uint64{seed, 1}] = build(seed, 0, 1, false).history()
+	}
+	for _, forced := range []bool{true, false} {
+		procs := 8 // more than any shard count, as stressGOMAXPROCS
+		if !forced {
+			procs = 1
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		for seed := uint64(1); seed <= seeds; seed++ {
+			for _, k := range []int{1, 2, 8} {
+				for _, nShards := range []int{1, 2, 3, 4} {
+					got := build(seed, nShards, k, forced).history()
+					key := [2]uint64{seed, uint64(k)}
+					if _, ok := want[key]; !ok {
+						want[key] = got
+					}
+					if got != want[key] {
+						t.Errorf("seed=%d shards=%d k=%d forced=%v diverged:\n--- want ---\n%s--- got ---\n%s",
+							seed, nShards, k, forced, want[key], got)
+					}
 				}
 			}
-			serial := newParallelFixture(nSMs, 0, nShards)
-			imbalance(serial)
-			serial.run(t, horizon)
-			want := serial.history()
-			par := newParallelFixture(nSMs, nShards, nShards)
-			imbalance(par)
-			par.run(t, horizon)
-			if got := par.history(); got != want {
-				t.Errorf("seed=%d shards=%d diverged from serial:\n--- serial ---\n%s--- sharded ---\n%s",
-					seed, nShards, want, got)
-			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

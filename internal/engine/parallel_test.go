@@ -93,7 +93,8 @@ func (s *shardSM) Tick(cycle uint64) {
 
 // parallelFixture wires nSMs shardSMs between a serial collector (first
 // registration, like the block scheduler) and a serial downstream (last,
-// like the NoC). nShards == 0 leaves the engine serial. sibStep sets the
+// like the NoC). nShards == 0 is the plain-Register serial engine; any
+// other count goes through SetParallel/RegisterSharded. sibStep sets the
 // sibling-wake wiring (sm[i] wakes sm[i+sibStep]); a serial baseline and a
 // sharded run must be built with the SAME sibStep so they model the same
 // system, and a sharded run needs sibStep to be a multiple of nShards so
@@ -110,11 +111,10 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 	f := &parallelFixture{e: e}
 	f.coll = &wakeTicker{name: "collector"}
 	f.down = &wakeTicker{name: "downstream"}
-	if nShards > 1 {
+	if nShards > 0 {
 		e.SetParallel(nShards)
 		// Keep the staged worker path under test even when the host has a
-		// single proc (where RunCtx would otherwise take the serial
-		// fallback).
+		// single proc (where an exact run would otherwise tick serially).
 		e.forceWorkers = true
 	}
 	e.Register(f.coll)
@@ -127,7 +127,7 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 			down:   f.down,
 			coll:   f.coll,
 		}
-		if nShards > 1 {
+		if nShards > 0 {
 			sm.ctx = e.ShardContext(i % nShards)
 		} else {
 			sm.ctx = e
@@ -138,7 +138,7 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 		f.sms[i].sibling = f.sms[i+sibStep]
 	}
 	for i, sm := range f.sms {
-		if nShards > 1 {
+		if nShards > 0 {
 			e.RegisterSharded(sm, i%nShards)
 		} else {
 			e.Register(sm)
@@ -283,25 +283,17 @@ func TestShardLayoutValidation(t *testing.T) {
 	}
 }
 
-// TestRegisterShardedValidation: shard indices out of range and
-// non-wake-aware tickers are programming errors caught at registration.
+// TestRegisterShardedValidation: a shard index out of range is a
+// programming error caught at registration.
 func TestRegisterShardedValidation(t *testing.T) {
 	e := New()
 	e.SetParallel(2)
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("shard out of range", func() {
-		e.RegisterSharded(&wakeTicker{name: "x"}, 2)
-	})
-	mustPanic("legacy ticker", func() {
-		e.RegisterSharded(&fakeTicker{name: "legacy"}, 0)
-	})
+	defer func() {
+		if recover() == nil {
+			t.Error("shard out of range did not panic")
+		}
+	}()
+	e.RegisterSharded(&wakeTicker{name: "x"}, 2)
 }
 
 // TestParallelSameCycleWakeVisibility pins the within-shard visibility

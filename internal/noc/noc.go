@@ -100,7 +100,7 @@ func (x *Crossbar) Kind() engine.ModelKind { return engine.CycleAccurate }
 // Busy implements engine.Ticker.
 func (x *Crossbar) Busy() bool { return x.busyCnt > 0 }
 
-// SetWake implements engine.WakeAware: the crossbar is ticked only while
+// SetWake implements engine.Ticker: the crossbar is ticked only while
 // flits are in flight. Accept (forward path) and respond (return path,
 // reached from completion events while the crossbar may be idle) both
 // re-activate it.

@@ -14,7 +14,6 @@ type sink struct {
 	latency  uint64
 	accepted []*mem.Request
 	refuse   bool
-	inflight int
 }
 
 func (s *sink) Accept(r *mem.Request) bool {
@@ -23,21 +22,12 @@ func (s *sink) Accept(r *mem.Request) bool {
 	}
 	s.accepted = append(s.accepted, r)
 	if !r.Write {
-		s.inflight++
 		s.eng.Schedule(s.latency, func() {
-			s.inflight--
 			r.Complete(mem.LevelL2)
 		})
 	}
 	return true
 }
-
-type sinkTicker struct{ s *sink }
-
-func (t sinkTicker) Name() string           { return "sink" }
-func (t sinkTicker) Kind() engine.ModelKind { return engine.CycleAccurate }
-func (t sinkTicker) Tick(uint64)            {}
-func (t sinkTicker) Busy() bool             { return t.s.inflight > 0 }
 
 func setup(nParts int, latency uint64, perCycle int) (*engine.Engine, *Crossbar, []*sink, *metrics.Gatherer) {
 	eng := engine.New()
@@ -47,7 +37,6 @@ func setup(nParts int, latency uint64, perCycle int) (*engine.Engine, *Crossbar,
 	for i := range sinks {
 		sinks[i] = &sink{eng: eng, latency: 10}
 		ports[i] = sinks[i]
-		eng.Register(sinkTicker{sinks[i]})
 	}
 	mapAddr := func(addr uint64) int { return int((addr / 32) % uint64(nParts)) }
 	x := NewCrossbar("noc", eng, ports, mapAddr, latency, perCycle, g)

@@ -119,7 +119,7 @@ func (r *Ring) Kind() engine.ModelKind { return engine.CycleAccurate }
 // Busy implements engine.Ticker.
 func (r *Ring) Busy() bool { return r.busyCnt > 0 }
 
-// SetWake implements engine.WakeAware: the ring is ticked only while
+// SetWake implements engine.Ticker: the ring is ticked only while
 // messages are in flight. Any message since the last tick re-activates it,
 // so the per-tick bisection-budget reset still happens before the next
 // cycle's injections, exactly as when it was ticked unconditionally.

@@ -16,7 +16,6 @@ func ringSetup(numSMs, nParts int, hopLat uint64, bisection int) (*engine.Engine
 	for i := range sinks {
 		sinks[i] = &sink{eng: eng, latency: 10}
 		ports[i] = sinks[i]
-		eng.Register(sinkTicker{sinks[i]})
 	}
 	mapAddr := func(addr uint64) int { return int((addr / 32) % uint64(nParts)) }
 	r := NewRing("ring", eng, numSMs, ports, mapAddr, hopLat, bisection, g)

@@ -308,6 +308,9 @@ func (b *board) Claim(ctx context.Context, workerID string) (WireJob, bool, erro
 		return WireJob{}, false, errBoardClosed
 	}
 	j := b.queue[0]
+	// Clear the vacated slot: the backing array outlives the reslice, and
+	// a resolved job's closures pin its whole sweep.
+	b.queue[0] = nil
 	b.queue = b.queue[1:]
 	t := time.Now()
 	w.lastSeen = t
@@ -412,7 +415,10 @@ func (b *board) Cancel(key string, err error) {
 	if j.state == "pending" {
 		for i, q := range b.queue {
 			if q == j {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				last := len(b.queue) - 1
+				copy(b.queue[i:], b.queue[i+1:])
+				b.queue[last] = nil // as in Claim: do not retain the job
+				b.queue = b.queue[:last]
 				break
 			}
 		}

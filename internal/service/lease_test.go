@@ -63,10 +63,14 @@ func TestBoardClaimFulfill(t *testing.T) {
 		started.Add(1)
 	}
 	b.Enqueue(j)
+	slot := b.queue[:1] // shares the queue's backing array
 
 	wire, ok, err := b.Claim(context.Background(), w)
 	if err != nil || !ok {
 		t.Fatalf("Claim: ok=%v err=%v", ok, err)
+	}
+	if slot[0] != nil {
+		t.Error("Claim left the popped job in the queue's backing array")
 	}
 	if wire.Key != "k1" || wire.Token != 1 || wire.Attempt != 0 || wire.LeaseID == "" {
 		t.Errorf("wire = %+v, want key k1, token 1, attempt 0, a lease id", wire)
@@ -322,9 +326,13 @@ func TestBoardCancel(t *testing.T) {
 		t.Fatalf("claim: %+v err=%v", wire, err)
 	}
 
+	slot := b.queue[:1] // shares the queue's backing array
 	b.Cancel("pending", skip)
 	if o := waitOutcome(t, chPending); !errors.Is(o.err, skip) {
 		t.Errorf("pending outcome = %v", o.err)
+	}
+	if slot[0] != nil {
+		t.Error("Cancel left the removed job in the queue's backing array")
 	}
 	b.Cancel("leased", skip)
 	if o := waitOutcome(t, chLeased); !errors.Is(o.err, skip) {

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"swiftsim/internal/cliutil"
 	"swiftsim/internal/config"
 	"swiftsim/internal/obs"
 	"swiftsim/internal/regress"
@@ -38,9 +39,9 @@ import (
 
 // Config tunes a Service.
 type Config struct {
-	// CacheDir is the persistent result cache directory ("" disables
-	// persistence is not supported — the daemon always has one; tests use
-	// t.TempDir()).
+	// CacheDir is the persistent result cache directory. It is required:
+	// running without persistence is not supported, so New fails on ""
+	// (tests use t.TempDir()).
 	CacheDir string
 	// QueueDepth bounds queued-plus-running jobs across all sweeps
 	// (0 = 64). A submission whose jobs would exceed it is rejected with
@@ -61,7 +62,8 @@ type Config struct {
 	EngineThreads int
 	// EpochCycles is the daemon-wide default relaxed-sync epoch length
 	// for specs that leave epoch_cycles unset (0 or 1 = exact mode). A
-	// value > 1 requires EngineThreads > 1; New rejects the contradiction.
+	// value > 1 requires EngineThreads > 1; New rejects the contradiction
+	// (cliutil.ValidateModes owns the rule).
 	EpochCycles int
 	// Sampling is the daemon-wide default sampled-execution mode for
 	// specs that leave `sample` unset. Sampled results legitimately
@@ -280,14 +282,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.EngineThreads < 0 || cfg.EpochCycles < 0 {
-		return nil, fmt.Errorf("service: negative engine defaults (engine_threads %d, epoch_cycles %d)", cfg.EngineThreads, cfg.EpochCycles)
-	}
-	if cfg.EpochCycles > 1 && cfg.EngineThreads <= 1 {
-		return nil, fmt.Errorf("service: default epoch_cycles %d needs a parallel engine: set EngineThreads > 1", cfg.EpochCycles)
-	}
-	if err := validateSampling(cfg.Sampling); err != nil {
-		return nil, fmt.Errorf("service: default sampling: %w", err)
+	if err := validateModes(cfg.EngineThreads, cfg.EpochCycles, cfg.Sampling); err != nil {
+		return nil, fmt.Errorf("service: daemon defaults: %w", err)
 	}
 	if cfg.Remote.LeaseTTL < 0 || cfg.Remote.MaxAttempts < 0 {
 		return nil, fmt.Errorf("service: negative remote tuning (lease_ttl %v, max_attempts %d)", cfg.Remote.LeaseTTL, cfg.Remote.MaxAttempts)
@@ -386,12 +382,6 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 		return nil, 0, 0, fmt.Errorf("service: negative scale %g", scale)
 	}
 
-	if spec.EngineThreads < 0 {
-		return nil, 0, 0, fmt.Errorf("service: negative engine_threads %d", spec.EngineThreads)
-	}
-	if spec.EpochCycles < 0 {
-		return nil, 0, 0, fmt.Errorf("service: negative epoch_cycles %d", spec.EpochCycles)
-	}
 	engineThreads := spec.EngineThreads
 	if engineThreads == 0 {
 		engineThreads = s.cfg.EngineThreads
@@ -400,28 +390,26 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	if epoch == 0 {
 		epoch = s.cfg.EpochCycles
 	}
-	// The effective pair is validated, not the raw spec: a spec asking for
-	// engine_threads 1 against a daemon whose default epoch is relaxed
-	// would otherwise silently run an epoch the simulator ignores.
-	if epoch > 1 && engineThreads <= 1 {
-		return nil, 0, 0, fmt.Errorf("service: epoch_cycles %d needs a parallel engine: set engine_threads > 1 (or drop epoch_cycles for the exact run)", epoch)
+	// The effective threads/epoch pair is validated, not the raw spec: a
+	// spec asking for engine_threads 1 against a daemon whose default epoch
+	// is relaxed would otherwise silently run an epoch the simulator
+	// ignores. The sampling fields are the spec's own: tuning fields
+	// without the mode switch would be silently dead settings.
+	requested := sim.Sampling{
+		Enabled:       spec.Sample,
+		BlockFraction: spec.SampleFrac,
+		ReplayStride:  spec.SampleStride,
+		Seed:          spec.SampleSeed,
 	}
-
+	if err := validateModes(engineThreads, epoch, requested); err != nil {
+		return nil, 0, 0, fmt.Errorf("service: %w", err)
+	}
+	if !spec.Sample && spec.SampleSeed != 0 {
+		return nil, 0, 0, fmt.Errorf("service: sample_seed has no effect without sample")
+	}
 	sampling := sim.Sampling(s.cfg.Sampling)
 	if spec.Sample {
-		sampling = sim.Sampling{
-			Enabled:       true,
-			BlockFraction: spec.SampleFrac,
-			ReplayStride:  spec.SampleStride,
-			Seed:          spec.SampleSeed,
-		}
-	} else if spec.SampleFrac != 0 || spec.SampleStride != 0 || spec.SampleSeed != 0 {
-		// Tuning fields without the mode switch would be silently dead
-		// settings; reject the contradiction like the CLIs do.
-		return nil, 0, 0, fmt.Errorf("service: sample_frac/sample_stride/sample_seed have no effect without sample")
-	}
-	if err := validateSampling(sampling); err != nil {
-		return nil, 0, 0, fmt.Errorf("service: %w", err)
+		sampling = requested
 	}
 
 	var timeout time.Duration
@@ -479,18 +467,20 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	return jobs, timeout, engineThreads, nil
 }
 
-// validateSampling bounds an enabled sampling configuration (disabled
-// sampling is always valid; tuning fields are checked against the mode
-// switch by the caller).
-func validateSampling(sm sim.Sampling) error {
-	if !sm.Enabled {
-		return nil
-	}
-	if sm.BlockFraction < 0 || sm.BlockFraction >= 1 {
-		return fmt.Errorf("sample_frac must be in (0,1) (0 = simulator default), got %g", sm.BlockFraction)
-	}
-	if sm.ReplayStride < 0 {
-		return fmt.Errorf("sample_stride must be >= 0 (0 = simulator default, 1 = no replay), got %d", sm.ReplayStride)
+// validateModes checks a threads/epoch/sampling combination with the one
+// validator every front end uses, and names the values by their JSON
+// fields so the flag-worded reason reads in the API's vocabulary.
+func validateModes(engineThreads, epochCycles int, sm sim.Sampling) error {
+	err := cliutil.ValidateModes(cliutil.Modes{
+		EngineThreads:  engineThreads,
+		EpochCycles:    epochCycles,
+		Sample:         sm.Enabled,
+		SampleFraction: sm.BlockFraction,
+		SampleStride:   sm.ReplayStride,
+	})
+	if err != nil {
+		return fmt.Errorf("engine_threads %d, epoch_cycles %d, sample %v, sample_frac %g, sample_stride %d: %w",
+			engineThreads, epochCycles, sm.Enabled, sm.BlockFraction, sm.ReplayStride, err)
 	}
 	return nil
 }

@@ -8,8 +8,8 @@
 // concurrent shard pass, so each L1 instead pushes into its own shard-private
 // boundary port, which always accepts and stamps the message with the
 // shard-local capture cycle. The boundary itself is a serial module
-// registered between the L1s and the interconnect; every visited cycle it
-// folds the port buffers together and delivers, in deterministic
+// registered between the L1s and the interconnect; every cycle it holds
+// traffic it folds the port buffers together and delivers, in deterministic
 // (capture cycle, SM index, FIFO) order, exactly the messages whose capture
 // cycle has been reached — so downstream modules never observe a message
 // from their future, and the delivered schedule is a pure function of the
@@ -23,11 +23,12 @@
 //   - messages refused by the downstream port (backpressure) are retried
 //     every cycle; Busy() reports pending traffic so the engine neither
 //     fast-forwards past it nor declares a deadlock while a request is
-//     parked here.
-//
-// The boundary intentionally does not implement engine.WakeAware: as a
-// legacy ticker it is permanently in the active set and Busy-polled every
-// cycle, which is exactly the always-on drain semantics it needs.
+//     parked here;
+//   - the boundary is in the engine's active set exactly while it holds
+//     traffic: the first message a port captures since the last fold wakes
+//     it through the port's context, so a wake from inside a shard pass is
+//     staged and lands at the barrier — before the serial tail, which then
+//     ticks the boundary at the epoch's first cycle.
 package sim
 
 import (
@@ -53,6 +54,7 @@ type epochBoundary struct {
 	down  mem.Port
 	ports []*boundaryPort
 	queue []boundaryItem // folded, sorted, awaiting delivery
+	wake  func()
 
 	messages *metrics.Counter // total messages carried
 	deferred *metrics.Counter // deliveries after the capture cycle (backpressure)
@@ -81,6 +83,9 @@ func (b *epochBoundary) Name() string { return b.name }
 
 // Kind implements engine.Module.
 func (b *epochBoundary) Kind() engine.ModelKind { return engine.CycleAccurate }
+
+// SetWake implements engine.Ticker.
+func (b *epochBoundary) SetWake(wake func()) { b.wake = wake }
 
 // Busy implements engine.Ticker: pending traffic must keep the engine
 // visiting cycles. Called only from the engine's serial phases.
@@ -157,8 +162,12 @@ type boundaryPort struct {
 // absorbed by the boundary queue (and surfaced through the deferred
 // counter), which is part of the relaxation — an L1 never stalls on the
 // shared interconnect mid-epoch. Runs on the owning shard's goroutine, so
-// it must touch only the shard-private buffer.
+// it must touch only the shard-private buffer; the boundary's wake escapes
+// the shard through Defer.
 func (p *boundaryPort) Accept(r *mem.Request) bool {
+	if len(p.buf) == 0 && p.b.wake != nil {
+		p.ctx.Defer(p.b.wake)
+	}
 	p.buf = append(p.buf, boundaryItem{cyc: p.ctx.Cycle(), ord: p.ord, r: r})
 	return true
 }

@@ -204,7 +204,7 @@ type gpuAssembly struct {
 	l1s         []*cache.Timed
 	sms         []*smcore.SM
 	kernelIndex int
-	// drain folds the per-shard metric shadows into g (nil when serial).
+	// drain folds the per-shard metric shadows into g (nil with one shard).
 	// It runs before every probe sample and before the final snapshot, so
 	// observed counters are identical to a serial run's.
 	drain func()
@@ -490,7 +490,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	// distributed over nShards engine shards; the shared modules (block
 	// scheduler, NoC, L2, DRAM) stay serial. The Memory configuration has
 	// no shardable cycle-accurate state (and its analytical models share
-	// order-dependent bandwidth meters), so it always runs serially.
+	// order-dependent bandwidth meters), so it always runs on one shard —
+	// which the engine ticks as a plain serial run.
 	nShards := opts.EngineThreads
 	if nShards > gpu.NumSMs {
 		nShards = gpu.NumSMs
@@ -498,25 +499,26 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	if nShards < 2 || opts.Kind == Memory {
 		nShards = 1
 	}
+	eng.SetParallel(nShards)
 	shardOf := func(smID int) int { return smID % nShards }
-	var shadows []*metrics.Gatherer
-	ctxFor := func(smID int) engine.Context { return eng }
-	gFor := func(smID int) *metrics.Gatherer { return g }
+	ctxFor := func(smID int) engine.Context { return eng.ShardContext(shardOf(smID)) }
+	// Metric shadows are the one shard-count-dependent choice: a lone shard
+	// counts into the main gatherer directly; concurrent shards each get a
+	// private shadow, folded into g before every observation.
+	shardG := []*metrics.Gatherer{g}
 	if nShards > 1 {
-		eng.SetParallel(nShards)
-		shadows = make([]*metrics.Gatherer, nShards)
-		for s := range shadows {
-			shadows[s] = metrics.New()
+		shardG = make([]*metrics.Gatherer, nShards)
+		for s := range shardG {
+			shardG[s] = metrics.New()
 		}
-		ctxFor = func(smID int) engine.Context { return eng.ShardContext(shardOf(smID)) }
-		gFor = func(smID int) *metrics.Gatherer { return shadows[shardOf(smID)] }
 		a.drain = func() {
-			for _, s := range shadows {
+			for _, s := range shardG {
 				g.Absorb(s)
 			}
 		}
 		eng.SetPreSample(a.drain)
 	}
+	gFor := func(smID int) *metrics.Gatherer { return shardG[shardOf(smID)] }
 
 	// Relaxed-sync epochs engage only in parallel assemblies; an epoch
 	// boundary (boundary.go) then carries each L1's downstream traffic,
@@ -571,11 +573,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 		}
 		defer func() {
 			for i, l1 := range l1s {
-				if nShards > 1 {
-					eng.RegisterSharded(l1, shardOf(i))
-				} else {
-					eng.Register(l1)
-				}
+				eng.RegisterSharded(l1, shardOf(i))
 			}
 			if boundary != nil {
 				eng.Register(boundary)
@@ -679,11 +677,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 		// the shared interconnect/L2/DRAM stay serial after it.
 		defer func() {
 			for i, l1 := range l1s {
-				if nShards > 1 {
-					eng.RegisterSharded(l1, shardOf(i))
-				} else {
-					eng.Register(l1)
-				}
+				eng.RegisterSharded(l1, shardOf(i))
 			}
 			// The boundary ticks after the L1s and before the NoC, so
 			// released traffic enters the interconnect the same cycle it
@@ -701,54 +695,33 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 		}()
 	}
 
-	// Execution units per configuration. In parallel mode each shard gets
-	// its own provider instance bound to its shard context and metric
-	// shadow; an SM's shard assignment is fixed, so intra-SM unit sharing
-	// (the DP:0.5x pairs) is unaffected by the delegation.
+	// Execution units per configuration. Each shard gets its own provider
+	// instance bound to its shard context and gatherer; an SM's shard
+	// assignment is fixed, so intra-SM unit sharing (the DP:0.5x pairs) is
+	// unaffected by the delegation.
 	var units smcore.UnitSet
 	switch opts.Kind {
-	case Detailed:
-		if nShards > 1 {
-			sets := make([]smcore.UnitSet, nShards)
-			for s := range sets {
-				sets[s] = smcore.NewCycleAccurateUnits(smCfg, eng.ShardContext(s), shadows[s], gpu.L1.SectorBytes, l1For)
+	case Detailed, Basic, L2Hybrid:
+		sets := make([]smcore.UnitSet, nShards)
+		for s := range sets {
+			sets[s] = smcore.NewCycleAccurateUnits(smCfg, eng.ShardContext(s), shardG[s], gpu.L1.SectorBytes, l1For)
+			if opts.Kind != Detailed {
+				sets[s].ALU = analyticalALUs(smCfg, eng, eng.ShardContext(s), shardG[s])
 			}
-			units = smcore.UnitSet{
-				ALU: func(smID, sub int, class trace.OpClass) smcore.Unit {
-					return sets[shardOf(smID)].ALU(smID, sub, class)
-				},
-				LDST: func(smID, sub int) smcore.Unit {
-					return sets[shardOf(smID)].LDST(smID, sub)
-				},
-				ICache: func(smID, sub int) *smcore.ICache {
-					return sets[shardOf(smID)].ICache(smID, sub)
-				},
-				ModelFrontEnd: true,
-			}
-		} else {
-			units = smcore.NewCycleAccurateUnits(smCfg, eng, g, gpu.L1.SectorBytes, l1For)
 		}
-	case Basic, L2Hybrid:
-		if nShards > 1 {
-			alus := make([]func(smID, sub int, class trace.OpClass) smcore.Unit, nShards)
-			ldsts := make([]func(smID, sub int) smcore.Unit, nShards)
-			for s := range alus {
-				alus[s] = analyticalALUs(smCfg, eng, eng.ShardContext(s), shadows[s])
-				ldsts[s] = smcore.NewCycleAccurateUnits(smCfg, eng.ShardContext(s), shadows[s], gpu.L1.SectorBytes, l1For).LDST
+		units = smcore.UnitSet{
+			ALU: func(smID, sub int, class trace.OpClass) smcore.Unit {
+				return sets[shardOf(smID)].ALU(smID, sub, class)
+			},
+			LDST: func(smID, sub int) smcore.Unit {
+				return sets[shardOf(smID)].LDST(smID, sub)
+			},
+		}
+		if opts.Kind == Detailed {
+			units.ICache = func(smID, sub int) *smcore.ICache {
+				return sets[shardOf(smID)].ICache(smID, sub)
 			}
-			units = smcore.UnitSet{
-				ALU: func(smID, sub int, class trace.OpClass) smcore.Unit {
-					return alus[shardOf(smID)](smID, sub, class)
-				},
-				LDST: func(smID, sub int) smcore.Unit {
-					return ldsts[shardOf(smID)](smID, sub)
-				},
-			}
-		} else {
-			units = smcore.UnitSet{
-				ALU:  analyticalALUs(smCfg, eng, eng, g),
-				LDST: smcore.NewCycleAccurateUnits(smCfg, eng, g, gpu.L1.SectorBytes, l1For).LDST,
-			}
+			units.ModelFrontEnd = true
 		}
 	case Memory:
 		// Eq. 1's level latencies are end-to-end from the core: an L2
@@ -835,11 +808,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	a.bs = bs
 	eng.Register(bs)
 	for i, sm := range sms {
-		if nShards > 1 {
-			eng.RegisterSharded(sm, shardOf(i))
-		} else {
-			eng.Register(sm)
-		}
+		eng.RegisterSharded(sm, shardOf(i))
 	}
 	return a, nil
 }

@@ -10,6 +10,8 @@ import (
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
+	"swiftsim/internal/metrics"
 	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
@@ -509,5 +511,76 @@ func TestL2HybridConfiguration(t *testing.T) {
 	// L2 backend counters flow into the metrics.
 	if hyb.Metrics["membackend.l2_hit"]+hyb.Metrics["membackend.l2_miss"] == 0 {
 		t.Error("backend saw no traffic")
+	}
+}
+
+// boundaryPusher is a sharded module that stays busy for work cycles and
+// pushes one message into its boundary port at local cycle at.
+type boundaryPusher struct {
+	port mem.Port
+	at   uint64
+	work int
+}
+
+func (p *boundaryPusher) Name() string           { return "pusher" }
+func (p *boundaryPusher) Kind() engine.ModelKind { return engine.CycleAccurate }
+func (p *boundaryPusher) Busy() bool             { return p.work > 0 }
+func (p *boundaryPusher) SetWake(func())         {}
+func (p *boundaryPusher) Tick(cycle uint64) {
+	p.work--
+	if cycle == p.at {
+		p.port.Accept(&mem.Request{Addr: cycle})
+	}
+}
+
+// cycleSink records the engine cycle of every delivery.
+type cycleSink struct {
+	eng *engine.Engine
+	at  []uint64
+}
+
+func (s *cycleSink) Accept(*mem.Request) bool {
+	s.at = append(s.at, s.eng.Cycle())
+	return true
+}
+
+// TestEpochBoundaryWakeAware pins the boundary's active-set contract: the
+// first message of an epoch wakes it at the barrier, so a message captured
+// at the epoch's first cycle T is delivered in that epoch's tail at T (and
+// one captured at T+2 in the catch-up cycle T+2, never early); with no
+// traffic parked the boundary is not in the active set at all.
+func TestEpochBoundaryWakeAware(t *testing.T) {
+	eng := engine.New()
+	eng.SetParallel(2)
+	eng.SetEpoch(4)
+	sink := &cycleSink{eng: eng}
+	b := newEpochBoundary("epochq", sink, metrics.New())
+	// Epochs are [0,3], [4,7], [8,11], ...: 8 opens one, 10 is mid-epoch.
+	pushers := []*boundaryPusher{{at: 8, work: 16}, {at: 10, work: 16}}
+	for s, p := range pushers {
+		p.port = b.port(s, eng.ShardContext(s))
+		eng.RegisterSharded(p, s)
+	}
+	eng.Register(b)
+
+	idleActive, parkedActive := -1, -1
+	eng.Schedule(5, func() { idleActive = eng.ActiveTickers() })
+	eng.Schedule(9, func() { parkedActive = eng.ActiveTickers() })
+	done := false
+	eng.Schedule(40, func() { done = true })
+	if _, err := eng.Run(func() bool { return done }, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.at) != 2 || sink.at[0] != 8 || sink.at[1] != 10 {
+		t.Errorf("deliveries at cycles %v, want [8 10]", sink.at)
+	}
+	if idleActive != len(pushers) {
+		t.Errorf("active set with an empty boundary = %d, want only the %d pushers", idleActive, len(pushers))
+	}
+	if parkedActive != len(pushers)+1 {
+		t.Errorf("active set with a parked message = %d, want the pushers and the boundary", parkedActive)
+	}
+	if b.Busy() || eng.ActiveTickers() != 0 {
+		t.Errorf("after the run: boundary busy=%v, %d tickers active; want idle and empty", b.Busy(), eng.ActiveTickers())
 	}
 }

@@ -46,7 +46,7 @@ func (bs *BlockScheduler) LaunchKernel(k *trace.Kernel) {
 	}
 }
 
-// SetWake implements engine.WakeAware. The scheduler only has work right
+// SetWake implements engine.Ticker. The scheduler only has work right
 // after a kernel launch or a block completion, so it wakes itself at those
 // two points and otherwise stays out of the engine's active set.
 func (bs *BlockScheduler) SetWake(wake func()) { bs.wake = wake }

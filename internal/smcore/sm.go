@@ -282,6 +282,12 @@ func (sc *subCore) removeWarp(w *Warp) {
 	}
 }
 
+// finishedBlock is a completed block's frozen completion arguments.
+type finishedBlock struct {
+	launchCycle uint64
+	index       int
+}
+
 // SM is one streaming multiprocessor: sub-cores with warp schedulers,
 // execution units, and residency accounting for blocks, warps, registers
 // and shared memory.
@@ -289,7 +295,6 @@ type SM struct {
 	id        int
 	cfg       config.SM
 	eng       engine.Context
-	engDefers bool   // eng stages Defers (shard context); false = inline, skip the closure
 	wake      func() // engine activation callback (nil when standalone)
 	subcores  []*subCore
 	unitList  []Unit // distinct units across all sub-cores
@@ -300,6 +305,13 @@ type SM struct {
 	usedWarps int
 	usedRegs  int
 	usedShmem int
+
+	// finished is the FIFO of completed blocks awaiting finishBlock, popped
+	// from finishedHead by finishOldest; finishFn is that method, bound
+	// once so handing it to Defer allocates nothing (see blockDone).
+	finished     []finishedBlock
+	finishedHead int
+	finishFn     func()
 
 	// accounted is the number of engine iterations whose scheduler-stall
 	// contribution has been recorded, either by an actual Tick or by
@@ -414,21 +426,17 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 	if us.ALU == nil || us.LDST == nil {
 		return nil, fmt.Errorf("smcore: SM%d: unit set missing ALU or LDST provider", id)
 	}
-	// *engine.Engine runs Defer inline; only shard contexts (or other
-	// staging wrappers) need blockDone's completion closure. Detecting the
-	// serial engine here keeps the per-block hot path allocation free.
-	_, directEng := eng.(*engine.Engine)
 	sm := &SM{
 		id:          id,
 		cfg:         cfg,
 		eng:         eng,
-		engDefers:   eng != nil && !directEng,
 		frontEnd:    us.ModelFrontEnd,
 		onBlockDone: onBlockDone,
 		issued:      g.Counter("sm.issued"),
 		stalls:      g.Counter("sm.stall"),
 		blocksRun:   g.Counter("sm.blocks"),
 	}
+	sm.finishFn = sm.finishOldest
 	warpsPerSub := cfg.MaxWarps / cfg.SubCores
 	addUnit := func(u Unit) {
 		// Only cycle-accurate units enter the per-cycle tick list;
@@ -480,7 +488,7 @@ func (sm *SM) Name() string { return fmt.Sprintf("SM%d", sm.id) }
 // cycle-accurate in every Swift-Sim assembly in the paper.
 func (sm *SM) Kind() engine.ModelKind { return engine.CycleAccurate }
 
-// SetWake implements engine.WakeAware: the engine installs its activation
+// SetWake implements engine.Ticker: the engine installs its activation
 // callback so the SM can leave the per-cycle tick set while idle and be
 // re-activated by completion events, block assignment, and barrier
 // releases.
@@ -685,23 +693,34 @@ func (sm *SM) blockDone(rb *residentBlock) {
 	sm.usedRegs -= rb.regs
 	sm.usedShmem -= rb.shmem
 	// The block-completion notification (and its trace span) escapes the
-	// SM: onBlockDone wakes the shared Block Scheduler. During a parallel
-	// shard pass that is a cross-shard side effect, so it goes through the
-	// engine context's Defer — applied at the deterministic barrier in
-	// registration order. In serial mode Defer would run the closure
-	// inline anyway, so skip the per-block allocation and call directly.
-	// All captured values (launch cycle, index) are already frozen here.
-	if sm.engDefers {
-		launchCycle, index := rb.launchCycle, rb.index
-		sm.eng.Defer(func() { sm.finishBlock(launchCycle, index) })
-	} else {
+	// SM: onBlockDone wakes the shared Block Scheduler. During a shard pass
+	// that is a cross-shard side effect, so it goes through the engine
+	// context's Defer — applied at the deterministic barrier in
+	// registration order, inline otherwise. The block's frozen values
+	// (launch cycle, index) ride in a per-SM FIFO that the one preallocated
+	// callback pops, so the per-block path allocates in neither case: an
+	// SM's defers run in the order it issued them.
+	if sm.eng == nil {
 		sm.finishBlock(rb.launchCycle, rb.index)
+		return
 	}
+	sm.finished = append(sm.finished, finishedBlock{rb.launchCycle, rb.index})
+	sm.eng.Defer(sm.finishFn)
+}
+
+// finishOldest pops the oldest completed block and finishes it.
+func (sm *SM) finishOldest() {
+	f := sm.finished[sm.finishedHead]
+	sm.finishedHead++
+	if sm.finishedHead == len(sm.finished) {
+		sm.finished, sm.finishedHead = sm.finished[:0], 0
+	}
+	sm.finishBlock(f.launchCycle, f.index)
 }
 
 // finishBlock emits the block's trace span and notifies the Block
-// Scheduler. In sharded assemblies it runs at the engine barrier (via
-// Defer from blockDone); serially it runs inline.
+// Scheduler. It runs through the engine context's Defer from blockDone: at
+// the engine barrier when the SM's shard pass was staged, inline otherwise.
 func (sm *SM) finishBlock(launchCycle uint64, index int) {
 	if sm.trOn && sm.eng != nil {
 		sm.tr.Emit(obs.Event{Name: "block", Cat: "sm", Ph: obs.PhaseSpan,

@@ -17,23 +17,15 @@ type fixedMem struct {
 	eng      *engine.Engine
 	latency  uint64
 	accepted int
-	inflight int
 }
 
 func (m *fixedMem) Accept(r *mem.Request) bool {
 	m.accepted++
-	m.inflight++
 	m.eng.Schedule(m.latency, func() {
-		m.inflight--
 		r.Complete(mem.LevelL1)
 	})
 	return true
 }
-
-func (m *fixedMem) Name() string           { return "fixedMem" }
-func (m *fixedMem) Kind() engine.ModelKind { return engine.CycleAccurate }
-func (m *fixedMem) Tick(uint64)            {}
-func (m *fixedMem) Busy() bool             { return m.inflight > 0 }
 
 func testSMConfig() config.SM {
 	cfg := config.RTX2080Ti().SM
@@ -64,7 +56,6 @@ func newSMHarness(t *testing.T, cfg config.SM) *smHarness {
 	h.bs = NewBlockScheduler([]*SM{h.sm}, g)
 	eng.Register(h.bs)
 	eng.Register(h.sm)
-	eng.Register(fm)
 	return h
 }
 
