@@ -71,18 +71,23 @@ func (b *Backend) Accept(r *mem.Request) bool {
 		if !hit {
 			b.dram.Reserve(now, 1)
 		}
-		if r.Done != nil {
-			b.eng.Schedule(nocDelay+b.latL2, func() { r.Complete(mem.LevelL2) })
+		if r.WantsReply() {
+			b.eng.Schedule(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
+		} else {
+			r.Complete(mem.LevelL2)
 		}
 		return true
 	}
 	if hit {
 		b.hits.Inc()
-		b.eng.Schedule(nocDelay+b.latL2, func() { r.Complete(mem.LevelL2) })
+		b.eng.Schedule(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
 		return true
 	}
 	b.misses.Inc()
 	dramDelay := b.dram.Reserve(now, 1)
-	b.eng.Schedule(nocDelay+dramDelay+b.latDRAM, func() { r.Complete(mem.LevelDRAM) })
+	b.eng.Schedule(nocDelay+dramDelay+b.latDRAM, r.Retirement(b, mem.LevelDRAM))
 	return true
 }
+
+// Retire implements mem.Stage: the modeled latency has elapsed.
+func (b *Backend) Retire(r *mem.Request, lvl mem.Level) { r.Complete(lvl) }

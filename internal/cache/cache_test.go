@@ -113,6 +113,15 @@ func TestFunctionalReset(t *testing.T) {
 	}
 }
 
+// pendingWaiters returns the total number of requests parked in m.
+func (m *mshrTable) pendingWaiters() int {
+	n := 0
+	for _, e := range m.entries {
+		n += len(e.waiters)
+	}
+	return n
+}
+
 func TestMSHRMergeAndFill(t *testing.T) {
 	m := newMSHR(2, 4)
 	r1 := &mem.Request{Addr: 0}
@@ -143,6 +152,58 @@ func TestMSHRMergeAndFill(t *testing.T) {
 	}
 	if m.used() != 0 {
 		t.Fatal("entry not removed after all sectors filled")
+	}
+}
+
+// TestMSHRRecyclesEntries: an entry released by its last fill is the one
+// the next miss gets, and it starts clean.
+func TestMSHRRecyclesEntries(t *testing.T) {
+	m := newMSHR(2, 4)
+	m.add(7, 0, &mem.Request{})
+	m.add(7, 0, &mem.Request{})
+	m.add(7, 2, &mem.Request{})
+	first := m.entries[7]
+	if got := m.fill(7, 0); len(got) != 2 {
+		t.Fatalf("fill sector 0 released %d, want 2", len(got))
+	}
+	if len(m.free) != 1 {
+		t.Fatalf("entry with a pending sector on the free list (%d free)", len(m.free))
+	}
+	m.fill(7, 2)
+	if m.used() != 0 || len(m.free) != 2 {
+		t.Fatalf("used/free = %d/%d after the last fill, want 0/2", m.used(), len(m.free))
+	}
+
+	r := &mem.Request{}
+	if got := m.add(9, 1, r); got != mshrNewEntry {
+		t.Fatalf("add after release = %v, want new entry", got)
+	}
+	e := m.entries[9]
+	if e != first {
+		t.Error("released entry was not reused")
+	}
+	if e.lineAddr != 9 || e.sectorsPending != 1<<1 || e.merged != 1 ||
+		len(e.waiters) != 1 || e.waiters[0] != (mshrWaiter{req: r, sector: 1}) {
+		t.Errorf("recycled entry carries old state: %+v", e)
+	}
+	if cap(e.waiters) != 4 {
+		t.Errorf("waiters capacity = %d, want maxMerge 4", cap(e.waiters))
+	}
+	// Between the two: released, it held nothing.
+	m.fill(9, 1)
+	if e.sectorsPending != 0 || e.merged != 0 || len(e.waiters) != 0 {
+		t.Errorf("released entry not empty: %+v", e)
+	}
+	for _, w := range e.waiters[:cap(e.waiters)] {
+		if w.req != nil {
+			t.Error("released entry retains a request pointer")
+		}
+	}
+	// The table never allocates more entries than its capacity.
+	m.add(1, 0, &mem.Request{})
+	m.add(2, 0, &mem.Request{})
+	if m.slabbed != 2 || m.add(3, 0, &mem.Request{}) != mshrStall {
+		t.Errorf("slabbed = %d entries for capacity 2, or third line not stalled", m.slabbed)
 	}
 }
 

@@ -62,15 +62,15 @@ func (t *tags) snapLoad(r *snap.Reader) error {
 
 // SnapSave implements snap.Stateful.
 func (c *Timed) SnapSave(w *snap.Writer) {
-	if c.inflight != 0 || len(c.toDown) != 0 || c.mshr.used() != 0 {
+	if c.inflight != 0 || c.toDown.Len() != 0 || c.mshr.used() != 0 {
 		w.Fail(fmt.Errorf("%w: cache %s has %d in-flight requests, %d pending downstream, %d MSHR entries",
-			snap.ErrNotQuiescent, c.name, c.inflight, len(c.toDown), c.mshr.used()))
+			snap.ErrNotQuiescent, c.name, c.inflight, c.toDown.Len(), c.mshr.used()))
 		return
 	}
 	for b := range c.banks {
-		if len(c.banks[b]) != 0 {
+		if c.banks[b].Len() != 0 {
 			w.Fail(fmt.Errorf("%w: cache %s bank %d holds %d queued requests",
-				snap.ErrNotQuiescent, c.name, b, len(c.banks[b])))
+				snap.ErrNotQuiescent, c.name, b, c.banks[b].Len()))
 			return
 		}
 	}

@@ -30,11 +30,11 @@ type Timed struct {
 
 	tags  *tags
 	mshr  *mshrTable
-	banks [][]*mem.Request // per-bank FIFO input queues
+	banks []mem.FIFO[*mem.Request] // per-bank input queues, bankQueueDepth deep
 
 	// toDown holds downstream requests (fetches, write-throughs,
 	// writebacks) not yet accepted by the next level.
-	toDown []*mem.Request
+	toDown mem.FIFO[*mem.Request]
 
 	// inflight counts upstream requests accepted but not yet completed.
 	inflight int
@@ -81,7 +81,7 @@ func NewTimed(name string, cfg config.Cache, level mem.Level, eng engine.Context
 		down:          down,
 		tags:          newTags(cfg),
 		mshr:          newMSHR(cfg.MSHREntries, cfg.MSHRMaxMerge),
-		banks:         make([][]*mem.Request, cfg.Banks),
+		banks:         make([]mem.FIFO[*mem.Request], cfg.Banks),
 		hits:          g.Counter(name + ".hit"),
 		misses:        g.Counter(name + ".miss"),
 		readHits:      g.Counter(name + ".read_hit"),
@@ -106,7 +106,7 @@ func (c *Timed) Kind() engine.ModelKind { return engine.CycleAccurate }
 // Busy implements engine.Ticker: the cache has per-cycle work while any
 // request is queued, in flight, or waiting to go downstream.
 func (c *Timed) Busy() bool {
-	return c.inflight > 0 || len(c.toDown) > 0
+	return c.inflight > 0 || c.toDown.Len() > 0
 }
 
 // SetWake implements engine.Ticker: an idle cache leaves the engine's
@@ -117,11 +117,11 @@ func (c *Timed) SetWake(wake func()) { c.wake = wake }
 // address; a full bank queue rejects the request.
 func (c *Timed) Accept(r *mem.Request) bool {
 	b := c.bankOf(r.Addr)
-	if len(c.banks[b]) >= bankQueueDepth {
+	if c.banks[b].Len() >= bankQueueDepth {
 		c.bankConflicts.Inc()
 		return false
 	}
-	c.banks[b] = append(c.banks[b], r)
+	c.banks[b].Push(r)
 	c.inflight++
 	if c.trOn {
 		r.T0 = c.eng.Cycle()
@@ -148,24 +148,24 @@ func (c *Timed) PreTick(cycle uint64) {
 // requests. Downstream drains happen in PreTick.
 func (c *Timed) Tick(cycle uint64) {
 	for b := range c.banks {
-		for n := 0; n < c.cfg.Throughput && len(c.banks[b]) > 0; n++ {
-			r := c.banks[b][0]
-			if !c.process(r) {
+		q := &c.banks[b]
+		for n := 0; n < c.cfg.Throughput && q.Len() > 0; n++ {
+			if !c.process(q.Front()) {
 				// MSHR stall: head-of-line blocks the bank.
 				c.mshrStalls.Inc()
 				break
 			}
-			c.banks[b] = c.banks[b][1:]
+			q.Pop()
 		}
 	}
 }
 
 func (c *Timed) drainDown() {
-	for len(c.toDown) > 0 {
-		if !c.down.Accept(c.toDown[0]) {
+	for c.toDown.Len() > 0 {
+		if !c.down.Accept(c.toDown.Front()) {
 			return
 		}
-		c.toDown = c.toDown[1:]
+		c.toDown.Pop()
 	}
 }
 
@@ -192,7 +192,7 @@ func (c *Timed) process(r *mem.Request) bool {
 	case mshrMerged:
 		c.mshrMerges.Inc()
 	case mshrNewSector, mshrNewEntry:
-		c.fetch(r.Addr, r.PC, r.SMID)
+		c.fetch(r)
 	}
 	if l != nil {
 		c.sectorMisses.Inc()
@@ -231,24 +231,16 @@ func (c *Timed) processWrite(r *mem.Request) {
 	c.complete(r, c.level)
 }
 
-// fetch issues a downstream read for the sector containing addr.
-func (c *Timed) fetch(addr uint64, pc uint64, smid int) {
-	sectorAddr := addr &^ uint64(c.cfg.SectorBytes-1)
-	lineAddr := c.tags.lineAddr(addr)
-	sector := c.tags.sector(addr)
+// fetch issues a downstream read for the sector r missed on. The cache
+// owns the fetch and hears of the fill through RequestDone.
+func (c *Timed) fetch(r *mem.Request) {
 	dr := mem.GetRequest()
-	dr.Addr = sectorAddr
+	dr.Addr = r.Addr &^ uint64(c.cfg.SectorBytes-1)
 	dr.Size = c.cfg.SectorBytes
-	dr.PC = pc
-	dr.SMID = smid
-	// The fetch request's life ends when its fill callback has run (the
-	// NoC return path and the downstream level have both let go of it by
-	// then), so the creator recycles it here.
-	dr.Done = func() {
-		c.onFill(lineAddr, sector, sectorAddr, dr.ServicedBy)
-		mem.PutRequest(dr)
-	}
-	c.toDown = append(c.toDown, dr)
+	dr.PC = r.PC
+	dr.SMID = r.SMID
+	dr.Owner = c
+	c.toDown.Push(dr)
 }
 
 func (c *Timed) forwardWrite(r *mem.Request) {
@@ -258,14 +250,16 @@ func (c *Timed) forwardWrite(r *mem.Request) {
 	w.Size = c.cfg.SectorBytes
 	w.PC = r.PC
 	w.SMID = r.SMID
-	c.toDown = append(c.toDown, w)
+	c.toDown.Push(w)
 }
 
-// onFill handles a sector arriving from downstream: install it, write back
-// any dirty eviction, and release the requests parked on it.
-func (c *Timed) onFill(lineAddr uint64, sector uint, sectorAddr uint64, from mem.Level) {
-	c.installSector(sectorAddr)
-	for _, waiter := range c.mshr.fill(lineAddr, sector) {
+// RequestDone implements mem.Requester for the cache's fetches: the sector
+// has arrived from downstream. Install it, write back any dirty eviction,
+// and release the requests parked on it.
+func (c *Timed) RequestDone(dr *mem.Request) {
+	from := dr.ServicedBy
+	c.installSector(dr.Addr)
+	for _, waiter := range c.mshr.fill(c.tags.lineAddr(dr.Addr), c.tags.sector(dr.Addr)) {
 		waiter.ServicedBy = from
 		c.complete(waiter, from)
 	}
@@ -292,32 +286,26 @@ func (c *Timed) installSector(addr uint64) {
 		wb.Addr = base + uint64(s*c.cfg.SectorBytes)
 		wb.Write = true
 		wb.Size = c.cfg.SectorBytes
-		c.toDown = append(c.toDown, wb)
+		c.toDown.Push(wb)
 	}
 }
 
 // complete retires an upstream request after the hit latency.
 func (c *Timed) complete(r *mem.Request, lvl mem.Level) {
-	c.eng.Schedule(uint64(c.cfg.HitLatency), func() {
-		c.inflight--
-		if c.trOn {
-			// Emit before Complete: the creator's Done callback may recycle
-			// r, and a recycled request must not be read.
-			c.tr.Emit(obs.Event{Name: lvl.String(), Cat: "mem", Ph: obs.PhaseSpan,
-				Ts: r.T0, Dur: c.eng.Cycle() - r.T0, Tid: c.trTid,
-				Arg1Name: "addr", Arg1: r.Addr, Arg2Name: "sm", Arg2: uint64(r.SMID)})
-		}
-		// Decide ownership before Complete: a creator's Done callback may
-		// recycle r (zeroing Done), and checking afterwards would free it
-		// a second time.
-		fireAndForget := r.Done == nil
-		r.Complete(lvl)
-		if fireAndForget {
-			// Fire-and-forget write traffic ends here; the completing
-			// consumer recycles it.
-			mem.PutRequest(r)
-		}
-	})
+	c.eng.Schedule(uint64(c.cfg.HitLatency), r.Retirement(c, lvl))
+}
+
+// Retire implements mem.Stage: the hit latency of a request passed to
+// complete has elapsed.
+func (c *Timed) Retire(r *mem.Request, lvl mem.Level) {
+	c.inflight--
+	if c.trOn {
+		// Emit before Complete, which may recycle r.
+		c.tr.Emit(obs.Event{Name: lvl.String(), Cat: "mem", Ph: obs.PhaseSpan,
+			Ts: r.T0, Dur: c.eng.Cycle() - r.T0, Tid: c.trTid,
+			Arg1Name: "addr", Arg1: r.Addr, Arg2Name: "sm", Arg2: uint64(r.SMID)})
+	}
+	r.Complete(lvl)
 }
 
 // Invalidate drops all cached lines, modeling the L1 flush real GPUs

@@ -148,20 +148,32 @@ func TestTimedMSHRCapacityStall(t *testing.T) {
 
 func TestTimedBankBackpressure(t *testing.T) {
 	h := newHarness(t, smallCache())
-	h.down.refuse = true // nothing drains
-	accepted := 0
-	for i := 0; i < bankQueueDepth+5; i++ {
-		// Same bank: sector address stride of banks*sectorBytes.
-		r := &mem.Request{Addr: uint64(i) * 64 * 2, Size: 32}
-		if h.cache.Accept(r) {
-			accepted++
+	// Same bank every time: sector address stride of banks*sectorBytes.
+	fill := func(round int) (accepted int) {
+		for i := 0; i < bankQueueDepth+5; i++ {
+			r := &mem.Request{Addr: uint64(round*100+i) * 64 * 2, Size: 32}
+			if h.cache.Accept(r) {
+				accepted++
+			}
 		}
+		return accepted
 	}
-	if accepted != bankQueueDepth {
-		t.Errorf("accepted = %d, want %d", accepted, bankQueueDepth)
+	if got := fill(0); got != bankQueueDepth {
+		t.Errorf("accepted = %d, want %d", got, bankQueueDepth)
 	}
-	if h.g.Value("l1.bank_conflict") == 0 {
-		t.Error("expected bank conflicts recorded")
+	if got := h.g.Value("l1.bank_conflict"); got != 5 {
+		t.Errorf("bank_conflict = %d, want 5 (requests %d.. refused)", got, bankQueueDepth+1)
+	}
+	// The bound holds with the ring's head mid-array: retire three
+	// (Throughput is one a cycle) and offer a full round again.
+	for cyc := uint64(0); cyc < 3; cyc++ {
+		h.cache.Tick(cyc)
+	}
+	if got := fill(1); got != 3 {
+		t.Errorf("accepted after draining 3 = %d, want 3", got)
+	}
+	if got := h.g.Value("l1.bank_conflict"); got != 5+bankQueueDepth+2 {
+		t.Errorf("bank_conflict = %d, want %d", got, 5+bankQueueDepth+2)
 	}
 }
 

@@ -190,27 +190,36 @@ func (p *Partition) service(cycle uint64, r *mem.Request) {
 	} else {
 		p.reads.Inc()
 	}
-	p.eng.Schedule(lat, func() {
-		if p.trOn {
-			// Emit before Complete: the creator's Done callback may recycle
-			// the pooled request.
-			rowArg := uint64(0)
-			if hit {
-				rowArg = 1
-			}
-			p.tr.Emit(obs.Event{Name: "access", Cat: "dram", Ph: obs.PhaseSpan,
-				Ts: r.T0, Dur: p.eng.Cycle() - r.T0, Tid: p.trTid,
-				Arg1Name: "addr", Arg1: r.Addr, Arg2Name: "row_hit", Arg2: rowArg})
-		}
-		// Decide ownership before Complete: a creator's Done callback may
-		// recycle r (zeroing Done), and checking afterwards would free it
-		// a second time.
-		fireAndForget := r.Done == nil
-		r.Complete(mem.LevelDRAM)
-		if fireAndForget {
-			// Writebacks and write-through forwards end their life here;
-			// requests with callbacks are recycled by their creators.
-			mem.PutRequest(r)
-		}
-	})
+	if hit {
+		p.eng.Schedule(lat, r.Retirement((*rowHit)(p), mem.LevelDRAM))
+	} else {
+		p.eng.Schedule(lat, r.Retirement((*rowMiss)(p), mem.LevelDRAM))
+	}
+}
+
+// rowHit and rowMiss are the partition as the mem.Stage of an access that
+// hit or missed its bank's open row. Which of the two a request was
+// scheduled through is the one bit its completion needs beyond the request
+// itself (the trace span's row_hit argument), so the bit travels as the
+// interface's type instead of in a closure per access.
+type (
+	rowHit  Partition
+	rowMiss Partition
+)
+
+// Retire implements mem.Stage.
+func (p *rowHit) Retire(r *mem.Request, _ mem.Level) { (*Partition)(p).retire(r, 1) }
+
+// Retire implements mem.Stage.
+func (p *rowMiss) Retire(r *mem.Request, _ mem.Level) { (*Partition)(p).retire(r, 0) }
+
+// retire returns the data of an access whose latency has elapsed.
+func (p *Partition) retire(r *mem.Request, hit uint64) {
+	if p.trOn {
+		// Emit before Complete, which may recycle r.
+		p.tr.Emit(obs.Event{Name: "access", Cat: "dram", Ph: obs.PhaseSpan,
+			Ts: r.T0, Dur: p.eng.Cycle() - r.T0, Tid: p.trTid,
+			Arg1Name: "addr", Arg1: r.Addr, Arg2Name: "row_hit", Arg2: hit})
+	}
+	r.Complete(mem.LevelDRAM)
 }

@@ -110,8 +110,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if accepted != queueCap {
 		t.Errorf("accepted = %d, want %d", accepted, queueCap)
 	}
-	if g.Value("dram0.stall") == 0 {
-		t.Error("expected stalls recorded")
+	if got := g.Value("dram0.stall"); got != 10 {
+		t.Errorf("dram0.stall = %d, want 10 (requests %d.. refused)", got, queueCap+1)
 	}
 }
 

@@ -9,7 +9,7 @@ package mem
 import "sync"
 
 // Level identifies which level of the hierarchy serviced a request.
-type Level int
+type Level uint8
 
 const (
 	// LevelNone means the request has not completed yet.
@@ -40,11 +40,39 @@ func (l Level) String() string {
 
 // Request is one sector-granular memory transaction flowing through the
 // modeled hierarchy.
+//
+// # Ownership
+//
+// A request has one holder at a time. Its creator holds it until a Port
+// accepts it; from then on the accepting module does, until it either
+// hands the request to the next Port or completes it. Complete is the end
+// of the request's life: it carries the request back over the
+// interconnect hop it came in by (if one interposed with Via), notifies
+// the creator (Owner, or Done for callers outside the module tree) and
+// then, if the request came from GetRequest, returns it to the pool. So
+// nobody frees a request explicitly, nobody touches one after calling
+// Complete, and the notified creator must not keep the pointer past its
+// callback. A request built with a literal (&Request{...}) never enters
+// the pool and stays valid for as long as its creator keeps it.
+//
+// The continuation a request needs at each step is data on the request
+// (Owner, the hop slot, the stage slot below) rather than a closure built
+// per step, so the steady-state path allocates nothing. One slot of each
+// kind is enough because a request crosses one interconnect hop and is
+// accepted by one cache/DRAM level at a time: a level that misses sends a
+// request of its own downstream and parks the original.
+//
+// The pool is a sync.Pool and may be used from any goroutine. Everything
+// else a module recycles (LD/ST instructions, MSHR entries, queue slots)
+// lives on a free list private to that module, touched from two places
+// only: the module's own Tick, which in a sharded cycle runs on the
+// shard's worker, and completion callbacks (RequestDone, Retire, Return),
+// which run in the engine's serial phases — the event phase and the
+// serial tail's NoC tick. The barrier separates the two, so the lists
+// need no locks.
 type Request struct {
 	// Addr is the byte address, sector-aligned by the coalescer.
 	Addr uint64
-	// Write distinguishes stores from loads.
-	Write bool
 	// Size is the transaction size in bytes (one sector for cache
 	// traffic).
 	Size int
@@ -54,49 +82,140 @@ type Request struct {
 	// SMID is the originating SM, used for return routing and per-SM
 	// counters.
 	SMID int
-	// ServicedBy records the level that ultimately supplied the data.
-	ServicedBy Level
-	// Done is invoked exactly once when the request completes. It may be
-	// nil (e.g. for write-through traffic nobody waits on).
+	// Owner is the creating module, told once when the request completes.
+	// Modules set it instead of Done: the interface value holds a pointer
+	// the module already has, where Done would be a closure per request.
+	// Nil for write-through and writeback traffic nobody waits on.
+	Owner Requester
+	// Done is the completion callback for callers that are not modules
+	// (tests, the benchmark rigs); it is invoked once per Complete when
+	// Owner is nil. It may be nil too.
 	Done func()
 	// T0 is the cycle the module that directly accepted this request took
 	// it, recorded only when request-level tracing is on so the module can
-	// emit a lifecycle span at completion. Each pooled Request is accepted
-	// by exactly one cache/DRAM level (downstream hops allocate fresh
-	// requests), so a single stamp suffices. Simulation behaviour never
-	// reads it.
+	// emit a lifecycle span at completion. A request is accepted by exactly
+	// one cache/DRAM level, so a single stamp suffices. Simulation
+	// behaviour never reads it.
 	T0 uint64
+
+	// The hop slot: the interconnect the request entered the memory side
+	// through and must return over, with (hopTag) its routing tag.
+	hop Hop
+	// The stage slot: the module that will retire the request when the
+	// event returned by Retirement fires, and (lvl) the level it retires
+	// at.
+	stage Stage
+	// fire is r.retire bound once, when the request is first scheduled,
+	// and kept across recycling.
+	fire func()
+
+	// The one- and four-byte fields sit together at the end so the struct
+	// stays in the 112-byte size class: the benchmark rigs and tests
+	// allocate one literal per request.
+	hopTag int32
+	lvl    Level
+	// pooled marks requests that came from GetRequest.
+	pooled bool
+	// Write distinguishes stores from loads.
+	Write bool
+	// ServicedBy records the level that ultimately supplied the data.
+	ServicedBy Level
 }
 
-// Complete marks the request serviced by lvl and fires its callback.
+// Requester is a module that creates requests and is told when each one
+// completes. r is the completed request, with ServicedBy set; it is
+// recycled when RequestDone returns.
+type Requester interface {
+	RequestDone(r *Request)
+}
+
+// Hop is an interconnect that carries completed requests back to the side
+// they were sent from. Return takes the request into the return network;
+// the hop calls r.Deliver when the traversal is over. tag is whatever the
+// hop passed to Via (the partition the request was routed to).
+type Hop interface {
+	Return(r *Request, tag int)
+}
+
+// Stage is a cache or memory level that completes requests after a
+// latency. Retire runs at the scheduled cycle with the level passed to
+// Retirement, and ends by calling r.Complete.
+type Stage interface {
+	Retire(r *Request, lvl Level)
+}
+
+// WantsReply reports whether anybody is waiting for r to complete. An
+// interconnect carries only such requests back; the rest end their life
+// at the level that consumes them.
+func (r *Request) WantsReply() bool { return r.Owner != nil || r.Done != nil }
+
+// Via records that r entered the memory side through h, so Complete sends
+// it back the same way.
+func (r *Request) Via(h Hop, tag int) { r.hop, r.hopTag = h, int32(tag) }
+
+// Retirement returns the function to hand to the engine's Schedule so that
+// s.Retire(r, lvl) runs when the event fires. The function is bound to r
+// once and reused, not built per call.
+func (r *Request) Retirement(s Stage, lvl Level) func() {
+	r.stage, r.lvl = s, lvl
+	if r.fire == nil {
+		r.fire = r.retire
+	}
+	return r.fire
+}
+
+func (r *Request) retire() {
+	s := r.stage
+	r.stage = nil
+	s.Retire(r, r.lvl)
+}
+
+// Complete marks the request serviced by lvl and ends its stay on the
+// memory side: over the return network if it came in through a Hop,
+// straight to Deliver otherwise. The caller must not use r afterwards.
 func (r *Request) Complete(lvl Level) {
 	if r.ServicedBy == LevelNone {
 		r.ServicedBy = lvl
 	}
-	if r.Done != nil {
+	if h := r.hop; h != nil {
+		r.hop = nil
+		h.Return(r, int(r.hopTag))
+		return
+	}
+	r.Deliver()
+}
+
+// Deliver notifies the request's creator and recycles the request if it
+// is pooled. Modules call Complete; Deliver is for a Hop finishing the
+// return traversal it started in Return.
+func (r *Request) Deliver() {
+	if r.Owner != nil {
+		r.Owner.RequestDone(r)
+	} else if r.Done != nil {
 		r.Done()
 	}
+	PutRequest(r)
 }
 
 // reqPool recycles Request structs on the L1/NoC/DRAM hot path, where the
-// detailed configurations allocate one per sector transaction. sync.Pool
-// keeps per-P free lists, so parallel sweeps (one assembly per goroutine)
-// do not contend.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
+// detailed configurations use one per sector transaction. sync.Pool keeps
+// per-P free lists, so parallel sweeps (one assembly per goroutine) and
+// the shards of one assembly do not contend.
+var reqPool = sync.Pool{New: func() any { return &Request{pooled: true} }}
 
-// GetRequest returns a zeroed Request from the pool. Callers that know a
-// request's lifetime has ended return it with PutRequest; requests with
-// unclear ownership may simply be dropped for the garbage collector.
+// GetRequest returns a zeroed Request from the pool. Complete returns it.
 func GetRequest() *Request {
 	return reqPool.Get().(*Request)
 }
 
-// PutRequest recycles r. The caller must guarantee no other module holds a
-// reference: the convention in this codebase is that the module that will
-// observe the completion last frees it — the creator inside its Done
-// callback when Done is set, or the completing consumer when Done is nil.
+// PutRequest recycles a request from GetRequest that no Port accepted;
+// accepted requests are recycled by Complete. Requests that did not come
+// from the pool are left alone.
 func PutRequest(r *Request) {
-	*r = Request{}
+	if !r.pooled {
+		return
+	}
+	*r = Request{fire: r.fire, pooled: true}
 	reqPool.Put(r)
 }
 

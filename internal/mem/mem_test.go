@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestCompleteSetsLevelOnce(t *testing.T) {
 	calls := 0
@@ -53,5 +56,145 @@ func TestPortFunc(t *testing.T) {
 	}
 	if accepted != 2 {
 		t.Errorf("calls = %d, want 2", accepted)
+	}
+}
+
+// recorder is a Requester, a Hop and a Stage that logs what reached it.
+type recorder struct {
+	log      []string
+	returned *Request
+}
+
+func (c *recorder) RequestDone(r *Request)     { c.log = append(c.log, "owner:"+r.ServicedBy.String()) }
+func (c *recorder) Return(r *Request, tag int) { c.log = append(c.log, "hop"); c.returned = r }
+func (c *recorder) Retire(r *Request, lvl Level) {
+	c.log = append(c.log, "stage:"+lvl.String())
+	r.Complete(lvl)
+}
+
+// TestCompletionChain follows one request through every continuation slot:
+// the scheduled retirement, the hop back, and the owner, in that order.
+func TestCompletionChain(t *testing.T) {
+	var c recorder
+	doneCalls := 0
+	r := &Request{Addr: 96, Owner: &c, Done: func() { doneCalls++ }}
+	if !r.WantsReply() {
+		t.Fatal("request with an owner does not want a reply")
+	}
+	r.Via(&c, 3)
+	fire := r.Retirement(&c, LevelL2)
+	fire()
+	if c.returned != r {
+		t.Fatalf("Complete did not take the hop back; log %v", c.log)
+	}
+	r.Deliver()
+	want := []string{"stage:L2", "hop", "owner:L2"}
+	if len(c.log) != len(want) {
+		t.Fatalf("log = %v, want %v", c.log, want)
+	}
+	for i := range want {
+		if c.log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", c.log, want)
+		}
+	}
+	if doneCalls != 0 {
+		t.Errorf("Done called %d times on a request with an Owner", doneCalls)
+	}
+	if r.Addr != 96 {
+		t.Errorf("literal request was recycled: Addr = %d", r.Addr)
+	}
+	if (&Request{Write: true}).WantsReply() {
+		t.Error("request with neither Owner nor Done wants a reply")
+	}
+}
+
+// TestPoolRecyclesOnlyPooledRequests: Complete zeroes a pooled request for
+// its next user and leaves a literal one alone, PutRequest likewise.
+func TestPoolRecyclesOnlyPooledRequests(t *testing.T) {
+	var c recorder
+	p := GetRequest()
+	p.Addr, p.Owner = 64, &c
+	bound := p.Retirement(&c, LevelDRAM)
+	bound()
+	if p.Addr != 0 || p.Owner != nil || p.ServicedBy != LevelNone || p.stage != nil {
+		t.Errorf("pooled request not zeroed by Complete: %+v", p)
+	}
+	if !p.pooled || p.fire == nil {
+		t.Error("recycling dropped the pool mark or the bound retirement")
+	}
+
+	lit := &Request{Addr: 32, Write: true}
+	PutRequest(lit)
+	lit.Complete(LevelL2)
+	if lit.Addr != 32 || lit.ServicedBy != LevelL2 {
+		t.Errorf("literal request touched by the pool: %+v", lit)
+	}
+}
+
+func TestFIFOOrderAcrossWrapAndGrowth(t *testing.T) {
+	var q FIFO[int]
+	next, want := 0, 0
+	pop := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got := q.Front(); got != want {
+				t.Fatalf("Front = %d, want %d", got, want)
+			}
+			if got := q.Pop(); got != want {
+				t.Fatalf("Pop = %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(next)
+			next++
+		}
+	}
+	// Hold 3 of 4 slots and cycle them: the head wraps every four pops.
+	push(3)
+	for i := 0; i < 10; i++ {
+		pop(2)
+		push(2)
+	}
+	if len(q.buf) != 4 {
+		t.Fatalf("ring grew to %d slots while never holding more than 3", len(q.buf))
+	}
+	// Grow with the head mid-array: order must survive the unwrap.
+	pop(1)
+	push(7)
+	if q.Len() != 9 || len(q.buf) != 16 {
+		t.Fatalf("Len/slots = %d/%d, want 9/16", q.Len(), len(q.buf))
+	}
+	for i := 0; i < 20; i++ {
+		pop(5)
+		push(5)
+	}
+	pop(9)
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
+	}
+	if len(q.buf) != 16 {
+		t.Errorf("ring holds %d slots, want the 16 it had grown to", len(q.buf))
+	}
+}
+
+func TestFIFOPopReleasesPointers(t *testing.T) {
+	var q FIFO[*Request]
+	q.Push(&Request{})
+	q.Pop()
+	for i, p := range q.buf {
+		if p != nil {
+			t.Errorf("slot %d still holds a popped request", i)
+		}
+	}
+}
+
+// TestRequestSizeClass pins the struct to the allocator's 112-byte class;
+// one more word puts every literal request (rigs, tests) in the next one.
+func TestRequestSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 112 {
+		t.Errorf("sizeof(Request) = %d, want at most 112", got)
 	}
 }

@@ -25,14 +25,14 @@ const queueCap = 32
 type entry struct {
 	r     *mem.Request
 	ready uint64 // cycle at which the traversal latency has elapsed
-	done  func() // original completion callback (responses only)
 	enq   uint64 // enqueue cycle, stamped only while tracing at RequestLevel
 }
 
 // Crossbar is a cycle-accurate SM↔partition crossbar. One instance handles
-// both directions: requests flow to partition ports, responses flow back to
-// the requesting L1 by invoking the request's completion callback after the
-// return traversal.
+// both directions: requests flow to partition ports, and a request somebody
+// waits for is marked (mem.Request.Via) so that its completion comes back
+// through Return and is delivered to the requesting L1 after the return
+// traversal.
 type Crossbar struct {
 	name     string
 	eng      *engine.Engine
@@ -42,8 +42,8 @@ type Crossbar struct {
 	targets  []mem.Port
 	mapAddr  func(addr uint64) int
 
-	fwd [][]entry // per-destination request queues
-	ret [][]entry // per-source-partition response queues
+	fwd []mem.FIFO[entry] // per-destination request queues, queueCap deep
+	ret []mem.FIFO[entry] // per-source-partition response queues
 
 	requests *metrics.Counter
 	stalls   *metrics.Counter
@@ -84,8 +84,8 @@ func NewCrossbar(name string, eng *engine.Engine, targets []mem.Port, mapAddr fu
 		perCycle: perCycle,
 		targets:  targets,
 		mapAddr:  mapAddr,
-		fwd:      make([][]entry, len(targets)),
-		ret:      make([][]entry, len(targets)),
+		fwd:      make([]mem.FIFO[entry], len(targets)),
+		ret:      make([]mem.FIFO[entry], len(targets)),
 		requests: g.Counter(name + ".request"),
 		stalls:   g.Counter(name + ".stall"),
 	}
@@ -101,7 +101,7 @@ func (x *Crossbar) Kind() engine.ModelKind { return engine.CycleAccurate }
 func (x *Crossbar) Busy() bool { return x.busyCnt > 0 }
 
 // SetWake implements engine.Ticker: the crossbar is ticked only while
-// flits are in flight. Accept (forward path) and respond (return path,
+// flits are in flight. Accept (forward path) and Return (return path,
 // reached from completion events while the crossbar may be idle) both
 // re-activate it.
 func (x *Crossbar) SetWake(wake func()) { x.wake = wake }
@@ -109,7 +109,7 @@ func (x *Crossbar) SetWake(wake func()) { x.wake = wake }
 // Accept implements mem.Port: requests enter the forward network.
 func (x *Crossbar) Accept(r *mem.Request) bool {
 	dst := x.mapAddr(r.Addr)
-	if len(x.fwd[dst]) >= queueCap {
+	if x.fwd[dst].Len() >= queueCap {
 		x.stalls.Inc()
 		return false
 	}
@@ -118,14 +118,13 @@ func (x *Crossbar) Accept(r *mem.Request) bool {
 	if x.trOn {
 		e.enq = x.eng.Cycle()
 	}
-	if r.Done != nil {
+	if r.WantsReply() {
 		// Interpose on the response path: when the memory side
 		// completes the request, it travels back through the return
 		// network before the L1 sees it.
-		orig := r.Done
-		r.Done = func() { x.respond(dst, r, orig) }
+		r.Via(x, dst)
 	}
-	x.fwd[dst] = append(x.fwd[dst], e)
+	x.fwd[dst].Push(e)
 	x.busyCnt++
 	if x.wake != nil {
 		x.wake()
@@ -133,16 +132,17 @@ func (x *Crossbar) Accept(r *mem.Request) bool {
 	return true
 }
 
-// respond enqueues a completed request on the return network.
-func (x *Crossbar) respond(src int, r *mem.Request, done func()) {
+// Return implements mem.Hop: it enqueues a completed request on the return
+// network of the partition it was routed to.
+func (x *Crossbar) Return(r *mem.Request, src int) {
 	// The return queue is not backpressured toward the L2 (responses in
 	// real hardware use a separate virtual network with guaranteed
 	// sinking); bandwidth is still bounded per cycle at drain time.
-	e := entry{r: r, ready: x.eng.Cycle() + x.latency, done: done}
+	e := entry{r: r, ready: x.eng.Cycle() + x.latency}
 	if x.trOn {
 		e.enq = x.eng.Cycle()
 	}
-	x.ret[src] = append(x.ret[src], e)
+	x.ret[src].Push(e)
 	x.busyCnt++
 	if x.wake != nil {
 		x.wake()
@@ -154,8 +154,9 @@ func (x *Crossbar) respond(src int, r *mem.Request, done func()) {
 // source partition.
 func (x *Crossbar) Tick(cycle uint64) {
 	for dst := range x.fwd {
-		for n := 0; n < x.perCycle && len(x.fwd[dst]) > 0; n++ {
-			head := x.fwd[dst][0]
+		q := &x.fwd[dst]
+		for n := 0; n < x.perCycle && q.Len() > 0; n++ {
+			head := q.Front()
 			if head.ready > cycle {
 				break
 			}
@@ -166,24 +167,23 @@ func (x *Crossbar) Tick(cycle uint64) {
 			if x.trOn {
 				x.emitSpan("fwd", &head, cycle)
 			}
-			x.fwd[dst] = x.fwd[dst][1:]
+			q.Pop()
 			x.busyCnt--
 		}
 	}
 	for src := range x.ret {
-		for n := 0; n < x.perCycle && len(x.ret[src]) > 0; n++ {
-			head := x.ret[src][0]
-			if head.ready > cycle {
+		q := &x.ret[src]
+		for n := 0; n < x.perCycle && q.Len() > 0; n++ {
+			if q.Front().ready > cycle {
 				break
 			}
-			x.ret[src] = x.ret[src][1:]
+			head := q.Pop()
 			x.busyCnt--
 			if x.trOn {
-				// Emit before done(): the completion chain may recycle the
-				// pooled request.
+				// Emit before Deliver, which may recycle the request.
 				x.emitSpan("ret", &head, cycle)
 			}
-			head.done()
+			head.r.Deliver()
 		}
 	}
 }

@@ -106,20 +106,34 @@ func TestCrossbarBandwidthContention(t *testing.T) {
 }
 
 func TestCrossbarBackpressure(t *testing.T) {
-	_, x, sinks, g := setup(1, 1, 1)
+	eng, x, sinks, g := setup(1, 1, 1)
 	sinks[0].refuse = true
-	accepted := 0
-	for i := 0; i < queueCap+10; i++ {
-		r := &mem.Request{Addr: 0, Size: 32}
-		if x.Accept(r) {
-			accepted++
+	offer := func(n int) (accepted int) {
+		for i := 0; i < n; i++ {
+			if x.Accept(&mem.Request{Addr: 0, Write: true, Size: 32}) {
+				accepted++
+			}
 		}
+		return accepted
 	}
-	if accepted != queueCap {
-		t.Errorf("accepted = %d, want %d", accepted, queueCap)
+	if got := offer(queueCap + 10); got != queueCap {
+		t.Errorf("accepted = %d, want %d", got, queueCap)
 	}
-	if g.Value("noc.stall") == 0 {
-		t.Error("expected NoC stalls recorded")
+	if got := g.Value("noc.stall"); got != 10 {
+		t.Errorf("noc.stall = %d, want 10 (messages %d.. refused)", got, queueCap+1)
+	}
+	// The bound holds with the ring's head mid-array: deliver five (one a
+	// cycle), then offer a full round again.
+	sinks[0].refuse = false
+	if _, err := eng.Run(func() bool { return len(sinks[0].accepted) == 5 }, 100); err != nil {
+		t.Fatal(err)
+	}
+	stalls := g.Value("noc.stall")
+	if got := offer(queueCap); got != 5 {
+		t.Errorf("accepted after delivering 5 = %d, want 5", got)
+	}
+	if got := g.Value("noc.stall") - stalls; got != queueCap-5 {
+		t.Errorf("noc.stall grew by %d, want %d", got, queueCap-5)
 	}
 }
 

@@ -29,8 +29,8 @@ type Ring struct {
 	smPos      func(smID int) int
 	partPos    func(part int) int
 
-	fwd [][]entry // per-destination-partition queues
-	ret [][]entry // per-source-partition response queues
+	fwd []mem.FIFO[entry] // per-destination-partition queues, queueCap deep
+	ret []mem.FIFO[entry] // per-source-partition response queues
 
 	requests *metrics.Counter
 	stalls   *metrics.Counter
@@ -75,8 +75,8 @@ func NewRing(name string, eng *engine.Engine, numSMs int, targets []mem.Port, ma
 		bisection:  bisection,
 		targets:    targets,
 		mapAddr:    mapAddr,
-		fwd:        make([][]entry, parts),
-		ret:        make([][]entry, parts),
+		fwd:        make([]mem.FIFO[entry], parts),
+		ret:        make([]mem.FIFO[entry], parts),
 		requests:   g.Counter(name + ".request"),
 		stalls:     g.Counter(name + ".stall"),
 		hopsAcc:    g.Counter(name + ".hops"),
@@ -129,7 +129,7 @@ func (r *Ring) SetWake(wake func()) { r.wake = wake }
 // queue capacity and the cycle's bisection budget.
 func (r *Ring) Accept(req *mem.Request) bool {
 	dst := r.mapAddr(req.Addr)
-	if len(r.fwd[dst]) >= queueCap || r.injected >= r.bisection {
+	if r.fwd[dst].Len() >= queueCap || r.injected >= r.bisection {
 		r.stalls.Inc()
 		return false
 	}
@@ -141,12 +141,10 @@ func (r *Ring) Accept(req *mem.Request) bool {
 	if r.trOn {
 		e.enq = r.eng.Cycle()
 	}
-	if req.Done != nil {
-		orig := req.Done
-		smID := req.SMID
-		req.Done = func() { r.respond(dst, smID, req, orig) }
+	if req.WantsReply() {
+		req.Via(r, dst)
 	}
-	r.fwd[dst] = append(r.fwd[dst], e)
+	r.fwd[dst].Push(e)
 	r.busyCnt++
 	if r.wake != nil {
 		r.wake()
@@ -154,13 +152,15 @@ func (r *Ring) Accept(req *mem.Request) bool {
 	return true
 }
 
-func (r *Ring) respond(src, smID int, req *mem.Request, done func()) {
-	h := r.hops(r.partPos(src), r.smPos(smID))
-	e := entry{r: req, ready: r.eng.Cycle() + uint64(h)*r.hopLatency, done: done}
+// Return implements mem.Hop: a completed request travels from the
+// partition it was routed to back to its SM.
+func (r *Ring) Return(req *mem.Request, src int) {
+	h := r.hops(r.partPos(src), r.smPos(req.SMID))
+	e := entry{r: req, ready: r.eng.Cycle() + uint64(h)*r.hopLatency}
 	if r.trOn {
 		e.enq = r.eng.Cycle()
 	}
-	r.ret[src] = append(r.ret[src], e)
+	r.ret[src].Push(e)
 	r.busyCnt++
 	if r.wake != nil {
 		r.wake()
@@ -172,8 +172,9 @@ func (r *Ring) respond(src, smID int, req *mem.Request, done func()) {
 func (r *Ring) Tick(cycle uint64) {
 	r.injected = 0
 	for dst := range r.fwd {
-		for len(r.fwd[dst]) > 0 {
-			head := r.fwd[dst][0]
+		q := &r.fwd[dst]
+		for q.Len() > 0 {
+			head := q.Front()
 			if head.ready > cycle {
 				break
 			}
@@ -184,27 +185,23 @@ func (r *Ring) Tick(cycle uint64) {
 			if r.trOn {
 				r.emitSpan("fwd", &head, cycle)
 			}
-			r.fwd[dst] = r.fwd[dst][1:]
+			q.Pop()
 			r.busyCnt--
 		}
 	}
 	for src := range r.ret {
 		// One response per partition per cycle leaves the ring.
-		if len(r.ret[src]) == 0 {
+		q := &r.ret[src]
+		if q.Len() == 0 || q.Front().ready > cycle {
 			continue
 		}
-		head := r.ret[src][0]
-		if head.ready > cycle {
-			continue
-		}
-		r.ret[src] = r.ret[src][1:]
+		head := q.Pop()
 		r.busyCnt--
 		if r.trOn {
-			// Emit before done(): the completion chain may recycle the
-			// pooled request.
+			// Emit before Deliver, which may recycle the request.
 			r.emitSpan("ret", &head, cycle)
 		}
-		head.done()
+		head.r.Deliver()
 	}
 }
 

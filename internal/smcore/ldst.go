@@ -53,8 +53,11 @@ func SharedBankConflicts(addrs []uint64) int {
 	return max
 }
 
-// ldstInst is one memory instruction in flight in the LD/ST unit.
+// ldstInst is one memory instruction in flight in the LD/ST unit. It is the
+// mem.Requester of its sector requests, so a completing sector finds its
+// instruction without a closure per request.
 type ldstInst struct {
+	u       *LDSTUnit
 	in      *trace.Inst
 	done    func()
 	sectors []uint64 // global sectors not yet accepted by the L1
@@ -78,8 +81,11 @@ type LDSTUnit struct {
 	shmemLat    uint64
 	queueCap    int
 
-	queue []*ldstInst
-	free  []*ldstInst // recycled instructions (engine runs single-threaded)
+	queue mem.FIFO[*ldstInst]
+	// free holds recycled instructions. TryIssue pops it during the unit's
+	// shard pass and sectorDone pushes it from completion events, which the
+	// engine fires in its serial phase; the barrier separates the two.
+	free []*ldstInst
 
 	issued       *metrics.Counter
 	transactions *metrics.Counter
@@ -117,11 +123,11 @@ func (u *LDSTUnit) Name() string { return u.name }
 func (u *LDSTUnit) Kind() engine.ModelKind { return engine.CycleAccurate }
 
 // Busy implements Unit.
-func (u *LDSTUnit) Busy() bool { return len(u.queue) > 0 }
+func (u *LDSTUnit) Busy() bool { return u.queue.Len() > 0 }
 
 // TryIssue implements Unit.
 func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
-	if len(u.queue) >= u.queueCap {
+	if u.queue.Len() >= u.queueCap {
 		u.portStall.Inc()
 		return false
 	}
@@ -143,7 +149,7 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 		li = u.free[n-1]
 		u.free = u.free[:n-1]
 	} else {
-		li = &ldstInst{}
+		li = &ldstInst{u: u}
 	}
 	li.in = in
 	li.done = done
@@ -151,34 +157,31 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	li.buf = li.sectors
 	li.smid = u.smid
 	u.transactions.Add(uint64(len(li.sectors)))
-	u.queue = append(u.queue, li)
+	u.queue.Push(li)
 	return true
 }
 
 // Tick implements Unit: inject up to lanes sector requests into the L1.
 func (u *LDSTUnit) Tick(cycle uint64) {
 	budget := u.lanes
-	for budget > 0 && len(u.queue) > 0 {
-		li := u.queue[0]
+	for budget > 0 && u.queue.Len() > 0 {
+		li := u.queue.Front()
 		if len(li.sectors) == 0 {
 			// All sectors sent; the instruction stays tracked via
-			// callbacks, not the queue head.
-			u.queue = u.queue[1:]
+			// its outstanding requests, not the queue head.
+			u.queue.Pop()
 			continue
 		}
 		sent := false
 		for budget > 0 && len(li.sectors) > 0 {
-			addr := li.sectors[0]
 			r := mem.GetRequest()
-			r.Addr = addr
+			r.Addr = li.sectors[0]
 			r.Write = li.in.Op == trace.OpStoreGlobal
 			r.Size = u.sectorBytes
 			r.PC = li.in.PC
 			r.SMID = li.smid
+			r.Owner = li
 			li.waiting++
-			// The creator frees its request once the completion callback
-			// has run; nothing downstream holds it after that.
-			r.Done = func() { u.sectorDone(li); mem.PutRequest(r) }
 			if !u.l1.Accept(r) {
 				li.waiting--
 				u.portStall.Inc()
@@ -191,18 +194,22 @@ func (u *LDSTUnit) Tick(cycle uint64) {
 			sent = true
 		}
 		if len(li.sectors) == 0 && sent {
-			u.queue = u.queue[1:]
+			u.queue.Pop()
 		} else {
 			break // L1 backpressure: keep instruction order
 		}
 	}
 }
 
+// RequestDone implements mem.Requester: one of the instruction's sectors
+// has completed.
+func (li *ldstInst) RequestDone(*mem.Request) { li.u.sectorDone(li) }
+
 func (u *LDSTUnit) sectorDone(li *ldstInst) {
 	li.waiting--
 	if li.waiting == 0 && len(li.sectors) == 0 {
 		done := li.done
-		// Every sector callback has fired: the instruction can be
+		// Every sector has completed: the instruction can be
 		// recycled. The coalesce buffer is kept for the next occupant.
 		li.in = nil
 		li.done = nil

@@ -143,8 +143,8 @@ func (oc *OperandCollector) SnapLoad(r *snap.Reader) error {
 // SnapSave implements snap.Stateful: the LD/ST unit has no cross-kernel
 // timing state — it only checks that no memory instruction is in flight.
 func (u *LDSTUnit) SnapSave(w *snap.Writer) {
-	if len(u.queue) != 0 {
-		w.Fail(fmt.Errorf("%w: LD/ST unit %s holds %d instructions", snap.ErrNotQuiescent, u.name, len(u.queue)))
+	if u.queue.Len() != 0 {
+		w.Fail(fmt.Errorf("%w: LD/ST unit %s holds %d instructions", snap.ErrNotQuiescent, u.name, u.queue.Len()))
 	}
 }
 
