@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e bench bench-quick benchcmp profile update-golden envelopes
+.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e bench bench-quick benchcmp profile update-golden envelopes loc
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
 # both parsers + the multi-worker lease-plane scenarios. This is the full
@@ -167,3 +167,15 @@ profile:
 # golden diffs.
 envelopes:
 	$(GO) test -run 'TestEpochRelaxedEnvelope|TestSampleEnvelope' ./internal/regress/ -update
+
+# loc prints the size metric ROADMAP.md calls a headline: non-blank,
+# non-comment lines of non-test Go, per package and in total, with the
+# nested bench/ module left out (comments are // lines; the repo has no
+# block comments). CHANGES.md entries quote it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort | xargs awk ' \
+		FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg) } \
+		{ sub(/^[ \t]+/, "") } \
+		/^$$/ || /^\/\// { next } \
+		{ n[pkg]++; total++ } \
+		END { for (p in n) printf "%6d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d  total\n", total }'

@@ -1,9 +1,9 @@
 // Command swiftsimd is the Swift-Sim sweep daemon: a long-running HTTP
 // service that accepts sweep specifications (applications × GPU presets ×
-// simulator kinds), executes them on a bounded worker pool, and serves
-// per-job progress and byte-stable canonical results. Identical jobs are
-// served from a persistent on-disk cache, across requests and across
-// restarts.
+// simulator kinds), posts every job the cache cannot answer to one job
+// board, and serves per-job progress and byte-stable canonical results.
+// Identical jobs are served from a persistent on-disk cache, across
+// requests and across restarts.
 //
 // API (see internal/service):
 //
@@ -14,12 +14,14 @@
 //	GET  /v1/stats               cache and queue counters
 //	GET  /healthz                liveness
 //
-// With -remote, jobs are not simulated in this process: they are
-// published to a lease-based job board and executed by swiftsim-worker
-// processes pulling over the same HTTP API (worker registration,
-// long-poll claims, heartbeat-renewed leases with requeue on worker
-// loss, and a content-addressed blob store carrying traces, configs and
-// canonical results by hash).
+// Jobs on the board run wherever they are claimed. The daemon's own
+// -threads executors claim in-process; swiftsim-worker processes claim
+// over the same HTTP API (worker registration, long-poll claims,
+// heartbeat-renewed leases with requeue on worker loss, and a
+// content-addressed blob store carrying traces, configs and canonical
+// results by hash), and may do so alongside the executors. -remote means
+// only that the daemon starts no executors of its own, so every job
+// waits for a worker.
 //
 // SIGINT/SIGTERM triggers a graceful drain: in-flight and queued sweeps
 // get -drain-timeout to finish before being hard-canceled.
@@ -27,7 +29,7 @@
 // Usage:
 //
 //	swiftsimd -addr :8080 -cache-dir /var/cache/swiftsim [-queue-depth 64]
-//	          [-workers 2] [-threads 8] [-max-job-timeout 5m] [-drain-timeout 30s]
+//	          [-threads 8] [-max-job-timeout 5m] [-drain-timeout 30s]
 //	          [-engine-threads 4 -epoch-cycles 8]
 //	          [-remote -lease-ttl 10s -lease-retries 3]
 package main
@@ -65,20 +67,19 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	cacheDir := fs.String("cache-dir", "swiftsim-cache", "persistent result cache directory")
 	queueDepth := fs.Int("queue-depth", 64, "max queued+running jobs before submissions are shed with 429")
-	workers := fs.Int("workers", 1, "sweeps executed concurrently")
-	threads := fs.Int("threads", 0, "worker pool per sweep (0 = NumCPU)")
+	threads := fs.Int("threads", 0, "the daemon's executor count: thread slots its in-process claimants share across all sweeps (0 = NumCPU; unused with -remote)")
 	maxJobTimeout := fs.Duration("max-job-timeout", 5*time.Minute, "cap and default for per-job wall-clock budgets (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for queued sweeps on shutdown")
-	engineThreads := fs.Int("engine-threads", 1, "default engine shards per simulation for specs that omit engine_threads (deterministic; the per-sweep job pool shrinks to threads/engine-threads)")
+	engineThreads := fs.Int("engine-threads", 1, "default engine shards per simulation for specs that omit engine_threads (deterministic; a job occupies that many of the -threads slots while it runs)")
 	epochCycles := fs.Int("epoch-cycles", 1, "default relaxed-sync epoch length for specs that omit epoch_cycles (1 = exact per-cycle barrier; >1 trades bounded cycle drift for speed and requires -engine-threads > 1)")
 	sample := fs.Bool("sample", false, "default sampled execution for specs that omit sample: replay repeated kernel launches and simulate a representative block subset per launch")
 	sampleFrac := fs.Float64("sample-frac", 0, "with -sample: default fraction of post-first-wave blocks to simulate in (0,1); 0 = simulator default")
 	sampleStride := fs.Int("sample-stride", 0, "with -sample: default launch re-simulation stride (0 = simulator default, 1 = no replay)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file for all sweeps")
 	traceLevel := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
-	remote := fs.Bool("remote", false, "execute jobs on swiftsim-worker processes pulling over HTTP instead of in-process (lease-based ownership; see -lease-ttl/-lease-retries)")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "with -remote: how long a claimed job survives without a worker heartbeat before it is requeued")
-	leaseRetries := fs.Int("lease-retries", 3, "with -remote: how many expired leases a job may burn through before failing terminally")
+	remote := fs.Bool("remote", false, "start no in-process executors: every job waits for a swiftsim-worker process to claim it over HTTP (without it, registered workers claim alongside the daemon's executors)")
+	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "how long a job claimed by a swiftsim-worker survives without its heartbeat before it is requeued")
+	leaseRetries := fs.Int("lease-retries", 3, "how many expired worker leases a job may burn through before failing terminally")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -125,7 +126,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	svcCfg := service.Config{
 		CacheDir:      *cacheDir,
 		QueueDepth:    *queueDepth,
-		Workers:       *workers,
 		Threads:       *threads,
 		MaxJobTimeout: *maxJobTimeout,
 		EngineThreads: *engineThreads,

@@ -232,33 +232,11 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 		opts.OnStart(i)
 	}
 
-	// exec runs one job with its wall-clock trace span. Emitting on the
-	// shared parent tracer from worker goroutines is safe: the tracer's
-	// fields are immutable and the recorder is concurrency-safe.
 	sweepStart := time.Now()
-	exec := func(worker, i int) Outcome {
-		jobStart := time.Since(sweepStart)
-		o := runJob(ctx, i, jobs[i], &opts)
-		if opts.Trace.Enabled(obs.KernelLevel) {
-			failedArg := uint64(0)
-			if o.Err != nil {
-				failedArg = 1
-			}
-			opts.Trace.Emit(obs.Event{
-				Name: jobApp(jobs[i]) + " on " + jobs[i].GPU.Name, Cat: "job",
-				Ph: obs.PhaseSpan, Ts: uint64(jobStart.Microseconds()),
-				Dur: uint64((time.Since(sweepStart) - jobStart).Microseconds()),
-				Tid: int32(worker), Arg1Name: "job", Arg1: uint64(i),
-				Arg2Name: "failed", Arg2: failedArg,
-			})
-		}
-		return o
-	}
-
 	if threads <= 1 {
 		for i := range jobs {
 			start(i)
-			finish(i, exec(0, i))
+			finish(i, RunJob(ctx, 0, i, jobs[i], sweepStart, &opts))
 		}
 		return out
 	}
@@ -271,7 +249,7 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 			defer wg.Done()
 			for i := range next {
 				start(i)
-				finish(i, exec(worker, i))
+				finish(i, RunJob(ctx, worker, i, jobs[i], sweepStart, &opts))
 			}
 		}(w)
 	}
@@ -281,6 +259,34 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 	close(next)
 	wg.Wait()
 	return out
+}
+
+// RunJob executes job i of a sweep that began at sweepStart on pool slot
+// worker, and emits its wall-clock trace span. It is the unit Run's pool
+// repeats, exported for callers that schedule jobs themselves (the sweep
+// service's executors claim one job at a time from a lease board): i places
+// the job in opts.Trace's pid block and names it in a *JobError, exactly as
+// if Run had dispatched it. Of opts it reads JobTimeout, Trace and the
+// per-job defaults (EngineThreads, EpochCycles, Sampling). Emitting on the
+// shared parent tracer from worker goroutines is safe: the tracer's fields
+// are immutable and the recorder is concurrency-safe.
+func RunJob(ctx context.Context, worker, i int, j Job, sweepStart time.Time, opts *Options) Outcome {
+	jobStart := time.Since(sweepStart)
+	o := runJob(ctx, i, j, opts)
+	if opts.Trace.Enabled(obs.KernelLevel) {
+		failedArg := uint64(0)
+		if o.Err != nil {
+			failedArg = 1
+		}
+		opts.Trace.Emit(obs.Event{
+			Name: jobApp(j) + " on " + j.GPU.Name, Cat: "job",
+			Ph: obs.PhaseSpan, Ts: uint64(jobStart.Microseconds()),
+			Dur: uint64((time.Since(sweepStart) - jobStart).Microseconds()),
+			Tid: int32(worker), Arg1Name: "job", Arg1: uint64(i),
+			Arg2Name: "failed", Arg2: failedArg,
+		})
+	}
+	return o
 }
 
 // runJob executes one job with panic isolation and a per-job deadline. It

@@ -25,7 +25,9 @@ const maxBlobBytes = 256 << 20
 //	GET  /v1/stats              service counters     → 200 Stats
 //	GET  /healthz               liveness             → 200 "ok"
 //
-// and the distributed execution plane (lease.go, worker.go):
+// and the lease board as remote workers see it (lease.go, worker.go). These
+// serve on every daemon: with -remote off a registered worker claims
+// alongside the daemon's own executors.
 //
 //	POST /v1/workers                  register         → 200 {"id","lease_ttl_ms","heartbeat_ms"}
 //	POST /v1/workers/{id}/claim       long-poll a job  → 200 WireJob | 204 none
@@ -134,7 +136,7 @@ func NewHandler(s *Service) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 
-	// ---- Distributed execution plane ----
+	// ---- The lease board, for remote workers ----
 
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -144,7 +146,7 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
 			return
 		}
-		id := s.board.Register(req.Name)
+		id := s.board.Register(req.Name, 0)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"id":           id,
 			"lease_ttl_ms": s.board.ttl.Milliseconds(),
@@ -168,7 +170,7 @@ func NewHandler(s *Service) http.Handler {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		defer cancel()
-		job, ok, err := s.board.Claim(ctx, r.PathValue("id"))
+		l, err := s.board.Claim(ctx, r.PathValue("id"))
 		switch {
 		case errors.Is(err, ErrUnknownWorker):
 			httpError(w, http.StatusNotFound, err)
@@ -176,9 +178,20 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
 			httpError(w, http.StatusInternalServerError, err)
-		case !ok:
+		case l == nil:
 			w.WriteHeader(http.StatusNoContent)
 		default:
+			// The job's inputs are published here, on its first remote
+			// grant, not when it is posted: a job an executor claims never
+			// touches the store. Inputs that cannot be published fail the
+			// job terminally (a stale-lease error only means it was canceled
+			// meanwhile) and the worker, told "none", polls again.
+			job, err := s.board.Wire(l)
+			if err != nil {
+				_ = s.board.Fail(l.id, l.token, err)
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
 			writeJSON(w, http.StatusOK, job)
 		}
 	})
@@ -234,7 +247,9 @@ func NewHandler(s *Service) http.Handler {
 		if req.Error == "" {
 			req.Error = "unspecified worker error"
 		}
-		if err := s.board.Fail(r.PathValue("id"), req.Token, req.Error); err != nil {
+		// This endpoint is the only place a job failure loses its error
+		// value: an executor's Fail keeps it for errors.Is.
+		if err := s.board.Fail(r.PathValue("id"), req.Token, fmt.Errorf("worker %s: %s", r.PathValue("id"), req.Error)); err != nil {
 			httpError(w, http.StatusConflict, err)
 			return
 		}

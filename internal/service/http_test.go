@@ -159,7 +159,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 // TestHTTPShedding: a full queue responds 429 with Retry-After while the
 // in-flight sweep still completes.
 func TestHTTPShedding(t *testing.T) {
-	s, srv := newHTTPService(t, Config{QueueDepth: 1, Workers: 1})
+	s, srv := newHTTPService(t, Config{QueueDepth: 1})
 	release := make(chan struct{})
 	s.execHook = func(*Sweep) { <-release }
 

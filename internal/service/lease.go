@@ -6,11 +6,21 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"swiftsim/internal/obs"
 )
 
-// This file is the daemon side of the distributed execution plane: a job
-// board that hands simulation jobs to remote swiftsim-worker processes
-// under time-bounded leases.
+// This file is the daemon's job table: the lease board. Every cache miss of
+// every sweep is posted here and nowhere else, and "where it runs" is a
+// property of who claims it. There are two kinds of claimant and one state
+// machine:
+//
+//   - the daemon's own executors (service.go), registered as one in-process
+//     worker with Config.Threads slots. They claim by direct call and
+//     simulate from the job's in-memory inputs: no HTTP, no blob store.
+//   - swiftsim-worker processes (worker.go) claiming over HTTP. The first
+//     such grant of a job publishes its inputs to the Store and builds the
+//     wire descriptor (Wire); in-process grants never pay for that.
 //
 // Lease state machine (per job):
 //
@@ -19,25 +29,32 @@ import (
 //	   └──lease expiry────┘   (attempts++, until the retry budget;
 //	                           exhausting it is a terminal failure)
 //
-// Ownership is a lease, not a fact: a worker owns a job only while its
-// heartbeats keep the lease's deadline in the future. A worker that dies
-// mid-job simply stops heartbeating; the reaper requeues the job and
-// another worker picks it up. Every grant carries a fencing token — the
+// Ownership is a lease, not a fact: a remote worker owns a job only while
+// its heartbeats keep the lease's deadline in the future. A worker that
+// dies mid-job simply stops heartbeating; the reaper requeues the job and
+// another claimant picks it up. Every grant carries a fencing token — the
 // job's monotonically increasing grant counter — and a fulfill must
 // present the token of the grant it is completing, so a presumed-dead
 // worker's late result for an already-requeued job is rejected instead
 // of double-committing (exactly-once result commitment; the bytes are
 // identical by construction, but the accounting must fire once).
 //
-// The board holds no simulation state. Jobs reference their inputs
-// (trace, GPU config) as content hashes into the Store and workers
-// publish results the same way, so the wire format is a few hundred
-// bytes per job regardless of trace size.
+// An in-process grant is never reaped: its executor shares the board's
+// fate, so there is no silent death for a TTL to detect, and a Detailed
+// job routinely outlives one. It carries the job's context instead, which
+// Cancel and Close cancel, so a revoked job stops at the engine's next
+// context poll rather than at a heartbeat; its late commit then loses to
+// the fence like any other.
 
 // Default lease plane tuning (overridable via RemoteConfig).
 const (
 	defaultLeaseTTL     = 10 * time.Second
 	defaultLeaseRetries = 3
+	// forgetAfterTTLs is how many lease TTLs of silence age a remote worker
+	// out of the registry. A live worker heartbeats three times per TTL even
+	// when idle, so only dead ones get here; one that was merely cut off
+	// is told so by its next heartbeat (404) and registers again.
+	forgetAfterTTLs = 4
 )
 
 // Lease plane sentinel errors (HTTP mapping in http.go).
@@ -56,7 +73,7 @@ var (
 	errBoardClosed = errors.New("service: job board closed")
 )
 
-// WireJob is the job descriptor a worker receives from a successful
+// WireJob is the job descriptor a remote worker receives from a successful
 // claim: the job's identity, its lease, and content-hash references to
 // its inputs. The worker fetches the blobs from GET /v1/store/{hash},
 // simulates, publishes the canonical result bytes via POST /v1/store and
@@ -109,8 +126,10 @@ type WireOptions struct {
 
 // BoardStats is the lease plane's observability snapshot.
 type BoardStats struct {
-	// Workers is the number of registered workers; Pending and Leased
-	// count jobs waiting for a claim and jobs under a live lease.
+	// Workers is the number of live claimants: remote workers (the reaper
+	// forgets the silent ones) plus, unless the daemon runs -remote, its
+	// own executor pool as one. Pending and Leased count jobs waiting for a
+	// claim and jobs under a live grant.
 	Workers int `json:"workers"`
 	Pending int `json:"pending"`
 	Leased  int `json:"leased"`
@@ -122,14 +141,32 @@ type BoardStats struct {
 	Exhausted uint64 `json:"exhausted"`
 }
 
-// boardJob is one job on the board. Its immutable wire template is
-// stamped with lease fields at each grant; done fires exactly once.
+// boardJob is one job on the board: its identity (the embedded job's cache
+// key), what a claimant needs to simulate it, and its place in the state
+// machine. A job is pending while it sits in the queue, leased while lease
+// is set, and done once it has left the job table; done fires exactly once.
 type boardJob struct {
-	key     string
-	wire    WireJob // template: lease fields zero
+	// The resolved job and what its sweep adds to it. In-process claimants
+	// simulate from these directly; wire publishes them for remote ones.
+	*job
+	timeout time.Duration // wall-clock budget (0 = none)
+	// trace is the sweep's tracer (nil records nothing): the job records
+	// at index in that pid block, and its wall-clock span counts from
+	// start, the sweep's. Process-local, so remote jobs run untraced.
+	trace *obs.Tracer
+	index int
+	start time.Time
+	// slots is how many of an in-process worker's thread slots the job
+	// occupies while it runs there (its engine shard count, clamped to the
+	// pool). Remote workers size themselves and ignore it.
+	slots int
+	// wire publishes the inputs and returns their wire form (identity and
+	// lease fields zero). The poster makes it memoise (sync.OnceValues): it
+	// runs at the job's first remote grant and regrants reuse the outcome.
+	wire func() (WireJob, error)
+
 	attempt int
 	token   uint64 // fencing counter, incremented at each grant
-	state   string // pending | leased | done
 	lease   *lease // current grant when leased
 
 	// onStart fires at most once per grant (a requeued job "starts"
@@ -139,20 +176,30 @@ type boardJob struct {
 	done    func(val []byte, err error)
 }
 
-// lease is one live grant of a job to a worker.
+// lease is one live grant of a job to a worker. Everything but deadline is
+// fixed at the grant, so claimants read it without the board lock.
 type lease struct {
-	id       string
-	job      *boardJob
-	worker   string
-	token    uint64
+	id      string
+	job     *boardJob
+	worker  string
+	token   uint64
+	attempt int
+	// deadline bounds a remote grant and is pushed out by heartbeats. An
+	// in-process grant is not reaped; it has ctx, the job's context, which
+	// cancel ends.
 	deadline time.Time
+	ctx      context.Context
+	cancel   context.CancelFunc
 }
 
-// boardWorker is a registered worker process.
+// boardWorker is a registered claimant: a remote worker process, or
+// (local) the daemon's own executor pool with free thread slots left.
 type boardWorker struct {
 	id       string
 	name     string
 	lastSeen time.Time
+	local    bool
+	free     int
 }
 
 // board is the lease-granting job dispatcher. All state is guarded by
@@ -219,22 +266,21 @@ func (b *board) reaper() {
 	}
 }
 
-// reap requeues (or terminally fails) every job whose lease expired
-// before now. Terminal done callbacks run outside the lock.
+// reap requeues (or terminally fails) every job whose remote lease expired
+// before now, and forgets remote workers silent for forgetAfterTTLs.
+// Terminal done callbacks run outside the lock.
 func (b *board) reap(now time.Time) {
 	var failed []*boardJob
 	b.mu.Lock()
-	for id, l := range b.leases {
-		if !l.deadline.Before(now) {
+	for _, l := range b.leases {
+		if l.cancel != nil || !l.deadline.Before(now) {
 			continue
 		}
-		delete(b.leases, id)
+		b.release(l)
 		j := l.job
-		j.lease = nil
 		j.attempt++
 		b.stats.Expired++
 		if j.attempt >= b.maxTries {
-			j.state = "done"
 			b.stats.Exhausted++
 			delete(b.jobs, j.key)
 			failed = append(failed, j)
@@ -242,8 +288,12 @@ func (b *board) reap(now time.Time) {
 		}
 		// Requeue at the front: an interrupted job has already waited a
 		// full lease, so it should not requeue behind a long backlog.
-		j.state = "pending"
 		b.queue = append([]*boardJob{j}, b.queue...)
+	}
+	for id, w := range b.workers {
+		if !w.local && now.Sub(w.lastSeen) > forgetAfterTTLs*b.ttl {
+			delete(b.workers, id)
+		}
 	}
 	if len(b.queue) > 0 {
 		b.cond.Broadcast()
@@ -254,18 +304,20 @@ func (b *board) reap(now time.Time) {
 	}
 }
 
-// Register adds a worker and returns its id.
-func (b *board) Register(name string) string {
+// Register adds a worker and returns its id. slots > 0 registers the
+// daemon's own executor pool: an in-process worker whose grants never
+// expire and which runs at most slots job slots' worth of work at a time.
+func (b *board) Register(name string, slots int) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
 	id := fmt.Sprintf("w%d", b.nextID)
-	b.workers[id] = &boardWorker{id: id, name: name, lastSeen: time.Now()}
+	b.workers[id] = &boardWorker{id: id, name: name, lastSeen: time.Now(), local: slots > 0, free: slots}
 	return id
 }
 
 // Enqueue posts a job to the board. The job's done callback will fire
-// exactly once, from a board goroutine or an HTTP handler.
+// exactly once, from a board goroutine, an executor or an HTTP handler.
 func (b *board) Enqueue(j *boardJob) {
 	b.mu.Lock()
 	if b.closed {
@@ -273,27 +325,28 @@ func (b *board) Enqueue(j *boardJob) {
 		j.done(nil, errBoardClosed)
 		return
 	}
-	j.state = "pending"
 	b.jobs[j.key] = j
 	b.queue = append(b.queue, j)
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
-// Claim blocks until a job is available (granting a fresh lease on it)
-// or ctx expires. The bool result distinguishes "no job before the wait
-// ran out" (false, nil error) from unknown workers and board shutdown.
-func (b *board) Claim(ctx context.Context, workerID string) (WireJob, bool, error) {
+// Claim blocks until the job at the head of the queue can be granted to
+// workerID, and grants it, or until ctx expires (nil, nil: no job before
+// the wait ran out). An in-process worker is granted the head job only
+// while it has the job's slots free, which is what holds the daemon to its
+// thread budget; its executor hands them back with Release.
+func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 	b.mu.Lock()
 	w, ok := b.workers[workerID]
 	if !ok {
 		b.mu.Unlock()
-		return WireJob{}, false, fmt.Errorf("%w: %q", ErrUnknownWorker, workerID)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownWorker, workerID)
 	}
-	for len(b.queue) == 0 && !b.closed {
+	for !b.closed && (len(b.queue) == 0 || w.local && b.queue[0].slots > w.free) {
 		if ctx.Err() != nil {
 			b.mu.Unlock()
-			return WireJob{}, false, nil
+			return nil, nil
 		}
 		stop := context.AfterFunc(ctx, func() {
 			b.mu.Lock()
@@ -305,32 +358,66 @@ func (b *board) Claim(ctx context.Context, workerID string) (WireJob, bool, erro
 	}
 	if b.closed {
 		b.mu.Unlock()
-		return WireJob{}, false, errBoardClosed
+		return nil, errBoardClosed
 	}
 	j := b.queue[0]
 	// Clear the vacated slot: the backing array outlives the reslice, and
 	// a resolved job's closures pin its whole sweep.
 	b.queue[0] = nil
 	b.queue = b.queue[1:]
+	b.cond.Broadcast() // a new head: it may fit a worker the old one did not
 	t := time.Now()
 	w.lastSeen = t
 	j.token++
-	j.state = "leased"
 	b.nextID++
 	l := &lease{
 		id: fmt.Sprintf("l%d", b.nextID), job: j, worker: workerID,
-		token: j.token, deadline: t.Add(b.ttl),
+		token: j.token, attempt: j.attempt, deadline: t.Add(b.ttl),
+	}
+	if w.local {
+		w.free -= j.slots
+		l.ctx, l.cancel = context.WithCancel(context.Background())
 	}
 	j.lease = l
 	b.leases[l.id] = l
-	wire := j.wire
-	wire.LeaseID, wire.Token, wire.Attempt, wire.LeaseTTLMS = l.id, l.token, j.attempt, b.ttl.Milliseconds()
 	onStart := j.onStart
 	b.mu.Unlock()
 	if onStart != nil {
 		onStart(workerID)
 	}
-	return wire, true, nil
+	return l, nil
+}
+
+// release ends grant l (the caller holds mu): its lease id stops resolving
+// and an in-process grant's simulation is stopped.
+func (b *board) release(l *lease) {
+	delete(b.leases, l.id)
+	l.job.lease = nil
+	if l.cancel != nil {
+		l.cancel()
+	}
+}
+
+// Release returns an in-process grant's slots to its worker. The executor
+// calls it when it is done with the job, after any commit: the slots follow
+// the executor, not the lease, so a canceled job that is still winding down
+// to its next context poll keeps them, and a job's terminal event is out
+// before its successor's "running".
+func (b *board) Release(l *lease) {
+	b.mu.Lock()
+	b.workers[l.worker].free += l.job.slots
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// Wire returns the descriptor a remote claimant receives for grant l: the
+// job's inputs in published form, stamped with its identity and the
+// grant's lease fields. Publishing serialises a trace and writes blobs, so
+// callers are outside the board lock.
+func (b *board) Wire(l *lease) (WireJob, error) {
+	wire, err := l.job.wire()
+	wire.Key, wire.LeaseID, wire.Token, wire.Attempt, wire.LeaseTTLMS = l.job.key, l.id, l.token, l.attempt, b.ttl.Milliseconds()
+	return wire, err
 }
 
 // Heartbeat renews the given leases for workerID and reports which of
@@ -364,16 +451,13 @@ func (b *board) resolveLease(leaseID string, token uint64) (*boardJob, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	l, ok := b.leases[leaseID]
-	if !ok || l.token != token || l.job.state != "leased" || l.job.lease != l {
+	if !ok || l.token != token || l.job.lease != l {
 		b.stats.Stale++
 		return nil, fmt.Errorf("%w: lease %s token %d is not the current grant", ErrStaleLease, leaseID, token)
 	}
-	delete(b.leases, leaseID)
-	j := l.job
-	j.state = "done"
-	j.lease = nil
-	delete(b.jobs, j.key)
-	return j, nil
+	b.release(l)
+	delete(b.jobs, l.job.key)
+	return l.job, nil
 }
 
 // Fulfill commits a worker's result for its lease. Exactly-once: the
@@ -387,23 +471,24 @@ func (b *board) Fulfill(leaseID string, token uint64, val []byte) error {
 	return nil
 }
 
-// Fail commits a worker-reported job failure (a simulation error, not a
+// Fail commits a claimant-reported job failure (a simulation error, not a
 // worker death — those surface as lease expiries). Failures are
 // deterministic re-simulation errors, so they are terminal rather than
 // requeued.
-func (b *board) Fail(leaseID string, token uint64, msg string) error {
+func (b *board) Fail(leaseID string, token uint64, cause error) error {
 	j, err := b.resolveLease(leaseID, token)
 	if err != nil {
 		return err
 	}
-	j.done(nil, fmt.Errorf("worker %s: %s", leaseID, msg))
+	j.done(nil, cause)
 	return nil
 }
 
 // Cancel terminally resolves a job (FailFast skips) with err. A pending
-// job is dequeued; a leased job's lease is invalidated so the worker's
-// eventual commit is rejected and its next heartbeat reports the lease
-// lost. Unknown keys (already resolved) are ignored.
+// job is dequeued; a leased job's lease is invalidated so the claimant's
+// eventual commit is rejected — a remote worker's next heartbeat reports
+// the lease lost, an in-process simulation is stopped through its context.
+// Unknown keys (already resolved) are ignored.
 func (b *board) Cancel(key string, err error) {
 	b.mu.Lock()
 	j, ok := b.jobs[key]
@@ -412,29 +497,28 @@ func (b *board) Cancel(key string, err error) {
 		return
 	}
 	delete(b.jobs, key)
-	if j.state == "pending" {
+	if j.lease == nil { // pending: dequeue it
 		for i, q := range b.queue {
 			if q == j {
 				last := len(b.queue) - 1
 				copy(b.queue[i:], b.queue[i+1:])
 				b.queue[last] = nil // as in Claim: do not retain the job
 				b.queue = b.queue[:last]
+				b.cond.Broadcast() // as in Claim: the head may have changed
 				break
 			}
 		}
 	}
 	if j.lease != nil {
-		delete(b.leases, j.lease.id)
-		j.lease = nil
+		b.release(j.lease)
 	}
-	j.state = "done"
 	b.mu.Unlock()
 	j.done(nil, err)
 }
 
 // Close shuts the board down: claims unblock, every unresolved job is
-// failed with errBoardClosed (wrapping cause when non-nil), and the
-// reaper exits. Idempotent.
+// failed with errBoardClosed (wrapping cause when non-nil), in-process
+// simulations are stopped, and the reaper exits. Idempotent.
 func (b *board) Close(cause error) {
 	b.mu.Lock()
 	if b.closed {
@@ -446,16 +530,12 @@ func (b *board) Close(cause error) {
 	if cause != nil {
 		err = fmt.Errorf("%w: %w", errBoardClosed, cause)
 	}
-	var unresolved []*boardJob
-	for _, j := range b.jobs {
-		if j.state != "done" {
-			j.state = "done"
-			unresolved = append(unresolved, j)
-		}
+	unresolved := b.jobs // a resolved job has left the table
+	for _, l := range b.leases {
+		b.release(l)
 	}
 	b.jobs = make(map[string]*boardJob)
 	b.queue = nil
-	b.leases = make(map[string]*lease)
 	b.cond.Broadcast()
 	b.mu.Unlock()
 	close(b.stopReaper)

@@ -22,8 +22,8 @@ type outcome struct {
 func testJob(key string, fires *atomic.Int32) (*boardJob, chan outcome) {
 	ch := make(chan outcome, 1)
 	j := &boardJob{
-		key:  key,
-		wire: WireJob{Key: key, App: "app", GPU: "gpu", Sim: "detailed"},
+		job:  &job{key: key},
+		wire: func() (WireJob, error) { return WireJob{App: "app", GPU: "gpu", Sim: "detailed"}, nil },
 		done: func(val []byte, err error) {
 			if fires != nil {
 				fires.Add(1)
@@ -32,6 +32,17 @@ func testJob(key string, fires *atomic.Int32) (*boardJob, chan outcome) {
 		},
 	}
 	return j, ch
+}
+
+// claimWire claims as a remote worker does over HTTP: the grant, then its
+// wire descriptor. ok is false when the wait ran out with no job.
+func claimWire(ctx context.Context, b *board, worker string) (WireJob, bool, error) {
+	l, err := b.Claim(ctx, worker)
+	if err != nil || l == nil {
+		return WireJob{}, false, err
+	}
+	wire, err := b.Wire(l)
+	return wire, true, err
 }
 
 func waitOutcome(t *testing.T, ch chan outcome) outcome {
@@ -52,7 +63,7 @@ const inertTTL = time.Hour
 func TestBoardClaimFulfill(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 
 	var started atomic.Int32
 	j, ch := testJob("k1", nil)
@@ -65,7 +76,7 @@ func TestBoardClaimFulfill(t *testing.T) {
 	b.Enqueue(j)
 	slot := b.queue[:1] // shares the queue's backing array
 
-	wire, ok, err := b.Claim(context.Background(), w)
+	wire, ok, err := claimWire(context.Background(), b, w)
 	if err != nil || !ok {
 		t.Fatalf("Claim: ok=%v err=%v", ok, err)
 	}
@@ -97,7 +108,7 @@ func TestBoardClaimFulfill(t *testing.T) {
 func TestBoardClaimUnknownWorker(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	if _, _, err := b.Claim(context.Background(), "w999"); !errors.Is(err, ErrUnknownWorker) {
+	if _, _, err := claimWire(context.Background(), b, "w999"); !errors.Is(err, ErrUnknownWorker) {
 		t.Errorf("Claim = %v, want ErrUnknownWorker", err)
 	}
 }
@@ -108,17 +119,17 @@ func TestBoardClaimUnknownWorker(t *testing.T) {
 func TestBoardClaimLongPoll(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, ok, err := b.Claim(ctx, w); ok || err != nil {
+	if _, ok, err := claimWire(ctx, b, w); ok || err != nil {
 		t.Fatalf("timed-out claim: ok=%v err=%v, want no job, no error", ok, err)
 	}
 
 	got := make(chan WireJob, 1)
 	go func() {
-		wire, ok, err := b.Claim(context.Background(), w)
+		wire, ok, err := claimWire(context.Background(), b, w)
 		if err != nil || !ok {
 			t.Errorf("parked claim: ok=%v err=%v", ok, err)
 		}
@@ -144,12 +155,12 @@ func TestBoardClaimLongPoll(t *testing.T) {
 func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w1, w2 := b.Register("alpha"), b.Register("beta")
+	w1, w2 := b.Register("alpha", 0), b.Register("beta", 0)
 
 	var fires atomic.Int32
 	j, ch := testJob("k", &fires)
 	b.Enqueue(j)
-	stale, ok, err := b.Claim(context.Background(), w1)
+	stale, ok, err := claimWire(context.Background(), b, w1)
 	if err != nil || !ok {
 		t.Fatalf("first claim: ok=%v err=%v", ok, err)
 	}
@@ -160,7 +171,7 @@ func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 		t.Fatalf("after expiry: stats = %+v", st)
 	}
 
-	fresh, ok, err := b.Claim(context.Background(), w2)
+	fresh, ok, err := claimWire(context.Background(), b, w2)
 	if err != nil || !ok {
 		t.Fatalf("second claim: ok=%v err=%v", ok, err)
 	}
@@ -192,11 +203,11 @@ func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 func TestBoardRequeueJumpsQueue(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 
 	j1, _ := testJob("first", nil)
 	b.Enqueue(j1)
-	wire, ok, err := b.Claim(context.Background(), w)
+	wire, ok, err := claimWire(context.Background(), b, w)
 	if err != nil || !ok || wire.Key != "first" {
 		t.Fatalf("claim: %+v ok=%v err=%v", wire, ok, err)
 	}
@@ -204,7 +215,7 @@ func TestBoardRequeueJumpsQueue(t *testing.T) {
 	b.Enqueue(j2)
 
 	b.reap(time.Now().Add(2 * inertTTL))
-	wire, ok, err = b.Claim(context.Background(), w)
+	wire, ok, err = claimWire(context.Background(), b, w)
 	if err != nil || !ok {
 		t.Fatalf("reclaim: ok=%v err=%v", ok, err)
 	}
@@ -219,13 +230,13 @@ func TestBoardRetryBudget(t *testing.T) {
 	const tries = 2
 	b := newBoard(inertTTL, tries)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 
 	var fires atomic.Int32
 	j, ch := testJob("k", &fires)
 	b.Enqueue(j)
 	for i := 0; i < tries; i++ {
-		if _, ok, err := b.Claim(context.Background(), w); err != nil || !ok {
+		if _, ok, err := claimWire(context.Background(), b, w); err != nil || !ok {
 			t.Fatalf("claim %d: ok=%v err=%v", i, ok, err)
 		}
 		b.reap(time.Now().Add(2 * inertTTL))
@@ -248,10 +259,10 @@ func TestBoardRetryBudget(t *testing.T) {
 func TestBoardHeartbeat(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 	j, _ := testJob("k", nil)
 	b.Enqueue(j)
-	wire, _, err := b.Claim(context.Background(), w)
+	wire, _, err := claimWire(context.Background(), b, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +289,7 @@ func TestBoardHeartbeat(t *testing.T) {
 	}
 
 	// Another worker cannot renew someone else's lease.
-	w2 := b.Register("beta")
+	w2 := b.Register("beta", 0)
 	if renewed, lost, _ := b.Heartbeat(w2, []string{wire.LeaseID}); len(renewed) != 0 || len(lost) != 1 {
 		t.Errorf("cross-worker renew: renewed=%v lost=%v, want it reported lost", renewed, lost)
 	}
@@ -289,14 +300,14 @@ func TestBoardHeartbeat(t *testing.T) {
 func TestBoardFailTerminal(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 	j, ch := testJob("k", nil)
 	b.Enqueue(j)
-	wire, _, err := b.Claim(context.Background(), w)
+	wire, _, err := claimWire(context.Background(), b, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Fail(wire.LeaseID, wire.Token, "deadlock detected"); err != nil {
+	if err := b.Fail(wire.LeaseID, wire.Token, errors.New("deadlock detected")); err != nil {
 		t.Fatal(err)
 	}
 	o := waitOutcome(t, ch)
@@ -314,14 +325,14 @@ func TestBoardFailTerminal(t *testing.T) {
 func TestBoardCancel(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 	skip := errors.New("skipped by fail-fast")
 
 	leased, chLeased := testJob("leased", nil)
 	pending, chPending := testJob("pending", nil)
 	b.Enqueue(leased)
 	b.Enqueue(pending)
-	wire, _, err := b.Claim(context.Background(), w)
+	wire, _, err := claimWire(context.Background(), b, w)
 	if err != nil || wire.Key != "leased" {
 		t.Fatalf("claim: %+v err=%v", wire, err)
 	}
@@ -354,13 +365,13 @@ func TestBoardCancel(t *testing.T) {
 // cause, unblocks parked claims, and rejects new work.
 func TestBoardClose(t *testing.T) {
 	b := newBoard(inertTTL, 3)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 
 	leased, chLeased := testJob("leased", nil)
 	pending, chPending := testJob("pending", nil)
 	b.Enqueue(leased)
 	b.Enqueue(pending)
-	if _, _, err := b.Claim(context.Background(), w); err != nil {
+	if _, _, err := claimWire(context.Background(), b, w); err != nil {
 		t.Fatal(err)
 	}
 
@@ -374,7 +385,7 @@ func TestBoardClose(t *testing.T) {
 			t.Errorf("%s outcome = %v, want errBoardClosed wrapping cause", name, o.err)
 		}
 	}
-	if _, _, err := b.Claim(context.Background(), w); !errors.Is(err, errBoardClosed) {
+	if _, _, err := claimWire(context.Background(), b, w); !errors.Is(err, errBoardClosed) {
 		t.Errorf("post-close claim = %v, want errBoardClosed", err)
 	}
 
@@ -390,10 +401,10 @@ func TestBoardClose(t *testing.T) {
 // until its poll window expires.
 func TestBoardCloseUnblocksParkedClaim(t *testing.T) {
 	b := newBoard(inertTTL, 3)
-	w := b.Register("alpha")
+	w := b.Register("alpha", 0)
 	parked := make(chan error, 1)
 	go func() {
-		_, _, err := b.Claim(context.Background(), w)
+		_, _, err := claimWire(context.Background(), b, w)
 		parked <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the claim park

@@ -15,8 +15,12 @@
 //     shed immediately (ErrQueueFull → HTTP 429) instead of building an
 //     unbounded backlog.
 //   - Graceful drain: Close stops admissions (ErrDraining → HTTP 503),
-//     lets queued sweeps finish, and hard-cancels in-flight simulations
+//     lets admitted sweeps finish, and hard-cancels in-flight simulations
 //     only when its context expires.
+//
+// Execution has one plane: every cache miss is posted to the lease board
+// (lease.go) and simulated by whoever claims it — the daemon's own
+// executors, or swiftsim-worker processes over HTTP.
 package service
 
 import (
@@ -24,7 +28,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swiftsim/internal/cliutil"
@@ -48,11 +54,11 @@ type Config struct {
 	// ErrQueueFull; a single sweep larger than the whole depth can never
 	// be admitted.
 	QueueDepth int
-	// Workers is the number of sweeps executed concurrently (0 = 1).
-	// Parallelism *within* a sweep is Threads.
-	Workers int
-	// Threads is the per-sweep worker-pool size handed to runner.Run
-	// (0 = NumCPU).
+	// Threads is the daemon's executor count: how many thread slots its
+	// own claimants share across all sweeps (0 = NumCPU). A job occupies as
+	// many slots as it has engine shards, clamped to Threads, so serial
+	// jobs run Threads at a time and the thread budget holds daemon-wide.
+	// Unused when Remote.Enabled.
 	Threads int
 	// MaxJobTimeout caps (and defaults) the per-job wall-clock budget a
 	// spec may request (0 = no cap, no default).
@@ -74,21 +80,20 @@ type Config struct {
 	// nothing). Each sweep gets its own block of trace pids and the
 	// recorder is flushed after every finished sweep.
 	Trace *obs.Tracer
-	// Remote, when enabled, switches job execution to the distributed
-	// plane: cache misses are published to the lease-based job board and
-	// executed by swiftsim-worker processes pulling over HTTP, instead of
-	// simulated in this process.
+	// Remote tunes the lease board for claimants outside this process.
 	Remote RemoteConfig
 }
 
-// RemoteConfig tunes the distributed execution plane (lease.go).
+// RemoteConfig tunes the lease board (lease.go) as swiftsim-worker
+// processes see it.
 type RemoteConfig struct {
-	// Enabled turns remote execution on. With it off, the worker and
-	// store endpoints still serve (a warm worker fleet can register
-	// early) but jobs always run in-process.
+	// Enabled means only "this daemon starts no executors of its own":
+	// every job waits for a swiftsim-worker to claim it. With it off the
+	// daemon's executors claim from the same board, and registered workers
+	// may claim alongside them.
 	Enabled bool
-	// LeaseTTL is how long a claimed job stays owned without a heartbeat
-	// before it is requeued to another worker (0 = 10s).
+	// LeaseTTL is how long a remotely claimed job stays owned without a
+	// heartbeat before it is requeued to another claimant (0 = 10s).
 	LeaseTTL time.Duration
 	// MaxAttempts bounds how many leases a job may burn through before
 	// it fails terminally (0 = 3).
@@ -220,9 +225,7 @@ type Sweep struct {
 	jobs       []job
 	jobTimeout time.Duration
 	failFast   bool
-	// engineThreads is the sweep's effective engine shard count; the
-	// runner shrinks its job pool by it so the thread budget holds.
-	engineThreads int
+	trace      *obs.Tracer // nil records nothing
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -243,15 +246,23 @@ type Service struct {
 	cfg   Config
 	cache *Cache
 	store *Store // the cache's blob store, served over /v1/store
-	board *board // the lease-based job board (always present; used when cfg.Remote.Enabled)
+	board *board // the job table: every cache miss is posted here
 
 	ctx    context.Context // canceled only by hard drain
 	cancel context.CancelFunc
-	queue  chan *Sweep
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // running sweeps
+	execs  sync.WaitGroup // the daemon's own executors
+	// publishing serialises publishJob's store writes. Jobs share blobs
+	// (one GPU config per sweep, one trace per application), and two claims
+	// publishing the same one at once would both write it: Store.Put is
+	// idempotent but does not single-flight. Serialising the trace stays
+	// outside: it is the slow part, and a claim waiting for it idles a
+	// worker (7% of service_remote's cold sweep when it was inside).
+	publishing sync.Mutex
 
 	mu       sync.Mutex
 	sweeps   map[string]*Sweep
+	finished []string // ids of finished sweeps still in sweeps, oldest first
 	nextID   int
 	nextPid  int
 	pending  int // queued + running jobs, the admission-control gauge
@@ -259,10 +270,18 @@ type Service struct {
 	draining bool
 
 	// execHook, when set (tests only), runs at the top of each sweep's
-	// execution — before any job starts — so tests can hold a worker in
+	// execution — before any job starts — so tests can hold a sweep in
 	// a known state.
 	execHook func(*Sweep)
+	// runHook, when set (tests only), runs in an executor between its
+	// claim and the simulation, as Worker.execHook does in a worker.
+	runHook func(*lease)
 }
+
+// maxFinishedSweeps is how many finished sweeps (status, events, result
+// bytes) stay addressable; older ones answer ErrNotFound. Unfinished
+// sweeps are never evicted, and QueueDepth bounds those.
+const maxFinishedSweeps = 256
 
 // Stats is the service-wide observability snapshot.
 type Stats struct {
@@ -274,13 +293,13 @@ type Stats struct {
 	Shed        uint64     `json:"shed"`
 }
 
-// New starts a Service with cfg's worker pool running.
+// New starts a Service and, unless cfg.Remote.Enabled, its executors.
 func New(cfg Config) (*Service, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+	if cfg.Threads <= 0 {
+		cfg.Threads = runtime.NumCPU()
 	}
 	if err := validateModes(cfg.EngineThreads, cfg.EpochCycles, cfg.Sampling); err != nil {
 		return nil, fmt.Errorf("service: daemon defaults: %w", err)
@@ -300,23 +319,22 @@ func New(cfg Config) (*Service, error) {
 		board:  newBoard(cfg.Remote.LeaseTTL, cfg.Remote.MaxAttempts),
 		ctx:    ctx,
 		cancel: cancel,
-		// Admission caps total jobs at QueueDepth and every sweep has at
-		// least one job, so at most QueueDepth sweeps are ever queued —
-		// the send in Submit can never block.
-		queue:  make(chan *Sweep, cfg.QueueDepth),
 		sweeps: make(map[string]*Sweep),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+	if !cfg.Remote.Enabled {
+		id := s.board.Register("swiftsimd", cfg.Threads)
+		for slot := 0; slot < cfg.Threads; slot++ {
+			s.execs.Add(1)
+			go s.executor(id, slot)
+		}
 	}
 	return s, nil
 }
 
-// Submit validates and admits a sweep, returning it queued. The sweep
-// runs asynchronously; follow it with Status / WaitEvents / Results.
+// Submit validates and admits a sweep and starts it. The sweep runs
+// asynchronously; follow it with Status / WaitEvents / Results.
 func (s *Service) Submit(spec Spec) (*Sweep, error) {
-	jobs, timeout, engineThreads, err := s.resolve(spec)
+	jobs, timeout, err := s.resolve(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -336,32 +354,35 @@ func (s *Service) Submit(spec Spec) (*Sweep, error) {
 	s.pending += len(jobs)
 	s.nextID++
 	sw := &Sweep{
-		id:            fmt.Sprintf("s%d", s.nextID),
-		jobs:          jobs,
-		jobTimeout:    timeout,
-		failFast:      spec.FailFast,
-		engineThreads: engineThreads,
-		status:        make([]JobStatus, len(jobs)),
-		result:        make([][]byte, len(jobs)),
+		id:         fmt.Sprintf("s%d", s.nextID),
+		jobs:       jobs,
+		jobTimeout: timeout,
+		failFast:   spec.FailFast,
+		status:     make([]JobStatus, len(jobs)),
+		result:     make([][]byte, len(jobs)),
 	}
+	// The sweep's trace pids: a disjoint block per sweep, derived from
+	// the daemon tracer (pid 0 stays the daemon's own row).
+	sw.trace = s.cfg.Trace.WithPid(s.nextPid + 1)
+	s.nextPid += len(jobs) + 1
 	sw.cond = sync.NewCond(&sw.mu)
 	for i, jb := range jobs {
 		sw.status[i] = JobStatus{App: jb.app.Name, GPU: jb.gpu.Name, Sim: jb.sim, State: StatePending}
 	}
 	s.sweeps[sw.id] = sw
-	// The send stays under the lock: it can never block (see the queue's
-	// capacity invariant in New), and serializing it with Close's
-	// draining flip makes a send on the closed queue impossible.
-	s.queue <- sw
+	// Every admitted sweep gets a goroutine: admission caps total jobs at
+	// QueueDepth and every sweep has at least one, which bounds them. The
+	// Add stays under the lock so it cannot race Close's Wait.
+	s.wg.Add(1)
+	go s.runSweep(sw)
 	s.mu.Unlock()
 	return sw, nil
 }
 
 // resolve expands a spec into its jobs (GPUs outermost, then apps, then
 // sims — the deterministic order of the regression corpus) and validates
-// every name up front so admission is all-or-nothing. The third return is
-// the sweep's effective engine shard count for the runner's pool split.
-func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
+// every name up front so admission is all-or-nothing.
+func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 	appNames := spec.Apps
 	if len(appNames) == 0 {
 		appNames = workload.Names()
@@ -379,7 +400,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 		scale = 0.25
 	}
 	if scale < 0 {
-		return nil, 0, 0, fmt.Errorf("service: negative scale %g", scale)
+		return nil, 0, fmt.Errorf("service: negative scale %g", scale)
 	}
 
 	engineThreads := spec.EngineThreads
@@ -402,10 +423,10 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 		Seed:          spec.SampleSeed,
 	}
 	if err := validateModes(engineThreads, epoch, requested); err != nil {
-		return nil, 0, 0, fmt.Errorf("service: %w", err)
+		return nil, 0, fmt.Errorf("service: %w", err)
 	}
 	if !spec.Sample && spec.SampleSeed != 0 {
-		return nil, 0, 0, fmt.Errorf("service: sample_seed has no effect without sample")
+		return nil, 0, fmt.Errorf("service: sample_seed has no effect without sample")
 	}
 	sampling := sim.Sampling(s.cfg.Sampling)
 	if spec.Sample {
@@ -416,10 +437,10 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	if spec.JobTimeout != "" {
 		d, err := time.ParseDuration(spec.JobTimeout)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("service: job_timeout: %w", err)
+			return nil, 0, fmt.Errorf("service: job_timeout: %w", err)
 		}
 		if d < 0 {
-			return nil, 0, 0, fmt.Errorf("service: negative job_timeout %v", d)
+			return nil, 0, fmt.Errorf("service: negative job_timeout %v", d)
 		}
 		timeout = d
 	}
@@ -431,7 +452,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	for i, name := range appNames {
 		app, err := workload.Generate(name, scale)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		apps[i] = app
 	}
@@ -439,7 +460,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	for i, name := range gpuNames {
 		g, ok := config.Preset(name)
 		if !ok {
-			return nil, 0, 0, fmt.Errorf("service: unknown GPU preset %q (want one of %v)", name, config.PresetNames())
+			return nil, 0, fmt.Errorf("service: unknown GPU preset %q (want one of %v)", name, config.PresetNames())
 		}
 		gpus[i] = g
 	}
@@ -447,7 +468,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 	for i, name := range simNames {
 		k, err := parseKind(name)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		kinds[i] = k
 	}
@@ -464,7 +485,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, int, error) {
 			}
 		}
 	}
-	return jobs, timeout, engineThreads, nil
+	return jobs, timeout, nil
 }
 
 // validateModes checks a threads/epoch/sampling combination with the one
@@ -527,10 +548,11 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Close drains the service: admissions stop immediately, queued and
-// running sweeps are given until ctx expires to finish, then in-flight
-// simulations are hard-canceled (their jobs fail with context.Canceled
-// and the sweeps still complete). Close returns when all workers exited.
+// Close drains the service: admissions stop immediately, admitted sweeps
+// are given until ctx expires to finish, then the board is closed under
+// them: outstanding jobs fail with context.Canceled, in-flight simulations
+// stop at the engine's next context poll, and the sweeps still complete.
+// Close returns when every sweep and executor has exited.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -538,120 +560,146 @@ func (s *Service) Close(ctx context.Context) error {
 		return errors.New("service: Close called twice")
 	}
 	s.draining = true
-	close(s.queue)
 	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
+	var err error
 	select {
 	case <-done:
 		s.board.Close(nil)
-		return nil
 	case <-ctx.Done():
-		s.cancel() // hard drain: cancel in-flight simulations
+		s.cancel() // hard drain: stop waiting on other sweeps' flights
 		// Resolving the board's outstanding jobs is what unblocks sweeps
-		// waiting on remote leases, so it happens before waiting for the
-		// workers to exit.
+		// waiting on them, so it happens before waiting for the sweeps.
 		s.board.Close(context.Canceled)
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
+	}
+	s.execs.Wait()
+	return err
+}
+
+// executor is one of the daemon's own claimants. It runs the same state
+// machine as a remote Worker — claim, simulate, fenced commit — by direct
+// calls on the board and the job's in-memory inputs, until the board closes.
+func (s *Service) executor(id string, slot int) {
+	defer s.execs.Done()
+	for {
+		l, err := s.board.Claim(context.Background(), id)
+		if err != nil {
+			return
+		}
+		if hook := s.runHook; hook != nil {
+			hook(l)
+		}
+		val, err := simulate(l.ctx, slot, l.job)
+		// A commit can only lose to the fence (the job was canceled or the
+		// board closed, which already resolved it), so its error is dropped;
+		// a grant revoked before the simulation ended has nothing to commit.
+		switch {
+		case l.ctx.Err() != nil:
+		case err != nil:
+			_ = s.board.Fail(l.id, l.token, err)
+		default:
+			_ = s.board.Fulfill(l.id, l.token, val)
+		}
+		s.board.Release(l)
 	}
 }
 
-// worker executes queued sweeps until the queue closes.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for sw := range s.queue {
-		s.runSweep(sw)
+// simulate runs one job to its canonical result bytes under the runner's
+// panic isolation and per-job deadline. It is the one place this package
+// executes a simulation: executors and Workers both end up here.
+func simulate(ctx context.Context, slot int, j *boardJob) ([]byte, error) {
+	o := runner.RunJob(ctx, slot, j.index, runner.Job{App: j.app, GPU: j.gpu, Opts: j.opts},
+		j.start, &runner.Options{JobTimeout: j.timeout, Trace: j.trace})
+	if o.Err != nil {
+		return nil, o.Err
 	}
+	return regress.Canonical(o.Result), nil
 }
 
-// runSweep executes one sweep: claim every job against the cache, run the
-// owned misses on a runner pool, then collect jobs that joined another
-// claimant's flight.
+// runSweep executes one sweep: for each job a cache hit, a wait on another
+// claimant's flight, or an owned miss; then the owned misses are posted to
+// the board, and when every job has resolved the tally is emitted.
 func (s *Service) runSweep(sw *Sweep) {
+	defer s.wg.Done()
 	if hook := s.execHook; hook != nil {
 		hook(sw)
 	}
 
-	// The sweep's trace pids: a disjoint block per sweep, derived from
-	// the daemon tracer (pid 0 stays the daemon's own row).
-	var tr *obs.Tracer
-	if s.cfg.Trace != nil {
-		s.mu.Lock()
-		base := s.nextPid + 1
-		s.nextPid += len(sw.jobs) + 1
-		s.mu.Unlock()
-		tr = s.cfg.Trace.WithPid(base)
-	}
+	start := time.Now()
 
-	// Phase 1: claim. Owned misses go to the runner; flights owned by
-	// someone else are collected in phase 3.
-	type joined struct {
-		idx    int
-		flight *Flight
-	}
-	var misses []int
-	flights := make(map[int]*Flight)
-	var joins []joined
+	var (
+		wg      sync.WaitGroup
+		tripped atomic.Bool
+		owned   []*boardJob
+	)
 	for i := range sw.jobs {
-		val, hit, owner, f := s.cache.Claim(sw.jobs[i].key)
+		jb := &sw.jobs[i]
+		val, hit, owner, flight := s.cache.Claim(jb.key)
 		switch {
 		case hit:
 			s.finishJob(sw, i, val, nil, true)
 		case owner:
-			misses = append(misses, i)
-			flights[i] = f
+			j := &boardJob{
+				job: jb, timeout: sw.jobTimeout, trace: sw.trace, index: i, start: start,
+				slots:   min(max(jb.opts.EngineThreads, 1), s.cfg.Threads),
+				onStart: func(string) { s.startJob(sw, i) },
+				done: func(val []byte, err error) {
+					defer wg.Done()
+					if err != nil {
+						s.cache.Fail(flight, err)
+					} else {
+						// A failed ref write only costs persistence; the
+						// value still serves this sweep and its joiners.
+						_ = s.cache.Fulfill(flight, val)
+					}
+					s.finishJob(sw, i, val, err, false)
+					// FailFast: terminally skip the sweep's other board jobs.
+					// Cancel ignores keys that already resolved; a job still
+					// running stops through its context (in-process) or at
+					// its worker's next heartbeat (remote). Each skip comes
+					// back through done as a failure, so the first failure
+					// trips a flag: a sync.Once may not be re-entered.
+					if err != nil && sw.failFast && tripped.CompareAndSwap(false, true) {
+						for _, o := range owned {
+							s.board.Cancel(o.key, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
+						}
+					}
+				},
+			}
+			j.wire = sync.OnceValues(func() (WireJob, error) { return s.publishJob(j) })
+			owned = append(owned, j)
 		default:
-			joins = append(joins, joined{idx: i, flight: f})
+			// Joined another claimant's flight. Owners always resolve their
+			// flights (even for skipped jobs), so the wait terminates; s.ctx
+			// guards against a hard drain racing an owner.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				val, err := flight.Wait(s.ctx)
+				s.finishJob(sw, i, val, err, err == nil)
+			}()
 		}
 	}
-
-	// Phase 2: simulate the misses — remotely on the lease plane when
-	// configured, else on the in-process runner pool. Either way every
-	// owned flight is resolved exactly once.
-	if len(misses) > 0 && s.cfg.Remote.Enabled {
-		s.runRemote(sw, misses, flights)
-	} else if len(misses) > 0 {
-		jobs := make([]runner.Job, len(misses))
-		for k, i := range misses {
-			jobs[k] = runner.Job{App: sw.jobs[i].app, GPU: sw.jobs[i].gpu, Opts: sw.jobs[i].opts}
-		}
-		runner.Run(jobs, s.cfg.Threads, runner.Options{
-			Ctx:        s.ctx,
-			JobTimeout: sw.jobTimeout,
-			FailFast:   sw.failFast,
-			Trace:      tr,
-			// Each job's sim.Options already carries the sweep's effective
-			// EngineThreads/EpochCycles; passing EngineThreads here shrinks
-			// the runner's job pool so the thread budget stays bounded.
-			EngineThreads: sw.engineThreads,
-			OnStart: func(k int) {
-				s.startJob(sw, misses[k])
-			},
-			OnProgress: func(p runner.Progress) {
-				i := misses[p.JobIndex]
-				if p.Err != nil {
-					s.cache.Fail(flights[i], p.Err)
-					s.finishJob(sw, i, nil, p.Err, false)
-					return
-				}
-				data := regress.Canonical(p.Result)
-				// A failed disk write only costs persistence; the value
-				// still serves this sweep and its joiners.
-				_ = s.cache.Fulfill(flights[i], data)
-				s.finishJob(sw, i, data, nil, false)
-			},
-		})
+	// Posting starts only once owned is complete: the first failure may
+	// come back before the last Enqueue, and FailFast must see them all.
+	wg.Add(len(owned))
+	for _, j := range owned {
+		s.board.Enqueue(j)
 	}
+	wg.Wait()
 
-	// Phase 3: collect joined flights. Owners always resolve their
-	// flights (even for skipped jobs), so these waits terminate; s.ctx
-	// guards against a hard drain racing an owner.
-	for _, j := range joins {
-		val, err := j.flight.Wait(s.ctx)
-		s.finishJob(sw, j.idx, val, err, err == nil)
+	// Retention first, so whoever sees the tally also sees its effect.
+	s.mu.Lock()
+	s.finished = append(s.finished, sw.id)
+	if len(s.finished) > maxFinishedSweeps {
+		delete(s.sweeps, s.finished[0])
+		s.finished = s.finished[1:]
 	}
+	s.mu.Unlock()
 
 	sw.mu.Lock()
 	sw.done = true
@@ -662,90 +710,36 @@ func (s *Service) runSweep(sw *Sweep) {
 
 	// Flushing keeps a streaming trace file current between sweeps; a
 	// flush error is non-fatal here and resurfaces at daemon Close.
-	_ = tr.Flush()
-}
-
-// runRemote executes a sweep's cache misses on the distributed plane:
-// each job's inputs (trace, GPU config) are published to the blob store,
-// the job is posted to the lease board, and remote workers claim,
-// simulate and publish canonical results by hash. Worker loss surfaces
-// as lease expiry and requeue (lease.go); the call returns when every
-// miss reached a terminal state.
-func (s *Service) runRemote(sw *Sweep, misses []int, flights map[int]*Flight) {
-	var wg sync.WaitGroup
-	var failOnce sync.Once
-	keys := make([]string, len(misses))
-	for k, i := range misses {
-		keys[k] = sw.jobs[i].key
-	}
-	// FailFast: terminally skip the sweep's other board jobs. Cancel
-	// ignores keys that already resolved, and a leased job's worker
-	// learns on its next heartbeat.
-	cancelRest := func() {
-		for _, key := range keys {
-			s.board.Cancel(key, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
-		}
-	}
-	for _, i := range misses {
-		jb := &sw.jobs[i]
-		wire, err := s.publishJob(jb, sw.jobTimeout)
-		if err != nil {
-			s.cache.Fail(flights[i], err)
-			s.finishJob(sw, i, nil, err, false)
-			continue
-		}
-		flight := flights[i]
-		idx := i
-		wg.Add(1)
-		s.board.Enqueue(&boardJob{
-			key:     jb.key,
-			wire:    wire,
-			onStart: func(string) { s.startJob(sw, idx) },
-			done: func(val []byte, err error) {
-				defer wg.Done()
-				if err != nil {
-					s.cache.Fail(flight, err)
-					s.finishJob(sw, idx, nil, err, false)
-					if sw.failFast {
-						failOnce.Do(cancelRest)
-					}
-					return
-				}
-				// A failed ref write only costs persistence, as in the
-				// local path; the blob itself is already in the store.
-				_ = s.cache.Fulfill(flight, val)
-				s.finishJob(sw, idx, val, nil, false)
-			},
-		})
-	}
-	wg.Wait()
+	_ = sw.trace.Flush()
 }
 
 // publishJob uploads one job's inputs into the blob store and builds its
-// wire descriptor (lease fields are stamped at claim time).
-func (s *Service) publishJob(jb *job, timeout time.Duration) (WireJob, error) {
+// wire descriptor (board.Wire stamps the identity and lease fields).
+func (s *Service) publishJob(j *boardJob) (WireJob, error) {
 	var buf bytes.Buffer
-	if err := trace.Write(&buf, jb.app); err != nil {
+	if err := trace.Write(&buf, j.app); err != nil {
 		return WireJob{}, fmt.Errorf("serializing trace: %w", err)
 	}
+	s.publishing.Lock()
+	defer s.publishing.Unlock()
 	traceHash, err := s.store.Put(buf.Bytes())
 	if err != nil {
 		return WireJob{}, fmt.Errorf("publishing trace blob: %w", err)
 	}
-	confHash, err := s.store.Put(config.Marshal(jb.gpu))
+	confHash, err := s.store.Put(config.Marshal(j.gpu))
 	if err != nil {
 		return WireJob{}, fmt.Errorf("publishing config blob: %w", err)
 	}
-	timeoutMS := timeout.Milliseconds()
-	if timeout > 0 && timeoutMS == 0 {
+	timeoutMS := j.timeout.Milliseconds()
+	if j.timeout > 0 && timeoutMS == 0 {
 		// A sub-millisecond budget must stay a budget: truncating it to 0
 		// would read as "no timeout" on the worker.
 		timeoutMS = 1
 	}
 	return WireJob{
-		Key: jb.key, App: jb.app.Name, GPU: jb.gpu.Name, Sim: jb.sim,
+		App: j.app.Name, GPU: j.gpu.Name, Sim: j.sim,
 		TraceBlob: traceHash, ConfigBlob: confHash,
-		Opts:      wireOptions(jb.opts),
+		Opts:      wireOptions(j.opts),
 		TimeoutMS: timeoutMS,
 	}, nil
 }

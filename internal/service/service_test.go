@@ -137,7 +137,7 @@ func TestCacheSurvivesRestart(t *testing.T) {
 // job budget is rejected immediately, a fitting one is queued, and after
 // the in-flight work completes the shed submission is accepted.
 func TestShedding(t *testing.T) {
-	s := newService(t, Config{QueueDepth: 2, Workers: 1})
+	s := newService(t, Config{QueueDepth: 2})
 	release := make(chan struct{})
 	s.execHook = func(*Sweep) { <-release }
 
@@ -184,7 +184,7 @@ func TestShedding(t *testing.T) {
 // TestGracefulDrain: Close rejects new work, finishes what was queued,
 // and returns nil when everything drained in time.
 func TestGracefulDrain(t *testing.T) {
-	cfg := Config{CacheDir: t.TempDir(), Workers: 1}
+	cfg := Config{CacheDir: t.TempDir()}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestGracefulDrain(t *testing.T) {
 // hard-canceled — the sweep still completes (every job reaches a terminal
 // state) and Close reports the deadline.
 func TestHardDrain(t *testing.T) {
-	cfg := Config{CacheDir: t.TempDir(), Workers: 1}
+	cfg := Config{CacheDir: t.TempDir()}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestFailFastSkippedJobs(t *testing.T) {
 // results; at most one simulation per distinct job runs (the rest hit
 // disk or join the in-progress flight).
 func TestConcurrentIdenticalSweeps(t *testing.T) {
-	s := newService(t, Config{Workers: 4, QueueDepth: 16})
+	s := newService(t, Config{QueueDepth: 16})
 	const n = 4
 	sweeps := make([]*Sweep, n)
 	for i := range sweeps {
@@ -370,7 +370,7 @@ func TestMaxJobTimeoutClamp(t *testing.T) {
 	s := newService(t, Config{MaxJobTimeout: time.Minute})
 	spec := smallSpec()
 	spec.JobTimeout = "2h"
-	_, timeout, _, err := s.resolve(spec)
+	_, timeout, err := s.resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +378,11 @@ func TestMaxJobTimeoutClamp(t *testing.T) {
 		t.Errorf("timeout = %v, want clamped to 1m", timeout)
 	}
 	spec.JobTimeout = ""
-	if _, timeout, _, _ = s.resolve(spec); timeout != time.Minute {
+	if _, timeout, _ = s.resolve(spec); timeout != time.Minute {
 		t.Errorf("default timeout = %v, want 1m", timeout)
 	}
 	spec.JobTimeout = "1s"
-	if _, timeout, _, _ = s.resolve(spec); timeout != time.Second {
+	if _, timeout, _ = s.resolve(spec); timeout != time.Second {
 		t.Errorf("within-cap timeout = %v, want 1s", timeout)
 	}
 }

@@ -10,20 +10,18 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/regress"
-	"swiftsim/internal/runner"
 	"swiftsim/internal/trace"
 )
 
-// Worker is the client side of the distributed execution plane: the
-// loop behind cmd/swiftsim-worker. It registers with a swiftsimd
-// daemon, long-polls for job leases, fetches each job's inputs from the
-// content-addressed store (verifying their hashes locally), simulates
-// on the in-process runner — reusing its panic isolation, per-job
-// deadline and Progress.Result plumbing — and publishes the canonical
+// Worker is the remote claimant of the lease board: the loop behind
+// cmd/swiftsim-worker. It registers with a swiftsimd daemon, long-polls
+// for job leases, fetches each job's inputs from the content-addressed
+// store (verifying their hashes locally), simulates through the same
+// function as the daemon's own executors, and publishes the canonical
 // result bytes back by hash.
 //
 // Correctness never depends on the worker: results are canonical and
@@ -36,9 +34,10 @@ type Worker struct {
 	client *http.Client
 	base   string
 
-	id             string
-	leaseTTL       time.Duration
-	heartbeatEvery time.Duration
+	// id is the current registration. The heartbeat loop replaces it when
+	// the daemon no longer knows it; claim loops read it per request.
+	id             atomic.Pointer[string]
+	heartbeatEvery time.Duration // the daemon's cadence for that registration
 
 	mu     sync.Mutex
 	active map[string]context.CancelFunc // lease id → job cancel
@@ -124,7 +123,10 @@ func (w *Worker) Stats() WorkerStats {
 // Run registers and executes jobs until ctx is canceled (returning nil)
 // or registration definitively fails (returning the error). Transient
 // connection failures — the daemon not up yet, a daemon restart — are
-// retried with a jittered backoff.
+// retried with a jittered backoff, and a daemon that no longer knows this
+// worker (it restarted, or aged the registration out) is registered with
+// again at the next heartbeat. Jobs in flight keep running meanwhile: their
+// commits are fenced by lease, not by worker id.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -154,11 +156,10 @@ func (w *Worker) register(ctx context.Context) error {
 		code, err := w.postJSON(ctx, "/v1/workers", map[string]string{"name": w.cfg.Name}, &resp)
 		switch {
 		case err == nil && code == http.StatusOK && resp.ID != "":
-			w.id = resp.ID
-			w.leaseTTL = time.Duration(resp.LeaseTTLMS) * time.Millisecond
+			w.id.Store(&resp.ID)
 			w.heartbeatEvery = time.Duration(resp.HeartbeatM) * time.Millisecond
 			if w.heartbeatEvery <= 0 {
-				w.heartbeatEvery = w.leaseTTL / 3
+				w.heartbeatEvery = time.Duration(resp.LeaseTTLMS) * time.Millisecond / 3
 			}
 			if w.heartbeatEvery <= 0 {
 				w.heartbeatEvery = time.Second
@@ -212,16 +213,15 @@ func (s *sleeper) sleep(ctx context.Context, d time.Duration) bool {
 }
 
 // heartbeatLoop renews the worker's active leases on the daemon's
-// cadence and cancels jobs whose lease the daemon revoked.
+// cadence, cancels jobs whose lease the daemon revoked, and registers
+// again when the daemon has forgotten the worker. It is the only writer of
+// the registration once Run's loops are up, so claim loops that all meet
+// the same 404 cannot each register: they back off as on any claim error
+// and pick the new id up. The pace is re-read every round because a
+// restarted daemon may have a different lease TTL.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	tick := time.NewTicker(w.heartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
+	var pace sleeper
+	for pace.sleep(ctx, w.heartbeatEvery) {
 		w.mu.Lock()
 		leases := make([]string, 0, len(w.active))
 		for id := range w.active {
@@ -232,9 +232,12 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			Renewed []string `json:"renewed"`
 			Lost    []string `json:"lost"`
 		}
-		code, err := w.postJSON(ctx, "/v1/workers/"+w.id+"/heartbeat", map[string]any{"leases": leases}, &resp)
+		code, err := w.postJSON(ctx, "/v1/workers/"+*w.id.Load()+"/heartbeat", map[string]any{"leases": leases}, &resp)
+		if err == nil && code == http.StatusNotFound {
+			_ = w.register(ctx) // fails only when ctx is done, which ends the loop
+		}
 		if err != nil || code != http.StatusOK {
-			continue // transient; the next tick retries well within the TTL
+			continue // transient; the next round retries well within the TTL
 		}
 		for _, id := range resp.Lost {
 			w.mu.Lock()
@@ -273,7 +276,7 @@ func (w *Worker) claimLoop(ctx context.Context) {
 
 // claim issues one long-poll claim request.
 func (w *Worker) claim(ctx context.Context) (WireJob, bool, error) {
-	url := fmt.Sprintf("%s/v1/workers/%s/claim?wait=%s", w.base, w.id, w.cfg.PollWait)
+	url := fmt.Sprintf("%s/v1/workers/%s/claim?wait=%s", w.base, *w.id.Load(), w.cfg.PollWait)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return WireJob{}, false, err
@@ -344,12 +347,12 @@ func (w *Worker) execute(ctx context.Context, job WireJob) {
 
 // runJob fetches, assembles and simulates one job, returning its
 // canonical result bytes.
-func (w *Worker) runJob(ctx context.Context, job WireJob) ([]byte, error) {
-	traceData, err := w.fetchBlob(ctx, job.TraceBlob)
+func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
+	traceData, err := w.fetchBlob(ctx, wire.TraceBlob)
 	if err != nil {
 		return nil, fmt.Errorf("trace blob: %w", err)
 	}
-	confData, err := w.fetchBlob(ctx, job.ConfigBlob)
+	confData, err := w.fetchBlob(ctx, wire.ConfigBlob)
 	if err != nil {
 		return nil, fmt.Errorf("config blob: %w", err)
 	}
@@ -361,7 +364,7 @@ func (w *Worker) runJob(ctx context.Context, job WireJob) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing config: %w", err)
 	}
-	opts, err := simOptions(job.Opts)
+	opts, err := simOptions(wire.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -369,25 +372,10 @@ func (w *Worker) runJob(ctx context.Context, job WireJob) ([]byte, error) {
 		opts.EngineThreads = w.cfg.EngineThreads
 	}
 
-	// The runner brings panic isolation, the per-job deadline and the
-	// Progress.Result hook — the same guarantees local execution has.
-	var out []byte
-	var jobErr error
-	runner.Run([]runner.Job{{App: app, GPU: gpu, Opts: opts}}, 1, runner.Options{
-		Ctx:        ctx,
-		JobTimeout: time.Duration(job.TimeoutMS) * time.Millisecond,
-		OnProgress: func(p runner.Progress) {
-			if p.Err != nil {
-				jobErr = p.Err
-				return
-			}
-			out = regress.Canonical(p.Result)
-		},
+	return simulate(ctx, 0, &boardJob{
+		job:     &job{app: app, gpu: gpu, opts: opts},
+		timeout: time.Duration(wire.TimeoutMS) * time.Millisecond,
 	})
-	if jobErr != nil {
-		return nil, jobErr
-	}
-	return out, nil
 }
 
 // fetchBlob gets a blob from the daemon's store, verifying its content
