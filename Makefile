@@ -7,7 +7,7 @@ GO ?= go
 .PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e bench bench-quick benchcmp profile update-golden envelopes loc
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
-# both parsers + the multi-worker lease-plane scenarios. This is the full
+# the four decoders + the multi-worker lease-plane scenarios. This is the full
 # pre-commit gate.
 verify: tier1 lint golden fuzz-smoke distributed-e2e
 
@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config/
 	$(GO) test -fuzz=FuzzParseSnapshot -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzOptionsJSON -fuzztime=10s ./internal/sim/
 
 # distributed-e2e runs the multi-worker lease-plane scenarios — daemon +
 # worker loops with fault injection (worker killed mid-job, lease expiry

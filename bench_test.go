@@ -451,9 +451,9 @@ func BenchmarkAblationHybridDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSampling measures wave-aware block sampling: simulated
-// work shrinks with the sampling fraction while extrapolated cycles stay
-// in band.
+// BenchmarkAblationSampling measures representative-block sampling:
+// simulated work shrinks with the sampling fraction while extrapolated
+// cycles stay in band.
 func BenchmarkAblationSampling(b *testing.B) {
 	for _, frac := range []float64{0, 0.5, 0.25} {
 		name := "full"
@@ -468,8 +468,8 @@ func BenchmarkAblationSampling(b *testing.B) {
 			gpu.MemPartitions = 2
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				cycles = runOnce(b, "SM", 2, gpu,
-					sim.Options{Kind: sim.Basic, SampleBlocks: frac})
+				cycles = runOnce(b, "SM", 8, gpu,
+					sim.Options{Kind: sim.Basic, Sampling: sim.Sampling{Enabled: frac > 0, BlockFraction: frac}})
 			}
 			b.ReportMetric(float64(cycles), "gpu-cycles")
 		})

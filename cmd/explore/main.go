@@ -11,6 +11,11 @@
 //	explore -key sm.scheduler -values GTO,LRR,OLDEST -apps BFS,SM -sim memory
 //	explore -key l1.sets -values 32,64,128 -apps SRAD -sim basic
 //	explore -key gpu.noc_topology -values crossbar,ring -apps SM -sim detailed
+//	explore -key l2.sets -values 256,512 -apps GRU -sim basic -sample -sample-frac 0.25
+//
+// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
+// -sample-frac, -sample-stride) are the block every front end shares
+// (cliutil.RunFlags) and apply to every point of the sweep.
 package main
 
 import (
@@ -49,26 +54,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.5, "workload problem scale")
 	gpuName := fs.String("gpu", "RTX2080Ti", "base GPU preset")
 	simName := fs.String("sim", "memory", "simulator: detailed|basic|memory|l2")
-	sample := fs.Float64("sample", 0, "block-sampling fraction in (0,1)")
+	runFlags := cliutil.RunFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	cfg, err := runFlags()
+	if err != nil {
 		return err
 	}
 
 	if *key == "" || *values == "" {
 		return fmt.Errorf("-key and -values are required")
 	}
-	var simulator swiftsim.Simulator
-	switch *simName {
-	case "detailed":
-		simulator = swiftsim.Detailed
-	case "basic":
-		simulator = swiftsim.SwiftSimBasic
-	case "memory":
-		simulator = swiftsim.SwiftSimMemory
-	case "l2":
-		simulator = swiftsim.SwiftSimL2
-	default:
-		return fmt.Errorf("unknown simulator %q", *simName)
+	if cfg.Kind, err = swiftsim.ParseSimulator(*simName); err != nil {
+		return err
 	}
 
 	points := cliutil.SplitList(*values)
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "design-space exploration: %s over %v (%s, scale %g)\n\n",
-		*key, points, simulator, *scale)
+		*key, points, cfg.Kind, *scale)
 	fmt.Fprintf(stdout, "%-12s", "App")
 	for _, v := range points {
 		fmt.Fprintf(stdout, " %12s", v)
@@ -108,9 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// All sweep points of one app run in parallel.
 		jobs := make([]swiftsim.Job, len(gpus))
 		for i, g := range gpus {
-			jobs[i] = swiftsim.Job{App: app, GPU: g, Cfg: swiftsim.Config{
-				Simulator: simulator, SampleBlocks: *sample,
-			}}
+			jobs[i] = swiftsim.Job{App: app, GPU: g, Cfg: cfg}
 		}
 		fmt.Fprintf(stdout, "%-12s", name)
 		for _, out := range swiftsim.SimulateAll(jobs, 0) {

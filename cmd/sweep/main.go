@@ -16,6 +16,13 @@
 //
 //	sweep -exp fig4 [-scale 1.0] [-apps BFS,NW,GRU] [-threads 8] [-job-timeout 2m]
 //	sweep -exp all
+//
+// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
+// -sample-frac, -sample-stride) are the block every front end shares
+// (cliutil.RunFlags); here they are the default every simulation of the
+// experiment is overlaid on. The fig5 job pool shrinks to
+// threads/engine-threads; fig4 always runs serial and exact, and with
+// -sample its wall-clock columns measure the sampled runs.
 package main
 
 import (
@@ -32,7 +39,6 @@ import (
 	"swiftsim/internal/cliutil"
 	"swiftsim/internal/experiments"
 	"swiftsim/internal/obs"
-	"swiftsim/internal/sim"
 )
 
 func main() {
@@ -50,11 +56,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	scale := fs.Float64("scale", 1.0, "workload problem scale")
 	apps := fs.String("apps", "", "comma-separated application subset (default: all 20)")
 	threads := fs.Int("threads", 0, "parallel workers for the fig5 and fig6 sweeps (0 = NumCPU; fig4 measures single-thread wall clock and always runs serially)")
-	engineThreads := fs.Int("engine-threads", 1, "engine shards per simulation (deterministic; the fig5 job pool shrinks to threads/engine-threads)")
-	epochCycles := fs.Int("epoch-cycles", 1, "relaxed-sync epoch length for parallel simulations (1 = exact per-cycle barrier; >1 trades bounded cycle drift for speed and requires -engine-threads > 1)")
-	sample := fs.Bool("sample", false, "sampled execution: replay repeated kernel launches and simulate a representative block subset per launch (approximate; fig4 wall-clock columns measure the sampled runs)")
-	sampleFrac := fs.Float64("sample-frac", 0, "with -sample: fraction of post-first-wave blocks to simulate in (0,1); 0 = default")
-	sampleStride := fs.Int("sample-stride", 0, "with -sample: re-simulate every Nth repeated launch (0 = default, 1 = no replay)")
+	runFlags := cliutil.RunFlags(fs)
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file for the sweep")
 	traceLevel := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
@@ -63,13 +65,8 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if err := cliutil.ValidateModes(cliutil.Modes{
-		EngineThreads:  *engineThreads,
-		EpochCycles:    *epochCycles,
-		Sample:         *sample,
-		SampleFraction: *sampleFrac,
-		SampleStride:   *sampleStride,
-	}); err != nil {
+	defaults, err := runFlags()
+	if err != nil {
 		fmt.Fprintln(stderr, "sweep:", err)
 		return 1
 	}
@@ -135,20 +132,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 
 	p := experiments.Params{
-		Scale:         *scale,
-		Threads:       *threads,
-		EngineThreads: *engineThreads,
-		EpochCycles:   *epochCycles,
-		Ctx:           ctx,
-		JobTimeout:    *jobTimeout,
-		Trace:         tracer,
-	}
-	if *sample {
-		p.Sampling = sim.Sampling{
-			Enabled:       true,
-			BlockFraction: *sampleFrac,
-			ReplayStride:  *sampleStride,
-		}
+		Scale:      *scale,
+		Threads:    *threads,
+		Defaults:   defaults,
+		Ctx:        ctx,
+		JobTimeout: *jobTimeout,
+		Trace:      tracer,
 	}
 	if list := cliutil.SplitList(*apps); len(list) > 0 {
 		p.Apps = list

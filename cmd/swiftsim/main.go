@@ -4,7 +4,10 @@
 // The application comes either from a .sgt trace file (-trace) or from the
 // bundled synthetic workload catalog (-app, -scale). The hardware
 // configuration comes from a preset (-gpu) or a configuration file
-// (-config); the simulator configuration from -sim.
+// (-config); the simulator configuration from -sim. The execution-mode
+// flags (-engine-threads, -epoch-cycles, -sample, -sample-frac,
+// -sample-stride) are the block every front end shares
+// (cliutil.RunFlags).
 //
 // Examples:
 //
@@ -58,12 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfgPath := fs.String("config", "", "hardware configuration file (overrides -gpu)")
 	simName := fs.String("sim", "detailed", "simulator: detailed|basic|memory|l2")
 	hitSrc := fs.String("hitrates", "functional", "memory-model hit-rate source: functional|reuse")
-	samplePrefix := fs.Float64("sample-prefix", 0, "legacy prefix block-sampling fraction in (0,1); 0 = full simulation")
-	sample := fs.Bool("sample", false, "sampled execution: replay repeated kernel launches and simulate a representative block subset per launch")
-	sampleFrac := fs.Float64("sample-frac", 0, "with -sample: fraction of post-first-wave blocks to simulate in (0,1); 0 = default")
-	sampleStride := fs.Int("sample-stride", 0, "with -sample: re-simulate every Nth repeated launch (0 = default, 1 = no replay)")
-	engineThreads := fs.Int("engine-threads", 1, "engine shards ticking SMs concurrently (deterministic; 1 = serial)")
-	epochCycles := fs.Int("epoch-cycles", 1, "relaxed-sync epoch length (1 = exact per-cycle barrier; >1 trades bounded cycle drift for speed and requires -engine-threads > 1)")
+	runFlags := cliutil.RunFlags(fs)
 	snapshotAt := fs.Uint64("snapshot-at", 0, "write a snapshot at the first quiescent kernel boundary at or after this cycle (requires -snapshot-out)")
 	snapshotOut := fs.String("snapshot-out", "", "snapshot output file (see -snapshot-at; cycle 0 checkpoints before the first kernel)")
 	restorePath := fs.String("restore", "", "resume from a snapshot file written by -snapshot-out (app and config must match)")
@@ -77,13 +75,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateModes(cliutil.Modes{
-		EngineThreads:  *engineThreads,
-		EpochCycles:    *epochCycles,
-		Sample:         *sample,
-		SampleFraction: *sampleFrac,
-		SampleStride:   *sampleStride,
-	}); err != nil {
+	cfg, err := runFlags()
+	if err != nil {
 		return err
 	}
 	if *snapshotAt > 0 && *snapshotOut == "" {
@@ -104,7 +97,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	var gpu swiftsim.GPU
 	if *cfgPath != "" {
-		var err error
 		if gpu, err = swiftsim.LoadGPU(*cfgPath); err != nil {
 			return err
 		}
@@ -116,7 +108,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	var app *swiftsim.App
-	var err error
 	switch {
 	case *tracePath != "":
 		app, err = swiftsim.ReadTrace(*tracePath)
@@ -129,18 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	cfg := swiftsim.Config{
-		SampleBlocks:  *samplePrefix,
-		EngineThreads: *engineThreads,
-		EpochCycles:   *epochCycles,
-	}
-	if *sample {
-		cfg.Sampling = swiftsim.Sampling{
-			Enabled:       true,
-			BlockFraction: *sampleFrac,
-			ReplayStride:  *sampleStride,
-		}
-	}
 	// The snapshot is staged in memory and written only after a successful
 	// run, so a failed simulation never leaves a truncated snapshot file.
 	var snapBuf bytes.Buffer
@@ -155,17 +134,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.RestoreFrom = bytes.NewReader(data)
 	}
-	switch *simName {
-	case "detailed":
-		cfg.Simulator = swiftsim.Detailed
-	case "basic":
-		cfg.Simulator = swiftsim.SwiftSimBasic
-	case "memory":
-		cfg.Simulator = swiftsim.SwiftSimMemory
-	case "l2":
-		cfg.Simulator = swiftsim.SwiftSimL2
-	default:
-		return fmt.Errorf("unknown simulator %q (want detailed|basic|memory|l2)", *simName)
+	if cfg.Kind, err = swiftsim.ParseSimulator(*simName); err != nil {
+		return err
 	}
 	switch *hitSrc {
 	case "functional":

@@ -30,8 +30,14 @@
 //
 //	swiftsimd -addr :8080 -cache-dir /var/cache/swiftsim [-queue-depth 64]
 //	          [-threads 8] [-max-job-timeout 5m] [-drain-timeout 30s]
-//	          [-engine-threads 4 -epoch-cycles 8]
+//	          [-engine-threads 4 -epoch-cycles 8] [-sample]
 //	          [-remote -lease-ttl 10s -lease-retries 3]
+//
+// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
+// -sample-frac, -sample-stride) are the block every front end shares
+// (cliutil.RunFlags); here they are the daemon-wide default for specs that
+// leave engine_threads, epoch_cycles or sample unset. A job occupies as
+// many of the -threads slots as it has engine shards while it runs.
 package main
 
 import (
@@ -70,11 +76,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	threads := fs.Int("threads", 0, "the daemon's executor count: thread slots its in-process claimants share across all sweeps (0 = NumCPU; unused with -remote)")
 	maxJobTimeout := fs.Duration("max-job-timeout", 5*time.Minute, "cap and default for per-job wall-clock budgets (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for queued sweeps on shutdown")
-	engineThreads := fs.Int("engine-threads", 1, "default engine shards per simulation for specs that omit engine_threads (deterministic; a job occupies that many of the -threads slots while it runs)")
-	epochCycles := fs.Int("epoch-cycles", 1, "default relaxed-sync epoch length for specs that omit epoch_cycles (1 = exact per-cycle barrier; >1 trades bounded cycle drift for speed and requires -engine-threads > 1)")
-	sample := fs.Bool("sample", false, "default sampled execution for specs that omit sample: replay repeated kernel launches and simulate a representative block subset per launch")
-	sampleFrac := fs.Float64("sample-frac", 0, "with -sample: default fraction of post-first-wave blocks to simulate in (0,1); 0 = simulator default")
-	sampleStride := fs.Int("sample-stride", 0, "with -sample: default launch re-simulation stride (0 = simulator default, 1 = no replay)")
+	runFlags := cliutil.RunFlags(fs)
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file for all sweeps")
 	traceLevel := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
 	remote := fs.Bool("remote", false, "start no in-process executors: every job waits for a swiftsim-worker process to claim it over HTTP (without it, registered workers claim alongside the daemon's executors)")
@@ -83,13 +85,8 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if err := cliutil.ValidateModes(cliutil.Modes{
-		EngineThreads:  *engineThreads,
-		EpochCycles:    *epochCycles,
-		Sample:         *sample,
-		SampleFraction: *sampleFrac,
-		SampleStride:   *sampleStride,
-	}); err != nil {
+	defaults, err := runFlags()
+	if err != nil {
 		fmt.Fprintln(stderr, "swiftsimd:", err)
 		return 1
 	}
@@ -123,28 +120,19 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "swiftsimd: -lease-ttl must be > 0 and -lease-retries >= 1")
 		return 1
 	}
-	svcCfg := service.Config{
+	svc, err := service.New(service.Config{
 		CacheDir:      *cacheDir,
 		QueueDepth:    *queueDepth,
 		Threads:       *threads,
 		MaxJobTimeout: *maxJobTimeout,
-		EngineThreads: *engineThreads,
-		EpochCycles:   *epochCycles,
+		Defaults:      defaults,
 		Trace:         tracer,
 		Remote: service.RemoteConfig{
 			Enabled:     *remote,
 			LeaseTTL:    *leaseTTL,
 			MaxAttempts: *leaseRetries,
 		},
-	}
-	if *sample {
-		svcCfg.Sampling = service.SamplingDefaults{
-			Enabled:       true,
-			BlockFraction: *sampleFrac,
-			ReplayStride:  *sampleStride,
-		}
-	}
-	svc, err := service.New(svcCfg)
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "swiftsimd:", err)
 		return 1

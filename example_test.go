@@ -15,7 +15,7 @@ func ExampleSimulate() {
 	gpu.MemPartitions = 2
 	app, _ := swiftsim.GenerateWorkload("MVT", 0.1)
 	res, _ := swiftsim.Simulate(app, gpu, swiftsim.Config{
-		Simulator: swiftsim.SwiftSimMemory,
+		Kind: swiftsim.SwiftSimMemory,
 	})
 	fmt.Println(res.App, res.Kind, res.Instructions, "instructions")
 	// Output: MVT Swift-Sim-Memory 880 instructions
@@ -51,7 +51,7 @@ func ExampleConfig_customScheduler() {
 	gpu.MemPartitions = 2
 	app, _ := swiftsim.GenerateWorkload("BFS", 0.1)
 	res, _ := swiftsim.Simulate(app, gpu, swiftsim.Config{
-		Simulator: swiftsim.SwiftSimMemory,
+		Kind: swiftsim.SwiftSimMemory,
 		Scheduler: func(smID, subCore int) swiftsim.WarpPicker {
 			return swiftsim.NewMemFirstPicker()
 		},

@@ -57,7 +57,7 @@ func thrashApp(bufBytes int) *swiftsim.App {
 }
 
 func simulate(app *swiftsim.App, gpu swiftsim.GPU) *swiftsim.Result {
-	res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Simulator: swiftsim.SwiftSimBasic})
+	res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Kind: swiftsim.SwiftSimBasic})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 		}
 		fmt.Printf("%-8s %10d |", name, hw.Cycles)
 		for _, s := range []swiftsim.Simulator{swiftsim.Detailed, swiftsim.SwiftSimBasic, swiftsim.SwiftSimMemory} {
-			res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Simulator: s})
+			res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Kind: s})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func main() {
 
 	// 2. The hybrid inventory: which modules are analytical.
 	app, _ := swiftsim.GenerateWorkload("BFS", 0.2)
-	res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Simulator: swiftsim.SwiftSimMemory})
+	res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Kind: swiftsim.SwiftSimMemory})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 		s    swiftsim.HitRateSource
 	}{{"functional caches", swiftsim.FunctionalCaches}, {"reuse distance", swiftsim.ReuseDistance}} {
 		res, err := swiftsim.Simulate(gemm, gpu, swiftsim.Config{
-			Simulator: swiftsim.SwiftSimMemory, HitRates: src.s,
+			Kind: swiftsim.SwiftSimMemory, HitRates: src.s,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -82,7 +82,7 @@ func main() {
 	for _, name := range apps {
 		a, _ := swiftsim.GenerateWorkload(name, 0.5)
 		jobs = append(jobs, swiftsim.Job{App: a, GPU: gpu,
-			Cfg: swiftsim.Config{Simulator: swiftsim.SwiftSimBasic}})
+			Cfg: swiftsim.Config{Kind: swiftsim.SwiftSimBasic}})
 	}
 	t1 := time.Now()
 	swiftsim.SimulateAll(jobs, 1)

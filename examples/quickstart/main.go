@@ -23,7 +23,7 @@ func main() {
 	for _, simulator := range []swiftsim.Simulator{
 		swiftsim.Detailed, swiftsim.SwiftSimBasic, swiftsim.SwiftSimMemory,
 	} {
-		res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Simulator: simulator})
+		res, err := swiftsim.Simulate(app, gpu, swiftsim.Config{Kind: simulator})
 		if err != nil {
 			log.Fatal(err)
 		}

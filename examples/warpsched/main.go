@@ -64,13 +64,13 @@ func main() {
 		{"GTO", nil}, {"LRR", nil}, {"OLDEST", nil},
 		{"mem-first", func() swiftsim.Config {
 			return swiftsim.Config{
-				Simulator: swiftsim.SwiftSimMemory,
+				Kind:      swiftsim.SwiftSimMemory,
 				Scheduler: func(_, _ int) swiftsim.WarpPicker { return swiftsim.NewMemFirstPicker() },
 			}
 		}},
 		{"crit-first", func() swiftsim.Config {
 			return swiftsim.Config{
-				Simulator: swiftsim.SwiftSimMemory,
+				Kind:      swiftsim.SwiftSimMemory,
 				Scheduler: func(_, _ int) swiftsim.WarpPicker { return critFirst{} },
 			}
 		}},
@@ -97,7 +97,7 @@ func main() {
 			var cfg swiftsim.Config
 			if bp, ok := builtinPolicies[p.name]; ok {
 				gpu.SM.Scheduler = bp
-				cfg = swiftsim.Config{Simulator: swiftsim.SwiftSimMemory}
+				cfg = swiftsim.Config{Kind: swiftsim.SwiftSimMemory}
 			} else {
 				cfg = p.cfg()
 			}
@@ -115,10 +115,10 @@ func main() {
 		var cfg swiftsim.Config
 		if bp, ok := builtinPolicies[p.name]; ok {
 			gpu.SM.Scheduler = bp
-			cfg = swiftsim.Config{Simulator: swiftsim.Detailed}
+			cfg = swiftsim.Config{Kind: swiftsim.Detailed}
 		} else {
 			cfg = p.cfg()
-			cfg.Simulator = swiftsim.Detailed
+			cfg.Kind = swiftsim.Detailed
 		}
 		fmt.Printf("  %-11s %10d cycles (detailed)\n", p.name, simulate(app, gpu, cfg))
 	}

@@ -9,7 +9,7 @@ import "sort"
 // unsampled remainder is charged its expected cost.
 //
 // The sample's tail blocks run as contiguous windows at full occupancy
-// with their grid neighbors (smcore.SelectSampleBlocks), so their
+// with their grid neighbors (smcore.SelectBlockSample), so their
 // measurements embed the steady-state hit rates, neighbor locality, and
 // contention delays the unsimulated waves would see. Two per-block cost
 // estimators cover the two steady-state regimes:

@@ -1,11 +1,14 @@
-// Package cliutil holds small helpers shared by the command-line front
-// ends (cmd/sweep, cmd/explore, cmd/swiftsimd) and, for the execution-mode
-// rules, by the sweep service behind them.
+// Package cliutil holds what the command-line front ends (cmd/swiftsim,
+// cmd/sweep, cmd/explore, cmd/swiftsimd) share: list-valued flag parsing
+// and the one registration of the execution-mode flags.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"strings"
+
+	"swiftsim/internal/sim"
 )
 
 // SplitList splits a comma-separated flag value into its elements,
@@ -24,61 +27,26 @@ func SplitList(s string) []string {
 	return out
 }
 
-// Modes is the execution-mode flag set every front end exposes: the
-// engine-parallelism dial (-engine-threads), the relaxed-sync dial
-// (-epoch-cycles) and the sampled-execution dial (-sample, -sample-frac,
-// -sample-stride). ValidateModes checks them jointly.
-type Modes struct {
-	EngineThreads int
-	EpochCycles   int
-	Sample        bool
-	// SampleFraction is the -sample-frac value; 0 means the simulator's
-	// default. Only meaningful (and only validated) when Sample is set.
-	SampleFraction float64
-	// SampleStride is the -sample-stride value; 0 means the simulator's
-	// default, 1 disables launch replay. Only meaningful (and only
-	// validated) when Sample is set.
-	SampleStride int
-}
-
-// ValidateModes checks an execution-mode flag combination up front, so the
-// front ends fail with one actionable message instead of the simulator's
-// deeper error (or a silently ignored flag):
-//
-//   - Negative thread and epoch counts are rejected (0 means the
-//     default everywhere, so a negative value has no reading).
-//   - Relaxed-sync epochs only exist in a parallel engine assembly:
-//     epochCycles > 1 on a serial run (engineThreads <= 1) would be
-//     silently ignored, so the contradiction is rejected. 0 or 1 (exact
-//     mode) pass with any thread count.
-//   - Sampling tuning flags without -sample would likewise be dead
-//     settings; a fraction or stride given while sampling is off is a
-//     contradiction, and an enabled fraction must lie in [0,1) with a
-//     non-negative stride.
-func ValidateModes(m Modes) error {
-	if m.EngineThreads < 0 {
-		return fmt.Errorf("-engine-threads must be >= 0, got %d", m.EngineThreads)
-	}
-	if m.EpochCycles < 0 {
-		return fmt.Errorf("-epoch-cycles must be >= 0, got %d", m.EpochCycles)
-	}
-	if m.EpochCycles > 1 && m.EngineThreads <= 1 {
-		return fmt.Errorf("-epoch-cycles %d needs a parallel engine: pass -engine-threads > 1 (or drop -epoch-cycles for the exact serial run)", m.EpochCycles)
-	}
-	if !m.Sample {
-		if m.SampleFraction != 0 {
-			return fmt.Errorf("-sample-frac %v has no effect without -sample", m.SampleFraction)
+// RunFlags registers on fs the execution-mode flags every front end
+// shares — the engine-parallelism dial (-engine-threads), the relaxed-sync
+// dial (-epoch-cycles) and the sampled-execution dials (-sample,
+// -sample-frac, -sample-stride) — and returns the function to call once fs
+// is parsed: it yields the flags as sim.Options, checked by the one
+// validator (sim.Options.Validate) with the values named by their flags.
+// swiftsim and explore run the result; sweep and swiftsimd hold it as the
+// default their jobs are overlaid on.
+func RunFlags(fs *flag.FlagSet) func() (sim.Options, error) {
+	var o sim.Options
+	fs.IntVar(&o.EngineThreads, "engine-threads", 1, "engine shards ticking each simulation's SMs concurrently (deterministic: results are byte-identical at every value; 1 = serial)")
+	fs.IntVar(&o.EpochCycles, "epoch-cycles", 1, "relaxed-sync epoch length (1 = exact per-cycle barrier; >1 trades bounded cycle drift for speed and requires -engine-threads > 1)")
+	fs.BoolVar(&o.Sampling.Enabled, "sample", false, "sampled execution: replay repeated kernel launches and simulate a representative block subset per launch (approximate)")
+	fs.Float64Var(&o.Sampling.BlockFraction, "sample-frac", 0, "with -sample: fraction of post-first-wave blocks to simulate in (0,1); 0 = default")
+	fs.IntVar(&o.Sampling.ReplayStride, "sample-stride", 0, "with -sample: re-simulate every Nth repeated launch (0 = default, 1 = no replay)")
+	return func() (sim.Options, error) {
+		if err := o.Validate(); err != nil {
+			return o, fmt.Errorf("-engine-threads %d, -epoch-cycles %d, -sample=%t, -sample-frac %g, -sample-stride %d: %w",
+				o.EngineThreads, o.EpochCycles, o.Sampling.Enabled, o.Sampling.BlockFraction, o.Sampling.ReplayStride, err)
 		}
-		if m.SampleStride != 0 {
-			return fmt.Errorf("-sample-stride %d has no effect without -sample", m.SampleStride)
-		}
-		return nil
+		return o, nil
 	}
-	if m.SampleFraction < 0 || m.SampleFraction >= 1 {
-		return fmt.Errorf("-sample-frac must be in (0,1) (0 = simulator default), got %v", m.SampleFraction)
-	}
-	if m.SampleStride < 0 {
-		return fmt.Errorf("-sample-stride must be >= 0 (0 = simulator default, 1 = no replay), got %d", m.SampleStride)
-	}
-	return nil
 }

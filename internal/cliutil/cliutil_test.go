@@ -1,8 +1,13 @@
 package cliutil
 
 import (
+	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
+
+	"swiftsim/internal/sim"
 )
 
 func TestSplitList(t *testing.T) {
@@ -34,45 +39,35 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-func TestValidateModes(t *testing.T) {
-	tests := []struct {
-		name    string
-		m       Modes
-		wantErr bool
-	}{
-		{"defaults", Modes{}, false},
-		{"exact serial", Modes{EngineThreads: 1, EpochCycles: 1}, false},
-		{"exact parallel", Modes{EngineThreads: 8, EpochCycles: 1}, false},
-		{"zero epoch with threads", Modes{EngineThreads: 4}, false},
-		{"relaxed parallel", Modes{EngineThreads: 4, EpochCycles: 8}, false},
-		{"relaxed two threads", Modes{EngineThreads: 2, EpochCycles: 2}, false},
-		{"large epoch parallel", Modes{EngineThreads: 2, EpochCycles: 1024}, false},
-		{"relaxed serial", Modes{EngineThreads: 1, EpochCycles: 8}, true},
-		{"relaxed zero threads", Modes{EpochCycles: 8}, true},
-		{"relaxed negative threads", Modes{EngineThreads: -1, EpochCycles: 8}, true},
-		{"smallest relaxed serial", Modes{EngineThreads: 1, EpochCycles: 2}, true},
-		{"negative threads", Modes{EngineThreads: -1}, true},
-		{"negative epoch", Modes{EngineThreads: 4, EpochCycles: -1}, true},
-		{"negative epoch serial", Modes{EpochCycles: -3}, true},
-
-		{"sampling default knobs", Modes{Sample: true}, false},
-		{"sampling explicit knobs", Modes{Sample: true, SampleFraction: 0.25, SampleStride: 4}, false},
-		{"sampling stride one", Modes{Sample: true, SampleStride: 1}, false},
-		{"sampling with parallel engine", Modes{Sample: true, EngineThreads: 4}, false},
-		{"sampling with relaxed epochs", Modes{Sample: true, EngineThreads: 4, EpochCycles: 8}, false},
-		{"sampling fraction one", Modes{Sample: true, SampleFraction: 1}, true},
-		{"sampling fraction negative", Modes{Sample: true, SampleFraction: -0.5}, true},
-		{"sampling stride negative", Modes{Sample: true, SampleStride: -1}, true},
-		{"fraction without sample", Modes{SampleFraction: 0.25}, true},
-		{"stride without sample", Modes{SampleStride: 4}, true},
-		{"sampling does not excuse bad epochs", Modes{Sample: true, EngineThreads: 1, EpochCycles: 8}, true},
+// TestRunFlags: the shared block parses into sim.Options, and a rejected
+// combination is reported in the flags' own names.
+func TestRunFlags(t *testing.T) {
+	parse := func(args ...string) (sim.Options, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		opts := RunFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return opts()
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			err := ValidateModes(tt.m)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("ValidateModes(%+v) = %v, want error %v", tt.m, err, tt.wantErr)
-			}
-		})
+	got, err := parse("-engine-threads", "4", "-epoch-cycles", "8", "-sample", "-sample-frac", "0.25", "-sample-stride", "4")
+	want := sim.Options{EngineThreads: 4, EpochCycles: 8,
+		Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.25, ReplayStride: 4}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("full block = %+v, %v; want %+v", got, err, want)
+	}
+	if got, err := parse(); err != nil || got.EngineThreads != 1 || got.EpochCycles != 1 || got.Sampling.Enabled {
+		t.Errorf("defaults = %+v, %v; want the exact serial run", got, err)
+	}
+	for flagName, args := range map[string][]string{
+		"-engine-threads": {"-epoch-cycles", "8"},
+		"-epoch-cycles":   {"-epoch-cycles", "-2"},
+		"-sample-frac":    {"-sample-frac", "0.5"},
+		"-sample-stride":  {"-sample", "-sample-stride", "-1"},
+	} {
+		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("%v: error %v does not name %s", args, err, flagName)
+		}
 	}
 }

@@ -42,20 +42,16 @@ type Params struct {
 	// Figure 6 (0 = NumCPU). Figure 4 is unaffected — its speedups are
 	// single-thread wall-clock measurements, so it always runs serially.
 	Threads int
-	// EngineThreads shards each simulation's SMs across that many engine
-	// workers (deterministic; results are byte-identical to serial). The
-	// parallel phase of Figure 5 divides its job pool by this, keeping the
-	// total thread budget at Threads. 0 or 1 runs each simulation serially.
-	EngineThreads int
-	// EpochCycles sets the relaxed-sync epoch length of every parallel
-	// simulation (see sim.Options.EpochCycles); meaningful only with
-	// EngineThreads > 1. 0 or 1 keeps the exact per-cycle barrier.
-	EpochCycles int
-	// Sampling, when enabled, runs every simulation of the experiment in
-	// sampled execution mode (launch replay + representative-block
-	// sampling; see sim.Sampling). Reported cycles then include analytical
-	// extrapolation, so figure errors measure the sampling trade directly.
-	Sampling sim.Sampling
+	// Defaults is overlaid under every simulation of the experiment
+	// (sim.Options.WithDefaults): EngineThreads shards each simulation's SMs
+	// (deterministic; the parallel phase of Figure 5 divides its job pool by
+	// it, keeping the total thread budget at Threads), EpochCycles relaxes
+	// those shards' barrier, and an enabled Sampling makes reported cycles
+	// include analytical extrapolation, so figure errors measure the
+	// sampling trade directly. Figure 4 pins its simulations serial and
+	// exact — its columns are single-thread wall clocks — and takes only the
+	// sampling default.
+	Defaults sim.Options
 	// HW holds the golden-model coefficients (zero value = defaults).
 	HW hwmodel.Params
 	// Ctx cancels the whole experiment (nil = context.Background).
@@ -105,10 +101,7 @@ func (p *Params) runSim(app *trace.App, gpu config.GPU, opts sim.Options) (*sim.
 		defer cancel()
 	}
 	opts.Trace = p.Trace
-	if p.Sampling.Enabled && !opts.Sampling.Enabled {
-		opts.Sampling = p.Sampling
-	}
-	return sim.RunCtx(ctx, app, gpu, opts)
+	return sim.RunCtx(ctx, app, gpu, opts.WithDefaults(p.Defaults))
 }
 
 func (p *Params) fill() {
@@ -243,7 +236,7 @@ func Figure4(p Params) (*Fig4Result, error) {
 		row := Fig4Row{App: app.Name, HWCycles: hw.Cycles}
 		ok := true
 		for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory} {
-			r, err := p.runSim(app, p.GPU, sim.Options{Kind: kind})
+			r, err := p.runSim(app, p.GPU, sim.Options{Kind: kind, EngineThreads: 1, EpochCycles: 1})
 			if err != nil {
 				res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: kind.String(), Err: err})
 				ok = false
@@ -359,9 +352,7 @@ func Figure5(p Params) (*Fig5Result, error) {
 	suiteWall := func(kind sim.Kind, threads int) (time.Duration, error) {
 		start := time.Now()
 		outs := runner.Run(mkJobs(kind), threads, runner.Options{
-			Ctx: p.Ctx, JobTimeout: p.JobTimeout, Trace: p.Trace,
-			EngineThreads: p.EngineThreads, EpochCycles: p.EpochCycles,
-			Sampling: p.Sampling,
+			Ctx: p.Ctx, JobTimeout: p.JobTimeout, Trace: p.Trace, Defaults: p.Defaults,
 		})
 		for i, o := range outs {
 			if o.Err != nil {
@@ -497,9 +488,7 @@ func Figure6(p Params) (*Fig6Result, error) {
 				jobs[i] = runner.Job{App: c.app, GPU: gpu, Opts: sim.Options{Kind: kind}}
 			}
 			return runner.Run(jobs, p.Threads, runner.Options{
-				Ctx: p.Ctx, JobTimeout: p.JobTimeout, Trace: p.Trace,
-				EngineThreads: p.EngineThreads, EpochCycles: p.EpochCycles,
-				Sampling: p.Sampling,
+				Ctx: p.Ctx, JobTimeout: p.JobTimeout, Trace: p.Trace, Defaults: p.Defaults,
 			})
 		}
 		// Stage 2: Detailed sweep; stage 3: Basic, only for apps whose

@@ -25,7 +25,7 @@ import (
 // format exactly as the decoder does.
 type checkpointLayout struct {
 	nkcOff     int      // run-position kernel-duration count (u64)
-	sampledOff int      // run-position sampled flag (bool byte)
+	boolOff    int      // first L1 tag's valid flag (bool byte)
 	modCntOff  int      // engine-section module count (u64)
 	modFrames  [][2]int // [start,end) of each module frame (name + payload)
 	metricsOff int      // metrics-section counter count (u64)
@@ -46,14 +46,11 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	str := func() { n := u64(); pos += int(n) }
 
 	var lay checkpointLayout
-	// Identity section: app, kernel count, gpu, kind, max cycles, latency
-	// scale, overhead, sample fraction, epoch length.
+	// Identity section: app, kernel count, gpu, options identity.
 	str()
 	u64()
 	str()
-	for i := 0; i < 6; i++ {
-		u64()
-	}
+	str()
 	// Run-position section.
 	u64() // next kernel
 	lay.nkcOff = pos
@@ -61,8 +58,6 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	pos += int(nkc) * 8
 	u64() // extrapolated
 	u64() // overhead
-	lay.sampledOff = pos
-	pos++ // sampled bool
 	// Engine section: one length-framed payload.
 	elen := u64()
 	engineEnd := pos + int(elen)
@@ -73,8 +68,15 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	nMod := u64()
 	for i := uint64(0); i < nMod; i++ {
 		start := pos
-		str()         // module name
+		nameLen := u64()
+		name := string(data[pos : pos+int(nameLen)])
+		pos += int(nameLen)
 		plen := u64() // payload frame
+		if name == "l1" && lay.boolOff == 0 {
+			// An LRU tag array: clock, line count, then per line the
+			// address followed by the valid flag (internal/cache).
+			lay.boolOff = pos + 3*8
+		}
 		pos += int(plen)
 		lay.modFrames = append(lay.modFrames, [2]int{start, pos})
 	}
@@ -125,7 +127,7 @@ func TestSnapshotCorruptTruncated(t *testing.T) {
 	// Cut points spanning every section: inside the header, inside the
 	// identity strings, mid-count, mid-engine-frame, mid-metrics, and one
 	// byte short of a valid stream.
-	cuts := []int{0, 3, 7, 8, 12, lay.nkcOff + 4, lay.sampledOff,
+	cuts := []int{0, 3, 7, 8, 12, lay.nkcOff + 4, lay.boolOff,
 		lay.modCntOff + 2, (lay.modFrames[0][0] + lay.modFrames[0][1]) / 2,
 		lay.metricsOff + 1, len(data) - 1}
 	for _, cut := range cuts {
@@ -178,7 +180,7 @@ func TestSnapshotCorruptBoolByte(t *testing.T) {
 	data, app := makeCheckpoint(t)
 	lay := walkCheckpoint(t, data)
 	corrupt := append([]byte(nil), data...)
-	corrupt[lay.sampledOff] = 7 // bools are strictly 0 or 1
+	corrupt[lay.boolOff] = 7 // bools are strictly 0 or 1
 	err := restoreErr(t, app, corrupt)
 	if !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("restore of a 0x07 bool byte: error %v, want snap.ErrCorrupt", err)

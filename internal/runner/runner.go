@@ -67,12 +67,6 @@ type Options struct {
 	// FailFast cancels the remaining jobs after the first failure.
 	// Already-running jobs stop early; not-yet-started jobs are skipped.
 	FailFast bool
-	// OnStart, if non-nil, is invoked once per job as a worker picks it up,
-	// before the simulation begins (jobs the sweep skips still start — they
-	// finish immediately with ErrJobSkipped). Calls are serialized with
-	// OnProgress under the same lock; the callback must not call back into
-	// the runner. Long-lived services use it to surface "running" state.
-	OnStart func(jobIndex int)
 	// OnProgress, if non-nil, is invoked once per finished job. Calls are
 	// serialized by the runner (no locking needed inside the callback) but
 	// may come from any worker goroutine; the callback must not call back
@@ -84,28 +78,18 @@ type Options struct {
 	// (pid 0, tid = worker, microseconds since sweep start) so parallel
 	// utilization is visible in the trace. nil records nothing.
 	Trace *obs.Tracer
-	// EngineThreads gives each simulation that many engine shards
-	// (intra-simulation parallelism; see engine.SetParallel) and shrinks
-	// the job-level worker pool to threads/EngineThreads so the sweep's
-	// total thread budget stays at `threads`. Few big jobs want a high
-	// EngineThreads; many small jobs want 1 (the default), where all
-	// parallelism goes to the job pool. When EngineThreads exceeds the
-	// thread budget the pool clamps to one worker and jobs run one at a
-	// time at the full shard count — the engine's shard count is never
-	// reduced to fit, so results stay those of the requested configuration.
-	// Jobs whose sim.Options already set EngineThreads keep their own value.
-	EngineThreads int
-	// EpochCycles sets each simulation's relaxed-sync epoch length (see
-	// sim.Options.EpochCycles): > 1 amortizes the intra-simulation barrier
-	// over that many cycles, trading a bounded cycle drift for speed.
-	// Meaningful only together with EngineThreads > 1. Jobs whose
-	// sim.Options already set EpochCycles keep their own value.
-	EpochCycles int
-	// Sampling, when enabled, runs each simulation in sampled execution
-	// mode (launch replay + representative-block sampling; see
-	// sim.Sampling). Jobs whose sim.Options already enable Sampling keep
-	// their own settings.
-	Sampling sim.Sampling
+	// Defaults is overlaid under every job's options by
+	// sim.Options.WithDefaults: a job that leaves EngineThreads or
+	// EpochCycles zero, or Sampling disabled, takes the value here; what a
+	// job sets itself wins. Defaults.EngineThreads additionally shrinks the
+	// job-level worker pool to threads/EngineThreads so the sweep's total
+	// thread budget stays at `threads`. Few big jobs want a high value; many
+	// small jobs want 1 (or 0), where all parallelism goes to the job pool.
+	// When it exceeds the thread budget the pool clamps to one worker and
+	// jobs run one at a time at the full shard count — the engine's shard
+	// count is never reduced to fit, so results stay those of the requested
+	// configuration.
+	Defaults sim.Options
 }
 
 // Progress describes one finished job of a sweep.
@@ -180,10 +164,10 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 		threads = runtime.NumCPU()
 	}
 	// Split the thread budget between the two levels of parallelism: with
-	// EngineThreads shards inside each simulation, only threads/EngineThreads
-	// jobs run concurrently.
-	if opts.EngineThreads > 1 {
-		threads /= opts.EngineThreads
+	// Defaults.EngineThreads shards inside each simulation, only
+	// threads/EngineThreads jobs run concurrently.
+	if n := opts.Defaults.EngineThreads; n > 1 {
+		threads /= n
 		if threads < 1 {
 			threads = 1
 		}
@@ -223,19 +207,9 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 			})
 		}
 	}
-	start := func(i int) {
-		if opts.OnStart == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		opts.OnStart(i)
-	}
-
 	sweepStart := time.Now()
 	if threads <= 1 {
 		for i := range jobs {
-			start(i)
 			finish(i, RunJob(ctx, 0, i, jobs[i], sweepStart, &opts))
 		}
 		return out
@@ -248,7 +222,6 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 		go func(worker int) {
 			defer wg.Done()
 			for i := range next {
-				start(i)
 				finish(i, RunJob(ctx, worker, i, jobs[i], sweepStart, &opts))
 			}
 		}(w)
@@ -266,8 +239,8 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 // repeats, exported for callers that schedule jobs themselves (the sweep
 // service's executors claim one job at a time from a lease board): i places
 // the job in opts.Trace's pid block and names it in a *JobError, exactly as
-// if Run had dispatched it. Of opts it reads JobTimeout, Trace and the
-// per-job defaults (EngineThreads, EpochCycles, Sampling). Emitting on the
+// if Run had dispatched it. Of opts it reads JobTimeout, Trace and
+// Defaults. Emitting on the
 // shared parent tracer from worker goroutines is safe: the tracer's fields
 // are immutable and the recorder is concurrency-safe.
 func RunJob(ctx context.Context, worker, i int, j Job, sweepStart time.Time, opts *Options) Outcome {
@@ -303,15 +276,7 @@ func runJob(ctx context.Context, i int, j Job, opts *Options) Outcome {
 		// jobs land on pids 1..N as before.
 		j.Opts.Trace = tr.WithPid(int(tr.Pid()) + i + 1)
 	}
-	if opts.EngineThreads > 0 && j.Opts.EngineThreads == 0 {
-		j.Opts.EngineThreads = opts.EngineThreads
-	}
-	if opts.EpochCycles > 0 && j.Opts.EpochCycles == 0 {
-		j.Opts.EpochCycles = opts.EpochCycles
-	}
-	if opts.Sampling.Enabled && !j.Opts.Sampling.Enabled {
-		j.Opts.Sampling = opts.Sampling
-	}
+	j.Opts = j.Opts.WithDefaults(opts.Defaults)
 	jobErr := func(cause error) *JobError {
 		return &JobError{JobIndex: i, App: jobApp(j), GPU: j.GPU.Name, Err: cause}
 	}

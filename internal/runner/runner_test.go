@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/obs"
 	"swiftsim/internal/sim"
 	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
@@ -289,35 +289,15 @@ func TestOnProgress(t *testing.T) {
 	}
 }
 
-// TestOnStartAndResult: OnStart fires exactly once per job before its
-// progress report, and each successful Progress carries the same Result
-// pointer as the job's Outcome (failed jobs carry nil).
-func TestOnStartAndResult(t *testing.T) {
+// TestProgressCarriesResult: each successful Progress carries the same
+// Result pointer as the job's Outcome (failed jobs carry nil).
+func TestProgressCarriesResult(t *testing.T) {
 	jobs := testJobs(t, []string{"BFS", "GEMM", "SM", "LU"})
 	jobs[2].GPU.NumSMs = 0
-	started := map[int]int{}
-	finishedBeforeStart := false
 	results := map[int]*sim.Result{}
 	out := Run(jobs, 2, Options{
-		OnStart: func(i int) { started[i]++ },
-		OnProgress: func(p Progress) {
-			if started[p.JobIndex] == 0 {
-				finishedBeforeStart = true
-			}
-			results[p.JobIndex] = p.Result
-		},
+		OnProgress: func(p Progress) { results[p.JobIndex] = p.Result },
 	})
-	if finishedBeforeStart {
-		t.Error("a job reported progress before its OnStart")
-	}
-	if len(started) != len(jobs) {
-		t.Fatalf("OnStart fired for %d jobs, want %d", len(started), len(jobs))
-	}
-	for i, n := range started {
-		if n != 1 {
-			t.Errorf("job %d started %d times, want 1", i, n)
-		}
-	}
 	for i, o := range out {
 		if results[i] != o.Result {
 			t.Errorf("job %d: Progress.Result != Outcome.Result", i)
@@ -405,7 +385,7 @@ func TestEngineThreadsBudgetSplit(t *testing.T) {
 		jobs = append(jobs, Job{App: app, GPU: gpu, Opts: sim.Options{Kind: sim.Basic}})
 	}
 	base := RunAll(jobs, 4)
-	split := Run(jobs, 4, Options{EngineThreads: 2})
+	split := Run(jobs, 4, Options{Defaults: sim.Options{EngineThreads: 2}})
 	for i := range base {
 		if base[i].Err != nil || split[i].Err != nil {
 			t.Fatalf("job %d errors: %v / %v", i, base[i].Err, split[i].Err)
@@ -417,7 +397,7 @@ func TestEngineThreadsBudgetSplit(t *testing.T) {
 	}
 	// A per-job EngineThreads wins over the sweep-wide one.
 	jobs[0].Opts.EngineThreads = 1
-	pin := Run(jobs[:1], 1, Options{EngineThreads: 4})
+	pin := Run(jobs[:1], 1, Options{Defaults: sim.Options{EngineThreads: 4}})
 	if pin[0].Err != nil {
 		t.Fatal(pin[0].Err)
 	}
@@ -447,29 +427,28 @@ func TestEngineThreadsClampToOneWorker(t *testing.T) {
 	}
 	base := RunAll(jobs, 1)
 
-	// OnStart/OnProgress calls share one lock, so the running gauge is an
-	// exact concurrency measurement: with a single clamped worker it can
-	// never exceed one.
-	var mu sync.Mutex
-	running, maxRunning := 0, 0
+	// The runner's per-job wall-clock spans are the concurrency
+	// measurement: a single clamped worker runs them back to back on one
+	// pool slot, so none may begin before the previous one ended.
+	ring := obs.NewRing(0)
 	out := Run(jobs, 2, Options{
-		EngineThreads: 8, // 2/8 -> 0 -> clamped to 1 worker
-		OnStart: func(int) {
-			mu.Lock()
-			running++
-			if running > maxRunning {
-				maxRunning = running
-			}
-			mu.Unlock()
-		},
-		OnProgress: func(Progress) {
-			mu.Lock()
-			running--
-			mu.Unlock()
-		},
+		Defaults: sim.Options{EngineThreads: 8}, // 2/8 -> 0 -> clamped to 1 worker
+		Trace:    obs.New(ring, obs.KernelLevel),
 	})
-	if maxRunning != 1 {
-		t.Errorf("clamped pool ran %d jobs concurrently, want 1", maxRunning)
+	var end uint64
+	spans := 0
+	for _, ev := range ring.Events() {
+		if ev.Cat != "job" {
+			continue
+		}
+		spans++
+		if ev.Tid != 0 || ev.Ts < end {
+			t.Errorf("job span on slot %d at %dus overlaps the previous job's end %dus: the clamped pool ran jobs concurrently", ev.Tid, ev.Ts, end)
+		}
+		end = ev.Ts + ev.Dur
+	}
+	if spans != len(jobs) {
+		t.Errorf("saw %d job spans, want %d", spans, len(jobs))
 	}
 	for i := range out {
 		if out[i].Err != nil {

@@ -33,7 +33,15 @@ func remoteConfig(ttl time.Duration, retries int) Config {
 // that kill it earlier use the returned cancel and done channel.
 func startTestWorker(t *testing.T, url string, hook func(WireJob)) (*Worker, context.CancelFunc, chan struct{}) {
 	t.Helper()
-	w := NewWorker(WorkerConfig{BaseURL: url, Name: t.Name(), PollWait: 200 * time.Millisecond})
+	return startTestWorkerCfg(t, WorkerConfig{BaseURL: url}, hook)
+}
+
+// startTestWorkerCfg is startTestWorker for tests that tune the worker
+// (cfg.BaseURL set; the name and a short poll are filled in).
+func startTestWorkerCfg(t *testing.T, cfg WorkerConfig, hook func(WireJob)) (*Worker, context.CancelFunc, chan struct{}) {
+	t.Helper()
+	cfg.Name, cfg.PollWait = t.Name(), 200*time.Millisecond
+	w := NewWorker(cfg)
 	w.execHook = hook
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -157,6 +165,45 @@ func TestDistributedEndToEnd(t *testing.T) {
 	st2 := waitHTTPDone(t, srv, body["id"].(string))
 	if st2.Cached != 2 {
 		t.Errorf("resubmission not served from cache: %+v", st2)
+	}
+}
+
+// TestDistributedWorkerOverrideKeepsRelaxedEpoch: a worker started with
+// -engine-threads 1 must not collapse a relaxed-epoch job onto the exact
+// serial engine — the bytes it commits land under the key that says
+// epoch 8, and every later identical sweep would be served a result no
+// in-process run of the spec produces. The override yields to the job's
+// own shard count there; the result equals the in-process run's.
+func TestDistributedWorkerOverrideKeepsRelaxedEpoch(t *testing.T) {
+	spec := Spec{Apps: []string{"BFS"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"basic"},
+		Scale: 0.1, EngineThreads: 2, EpochCycles: 8}
+	want := localResults(t, spec)
+	exact := spec
+	exact.EpochCycles = 1
+	if bytes.Equal(want, localResults(t, exact)) {
+		t.Fatal("the relaxed and exact runs of the spec agree: it cannot tell the override bug apart")
+	}
+
+	_, srv := newHTTPService(t, remoteConfig(5*time.Second, 3))
+	startTestWorkerCfg(t, WorkerConfig{BaseURL: srv.URL, EngineThreads: 1}, nil)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, admitted := postSweep(t, srv, string(body))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d: %v", code, admitted)
+	}
+	id := admitted["id"].(string)
+	if st := waitHTTPDone(t, srv, id); st.Ok != 1 || st.Failed != 0 {
+		t.Fatalf("remote sweep status: %+v", st)
+	}
+	code, res := getBody(t, srv.URL+"/v1/sweeps/"+id+"/results")
+	if code != http.StatusOK {
+		t.Fatalf("results: HTTP %d", code)
+	}
+	if !bytes.Equal(res, want) {
+		t.Errorf("worker with -engine-threads 1 committed bytes the in-process run of the spec does not produce:\nremote:\n%s\nlocal:\n%s", res, want)
 	}
 }
 
@@ -418,7 +465,7 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	if job.Key == "" || job.LeaseID == "" || job.Token != 1 || job.Attempt != 0 {
 		t.Fatalf("wire job = %+v, want key, lease, token 1, attempt 0", job)
 	}
-	if job.App != "BFS" || job.GPU != "RTX2080Ti" || job.Sim != sim.Memory.String() || job.Opts.Kind != int(sim.Memory) {
+	if job.App != "BFS" || job.GPU != "RTX2080Ti" || job.Sim != sim.Memory.String() || job.Opts.Kind != sim.Memory {
 		t.Errorf("wire job labels = %s/%s/%s kind %d", job.App, job.GPU, job.Sim, job.Opts.Kind)
 	}
 	if !validBlobHash(job.TraceBlob) || !validBlobHash(job.ConfigBlob) {

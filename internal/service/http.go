@@ -139,6 +139,7 @@ func NewHandler(s *Service) http.Handler {
 	// ---- The lease board, for remote workers ----
 
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		// The body's "name" labels the worker in its own logs only.
 		var req struct {
 			Name string `json:"name"`
 		}
@@ -146,7 +147,7 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
 			return
 		}
-		id := s.board.Register(req.Name, 0)
+		id := s.board.Register(0)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"id":           id,
 			"lease_ttl_ms": s.board.ttl.Milliseconds(),

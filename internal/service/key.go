@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"runtime/debug"
 	"sync"
@@ -15,9 +14,9 @@ import (
 )
 
 // keySchema versions the key derivation itself; bump it when the fields
-// folded into the key change. Schema 3 added the sampled-execution
-// parameters.
-const keySchema = "swiftsim-service-key 3"
+// folded into the key change. Schema 4 hashes sim.Options.Identity in
+// place of a field list of its own.
+const keySchema = "swiftsim-service-key 4"
 
 // jobKey derives the persistent cache key of one simulation job. Two jobs
 // share a key exactly when they are guaranteed byte-identical canonical
@@ -30,16 +29,14 @@ const keySchema = "swiftsim-service-key 3"
 //   - the full GPU configuration, via its canonical file serialization;
 //   - the trace content hash — content, not pointer or name, so a
 //     re-parsed or re-generated copy of the same workload still hits;
-//   - the result-affecting sim.Options fields, including the relaxed-sync
-//     epoch length (k > 1 legitimately shifts cycle counts, so each k has
-//     its own cache line) and the sampled-execution parameters (a sampled
-//     run's cycles include analytical extrapolation, so each effective
-//     (fraction, stride, seed) triple has its own line — normalized via
-//     Sampling.Effective so "default by zero" and "default spelled out"
-//     share an entry). EngineThreads is deliberately excluded (results
-//     are byte-identical at every shard count for a fixed epoch length);
-//     Scheduler and Trace must be unset — the service never sets them, and
-//     a custom scheduler would change results without changing the key.
+//   - the options' Identity on that GPU: every result-affecting field as
+//     the assembly will run it, so spellings that run identically ("default
+//     by zero" and "default spelled out", an epoch length on a Memory job)
+//     share an entry, while each relaxed epoch length and each effective
+//     sampling triple has its own. What Identity leaves out and why is
+//     documented there; Scheduler must be unset — the service never sets
+//     it, and a custom scheduler would change results without changing
+//     the key.
 func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
 	h := sha256.New()
 	io.WriteString(h, keySchema+"\n")
@@ -48,16 +45,7 @@ func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
 	h.Write(config.Marshal(gpu))
 	th := trace.ContentHash(app)
 	h.Write(th[:])
-	epoch := opts.EpochCycles
-	if epoch < 1 {
-		epoch = 1
-	}
-	fmt.Fprintf(h, "opts kind=%d hitrates=%d maxcycles=%d latencyscale=%g overhead=%d sample=%g epoch=%d\n",
-		opts.Kind, opts.HitRates, opts.MaxCycles, opts.LatencyScale,
-		opts.ExtraKernelOverhead, opts.SampleBlocks, epoch)
-	sm := opts.Sampling.Effective()
-	fmt.Fprintf(h, "sampling enabled=%t frac=%g stride=%d seed=%d\n",
-		sm.Enabled, sm.BlockFraction, sm.ReplayStride, sm.Seed)
+	io.WriteString(h, opts.Identity(gpu)+"\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 

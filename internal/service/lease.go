@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"swiftsim/internal/obs"
+	"swiftsim/internal/sim"
 )
 
 // This file is the daemon's job table: the lease board. Every cache miss of
@@ -97,31 +98,16 @@ type WireJob struct {
 	// (config.Marshal serialization).
 	TraceBlob  string `json:"trace_blob"`
 	ConfigBlob string `json:"config_blob"`
-	// Opts carries the result-affecting simulator options.
-	Opts WireOptions `json:"opts"`
+	// Opts is the job's simulator options, in sim.Options' own JSON form
+	// (its process-local hooks do not travel). Worker and daemon are always
+	// the same build — the code version is in Key — so the object's shape
+	// follows the struct; the worker still validates what it decodes.
+	Opts sim.Options `json:"opts"`
 	// TimeoutMS bounds the job's wall-clock time on the worker (0 = none).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// LeaseTTLMS is the lease duration; the worker must heartbeat well
 	// within it (the register response suggests a cadence).
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-}
-
-// WireOptions is the serializable subset of sim.Options — everything the
-// sweep service ever sets on a job. Scheduler and Trace hooks are
-// process-local and deliberately unrepresentable here.
-type WireOptions struct {
-	Kind                int     `json:"kind"`
-	HitRates            int     `json:"hit_rates,omitempty"`
-	MaxCycles           uint64  `json:"max_cycles,omitempty"`
-	LatencyScale        float64 `json:"latency_scale,omitempty"`
-	ExtraKernelOverhead uint64  `json:"extra_kernel_overhead,omitempty"`
-	SampleBlocks        float64 `json:"sample_blocks,omitempty"`
-	EngineThreads       int     `json:"engine_threads,omitempty"`
-	EpochCycles         int     `json:"epoch_cycles,omitempty"`
-	SampleEnabled       bool    `json:"sample_enabled,omitempty"`
-	SampleFrac          float64 `json:"sample_frac,omitempty"`
-	SampleStride        int     `json:"sample_stride,omitempty"`
-	SampleSeed          uint64  `json:"sample_seed,omitempty"`
 }
 
 // BoardStats is the lease plane's observability snapshot.
@@ -195,8 +181,6 @@ type lease struct {
 // boardWorker is a registered claimant: a remote worker process, or
 // (local) the daemon's own executor pool with free thread slots left.
 type boardWorker struct {
-	id       string
-	name     string
 	lastSeen time.Time
 	local    bool
 	free     int
@@ -307,12 +291,12 @@ func (b *board) reap(now time.Time) {
 // Register adds a worker and returns its id. slots > 0 registers the
 // daemon's own executor pool: an in-process worker whose grants never
 // expire and which runs at most slots job slots' worth of work at a time.
-func (b *board) Register(name string, slots int) string {
+func (b *board) Register(slots int) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
 	id := fmt.Sprintf("w%d", b.nextID)
-	b.workers[id] = &boardWorker{id: id, name: name, lastSeen: time.Now(), local: slots > 0, free: slots}
+	b.workers[id] = &boardWorker{lastSeen: time.Now(), local: slots > 0, free: slots}
 	return id
 }
 

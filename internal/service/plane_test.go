@@ -281,8 +281,8 @@ func TestDistributedWorkerReregisters(t *testing.T) {
 func TestBoardForgetsSilentWorkers(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	dead, alive := b.Register("dead", 0), b.Register("alive", 0)
-	b.Register("pool", 2)
+	dead, alive := b.Register(0), b.Register(0)
+	b.Register(2)
 
 	b.reap(time.Now().Add((forgetAfterTTLs - 1) * inertTTL))
 	if n := b.Stats().Workers; n != 3 {

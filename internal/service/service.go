@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"swiftsim/internal/cliutil"
 	"swiftsim/internal/config"
 	"swiftsim/internal/obs"
 	"swiftsim/internal/regress"
@@ -63,19 +62,13 @@ type Config struct {
 	// MaxJobTimeout caps (and defaults) the per-job wall-clock budget a
 	// spec may request (0 = no cap, no default).
 	MaxJobTimeout time.Duration
-	// EngineThreads is the daemon-wide default engine shard count for
-	// specs that leave engine_threads unset (0 or 1 = serial engine).
-	EngineThreads int
-	// EpochCycles is the daemon-wide default relaxed-sync epoch length
-	// for specs that leave epoch_cycles unset (0 or 1 = exact mode). A
-	// value > 1 requires EngineThreads > 1; New rejects the contradiction
-	// (cliutil.ValidateModes owns the rule).
-	EpochCycles int
-	// Sampling is the daemon-wide default sampled-execution mode for
-	// specs that leave `sample` unset. Sampled results legitimately
-	// differ from exact ones, so the effective sampling parameters are
-	// part of every job's cache key.
-	Sampling SamplingDefaults
+	// Defaults is what every job's options are overlaid on
+	// (sim.Options.WithDefaults): a spec that leaves engine_threads or
+	// epoch_cycles zero, or sample unset, takes the daemon's value. New
+	// validates it like any other options. Sampled and relaxed-epoch results
+	// legitimately differ from exact ones, so the effective values — not
+	// who supplied them — are part of every job's cache key.
+	Defaults sim.Options
 	// Trace is the daemon-wide observability handle (nil records
 	// nothing). Each sweep gets its own block of trace pids and the
 	// recorder is flushed after every finished sweep.
@@ -99,11 +92,6 @@ type RemoteConfig struct {
 	// it fails terminally (0 = 3).
 	MaxAttempts int
 }
-
-// SamplingDefaults is the daemon-wide sampled-execution default applied to
-// specs that do not set `sample` themselves (an alias of sim.Sampling; see
-// its fields for semantics).
-type SamplingDefaults = sim.Sampling
 
 // Sentinel errors mapped to HTTP statuses by http.go.
 var (
@@ -301,7 +289,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = runtime.NumCPU()
 	}
-	if err := validateModes(cfg.EngineThreads, cfg.EpochCycles, cfg.Sampling); err != nil {
+	if err := validate(cfg.Defaults); err != nil {
 		return nil, fmt.Errorf("service: daemon defaults: %w", err)
 	}
 	if cfg.Remote.LeaseTTL < 0 || cfg.Remote.MaxAttempts < 0 {
@@ -322,7 +310,7 @@ func New(cfg Config) (*Service, error) {
 		sweeps: make(map[string]*Sweep),
 	}
 	if !cfg.Remote.Enabled {
-		id := s.board.Register("swiftsimd", cfg.Threads)
+		id := s.board.Register(cfg.Threads)
 		for slot := 0; slot < cfg.Threads; slot++ {
 			s.execs.Add(1)
 			go s.executor(id, slot)
@@ -403,34 +391,28 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 		return nil, 0, fmt.Errorf("service: negative scale %g", scale)
 	}
 
-	engineThreads := spec.EngineThreads
-	if engineThreads == 0 {
-		engineThreads = s.cfg.EngineThreads
+	// The spec's own sampling fields are validated before the overlay:
+	// tuning fields without the mode switch would be dead settings the
+	// daemon's default silently replaces. The threads/epoch pair is
+	// validated after it, as the effective pair: a spec asking for
+	// engine_threads 1 against a daemon whose default epoch is relaxed would
+	// otherwise run an epoch the simulator ignores.
+	requested := sim.Options{
+		EngineThreads: spec.EngineThreads,
+		EpochCycles:   spec.EpochCycles,
+		Sampling: sim.Sampling{
+			Enabled:       spec.Sample,
+			BlockFraction: spec.SampleFrac,
+			ReplayStride:  spec.SampleStride,
+			Seed:          spec.SampleSeed,
+		},
 	}
-	epoch := spec.EpochCycles
-	if epoch == 0 {
-		epoch = s.cfg.EpochCycles
-	}
-	// The effective threads/epoch pair is validated, not the raw spec: a
-	// spec asking for engine_threads 1 against a daemon whose default epoch
-	// is relaxed would otherwise silently run an epoch the simulator
-	// ignores. The sampling fields are the spec's own: tuning fields
-	// without the mode switch would be silently dead settings.
-	requested := sim.Sampling{
-		Enabled:       spec.Sample,
-		BlockFraction: spec.SampleFrac,
-		ReplayStride:  spec.SampleStride,
-		Seed:          spec.SampleSeed,
-	}
-	if err := validateModes(engineThreads, epoch, requested); err != nil {
+	if err := validate(sim.Options{Sampling: requested.Sampling}); err != nil {
 		return nil, 0, fmt.Errorf("service: %w", err)
 	}
-	if !spec.Sample && spec.SampleSeed != 0 {
-		return nil, 0, fmt.Errorf("service: sample_seed has no effect without sample")
-	}
-	sampling := sim.Sampling(s.cfg.Sampling)
-	if spec.Sample {
-		sampling = requested
+	base := requested.WithDefaults(s.cfg.Defaults)
+	if err := validate(base); err != nil {
+		return nil, 0, fmt.Errorf("service: %w", err)
 	}
 
 	var timeout time.Duration
@@ -466,9 +448,9 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 	}
 	kinds := make([]sim.Kind, len(simNames))
 	for i, name := range simNames {
-		k, err := parseKind(name)
+		k, err := sim.ParseKind(name)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("service: %w", err)
 		}
 		kinds[i] = k
 	}
@@ -477,7 +459,8 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 	for _, g := range gpus {
 		for _, a := range apps {
 			for _, k := range kinds {
-				opts := sim.Options{Kind: k, EngineThreads: engineThreads, EpochCycles: epoch, Sampling: sampling}
+				opts := base
+				opts.Kind = k
 				jobs = append(jobs, job{
 					app: a, gpu: g, opts: opts, sim: k.String(),
 					key: jobKey(a, g, opts),
@@ -488,39 +471,15 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 	return jobs, timeout, nil
 }
 
-// validateModes checks a threads/epoch/sampling combination with the one
-// validator every front end uses, and names the values by their JSON
-// fields so the flag-worded reason reads in the API's vocabulary.
-func validateModes(engineThreads, epochCycles int, sm sim.Sampling) error {
-	err := cliutil.ValidateModes(cliutil.Modes{
-		EngineThreads:  engineThreads,
-		EpochCycles:    epochCycles,
-		Sample:         sm.Enabled,
-		SampleFraction: sm.BlockFraction,
-		SampleStride:   sm.ReplayStride,
-	})
-	if err != nil {
-		return fmt.Errorf("engine_threads %d, epoch_cycles %d, sample %v, sample_frac %g, sample_stride %d: %w",
-			engineThreads, epochCycles, sm.Enabled, sm.BlockFraction, sm.ReplayStride, err)
+// validate is sim.Options.Validate with the values named by their JSON
+// fields, so the reason reads in the API's vocabulary.
+func validate(o sim.Options) error {
+	if err := o.Validate(); err != nil {
+		sm := o.Sampling
+		return fmt.Errorf("engine_threads %d, epoch_cycles %d, sample %v, sample_frac %g, sample_stride %d, sample_seed %d: %w",
+			o.EngineThreads, o.EpochCycles, sm.Enabled, sm.BlockFraction, sm.ReplayStride, sm.Seed, err)
 	}
 	return nil
-}
-
-// parseKind maps the spec's simulator spelling (the cmd/explore -sim
-// vocabulary) to a sim.Kind.
-func parseKind(name string) (sim.Kind, error) {
-	switch name {
-	case "detailed":
-		return sim.Detailed, nil
-	case "basic":
-		return sim.Basic, nil
-	case "memory":
-		return sim.Memory, nil
-	case "l2":
-		return sim.L2Hybrid, nil
-	default:
-		return 0, fmt.Errorf("service: unknown simulator %q (want detailed|basic|memory|l2)", name)
-	}
 }
 
 // Sweep looks a sweep up by id.
@@ -739,52 +698,8 @@ func (s *Service) publishJob(j *boardJob) (WireJob, error) {
 	return WireJob{
 		App: j.app.Name, GPU: j.gpu.Name, Sim: j.sim,
 		TraceBlob: traceHash, ConfigBlob: confHash,
-		Opts:      wireOptions(j.opts),
+		Opts:      j.opts,
 		TimeoutMS: timeoutMS,
-	}, nil
-}
-
-// wireOptions flattens the result-affecting sim.Options into the wire
-// form; wireOptions and simOptions are inverses for every field the
-// service sets.
-func wireOptions(o sim.Options) WireOptions {
-	return WireOptions{
-		Kind:                int(o.Kind),
-		HitRates:            int(o.HitRates),
-		MaxCycles:           o.MaxCycles,
-		LatencyScale:        o.LatencyScale,
-		ExtraKernelOverhead: o.ExtraKernelOverhead,
-		SampleBlocks:        o.SampleBlocks,
-		EngineThreads:       o.EngineThreads,
-		EpochCycles:         o.EpochCycles,
-		SampleEnabled:       o.Sampling.Enabled,
-		SampleFrac:          o.Sampling.BlockFraction,
-		SampleStride:        o.Sampling.ReplayStride,
-		SampleSeed:          o.Sampling.Seed,
-	}
-}
-
-// simOptions rebuilds sim.Options from the wire form (the worker side of
-// wireOptions).
-func simOptions(w WireOptions) (sim.Options, error) {
-	if w.Kind < int(sim.Detailed) || w.Kind > int(sim.L2Hybrid) {
-		return sim.Options{}, fmt.Errorf("service: wire options: unknown simulator kind %d", w.Kind)
-	}
-	return sim.Options{
-		Kind:                sim.Kind(w.Kind),
-		HitRates:            sim.HitRateSource(w.HitRates),
-		MaxCycles:           w.MaxCycles,
-		LatencyScale:        w.LatencyScale,
-		ExtraKernelOverhead: w.ExtraKernelOverhead,
-		SampleBlocks:        w.SampleBlocks,
-		EngineThreads:       w.EngineThreads,
-		EpochCycles:         w.EpochCycles,
-		Sampling: sim.Sampling{
-			Enabled:       w.SampleEnabled,
-			BlockFraction: w.SampleFrac,
-			ReplayStride:  w.SampleStride,
-			Seed:          w.SampleSeed,
-		},
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -237,7 +238,7 @@ func TestHardDrain(t *testing.T) {
 }
 
 // TestFailFastSkippedJobs is the race-detector satellite: a FailFast
-// sweep with an unmeetable per-job deadline drives OnStart/OnProgress and
+// sweep with an unmeetable per-job deadline drives the start and finish relays and
 // skipped jobs through the service queue. Every job must reach exactly
 // one terminal state and never-started jobs must be reported skipped.
 func TestFailFastSkippedJobs(t *testing.T) {
@@ -365,6 +366,57 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestResolveOverlay: a spec's options are overlaid on the daemon's defaults
+// by the one rule (sim.Options.WithDefaults): what the spec sets wins, what
+// it leaves zero takes the daemon's value. The spec's own sampling fields
+// are validated before the overlay — tuning fields without `sample` are
+// dead even when the daemon samples by default — and the threads/epoch pair
+// after it.
+func TestResolveOverlay(t *testing.T) {
+	def := sim.Options{EngineThreads: 4, EpochCycles: 8, Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.5}}
+	s := newService(t, Config{Defaults: def})
+	own := sim.Sampling{Enabled: true, BlockFraction: 0.25, ReplayStride: 2, Seed: 7}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want sim.Options
+	}{
+		{"zero takes the default", Spec{},
+			sim.Options{Kind: sim.Memory, EngineThreads: 4, EpochCycles: 8, Sampling: def.Sampling}},
+		{"job value wins", Spec{EngineThreads: 2, EpochCycles: 1, Sample: true, SampleFrac: 0.25, SampleStride: 2, SampleSeed: 7},
+			sim.Options{Kind: sim.Memory, EngineThreads: 2, EpochCycles: 1, Sampling: own}},
+		{"fields overlay independently", Spec{EngineThreads: 2},
+			sim.Options{Kind: sim.Memory, EngineThreads: 2, EpochCycles: 8, Sampling: def.Sampling}},
+	} {
+		tc.spec.Apps, tc.spec.GPUs = []string{"BFS"}, []string{"RTX2080Ti"}
+		jobs, _, err := s.resolve(tc.spec)
+		if err != nil || len(jobs) != 1 {
+			t.Fatalf("%s: resolve = %d jobs, %v", tc.name, len(jobs), err)
+		}
+		if got := jobs[0].opts; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: options %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"sample_frac without sample", Spec{SampleFrac: 0.25}, "sample_frac"},
+		{"sample_stride without sample", Spec{SampleStride: 4}, "sample_stride"},
+		{"sample_seed without sample", Spec{SampleSeed: 7}, "sample_seed"},
+		{"sample_frac out of range", Spec{Sample: true, SampleFrac: 1}, "sample_frac"},
+		{"one thread under the daemon's relaxed epoch", Spec{EngineThreads: 1}, "epoch_cycles"},
+	} {
+		if _, _, err := s.resolve(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resolve = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := New(Config{CacheDir: t.TempDir(), Defaults: sim.Options{EpochCycles: 8}}); err == nil || !strings.Contains(err.Error(), "daemon defaults") {
+		t.Errorf("New accepted a relaxed default epoch on a serial engine: %v", err)
+	}
+}
+
 // TestMaxJobTimeoutClamp: the service caps (and defaults) per-job budgets.
 func TestMaxJobTimeoutClamp(t *testing.T) {
 	s := newService(t, Config{MaxJobTimeout: time.Minute})
@@ -408,15 +460,21 @@ func TestJobKeyDiscriminates(t *testing.T) {
 		"gpu":   jobKey(a1, gpu2, sim.Options{Kind: sim.Memory}),
 		"kind":  jobKey(a1, gpu, sim.Options{Kind: sim.Basic}),
 		"rates": jobKey(a1, gpu, sim.Options{Kind: sim.Memory, HitRates: sim.ReuseDistance}),
-		"sample": jobKey(a1, gpu, sim.Options{Kind: sim.Memory,
-			SampleBlocks: 0.5}),
-		"epoch": jobKey(a1, gpu, sim.Options{Kind: sim.Memory,
-			EngineThreads: 4, EpochCycles: 8}),
 	}
 	for dim, k := range diff {
 		if k == base {
 			t.Errorf("key ignores %s", dim)
 		}
+	}
+	// A relaxed epoch length has its own line wherever an assembly runs it,
+	// and shares the exact line where it cannot (Memory is always one shard).
+	relaxed := sim.Options{Kind: sim.Basic, EngineThreads: 4, EpochCycles: 8}
+	if jobKey(a1, gpu, relaxed) == jobKey(a1, gpu, sim.Options{Kind: sim.Basic}) {
+		t.Error("key ignores epoch")
+	}
+	relaxed.Kind = sim.Memory
+	if jobKey(a1, gpu, relaxed) != base {
+		t.Error("key separates an epoch length Memory never runs")
 	}
 	// EngineThreads is result-neutral and must share the key; so must the
 	// unset/explicit spellings of exact mode (EpochCycles 0 and 1).

@@ -63,9 +63,10 @@ type WorkerConfig struct {
 	// Jobs is the number of jobs executed concurrently (0 = 1).
 	Jobs int
 	// EngineThreads, when > 0, overrides each job's engine shard count
-	// for this host. Safe by construction: results are byte-identical at
-	// every shard count, so the override never changes what is
-	// published.
+	// for this host. Results are byte-identical at every shard count for a
+	// fixed effective epoch length, so the override applies exactly when it
+	// leaves that length alone (a relaxed-epoch job keeps its own count on
+	// a host that asks for 1) and never changes what is published.
 	EngineThreads int
 	// PollWait is the long-poll duration per claim request (0 = 25s).
 	PollWait time.Duration
@@ -364,12 +365,22 @@ func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing config: %w", err)
 	}
-	opts, err := simOptions(wire.Opts)
-	if err != nil {
-		return nil, err
+	opts := wire.Opts
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("service: wire options: %w", err)
 	}
-	if w.cfg.EngineThreads > 0 {
-		opts.EngineThreads = w.cfg.EngineThreads
+	if n := w.cfg.EngineThreads; n > 0 {
+		// The host's shard count replaces the job's only when the assembly
+		// then runs the same effective epoch length: results are
+		// byte-identical across shard counts for a fixed epoch, but an
+		// override that collapses a relaxed-epoch job onto one shard would
+		// run it exact and commit those bytes under the relaxed key.
+		eff := opts.Effective(gpu)
+		host := eff
+		host.EngineThreads = n
+		if host.Effective(gpu).EpochCycles == eff.EpochCycles {
+			opts = host
+		}
 	}
 
 	return simulate(ctx, 0, &boardJob{

@@ -18,7 +18,7 @@
 //   - Homogeneous blocks within a launch. Only a representative subset of
 //     CTAs is simulated — the full first wave (cold caches and launch
 //     contention) plus stratified, seeded contiguous tail windows with
-//     built-in pressure blocks (smcore.SelectSampleBlocks) — and the
+//     built-in pressure blocks (smcore.SelectBlockSample) — and the
 //     remainder is extrapolated through the Eq. 1-style analytical path:
 //     the measured per-sampled-block launch/end cycles (which embed the
 //     sampled blocks' hit rates, neighbor locality, and contention delays)
@@ -44,7 +44,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"swiftsim/internal/analytic"
@@ -57,19 +56,19 @@ import (
 // false) simulates everything.
 type Sampling struct {
 	// Enabled turns sampled execution on.
-	Enabled bool
+	Enabled bool `json:"enabled,omitempty"`
 	// BlockFraction is the fraction of each launch's post-first-wave
 	// blocks to simulate, in (0,1); 0 means the default 0.125. The first
 	// wave is always simulated in full.
-	BlockFraction float64
+	BlockFraction float64 `json:"block_fraction,omitempty"`
 	// ReplayStride re-simulates every Nth occurrence of a repeated launch
 	// fingerprint instead of replaying it, bounding replay drift; 0 means
 	// the default 8, 1 disables replay entirely (every launch simulates).
-	ReplayStride int
+	ReplayStride int `json:"replay_stride,omitempty"`
 	// Seed drives the stratified tail selection. Runs with equal seeds
 	// (and options) are bit-identical; different seeds sample different
 	// representatives.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // DefaultBlockFraction and DefaultReplayStride are the effective values of
@@ -79,10 +78,10 @@ const (
 	DefaultReplayStride  = 8
 )
 
-// Effective returns s with zero fields replaced by the defaults. The
-// service cache key and the regress envelopes both use the effective
-// values, so "default by zero" and "default spelled out" hit the same
-// cache entries and envelopes.
+// Effective returns s with zero fields replaced by the defaults (and a
+// disabled s as the zero value). Options.Identity and the regress envelopes
+// both use the effective values, so "default by zero" and "default spelled
+// out" hit the same cache entries and envelopes.
 func (s Sampling) Effective() Sampling {
 	if !s.Enabled {
 		return Sampling{}
@@ -94,17 +93,6 @@ func (s Sampling) Effective() Sampling {
 		s.ReplayStride = DefaultReplayStride
 	}
 	return s
-}
-
-// validate rejects out-of-range sampling parameters.
-func (s Sampling) validate() error {
-	if s.BlockFraction < 0 || s.BlockFraction >= 1 {
-		return fmt.Errorf("sampling block fraction must be in (0,1) (0 = default %v), got %v", DefaultBlockFraction, s.BlockFraction)
-	}
-	if s.ReplayStride < 0 {
-		return fmt.Errorf("sampling replay stride must be non-negative (0 = default %d), got %d", DefaultReplayStride, s.ReplayStride)
-	}
-	return nil
 }
 
 // launchFP is the memoization key of one kernel launch: the launch's
@@ -162,7 +150,7 @@ func newSampler(app *trace.App, gpu config.GPU, opts Sampling) (*sampler, *trace
 	out := &trace.App{Name: app.Name, Suite: app.Suite}
 	var prev [32]byte
 	for i, k := range app.Kernels {
-		sel := smcore.SelectSampleBlocks(gpu.SM, k, gpu.NumSMs, s.opts.BlockFraction, s.opts.Seed)
+		sel := smcore.SelectBlockSample(gpu.SM, k, gpu.NumSMs, s.opts.BlockFraction, s.opts.Seed)
 		sk := k
 		if len(sel) < len(k.Blocks) {
 			blocks := make([]trace.BlockTrace, len(sel))

@@ -20,7 +20,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -37,129 +36,6 @@ import (
 	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
 )
-
-// Kind selects a simulator configuration.
-type Kind int
-
-const (
-	// Detailed is the fully cycle-accurate baseline (Accel-Sim class).
-	Detailed Kind = iota
-	// Basic is Swift-Sim-Basic: analytical ALUs, cycle-accurate memory.
-	Basic
-	// Memory is Swift-Sim-Memory: analytical ALUs and analytical memory.
-	Memory
-	// L2Hybrid keeps the LD/ST units and the L1 cycle-accurate but
-	// replaces everything below the L1 (NoC, L2, DRAM) with the
-	// analytical Backend — a third hybridization point, at the mem.Port
-	// boundary, showing that any subset of modules can be simplified.
-	L2Hybrid
-)
-
-// String returns the configuration name used in reports.
-func (k Kind) String() string {
-	switch k {
-	case Detailed:
-		return "Detailed"
-	case Basic:
-		return "Swift-Sim-Basic"
-	case Memory:
-		return "Swift-Sim-Memory"
-	case L2Hybrid:
-		return "Swift-Sim-L2"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// HitRateSource selects where Swift-Sim-Memory's Eq. 1 rates come from.
-type HitRateSource int
-
-const (
-	// FunctionalCaches extracts rates with timeless sectored caches
-	// (supports every replacement policy).
-	FunctionalCaches HitRateSource = iota
-	// ReuseDistance extracts rates with LRU stack-distance theory.
-	ReuseDistance
-)
-
-// Options configures a simulation run.
-type Options struct {
-	// Kind selects the simulator configuration.
-	Kind Kind
-	// HitRates selects Swift-Sim-Memory's hit-rate source.
-	HitRates HitRateSource
-	// MaxCycles bounds simulated time per kernel (0 = default guard of
-	// one billion cycles).
-	MaxCycles uint64
-	// LatencyScale multiplies memory/unit latencies; the golden hardware
-	// model uses it (>1) to represent undisclosed real-hardware timing.
-	// 0 means 1.0.
-	LatencyScale float64
-	// ExtraKernelOverhead adds fixed cycles per kernel launch (golden
-	// model: driver/launch overhead no performance simulator models).
-	ExtraKernelOverhead uint64
-	// Scheduler optionally installs a custom warp-scheduling policy
-	// (smcore.Picker) per sub-core in place of the configured built-in —
-	// the paper's new-scheduler exploration hook. Works with every Kind.
-	Scheduler func(smID, sub int) smcore.Picker
-	// EngineThreads is the intra-simulation parallelism degree: the number
-	// of engine shards SMs (with their private L1s and units) are ticked
-	// on concurrently, synchronized at a deterministic per-cycle barrier.
-	// 0 or 1 keeps the fully serial engine. The effective shard count is
-	// clamped to NumSMs, and the Memory configuration always runs serially
-	// (its analytical memory models share order-dependent bandwidth
-	// meters — and it has no per-SM cycle-accurate state worth sharding).
-	// Results are byte-identical at every value.
-	EngineThreads int
-	// EpochCycles is the relaxed-sync epoch length. In parallel assemblies
-	// (EngineThreads >= 2 and a Kind with sharded state) a value k > 1 lets
-	// every shard run k consecutive local cycles between barriers, with
-	// L1→interconnect traffic carried through bounded-staleness queues (see
-	// boundary.go) so no module ever observes a value from its future.
-	// 0 or 1 keeps the exact barrier-per-cycle protocol and byte-identical
-	// results; k > 1 trades a bounded, per-preset-quantified metric drift
-	// for fewer barriers. For a given (configuration, k) results are still
-	// bit-reproducible at every thread count. Serial assemblies (including
-	// Memory, which always runs serially) ignore it.
-	EpochCycles int
-	// SnapshotAt, together with SnapshotTo, checkpoints the run at the
-	// first quiescent kernel boundary at or after this cycle (0 = the
-	// first boundary); the run then continues normally.
-	SnapshotAt uint64
-	// SnapshotTo receives the versioned binary checkpoint (internal/snap
-	// format). nil disables snapshotting. If no kernel boundary at or
-	// after SnapshotAt is quiescent before the run ends, the run fails
-	// with a structured error rather than silently writing nothing.
-	SnapshotTo io.Writer
-	// RestoreFrom, when non-nil, resumes the run from a checkpoint written
-	// by SnapshotTo: already-simulated kernels are skipped and all module
-	// state (warmed L2, DRAM row state, scheduler counters, metrics) is
-	// restored. The checkpoint's identity — app, GPU, Kind, and every
-	// timing-relevant option including the effective epoch length — must
-	// match this run's; EngineThreads may differ freely.
-	RestoreFrom io.Reader
-	// SampleBlocks in (0,1) enables legacy prefix block sampling: only the
-	// first ceil(fraction×blocks) blocks of each kernel are simulated and
-	// the kernel's cycles are extrapolated linearly. 0 or 1 simulates
-	// everything. Composes with every Kind, but not with Sampling (which
-	// subsumes it; enabling both is an error).
-	SampleBlocks float64
-	// Sampling enables the sampled execution mode: kernel-launch
-	// memoization with analytical replay plus representative-block (CTA)
-	// sampling with Eq. 1-style extrapolation — see sample.go. Opt-in and
-	// deterministic (bit-reproducible at every thread count for fixed
-	// options); accuracy drift is bounded by the per-preset envelopes in
-	// internal/regress. Composes with every Kind and with
-	// EngineThreads/EpochCycles; incompatible with SampleBlocks and with
-	// snapshot/restore (a replayed launch has no simulated state to
-	// checkpoint).
-	Sampling Sampling
-	// Trace is the observability handle (internal/obs). nil (or a tracer
-	// below the relevant level) records nothing; with tracing on, the
-	// engine, SMs, caches, NoC and DRAM emit spans and counter samples
-	// into it. Tracing never changes simulation results or metrics.
-	Trace *obs.Tracer
-}
 
 // Result is the outcome of simulating one application.
 type Result struct {
@@ -184,7 +60,8 @@ type Result struct {
 	// KernelCycles records each kernel's (possibly extrapolated)
 	// duration, in launch order.
 	KernelCycles []uint64
-	// Sampled reports whether block-level sampling was applied.
+	// Sampled reports a sampled-execution run (Options.Sampling): cycles
+	// include analytical extrapolation.
 	Sampled bool
 	// TickedCycles and SkippedCycles decompose simulated time into
 	// cycles evaluated tick-by-tick vs fast-forwarded.
@@ -229,6 +106,9 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
+	}
 	// Assembly-time schedulability validation: a kernel whose blocks can
 	// never become resident used to surface as an engine deadlock (or a
 	// warp-slot panic) deep inside the run; reject it up front instead.
@@ -237,22 +117,8 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 			return nil, fmt.Errorf("sim: %s kernel %d: %w", app.Name, ki, err)
 		}
 	}
+	opts = opts.Effective(gpu)
 	start := time.Now()
-
-	// Block-level sampling: simulate a prefix of each kernel's blocks
-	// and extrapolate. The sampled app also drives hit-rate profiling.
-	sampleScale := make([]float64, len(app.Kernels))
-	for i := range sampleScale {
-		sampleScale[i] = 1
-	}
-	sampled := false
-	if opts.SampleBlocks > 0 && opts.SampleBlocks < 1 {
-		if opts.Sampling.Enabled {
-			return nil, fmt.Errorf("sim: %s: SampleBlocks and Sampling cannot be combined (Sampling subsumes prefix sampling)", app.Name)
-		}
-		app, sampleScale = sampleApp(app, gpu, opts.SampleBlocks)
-		sampled = true
-	}
 
 	// Sampled execution mode (sample.go): representative-block subsets per
 	// launch plus launch memoization. The representative app also drives
@@ -260,14 +126,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	// the sample too.
 	var smp *sampler
 	if opts.Sampling.Enabled {
-		if err := opts.Sampling.validate(); err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
-		}
-		if opts.SnapshotTo != nil || opts.RestoreFrom != nil {
-			return nil, fmt.Errorf("sim: %s: sampled mode cannot be combined with snapshot/restore: a replayed launch has no simulated state to checkpoint", app.Name)
-		}
 		smp, app = newSampler(app, gpu, opts.Sampling)
-		sampled = true
 	}
 
 	var prof *reuse.Profile
@@ -288,9 +147,6 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		smp.install(a)
 	}
 	maxCycles := opts.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1_000_000_000
-	}
 
 	tr := opts.Trace
 	var ktid int32
@@ -303,7 +159,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	kernelCycles := make([]uint64, 0, len(app.Kernels))
 	firstKernel := 0
 	if opts.RestoreFrom != nil {
-		st, err := readSnapshot(a, app, gpu, opts, sampled)
+		st, err := readSnapshot(a, app, gpu, opts)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: restore: %w", app.Name, err)
 		}
@@ -316,7 +172,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	for ki := firstKernel; ki < len(app.Kernels); ki++ {
 		k := app.Kernels[ki]
 		if snapshotPending && a.eng.Cycle() >= opts.SnapshotAt {
-			taken, err := writeSnapshot(a, app, gpu, opts, sampled, ki, kernelCycles, extrapolated, overhead)
+			taken, err := writeSnapshot(a, app, gpu, opts, ki, kernelCycles, extrapolated, overhead)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 			}
@@ -360,7 +216,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		if err := a.bs.Err(); err != nil {
 			return nil, fmt.Errorf("sim: %s kernel %d (%s): %w", app.Name, ki, k.Name, err)
 		}
-		kc := extrapolate(a.eng.Cycle()-kStart, sampleScale[ki])
+		kc := a.eng.Cycle() - kStart
 		if smp != nil {
 			kc = smp.endLaunch(a, ki, a.eng.Cycle()-kStart)
 		}
@@ -381,7 +237,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 			return nil, fmt.Errorf("sim: %s: snapshot at cycle %d never taken: the run ended at cycle %d",
 				app.Name, opts.SnapshotAt, a.eng.Cycle())
 		}
-		taken, err := writeSnapshot(a, app, gpu, opts, sampled, len(app.Kernels), kernelCycles, extrapolated, overhead)
+		taken, err := writeSnapshot(a, app, gpu, opts, len(app.Kernels), kernelCycles, extrapolated, overhead)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 		}
@@ -410,58 +266,12 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		ProfileWall:   profileWall,
 		Instructions:  a.g.Value("sm.issued"),
 		KernelCycles:  kernelCycles,
-		Sampled:       sampled,
+		Sampled:       smp != nil,
 		TickedCycles:  a.eng.TickedCycles(),
 		SkippedCycles: a.eng.SkippedCycles(),
 		Metrics:       a.g.Snapshot(),
 		Inventory:     a.eng.Inventory(),
 	}, nil
-}
-
-// sampleApp truncates each kernel to a prefix of its blocks and returns
-// the per-kernel extrapolation factors. Extrapolation is wave-aware:
-// blocks execute in waves of (occupancy × SMs) concurrent blocks, so
-// scaling uses wave counts rather than raw block counts, and at least one
-// full wave is always simulated.
-func sampleApp(app *trace.App, gpu config.GPU, frac float64) (*trace.App, []float64) {
-	out := &trace.App{Name: app.Name, Suite: app.Suite}
-	scale := make([]float64, len(app.Kernels))
-	for i, k := range app.Kernels {
-		n := len(k.Blocks)
-		waveCap := smcore.BlocksPerSM(gpu.SM, k) * gpu.NumSMs
-		if waveCap < 1 {
-			waveCap = 1
-		}
-		keep := int(float64(n)*frac + 0.5)
-		if keep < waveCap {
-			keep = waveCap // always simulate a full wave
-		}
-		if keep > n {
-			keep = n
-		}
-		waves := func(blocks int) float64 {
-			return float64((blocks + waveCap - 1) / waveCap)
-		}
-		sk := &trace.Kernel{
-			Name:              k.Name,
-			Grid:              trace.Dim3{X: keep, Y: 1, Z: 1},
-			Block:             k.Block,
-			RegsPerThread:     k.RegsPerThread,
-			SharedMemPerBlock: k.SharedMemPerBlock,
-			Blocks:            k.Blocks[:keep],
-		}
-		out.Kernels = append(out.Kernels, sk)
-		scale[i] = waves(n) / waves(keep)
-	}
-	return out, scale
-}
-
-// extrapolate scales a sampled kernel's raw cycle count by its wave-based
-// extrapolation factor, rounding half-up. Truncating toward zero here
-// systematically under-predicted sampled runs by up to one cycle per
-// kernel times the scale's fractional part.
-func extrapolate(raw uint64, scale float64) uint64 {
-	return uint64(float64(raw)*scale + 0.5)
 }
 
 // scaleLat applies the golden model's latency scale.
@@ -488,17 +298,11 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 
 	// Intra-simulation parallelism: SMs (and their private L1s/units) are
 	// distributed over nShards engine shards; the shared modules (block
-	// scheduler, NoC, L2, DRAM) stay serial. The Memory configuration has
-	// no shardable cycle-accurate state (and its analytical models share
-	// order-dependent bandwidth meters), so it always runs on one shard —
-	// which the engine ticks as a plain serial run.
-	nShards := opts.EngineThreads
-	if nShards > gpu.NumSMs {
-		nShards = gpu.NumSMs
-	}
-	if nShards < 2 || opts.Kind == Memory {
-		nShards = 1
-	}
+	// scheduler, NoC, L2, DRAM) stay serial. Effective owns the rules (the
+	// clamp to NumSMs, Memory's single shard, exact epochs on one shard); a
+	// lone shard is ticked as a plain serial run.
+	eff := opts.Effective(gpu)
+	nShards, epochK := eff.EngineThreads, eff.EpochCycles
 	eng.SetParallel(nShards)
 	shardOf := func(smID int) int { return smID % nShards }
 	ctxFor := func(smID int) engine.Context { return eng.ShardContext(shardOf(smID)) }
@@ -520,16 +324,9 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	}
 	gFor := func(smID int) *metrics.Gatherer { return shardG[shardOf(smID)] }
 
-	// Relaxed-sync epochs engage only in parallel assemblies; an epoch
-	// boundary (boundary.go) then carries each L1's downstream traffic,
-	// because PreTick drains run inside the concurrent shard pass instead
-	// of a serial pre-phase. Serial assemblies silently run exact — the
-	// CLIs reject that combination up front (cliutil.ValidateModes).
-	epochK := opts.EpochCycles
-	if epochK < 1 || nShards < 2 {
-		epochK = 1
-	}
-	var boundary *epochBoundary
+	// Under relaxed-sync epochs an epoch boundary (boundary.go) carries each
+	// L1's downstream traffic, because PreTick drains run inside the
+	// concurrent shard pass instead of a serial pre-phase.
 	if epochK > 1 {
 		eng.SetEpoch(epochK)
 	}
@@ -545,24 +342,29 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	}
 
 	// Memory hierarchy (all configurations except Memory, which models
-	// the entire path analytically): one L1 per SM in front of either
-	// the cycle-accurate NoC/L2/DRAM or the analytical Backend.
+	// the entire path analytically): one L1 per SM in front of either the
+	// cycle-accurate NoC/L2/DRAM or the analytical Backend. buildL1s makes
+	// the L1s (with the epoch boundary and the L1 probe) over whichever
+	// downstream port the configuration has, and returns their deferred
+	// registration: SMs are built below and registered first, so issue
+	// happens before same-cycle memory processing, and the sharded entries
+	// (SMs, then L1s) form a contiguous registration range with the shared
+	// modules serial after it.
 	var l1For func(smID int) mem.Port
-	if opts.Kind == L2Hybrid {
-		backend := analytic.NewBackend("membackend", eng, gpu, g)
-		eng.AddModule(backend)
+	buildL1s := func(down mem.Port) (register func()) {
 		l1cfg := gpu.L1
 		l1cfg.HitLatency = scaleLat(l1cfg.HitLatency, scale)
+		var boundary *epochBoundary
 		if epochK > 1 {
-			boundary = newEpochBoundary("epochq", backend, g)
+			boundary = newEpochBoundary("epochq", down, g)
 		}
 		l1s := make([]*cache.Timed, gpu.NumSMs)
 		for i := range l1s {
-			var down mem.Port = backend
+			l1down := down
 			if boundary != nil {
-				down = boundary.port(i, ctxFor(i))
+				l1down = boundary.port(i, ctxFor(i))
 			}
-			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctxFor(i), down, gFor(i))
+			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctxFor(i), l1down, gFor(i))
 			l1s[i].SetTracer(opts.Trace)
 		}
 		a.l1s = l1s
@@ -571,14 +373,22 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 			l1w := metrics.NewWindow(g.Counter("l1.hit"), g.Counter("l1.miss"))
 			eng.AddProbe("l1_hit_permille", l1w.DeltaPermille)
 		}
-		defer func() {
+		return func() {
 			for i, l1 := range l1s {
 				eng.RegisterSharded(l1, shardOf(i))
 			}
+			// The boundary ticks after the L1s and before the NoC, so
+			// released traffic enters the interconnect the same cycle it
+			// would have in exact mode's serial drain pre-phase.
 			if boundary != nil {
 				eng.Register(boundary)
 			}
-		}()
+		}
+	}
+	if opts.Kind == L2Hybrid {
+		backend := analytic.NewBackend("membackend", eng, gpu, g)
+		eng.AddModule(backend)
+		defer buildL1s(backend)()
 	} else if opts.Kind != Memory {
 		l2cfg := gpu.L2
 		l2cfg.HitLatency = scaleLat(l2cfg.HitLatency, scale)
@@ -639,27 +449,10 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 
 		interconnect.SetTracer(opts.Trace)
 
-		l1cfg := gpu.L1
-		l1cfg.HitLatency = scaleLat(l1cfg.HitLatency, scale)
-		if epochK > 1 {
-			boundary = newEpochBoundary("epochq", interconnect, g)
-		}
-		l1s := make([]*cache.Timed, gpu.NumSMs)
-		for i := range l1s {
-			var down mem.Port = interconnect
-			if boundary != nil {
-				down = boundary.port(i, ctxFor(i))
-			}
-			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctxFor(i), down, gFor(i))
-			l1s[i].SetTracer(opts.Trace)
-		}
-		a.l1s = l1s
-		l1For = func(smID int) mem.Port { return l1s[smID] }
+		registerL1s := buildL1s(interconnect)
 
 		if traceModule {
-			l1w := metrics.NewWindow(g.Counter("l1.hit"), g.Counter("l1.miss"))
 			l2w := metrics.NewWindow(g.Counter("l2.hit"), g.Counter("l2.miss"))
-			eng.AddProbe("l1_hit_permille", l1w.DeltaPermille)
 			eng.AddProbe("l2_hit_permille", l2w.DeltaPermille)
 			eng.AddProbe("noc_occupancy", func() uint64 { return uint64(interconnect.Occupancy()) })
 			eng.AddProbe("dram_queue", func() uint64 {
@@ -671,20 +464,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 			})
 		}
 
-		// Build SMs below, then register memory modules after them so
-		// issue happens before same-cycle memory processing. The sharded
-		// entries (SMs, then L1s) form a contiguous registration range;
-		// the shared interconnect/L2/DRAM stay serial after it.
 		defer func() {
-			for i, l1 := range l1s {
-				eng.RegisterSharded(l1, shardOf(i))
-			}
-			// The boundary ticks after the L1s and before the NoC, so
-			// released traffic enters the interconnect the same cycle it
-			// would have in exact mode's serial drain pre-phase.
-			if boundary != nil {
-				eng.Register(boundary)
-			}
+			registerL1s()
 			eng.Register(interconnect)
 			for _, l2 := range l2s {
 				eng.Register(l2)

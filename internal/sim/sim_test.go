@@ -301,37 +301,6 @@ func TestBadTopologyRejected(t *testing.T) {
 	}
 }
 
-func TestBlockSampling(t *testing.T) {
-	// Sampled simulation of a homogeneous workload extrapolates close to
-	// the full run at a fraction of the simulated work.
-	// Enough blocks for several waves on the small GPU, so sampling has
-	// something to skip.
-	gpu := smallGPU()
-	app := mustApp(t, "SM", 4)
-	full, err := Run(app, gpu, Options{Kind: Basic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := Run(app, gpu, Options{Kind: Basic, SampleBlocks: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sampled.Sampled || full.Sampled {
-		t.Error("Sampled flags wrong")
-	}
-	if sampled.Instructions >= full.Instructions {
-		t.Errorf("sampling simulated %d instructions, full %d", sampled.Instructions, full.Instructions)
-	}
-	ratio := float64(sampled.Cycles) / float64(full.Cycles)
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("extrapolated %d vs full %d (ratio %.2f) out of tolerance",
-			sampled.Cycles, full.Cycles, ratio)
-	}
-	if len(sampled.KernelCycles) != len(app.Kernels) {
-		t.Errorf("KernelCycles has %d entries, want %d", len(sampled.KernelCycles), len(app.Kernels))
-	}
-}
-
 func TestKernelCyclesSumToTotal(t *testing.T) {
 	gpu := smallGPU()
 	app := mustApp(t, "GRU", 0.15)
@@ -346,57 +315,6 @@ func TestKernelCyclesSumToTotal(t *testing.T) {
 	want := sum + uint64(len(app.Kernels))*100
 	if res.Cycles != want {
 		t.Errorf("Cycles = %d, want kernel sum + overhead = %d", res.Cycles, want)
-	}
-}
-
-func TestSamplingFractionOneIsFull(t *testing.T) {
-	gpu := smallGPU()
-	app := mustApp(t, "MVT", 0.15)
-	full, err := Run(app, gpu, Options{Kind: Basic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(app, gpu, Options{Kind: Basic, SampleBlocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Cycles != full.Cycles || one.Sampled {
-		t.Errorf("fraction 1: cycles %d vs %d, sampled=%v", one.Cycles, full.Cycles, one.Sampled)
-	}
-}
-
-func TestSamplingComposesWithMemoryKind(t *testing.T) {
-	gpu := smallGPU()
-	app := mustApp(t, "ADI", 0.3)
-	res, err := Run(app, gpu, Options{Kind: Memory, SampleBlocks: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles == 0 || !res.Sampled {
-		t.Fatalf("sampled Memory run: %+v", res.Cycles)
-	}
-}
-
-func TestExtrapolateRoundsHalfUp(t *testing.T) {
-	// Regression for the sampled-cycle truncation bug: uint64(x*scale)
-	// truncates toward zero and under-predicts, e.g. 3 raw cycles at a
-	// wave scale of 2/3 gives the float product 1.9999999999999998, which
-	// truncation pinned at 1 instead of 2.
-	cases := []struct {
-		raw   uint64
-		scale float64
-		want  uint64
-	}{
-		{3, 2.0 / 3.0, 2},         // 1.999...8 -> truncation bug gave 1
-		{1000, 1, 1000},           // identity untouched
-		{7, 1.5, 11},              // 10.5 rounds up
-		{100, 2.004999, 200},      // 200.4999 rounds down
-		{1_000_003, 3, 3_000_009}, // exact products stay exact
-	}
-	for _, c := range cases {
-		if got := extrapolate(c.raw, c.scale); got != c.want {
-			t.Errorf("extrapolate(%d, %v) = %d, want %d", c.raw, c.scale, got, c.want)
-		}
 	}
 }
 

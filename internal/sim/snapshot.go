@@ -4,17 +4,13 @@
 // A sim snapshot is one snap stream:
 //
 //	header   magic "SSIM" + format version (snap.LoadHeader)
-//	identity app name, kernel count, GPU name, Kind, MaxCycles,
-//	         LatencyScale, ExtraKernelOverhead, SampleBlocks and the
-//	         effective epoch length — everything that shapes the timing of
-//	         the remainder of the run. Restore refuses a mismatch with
-//	         ErrSnapshotMismatch. EngineThreads is deliberately excluded:
-//	         the module inventory and all simulated state are thread-count
-//	         independent, so a checkpoint taken at one thread count restores
-//	         at any other. A custom Scheduler hook cannot be compared (it is
-//	         a function) and is the caller's responsibility to keep stable.
+//	identity app name, kernel count, GPU name and Options.Identity — the
+//	         one rendering of everything that shapes the timing of the
+//	         remainder of the run (options.go says what is in it and why
+//	         EngineThreads is not). Restore refuses a mismatch with
+//	         ErrSnapshotMismatch.
 //	run pos  next kernel index, per-kernel durations so far, extrapolated
-//	         and overhead cycle accumulators, the sampling flag
+//	         and overhead cycle accumulators
 //	engine   one length-framed engine.SaveState payload (scheduler counters
 //	         plus every module's positional section)
 //	metrics  the gatherer's counters by sorted name
@@ -32,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/snap"
@@ -48,7 +43,7 @@ var ErrSnapshotMismatch = errors.New("sim: snapshot does not match this run")
 // (false, nil) when the boundary is not quiescent — the caller retries at
 // the next boundary — and (true, nil) once the checkpoint has been written
 // to opts.SnapshotTo.
-func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, sampled bool, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
+func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
 	// Fold the per-shard metric shadows first so the saved gatherer equals
 	// a serial run's at this boundary.
 	if a.drain != nil {
@@ -63,12 +58,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	w.String(app.Name)
 	w.U64(uint64(len(app.Kernels)))
 	w.String(gpu.Name)
-	w.U64(uint64(opts.Kind))
-	w.U64(opts.MaxCycles)
-	w.F64(opts.LatencyScale)
-	w.U64(opts.ExtraKernelOverhead)
-	w.F64(opts.SampleBlocks)
-	w.U64(uint64(a.eng.EpochCycles()))
+	w.String(opts.Identity(gpu))
 
 	// Run-position section.
 	w.U64(uint64(nextKernel))
@@ -78,7 +68,6 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	}
 	w.U64(extrapolated)
 	w.U64(overhead)
-	w.Bool(sampled)
 
 	// Engine section, length-framed so the stream can be walked without
 	// engine knowledge (see ParseSnapshot).
@@ -119,7 +108,7 @@ type resumeState struct {
 // readSnapshot restores a freshly assembled simulator from opts.RestoreFrom
 // and returns where to resume. Every failure is a structured error; on
 // error the assembly must be discarded.
-func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, sampled bool) (*resumeState, error) {
+func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options) (*resumeState, error) {
 	data, err := io.ReadAll(opts.RestoreFrom)
 	if err != nil {
 		return nil, err
@@ -139,23 +128,8 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	if v := r.String(); r.Err() == nil && v != gpu.Name {
 		return nil, fmt.Errorf("%w: snapshot is for GPU %q, this run uses %q", ErrSnapshotMismatch, v, gpu.Name)
 	}
-	if v := r.U64(); r.Err() == nil && v != uint64(opts.Kind) {
-		return nil, fmt.Errorf("%w: snapshot is a %v run, this run is %v", ErrSnapshotMismatch, Kind(v), opts.Kind)
-	}
-	if v := r.U64(); r.Err() == nil && v != opts.MaxCycles {
-		return nil, fmt.Errorf("%w: snapshot MaxCycles=%d, this run has %d", ErrSnapshotMismatch, v, opts.MaxCycles)
-	}
-	if v := r.F64(); r.Err() == nil && math.Float64bits(v) != math.Float64bits(opts.LatencyScale) {
-		return nil, fmt.Errorf("%w: snapshot LatencyScale=%v, this run has %v", ErrSnapshotMismatch, v, opts.LatencyScale)
-	}
-	if v := r.U64(); r.Err() == nil && v != opts.ExtraKernelOverhead {
-		return nil, fmt.Errorf("%w: snapshot ExtraKernelOverhead=%d, this run has %d", ErrSnapshotMismatch, v, opts.ExtraKernelOverhead)
-	}
-	if v := r.F64(); r.Err() == nil && math.Float64bits(v) != math.Float64bits(opts.SampleBlocks) {
-		return nil, fmt.Errorf("%w: snapshot SampleBlocks=%v, this run has %v", ErrSnapshotMismatch, v, opts.SampleBlocks)
-	}
-	if v := r.U64(); r.Err() == nil && v != uint64(a.eng.EpochCycles()) {
-		return nil, fmt.Errorf("%w: snapshot epoch length %d, this assembly runs %d", ErrSnapshotMismatch, v, a.eng.EpochCycles())
+	if v, want := r.String(), opts.Identity(gpu); r.Err() == nil && v != want {
+		return nil, fmt.Errorf("%w: snapshot options are %q, this run's are %q", ErrSnapshotMismatch, v, want)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -170,7 +144,6 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	}
 	extrapolated := r.U64()
 	overhead := r.U64()
-	snapSampled := r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -179,9 +152,6 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	}
 	if nextKernel != uint64(nkc) {
 		return nil, fmt.Errorf("%w: snapshot resumes at kernel %d but records %d kernel durations", snap.ErrCorrupt, nextKernel, nkc)
-	}
-	if snapSampled != sampled {
-		return nil, fmt.Errorf("%w: snapshot sampled=%v, this run sampled=%v", ErrSnapshotMismatch, snapSampled, sampled)
 	}
 
 	// Engine section.
@@ -236,12 +206,7 @@ func ParseSnapshot(data []byte) error {
 	_ = r.String() // app name
 	r.U64()        // kernel count
 	_ = r.String() // GPU name
-	r.U64()        // kind
-	r.U64()        // max cycles
-	r.F64()        // latency scale
-	r.U64()        // kernel overhead
-	r.F64()        // sample fraction
-	r.U64()        // epoch length
+	_ = r.String() // options identity
 
 	// Run-position section.
 	next := r.U64()
@@ -251,7 +216,6 @@ func ParseSnapshot(data []byte) error {
 	}
 	r.U64() // extrapolated
 	r.U64() // overhead
-	r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}

@@ -85,7 +85,7 @@ func (bs *BlockScheduler) Kind() engine.ModelKind { return engine.CycleAccurate 
 // and can let the engine fast-forward.
 func (bs *BlockScheduler) Busy() bool { return false }
 
-// SelectSampleBlocks picks the representative block subset of one kernel
+// SelectBlockSample picks the representative block subset of one kernel
 // launch for sampled simulation: the entire first wave (every block that
 // would be concurrently resident at launch under cfg's occupancy limits on
 // numSMs SMs — cold-cache behavior and launch contention must be measured,
@@ -112,7 +112,7 @@ func (bs *BlockScheduler) Busy() bool { return false }
 // and are a pure function of (cfg, k, numSMs, frac, seed) — the selection
 // is deterministic and reproducible across hosts and thread counts.
 // Kernels whose tail is no larger than one window are returned whole.
-func SelectSampleBlocks(cfg config.SM, k *trace.Kernel, numSMs int, frac float64, seed uint64) []int {
+func SelectBlockSample(cfg config.SM, k *trace.Kernel, numSMs int, frac float64, seed uint64) []int {
 	n := len(k.Blocks)
 	wave := BlocksPerSM(cfg, k) * numSMs
 	if wave < 1 {

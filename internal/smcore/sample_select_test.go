@@ -7,7 +7,7 @@ import (
 	"swiftsim/internal/trace"
 )
 
-// selectGeometry reports the wave and window sizes SelectSampleBlocks
+// selectGeometry reports the wave and window sizes SelectBlockSample
 // derives for a kernel under testSMConfig on numSMs SMs.
 func selectGeometry(k *trace.Kernel, numSMs int) (wave, wlen int) {
 	wave = BlocksPerSM(testSMConfig(), k) * numSMs
@@ -21,17 +21,17 @@ func aluKernel(blocks int) *trace.Kernel {
 	return simpleKernel(blocks, 4, func(b *kbuilder) { b.intOp(1, 1, 1) })
 }
 
-// TestSelectSampleBlocksSmallKernelWhole pins the full-simulation cutoff:
+// TestSelectBlockSampleSmallKernelWhole pins the full-simulation cutoff:
 // a kernel whose tail fits inside one sampling window has nothing to
 // extrapolate and is returned whole.
-func TestSelectSampleBlocksSmallKernelWhole(t *testing.T) {
+func TestSelectBlockSampleSmallKernelWhole(t *testing.T) {
 	cfg := testSMConfig()
 	k := aluKernel(8)
 	wave, wlen := selectGeometry(k, 4)
 	if tail := len(k.Blocks) - wave; tail > wlen {
 		t.Fatalf("test kernel too large: tail %d exceeds window %d", tail, wlen)
 	}
-	got := SelectSampleBlocks(cfg, k, 4, 0, 0)
+	got := SelectBlockSample(cfg, k, 4, 0, 0)
 	if len(got) != len(k.Blocks) {
 		t.Fatalf("small kernel sampled: got %d of %d blocks", len(got), len(k.Blocks))
 	}
@@ -42,18 +42,18 @@ func TestSelectSampleBlocksSmallKernelWhole(t *testing.T) {
 	}
 }
 
-// TestSelectSampleBlocksProperties checks the documented invariants on a
+// TestSelectBlockSampleProperties checks the documented invariants on a
 // multi-wave grid: determinism, strictly increasing in-range indices, the
 // complete first wave, and exactly one window at the default fraction.
-func TestSelectSampleBlocksProperties(t *testing.T) {
+func TestSelectBlockSampleProperties(t *testing.T) {
 	cfg := testSMConfig()
 	k := aluKernel(400)
 	wave, wlen := selectGeometry(k, 4)
 	if len(k.Blocks)-wave <= wlen {
 		t.Fatalf("test kernel not multi-wave: wave %d, window %d", wave, wlen)
 	}
-	got := SelectSampleBlocks(cfg, k, 4, 0, 0)
-	again := SelectSampleBlocks(cfg, k, 4, 0, 0)
+	got := SelectBlockSample(cfg, k, 4, 0, 0)
+	again := SelectBlockSample(cfg, k, 4, 0, 0)
 	if !reflect.DeepEqual(got, again) {
 		t.Error("selection is not deterministic across calls")
 	}
@@ -73,18 +73,18 @@ func TestSelectSampleBlocksProperties(t *testing.T) {
 	}
 }
 
-// TestSelectSampleBlocksFracGrowsWindows checks frac scales the window
+// TestSelectBlockSampleFracGrowsWindows checks frac scales the window
 // count — round(frac×tail/wlen) windows, capped so they cannot overlap —
 // and that windows land inside their strata (guaranteed non-overlap shows
 // up as strictly increasing output even at the cap).
-func TestSelectSampleBlocksFracGrowsWindows(t *testing.T) {
+func TestSelectBlockSampleFracGrowsWindows(t *testing.T) {
 	cfg := testSMConfig()
 	k := aluKernel(400)
 	wave, wlen := selectGeometry(k, 4)
 	tail := len(k.Blocks) - wave
 	prev := -1
 	for _, frac := range []float64{0, 0.25, 0.5, 0.99} {
-		got := SelectSampleBlocks(cfg, k, 4, frac, 0)
+		got := SelectBlockSample(cfg, k, 4, frac, 0)
 		win := (len(got) - wave) / wlen
 		if (len(got)-wave)%wlen != 0 {
 			t.Fatalf("frac %g: tail sample %d is not a whole number of %d-block windows", frac, len(got)-wave, wlen)
@@ -104,17 +104,17 @@ func TestSelectSampleBlocksFracGrowsWindows(t *testing.T) {
 	}
 }
 
-// TestSelectSampleBlocksSeedJitter checks the seed moves the window
+// TestSelectBlockSampleSeedJitter checks the seed moves the window
 // placement while leaving the sample size and the measured first wave
 // untouched — and that every seed keeps its windows inside the tail.
-func TestSelectSampleBlocksSeedJitter(t *testing.T) {
+func TestSelectBlockSampleSeedJitter(t *testing.T) {
 	cfg := testSMConfig()
 	k := aluKernel(400)
 	wave, _ := selectGeometry(k, 4)
-	base := SelectSampleBlocks(cfg, k, 4, 0, 0)
+	base := SelectBlockSample(cfg, k, 4, 0, 0)
 	moved := false
 	for seed := uint64(0); seed < 8; seed++ {
-		got := SelectSampleBlocks(cfg, k, 4, 0, seed)
+		got := SelectBlockSample(cfg, k, 4, 0, seed)
 		if len(got) != len(base) {
 			t.Fatalf("seed %d changed the sample size: %d vs %d", seed, len(got), len(base))
 		}

@@ -26,7 +26,7 @@ const Magic = "SSIM"
 // Version is the current snapshot format version. Bump on any
 // incompatible layout change; LoadHeader rejects mismatches with
 // ErrVersion so a skewed binary never misparses old state as new.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // ErrCorrupt reports structurally invalid snapshot data.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")

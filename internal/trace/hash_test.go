@@ -106,13 +106,13 @@ func TestContentHashFraming(t *testing.T) {
 }
 
 func TestContentHashMemoBounded(t *testing.T) {
-	for i := 0; i < hashCacheCap+16; i++ {
+	for i := 0; i < hashMemo.cap+16; i++ {
 		ContentHash(hashTestApp())
 	}
-	hashMu.Lock()
-	n := len(hashCache)
-	hashMu.Unlock()
-	if n > hashCacheCap {
-		t.Errorf("hash memo grew to %d entries, cap %d", n, hashCacheCap)
+	hashMemo.mu.Lock()
+	n := len(hashMemo.vals)
+	hashMemo.mu.Unlock()
+	if n > hashMemo.cap {
+		t.Errorf("hash memo grew to %d entries, cap %d", n, hashMemo.cap)
 	}
 }

@@ -16,7 +16,7 @@
 //
 //	app, _ := swiftsim.GenerateWorkload("BFS", 1.0)
 //	res, _ := swiftsim.Simulate(app, swiftsim.RTX2080Ti(), swiftsim.Config{
-//		Simulator: swiftsim.SwiftSimMemory,
+//		Kind: swiftsim.SwiftSimMemory,
 //	})
 //	fmt.Println(res.Cycles)
 package swiftsim
@@ -256,64 +256,18 @@ const (
 	DefaultSampleStride = sim.DefaultReplayStride
 )
 
-// Config selects how Simulate models the GPU.
-type Config struct {
-	// Simulator picks the configuration (default Detailed).
-	Simulator Simulator
-	// HitRates picks SwiftSimMemory's hit-rate source.
-	HitRates HitRateSource
-	// MaxCycles bounds simulated time per kernel (0 = one billion).
-	MaxCycles uint64
-	// Scheduler optionally installs a custom warp-scheduling policy per
-	// sub-core (nil keeps the GPU configuration's built-in policy).
-	Scheduler func(smID, subCore int) WarpPicker
-	// SampleBlocks in (0,1) enables wave-aware block-sampled simulation:
-	// a prefix of each kernel's blocks is simulated and cycles are
-	// extrapolated by wave count. 0 or 1 simulates everything.
-	SampleBlocks float64
-	// EngineThreads > 1 ticks the simulated SMs (and their private L1s) on
-	// that many engine shards concurrently, synchronizing at a
-	// deterministic per-cycle barrier: results are byte-identical to a
-	// serial run at any value. 0 or 1 — the default — runs serially.
-	// SwiftSimMemory always runs serially (its shared analytical memory
-	// model leaves no per-SM timed state to shard).
-	EngineThreads int
-	// EpochCycles > 1 relaxes the parallel barrier to every EpochCycles
-	// cycles (bounded-staleness epochs): shards run that many local cycles
-	// between synchronizations, with cross-shard memory traffic carried
-	// through deterministic staleness queues. Results remain bit-for-bit
-	// reproducible at any thread count but may drift from the exact run by
-	// a small cycle error (see the committed error envelopes in
-	// internal/regress/testdata/epoch). 0 or 1 — the default — keeps the
-	// exact protocol; serial assemblies ignore the setting.
-	EpochCycles int
-	// Sampling enables sampled execution: repeated kernel launches replay
-	// memoized outcomes and only a representative subset of each launch's
-	// blocks is simulated, with the remainder extrapolated analytically.
-	// Deterministic and bit-reproducible at any thread count, but results
-	// may drift from the full run (see the committed accuracy envelopes in
-	// internal/regress/testdata/sample). Composes with EngineThreads and
-	// EpochCycles; incompatible with SampleBlocks and with
-	// snapshot/restore. The zero value simulates everything.
-	Sampling Sampling
-	// SnapshotAt requests a checkpoint at the first quiescent kernel
-	// boundary at or after this cycle, written to SnapshotTo. Taking a
-	// checkpoint never perturbs the run. Cycle 0 (with SnapshotTo set)
-	// checkpoints before the first kernel.
-	SnapshotAt uint64
-	// SnapshotTo receives the checkpoint stream; nil disables
-	// checkpointing.
-	SnapshotTo io.Writer
-	// RestoreFrom resumes a run from a checkpoint written by an identically
-	// configured run. EngineThreads may differ freely between the saving
-	// and restoring runs; every other timing-relevant setting (simulator,
-	// GPU, app, MaxCycles, sampling, epoch length) must match or the
-	// restore fails with sim.ErrSnapshotMismatch.
-	RestoreFrom io.Reader
-	// Trace records observability events for this simulation (see
-	// NewTracer). nil — the default — records nothing and costs nothing.
-	Trace *Tracer
-}
+// Config selects how Simulate models the GPU: the simulator configuration
+// (Kind, default Detailed), the engine-parallelism and relaxed-sync dials
+// (EngineThreads, EpochCycles), sampled execution (Sampling), checkpointing
+// (SnapshotAt/SnapshotTo/RestoreFrom), a custom warp Scheduler and the
+// observability Trace. It is the simulator's own options record — see
+// sim.Options for every field — so a setting exists under one name at
+// every layer; the zero value is an exact, serial, Detailed run.
+type Config = sim.Options
+
+// ParseSimulator parses the command-line spelling of a Kind:
+// "detailed", "basic", "memory" or "l2".
+func ParseSimulator(name string) (Simulator, error) { return sim.ParseKind(name) }
 
 // Result is the outcome of one simulation (see sim.Result for the field
 // documentation).
@@ -328,20 +282,7 @@ func Simulate(app *App, gpu GPU, cfg Config) (*Result, error) {
 // passing one with a deadline) stops the simulation promptly with an error
 // wrapping ctx.Err().
 func SimulateCtx(ctx context.Context, app *App, gpu GPU, cfg Config) (*Result, error) {
-	return sim.RunCtx(ctx, app, gpu, sim.Options{
-		Kind:          cfg.Simulator,
-		HitRates:      cfg.HitRates,
-		MaxCycles:     cfg.MaxCycles,
-		Scheduler:     cfg.Scheduler,
-		SampleBlocks:  cfg.SampleBlocks,
-		Trace:         cfg.Trace,
-		EngineThreads: cfg.EngineThreads,
-		EpochCycles:   cfg.EpochCycles,
-		Sampling:      cfg.Sampling,
-		SnapshotAt:    cfg.SnapshotAt,
-		SnapshotTo:    cfg.SnapshotTo,
-		RestoreFrom:   cfg.RestoreFrom,
-	})
+	return sim.RunCtx(ctx, app, gpu, cfg)
 }
 
 // SimulateHardware runs the golden "real hardware" reference model used in
@@ -396,20 +337,7 @@ func SimulateAll(jobs []Job, threads int) []Outcome {
 func SimulateAllOpts(jobs []Job, threads int, opts RunOptions) []Outcome {
 	rjobs := make([]runner.Job, len(jobs))
 	for i, j := range jobs {
-		rjobs[i] = runner.Job{App: j.App, GPU: j.GPU, Opts: sim.Options{
-			Kind:          j.Cfg.Simulator,
-			HitRates:      j.Cfg.HitRates,
-			MaxCycles:     j.Cfg.MaxCycles,
-			Scheduler:     j.Cfg.Scheduler,
-			SampleBlocks:  j.Cfg.SampleBlocks,
-			Trace:         j.Cfg.Trace,
-			EngineThreads: j.Cfg.EngineThreads,
-			EpochCycles:   j.Cfg.EpochCycles,
-			Sampling:      j.Cfg.Sampling,
-			SnapshotAt:    j.Cfg.SnapshotAt,
-			SnapshotTo:    j.Cfg.SnapshotTo,
-			RestoreFrom:   j.Cfg.RestoreFrom,
-		}}
+		rjobs[i] = runner.Job{App: j.App, GPU: j.GPU, Opts: j.Cfg}
 	}
 	outs := runner.Run(rjobs, threads, opts)
 	res := make([]Outcome, len(outs))

@@ -17,7 +17,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(app, smallGPU(), Config{Simulator: SwiftSimMemory})
+	res, err := Simulate(app, smallGPU(), Config{Kind: SwiftSimMemory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFacadeSimulateAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, Job{App: app, GPU: gpu, Cfg: Config{Simulator: SwiftSimMemory}})
+		jobs = append(jobs, Job{App: app, GPU: gpu, Cfg: Config{Kind: SwiftSimMemory}})
 	}
 	outs := SimulateAll(jobs, 2)
 	if len(outs) != 3 {
@@ -131,7 +131,7 @@ func TestFacadeHardwareModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Simulate(app, gpu, Config{Simulator: Detailed})
+	det, err := Simulate(app, gpu, Config{Kind: Detailed})
 	if err != nil {
 		t.Fatal(err)
 	}
