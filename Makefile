@@ -92,11 +92,12 @@ bench:
 #   - the sharded steady-state tick allocates nothing: 0 allocs/op ceiling
 #     on BenchmarkEngineShardedTick (which forces workers up, so it
 #     measures the staged arenas and barrier on any host);
-#   - a whole Basic or Detailed simulation stays under a ceiling set about
-#     25% above the measured 8,774 and 16,261 allocs/op, which the timed
-#     memory path contributes nothing to once warm. One closure or queue
-#     regrowth per request back on that path is +10,000 or more, so it
-#     trips the ceiling instead of drifting in.
+#   - a whole Basic, Detailed or Memory simulation stays under a ceiling
+#     set about 25% above the measured 3,384, 11,304 and 1,256 allocs/op,
+#     which neither the timed memory path nor the SM core's issue→writeback
+#     path contributes to once warm. One closure or queue regrowth per
+#     request or per instruction back on those paths is +5,000 or more, so
+#     it trips the ceiling instead of drifting in.
 #
 # The sharding floors depend on the host's core count:
 #   - threads=2 must not lose to threads=1 (floor 1.0x) on a 1-core host,
@@ -117,8 +118,9 @@ benchcmp: bench
 	$(GO) run ./cmd/benchcmp -metric allocs/op \
 		-max 'BenchmarkEngineShardedTick/shards=2,0' \
 		-max 'BenchmarkEngineShardedTick/shards=4,0' \
-		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Basic,11000' \
-		-max 'BenchmarkSimulatorThroughput/Detailed,20500' \
+		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Basic,4200' \
+		-max 'BenchmarkSimulatorThroughput/Detailed,14100' \
+		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Memory,1600' \
 		bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -gate 0.9 bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineSampled/corpus=off,BenchmarkEngineSampled/corpus=on,3.0' bench_baseline.txt bench.txt
@@ -140,10 +142,11 @@ benchcmp: bench
 # binaries kept alongside for symbolization:
 #   go tool pprof prof/parallel.test prof/parallel.cpu.pprof
 # It then writes the table allocation work starts from: every heap object
-# of a Basic and of a Detailed simulation (-memprofilerate 1), ranked by
-# allocating function, into prof/allocs.basic.txt and
-# prof/allocs.detailed.txt (`go tool pprof -sample_index=alloc_objects
-# -list <func>` on the kept profile gives the lines).
+# of a Basic, a Detailed and a Memory simulation (-memprofilerate 1),
+# ranked by allocating function, into prof/allocs.basic.txt,
+# prof/allocs.detailed.txt and prof/allocs.memory.txt (`go tool pprof
+# -sample_index=alloc_objects -list <func>` on the kept profile gives the
+# lines).
 # EXPERIMENTS.md documents how the committed numbers were derived from
 # these profiles. prof/ is gitignored; profiles are host artifacts.
 profile:
@@ -160,6 +163,9 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Detailed' -benchtime 5x \
 		-memprofile prof/allocs.detailed.pprof -memprofilerate 1 -o prof/allocs.test .
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/allocs.test prof/allocs.detailed.pprof > prof/allocs.detailed.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Swift-Sim-Memory' -benchtime 5x \
+		-memprofile prof/allocs.memory.pprof -memprofilerate 1 -o prof/allocs.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top prof/allocs.test prof/allocs.memory.pprof > prof/allocs.memory.txt
 	@head -25 prof/allocs.basic.txt
 
 # envelopes regenerates every committed accuracy envelope — the relaxed-

@@ -50,6 +50,16 @@ func NewALUModel(name string, eng engine.Context, latency, interval int, g *metr
 	}
 }
 
+// Sibling returns another unit of u's class: the same parameters and the
+// same counters, with an issue port of its own. An assembly builds one unit
+// per class with NewALUModel and the class's other NumSMs×SubCores−1 from
+// it, so the counter names are built and resolved once per class.
+func (u *ALUModel) Sibling() *ALUModel {
+	s := *u
+	s.freeAt = 0
+	return &s
+}
+
 // Name implements engine.Module.
 func (u *ALUModel) Name() string { return u.name }
 
@@ -223,6 +233,15 @@ func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.G
 	}
 }
 
+// Sibling returns another unit of u's class, as ALUModel.Sibling does,
+// behind the given per-SM meters (MemModelParams.L1Port and MSHR).
+func (u *MemModel) Sibling(l1port, mshr *BandwidthMeter) *MemModel {
+	s := *u
+	s.freeAt = 0
+	s.l1port, s.mshr = l1port, mshr
+	return &s
+}
+
 // Name implements engine.Module.
 func (u *MemModel) Name() string { return u.name }
 
@@ -245,7 +264,8 @@ func (u *MemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 		return true
 	}
 
-	sectors := len(smcore.Coalesce(in.Addrs, u.sectorBytes))
+	var lanes [32]uint64 // a warp's worth: the count never leaves the stack
+	sectors := len(smcore.CoalesceInto(lanes[:0], in.Addrs, u.sectorBytes))
 	u.transactions.Add(uint64(sectors))
 
 	// LD/ST issue-port occupancy: the unit is held for the cycles needed

@@ -9,6 +9,7 @@ import (
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/reuse"
+	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
 )
 
@@ -390,5 +391,84 @@ func TestBackendWrites(t *testing.T) {
 	}
 	if r.ServicedBy != mem.LevelL2 {
 		t.Errorf("read after write serviced by %v, want L2", r.ServicedBy)
+	}
+}
+
+// TestIssueToWritebackAllocatesNothing is the gate on the SM core's
+// issue→writeback path with analytical units: the in-flight record and its
+// bound completion are recycled, the memory model counts sectors on its
+// stack, and each unit schedules one event. Once the record free list and
+// the event heap have reached their working size, issuing and completing
+// instructions of a resident warp allocates nothing.
+func TestIssueToWritebackAllocatesNothing(t *testing.T) {
+	eng := engine.New()
+	g := metrics.New()
+	kernel := 0
+	p := memParams(&reuse.Profile{Default: reuse.Rates{L1: 0.5, L2: 0.3, DRAM: 0.2}}, &kernel)
+	units := NewHybridUnits(
+		func(smID, sub int, class trace.OpClass) smcore.Unit {
+			return NewALUModel("alu."+class.String(), eng, 4, 1, g)
+		},
+		func(smID, sub int) smcore.Unit { return NewMemModel("mem", eng, p, g) })
+	sm, err := smcore.NewSM(0, config.RTX2080Ti().SM, eng, units, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Register(sm)
+
+	// One block of four warps, each a long stream of arithmetic, divergent
+	// global loads, stores and shared-memory accesses.
+	k := &trace.Kernel{
+		Name: "stream", Grid: trace.Dim3{X: 1, Y: 1, Z: 1}, Block: trace.Dim3{X: 128, Y: 1, Z: 1},
+		RegsPerThread: 16, Blocks: make([]trace.BlockTrace, 1),
+	}
+	scattered := make([]uint64, 32)
+	for i := range scattered {
+		scattered[i] = uint64(i) * 128
+	}
+	for w := 0; w < 4; w++ {
+		var wt trace.WarpTrace
+		for i := 0; i < 30_000; i++ {
+			in := trace.Inst{PC: uint64(8 * i), Dst: trace.Reg(1 + i%8), ActiveMask: 0xffffffff}
+			switch i % 5 {
+			case 0:
+				in.Op, in.Addrs = trace.OpLoadGlobal, scattered
+			case 1:
+				in.Op, in.Addrs = trace.OpStoreGlobal, coalescedAddrs(0x1000)
+			case 2:
+				in.Op, in.Addrs = trace.OpLoadShared, coalescedAddrs(0)
+			case 3:
+				in.Op = trace.OpSP
+			default:
+				in.Op = trace.OpInt
+			}
+			wt = append(wt, in)
+		}
+		k.Blocks[0].Warps = append(k.Blocks[0].Warps, append(wt, trace.Inst{Op: trace.OpExit, ActiveMask: 0xffffffff}))
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.AssignBlock(k, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	issued := g.Counter("sm.issued")
+	var target uint64
+	reached := func() bool { return issued.Value() >= target }
+	step := func() {
+		target = issued.Value() + 200
+		if _, err := eng.Run(reached, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("issuing and completing 200 instructions allocated %v objects, want 0", allocs)
+	}
+	if n := issued.Value(); n < 24_000 || sm.ResidentBlocks() != 1 {
+		t.Errorf("measured %d instructions with %d blocks resident; want the warps still mid-stream", n, sm.ResidentBlocks())
 	}
 }

@@ -59,7 +59,7 @@ func (h *hierarchy) SetWake(wake func())    { h.wake = wake }
 func (h *hierarchy) Tick(uint64) {
 	for n := 0; n < 2 && h.next < len(h.script); n++ {
 		a := h.script[h.next]
-		r := mem.GetRequest()
+		r := mem.SharedPool.Get()
 		r.Addr, r.Write, r.Size, r.Owner = a.addr, a.write, 32, h
 		if !h.l1.Accept(r) {
 			mem.PutRequest(r)
@@ -148,13 +148,13 @@ func TestLiteralRequestCrossesHierarchyOnce(t *testing.T) {
 	if r.ServicedBy != mem.LevelDRAM {
 		t.Errorf("ServicedBy = %v, want DRAM", r.ServicedBy)
 	}
-	// A recycled request is zeroed and handed to the next GetRequest; this
+	// A recycled request is zeroed and handed to the next Get; this
 	// one kept its fields and is not what the pool returns.
 	if r.Addr != 0x4020 || r.PC != 0x88 || r.SMID != 3 || r.Done == nil {
 		t.Errorf("literal request was recycled: %+v", r)
 	}
 	for i := 0; i < 64; i++ {
-		if p := mem.GetRequest(); p == r {
+		if p := mem.SharedPool.Get(); p == r {
 			t.Fatal("literal request came back out of the pool")
 		}
 	}

@@ -213,7 +213,7 @@ func (c *Timed) processWrite(r *mem.Request) {
 			c.hits.Inc()
 		} else {
 			c.misses.Inc()
-			c.installSector(r.Addr)
+			c.installSector(r)
 		}
 		c.tags.markDirty(r.Addr)
 	} else {
@@ -234,7 +234,7 @@ func (c *Timed) processWrite(r *mem.Request) {
 // fetch issues a downstream read for the sector r missed on. The cache
 // owns the fetch and hears of the fill through RequestDone.
 func (c *Timed) fetch(r *mem.Request) {
-	dr := mem.GetRequest()
+	dr := r.Sibling()
 	dr.Addr = r.Addr &^ uint64(c.cfg.SectorBytes-1)
 	dr.Size = c.cfg.SectorBytes
 	dr.PC = r.PC
@@ -244,7 +244,7 @@ func (c *Timed) fetch(r *mem.Request) {
 }
 
 func (c *Timed) forwardWrite(r *mem.Request) {
-	w := mem.GetRequest()
+	w := r.Sibling()
 	w.Addr = r.Addr &^ uint64(c.cfg.SectorBytes-1)
 	w.Write = true
 	w.Size = c.cfg.SectorBytes
@@ -258,17 +258,17 @@ func (c *Timed) forwardWrite(r *mem.Request) {
 // and release the requests parked on it.
 func (c *Timed) RequestDone(dr *mem.Request) {
 	from := dr.ServicedBy
-	c.installSector(dr.Addr)
+	c.installSector(dr)
 	for _, waiter := range c.mshr.fill(c.tags.lineAddr(dr.Addr), c.tags.sector(dr.Addr)) {
 		waiter.ServicedBy = from
 		c.complete(waiter, from)
 	}
 }
 
-// installSector installs addr's sector, emitting writebacks for dirty
-// sectors of any displaced line.
-func (c *Timed) installSector(addr uint64) {
-	ev := c.tags.install(addr)
+// installSector installs the sector by addresses, emitting writebacks
+// (from by's pool) for dirty sectors of any displaced line.
+func (c *Timed) installSector(by *mem.Request) {
+	ev := c.tags.install(by.Addr)
 	if !ev.wasValid {
 		return
 	}
@@ -282,7 +282,7 @@ func (c *Timed) installSector(addr uint64) {
 			continue
 		}
 		c.writebacks.Inc()
-		wb := mem.GetRequest()
+		wb := by.Sibling()
 		wb.Addr = base + uint64(s*c.cfg.SectorBytes)
 		wb.Write = true
 		wb.Size = c.cfg.SectorBytes

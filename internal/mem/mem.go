@@ -6,7 +6,10 @@
 // neighbours — the decoupling requirement of the paper's §III-B2.
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Level identifies which level of the hierarchy serviced a request.
 type Level uint8
@@ -49,7 +52,7 @@ func (l Level) String() string {
 // of the request's life: it carries the request back over the
 // interconnect hop it came in by (if one interposed with Via), notifies
 // the creator (Owner, or Done for callers outside the module tree) and
-// then, if the request came from GetRequest, returns it to the pool. So
+// then, if the request came from a Pool, returns it there. So
 // nobody frees a request explicitly, nobody touches one after calling
 // Complete, and the notified creator must not keep the pointer past its
 // callback. A request built with a literal (&Request{...}) never enters
@@ -62,14 +65,13 @@ func (l Level) String() string {
 // accepted by one cache/DRAM level at a time: a level that misses sends a
 // request of its own downstream and parks the original.
 //
-// The pool is a sync.Pool and may be used from any goroutine. Everything
-// else a module recycles (LD/ST instructions, MSHR entries, queue slots)
-// lives on a free list private to that module, touched from two places
-// only: the module's own Tick, which in a sharded cycle runs on the
-// shard's worker, and completion callbacks (RequestDone, Retire, Return),
-// which run in the engine's serial phases — the event phase and the
-// serial tail's NoC tick. The barrier separates the two, so the lists
-// need no locks.
+// A Pool is locked and may be used from any goroutine. Everything else a
+// module recycles (LD/ST instructions, MSHR entries, queue slots) lives on
+// a free list private to that module, touched from two places only: the
+// module's own Tick, which in a sharded cycle runs on the shard's worker,
+// and completion callbacks (RequestDone, Retire, Return), which run in the
+// engine's serial phases — the event phase and the serial tail's NoC
+// tick. The barrier separates the two, so the lists need no locks.
 type Request struct {
 	// Addr is the byte address, sector-aligned by the coalescer.
 	Addr uint64
@@ -114,8 +116,9 @@ type Request struct {
 	// allocate one literal per request.
 	hopTag int32
 	lvl    Level
-	// pooled marks requests that came from GetRequest.
-	pooled bool
+	// home is the pool the request came from, plus one; zero marks a
+	// literal.
+	home uint8
 	// Write distinguishes stores from loads.
 	Write bool
 	// ServicedBy records the level that ultimately supplied the data.
@@ -197,26 +200,105 @@ func (r *Request) Deliver() {
 	PutRequest(r)
 }
 
-// reqPool recycles Request structs on the L1/NoC/DRAM hot path, where the
-// detailed configurations use one per sector transaction. sync.Pool keeps
-// per-P free lists, so parallel sweeps (one assembly per goroutine) and
-// the shards of one assembly do not contend.
-var reqPool = sync.Pool{New: func() any { return &Request{pooled: true} }}
+// Pool is a free list of Request structs for the L1/NoC/DRAM hot path,
+// where the detailed configurations use one per sector transaction. A
+// simulation run holds a pool of its own from AcquirePool to Release, so
+// concurrent runs (a parallel sweep, the daemon's executors) do not contend
+// and a run's allocations depend on that run and on the runs that held the
+// pool before it, not on when the collector ran: a sync.Pool here made
+// allocs_per_kinst of one workload differ by 4% between identical passes,
+// because a collection between two jobs dropped the first job's requests.
+// Released pools keep their requests (at most poolCap each) and the lowest
+// free pool is handed out first, so back-to-back runs reuse one warm list.
+// The lock is for the shard workers of one run, which create requests
+// side by side; a serial run takes it uncontended.
+type Pool uint8
 
-// GetRequest returns a zeroed Request from the pool. Complete returns it.
-func GetRequest() *Request {
-	return reqPool.Get().(*Request)
+// SharedPool serves callers that hold no pool of their own (tests, rigs
+// feeding literals into a cache) and runs beyond the numPools-th at once.
+const SharedPool Pool = 0
+
+const (
+	numPools = 64
+	// poolCap bounds the requests an idle pool retains (3.5 MiB).
+	poolCap = 1 << 15
+)
+
+var (
+	pools [numPools]struct {
+		mu   sync.Mutex
+		free []*Request
+		_    [32]byte // a cache line each
+	}
+	poolsMu   sync.Mutex
+	poolsBusy uint64 = 1 // bit p: pool p is held; the shared pool always is
+)
+
+// AcquirePool returns the lowest-numbered pool nobody holds, or SharedPool
+// when all are held.
+func AcquirePool() Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := bits.TrailingZeros64(^poolsBusy)
+	if p == numPools {
+		return SharedPool
+	}
+	poolsBusy |= 1 << p
+	return Pool(p)
 }
 
-// PutRequest recycles a request from GetRequest that no Port accepted;
-// accepted requests are recycled by Complete. Requests that did not come
-// from the pool are left alone.
-func PutRequest(r *Request) {
-	if !r.pooled {
+// Release gives the pool up for the next AcquirePool. Requests of p still
+// in flight return to it whenever they complete.
+func (p Pool) Release() {
+	if p == SharedPool {
 		return
 	}
-	*r = Request{fire: r.fire, pooled: true}
-	reqPool.Put(r)
+	poolsMu.Lock()
+	poolsBusy &^= 1 << p
+	poolsMu.Unlock()
+}
+
+// Get returns a zeroed Request from the pool. Complete returns it.
+func (p Pool) Get() *Request {
+	l := &pools[p]
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		r := l.free[n-1]
+		// A request still in flight when its run ends is never put back;
+		// a stale slot would keep it, and through its hop and stage the
+		// whole finished assembly, alive.
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return r
+	}
+	l.mu.Unlock()
+	return &Request{home: uint8(p) + 1}
+}
+
+// Sibling returns a zeroed Request from the pool r came from, for the
+// request a level sends downstream on r's behalf; from the shared pool if
+// r is a literal.
+func (r *Request) Sibling() *Request {
+	if r.home == 0 {
+		return SharedPool.Get()
+	}
+	return Pool(r.home - 1).Get()
+}
+
+// PutRequest recycles a pooled request that no Port accepted; accepted
+// requests are recycled by Complete. Literals are left alone.
+func PutRequest(r *Request) {
+	if r.home == 0 {
+		return
+	}
+	*r = Request{fire: r.fire, home: r.home}
+	l := &pools[r.home-1]
+	l.mu.Lock()
+	if len(l.free) < poolCap {
+		l.free = append(l.free, r)
+	}
+	l.mu.Unlock()
 }
 
 // Port accepts memory requests with backpressure: Accept returns false when

@@ -112,14 +112,14 @@ func TestCompletionChain(t *testing.T) {
 // its next user and leaves a literal one alone, PutRequest likewise.
 func TestPoolRecyclesOnlyPooledRequests(t *testing.T) {
 	var c recorder
-	p := GetRequest()
+	p := SharedPool.Get()
 	p.Addr, p.Owner = 64, &c
 	bound := p.Retirement(&c, LevelDRAM)
 	bound()
 	if p.Addr != 0 || p.Owner != nil || p.ServicedBy != LevelNone || p.stage != nil {
 		t.Errorf("pooled request not zeroed by Complete: %+v", p)
 	}
-	if !p.pooled || p.fire == nil {
+	if p.home == 0 || p.fire == nil {
 		t.Error("recycling dropped the pool mark or the bound retirement")
 	}
 
@@ -128,6 +128,66 @@ func TestPoolRecyclesOnlyPooledRequests(t *testing.T) {
 	lit.Complete(LevelL2)
 	if lit.Addr != 32 || lit.ServicedBy != LevelL2 {
 		t.Errorf("literal request touched by the pool: %+v", lit)
+	}
+}
+
+// TestPoolsAreHeldOneRunAtATime: the lowest free pool is handed out, a
+// released one is handed out again with the requests it kept, and when all
+// are held the shared pool serves.
+func TestPoolsAreHeldOneRunAtATime(t *testing.T) {
+	a, b := AcquirePool(), AcquirePool()
+	if a == SharedPool || b == SharedPool || a == b {
+		t.Fatalf("AcquirePool gave %d and %d", a, b)
+	}
+	r := a.Get()
+	if s := r.Sibling(); s.home != r.home {
+		t.Errorf("sibling of a pool-%d request came from pool %d", r.home-1, s.home-1)
+	}
+	if s := (&Request{}).Sibling(); s.home != uint8(SharedPool)+1 {
+		t.Errorf("sibling of a literal came from pool %d, want the shared one", s.home-1)
+	}
+	r.Complete(LevelL1)
+	a.Release()
+	if c := AcquirePool(); c != a {
+		t.Errorf("after releasing pool %d AcquirePool gave %d", a, c)
+	} else if got := c.Get(); got != r {
+		t.Error("a released pool did not keep its requests for the next holder")
+	}
+
+	held := []Pool{a, b}
+	for {
+		p := AcquirePool()
+		if p == SharedPool {
+			break
+		}
+		held = append(held, p)
+	}
+	if len(held) != numPools-1 {
+		t.Errorf("%d pools could be held at once, want %d", len(held), numPools-1)
+	}
+	for _, p := range held {
+		p.Release()
+	}
+	SharedPool.Release() // a no-op: the shared pool is never free to acquire
+	if p := AcquirePool(); p == SharedPool {
+		t.Error("SharedPool handed out after Release")
+	} else {
+		p.Release()
+	}
+}
+
+// TestPoolForgetsRequestsItHandsOut: a request that never completes (its
+// run ended first) must not stay reachable from the pool, or every finished
+// assembly would through its hop and stage slots.
+func TestPoolForgetsRequestsItHandsOut(t *testing.T) {
+	p := AcquirePool()
+	defer p.Release()
+	p.Get().Complete(LevelL1)
+	l := &pools[p]
+	n := len(l.free)
+	r := p.Get()
+	if got := l.free[:n][n-1]; got != nil {
+		t.Errorf("slot of handed-out request %p still holds %p", r, got)
 	}
 }
 

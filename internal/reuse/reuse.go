@@ -22,6 +22,12 @@
 // persists across kernels, so phase two replays those escape lists through
 // it serially in kernel order — the exact access sequence a serial run
 // produces.
+//
+// The two phases are exported (FilterL1, ReplayL2) with what each reads of
+// the configuration as its argument (L1Geometry, Level), so a caller
+// profiling one trace under many design points can keep a phase-one result
+// and replay it: an L2-size, latency or partition sweep filters the trace
+// through the L1s once.
 package reuse
 
 import (
@@ -93,37 +99,151 @@ func (c counts) rates() Rates {
 	}
 }
 
-// access is one profiled sector transaction.
-type access struct {
-	key    Key
-	sector uint64
-	sm     int
-	write  bool
+// Level is everything a profiler reads of one cache level's configuration,
+// and nothing else: the five fields cache.Functional reads, or under the
+// reuse-distance source the capacity in sectors alone. It is comparable, so
+// a memo of profiler output keys on it (internal/sim/profcache.go) and two
+// configurations that differ only in fields no profiler reads — hit
+// latency, banks, MSHRs — share one entry.
+type Level struct {
+	Distance bool
+	// Capacity is the level's size in sectors (reuse-distance source).
+	Capacity uint64
+	// Functional-cache source; zero under Distance.
+	Sets, Ways, LineBytes, SectorBytes int
+	Replacement                        config.Replacement
 }
 
-// stream flattens the application into the block-interleaved sector-access
-// stream the profilers consume: blocks are assigned round-robin to SMs
-// (mirroring the Block Scheduler), warps within a block interleave
-// instruction by instruction, and per-lane addresses are coalesced exactly
-// as the LD/ST unit would.
-func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a access)) {
-	for ki := range app.Kernels {
-		if onKernel != nil {
-			onKernel(ki)
-		}
-		kernelStream(app, gpu, ki, visit)
+// levelOf projects c, replicated over slices slices of equal geometry.
+func levelOf(c config.Cache, slices int, distance bool) Level {
+	if distance {
+		return Level{Distance: true, Capacity: uint64(c.Sets*c.Ways*c.SectorsPerLine()) * uint64(slices)}
+	}
+	return Level{
+		Sets: c.Sets * slices, Ways: c.Ways, LineBytes: c.LineBytes, SectorBytes: c.SectorBytes,
+		Replacement: c.Replacement,
 	}
 }
 
-// kernelStream visits one kernel's slice of the block-interleaved stream.
-func kernelStream(app *trace.App, gpu config.GPU, ki int, visit func(a access)) {
-	sectorBytes := gpu.L1.SectorBytes
-	k := app.Kernels[ki]
+// L2LevelOf returns what phase two reads of gpu: one cache with the
+// aggregate capacity of all L2 slices.
+func L2LevelOf(gpu config.GPU, distance bool) Level {
+	return levelOf(gpu.L2, gpu.MemPartitions, distance)
+}
+
+// levelModel is one instance of a Level: a functional cache or a distance
+// tracker. The zero value is unbuilt.
+type levelModel struct {
+	fn  *cache.Functional
+	dt  *distanceTracker
+	cap uint64
+}
+
+func (l Level) newModel() levelModel {
+	if l.Distance {
+		return levelModel{dt: newDistanceTracker(), cap: l.Capacity}
+	}
+	return levelModel{fn: cache.NewFunctional(config.Cache{
+		Sets: l.Sets, Ways: l.Ways, LineBytes: l.LineBytes, SectorBytes: l.SectorBytes,
+		Replacement: l.Replacement,
+	})}
+}
+
+func (m *levelModel) built() bool { return m.fn != nil || m.dt != nil }
+
+// hit runs one sector access through the model: a functional-cache lookup
+// (misses install), or a stack distance below the capacity.
+func (m *levelModel) hit(sector uint64, write bool) bool {
+	if m.dt != nil {
+		return m.dt.access(sector) < m.cap
+	}
+	return m.fn.Access(sector, write)
+}
+
+// L1Geometry is everything phase one reads besides the trace.
+type L1Geometry struct {
+	// SMs is the block→SM partition: block bi of every kernel runs on SM
+	// bi%SMs. It is min(NumSMs, the largest kernel's block count), because
+	// bi%NumSMs is the identity for every kernel once NumSMs reaches that
+	// count: all larger GPUs partition the trace the same way.
+	SMs int
+	// CoalesceBytes is the sector size per-lane addresses coalesce to.
+	CoalesceBytes int
+	// L1 is the per-SM cache.
+	L1 Level
+}
+
+// L1GeometryOf returns what phase one reads of gpu when profiling app.
+func L1GeometryOf(app *trace.App, gpu config.GPU, distance bool) L1Geometry {
+	sms := 1
+	for _, k := range app.Kernels {
+		if len(k.Blocks) > sms {
+			sms = len(k.Blocks)
+		}
+	}
+	if gpu.NumSMs < sms {
+		sms = gpu.NumSMs
+	}
+	return L1Geometry{SMs: sms, CoalesceBytes: gpu.L1.SectorBytes, L1: levelOf(gpu.L1, 1, distance)}
+}
+
+// kernelProfile is the phase-one result for one kernel. Its static memory
+// instructions are interned into dense ids in first-touch order; the
+// L2-bound remainder of the kernel's stream is kept in order at 12 bytes
+// an access.
+type kernelProfile struct {
+	pcs      []uint64 // id -> PC
+	l1Hits   []uint64 // id -> reads its sectors serviced from the per-SM L1s
+	sectors  []uint64 // L2-bound stream: sector addresses,
+	ops      []uint32 // and beside each its instruction's id<<1 | write
+	accesses uint64
+}
+
+// L1Filtered is the phase-one result for one application: per kernel, the
+// L1 hits of every static instruction and the ordered accesses that escaped
+// the L1s. It is immutable, so any number of ReplayL2 calls, concurrent
+// ones included, may share it.
+type L1Filtered struct {
+	kernels []kernelProfile
+}
+
+// Bytes returns the memory the result retains, for a memo's byte bound.
+func (f *L1Filtered) Bytes() int {
+	n := 0
+	for i := range f.kernels {
+		kp := &f.kernels[i]
+		n += 16*len(kp.pcs) + 12*len(kp.sectors)
+	}
+	return n
+}
+
+// kernelWalk is one worker's scratch for phase one, reused from kernel to
+// kernel so a walk allocates only what its result retains.
+type kernelWalk struct {
+	g        L1Geometry
+	l1       []levelModel
+	ids      map[uint64]uint32 // PC -> id
+	coalesce []uint64
+	sectors  []uint64
+	ops      []uint32
+}
+
+// kernel runs k's slice of the block-interleaved sector-access stream
+// through fresh per-SM L1s: blocks are assigned round-robin to SMs
+// (mirroring the Block Scheduler), warps within a block interleave
+// instruction by instruction (the round-robin approximation of concurrent
+// execution), and per-lane addresses are coalesced exactly as the LD/ST
+// unit would. An SM's L1 is built on its first access. The L1s are
+// write-through no-allocate: stores are never offered to them and always
+// propagate to the L2.
+func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
+	var kp kernelProfile
+	clear(kw.l1)
+	clear(kw.ids)
+	sectors, ops := kw.sectors[:0], kw.ops[:0]
 	for bi := range k.Blocks {
-		sm := bi % gpu.NumSMs
+		l1 := &kw.l1[bi%kw.g.SMs]
 		warps := k.Blocks[bi].Warps
-		// Interleave warps instruction by instruction, the
-		// round-robin approximation of concurrent execution.
 		maxLen := 0
 		for _, w := range warps {
 			if len(w) > maxLen {
@@ -132,71 +252,68 @@ func kernelStream(app *trace.App, gpu config.GPU, ki int, visit func(a access)) 
 		}
 		for i := 0; i < maxLen; i++ {
 			for _, w := range warps {
-				if i >= len(w) {
+				if i >= len(w) || !w[i].Op.IsGlobalMem() {
 					continue
 				}
 				in := &w[i]
-				if !in.Op.IsGlobalMem() {
+				kw.coalesce = smcore.CoalesceInto(kw.coalesce, in.Addrs, kw.g.CoalesceBytes)
+				if len(kw.coalesce) == 0 {
 					continue
 				}
-				for _, s := range smcore.Coalesce(in.Addrs, sectorBytes) {
-					visit(access{
-						key:    Key{ki, in.PC},
-						sector: s,
-						sm:     sm,
-						write:  in.Op == trace.OpStoreGlobal,
-					})
+				id, ok := kw.ids[in.PC]
+				if !ok {
+					id = uint32(len(kp.pcs))
+					kw.ids[in.PC] = id
+					kp.pcs = append(kp.pcs, in.PC)
+					kp.l1Hits = append(kp.l1Hits, 0)
+				}
+				write := in.Op == trace.OpStoreGlobal
+				op := id << 1
+				if write {
+					op |= 1
+				}
+				kp.accesses += uint64(len(kw.coalesce))
+				if !write && !l1.built() {
+					*l1 = kw.g.L1.newModel()
+				}
+				for _, s := range kw.coalesce {
+					if !write && l1.hit(s, false) {
+						kp.l1Hits[id]++
+						continue
+					}
+					sectors = append(sectors, s)
+					ops = append(ops, op)
 				}
 			}
 		}
 	}
+	kw.sectors, kw.ops = sectors, ops
+	// Retain exact-length copies: the scratch keeps its grown capacity for
+	// the next kernel, the result carries no slack.
+	kp.sectors = append([]uint64(nil), sectors...)
+	kp.ops = append([]uint32(nil), ops...)
+	return kp
 }
 
-// l2Access is one access that escaped a kernel's L1 filter and must be
-// replayed through the shared L2 in phase two.
-type l2Access struct {
-	key    Key
-	sector uint64
-	write  bool
-}
-
-// kernelProfile is the phase-one result for one kernel: how many reads
-// each static instruction serviced from the per-SM L1s, and the ordered
-// L2-bound remainder of the kernel's stream.
-type kernelProfile struct {
-	l1Hits   map[Key]uint64
-	l2Bound  []l2Access
-	accesses uint64
-}
-
-// profileKernels runs phase one — the per-kernel L1 filtering — on a
-// worker pool bounded by GOMAXPROCS. filter(ki) must return a fresh
-// kernel-private predicate (it is called on the worker) reporting whether
-// an access is absorbed by an L1; stores are never absorbed.
-func profileKernels(app *trace.App, gpu config.GPU, filter func(ki int) func(a access) bool) []kernelProfile {
-	out := make([]kernelProfile, len(app.Kernels))
-	one := func(ki int) {
-		kp := kernelProfile{l1Hits: make(map[Key]uint64)}
-		absorb := filter(ki)
-		kernelStream(app, gpu, ki, func(a access) {
-			kp.accesses++
-			if !a.write && absorb(a) {
-				kp.l1Hits[a.key]++
-				return
-			}
-			kp.l2Bound = append(kp.l2Bound, l2Access{key: a.key, sector: a.sector, write: a.write})
-		})
-		out[ki] = kp
+// FilterL1 runs phase one — the per-kernel L1 filtering — on a worker pool
+// bounded by GOMAXPROCS. L1s are invalidated at kernel boundaries, exactly
+// as the timing simulators model the non-coherent L1 flush of real GPUs, so
+// kernels are L1-independent.
+func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
+	f := &L1Filtered{kernels: make([]kernelProfile, len(app.Kernels))}
+	newWalk := func() *kernelWalk {
+		return &kernelWalk{g: g, l1: make([]levelModel, g.SMs), ids: make(map[uint64]uint32)}
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(app.Kernels) {
 		workers = len(app.Kernels)
 	}
 	if workers <= 1 {
-		for ki := range app.Kernels {
-			one(ki)
+		kw := newWalk()
+		for ki, k := range app.Kernels {
+			f.kernels[ki] = kw.kernel(k)
 		}
-		return out
+		return f
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -204,8 +321,9 @@ func profileKernels(app *trace.App, gpu config.GPU, filter func(ki int) func(a a
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			kw := newWalk()
 			for ki := range next {
-				one(ki)
+				f.kernels[ki] = kw.kernel(app.Kernels[ki])
 			}
 		}()
 	}
@@ -214,76 +332,64 @@ func profileKernels(app *trace.App, gpu config.GPU, filter func(ki int) func(a a
 	}
 	close(next)
 	wg.Wait()
-	return out
+	return f
 }
 
-// mergeProfile runs phase two: fold the per-kernel L1 hit counts and
-// replay every L2-bound access, in kernel order, through hitL2 (which
-// wraps the single shared L2 model). Because counter addition commutes and
-// the L2 sees the same access sequence a serial run produces, the profile
-// is byte-identical to the serial one.
-func mergeProfile(kps []kernelProfile, hitL2 func(a l2Access) bool) *Profile {
-	per := make(map[Key]*counts)
-	at := func(k Key) *counts {
-		c := per[k]
-		if c == nil {
-			c = &counts{}
-			per[k] = c
-		}
-		return c
+// ReplayL2 runs phase two: fold the per-kernel L1 hit counts and replay
+// every L2-bound access, in kernel order, through one shared instance of
+// l2. Because counter addition commutes and the L2 sees the same access
+// sequence a serial run produces, the profile is byte-identical to the
+// serial one.
+func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
+	model := l2.newModel()
+	static := 0
+	for i := range f.kernels {
+		static += len(f.kernels[i].pcs)
 	}
+	p := &Profile{PerPC: make(map[Key]Rates, static)}
 	var agg, aggReads counts
-	var accesses uint64
-	for _, kp := range kps {
-		accesses += kp.accesses
-		for k, n := range kp.l1Hits {
+	var per []counts // by id, reused from kernel to kernel
+	for ki := range f.kernels {
+		kp := &f.kernels[ki]
+		p.Accesses += kp.accesses
+		per = append(per[:0], make([]counts, len(kp.pcs))...)
+		for id, n := range kp.l1Hits {
 			// L1 hits are always reads: the write-through no-allocate L1
 			// never absorbs stores.
-			at(k).l1 += n
+			per[id].l1 = n
 			agg.l1 += n
 			aggReads.l1 += n
 		}
-		for _, a := range kp.l2Bound {
-			c := at(a.key)
-			switch {
-			case hitL2(a):
+		for i, s := range kp.sectors {
+			c, write := &per[kp.ops[i]>>1], kp.ops[i]&1 != 0
+			if model.hit(s, write) {
 				c.l2++
 				agg.l2++
-				if !a.write {
+				if !write {
 					aggReads.l2++
 				}
-			default:
+			} else {
 				c.dram++
 				agg.dram++
-				if !a.write {
+				if !write {
 					aggReads.dram++
 				}
 			}
 		}
+		for id, c := range per {
+			p.PerPC[Key{ki, kp.pcs[id]}] = c.rates()
+		}
 	}
-	return buildProfile(per, agg, aggReads, accesses)
+	p.Default, p.DefaultReads = agg.rates(), aggReads.rates()
+	return p
 }
 
 // ProfileApp extracts hit rates with functional sectored caches: one L1
 // per SM and one cache with the full L2 capacity, both using the
-// configured geometry and replacement policy. The per-kernel L1 phase runs
-// on a worker pool (L1s are invalidated at kernel boundaries, exactly as
-// the timing simulators model the non-coherent L1 flush of real GPUs, so
-// kernels are L1-independent); the shared L2 is replayed serially.
+// configured geometry and replacement policy. It is the unmemoised
+// composition of the two phases.
 func ProfileApp(app *trace.App, gpu config.GPU) *Profile {
-	kps := profileKernels(app, gpu, func(int) func(a access) bool {
-		l1s := make([]*cache.Functional, gpu.NumSMs)
-		for i := range l1s {
-			l1s[i] = cache.NewFunctional(gpu.L1)
-		}
-		// Write-through no-allocate L1: stores never hit-allocate, and
-		// always propagate to the L2 (profileKernels never offers them).
-		return func(a access) bool { return l1s[a.sm].Access(a.sector, false) }
-	})
-	l2cfg := gpu.L2
-	l2cfg.Sets *= gpu.MemPartitions // aggregate capacity of all slices
-	l2 := cache.NewFunctional(l2cfg)
-	return mergeProfile(kps, func(a l2Access) bool { return l2.Access(a.sector, a.write) })
+	return FilterL1(app, L1GeometryOf(app, gpu, false)).ReplayL2(L2LevelOf(gpu, false))
 }
 
 // ProfileAppReuseDistance extracts hit rates from LRU stack distances: an
@@ -292,31 +398,7 @@ func ProfileApp(app *trace.App, gpu config.GPU) *Profile {
 // distances are computed per SM; accesses that exceed the L1 capacity feed
 // the global L2 distance stream.
 func ProfileAppReuseDistance(app *trace.App, gpu config.GPU) *Profile {
-	l1Cap := uint64(gpu.L1.Sets * gpu.L1.Ways * gpu.L1.SectorsPerLine())
-	l2Cap := uint64(gpu.L2.Sets*gpu.L2.Ways*gpu.L2.SectorsPerLine()) * uint64(gpu.MemPartitions)
-
-	kps := profileKernels(app, gpu, func(int) func(a access) bool {
-		l1 := make([]*distanceTracker, gpu.NumSMs)
-		for i := range l1 {
-			l1[i] = newDistanceTracker()
-		}
-		return func(a access) bool { return l1[a.sm].access(a.sector) < l1Cap }
-	})
-	l2 := newDistanceTracker()
-	return mergeProfile(kps, func(a l2Access) bool { return l2.access(a.sector) < l2Cap })
-}
-
-func buildProfile(per map[Key]*counts, agg, aggReads counts, accesses uint64) *Profile {
-	p := &Profile{
-		PerPC:        make(map[Key]Rates, len(per)),
-		Default:      agg.rates(),
-		DefaultReads: aggReads.rates(),
-		Accesses:     accesses,
-	}
-	for k, c := range per {
-		p.PerPC[k] = c.rates()
-	}
-	return p
+	return FilterL1(app, L1GeometryOf(app, gpu, true)).ReplayL2(L2LevelOf(gpu, true))
 }
 
 // distanceTracker computes LRU stack distances with the classic

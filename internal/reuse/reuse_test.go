@@ -9,6 +9,7 @@ import (
 
 	"swiftsim/internal/cache"
 	"swiftsim/internal/config"
+	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
@@ -217,10 +218,50 @@ func TestStreamCoalesces(t *testing.T) {
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	stream(app, smallGPU(), nil, func(a access) { n++ })
-	if n != 1 {
-		t.Errorf("stream produced %d accesses, want 1 (coalesced broadcast)", n)
+	if n := ProfileApp(app, smallGPU()).Accesses; n != 1 {
+		t.Errorf("profiled %d accesses, want 1 (coalesced broadcast)", n)
+	}
+}
+
+// access is one sector transaction of the oracle's stream.
+type access struct {
+	key    Key
+	sector uint64
+	sm     int
+	write  bool
+}
+
+// stream is the oracle's own walk of the block-interleaved sector-access
+// stream, kept apart from the profilers' kernelWalk so the two are checked
+// against each other: blocks round-robin over SMs, warps interleaved
+// instruction by instruction, addresses coalesced per instruction.
+func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a access)) {
+	for ki, k := range app.Kernels {
+		onKernel(ki)
+		for bi := range k.Blocks {
+			warps := k.Blocks[bi].Warps
+			maxLen := 0
+			for _, w := range warps {
+				if len(w) > maxLen {
+					maxLen = len(w)
+				}
+			}
+			for i := 0; i < maxLen; i++ {
+				for _, w := range warps {
+					if i >= len(w) || !w[i].Op.IsGlobalMem() {
+						continue
+					}
+					for _, s := range smcore.Coalesce(w[i].Addrs, gpu.L1.SectorBytes) {
+						visit(access{
+							key:    Key{ki, w[i].PC},
+							sector: s,
+							sm:     bi % gpu.NumSMs,
+							write:  w[i].Op == trace.OpStoreGlobal,
+						})
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -228,7 +269,7 @@ func TestStreamCoalesces(t *testing.T) {
 // profilers: the whole stream through the L1 filter and the shared L2
 // model in order, exactly as the pre-parallel implementation did.
 func serialProfile(app *trace.App, gpu config.GPU,
-	newL1 func() func(a access) bool, hitL2 func(a l2Access) bool) *Profile {
+	newL1 func() func(a access) bool, hitL2 func(a access) bool) *Profile {
 	per := make(map[Key]*counts)
 	var agg, aggReads counts
 	var accesses uint64
@@ -247,7 +288,7 @@ func serialProfile(app *trace.App, gpu config.GPU,
 			aggReads.l1++
 			return
 		}
-		if hitL2(l2Access{key: a.key, sector: a.sector, write: a.write}) {
+		if hitL2(a) {
 			c.l2++
 			agg.l2++
 			if !a.write {
@@ -261,7 +302,16 @@ func serialProfile(app *trace.App, gpu config.GPU,
 			aggReads.dram++
 		}
 	})
-	return buildProfile(per, agg, aggReads, accesses)
+	p := &Profile{
+		PerPC:        make(map[Key]Rates, len(per)),
+		Default:      agg.rates(),
+		DefaultReads: aggReads.rates(),
+		Accesses:     accesses,
+	}
+	for k, c := range per {
+		p.PerPC[k] = c.rates()
+	}
+	return p
 }
 
 // TestProfileParallelMatchesSerial: the two-phase (parallel-L1, serial-L2)
@@ -286,11 +336,11 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 				}
 				return func(a access) bool { return l1s[a.sm].Access(a.sector, false) }
 			},
-			func() func(a l2Access) bool {
+			func() func(a access) bool {
 				l2cfg := gpu.L2
 				l2cfg.Sets *= gpu.MemPartitions
 				l2 := cache.NewFunctional(l2cfg)
-				return func(a l2Access) bool { return l2.Access(a.sector, a.write) }
+				return func(a access) bool { return l2.Access(a.sector, a.write) }
 			}())
 		if got := ProfileApp(app, gpu); !reflect.DeepEqual(got, wantFunc) {
 			t.Errorf("%s: ProfileApp diverged from the serial oracle", name)
@@ -306,9 +356,9 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 				}
 				return func(a access) bool { return l1[a.sm].access(a.sector) < l1Cap }
 			},
-			func() func(a l2Access) bool {
+			func() func(a access) bool {
 				l2 := newDistanceTracker()
-				return func(a l2Access) bool { return l2.access(a.sector) < l2Cap }
+				return func(a access) bool { return l2.access(a.sector) < l2Cap }
 			}())
 		if got := ProfileAppReuseDistance(app, gpu); !reflect.DeepEqual(got, wantRD) {
 			t.Errorf("%s: ProfileAppReuseDistance diverged from the serial oracle", name)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"swiftsim/internal/mem"
 )
 
 // TestValidate is the table the three former validators (the front ends'
@@ -285,6 +287,6 @@ func FuzzOptionsJSON(f *testing.F) {
 		}
 		// Assembly errors are fine (structured); panics are not. The hit-rate
 		// profile is only read once instructions issue.
-		_, _ = assemble(gpu, o, nil)
+		_, _ = assemble(gpu, o, nil, mem.SharedPool)
 	})
 }

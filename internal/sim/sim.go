@@ -139,7 +139,10 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		profileWall = time.Since(pStart)
 	}
 
-	a, err := assemble(gpu, opts, prof)
+	// The run's memory requests recycle through a pool it holds alone.
+	reqs := mem.AcquirePool()
+	defer reqs.Release()
+	a, err := assemble(gpu, opts, prof, reqs)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
 	}
@@ -288,8 +291,9 @@ func scaleLat(l int, scale float64) int {
 
 // assemble wires one simulator instance per opts.Kind. Unsatisfiable unit
 // or warp-slot configurations are reported as errors here, at assembly
-// time, rather than as panics mid-simulation.
-func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, error) {
+// time, rather than as panics mid-simulation. reqs is the pool the LD/ST
+// units draw memory requests from.
+func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) (*gpuAssembly, error) {
 	eng := engine.New()
 	g := metrics.New()
 	a := &gpuAssembly{eng: eng, g: g}
@@ -495,7 +499,9 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 				return sets[shardOf(smID)].ALU(smID, sub, class)
 			},
 			LDST: func(smID, sub int) smcore.Unit {
-				return sets[shardOf(smID)].LDST(smID, sub)
+				u := sets[shardOf(smID)].LDST(smID, sub)
+				u.(*smcore.LDSTUnit).SetRequestPool(reqs)
+				return u
 			},
 		}
 		if opts.Kind == Detailed {
@@ -532,24 +538,29 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 			DivergeCost:      20,
 		}
 		mshrMeters := make(map[int]*analytic.BandwidthMeter)
+		var first *analytic.MemModel // the rest are its siblings
 		units = smcore.UnitSet{
 			ALU: analyticalALUs(smCfg, eng, eng, g),
 			LDST: func(smID, sub int) smcore.Unit {
-				p := params
-				if m, ok := l1Meters[smID]; ok {
-					p.L1Port = m
-				} else {
-					p.L1Port = analytic.NewBandwidthMeterRate(1 / float64(gpu.L1.Banks*gpu.L1.Throughput))
-					l1Meters[smID] = p.L1Port
+				l1Port, ok := l1Meters[smID]
+				if !ok {
+					l1Port = analytic.NewBandwidthMeterRate(1 / float64(gpu.L1.Banks*gpu.L1.Throughput))
+					l1Meters[smID] = l1Port
 				}
-				if m, ok := mshrMeters[smID]; ok {
-					p.MSHR = m
-				} else {
-					p.MSHR = analytic.NewBandwidthMeterRate(1)
-					mshrMeters[smID] = p.MSHR
+				mshr, ok := mshrMeters[smID]
+				if !ok {
+					mshr = analytic.NewBandwidthMeterRate(1)
+					mshrMeters[smID] = mshr
 				}
-				p.MSHREntries = gpu.L1.MSHREntries
-				u := analytic.NewMemModel("mem", eng, p, g)
+				var u *analytic.MemModel
+				if first == nil {
+					p := params
+					p.L1Port, p.MSHR, p.MSHREntries = l1Port, mshr, gpu.L1.MSHREntries
+					u = analytic.NewMemModel("mem", eng, p, g)
+					first = u
+				} else {
+					u = first.Sibling(l1Port, mshr)
+				}
 				eng.AddModule(u)
 				return u
 			},
@@ -599,32 +610,40 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 // when the configuration is "DP:0.5x" — identical structure to the
 // cycle-accurate provider, different modeling. ctx is the engine context
 // the models schedule completions through (a shard context in parallel
-// assemblies); eng is only used for the module inventory.
+// assemblies); eng is only used for the module inventory. The first unit
+// of a class resolves the class's counters; the others are its siblings.
 func analyticalALUs(cfg config.SM, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
 	type dpKey struct{ sm, pair int }
 	sharedDP := make(map[dpKey]*analytic.ALUModel)
-	mk := func(name string, lat, lanes int) *analytic.ALUModel {
-		u := analytic.NewALUModel(name, ctx, lat, cfg.IssueInterval(lanes), g)
+	var first [4]*analytic.ALUModel // indexed by trace.OpInt..trace.OpSFU
+	mk := func(class trace.OpClass, lat, lanes int) *analytic.ALUModel {
+		u := first[class]
+		if u == nil {
+			u = analytic.NewALUModel("alu."+class.String(), ctx, lat, cfg.IssueInterval(lanes), g)
+			first[class] = u
+		} else {
+			u = u.Sibling()
+		}
 		eng.AddModule(u)
 		return u
 	}
 	return func(smID, sub int, class trace.OpClass) smcore.Unit {
 		switch class {
 		case trace.OpInt:
-			return mk("alu.INT", cfg.IntLatency, cfg.IntLanes)
+			return mk(class, cfg.IntLatency, cfg.IntLanes)
 		case trace.OpSP:
-			return mk("alu.SP", cfg.SPLatency, cfg.SPLanes)
+			return mk(class, cfg.SPLatency, cfg.SPLanes)
 		case trace.OpSFU:
-			return mk("alu.SFU", cfg.SFULatency, cfg.SFULanes)
+			return mk(class, cfg.SFULatency, cfg.SFULanes)
 		default: // OpDP
 			if !cfg.DPLanesHalf {
-				return mk("alu.DP", cfg.DPLatency, cfg.DPLanes)
+				return mk(trace.OpDP, cfg.DPLatency, cfg.DPLanes)
 			}
 			key := dpKey{smID, sub / 2}
 			if u, ok := sharedDP[key]; ok {
 				return u
 			}
-			u := mk("alu.DP", cfg.DPLatency, cfg.DPLanes)
+			u := mk(trace.OpDP, cfg.DPLatency, cfg.DPLanes)
 			sharedDP[key] = u
 			return u
 		}

@@ -13,12 +13,14 @@ import (
 // model shares: the number of returned sectors is the instruction's
 // transaction count.
 func Coalesce(addrs []uint64, sectorBytes int) []uint64 {
-	return coalesceInto(make([]uint64, 0, 4), addrs, sectorBytes)
+	return CoalesceInto(make([]uint64, 0, 4), addrs, sectorBytes)
 }
 
-// coalesceInto is Coalesce appending into dst[:0]'s backing array, so the
-// LD/ST unit can reuse one buffer per pooled instruction.
-func coalesceInto(dst []uint64, addrs []uint64, sectorBytes int) []uint64 {
+// CoalesceInto is Coalesce appending into dst[:0]'s backing array, so a
+// per-instruction path reuses one buffer: the LD/ST unit's per pooled
+// instruction, the hit-rate profiler's per kernel walk, the analytical
+// memory model's on its stack.
+func CoalesceInto(dst []uint64, addrs []uint64, sectorBytes int) []uint64 {
 	mask := ^uint64(sectorBytes - 1)
 	out := dst[:0]
 	for _, a := range addrs {
@@ -86,6 +88,9 @@ type LDSTUnit struct {
 	// shard pass and sectorDone pushes it from completion events, which the
 	// engine fires in its serial phase; the barrier separates the two.
 	free []*ldstInst
+	// reqs is where the unit's sector requests come from: the run's pool
+	// once the assembly has called SetRequestPool, the shared one before.
+	reqs mem.Pool
 
 	issued       *metrics.Counter
 	transactions *metrics.Counter
@@ -115,6 +120,11 @@ func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes
 		portStall:    g.Counter(name + ".port_stall"),
 	}
 }
+
+// SetRequestPool makes the unit draw its sector requests from p. The
+// levels below take the requests they create from the pool of the request
+// they serve, so the LD/ST units are the only modules that are told.
+func (u *LDSTUnit) SetRequestPool(p mem.Pool) { u.reqs = p }
 
 // Name implements engine.Module.
 func (u *LDSTUnit) Name() string { return u.name }
@@ -153,7 +163,7 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	}
 	li.in = in
 	li.done = done
-	li.sectors = coalesceInto(li.buf, in.Addrs, u.sectorBytes)
+	li.sectors = CoalesceInto(li.buf, in.Addrs, u.sectorBytes)
 	li.buf = li.sectors
 	li.smid = u.smid
 	u.transactions.Add(uint64(len(li.sectors)))
@@ -174,7 +184,7 @@ func (u *LDSTUnit) Tick(cycle uint64) {
 		}
 		sent := false
 		for budget > 0 && len(li.sectors) > 0 {
-			r := mem.GetRequest()
+			r := u.reqs.Get()
 			r.Addr = li.sectors[0]
 			r.Write = li.in.Op == trace.OpStoreGlobal
 			r.Size = u.sectorBytes

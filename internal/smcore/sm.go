@@ -5,6 +5,7 @@ import (
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/obs"
 	"swiftsim/internal/trace"
@@ -202,7 +203,7 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		if sc.last == w {
 			sc.last = nil
 		}
-		sc.maybeComplete(w)
+		w.maybeComplete()
 		return true
 	default:
 		var u Unit
@@ -211,7 +212,9 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		} else {
 			u = sc.units[in.Op]
 		}
-		if !u.TryIssue(cycle, in, sc.completionFn(w, in)) {
+		f := sc.sm.takeInflight(w, in.Dst)
+		if !u.TryIssue(cycle, in, f.done) {
+			sc.sm.free = append(sc.sm.free, f)
 			return false
 		}
 		w.sb.set(in.Dst)
@@ -224,20 +227,49 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 	}
 }
 
-func (sc *subCore) completionFn(w *Warp, in *trace.Inst) func() {
-	return func() {
-		// A completing instruction may make the warp (or a sibling past a
-		// barrier) issuable: re-activate the SM so the next cycle ticks it.
-		if wake := sc.sm.wake; wake != nil {
-			wake()
-		}
-		w.sb.clear(in.Dst)
-		w.outstanding--
-		sc.maybeComplete(w)
-	}
+// inflight is the writeback record of one issued, incomplete instruction:
+// what its completion needs, with done bound once to complete so that
+// handing it to Unit.TryIssue allocates nothing. Records are recycled
+// through SM.free.
+type inflight struct {
+	sm   *SM
+	w    *Warp
+	dst  trace.Reg
+	done func()
 }
 
-func (sc *subCore) maybeComplete(w *Warp) {
+// takeInflight returns a record for w's instruction writing dst.
+func (sm *SM) takeInflight(w *Warp, dst trace.Reg) *inflight {
+	var f *inflight
+	if n := len(sm.free); n > 0 {
+		f = sm.free[n-1]
+		sm.free = sm.free[:n-1]
+	} else {
+		f = &inflight{sm: sm}
+		f.done = f.complete
+	}
+	f.w, f.dst = w, dst
+	return f
+}
+
+// complete is the unit's writeback acknowledgment. The record returns to
+// the free list first: nothing below issues, and the unit that called it
+// is done with it.
+func (f *inflight) complete() {
+	sm, w, dst := f.sm, f.w, f.dst
+	f.w = nil
+	sm.free = append(sm.free, f)
+	// A completing instruction may make the warp (or a sibling past a
+	// barrier) issuable: re-activate the SM so the next cycle ticks it.
+	if sm.wake != nil {
+		sm.wake()
+	}
+	w.sb.clear(dst)
+	w.outstanding--
+	w.maybeComplete()
+}
+
+func (w *Warp) maybeComplete() {
 	if w.exited && !w.done && w.outstanding == 0 && w.next() == nil {
 		w.done = true
 		w.block.warpDone()
@@ -306,12 +338,18 @@ type SM struct {
 	usedRegs  int
 	usedShmem int
 
-	// finished is the FIFO of completed blocks awaiting finishBlock, popped
-	// from finishedHead by finishOldest; finishFn is that method, bound
-	// once so handing it to Defer allocates nothing (see blockDone).
-	finished     []finishedBlock
-	finishedHead int
-	finishFn     func()
+	// finished holds completed blocks awaiting finishBlock, popped by
+	// finishOldest; finishFn is that method, bound once so handing it to
+	// Defer allocates nothing (see blockDone).
+	finished mem.FIFO[finishedBlock]
+	finishFn func()
+
+	// free holds recycled in-flight records. It is touched where the SM's
+	// other state is: dispatch takes from it during the SM's tick (its
+	// shard pass when sharded) and completions return to it from engine
+	// events, which fire in the serial phase, or from a cycle-accurate
+	// unit's Tick inside the SM's own; the barrier separates the two.
+	free []*inflight
 
 	// accounted is the number of engine iterations whose scheduler-stall
 	// contribution has been recorded, either by an actual Tick or by
@@ -704,17 +742,13 @@ func (sm *SM) blockDone(rb *residentBlock) {
 		sm.finishBlock(rb.launchCycle, rb.index)
 		return
 	}
-	sm.finished = append(sm.finished, finishedBlock{rb.launchCycle, rb.index})
+	sm.finished.Push(finishedBlock{rb.launchCycle, rb.index})
 	sm.eng.Defer(sm.finishFn)
 }
 
 // finishOldest pops the oldest completed block and finishes it.
 func (sm *SM) finishOldest() {
-	f := sm.finished[sm.finishedHead]
-	sm.finishedHead++
-	if sm.finishedHead == len(sm.finished) {
-		sm.finished, sm.finishedHead = sm.finished[:0], 0
-	}
+	f := sm.finished.Pop()
 	sm.finishBlock(f.launchCycle, f.index)
 }
 
