@@ -1,10 +1,18 @@
 // Command swiftsim-worker is the remote execution arm of the swiftsimd
 // sweep daemon: it registers with a daemon over HTTP, long-polls for
-// simulation job leases, fetches each job's trace and GPU configuration
-// from the daemon's content-addressed store (verifying content hashes),
-// simulates locally with the same runner guarantees the daemon has
-// (panic isolation, per-job deadlines), and publishes the byte-stable
-// canonical result back by hash.
+// simulation job leases, builds each job's trace from the catalog
+// application and scale its grant names and parses the GPU configuration
+// text the grant carries, simulates locally with the same runner guarantees
+// the daemon has (panic isolation, per-job deadlines), and publishes the
+// byte-stable canonical result back by hash. Inputs travel by name, results
+// by hash.
+//
+// Before it simulates, the worker derives the job's cache key from what it
+// built and refuses the job (a reported error, the job fails) unless it is
+// the key in the grant. The key covers the trace content, the
+// configuration, the options and the code version, so a worker built from
+// another commit than its daemon refuses every job rather than commit its
+// bytes under the daemon's key: run the two from one build.
 //
 // Any number of workers may serve one daemon — job ownership is a
 // heartbeat-renewed lease, so a worker that crashes or loses its
@@ -24,7 +32,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +50,8 @@ func main() {
 }
 
 // realMain runs the worker until ctx is canceled and returns the process
-// exit code: 0 after a clean stop, 1 on startup or registration failure.
+// exit code: 0 after a clean stop (also one that comes while the daemon is
+// still unreachable), 1 on bad flags or a daemon that rejects the worker.
 // Split from main so tests can drive the full lifecycle.
 func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("swiftsim-worker", flag.ContinueOnError)
@@ -80,7 +88,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		PollWait:      *poll,
 	})
 	fmt.Fprintf(stdout, "swiftsim-worker: %s pulling from %s (%d job slot(s))\n", *name, *daemon, *jobs)
-	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+	if err := w.Run(ctx); err != nil {
 		fmt.Fprintln(stderr, "swiftsim-worker:", err)
 		return 1
 	}

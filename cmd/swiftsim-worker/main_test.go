@@ -152,3 +152,29 @@ func TestWorkerRegistrationRejected(t *testing.T) {
 		t.Errorf("stderr does not explain the rejection:\n%s", errw.String())
 	}
 }
+
+// TestWorkerStoppedBeforeItsDaemonIsUp: a stop signal that arrives while the
+// worker is still retrying an unreachable daemon is a clean stop, exit 0
+// with the stats line and nothing on stderr, the same as one that arrives
+// later.
+func TestWorkerStoppedBeforeItsDaemonIsUp(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close() // the address now refuses connections
+	ctx, cancel := context.WithCancel(context.Background())
+	var out, errw syncBuffer
+	done := make(chan int, 1)
+	go func() { done <- realMain(ctx, []string{"-daemon", srv.URL, "-name", "early"}, &out, &errw) }()
+	time.Sleep(50 * time.Millisecond) // into the first backoff
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Errorf("exit = %d, want 0; stderr:\n%s", code, errw.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not exit")
+	}
+	if errw.String() != "" || !strings.Contains(out.String(), "stopping (claimed 0") {
+		t.Errorf("stdout %q, stderr %q; want the stats line and no error", out.String(), errw.String())
+	}
+}

@@ -16,12 +16,15 @@
 //
 // Jobs on the board run wherever they are claimed. The daemon's own
 // -threads executors claim in-process; swiftsim-worker processes claim
-// over the same HTTP API (worker registration, long-poll claims,
-// heartbeat-renewed leases with requeue on worker loss, and a
-// content-addressed blob store carrying traces, configs and canonical
-// results by hash), and may do so alongside the executors. -remote means
-// only that the daemon starts no executors of its own, so every job
-// waits for a worker.
+// over the same HTTP API (worker registration, long-poll claims whose
+// grant names the job's inputs — catalog application, scale, GPU
+// configuration text, options — heartbeat-renewed leases with requeue on
+// worker loss, and a content-addressed blob store carrying canonical
+// results back by hash), and may do so alongside the executors. A worker
+// rebuilds the trace, and refuses a job whose inputs do not derive the
+// grant's cache key, so daemon and workers must be one build. -remote
+// means only that the daemon starts no executors of its own, so every
+// job waits for a worker.
 //
 // SIGINT/SIGTERM triggers a graceful drain: in-flight and queued sweeps
 // get -drain-timeout to finish before being hard-canceled.

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"swiftsim/internal/config"
 	"swiftsim/internal/sim"
+	"swiftsim/internal/workload"
 )
 
 // The distributed test rig: a Remote-enabled daemon behind httptest and
@@ -37,10 +39,13 @@ func startTestWorker(t *testing.T, url string, hook func(WireJob)) (*Worker, con
 }
 
 // startTestWorkerCfg is startTestWorker for tests that tune the worker
-// (cfg.BaseURL set; the name and a short poll are filled in).
+// (cfg.BaseURL set; the name and, unless given, a short poll are filled in).
 func startTestWorkerCfg(t *testing.T, cfg WorkerConfig, hook func(WireJob)) (*Worker, context.CancelFunc, chan struct{}) {
 	t.Helper()
-	cfg.Name, cfg.PollWait = t.Name(), 200*time.Millisecond
+	cfg.Name = t.Name()
+	if cfg.PollWait == 0 {
+		cfg.PollWait = 200 * time.Millisecond
+	}
 	w := NewWorker(cfg)
 	w.execHook = hook
 	ctx, cancel := context.WithCancel(context.Background())
@@ -468,16 +473,22 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	if job.App != "BFS" || job.GPU != "RTX2080Ti" || job.Sim != sim.Memory.String() || job.Opts.Kind != sim.Memory {
 		t.Errorf("wire job labels = %s/%s/%s kind %d", job.App, job.GPU, job.Sim, job.Opts.Kind)
 	}
-	if !validBlobHash(job.TraceBlob) || !validBlobHash(job.ConfigBlob) {
-		t.Fatalf("wire job blob refs = %q / %q, want content hashes", job.TraceBlob, job.ConfigBlob)
+	// The grant names its inputs, and they are the daemon's: the preset's
+	// own text, and a trace that derives the grant's key.
+	preset, _ := config.Preset("RTX2080Ti")
+	if job.Scale != 0.1 || job.Config != string(config.Marshal(preset)) {
+		t.Fatalf("wire job inputs = scale %g, config %q; want 0.1 and the preset's text", job.Scale, job.Config)
+	}
+	app, err := workload.Generate(job.App, job.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := jobKey(app, preset, job.Opts); key != job.Key {
+		t.Errorf("wire job inputs derive key %s, the grant says %s", key, job.Key)
 	}
 
-	// Blob fetch: the store serves the published inputs under their
-	// hashes; unknown and malformed hashes read as 404.
-	code, data := getBody(t, srv.URL+"/v1/store/"+job.TraceBlob)
-	if code != http.StatusOK || BlobHash(data) != job.TraceBlob {
-		t.Errorf("trace blob fetch: HTTP %d, hash match %v", code, BlobHash(data) == job.TraceBlob)
-	}
+	// Blob fetch: unknown and malformed hashes read as 404 (a published
+	// result is fetched below).
 	if code, _ := getBody(t, srv.URL+"/v1/store/"+BlobHash([]byte("no such blob"))); code != http.StatusNotFound {
 		t.Errorf("missing blob = %d, want 404", code)
 	}
@@ -510,6 +521,9 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	}
 	result := []byte("protocol-test canonical bytes\n")
 	hash := postStore(t, srv, result)
+	if code, data := getBody(t, srv.URL+"/v1/store/"+hash); code != http.StatusOK || !bytes.Equal(data, result) {
+		t.Errorf("published blob fetch: HTTP %d, %q", code, data)
+	}
 	if code, resp := postLeaseResult(t, srv, job.LeaseID, job.Token, hash); code != http.StatusOK {
 		t.Fatalf("commit = %d (%s)", code, resp)
 	}

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// maxBlobBytes bounds a published blob (a canonical result or a trace
-// serialization); anything larger is rejected before it is buffered.
+// maxBlobBytes bounds a published blob (a canonical result); anything
+// larger is rejected before it is buffered.
 const maxBlobBytes = 256 << 20
 
 // NewHandler serves the service's HTTP/JSON API:
@@ -30,7 +30,7 @@ const maxBlobBytes = 256 << 20
 // alongside the daemon's own executors.
 //
 //	POST /v1/workers                  register         → 200 {"id","lease_ttl_ms","heartbeat_ms"}
-//	POST /v1/workers/{id}/claim       long-poll a job  → 200 WireJob | 204 none
+//	POST /v1/workers/{id}/claim       long-poll a job  → 200 WireJob (inputs by name) | 204 none
 //	POST /v1/workers/{id}/heartbeat   renew leases     → 200 {"renewed","lost"}
 //	POST /v1/leases/{id}/result       commit a result  → 200 {} (by store hash)
 //	POST /v1/leases/{id}/error        report a failure → 200 {}
@@ -182,18 +182,7 @@ func NewHandler(s *Service) http.Handler {
 		case l == nil:
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			// The job's inputs are published here, on its first remote
-			// grant, not when it is posted: a job an executor claims never
-			// touches the store. Inputs that cannot be published fail the
-			// job terminally (a stale-lease error only means it was canceled
-			// meanwhile) and the worker, told "none", polls again.
-			job, err := s.board.Wire(l)
-			if err != nil {
-				_ = s.board.Fail(l.id, l.token, err)
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			writeJSON(w, http.StatusOK, job)
+			writeJSON(w, http.StatusOK, s.board.Wire(l))
 		}
 	})
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"swiftsim/internal/config"
 	"swiftsim/internal/obs"
 	"swiftsim/internal/sim"
 )
@@ -19,9 +20,12 @@ import (
 //   - the daemon's own executors (service.go), registered as one in-process
 //     worker with Config.Threads slots. They claim by direct call and
 //     simulate from the job's in-memory inputs: no HTTP, no blob store.
-//   - swiftsim-worker processes (worker.go) claiming over HTTP. The first
-//     such grant of a job publishes its inputs to the Store and builds the
-//     wire descriptor (Wire); in-process grants never pay for that.
+//   - swiftsim-worker processes (worker.go) claiming over HTTP. Their grant
+//     (Wire) names its inputs: the catalog application and scale, the GPU
+//     configuration text and the options, about 2 KB. The worker builds the
+//     trace itself and proves it built the daemon's job by deriving the same
+//     cache key. Inputs travel by name and results by hash: the Store never
+//     sees a trace.
 //
 // Lease state machine (per job):
 //
@@ -75,12 +79,17 @@ var (
 )
 
 // WireJob is the job descriptor a remote worker receives from a successful
-// claim: the job's identity, its lease, and content-hash references to
-// its inputs. The worker fetches the blobs from GET /v1/store/{hash},
-// simulates, publishes the canonical result bytes via POST /v1/store and
-// commits with POST /v1/leases/{id}/result.
+// claim: the job's identity, its lease, and its inputs by name. It is
+// self-contained, so a claim is the only request a worker makes before it
+// simulates. It then publishes the canonical result bytes via POST /v1/store
+// and commits with POST /v1/leases/{id}/result.
 type WireJob struct {
-	// Key is the job's cache key — its identity across the plane.
+	// Key is the job's cache key — its identity across the plane, and the
+	// check on everything below: jobKey folds in the trace content, the GPU
+	// configuration, the options and the code version, so a worker that
+	// derives another key from this grant (an app its build generates
+	// differently, altered text, another commit) has some other job in hand
+	// and must report that instead of a result.
 	Key string `json:"key"`
 	// LeaseID and Token identify this grant. Token is the fencing token:
 	// it increments on every grant of the job, and a commit must present
@@ -89,19 +98,20 @@ type WireJob struct {
 	Token   uint64 `json:"token"`
 	// Attempt counts prior expired leases of this job.
 	Attempt int `json:"attempt"`
-	// App/GPU/Sim label the job for logs and traces.
-	App string `json:"app"`
+	// App and Scale name the trace: the worker builds it with
+	// workload.Generate(App, Scale), as the daemon's resolve did.
+	App   string  `json:"app"`
+	Scale float64 `json:"scale"`
+	// Config is the GPU configuration as config.Marshal text (about 1 KB),
+	// which config.Parse reads back.
+	Config string `json:"config"`
+	// GPU and Sim label the job for logs; Config and Opts say the same.
 	GPU string `json:"gpu"`
 	Sim string `json:"sim"`
-	// TraceBlob and ConfigBlob are store hashes of the application trace
-	// (trace.Write serialization) and the GPU configuration
-	// (config.Marshal serialization).
-	TraceBlob  string `json:"trace_blob"`
-	ConfigBlob string `json:"config_blob"`
 	// Opts is the job's simulator options, in sim.Options' own JSON form
-	// (its process-local hooks do not travel). Worker and daemon are always
-	// the same build — the code version is in Key — so the object's shape
-	// follows the struct; the worker still validates what it decodes.
+	// (its process-local hooks do not travel). The object's shape follows
+	// the struct; the worker validates what it decodes, and a build whose
+	// struct differs fails the Key check.
 	Opts sim.Options `json:"opts"`
 	// TimeoutMS bounds the job's wall-clock time on the worker (0 = none).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -133,7 +143,7 @@ type BoardStats struct {
 // is set, and done once it has left the job table; done fires exactly once.
 type boardJob struct {
 	// The resolved job and what its sweep adds to it. In-process claimants
-	// simulate from these directly; wire publishes them for remote ones.
+	// simulate from these directly; Wire names them for remote ones.
 	*job
 	timeout time.Duration // wall-clock budget (0 = none)
 	// trace is the sweep's tracer (nil records nothing): the job records
@@ -146,10 +156,6 @@ type boardJob struct {
 	// occupies while it runs there (its engine shard count, clamped to the
 	// pool). Remote workers size themselves and ignore it.
 	slots int
-	// wire publishes the inputs and returns their wire form (identity and
-	// lease fields zero). The poster makes it memoise (sync.OnceValues): it
-	// runs at the job's first remote grant and regrants reuse the outcome.
-	wire func() (WireJob, error)
 
 	attempt int
 	token   uint64 // fencing counter, incremented at each grant
@@ -395,13 +401,21 @@ func (b *board) Release(l *lease) {
 }
 
 // Wire returns the descriptor a remote claimant receives for grant l: the
-// job's inputs in published form, stamped with its identity and the
-// grant's lease fields. Publishing serialises a trace and writes blobs, so
-// callers are outside the board lock.
-func (b *board) Wire(l *lease) (WireJob, error) {
-	wire, err := l.job.wire()
-	wire.Key, wire.LeaseID, wire.Token, wire.Attempt, wire.LeaseTTLMS = l.job.key, l.id, l.token, l.attempt, b.ttl.Milliseconds()
-	return wire, err
+// job's identity, its inputs by name, and the grant's lease fields.
+func (b *board) Wire(l *lease) WireJob {
+	j := l.job
+	timeoutMS := j.timeout.Milliseconds()
+	if j.timeout > 0 && timeoutMS == 0 {
+		// A sub-millisecond budget must stay a budget: truncating it to 0
+		// would read as "no timeout" on the worker.
+		timeoutMS = 1
+	}
+	return WireJob{
+		Key: j.key, LeaseID: l.id, Token: l.token, Attempt: l.attempt,
+		App: j.app.Name, Scale: j.scale, Config: string(config.Marshal(j.gpu)),
+		GPU: j.gpu.Name, Sim: j.sim, Opts: j.opts,
+		TimeoutMS: timeoutMS, LeaseTTLMS: b.ttl.Milliseconds(),
+	}
 }
 
 // Heartbeat renews the given leases for workerID and reports which of

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"swiftsim/internal/trace"
 )
 
 // outcome is one terminal resolution of a board job, captured by a test
@@ -22,8 +24,7 @@ type outcome struct {
 func testJob(key string, fires *atomic.Int32) (*boardJob, chan outcome) {
 	ch := make(chan outcome, 1)
 	j := &boardJob{
-		job:  &job{key: key},
-		wire: func() (WireJob, error) { return WireJob{App: "app", GPU: "gpu", Sim: "detailed"}, nil },
+		job: &job{key: key, app: &trace.App{Name: "app"}, sim: "detailed"},
 		done: func(val []byte, err error) {
 			if fires != nil {
 				fires.Add(1)
@@ -41,8 +42,7 @@ func claimWire(ctx context.Context, b *board, worker string) (WireJob, bool, err
 	if err != nil || l == nil {
 		return WireJob{}, false, err
 	}
-	wire, err := b.Wire(l)
-	return wire, true, err
+	return b.Wire(l), true, nil
 }
 
 func waitOutcome(t *testing.T, ch chan outcome) outcome {

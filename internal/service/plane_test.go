@@ -91,12 +91,13 @@ func TestDistributedLocalMixedFleet(t *testing.T) {
 	if local < 1 || remote < 1 || local+remote != 4 {
 		t.Errorf("executor finished %d job(s), HTTP worker %d; want both >= 1 and 4 in total", local, remote)
 	}
-	// Only the remotely granted jobs were published. The store holds the
-	// four result blobs, plus a trace blob per remote job and the one
-	// config blob they share; an executor's job never put its inputs.
+	// The store holds the four result blobs and nothing else, whoever ran
+	// the job: a remote grant names its inputs instead of publishing them.
+	// A remote commit puts its result twice (the worker's publish, then the
+	// cache's Fulfill of the same bytes), which counts as a dup.
 	st := s.Stats()
-	if want := uint64(4 + remote + 1); st.Store.Puts != want {
-		t.Errorf("store puts = %d, want %d (4 results, %d remote traces, 1 config)", st.Store.Puts, want, remote)
+	if st.Store.Puts != 4 || st.Store.Dups != uint64(remote) {
+		t.Errorf("store puts = %d, dups = %d, want 4 and %d (one result per job, no inputs)", st.Store.Puts, st.Store.Dups, remote)
 	}
 	if st.Remote.Expired != 0 || st.Remote.Stale != 0 {
 		t.Errorf("board stats = %+v, want no expiries or stale commits", st.Remote)

@@ -24,7 +24,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -197,13 +196,15 @@ type Status struct {
 	Jobs   []JobStatus `json:"jobs"`
 }
 
-// job is one resolved (app, gpu, sim) cell of a sweep.
+// job is one resolved (app, gpu, sim) cell of a sweep. app is
+// workload.Generate(app.Name, scale): a remote grant names it that way.
 type job struct {
-	app  *trace.App
-	gpu  config.GPU
-	opts sim.Options
-	sim  string // report name (sim.Kind.String())
-	key  string
+	app   *trace.App
+	scale float64
+	gpu   config.GPU
+	opts  sim.Options
+	sim   string // report name (sim.Kind.String())
+	key   string
 }
 
 // Sweep is one submitted sweep. All mutable state is guarded by mu;
@@ -240,13 +241,6 @@ type Service struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // running sweeps
 	execs  sync.WaitGroup // the daemon's own executors
-	// publishing serialises publishJob's store writes. Jobs share blobs
-	// (one GPU config per sweep, one trace per application), and two claims
-	// publishing the same one at once would both write it: Store.Put is
-	// idempotent but does not single-flight. Serialising the trace stays
-	// outside: it is the slow part, and a claim waiting for it idles a
-	// worker (7% of service_remote's cold sweep when it was inside).
-	publishing sync.Mutex
 
 	mu       sync.Mutex
 	sweeps   map[string]*Sweep
@@ -462,7 +456,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 				opts := base
 				opts.Kind = k
 				jobs = append(jobs, job{
-					app: a, gpu: g, opts: opts, sim: k.String(),
+					app: a, scale: scale, gpu: g, opts: opts, sim: k.String(),
 					key: jobKey(a, g, opts),
 				})
 			}
@@ -629,7 +623,6 @@ func (s *Service) runSweep(sw *Sweep) {
 					}
 				},
 			}
-			j.wire = sync.OnceValues(func() (WireJob, error) { return s.publishJob(j) })
 			owned = append(owned, j)
 		default:
 			// Joined another claimant's flight. Owners always resolve their
@@ -670,37 +663,6 @@ func (s *Service) runSweep(sw *Sweep) {
 	// Flushing keeps a streaming trace file current between sweeps; a
 	// flush error is non-fatal here and resurfaces at daemon Close.
 	_ = sw.trace.Flush()
-}
-
-// publishJob uploads one job's inputs into the blob store and builds its
-// wire descriptor (board.Wire stamps the identity and lease fields).
-func (s *Service) publishJob(j *boardJob) (WireJob, error) {
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, j.app); err != nil {
-		return WireJob{}, fmt.Errorf("serializing trace: %w", err)
-	}
-	s.publishing.Lock()
-	defer s.publishing.Unlock()
-	traceHash, err := s.store.Put(buf.Bytes())
-	if err != nil {
-		return WireJob{}, fmt.Errorf("publishing trace blob: %w", err)
-	}
-	confHash, err := s.store.Put(config.Marshal(j.gpu))
-	if err != nil {
-		return WireJob{}, fmt.Errorf("publishing config blob: %w", err)
-	}
-	timeoutMS := j.timeout.Milliseconds()
-	if j.timeout > 0 && timeoutMS == 0 {
-		// A sub-millisecond budget must stay a budget: truncating it to 0
-		// would read as "no timeout" on the worker.
-		timeoutMS = 1
-	}
-	return WireJob{
-		App: j.app.Name, GPU: j.gpu.Name, Sim: j.sim,
-		TraceBlob: traceHash, ConfigBlob: confHash,
-		Opts:      j.opts,
-		TimeoutMS: timeoutMS,
-	}, nil
 }
 
 // startJob transitions a job to running and emits its event.

@@ -12,11 +12,10 @@ import (
 
 // Store is the service's content-addressed blob store: immutable byte
 // blobs named by the hex SHA-256 of their content, one file per blob
-// under a directory. It is the machine-neutral half of the distributed
-// execution plane — the daemon publishes trace and config blobs into it,
-// workers fetch them over HTTP by hash and publish canonical result
-// blobs back the same way, and the result cache (cache.go) stores only
-// small hash references into it.
+// under a directory. It holds canonical results and nothing else: remote
+// workers publish them over HTTP and commit by hash (a job's inputs reach
+// a worker by name, in its grant), and the result cache (cache.go) stores
+// only small hash references into it.
 //
 // Addressing by content makes the store self-verifying: Get re-hashes
 // the bytes it reads and a mismatch (disk corruption, a torn write from
@@ -89,8 +88,8 @@ func (st *Store) path(hash string) string {
 
 // Put stores data under its content hash and returns the hash. Storing
 // a blob that already exists is a cheap no-op, so callers re-publish
-// freely (the same trace blob for every job of a sweep, the same result
-// blob from two racing workers).
+// freely (a result the worker published and the cache then fulfils, the
+// same result from two racing workers).
 func (st *Store) Put(data []byte) (string, error) {
 	hash := BlobHash(data)
 	if _, err := os.Stat(st.path(hash)); err == nil {

@@ -14,13 +14,13 @@ import (
 	"time"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/trace"
+	"swiftsim/internal/workload"
 )
 
 // Worker is the remote claimant of the lease board: the loop behind
 // cmd/swiftsim-worker. It registers with a swiftsimd daemon, long-polls
-// for job leases, fetches each job's inputs from the content-addressed
-// store (verifying their hashes locally), simulates through the same
+// for job leases, builds each job's inputs from the names in the grant
+// (checking that they derive the grant's key), simulates through the same
 // function as the daemon's own executors, and publishes the canonical
 // result bytes back by hash.
 //
@@ -42,10 +42,6 @@ type Worker struct {
 	mu     sync.Mutex
 	active map[string]context.CancelFunc // lease id → job cancel
 	stats  WorkerStats
-
-	blobMu    sync.Mutex
-	blobs     map[string][]byte
-	blobOrder []string
 
 	// execHook, when set (tests only), runs after a job is claimed and
 	// before its simulation — fault-injection tests hold a worker here
@@ -86,10 +82,6 @@ type WorkerStats struct {
 	Lost uint64 `json:"lost"`
 }
 
-// maxWorkerBlobMemo bounds the worker's input-blob memo (trace and
-// config blobs repeat across the jobs of a sweep).
-const maxWorkerBlobMemo = 32
-
 // NewWorker creates a Worker; Run starts it.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Name == "" {
@@ -110,7 +102,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client: client,
 		base:   strings.TrimRight(cfg.BaseURL, "/"),
 		active: make(map[string]context.CancelFunc),
-		blobs:  make(map[string][]byte),
 	}
 }
 
@@ -129,7 +120,7 @@ func (w *Worker) Stats() WorkerStats {
 // again at the next heartbeat. Jobs in flight keep running meanwhile: their
 // commits are fenced by lease, not by worker id.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.register(ctx); err != nil {
+	if err := w.register(ctx); err != nil || ctx.Err() != nil {
 		return err
 	}
 
@@ -144,8 +135,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// register obtains a worker id and the lease cadence, retrying
-// transport errors until ctx expires.
+// register obtains a worker id and the lease cadence, retrying transport
+// errors until ctx ends. Its only error is a daemon that answered and said
+// no; a ctx that ends first returns nil with no registration made, and the
+// caller's own ctx check tells the two apart.
 func (w *Worker) register(ctx context.Context) error {
 	var retry sleeper
 	for {
@@ -171,7 +164,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return fmt.Errorf("service: worker registration rejected: HTTP %d", code)
 		}
 		if !retry.sleep(ctx, backoff()) {
-			return fmt.Errorf("service: worker registration: %w (last error: %v)", ctx.Err(), err)
+			return nil
 		}
 	}
 }
@@ -235,7 +228,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		}
 		code, err := w.postJSON(ctx, "/v1/workers/"+*w.id.Load()+"/heartbeat", map[string]any{"leases": leases}, &resp)
 		if err == nil && code == http.StatusNotFound {
-			_ = w.register(ctx) // fails only when ctx is done, which ends the loop
+			// A rejection leaves the old id in place and the next round's
+			// 404 asks again.
+			_ = w.register(ctx)
 		}
 		if err != nil || code != http.StatusOK {
 			continue // transient; the next round retries well within the TTL
@@ -303,10 +298,11 @@ func (w *Worker) claim(ctx context.Context) (WireJob, bool, error) {
 	}
 }
 
-// execute runs one leased job end to end. A failure to even assemble the
-// job (unfetchable blobs, bad options) is reported like a simulation
-// error; a canceled context (worker shutdown or revoked lease) is
-// reported to no one — the lease protocol handles our disappearance.
+// execute runs one leased job end to end. A grant the worker must refuse
+// (an application it cannot build, bad config text or options, inputs that
+// derive another key) is reported like a simulation error; a canceled
+// context (worker shutdown or revoked lease) is reported to no one — the
+// lease protocol handles our disappearance.
 func (w *Worker) execute(ctx context.Context, job WireJob) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -346,28 +342,26 @@ func (w *Worker) execute(ctx context.Context, job WireJob) {
 		map[string]any{"token": job.Token, "result": hash})
 }
 
-// runJob fetches, assembles and simulates one job, returning its
-// canonical result bytes.
+// runJob builds the job a grant names, checks that it is the job the
+// daemon posted, and simulates it, returning its canonical result bytes.
 func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
-	traceData, err := w.fetchBlob(ctx, wire.TraceBlob)
+	app, err := workload.Generate(wire.App, wire.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("trace blob: %w", err)
+		return nil, err
 	}
-	confData, err := w.fetchBlob(ctx, wire.ConfigBlob)
-	if err != nil {
-		return nil, fmt.Errorf("config blob: %w", err)
-	}
-	app, err := trace.Read(bytes.NewReader(traceData))
-	if err != nil {
-		return nil, fmt.Errorf("parsing trace: %w", err)
-	}
-	gpu, err := config.Parse(bytes.NewReader(confData))
+	gpu, err := config.Parse(strings.NewReader(wire.Config))
 	if err != nil {
 		return nil, fmt.Errorf("parsing config: %w", err)
 	}
 	opts := wire.Opts
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("service: wire options: %w", err)
+	}
+	// The one check on the grant: the key covers the trace content, the
+	// configuration, the options and the code version, so whichever of them
+	// this worker sees differently, its bytes do not belong under wire.Key.
+	if key := jobKey(app, gpu, opts); key != wire.Key {
+		return nil, fmt.Errorf("service: grant is for job %s, its inputs derive %s here (another build, or altered inputs)", wire.Key, key)
 	}
 	if n := w.cfg.EngineThreads; n > 0 {
 		// The host's shard count replaces the job's only when the assembly
@@ -387,49 +381,6 @@ func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
 		job:     &job{app: app, gpu: gpu, opts: opts},
 		timeout: time.Duration(wire.TimeoutMS) * time.Millisecond,
 	})
-}
-
-// fetchBlob gets a blob from the daemon's store, verifying its content
-// hash locally — the wire and the daemon's disk are both untrusted.
-func (w *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {
-	w.blobMu.Lock()
-	if data, ok := w.blobs[hash]; ok {
-		w.blobMu.Unlock()
-		return data, nil
-	}
-	w.blobMu.Unlock()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/store/"+hash, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetching %s: HTTP %d", hash, resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if BlobHash(data) != hash {
-		return nil, fmt.Errorf("%w: fetched %s", ErrBlobCorrupt, hash)
-	}
-
-	w.blobMu.Lock()
-	if _, ok := w.blobs[hash]; !ok {
-		if len(w.blobOrder) >= maxWorkerBlobMemo {
-			delete(w.blobs, w.blobOrder[0])
-			w.blobOrder = w.blobOrder[1:]
-		}
-		w.blobs[hash] = data
-		w.blobOrder = append(w.blobOrder, hash)
-	}
-	w.blobMu.Unlock()
-	return data, nil
 }
 
 // publish uploads the canonical result bytes and returns their hash.
