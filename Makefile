@@ -19,8 +19,11 @@ verify: tier1 lint golden fuzz-smoke distributed-e2e
 # it compiles against must fail tier 1, not the benchmark run. Of the
 # service's wire and client types those are service.WireJob{LeaseID,
 # Token}, service.NewWorker, service.WorkerConfig{BaseURL, Name, Jobs},
-# service.Spec, service.Status, service.Event and service.Stats (its ~20 s
-# test suite stays out: `cd bench && go test .`).
+# service.Spec, service.Status, service.Event and service.Stats; of the
+# engine, engine.New, Register, RegisterSharded(t, shard), ShardContext(s),
+# SetParallel(n), SetEpoch(k), Context, Schedule, Run and
+# ModelKind/CycleAccurate, plus sim.Options{EngineThreads} (its ~20 s test
+# suite stays out: `cd bench && go test .`).
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -76,7 +79,7 @@ bench-quick:
 # B/op and allocs/op columns that feed the allocation ceilings below.
 # Writes bench.txt.
 BENCH_PKGS = . ./internal/engine/
-BENCH_FILTER = 'BenchmarkSimulatorThroughput|BenchmarkGoldenCorpus|BenchmarkEngineActiveSet|BenchmarkObsOff|BenchmarkEngineParallel|BenchmarkEngineRelaxed|BenchmarkEngineSampled|BenchmarkEngineShardedTick'
+BENCH_FILTER = 'BenchmarkSimulatorThroughput|BenchmarkGoldenCorpus|BenchmarkEngineActiveSet|BenchmarkObsOff|BenchmarkEngineRelaxed|BenchmarkEngineSampled'
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime 2x -count 5 $(BENCH_PKGS) | tee bench.txt
 
@@ -85,66 +88,31 @@ bench:
 # 0.9x of it. Regenerate the baseline intentionally with
 # `make bench && cp bench.txt bench_baseline.txt`.
 #
-# Sampled execution must keep its speedup floor on every host: the
-# corpus=off/corpus=on pair of BenchmarkEngineSampled runs serial single
-# simulations, so unlike the sharding floors below it does not depend on
-# core count.
+# Sampled execution must keep its speedup floor: the corpus=off/corpus=on
+# pair of BenchmarkEngineSampled runs single simulations back to back.
+# BenchmarkEngineRelaxed's k=1/k=8 pair is recorded with no floor.
 #
-# Allocation ceilings hold on every host regardless of core count, and
-# allocation counts repeat exactly where times depend on what else the
-# host is doing, so they are checked first:
-#   - the sharded steady-state tick allocates nothing: 0 allocs/op ceiling
-#     on BenchmarkEngineShardedTick (which forces workers up, so it
-#     measures the staged arenas and barrier on any host);
-#   - a whole Basic, Detailed or Memory simulation stays under a ceiling
-#     set about 25% above the measured 3,384, 11,304 and 1,256 allocs/op,
-#     which neither the timed memory path nor the SM core's issue→writeback
-#     path contributes to once warm. One closure or queue regrowth per
-#     request or per instruction back on those paths is +5,000 or more, so
-#     it trips the ceiling instead of drifting in.
-#
-# The sharding floors depend on the host's core count:
-#   - threads=2 must not lose to threads=1 (floor 1.0x) on a 1-core host,
-#     where no workers start and threads=2 runs the same serial tick, and
-#     on hosts with >= 4 cores. It is not checked in between: on the
-#     2-core bench host the workers do come up, share the two cores with
-#     the coordinator, and threads=2 measured 0.5-0.6x threads=1 (PR 12,
-#     parent and change alike; bench/BASELINE.md has engine.shard_slowdown
-#     at 3.1-3.4 there), so on such a host sharding costs and the floor
-#     cannot hold.
-#   - on hosts with >= 4 cores the sharded engine must also reach the
-#     committed intra-simulation speedup floors — exact mode (threads=4 at
-#     least 2.0x over threads=1, raised from PR5's 1.8x by the spin-park
-#     barrier) and relaxed-epoch mode (k=8 at least 1.15x over k=1 at the
-#     same thread count); on smaller hosts they are unmeasurable (the
-#     shards serialize on the few cores available).
+# Allocation counts repeat exactly where times depend on what else the
+# host is doing, so the ceilings are checked first: a whole Basic, Detailed
+# or Memory simulation stays under a ceiling set about 25% above the
+# measured 3,384, 11,304 and 1,256 allocs/op, which neither the timed
+# memory path nor the SM core's issue→writeback path contributes to once
+# warm. One closure or queue regrowth per request or per instruction back
+# on those paths is +5,000 or more, so it trips the ceiling instead of
+# drifting in.
 benchcmp: bench
 	$(GO) run ./cmd/benchcmp -metric allocs/op \
-		-max 'BenchmarkEngineShardedTick/shards=2,0' \
-		-max 'BenchmarkEngineShardedTick/shards=4,0' \
 		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Basic,4200' \
 		-max 'BenchmarkSimulatorThroughput/Detailed,14100' \
 		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Memory,1600' \
 		bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -gate 0.9 bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineSampled/corpus=off,BenchmarkEngineSampled/corpus=on,3.0' bench_baseline.txt bench.txt
-	@if [ "$$(nproc)" -eq 1 ] || [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineParallel/threads=1,BenchmarkEngineParallel/threads=2,1.0' bench_baseline.txt bench.txt; \
-	else \
-		echo "benchcmp: skipping the threads=2 floor (nproc $$(nproc): workers start but share the cores)"; \
-	fi
-	@if [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineParallel/threads=1,BenchmarkEngineParallel/threads=4,2.0' bench_baseline.txt bench.txt; \
-		$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineRelaxed/k=1,BenchmarkEngineRelaxed/k=8,1.15' bench_baseline.txt bench.txt; \
-	else \
-		echo "benchcmp: skipping engine speedup floors (nproc $$(nproc) < 4)"; \
-	fi
 
-# profile captures cpu and heap profiles of the two benchmarks that
-# bracket the engine's hot path — the golden corpus (end-to-end serial
-# mix) and the sharded Detailed simulation — into prof/, with the test
-# binaries kept alongside for symbolization:
-#   go tool pprof prof/parallel.test prof/parallel.cpu.pprof
+# profile captures cpu and heap profiles of the golden corpus (the
+# end-to-end mix over the engine's hot path) into prof/, with the test
+# binary kept alongside for symbolization:
+#   go tool pprof prof/golden.test prof/golden.cpu.pprof
 # It then writes the table allocation work starts from: every heap object
 # of a Basic, a Detailed and a Memory simulation (-memprofilerate 1),
 # ranked by allocating function, into prof/allocs.basic.txt,
@@ -158,9 +126,6 @@ profile:
 	$(GO) test -run '^$$' -bench BenchmarkGoldenCorpus -benchtime 1x \
 		-cpuprofile prof/golden.cpu.pprof -memprofile prof/golden.mem.pprof \
 		-o prof/golden.test .
-	$(GO) test -run '^$$' -bench BenchmarkEngineParallel -benchtime 1x \
-		-cpuprofile prof/parallel.cpu.pprof -memprofile prof/parallel.mem.pprof \
-		-o prof/parallel.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Swift-Sim-Basic' -benchtime 5x \
 		-memprofile prof/allocs.basic.pprof -memprofilerate 1 -o prof/allocs.test .
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/allocs.test prof/allocs.basic.pprof > prof/allocs.basic.txt

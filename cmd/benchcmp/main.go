@@ -17,15 +17,14 @@
 //
 // -within 'A,B,ratio' gates a pair of benchmarks inside the NEW file:
 // median(A) must be at least ratio × median(B), matching names with the
-// -cpu suffix (-8 etc.) ignored. `make benchcmp` uses it on multi-core
-// hosts to require the sharded engine's threads=4 run to beat threads=1
-// by the committed speedup floor.
+// -cpu suffix (-8 etc.) ignored. `make benchcmp` uses it to require the
+// sampled corpus run to beat the exact one by the committed speedup floor.
 //
 // -metric selects any column unit present in the files, including the
 // -benchmem columns (B/op, allocs/op). -max 'NAME,ceiling' (repeatable)
 // gates an absolute value in the NEW file: median(NAME) must not exceed
-// ceiling — `make benchcmp` uses it with `-metric allocs/op` to pin the
-// sharded steady-state tick at zero allocations. When the old file
+// ceiling — `make benchcmp` uses it with `-metric allocs/op` to hold whole
+// simulations under their allocation ceilings. When the old file
 // predates -benchmem and lacks the metric entirely, -max still runs (the
 // comparison table is skipped with a note); the ceiling is about the new
 // code, not the baseline.

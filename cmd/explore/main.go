@@ -13,8 +13,8 @@
 //	explore -key gpu.noc_topology -values crossbar,ring -apps SM -sim detailed
 //	explore -key l2.sets -values 256,512 -apps GRU -sim basic -sample -sample-frac 0.25
 //
-// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
-// -sample-frac, -sample-stride) are the block every front end shares
+// The execution-mode flags (-epoch-cycles, -sample, -sample-frac,
+// -sample-stride) are the block every front end shares
 // (cliutil.RunFlags) and apply to every point of the sweep.
 package main
 

@@ -17,12 +17,11 @@
 //	sweep -exp fig4 [-scale 1.0] [-apps BFS,NW,GRU] [-threads 8] [-job-timeout 2m]
 //	sweep -exp all
 //
-// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
-// -sample-frac, -sample-stride) are the block every front end shares
-// (cliutil.RunFlags); here they are the default every simulation of the
-// experiment is overlaid on. The fig5 job pool shrinks to
-// threads/engine-threads; fig4 always runs serial and exact, and with
-// -sample its wall-clock columns measure the sampled runs.
+// The execution-mode flags (-epoch-cycles, -sample, -sample-frac,
+// -sample-stride) are the block every front end shares (cliutil.RunFlags);
+// here they are the default every simulation of the experiment is overlaid
+// on. fig4 always runs exact, and with -sample its wall-clock columns
+// measure the sampled runs.
 package main
 
 import (

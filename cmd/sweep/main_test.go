@@ -40,16 +40,20 @@ func TestExitOneOnBadFlag(t *testing.T) {
 	}
 }
 
-// TestExitOneOnRelaxedEpochSerialEngine: -epoch-cycles > 1 is meaningless
-// without a parallel engine; the contradiction is rejected up front with
-// an actionable message instead of silently running exact mode.
-func TestExitOneOnRelaxedEpochSerialEngine(t *testing.T) {
-	code, _, stderr := runSweep(t, "-exp", "fig4", "-epoch-cycles", "8")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "-engine-threads") {
-		t.Errorf("stderr does not point at -engine-threads:\n%s", stderr)
+// TestExitOneOnBadExecutionMode: a run option with no reading is rejected
+// up front, in the flags' own names; -engine-threads is a flag no more.
+func TestExitOneOnBadExecutionMode(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "fig4", "-epoch-cycles", "-2"}, "-epoch-cycles -2"},
+		{[]string{"-exp", "fig4", "-engine-threads", "2"}, "flag provided but not defined"},
+	} {
+		code, _, stderr := runSweep(t, tc.args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit = %d, want 1 and stderr mentioning %q:\n%s", tc.args, code, tc.want, stderr)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@
 // Usage:
 //
 //	swiftsim-worker -daemon http://host:8080 [-name lab-3] [-jobs 2]
-//	                [-engine-threads 4] [-poll 25s]
+//	                [-poll 25s]
 //
 // SIGINT/SIGTERM stops the worker; jobs in flight are abandoned and
 // requeued by the daemon after the lease TTL.
@@ -59,17 +59,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	daemon := fs.String("daemon", "http://127.0.0.1:8080", "swiftsimd base URL to pull jobs from")
 	name := fs.String("name", "", "worker label in daemon accounting (default: the hostname)")
 	jobs := fs.Int("jobs", 1, "jobs executed concurrently on this worker")
-	engineThreads := fs.Int("engine-threads", 0, "override engine shards per simulation for this host (0 = as requested by the sweep; results are byte-identical at every value)")
 	poll := fs.Duration("poll", 25*time.Second, "long-poll duration per claim request")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 	if *jobs < 1 {
 		fmt.Fprintln(stderr, "swiftsim-worker: -jobs must be >= 1")
-		return 1
-	}
-	if *engineThreads < 0 {
-		fmt.Fprintln(stderr, "swiftsim-worker: -engine-threads must be >= 0")
 		return 1
 	}
 	if *name == "" {
@@ -81,11 +76,10 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 
 	w := service.NewWorker(service.WorkerConfig{
-		BaseURL:       *daemon,
-		Name:          *name,
-		Jobs:          *jobs,
-		EngineThreads: *engineThreads,
-		PollWait:      *poll,
+		BaseURL:  *daemon,
+		Name:     *name,
+		Jobs:     *jobs,
+		PollWait: *poll,
 	})
 	fmt.Fprintf(stdout, "swiftsim-worker: %s pulling from %s (%d job slot(s))\n", *name, *daemon, *jobs)
 	if err := w.Run(ctx); err != nil {

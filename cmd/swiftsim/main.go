@@ -5,15 +5,14 @@
 // bundled synthetic workload catalog (-app, -scale). The hardware
 // configuration comes from a preset (-gpu) or a configuration file
 // (-config); the simulator configuration from -sim. The execution-mode
-// flags (-engine-threads, -epoch-cycles, -sample, -sample-frac,
-// -sample-stride) are the block every front end shares
-// (cliutil.RunFlags).
+// flags (-epoch-cycles, -sample, -sample-frac, -sample-stride) are the
+// block every front end shares (cliutil.RunFlags).
 //
 // Examples:
 //
 //	swiftsim -app BFS -sim memory
 //	swiftsim -trace run.sgt -config mygpu.cfg -sim detailed -metrics
-//	swiftsim -app GEMM -sim detailed -engine-threads 4 -epoch-cycles 8
+//	swiftsim -app GEMM -sim detailed -epoch-cycles 8
 //	swiftsim -app GRU -sim basic -sample
 //	swiftsim -app BFS -sim l2 -snapshot-at 5000 -snapshot-out warm.snap
 //	swiftsim -app BFS -sim l2 -restore warm.snap

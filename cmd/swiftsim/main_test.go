@@ -145,7 +145,7 @@ func TestExitOneOnErrors(t *testing.T) {
 		{"unknown sim", []string{"-app", "BFS", "-sim", "psychic"}, "unknown simulator"},
 		{"unknown hitrates", []string{"-app", "BFS", "-sim", "memory", "-hitrates", "x"}, "unknown hit-rate source"},
 		{"missing trace", []string{"-trace", filepath.Join(t.TempDir(), "nope.sgt")}, "no such file"},
-		{"relaxed epoch on serial engine", []string{"-app", "BFS", "-epoch-cycles", "8"}, "-engine-threads"},
+		{"engine threads flag is gone", []string{"-app", "BFS", "-engine-threads", "2"}, "flag provided but not defined"},
 		{"negative epoch", []string{"-app", "BFS", "-epoch-cycles", "-2"}, "-epoch-cycles"},
 		{"snapshot-at without out", []string{"-app", "BFS", "-snapshot-at", "100"}, "-snapshot-out"},
 		{"missing restore file", []string{"-app", "BFS", "-restore", filepath.Join(t.TempDir(), "nope.snap")}, "no such file"},

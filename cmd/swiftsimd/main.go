@@ -33,14 +33,13 @@
 //
 //	swiftsimd -addr :8080 -cache-dir /var/cache/swiftsim [-queue-depth 64]
 //	          [-threads 8] [-max-job-timeout 5m] [-drain-timeout 30s]
-//	          [-engine-threads 4 -epoch-cycles 8] [-sample]
+//	          [-epoch-cycles 8] [-sample]
 //	          [-remote -lease-ttl 10s -lease-retries 3]
 //
-// The execution-mode flags (-engine-threads, -epoch-cycles, -sample,
-// -sample-frac, -sample-stride) are the block every front end shares
-// (cliutil.RunFlags); here they are the daemon-wide default for specs that
-// leave engine_threads, epoch_cycles or sample unset. A job occupies as
-// many of the -threads slots as it has engine shards while it runs.
+// The execution-mode flags (-epoch-cycles, -sample, -sample-frac,
+// -sample-stride) are the block every front end shares (cliutil.RunFlags);
+// here they are the daemon-wide default for specs that leave epoch_cycles
+// or sample unset. -threads is how many jobs the daemon runs at a time.
 package main
 
 import (
@@ -76,7 +75,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	cacheDir := fs.String("cache-dir", "swiftsim-cache", "persistent result cache directory")
 	queueDepth := fs.Int("queue-depth", 64, "max queued+running jobs before submissions are shed with 429")
-	threads := fs.Int("threads", 0, "the daemon's executor count: thread slots its in-process claimants share across all sweeps (0 = NumCPU; unused with -remote)")
+	threads := fs.Int("threads", 0, "the daemon's executor count: jobs its in-process claimants run at a time across all sweeps (0 = NumCPU; unused with -remote)")
 	maxJobTimeout := fs.Duration("max-job-timeout", 5*time.Minute, "cap and default for per-job wall-clock budgets (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for queued sweeps on shutdown")
 	runFlags := cliutil.RunFlags(fs)

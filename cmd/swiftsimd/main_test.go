@@ -131,18 +131,17 @@ func TestDaemonBadFlag(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsRelaxedEpochSerialEngine mirrors the cmd/sweep check:
-// a daemon default of -epoch-cycles > 1 without a parallel engine is a
-// configuration contradiction, rejected at startup.
-func TestDaemonRejectsRelaxedEpochSerialEngine(t *testing.T) {
+// TestDaemonRejectsBadExecutionMode mirrors the cmd/sweep check: a daemon
+// default with no reading is rejected at startup, in the flags' own names.
+func TestDaemonRejectsBadExecutionMode(t *testing.T) {
 	var out, errw syncBuffer
 	code := realMain(context.Background(),
-		[]string{"-epoch-cycles", "8"}, &out, &errw)
+		[]string{"-epoch-cycles", "-2"}, &out, &errw)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errw.String())
 	}
-	if !strings.Contains(errw.String(), "-engine-threads") {
-		t.Errorf("stderr does not point at -engine-threads:\n%s", errw.String())
+	if !strings.Contains(errw.String(), "-epoch-cycles -2") {
+		t.Errorf("stderr does not name the rejected flag:\n%s", errw.String())
 	}
 }
 

@@ -137,9 +137,7 @@ func (c *Timed) bankOf(addr uint64) int {
 }
 
 // PreTick implements engine.PreTicker: drain pending downstream traffic.
-// The engine runs it immediately before Tick in serial mode, and hoists it
-// into the serial pre-phase of a parallel cycle so a sharded L1's pushes
-// into the shared NoC/L2 happen in registration order.
+// The engine runs it immediately before Tick.
 func (c *Timed) PreTick(cycle uint64) {
 	c.drainDown()
 }

@@ -51,20 +51,19 @@ func TestRunFlags(t *testing.T) {
 		}
 		return opts()
 	}
-	got, err := parse("-engine-threads", "4", "-epoch-cycles", "8", "-sample", "-sample-frac", "0.25", "-sample-stride", "4")
-	want := sim.Options{EngineThreads: 4, EpochCycles: 8,
+	got, err := parse("-epoch-cycles", "8", "-sample", "-sample-frac", "0.25", "-sample-stride", "4")
+	want := sim.Options{EpochCycles: 8,
 		Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.25, ReplayStride: 4}}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("full block = %+v, %v; want %+v", got, err, want)
 	}
-	if got, err := parse(); err != nil || got.EngineThreads != 1 || got.EpochCycles != 1 || got.Sampling.Enabled {
-		t.Errorf("defaults = %+v, %v; want the exact serial run", got, err)
+	if got, err := parse(); err != nil || !reflect.DeepEqual(got, sim.Options{EpochCycles: 1}) {
+		t.Errorf("defaults = %+v, %v; want the exact run", got, err)
 	}
 	for flagName, args := range map[string][]string{
-		"-engine-threads": {"-epoch-cycles", "8"},
-		"-epoch-cycles":   {"-epoch-cycles", "-2"},
-		"-sample-frac":    {"-sample-frac", "0.5"},
-		"-sample-stride":  {"-sample", "-sample-stride", "-1"},
+		"-epoch-cycles":  {"-epoch-cycles", "-2"},
+		"-sample-frac":   {"-sample-frac", "0.5"},
+		"-sample-stride": {"-sample", "-sample-stride", "-1"},
 	} {
 		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), flagName) {
 			t.Errorf("%v: error %v does not name %s", args, err, flagName)

@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"swiftsim/internal/obs"
 )
@@ -146,11 +144,11 @@ func (q *eventQueue) siftDown(i int) {
 // tickerEntry is the engine's per-ticker scheduling state.
 type tickerEntry struct {
 	t Ticker
-	// pre is non-nil for tickers implementing PreTicker; see PreTicker for
-	// where the engine runs it.
+	// pre is non-nil for tickers implementing PreTicker: the engine runs
+	// PreTick immediately before Tick.
 	pre PreTicker
-	// sctx is the owning shard's staging context, nil for serial entries.
-	sctx *shardCtx
+	// staged marks an entry of the epoch-local segment (RegisterSharded).
+	staged bool
 	// active marks membership in the active list: the ticker is busy (as
 	// of its last Busy poll) or pending.
 	active bool
@@ -203,49 +201,29 @@ type Engine struct {
 	probes     []probe
 	nextSample uint64
 	sampleIvl  uint64
-	// preSample, when set, runs immediately before each probe sample (the
-	// simulator uses it to drain per-shard metric shadows so sampled
-	// windows match the serial engine byte-for-byte).
-	preSample func()
 
-	// sharded execution state; see parallel.go. shards is empty until
-	// SetParallel; pLo < 0 until the first RegisterSharded.
-	shards   []*shardCtx
-	pLo, pHi int // contiguous registration-index range of sharded entries
-	// segCount is the number of sharded entries currently on the active
+	// the epoch-local segment; see parallel.go. nShards only range-checks
+	// the shard arguments of RegisterSharded and ShardContext; pLo < 0 until
+	// the first RegisterSharded.
+	seg      segment
+	nShards  int
+	pLo, pHi int // contiguous registration-index range of segment entries
+	// segCount is the number of segment entries currently on the active
 	// list. They always occupy one contiguous run of positions (the active
-	// list is sorted and [pLo, pHi] contains only sharded entries), so the
+	// list is sorted and [pLo, pHi] contains only segment entries), so the
 	// catch-up cycles skip the whole segment in O(1) instead of scanning it.
 	segCount int
 	// headHi is the run's execution mode, chosen once per RunCtx (beginRun):
 	// the last registration index of tickCycle's serial head. pLo-1 stages
-	// the sharded segment; maxInt lets the head cover every entry, which is
-	// the plain serial tick.
+	// the segment (a relaxed run); maxInt lets the head cover every entry,
+	// which is the plain serial tick (an exact run).
 	headHi int
-	// persistent worker state (barrier.go). workersUp is only set when the
-	// host has spare parallelism (or forceWorkers, for tests/benchmarks).
-	workersUp    bool
-	forceWorkers bool
-	spinCount    int
-	workerStop   atomic.Bool
-	workerWG     sync.WaitGroup
-	barDone      atomic.Int32
-	coordParked  atomic.Uint32
-	coordWake    chan struct{}
-	// preStaging routes Schedule calls made during the exact-mode serial
-	// pre-phase (downstream drains) into preStage, so their event sequence
-	// numbers interleave with the shard-staged ones exactly as in serial
-	// order.
-	preStaging bool
-	preIdx     int
-	preStage   []stagedOp
-	// epochK > 1 enables relaxed-sync epochs: shards run epochK local
-	// cycles between every barrier instead of one; see parallel.go.
+	// epochK > 1 makes the run relaxed: the segment runs epochK local cycles
+	// per pass; see parallel.go.
 	epochK int
-	// segScratch/activeScratch/deferScratch are retained buffers for the
-	// barrier's segment snapshot, active-list rebuild and defer fold (no
-	// per-cycle allocations in steady state).
-	segScratch    []int
+	// activeScratch/deferScratch are retained buffers for the fold's
+	// active-list rebuild and defer release (no per-epoch allocations in
+	// steady state).
 	activeScratch []int
 	deferScratch  []func()
 	// batchWake diverts activations into wakeBuf during the event-fire
@@ -295,17 +273,8 @@ func (e *Engine) AddProbe(name string, fn func() uint64) {
 // cycle-accurate modules are currently being ticked.
 func (e *Engine) ActiveTickers() int { return len(e.active) }
 
-// SetPreSample installs a hook run immediately before every probe sample
-// (and only then). Parallel assemblies use it to fold per-shard metric
-// shadows into the main gatherer so the sampled counter timeline is
-// identical to a serial run's.
-func (e *Engine) SetPreSample(fn func()) { e.preSample = fn }
-
 // sample emits one counter timeline row at the current cycle.
 func (e *Engine) sample() {
-	if e.preSample != nil {
-		e.preSample()
-	}
 	e.tr.Counter(obs.ModuleLevel, "active_tickers", e.trTid, e.cycle, uint64(len(e.active)))
 	for _, p := range e.probes {
 		e.tr.Counter(obs.ModuleLevel, p.name, e.trTid, e.cycle, p.fn())
@@ -315,7 +284,9 @@ func (e *Engine) sample() {
 
 // New returns an empty engine at cycle 0.
 func New() *Engine {
-	return &Engine{tickPos: -1, pLo: -1, headHi: maxInt, epochK: 1}
+	e := &Engine{tickPos: -1, nShards: 1, pLo: -1, headHi: maxInt, epochK: 1}
+	e.seg.e = e
+	return e
 }
 
 // Cycle returns the current simulated cycle.
@@ -363,25 +334,26 @@ func (e *Engine) AddModule(m Module) {
 // upstream modules (schedulers) before downstream ones (caches, DRAM). The
 // ticker gets its wake callback installed here and enters the active set
 // only while it has work.
-func (e *Engine) Register(t Ticker) { e.register(t, nil) }
+func (e *Engine) Register(t Ticker) { e.register(t, false) }
 
-// register is Register and RegisterSharded's common part; sc is the owning
-// shard's context, nil for a serial entry. It returns the registration
+// register is Register and RegisterSharded's common part; staged says the
+// entry belongs to the epoch-local segment. It returns the registration
 // index.
-func (e *Engine) register(t Ticker, sc *shardCtx) int {
+func (e *Engine) register(t Ticker, staged bool) int {
 	idx := len(e.entries)
-	en := tickerEntry{t: t, sctx: sc}
+	en := tickerEntry{t: t, staged: staged}
 	en.pre, _ = t.(PreTicker)
 	e.entries = append(e.entries, en)
 	e.modules = append(e.modules, t)
-	if sc == nil {
-		// Serial entries wake through activate directly: they are never
-		// woken from inside a shard pass (cross-shard effects go through
-		// Defer/Schedule, applied at the barrier with staging off), so
-		// wakeEntry's staging check would be a dead branch on a hot path.
-		t.SetWake(func() { e.activate(idx) })
-	} else {
+	if staged {
 		t.SetWake(func() { e.wakeEntry(idx) })
+	} else {
+		// Serial entries wake through activate directly: they are never
+		// woken from inside a segment pass (effects that leave the segment
+		// go through Defer/Schedule, released at the fold with staging
+		// off), so wakeEntry's staging check would be a dead branch on a
+		// hot path.
+		t.SetWake(func() { e.activate(idx) })
 	}
 	// Start pending so the first simulated cycle ticks every module once,
 	// letting it publish its initial busy state.
@@ -402,7 +374,7 @@ func (e *Engine) activate(idx int) {
 		return
 	}
 	en.active = true
-	if en.sctx != nil {
+	if en.staged {
 		e.segCount++
 	}
 	if e.batchWake {
@@ -448,13 +420,6 @@ func (e *Engine) Inventory() []ModuleInfo {
 // cycle if the engine has not yet processed events for it, otherwise at the
 // next cycle boundary; analytical modules should use delays >= 1.
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	if e.preStaging {
-		// Exact-mode pre-phase (downstream drains): stage the event so its
-		// sequence number is assigned at the barrier, interleaved with the
-		// shard-staged events in exact serial order.
-		e.preStage = append(e.preStage, stagedOp{idx: e.preIdx, cyc: e.cycle, delay: delay, fn: fn})
-		return
-	}
 	e.seq++
 	e.events.push(event{cycle: e.cycle + delay, seq: e.seq, fn: fn})
 }
@@ -501,7 +466,6 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 	if err := e.beginRun(); err != nil {
 		return e.cycle, err
 	}
-	defer e.stopWorkers()
 	var cancelCh <-chan struct{}
 	if ctx != nil {
 		cancelCh = ctx.Done()
@@ -617,7 +581,7 @@ func (e *Engine) flushWakes() {
 // downstream module, for instance) are ticked this same cycle when their
 // registration index has not been passed yet. PreTicker entries get their
 // PreTick immediately before Tick. With hi = maxInt this is a serial run's
-// whole cycle; otherwise it is the head or tail of a staged one (see
+// whole cycle; otherwise it is the head or tail of a relaxed one (see
 // tickCycle in parallel.go).
 func (e *Engine) tickSerialRange(hi int) {
 	for e.tickPos < len(e.active) {
@@ -642,7 +606,7 @@ func (e *Engine) tickSerialRange(hi int) {
 		}
 		if !nowBusy && !en.pending {
 			en.active = false
-			if en.sctx != nil {
+			if en.staged {
 				e.segCount--
 			}
 			e.active = append(e.active[:e.tickPos], e.active[e.tickPos+1:]...)
@@ -655,19 +619,19 @@ func (e *Engine) tickSerialRange(hi int) {
 // anyBusy reports whether any ticker still has per-cycle work: an O(1)
 // counter check.
 //
-// In relaxed-epoch mode a pending sharded entry also counts: the epoch's
-// catch-up cycles skip the sharded segment, so an entry woken by a staged
+// In a relaxed run a pending segment entry also counts: the epoch's
+// catch-up cycles skip the segment, so an entry woken by a staged
 // completion event firing mid-catch-up has not been ticked since its wake
 // and its polled Busy state is stale (an SM recomputes busyCache only
-// inside Tick). The exact engine has no such window — an event-phase wake
-// is always followed by a same-cycle tick — so the scan is gated on
-// epochK to keep the exact path O(1).
+// inside Tick). An exact run has no such window — an event-phase wake is
+// always followed by a same-cycle tick — so the scan is gated on epochK to
+// keep the exact path O(1).
 func (e *Engine) anyBusy() bool {
 	if e.busyCount > 0 {
 		return true
 	}
 	if e.epochK > 1 && e.segCount > 0 {
-		// The sharded entries sit in one contiguous run of the sorted
+		// The segment entries sit in one contiguous run of the sorted
 		// active list; scan only that window.
 		lo := sort.SearchInts(e.active, e.pLo)
 		for _, idx := range e.active[lo : lo+e.segCount] {

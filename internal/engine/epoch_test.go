@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -55,9 +56,9 @@ func TestSetEpochClamp(t *testing.T) {
 	}
 }
 
-// TestEpochK1MatchesSerial pins that SetEpoch(1) leaves the exact sharded
-// protocol untouched: the full per-module tick history equals the serial
-// engine's.
+// TestEpochK1MatchesSerial pins that SetEpoch(1) is the exact run: the full
+// per-module tick history of an assembly registered through RegisterSharded
+// equals the plain-Register engine's.
 func TestEpochK1MatchesSerial(t *testing.T) {
 	serial := newParallelFixture(8, 0, 2)
 	serial.run(t, 400)
@@ -70,28 +71,36 @@ func TestEpochK1MatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEpochReproducible pins relaxed-mode determinism at the engine level:
-// two identically built assemblies run with k=8 produce identical tick
-// histories, cycle for cycle, despite worker goroutine scheduling.
-func TestEpochReproducible(t *testing.T) {
-	for _, nShards := range []int{2, 4} {
-		base := newParallelFixture(8, nShards, nShards)
-		base.relax(8)
-		base.run(t, 400)
-		want := base.history()
-		for rep := 0; rep < 3; rep++ {
-			f := newParallelFixture(8, nShards, nShards)
-			f.relax(8)
-			f.run(t, 400)
-			if got := f.history(); got != want {
-				t.Fatalf("shards=%d rep=%d: relaxed run not reproducible:\n--- first ---\n%s--- rep ---\n%s",
-					nShards, rep, want, got)
-			}
+// requireReproducible runs build's assembly to horizon reps+1 times and
+// requires every tick history to equal the first. Relaxed mode has no
+// serial-history equivalent, so determinism is its oracle.
+func requireReproducible(t *testing.T, build func() *parallelFixture, horizon uint64, reps int) *parallelFixture {
+	t.Helper()
+	first := build()
+	first.run(t, horizon)
+	want := first.history()
+	for rep := 0; rep < reps; rep++ {
+		f := build()
+		f.run(t, horizon)
+		if got := f.history(); got != want {
+			t.Fatalf("rerun %d diverged (relaxed mode must be deterministic):\n--- first ---\n%s--- rerun ---\n%s", rep, want, got)
 		}
 	}
+	return first
 }
 
-// TestEpochIdleFastForward pins the empty-segment path: with no sharded
+// TestEpochReproducible pins relaxed-mode determinism at the engine level:
+// identically built assemblies run with k=8 produce identical tick
+// histories, cycle for cycle.
+func TestEpochReproducible(t *testing.T) {
+	requireReproducible(t, func() *parallelFixture {
+		f := newParallelFixture(8, 2, 2)
+		f.relax(8)
+		return f
+	}, 400, 3)
+}
+
+// TestEpochIdleFastForward pins the empty-segment path: with no segment
 // work, an epoch engine still fast-forwards event to event like the serial
 // one instead of grinding k cycles at a time.
 func TestEpochIdleFastForward(t *testing.T) {
@@ -115,9 +124,9 @@ func TestEpochIdleFastForward(t *testing.T) {
 }
 
 // TestEpochStaleWakeNoDeadlock is the regression test for the catch-up wake
-// hazard: an event firing during the epoch's catch-up phase wakes a sharded
+// hazard: an event firing during the epoch's catch-up phase wakes a segment
 // module whose polled busy state is stale-false. The catch-up phase never
-// ticks the sharded segment, so without the pending-entry check in anyBusy
+// ticks the segment, so without the pending-entry check in anyBusy
 // the engine saw "no events, nothing busy" at the epoch's end and declared
 // a deadlock. The woken module must instead be ticked in the next epoch.
 func TestEpochStaleWakeNoDeadlock(t *testing.T) {
@@ -129,7 +138,7 @@ func TestEpochStaleWakeNoDeadlock(t *testing.T) {
 	e.RegisterSharded(sm, 0)
 	e.RegisterSharded(&wakeTicker{name: "other"}, 1)
 
-	// Lands at catch-up cycle 3 of the first epoch [0..7]: the shard pass is
+	// Lands at catch-up cycle 3 of the first epoch [0..7]: the segment pass is
 	// over, so the wake leaves sm pending with a stale busy cache.
 	e.Schedule(3, func() { sm.give(1) })
 
@@ -141,12 +150,12 @@ func TestEpochStaleWakeNoDeadlock(t *testing.T) {
 	}
 	// The post-wake tick belongs to the next epoch, never the current one.
 	if last := sm.tickLog[len(sm.tickLog)-1]; last < 8 {
-		t.Errorf("post-wake tick at cycle %d; catch-up must not tick the sharded segment", last)
+		t.Errorf("post-wake tick at cycle %d; catch-up must not tick the segment", last)
 	}
 }
 
 // TestEpochEventsNeverEarly pins the correct-or-late rule: a completion
-// event scheduled from inside a shard pass fires at or after its true
+// event scheduled from inside a segment pass fires at or after its true
 // cycle, never before.
 func TestEpochEventsNeverEarly(t *testing.T) {
 	const k = 8
@@ -214,23 +223,83 @@ func TestEpochQuiescent(t *testing.T) {
 	}
 }
 
-// TestEpochHeavyTrafficReproducible stresses the barrier merge with many
-// shards and heavy cross-shard traffic at several epoch lengths; every
-// (shards, k) point must be self-consistent across repeats.
+// TestEpochHeavyTrafficReproducible stresses the fold with many segment
+// modules and heavy staged traffic at several epoch lengths; every k must
+// be self-consistent across repeats.
 func TestEpochHeavyTrafficReproducible(t *testing.T) {
 	for _, k := range []int{2, 8, 64} {
-		k := k
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			base := newParallelFixture(16, 4, 4)
-			base.relax(k)
-			base.run(t, 600)
-			want := base.history()
-			f := newParallelFixture(16, 4, 4)
-			f.relax(k)
-			f.run(t, 600)
-			if got := f.history(); got != want {
-				t.Errorf("k=%d not reproducible:\n--- first ---\n%s--- second ---\n%s", k, want, got)
-			}
+			requireReproducible(t, func() *parallelFixture {
+				f := newParallelFixture(16, 4, 4)
+				f.relax(k)
+				return f
+			}, 600, 1)
 		})
+	}
+}
+
+// randomized gives every SM of f a seeded random amount of initial work
+// (zero = starts idle, woken later) and event budget.
+func (f *parallelFixture) randomized(seed uint64, maxWork, maxBudget int) *parallelFixture {
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	for _, sm := range f.sms {
+		sm.work = rng.IntN(maxWork)
+		sm.budget = rng.IntN(maxBudget)
+	}
+	return f
+}
+
+// TestEpochStressCatchUpAndDrain pins the epoch/catch-up interaction under
+// load: a segment whose pass list drains to empty mid-epoch (its staging
+// window must close cleanly), serial modules woken by deferred
+// notifications at the fold (their catch-up cycles run batched event
+// wakes), and segment entries re-woken by completion events during those
+// catch-up windows.
+func TestEpochStressCatchUpAndDrain(t *testing.T) {
+	first := requireReproducible(t, func() *parallelFixture {
+		// Shallow work: the segment drains mid-epoch.
+		f := newParallelFixture(12, 3, 3).randomized(7, 4, 10)
+		f.relax(8)
+		return f
+	}, 600, 3)
+	if len(first.coll.tickLog) == 0 {
+		t.Fatal("collector never ticked — the catch-up path was not exercised")
+	}
+}
+
+// TestBarrierStressRandomImbalance (named for the worker barrier its matrix
+// once stressed; what it stresses now is the fold): runs with randomized
+// per-SM work and event budgets, so the segment's modules go idle and wake
+// at very different times, over the (shard count, k) matrix. At k = 1 every
+// cell must match a plain-Register engine's history exactly. At k > 1 there
+// is no serial equivalent; the schedule is a function of (assembly, k)
+// alone, so every shard count — every way of spreading the modules over
+// shard indices that all name one segment — must agree with the first.
+func TestBarrierStressRandomImbalance(t *testing.T) {
+	const nSMs, sibStep = 24, 12
+	horizon, seeds := uint64(500), uint64(4)
+	if testing.Short() {
+		horizon, seeds = 200, 2
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, k := range []int{1, 2, 8} {
+			var want string
+			for _, nShards := range []int{0, 1, 2, 3, 4} {
+				if nShards == 0 && k > 1 {
+					continue // plain Register has no relaxed run
+				}
+				f := newParallelFixture(nSMs, nShards, sibStep).randomized(seed, 6, 12)
+				if k > 1 {
+					f.relax(k)
+				}
+				f.run(t, horizon)
+				if want == "" {
+					want = f.history()
+				}
+				if got := f.history(); got != want {
+					t.Errorf("seed=%d shards=%d k=%d diverged:\n--- want ---\n%s--- got ---\n%s", seed, nShards, k, want, got)
+				}
+			}
+		}
 	}
 }

@@ -1,274 +1,228 @@
-// Sharded (intra-simulation) execution: the staged cycle.
+// Relaxed epochs: the epoch-local segment.
 //
-// SetParallel(n) splits the cycle-accurate tickers into n shards plus the
-// implicit serial shard. Shard-private modules (an SM and its L1/i-cache)
-// are registered with RegisterSharded and tick concurrently on persistent
-// worker goroutines; shared modules (block scheduler, NoC, L2, DRAM) stay
-// on plain Register and tick on the coordinator goroutine. SetEpoch(k)
-// sets how many local cycles a shard runs between barriers. Every
-// (shards, k) combination is advanced by the one routine tickCycle, which
+// A simulation runs on the goroutine that called RunCtx. An exact run
+// (SetEpoch never called, or k = 1) is the serial tick: every active entry
+// in registration order, every cycle. SetEpoch(k) with k > 1 makes the run
+// relaxed: the modules registered with RegisterSharded (an SM and its
+// L1/i-cache) form the epoch-local segment, which runs k local cycles at a
+// stretch while the modules around it (block scheduler before; NoC, L2,
+// DRAM after) stay on plain Register and catch up afterwards. tickCycle
 // visits cycles [T, T+k-1] as:
 //
-//  1. serial head at T — active entries registered before the shard range
+//  1. serial head at T — active entries registered before the segment
 //     (the block scheduler);
-//  2. snapshot — the active sharded segment is copied into the shards'
-//     pass lists;
-//  3. shard passes — every shard with active entries ticks them in
-//     registration order for k local cycles, rebuilding its pass list from
-//     its members' active flags between local cycles; the coordinator runs
-//     one shard itself and wakes the others' workers through the
-//     spin-then-park barrier (barrier.go). All cross-shard side effects
-//     (Schedule, Defer) are staged into the shard's arena, tagged with the
-//     absolute cycle they happened at, instead of being applied;
-//  4. fold — shard busy deltas are summed, the active segment is rebuilt
-//     if a pass changed its membership, and the staged records are
-//     released in ascending (capture cycle, index<<1|phase) order: events
-//     get their sequence numbers in that order, then the defers run in it.
-//     At k = 1 every record carries the same cycle, so this is exactly the
-//     serial engine's order, which is what makes metrics byte-identical at
-//     any thread count. A barrier where no shard changed its active set
-//     and nothing was staged skips all of it;
-//  5. serial tail at T — active entries registered after the shard range
+//  2. segment pass — the segment's active entries tick in registration
+//     order for k local cycles, the pass list rebuilt from the members'
+//     active flags between local cycles. Everything that leaves the
+//     segment (Schedule, Defer) is staged into its arena, an event with
+//     the absolute cycle it was scheduled at, instead of being applied;
+//  3. fold — the pass's busy delta is added, the active segment is rebuilt
+//     if the pass changed its membership, and the staged records are
+//     released in arena order, which is ascending (capture cycle,
+//     registration index): events get their sequence numbers in that
+//     order, then the defers run in it;
+//  4. serial tail at T — active entries registered after the segment
 //     (NoC, L2, DRAM);
-//  6. catch-up — for each remaining cycle T+1..T+k-1 (none at k = 1), fire
-//     due events and run the serial head and tail; the sharded segment is
-//     skipped, those modules already ran their local cycles.
+//  5. catch-up — for each remaining cycle T+1..T+k-1, fire due events and
+//     run the serial head and tail; the segment is skipped, its modules
+//     already ran their local cycles.
 //
-// A cycle whose sharded segment is empty is just head and tail at T — no
-// staging, no barrier, no catch-up — so idle stretches fast-forward event
-// to event at any k. A serial run is the same routine with the head
-// covering every entry (see beginRun).
+// A cycle whose segment is empty is just head and tail at T — no staging,
+// no catch-up — so idle stretches fast-forward event to event at any k.
 //
-// The only k-dependent decision is where PreTick (a module's drain into
-// its downstream port) runs. At k = 1 the assembly keeps the sharded
-// modules' shared downstream ports, whose backpressure depends on arrival
-// order, so the drains are hoisted out of the concurrent passes into the
-// snapshot step and run serially in registration order; Schedule calls
-// made by the drained-into modules are staged (preStage, phase 0) so the
-// fold interleaves them with the shard-staged events (phase 1) as the
-// serial engine would have. At k > 1 the assembly must give every sharded
-// module a shard-private downstream port (internal/sim's epoch boundary),
-// and PreTick runs inside the pass immediately before Tick.
+// PreTick (a module's drain into its downstream port) runs inside the pass
+// immediately before Tick, so a relaxed assembly must give every segment
+// module a segment-private downstream port (internal/sim's epoch boundary).
 //
 // k > 1 relaxes the semantics to *bounded staleness*:
 //
-//   - shard-local state is always exact — a shard never observes a future
-//     value of its own modules;
-//   - cross-shard effects are correct-or-late — an event captured at local
-//     cycle T+j fires at its true cycle when that cycle has not yet been
-//     visited, and at the next event phase otherwise (never early);
+//   - segment-local state is always exact — a segment module never
+//     observes a future value of another;
+//   - effects that leave the segment are correct-or-late — an event
+//     captured at local cycle T+j fires at its true cycle when that cycle
+//     has not yet been visited, and at the next event phase otherwise
+//     (never early);
 //   - serial modules run every cycle of the epoch in catch-up order after
-//     the shards, consuming the staged traffic at the cycles it belongs to;
-//   - the schedule is a pure function of (assembly, k): results are
-//     independent of the shard count, thread count and host timing, so a
-//     relaxed run is still reproducible bit for bit;
+//     the segment, consuming the staged traffic at the cycles it belongs
+//     to;
+//   - the schedule is a pure function of (assembly, k), so a relaxed run is
+//     reproducible bit for bit;
 //   - done()/maxCycles are evaluated at epoch granularity, so a run may
 //     overshoot its natural end by up to k-1 cycles; the error-envelope
 //     harness in internal/regress quantifies the resulting metric drift.
 //
-// Wakes *within* a shard during a pass are applied locally with the same
-// same-cycle visibility rule the serial active list uses. Wakes of a
-// sharded entry from the serial phases go through the normal activate
-// path. Modules must not wake another shard's entries from a shard tick —
-// cross-shard interaction is only legal through Schedule/Defer (the
-// standard assemblies interact across shards exclusively through memory
-// ports and the block scheduler, which already obey this).
+// Wakes *within* the segment during a pass are applied locally with the
+// same same-cycle visibility rule the serial active list uses. Wakes of a
+// segment entry from the serial phases go through the normal activate
+// path. Segment modules must not wake a serial entry from their tick — that
+// is only legal through Schedule/Defer (the standard assemblies reach the
+// serial modules exclusively through memory ports and the block scheduler,
+// which already obey this).
 //
-// Staging arenas: staged records and pass lists are per-shard slices that
-// are truncated (never freed) at the barrier, so their capacity is
-// retained across cycles and the steady-state sharded tick performs no
-// heap allocation. A shard's arena is written only by its worker while
-// staging is set and only by the coordinator otherwise; the barrier in
-// barrier.go carries the happens-before edges between the two.
+// The staging arena and the pass list are slices truncated (never freed) at
+// the fold, so their capacity is retained and a steady-state epoch performs
+// no heap allocation.
+//
+// SetParallel, RegisterSharded's shard argument and ShardContext's exist for
+// callers written against a sharded engine (the frozen benchmark harness
+// under bench/): every shard index names the one segment.
 package engine
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 )
 
 const maxInt = int(^uint(0) >> 1)
 
-// Context is the part of the engine a shard-private module is allowed to
-// touch. *Engine implements it; shardCtx implements it with staging during
-// a shard pass. Modules that may be sharded hold a Context instead of a
-// *Engine.
+// Context is the part of the engine a segment module is allowed to touch.
+// *Engine implements it; the segment implements it with staging during its
+// pass. Modules that may be registered into the segment hold a Context
+// instead of a *Engine.
 type Context interface {
-	// Cycle returns the current simulated cycle (the shard's local cycle
+	// Cycle returns the current simulated cycle (the segment's local cycle
 	// during a pass).
 	Cycle() uint64
 	// TickedCycles returns the number of simulated (ticked) cycles.
 	TickedCycles() uint64
-	// Schedule runs fn after delay cycles. During a shard pass the event
-	// is staged and enqueued at the barrier in deterministic order.
+	// Schedule runs fn after delay cycles. During a segment pass the event
+	// is staged and enqueued at the fold in deterministic order.
 	Schedule(delay uint64, fn func())
-	// Defer runs fn immediately outside a shard pass, and at the barrier
-	// (in registration order of the staging module) during one. Use it for
-	// side effects that escape the shard: completion notifications, trace
-	// emits whose arguments are already computed.
+	// Defer runs fn immediately outside a segment pass, and at the fold (in
+	// the order the calls were made) during one. Use it for side effects
+	// that escape the segment: completion notifications, trace emits whose
+	// arguments are already computed.
 	Defer(fn func())
 }
 
-// Defer on the engine itself runs fn immediately: outside a shard pass
+// Defer on the engine itself runs fn immediately: outside a segment pass
 // there is nothing to stage.
 func (e *Engine) Defer(fn func()) { fn() }
 
 // PreTicker is a Ticker whose per-cycle work starts by pushing into a
 // downstream module (a cache draining its miss queue into the NoC). The
-// engine runs PreTick immediately before Tick, except in exact staged
-// cycles (k = 1), where it is hoisted into a serial pre-phase so the
-// shared downstream sees pushes in registration order, not
-// worker-interleaved order.
-//
-// Contract: a PreTicker holding undrained downstream work must report
-// Busy. The pre-phase visits active entries only (as the serial engine
-// does); an idle entry woken mid-pass by a same-shard sibling ticks that
-// cycle but cannot drain until the next pre-phase — at k = 1 PreTick
-// pushes into shared modules and so can never run on a worker goroutine.
-// Keeping such a module Busy keeps it in the pre-phase snapshot, which is
-// what makes the sharded schedule identical to the serial one. The
-// standard cache models satisfy this naturally (non-empty miss queues are
-// Busy).
+// engine runs PreTick immediately before Tick.
 type PreTicker interface {
 	PreTick(cycle uint64)
 }
 
-// stagedOp is a Schedule or Defer call captured during a staged cycle,
-// tagged with the registration index of the module that issued it and the
-// absolute cycle it was issued at, so the fold can replay the serial
-// engine's order.
+// stagedOp is a Schedule or Defer call captured during a segment pass. A
+// Schedule carries the absolute cycle it was issued at and its delay.
 type stagedOp struct {
-	idx   int
 	cyc   uint64
-	delay uint64 // Schedule only
+	delay uint64
 	fn    func()
-	call  bool // a Defer: run fn at the barrier instead of enqueueing it
+	call  bool // a Defer: run fn at the fold instead of enqueueing it
 }
 
-// shardCtx is one shard's staging context and pass state. During a pass
-// (staging == true) it is touched only by its worker goroutine; outside a
-// pass only by the coordinator. A shard that never runs a staged pass (a
-// serial run) never stages: its Schedule and Defer forward to the engine.
-type shardCtx struct {
-	e     *Engine
-	shard int
+// segment is the epoch-local segment's staging context and pass state. In
+// an exact run it never stages: its Schedule and Defer forward to the
+// engine.
+type segment struct {
+	e *Engine
 
-	// staging is set by the coordinator around the shard passes. While
-	// set, Schedule/Defer/wakes stage instead of applying.
+	// staging is set around the pass. While set, Schedule/Defer/wakes stage
+	// instead of applying.
 	staging bool
 
-	// dirty records that the pass changed the shard's active membership
+	// dirty records that the pass changed the segment's active membership
 	// (an entry went idle, or a local wake activated one): the fold must
 	// rebuild the global active segment.
 	dirty bool
 
-	// members lists every registration index owned by this shard, in
-	// ascending order; passes rebuild the per-cycle list from it between
-	// local cycles.
-	members []int
+	// pass state: list is the segment's active entries this local cycle
+	// (ascending registration index), lpos the cursor.
+	list []int
+	lpos int
 
-	// pass state: list is the shard's active entries this cycle (ascending
-	// registration index), lpos the cursor, current the index being ticked.
-	list    []int
-	lpos    int
-	current int
-
-	// k is the number of local cycles the dispatched pass runs; off is the
-	// local cycle offset within it, so Cycle()/TickedCycles() report the
-	// shard's local time.
-	k   int
+	// off is the local cycle offset within the pass, so
+	// Cycle()/TickedCycles() report the segment's local time.
 	off uint64
 
-	// ops is the staged side-effect arena (truncated at the barrier,
-	// capacity retained); pos is the fold cursor.
+	// ops is the staged side-effect arena (truncated at the fold, capacity
+	// retained).
 	ops       []stagedOp
-	pos       int
 	busyDelta int
-
-	// worker plumbing (barrier.go).
-	sig        shardSignal
-	panicVal   any
-	panicStack []byte
 }
 
-func (sc *shardCtx) Cycle() uint64        { return sc.e.cycle + sc.off }
-func (sc *shardCtx) TickedCycles() uint64 { return sc.e.tickedCycles + sc.off }
+func (sg *segment) Cycle() uint64        { return sg.e.cycle + sg.off }
+func (sg *segment) TickedCycles() uint64 { return sg.e.tickedCycles + sg.off }
 
-func (sc *shardCtx) Schedule(delay uint64, fn func()) {
-	if sc.staging {
-		sc.ops = append(sc.ops, stagedOp{idx: sc.current, cyc: sc.Cycle(), delay: delay, fn: fn})
+func (sg *segment) Schedule(delay uint64, fn func()) {
+	if sg.staging {
+		sg.ops = append(sg.ops, stagedOp{cyc: sg.Cycle(), delay: delay, fn: fn})
 		return
 	}
-	sc.e.Schedule(delay, fn)
+	sg.e.Schedule(delay, fn)
 }
 
-func (sc *shardCtx) Defer(fn func()) {
-	if sc.staging {
-		sc.ops = append(sc.ops, stagedOp{idx: sc.current, cyc: sc.Cycle(), fn: fn, call: true})
+func (sg *segment) Defer(fn func()) {
+	if sg.staging {
+		sg.ops = append(sg.ops, stagedOp{fn: fn, call: true})
 		return
 	}
 	fn()
 }
 
-// wakeLocal is activate's shard-pass twin: same pending/active/Busy-poll
-// semantics, but the insertion targets the shard's pass list and the busy
-// transition lands in the shard's delta. Visibility matches the serial
+// wakeLocal is activate's segment-pass twin: same pending/active/Busy-poll
+// semantics, but the insertion targets the pass list and the busy
+// transition lands in the pass's delta. Visibility matches the serial
 // rule — an entry woken after its registration index has been passed is
 // ticked next cycle.
-func (sc *shardCtx) wakeLocal(idx int, en *tickerEntry) {
+func (sg *segment) wakeLocal(idx int, en *tickerEntry) {
 	en.pending = true
 	if en.active {
 		return
 	}
 	en.active = true
-	sc.dirty = true
-	if idx > sc.current {
-		tail := sc.list[sc.lpos+1:]
-		pos := sc.lpos + 1 + sort.SearchInts(tail, idx)
-		sc.list = append(sc.list, 0)
-		copy(sc.list[pos+1:], sc.list[pos:])
-		sc.list[pos] = idx
+	sg.dirty = true
+	if idx > sg.list[sg.lpos] {
+		tail := sg.list[sg.lpos+1:]
+		pos := sg.lpos + 1 + sort.SearchInts(tail, idx)
+		sg.list = append(sg.list, 0)
+		copy(sg.list[pos+1:], sg.list[pos:])
+		sg.list[pos] = idx
 	}
 	if en.t.Busy() && !en.busy {
 		en.busy = true
-		sc.busyDelta++
+		sg.busyDelta++
 	}
 }
 
-// runPass ticks the shard's active entries for k local cycles, each in
-// registration order, mirroring tickSerialRange: clear pending, Tick,
-// re-poll Busy. Entries that go idle are only flagged (active = false);
-// the coordinator rebuilds the global active list at the barrier. Between
-// local cycles the pass list is rebuilt from the members' active flags, so
-// entries that went idle drop out and entries woken locally (fills
-// completing inside the shard) are picked up. At k > 1 PreTick runs here,
-// immediately before Tick — with a shard-private downstream port that is
-// the serial engine's drain-then-tick order for this module; at k = 1 the
-// coordinator already ran it (see tickCycle).
-func (sc *shardCtx) runPass(k int) {
-	e := sc.e
-	for off := 0; off < k; off++ {
-		sc.off = uint64(off)
-		if off > 0 {
-			list := sc.list[:0]
-			for _, idx := range sc.members {
-				if e.entries[idx].active {
-					list = append(list, idx)
-				}
-			}
-			sc.list = list
-			if len(list) == 0 {
-				break
-			}
+// activeMembers rebuilds the pass list from the members' active flags (the
+// segment's members are exactly the registration range [pLo, pHi]).
+func (sg *segment) activeMembers() []int {
+	e := sg.e
+	list := sg.list[:0]
+	for idx := e.pLo; idx <= e.pHi; idx++ {
+		if e.entries[idx].active {
+			list = append(list, idx)
 		}
-		cyc := e.cycle + sc.off
-		for sc.lpos = 0; sc.lpos < len(sc.list); sc.lpos++ {
-			idx := sc.list[sc.lpos]
-			sc.current = idx
-			en := &e.entries[idx]
+	}
+	sg.list = list
+	return list
+}
+
+// runPass ticks the segment's active entries for k local cycles, each in
+// registration order, mirroring tickSerialRange: clear pending, PreTick,
+// Tick, re-poll Busy. Entries that go idle are only flagged (active =
+// false); the fold rebuilds the global active list. Between local cycles
+// the pass list is rebuilt from the members' active flags, so entries that
+// went idle drop out and entries woken locally (fills completing inside the
+// segment) are picked up.
+func (sg *segment) runPass(k int) {
+	e := sg.e
+	sg.staging = true
+	for off := 0; off < k; off++ {
+		sg.off = uint64(off)
+		if off > 0 && len(sg.activeMembers()) == 0 {
+			break
+		}
+		cyc := e.cycle + sg.off
+		for sg.lpos = 0; sg.lpos < len(sg.list); sg.lpos++ {
+			en := &e.entries[sg.list[sg.lpos]]
 			en.pending = false
-			if k > 1 && en.pre != nil {
+			if en.pre != nil {
 				en.pre.PreTick(cyc)
 			}
 			en.t.Tick(cyc)
@@ -276,170 +230,121 @@ func (sc *shardCtx) runPass(k int) {
 			if nowBusy != en.busy {
 				en.busy = nowBusy
 				if nowBusy {
-					sc.busyDelta++
+					sg.busyDelta++
 				} else {
-					sc.busyDelta--
+					sg.busyDelta--
 				}
 			}
 			if !nowBusy && !en.pending {
 				en.active = false
-				sc.dirty = true
+				sg.dirty = true
 			}
 		}
-		sc.current = -1
 	}
-	sc.off = 0
+	sg.off = 0
+	sg.staging = false
 }
 
-// safePass runs the pass with panic isolation: a panicking module must not
-// kill the worker goroutine (and with it the whole process) — the
-// coordinator re-raises it as a *ShardPanic after the barrier.
-func (sc *shardCtx) safePass() {
-	defer func() {
-		if r := recover(); r != nil {
-			sc.panicVal = r
-			sc.panicStack = debug.Stack()
-		}
-	}()
-	sc.runPass(sc.k)
-}
-
-// ShardPanic wraps a panic raised inside a shard worker so the usual
-// sim-goroutine recovery (runner panic isolation) sees a single structured
-// value with the original stack attached.
-type ShardPanic struct {
-	Shard int
-	Value any
-	Stack []byte
-}
-
-func (p *ShardPanic) Error() string {
-	return fmt.Sprintf("engine: panic in shard %d: %v", p.Shard, p.Value)
-}
-
-// SetParallel configures n execution shards (n < 1 is taken as 1). Call
-// before registering sharded tickers. The assembly decides the shard count
-// (typically min(EngineThreads, NumSMs)). One shard at k = 1 is the serial
-// engine: RegisterSharded(t, 0) and ShardContext(0) then behave exactly
-// like Register and the engine itself.
-func (e *Engine) SetParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.shards = make([]*shardCtx, n)
-	for s := range e.shards {
-		e.shards[s] = &shardCtx{e: e, shard: s, current: -1}
-		e.shards[s].sig.wake = make(chan struct{}, 1)
-	}
-	e.coordWake = make(chan struct{}, 1)
-}
+// SetParallel declares how many shard indices RegisterSharded and
+// ShardContext accept (n < 1 is taken as 1, which is also the default).
+// The count selects nothing else: every shard index names the one
+// epoch-local segment, and the run stays on the caller's goroutine.
+func (e *Engine) SetParallel(n int) { e.nShards = max(n, 1) }
 
 // SetEpoch sets the relaxed-sync epoch length in cycles. k <= 1 keeps the
-// exact barrier-per-cycle protocol (the default); k > 1 lets shards run k
-// local cycles between barriers. Call before Run. The assembly enabling
-// epochs must route every sharded module's downstream traffic through
-// shard-private ports (bounded-staleness queues), because PreTick drains
-// are then no longer hoisted into a serial pre-phase.
+// exact serial tick (the default); k > 1 lets the segment run k local
+// cycles per pass. Call before Run. The assembly enabling epochs must route
+// every segment module's downstream traffic through segment-private ports
+// (bounded-staleness queues), because PreTick drains then run inside the
+// pass.
 func (e *Engine) SetEpoch(k int) { e.epochK = max(k, 1) }
 
-// EpochCycles returns the configured epoch length (1 = exact mode).
+// EpochCycles returns the configured epoch length (1 = exact).
 func (e *Engine) EpochCycles() int { return e.epochK }
 
-// ShardContext returns shard s's Context. Modules registered into shard s
-// must use it (not the engine) for Schedule/Defer so their side effects
-// stage correctly during shard passes.
-func (e *Engine) ShardContext(s int) Context { return e.shards[s] }
-
-// RegisterSharded adds a shard-private cycle-accurate ticker to shard. All
-// sharded tickers must occupy a contiguous registration range — serial
-// modules register either before every sharded one (schedulers) or after
-// (NoC, L2, DRAM); RunCtx validates this.
-func (e *Engine) RegisterSharded(t Ticker, shard int) {
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("engine: RegisterSharded(%q): shard %d out of range [0,%d)", t.Name(), shard, len(e.shards)))
+// checkShard panics, naming the caller, when shard is not an index
+// SetParallel declared. caller is only called to build the message, so a
+// valid registration allocates nothing here.
+func (e *Engine) checkShard(shard int, caller func() string) {
+	if shard < 0 || shard >= e.nShards {
+		panic(fmt.Sprintf("engine: %s: shard %d out of range [0,%d)", caller(), shard, e.nShards))
 	}
-	sc := e.shards[shard]
-	idx := e.register(t, sc)
-	sc.members = append(sc.members, idx)
+}
+
+// ShardContext returns the segment's Context, whichever valid shard index s
+// is. Modules registered with RegisterSharded must use it (not the engine)
+// for Schedule/Defer so their side effects stage during a relaxed pass; in
+// an exact run it behaves exactly like the engine itself.
+func (e *Engine) ShardContext(s int) Context {
+	e.checkShard(s, func() string { return "ShardContext" })
+	return &e.seg
+}
+
+// RegisterSharded adds a cycle-accurate ticker to the epoch-local segment,
+// whichever valid shard index shard is; in an exact run it behaves exactly
+// like Register. All segment tickers must occupy a contiguous registration
+// range — serial modules register either before every one of them
+// (schedulers) or after (NoC, L2, DRAM); RunCtx validates this.
+func (e *Engine) RegisterSharded(t Ticker, shard int) {
+	e.checkShard(shard, func() string { return fmt.Sprintf("RegisterSharded(%q)", t.Name()) })
+	idx := e.register(t, true)
 	if e.pLo < 0 {
 		e.pLo = idx
 	}
 	e.pHi = idx
 }
 
-// wakeEntry routes a sharded entry's wake to the right mechanism: during
-// a shard pass, the entry is woken locally inside its own shard (the only
-// legal waker at that point is the shard itself); everywhere else — event
-// phase, PreTick drains, barrier fold, serial head/tail — the normal
-// activate path applies. Serial entries bypass this and wake through
-// activate directly (see register).
+// wakeEntry routes a segment entry's wake to the right mechanism: during
+// the pass, the entry is woken locally (the only legal waker at that point
+// is another segment module); everywhere else — event phase, fold, serial
+// head/tail — the normal activate path applies. Serial entries bypass this
+// and wake through activate directly (see register).
 func (e *Engine) wakeEntry(idx int) {
-	en := &e.entries[idx]
-	if sc := en.sctx; sc.staging {
-		sc.wakeLocal(idx, en)
+	if e.seg.staging {
+		e.seg.wakeLocal(idx, &e.entries[idx])
 		return
 	}
 	e.activate(idx)
 }
 
-// beginRun picks the run's execution mode, once. The sharded segment is
-// staged when the run is relaxed (k > 1 has no serial equivalent, so it
-// stages even with one shard or no workers, inline on the coordinator) or
-// when startWorkers brought workers up; otherwise the head covers every
-// entry — the staged protocol exists precisely to reproduce the serial
-// order, so an exact run without workers ticks serially, byte-identical
-// by construction, and saves the per-cycle staging cost where no speedup
-// was available anyway. It also verifies that the sharded registration
-// range [pLo, pHi] contains no serial entries, which the
-// head/segment/tail split depends on.
+// beginRun picks the run's execution mode, once: a relaxed run (k > 1)
+// stages the segment, otherwise the head covers every entry. It also
+// verifies that the segment's registration range [pLo, pHi] contains no
+// serial entries, which the head/segment/tail split depends on.
 func (e *Engine) beginRun() error {
 	e.headHi = maxInt
 	if e.pLo < 0 {
 		return nil
 	}
 	for idx := e.pLo; idx <= e.pHi; idx++ {
-		if e.entries[idx].sctx == nil {
+		if !e.entries[idx].staged {
 			return fmt.Errorf("engine: sharded tickers must be registered contiguously: ticker %d (%s) inside shard range [%d,%d] is serial",
 				idx, e.entries[idx].t.Name(), e.pLo, e.pHi)
 		}
 	}
-	e.startWorkers()
-	if e.epochK > 1 || e.workersUp {
+	if e.epochK > 1 {
 		e.headHi = e.pLo - 1
 	}
 	return nil
 }
 
-// tickCycle advances the engine by one barrier interval — one cycle, or
-// one epoch of epochK cycles when the sharded segment has work; see the
-// file comment for the steps. On return e.cycle sits at the interval's
-// last cycle and e.tickedCycles has been advanced for all but one of its
-// cycles (the run loop's own increment covers the last).
+// tickCycle advances the engine by one cycle, or by one epoch of epochK
+// cycles when the run is relaxed and the segment has work; see the file
+// comment for the steps. On return e.cycle sits at the interval's last
+// cycle and e.tickedCycles has been advanced for all but one of its cycles
+// (the run loop's own increment covers the last).
 func (e *Engine) tickCycle() {
 	e.tickPos = 0
 	e.tickSerialRange(e.headHi)
 	catchUp := 0
 	if e.headHi != maxInt && e.segCount > 0 {
-		// The sharded entries sit in segCount contiguous positions of the
-		// active list starting here. Snapshot them first: a hoisted
-		// PreTick may wake entries and move the list under the loop.
+		// The segment's entries sit in segCount contiguous positions of the
+		// active list starting here.
 		segStart := e.tickPos
-		k := e.epochK
-		seg := append(e.segScratch[:0], e.active[segStart:segStart+e.segCount]...)
-		e.segScratch = seg
-		e.preStaging = k == 1
-		for _, idx := range seg {
-			en := &e.entries[idx]
-			if e.preStaging && en.pre != nil {
-				e.preIdx = idx
-				en.pre.PreTick(e.cycle)
-			}
-			en.sctx.list = append(en.sctx.list, idx)
-		}
-		e.preStaging = false
-		e.dispatchShards(k)
+		e.seg.list = append(e.seg.list[:0], e.active[segStart:segStart+e.segCount]...)
+		e.seg.runPass(e.epochK)
 		e.fold(segStart)
-		catchUp = k - 1
+		catchUp = e.epochK - 1
 	}
 	e.tickSerialRange(maxInt)
 	for ; catchUp > 0; catchUp-- {
@@ -457,37 +362,26 @@ func (e *Engine) tickCycle() {
 	e.tickPos = -1
 }
 
-// fold is the barrier's serial half: sum the shards' busy deltas, rebuild
-// the active segment if a pass changed its membership, release what was
-// staged, and leave tickPos at the first tail entry.
+// fold ends a segment pass: add its busy delta, rebuild the active segment
+// if the pass changed its membership, release what was staged, and leave
+// tickPos at the first tail entry.
 func (e *Engine) fold(segStart int) {
-	dirty, staged := false, len(e.preStage) > 0
-	for _, sc := range e.shards {
-		e.busyCount += sc.busyDelta
-		sc.busyDelta = 0
-		sc.list = sc.list[:0]
-		dirty = dirty || sc.dirty
-		sc.dirty = false
-		staged = staged || len(sc.ops) > 0
-	}
-	if dirty {
+	sg := &e.seg
+	e.busyCount += sg.busyDelta
+	sg.busyDelta = 0
+	if sg.dirty {
+		sg.dirty = false
 		// segCount still holds the pre-pass segment length, so the old
 		// segment occupies [segStart, segStart+segCount).
 		segEnd := segStart + e.segCount
-		seg := e.segScratch[:0]
-		for idx := e.pLo; idx <= e.pHi; idx++ {
-			if e.entries[idx].active {
-				seg = append(seg, idx)
-			}
-		}
-		e.segScratch = seg
+		seg := sg.activeMembers()
 		na := append(e.activeScratch[:0], e.active[:segStart]...)
 		na = append(na, seg...)
 		na = append(na, e.active[segEnd:]...)
 		e.activeScratch, e.active = e.active, na
 		e.segCount = len(seg)
 	}
-	if staged {
+	if len(sg.ops) > 0 {
 		e.releaseStaged()
 	}
 	// Every entry up to pHi has had its turn this cycle. The tail resumes
@@ -496,59 +390,29 @@ func (e *Engine) fold(segStart int) {
 	e.tickPos = sort.SearchInts(e.active, e.pHi+1)
 }
 
-// releaseStaged merges preStage (phase 0: drain-time events) and the
-// shards' arenas (phase 1: tick-time events and defers) by ascending
-// (capture cycle, registration index<<1|phase). Each source is already
-// sorted by that key (passes run cycle by cycle in registration order), so
-// this is a k-way merge over one cursor per source. Events get their
-// sequence numbers in merge order; an event fires at its capture cycle
-// plus its delay, which in an epoch may lie in the barrier's past — the
-// heap push still works, and the next event phase fires it: late, never
-// early. Defers are collected in merge order and run once every staged
-// event is enqueued. They run with staging off, against the rebuilt active
-// list, so anything they do (wake the block scheduler, emit a trace event,
-// schedule) applies directly on the coordinator.
+// releaseStaged walks the arena, which the pass filled cycle by cycle in
+// registration order, so it is already in the serial engine's order.
+// Events get their sequence numbers in that order; an event fires at its
+// capture cycle plus its delay, which may lie in the fold's past — the heap
+// push still works, and the next event phase fires it: late, never early.
+// Defers are collected in the same order and run once every staged event is
+// enqueued. They run with staging off, against the rebuilt active list, so
+// anything they do (wake the block scheduler, emit a trace event, schedule)
+// applies directly.
 func (e *Engine) releaseStaged() {
 	calls := e.deferScratch[:0]
-	pc := 0
-	for {
-		var best *stagedOp
-		var from *shardCtx
-		bestKey := 0
-		if pc < len(e.preStage) {
-			best = &e.preStage[pc]
-			bestKey = best.idx << 1
-		}
-		for _, sc := range e.shards {
-			if sc.pos == len(sc.ops) {
-				continue
-			}
-			op := &sc.ops[sc.pos]
-			if key := op.idx<<1 | 1; best == nil || op.cyc < best.cyc || (op.cyc == best.cyc && key < bestKey) {
-				best, from, bestKey = op, sc, key
-			}
-		}
-		if best == nil {
-			break
-		}
-		if from == nil {
-			pc++
-		} else {
-			from.pos++
-		}
-		if best.call {
-			calls = append(calls, best.fn)
+	ops := e.seg.ops
+	for i := range ops {
+		op := &ops[i]
+		if op.call {
+			calls = append(calls, op.fn)
 		} else {
 			e.seq++
-			e.events.push(event{cycle: best.cyc + best.delay, seq: e.seq, fn: best.fn})
+			e.events.push(event{cycle: op.cyc + op.delay, seq: e.seq, fn: op.fn})
 		}
-		best.fn = nil
+		op.fn = nil
 	}
-	e.preStage = e.preStage[:0]
-	for _, sc := range e.shards {
-		sc.ops = sc.ops[:0]
-		sc.pos = 0
-	}
+	e.seg.ops = ops[:0]
 	for i, fn := range calls {
 		calls[i] = nil
 		fn()

@@ -1,17 +1,17 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// shardSM is a synthetic shard-private module shaped like an SM+L1 pair:
+// shardSM is a synthetic segment module shaped like an SM+L1 pair:
 // wake-aware, busy while it holds work, pushing downstream traffic in
 // PreTick, scheduling completion events through its Context, and notifying
-// a shared collector through Defer. All its behavior is a deterministic
-// function of (id, tick count), so serial and sharded runs must produce
-// identical histories.
+// a serial collector through Defer. All its behavior is a deterministic
+// function of (id, tick count), so a plain-Register run and an exact run
+// through RegisterSharded must produce identical histories.
 type shardSM struct {
 	name    string
 	id      int
@@ -25,16 +25,15 @@ type shardSM struct {
 	coll    *wakeTicker
 	ticks   int
 	tickLog []uint64
-	sibling *shardSM // same-shard neighbor woken directly during ticks
+	sibling *shardSM // segment neighbor woken directly during ticks
 }
 
 func (s *shardSM) Name() string    { return s.name }
 func (s *shardSM) Kind() ModelKind { return CycleAccurate }
 
-// Busy includes undrained downstream pushes, per the PreTicker contract:
-// a module holding work for its next PreTick must stay active so the
-// pre-phase visits it (real cache models are Busy while their miss
-// queues are non-empty for the same reason).
+// Busy includes undrained downstream pushes: a module holding work for its
+// next PreTick must stay active (real cache models are Busy while their
+// miss queues are non-empty for the same reason).
 func (s *shardSM) Busy() bool          { return s.work > 0 || s.pending > 0 }
 func (s *shardSM) SetWake(wake func()) { s.wake = wake }
 
@@ -52,11 +51,10 @@ func (s *shardSM) PreTick(cycle uint64) {
 	n := s.pending
 	s.pending = 0
 	if s.relaxed {
-		// In relaxed mode (k > 1) PreTick runs on the shard goroutine, so
-		// a push into the shared downstream must escape through a
-		// shard-safe path — Defer here, standing in for the shard-private
-		// boundary ports a real relaxed assembly inserts (see
-		// internal/sim's epoch boundary).
+		// In relaxed mode (k > 1) PreTick runs inside the segment pass, so
+		// a push into the serial downstream must escape through Defer —
+		// standing in for the segment-private boundary ports a real
+		// relaxed assembly inserts (see internal/sim's epoch boundary).
 		s.ctx.Defer(func() { s.down.give(n) })
 		return
 	}
@@ -77,15 +75,15 @@ func (s *shardSM) Tick(cycle uint64) {
 			s.ctx.Schedule(uint64(2+s.id%3), func() { s.give(1) })
 		}
 	case 1:
-		// Cross-shard notification path (block completion): must escape
-		// through Defer, applied at the barrier.
+		// Notification to a serial module (block completion): must escape
+		// through Defer, applied at the fold.
 		s.ctx.Defer(func() { s.coll.give(1) })
 	case 2:
-		// Downstream traffic, drained at the next cycle's pre-phase.
+		// Downstream traffic, drained at the next cycle's PreTick.
 		s.pending++
 	case 3:
 		if s.sibling != nil {
-			// Same-shard wake (an SM waking its own L1).
+			// Wake inside the segment (an SM waking its own L1).
 			s.sibling.give(1)
 		}
 	}
@@ -93,12 +91,11 @@ func (s *shardSM) Tick(cycle uint64) {
 
 // parallelFixture wires nSMs shardSMs between a serial collector (first
 // registration, like the block scheduler) and a serial downstream (last,
-// like the NoC). nShards == 0 is the plain-Register serial engine; any
-// other count goes through SetParallel/RegisterSharded. sibStep sets the
-// sibling-wake wiring (sm[i] wakes sm[i+sibStep]); a serial baseline and a
-// sharded run must be built with the SAME sibStep so they model the same
-// system, and a sharded run needs sibStep to be a multiple of nShards so
-// siblings share a shard (direct wakes are only legal within a shard).
+// like the NoC). nShards == 0 is the plain-Register engine; any other count
+// goes through SetParallel/RegisterSharded, spreading the SMs over that
+// many shard indices, all of which name the one segment. sibStep sets the
+// sibling-wake wiring (sm[i] wakes sm[i+sibStep]); runs that are compared
+// must be built with the SAME sibStep so they model the same system.
 type parallelFixture struct {
 	e    *Engine
 	coll *wakeTicker
@@ -113,9 +110,6 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 	f.down = &wakeTicker{name: "downstream"}
 	if nShards > 0 {
 		e.SetParallel(nShards)
-		// Keep the staged worker path under test even when the host has a
-		// single proc (where an exact run would otherwise tick serially).
-		e.forceWorkers = true
 	}
 	e.Register(f.coll)
 	for i := 0; i < nSMs; i++ {
@@ -150,8 +144,8 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 
 // relax switches the fixture into relaxed-epoch mode: SetEpoch(k) on the
 // engine, plus the SMs route their PreTick pushes through Defer — the
-// fixture analog of the shard-private boundary ports a relaxed assembly
-// must give its sharded modules (SetEpoch's documented contract).
+// fixture analog of the segment-private boundary ports a relaxed assembly
+// must give its segment modules (SetEpoch's documented contract).
 func (f *parallelFixture) relax(k int) {
 	f.e.SetEpoch(k)
 	for _, sm := range f.sms {
@@ -178,17 +172,18 @@ func (f *parallelFixture) history() string {
 	return out
 }
 
-// TestParallelMatchesSerial: the sharded engine must reproduce the serial
-// engine's execution exactly — every module's per-cycle tick history, the
-// event count, and the final cycle — at several shard counts, including
-// counts that do not divide the module count evenly.
+// TestParallelMatchesSerial: an exact run registered through
+// RegisterSharded must reproduce the plain-Register engine's execution
+// exactly — every module's per-cycle tick history, the event count, and the
+// final cycle — at several shard counts, including counts that do not
+// divide the module count evenly.
 func TestParallelMatchesSerial(t *testing.T) {
-	const nSMs = 8
-	for _, nShards := range []int{2, 3, 4, 8} {
-		serial := newParallelFixture(nSMs, 0, nShards)
-		serial.run(t, 400)
-		want := serial.history()
-		f := newParallelFixture(nSMs, nShards, nShards)
+	const nSMs, sibStep = 8, 2
+	serial := newParallelFixture(nSMs, 0, sibStep)
+	serial.run(t, 400)
+	want := serial.history()
+	for _, nShards := range []int{2, 3, 8} {
+		f := newParallelFixture(nSMs, nShards, sibStep)
 		f.run(t, 400)
 		if got := f.history(); got != want {
 			t.Errorf("shards=%d history diverged from serial:\n--- serial ---\n%s--- shards=%d ---\n%s",
@@ -197,74 +192,123 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWakeDeferral is the regression test for the wake-staging
-// rule: cross-shard notifications issued during a parallel shard tick must
-// be deferred to the barrier, not applied inline. Applying them inline
-// (calling Engine.activate from worker goroutines) mutates the shared
-// active list concurrently — this test fails under -race on that naive
-// implementation, and nondeterministically corrupts the collector's tick
-// history without it. Heavy shard count and a long horizon maximize
-// concurrent barrier traffic.
+// TestParallelWakeDeferral pins the staging rule of a relaxed pass: a
+// notification a segment module sends to a serial module through Defer is
+// held in the arena and released at the fold, with staging off and the
+// engine's clock still at the epoch's first cycle — never applied inline,
+// where it would move the active list under the pass.
 func TestParallelWakeDeferral(t *testing.T) {
-	serial := newParallelFixture(16, 0, 4)
-	serial.run(t, 600)
-	par := newParallelFixture(16, 4, 4)
-	par.run(t, 600)
-	if got, want := par.history(), serial.history(); got != want {
-		t.Errorf("deferred wakes diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	const k = 8
+	e := New()
+	e.SetEpoch(k)
+	coll := &wakeTicker{name: "collector"}
+	e.Register(coll)
+	sm := &wakeTicker{name: "sm", work: 3 * k}
+	ctx := e.ShardContext(0)
+	type release struct {
+		local, at uint64
+		staging   bool
 	}
-	if len(par.coll.tickLog) == 0 {
+	var got []release
+	sm.onTick = func(cycle uint64) {
+		local := ctx.Cycle()
+		ctx.Defer(func() {
+			got = append(got, release{local, e.Cycle(), e.seg.staging})
+			coll.give(1)
+		})
+	}
+	e.RegisterSharded(sm, 0)
+	done := false
+	e.Schedule(4*k, func() { done = true })
+	if _, err := e.Run(func() bool { return done }, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 3*k {
+		t.Fatalf("%d defers released, want at least %d", len(got), 3*k)
+	}
+	for i, r := range got {
+		if r.staging {
+			t.Errorf("defer %d ran with staging on", i)
+		}
+		if want := r.local - r.local%k; r.at != want {
+			t.Errorf("defer %d, issued at local cycle %d, ran at engine cycle %d, want the epoch's first cycle %d", i, r.local, r.at, want)
+		}
+		if i > 0 && r.local < got[i-1].local {
+			t.Errorf("defer %d released out of order: local cycle %d after %d", i, r.local, got[i-1].local)
+		}
+	}
+	if len(coll.tickLog) == 0 {
 		t.Fatal("collector never woken — deferral path not exercised")
 	}
 }
 
-// TestShardPanicPropagates: a module panicking inside a worker must not
-// kill the process from the worker goroutine; the coordinator re-raises it
-// as a *ShardPanic on the simulation goroutine, where the runner's panic
-// isolation can catch it.
-func TestShardPanicPropagates(t *testing.T) {
+// panicRig builds a relaxed engine whose segment has two modules per shard
+// index; the first module of shard panics at its atTick'th tick (0 = never).
+func panicRig(nShards, shard, atTick int) (*Engine, func() bool) {
 	e := New()
-	e.SetParallel(2)
-	e.forceWorkers = true
+	e.SetParallel(nShards)
+	e.SetEpoch(8)
 	e.Register(&wakeTicker{name: "head"})
-	boom := &wakeTicker{name: "boom", work: 10}
-	boom.onTick = func(cycle uint64) {
-		if boom.ticks == 3 {
-			panic("injected fault")
+	for i := 0; i < nShards*2; i++ {
+		w := &wakeTicker{name: fmt.Sprintf("w%d", i), work: 200}
+		if i == shard {
+			w.onTick = func(uint64) {
+				if w.ticks == atTick {
+					panic("injected fault")
+				}
+			}
 		}
+		e.RegisterSharded(w, i%nShards)
 	}
-	other := &wakeTicker{name: "other", work: 50}
-	e.RegisterSharded(boom, 0)
-	e.RegisterSharded(other, 1)
+	done := false
+	e.Schedule(500, func() { done = true })
+	return e, func() bool { return done }
+}
 
+// requireOwnPanic runs e and requires it to panic, on this goroutine, with
+// the module's own value: no wrapper between a module and the runner's
+// panic isolation.
+func requireOwnPanic(t *testing.T, e *Engine, done func() bool) {
+	t.Helper()
 	defer func() {
-		r := recover()
-		sp, ok := r.(*ShardPanic)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *ShardPanic", r, r)
-		}
-		if sp.Shard != 0 {
-			t.Errorf("ShardPanic.Shard = %d, want 0", sp.Shard)
-		}
-		if sp.Value != "injected fault" {
-			t.Errorf("ShardPanic.Value = %v, want injected fault", sp.Value)
-		}
-		if len(sp.Stack) == 0 {
-			t.Error("ShardPanic.Stack empty")
-		}
-		if sp.Error() == "" {
-			t.Error("ShardPanic.Error() empty")
+		if r := recover(); r != "injected fault" {
+			t.Fatalf("recovered %v (%T), want the module's own panic value", r, r)
 		}
 	}()
-	done := false
-	e.Schedule(100, func() { done = true })
-	_, _ = e.Run(func() bool { return done }, 0)
+	_, _ = e.Run(done, 0)
 	t.Fatal("run completed despite injected panic")
 }
 
-// TestShardLayoutValidation: a serial ticker registered inside the sharded
-// registration range breaks the head/segment/tail split; RunCtx must
-// reject the assembly with a clear error instead of misticking it.
+// TestShardPanicPropagates: a module panicking inside a relaxed pass panics
+// on the goroutine that called Run. The engine it happened in is dead; a
+// fresh one in the same process is unaffected.
+func TestShardPanicPropagates(t *testing.T) {
+	e, done := panicRig(2, 0, 3)
+	requireOwnPanic(t, e, done)
+	e, done = panicRig(2, 0, 0)
+	if _, err := e.Run(done, 0); err != nil {
+		t.Fatalf("fresh engine after a panicked one: %v", err)
+	}
+}
+
+// TestBarrierStressPanicInShard (named for the worker barrier it once
+// stressed): the panic surfaces the same way wherever in the pass it
+// happens — first local cycle or a later epoch, first segment entry or one
+// behind entries that already ticked and staged.
+func TestBarrierStressPanicInShard(t *testing.T) {
+	for _, tc := range []struct{ shard, atTick int }{
+		{0, 1}, {1, 7}, {2, 25}, {3, 2},
+	} {
+		t.Run(fmt.Sprintf("shard=%d/tick=%d", tc.shard, tc.atTick), func(t *testing.T) {
+			e, done := panicRig(4, tc.shard, tc.atTick)
+			requireOwnPanic(t, e, done)
+		})
+	}
+}
+
+// TestShardLayoutValidation: a serial ticker registered inside the
+// segment's registration range breaks the head/segment/tail split; RunCtx
+// must reject the assembly with a clear error instead of misticking it.
 func TestShardLayoutValidation(t *testing.T) {
 	e := New()
 	e.SetParallel(2)
@@ -274,87 +318,110 @@ func TestShardLayoutValidation(t *testing.T) {
 	done := false
 	e.Schedule(10, func() { done = true })
 	_, err := e.Run(func() bool { return done }, 0)
-	if err == nil {
-		t.Fatal("Run accepted a serial ticker inside the sharded range")
-	}
-	var sp *ShardPanic
-	if errors.As(err, &sp) {
-		t.Fatalf("layout violation surfaced as a panic, want a plain error: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "interloper") {
+		t.Fatalf("Run with a serial ticker inside the sharded range: err = %v, want an error naming it", err)
 	}
 }
 
 // TestRegisterShardedValidation: a shard index out of range is a
-// programming error caught at registration.
+// programming error, and RegisterSharded and ShardContext report it with
+// the same named panic — after SetParallel(n) for indices outside [0, n),
+// before it for anything but 0, which then behaves as Register and the
+// engine itself.
 func TestRegisterShardedValidation(t *testing.T) {
-	e := New()
-	e.SetParallel(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("shard out of range did not panic")
+	for _, tc := range []struct {
+		parallel int // SetParallel argument, 0 = not called
+		shard    int
+		ok       bool
+	}{
+		{2, 1, true}, {2, 2, false}, {2, -1, false}, {0, 0, true}, {0, 1, false},
+	} {
+		calls := map[string]func(*Engine){
+			"RegisterSharded": func(e *Engine) { e.RegisterSharded(&wakeTicker{name: "x"}, tc.shard) },
+			"ShardContext":    func(e *Engine) { e.ShardContext(tc.shard) },
 		}
-	}()
-	e.RegisterSharded(&wakeTicker{name: "x"}, 2)
+		for name, call := range calls {
+			e := New()
+			if tc.parallel > 0 {
+				e.SetParallel(tc.parallel)
+			}
+			msg := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				call(e)
+				return ""
+			}()
+			named := strings.Contains(msg, "engine: "+name) && strings.Contains(msg, "out of range")
+			if tc.ok && msg != "" || !tc.ok && !named {
+				t.Errorf("SetParallel(%d), %s(%d): panic %q, want ok=%v (the named out-of-range panic otherwise)",
+					tc.parallel, name, tc.shard, msg, tc.ok)
+			}
+		}
+	}
+	// Before SetParallel, shard 0 is the engine: the ticker runs as under
+	// Register and the context schedules straight into the event queue.
+	e := New()
+	w := &wakeTicker{name: "w", work: 2}
+	e.RegisterSharded(w, 0)
+	fired := false
+	e.ShardContext(0).Schedule(5, func() { fired = true })
+	if _, err := e.Run(func() bool { return fired }, 0); err != nil {
+		t.Fatal(err)
+	}
+	if w.ticks == 0 || e.Cycle() != 5 {
+		t.Errorf("ticks = %d, final cycle = %d; want the ticker ticked and the event fired at cycle 5", w.ticks, e.Cycle())
+	}
 }
 
-// TestParallelSameCycleWakeVisibility pins the within-shard visibility
-// rule to the serial engine's: a shard entry woken by an earlier-indexed
-// same-shard entry ticks the same cycle; the reverse direction ticks the
-// next cycle.
+// TestParallelSameCycleWakeVisibility pins the visibility rule inside a
+// relaxed pass to the serial engine's: a segment entry woken by an
+// earlier-indexed segment entry ticks the same local cycle; one woken by a
+// later-indexed entry ticks the next. The wakes land mid-epoch, and the
+// exact run of the same wiring must agree tick for tick.
 func TestParallelSameCycleWakeVisibility(t *testing.T) {
-	build := func(nShards int) (up, down *wakeTicker, run func(t *testing.T)) {
+	run := func(k int) (up, down *wakeTicker) {
 		e := New()
-		if nShards > 1 {
-			e.SetParallel(nShards)
-			e.forceWorkers = true
-		}
+		e.SetEpoch(k)
 		e.Register(&wakeTicker{name: "head"})
 		up = &wakeTicker{name: "up"}
 		down = &wakeTicker{name: "down"}
-		// Keep the sibling shard busy so the worker path engages.
+		// Keeps the segment in back-to-back epochs [0,8), [8,16), [16,24)...
 		busy := &wakeTicker{name: "busy", work: 40}
-		const fireAt = 20
+		busy.onTick = func(cycle uint64) {
+			if cycle == 18 {
+				up.give(1) // later index wakes earlier: up ticks at 19
+			}
+		}
 		up.onTick = func(cycle uint64) {
-			if cycle == fireAt {
-				down.give(1)
+			if cycle == 19 {
+				down.give(1) // earlier index wakes later: down ticks at 19
 			}
 		}
 		down.onTick = func(cycle uint64) {
-			if cycle == fireAt+2 {
-				up.give(1)
+			if cycle == 19 {
+				up.give(1) // up already ticked at 19: its next tick is 20
 			}
 		}
-		if nShards > 1 {
-			e.RegisterSharded(up, 0)   // idx 1, shard 0
-			e.RegisterSharded(busy, 1) // idx 2, shard 1
-			e.RegisterSharded(down, 0) // idx 3, shard 0
-		} else {
-			e.Register(up)
-			e.Register(busy)
-			e.Register(down)
+		e.RegisterSharded(up, 0)   // idx 1
+		e.RegisterSharded(busy, 0) // idx 2
+		e.RegisterSharded(down, 0) // idx 3
+		done := false
+		e.Schedule(48, func() { done = true })
+		if _, err := e.Run(func() bool { return done }, 0); err != nil {
+			t.Fatal(err)
 		}
-		run = func(t *testing.T) {
-			t.Helper()
-			e.Schedule(fireAt, func() { up.give(1) })
-			e.Schedule(fireAt+2, func() { down.give(1) })
-			done := false
-			e.Schedule(fireAt+10, func() { done = true })
-			if _, err := e.Run(func() bool { return done }, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return
+		return up, down
 	}
-	for _, nShards := range []int{0, 2} {
-		up, down, run := build(nShards)
-		run(t)
-		if !containsCycle(down.tickLog, 20) {
-			t.Errorf("shards=%d: down not ticked same cycle as its upstream wake; log=%v", nShards, down.tickLog)
+	for _, k := range []int{1, 8} {
+		up, down := run(k)
+		if want := []uint64{0, 19, 20}; fmt.Sprint(up.tickLog) != fmt.Sprint(want) {
+			t.Errorf("k=%d: up ticked at %v, want %v (a later-indexed waker means the next cycle)", k, up.tickLog, want)
 		}
-		if containsCycle(up.tickLog, 22) {
-			t.Errorf("shards=%d: up ticked the same cycle a later-indexed entry woke it; log=%v", nShards, up.tickLog)
-		}
-		if !containsCycle(up.tickLog, 23) {
-			t.Errorf("shards=%d: up not ticked the cycle after its wake; log=%v", nShards, up.tickLog)
+		if want := []uint64{0, 19}; fmt.Sprint(down.tickLog) != fmt.Sprint(want) {
+			t.Errorf("k=%d: down ticked at %v, want %v (an earlier-indexed waker means the same cycle)", k, down.tickLog, want)
 		}
 	}
 }

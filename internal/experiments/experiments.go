@@ -43,14 +43,12 @@ type Params struct {
 	// single-thread wall-clock measurements, so it always runs serially.
 	Threads int
 	// Defaults is overlaid under every simulation of the experiment
-	// (sim.Options.WithDefaults): EngineThreads shards each simulation's SMs
-	// (deterministic; the parallel phase of Figure 5 divides its job pool by
-	// it, keeping the total thread budget at Threads), EpochCycles relaxes
-	// those shards' barrier, and an enabled Sampling makes reported cycles
+	// (sim.Options.WithDefaults): EpochCycles relaxes the SMs' lockstep with
+	// the memory system, and an enabled Sampling makes reported cycles
 	// include analytical extrapolation, so figure errors measure the
-	// sampling trade directly. Figure 4 pins its simulations serial and
-	// exact — its columns are single-thread wall clocks — and takes only the
-	// sampling default.
+	// sampling trade directly. Figure 4 pins its simulations exact — its
+	// columns are single-thread wall clocks — and takes only the sampling
+	// default.
 	Defaults sim.Options
 	// HW holds the golden-model coefficients (zero value = defaults).
 	HW hwmodel.Params
@@ -236,7 +234,7 @@ func Figure4(p Params) (*Fig4Result, error) {
 		row := Fig4Row{App: app.Name, HWCycles: hw.Cycles}
 		ok := true
 		for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory} {
-			r, err := p.runSim(app, p.GPU, sim.Options{Kind: kind, EngineThreads: 1, EpochCycles: 1})
+			r, err := p.runSim(app, p.GPU, sim.Options{Kind: kind, EpochCycles: 1})
 			if err != nil {
 				res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: kind.String(), Err: err})
 				ok = false

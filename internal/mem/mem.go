@@ -67,11 +67,8 @@ func (l Level) String() string {
 //
 // A Pool is locked and may be used from any goroutine. Everything else a
 // module recycles (LD/ST instructions, MSHR entries, queue slots) lives on
-// a free list private to that module, touched from two places only: the
-// module's own Tick, which in a sharded cycle runs on the shard's worker,
-// and completion callbacks (RequestDone, Retire, Return), which run in the
-// engine's serial phases — the event phase and the serial tail's NoC
-// tick. The barrier separates the two, so the lists need no locks.
+// a free list private to that module, touched only by its simulation's
+// goroutine, so the lists need no locks.
 type Request struct {
 	// Addr is the byte address, sector-aligned by the coalescer.
 	Addr uint64
@@ -210,8 +207,8 @@ func (r *Request) Deliver() {
 // because a collection between two jobs dropped the first job's requests.
 // Released pools keep their requests (at most poolCap each) and the lowest
 // free pool is handed out first, so back-to-back runs reuse one warm list.
-// The lock is for the shard workers of one run, which create requests
-// side by side; a serial run takes it uncontended.
+// The lock is for the shared pool, which concurrent runs use side by side;
+// a run takes its own pool's uncontended.
 type Pool uint8
 
 // SharedPool serves callers that hold no pool of their own (tests, rigs

@@ -98,21 +98,6 @@ func (g *Gatherer) Set(name string, v uint64) {
 	g.Counter(name).v = v
 }
 
-// Absorb adds every counter of s into g (creating counters on
-// first sight) and zeroes s. Parallel simulator assemblies give each
-// engine shard a private shadow Gatherer and fold the shadows into the
-// main one at observation points; since counter addition commutes, the
-// folded totals are identical to a serial run's.
-func (g *Gatherer) Absorb(s *Gatherer) {
-	for _, c := range s.order {
-		// Zero counters are absorbed too: a counter's existence is part of
-		// the snapshot (serial runs report zero-valued counters), so the
-		// folded gatherer must carry the same name set.
-		g.Counter(c.name).v += c.v
-		c.v = 0
-	}
-}
-
 // FoldScaled scales every counter's growth since base (a Snapshot taken
 // earlier on this gatherer) by factor: each counter with delta d since base
 // gains an additional round((factor−1)×d), as if the observed activity had

@@ -40,8 +40,7 @@ func NewJSONStream(w io.Writer) *JSONStream {
 // avoids encoding/json's reflection on what can be a very hot path at
 // RequestLevel. Each event is encoded into the scratch buffer and handed
 // to the buffered writer in one Write, keeping the critical section short
-// when many goroutines (parallel sweeps, engine shard barriers) share the
-// recorder.
+// when many goroutines (parallel sweeps) share the recorder.
 func (s *JSONStream) Record(ev *Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -22,7 +22,7 @@ import (
 //     byte-identical to its fixtures (golden_test.go) — there is no
 //     sampling code on that path to re-test.
 //   - Determinism: a sampled run is a pure function of (configuration,
-//     sampling parameters) — thread count and repetition change nothing.
+//     sampling parameters) — repetition changes nothing.
 //   - Bounded drift: per-preset relative cycle error against the exact
 //     run stays within the committed envelope fixtures.
 
@@ -62,10 +62,10 @@ func SampleEnvelopePath(gpuName string) string {
 var sampleEnvelopeHeader = fmt.Sprintf("swiftsim-sample-envelope 1 kind=%s frac=%g stride=%d seed=0 sms=4 parts=2",
 	sim.Basic, sim.DefaultBlockFraction, sim.DefaultReplayStride)
 
-// TestSampleDeterministic pins the tentpole's determinism guarantee: a
-// sampled run is bit-reproducible across engine thread counts and across
-// repetitions — selection is a pure function of the configuration, and
-// measured durations fold through order-independent sums.
+// TestSampleDeterministic pins the determinism guarantee: a sampled run is
+// bit-reproducible across repetitions — selection is a pure function of
+// the configuration, and measured durations fold through order-independent
+// sums.
 func TestSampleDeterministic(t *testing.T) {
 	gpu := sampleGPU(DefaultCorpus().GPUs[0])
 	cases := []struct {
@@ -86,23 +86,17 @@ func TestSampleDeterministic(t *testing.T) {
 		opts := sim.Options{Kind: sim.Basic, Sampling: sim.Sampling{Enabled: true}}
 		base, err := sim.Run(app, gpu, opts)
 		if err != nil {
-			t.Fatalf("%s sampled serial: %v", c.name, err)
+			t.Fatalf("%s sampled: %v", c.name, err)
 		}
 		if !base.Sampled {
 			t.Fatalf("%s: result not marked Sampled", c.name)
 		}
-		want := Canonical(base)
-		for _, threads := range []int{1, 4} {
-			o := opts
-			o.EngineThreads = threads
-			res, err := sim.Run(app, gpu, o)
-			if err != nil {
-				t.Fatalf("%s sampled threads=%d: %v", c.name, threads, err)
-			}
-			if got := Canonical(res); !bytes.Equal(want, got) {
-				t.Errorf("%s: sampled run differs at threads=%d:\n%s",
-					c.name, threads, DiffLines(want, got, 20))
-			}
+		again, err := sim.Run(app, gpu, opts)
+		if err != nil {
+			t.Fatalf("%s sampled rerun: %v", c.name, err)
+		}
+		if want, got := Canonical(base), Canonical(again); !bytes.Equal(want, got) {
+			t.Errorf("%s: sampled run differs between two runs:\n%s", c.name, DiffLines(want, got, 20))
 		}
 	}
 }

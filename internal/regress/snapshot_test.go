@@ -3,7 +3,6 @@ package regress
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"swiftsim/internal/sim"
@@ -61,10 +60,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrossThreads pins the thread-count independence of the format:
-// a checkpoint of a parallel cycle-accurate run restores into a serial
-// assembly (and vice versa) with byte-identical final results. EngineThreads
-// is deliberately absent from the snapshot identity.
+// TestSnapshotCrossThreads pins that EngineThreads is absent from the
+// snapshot identity: a checkpoint of a cycle-accurate run that sets the
+// deprecated field restores into a run that leaves it unset, with a
+// byte-identical final result.
 //
 // The oracle runs the L2Hybrid configuration: its kernel boundaries are
 // quiescent (the analytic backend completes in-kernel), whereas Basic and
@@ -76,10 +75,6 @@ func TestSnapshotCrossThreads(t *testing.T) {
 	if testing.Short() {
 		apps = apps[:1]
 	}
-	threads := runtime.NumCPU()
-	if threads < 2 {
-		threads = 2
-	}
 	for _, name := range apps {
 		app, err := workload.Generate(name, 0.25)
 		if err != nil {
@@ -87,42 +82,24 @@ func TestSnapshotCrossThreads(t *testing.T) {
 		}
 		base, err := sim.Run(app, gpu, sim.Options{Kind: sim.L2Hybrid})
 		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		want := Canonical(base)
-
-		type leg struct {
-			label       string
-			saveThreads int
-			loadThreads int
+		var buf bytes.Buffer
+		_, err = sim.Run(app, gpu, sim.Options{
+			Kind:          sim.L2Hybrid,
+			EngineThreads: 4,
+			SnapshotAt:    base.Cycles / 2,
+			SnapshotTo:    &buf,
+		})
+		if err != nil {
+			t.Fatalf("%s: snapshot run: %v", name, err)
 		}
-		legs := []leg{
-			{"parallel-to-serial", threads, 1},
-			{"serial-to-parallel", 1, threads},
+		res, err := sim.Run(app, gpu, sim.Options{Kind: sim.L2Hybrid, RestoreFrom: bytes.NewReader(buf.Bytes())})
+		if err != nil {
+			t.Fatalf("%s: restored run: %v", name, err)
 		}
-		for _, l := range legs {
-			var buf bytes.Buffer
-			_, err := sim.Run(app, gpu, sim.Options{
-				Kind:          sim.L2Hybrid,
-				EngineThreads: l.saveThreads,
-				SnapshotAt:    base.Cycles / 2,
-				SnapshotTo:    &buf,
-			})
-			if err != nil {
-				t.Fatalf("%s %s: snapshot run: %v", name, l.label, err)
-			}
-			res, err := sim.Run(app, gpu, sim.Options{
-				Kind:          sim.L2Hybrid,
-				EngineThreads: l.loadThreads,
-				RestoreFrom:   bytes.NewReader(buf.Bytes()),
-			})
-			if err != nil {
-				t.Fatalf("%s %s: restored run: %v", name, l.label, err)
-			}
-			if got := Canonical(res); !bytes.Equal(want, got) {
-				t.Errorf("%s %s: restored run diverged from serial baseline:\n%s",
-					name, l.label, DiffLines(want, got, 20))
-			}
+		if want, got := Canonical(base), Canonical(res); !bytes.Equal(want, got) {
+			t.Errorf("%s: restored run diverged from the uninterrupted run:\n%s", name, DiffLines(want, got, 20))
 		}
 	}
 }

@@ -79,16 +79,8 @@ type Options struct {
 	// utilization is visible in the trace. nil records nothing.
 	Trace *obs.Tracer
 	// Defaults is overlaid under every job's options by
-	// sim.Options.WithDefaults: a job that leaves EngineThreads or
-	// EpochCycles zero, or Sampling disabled, takes the value here; what a
-	// job sets itself wins. Defaults.EngineThreads additionally shrinks the
-	// job-level worker pool to threads/EngineThreads so the sweep's total
-	// thread budget stays at `threads`. Few big jobs want a high value; many
-	// small jobs want 1 (or 0), where all parallelism goes to the job pool.
-	// When it exceeds the thread budget the pool clamps to one worker and
-	// jobs run one at a time at the full shard count — the engine's shard
-	// count is never reduced to fit, so results stay those of the requested
-	// configuration.
+	// sim.Options.WithDefaults: a job that leaves EpochCycles zero, or
+	// Sampling disabled, takes the value here; what a job sets itself wins.
 	Defaults sim.Options
 }
 
@@ -162,15 +154,6 @@ func RunAll(jobs []Job, threads int) []Outcome {
 func Run(jobs []Job, threads int, opts Options) []Outcome {
 	if threads <= 0 {
 		threads = runtime.NumCPU()
-	}
-	// Split the thread budget between the two levels of parallelism: with
-	// Defaults.EngineThreads shards inside each simulation, only
-	// threads/EngineThreads jobs run concurrently.
-	if n := opts.Defaults.EngineThreads; n > 1 {
-		threads /= n
-		if threads < 1 {
-			threads = 1
-		}
 	}
 	if threads > len(jobs) {
 		threads = len(jobs)

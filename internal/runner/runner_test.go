@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/obs"
 	"swiftsim/internal/sim"
 	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
@@ -152,6 +151,55 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if !strings.Contains(je.Error(), "panic") {
 		t.Errorf("Error() does not mention the panic: %s", je.Error())
+	}
+}
+
+// faultyPicker never issues, and panics on its nth Pick: a fault inside
+// SM.Tick, mid-simulation.
+type faultyPicker struct{ picks, faultAt int }
+
+func (p *faultyPicker) Pick(uint64, []*smcore.Warp, func(*smcore.Warp) bool) int {
+	if p.picks++; p.picks == p.faultAt {
+		panic("injected picker fault")
+	}
+	return -1
+}
+func (p *faultyPicker) Issued(int, *smcore.Warp) {}
+
+// TestPanicInsideRelaxedPass: a module that panics in its Tick during a
+// relaxed pass (EpochCycles = 8) fails its job like any other panic — a
+// *JobError carrying the module's own value and a stack that names its
+// Tick, with no engine wrapper in between — and a following run in the
+// same process is unaffected.
+func TestPanicInsideRelaxedPass(t *testing.T) {
+	job := testJobs(t, []string{"GEMM"})[0]
+	job.Opts = sim.Options{Kind: sim.Basic, EpochCycles: 8}
+	good := RunJob(context.Background(), 0, 0, job, time.Now(), &Options{})
+	if good.Err != nil {
+		t.Fatal(good.Err)
+	}
+
+	bad := job
+	bad.Opts.Scheduler = func(smID, sub int) smcore.Picker { return &faultyPicker{faultAt: 20} }
+	var je *JobError
+	if o := RunJob(context.Background(), 0, 0, bad, time.Now(), &Options{}); !errors.As(o.Err, &je) {
+		t.Fatalf("panicking job error is %T (%v), want *JobError", o.Err, o.Err)
+	}
+	if !je.Panicked || je.PanicValue != "injected picker fault" {
+		t.Errorf("panic not captured as the module raised it: panicked=%v value=%v (%T)", je.Panicked, je.PanicValue, je.PanicValue)
+	}
+	for _, frame := range []string{"smcore.(*SM).Tick", "engine.(*segment).runPass"} {
+		if !strings.Contains(string(je.Stack), frame) {
+			t.Errorf("panic stack does not name %s:\n%s", frame, je.Stack)
+		}
+	}
+
+	again := RunJob(context.Background(), 0, 0, job, time.Now(), &Options{})
+	if again.Err != nil {
+		t.Fatalf("run after the panicked one: %v", again.Err)
+	}
+	if again.Result.Cycles != good.Result.Cycles {
+		t.Errorf("run after the panicked one: %d cycles, want %d", again.Result.Cycles, good.Result.Cycles)
 	}
 }
 
@@ -363,100 +411,6 @@ func TestSweepSurvivesOneBadTrace(t *testing.T) {
 		}
 		if o.Result == nil || o.Result.App != names[i] {
 			t.Fatalf("job %d: missing or misordered result", i)
-		}
-	}
-}
-
-// TestEngineThreadsBudgetSplit: a sweep with Options.EngineThreads gives
-// each simulation a sharded engine and divides the job pool accordingly —
-// and because the sharded engine is deterministic, every outcome stays
-// identical to the serial sweep's.
-func TestEngineThreadsBudgetSplit(t *testing.T) {
-	names := []string{"BFS", "GEMM", "SM", "LU"}
-	gpu := config.RTX2080Ti()
-	gpu.NumSMs = 4
-	gpu.MemPartitions = 2
-	var jobs []Job
-	for _, n := range names {
-		app, err := workload.Generate(n, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, Job{App: app, GPU: gpu, Opts: sim.Options{Kind: sim.Basic}})
-	}
-	base := RunAll(jobs, 4)
-	split := Run(jobs, 4, Options{Defaults: sim.Options{EngineThreads: 2}})
-	for i := range base {
-		if base[i].Err != nil || split[i].Err != nil {
-			t.Fatalf("job %d errors: %v / %v", i, base[i].Err, split[i].Err)
-		}
-		if base[i].Result.Cycles != split[i].Result.Cycles {
-			t.Errorf("%s: EngineThreads=2 cycles %d != serial %d",
-				names[i], split[i].Result.Cycles, base[i].Result.Cycles)
-		}
-	}
-	// A per-job EngineThreads wins over the sweep-wide one.
-	jobs[0].Opts.EngineThreads = 1
-	pin := Run(jobs[:1], 1, Options{Defaults: sim.Options{EngineThreads: 4}})
-	if pin[0].Err != nil {
-		t.Fatal(pin[0].Err)
-	}
-	if pin[0].Result.Cycles != base[0].Result.Cycles {
-		t.Errorf("per-job EngineThreads override diverged: %d != %d",
-			pin[0].Result.Cycles, base[0].Result.Cycles)
-	}
-}
-
-// TestEngineThreadsClampToOneWorker pins the thread-budget clamp: when
-// EngineThreads exceeds the whole thread budget (threads/EngineThreads
-// rounds to zero), the job pool clamps to a single worker — jobs run
-// strictly one at a time at the full shard count, rather than shrinking
-// the shard count or deadlocking on an empty pool.
-func TestEngineThreadsClampToOneWorker(t *testing.T) {
-	names := []string{"BFS", "GEMM", "SM"}
-	gpu := config.RTX2080Ti()
-	gpu.NumSMs = 4
-	gpu.MemPartitions = 2
-	var jobs []Job
-	for _, n := range names {
-		app, err := workload.Generate(n, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, Job{App: app, GPU: gpu, Opts: sim.Options{Kind: sim.Basic}})
-	}
-	base := RunAll(jobs, 1)
-
-	// The runner's per-job wall-clock spans are the concurrency
-	// measurement: a single clamped worker runs them back to back on one
-	// pool slot, so none may begin before the previous one ended.
-	ring := obs.NewRing(0)
-	out := Run(jobs, 2, Options{
-		Defaults: sim.Options{EngineThreads: 8}, // 2/8 -> 0 -> clamped to 1 worker
-		Trace:    obs.New(ring, obs.KernelLevel),
-	})
-	var end uint64
-	spans := 0
-	for _, ev := range ring.Events() {
-		if ev.Cat != "job" {
-			continue
-		}
-		spans++
-		if ev.Tid != 0 || ev.Ts < end {
-			t.Errorf("job span on slot %d at %dus overlaps the previous job's end %dus: the clamped pool ran jobs concurrently", ev.Tid, ev.Ts, end)
-		}
-		end = ev.Ts + ev.Dur
-	}
-	if spans != len(jobs) {
-		t.Errorf("saw %d job spans, want %d", spans, len(jobs))
-	}
-	for i := range out {
-		if out[i].Err != nil {
-			t.Fatalf("job %d: %v", i, out[i].Err)
-		}
-		if out[i].Result.Cycles != base[i].Result.Cycles {
-			t.Errorf("%s: clamped run cycles %d != serial %d",
-				names[i], out[i].Result.Cycles, base[i].Result.Cycles)
 		}
 	}
 }

@@ -173,45 +173,6 @@ func TestDistributedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDistributedWorkerOverrideKeepsRelaxedEpoch: a worker started with
-// -engine-threads 1 must not collapse a relaxed-epoch job onto the exact
-// serial engine — the bytes it commits land under the key that says
-// epoch 8, and every later identical sweep would be served a result no
-// in-process run of the spec produces. The override yields to the job's
-// own shard count there; the result equals the in-process run's.
-func TestDistributedWorkerOverrideKeepsRelaxedEpoch(t *testing.T) {
-	spec := Spec{Apps: []string{"BFS"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"basic"},
-		Scale: 0.1, EngineThreads: 2, EpochCycles: 8}
-	want := localResults(t, spec)
-	exact := spec
-	exact.EpochCycles = 1
-	if bytes.Equal(want, localResults(t, exact)) {
-		t.Fatal("the relaxed and exact runs of the spec agree: it cannot tell the override bug apart")
-	}
-
-	_, srv := newHTTPService(t, remoteConfig(5*time.Second, 3))
-	startTestWorkerCfg(t, WorkerConfig{BaseURL: srv.URL, EngineThreads: 1}, nil)
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, admitted := postSweep(t, srv, string(body))
-	if code != http.StatusAccepted {
-		t.Fatalf("POST = %d: %v", code, admitted)
-	}
-	id := admitted["id"].(string)
-	if st := waitHTTPDone(t, srv, id); st.Ok != 1 || st.Failed != 0 {
-		t.Fatalf("remote sweep status: %+v", st)
-	}
-	code, res := getBody(t, srv.URL+"/v1/sweeps/"+id+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("results: HTTP %d", code)
-	}
-	if !bytes.Equal(res, want) {
-		t.Errorf("worker with -engine-threads 1 committed bytes the in-process run of the spec does not produce:\nremote:\n%s\nlocal:\n%s", res, want)
-	}
-}
-
 // TestDistributedWorkerKilledMidJob is the fault-injection acceptance
 // scenario: worker 1 claims the job and dies mid-simulation (context
 // killed, heartbeats stop); the lease expires and the job requeues;

@@ -147,7 +147,7 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
 			return
 		}
-		id := s.board.Register(0)
+		id := s.board.Register(false)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"id":           id,
 			"lease_ttl_ms": s.board.ttl.Milliseconds(),

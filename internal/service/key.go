@@ -29,7 +29,7 @@ const keySchema = "swiftsim-service-key 4"
 //   - the full GPU configuration, via its canonical file serialization;
 //   - the trace content hash — content, not pointer or name, so a
 //     re-parsed or re-generated copy of the same workload still hits;
-//   - the options' Identity on that GPU: every result-affecting field as
+//   - the options' Identity: every result-affecting field as
 //     the assembly will run it, so spellings that run identically ("default
 //     by zero" and "default spelled out", an epoch length on a Memory job)
 //     share an entry, while each relaxed epoch length and each effective
@@ -45,7 +45,7 @@ func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
 	h.Write(config.Marshal(gpu))
 	th := trace.ContentHash(app)
 	h.Write(th[:])
-	io.WriteString(h, opts.Identity(gpu)+"\n")
+	io.WriteString(h, opts.Identity()+"\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -17,9 +17,9 @@ import (
 // property of who claims it. There are two kinds of claimant and one state
 // machine:
 //
-//   - the daemon's own executors (service.go), registered as one in-process
-//     worker with Config.Threads slots. They claim by direct call and
-//     simulate from the job's in-memory inputs: no HTTP, no blob store.
+//   - the daemon's own Config.Threads executors (service.go), registered as
+//     one in-process worker. They claim by direct call and simulate from
+//     the job's in-memory inputs: no HTTP, no blob store.
 //   - swiftsim-worker processes (worker.go) claiming over HTTP. Their grant
 //     (Wire) names its inputs: the catalog application and scale, the GPU
 //     configuration text and the options, about 2 KB. The worker builds the
@@ -152,10 +152,6 @@ type boardJob struct {
 	trace *obs.Tracer
 	index int
 	start time.Time
-	// slots is how many of an in-process worker's thread slots the job
-	// occupies while it runs there (its engine shard count, clamped to the
-	// pool). Remote workers size themselves and ignore it.
-	slots int
 
 	attempt int
 	token   uint64 // fencing counter, incremented at each grant
@@ -185,11 +181,10 @@ type lease struct {
 }
 
 // boardWorker is a registered claimant: a remote worker process, or
-// (local) the daemon's own executor pool with free thread slots left.
+// (local) the daemon's own executor pool.
 type boardWorker struct {
 	lastSeen time.Time
 	local    bool
-	free     int
 }
 
 // board is the lease-granting job dispatcher. All state is guarded by
@@ -294,15 +289,16 @@ func (b *board) reap(now time.Time) {
 	}
 }
 
-// Register adds a worker and returns its id. slots > 0 registers the
-// daemon's own executor pool: an in-process worker whose grants never
-// expire and which runs at most slots job slots' worth of work at a time.
-func (b *board) Register(slots int) string {
+// Register adds a worker and returns its id. local registers the daemon's
+// own executor pool: an in-process worker whose grants never expire. Every
+// job occupies one executor, so an executor blocked in Claim is the free
+// slot and the pool's size is the daemon's thread budget.
+func (b *board) Register(local bool) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
 	id := fmt.Sprintf("w%d", b.nextID)
-	b.workers[id] = &boardWorker{lastSeen: time.Now(), local: slots > 0, free: slots}
+	b.workers[id] = &boardWorker{lastSeen: time.Now(), local: local}
 	return id
 }
 
@@ -321,11 +317,8 @@ func (b *board) Enqueue(j *boardJob) {
 	b.mu.Unlock()
 }
 
-// Claim blocks until the job at the head of the queue can be granted to
-// workerID, and grants it, or until ctx expires (nil, nil: no job before
-// the wait ran out). An in-process worker is granted the head job only
-// while it has the job's slots free, which is what holds the daemon to its
-// thread budget; its executor hands them back with Release.
+// Claim blocks until the queue has a job, and grants its head to workerID,
+// or until ctx expires (nil, nil: no job before the wait ran out).
 func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 	b.mu.Lock()
 	w, ok := b.workers[workerID]
@@ -333,7 +326,7 @@ func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWorker, workerID)
 	}
-	for !b.closed && (len(b.queue) == 0 || w.local && b.queue[0].slots > w.free) {
+	for !b.closed && len(b.queue) == 0 {
 		if ctx.Err() != nil {
 			b.mu.Unlock()
 			return nil, nil
@@ -355,7 +348,6 @@ func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 	// a resolved job's closures pin its whole sweep.
 	b.queue[0] = nil
 	b.queue = b.queue[1:]
-	b.cond.Broadcast() // a new head: it may fit a worker the old one did not
 	t := time.Now()
 	w.lastSeen = t
 	j.token++
@@ -365,7 +357,6 @@ func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 		token: j.token, attempt: j.attempt, deadline: t.Add(b.ttl),
 	}
 	if w.local {
-		w.free -= j.slots
 		l.ctx, l.cancel = context.WithCancel(context.Background())
 	}
 	j.lease = l
@@ -386,18 +377,6 @@ func (b *board) release(l *lease) {
 	if l.cancel != nil {
 		l.cancel()
 	}
-}
-
-// Release returns an in-process grant's slots to its worker. The executor
-// calls it when it is done with the job, after any commit: the slots follow
-// the executor, not the lease, so a canceled job that is still winding down
-// to its next context poll keeps them, and a job's terminal event is out
-// before its successor's "running".
-func (b *board) Release(l *lease) {
-	b.mu.Lock()
-	b.workers[l.worker].free += l.job.slots
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Wire returns the descriptor a remote claimant receives for grant l: the

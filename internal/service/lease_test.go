@@ -63,7 +63,7 @@ const inertTTL = time.Hour
 func TestBoardClaimFulfill(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 
 	var started atomic.Int32
 	j, ch := testJob("k1", nil)
@@ -119,7 +119,7 @@ func TestBoardClaimUnknownWorker(t *testing.T) {
 func TestBoardClaimLongPoll(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -155,7 +155,7 @@ func TestBoardClaimLongPoll(t *testing.T) {
 func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w1, w2 := b.Register(0), b.Register(0)
+	w1, w2 := b.Register(false), b.Register(false)
 
 	var fires atomic.Int32
 	j, ch := testJob("k", &fires)
@@ -203,7 +203,7 @@ func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 func TestBoardRequeueJumpsQueue(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 
 	j1, _ := testJob("first", nil)
 	b.Enqueue(j1)
@@ -230,7 +230,7 @@ func TestBoardRetryBudget(t *testing.T) {
 	const tries = 2
 	b := newBoard(inertTTL, tries)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 
 	var fires atomic.Int32
 	j, ch := testJob("k", &fires)
@@ -259,7 +259,7 @@ func TestBoardRetryBudget(t *testing.T) {
 func TestBoardHeartbeat(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 	j, _ := testJob("k", nil)
 	b.Enqueue(j)
 	wire, _, err := claimWire(context.Background(), b, w)
@@ -289,7 +289,7 @@ func TestBoardHeartbeat(t *testing.T) {
 	}
 
 	// Another worker cannot renew someone else's lease.
-	w2 := b.Register(0)
+	w2 := b.Register(false)
 	if renewed, lost, _ := b.Heartbeat(w2, []string{wire.LeaseID}); len(renewed) != 0 || len(lost) != 1 {
 		t.Errorf("cross-worker renew: renewed=%v lost=%v, want it reported lost", renewed, lost)
 	}
@@ -300,7 +300,7 @@ func TestBoardHeartbeat(t *testing.T) {
 func TestBoardFailTerminal(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 	j, ch := testJob("k", nil)
 	b.Enqueue(j)
 	wire, _, err := claimWire(context.Background(), b, w)
@@ -325,7 +325,7 @@ func TestBoardFailTerminal(t *testing.T) {
 func TestBoardCancel(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	w := b.Register(0)
+	w := b.Register(false)
 	skip := errors.New("skipped by fail-fast")
 
 	leased, chLeased := testJob("leased", nil)
@@ -365,7 +365,7 @@ func TestBoardCancel(t *testing.T) {
 // cause, unblocks parked claims, and rejects new work.
 func TestBoardClose(t *testing.T) {
 	b := newBoard(inertTTL, 3)
-	w := b.Register(0)
+	w := b.Register(false)
 
 	leased, chLeased := testJob("leased", nil)
 	pending, chPending := testJob("pending", nil)
@@ -401,7 +401,7 @@ func TestBoardClose(t *testing.T) {
 // until its poll window expires.
 func TestBoardCloseUnblocksParkedClaim(t *testing.T) {
 	b := newBoard(inertTTL, 3)
-	w := b.Register(0)
+	w := b.Register(false)
 	parked := make(chan error, 1)
 	go func() {
 		_, _, err := claimWire(context.Background(), b, w)

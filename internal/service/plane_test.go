@@ -172,11 +172,11 @@ func TestDistributedLocalFailFastCancelsRunningJob(t *testing.T) {
 	}
 }
 
-// TestDistributedLocalThreadBudget: the thread budget holds daemon-wide. A
-// job with two engine shards occupies two of the four slots, so no more
-// than two run at once, in the executors and in the event log alike.
+// TestDistributedLocalThreadBudget: the thread budget holds daemon-wide.
+// Every job occupies one of the Threads executors, so no more than two run
+// at once, in the executors and in the event log alike.
 func TestDistributedLocalThreadBudget(t *testing.T) {
-	s := newService(t, Config{Threads: 4})
+	s := newService(t, Config{Threads: 2})
 	var inHook, peak atomic.Int32
 	s.runHook = func(*lease) {
 		n := inHook.Add(1)
@@ -185,7 +185,7 @@ func TestDistributedLocalThreadBudget(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // long enough for an unbudgeted third claim to land
 		inHook.Add(-1)
 	}
-	spec := Spec{Apps: []string{"BFS", "SM", "GEMM", "LU", "NW", "ADI"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"memory"}, Scale: 0.1, EngineThreads: 2}
+	spec := Spec{Apps: []string{"BFS", "SM", "GEMM", "LU", "NW", "ADI"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"memory"}, Scale: 0.1}
 	sw, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestDistributedLocalThreadBudget(t *testing.T) {
 		case ev.Type != "job":
 		case ev.State == StateRunning:
 			if running++; running > 2 {
-				t.Fatalf("event %d: %d jobs running at once, want at most 2 (4 threads / 2 engine shards)", ev.Seq, running)
+				t.Fatalf("event %d: %d jobs running at once, want at most 2 (the executor count)", ev.Seq, running)
 			}
 		default:
 			running--
@@ -282,8 +282,8 @@ func TestDistributedWorkerReregisters(t *testing.T) {
 func TestBoardForgetsSilentWorkers(t *testing.T) {
 	b := newBoard(inertTTL, 3)
 	defer b.Close(nil)
-	dead, alive := b.Register(0), b.Register(0)
-	b.Register(2)
+	dead, alive := b.Register(false), b.Register(false)
+	b.Register(true)
 
 	b.reap(time.Now().Add((forgetAfterTTLs - 1) * inertTTL))
 	if n := b.Stats().Workers; n != 3 {

@@ -52,18 +52,16 @@ type Config struct {
 	// ErrQueueFull; a single sweep larger than the whole depth can never
 	// be admitted.
 	QueueDepth int
-	// Threads is the daemon's executor count: how many thread slots its
-	// own claimants share across all sweeps (0 = NumCPU). A job occupies as
-	// many slots as it has engine shards, clamped to Threads, so serial
-	// jobs run Threads at a time and the thread budget holds daemon-wide.
-	// Unused when Remote.Enabled.
+	// Threads is the daemon's executor count: how many jobs its own
+	// claimants run at a time across all sweeps (0 = NumCPU). Unused when
+	// Remote.Enabled.
 	Threads int
 	// MaxJobTimeout caps (and defaults) the per-job wall-clock budget a
 	// spec may request (0 = no cap, no default).
 	MaxJobTimeout time.Duration
 	// Defaults is what every job's options are overlaid on
-	// (sim.Options.WithDefaults): a spec that leaves engine_threads or
-	// epoch_cycles zero, or sample unset, takes the daemon's value. New
+	// (sim.Options.WithDefaults): a spec that leaves epoch_cycles zero, or
+	// sample unset, takes the daemon's value. New
 	// validates it like any other options. Sampled and relaxed-epoch results
 	// legitimately differ from exact ones, so the effective values — not
 	// who supplied them — are part of every job's cache key.
@@ -116,14 +114,9 @@ type Spec struct {
 	// FailFast cancels the sweep's remaining jobs after its first
 	// failure; never-started jobs finish as "skipped".
 	FailFast bool `json:"fail_fast,omitempty"`
-	// EngineThreads shards each simulation's engine (0 = the daemon's
-	// -engine-threads default). Results are byte-identical at every shard
-	// count, so it does not enter the cache key.
-	EngineThreads int `json:"engine_threads,omitempty"`
 	// EpochCycles is the relaxed-sync epoch length (0 = the daemon's
-	// -epoch-cycles default; 1 = exact per-cycle barrier). A value > 1
-	// requires engine_threads > 1 and legitimately shifts results, so it
-	// is part of the cache key.
+	// -epoch-cycles default; 1 = exact). A value > 1 legitimately shifts
+	// results, so it is part of the cache key.
 	EpochCycles int `json:"epoch_cycles,omitempty"`
 	// Sample runs every job of the sweep in sampled execution mode:
 	// repeated kernel launches replay a recorded outcome and each launch
@@ -304,7 +297,7 @@ func New(cfg Config) (*Service, error) {
 		sweeps: make(map[string]*Sweep),
 	}
 	if !cfg.Remote.Enabled {
-		id := s.board.Register(cfg.Threads)
+		id := s.board.Register(true)
 		for slot := 0; slot < cfg.Threads; slot++ {
 			s.execs.Add(1)
 			go s.executor(id, slot)
@@ -387,13 +380,9 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 
 	// The spec's own sampling fields are validated before the overlay:
 	// tuning fields without the mode switch would be dead settings the
-	// daemon's default silently replaces. The threads/epoch pair is
-	// validated after it, as the effective pair: a spec asking for
-	// engine_threads 1 against a daemon whose default epoch is relaxed would
-	// otherwise run an epoch the simulator ignores.
+	// daemon's default silently replaces.
 	requested := sim.Options{
-		EngineThreads: spec.EngineThreads,
-		EpochCycles:   spec.EpochCycles,
+		EpochCycles: spec.EpochCycles,
 		Sampling: sim.Sampling{
 			Enabled:       spec.Sample,
 			BlockFraction: spec.SampleFrac,
@@ -470,8 +459,8 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 func validate(o sim.Options) error {
 	if err := o.Validate(); err != nil {
 		sm := o.Sampling
-		return fmt.Errorf("engine_threads %d, epoch_cycles %d, sample %v, sample_frac %g, sample_stride %d, sample_seed %d: %w",
-			o.EngineThreads, o.EpochCycles, sm.Enabled, sm.BlockFraction, sm.ReplayStride, sm.Seed, err)
+		return fmt.Errorf("epoch_cycles %d, sample %v, sample_frac %g, sample_stride %d, sample_seed %d: %w",
+			o.EpochCycles, sm.Enabled, sm.BlockFraction, sm.ReplayStride, sm.Seed, err)
 	}
 	return nil
 }
@@ -557,7 +546,6 @@ func (s *Service) executor(id string, slot int) {
 		default:
 			_ = s.board.Fulfill(l.id, l.token, val)
 		}
-		s.board.Release(l)
 	}
 }
 
@@ -598,7 +586,6 @@ func (s *Service) runSweep(sw *Sweep) {
 		case owner:
 			j := &boardJob{
 				job: jb, timeout: sw.jobTimeout, trace: sw.trace, index: i, start: start,
-				slots:   min(max(jb.opts.EngineThreads, 1), s.cfg.Threads),
 				onStart: func(string) { s.startJob(sw, i) },
 				done: func(val []byte, err error) {
 					defer wg.Done()

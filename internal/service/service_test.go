@@ -351,10 +351,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad timeout", Spec{JobTimeout: "banana"}, "job_timeout"},
 		{"negative timeout", Spec{JobTimeout: "-1s"}, "negative"},
 		{"negative scale", Spec{Scale: -1}, "scale"},
-		{"negative engine_threads", Spec{EngineThreads: -1}, "engine_threads"},
 		{"negative epoch_cycles", Spec{EpochCycles: -1}, "epoch_cycles"},
-		{"relaxed epoch on serial engine", Spec{EpochCycles: 8}, "engine_threads"},
-		{"relaxed epoch with one thread", Spec{EpochCycles: 8, EngineThreads: 1}, "engine_threads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -370,10 +367,10 @@ func TestSubmitValidation(t *testing.T) {
 // by the one rule (sim.Options.WithDefaults): what the spec sets wins, what
 // it leaves zero takes the daemon's value. The spec's own sampling fields
 // are validated before the overlay — tuning fields without `sample` are
-// dead even when the daemon samples by default — and the threads/epoch pair
+// dead even when the daemon samples by default — and the effective options
 // after it.
 func TestResolveOverlay(t *testing.T) {
-	def := sim.Options{EngineThreads: 4, EpochCycles: 8, Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.5}}
+	def := sim.Options{EpochCycles: 8, Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.5}}
 	s := newService(t, Config{Defaults: def})
 	own := sim.Sampling{Enabled: true, BlockFraction: 0.25, ReplayStride: 2, Seed: 7}
 	for _, tc := range []struct {
@@ -382,11 +379,11 @@ func TestResolveOverlay(t *testing.T) {
 		want sim.Options
 	}{
 		{"zero takes the default", Spec{},
-			sim.Options{Kind: sim.Memory, EngineThreads: 4, EpochCycles: 8, Sampling: def.Sampling}},
-		{"job value wins", Spec{EngineThreads: 2, EpochCycles: 1, Sample: true, SampleFrac: 0.25, SampleStride: 2, SampleSeed: 7},
-			sim.Options{Kind: sim.Memory, EngineThreads: 2, EpochCycles: 1, Sampling: own}},
-		{"fields overlay independently", Spec{EngineThreads: 2},
-			sim.Options{Kind: sim.Memory, EngineThreads: 2, EpochCycles: 8, Sampling: def.Sampling}},
+			sim.Options{Kind: sim.Memory, EpochCycles: 8, Sampling: def.Sampling}},
+		{"job value wins", Spec{EpochCycles: 1, Sample: true, SampleFrac: 0.25, SampleStride: 2, SampleSeed: 7},
+			sim.Options{Kind: sim.Memory, EpochCycles: 1, Sampling: own}},
+		{"fields overlay independently", Spec{EpochCycles: 2},
+			sim.Options{Kind: sim.Memory, EpochCycles: 2, Sampling: def.Sampling}},
 	} {
 		tc.spec.Apps, tc.spec.GPUs = []string{"BFS"}, []string{"RTX2080Ti"}
 		jobs, _, err := s.resolve(tc.spec)
@@ -406,14 +403,13 @@ func TestResolveOverlay(t *testing.T) {
 		{"sample_stride without sample", Spec{SampleStride: 4}, "sample_stride"},
 		{"sample_seed without sample", Spec{SampleSeed: 7}, "sample_seed"},
 		{"sample_frac out of range", Spec{Sample: true, SampleFrac: 1}, "sample_frac"},
-		{"one thread under the daemon's relaxed epoch", Spec{EngineThreads: 1}, "epoch_cycles"},
 	} {
 		if _, _, err := s.resolve(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: resolve = %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := New(Config{CacheDir: t.TempDir(), Defaults: sim.Options{EpochCycles: 8}}); err == nil || !strings.Contains(err.Error(), "daemon defaults") {
-		t.Errorf("New accepted a relaxed default epoch on a serial engine: %v", err)
+	if _, err := New(Config{CacheDir: t.TempDir(), Defaults: sim.Options{EpochCycles: -8}}); err == nil || !strings.Contains(err.Error(), "daemon defaults") {
+		t.Errorf("New accepted a negative default epoch: %v", err)
 	}
 }
 
@@ -467,8 +463,8 @@ func TestJobKeyDiscriminates(t *testing.T) {
 		}
 	}
 	// A relaxed epoch length has its own line wherever an assembly runs it,
-	// and shares the exact line where it cannot (Memory is always one shard).
-	relaxed := sim.Options{Kind: sim.Basic, EngineThreads: 4, EpochCycles: 8}
+	// and shares the exact line where it cannot (Memory always runs exact).
+	relaxed := sim.Options{Kind: sim.Basic, EpochCycles: 8}
 	if jobKey(a1, gpu, relaxed) == jobKey(a1, gpu, sim.Options{Kind: sim.Basic}) {
 		t.Error("key ignores epoch")
 	}
@@ -476,10 +472,10 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	if jobKey(a1, gpu, relaxed) != base {
 		t.Error("key separates an epoch length Memory never runs")
 	}
-	// EngineThreads is result-neutral and must share the key; so must the
+	// EngineThreads is read by nothing and must share the key; so must the
 	// unset/explicit spellings of exact mode (EpochCycles 0 and 1).
 	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4}) != base {
-		t.Error("key varies with EngineThreads (results are byte-identical)")
+		t.Error("key varies with EngineThreads")
 	}
 	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EpochCycles: 1}) != base {
 		t.Error("key separates EpochCycles 0 from 1 (both are exact mode)")

@@ -58,12 +58,6 @@ type WorkerConfig struct {
 	Name string
 	// Jobs is the number of jobs executed concurrently (0 = 1).
 	Jobs int
-	// EngineThreads, when > 0, overrides each job's engine shard count
-	// for this host. Results are byte-identical at every shard count for a
-	// fixed effective epoch length, so the override applies exactly when it
-	// leaves that length alone (a relaxed-epoch job keeps its own count on
-	// a host that asks for 1) and never changes what is published.
-	EngineThreads int
 	// PollWait is the long-poll duration per claim request (0 = 25s).
 	PollWait time.Duration
 	// Client is the HTTP client (nil = a default with a timeout safely
@@ -363,20 +357,6 @@ func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
 	if key := jobKey(app, gpu, opts); key != wire.Key {
 		return nil, fmt.Errorf("service: grant is for job %s, its inputs derive %s here (another build, or altered inputs)", wire.Key, key)
 	}
-	if n := w.cfg.EngineThreads; n > 0 {
-		// The host's shard count replaces the job's only when the assembly
-		// then runs the same effective epoch length: results are
-		// byte-identical across shard counts for a fixed epoch, but an
-		// override that collapses a relaxed-epoch job onto one shard would
-		// run it exact and commit those bytes under the relaxed key.
-		eff := opts.Effective(gpu)
-		host := eff
-		host.EngineThreads = n
-		if host.Effective(gpu).EpochCycles == eff.EpochCycles {
-			opts = host
-		}
-	}
-
 	return simulate(ctx, 0, &boardJob{
 		job:     &job{app: app, gpu: gpu, opts: opts},
 		timeout: time.Duration(wire.TimeoutMS) * time.Millisecond,

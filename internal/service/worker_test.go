@@ -146,7 +146,7 @@ func TestWorkerRefusesGrants(t *testing.T) {
 		{"zero scale", func(j *WireJob) { j.Scale = 0 }, []string{"scale must be positive"}},
 		{"negative scale", func(j *WireJob) { j.Scale = -1 }, []string{"scale must be positive"}},
 		{"unparsable config", func(j *WireJob) { j.Config = "[gpu\nthis is not a config" }, []string{"parsing config"}},
-		{"invalid options", func(j *WireJob) { j.Opts.EpochCycles = 8 }, []string{"wire options"}},
+		{"invalid options", func(j *WireJob) { j.Opts.EpochCycles = -8 }, []string{"wire options"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,23 +1,23 @@
-// The relaxed-sync epoch boundary: bounded-staleness queues between the
-// sharded L1s and the shared memory system (NoC/L2/DRAM, or the analytical
-// Backend in the L2Hybrid assembly).
+// The relaxed-sync epoch boundary: bounded-staleness queues between the L1s
+// of the engine's epoch-local segment and the shared memory system
+// (NoC/L2/DRAM, or the analytical Backend in the L2Hybrid assembly).
 //
-// In exact parallel mode (EpochCycles <= 1) the engine hoists every L1's
-// downstream drain into a serial pre-phase, so sharded caches can push into
-// the shared interconnect directly. In epoch mode drains run *inside* the
-// concurrent shard pass, so each L1 instead pushes into its own shard-private
-// boundary port, which always accepts and stamps the message with the
-// shard-local capture cycle. The boundary itself is a serial module
-// registered between the L1s and the interconnect; every cycle it holds
-// traffic it folds the port buffers together and delivers, in deterministic
-// (capture cycle, SM index, FIFO) order, exactly the messages whose capture
-// cycle has been reached — so downstream modules never observe a message
-// from their future, and the delivered schedule is a pure function of the
-// assembly and the epoch length (independent of thread count).
+// In an exact run (EpochCycles <= 1) every module ticks every cycle, so the
+// L1s push into the shared interconnect directly. In a relaxed run the
+// segment runs k local cycles ahead of the serial modules and the L1 drains
+// run *inside* its pass, so each L1 instead pushes into its own boundary
+// port, which always accepts and stamps the message with the segment-local
+// capture cycle. The boundary itself is a serial module registered between
+// the L1s and the interconnect; every cycle it holds traffic it folds the
+// port buffers together and delivers, in deterministic (capture cycle, SM
+// index, FIFO) order, exactly the messages whose capture cycle has been
+// reached — so downstream modules never observe a message from their
+// future, and the delivered schedule is a pure function of the assembly and
+// the epoch length.
 //
 // Invariants:
-//   - per-port buffers are written only by the owning shard during the
-//     pass, and only read/cleared by the serial boundary tick — no locks;
+//   - per-port buffers are written only by the owning L1 during the pass,
+//     and only read/cleared by the serial boundary tick;
 //   - a port's capture cycles are nondecreasing, so a stable sort on
 //     (cycle, port) preserves each L1's FIFO order;
 //   - messages refused by the downstream port (backpressure) are retried
@@ -26,9 +26,9 @@
 //     parked here;
 //   - the boundary is in the engine's active set exactly while it holds
 //     traffic: the first message a port captures since the last fold wakes
-//     it through the port's context, so a wake from inside a shard pass is
-//     staged and lands at the barrier — before the serial tail, which then
-//     ticks the boundary at the epoch's first cycle.
+//     it through the port's context, so a wake from inside the segment's
+//     pass is staged and lands at the engine's fold — before the serial
+//     tail, which then ticks the boundary at the epoch's first cycle.
 package sim
 
 import (
@@ -43,12 +43,13 @@ import (
 
 // boundaryItem is one in-flight message with its capture metadata.
 type boundaryItem struct {
-	cyc uint64 // shard-local cycle the L1 pushed the message
+	cyc uint64 // segment-local cycle the L1 pushed the message
 	ord int    // originating port (SM) index: the serial-order tie-break
 	r   *mem.Request
 }
 
-// epochBoundary carries cross-shard memory traffic between barriers.
+// epochBoundary carries the segment's memory traffic out to the serial
+// modules.
 type epochBoundary struct {
 	name  string
 	down  mem.Port
@@ -69,9 +70,9 @@ func newEpochBoundary(name string, down mem.Port, g *metrics.Gatherer) *epochBou
 	}
 }
 
-// port returns a new shard-private entry port. ord must be unique and
-// ordered like the L1s' registration order (the SM index), and ctx must be
-// the owning L1's engine context so capture cycles are shard-local.
+// port returns a new entry port for one L1. ord must be unique and ordered
+// like the L1s' registration order (the SM index), and ctx must be the
+// owning L1's engine context so capture cycles are segment-local.
 func (b *epochBoundary) port(ord int, ctx engine.Context) mem.Port {
 	p := &boundaryPort{b: b, ord: ord, ctx: ctx}
 	b.ports = append(b.ports, p)
@@ -107,8 +108,6 @@ func (b *epochBoundary) Tick(cycle uint64) {
 	folded := false
 	for _, p := range b.ports {
 		if len(p.buf) > 0 {
-			// Counted here, not in Accept: the ports run on concurrent
-			// shard goroutines and the counter is on the shared gatherer.
 			b.messages.Add(uint64(len(p.buf)))
 			b.queue = append(b.queue, p.buf...)
 			p.buf = p.buf[:0]
@@ -150,7 +149,7 @@ func (b *epochBoundary) SnapSave(w *snap.Writer) {
 // SnapLoad implements snap.Stateful.
 func (b *epochBoundary) SnapLoad(r *snap.Reader) error { return r.Err() }
 
-// boundaryPort is one L1's shard-private entry into the boundary.
+// boundaryPort is one L1's private entry into the boundary.
 type boundaryPort struct {
 	b   *epochBoundary
 	ord int
@@ -161,9 +160,8 @@ type boundaryPort struct {
 // Accept implements mem.Port. It never refuses: downstream backpressure is
 // absorbed by the boundary queue (and surfaced through the deferred
 // counter), which is part of the relaxation — an L1 never stalls on the
-// shared interconnect mid-epoch. Runs on the owning shard's goroutine, so
-// it must touch only the shard-private buffer; the boundary's wake escapes
-// the shard through Defer.
+// shared interconnect mid-epoch. Runs inside the segment's pass, so the
+// boundary's wake escapes through Defer.
 func (p *boundaryPort) Accept(r *mem.Request) bool {
 	if len(p.buf) == 0 && p.b.wake != nil {
 		p.ctx.Defer(p.b.wake)

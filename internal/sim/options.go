@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 
-	"swiftsim/internal/config"
 	"swiftsim/internal/obs"
 	"swiftsim/internal/smcore"
 )
@@ -105,26 +104,24 @@ type Options struct {
 	// across a snapshot/restore pair is the caller's responsibility, and
 	// the sweep service never sets it.
 	Scheduler func(smID, sub int) smcore.Picker `json:"-"`
-	// EngineThreads is the intra-simulation parallelism degree: the number
-	// of engine shards SMs (with their private L1s and units) are ticked
-	// on concurrently, synchronized at a deterministic per-cycle barrier.
-	// 0 or 1 keeps the fully serial engine. The effective shard count is
-	// clamped to NumSMs, and the Memory configuration always runs serially
-	// (its analytical memory models share order-dependent bandwidth
-	// meters — and it has no per-SM cycle-accurate state worth sharding).
-	// Results are byte-identical at every value.
+	// EngineThreads is read by nothing: a simulation runs on the goroutine
+	// that called RunCtx, and results never depended on this value.
+	//
+	// Deprecated: the sharded engine it sized is gone. The field stays, and
+	// keeps its JSON name, because the frozen benchmark harness (bench/) sets
+	// it and stored specs and wire jobs may carry "engine_threads"; Validate
+	// still refuses a negative value. It is in no identity.
 	EngineThreads int `json:"engine_threads,omitempty"`
-	// EpochCycles is the relaxed-sync epoch length. In parallel assemblies
-	// (EngineThreads >= 2 and a Kind with sharded state) a value k > 1 lets
-	// every shard run k consecutive local cycles between barriers, with
-	// L1→interconnect traffic carried through bounded-staleness queues (see
-	// boundary.go) so no module ever observes a value from its future.
-	// 0 or 1 keeps the exact barrier-per-cycle protocol and byte-identical
-	// results; k > 1 trades a bounded, per-preset-quantified metric drift
-	// for fewer barriers. For a given (configuration, k) results are still
-	// bit-reproducible at every thread count. k > 1 with EngineThreads <= 1
-	// is rejected by Validate; an assembly that ends up on one shard anyway
-	// (Memory, or a one-SM GPU) runs exact — see Effective.
+	// EpochCycles is the relaxed-sync epoch length. A value k > 1 lets the
+	// SMs and their L1s run k consecutive local cycles at a stretch before
+	// the shared memory system catches up, with L1→interconnect traffic
+	// carried through bounded-staleness queues (see boundary.go) so no
+	// module ever observes a value from its future. 0 or 1 keeps the exact
+	// cycle-by-cycle run and byte-identical results; k > 1 trades a bounded,
+	// per-preset-quantified metric drift for fewer engine round trips. For a
+	// given (configuration, k) results are still bit-reproducible. Memory,
+	// which has no cycle-accurate SM-to-memory traffic to relax, always runs
+	// exact — see Effective.
 	EpochCycles int `json:"epoch_cycles,omitempty"`
 	// SnapshotAt, together with SnapshotTo, checkpoints the run at the
 	// first quiescent kernel boundary at or after this cycle (0 = the
@@ -141,15 +138,14 @@ type Options struct {
 	// by SnapshotTo: already-simulated kernels are skipped and all module
 	// state (warmed L2, DRAM row state, scheduler counters, metrics) is
 	// restored. The checkpoint's app, GPU and Identity must match this
-	// run's; EngineThreads may differ freely.
+	// run's.
 	RestoreFrom io.Reader `json:"-"`
 	// Sampling enables the sampled execution mode: kernel-launch
 	// memoization with analytical replay plus representative-block (CTA)
 	// sampling with Eq. 1-style extrapolation — see sample.go. Opt-in and
-	// deterministic (bit-reproducible at every thread count for fixed
-	// options); accuracy drift is bounded by the per-preset envelopes in
-	// internal/regress. Composes with every Kind and with
-	// EngineThreads/EpochCycles; incompatible with snapshot/restore (a
+	// deterministic (bit-reproducible for fixed options); accuracy drift is
+	// bounded by the per-preset envelopes in internal/regress. Composes with
+	// every Kind and with EpochCycles; incompatible with snapshot/restore (a
 	// replayed launch has no simulated state to checkpoint).
 	Sampling Sampling `json:"sampling"`
 	// Trace is the observability handle (internal/obs). nil (or a tracer
@@ -167,8 +163,6 @@ type Options struct {
 //   - Kind and HitRates must name a declared value.
 //   - EngineThreads and EpochCycles are non-negative (0 means the default,
 //     so a negative value has no reading).
-//   - Relaxed-sync epochs only exist in a parallel engine: EpochCycles > 1
-//     with EngineThreads <= 1 would be silently ignored.
 //   - An enabled Sampling has BlockFraction in [0,1) and a non-negative
 //     ReplayStride; tuning fields on a disabled Sampling would be dead.
 //   - Sampling does not combine with snapshot/restore.
@@ -184,9 +178,6 @@ func (o Options) Validate() error {
 	}
 	if o.EpochCycles < 0 {
 		return fmt.Errorf("EpochCycles must be >= 0, got %d", o.EpochCycles)
-	}
-	if o.EpochCycles > 1 && o.EngineThreads <= 1 {
-		return fmt.Errorf("EpochCycles %d needs a parallel engine: set EngineThreads > 1 (or drop EpochCycles for the exact serial run)", o.EpochCycles)
 	}
 	s := o.Sampling
 	if !s.Enabled {
@@ -208,13 +199,10 @@ func (o Options) Validate() error {
 }
 
 // WithDefaults overlays o on def, the one "zero means the default" rule:
-// a zero EngineThreads or EpochCycles and a disabled Sampling take def's
-// value; everything o sets wins. The runner, the experiments and the
-// sweep service apply their sweep-wide defaults to each job with it.
+// a zero EpochCycles and a disabled Sampling take def's value; everything
+// o sets wins. The runner, the experiments and the sweep service apply
+// their sweep-wide defaults to each job with it.
 func (o Options) WithDefaults(def Options) Options {
-	if o.EngineThreads == 0 {
-		o.EngineThreads = def.EngineThreads
-	}
 	if o.EpochCycles == 0 {
 		o.EpochCycles = def.EpochCycles
 	}
@@ -224,17 +212,12 @@ func (o Options) WithDefaults(def Options) Options {
 	return o
 }
 
-// Effective returns o as an assembly on gpu actually runs it: the shard
-// count clamped to NumSMs and forced to 1 for Memory, the epoch length
-// forced to 1 (exact) on a one-shard assembly, the zero MaxCycles and
-// Sampling fields replaced by their defaults. It is idempotent, and
+// Effective returns o as an assembly actually runs it: the epoch
+// length forced to 1 (exact) for Memory, the zero EpochCycles, MaxCycles
+// and Sampling fields replaced by their defaults. It is idempotent, and
 // running Effective options is indistinguishable from running o.
-func (o Options) Effective(gpu config.GPU) Options {
-	o.EngineThreads = min(o.EngineThreads, gpu.NumSMs)
-	if o.EngineThreads < 2 || o.Kind == Memory {
-		o.EngineThreads = 1
-	}
-	if o.EpochCycles < 1 || o.EngineThreads == 1 {
+func (o Options) Effective() Options {
+	if o.EpochCycles < 1 || o.Kind == Memory {
 		o.EpochCycles = 1
 	}
 	if o.MaxCycles == 0 {
@@ -249,12 +232,11 @@ func (o Options) Effective(gpu config.GPU) Options {
 // byte-identical results exactly when their identities are equal, so the
 // sweep service hashes it into the cache key and a snapshot stores it and
 // refuses to restore into a run whose identity differs. EngineThreads is
-// absent because results are byte-identical at every shard count for a
-// fixed effective epoch length; SnapshotAt and the hooks are absent
+// absent because nothing reads it; SnapshotAt and the hooks are absent
 // because they never change results (a custom Scheduler would, but a
 // function cannot be rendered: see the field).
-func (o Options) Identity(gpu config.GPU) string {
-	o = o.Effective(gpu)
+func (o Options) Identity() string {
+	o = o.Effective()
 	s := o.Sampling
 	return fmt.Sprintf("kind=%d hitrates=%d maxcycles=%d latencyscale=%g overhead=%d epoch=%d sampling=%t frac=%g stride=%d seed=%d",
 		o.Kind, o.HitRates, o.MaxCycles, o.LatencyScale, o.ExtraKernelOverhead, o.EpochCycles,

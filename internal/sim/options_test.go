@@ -3,11 +3,15 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
+	"swiftsim/internal/config"
 	"swiftsim/internal/mem"
+	"swiftsim/internal/metrics"
 )
 
 // TestValidate is the table the three former validators (the front ends'
@@ -29,10 +33,10 @@ func TestValidate(t *testing.T) {
 		{"relaxed parallel", Options{EngineThreads: 4, EpochCycles: 8}, false},
 		{"relaxed two threads", Options{EngineThreads: 2, EpochCycles: 2}, false},
 		{"large epoch parallel", Options{EngineThreads: 2, EpochCycles: 1024}, false},
-		{"relaxed serial", Options{EngineThreads: 1, EpochCycles: 8}, true},
-		{"relaxed zero threads", Options{EpochCycles: 8}, true},
+		{"relaxed serial", Options{EngineThreads: 1, EpochCycles: 8}, false},
+		{"relaxed zero threads", Options{EpochCycles: 8}, false},
 		{"relaxed negative threads", Options{EngineThreads: -1, EpochCycles: 8}, true},
-		{"smallest relaxed serial", Options{EngineThreads: 1, EpochCycles: 2}, true},
+		{"smallest relaxed serial", Options{EngineThreads: 1, EpochCycles: 2}, false},
 		{"negative threads", Options{EngineThreads: -1}, true},
 		{"negative epoch", Options{EngineThreads: 4, EpochCycles: -1}, true},
 		{"negative epoch serial", Options{EpochCycles: -3}, true},
@@ -47,7 +51,7 @@ func TestValidate(t *testing.T) {
 		{"sampling stride negative", Options{Sampling: sampling(0, -1)}, true},
 		{"fraction without sample", Options{Sampling: Sampling{BlockFraction: 0.25}}, true},
 		{"stride without sample", Options{Sampling: Sampling{ReplayStride: 4}}, true},
-		{"sampling does not excuse bad epochs", Options{Sampling: Sampling{Enabled: true}, EngineThreads: 1, EpochCycles: 8}, true},
+		{"sampling does not excuse bad epochs", Options{Sampling: Sampling{Enabled: true}, EpochCycles: -8}, true},
 
 		{"seed without sample", Options{Sampling: Sampling{Seed: 7}}, true},
 		{"sampling with a seed", Options{Sampling: Sampling{Enabled: true, Seed: 7}}, false},
@@ -82,7 +86,7 @@ func TestParseKind(t *testing.T) {
 }
 
 // TestWithDefaults pins the one overlay rule: what the job sets wins, a
-// zero threads/epoch value and a disabled Sampling take the default's.
+// zero epoch value and a disabled Sampling take the default's.
 func TestWithDefaults(t *testing.T) {
 	def := Options{Kind: Basic, EngineThreads: 4, EpochCycles: 8, MaxCycles: 99,
 		Sampling: Sampling{Enabled: true, BlockFraction: 0.5}}
@@ -92,15 +96,15 @@ func TestWithDefaults(t *testing.T) {
 		job, want Options
 	}{
 		{"zero takes the default", Options{Kind: Memory},
-			Options{Kind: Memory, EngineThreads: 4, EpochCycles: 8, Sampling: def.Sampling}},
-		{"job value wins", Options{EngineThreads: 2, EpochCycles: 1, Sampling: own},
-			Options{EngineThreads: 2, EpochCycles: 1, Sampling: own}},
-		{"fields overlay independently", Options{EngineThreads: 2},
-			Options{EngineThreads: 2, EpochCycles: 8, Sampling: def.Sampling}},
+			Options{Kind: Memory, EpochCycles: 8, Sampling: def.Sampling}},
+		{"job value wins", Options{EpochCycles: 1, Sampling: own},
+			Options{EpochCycles: 1, Sampling: own}},
+		{"fields overlay independently", Options{Sampling: own},
+			Options{EpochCycles: 8, Sampling: own}},
 		{"a disabled Sampling takes the default's", Options{Sampling: Sampling{}},
-			Options{EngineThreads: 4, EpochCycles: 8, Sampling: def.Sampling}},
-		{"only the three dials overlay", Options{MaxCycles: 5, EngineThreads: 1, EpochCycles: 1, Sampling: own},
-			Options{MaxCycles: 5, EngineThreads: 1, EpochCycles: 1, Sampling: own}},
+			Options{EpochCycles: 8, Sampling: def.Sampling}},
+		{"only the two dials overlay", Options{MaxCycles: 5, EngineThreads: 2, EpochCycles: 1, Sampling: own},
+			Options{MaxCycles: 5, EngineThreads: 2, EpochCycles: 1, Sampling: own}},
 	}
 	for _, tt := range tests {
 		if got := tt.job.WithDefaults(def); !reflect.DeepEqual(got, tt.want) {
@@ -112,46 +116,81 @@ func TestWithDefaults(t *testing.T) {
 	}
 }
 
-// TestEffective pins the normaliser: what an assembly on the GPU runs.
+// TestEffective pins the normaliser: what an assembly runs.
 func TestEffective(t *testing.T) {
-	gpu := smallGPU() // 8 SMs
 	tests := []struct {
-		name           string
-		o              Options
-		threads, epoch int
+		name  string
+		o     Options
+		epoch int
 	}{
-		{"zero value is exact serial", Options{}, 1, 1},
-		{"parallel relaxed kept", Options{Kind: Basic, EngineThreads: 2, EpochCycles: 8}, 2, 8},
-		{"shards clamp to the SM count", Options{EngineThreads: 64, EpochCycles: 8}, gpu.NumSMs, 8},
-		{"Memory is one shard, so exact", Options{Kind: Memory, EngineThreads: 4, EpochCycles: 8}, 1, 1},
-		{"one shard forces the exact epoch", Options{EngineThreads: 1, EpochCycles: 8}, 1, 1},
+		{"zero value is exact", Options{}, 1},
+		{"relaxed kept", Options{Kind: Basic, EpochCycles: 8}, 8},
+		{"Memory has nothing to relax, so exact", Options{Kind: Memory, EpochCycles: 8}, 1},
 	}
 	for _, tt := range tests {
-		got := tt.o.Effective(gpu)
-		if got.EngineThreads != tt.threads || got.EpochCycles != tt.epoch {
-			t.Errorf("%s: threads %d epoch %d, want %d and %d", tt.name, got.EngineThreads, got.EpochCycles, tt.threads, tt.epoch)
+		got := tt.o.Effective()
+		if got.EpochCycles != tt.epoch {
+			t.Errorf("%s: epoch %d, want %d", tt.name, got.EpochCycles, tt.epoch)
 		}
-		if again := got.Effective(gpu); !reflect.DeepEqual(again, got) {
+		if again := got.Effective(); !reflect.DeepEqual(again, got) {
 			t.Errorf("%s: Effective is not idempotent: %+v then %+v", tt.name, got, again)
 		}
 		if err := got.Validate(); err != nil {
 			t.Errorf("%s: effective options do not validate: %v", tt.name, err)
 		}
 	}
-	one := gpu
-	one.NumSMs = 1
-	if got := (Options{EngineThreads: 4, EpochCycles: 8}).Effective(one); got.EngineThreads != 1 || got.EpochCycles != 1 {
-		t.Errorf("one-SM GPU: threads %d epoch %d, want the exact serial run", got.EngineThreads, got.EpochCycles)
-	}
-	got := (Options{Sampling: Sampling{Enabled: true}}).Effective(gpu)
+	got := (Options{Sampling: Sampling{Enabled: true}}).Effective()
 	if got.MaxCycles != 1_000_000_000 || got.Sampling.BlockFraction != DefaultBlockFraction || got.Sampling.ReplayStride != DefaultReplayStride {
 		t.Errorf("zero MaxCycles/Sampling fields not defaulted: %+v", got)
 	}
 }
 
-// identityExempt lists the fields Identity deliberately leaves out: the
-// shard count (results are byte-identical at every value) and the
-// process-local hooks with the cycle that positions one of them. Every
+// TestEngineThreadsInert: EngineThreads is a field nothing reads. At every
+// value, with exact and relaxed epochs, a run has the same identity, the
+// same effective epoch and the same result bytes; and the identity of a
+// relaxed run, with or without a thread count, is the literal the sharded
+// engine rendered for EngineThreads=2, so no cache key or snapshot moved.
+func TestEngineThreadsInert(t *testing.T) {
+	gpu := config.RTX2080Ti()
+	app := mustApp(t, "GEMM", 0.25)
+	render := func(res *Result) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d %d %d %d %v\n", res.Cycles, res.Instructions, res.TickedCycles, res.SkippedCycles, res.KernelCycles)
+		_ = metrics.WriteCanonical(&b, res.Metrics)
+		return b.String()
+	}
+	for _, epoch := range []int{1, 8} {
+		var id, bytes string
+		for _, threads := range []int{0, 1, 2, 64} {
+			o := Options{Kind: Basic, EngineThreads: threads, EpochCycles: epoch}
+			if got := o.Effective().EpochCycles; got != epoch {
+				t.Errorf("threads=%d epoch=%d: effective epoch %d", threads, epoch, got)
+			}
+			res, err := Run(app, gpu, o)
+			if err != nil {
+				t.Fatalf("threads=%d epoch=%d: %v", threads, epoch, err)
+			}
+			if id == "" {
+				id, bytes = o.Identity(), render(res)
+			}
+			if got := o.Identity(); got != id {
+				t.Errorf("threads=%d epoch=%d: identity %q, want %q", threads, epoch, got, id)
+			}
+			if got := render(res); got != bytes {
+				t.Errorf("threads=%d epoch=%d: result differs from threads=0", threads, epoch)
+			}
+		}
+	}
+	const parent = "kind=1 hitrates=0 maxcycles=1000000000 latencyscale=0 overhead=0 epoch=8 sampling=false frac=0 stride=0 seed=0"
+	for _, o := range []Options{{Kind: Basic, EngineThreads: 2, EpochCycles: 8}, {Kind: Basic, EpochCycles: 8}} {
+		if got := o.Identity(); got != parent {
+			t.Errorf("%+v: identity %q, want the parent commit's %q", o, got, parent)
+		}
+	}
+}
+
+// identityExempt lists the fields Identity deliberately leaves out:
+// EngineThreads (nothing reads it) and the process-local hooks with the cycle that positions one of them. Every
 // other field must change the identity when it changes.
 var identityExempt = map[string]bool{
 	"EngineThreads": true,
@@ -186,10 +225,9 @@ func bump(t *testing.T, v reflect.Value) {
 // JSON round trip, and changing it either moves Identity or the field is on
 // the exempt list above.
 func TestOptionsFieldsAccountedFor(t *testing.T) {
-	gpu := smallGPU()
-	// The base is a valid parallel sampled run, so no change below is
-	// normalised away (an epoch needs shards, sampling knobs need Enabled).
-	base := Options{Kind: Basic, EngineThreads: 2, EpochCycles: 2, Sampling: Sampling{Enabled: true}}
+	// The base is a valid relaxed sampled run, so no change below is
+	// normalised away (Memory forces the epoch, sampling knobs need Enabled).
+	base := Options{Kind: Basic, EpochCycles: 2, Sampling: Sampling{Enabled: true}}
 
 	var walk func(prefix string, typ reflect.Type, at func(*Options) reflect.Value)
 	walk = func(prefix string, typ reflect.Type, at func(*Options) reflect.Value) {
@@ -223,8 +261,8 @@ func TestOptionsFieldsAccountedFor(t *testing.T) {
 			if !reflect.DeepEqual(back, o) {
 				t.Errorf("%s did not survive the wire: sent %+v, got %+v (%s)", name, o, back, data)
 			}
-			if moved := o.Identity(gpu) != base.Identity(gpu); moved == identityExempt[name] {
-				t.Errorf("%s: changing it moved the identity: %v, exempt: %v (%q)", name, moved, identityExempt[name], o.Identity(gpu))
+			if moved := o.Identity() != base.Identity(); moved == identityExempt[name] {
+				t.Errorf("%s: changing it moved the identity: %v, exempt: %v (%q)", name, moved, identityExempt[name], o.Identity())
 			}
 		}
 	}
@@ -234,20 +272,18 @@ func TestOptionsFieldsAccountedFor(t *testing.T) {
 // TestIdentityNormalised: spellings Effective maps to the same run share an
 // identity, so they share a cache line and restore into one another.
 func TestIdentityNormalised(t *testing.T) {
-	gpu := smallGPU()
 	same := [][2]Options{
-		{{}, {EngineThreads: 1, EpochCycles: 1, MaxCycles: 1_000_000_000}},
-		{{EngineThreads: 2, EpochCycles: 8}, {EngineThreads: 4, EpochCycles: 8}},
-		{{Kind: Memory, EngineThreads: 2, EpochCycles: 8}, {Kind: Memory}},
+		{{}, {EpochCycles: 1, MaxCycles: 1_000_000_000}},
+		{{Kind: Memory, EpochCycles: 8}, {Kind: Memory}},
 		{{Sampling: Sampling{Enabled: true}},
 			{Sampling: Sampling{Enabled: true, BlockFraction: DefaultBlockFraction, ReplayStride: DefaultReplayStride}}},
 	}
 	for _, p := range same {
-		if a, b := p[0].Identity(gpu), p[1].Identity(gpu); a != b {
+		if a, b := p[0].Identity(), p[1].Identity(); a != b {
 			t.Errorf("%+v and %+v run identically but render %q and %q", p[0], p[1], a, b)
 		}
 	}
-	if a, b := (Options{EngineThreads: 2, EpochCycles: 8}).Identity(gpu), (Options{EngineThreads: 2}).Identity(gpu); a == b {
+	if a, b := (Options{EpochCycles: 8}).Identity(), (Options{}).Identity(); a == b {
 		t.Errorf("relaxed and exact epochs share the identity %q", a)
 	}
 }

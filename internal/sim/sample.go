@@ -37,8 +37,7 @@
 // Everything here is deterministic: selection is a pure function of
 // (config, kernel, fraction, seed), measured durations fold through
 // order-independent integer sums, and replay reuses recorded values — so
-// a sampled run is bit-reproducible at every thread count, exactly like
-// exact mode. Accuracy is a trade, not a guarantee; the per-preset
+// a sampled run is bit-reproducible, exactly like exact mode. Accuracy is a trade, not a guarantee; the per-preset
 // envelopes in internal/regress/testdata/sample bound the drift.
 package sim
 
@@ -254,9 +253,6 @@ func (s *sampler) beginLaunch(a *gpuAssembly, ki int) {
 	s.headL, s.headE = s.headL[:0], s.headE[:0]
 	s.tailL, s.tailE = s.tailL[:0], s.tailE[:0]
 	s.pending = s.kernels[ki].fp
-	if a.drain != nil {
-		a.drain()
-	}
 	s.baseSnap = a.g.Snapshot()
 }
 
@@ -275,9 +271,6 @@ func (s *sampler) endLaunch(a *gpuAssembly, ki int, simCycles uint64) uint64 {
 	}
 	kc := simCycles + analytic.ExtrapolateBlocks(lau, end, sk.waveCap, sk.total, sk.simulated)
 
-	if a.drain != nil {
-		a.drain()
-	}
 	a.g.FoldScaled(s.baseSnap, sk.factor, func(name string) bool {
 		// Per-launch gauges must not scale with block count.
 		return name == "gpu.kernels"

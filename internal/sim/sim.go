@@ -81,10 +81,6 @@ type gpuAssembly struct {
 	l1s         []*cache.Timed
 	sms         []*smcore.SM
 	kernelIndex int
-	// drain folds the per-shard metric shadows into g (nil with one shard).
-	// It runs before every probe sample and before the final snapshot, so
-	// observed counters are identical to a serial run's.
-	drain func()
 }
 
 // Run simulates app on gpu under opts and returns the result.
@@ -117,7 +113,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 			return nil, fmt.Errorf("sim: %s kernel %d: %w", app.Name, ki, err)
 		}
 	}
-	opts = opts.Effective(gpu)
+	opts = opts.Effective()
 	start := time.Now()
 
 	// Sampled execution mode (sample.go): representative-block subsets per
@@ -255,9 +251,6 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		}
 	}
 
-	if a.drain != nil {
-		a.drain()
-	}
 	total := extrapolated + overhead
 	a.g.Set("gpu.cycles", total)
 	return &Result{
@@ -300,40 +293,15 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	eng.SetTracer(opts.Trace)
 	traceModule := opts.Trace.Enabled(obs.ModuleLevel)
 
-	// Intra-simulation parallelism: SMs (and their private L1s/units) are
-	// distributed over nShards engine shards; the shared modules (block
-	// scheduler, NoC, L2, DRAM) stay serial. Effective owns the rules (the
-	// clamp to NumSMs, Memory's single shard, exact epochs on one shard); a
-	// lone shard is ticked as a plain serial run.
-	eff := opts.Effective(gpu)
-	nShards, epochK := eff.EngineThreads, eff.EpochCycles
-	eng.SetParallel(nShards)
-	shardOf := func(smID int) int { return smID % nShards }
-	ctxFor := func(smID int) engine.Context { return eng.ShardContext(shardOf(smID)) }
-	// Metric shadows are the one shard-count-dependent choice: a lone shard
-	// counts into the main gatherer directly; concurrent shards each get a
-	// private shadow, folded into g before every observation.
-	shardG := []*metrics.Gatherer{g}
-	if nShards > 1 {
-		shardG = make([]*metrics.Gatherer, nShards)
-		for s := range shardG {
-			shardG[s] = metrics.New()
-		}
-		a.drain = func() {
-			for _, s := range shardG {
-				g.Absorb(s)
-			}
-		}
-		eng.SetPreSample(a.drain)
-	}
-	gFor := func(smID int) *metrics.Gatherer { return shardG[shardOf(smID)] }
-
-	// Under relaxed-sync epochs an epoch boundary (boundary.go) carries each
-	// L1's downstream traffic, because PreTick drains run inside the
-	// concurrent shard pass instead of a serial pre-phase.
-	if epochK > 1 {
-		eng.SetEpoch(epochK)
-	}
+	// SMs (with their private L1s and units) form the engine's epoch-local
+	// segment, which a relaxed run (EpochCycles > 1) ticks several cycles at
+	// a stretch; the shared modules (block scheduler, NoC, L2, DRAM) stay
+	// serial around it. Segment modules reach the engine through ctx. An
+	// epoch boundary (boundary.go) then carries each L1's downstream
+	// traffic, because its PreTick drains run inside the segment's pass.
+	epochK := opts.Effective().EpochCycles
+	eng.SetEpoch(epochK)
+	ctx := eng.ShardContext(0)
 
 	scale := opts.LatencyScale
 	smCfg := gpu.SM
@@ -351,7 +319,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	// the L1s (with the epoch boundary and the L1 probe) over whichever
 	// downstream port the configuration has, and returns their deferred
 	// registration: SMs are built below and registered first, so issue
-	// happens before same-cycle memory processing, and the sharded entries
+	// happens before same-cycle memory processing, and the segment's entries
 	// (SMs, then L1s) form a contiguous registration range with the shared
 	// modules serial after it.
 	var l1For func(smID int) mem.Port
@@ -366,9 +334,9 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		for i := range l1s {
 			l1down := down
 			if boundary != nil {
-				l1down = boundary.port(i, ctxFor(i))
+				l1down = boundary.port(i, ctx)
 			}
-			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctxFor(i), l1down, gFor(i))
+			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctx, l1down, g)
 			l1s[i].SetTracer(opts.Trace)
 		}
 		a.l1s = l1s
@@ -378,12 +346,12 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 			eng.AddProbe("l1_hit_permille", l1w.DeltaPermille)
 		}
 		return func() {
-			for i, l1 := range l1s {
-				eng.RegisterSharded(l1, shardOf(i))
+			for _, l1 := range l1s {
+				eng.RegisterSharded(l1, 0)
 			}
 			// The boundary ticks after the L1s and before the NoC, so
-			// released traffic enters the interconnect the same cycle it
-			// would have in exact mode's serial drain pre-phase.
+			// released traffic enters the interconnect the same cycle an
+			// exact run's L1 drain would have delivered it.
 			if boundary != nil {
 				eng.Register(boundary)
 			}
@@ -480,35 +448,21 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		}()
 	}
 
-	// Execution units per configuration. Each shard gets its own provider
-	// instance bound to its shard context and gatherer; an SM's shard
-	// assignment is fixed, so intra-SM unit sharing (the DP:0.5x pairs) is
-	// unaffected by the delegation.
+	// Execution units per configuration.
 	var units smcore.UnitSet
 	switch opts.Kind {
 	case Detailed, Basic, L2Hybrid:
-		sets := make([]smcore.UnitSet, nShards)
-		for s := range sets {
-			sets[s] = smcore.NewCycleAccurateUnits(smCfg, eng.ShardContext(s), shardG[s], gpu.L1.SectorBytes, l1For)
-			if opts.Kind != Detailed {
-				sets[s].ALU = analyticalALUs(smCfg, eng, eng.ShardContext(s), shardG[s])
-			}
+		units = smcore.NewCycleAccurateUnits(smCfg, ctx, g, gpu.L1.SectorBytes, l1For)
+		ldst := units.LDST
+		units.LDST = func(smID, sub int) smcore.Unit {
+			u := ldst(smID, sub)
+			u.(*smcore.LDSTUnit).SetRequestPool(reqs)
+			return u
 		}
-		units = smcore.UnitSet{
-			ALU: func(smID, sub int, class trace.OpClass) smcore.Unit {
-				return sets[shardOf(smID)].ALU(smID, sub, class)
-			},
-			LDST: func(smID, sub int) smcore.Unit {
-				u := sets[shardOf(smID)].LDST(smID, sub)
-				u.(*smcore.LDSTUnit).SetRequestPool(reqs)
-				return u
-			},
-		}
-		if opts.Kind == Detailed {
-			units.ICache = func(smID, sub int) *smcore.ICache {
-				return sets[shardOf(smID)].ICache(smID, sub)
-			}
-			units.ModelFrontEnd = true
+		if opts.Kind != Detailed {
+			// The hybrids drop the front end and model the ALUs analytically.
+			units.ALU = analyticalALUs(smCfg, eng, ctx, g)
+			units.ICache, units.ModelFrontEnd = nil, false
 		}
 	case Memory:
 		// Eq. 1's level latencies are end-to-end from the core: an L2
@@ -574,7 +528,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	var bs *smcore.BlockScheduler
 	onBlockDone := func(sm *smcore.SM) { bs.BlockDone(sm) }
 	for i := range sms {
-		sm, err := smcore.NewSM(i, smCfg, ctxFor(i), units, gFor(i), onBlockDone)
+		sm, err := smcore.NewSM(i, smCfg, ctx, units, g, onBlockDone)
 		if err != nil {
 			return nil, err
 		}
@@ -599,8 +553,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	bs = smcore.NewBlockScheduler(sms, g)
 	a.bs = bs
 	eng.Register(bs)
-	for i, sm := range sms {
-		eng.RegisterSharded(sm, shardOf(i))
+	for _, sm := range sms {
+		eng.RegisterSharded(sm, 0)
 	}
 	return a, nil
 }
@@ -609,8 +563,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 // one ALUModel per sub-core per class, with DP shared per sub-core pair
 // when the configuration is "DP:0.5x" — identical structure to the
 // cycle-accurate provider, different modeling. ctx is the engine context
-// the models schedule completions through (a shard context in parallel
-// assemblies); eng is only used for the module inventory. The first unit
+// the models schedule completions through (the segment's, for units inside
+// an SM); eng is only used for the module inventory. The first unit
 // of a class resolves the class's counters; the others are its siblings.
 func analyticalALUs(cfg config.SM, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
 	type dpKey struct{ sm, pair int }

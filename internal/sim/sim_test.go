@@ -433,7 +433,7 @@ func TestL2HybridConfiguration(t *testing.T) {
 	}
 }
 
-// boundaryPusher is a sharded module that stays busy for work cycles and
+// boundaryPusher is a segment module that stays busy for work cycles and
 // pushes one message into its boundary port at local cycle at.
 type boundaryPusher struct {
 	port mem.Port
@@ -464,7 +464,7 @@ func (s *cycleSink) Accept(*mem.Request) bool {
 }
 
 // TestEpochBoundaryWakeAware pins the boundary's active-set contract: the
-// first message of an epoch wakes it at the barrier, so a message captured
+// first message of an epoch wakes it at the fold, so a message captured
 // at the epoch's first cycle T is delivered in that epoch's tail at T (and
 // one captured at T+2 in the catch-up cycle T+2, never early); with no
 // traffic parked the boundary is not in the active set at all.
@@ -506,7 +506,7 @@ func TestEpochBoundaryWakeAware(t *testing.T) {
 
 // TestRunAllocationsDoNotDependOnTheCollector: a run's memory requests come
 // from a pool the run holds alone and that outlives collections, so a warm
-// sharded Basic run allocates the same whether or not the collector ran
+// Basic run allocates the same whether or not the collector ran
 // since the run before it. With the requests in a sync.Pool the collected
 // case re-allocated every request (2.4 times the count here) and the benchmark's
 // allocs_per_kinst on basic_sharded differed by 4% between identical
@@ -517,7 +517,7 @@ func TestRunAllocationsDoNotDependOnTheCollector(t *testing.T) {
 	}
 	gpu := smallGPU()
 	app := mustApp(t, "BFS", 0.25)
-	opts := Options{Kind: Basic, EngineThreads: 2}
+	opts := Options{Kind: Basic}
 	run := func() {
 		if _, err := Run(app, gpu, opts); err != nil {
 			t.Fatal(err)

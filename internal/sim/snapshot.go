@@ -6,9 +6,8 @@
 //	header   magic "SSIM" + format version (snap.LoadHeader)
 //	identity app name, kernel count, GPU name and Options.Identity — the
 //	         one rendering of everything that shapes the timing of the
-//	         remainder of the run (options.go says what is in it and why
-//	         EngineThreads is not). Restore refuses a mismatch with
-//	         ErrSnapshotMismatch.
+//	         remainder of the run (options.go says what is in it). Restore
+//	         refuses a mismatch with ErrSnapshotMismatch.
 //	run pos  next kernel index, per-kernel durations so far, extrapolated
 //	         and overhead cycle accumulators
 //	engine   one length-framed engine.SaveState payload (scheduler counters
@@ -44,11 +43,6 @@ var ErrSnapshotMismatch = errors.New("sim: snapshot does not match this run")
 // the next boundary — and (true, nil) once the checkpoint has been written
 // to opts.SnapshotTo.
 func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
-	// Fold the per-shard metric shadows first so the saved gatherer equals
-	// a serial run's at this boundary.
-	if a.drain != nil {
-		a.drain()
-	}
 	if !a.eng.Quiescent() {
 		return false, nil
 	}
@@ -58,7 +52,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	w.String(app.Name)
 	w.U64(uint64(len(app.Kernels)))
 	w.String(gpu.Name)
-	w.String(opts.Identity(gpu))
+	w.String(opts.Identity())
 
 	// Run-position section.
 	w.U64(uint64(nextKernel))
@@ -128,7 +122,7 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options) 
 	if v := r.String(); r.Err() == nil && v != gpu.Name {
 		return nil, fmt.Errorf("%w: snapshot is for GPU %q, this run uses %q", ErrSnapshotMismatch, v, gpu.Name)
 	}
-	if v, want := r.String(), opts.Identity(gpu); r.Err() == nil && v != want {
+	if v, want := r.String(), opts.Identity(); r.Err() == nil && v != want {
 		return nil, fmt.Errorf("%w: snapshot options are %q, this run's are %q", ErrSnapshotMismatch, v, want)
 	}
 	if err := r.Err(); err != nil {

@@ -84,9 +84,8 @@ type LDSTUnit struct {
 	queueCap    int
 
 	queue mem.FIFO[*ldstInst]
-	// free holds recycled instructions. TryIssue pops it during the unit's
-	// shard pass and sectorDone pushes it from completion events, which the
-	// engine fires in its serial phase; the barrier separates the two.
+	// free holds recycled instructions. TryIssue pops it and sectorDone
+	// pushes it from completion events.
 	free []*ldstInst
 	// reqs is where the unit's sector requests come from: the run's pool
 	// once the assembly has called SetRequestPool, the shared one before.

@@ -345,10 +345,9 @@ type SM struct {
 	finishFn func()
 
 	// free holds recycled in-flight records. It is touched where the SM's
-	// other state is: dispatch takes from it during the SM's tick (its
-	// shard pass when sharded) and completions return to it from engine
-	// events, which fire in the serial phase, or from a cycle-accurate
-	// unit's Tick inside the SM's own; the barrier separates the two.
+	// other state is: dispatch takes from it during the SM's tick and
+	// completions return to it from engine events or from a cycle-accurate
+	// unit's Tick inside the SM's own.
 	free []*inflight
 
 	// accounted is the number of engine iterations whose scheduler-stall
@@ -366,8 +365,8 @@ type SM struct {
 	// cycle, end cycle). Sampled mode (internal/sim) uses it to measure
 	// per-block durations for analytical extrapolation. Like onBlockDone it
 	// is invoked from finishBlock, which runs in a serial engine phase
-	// (inline serially, at the barrier in deterministic defer order when
-	// sharded), so observers need no synchronization.
+	// (inline in an exact run, at the fold in defer order in a relaxed
+	// one).
 	blockObs func(index int, launch, end uint64)
 
 	issued    *metrics.Counter
@@ -731,10 +730,10 @@ func (sm *SM) blockDone(rb *residentBlock) {
 	sm.usedRegs -= rb.regs
 	sm.usedShmem -= rb.shmem
 	// The block-completion notification (and its trace span) escapes the
-	// SM: onBlockDone wakes the shared Block Scheduler. During a shard pass
-	// that is a cross-shard side effect, so it goes through the engine
-	// context's Defer — applied at the deterministic barrier in
-	// registration order, inline otherwise. The block's frozen values
+	// SM: onBlockDone wakes the shared Block Scheduler. During a relaxed
+	// run's segment pass that effect leaves the segment, so it goes through
+	// the engine context's Defer — applied at the fold in the order issued,
+	// inline otherwise. The block's frozen values
 	// (launch cycle, index) ride in a per-SM FIFO that the one preallocated
 	// callback pops, so the per-block path allocates in neither case: an
 	// SM's defers run in the order it issued them.
@@ -754,7 +753,7 @@ func (sm *SM) finishOldest() {
 
 // finishBlock emits the block's trace span and notifies the Block
 // Scheduler. It runs through the engine context's Defer from blockDone: at
-// the engine barrier when the SM's shard pass was staged, inline otherwise.
+// the engine's fold when the SM's pass was staged, inline otherwise.
 func (sm *SM) finishBlock(launchCycle uint64, index int) {
 	if sm.trOn && sm.eng != nil {
 		sm.tr.Emit(obs.Event{Name: "block", Cat: "sm", Ph: obs.PhaseSpan,

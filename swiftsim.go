@@ -257,12 +257,12 @@ const (
 )
 
 // Config selects how Simulate models the GPU: the simulator configuration
-// (Kind, default Detailed), the engine-parallelism and relaxed-sync dials
-// (EngineThreads, EpochCycles), sampled execution (Sampling), checkpointing
+// (Kind, default Detailed), the relaxed-sync dial (EpochCycles), sampled
+// execution (Sampling), checkpointing
 // (SnapshotAt/SnapshotTo/RestoreFrom), a custom warp Scheduler and the
 // observability Trace. It is the simulator's own options record — see
 // sim.Options for every field — so a setting exists under one name at
-// every layer; the zero value is an exact, serial, Detailed run.
+// every layer; the zero value is an exact Detailed run.
 type Config = sim.Options
 
 // ParseSimulator parses the command-line spelling of a Kind:
