@@ -50,14 +50,18 @@ func NewALUModel(name string, eng engine.Context, latency, interval int, g *metr
 	}
 }
 
-// Sibling returns another unit of u's class: the same parameters and the
-// same counters, with an issue port of its own. An assembly builds one unit
-// per class with NewALUModel and the class's other NumSMs×SubCores−1 from
-// it, so the counter names are built and resolved once per class.
-func (u *ALUModel) Sibling() *ALUModel {
-	s := *u
-	s.freeAt = 0
-	return &s
+// Siblings returns n more units of u's class, in one slice: the same
+// parameters and the same counters, each with an issue port of its own. An
+// assembly builds one unit per class with NewALUModel and the class's other
+// NumSMs×SubCores−1 from it, so the counter names are built and resolved
+// once per class and the units cost one allocation, not one each.
+func (u *ALUModel) Siblings(n int) []ALUModel {
+	sibs := make([]ALUModel, n)
+	for i := range sibs {
+		sibs[i] = *u
+		sibs[i].freeAt = 0
+	}
+	return sibs
 }
 
 // Name implements engine.Module.
@@ -233,13 +237,22 @@ func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.G
 	}
 }
 
-// Sibling returns another unit of u's class, as ALUModel.Sibling does,
-// behind the given per-SM meters (MemModelParams.L1Port and MSHR).
-func (u *MemModel) Sibling(l1port, mshr *BandwidthMeter) *MemModel {
-	s := *u
-	s.freeAt = 0
-	s.l1port, s.mshr = l1port, mshr
-	return &s
+// Siblings returns n more units of u's class in one slice, as
+// ALUModel.Siblings does. Each still stands behind u's per-SM meters; the
+// assembly moves it behind its own SM's with SetSMMeters.
+func (u *MemModel) Siblings(n int) []MemModel {
+	sibs := make([]MemModel, n)
+	for i := range sibs {
+		sibs[i] = *u
+		sibs[i].freeAt = 0
+	}
+	return sibs
+}
+
+// SetSMMeters puts u behind the given per-SM meters
+// (MemModelParams.L1Port and MSHR).
+func (u *MemModel) SetSMMeters(l1port, mshr *BandwidthMeter) {
+	u.l1port, u.mshr = l1port, mshr
 }
 
 // Name implements engine.Module.

@@ -398,9 +398,23 @@ func TestBackendWrites(t *testing.T) {
 // issue→writeback path with analytical units: the in-flight record and its
 // bound completion are recycled, the memory model counts sectors on its
 // stack, and each unit schedules one event. Once the record free list and
-// the event heap have reached their working size, issuing and completing
-// instructions of a resident warp allocates nothing.
+// the event store's node slab have reached their working size, issuing and
+// completing instructions of a resident warp allocates nothing, under the
+// built-in policy and under a plug-in Picker alike (the tried predicate a
+// Picker receives is bound once per sub-core, not built per round).
 func TestIssueToWritebackAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		picker func(smID, sub int) smcore.Picker
+	}{
+		{"built-in", nil},
+		{"picker", func(int, int) smcore.Picker { return smcore.NewMemFirstPicker() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { issueToWritebackAllocatesNothing(t, tc.picker) })
+	}
+}
+
+func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) smcore.Picker) {
 	eng := engine.New()
 	g := metrics.New()
 	kernel := 0
@@ -410,6 +424,7 @@ func TestIssueToWritebackAllocatesNothing(t *testing.T) {
 			return NewALUModel("alu."+class.String(), eng, 4, 1, g)
 		},
 		func(smID, sub int) smcore.Unit { return NewMemModel("mem", eng, p, g) })
+	units.Scheduler = picker
 	sm, err := smcore.NewSM(0, config.RTX2080Ti().SM, eng, units, g, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"swiftsim/internal/obs"
 )
@@ -81,66 +82,6 @@ type Ticker interface {
 	SetWake(wake func())
 }
 
-type event struct {
-	cycle uint64
-	seq   uint64 // FIFO tie-break within a cycle
-	fn    func()
-}
-
-// eventQueue is a binary min-heap ordered by (cycle, seq).
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		(*q)[i], (*q)[parent] = (*q)[parent], (*q)[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	*q = h[:n]
-	q.siftDown(0)
-	return top
-}
-
-func (q *eventQueue) siftDown(i int) {
-	h := *q
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
 // tickerEntry is the engine's per-ticker scheduling state.
 type tickerEntry struct {
 	t Ticker
@@ -183,7 +124,8 @@ type Engine struct {
 	// the woken ticker is still reachable this cycle.
 	tickPos int
 	modules []Module
-	events  eventQueue
+	// ev holds the scheduled events; see events.go.
+	ev eventStore
 
 	// stats
 	tickedCycles  uint64
@@ -286,6 +228,7 @@ func (e *Engine) sample() {
 func New() *Engine {
 	e := &Engine{tickPos: -1, nShards: 1, pLo: -1, headHi: maxInt, epochK: 1}
 	e.seg.e = e
+	e.ev.init()
 	return e
 }
 
@@ -420,8 +363,7 @@ func (e *Engine) Inventory() []ModuleInfo {
 // cycle if the engine has not yet processed events for it, otherwise at the
 // next cycle boundary; analytical modules should use delays >= 1.
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.seq++
-	e.events.push(event{cycle: e.cycle + delay, seq: e.seq, fn: fn})
+	e.enqueue(e.cycle+delay, fn)
 }
 
 // ErrDeadlock is returned by Run when no ticker is busy, no events are
@@ -467,8 +409,10 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 		return e.cycle, err
 	}
 	var cancelCh <-chan struct{}
+	var deadline time.Time
 	if ctx != nil {
 		cancelCh = ctx.Done()
+		deadline, _ = ctx.Deadline()
 	}
 	poll := ctxPollInterval // poll on the first iteration: catch pre-canceled contexts
 	for {
@@ -480,6 +424,13 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 				case <-cancelCh:
 					return e.cycle, fmt.Errorf("%w at cycle %d: %w", ErrCanceled, e.cycle, ctx.Err())
 				default:
+					// A deadline closes Done from a runtime timer, which
+					// runs when a P gets to it: up to a preemption quantum
+					// (10 ms) late while every P is simulating. A job can be
+					// shorter than that, so the poll reads the clock too.
+					if !deadline.IsZero() && !time.Now().Before(deadline) {
+						return e.cycle, fmt.Errorf("%w at cycle %d: %w", ErrCanceled, e.cycle, context.DeadlineExceeded)
+					}
 				}
 			}
 		}
@@ -503,10 +454,10 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 			continue
 		}
 		// All tickers idle: fast-forward to the next event.
-		if len(e.events) == 0 {
+		next := e.ev.next
+		if next == noEvent {
 			return e.cycle, fmt.Errorf("%w at cycle %d", ErrDeadlock, e.cycle)
 		}
-		next := e.events[0].cycle
 		if next <= e.cycle {
 			e.cycle++
 		} else {
@@ -524,22 +475,9 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 // cycle-by-cycle stretch have nothing due, and a call per iteration is
 // measurable there (EXPERIMENTS.md, PR 12).
 func (e *Engine) fireDue() {
-	if len(e.events) > 0 && e.events[0].cycle <= e.cycle {
+	if e.ev.next <= e.cycle {
 		e.fireBurst()
 	}
-}
-
-// fireBurst is the one event-fire loop. Events may schedule more events
-// for the same cycle; they run in FIFO order after it. Wakes are batched
-// across the burst and folded in one merge.
-func (e *Engine) fireBurst() {
-	e.batchWake = true
-	for len(e.events) > 0 && e.events[0].cycle <= e.cycle {
-		ev := e.events.pop()
-		e.firedEvents++
-		ev.fn()
-	}
-	e.flushWakes()
 }
 
 // flushWakes ends a batchWake window, merging the buffered activations
@@ -553,7 +491,7 @@ func (e *Engine) flushWakes() {
 	if len(wb) == 0 {
 		return
 	}
-	// Completion events usually wake entries in heap order, not index
+	// Completion events usually wake entries in firing order, not index
 	// order; the buffer is tiny, so sorting it is cheap (and allocation
 	// free since Go's sort.Ints runs in place).
 	sort.Ints(wb)
@@ -647,5 +585,5 @@ func (e *Engine) anyBusy() bool {
 // scheduled events and no busy ticker. Snapshots are only taken at
 // quiescent points — there is no in-flight state to serialize then.
 func (e *Engine) Quiescent() bool {
-	return len(e.events) == 0 && !e.anyBusy()
+	return e.ev.next == noEvent && !e.anyBusy()
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // fakeTicker counts ticks and stays busy for a configured number of cycles.
@@ -302,6 +303,31 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 	if cyc < cancelAt || cyc > cancelAt+2*ctxPollInterval {
 		t.Errorf("stopped at cycle %d, want within one poll interval of %d", cyc, cancelAt)
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed but whose Done
+// channel has not been closed yet: what a context.WithTimeout looks like to
+// a run shorter than the runtime takes to get to the timer.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestRunCtxDeadlineDoesNotWaitForItsTimer: the poll reads the clock, so a
+// passed deadline stops the run at the next poll even when nothing has
+// closed Done, with the error a fired timer would have given.
+func TestRunCtxDeadlineDoesNotWaitForItsTimer(t *testing.T) {
+	e := New()
+	tk := &fakeTicker{name: "busy", busyUntil: 1 << 40}
+	e.Register(tk)
+	base, cancel := context.WithCancel(context.Background()) // a Done channel nobody closes during the run
+	defer cancel()
+	_, err := e.RunCtx(lateTimerCtx{base}, func() bool { return false }, 0)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want ErrCanceled wrapping context.DeadlineExceeded, got %v", err)
+	}
+	if tk.ticks > ctxPollInterval {
+		t.Errorf("engine ticked %d times past the deadline", tk.ticks)
 	}
 }
 

@@ -393,8 +393,9 @@ func (e *Engine) fold(segStart int) {
 // releaseStaged walks the arena, which the pass filled cycle by cycle in
 // registration order, so it is already in the serial engine's order.
 // Events get their sequence numbers in that order; an event fires at its
-// capture cycle plus its delay, which may lie in the fold's past — the heap
-// push still works, and the next event phase fires it: late, never early.
+// capture cycle plus its delay, which is never before the fold's cycle (the
+// pass starts there) but may be the fold's cycle itself, whose event phase
+// is over — the next event phase fires it: late, never early.
 // Defers are collected in the same order and run once every staged event is
 // enqueued. They run with staging off, against the rebuilt active list, so
 // anything they do (wake the block scheduler, emit a trace event, schedule)
@@ -407,8 +408,7 @@ func (e *Engine) releaseStaged() {
 		if op.call {
 			calls = append(calls, op.fn)
 		} else {
-			e.seq++
-			e.events.push(event{cycle: op.cyc + op.delay, seq: e.seq, fn: op.fn})
+			e.enqueue(op.cyc+op.delay, op.fn)
 		}
 		op.fn = nil
 	}

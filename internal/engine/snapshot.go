@@ -24,8 +24,8 @@ import (
 // modules are recorded with an empty section so restore can verify the
 // assembly shape.
 func (e *Engine) SaveState(w *snap.Writer) {
-	if len(e.events) != 0 {
-		w.Fail(fmt.Errorf("%w: engine has %d pending events", snap.ErrNotQuiescent, len(e.events)))
+	if n := e.ev.pending(); n != 0 {
+		w.Fail(fmt.Errorf("%w: engine has %d pending events", snap.ErrNotQuiescent, n))
 		return
 	}
 	if e.anyBusy() {

@@ -65,10 +65,12 @@ func (l Level) String() string {
 // accepted by one cache/DRAM level at a time: a level that misses sends a
 // request of its own downstream and parks the original.
 //
-// A Pool is locked and may be used from any goroutine. Everything else a
-// module recycles (LD/ST instructions, MSHR entries, queue slots) lives on
-// a free list private to that module, touched only by its simulation's
-// goroutine, so the lists need no locks.
+// A pool held through AcquirePool belongs to one simulation, which is one
+// goroutine, and takes no lock; SharedPool is locked and may be used from
+// any goroutine (see Pool). Everything else a module recycles (LD/ST
+// instructions, MSHR entries, queue slots) lives on a free list private to
+// that module, touched only by its simulation's goroutine, so the lists
+// need no locks.
 type Request struct {
 	// Addr is the byte address, sector-aligned by the coalescer.
 	Addr uint64
@@ -207,8 +209,16 @@ func (r *Request) Deliver() {
 // because a collection between two jobs dropped the first job's requests.
 // Released pools keep their requests (at most poolCap each) and the lowest
 // free pool is handed out first, so back-to-back runs reuse one warm list.
-// The lock is for the shared pool, which concurrent runs use side by side;
-// a run takes its own pool's uncontended.
+//
+// Only the shared pool is locked: concurrent callers use it side by side.
+// A pool from AcquirePool has a single owner from acquire to Release, and
+// that owner is one goroutine: sim.Run acquires it, simulates on the calling
+// goroutine (a simulation has been one goroutine since the sharded engine
+// went) and releases it on return, after the engine has stopped, so none of
+// its requests completes later. Hand-over between two runs is ordered by
+// poolsMu, which Release and the next AcquirePool both take. Get, Sibling,
+// Complete and PutRequest on such a pool therefore take no lock, and must
+// not be called from a second goroutine while it is held.
 type Pool uint8
 
 // SharedPool serves callers that hold no pool of their own (tests, rigs
@@ -221,12 +231,15 @@ const (
 	poolCap = 1 << 15
 )
 
+// freeList is one pool's storage.
+type freeList struct {
+	mu   sync.Mutex // taken for the shared pool only; see Pool
+	free []*Request
+	_    [32]byte // a cache line each
+}
+
 var (
-	pools [numPools]struct {
-		mu   sync.Mutex
-		free []*Request
-		_    [32]byte // a cache line each
-	}
+	pools     [numPools]freeList
 	poolsMu   sync.Mutex
 	poolsBusy uint64 = 1 // bit p: pool p is held; the shared pool always is
 )
@@ -244,8 +257,9 @@ func AcquirePool() Pool {
 	return Pool(p)
 }
 
-// Release gives the pool up for the next AcquirePool. Requests of p still
-// in flight return to it whenever they complete.
+// Release gives the pool up for the next AcquirePool. The holder must have
+// stopped completing p's requests: one still in flight is simply never put
+// back.
 func (p Pool) Release() {
 	if p == SharedPool {
 		return
@@ -258,7 +272,17 @@ func (p Pool) Release() {
 // Get returns a zeroed Request from the pool. Complete returns it.
 func (p Pool) Get() *Request {
 	l := &pools[p]
+	if p != SharedPool {
+		return l.take(p)
+	}
 	l.mu.Lock()
+	r := l.take(p)
+	l.mu.Unlock()
+	return r
+}
+
+// take pops a recycled request of pool p, or makes one.
+func (l *freeList) take(p Pool) *Request {
 	if n := len(l.free); n > 0 {
 		r := l.free[n-1]
 		// A request still in flight when its run ends is never put back;
@@ -266,11 +290,16 @@ func (p Pool) Get() *Request {
 		// whole finished assembly, alive.
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
-		l.mu.Unlock()
 		return r
 	}
-	l.mu.Unlock()
 	return &Request{home: uint8(p) + 1}
+}
+
+// put keeps r for the next take, up to poolCap.
+func (l *freeList) put(r *Request) {
+	if len(l.free) < poolCap {
+		l.free = append(l.free, r)
+	}
 }
 
 // Sibling returns a zeroed Request from the pool r came from, for the
@@ -291,10 +320,12 @@ func PutRequest(r *Request) {
 	}
 	*r = Request{fire: r.fire, home: r.home}
 	l := &pools[r.home-1]
-	l.mu.Lock()
-	if len(l.free) < poolCap {
-		l.free = append(l.free, r)
+	if Pool(r.home-1) != SharedPool {
+		l.put(r)
+		return
 	}
+	l.mu.Lock()
+	l.put(r)
 	l.mu.Unlock()
 }
 

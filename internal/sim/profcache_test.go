@@ -503,7 +503,7 @@ func TestWarmMemoryRunAllocatesOnlyItsAssembly(t *testing.T) {
 	run()
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("%v allocations for %d instructions", allocs, insts)
-	const ceiling = 2200 // measured 1,769
+	const ceiling = 1880 // measured 1,506
 	if allocs > ceiling {
 		t.Errorf("a warm Memory run of %d instructions allocated %v objects, ceiling %d", insts, allocs, ceiling)
 	}

@@ -135,9 +135,13 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		profileWall = time.Since(pStart)
 	}
 
-	// The run's memory requests recycle through a pool it holds alone.
+	// The run's memory requests recycle through a pool it holds alone, on
+	// this goroutine, from here to the return: mem.Pool takes no lock on it.
 	reqs := mem.AcquirePool()
 	defer reqs.Release()
+	if poolHeld != nil {
+		defer poolHeld(reqs)()
+	}
 	a, err := assemble(gpu, opts, prof, reqs)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
@@ -269,6 +273,10 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		Inventory:     a.eng.Inventory(),
 	}, nil
 }
+
+// poolHeld, when a test sets it, is told which request pool a run holds and
+// returns what to call just before the run releases it.
+var poolHeld func(p mem.Pool) (released func())
 
 // scaleLat applies the golden model's latency scale.
 func scaleLat(l int, scale float64) int {
@@ -461,7 +469,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		}
 		if opts.Kind != Detailed {
 			// The hybrids drop the front end and model the ALUs analytically.
-			units.ALU = analyticalALUs(smCfg, eng, ctx, g)
+			units.ALU = analyticalALUs(smCfg, gpu.NumSMs, eng, ctx, g)
 			units.ICache, units.ModelFrontEnd = nil, false
 		}
 	case Memory:
@@ -493,8 +501,9 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		}
 		mshrMeters := make(map[int]*analytic.BandwidthMeter)
 		var first *analytic.MemModel // the rest are its siblings
+		var spare []analytic.MemModel
 		units = smcore.UnitSet{
-			ALU: analyticalALUs(smCfg, eng, eng, g),
+			ALU: analyticalALUs(smCfg, gpu.NumSMs, eng, eng, g),
 			LDST: func(smID, sub int) smcore.Unit {
 				l1Port, ok := l1Meters[smID]
 				if !ok {
@@ -513,7 +522,11 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 					u = analytic.NewMemModel("mem", eng, p, g)
 					first = u
 				} else {
-					u = first.Sibling(l1Port, mshr)
+					if len(spare) == 0 {
+						spare = first.Siblings(max(gpu.NumSMs*smCfg.SubCores-1, 1))
+					}
+					u, spare = &spare[0], spare[1:]
+					u.SetSMMeters(l1Port, mshr)
 				}
 				eng.AddModule(u)
 				return u
@@ -565,18 +578,28 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 // cycle-accurate provider, different modeling. ctx is the engine context
 // the models schedule completions through (the segment's, for units inside
 // an SM); eng is only used for the module inventory. The first unit
-// of a class resolves the class's counters; the others are its siblings.
-func analyticalALUs(cfg config.SM, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
+// of a class resolves the class's counters; the others are its siblings,
+// built in one slice sized for the numSMs SMs the provider will be asked
+// about.
+func analyticalALUs(cfg config.SM, numSMs int, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
 	type dpKey struct{ sm, pair int }
 	sharedDP := make(map[dpKey]*analytic.ALUModel)
 	var first [4]*analytic.ALUModel // indexed by trace.OpInt..trace.OpSFU
+	var spare [4][]analytic.ALUModel
 	mk := func(class trace.OpClass, lat, lanes int) *analytic.ALUModel {
 		u := first[class]
 		if u == nil {
 			u = analytic.NewALUModel("alu."+class.String(), ctx, lat, cfg.IssueInterval(lanes), g)
 			first[class] = u
 		} else {
-			u = u.Sibling()
+			if len(spare[class]) == 0 {
+				perSM := cfg.SubCores
+				if class == trace.OpDP && cfg.DPLanesHalf {
+					perSM = (cfg.SubCores + 1) / 2
+				}
+				spare[class] = u.Siblings(max(numSMs*perSM-1, 1))
+			}
+			u, spare[class] = &spare[class][0], spare[class][1:]
 		}
 		eng.AddModule(u)
 		return u

@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -539,5 +541,65 @@ func TestRunAllocationsDoNotDependOnTheCollector(t *testing.T) {
 	t.Logf("%d allocations, %d after two collections", quiet, collected)
 	if diff := max(quiet, collected) - min(quiet, collected); diff*100 > quiet {
 		t.Errorf("a warm run allocated %d objects, and %d after two collections: over 1%% apart", quiet, collected)
+	}
+}
+
+// TestConcurrentRunsHoldDistinctPools: a pool from mem.AcquirePool takes no
+// lock because one run holds it, on one goroutine, from acquire to release.
+// Eight runs are made to hold their pools at the same moment, then they and
+// eight more simulate side by side; no pool other than the shared one may
+// have two holders at once. Under -race (make tier1) the same runs would
+// also report any two of them touching one free list.
+func TestConcurrentRunsHoldDistinctPools(t *testing.T) {
+	const workers, runsEach = 8, 2
+	gpu := smallGPU()
+	app := mustApp(t, "BFS", 0.25)
+
+	var holders [256]atomic.Int32
+	var shared, clashes atomic.Int32
+	var together sync.WaitGroup // the first run of every worker, all holding
+	together.Add(workers)
+	var arrivals atomic.Int32
+	poolHeld = func(p mem.Pool) func() {
+		if p == mem.SharedPool {
+			shared.Add(1)
+		} else if holders[p].Add(1) != 1 {
+			clashes.Add(1)
+		}
+		if arrivals.Add(1) <= workers {
+			together.Done()
+			together.Wait()
+		}
+		return func() {
+			if p != mem.SharedPool {
+				holders[p].Add(-1)
+			}
+		}
+	}
+	defer func() { poolHeld = nil }()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*runsEach)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runsEach; i++ {
+				if _, err := Run(app, gpu, Options{Kind: Basic}); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := clashes.Load(); n != 0 {
+		t.Errorf("%d times a run acquired a pool another run was holding", n)
+	}
+	if n := shared.Load(); n != 0 {
+		t.Errorf("%d of %d runs fell back to the shared pool with only %d at once", n, workers*runsEach, workers)
 	}
 }

@@ -52,9 +52,19 @@ func RemainingInsts(w *Warp) int {
 	return len(w.insts) - w.pc
 }
 
+// setPicker installs p as the sub-core's policy (nil keeps the built-in
+// one) and binds the tried predicate its Pick calls receive.
+func (sc *subCore) setPicker(p Picker) {
+	sc.picker = p
+	sc.tried = nil
+	if p != nil {
+		sc.tried = func(w *Warp) bool { return w.triedEpoch == sc.epoch }
+	}
+}
+
 // issueCustom drives dispatch through an installed Picker.
 func (sc *subCore) issueCustom(cycle uint64) bool {
-	tried := func(w *Warp) bool { return w.triedEpoch == sc.epoch }
+	tried := sc.tried
 	for {
 		idx := sc.picker.Pick(cycle, sc.warps, tried)
 		if idx < 0 {

@@ -12,7 +12,7 @@ func newPickerHarness(t *testing.T, mk func() Picker) *smHarness {
 	t.Helper()
 	h := newSMHarness(t, testSMConfig())
 	for _, sc := range h.sm.subcores {
-		sc.picker = mk()
+		sc.setPicker(mk())
 	}
 	return h
 }
@@ -153,7 +153,7 @@ func TestCustomPickerOverridesConfigPolicy(t *testing.T) {
 	cfg.Scheduler = config.LRR
 	h := newSMHarness(t, cfg)
 	for _, sc := range h.sm.subcores {
-		sc.picker = counting
+		sc.setPicker(counting)
 	}
 	k := simpleKernel(1, 4, func(b *kbuilder) {
 		b.intOp(1, 0, 0)

@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/engine"
@@ -62,6 +63,7 @@ func (b *residentBlock) maybeRelease() {
 		b.atBarrier = 0
 		for _, w := range b.warps {
 			w.atBarrier = false
+			w.sc.refresh(w)
 		}
 	}
 }
@@ -85,17 +87,36 @@ const (
 )
 
 type subCore struct {
-	sm          *SM
-	index       int
-	warps       []*Warp
-	units       [4]Unit // indexed by trace.OpInt..trace.OpSFU
-	ldst        Unit
-	icache      *ICache // nil when the configuration simplifies it away
-	picker      Picker  // nil = built-in policy
-	last        *Warp   // GTO greedy target
-	cursor      int     // LRR rotation point
-	fetchCursor int     // front-end round-robin point
-	epoch       uint64  // scheduling round for allocation-free retries
+	sm    *SM
+	index int
+	warps []*Warp
+	// ready is the ready set: bit i is set exactly when warps[i] holds a
+	// warp and that warp is issuable(). The policies and Busy read it where
+	// they used to rescan every slot each tick, so it must be refreshed
+	// (refresh) wherever a field issuable() reads changes: pc, the
+	// scoreboard, ibuf, atBarrier, exited, and slot residency (done only
+	// ever follows exited). Those places are addWarp and removeWarp, the
+	// three arms of dispatch, inflight.complete, residentBlock.maybeRelease
+	// and fetch. A new Warp field that issuable() reads needs a refresh at
+	// every write.
+	ready []uint64
+	// cand is issueOldest's scratch copy of ready, minus the warps whose
+	// dispatch the round has seen refused.
+	cand []uint64
+	// resident counts the occupied warp slots.
+	resident int
+
+	units  [4]Unit // indexed by trace.OpInt..trace.OpSFU
+	ldst   Unit
+	icache *ICache // nil when the configuration simplifies it away
+	picker Picker  // nil = built-in policy; installed by setPicker
+	// tried is issueCustom's predicate for Picker.Pick, bound once when the
+	// picker is installed so a scheduling round allocates nothing.
+	tried       func(*Warp) bool
+	last        *Warp  // GTO greedy target
+	cursor      int    // LRR rotation point
+	fetchCursor int    // front-end round-robin point
+	epoch       uint64 // scheduling round for allocation-free retries
 }
 
 // fetch runs the detailed front-end: fill per-warp instruction buffers
@@ -114,6 +135,9 @@ func (sc *subCore) fetch(cycle uint64) {
 			continue
 		}
 		w.ibuf++
+		if w.ibuf == 1 {
+			sc.refresh(w)
+		}
 		fetched++
 		sc.fetchCursor = idx
 	}
@@ -129,6 +153,24 @@ func (sc *subCore) fetchPending() bool {
 	return false
 }
 
+// refresh brings w's bit of the ready set in line with w.issuable(), which
+// stays the one definition of "issuable".
+func (sc *subCore) refresh(w *Warp) { sc.setReady(w.slot, w.issuable()) }
+
+func (sc *subCore) setReady(slot int, on bool) {
+	bit := uint64(1) << (slot & 63)
+	if on {
+		sc.ready[slot>>6] |= bit
+	} else {
+		sc.ready[slot>>6] &^= bit
+	}
+}
+
+// isReady reports whether the warp in slot is issuable.
+func (sc *subCore) isReady(slot int) bool {
+	return sc.ready[slot>>6]&(1<<(slot&63)) != 0
+}
+
 // issue performs one scheduling round: pick a ready warp per the policy
 // and dispatch its next instruction. Returns true if an instruction issued.
 func (sc *subCore) issue(cycle uint64) bool {
@@ -138,16 +180,16 @@ func (sc *subCore) issue(cycle uint64) bool {
 	}
 	switch sc.sm.cfg.Scheduler {
 	case config.GTO:
-		if sc.last != nil && sc.last.issuable() && sc.dispatch(sc.last, cycle) {
+		if l := sc.last; l != nil && sc.isReady(l.slot) && sc.dispatch(l, cycle) {
 			return true
 		}
 		return sc.issueOldest(cycle)
 	case config.LRR:
 		n := len(sc.warps)
 		for i := 1; i <= n; i++ {
-			w := sc.warps[(sc.cursor+i)%n]
-			if w != nil && w.issuable() && sc.dispatch(w, cycle) {
-				sc.cursor = (sc.cursor + i) % n
+			slot := (sc.cursor + i) % n
+			if sc.isReady(slot) && sc.dispatch(sc.warps[slot], cycle) {
+				sc.cursor = slot
 				return true
 			}
 		}
@@ -159,17 +201,19 @@ func (sc *subCore) issue(cycle uint64) bool {
 
 func (sc *subCore) issueOldest(cycle uint64) bool {
 	// Repeatedly try candidates in age order; a warp whose unit is busy
-	// does not block younger warps (the dispatch stage skips it). Failed
-	// candidates are marked with the round's epoch instead of an
-	// allocated set — this path runs every simulated cycle.
+	// does not block younger warps (the dispatch stage skips it). The
+	// candidates are the ready set's bits; a refused one is dropped from a
+	// scratch copy, made only then since most rounds issue at the first try
+	// — this path runs every simulated cycle.
+	words, refused := sc.ready, false
 	for {
 		var best *Warp
-		for _, w := range sc.warps {
-			if w == nil || w.triedEpoch == sc.epoch || !w.issuable() {
-				continue
-			}
-			if best == nil || w.Age < best.Age {
-				best = w
+		for wi, word := range words {
+			for ; word != 0; word &= word - 1 {
+				w := sc.warps[wi<<6+bits.TrailingZeros64(word)]
+				if best == nil || w.Age < best.Age {
+					best = w
+				}
 			}
 		}
 		if best == nil {
@@ -178,7 +222,12 @@ func (sc *subCore) issueOldest(cycle uint64) bool {
 		if sc.dispatch(best, cycle) {
 			return true
 		}
-		best.triedEpoch = sc.epoch
+		if !refused {
+			refused = true
+			copy(sc.cand, sc.ready)
+			words = sc.cand
+		}
+		words[best.slot>>6] &^= 1 << (best.slot & 63)
 	}
 }
 
@@ -191,6 +240,7 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		w.pc++
 		w.consumeIBuf()
 		w.atBarrier = true
+		sc.refresh(w)
 		sc.sm.issued.Inc()
 		sc.last = w
 		w.block.barrierArrive()
@@ -199,6 +249,7 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		w.pc++
 		w.consumeIBuf()
 		w.exited = true
+		sc.refresh(w)
 		sc.sm.issued.Inc()
 		if sc.last == w {
 			sc.last = nil
@@ -221,6 +272,7 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		w.outstanding++
 		w.pc++
 		w.consumeIBuf()
+		sc.refresh(w)
 		sc.sm.issued.Inc()
 		sc.last = w
 		return true
@@ -265,8 +317,12 @@ func (f *inflight) complete() {
 		sm.wake()
 	}
 	w.sb.clear(dst)
+	w.sc.refresh(w)
 	w.outstanding--
 	w.maybeComplete()
+	if readyCheck != nil {
+		readyCheck(sm)
+	}
 }
 
 func (w *Warp) maybeComplete() {
@@ -280,8 +336,8 @@ func (w *Warp) maybeComplete() {
 // unit availability); it drives SM.Busy so the engine keeps ticking while
 // forward progress is possible.
 func (sc *subCore) anyIssuable() bool {
-	for _, w := range sc.warps {
-		if w != nil && w.issuable() {
+	for _, word := range sc.ready {
+		if word != 0 {
 			return true
 		}
 	}
@@ -292,6 +348,9 @@ func (sc *subCore) addWarp(w *Warp) error {
 	for i, slot := range sc.warps {
 		if slot == nil {
 			sc.warps[i] = w
+			w.sc, w.slot = sc, i
+			sc.resident++
+			sc.refresh(w)
 			return nil
 		}
 	}
@@ -303,14 +362,14 @@ func (sc *subCore) addWarp(w *Warp) error {
 }
 
 func (sc *subCore) removeWarp(w *Warp) {
-	for i, slot := range sc.warps {
-		if slot == w {
-			sc.warps[i] = nil
-			if sc.last == w {
-				sc.last = nil
-			}
-			return
-		}
+	if sc.warps[w.slot] != w {
+		return
+	}
+	sc.warps[w.slot] = nil
+	sc.setReady(w.slot, false)
+	sc.resident--
+	if sc.last == w {
+		sc.last = nil
 	}
 }
 
@@ -489,8 +548,19 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 		}
 		sm.unitList = append(sm.unitList, u)
 	}
-	for s := 0; s < cfg.SubCores; s++ {
-		sc := &subCore{sm: sm, index: s, warps: make([]*Warp, warpsPerSub)}
+	// One slab each for the sub-cores, their warp slots and their ready-set
+	// words (ready and cand), sliced per sub-core: an SM is built per run.
+	readyWords := (warpsPerSub + 63) / 64
+	subs := make([]subCore, cfg.SubCores)
+	slots := make([]*Warp, cfg.SubCores*warpsPerSub)
+	words := make([]uint64, 2*cfg.SubCores*readyWords)
+	sm.subcores = make([]*subCore, cfg.SubCores)
+	for s := range subs {
+		sc := &subs[s]
+		sc.sm, sc.index = sm, s
+		sc.warps, slots = slots[:warpsPerSub:warpsPerSub], slots[warpsPerSub:]
+		sc.ready, words = words[:readyWords:readyWords], words[readyWords:]
+		sc.cand, words = words[:readyWords:readyWords], words[readyWords:]
 		for _, class := range []trace.OpClass{trace.OpInt, trace.OpSP, trace.OpDP, trace.OpSFU} {
 			u := us.ALU(id, s, class)
 			if u == nil {
@@ -508,9 +578,9 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 			sc.icache = us.ICache(id, s)
 		}
 		if us.Scheduler != nil {
-			sc.picker = us.Scheduler(id, s)
+			sc.setPicker(us.Scheduler(id, s))
 		}
-		sm.subcores = append(sm.subcores, sc)
+		sm.subcores[s] = sc
 	}
 	return sm, nil
 }
@@ -624,7 +694,16 @@ func (sm *SM) Tick(cycle uint64) {
 		// counts it after the tick phase completes).
 		sm.accounted = sm.eng.TickedCycles() + 1
 	}
+	if readyCheck != nil {
+		readyCheck(sm)
+	}
 }
+
+// readyCheck, when set, is called after every SM.Tick and every completion
+// to compare each sub-core's ready set with a fresh issuable() scan of its
+// slots. Only tests set it (export_test.go holds the scan); the product
+// build pays one nil test at each of the two call sites.
+var readyCheck func(sm *SM)
 
 // blockCost returns the warp count, register and shared-memory footprint
 // of one block of k.
@@ -651,19 +730,16 @@ func (sm *SM) CanAccept(k *trace.Kernel) bool {
 	if sm.usedShmem+shmem > sm.cfg.SharedMemBytes {
 		return false
 	}
-	// Every sub-core must have free warp slots for its share.
-	perSub := make([]int, sm.cfg.SubCores)
-	for i := 0; i < warps; i++ {
-		perSub[i%sm.cfg.SubCores]++
-	}
-	for s, need := range perSub {
-		free := 0
-		for _, slot := range sm.subcores[s].warps {
-			if slot == nil {
-				free++
-			}
+	// Every sub-core must have free warp slots for its share: AssignBlock
+	// deals warp i to sub-core i mod SubCores, so the first warps mod
+	// SubCores sub-cores take one more than the rest.
+	n := sm.cfg.SubCores
+	for s, sc := range sm.subcores {
+		need := warps / n
+		if s < warps%n {
+			need++
 		}
-		if free < need {
+		if len(sc.warps)-sc.resident < need {
 			return false
 		}
 	}

@@ -281,6 +281,60 @@ func TestSMSharedMemLimitsOccupancy(t *testing.T) {
 	}
 }
 
+// TestCanAcceptCountsFreeSlotsWithoutAllocating: the per-sub-core slot
+// check answers what the slot scan it replaced answered (a make per call and
+// a walk over every slot), for blocks whose warps do not divide evenly over
+// the sub-cores, at every occupancy up to full, and allocates nothing.
+func TestCanAcceptCountsFreeSlotsWithoutAllocating(t *testing.T) {
+	cfg := testSMConfig() // 4 sub-cores of 4 slots
+	cfg.MaxBlocks = 16
+	for _, warpsPerBlock := range []int{1, 3, 5, 6, 8} {
+		h := newSMHarness(t, cfg)
+		k := simpleKernel(16, warpsPerBlock, func(b *kbuilder) { b.intOp(1, 0, 0) })
+		k.RegsPerThread = 1
+		scan := func() bool {
+			if h.sm.usedWarps+warpsPerBlock > cfg.MaxWarps {
+				return false
+			}
+			perSub := make([]int, cfg.SubCores)
+			for i := 0; i < warpsPerBlock; i++ {
+				perSub[i%cfg.SubCores]++
+			}
+			for s, need := range perSub {
+				free := 0
+				for _, slot := range h.sm.subcores[s].warps {
+					if slot == nil {
+						free++
+					}
+				}
+				if free < need {
+					return false
+				}
+			}
+			return true
+		}
+		// On an empty SM the call gets past the residency checks to the slots.
+		if allocs := testing.AllocsPerRun(100, func() { h.sm.CanAccept(k) }); allocs != 0 {
+			t.Errorf("CanAccept allocated %v objects a call, want 0", allocs)
+		}
+		assigned := 0
+		for ; h.sm.CanAccept(k); assigned++ {
+			if !scan() {
+				t.Fatalf("%d warps a block, %d resident: CanAccept says yes, the slot scan no", warpsPerBlock, assigned)
+			}
+			if err := h.sm.AssignBlock(k, assigned); err != nil {
+				t.Fatalf("%d warps a block: CanAccept said yes, then: %v", warpsPerBlock, err)
+			}
+		}
+		if scan() {
+			t.Errorf("%d warps a block, %d resident: CanAccept says no, the slot scan yes", warpsPerBlock, assigned)
+		}
+		if assigned == 0 {
+			t.Errorf("%d warps a block: nothing was ever accepted", warpsPerBlock)
+		}
+	}
+}
+
 func TestGTOGreedinessDiffersFromLRR(t *testing.T) {
 	// With multiple warps of pure ALU work, GTO keeps issuing from one
 	// warp while LRR rotates; both complete all instructions but their

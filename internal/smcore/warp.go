@@ -54,6 +54,10 @@ type Warp struct {
 	Age uint64
 
 	block *residentBlock
+	// sc and slot are where the warp is resident: its sub-core and its
+	// index in sc.warps, which is also its bit in sc.ready.
+	sc    *subCore
+	slot  int
 	insts trace.WarpTrace
 	pc    int
 	sb    scoreboard
