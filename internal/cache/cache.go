@@ -24,128 +24,131 @@ type line struct {
 	fillSeq     uint64 // FIFO stamp
 }
 
-// policy selects victims and maintains recency state.
-type policy interface {
-	// touch records a hit on the line.
-	touch(l *line, clock uint64)
-	// filled records that the line was (re)allocated.
-	filled(l *line, clock uint64)
-	// victim picks the way to evict within set (all ways valid).
-	victim(set []line) int
-}
-
-type lruPolicy struct{}
-
-func (lruPolicy) touch(l *line, clock uint64)  { l.lastUse = clock }
-func (lruPolicy) filled(l *line, clock uint64) { l.lastUse = clock; l.fillSeq = clock }
-func (lruPolicy) victim(set []line) int {
-	best, bestUse := 0, set[0].lastUse
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < bestUse {
-			best, bestUse = i, set[i].lastUse
-		}
-	}
-	return best
-}
-
-type fifoPolicy struct{}
-
-func (fifoPolicy) touch(*line, uint64)          {}
-func (fifoPolicy) filled(l *line, clock uint64) { l.fillSeq = clock }
-func (fifoPolicy) victim(set []line) int {
-	best, bestSeq := 0, set[0].fillSeq
-	for i := 1; i < len(set); i++ {
-		if set[i].fillSeq < bestSeq {
-			best, bestSeq = i, set[i].fillSeq
-		}
-	}
-	return best
-}
-
-// randomPolicy uses a deterministic xorshift64 stream so simulations are
+// rngSeed starts Random replacement's xorshift64 stream, so simulations are
 // reproducible run to run.
-type randomPolicy struct {
-	state uint64
-}
-
-func (randomPolicy) touch(*line, uint64)  {}
-func (randomPolicy) filled(*line, uint64) {}
-func (p *randomPolicy) victim(set []line) int {
-	p.state ^= p.state << 13
-	p.state ^= p.state >> 7
-	p.state ^= p.state << 17
-	return int(p.state % uint64(len(set)))
-}
-
-func newPolicy(r config.Replacement) policy {
-	switch r {
-	case config.FIFO:
-		return fifoPolicy{}
-	case config.Random:
-		return &randomPolicy{state: 0x9e3779b97f4a7c15}
-	default:
-		return lruPolicy{}
-	}
-}
+const rngSeed = 0x9e3779b97f4a7c15
 
 // tags is the sectored tag array shared by the timed and functional caches.
+// The replacement policy is a switch on repl over the lines' stamps, the
+// clock and, for Random, an xorshift64 stream: a set scan makes no calls.
 type tags struct {
 	cfg            config.Cache
+	repl           config.Replacement // LRU, FIFO or Random
 	lineShift      uint
 	sectorShift    uint
 	setMask        uint64
 	sectorsPerLine int
 	lines          []line // sets × ways
-	pol            policy
 	clock          uint64
+	rng            uint64 // Random's xorshift64 state
 }
 
 func newTags(cfg config.Cache) *tags {
-	return &tags{
+	t := &tags{}
+	t.reset(cfg)
+	return t
+}
+
+// reset makes t the tag array newTags(cfg) builds, with the clock and the
+// Random stream at their start, reusing t's line memory when it is large
+// enough.
+func (t *tags) reset(cfg config.Cache) {
+	n := cfg.Sets * cfg.Ways
+	lines := t.lines
+	if cap(lines) >= n {
+		lines = lines[:n]
+		clear(lines)
+	} else {
+		lines = make([]line, n)
+	}
+	repl := cfg.Replacement
+	if repl != config.FIFO && repl != config.Random {
+		repl = config.LRU
+	}
+	*t = tags{
 		cfg:            cfg,
+		repl:           repl,
 		lineShift:      uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		sectorShift:    uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
 		setMask:        uint64(cfg.Sets - 1),
 		sectorsPerLine: cfg.SectorsPerLine(),
-		lines:          make([]line, cfg.Sets*cfg.Ways),
-		pol:            newPolicy(cfg.Replacement),
+		lines:          lines,
+		rng:            rngSeed,
 	}
 }
 
 func (t *tags) lineAddr(addr uint64) uint64 { return addr >> t.lineShift }
-func (t *tags) setIndex(addr uint64) int    { return int((addr >> t.lineShift) & t.setMask) }
 func (t *tags) sector(addr uint64) uint     { return uint(addr>>t.sectorShift) & uint(t.sectorsPerLine-1) }
 
-func (t *tags) set(addr uint64) []line {
-	si := t.setIndex(addr)
-	return t.lines[si*t.cfg.Ways : (si+1)*t.cfg.Ways]
+// setIndex masks with Sets-1, so a Sets that is not a power of two reaches
+// only the sets whose index is a bit-subset of Sets-1 (DESIGN.md §10.4).
+func (t *tags) setIndex(lineAddr uint64) int { return int(lineAddr & t.setMask) }
+
+func (t *tags) set(lineAddr uint64) []line {
+	si, ways := t.setIndex(lineAddr), t.cfg.Ways
+	return t.lines[si*ways : (si+1)*ways]
 }
 
-// find returns the line holding addr, or nil.
-func (t *tags) find(addr uint64) *line {
-	la := t.lineAddr(addr)
-	set := t.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
-			return &set[i]
+// touch records a hit on l.
+func (t *tags) touch(l *line) {
+	if t.repl == config.LRU {
+		l.lastUse = t.clock
+	}
+}
+
+// fill (re)allocates l to line la with sector mask valid.
+func (t *tags) fill(l *line, la uint64, valid uint32) {
+	*l = line{lineAddr: la, valid: true, sectorValid: valid}
+	switch t.repl {
+	case config.LRU:
+		l.lastUse, l.fillSeq = t.clock, t.clock
+	case config.FIFO:
+		l.fillSeq = t.clock
+	}
+}
+
+// victim picks the way to evict from a full set: the next draw of the
+// xorshift64 stream under Random, else the first way with the smallest
+// stamp (last use under LRU, fill under FIFO).
+func (t *tags) victim(set []line) int {
+	if t.repl == config.Random {
+		t.rng ^= t.rng << 13
+		t.rng ^= t.rng >> 7
+		t.rng ^= t.rng << 17
+		return int(t.rng % uint64(len(set)))
+	}
+	best := 0
+	for i := 1; i < len(set); i++ {
+		if t.stamp(&set[i]) < t.stamp(&set[best]) {
+			best = i
 		}
 	}
-	return nil
+	return best
+}
+
+func (t *tags) stamp(l *line) uint64 {
+	if t.repl == config.FIFO {
+		return l.fillSeq
+	}
+	return l.lastUse
 }
 
 // lookup probes for addr's sector. It returns the line (if the line is
 // present at all) and whether the requested sector is valid.
 func (t *tags) lookup(addr uint64) (l *line, sectorHit bool) {
-	l = t.find(addr)
-	if l == nil {
-		return nil, false
+	la := t.lineAddr(addr)
+	set := t.set(la)
+	for i := range set {
+		if set[i].valid && set[i].lineAddr == la {
+			t.clock++
+			t.touch(&set[i])
+			return &set[i], set[i].sectorValid&(1<<t.sector(addr)) != 0
+		}
 	}
-	t.clock++
-	t.pol.touch(l, t.clock)
-	return l, l.sectorValid&(1<<t.sector(addr)) != 0
+	return nil, false
 }
 
-// evicted describes a line displaced by install.
+// evicted describes a line displaced by install or access.
 type evicted struct {
 	lineAddr    uint64
 	dirtySector uint32 // per-sector dirty mask at eviction
@@ -157,51 +160,86 @@ type evicted struct {
 // caller must write back for write-back caches.
 func (t *tags) install(addr uint64) evicted {
 	la := t.lineAddr(addr)
-	set := t.set(addr)
+	set := t.set(la)
+	bit := uint32(1) << t.sector(addr)
 	t.clock++
-
-	// Line already present: just validate the sector.
+	free := -1
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
-			set[i].sectorValid |= 1 << t.sector(addr)
-			t.pol.touch(&set[i], t.clock)
+		l := &set[i]
+		if !l.valid {
+			if free < 0 {
+				free = i
+			}
+		} else if l.lineAddr == la {
+			l.sectorValid |= bit
+			t.touch(l)
 			return evicted{}
 		}
 	}
-	// Prefer an invalid way.
-	way := -1
-	for i := range set {
-		if !set[i].valid {
-			way = i
-			break
-		}
-	}
+	_, ev := t.allocate(set, free, la, bit)
+	return ev
+}
+
+// allocate fills line la into set's way free, or into the policy's victim
+// when free is -1, and returns the line and what it displaced.
+func (t *tags) allocate(set []line, free int, la uint64, valid uint32) (*line, evicted) {
 	var ev evicted
-	if way < 0 {
-		way = t.pol.victim(set)
-		v := &set[way]
+	if free < 0 {
+		free = t.victim(set)
+		v := &set[free]
 		ev = evicted{lineAddr: v.lineAddr, dirtySector: v.sectorDirty, wasValid: true}
 	}
-	set[way] = line{lineAddr: la, valid: true, sectorValid: 1 << t.sector(addr)}
-	t.pol.filled(&set[way], t.clock)
-	return ev
+	t.fill(&set[free], la, valid)
+	return &set[free], ev
+}
+
+// access is lookup, then install on a miss, then marking the sector dirty
+// on a write, in one scan of addr's set that finds the line and the first
+// invalid way; only a miss into a full set asks the policy for a victim. It
+// steps the clock exactly as that sequence does: once for a hit, twice for a
+// sector miss on a present line (whose sector it validates), once for an
+// absent line (which it fills, returning the displaced line).
+func (t *tags) access(addr uint64, write bool) (hit bool, ev evicted) {
+	la := t.lineAddr(addr)
+	set := t.set(la)
+	bit := uint32(1) << t.sector(addr)
+	free := -1
+	for i := range set {
+		l := &set[i]
+		if !l.valid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if l.lineAddr != la {
+			continue
+		}
+		t.clock++
+		hit = l.sectorValid&bit != 0
+		if !hit {
+			t.clock++
+			l.sectorValid |= bit
+		}
+		t.touch(l)
+		if write {
+			l.sectorDirty |= bit
+		}
+		return hit, evicted{}
+	}
+	t.clock++
+	l, ev := t.allocate(set, free, la, bit)
+	if write {
+		l.sectorDirty = bit
+	}
+	return false, ev
 }
 
 // invalidateAll drops every line (kernel-boundary L1 invalidation; GPU L1s
 // are not coherent and are flushed between kernels). Write-through caches
 // hold no dirty data, so no writebacks are needed.
 func (t *tags) invalidateAll() {
-	for i := range t.lines {
-		t.lines[i] = line{}
-	}
-}
-
-// markDirty sets the dirty bit of addr's sector; the line and sector must
-// be present.
-func (t *tags) markDirty(addr uint64) {
-	if l := t.find(addr); l != nil {
-		l.sectorDirty |= 1 << t.sector(addr)
-	}
+	clear(t.lines)
 }
 
 // Functional is a timeless sectored cache: it reports hit/miss per access
@@ -225,14 +263,9 @@ func NewFunctional(cfg config.Cache) *Functional {
 // decides whether to count store hits).
 func (f *Functional) Access(addr uint64, write bool) bool {
 	f.Accesses++
-	_, hit := f.t.lookup(addr)
+	hit, _ := f.t.access(addr, write)
 	if hit {
 		f.Hits++
-	} else {
-		f.t.install(addr)
-	}
-	if write {
-		f.t.markDirty(addr)
 	}
 	return hit
 }
@@ -245,11 +278,12 @@ func (f *Functional) HitRate() float64 {
 	return float64(f.Hits) / float64(f.Accesses)
 }
 
-// Reset clears all cache state and statistics.
-func (f *Functional) Reset() {
-	for i := range f.t.lines {
-		f.t.lines[i] = line{}
-	}
+// Reset makes f the cache NewFunctional(cfg) returns — statistics, tags,
+// replacement clock and Random stream all at their start — reusing f's tag
+// memory when it is large enough, so a profiler replaying stream after
+// stream clears one array rather than allocating one per replay.
+func (f *Functional) Reset(cfg config.Cache) {
+	f.t.reset(cfg)
 	f.Accesses, f.Hits = 0, 0
 }
 

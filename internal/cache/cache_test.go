@@ -101,18 +101,6 @@ func TestRandomPolicyDeterministic(t *testing.T) {
 	}
 }
 
-func TestFunctionalReset(t *testing.T) {
-	f := NewFunctional(smallCache())
-	f.Access(0, false)
-	f.Reset()
-	if f.Accesses != 0 || f.Hits != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-	if f.Access(0, false) {
-		t.Fatal("Reset did not clear tags")
-	}
-}
-
 // pendingWaiters returns the total number of requests parked in m.
 func (m *mshrTable) pendingWaiters() int {
 	n := 0

@@ -8,6 +8,7 @@ package cache
 import (
 	"fmt"
 
+	"swiftsim/internal/config"
 	"swiftsim/internal/snap"
 )
 
@@ -18,8 +19,8 @@ const lineSnapBytes = 8 + 1 + 4 + 4 + 8 + 8
 // snapSave serializes the tag array.
 func (t *tags) snapSave(w *snap.Writer) {
 	w.U64(t.clock)
-	if rp, ok := t.pol.(*randomPolicy); ok {
-		w.U64(rp.state)
+	if t.repl == config.Random {
+		w.U64(t.rng)
 	}
 	w.U64(uint64(len(t.lines)))
 	for i := range t.lines {
@@ -37,8 +38,8 @@ func (t *tags) snapSave(w *snap.Writer) {
 // assembled configuration.
 func (t *tags) snapLoad(r *snap.Reader) error {
 	t.clock = r.U64()
-	if rp, ok := t.pol.(*randomPolicy); ok {
-		rp.state = r.U64()
+	if t.repl == config.Random {
+		t.rng = r.U64()
 	}
 	n := r.Count(lineSnapBytes)
 	if r.Err() != nil {

@@ -207,13 +207,12 @@ func (c *Timed) processWrite(r *mem.Request) {
 		// store to a resident sector marks it dirty; a store miss
 		// installs the sector directly (stores overwrite the whole
 		// sector in this model, so no fetch-on-write is needed).
-		if _, hit := c.tags.lookup(r.Addr); hit {
+		if hit, ev := c.tags.access(r.Addr, true); hit {
 			c.hits.Inc()
 		} else {
 			c.misses.Inc()
-			c.installSector(r)
+			c.evict(r, ev)
 		}
-		c.tags.markDirty(r.Addr)
 	} else {
 		// Write-through, no-allocate (streaming L1): update the
 		// sector if resident, and always forward the write.
@@ -256,17 +255,16 @@ func (c *Timed) forwardWrite(r *mem.Request) {
 // and release the requests parked on it.
 func (c *Timed) RequestDone(dr *mem.Request) {
 	from := dr.ServicedBy
-	c.installSector(dr)
+	c.evict(dr, c.tags.install(dr.Addr))
 	for _, waiter := range c.mshr.fill(c.tags.lineAddr(dr.Addr), c.tags.sector(dr.Addr)) {
 		waiter.ServicedBy = from
 		c.complete(waiter, from)
 	}
 }
 
-// installSector installs the sector by addresses, emitting writebacks
-// (from by's pool) for dirty sectors of any displaced line.
-func (c *Timed) installSector(by *mem.Request) {
-	ev := c.tags.install(by.Addr)
+// evict accounts for the line an install displaced, if any, emitting
+// writebacks (from by's pool) for its dirty sectors.
+func (c *Timed) evict(by *mem.Request, ev evicted) {
 	if !ev.wasValid {
 		return
 	}

@@ -32,6 +32,7 @@ package reuse
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"swiftsim/internal/cache"
@@ -132,33 +133,48 @@ func L2LevelOf(gpu config.GPU, distance bool) Level {
 }
 
 // levelModel is one instance of a Level: a functional cache or a distance
-// tracker. The zero value is unbuilt.
+// tracker. The zero value is unbuilt; reset builds it.
 type levelModel struct {
-	fn  *cache.Functional
-	dt  *distanceTracker
-	cap uint64
+	distance bool
+	fn       *cache.Functional
+	dt       *distanceTracker
+	cap      uint64
 }
 
-func (l Level) newModel() levelModel {
-	if l.Distance {
-		return levelModel{dt: newDistanceTracker(), cap: l.Capacity}
-	}
-	return levelModel{fn: cache.NewFunctional(config.Cache{
+// reset makes m a fresh instance of l, reusing the tag array or tracker m
+// already holds.
+func (m *levelModel) reset(l Level) {
+	m.distance, m.cap = l.Distance, l.Capacity
+	cfg := config.Cache{
 		Sets: l.Sets, Ways: l.Ways, LineBytes: l.LineBytes, SectorBytes: l.SectorBytes,
 		Replacement: l.Replacement,
-	})}
+	}
+	switch {
+	case l.Distance && m.dt != nil:
+		m.dt.reset()
+	case l.Distance:
+		m.dt = newDistanceTracker()
+	case m.fn != nil:
+		m.fn.Reset(cfg)
+	default:
+		m.fn = cache.NewFunctional(cfg)
+	}
 }
-
-func (m *levelModel) built() bool { return m.fn != nil || m.dt != nil }
 
 // hit runs one sector access through the model: a functional-cache lookup
 // (misses install), or a stack distance below the capacity.
 func (m *levelModel) hit(sector uint64, write bool) bool {
-	if m.dt != nil {
+	if m.distance {
 		return m.dt.access(sector) < m.cap
 	}
 	return m.fn.Access(sector, write)
 }
+
+// l2Spares holds aggregate-L2 models between replays. The functional one is
+// a tag array of megabytes; a replay resets a spare rather than allocating
+// and zeroing a fresh one, and the pool hands idle ones back to the
+// collector.
+var l2Spares = sync.Pool{New: func() any { return new(levelModel) }}
 
 // L1Geometry is everything phase one reads besides the trace.
 type L1Geometry struct {
@@ -218,10 +234,12 @@ func (f *L1Filtered) Bytes() int {
 }
 
 // kernelWalk is one worker's scratch for phase one, reused from kernel to
-// kernel so a walk allocates only what its result retains.
+// kernel and, through walks, from call to call, so a walk allocates only
+// what its result retains.
 type kernelWalk struct {
 	g        L1Geometry
 	l1       []levelModel
+	live     []bool            // by SM: l1 was reset in this kernel
 	ids      map[uint64]uint32 // PC -> id
 	coalesce []uint64
 	sectors  []uint64
@@ -233,16 +251,32 @@ type kernelWalk struct {
 // (mirroring the Block Scheduler), warps within a block interleave
 // instruction by instruction (the round-robin approximation of concurrent
 // execution), and per-lane addresses are coalesced exactly as the LD/ST
-// unit would. An SM's L1 is built on its first access. The L1s are
-// write-through no-allocate: stores are never offered to them and always
+// unit would. An SM's L1 is reset on its first read in the kernel. The L1s
+// are write-through no-allocate: stores are never offered to them and always
 // propagate to the L2.
 func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 	var kp kernelProfile
-	clear(kw.l1)
+	clear(kw.live)
 	clear(kw.ids)
+	// An instruction sends at most one access per lane address to the L2:
+	// size the scratch for that before walking, so the walk never grows it.
+	bound := 0
+	for bi := range k.Blocks {
+		for _, w := range k.Blocks[bi].Warps {
+			for i := range w {
+				if w[i].Op.IsGlobalMem() {
+					bound += len(w[i].Addrs)
+				}
+			}
+		}
+	}
+	if cap(kw.sectors) < bound {
+		kw.sectors, kw.ops = make([]uint64, 0, bound), make([]uint32, 0, bound)
+	}
 	sectors, ops := kw.sectors[:0], kw.ops[:0]
 	for bi := range k.Blocks {
-		l1 := &kw.l1[bi%kw.g.SMs]
+		sm := bi % kw.g.SMs
+		l1 := &kw.l1[sm]
 		warps := k.Blocks[bi].Warps
 		maxLen := 0
 		for _, w := range warps {
@@ -273,8 +307,9 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 					op |= 1
 				}
 				kp.accesses += uint64(len(kw.coalesce))
-				if !write && !l1.built() {
-					*l1 = kw.g.L1.newModel()
+				if !write && !kw.live[sm] {
+					l1.reset(kw.g.L1)
+					kw.live[sm] = true
 				}
 				for _, s := range kw.coalesce {
 					if !write && l1.hit(s, false) {
@@ -295,21 +330,37 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 	return kp
 }
 
+// walks holds phase-one scratch between FilterL1 calls: stream buffers
+// sized for the largest kernel walked, the PC map and per-SM L1 models, so
+// filtering trace after trace does not rebuild them.
+var walks sync.Pool
+
+// takeWalk returns a walk for geometry g, pooled if one is spare.
+func takeWalk(g L1Geometry) *kernelWalk {
+	kw, _ := walks.Get().(*kernelWalk)
+	if kw == nil {
+		kw = &kernelWalk{ids: make(map[uint64]uint32)}
+	}
+	if cap(kw.l1) < g.SMs {
+		kw.l1, kw.live = make([]levelModel, g.SMs), make([]bool, g.SMs)
+	}
+	kw.g, kw.l1, kw.live = g, kw.l1[:g.SMs], kw.live[:g.SMs]
+	return kw
+}
+
 // FilterL1 runs phase one — the per-kernel L1 filtering — on a worker pool
 // bounded by GOMAXPROCS. L1s are invalidated at kernel boundaries, exactly
 // as the timing simulators model the non-coherent L1 flush of real GPUs, so
 // kernels are L1-independent.
 func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 	f := &L1Filtered{kernels: make([]kernelProfile, len(app.Kernels))}
-	newWalk := func() *kernelWalk {
-		return &kernelWalk{g: g, l1: make([]levelModel, g.SMs), ids: make(map[uint64]uint32)}
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(app.Kernels) {
 		workers = len(app.Kernels)
 	}
 	if workers <= 1 {
-		kw := newWalk()
+		kw := takeWalk(g)
+		defer walks.Put(kw)
 		for ki, k := range app.Kernels {
 			f.kernels[ki] = kw.kernel(k)
 		}
@@ -321,7 +372,8 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kw := newWalk()
+			kw := takeWalk(g)
+			defer walks.Put(kw)
 			for ki := range next {
 				f.kernels[ki] = kw.kernel(app.Kernels[ki])
 			}
@@ -341,7 +393,9 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 // sequence a serial run produces, the profile is byte-identical to the
 // serial one.
 func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
-	model := l2.newModel()
+	model := l2Spares.Get().(*levelModel)
+	defer l2Spares.Put(model)
+	model.reset(l2)
 	static := 0
 	for i := range f.kernels {
 		static += len(f.kernels[i].pcs)
@@ -352,7 +406,8 @@ func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
 	for ki := range f.kernels {
 		kp := &f.kernels[ki]
 		p.Accesses += kp.accesses
-		per = append(per[:0], make([]counts, len(kp.pcs))...)
+		per = slices.Grow(per[:0], len(kp.pcs))[:len(kp.pcs)]
+		clear(per)
 		for id, n := range kp.l1Hits {
 			// L1 hits are always reads: the write-through no-allocate L1
 			// never absorbs stores.
@@ -413,6 +468,14 @@ const infiniteDistance = ^uint64(0)
 
 func newDistanceTracker() *distanceTracker {
 	return &distanceTracker{last: make(map[uint64]int), bit: make([]uint64, 1)}
+}
+
+// reset makes d the tracker newDistanceTracker returns, keeping its map's
+// and tree's memory.
+func (d *distanceTracker) reset() {
+	clear(d.last)
+	d.bit = d.bit[:1]
+	d.time = 0
 }
 
 // access returns the stack distance of this access (number of distinct

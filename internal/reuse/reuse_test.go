@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -316,9 +317,11 @@ func serialProfile(app *trace.App, gpu config.GPU,
 
 // TestProfileParallelMatchesSerial: the two-phase (parallel-L1, serial-L2)
 // profilers must reproduce the serial single-pass profile bit for bit —
-// every per-PC rate, the aggregates, and the access count.
+// every per-PC rate, the aggregates, and the access count — under every
+// replacement policy, at 2 partitions and at the 22 every preset's
+// aggregate L2 is built from. The oracle builds fresh caches; the profilers
+// reset the models earlier cases left behind.
 func TestProfileParallelMatchesSerial(t *testing.T) {
-	gpu := smallGPU()
 	for _, name := range []string{"BFS", "LU", "PATHFINDER"} {
 		app, err := workload.Generate(name, 0.3)
 		if err != nil {
@@ -327,41 +330,118 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 		if len(app.Kernels) < 2 && name != "PATHFINDER" {
 			t.Fatalf("%s: want a multi-kernel app to exercise the shared L2 carry-over", name)
 		}
-
-		wantFunc := serialProfile(app, gpu,
-			func() func(a access) bool {
-				l1s := make([]*cache.Functional, gpu.NumSMs)
-				for i := range l1s {
-					l1s[i] = cache.NewFunctional(gpu.L1)
+		for _, parts := range []int{2, 22} {
+			for _, rep := range []config.Replacement{config.LRU, config.FIFO, config.Random} {
+				gpu := smallGPU()
+				gpu.MemPartitions = parts
+				gpu.L1.Replacement, gpu.L2.Replacement = rep, rep
+				wantFunc := serialProfile(app, gpu,
+					func() func(a access) bool {
+						l1s := make([]*cache.Functional, gpu.NumSMs)
+						for i := range l1s {
+							l1s[i] = cache.NewFunctional(gpu.L1)
+						}
+						return func(a access) bool { return l1s[a.sm].Access(a.sector, false) }
+					},
+					func() func(a access) bool {
+						l2cfg := gpu.L2
+						l2cfg.Sets *= gpu.MemPartitions
+						l2 := cache.NewFunctional(l2cfg)
+						return func(a access) bool { return l2.Access(a.sector, a.write) }
+					}())
+				if got := ProfileApp(app, gpu); !reflect.DeepEqual(got, wantFunc) {
+					t.Errorf("%s, %d partitions, %v: ProfileApp diverged from the serial oracle", name, parts, rep)
 				}
-				return func(a access) bool { return l1s[a.sm].Access(a.sector, false) }
-			},
-			func() func(a access) bool {
-				l2cfg := gpu.L2
-				l2cfg.Sets *= gpu.MemPartitions
-				l2 := cache.NewFunctional(l2cfg)
-				return func(a access) bool { return l2.Access(a.sector, a.write) }
-			}())
-		if got := ProfileApp(app, gpu); !reflect.DeepEqual(got, wantFunc) {
-			t.Errorf("%s: ProfileApp diverged from the serial oracle", name)
-		}
+			}
 
-		l1Cap := uint64(gpu.L1.Sets * gpu.L1.Ways * gpu.L1.SectorsPerLine())
-		l2Cap := uint64(gpu.L2.Sets*gpu.L2.Ways*gpu.L2.SectorsPerLine()) * uint64(gpu.MemPartitions)
-		wantRD := serialProfile(app, gpu,
-			func() func(a access) bool {
-				l1 := make([]*distanceTracker, gpu.NumSMs)
-				for i := range l1 {
-					l1[i] = newDistanceTracker()
-				}
-				return func(a access) bool { return l1[a.sm].access(a.sector) < l1Cap }
-			},
-			func() func(a access) bool {
-				l2 := newDistanceTracker()
-				return func(a access) bool { return l2.access(a.sector) < l2Cap }
-			}())
-		if got := ProfileAppReuseDistance(app, gpu); !reflect.DeepEqual(got, wantRD) {
-			t.Errorf("%s: ProfileAppReuseDistance diverged from the serial oracle", name)
+			gpu := smallGPU()
+			gpu.MemPartitions = parts
+			l1Cap := uint64(gpu.L1.Sets * gpu.L1.Ways * gpu.L1.SectorsPerLine())
+			l2Cap := uint64(gpu.L2.Sets*gpu.L2.Ways*gpu.L2.SectorsPerLine()) * uint64(gpu.MemPartitions)
+			wantRD := serialProfile(app, gpu,
+				func() func(a access) bool {
+					l1 := make([]*distanceTracker, gpu.NumSMs)
+					for i := range l1 {
+						l1[i] = newDistanceTracker()
+					}
+					return func(a access) bool { return l1[a.sm].access(a.sector) < l1Cap }
+				},
+				func() func(a access) bool {
+					l2 := newDistanceTracker()
+					return func(a access) bool { return l2.access(a.sector) < l2Cap }
+				}())
+			if got := ProfileAppReuseDistance(app, gpu); !reflect.DeepEqual(got, wantRD) {
+				t.Errorf("%s, %d partitions: ProfileAppReuseDistance diverged from the serial oracle", name, parts)
+			}
 		}
 	}
+}
+
+// TestL2LevelSetsAreNotPowersOfTwo pins the aggregate L2 set counts phase
+// two models for each preset, which internal/cache's
+// TestAggregateL2ReachableSets shows are only partly reachable (DESIGN.md
+// §10.4): a fix to either moves Memory profiles, so it must be deliberate.
+func TestL2LevelSetsAreNotPowersOfTwo(t *testing.T) {
+	for preset, sets := range map[string]int{"RTX2080Ti": 11264, "RTX3060": 6144, "RTX3090": 12288} {
+		gpu, _ := config.Preset(preset)
+		if got := L2LevelOf(gpu, false).Sets; got != sets {
+			t.Errorf("%s: aggregate L2 has %d sets, pinned %d", preset, got, sets)
+		}
+	}
+}
+
+// TestConcurrentPhasesMatchSerial: filters and replays running at once,
+// each taking whichever spare walk or L2 model the pools hand it, return
+// what serial calls do.
+func TestConcurrentPhasesMatchSerial(t *testing.T) {
+	app, err := workload.Generate("BFS", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := smallGPU()
+	var geoms []L1Geometry
+	var filtered []*L1Filtered
+	for _, sms := range []int{2, 3} {
+		for _, distance := range []bool{false, true} {
+			g := gpu
+			g.NumSMs = sms
+			geoms = append(geoms, L1GeometryOf(app, g, distance))
+			filtered = append(filtered, FilterL1(app, geoms[len(geoms)-1]))
+		}
+	}
+	one := filtered[0]
+	var levels []Level
+	var want []*Profile
+	for _, parts := range []int{2, 22} {
+		for _, rep := range []config.Replacement{config.LRU, config.FIFO, config.Random} {
+			g := gpu
+			g.MemPartitions, g.L2.Replacement = parts, rep
+			levels = append(levels, L2LevelOf(g, false))
+			want = append(want, one.ReplayL2(levels[len(levels)-1]))
+		}
+		g := gpu
+		g.MemPartitions = parts
+		levels = append(levels, L2LevelOf(g, true))
+		want = append(want, one.ReplayL2(levels[len(levels)-1]))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range geoms {
+				j := (i + w) % len(geoms)
+				if got := FilterL1(app, geoms[j]); !reflect.DeepEqual(got, filtered[j]) {
+					t.Errorf("worker %d: concurrent filter under %+v diverged from the serial one", w, geoms[j])
+				}
+			}
+			for i := range levels {
+				j := (i + w) % len(levels)
+				if got := one.ReplayL2(levels[j]); !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("worker %d: concurrent replay of %+v diverged from the serial one", w, levels[j])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -20,10 +20,16 @@ func Coalesce(addrs []uint64, sectorBytes int) []uint64 {
 // per-instruction path reuses one buffer: the LD/ST unit's per pooled
 // instruction, the hit-rate profiler's per kernel walk, the analytical
 // memory model's on its stack.
+//
+// While an access has at most coalesceScan unique sectors a lane is checked
+// against them by a scan; at the next one the remaining lanes go through an
+// open-addressed set instead, so a scattered access costs O(lanes), not
+// O(lanes²). A warp has at most 32 lanes, half the set's slots; an access
+// with more keeps scanning.
 func CoalesceInto(dst []uint64, addrs []uint64, sectorBytes int) []uint64 {
 	mask := ^uint64(sectorBytes - 1)
 	out := dst[:0]
-	for _, a := range addrs {
+	for i, a := range addrs {
 		s := a & mask
 		dup := false
 		for _, o := range out {
@@ -33,6 +39,52 @@ func CoalesceInto(dst []uint64, addrs []uint64, sectorBytes int) []uint64 {
 			}
 		}
 		if !dup {
+			if len(out) == coalesceScan && len(addrs) <= len(sectorSet{}.slots)/2 {
+				return coalesceHashed(out, addrs[i:], mask)
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// coalesceScan is the unique-sector count up to which a scan is cheaper
+// than hashing.
+const coalesceScan = 8
+
+// sectorSet is a 64-slot open-addressed set of sector addresses with linear
+// probing. Occupancy is a bitmap, not a sentinel value, so every address, 0
+// included, is storable at any sector size.
+type sectorSet struct {
+	used  uint64
+	slots [64]uint64
+}
+
+// add inserts s and reports whether it was absent. The set must not be
+// full.
+func (set *sectorSet) add(s uint64) bool {
+	i := (s * 0x9e3779b97f4a7c15) >> 58 // Fibonacci hash to 6 bits
+	for set.used&(1<<i) != 0 {
+		if set.slots[i] == s {
+			return false
+		}
+		i = (i + 1) & 63
+	}
+	set.used |= 1 << i
+	set.slots[i] = s
+	return true
+}
+
+// coalesceHashed finishes a coalesce whose unique sectors so far are out,
+// appending the new sectors of rest, the lanes not yet seen, in first-touch
+// order.
+func coalesceHashed(out, rest []uint64, mask uint64) []uint64 {
+	var set sectorSet
+	for _, s := range out {
+		set.add(s)
+	}
+	for _, a := range rest {
+		if s := a & mask; set.add(s) {
 			out = append(out, s)
 		}
 	}
