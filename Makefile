@@ -29,7 +29,7 @@ tier1:
 	$(GO) vet ./...
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 	$(GO) test ./...
-	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/mem/... ./internal/smcore/... ./internal/cache/... ./internal/reuse/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
+	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/mem/... ./internal/smcore/... ./internal/cache/... ./internal/reuse/... ./internal/analytic/... ./internal/trace/... ./internal/workload/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
 	$(GO) test -race -run 'TestEpoch|TestSnapshot|TestSample' ./internal/regress/
 
 # lint enforces gofmt and go vet, and additionally runs staticcheck and
@@ -95,7 +95,7 @@ bench:
 # Allocation counts repeat exactly where times depend on what else the
 # host is doing, so the ceilings are checked first: a whole Basic, Detailed
 # or Memory simulation stays under a ceiling set about 25% above the
-# measured 2,981, 11,122 and 836 allocs/op, which neither the timed
+# measured 2,981, 11,122 and 838 allocs/op, which neither the timed
 # memory path nor the SM core's issue→writeback path contributes to once
 # warm. One closure or queue regrowth per request or per instruction back
 # on those paths is +5,000 or more, so it trips the ceiling instead of
@@ -104,7 +104,7 @@ benchcmp: bench
 	$(GO) run ./cmd/benchcmp -metric allocs/op \
 		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Basic,3730' \
 		-max 'BenchmarkSimulatorThroughput/Detailed,13900' \
-		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Memory,1045' \
+		-max 'BenchmarkSimulatorThroughput/Swift-Sim-Memory,1048' \
 		bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -gate 0.9 bench_baseline.txt bench.txt
 	$(GO) run ./cmd/benchcmp -within 'BenchmarkEngineSampled/corpus=off,BenchmarkEngineSampled/corpus=on,3.0' bench_baseline.txt bench.txt

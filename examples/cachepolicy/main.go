@@ -38,9 +38,11 @@ func thrashApp(bufBytes int) *swiftsim.App {
 			for lane := range addrs {
 				addrs[lane] = uint64(0x1000_0000 + l*128 + lane*4)
 			}
+			// Every instruction but the EXIT is a load, so its ordinal among
+			// the kernel's memory instructions is its position.
 			wt = append(wt, trace.Inst{
 				PC: pc, Op: trace.OpLoadGlobal, Dst: trace.Reg(l%30 + 1),
-				ActiveMask: 0xffffffff, Addrs: addrs,
+				ActiveMask: 0xffffffff, MemIndex: uint32(len(wt)), Addrs: addrs,
 			})
 			pc += 8
 		}

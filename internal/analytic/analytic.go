@@ -7,6 +7,7 @@
 package analytic
 
 import (
+	"fmt"
 	"math"
 
 	"swiftsim/internal/engine"
@@ -148,16 +149,21 @@ func (m *BandwidthMeter) ReserveCost(now uint64, cycles float64) uint64 {
 // tracked contention (LD/ST issue-port occupancy and aggregate DRAM
 // bandwidth). Shared-memory accesses keep the conflict model of the
 // cycle-accurate unit, which needs no global state.
+//
+// An instruction's sector count, bank-conflict degree and static id come
+// from the row the profiler recorded at its MemIndex (reuse.Fact), so the
+// unit never reads lane addresses or PCs: issuing is arithmetic.
 type MemModel struct {
 	name        string
 	eng         *engine.Engine
-	prof        *reuse.Profile
-	kernel      *int // current kernel index, shared across all instances
+	facts       [][]reuse.Fact // the profile's, by kernel then MemIndex
+	kernel      *int           // current kernel index, shared across all instances
+	eq1Base     []int          // by kernel: its static instructions' first row in eq1
+	eq1         []eq1Row       // the run's, shared by all its instances
 	latL1       float64
 	latL2       float64
 	latDRAM     float64
 	shmemLat    uint64
-	sectorBytes int
 	lanes       int
 	freeAt      uint64
 	dram        *BandwidthMeter
@@ -172,19 +178,63 @@ type MemModel struct {
 	contention   *metrics.Counter
 }
 
+// eq1Row is what Eq. 1 reads of one static global-memory instruction in a
+// run: its rates, and the two powers of them for each sector count the run
+// has issued it with. The powers are the run's, never the profile's: a
+// profile is shared by concurrent runs and must stay immutable.
+type eq1Row struct {
+	rates  reuse.Rates
+	filled uint32         // bit s-1 set: pows[s-1] holds s sectors' powers
+	pows   [32][2]float64 // {L1^s, (1-DRAM)^s}
+}
+
+// powers returns math.Pow(rates.L1, s) and math.Pow(1-rates.DRAM, s), the
+// probabilities that all s sectors hit the L1 and that none reaches DRAM,
+// calling math.Pow on the row's first use of s only.
+func (r *eq1Row) powers(s int) (allL1, noDRAM float64) {
+	if uint(s-1) >= uint(len(r.pows)) { // no lane, or more than a warp's
+		return math.Pow(r.rates.L1, float64(s)), math.Pow(1-r.rates.DRAM, float64(s))
+	}
+	if r.filled&(1<<(s-1)) == 0 {
+		r.pows[s-1] = [2]float64{math.Pow(r.rates.L1, float64(s)), math.Pow(1-r.rates.DRAM, float64(s))}
+		r.filled |= 1 << (s - 1)
+	}
+	return r.pows[s-1][0], r.pows[s-1][1]
+}
+
+// newEq1Rows lays every kernel's static instructions end to end in one row
+// slice, each row holding its rates; base[k] is kernel k's first row.
+func newEq1Rows(p *reuse.Profile) (base []int, rows []eq1Row) {
+	base = make([]int, len(p.ByID))
+	n := 0
+	for k, rates := range p.ByID {
+		base[k] = n
+		n += len(rates)
+	}
+	rows = make([]eq1Row, n)
+	for k, rates := range p.ByID {
+		for id, r := range rates {
+			rows[base[k]+id].rates = r
+		}
+	}
+	return base, rows
+}
+
 // MemModelParams collects the shared configuration of all MemModel
 // instances of one simulator.
 type MemModelParams struct {
-	// Profile supplies Eq. 1's hit rates.
+	// Profile supplies Eq. 1's hit rates and every memory instruction's
+	// facts. It must be the profile of the trace the unit is issued.
 	Profile *reuse.Profile
-	// KernelIndex points at the simulator's current kernel counter so
-	// per-PC lookups stay unambiguous across kernels.
+	// KernelIndex points at the simulator's current kernel counter, which
+	// selects the kernel's facts and rates.
 	KernelIndex *int
 	// L1Latency, L2Latency, DRAMLatency are Eq. 1's L_L1, L_L2, L_DRAM.
 	L1Latency, L2Latency, DRAMLatency int
 	// SharedMemLatency is the shared-memory access latency.
 	SharedMemLatency int
-	// SectorBytes is the coalescing granularity.
+	// SectorBytes is the coalescing granularity. The profile's sector
+	// counts must have been coalesced at it.
 	SectorBytes int
 	// Lanes is the LD/ST lane count (sectors accepted per cycle).
 	Lanes int
@@ -208,22 +258,31 @@ type MemModelParams struct {
 	MSHREntries int
 }
 
-// NewMemModel builds one analytical LD/ST replacement (one per sub-core).
+// NewMemModel builds one analytical LD/ST replacement (one per sub-core),
+// with the Eq. 1 rows of a run: build the run's other units with Siblings,
+// so they share them. It panics on a profile coalesced at a sector size
+// other than p.SectorBytes, whose sector counts would be wrong.
 func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.Gatherer) *MemModel {
+	if p.Profile.SectorBytes != p.SectorBytes {
+		panic(fmt.Sprintf("analytic: memory model %s models %d-byte sectors, its profile was coalesced at %d",
+			name, p.SectorBytes, p.Profile.SectorBytes))
+	}
 	lanes := p.Lanes
 	if lanes < 1 {
 		lanes = 1
 	}
+	base, rows := newEq1Rows(p.Profile)
 	return &MemModel{
 		name:         name,
 		eng:          eng,
-		prof:         p.Profile,
+		facts:        p.Profile.Facts,
 		kernel:       p.KernelIndex,
+		eq1Base:      base,
+		eq1:          rows,
 		latL1:        float64(p.L1Latency),
 		latL2:        float64(p.L2Latency),
 		latDRAM:      float64(p.DRAMLatency),
 		shmemLat:     uint64(p.SharedMemLatency),
-		sectorBytes:  p.SectorBytes,
 		lanes:        lanes,
 		dram:         p.DRAM,
 		l1port:       p.L1Port,
@@ -238,8 +297,9 @@ func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.G
 }
 
 // Siblings returns n more units of u's class in one slice, as
-// ALUModel.Siblings does. Each still stands behind u's per-SM meters; the
-// assembly moves it behind its own SM's with SetSMMeters.
+// ALUModel.Siblings does. They share u's Eq. 1 rows, so a run fills each
+// power once. Each still stands behind u's per-SM meters; the assembly
+// moves it behind its own SM's with SetSMMeters.
 func (u *MemModel) Siblings(n int) []MemModel {
 	sibs := make([]MemModel, n)
 	for i := range sibs {
@@ -271,14 +331,18 @@ func (u *MemModel) Tick(uint64) {}
 func (u *MemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	u.issued.Inc()
 
+	kernel := 0
+	if u.kernel != nil {
+		kernel = *u.kernel
+	}
+	fact := u.facts[kernel][in.MemIndex]
 	if in.Op.IsSharedMem() {
-		deg := smcore.SharedBankConflicts(in.Addrs)
+		deg := int(fact.N)
 		u.eng.Schedule(u.shmemLat+uint64(4*(deg-1)), done)
 		return true
 	}
 
-	var lanes [32]uint64 // a warp's worth: the count never leaves the stack
-	sectors := len(smcore.CoalesceInto(lanes[:0], in.Addrs, u.sectorBytes))
+	sectors := int(fact.N)
 	u.transactions.Add(uint64(sectors))
 
 	// LD/ST issue-port occupancy: the unit is held for the cycles needed
@@ -291,11 +355,8 @@ func (u *MemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	u.freeAt = start + occupancy
 	portDelay := start - cycle
 
-	kernel := 0
-	if u.kernel != nil {
-		kernel = *u.kernel
-	}
-	rates := u.prof.Rates(kernel, in.PC)
+	row := &u.eq1[u.eq1Base[kernel]+int(fact.ID)]
+	rates := row.rates
 
 	// Contention adder: every sector occupies the SM's L1 port and the
 	// interconnect; the DRAM-bound fraction also occupies the aggregate
@@ -321,8 +382,9 @@ func (u *MemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 		// once *any* sector is serviced there. For s = 1 this is
 		// exactly Eq. 1.
 		sf := float64(sectors)
-		pBeyondL1 := 1 - math.Pow(rates.L1, sf)
-		pDRAM := 1 - math.Pow(1-rates.DRAM, sf)
+		allL1, noDRAM := row.powers(sectors)
+		pBeyondL1 := 1 - allL1
+		pDRAM := 1 - noDRAM
 		base = u.latL1 + (u.latL2-u.latL1)*pBeyondL1 + (u.latDRAM-u.latL2)*pDRAM
 		// Memory-divergence serialization (after MDM): the DRAM-bound
 		// sectors of one divergent load contend for banks and return

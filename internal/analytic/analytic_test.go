@@ -1,6 +1,9 @@
 package analytic
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -157,20 +160,56 @@ func coalescedAddrs(base uint64) []uint64 {
 	return a
 }
 
+// profiled profiles an app of one single-warp kernel per instruction stream
+// in kernels, each closed with an EXIT and numbered, through
+// reuse.ProfileApp on the RTX 2080 Ti, whose 32-byte sectors are
+// memParams'. rates, where not nil, then replaces the profiled rates of the
+// named static instructions, in PerPC and ByID alike, so a test sets Eq. 1's
+// inputs while the unit still reads the facts the profiler recorded. It
+// returns the profile and, per kernel, the instructions to issue.
+func profiled(t *testing.T, rates map[reuse.Key]reuse.Rates, kernels ...[]trace.Inst) (*reuse.Profile, [][]*trace.Inst) {
+	t.Helper()
+	app := &trace.App{Name: "unit", Suite: "test"}
+	for ki, insts := range kernels {
+		w := append(trace.WarpTrace(slices.Clone(insts)), trace.Inst{Op: trace.OpExit, ActiveMask: 1})
+		k := &trace.Kernel{
+			Name: fmt.Sprintf("k%d", ki), Grid: trace.Dim3{X: 1, Y: 1, Z: 1}, Block: trace.Dim3{X: 32, Y: 1, Z: 1},
+			RegsPerThread: 16, Blocks: []trace.BlockTrace{{Warps: []trace.WarpTrace{w}}},
+		}
+		k.NumberMem()
+		app.Kernels = append(app.Kernels, k)
+	}
+	if err := app.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prof := reuse.ProfileApp(app, config.RTX2080Ti())
+	issued := make([][]*trace.Inst, len(app.Kernels))
+	for ki, k := range app.Kernels {
+		w := k.Blocks[0].Warps[0]
+		for i := range w[:len(w)-1] {
+			in := &w[i]
+			issued[ki] = append(issued[ki], in)
+			r, ok := rates[reuse.Key{Kernel: ki, PC: in.PC}]
+			if !ok || !in.Op.IsGlobalMem() {
+				continue
+			}
+			prof.PerPC[reuse.Key{Kernel: ki, PC: in.PC}] = r
+			prof.ByID[ki][prof.Facts[ki][in.MemIndex].ID] = r
+		}
+	}
+	return prof, issued
+}
+
 func TestMemModelEquation1(t *testing.T) {
 	// A single-sector load at a PC with known rates must complete in
 	// exactly Eq. 1's expected latency (zero contention, first access).
 	kernel := 0
-	prof := &reuse.Profile{
-		PerPC:   map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
-		Default: reuse.Rates{L1: 1},
-	}
+	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
+		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 1, Addrs: []uint64{0x1000}}})
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
-	in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 1,
-		Addrs: []uint64{0x1000}}
-	if !u.TryIssue(0, in, func() { done = true }) {
+	if !u.TryIssue(0, insts[0][0], func() { done = true }) {
 		t.Fatal("issue refused")
 	}
 	// Eq. 1: 32*0.5 + 188*0.25 + 227*0.25 = 16 + 47 + 56.75 = 119.75 → 119.
@@ -185,16 +224,15 @@ func TestMemModelMultiSectorSlower(t *testing.T) {
 	// access, so the latency approaches the DRAM term plus the
 	// divergence serialization penalty.
 	kernel := 0
-	prof := &reuse.Profile{
-		PerPC:   map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
-		Default: reuse.Rates{L1: 1},
+	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
+		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 0xffffffff, Addrs: coalescedAddrs(0x1000)}})
+	if n := prof.Facts[0][0].N; n != 4 {
+		t.Fatalf("the profiler recorded %d sectors for 32 coalesced lanes, want 4", n)
 	}
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
-	in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 0xffffffff,
-		Addrs: coalescedAddrs(0x1000)} // 4 sectors
-	u.TryIssue(0, in, func() { done = true })
+	u.TryIssue(0, insts[0][0], func() { done = true })
 	lat := runUntil(t, eng, &done)
 	if lat <= 119 {
 		t.Errorf("multi-sector latency = %d, want > single-sector 119", lat)
@@ -204,14 +242,18 @@ func TestMemModelMultiSectorSlower(t *testing.T) {
 	}
 }
 
-func TestMemModelDefaultRates(t *testing.T) {
+func TestMemModelColdLoadPaysDRAM(t *testing.T) {
+	// Left as profiled, the only access of a trace misses both caches.
 	kernel := 0
-	prof := &reuse.Profile{Default: reuse.Rates{DRAM: 1}}
+	prof, insts := profiled(t, nil,
+		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 99, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}})
+	if r := prof.ByID[0][0]; r != (reuse.Rates{DRAM: 1}) {
+		t.Fatalf("a cold load profiled at %+v, want all DRAM", r)
+	}
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
-	in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 99, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}
-	u.TryIssue(0, in, func() { done = true })
+	u.TryIssue(0, insts[0][0], func() { done = true })
 	if lat := runUntil(t, eng, &done); lat != 227 {
 		t.Errorf("latency = %d, want 227 (DRAM)", lat)
 	}
@@ -219,18 +261,15 @@ func TestMemModelDefaultRates(t *testing.T) {
 
 func TestMemModelKernelIndexDisambiguates(t *testing.T) {
 	kernel := 1
-	prof := &reuse.Profile{
-		PerPC: map[reuse.Key]reuse.Rates{
-			{Kernel: 0, PC: 8}: {DRAM: 1},
-			{Kernel: 1, PC: 8}: {L1: 1},
-		},
-		Default: reuse.Rates{DRAM: 1},
-	}
+	load := []trace.Inst{{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}}
+	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{
+		{Kernel: 0, PC: 8}: {DRAM: 1},
+		{Kernel: 1, PC: 8}: {L1: 1},
+	}, load, load)
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
-	in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}
-	u.TryIssue(0, in, func() { done = true })
+	u.TryIssue(0, insts[1][0], func() { done = true })
 	if lat := runUntil(t, eng, &done); lat != 32 {
 		t.Errorf("latency = %d, want 32 (kernel-1 profile: L1)", lat)
 	}
@@ -238,12 +277,12 @@ func TestMemModelKernelIndexDisambiguates(t *testing.T) {
 
 func TestMemModelStore(t *testing.T) {
 	kernel := 0
-	prof := &reuse.Profile{Default: reuse.Rates{DRAM: 1}}
+	prof, insts := profiled(t, nil,
+		[]trace.Inst{{Op: trace.OpStoreGlobal, PC: 8, ActiveMask: 1, Addrs: []uint64{0}}})
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
-	in := &trace.Inst{Op: trace.OpStoreGlobal, PC: 8, ActiveMask: 1, Addrs: []uint64{0}}
-	u.TryIssue(0, in, func() { done = true })
+	u.TryIssue(0, insts[0][0], func() { done = true })
 	// Stores retire at L1 write-through latency, not Eq. 1's DRAM term.
 	if lat := runUntil(t, eng, &done); lat != 32 {
 		t.Errorf("store latency = %d, want 32", lat)
@@ -252,18 +291,18 @@ func TestMemModelStore(t *testing.T) {
 
 func TestMemModelSharedMemory(t *testing.T) {
 	kernel := 0
-	prof := &reuse.Profile{Default: reuse.Rates{DRAM: 1}}
-	eng := engine.New()
-	g := metrics.New()
-	u := NewMemModel("mem", eng, memParams(prof, &kernel), g)
-	done := false
 	// 32 lanes all hitting bank 0: degree 32 → 24 + 4*31 = 148 cycles.
 	addrs := make([]uint64, 32)
 	for i := range addrs {
 		addrs[i] = uint64(i) * 128
 	}
-	in := &trace.Inst{Op: trace.OpLoadShared, PC: 8, Dst: 1, ActiveMask: 0xffffffff, Addrs: addrs}
-	u.TryIssue(0, in, func() { done = true })
+	prof, insts := profiled(t, nil,
+		[]trace.Inst{{Op: trace.OpLoadShared, PC: 8, Dst: 1, ActiveMask: 0xffffffff, Addrs: addrs}})
+	eng := engine.New()
+	g := metrics.New()
+	u := NewMemModel("mem", eng, memParams(prof, &kernel), g)
+	done := false
+	u.TryIssue(0, insts[0][0], func() { done = true })
 	if lat := runUntil(t, eng, &done); lat != 148 {
 		t.Errorf("shared latency = %d, want 148", lat)
 	}
@@ -275,16 +314,19 @@ func TestMemModelSharedMemory(t *testing.T) {
 
 func TestMemModelPortOccupancySerializes(t *testing.T) {
 	kernel := 0
-	prof := &reuse.Profile{Default: reuse.Rates{L1: 1}}
+	var loads []trace.Inst
+	for i := 0; i < 3; i++ {
+		loads = append(loads, trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
+			Addrs: coalescedAddrs(uint64(i) * 0x10000)})
+	}
+	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 8}: {L1: 1}}, loads)
 	eng := engine.New()
 	g := metrics.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), g)
 	var comp []uint64
 	done := false
 	rem := 3
-	for i := 0; i < 3; i++ {
-		in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
-			Addrs: coalescedAddrs(uint64(i) * 0x10000)}
+	for _, in := range insts[0] {
 		u.TryIssue(0, in, func() {
 			comp = append(comp, eng.Cycle())
 			if rem--; rem == 0 {
@@ -308,18 +350,21 @@ func TestMemModelPortOccupancySerializes(t *testing.T) {
 func TestMemModelDRAMBandwidthContention(t *testing.T) {
 	// Many DRAM-bound loads must see growing completion times (bandwidth
 	// queueing), unlike L1-bound loads.
+	var loads []trace.Inst
+	for i := 0; i < 50; i++ {
+		loads = append(loads, trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
+			Addrs: coalescedAddrs(uint64(i) * 0x10000)})
+	}
 	measure := func(rates reuse.Rates) uint64 {
 		kernel := 0
-		prof := &reuse.Profile{Default: rates}
+		prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 8}: rates}, loads)
 		eng := engine.New()
 		p := memParams(prof, &kernel)
 		p.DRAM = NewBandwidthMeter(1) // narrow channel
 		u := NewMemModel("mem", eng, p, metrics.New())
 		done := false
-		rem := 50
-		for i := 0; i < 50; i++ {
-			in := &trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
-				Addrs: coalescedAddrs(uint64(i) * 0x10000)}
+		rem := len(insts[0])
+		for _, in := range insts[0] {
 			u.TryIssue(0, in, func() {
 				if rem--; rem == 0 {
 					done = true
@@ -333,6 +378,22 @@ func TestMemModelDRAMBandwidthContention(t *testing.T) {
 	if dramBound <= l1Bound+100 {
 		t.Errorf("DRAM-bound total %d not clearly above L1-bound %d", dramBound, l1Bound)
 	}
+}
+
+// TestMemModelRefusesOtherSectorSize: a profile's sector counts hold for the
+// sector size it was coalesced at only, so a unit modelling another one
+// refuses it at construction instead of issuing with wrong counts.
+func TestMemModelRefusesOtherSectorSize(t *testing.T) {
+	kernel := 0
+	prof, _ := profiled(t, nil, []trace.Inst{{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}})
+	p := memParams(prof, &kernel)
+	p.SectorBytes = 64
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "coalesced at 32") {
+			t.Errorf("NewMemModel over a 32-byte profile at 64-byte sectors: recovered %v, want a refusal naming 32", r)
+		}
+	}()
+	NewMemModel("mem", engine.New(), p, metrics.New())
 }
 
 func TestBackendHitMissLatency(t *testing.T) {
@@ -396,8 +457,9 @@ func TestBackendWrites(t *testing.T) {
 
 // TestIssueToWritebackAllocatesNothing is the gate on the SM core's
 // issue→writeback path with analytical units: the in-flight record and its
-// bound completion are recycled, the memory model counts sectors on its
-// stack, and each unit schedules one event. Once the record free list and
+// bound completion are recycled, the memory model reads its sector counts
+// from the profile's rows and its powers from the run's, and each unit
+// schedules one event. Once the record free list and
 // the event store's node slab have reached their working size, issuing and
 // completing instructions of a resident warp allocates nothing, under the
 // built-in policy and under a plug-in Picker alike (the tried predicate a
@@ -415,23 +477,7 @@ func TestIssueToWritebackAllocatesNothing(t *testing.T) {
 }
 
 func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) smcore.Picker) {
-	eng := engine.New()
-	g := metrics.New()
-	kernel := 0
-	p := memParams(&reuse.Profile{Default: reuse.Rates{L1: 0.5, L2: 0.3, DRAM: 0.2}}, &kernel)
-	units := NewHybridUnits(
-		func(smID, sub int, class trace.OpClass) smcore.Unit {
-			return NewALUModel("alu."+class.String(), eng, 4, 1, g)
-		},
-		func(smID, sub int) smcore.Unit { return NewMemModel("mem", eng, p, g) })
-	units.Scheduler = picker
-	sm, err := smcore.NewSM(0, config.RTX2080Ti().SM, eng, units, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Register(sm)
-
-	// One block of four warps, each a long stream of arithmetic, divergent
+	// One block of four warps, each a long loop of arithmetic, divergent
 	// global loads, stores and shared-memory accesses.
 	k := &trace.Kernel{
 		Name: "stream", Grid: trace.Dim3{X: 1, Y: 1, Z: 1}, Block: trace.Dim3{X: 128, Y: 1, Z: 1},
@@ -444,7 +490,7 @@ func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) s
 	for w := 0; w < 4; w++ {
 		var wt trace.WarpTrace
 		for i := 0; i < 30_000; i++ {
-			in := trace.Inst{PC: uint64(8 * i), Dst: trace.Reg(1 + i%8), ActiveMask: 0xffffffff}
+			in := trace.Inst{PC: uint64(8 * (i % 100)), Dst: trace.Reg(1 + i%8), ActiveMask: 0xffffffff}
 			switch i % 5 {
 			case 0:
 				in.Op, in.Addrs = trace.OpLoadGlobal, scattered
@@ -461,9 +507,31 @@ func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) s
 		}
 		k.Blocks[0].Warps = append(k.Blocks[0].Warps, append(wt, trace.Inst{Op: trace.OpExit, ActiveMask: 0xffffffff}))
 	}
-	if err := k.Validate(); err != nil {
+	k.NumberMem()
+	app := &trace.App{Name: "stream", Suite: "test", Kernels: []*trace.Kernel{k}}
+	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	eng := engine.New()
+	g := metrics.New()
+	kernel := 0
+	// One unit per sub-core, as an assembly builds them: the first and its
+	// siblings, sharing the run's Eq. 1 rows.
+	first := NewMemModel("mem", eng, memParams(reuse.ProfileApp(app, config.RTX2080Ti()), &kernel), g)
+	sibs := first.Siblings(config.RTX2080Ti().SM.SubCores)
+	units := NewHybridUnits(
+		func(smID, sub int, class trace.OpClass) smcore.Unit {
+			return NewALUModel("alu."+class.String(), eng, 4, 1, g)
+		},
+		func(smID, sub int) smcore.Unit { return &sibs[sub] })
+	units.Scheduler = picker
+	sm, err := smcore.NewSM(0, config.RTX2080Ti().SM, eng, units, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Register(sm)
+
 	if err := sm.AssignBlock(k, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,12 @@
 // profiling one trace under many design points can keep a phase-one result
 // and replay it: an L2-size, latency or partition sweep filters the trace
 // through the L1s once.
+//
+// Phase one coalesces every global-memory instruction anyway, so it also
+// records each dynamic memory instruction's Fact (static id, sector count
+// or bank-conflict degree) at the instruction's MemIndex. The analytical
+// memory model then indexes those rows during simulation instead of
+// re-reading lane addresses and hashing PCs.
 package reuse
 
 import (
@@ -55,12 +61,37 @@ type Rates struct {
 	L1, L2, DRAM float64
 }
 
+// Fact is what the analytical memory model needs of one dynamic memory
+// instruction besides its rates. Phase one records it while it walks the
+// trace, in a row at the instruction's trace.Inst.MemIndex, so the model
+// reads a row instead of re-reading the instruction's lane addresses.
+type Fact struct {
+	// ID is a global-memory instruction's static id within its kernel, the
+	// index of its rates in Profile.ByID; zero for shared memory.
+	ID uint32
+	// N is a global-memory instruction's sector count after coalescing at
+	// Profile.SectorBytes, or a shared-memory instruction's bank-conflict
+	// degree (smcore.SharedBankConflicts).
+	N uint32
+}
+
 // Profile holds the extracted hit rates for one application.
 type Profile struct {
-	// PerPC maps each static global-memory instruction to its rates.
+	// PerPC maps each static global-memory instruction to its rates. It is
+	// the canonical form of the profile; ByID holds the same rates by id.
 	PerPC map[Key]Rates
-	// Default is the application-wide aggregate, used for instructions
-	// missing from PerPC.
+	// ByID holds, per kernel, the rates of each static global-memory
+	// instruction by its id: ByID[k][id] == PerPC[Key{k, pc}].
+	ByID [][]Rates
+	// Facts holds, per kernel, one row per memory instruction at its
+	// MemIndex, up to the kernel's largest index; a sampled kernel's
+	// unsimulated blocks leave their rows zero. It is shared with the
+	// phase-one result the profile was replayed from.
+	Facts [][]Fact
+	// SectorBytes is the sector size Facts' sector counts were coalesced
+	// at.
+	SectorBytes int
+	// Default is the application-wide aggregate.
 	Default Rates
 	// DefaultReads is the application-wide aggregate restricted to load
 	// transactions. Stores are never serviced by the write-through
@@ -70,15 +101,6 @@ type Profile struct {
 	DefaultReads Rates
 	// Accesses is the total number of sector transactions profiled.
 	Accesses uint64
-}
-
-// Rates returns the level-of-service distribution for the given
-// instruction, falling back to the application aggregate.
-func (p *Profile) Rates(kernel int, pc uint64) Rates {
-	if r, ok := p.PerPC[Key{kernel, pc}]; ok {
-		return r
-	}
-	return p.Default
 }
 
 // counts accumulates per-level service counts during profiling.
@@ -216,11 +238,13 @@ type kernelProfile struct {
 }
 
 // L1Filtered is the phase-one result for one application: per kernel, the
-// L1 hits of every static instruction and the ordered accesses that escaped
-// the L1s. It is immutable, so any number of ReplayL2 calls, concurrent
-// ones included, may share it.
+// L1 hits of every static instruction, the ordered accesses that escaped
+// the L1s, and the facts of every memory instruction. It is immutable, so
+// any number of ReplayL2 calls, concurrent ones included, may share it.
 type L1Filtered struct {
-	kernels []kernelProfile
+	kernels     []kernelProfile
+	facts       [][]Fact // by kernel, then MemIndex
+	sectorBytes int
 }
 
 // Bytes returns the memory the result retains, for a memo's byte bound.
@@ -228,7 +252,20 @@ func (f *L1Filtered) Bytes() int {
 	n := 0
 	for i := range f.kernels {
 		kp := &f.kernels[i]
-		n += 16*len(kp.pcs) + 12*len(kp.sectors)
+		n += 16*len(kp.pcs) + 12*len(kp.sectors) + factBytes*len(f.facts[i])
+	}
+	return n
+}
+
+// factBytes is the size of a Fact.
+const factBytes = 8
+
+// FactsBytes returns the memory p's fact rows retain. p shares them with
+// the phase-one result it was replayed from, whose Bytes counts them too.
+func (p *Profile) FactsBytes() int {
+	n := 0
+	for _, rows := range p.Facts {
+		n += factBytes * len(rows)
 	}
 	return n
 }
@@ -253,19 +290,26 @@ type kernelWalk struct {
 // execution), and per-lane addresses are coalesced exactly as the LD/ST
 // unit would. An SM's L1 is reset on its first read in the kernel. The L1s
 // are write-through no-allocate: stores are never offered to them and always
-// propagate to the L2.
-func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
+// propagate to the L2. Every memory instruction's Fact is recorded at its
+// MemIndex on the way: a global one's static id and sector count, a shared
+// one's bank-conflict degree.
+func (kw *kernelWalk) kernel(k *trace.Kernel) (kernelProfile, []Fact) {
 	var kp kernelProfile
 	clear(kw.live)
 	clear(kw.ids)
 	// An instruction sends at most one access per lane address to the L2:
 	// size the scratch for that before walking, so the walk never grows it.
-	bound := 0
+	// The fact rows run to the largest MemIndex, which in a sampled kernel
+	// is not its memory-instruction count.
+	bound, rows := 0, 0
 	for bi := range k.Blocks {
 		for _, w := range k.Blocks[bi].Warps {
 			for i := range w {
-				if w[i].Op.IsGlobalMem() {
-					bound += len(w[i].Addrs)
+				if w[i].Op.IsMem() {
+					rows = max(rows, int(w[i].MemIndex)+1)
+					if w[i].Op.IsGlobalMem() {
+						bound += len(w[i].Addrs)
+					}
 				}
 			}
 		}
@@ -274,6 +318,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 		kw.sectors, kw.ops = make([]uint64, 0, bound), make([]uint32, 0, bound)
 	}
 	sectors, ops := kw.sectors[:0], kw.ops[:0]
+	facts := make([]Fact, rows)
 	for bi := range k.Blocks {
 		sm := bi % kw.g.SMs
 		l1 := &kw.l1[sm]
@@ -286,14 +331,17 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 		}
 		for i := 0; i < maxLen; i++ {
 			for _, w := range warps {
-				if i >= len(w) || !w[i].Op.IsGlobalMem() {
+				if i >= len(w) || !w[i].Op.IsMem() {
 					continue
 				}
 				in := &w[i]
-				kw.coalesce = smcore.CoalesceInto(kw.coalesce, in.Addrs, kw.g.CoalesceBytes)
-				if len(kw.coalesce) == 0 {
+				if in.Op.IsSharedMem() {
+					facts[in.MemIndex].N = uint32(smcore.SharedBankConflicts(in.Addrs))
 					continue
 				}
+				// A valid trace gives every memory instruction a lane, so
+				// every global one coalesces to a sector or more and has an id.
+				kw.coalesce = smcore.CoalesceInto(kw.coalesce, in.Addrs, kw.g.CoalesceBytes)
 				id, ok := kw.ids[in.PC]
 				if !ok {
 					id = uint32(len(kp.pcs))
@@ -301,6 +349,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 					kp.pcs = append(kp.pcs, in.PC)
 					kp.l1Hits = append(kp.l1Hits, 0)
 				}
+				facts[in.MemIndex] = Fact{ID: id, N: uint32(len(kw.coalesce))}
 				write := in.Op == trace.OpStoreGlobal
 				op := id << 1
 				if write {
@@ -327,7 +376,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) kernelProfile {
 	// the next kernel, the result carries no slack.
 	kp.sectors = append([]uint64(nil), sectors...)
 	kp.ops = append([]uint32(nil), ops...)
-	return kp
+	return kp, facts
 }
 
 // walks holds phase-one scratch between FilterL1 calls: stream buffers
@@ -353,7 +402,11 @@ func takeWalk(g L1Geometry) *kernelWalk {
 // as the timing simulators model the non-coherent L1 flush of real GPUs, so
 // kernels are L1-independent.
 func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
-	f := &L1Filtered{kernels: make([]kernelProfile, len(app.Kernels))}
+	f := &L1Filtered{
+		kernels:     make([]kernelProfile, len(app.Kernels)),
+		facts:       make([][]Fact, len(app.Kernels)),
+		sectorBytes: g.CoalesceBytes,
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(app.Kernels) {
 		workers = len(app.Kernels)
@@ -362,7 +415,7 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 		kw := takeWalk(g)
 		defer walks.Put(kw)
 		for ki, k := range app.Kernels {
-			f.kernels[ki] = kw.kernel(k)
+			f.kernels[ki], f.facts[ki] = kw.kernel(k)
 		}
 		return f
 	}
@@ -375,7 +428,7 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 			kw := takeWalk(g)
 			defer walks.Put(kw)
 			for ki := range next {
-				f.kernels[ki] = kw.kernel(app.Kernels[ki])
+				f.kernels[ki], f.facts[ki] = kw.kernel(app.Kernels[ki])
 			}
 		}()
 	}
@@ -391,7 +444,7 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 // every L2-bound access, in kernel order, through one shared instance of
 // l2. Because counter addition commutes and the L2 sees the same access
 // sequence a serial run produces, the profile is byte-identical to the
-// serial one.
+// serial one. The profile shares f's facts.
 func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
 	model := l2Spares.Get().(*levelModel)
 	defer l2Spares.Put(model)
@@ -400,7 +453,13 @@ func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
 	for i := range f.kernels {
 		static += len(f.kernels[i].pcs)
 	}
-	p := &Profile{PerPC: make(map[Key]Rates, static)}
+	p := &Profile{
+		PerPC:       make(map[Key]Rates, static),
+		ByID:        make([][]Rates, len(f.kernels)),
+		Facts:       f.facts,
+		SectorBytes: f.sectorBytes,
+	}
+	byID := make([]Rates, static) // every kernel's ByID, end to end
 	var agg, aggReads counts
 	var per []counts // by id, reused from kernel to kernel
 	for ki := range f.kernels {
@@ -432,8 +491,11 @@ func (f *L1Filtered) ReplayL2(l2 Level) *Profile {
 			}
 		}
 		for id, c := range per {
-			p.PerPC[Key{ki, kp.pcs[id]}] = c.rates()
+			r := c.rates()
+			p.PerPC[Key{ki, kp.pcs[id]}] = r
+			byID[id] = r
 		}
+		p.ByID[ki], byID = byID[:len(per):len(per)], byID[len(per):]
 	}
 	p.Default, p.DefaultReads = agg.rates(), aggReads.rates()
 	return p

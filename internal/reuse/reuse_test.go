@@ -176,22 +176,6 @@ func TestTwoProfilersBroadlyAgree(t *testing.T) {
 	}
 }
 
-func TestRatesFallback(t *testing.T) {
-	p := &Profile{
-		PerPC:   map[Key]Rates{{0, 8}: {L1: 1}},
-		Default: Rates{DRAM: 1},
-	}
-	if r := p.Rates(0, 8); r.L1 != 1 {
-		t.Errorf("known PC rates = %+v", r)
-	}
-	if r := p.Rates(0, 16); r.DRAM != 1 {
-		t.Errorf("fallback rates = %+v", r)
-	}
-	if r := p.Rates(1, 8); r.DRAM != 1 {
-		t.Errorf("kernel-mismatch rates = %+v", r)
-	}
-}
-
 func TestEmptyCountsRates(t *testing.T) {
 	var c counts
 	r := c.rates()
@@ -268,13 +252,17 @@ func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a 
 
 // serialProfile is the single-pass serial oracle for the two-phase
 // profilers: the whole stream through the L1 filter and the shared L2
-// model in order, exactly as the pre-parallel implementation did.
+// model in order, exactly as the pre-parallel implementation did. Static
+// ids are handed out in the stream's first-touch order, and the facts come
+// from a walk of their own in block → warp → instruction order, each
+// instruction's row at its ordinal in that walk.
 func serialProfile(app *trace.App, gpu config.GPU,
 	newL1 func() func(a access) bool, hitL2 func(a access) bool) *Profile {
 	per := make(map[Key]*counts)
 	var agg, aggReads counts
 	var accesses uint64
 	var absorb func(a access) bool
+	ids := make([][]Key, len(app.Kernels)) // by kernel, the keys in id order
 	onKernel := func(int) { absorb = newL1() }
 	stream(app, gpu, onKernel, func(a access) {
 		accesses++
@@ -282,6 +270,7 @@ func serialProfile(app *trace.App, gpu config.GPU,
 		if c == nil {
 			c = &counts{}
 			per[a.key] = c
+			ids[a.key.Kernel] = append(ids[a.key.Kernel], a.key)
 		}
 		if !a.write && absorb(a) {
 			c.l1++
@@ -305,6 +294,9 @@ func serialProfile(app *trace.App, gpu config.GPU,
 	})
 	p := &Profile{
 		PerPC:        make(map[Key]Rates, len(per)),
+		ByID:         make([][]Rates, len(app.Kernels)),
+		Facts:        make([][]Fact, len(app.Kernels)),
+		SectorBytes:  gpu.L1.SectorBytes,
 		Default:      agg.rates(),
 		DefaultReads: aggReads.rates(),
 		Accesses:     accesses,
@@ -312,17 +304,39 @@ func serialProfile(app *trace.App, gpu config.GPU,
 	for k, c := range per {
 		p.PerPC[k] = c.rates()
 	}
+	for ki, k := range app.Kernels {
+		p.ByID[ki] = make([]Rates, len(ids[ki]))
+		id := make(map[uint64]uint32)
+		for i, key := range ids[ki] {
+			p.ByID[ki][i] = p.PerPC[key]
+			id[key.PC] = uint32(i)
+		}
+		p.Facts[ki] = []Fact{}
+		for bi := range k.Blocks {
+			for _, w := range k.Blocks[bi].Warps {
+				for _, in := range w {
+					switch {
+					case in.Op.IsSharedMem():
+						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(in.Addrs))})
+					case in.Op.IsGlobalMem():
+						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.Coalesce(in.Addrs, gpu.L1.SectorBytes)))})
+					}
+				}
+			}
+		}
+	}
 	return p
 }
 
 // TestProfileParallelMatchesSerial: the two-phase (parallel-L1, serial-L2)
 // profilers must reproduce the serial single-pass profile bit for bit —
-// every per-PC rate, the aggregates, and the access count — under every
-// replacement policy, at 2 partitions and at the 22 every preset's
+// every per-PC rate, the aggregates, the access count, and every memory
+// instruction's facts (ALEXNET's shared-memory tiles included) — under
+// every replacement policy, at 2 partitions and at the 22 every preset's
 // aggregate L2 is built from. The oracle builds fresh caches; the profilers
 // reset the models earlier cases left behind.
 func TestProfileParallelMatchesSerial(t *testing.T) {
-	for _, name := range []string{"BFS", "LU", "PATHFINDER"} {
+	for _, name := range []string{"BFS", "LU", "PATHFINDER", "ALEXNET"} {
 		app, err := workload.Generate(name, 0.3)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,8 @@ import (
 	"swiftsim/internal/config"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/reuse"
+	"swiftsim/internal/workload"
 )
 
 // TestValidate is the table the three former validators (the front ends'
@@ -313,6 +315,11 @@ func FuzzOptionsJSON(f *testing.F) {
 
 	gpu := smallGPU()
 	gpu.NumSMs = 2
+	app, err := workload.Generate("BFS", 0.05)
+	if err != nil {
+		f.Fatal(err)
+	}
+	prof := reuse.ProfileApp(app, gpu) // Memory's units lay out its rates when built
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var o Options
 		if err := json.Unmarshal(data, &o); err != nil {
@@ -321,8 +328,7 @@ func FuzzOptionsJSON(f *testing.F) {
 		if o.Validate() != nil {
 			return
 		}
-		// Assembly errors are fine (structured); panics are not. The hit-rate
-		// profile is only read once instructions issue.
-		_, _ = assemble(gpu, o, nil, mem.SharedPool)
+		// Assembly errors are fine (structured); panics are not.
+		_, _ = assemble(gpu, o, prof, mem.SharedPool)
 	})
 }

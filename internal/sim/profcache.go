@@ -103,21 +103,24 @@ type phaseTwoKey struct {
 	l2  reuse.Level
 }
 
-// Retained-byte bounds. A phase-one result is 12 bytes per L2-bound access:
-// the 20 catalog apps at scale 1 retain 11 MB between them, BFS the most
-// at 2 MB. A profile is about 100 bytes per static memory instruction, less
-// than its key, so every entry is also charged memoEntryBytes. Sampled runs
-// profile truncated apps whose content never repeats, and the bounds are
-// what keeps a long-lived process from accumulating them.
+// Retained-byte bounds. A phase-one result is 12 bytes per L2-bound access
+// plus 8 per memory instruction (its facts): the 20 catalog apps at scale 1
+// retain 12 MB between them, BFS the most at 2 MB. A profile is about 100
+// bytes per static memory instruction, less than its key, so every entry is
+// also charged memoEntryBytes; it is charged its facts too, which it shares
+// with its phase-one result but keeps alive after that result is evicted
+// (the catalog at scale 1 on the three presets: 4 MB). Sampled runs profile
+// truncated apps whose content never repeats, and the bounds are what keeps
+// a long-lived process from accumulating them.
 const (
 	phaseOneBytes  = 32 << 20
-	phaseTwoBytes  = 4 << 20
+	phaseTwoBytes  = 16 << 20
 	memoEntryBytes = 512 // key, entry and channel
 )
 
 // profileBytes estimates what a profile retains: a map entry of Key and
-// Rates per static instruction, with the map's own overhead.
-func profileBytes(p *reuse.Profile) int { return 100 * len(p.PerPC) }
+// Rates per static instruction, with the map's own overhead, and its facts.
+func profileBytes(p *reuse.Profile) int { return 100*len(p.PerPC) + p.FactsBytes() }
 
 var (
 	phaseOne = newMemo[phaseOneKey](phaseOneBytes, (*reuse.L1Filtered).Bytes)

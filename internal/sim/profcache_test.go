@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/metrics"
 	"swiftsim/internal/reuse"
+	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
@@ -169,6 +171,7 @@ func randomApp(r *rand.Rand, blocks []int) *trace.App {
 			}
 			k.Blocks = append(k.Blocks, bt)
 		}
+		k.NumberMem()
 		app.Kernels = append(app.Kernels, k)
 	}
 	return app
@@ -503,8 +506,134 @@ func TestWarmMemoryRunAllocatesOnlyItsAssembly(t *testing.T) {
 	run()
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("%v allocations for %d instructions", allocs, insts)
-	const ceiling = 1880 // measured 1,506
+	const ceiling = 1885 // measured 1,508
 	if allocs > ceiling {
 		t.Errorf("a warm Memory run of %d instructions allocated %v objects, ceiling %d", insts, allocs, ceiling)
+	}
+}
+
+// TestSampledProfileKeepsOriginalIndices: a sampled kernel shares its
+// original kernel's instructions, MemIndex included, so the sampled app's
+// profile runs its rows out to the original numbering and every simulated
+// memory instruction finds its own facts at its index. The sampled app
+// departs from the numbering Validate requires, so it does not share a
+// content hash, or a profile, with a copy renumbered from 0; and a sampled
+// Memory run completes over it.
+func TestSampledProfileKeepsOriginalIndices(t *testing.T) {
+	gpu := smallGPU()
+	gpu.NumSMs = 1                 // a short first wave, so the tail is sampled
+	app := mustApp(t, "GEMM", 2.0) // shared-memory tiles and global loads
+	_, sampled := newSampler(app, gpu, Sampling{Enabled: true})
+	prof := profileCached(sampled, gpu, FunctionalCaches)
+	truncated := 0
+	for ki, k := range sampled.Kernels {
+		if len(k.Blocks) < len(app.Kernels[ki].Blocks) {
+			truncated++
+		}
+		simulated, last := 0, -1
+		for bi := range k.Blocks {
+			for _, w := range k.Blocks[bi].Warps {
+				for i := range w {
+					in := &w[i]
+					if !in.Op.IsMem() {
+						continue
+					}
+					simulated++
+					last = max(last, int(in.MemIndex))
+					f := prof.Facts[ki][in.MemIndex]
+					switch {
+					case in.Op.IsSharedMem():
+						if want := smcore.SharedBankConflicts(in.Addrs); int(f.N) != want {
+							t.Fatalf("kernel %d MemIndex %d: bank degree %d, want %d", ki, in.MemIndex, f.N, want)
+						}
+					default:
+						if want := len(smcore.Coalesce(in.Addrs, gpu.L1.SectorBytes)); int(f.N) != want {
+							t.Fatalf("kernel %d MemIndex %d: %d sectors, want %d", ki, in.MemIndex, f.N, want)
+						}
+						if prof.ByID[ki][f.ID] != prof.PerPC[reuse.Key{Kernel: ki, PC: in.PC}] {
+							t.Fatalf("kernel %d MemIndex %d: id %d names other rates than its PC's", ki, in.MemIndex, f.ID)
+						}
+					}
+				}
+			}
+		}
+		if len(prof.Facts[ki]) != last+1 {
+			t.Errorf("kernel %d: %d fact rows, want the largest index %d + 1", ki, len(prof.Facts[ki]), last)
+		}
+		if len(k.Blocks) < len(app.Kernels[ki].Blocks) && simulated >= len(prof.Facts[ki]) {
+			t.Errorf("kernel %d: sampled, yet its %d memory instructions fill all %d rows", ki, simulated, len(prof.Facts[ki]))
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no kernel was sampled; the test needs a larger grid")
+	}
+
+	renumbered := copyApp(sampled)
+	for _, k := range renumbered.Kernels {
+		k.NumberMem()
+	}
+	if trace.ContentHash(renumbered) == trace.ContentHash(sampled) {
+		t.Error("the sampled app and its renumbered copy share a content hash")
+	}
+	if profileCached(renumbered, gpu, FunctionalCaches) == prof {
+		t.Error("the sampled app and its renumbered copy share a profile")
+	}
+
+	if _, err := Run(app, gpu, Options{Kind: Memory, Sampling: Sampling{Enabled: true}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var concurrentRunsSeed int64 = 31
+
+// TestConcurrentMemoryRunsShareOneProfile: runs of one trace and geometry
+// share one memoised, immutable profile, while the powers Eq. 1 fills in as
+// it issues belong to each run. Four runs start at once on a trace no other
+// test profiles, so they profile it once between them and then fill their
+// powers side by side; each must produce a later serial run's bytes. Under
+// -race (make tier1) a table shared by mistake is reported as a race.
+func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
+	gpu := smallGPU()
+	concurrentRunsSeed++ // a trace of its own on every -count
+	app := randomApp(rand.New(rand.NewSource(concurrentRunsSeed)), []int{6, 10, 4})
+	opts := Options{Kind: Memory}
+	canonical := func(res *Result) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d %v\n", res.Cycles, res.KernelCycles)
+		_ = metrics.WriteCanonical(&b, res.Metrics)
+		return b.String()
+	}
+	twos := phaseTwo.computes()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]string, 4)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := Run(app, gpu, opts)
+			if errs[i] = err; err == nil {
+				got[i] = canonical(res)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := phaseTwo.computes() - twos; n != 1 {
+		t.Errorf("four concurrent runs of one trace profiled it %d times, want 1", n)
+	}
+	serial, err := Run(app, gpu, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != canonical(serial) {
+			t.Errorf("concurrent run %d differs from the serial one", i)
+		}
 	}
 }

@@ -91,6 +91,7 @@ func simpleKernel(blocks, warpsPerBlock int, gen func(b *kbuilder)) *trace.Kerne
 		}
 		k.Blocks = append(k.Blocks, bt)
 	}
+	k.NumberMem()
 	return k
 }
 

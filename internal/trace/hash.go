@@ -92,14 +92,29 @@ func (m *memo[K]) get(k K, compute func(K) [32]byte) [32]byte {
 }
 
 // computeContentHash digests the app in declaration order, names and
-// address values included.
+// address values included. Where every kernel numbers its memory
+// instructions as Validate requires, MemIndex follows from what is hashed
+// and is left out. A kernel that departs from that numbering (a sampled
+// kernel keeps the indices of the kernel it samples) is input the
+// analytical memory model reads differently, so then every kernel's indices
+// follow the last kernel: each kernel's encoding is self-delimiting, so the
+// trailer cannot collide with a trace that has none.
 func computeContentHash(a *App) [32]byte {
 	w := newWalker("swiftsim-trace-hash 1", true, true)
 	w.str(a.Name)
 	w.str(a.Suite)
 	w.u32(uint32(len(a.Kernels)))
+	renumbered := false
 	for _, k := range a.Kernels {
-		w.kernel(k)
+		if w.kernel(k) {
+			renumbered = true
+		}
+	}
+	if renumbered {
+		w.str("memindex")
+		for _, k := range a.Kernels {
+			w.memIndices(k)
+		}
 	}
 	return w.sum()
 }
@@ -144,7 +159,9 @@ func (w *walker) flush() {
 	w.buf = w.buf[:0]
 }
 
-func (w *walker) kernel(k *Kernel) {
+// kernel digests k and reports whether its memory instructions depart from
+// the numbering Validate requires.
+func (w *walker) kernel(k *Kernel) (renumbered bool) {
 	if w.names {
 		w.str(k.Name)
 	}
@@ -156,6 +173,7 @@ func (w *walker) kernel(k *Kernel) {
 	// The instruction loop appends through a local: a field store per
 	// append costs the walk about a tenth.
 	le, buf := binary.LittleEndian, w.buf
+	var next uint32
 	for bi := range k.Blocks {
 		b := &k.Blocks[bi]
 		buf = le.AppendUint32(buf, uint32(len(b.Warps)))
@@ -163,6 +181,10 @@ func (w *walker) kernel(k *Kernel) {
 			buf = le.AppendUint32(buf, uint32(len(wt)))
 			for i := range wt {
 				in := &wt[i]
+				if in.Op.IsMem() {
+					renumbered = renumbered || in.MemIndex != next
+					next++
+				}
 				buf = le.AppendUint64(buf, in.PC)
 				buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src[0]), byte(in.Src[1]))
 				buf = le.AppendUint32(buf, in.ActiveMask)
@@ -180,6 +202,23 @@ func (w *walker) kernel(k *Kernel) {
 		}
 	}
 	w.buf = buf
+	return renumbered
+}
+
+// memIndices digests the MemIndex of k's memory instructions in order.
+func (w *walker) memIndices(k *Kernel) {
+	for bi := range k.Blocks {
+		for _, wt := range k.Blocks[bi].Warps {
+			for i := range wt {
+				if wt[i].Op.IsMem() {
+					w.u32(wt[i].MemIndex)
+				}
+			}
+			if len(w.buf) >= 1<<15-64 {
+				w.flush()
+			}
+		}
+	}
 }
 
 func (w *walker) sum() [32]byte {

@@ -93,6 +93,40 @@ func TestContentHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestContentHashFoldsRenumbering: MemIndex follows from the structure of a
+// trace numbered as Validate requires, so it is not hashed there; a trace
+// that departs from that numbering (a sampled kernel keeps its original
+// indices) is different input to the Memory simulator and must not share a
+// digest, or a profile, with the numbered one. LaunchKey never reads it.
+func TestContentHashFoldsRenumbering(t *testing.T) {
+	base := hashTestApp()
+	m := deepCopyApp(base)
+	m.Kernels[1].Blocks[0].Warps[0][1].MemIndex = 7
+	if ContentHash(m) == ContentHash(base) {
+		t.Error("a renumbered memory instruction did not change the content hash")
+	}
+	if LaunchKey(m.Kernels[1]) != LaunchKey(base.Kernels[1]) {
+		t.Error("a renumbered memory instruction changed the launch key")
+	}
+	// The index trailer is the whole difference: two traces renumbered
+	// alike agree, two renumbered differently do not.
+	m2 := deepCopyApp(m)
+	if ContentHash(m2) != ContentHash(m) {
+		t.Error("equally renumbered copies hash differently")
+	}
+	m3 := deepCopyApp(m) // a fresh pointer: the digest memo assumes immutable apps
+	m3.Kernels[1].Blocks[0].Warps[0][1].MemIndex = 8
+	if ContentHash(m3) == ContentHash(m) {
+		t.Error("differently renumbered copies collided")
+	}
+	// A non-memory instruction's field is not read.
+	n := deepCopyApp(base)
+	n.Kernels[0].Blocks[0].Warps[0][0].MemIndex = 5
+	if ContentHash(n) != ContentHash(base) {
+		t.Error("a non-memory instruction's MemIndex changed the content hash")
+	}
+}
+
 // TestContentHashFraming: moving a byte of content across a field boundary
 // must change the digest (length prefixes make encodings unambiguous).
 func TestContentHashFraming(t *testing.T) {

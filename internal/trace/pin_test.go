@@ -1,7 +1,9 @@
 package trace_test
 
 import (
+	"bytes"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"swiftsim/internal/trace"
@@ -32,6 +34,50 @@ func TestDigestsPinned(t *testing.T) {
 	} {
 		if got := hex.EncodeToString(c.got[:]); got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSGTRoundTripKeepsMemIndex: the .sgt format does not carry MemIndex,
+// so a written and re-read catalog trace must get every index back from the
+// reader's numbering, global and shared instructions alike, and still
+// validate and hash as the generated one does.
+func TestSGTRoundTripKeepsMemIndex(t *testing.T) {
+	for _, name := range []string{"HOTSPOT", "BFS"} {
+		app, err := workload.Generate(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, app); err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mem := 0
+		for ki, k := range app.Kernels {
+			for bi := range k.Blocks {
+				for wi, w := range k.Blocks[bi].Warps {
+					gw := got.Kernels[ki].Blocks[bi].Warps[wi]
+					for i := range w {
+						if w[i].Op.IsMem() {
+							mem++
+						}
+						if gw[i].MemIndex != w[i].MemIndex {
+							t.Fatalf("%s kernel %d block %d warp %d inst %d: MemIndex %d after the round trip, generated %d",
+								name, ki, bi, wi, i, gw[i].MemIndex, w[i].MemIndex)
+						}
+					}
+				}
+			}
+		}
+		if mem == 0 {
+			t.Fatalf("%s has no memory instruction", name)
+		}
+		if !reflect.DeepEqual(got, app) || trace.ContentHash(got) != trace.ContentHash(app) {
+			t.Errorf("%s: the round trip changed the trace", name)
 		}
 	}
 }

@@ -22,7 +22,8 @@ import (
 //	endapp
 //
 // All integers are decimal except masks and addresses, which are
-// unprefixed hexadecimal.
+// unprefixed hexadecimal. Inst.MemIndex is not written: Read numbers the
+// memory instructions as it parses them.
 
 // Write serializes app to w in .sgt format.
 func Write(w io.Writer, app *App) error {
@@ -215,6 +216,7 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 	}
 	wpb := k.WarpsPerBlock()
 	k.Blocks = make([]BlockTrace, nBlocks)
+	var next uint32 // MemIndex of the kernel's next memory instruction
 	for bi := 0; bi < nBlocks; bi++ {
 		line, ok := r.next()
 		if !ok {
@@ -233,6 +235,7 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 			if err != nil {
 				return nil, err
 			}
+			next = warp.NumberMem(next)
 			k.Blocks[bi].Warps[wi] = warp
 		}
 	}

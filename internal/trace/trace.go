@@ -102,6 +102,15 @@ type Inst struct {
 	// ActiveMask is the per-lane execution mask (bit i = lane i active).
 	// Warp size is fixed at 32 lanes.
 	ActiveMask uint32
+	// MemIndex is a memory instruction's ordinal among its kernel's memory
+	// instructions, counted from 0 in block → warp → instruction order
+	// (WarpTrace.NumberMem); Validate checks it. The hit-rate profiler
+	// records what the analytical memory model needs of each dynamic memory
+	// instruction in a row at this index. It is derived from the trace's
+	// structure, so neither digest hashes it (ContentHash folds it in only
+	// where it departs from that numbering, as in a sampled kernel) and the
+	// .sgt format does not carry it.
+	MemIndex uint32
 	// Addrs holds one byte address per active lane, in ascending lane
 	// order, for global and shared memory instructions; it is empty for
 	// all other opcode classes.
@@ -124,6 +133,20 @@ func (d Dim3) String() string { return fmt.Sprintf("%d,%d,%d", d.X, d.Y, d.Z) }
 
 // WarpTrace is the instruction stream of a single warp.
 type WarpTrace []Inst
+
+// NumberMem sets the MemIndex of w's memory instructions to next, next+1,
+// ... in order and returns the index after the last. A builder calls it on
+// each warp as it completes, in block → warp order, starting every kernel
+// at 0.
+func (w WarpTrace) NumberMem(next uint32) uint32 {
+	for i := range w {
+		if w[i].Op.IsMem() {
+			w[i].MemIndex = next
+			next++
+		}
+	}
+	return next
+}
 
 // BlockTrace holds the warp traces of one thread block.
 type BlockTrace struct {
@@ -177,6 +200,17 @@ func (k *Kernel) Insts() int {
 	return n
 }
 
+// NumberMem numbers k's memory instructions the way Validate requires, for
+// a kernel assembled without numbering its warps as they were built.
+func (k *Kernel) NumberMem() {
+	var next uint32
+	for bi := range k.Blocks {
+		for _, w := range k.Blocks[bi].Warps {
+			next = w.NumberMem(next)
+		}
+	}
+}
+
 // Validate checks structural invariants of the kernel trace and returns a
 // descriptive error for the first violation found.
 func (k *Kernel) Validate() error {
@@ -199,13 +233,14 @@ func (k *Kernel) Validate() error {
 		return fmt.Errorf("trace: kernel %s: negative SharedMemPerBlock", k.Name)
 	}
 	wpb := k.WarpsPerBlock()
+	var next uint32 // the MemIndex the next memory instruction must carry
 	for bi := range k.Blocks {
 		b := &k.Blocks[bi]
 		if len(b.Warps) != wpb {
 			return fmt.Errorf("trace: kernel %s block %d: %d warps, want %d", k.Name, bi, len(b.Warps), wpb)
 		}
 		for wi, w := range b.Warps {
-			if err := validateWarp(w); err != nil {
+			if err := validateWarp(w, &next); err != nil {
 				return fmt.Errorf("trace: kernel %s block %d warp %d: %w", k.Name, bi, wi, err)
 			}
 		}
@@ -213,7 +248,7 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-func validateWarp(w WarpTrace) error {
+func validateWarp(w WarpTrace, next *uint32) error {
 	if len(w) == 0 {
 		return fmt.Errorf("empty warp trace")
 	}
@@ -229,6 +264,11 @@ func validateWarp(w WarpTrace) error {
 			if got, want := len(in.Addrs), in.ActiveLanes(); got != want {
 				return fmt.Errorf("inst %d (%v): %d addresses for %d active lanes", i, in.Op, got, want)
 			}
+			if in.MemIndex != *next {
+				return fmt.Errorf("inst %d (%v): MemIndex %d, want %d: memory instructions are numbered 0, 1, ... "+
+					"in block, warp, instruction order (Kernel.NumberMem)", i, in.Op, in.MemIndex, *next)
+			}
+			*next++
 		} else if len(in.Addrs) != 0 {
 			return fmt.Errorf("inst %d (%v): non-memory instruction carries addresses", i, in.Op)
 		}

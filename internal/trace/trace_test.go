@@ -37,6 +37,7 @@ func tinyApp() *App {
 			Warps: []WarpTrace{mkWarp(uint64(b) * 4096), mkWarp(uint64(b)*4096 + 2048)},
 		})
 	}
+	k.NumberMem()
 	return &App{Name: "tiny", Suite: "unit", Kernels: []*Kernel{k}}
 }
 
@@ -136,6 +137,67 @@ func TestValidateRejections(t *testing.T) {
 		if err := a.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid app", m.name)
 		}
+	}
+}
+
+// TestValidateRejectsMisnumberedMemory: a kernel whose memory instructions
+// are not numbered 0, 1, ... in block → warp → instruction order fails
+// Validate, and the error names the first bad instruction and the index it
+// should carry. tinyApp's warps each hold a load (inst 1) and a store
+// (inst 3), so the numbering runs 0..7 over two blocks of two warps.
+func TestValidateRejectsMisnumberedMemory(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(k *Kernel)
+		want string
+	}{
+		{"unnumbered", func(k *Kernel) {
+			for _, b := range k.Blocks {
+				for _, w := range b.Warps {
+					for i := range w {
+						w[i].MemIndex = 0
+					}
+				}
+			}
+		}, "block 0 warp 0: inst 3 (STG): MemIndex 0, want 1"},
+		{"swapped within a warp", func(k *Kernel) {
+			w := k.Blocks[1].Warps[0]
+			w[1].MemIndex, w[3].MemIndex = w[3].MemIndex, w[1].MemIndex
+		}, "block 1 warp 0: inst 1 (LDG): MemIndex 5, want 4"},
+		{"numbered per warp", func(k *Kernel) {
+			for _, b := range k.Blocks {
+				for _, w := range b.Warps {
+					w.NumberMem(0)
+				}
+			}
+		}, "block 0 warp 1: inst 1 (LDG): MemIndex 0, want 2"},
+		{"numbered from 1", func(k *Kernel) {
+			var next uint32 = 1
+			for _, b := range k.Blocks {
+				for _, w := range b.Warps {
+					next = w.NumberMem(next)
+				}
+			}
+		}, "block 0 warp 0: inst 1 (LDG): MemIndex 1, want 0"},
+	}
+	for _, c := range cases {
+		a := tinyApp()
+		c.mut(a.Kernels[0])
+		err := a.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the kernel", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "NumberMem") {
+			t.Errorf("%s: error %q does not name %q and the fix", c.name, err, c.want)
+		}
+	}
+	// Only memory instructions are numbered: an ALU instruction's field is
+	// not read.
+	a := tinyApp()
+	a.Kernels[0].Blocks[0].Warps[0][0].MemIndex = 99
+	if err := a.Validate(); err != nil {
+		t.Errorf("a non-memory instruction's MemIndex failed Validate: %v", err)
 	}
 }
 
@@ -266,6 +328,7 @@ func TestQuickSGTRoundTrip(t *testing.T) {
 				Warps: []WarpTrace{randomWarp(r, nInsts), randomWarp(r, nInsts)},
 			})
 		}
+		k.NumberMem()
 		app := &App{Name: "q", Suite: "quick", Kernels: []*Kernel{k}}
 		if err := app.Validate(); err != nil {
 			t.Logf("generated invalid app: %v", err)

@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,11 +87,14 @@ type genKey struct {
 	scale float64
 }
 
-// genEntry's once gives single-flight semantics: concurrent sweep workers
-// requesting the same application generate it exactly once.
+// genEntry gives single-flight semantics: concurrent sweep workers
+// requesting the same application generate it exactly once. ready is closed
+// once app is set, or once the generator panicked, in which case ok is
+// false and the entry has already left genCache.
 type genEntry struct {
-	once sync.Once
-	app  *trace.App
+	ready chan struct{}
+	app   *trace.App
+	ok    bool
 }
 
 const genCacheCap = 64
@@ -112,21 +116,52 @@ func Generate(name string, scale float64) (*trace.App, error) {
 		return nil, fmt.Errorf("workload: scale must be positive, got %v", scale)
 	}
 	key := genKey{name: name, scale: scale}
-	genMu.Lock()
-	e, ok := genCache[key]
-	if !ok {
-		if len(genOrder) >= genCacheCap {
-			oldest := genOrder[0]
-			genOrder = genOrder[1:]
-			delete(genCache, oldest)
+	for {
+		genMu.Lock()
+		e, found := genCache[key]
+		if !found {
+			if len(genOrder) >= genCacheCap {
+				oldest := genOrder[0]
+				genOrder = genOrder[1:]
+				delete(genCache, oldest)
+			}
+			e = &genEntry{ready: make(chan struct{})}
+			genCache[key] = e
+			genOrder = append(genOrder, key)
 		}
-		e = &genEntry{}
-		genCache[key] = e
-		genOrder = append(genOrder, key)
+		genMu.Unlock()
+		if !found {
+			generate(key, e, s)
+			return e.app, nil
+		}
+		<-e.ready
+		if e.ok {
+			return e.app, nil
+		}
+		// The generator panicked in another caller; generate afresh.
 	}
-	genMu.Unlock()
-	e.once.Do(func() { e.app = s.Generate(scale) })
-	return e.app, nil
+}
+
+// generate fills e. A generator that panics leaves no entry behind: e is
+// dropped from the cache before the panic continues up the caller's stack,
+// so callers waiting on it, like later ones, generate for themselves rather
+// than receive a nil app (a sync.Once counts a panicking function as done).
+func generate(key genKey, e *genEntry, s Spec) {
+	defer func() {
+		if !e.ok {
+			genMu.Lock()
+			if genCache[key] == e {
+				delete(genCache, key)
+				if i := slices.Index(genOrder, key); i >= 0 {
+					genOrder = slices.Delete(genOrder, i, i+1)
+				}
+			}
+			genMu.Unlock()
+		}
+		close(e.ready)
+	}()
+	e.app = s.Generate(key.scale)
+	e.ok = true
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +395,8 @@ func scaleDim(n int, s float64, lo int) int {
 	return v
 }
 
-// kernel1D assembles a kernel from a per-(block, warp) builder function.
+// kernel1D assembles a kernel from a per-(block, warp) builder function,
+// numbering each warp's memory instructions as soon as it is built.
 func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
 	build func(b *wb, block, warp int)) *trace.Kernel {
 	k := &trace.Kernel{
@@ -372,12 +408,14 @@ func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
 	}
 	wpb := k.WarpsPerBlock()
 	k.Blocks = make([]trace.BlockTrace, blocks)
+	var next uint32
 	for bi := 0; bi < blocks; bi++ {
 		warps := make([]trace.WarpTrace, wpb)
 		for wi := 0; wi < wpb; wi++ {
 			b := newWB()
 			build(b, bi, wi)
 			warps[wi] = b.exit()
+			next = warps[wi].NumberMem(next)
 		}
 		k.Blocks[bi].Warps = warps
 	}

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +242,75 @@ func TestWarpBuilderRegisterRotation(t *testing.T) {
 	}
 	if len(seen) != 31 {
 		t.Errorf("rotation covered %d registers, want 31", len(seen))
+	}
+}
+
+// TestGeneratePanicDoesNotPoison: a generator that panics fails its own
+// caller and leaves no cache entry behind, so the next Generate of that
+// (name, scale) runs the generator again instead of returning a nil app
+// with a nil error, which is what the sync.Once it replaced did (a Once
+// counts a panicking function as done). A caller that was already waiting
+// on the panicking generation generates for itself too.
+func TestGeneratePanicDoesNotPoison(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[float64]int{}
+	entered, release := make(chan struct{}), make(chan struct{})
+	catalog = append(catalog, Spec{Name: "PANICKY", Suite: "test", Generate: func(scale float64) *trace.App {
+		mu.Lock()
+		calls[scale]++
+		first := calls[scale] == 1
+		mu.Unlock()
+		if first && scale == 2 {
+			close(entered)
+			<-release
+		}
+		if first {
+			panic("generator bug")
+		}
+		return &trace.App{Name: "PANICKY", Suite: "test"}
+	}})
+	defer func() {
+		catalog = catalog[:len(catalog)-1]
+		genMu.Lock()
+		for key := range genCache {
+			if key.name == "PANICKY" {
+				delete(genCache, key)
+			}
+		}
+		genOrder = slices.DeleteFunc(genOrder, func(key genKey) bool { return key.name == "PANICKY" })
+		genMu.Unlock()
+	}()
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic did not reach the generating caller")
+			}
+		}()
+		Generate("PANICKY", 1)
+	}()
+	if app, err := Generate("PANICKY", 1); err != nil || app == nil {
+		t.Fatalf("the caller after a panic got (%v, %v), want a generated app", app, err)
+	}
+	if app, _ := Generate("PANICKY", 1); app == nil || calls[1] != 2 {
+		t.Errorf("a retained app was regenerated: %d generator calls, want 2", calls[1])
+	}
+
+	// A waiter: the first generation holds its entry until the second
+	// caller has had every chance to find it, then panics.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { recover() }()
+		Generate("PANICKY", 2)
+	}()
+	<-entered
+	waiter := make(chan *trace.App)
+	go func() { app, _ := Generate("PANICKY", 2); waiter <- app }()
+	close(release)
+	wg.Wait()
+	if app := <-waiter; app == nil {
+		t.Error("the waiter on a panicked generation got a nil app")
 	}
 }
