@@ -5,6 +5,11 @@
 // The figure benches run the experiment harness at a reduced problem scale
 // and application subset so `go test -bench=.` completes in minutes; use
 // cmd/sweep for the full-size runs recorded in EXPERIMENTS.md.
+//
+// None of them is a performance gate: `make bench-quick` runs each once
+// for the assertions some of them make, `make profile` profiles them, and
+// host throughput is measured by the BENCHMARK.json harness
+// (`bash bench/run.sh`).
 package swiftsim
 
 import (
@@ -18,7 +23,6 @@ import (
 	"swiftsim/internal/regress"
 	"swiftsim/internal/runner"
 	"swiftsim/internal/sim"
-	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
 
@@ -225,11 +229,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkObsOff pins the observability off-path contract: with no
 // tracer, a full Detailed simulation — every obs hook compiled in, all of
-// them hitting the nil check — must match the untraced baseline. The
-// benchmark runs in the benchcmp gate, so an accidentally hot off path
-// (an allocation per request, a missed level check) regresses the gated
-// time. The alloc assertion makes the cheaper half of the contract exact:
-// the hook sequence itself must not allocate at all.
+// them hitting the nil check — must match the untraced baseline. The alloc
+// assertion makes the cheaper half of the contract exact, and `make
+// bench-quick` runs it: the hook sequence itself must not allocate at all.
 func BenchmarkObsOff(b *testing.B) {
 	var tr *Tracer // the off path: Config.Trace left nil
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -320,53 +322,6 @@ func BenchmarkEngineRelaxed(b *testing.B) {
 			}
 			if k == 1 && cycles != base.Cycles {
 				b.Fatalf("EpochCycles=1 cycles %d != serial %d", cycles, base.Cycles)
-			}
-			b.ReportMetric(float64(cycles), "gpu-cycles")
-		})
-	}
-}
-
-// BenchmarkEngineSampled measures the sampled-execution mode end to end: a
-// corpus of repeat-heavy applications (iterative GRU and LSTM, where
-// launch memoization replays most kernels, each surviving launch block-
-// sampled) under Swift-Sim-Basic on a 4-SM GPU, exact vs. default
-// sampling. The corpus=off/corpus=on pair feeds the `make benchcmp`
-// sampling speedup floor. Accuracy of the same operating point is
-// pinned separately by the sample envelopes in internal/regress.
-func BenchmarkEngineSampled(b *testing.B) {
-	corpus := []struct {
-		name  string
-		scale float64
-	}{{"GRU", 2}, {"LSTM", 2}}
-	gpu := config.RTX2080Ti()
-	gpu.NumSMs = 4
-	gpu.MemPartitions = 2
-	apps := make([]*trace.App, len(corpus))
-	for i, c := range corpus {
-		w, err := workload.Generate(c.name, c.scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		apps[i] = w
-	}
-	for _, mode := range []struct {
-		name string
-		s    sim.Sampling
-	}{{"corpus=off", sim.Sampling{}}, {"corpus=on", sim.Sampling{Enabled: true}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				cycles = 0
-				for j, w := range apps {
-					res, err := sim.Run(w, gpu, sim.Options{Kind: sim.Basic, Sampling: mode.s})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Sampled != mode.s.Enabled {
-						b.Fatalf("%s: Sampled=%t, want %t", corpus[j].name, res.Sampled, mode.s.Enabled)
-					}
-					cycles += res.Cycles
-				}
 			}
 			b.ReportMetric(float64(cycles), "gpu-cycles")
 		})

@@ -7,12 +7,14 @@
 // byte-stable canonical result back by hash. Inputs travel by name, results
 // by hash.
 //
-// Before it simulates, the worker derives the job's cache key from what it
-// built and refuses the job (a reported error, the job fails) unless it is
-// the key in the grant. The key covers the trace content, the
-// configuration, the options and the code version, so a worker built from
-// another commit than its daemon refuses every job rather than commit its
-// bytes under the daemon's key: run the two from one build.
+// The worker states its code version when it registers, and a daemon of
+// another build answers 409 naming both versions: the worker prints that
+// and exits 1 before it claims anything, and so does a running worker whose
+// daemon restarts at another build. Run the two from one build. Before it
+// simulates, the worker also derives the job's cache key from what it built
+// and refuses the job (a reported error, the job fails) unless it is the
+// key in the grant; the key covers the trace content, the configuration,
+// the options and the code version.
 //
 // Any number of workers may serve one daemon — job ownership is a
 // heartbeat-renewed lease, so a worker that crashes or loses its

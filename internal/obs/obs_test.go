@@ -388,7 +388,8 @@ func TestMultiErrorPropagation(t *testing.T) {
 }
 
 // TestOffPathAllocs is the unit-level half of the overhead guard
-// (BenchmarkObsOff at the repo root is the benchcmp-gated half): the exact
+// (BenchmarkObsOff at the repo root, run by `make bench-quick`, is the
+// whole-simulation half): the exact
 // hook sequence a module runs per request with tracing off must not
 // allocate.
 func TestOffPathAllocs(t *testing.T) {

@@ -29,7 +29,7 @@ const maxBlobBytes = 256 << 20
 // serve on every daemon: with -remote off a registered worker claims
 // alongside the daemon's own executors.
 //
-//	POST /v1/workers                  register         → 200 {"id","lease_ttl_ms","heartbeat_ms"}
+//	POST /v1/workers                  register         → 200 {"id","lease_ttl_ms","heartbeat_ms"} | 409 another build
 //	POST /v1/workers/{id}/claim       long-poll a job  → 200 WireJob (inputs by name) | 204 none
 //	POST /v1/workers/{id}/heartbeat   renew leases     → 200 {"renewed","lost"}
 //	POST /v1/leases/{id}/result       commit a result  → 200 {} (by store hash)
@@ -38,7 +38,8 @@ const maxBlobBytes = 256 << 20
 //	POST /v1/store                    publish a blob   → 200 {"hash"}
 //
 // Error mapping: invalid specs → 400, unknown sweeps/workers/blobs →
-// 404, stale leases (fencing violations) → 409, a full queue → 429
+// 404, stale leases (fencing violations) and workers of another build →
+// 409, a full queue → 429
 // (with a jittered Retry-After), draining → 503.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
@@ -139,12 +140,21 @@ func NewHandler(s *Service) http.Handler {
 	// ---- The lease board, for remote workers ----
 
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		// The body's "name" labels the worker in its own logs only.
+		// The body's "name" labels the worker in its own logs only. Its
+		// "version" is the worker's build: grant keys fold in the code
+		// version, so a worker of another build would refuse every job, and
+		// it is turned away before it claims one. A registration that states
+		// no version (a hand-driven client) is accepted.
 		var req struct {
-			Name string `json:"name"`
+			Name    string `json:"name"`
+			Version string `json:"version"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
+			return
+		}
+		if req.Version != "" && req.Version != codeVersion() {
+			httpError(w, http.StatusConflict, fmt.Errorf("worker built at %s, daemon at %s: run both from one build", req.Version, codeVersion()))
 			return
 		}
 		id := s.board.Register(false)

@@ -107,7 +107,9 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 // Run registers and executes jobs until ctx is canceled (returning nil)
-// or registration definitively fails (returning the error). Transient
+// or the daemon turns the worker away (returning the error), as a daemon of
+// another build does at the first registration, before any claim, or at
+// the re-registration after it restarted. Transient
 // connection failures — the daemon not up yet, a daemon restart — are
 // retried with a jittered backoff, and a daemon that no longer knows this
 // worker (it restarted, or aged the registration out) is registered with
@@ -118,21 +120,28 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var rejected error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); w.heartbeatLoop(ctx) }()
+	go func() {
+		defer wg.Done()
+		rejected = w.heartbeatLoop(ctx)
+		stop() // a rejected re-registration ends the claim loops too
+	}()
 	for i := 0; i < w.cfg.Jobs; i++ {
 		wg.Add(1)
 		go func() { defer wg.Done(); w.claimLoop(ctx) }()
 	}
 	wg.Wait()
-	return nil
+	return rejected
 }
 
 // register obtains a worker id and the lease cadence, retrying transport
 // errors until ctx ends. Its only error is a daemon that answered and said
-// no; a ctx that ends first returns nil with no registration made, and the
-// caller's own ctx check tells the two apart.
+// no, with the daemon's reason; a ctx that ends first returns nil with no
+// registration made, and the caller's own ctx check tells the two apart.
 func (w *Worker) register(ctx context.Context) error {
 	var retry sleeper
 	for {
@@ -140,8 +149,9 @@ func (w *Worker) register(ctx context.Context) error {
 			ID         string `json:"id"`
 			LeaseTTLMS int64  `json:"lease_ttl_ms"`
 			HeartbeatM int64  `json:"heartbeat_ms"`
+			Error      string `json:"error"`
 		}
-		code, err := w.postJSON(ctx, "/v1/workers", map[string]string{"name": w.cfg.Name}, &resp)
+		code, err := w.postJSON(ctx, "/v1/workers", map[string]string{"name": w.cfg.Name, "version": codeVersion()}, &resp)
 		switch {
 		case err == nil && code == http.StatusOK && resp.ID != "":
 			w.id.Store(&resp.ID)
@@ -153,8 +163,10 @@ func (w *Worker) register(ctx context.Context) error {
 				w.heartbeatEvery = time.Second
 			}
 			return nil
-		case err == nil:
+		case err == nil && resp.Error != "":
 			// The daemon answered and said no: not a transient condition.
+			return fmt.Errorf("service: worker registration rejected: HTTP %d: %s", code, resp.Error)
+		case err == nil:
 			return fmt.Errorf("service: worker registration rejected: HTTP %d", code)
 		}
 		if !retry.sleep(ctx, backoff()) {
@@ -202,12 +214,13 @@ func (s *sleeper) sleep(ctx context.Context, d time.Duration) bool {
 
 // heartbeatLoop renews the worker's active leases on the daemon's
 // cadence, cancels jobs whose lease the daemon revoked, and registers
-// again when the daemon has forgotten the worker. It is the only writer of
-// the registration once Run's loops are up, so claim loops that all meet
-// the same 404 cannot each register: they back off as on any claim error
-// and pick the new id up. The pace is re-read every round because a
-// restarted daemon may have a different lease TTL.
-func (w *Worker) heartbeatLoop(ctx context.Context) {
+// again when the daemon has forgotten the worker, returning the error if
+// the daemon then turns it away. It is the only writer of the registration
+// once Run's loops are up, so claim loops that all meet the same 404 cannot
+// each register: they back off as on any claim error and pick the new id
+// up. The pace is re-read every round because a restarted daemon may have a
+// different lease TTL.
+func (w *Worker) heartbeatLoop(ctx context.Context) error {
 	var pace sleeper
 	for pace.sleep(ctx, w.heartbeatEvery) {
 		w.mu.Lock()
@@ -222,9 +235,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		}
 		code, err := w.postJSON(ctx, "/v1/workers/"+*w.id.Load()+"/heartbeat", map[string]any{"leases": leases}, &resp)
 		if err == nil && code == http.StatusNotFound {
-			// A rejection leaves the old id in place and the next round's
-			// 404 asks again.
-			_ = w.register(ctx)
+			if err := w.register(ctx); err != nil {
+				return err
+			}
 		}
 		if err != nil || code != http.StatusOK {
 			continue // transient; the next round retries well within the TTL
@@ -241,6 +254,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			}
 		}
 	}
+	return nil
 }
 
 // claimLoop long-polls for jobs and executes them one at a time.
@@ -402,7 +416,8 @@ func (w *Worker) count(f func(*WorkerStats)) {
 }
 
 // postJSON posts a JSON body and decodes a JSON response into out (when
-// non-nil and the response is 200). It returns the status code; err is
+// non-nil): the daemon's answer on a 200, its {"error"} body otherwise, as
+// far as that body decodes. It returns the status code; err is
 // transport-level only.
 func (w *Worker) postJSON(ctx context.Context, path string, body any, out any) (int, error) {
 	data, err := json.Marshal(body)
@@ -419,12 +434,12 @@ func (w *Worker) postJSON(ctx context.Context, path string, body any, out any) (
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, nil
 	}
-	io.Copy(io.Discard, resp.Body)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil && resp.StatusCode == http.StatusOK {
+		return resp.StatusCode, err
+	}
 	return resp.StatusCode, nil
 }

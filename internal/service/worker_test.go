@@ -61,6 +61,101 @@ func TestWorkerRunEndsOnRegistration(t *testing.T) {
 	})
 }
 
+// TestWorkerOfAnotherBuildIsTurnedAway: a registration that states another
+// build's version is answered 409, naming both versions, and registers
+// nothing; one that states this build's, or none, registers. A Worker the
+// daemon turns away ends Run with that error and claims nothing, whether
+// at its first registration or at the re-registration after the daemon
+// forgot it (as a daemon restarted at another build has).
+func TestWorkerOfAnotherBuildIsTurnedAway(t *testing.T) {
+	const other = "0badc0de"
+	t.Run("raw registration", func(t *testing.T) {
+		s, srv := newHTTPService(t, remoteConfig(time.Minute, 3))
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{`{"name":"old","version":"` + other + `"}`, http.StatusConflict},
+			{`{"name":"same","version":"` + codeVersion() + `"}`, http.StatusOK},
+			{`{"name":"unstated"}`, http.StatusOK},
+		} {
+			resp, err := http.Post(srv.URL+"/v1/workers", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("register %s = HTTP %d %s, want %d", tc.body, resp.StatusCode, body, tc.want)
+			}
+			if tc.want == http.StatusConflict && (!bytes.Contains(body, []byte(other)) || !bytes.Contains(body, []byte(codeVersion()))) {
+				t.Errorf("rejection %s does not name both versions", body)
+			}
+		}
+		if n := s.Stats().Remote.Workers; n != 2 {
+			t.Errorf("remote.workers = %d, want the 2 accepted registrations", n)
+		}
+	})
+
+	// run starts a Worker against a daemon whose registrations are rewritten
+	// to another build's while otherBuild is set, and returns the daemon and
+	// Run's result.
+	run := func(t *testing.T, otherBuild *atomic.Bool) (*Service, <-chan error, *atomic.Int32) {
+		s := newService(t, remoteConfig(300*time.Millisecond, 3))
+		inner := NewHandler(s)
+		var claims atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/workers" && otherBuild.Load() {
+				r.Body = io.NopCloser(strings.NewReader(`{"name":"w","version":"` + other + `"}`))
+			}
+			if strings.HasSuffix(r.URL.Path, "/claim") {
+				claims.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		done := make(chan error, 1)
+		go func() { done <- NewWorker(WorkerConfig{BaseURL: srv.URL, PollWait: 50 * time.Millisecond}).Run(ctx) }()
+		return s, done, &claims
+	}
+	turnedAway := func(t *testing.T, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "HTTP 409") || !strings.Contains(err.Error(), other) ||
+				!strings.Contains(err.Error(), codeVersion()) {
+				t.Errorf("Run = %v, want the 409 naming both versions", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run did not end after the daemon turned the worker away")
+		}
+	}
+
+	t.Run("at the first registration", func(t *testing.T) {
+		var otherBuild atomic.Bool
+		otherBuild.Store(true)
+		s, done, claims := run(t, &otherBuild)
+		turnedAway(t, done)
+		if n := claims.Load(); n != 0 || s.Stats().Remote.Workers != 0 {
+			t.Errorf("%d claims and %d workers registered, want none", n, s.Stats().Remote.Workers)
+		}
+	})
+	t.Run("at a re-registration", func(t *testing.T) {
+		var otherBuild atomic.Bool
+		s, done, claims := run(t, &otherBuild)
+		for claims.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		otherBuild.Store(true)
+		s.board.mu.Lock()
+		clear(s.board.workers)
+		s.board.mu.Unlock()
+		turnedAway(t, done)
+	})
+}
+
 // fakeDaemon is the lease plane reduced to one grant: it registers whoever
 // asks as w1, answers the first claim with grant and later ones with "none",
 // accepts every publish and report, and logs each request after the

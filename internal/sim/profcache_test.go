@@ -482,33 +482,50 @@ func TestMemoEvictsOldestByBytes(t *testing.T) {
 	}
 }
 
-// TestWarmMemoryRunAllocatesOnlyItsAssembly: with the profile memo warm, a
-// Swift-Sim-Memory run allocates what building the simulator and making
-// blocks resident costs (units, SMs, warps, in-flight records up to their
-// working size) and nothing per instruction. The ceiling is about 25%
-// above the measured count; one closure or buffer per instruction back on
-// the issue path is +13,800 here.
-func TestWarmMemoryRunAllocatesOnlyItsAssembly(t *testing.T) {
+// TestWarmRunAllocatesOnlyItsAssembly: once warm (the trace generated, its
+// profile memoised), a whole run allocates what building the simulator and
+// making blocks resident costs (units, SMs, warps, in-flight records and
+// queues up to their working size) and nothing per instruction or per
+// memory request. Allocation counts repeat exactly, so each ceiling sits
+// about 25% above its measured count and holds on any host; one closure or
+// buffer per instruction back on the issue path adds the run's instruction
+// count, which takes every row past its ceiling.
+func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	gpu := smallGPU()
-	app := mustApp(t, "BFS", 1.0)
-	opts := Options{Kind: Memory}
-	var insts uint64
-	run := func() {
-		res, err := Run(app, gpu, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts = res.Instructions
-	}
-	run()
-	allocs := testing.AllocsPerRun(5, run)
-	t.Logf("%v allocations for %d instructions", allocs, insts)
-	const ceiling = 1885 // measured 1,508
-	if allocs > ceiling {
-		t.Errorf("a warm Memory run of %d instructions allocated %v objects, ceiling %d", insts, allocs, ceiling)
+	wide := smallGPU()
+	wide.NumSMs = 16
+	wide.MemPartitions = 8
+	for _, row := range []struct {
+		kind    Kind
+		app     string
+		scale   float64
+		gpu     config.GPU
+		ceiling float64
+	}{
+		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,508
+		{Detailed, "SM", 0.4, wide, 13900},     // measured 11,121
+		{Basic, "SM", 0.4, wide, 3730},         // measured 2,979-2,980
+		{Memory, "SM", 0.4, wide, 1048},        // measured 836
+	} {
+		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
+			app := mustApp(t, row.app, row.scale)
+			var insts uint64
+			run := func() {
+				res, err := Run(app, row.gpu, Options{Kind: row.kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				insts = res.Instructions
+			}
+			run()
+			allocs := testing.AllocsPerRun(5, run)
+			t.Logf("%v allocations for %d instructions", allocs, insts)
+			if allocs > row.ceiling {
+				t.Errorf("a warm %s run of %d instructions allocated %v objects, ceiling %v", row.kind, insts, allocs, row.ceiling)
+			}
+		})
 	}
 }
 
