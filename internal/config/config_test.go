@@ -1,6 +1,8 @@
 package config
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -108,6 +110,22 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestMarshalPresetBytes pins Marshal's output for the three presets: the
+// sweep service hashes these bytes into every job's cache key, so a change
+// to them, even a reordering, moves every key.
+func TestMarshalPresetBytes(t *testing.T) {
+	for name, want := range map[string]string{
+		"RTX2080Ti": "fe2b39c908da26d97710e413e9b39d75383116717c759c691a2959423d625b1f",
+		"RTX3060":   "d7491fe31f2f620688b60a6e934760df1cb33e44b904ea1653c83ca0b7827af5",
+		"RTX3090":   "25c69c5711be9b368f7177ad52026e241d1a4687c83be3150f5bdb1ad6ddb946",
+	} {
+		g, _ := Preset(name)
+		if got := fmt.Sprintf("%x", sha256.Sum256(Marshal(g))); got != want {
+			t.Errorf("%s: sha256(Marshal) = %s, want %s", name, got, want)
 		}
 	}
 }
