@@ -34,7 +34,7 @@ tier1:
 	$(GO) vet ./...
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 	$(GO) test ./...
-	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/mem/... ./internal/smcore/... ./internal/cache/... ./internal/reuse/... ./internal/analytic/... ./internal/trace/... ./internal/workload/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
+	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/mem/... ./internal/memo/... ./internal/smcore/... ./internal/cache/... ./internal/reuse/... ./internal/analytic/... ./internal/trace/... ./internal/workload/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
 	$(GO) test -race -run 'TestEpoch|TestSnapshot|TestSample' ./internal/regress/
 
 # lint enforces gofmt and go vet, and additionally runs staticcheck and

@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// All sweep points of one app run in parallel.
 		jobs := make([]swiftsim.Job, len(gpus))
 		for i, g := range gpus {
-			jobs[i] = swiftsim.Job{App: app, GPU: g, Cfg: cfg}
+			jobs[i] = swiftsim.Job{App: app, GPU: g, Opts: cfg}
 		}
 		fmt.Fprintf(stdout, "%-12s", name)
 		for _, out := range swiftsim.SimulateAll(jobs, 0) {

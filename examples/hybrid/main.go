@@ -82,7 +82,7 @@ func main() {
 	for _, name := range apps {
 		a, _ := swiftsim.GenerateWorkload(name, 0.5)
 		jobs = append(jobs, swiftsim.Job{App: a, GPU: gpu,
-			Cfg: swiftsim.Config{Kind: swiftsim.SwiftSimBasic}})
+			Opts: swiftsim.Config{Kind: swiftsim.SwiftSimBasic}})
 	}
 	t1 := time.Now()
 	swiftsim.SimulateAll(jobs, 1)

@@ -3,6 +3,7 @@ package config
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,67 @@ func TestMarshalPresetBytes(t *testing.T) {
 		g, _ := Preset(name)
 		if got := fmt.Sprintf("%x", sha256.Sum256(Marshal(g))); got != want {
 			t.Errorf("%s: sha256(Marshal) = %s, want %s", name, got, want)
+		}
+	}
+}
+
+// leafPaths appends the dotted path of every leaf field under v, depth
+// first.
+func leafPaths(paths []string, prefix string, v reflect.Value) []string {
+	if v.Kind() != reflect.Struct {
+		return append(paths, strings.TrimPrefix(prefix, "."))
+	}
+	for i := 0; i < v.NumField(); i++ {
+		paths = leafPaths(paths, prefix+"."+v.Type().Field(i).Name, v.Field(i))
+	}
+	return paths
+}
+
+// TestEveryKeyIsItsOwnField walks GPU leaf by leaf. Perturbing one leaf must
+// change exactly one key's line of Marshal's output, and setting that line
+// over the unperturbed GPU, as Parse does line by line, must give the
+// perturbed GPU back. A key wired to another field, or two keys to one,
+// fails here even where the presets' round trip cannot tell, because the two
+// fields hold equal values there.
+func TestEveryKeyIsItsOwnField(t *testing.T) {
+	base := RTX2080Ti()
+	baseLines := strings.Split(string(Marshal(base)), "\n")
+	for _, path := range leafPaths(nil, "", reflect.ValueOf(base)) {
+		g := base
+		v := reflect.ValueOf(&g).Elem()
+		for _, name := range strings.Split(path, ".") {
+			v = v.FieldByName(name)
+		}
+		switch {
+		case v.Type() == reflect.TypeOf(LRU) || v.Type() == reflect.TypeOf(GTO):
+			v.SetInt((v.Int() + 1) % 3)
+		case path == "NoCTopology":
+			v.SetString("ring")
+		case v.Kind() == reflect.Int:
+			v.SetInt(2 * v.Int())
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("%s: no perturbation for kind %v", path, v.Kind())
+		}
+		var changed []string
+		for i, line := range strings.Split(string(Marshal(g)), "\n") {
+			if line != baseLines[i] && !strings.HasPrefix(line, "#") {
+				changed = append(changed, line)
+			}
+		}
+		if len(changed) != 1 {
+			t.Errorf("%s: perturbing it changed %d key lines %q, want 1", path, len(changed), changed)
+			continue
+		}
+		key, val, _ := strings.Cut(changed[0], " = ")
+		back := base
+		if err := set(&back, key, val); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if back != g {
+			t.Errorf("%s: its line %q sets another field", path, changed[0])
 		}
 	}
 }

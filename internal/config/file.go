@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,22 +13,111 @@ import (
 
 // The configuration file format is a flat "section.key = value" text file,
 // one assignment per line, with '#' comments, mirroring the style of
-// Accel-Sim configuration files. Marshal and Parse round-trip a GPU exactly.
+// Accel-Sim configuration files. One key list serves both directions:
+// Marshal writes every key in name order, and Parse looks each line's key up
+// in it, so the two round-trip a GPU exactly.
 
-// Marshal renders g as configuration-file text.
-func Marshal(g GPU) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Swift-Sim hardware configuration: %s\n", g.Name)
-	kv := flatten(g)
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
+// key names one GPU field in the file. field returns a pointer to it, whose
+// type says how the value is written and parsed: *int, *bool, *string, or
+// a *topology, *SchedPolicy or *Replacement, which write their String().
+type key struct {
+	name  string
+	field func(*GPU) any
+}
+
+// topology is NoCTopology in the file, where the empty default is spelled
+// "crossbar".
+type topology string
+
+func (t topology) String() string {
+	if t == "" {
+		return "crossbar"
 	}
-	sort.Strings(keys)
+	return string(t)
+}
+
+// keys lists every key, sorted by name at init; keyIndex finds one by name.
+var (
+	keys = slices.Concat([]key{
+		{"gpu.name", func(g *GPU) any { return &g.Name }},
+		{"gpu.num_sms", func(g *GPU) any { return &g.NumSMs }},
+		{"gpu.mem_partitions", func(g *GPU) any { return &g.MemPartitions }},
+		{"gpu.dram_latency", func(g *GPU) any { return &g.DRAMLatency }},
+		{"gpu.dram_banks", func(g *GPU) any { return &g.DRAMBanksPerPartition }},
+		{"gpu.dram_row_hit_latency", func(g *GPU) any { return &g.DRAMRowHitLatency }},
+		{"gpu.noc_latency", func(g *GPU) any { return &g.NoCLatency }},
+		{"gpu.noc_flit_bytes", func(g *GPU) any { return &g.NoCFlitBytes }},
+		{"gpu.noc_topology", func(g *GPU) any { return (*topology)(&g.NoCTopology) }},
+		{"sm.sub_cores", func(g *GPU) any { return &g.SM.SubCores }},
+		{"sm.warp_size", func(g *GPU) any { return &g.SM.WarpSize }},
+		{"sm.max_warps", func(g *GPU) any { return &g.SM.MaxWarps }},
+		{"sm.max_blocks", func(g *GPU) any { return &g.SM.MaxBlocks }},
+		{"sm.registers", func(g *GPU) any { return &g.SM.Registers }},
+		{"sm.shared_mem_bytes", func(g *GPU) any { return &g.SM.SharedMemBytes }},
+		{"sm.scheduler", func(g *GPU) any { return &g.SM.Scheduler }},
+		{"sm.schedulers_per_sub_core", func(g *GPU) any { return &g.SM.SchedulersPerSubCore }},
+		{"sm.int_lanes", func(g *GPU) any { return &g.SM.IntLanes }},
+		{"sm.sp_lanes", func(g *GPU) any { return &g.SM.SPLanes }},
+		{"sm.dp_lanes", func(g *GPU) any { return &g.SM.DPLanes }},
+		{"sm.dp_lanes_half", func(g *GPU) any { return &g.SM.DPLanesHalf }},
+		{"sm.sfu_lanes", func(g *GPU) any { return &g.SM.SFULanes }},
+		{"sm.ldst_lanes", func(g *GPU) any { return &g.SM.LDSTLanes }},
+		{"sm.int_latency", func(g *GPU) any { return &g.SM.IntLatency }},
+		{"sm.sp_latency", func(g *GPU) any { return &g.SM.SPLatency }},
+		{"sm.dp_latency", func(g *GPU) any { return &g.SM.DPLatency }},
+		{"sm.sfu_latency", func(g *GPU) any { return &g.SM.SFULatency }},
+		{"sm.shared_mem_latency", func(g *GPU) any { return &g.SM.SharedMemLatency }},
+	}, levelKeys("l1", func(g *GPU) *Cache { return &g.L1 }), levelKeys("l2", func(g *GPU) *Cache { return &g.L2 }))
+	keyIndex = make(map[string]key, len(keys))
+)
+
+func init() {
+	sort.Slice(keys, func(i, j int) bool { return keys[i].name < keys[j].name })
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s = %s\n", k, kv[k])
+		keyIndex[k.name] = k
 	}
-	return []byte(b.String())
+}
+
+// levelKeys lists one cache level's keys under prefix.
+func levelKeys(prefix string, level func(*GPU) *Cache) []key {
+	field := func(name string, f func(*Cache) any) key {
+		return key{prefix + "." + name, func(g *GPU) any { return f(level(g)) }}
+	}
+	return []key{
+		field("sets", func(c *Cache) any { return &c.Sets }),
+		field("ways", func(c *Cache) any { return &c.Ways }),
+		field("line_bytes", func(c *Cache) any { return &c.LineBytes }),
+		field("sector_bytes", func(c *Cache) any { return &c.SectorBytes }),
+		field("banks", func(c *Cache) any { return &c.Banks }),
+		field("mshr_entries", func(c *Cache) any { return &c.MSHREntries }),
+		field("mshr_max_merge", func(c *Cache) any { return &c.MSHRMaxMerge }),
+		field("hit_latency", func(c *Cache) any { return &c.HitLatency }),
+		field("replacement", func(c *Cache) any { return &c.Replacement }),
+		field("write_back", func(c *Cache) any { return &c.WriteBack }),
+		field("streaming", func(c *Cache) any { return &c.Streaming }),
+		field("throughput", func(c *Cache) any { return &c.Throughput }),
+	}
+}
+
+// Marshal renders g as configuration-file text, about 1.1 KB.
+func Marshal(g GPU) []byte {
+	b := append(make([]byte, 0, 1536), "# Swift-Sim hardware configuration: "...)
+	b = append(append(b, g.Name...), '\n')
+	for _, k := range keys {
+		b = append(append(b, k.name...), " = "...)
+		switch p := k.field(&g).(type) {
+		case *int:
+			b = strconv.AppendInt(b, int64(*p), 10)
+		case *bool:
+			b = strconv.AppendBool(b, *p)
+		case *string:
+			b = append(b, *p...)
+		case fmt.Stringer:
+			b = append(b, p.String()...)
+		}
+		b = append(b, '\n')
+	}
+	return b
 }
 
 // WriteFile writes g to path in configuration-file format.
@@ -53,7 +143,9 @@ func LoadFile(path string) (GPU, error) {
 
 // Parse reads configuration text from r and returns the validated GPU.
 func Parse(r io.Reader) (GPU, error) {
-	kv := make(map[string]string)
+	var lines [][2]string // key, value in file order
+	seen := make(map[string]bool)
+	base := ""
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -75,26 +167,32 @@ func Parse(r io.Reader) (GPU, error) {
 		if key == "" || val == "" {
 			return GPU{}, fmt.Errorf("line %d: empty key or value in %q", lineNo, line)
 		}
-		if _, dup := kv[key]; dup {
+		if seen[key] {
 			return GPU{}, fmt.Errorf("line %d: duplicate key %q", lineNo, key)
 		}
-		kv[key] = val
+		seen[key] = true
+		if key == "gpu.base" {
+			base = val
+		} else {
+			lines = append(lines, [2]string{key, val})
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return GPU{}, err
 	}
 
 	var g GPU
-	if base, ok := kv["gpu.base"]; ok {
+	if base != "" {
 		pg, ok := Preset(base)
 		if !ok {
 			return GPU{}, fmt.Errorf("gpu.base: unknown preset %q (have %v)", base, PresetNames())
 		}
 		g = pg
-		delete(kv, "gpu.base")
 	}
-	if err := apply(&g, kv); err != nil {
-		return GPU{}, err
+	for _, l := range lines {
+		if err := set(&g, l[0], l[1]); err != nil {
+			return GPU{}, err
+		}
 	}
 	if err := g.Validate(); err != nil {
 		return GPU{}, err
@@ -102,198 +200,41 @@ func Parse(r io.Reader) (GPU, error) {
 	return g, nil
 }
 
-func flatten(g GPU) map[string]string {
-	kv := map[string]string{
-		"gpu.name":                   g.Name,
-		"gpu.num_sms":                strconv.Itoa(g.NumSMs),
-		"gpu.mem_partitions":         strconv.Itoa(g.MemPartitions),
-		"gpu.dram_latency":           strconv.Itoa(g.DRAMLatency),
-		"gpu.dram_banks":             strconv.Itoa(g.DRAMBanksPerPartition),
-		"gpu.dram_row_hit_latency":   strconv.Itoa(g.DRAMRowHitLatency),
-		"gpu.noc_latency":            strconv.Itoa(g.NoCLatency),
-		"gpu.noc_flit_bytes":         strconv.Itoa(g.NoCFlitBytes),
-		"gpu.noc_topology":           topologyName(g.NoCTopology),
-		"sm.sub_cores":               strconv.Itoa(g.SM.SubCores),
-		"sm.warp_size":               strconv.Itoa(g.SM.WarpSize),
-		"sm.max_warps":               strconv.Itoa(g.SM.MaxWarps),
-		"sm.max_blocks":              strconv.Itoa(g.SM.MaxBlocks),
-		"sm.registers":               strconv.Itoa(g.SM.Registers),
-		"sm.shared_mem_bytes":        strconv.Itoa(g.SM.SharedMemBytes),
-		"sm.scheduler":               g.SM.Scheduler.String(),
-		"sm.schedulers_per_sub_core": strconv.Itoa(g.SM.SchedulersPerSubCore),
-		"sm.int_lanes":               strconv.Itoa(g.SM.IntLanes),
-		"sm.sp_lanes":                strconv.Itoa(g.SM.SPLanes),
-		"sm.dp_lanes":                strconv.Itoa(g.SM.DPLanes),
-		"sm.dp_lanes_half":           strconv.FormatBool(g.SM.DPLanesHalf),
-		"sm.sfu_lanes":               strconv.Itoa(g.SM.SFULanes),
-		"sm.ldst_lanes":              strconv.Itoa(g.SM.LDSTLanes),
-		"sm.int_latency":             strconv.Itoa(g.SM.IntLatency),
-		"sm.sp_latency":              strconv.Itoa(g.SM.SPLatency),
-		"sm.dp_latency":              strconv.Itoa(g.SM.DPLatency),
-		"sm.sfu_latency":             strconv.Itoa(g.SM.SFULatency),
-		"sm.shared_mem_latency":      strconv.Itoa(g.SM.SharedMemLatency),
+// set parses val into the field of the key called name.
+func set(g *GPU, name, val string) error {
+	k, ok := keyIndex[name]
+	if !ok {
+		return fmt.Errorf("unknown configuration key %q", name)
 	}
-	for level, c := range map[string]Cache{"l1": g.L1, "l2": g.L2} {
-		kv[level+".sets"] = strconv.Itoa(c.Sets)
-		kv[level+".ways"] = strconv.Itoa(c.Ways)
-		kv[level+".line_bytes"] = strconv.Itoa(c.LineBytes)
-		kv[level+".sector_bytes"] = strconv.Itoa(c.SectorBytes)
-		kv[level+".banks"] = strconv.Itoa(c.Banks)
-		kv[level+".mshr_entries"] = strconv.Itoa(c.MSHREntries)
-		kv[level+".mshr_max_merge"] = strconv.Itoa(c.MSHRMaxMerge)
-		kv[level+".hit_latency"] = strconv.Itoa(c.HitLatency)
-		kv[level+".replacement"] = c.Replacement.String()
-		kv[level+".write_back"] = strconv.FormatBool(c.WriteBack)
-		kv[level+".streaming"] = strconv.FormatBool(c.Streaming)
-		kv[level+".throughput"] = strconv.Itoa(c.Throughput)
-	}
-	return kv
-}
-
-func apply(g *GPU, kv map[string]string) error {
-	for key, val := range kv {
-		if err := applyOne(g, key, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func applyOne(g *GPU, key, val string) error {
-	intField := func(dst *int) error {
+	switch p := k.field(g).(type) {
+	case *int:
 		n, err := strconv.Atoi(val)
 		if err != nil {
-			return fmt.Errorf("%s: %q is not an integer", key, val)
+			return fmt.Errorf("%s: %q is not an integer", name, val)
 		}
-		*dst = n
-		return nil
-	}
-	boolField := func(dst *bool) error {
+		*p = n
+	case *bool:
 		b, err := strconv.ParseBool(val)
 		if err != nil {
-			return fmt.Errorf("%s: %q is not a boolean", key, val)
+			return fmt.Errorf("%s: %q is not a boolean", name, val)
 		}
-		*dst = b
-		return nil
-	}
-
-	if c, rest, ok := cacheKey(g, key); ok {
-		switch rest {
-		case "sets":
-			return intField(&c.Sets)
-		case "ways":
-			return intField(&c.Ways)
-		case "line_bytes":
-			return intField(&c.LineBytes)
-		case "sector_bytes":
-			return intField(&c.SectorBytes)
-		case "banks":
-			return intField(&c.Banks)
-		case "mshr_entries":
-			return intField(&c.MSHREntries)
-		case "mshr_max_merge":
-			return intField(&c.MSHRMaxMerge)
-		case "hit_latency":
-			return intField(&c.HitLatency)
-		case "replacement":
-			r, err := ParseReplacement(val)
-			if err != nil {
-				return fmt.Errorf("%s: %w", key, err)
-			}
-			c.Replacement = r
-			return nil
-		case "write_back":
-			return boolField(&c.WriteBack)
-		case "streaming":
-			return boolField(&c.Streaming)
-		case "throughput":
-			return intField(&c.Throughput)
-		}
-		return fmt.Errorf("unknown configuration key %q", key)
-	}
-
-	switch key {
-	case "gpu.name":
-		g.Name = val
-		return nil
-	case "gpu.num_sms":
-		return intField(&g.NumSMs)
-	case "gpu.mem_partitions":
-		return intField(&g.MemPartitions)
-	case "gpu.dram_latency":
-		return intField(&g.DRAMLatency)
-	case "gpu.dram_banks":
-		return intField(&g.DRAMBanksPerPartition)
-	case "gpu.dram_row_hit_latency":
-		return intField(&g.DRAMRowHitLatency)
-	case "gpu.noc_latency":
-		return intField(&g.NoCLatency)
-	case "gpu.noc_flit_bytes":
-		return intField(&g.NoCFlitBytes)
-	case "gpu.noc_topology":
-		g.NoCTopology = val
-		return nil
-	case "sm.sub_cores":
-		return intField(&g.SM.SubCores)
-	case "sm.warp_size":
-		return intField(&g.SM.WarpSize)
-	case "sm.max_warps":
-		return intField(&g.SM.MaxWarps)
-	case "sm.max_blocks":
-		return intField(&g.SM.MaxBlocks)
-	case "sm.registers":
-		return intField(&g.SM.Registers)
-	case "sm.shared_mem_bytes":
-		return intField(&g.SM.SharedMemBytes)
-	case "sm.scheduler":
-		p, err := ParseSchedPolicy(val)
+		*p = b
+	case *string:
+		*p = val
+	case *topology:
+		*p = topology(val)
+	case *SchedPolicy:
+		v, err := ParseSchedPolicy(val)
 		if err != nil {
 			return err
 		}
-		g.SM.Scheduler = p
-		return nil
-	case "sm.schedulers_per_sub_core":
-		return intField(&g.SM.SchedulersPerSubCore)
-	case "sm.int_lanes":
-		return intField(&g.SM.IntLanes)
-	case "sm.sp_lanes":
-		return intField(&g.SM.SPLanes)
-	case "sm.dp_lanes":
-		return intField(&g.SM.DPLanes)
-	case "sm.dp_lanes_half":
-		return boolField(&g.SM.DPLanesHalf)
-	case "sm.sfu_lanes":
-		return intField(&g.SM.SFULanes)
-	case "sm.ldst_lanes":
-		return intField(&g.SM.LDSTLanes)
-	case "sm.int_latency":
-		return intField(&g.SM.IntLatency)
-	case "sm.sp_latency":
-		return intField(&g.SM.SPLatency)
-	case "sm.dp_latency":
-		return intField(&g.SM.DPLatency)
-	case "sm.sfu_latency":
-		return intField(&g.SM.SFULatency)
-	case "sm.shared_mem_latency":
-		return intField(&g.SM.SharedMemLatency)
+		*p = v
+	case *Replacement:
+		v, err := ParseReplacement(val)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		*p = v
 	}
-	return fmt.Errorf("unknown configuration key %q", key)
-}
-
-// topologyName canonicalizes the empty default for serialization.
-func topologyName(t string) string {
-	if t == "" {
-		return "crossbar"
-	}
-	return t
-}
-
-func cacheKey(g *GPU, key string) (*Cache, string, bool) {
-	switch {
-	case strings.HasPrefix(key, "l1."):
-		return &g.L1, key[len("l1."):], true
-	case strings.HasPrefix(key, "l2."):
-		return &g.L2, key[len("l2."):], true
-	}
-	return nil, "", false
+	return nil
 }

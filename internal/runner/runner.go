@@ -89,12 +89,6 @@ type Progress struct {
 	// JobIndex is the job that just finished; Err is its outcome error.
 	JobIndex int
 	Err      error
-	// Result is the finished job's result (nil when the job failed). It is
-	// the same pointer later returned in the job's Outcome, exposed here so
-	// streaming consumers — the sweep service's per-job progress feed — can
-	// render or persist results as they complete instead of waiting for the
-	// whole sweep.
-	Result *sim.Result
 	// Done and Failed count finished and failed jobs so far; Total is the
 	// sweep size.
 	Done   int
@@ -185,7 +179,7 @@ func Run(jobs []Job, threads int, opts Options) []Outcome {
 		}
 		if opts.OnProgress != nil {
 			opts.OnProgress(Progress{
-				JobIndex: i, Err: o.Err, Result: o.Result,
+				JobIndex: i, Err: o.Err,
 				Done: done, Failed: failed, Total: len(jobs),
 			})
 		}

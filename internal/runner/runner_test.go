@@ -337,25 +337,6 @@ func TestOnProgress(t *testing.T) {
 	}
 }
 
-// TestProgressCarriesResult: each successful Progress carries the same
-// Result pointer as the job's Outcome (failed jobs carry nil).
-func TestProgressCarriesResult(t *testing.T) {
-	jobs := testJobs(t, []string{"BFS", "GEMM", "SM", "LU"})
-	jobs[2].GPU.NumSMs = 0
-	results := map[int]*sim.Result{}
-	out := Run(jobs, 2, Options{
-		OnProgress: func(p Progress) { results[p.JobIndex] = p.Result },
-	})
-	for i, o := range out {
-		if results[i] != o.Result {
-			t.Errorf("job %d: Progress.Result != Outcome.Result", i)
-		}
-		if (o.Err == nil) != (results[i] != nil) {
-			t.Errorf("job %d: result nil-ness disagrees with error", i)
-		}
-	}
-}
-
 // TestSweepSurvivesOneBadTrace is the acceptance scenario: a 20-app sweep
 // in which one application's trace demands more registers than an SM has
 // (the former smcore panic) completes the other 19 jobs and attributes

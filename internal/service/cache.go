@@ -159,8 +159,21 @@ func (c *Cache) Claim(key string) (val []byte, hit bool, owner bool, f *Flight) 
 // Fulfill persists the owner's computed value and releases every joiner.
 // The value reaches joiners even when the disk write fails (the error is
 // returned for logging); the next process simply recomputes.
-func (c *Cache) Fulfill(f *Flight, val []byte) error {
-	err := c.write(f.key, val)
+func (c *Cache) Fulfill(f *Flight, val []byte) error { return c.fulfill(f, val, "") }
+
+// fulfill is Fulfill for a value that hash may already name in the store: a
+// remote worker published it and the commit handler read it back intact,
+// so only the key's ref is written. An empty hash puts val first. Both
+// writes are atomic renames, so readers never observe a torn file even
+// across processes.
+func (c *Cache) fulfill(f *Flight, val []byte, hash string) error {
+	var err error
+	if hash == "" {
+		hash, err = c.store.Put(val)
+	}
+	if err == nil {
+		err = c.writeRef(f.key, hash)
+	}
 	c.resolve(f, val, nil, nil)
 	return err
 }
@@ -182,18 +195,6 @@ func (c *Cache) resolve(f *Flight, val []byte, err error, counter *uint64) {
 	}
 	c.mu.Unlock()
 	close(f.done)
-}
-
-// write stores a value: the bytes go into the content-addressed store
-// (idempotent — a worker may have published them already) and the key's
-// ref file records their hash. Both writes are atomic renames, so
-// readers never observe a torn file even across processes.
-func (c *Cache) write(key string, val []byte) error {
-	hash, err := c.store.Put(val)
-	if err != nil {
-		return err
-	}
-	return c.writeRef(key, hash)
 }
 
 // writeRef atomically points key at an already-stored blob.

@@ -228,7 +228,7 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusNotFound, fmt.Errorf("result blob: %w", err))
 			return
 		}
-		if err := s.board.Fulfill(r.PathValue("id"), req.Token, data); err != nil {
+		if err := s.board.Fulfill(r.PathValue("id"), req.Token, data, req.Result); err != nil {
 			httpError(w, http.StatusConflict, err)
 			return
 		}

@@ -158,10 +158,11 @@ type boardJob struct {
 	lease   *lease // current grant when leased
 
 	// onStart fires at most once per grant (a requeued job "starts"
-	// again); done fires exactly once with the job's terminal outcome.
-	// Both are invoked outside the board lock.
+	// again); done fires exactly once with the job's terminal outcome: the
+	// result and, when a remote worker published it, its store hash. Both
+	// are invoked outside the board lock.
 	onStart func(worker string)
-	done    func(val []byte, err error)
+	done    func(val []byte, hash string, err error)
 }
 
 // lease is one live grant of a job to a worker. Everything but deadline is
@@ -285,7 +286,7 @@ func (b *board) reap(now time.Time) {
 	}
 	b.mu.Unlock()
 	for _, j := range failed {
-		j.done(nil, fmt.Errorf("%w: job %s gave out %d lease(s), none fulfilled", ErrRetriesExhausted, j.key, j.attempt))
+		j.done(nil, "", fmt.Errorf("%w: job %s gave out %d lease(s), none fulfilled", ErrRetriesExhausted, j.key, j.attempt))
 	}
 }
 
@@ -308,7 +309,7 @@ func (b *board) Enqueue(j *boardJob) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		j.done(nil, errBoardClosed)
+		j.done(nil, "", errBoardClosed)
 		return
 	}
 	b.jobs[j.key] = j
@@ -437,14 +438,16 @@ func (b *board) resolveLease(leaseID string, token uint64) (*boardJob, error) {
 	return l.job, nil
 }
 
-// Fulfill commits a worker's result for its lease. Exactly-once: the
-// first valid commit wins; anything else is ErrStaleLease.
-func (b *board) Fulfill(leaseID string, token uint64, val []byte) error {
+// Fulfill commits a worker's result for its lease. hash names val in the
+// store when the worker published it there, and is empty for an executor's
+// result. Exactly-once: the first valid commit wins; anything else is
+// ErrStaleLease.
+func (b *board) Fulfill(leaseID string, token uint64, val []byte, hash string) error {
 	j, err := b.resolveLease(leaseID, token)
 	if err != nil {
 		return err
 	}
-	j.done(val, nil)
+	j.done(val, hash, nil)
 	return nil
 }
 
@@ -457,7 +460,7 @@ func (b *board) Fail(leaseID string, token uint64, cause error) error {
 	if err != nil {
 		return err
 	}
-	j.done(nil, cause)
+	j.done(nil, "", cause)
 	return nil
 }
 
@@ -490,7 +493,7 @@ func (b *board) Cancel(key string, err error) {
 		b.release(j.lease)
 	}
 	b.mu.Unlock()
-	j.done(nil, err)
+	j.done(nil, "", err)
 }
 
 // Close shuts the board down: claims unblock, every unresolved job is
@@ -518,7 +521,7 @@ func (b *board) Close(cause error) {
 	close(b.stopReaper)
 	<-b.reaperDone
 	for _, j := range unresolved {
-		j.done(nil, err)
+		j.done(nil, "", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func testJob(key string, fires *atomic.Int32) (*boardJob, chan outcome) {
 	ch := make(chan outcome, 1)
 	j := &boardJob{
 		job: &job{key: key, app: &trace.App{Name: "app"}, sim: "detailed"},
-		done: func(val []byte, err error) {
+		done: func(val []byte, _ string, err error) {
 			if fires != nil {
 				fires.Add(1)
 			}
@@ -92,7 +92,7 @@ func TestBoardClaimFulfill(t *testing.T) {
 	if started.Load() != 1 {
 		t.Errorf("onStart fired %d times, want 1", started.Load())
 	}
-	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("result")); err != nil {
+	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("result"), ""); err != nil {
 		t.Fatalf("Fulfill: %v", err)
 	}
 	o := waitOutcome(t, ch)
@@ -100,7 +100,7 @@ func TestBoardClaimFulfill(t *testing.T) {
 		t.Errorf("outcome = (%q, %v)", o.val, o.err)
 	}
 	// A second commit of the same lease is stale, not a double-fire.
-	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("again")); !errors.Is(err, ErrStaleLease) {
+	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("again"), ""); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("second Fulfill = %v, want ErrStaleLease", err)
 	}
 }
@@ -180,10 +180,10 @@ func TestBoardExpiryRequeuesWithFencing(t *testing.T) {
 	}
 
 	// The presumed-dead worker's late commit must lose.
-	if err := b.Fulfill(stale.LeaseID, stale.Token, []byte("late")); !errors.Is(err, ErrStaleLease) {
+	if err := b.Fulfill(stale.LeaseID, stale.Token, []byte("late"), ""); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("stale Fulfill = %v, want ErrStaleLease", err)
 	}
-	if err := b.Fulfill(fresh.LeaseID, fresh.Token, []byte("winner")); err != nil {
+	if err := b.Fulfill(fresh.LeaseID, fresh.Token, []byte("winner"), ""); err != nil {
 		t.Fatalf("fresh Fulfill: %v", err)
 	}
 	o := waitOutcome(t, ch)
@@ -349,7 +349,7 @@ func TestBoardCancel(t *testing.T) {
 	if o := waitOutcome(t, chLeased); !errors.Is(o.err, skip) {
 		t.Errorf("leased outcome = %v", o.err)
 	}
-	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("v")); !errors.Is(err, ErrStaleLease) {
+	if err := b.Fulfill(wire.LeaseID, wire.Token, []byte("v"), ""); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("post-cancel Fulfill = %v, want ErrStaleLease", err)
 	}
 	if _, lost, _ := b.Heartbeat(w, []string{wire.LeaseID}); len(lost) != 1 {

@@ -93,11 +93,11 @@ func TestDistributedLocalMixedFleet(t *testing.T) {
 	}
 	// The store holds the four result blobs and nothing else, whoever ran
 	// the job: a remote grant names its inputs instead of publishing them.
-	// A remote commit puts its result twice (the worker's publish, then the
-	// cache's Fulfill of the same bytes), which counts as a dup.
+	// A remote commit puts nothing: the worker published the result, and
+	// the cache writes only the key's ref to it.
 	st := s.Stats()
-	if st.Store.Puts != 4 || st.Store.Dups != uint64(remote) {
-		t.Errorf("store puts = %d, dups = %d, want 4 and %d (one result per job, no inputs)", st.Store.Puts, st.Store.Dups, remote)
+	if st.Store.Puts != 4 || st.Store.Dups != 0 {
+		t.Errorf("store puts = %d, dups = %d, want 4 and 0 (one result per job, no inputs)", st.Store.Puts, st.Store.Dups)
 	}
 	if st.Remote.Expired != 0 || st.Remote.Stale != 0 {
 		t.Errorf("board stats = %+v, want no expiries or stale commits", st.Remote)

@@ -544,7 +544,7 @@ func (s *Service) executor(id string, slot int) {
 		case err != nil:
 			_ = s.board.Fail(l.id, l.token, err)
 		default:
-			_ = s.board.Fulfill(l.id, l.token, val)
+			_ = s.board.Fulfill(l.id, l.token, val, "")
 		}
 	}
 }
@@ -587,14 +587,14 @@ func (s *Service) runSweep(sw *Sweep) {
 			j := &boardJob{
 				job: jb, timeout: sw.jobTimeout, trace: sw.trace, index: i, start: start,
 				onStart: func(string) { s.startJob(sw, i) },
-				done: func(val []byte, err error) {
+				done: func(val []byte, hash string, err error) {
 					defer wg.Done()
 					if err != nil {
 						s.cache.Fail(flight, err)
 					} else {
 						// A failed ref write only costs persistence; the
 						// value still serves this sweep and its joiners.
-						_ = s.cache.Fulfill(flight, val)
+						_ = s.cache.fulfill(flight, val, hash)
 					}
 					s.finishJob(sw, i, val, err, false)
 					// FailFast: terminally skip the sweep's other board jobs.

@@ -481,3 +481,25 @@ func TestJobKeyDiscriminates(t *testing.T) {
 		t.Error("key separates EpochCycles 0 from 1 (both are exact mode)")
 	}
 }
+
+// TestJobKeyAllocations: every warm resubmit derives its job's key, so the
+// derivation's cost is held as an allocation count, which repeats on any
+// host. The ceiling sits about 25% above the measured 14; rendering the
+// configuration through an intermediate map with a sort per call costs 166.
+func TestJobKeyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	gpu, _ := config.Preset("RTX2080Ti")
+	app, err := workload.Generate("BFS", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Kind: sim.Memory}
+	jobKey(app, gpu, opts) // the content hash and the code version, once
+	allocs := testing.AllocsPerRun(100, func() { jobKey(app, gpu, opts) })
+	t.Logf("%v allocations per key", allocs)
+	if ceiling := 18.0; allocs > ceiling {
+		t.Errorf("jobKey allocated %v objects, ceiling %v", allocs, ceiling)
+	}
+}

@@ -54,7 +54,7 @@ func TestProfileCacheHitsAcrossCopies(t *testing.T) {
 		t.Fatal("copyApp returned the same pointer")
 	}
 
-	before := phaseTwo.len()
+	before := phaseTwo.Stats().Entries
 
 	p1 := profileCached(app, gpu, FunctionalCaches)
 	p2 := profileCached(dup, gpu, FunctionalCaches)
@@ -62,7 +62,7 @@ func TestProfileCacheHitsAcrossCopies(t *testing.T) {
 		t.Error("copies of the same trace produced distinct profile instances")
 	}
 
-	if grown := phaseTwo.len() - before; grown > 1 {
+	if grown := phaseTwo.Stats().Entries - before; grown > 1 {
 		t.Errorf("profile cache grew by %d entries for two copies of one trace, want at most 1", grown)
 	}
 }
@@ -96,7 +96,7 @@ func TestProfileCacheDistinguishesContent(t *testing.T) {
 func TestProfileCachePartitionIsMinOfSMsAndBlocks(t *testing.T) {
 	app := randomApp(rand.New(rand.NewSource(41)), []int{3, 5, 2})
 	gpu := smallGPU()
-	before := phaseOne.computes()
+	before := phaseOne.Stats().Computes
 	profiles := map[int]*reuse.Profile{}
 	for _, sms := range []int{4, 6, 9} {
 		gpu.NumSMs = sms
@@ -105,7 +105,7 @@ func TestProfileCachePartitionIsMinOfSMsAndBlocks(t *testing.T) {
 			t.Errorf("NumSMs %d: memoised profile differs from a fresh one", sms)
 		}
 	}
-	if n := phaseOne.computes() - before; n != 2 {
+	if n := phaseOne.Stats().Computes - before; n != 2 {
 		t.Errorf("phase one ran %d times for NumSMs 4, 6, 9 over a 5-block kernel, want 2", n)
 	}
 	if profiles[6] != profiles[9] {
@@ -114,20 +114,6 @@ func TestProfileCachePartitionIsMinOfSMsAndBlocks(t *testing.T) {
 	if profiles[4] == profiles[6] {
 		t.Error("NumSMs 4 and 6 shared a profile instance")
 	}
-}
-
-// len is the number of keys the memo holds, in flight or retained.
-func (m *memo[K, V]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
-
-// computes is the number of compute calls the memo has started.
-func (m *memo[K, V]) computes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.computed
 }
 
 // randomApp builds a seeded application with the given block count per
@@ -244,7 +230,7 @@ func TestProfileCacheMatchesFreshProfiles(t *testing.T) {
 		}
 	}
 	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-	ones, twos := phaseOne.computes(), phaseTwo.computes()
+	ones, twos := phaseOne.Stats().Computes, phaseTwo.Stats().Computes
 	for _, p := range points {
 		got := profileCached(p.app, p.gpu, p.src)
 		if want := freshProfile(p.app, p.gpu, p.src); !reflect.DeepEqual(got, want) {
@@ -252,7 +238,7 @@ func TestProfileCacheMatchesFreshProfiles(t *testing.T) {
 				p.app.Name, p.gpu.NumSMs, p.gpu.L2.Sets, p.gpu.L2.Ways, p.gpu.MemPartitions, p.src)
 		}
 	}
-	ones, twos = phaseOne.computes()-ones, phaseTwo.computes()-twos
+	ones, twos = phaseOne.Stats().Computes-ones, phaseTwo.Stats().Computes-twos
 	// NumSMs at and above the block count share both keys; the L2 variants
 	// of one L1 geometry share phase one.
 	if twos >= len(points) || ones >= twos {
@@ -364,7 +350,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 		gpus[i].L2.Sets <<= i
 		gpus[i].MemPartitions += i
 	}
-	ones, twos := phaseOne.computes(), phaseTwo.computes()
+	ones, twos := phaseOne.Stats().Computes, phaseTwo.Stats().Computes
 	got := make([]*reuse.Profile, 8)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -378,10 +364,10 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if n := phaseOne.computes() - ones; n != 1 {
+	if n := phaseOne.Stats().Computes - ones; n != 1 {
 		t.Errorf("phase one ran %d times, want exactly 1", n)
 	}
-	if n := phaseTwo.computes() - twos; n != len(gpus) {
+	if n := phaseTwo.Stats().Computes - twos; n != len(gpus) {
 		t.Errorf("phase two ran %d times, want %d", n, len(gpus))
 	}
 	for i, p := range got {
@@ -391,94 +377,6 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 		if want := reuse.ProfileApp(app, gpus[i%len(gpus)]); !reflect.DeepEqual(p, want) {
 			t.Errorf("caller %d: memoised profile differs from a fresh one", i)
 		}
-	}
-}
-
-// TestMemoPanicDoesNotPoison: a compute that panics fails its own caller
-// and leaves no entry behind, so the next caller of the key computes again
-// instead of receiving the zero value; a caller that was already waiting
-// on the panicking computation does the same.
-func TestMemoPanicDoesNotPoison(t *testing.T) {
-	m := newMemo[string](1<<20, func(*int) int { return 8 })
-	calls := 0
-	compute := func() *int {
-		calls++
-		if calls == 1 {
-			panic("profiler bug")
-		}
-		v := 42
-		return &v
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("the panic did not reach the computing caller")
-			}
-		}()
-		m.get("k", compute)
-	}()
-	if n := m.len(); n != 0 {
-		t.Fatalf("the panicked computation left %d entries behind", n)
-	}
-	if v := m.get("k", compute); v == nil || *v != 42 {
-		t.Fatalf("the caller after a panic got %v, want a recomputed 42", v)
-	}
-	if v := m.get("k", func() *int { t.Error("recomputed a retained key"); return nil }); v == nil || *v != 42 {
-		t.Errorf("retained value = %v, want 42", v)
-	}
-
-	// A waiter: the first computation holds its entry until the second
-	// caller has had every chance to find it, then panics.
-	entered, release := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { recover() }()
-		m.get("w", func() *int { close(entered); <-release; panic("profiler bug") })
-	}()
-	<-entered
-	waiter := make(chan *int)
-	go func() { v := 7; waiter <- m.get("w", func() *int { return &v }) }()
-	close(release)
-	wg.Wait()
-	if v := <-waiter; v == nil || *v != 7 {
-		t.Errorf("the waiter on a panicked computation got %v, want its own 7", v)
-	}
-}
-
-// TestMemoEvictsOldestByBytes: retained values are bounded by bytes, the
-// oldest completed entry goes first, a value larger than the whole bound is
-// handed out without being retained, and eviction leaves handed-out values
-// alone.
-func TestMemoEvictsOldestByBytes(t *testing.T) {
-	m := newMemo[int](3*(memoEntryBytes+100), func(v *[]byte) int { return len(*v) })
-	value := func(n int) func() *[]byte {
-		return func() *[]byte { b := make([]byte, n); return &b }
-	}
-	first := m.get(1, value(100))
-	m.get(2, value(100))
-	m.get(3, value(100))
-	if m.len() != 3 {
-		t.Fatalf("%d entries within the bound, want 3", m.len())
-	}
-	m.get(4, value(100))
-	before := m.computes()
-	m.get(2, value(100))
-	m.get(3, value(100))
-	m.get(4, value(100))
-	if m.len() != 3 || m.computes() != before {
-		t.Errorf("after a fourth value: %d entries, %d recomputes of the newest three; want 3 and 0", m.len(), m.computes()-before)
-	}
-	if m.get(1, value(100)) == first {
-		t.Error("the oldest entry was not the one evicted")
-	}
-	if len(*first) != 100 {
-		t.Error("eviction disturbed a handed-out value")
-	}
-	big := m.get(5, value(1<<20))
-	if len(*big) != 1<<20 || m.get(5, value(1<<20)) == big {
-		t.Error("a value larger than the bound was retained, or not handed out")
 	}
 }
 
@@ -620,7 +518,7 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 		_ = metrics.WriteCanonical(&b, res.Metrics)
 		return b.String()
 	}
-	twos := phaseTwo.computes()
+	twos := phaseTwo.Stats().Computes
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	got := make([]string, 4)
@@ -638,7 +536,7 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if n := phaseTwo.computes() - twos; n != 1 {
+	if n := phaseTwo.Stats().Computes - twos; n != 1 {
 		t.Errorf("four concurrent runs of one trace profiled it %d times, want 1", n)
 	}
 	serial, err := Run(app, gpu, opts)

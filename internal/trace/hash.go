@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"sync"
+
+	"swiftsim/internal/memo"
 )
 
 // ContentHash returns a SHA-256 digest over an application's full semantic
@@ -21,7 +22,7 @@ import (
 // the digest is memoized per *App. The memo is bounded: sampled runs hash
 // freshly-built truncated apps whose pointers never repeat, and FIFO
 // eviction keeps those from accumulating.
-func ContentHash(a *App) [32]byte { return hashMemo.get(a, computeContentHash) }
+func ContentHash(a *App) [32]byte { return hashMemo.Get(a, computeContentHash) }
 
 // LaunchKey returns a SHA-256 digest over a kernel launch's *static*
 // content: grid/block geometry, resource footprint, and the per-warp
@@ -45,51 +46,15 @@ func ContentHash(a *App) [32]byte { return hashMemo.get(a, computeContentHash) }
 //
 // Kernels are immutable once built, so the digest is memoized per *Kernel
 // with the same bounded-FIFO discipline as ContentHash.
-func LaunchKey(k *Kernel) [32]byte { return launchMemo.get(k, computeLaunchKey) }
+func LaunchKey(k *Kernel) [32]byte { return launchMemo.Get(k, computeLaunchKey) }
 
+// The digest memos are bounded by entry count: each digest weighs 1.
 var (
-	hashMemo   = memo[*App]{cap: 256}
-	launchMemo = memo[*Kernel]{cap: 1024}
+	hashMemo   = memo.New[*App](256, weighOne)
+	launchMemo = memo.New[*Kernel](1024, weighOne)
 )
 
-// memo is a bounded digest memo keyed by pointer identity, evicting in
-// FIFO order.
-type memo[K comparable] struct {
-	cap   int
-	mu    sync.Mutex
-	vals  map[K][32]byte
-	order []K // FIFO eviction order
-}
-
-// get returns k's memoized digest, computing it on a miss. The walk runs
-// outside the lock: concurrent first requests for the same key may compute
-// twice, but the result is deterministic and apps can be large — holding
-// the mutex across the walk would serialize sweeps.
-func (m *memo[K]) get(k K, compute func(K) [32]byte) [32]byte {
-	m.mu.Lock()
-	h, ok := m.vals[k]
-	m.mu.Unlock()
-	if ok {
-		return h
-	}
-
-	h = compute(k)
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.vals[k]; !ok {
-		if m.vals == nil {
-			m.vals = make(map[K][32]byte)
-		}
-		if len(m.order) >= m.cap {
-			delete(m.vals, m.order[0])
-			m.order = m.order[1:]
-		}
-		m.vals[k] = h
-		m.order = append(m.order, k)
-	}
-	return h
-}
+func weighOne([32]byte) int { return 1 }
 
 // computeContentHash digests the app in declaration order, names and
 // address values included. Where every kernel numbers its memory

@@ -139,14 +139,26 @@ func TestContentHashFraming(t *testing.T) {
 	}
 }
 
+// TestContentHashMemoBounded: hashing more distinct apps than the memo's
+// cap of 256 leaves at most 256 retained, the first app hashed among the
+// evicted, and a retained digest is served without a recompute.
 func TestContentHashMemoBounded(t *testing.T) {
-	for i := 0; i < hashMemo.cap+16; i++ {
+	first := hashTestApp()
+	want := ContentHash(first)
+	for i := 0; i < 256+16; i++ {
 		ContentHash(hashTestApp())
 	}
-	hashMemo.mu.Lock()
-	n := len(hashMemo.vals)
-	hashMemo.mu.Unlock()
-	if n > hashMemo.cap {
-		t.Errorf("hash memo grew to %d entries, cap %d", n, hashMemo.cap)
+	if n := hashMemo.Stats().Entries; n > 256 {
+		t.Errorf("hash memo grew to %d entries, cap 256", n)
+	}
+	last := hashTestApp()
+	ContentHash(last)
+	before := hashMemo.Stats().Computes
+	ContentHash(last)
+	if n := hashMemo.Stats().Computes - before; n != 0 {
+		t.Errorf("a retained digest was computed %d more times", n)
+	}
+	if ContentHash(first) != want || hashMemo.Stats().Computes == before {
+		t.Error("the oldest digest was not evicted, or came back changed")
 	}
 }

@@ -14,10 +14,9 @@ package workload
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"sync"
 
+	"swiftsim/internal/memo"
 	"swiftsim/internal/trace"
 )
 
@@ -82,28 +81,14 @@ func ByName(name string) (Spec, bool) {
 // simulator kinds and thread counts, and regeneration is pure recomputation.
 // Callers therefore share the returned *trace.App and must treat it as
 // immutable (the simulator already does — traces are read-only inputs).
+// Concurrent sweep workers requesting one application generate it once, and
+// a generator that panics fails only the caller that ran it.
 type genKey struct {
 	name  string
 	scale float64
 }
 
-// genEntry gives single-flight semantics: concurrent sweep workers
-// requesting the same application generate it exactly once. ready is closed
-// once app is set, or once the generator panicked, in which case ok is
-// false and the entry has already left genCache.
-type genEntry struct {
-	ready chan struct{}
-	app   *trace.App
-	ok    bool
-}
-
-const genCacheCap = 64
-
-var (
-	genMu    sync.Mutex
-	genCache = make(map[genKey]*genEntry)
-	genOrder []genKey // FIFO eviction order
-)
+var generated = memo.New[genKey](64, func(*trace.App) int { return 1 })
 
 // Generate builds the named application at the given scale. The returned
 // trace is memoized and shared across callers; it must not be mutated.
@@ -115,53 +100,7 @@ func Generate(name string, scale float64) (*trace.App, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("workload: scale must be positive, got %v", scale)
 	}
-	key := genKey{name: name, scale: scale}
-	for {
-		genMu.Lock()
-		e, found := genCache[key]
-		if !found {
-			if len(genOrder) >= genCacheCap {
-				oldest := genOrder[0]
-				genOrder = genOrder[1:]
-				delete(genCache, oldest)
-			}
-			e = &genEntry{ready: make(chan struct{})}
-			genCache[key] = e
-			genOrder = append(genOrder, key)
-		}
-		genMu.Unlock()
-		if !found {
-			generate(key, e, s)
-			return e.app, nil
-		}
-		<-e.ready
-		if e.ok {
-			return e.app, nil
-		}
-		// The generator panicked in another caller; generate afresh.
-	}
-}
-
-// generate fills e. A generator that panics leaves no entry behind: e is
-// dropped from the cache before the panic continues up the caller's stack,
-// so callers waiting on it, like later ones, generate for themselves rather
-// than receive a nil app (a sync.Once counts a panicking function as done).
-func generate(key genKey, e *genEntry, s Spec) {
-	defer func() {
-		if !e.ok {
-			genMu.Lock()
-			if genCache[key] == e {
-				delete(genCache, key)
-				if i := slices.Index(genOrder, key); i >= 0 {
-					genOrder = slices.Delete(genOrder, i, i+1)
-				}
-			}
-			genMu.Unlock()
-		}
-		close(e.ready)
-	}()
-	e.app = s.Generate(key.scale)
-	e.ok = true
+	return generated.Get(genKey{name, scale}, func(genKey) *trace.App { return s.Generate(scale) }), nil
 }
 
 // ---------------------------------------------------------------------------

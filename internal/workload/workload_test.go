@@ -2,8 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -245,6 +245,10 @@ func TestWarpBuilderRegisterRotation(t *testing.T) {
 	}
 }
 
+// panickyRuns names each run's panicking application afresh, so a -count
+// above 1 does not find the last run's apps in the memo.
+var panickyRuns int
+
 // TestGeneratePanicDoesNotPoison: a generator that panics fails its own
 // caller and leaves no cache entry behind, so the next Generate of that
 // (name, scale) runs the generator again instead of returning a nil app
@@ -252,10 +256,12 @@ func TestWarpBuilderRegisterRotation(t *testing.T) {
 // counts a panicking function as done). A caller that was already waiting
 // on the panicking generation generates for itself too.
 func TestGeneratePanicDoesNotPoison(t *testing.T) {
+	panickyRuns++
+	name := fmt.Sprintf("PANICKY%d", panickyRuns)
 	var mu sync.Mutex
 	calls := map[float64]int{}
 	entered, release := make(chan struct{}), make(chan struct{})
-	catalog = append(catalog, Spec{Name: "PANICKY", Suite: "test", Generate: func(scale float64) *trace.App {
+	catalog = append(catalog, Spec{Name: name, Suite: "test", Generate: func(scale float64) *trace.App {
 		mu.Lock()
 		calls[scale]++
 		first := calls[scale] == 1
@@ -267,19 +273,9 @@ func TestGeneratePanicDoesNotPoison(t *testing.T) {
 		if first {
 			panic("generator bug")
 		}
-		return &trace.App{Name: "PANICKY", Suite: "test"}
+		return &trace.App{Name: name, Suite: "test"}
 	}})
-	defer func() {
-		catalog = catalog[:len(catalog)-1]
-		genMu.Lock()
-		for key := range genCache {
-			if key.name == "PANICKY" {
-				delete(genCache, key)
-			}
-		}
-		genOrder = slices.DeleteFunc(genOrder, func(key genKey) bool { return key.name == "PANICKY" })
-		genMu.Unlock()
-	}()
+	defer func() { catalog = catalog[:len(catalog)-1] }()
 
 	func() {
 		defer func() {
@@ -287,12 +283,12 @@ func TestGeneratePanicDoesNotPoison(t *testing.T) {
 				t.Error("the panic did not reach the generating caller")
 			}
 		}()
-		Generate("PANICKY", 1)
+		Generate(name, 1)
 	}()
-	if app, err := Generate("PANICKY", 1); err != nil || app == nil {
+	if app, err := Generate(name, 1); err != nil || app == nil {
 		t.Fatalf("the caller after a panic got (%v, %v), want a generated app", app, err)
 	}
-	if app, _ := Generate("PANICKY", 1); app == nil || calls[1] != 2 {
+	if app, _ := Generate(name, 1); app == nil || calls[1] != 2 {
 		t.Errorf("a retained app was regenerated: %d generator calls, want 2", calls[1])
 	}
 
@@ -303,11 +299,11 @@ func TestGeneratePanicDoesNotPoison(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer func() { recover() }()
-		Generate("PANICKY", 2)
+		Generate(name, 2)
 	}()
 	<-entered
 	waiter := make(chan *trace.App)
-	go func() { app, _ := Generate("PANICKY", 2); waiter <- app }()
+	go func() { app, _ := Generate(name, 2); waiter <- app }()
 	close(release)
 	wg.Wait()
 	if app := <-waiter; app == nil {

@@ -291,19 +291,13 @@ func SimulateHardware(app *App, gpu GPU) (*Result, error) {
 	return hwmodel.Run(app, gpu, hwmodel.DefaultParams())
 }
 
-// Job is one simulation for SimulateAll.
-type Job struct {
-	App *App
-	GPU GPU
-	Cfg Config
-}
+// Job is one simulation for SimulateAll: an App on a GPU under Opts, a
+// Config.
+type Job = runner.Job
 
 // Outcome pairs a job's result with its error. A failed job's Err is a
 // *JobError identifying the job; use errors.As/errors.Is to inspect it.
-type Outcome struct {
-	Result *Result
-	Err    error
-}
+type Outcome = runner.Outcome
 
 // RunOptions tunes SimulateAllOpts: sweep-wide cancellation (Ctx), per-job
 // deadlines (JobTimeout), fail-fast behavior and a progress callback. The
@@ -335,16 +329,7 @@ func SimulateAll(jobs []Job, threads int) []Outcome {
 // bounds each job, opts.FailFast stops after the first failure, and
 // opts.OnProgress observes completions.
 func SimulateAllOpts(jobs []Job, threads int, opts RunOptions) []Outcome {
-	rjobs := make([]runner.Job, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = runner.Job{App: j.App, GPU: j.GPU, Opts: j.Cfg}
-	}
-	outs := runner.Run(rjobs, threads, opts)
-	res := make([]Outcome, len(outs))
-	for i, o := range outs {
-		res[i] = Outcome{Result: o.Result, Err: o.Err}
-	}
-	return res
+	return runner.Run(jobs, threads, opts)
 }
 
 // WriteMetricsReport formats a result's counters (with derived miss rates)

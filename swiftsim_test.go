@@ -108,7 +108,7 @@ func TestFacadeSimulateAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, Job{App: app, GPU: gpu, Cfg: Config{Kind: SwiftSimMemory}})
+		jobs = append(jobs, Job{App: app, GPU: gpu, Opts: Config{Kind: SwiftSimMemory}})
 	}
 	outs := SimulateAll(jobs, 2)
 	if len(outs) != 3 {
