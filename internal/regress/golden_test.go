@@ -30,6 +30,58 @@ func goldenCorpus(t testing.TB) Corpus {
 	return c
 }
 
+// goldenKinds are the simulator kinds whose corpus is committed beside
+// Memory's: the same apps, presets and scale, one fixture directory per kind
+// named as sim.ParseKind spells it.
+var goldenKinds = []struct {
+	dir  string
+	kind sim.Kind
+}{{"basic", sim.Basic}, {"detailed", sim.Detailed}, {"l2", sim.L2Hybrid}}
+
+// kindGoldenPath is GoldenPath for one of goldenKinds:
+// testdata/golden/<kind>/<gpu>/<app>.golden.
+func kindGoldenPath(dir, gpuName, appName string) string {
+	return filepath.Join("testdata", "golden", dir, gpuName, appName+".golden")
+}
+
+// kindCorpus is DefaultCorpus under kind; under -short it keeps one preset.
+func kindCorpus(kind sim.Kind) Corpus {
+	c := DefaultCorpus()
+	c.Opts.Kind = kind
+	if testing.Short() {
+		c.GPUs = c.GPUs[:1]
+	}
+	return c
+}
+
+// checkGolden runs cs and compares its canonical metrics with the fixture at
+// path, or rewrites the fixture under -update.
+func checkGolden(t *testing.T, cs Case, path string) {
+	t.Helper()
+	res, err := cs.Run()
+	if err != nil {
+		t.Fatalf("simulation failed: %v", err)
+	}
+	got := Canonical(res)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("canonical metrics drifted from %s (regenerate with -update if intended):\n%s",
+			path, DiffLines(want, got, 20))
+	}
+}
+
 // TestGoldenCorpus pins the canonical metrics of every corpus case to its
 // committed fixture. Any metrics drift — cycles, counters, derived rates —
 // fails with a line diff; `-update` regenerates the fixtures.
@@ -37,30 +89,21 @@ func TestGoldenCorpus(t *testing.T) {
 	corpus := goldenCorpus(t)
 	for _, cs := range corpus.Cases() {
 		t.Run(cs.GPU.Name+"/"+cs.App, func(t *testing.T) {
-			res, err := cs.Run()
-			if err != nil {
-				t.Fatalf("simulation failed: %v", err)
-			}
-			got := Canonical(res)
-			path := GoldenPath(cs.GPU.Name, cs.App)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("canonical metrics drifted from %s (regenerate with -update if intended):\n%s",
-					path, DiffLines(want, got, 20))
-			}
+			checkGolden(t, cs, GoldenPath(cs.GPU.Name, cs.App))
 		})
+	}
+}
+
+// TestGoldenCorpusKinds is TestGoldenCorpus for Basic, Detailed and
+// L2Hybrid: the cycle-accurate SM core, LD/ST path, timed caches, NoC and
+// DRAM that Memory's corpus never reaches.
+func TestGoldenCorpusKinds(t *testing.T) {
+	for _, k := range goldenKinds {
+		for _, cs := range kindCorpus(k.kind).Cases() {
+			t.Run(k.dir+"/"+cs.GPU.Name+"/"+cs.App, func(t *testing.T) {
+				checkGolden(t, cs, kindGoldenPath(k.dir, cs.GPU.Name, cs.App))
+			})
+		}
 	}
 }
 
@@ -133,19 +176,27 @@ func TestGoldenFixturesComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixture inventory covers the full corpus")
 	}
-	corpus := DefaultCorpus()
 	want := make(map[string]bool)
-	for _, cs := range corpus.Cases() {
+	for _, cs := range DefaultCorpus().Cases() {
 		want[GoldenPath(cs.GPU.Name, cs.App)] = true
+	}
+	for _, k := range goldenKinds {
+		for _, cs := range kindCorpus(k.kind).Cases() {
+			want[kindGoldenPath(k.dir, cs.GPU.Name, cs.App)] = true
+		}
 	}
 	for path := range want {
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("corpus case has no fixture: %s (run go test ./internal/regress/ -run Golden -update)", path)
 		}
 	}
-	matches, err := filepath.Glob(filepath.Join("testdata", "golden", "*", "*.golden"))
-	if err != nil {
-		t.Fatal(err)
+	var matches []string
+	for _, pattern := range []string{"*/*.golden", "*/*/*.golden"} {
+		m, err := filepath.Glob(filepath.Join("testdata", "golden", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches = append(matches, m...)
 	}
 	for _, m := range matches {
 		if !want[m] {
