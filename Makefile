@@ -50,7 +50,7 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-# golden re-checks the committed 60-case fixture corpus only (fast drift
+# golden re-checks the committed 240-case fixture corpus only (fast drift
 # check without the rest of the suite).
 golden:
 	$(GO) test -run Golden ./internal/regress/...

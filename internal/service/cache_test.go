@@ -1,13 +1,12 @@
 package service
 
 import (
-	"context"
-	"errors"
+	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 )
 
 func TestCacheMissFulfillHit(t *testing.T) {
@@ -55,85 +54,6 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	val, hit, _, _ := c2.Claim("k")
 	if !hit || string(val) != "v" {
 		t.Fatalf("fresh instance: hit=%v val=%q, want persisted value", hit, val)
-	}
-}
-
-// TestCacheSingleFlight: a claim of an in-flight key joins the owner's
-// computation instead of owning a second one, and gets the owner's value.
-func TestCacheSingleFlight(t *testing.T) {
-	c, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, owner, f := c.Claim("k")
-	if !owner {
-		t.Fatal("first claim did not own")
-	}
-	var wg sync.WaitGroup
-	joinedVal := make([]string, 3)
-	for i := 0; i < 3; i++ {
-		_, hit, own2, f2 := c.Claim("k")
-		if hit || own2 {
-			t.Fatalf("concurrent claim: hit=%v owner=%v, want join", hit, own2)
-		}
-		wg.Add(1)
-		go func(i int, f2 *Flight) {
-			defer wg.Done()
-			v, err := f2.Wait(context.Background())
-			if err != nil {
-				t.Errorf("joiner %d: %v", i, err)
-			}
-			joinedVal[i] = string(v)
-		}(i, f2)
-	}
-	if err := c.Fulfill(f, []byte("once")); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, v := range joinedVal {
-		if v != "once" {
-			t.Errorf("joiner %d got %q", i, v)
-		}
-	}
-	if st := c.Stats(); st.Waits != 3 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 3 waits / 1 miss", st)
-	}
-}
-
-// TestCacheFailReleasesAndRetries: a failed flight propagates its error
-// to joiners, persists nothing, and the next claim owns a fresh attempt.
-func TestCacheFailReleasesAndRetries(t *testing.T) {
-	c, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	_, _, _, f := c.Claim("k")
-	_, _, _, joined := c.Claim("k")
-	c.Fail(f, boom)
-	if _, err := joined.Wait(context.Background()); !errors.Is(err, boom) {
-		t.Errorf("joiner error = %v, want boom", err)
-	}
-	_, hit, owner, f2 := c.Claim("k")
-	if hit || !owner {
-		t.Fatalf("retry claim: hit=%v owner=%v, want fresh ownership", hit, owner)
-	}
-	c.Fail(f2, boom)
-}
-
-// TestFlightWaitHonorsContext: a joiner abandoned by a wedged owner is
-// still released by its own context.
-func TestFlightWaitHonorsContext(t *testing.T) {
-	c, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, _ = c.Claim("k") // owner never resolves
-	_, _, _, f := c.Claim("k")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := f.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Wait = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -212,5 +132,101 @@ func TestCacheCorruptBlobEvicted(t *testing.T) {
 	val, hit, _, _ = c.Claim("k")
 	if !hit || string(val) != "good bytes" {
 		t.Errorf("healed claim: hit=%v val=%q", hit, val)
+	}
+}
+
+// writeCacheFixture adds a cache entry stored by this build to the committed
+// ones:
+//
+//	go test ./internal/service/ -run CacheKeyFixtures -write-cache-fixture
+var writeCacheFixture = flag.Bool("write-cache-fixture", false, "store smallSpec's job under testdata/keyschema/<keySchema's number>")
+
+// TestCacheKeyFixtures holds committed cache entries to the key schema rule.
+// Each testdata/keyschema/<N> is a cache directory with one entry, a ref and
+// its blob, for smallSpec's job, stored under key schema N by a test binary
+// (code version "unversioned"). A Service opened on a copy of the current
+// schema's directory must serve the job as a hit with the stored bytes, so
+// a key derivation that changes without a keySchema bump fails here. Under
+// any other schema an entry is simply cold: the job is computed. A change
+// that bumps keySchema keeps the old directory, which then checks that it
+// is cold, and adds one with -write-cache-fixture.
+func TestCacheKeyFixtures(t *testing.T) {
+	schema := strings.TrimPrefix(keySchema, "swiftsim-service-key ")
+	if *writeCacheFixture {
+		dir := filepath.Join("testdata", "keyschema", schema)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, submit(t, newService(t, Config{CacheDir: dir}), smallSpec()))
+	}
+
+	dirs, err := filepath.Glob(filepath.Join("testdata", "keyschema", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := false
+	for _, dir := range dirs {
+		refs, err := filepath.Glob(filepath.Join(dir, "*.ref"))
+		if err != nil || len(refs) != 1 {
+			t.Fatalf("%s: refs %v (%v), want one", dir, refs, err)
+		}
+		hash, err := os.ReadFile(refs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cacheDir := t.TempDir()
+		copyDir(t, dir, cacheDir)
+		sw := submit(t, newService(t, Config{CacheDir: cacheDir}), smallSpec())
+		waitDone(t, sw)
+		st := sw.Status()
+		res, _ := sw.Results()
+		if filepath.Base(dir) != schema {
+			if st.Ok != 1 || st.Cached != 0 {
+				t.Errorf("%s under key schema %s: %+v, want the entry cold and the job computed", dir, schema, st)
+			}
+			continue
+		}
+		current = true
+		if st.Cached != 1 || BlobHash(res) != string(hash) {
+			t.Errorf("%s: %+v, want the stored entry served as a hit", dir, st)
+		}
+	}
+	if !current {
+		t.Errorf("no cache fixture under key schema %s (add one with -write-cache-fixture)", schema)
+	}
+}
+
+// submit submits spec to s, failing the test on a rejection.
+func submit(t *testing.T, s *Service, spec Spec) *Sweep {
+	t.Helper()
+	sw, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
+// copyDir copies the tree at src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

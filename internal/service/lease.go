@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,8 +15,21 @@ import (
 
 // This file is the daemon's job table: the lease board. Every cache miss of
 // every sweep is posted here and nowhere else, and "where it runs" is a
-// property of who claims it. There are two kinds of claimant and one state
-// machine:
+// property of who claims it.
+//
+// The table holds each unresolved job once, keyed by its cache key, with
+// the (sweep, index) waiters that want its result. A post of a key already
+// in the table attaches its waiter to that job (single-flight: identical
+// jobs of concurrent sweeps simulate once); a post of a new key creates the
+// job, and the creator reads the cache again before queueing it, so a
+// commit that landed since the sweep's own read is served as a hit. A
+// commit writes the key's ref before the job leaves the table, so a post
+// either finds the job or finds the value on disk. Resolution, Cancel and
+// Close each notify the waiters they take off a job, and each waiter is
+// taken off once. Cancel takes off only the canceling sweep's waiter, and
+// revokes the job only when no waiter is left.
+//
+// There are two kinds of claimant and one state machine:
 //
 //   - the daemon's own Config.Threads executors (service.go), registered as
 //     one in-process worker. They claim by direct call and simulate from
@@ -138,12 +152,13 @@ type BoardStats struct {
 }
 
 // boardJob is one job on the board: its identity (the embedded job's cache
-// key), what a claimant needs to simulate it, and its place in the state
-// machine. A job is pending while it sits in the queue, leased while lease
-// is set, and done once it has left the job table; done fires exactly once.
+// key), what a claimant needs to simulate it, its place in the state
+// machine, and its waiters. A job is pending while it sits in the queue,
+// leased while lease is set, and done once it has left the job table.
 type boardJob struct {
-	// The resolved job and what its sweep adds to it. In-process claimants
-	// simulate from these directly; Wire names them for remote ones.
+	// The resolved job and what the posting sweep adds to it; a joiner
+	// takes them as they are. In-process claimants simulate from these
+	// directly; Wire names them for remote ones.
 	*job
 	timeout time.Duration // wall-clock budget (0 = none)
 	// trace is the sweep's tracer (nil records nothing): the job records
@@ -157,12 +172,21 @@ type boardJob struct {
 	token   uint64 // fencing counter, incremented at each grant
 	lease   *lease // current grant when leased
 
-	// onStart fires at most once per grant (a requeued job "starts"
-	// again); done fires exactly once with the job's terminal outcome: the
-	// result and, when a remote worker published it, its store hash. Both
-	// are invoked outside the board lock.
-	onStart func(worker string)
-	done    func(val []byte, hash string, err error)
+	// waiters want the job's outcome, the creator's first. Whoever takes
+	// one off under the board lock notifies it.
+	waiters []*waiter
+}
+
+// waiter is one (sweep, index) cell waiting for a job. start fires at each
+// grant it is attached for (a requeued job "starts" again); done fires
+// exactly once, with the job's outcome or with the error that detached it.
+// cached reports a value this waiter did not cause to be computed: it
+// joined another post's job, or its post found the value on disk. Both run
+// outside the board lock.
+type waiter struct {
+	start  func(worker string)
+	done   func(val []byte, err error, cached bool)
+	joined bool
 }
 
 // lease is one live grant of a job to a worker. Everything but deadline is
@@ -194,11 +218,12 @@ type boardWorker struct {
 type board struct {
 	ttl      time.Duration
 	maxTries int
+	cache    *Cache // where posts look values up and commits store them
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*boardJob // pending, FIFO; requeues go to the front
-	jobs    map[string]*boardJob
+	queue   []*boardJob          // pending, FIFO; requeues go to the front
+	jobs    map[string]*boardJob // every unresolved job, by key
 	leases  map[string]*lease
 	workers map[string]*boardWorker
 	nextID  int
@@ -209,8 +234,8 @@ type board struct {
 	reaperDone chan struct{}
 }
 
-// newBoard starts a board and its lease reaper.
-func newBoard(ttl time.Duration, maxTries int) *board {
+// newBoard starts a board over cache and its lease reaper.
+func newBoard(ttl time.Duration, maxTries int, cache *Cache) *board {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
@@ -220,6 +245,7 @@ func newBoard(ttl time.Duration, maxTries int) *board {
 	b := &board{
 		ttl:        ttl,
 		maxTries:   maxTries,
+		cache:      cache,
 		jobs:       make(map[string]*boardJob),
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]*boardWorker),
@@ -254,7 +280,7 @@ func (b *board) reaper() {
 
 // reap requeues (or terminally fails) every job whose remote lease expired
 // before now, and forgets remote workers silent for forgetAfterTTLs.
-// Terminal done callbacks run outside the lock.
+// Terminal notifications run outside the lock.
 func (b *board) reap(now time.Time) {
 	var failed []*boardJob
 	b.mu.Lock()
@@ -268,7 +294,6 @@ func (b *board) reap(now time.Time) {
 		b.stats.Expired++
 		if j.attempt >= b.maxTries {
 			b.stats.Exhausted++
-			delete(b.jobs, j.key)
 			failed = append(failed, j)
 			continue
 		}
@@ -286,7 +311,7 @@ func (b *board) reap(now time.Time) {
 	}
 	b.mu.Unlock()
 	for _, j := range failed {
-		j.done(nil, "", fmt.Errorf("%w: job %s gave out %d lease(s), none fulfilled", ErrRetriesExhausted, j.key, j.attempt))
+		b.resolve(j, nil, fmt.Errorf("%w: job %s gave out %d lease(s), none fulfilled", ErrRetriesExhausted, j.key, j.attempt), false)
 	}
 }
 
@@ -303,18 +328,43 @@ func (b *board) Register(local bool) string {
 	return id
 }
 
-// Enqueue posts a job to the board. The job's done callback will fire
-// exactly once, from a board goroutine, an executor or an HTTP handler.
-func (b *board) Enqueue(j *boardJob) {
+// Post attaches w to the unresolved job of j's key, or makes j that job:
+// it reads the cache again, serving a value committed since the caller's
+// own read as a hit, and queues j only on a miss. w's done fires exactly
+// once, from a board goroutine, an executor, an HTTP handler or the
+// caller.
+func (b *board) Post(j *boardJob, w *waiter) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		j.done(nil, "", errBoardClosed)
+		w.done(nil, errBoardClosed, false)
 		return
 	}
+	if cur, ok := b.jobs[j.key]; ok {
+		w.joined = true
+		cur.waiters = append(cur.waiters, w)
+		b.cache.waits.Add(1)
+		b.mu.Unlock()
+		return
+	}
+	j.waiters = []*waiter{w}
 	b.jobs[j.key] = j
-	b.queue = append(b.queue, j)
-	b.cond.Broadcast()
+	b.mu.Unlock()
+
+	if val, ok := b.cache.lookup(j.key); ok {
+		b.resolve(j, val, nil, true)
+		return
+	}
+	b.mu.Lock()
+	switch {
+	case b.closed: // Close took the waiters
+	case len(j.waiters) == 0: // Cancel took the last one
+		delete(b.jobs, j.key)
+	default:
+		b.cache.misses.Add(1)
+		b.queue = append(b.queue, j)
+		b.cond.Broadcast()
+	}
 	b.mu.Unlock()
 }
 
@@ -362,10 +412,11 @@ func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 	}
 	j.lease = l
 	b.leases[l.id] = l
-	onStart := j.onStart
+	// A copy: Cancel edits the waiter list in place.
+	starts := append([]*waiter(nil), j.waiters...)
 	b.mu.Unlock()
-	if onStart != nil {
-		onStart(workerID)
+	for _, w := range starts {
+		w.start(workerID)
 	}
 	return l, nil
 }
@@ -423,8 +474,8 @@ func (b *board) Heartbeat(workerID string, leaseIDs []string) (renewed, lost []s
 }
 
 // resolveLease validates a commit attempt against the fencing rules and,
-// when valid, marks the job done. It returns the job for the caller to
-// fire done on (outside the lock).
+// when valid, ends the grant. The job stays in the table, neither pending
+// nor leased, for the caller to resolve.
 func (b *board) resolveLease(leaseID string, token uint64) (*boardJob, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -434,7 +485,6 @@ func (b *board) resolveLease(leaseID string, token uint64) (*boardJob, error) {
 		return nil, fmt.Errorf("%w: lease %s token %d is not the current grant", ErrStaleLease, leaseID, token)
 	}
 	b.release(l)
-	delete(b.jobs, l.job.key)
 	return l.job, nil
 }
 
@@ -447,58 +497,87 @@ func (b *board) Fulfill(leaseID string, token uint64, val []byte, hash string) e
 	if err != nil {
 		return err
 	}
-	j.done(val, hash, nil)
+	// The ref is written before the job leaves the table, so a post of the
+	// key finds one or the other. A failed write only costs persistence:
+	// the value still reaches every waiter.
+	_ = b.cache.put(j.key, val, hash)
+	b.resolve(j, val, nil, false)
 	return nil
 }
 
 // Fail commits a claimant-reported job failure (a simulation error, not a
 // worker death — those surface as lease expiries). Failures are
 // deterministic re-simulation errors, so they are terminal rather than
-// requeued.
+// requeued; nothing is stored, and the next post of the key computes it
+// afresh.
 func (b *board) Fail(leaseID string, token uint64, cause error) error {
 	j, err := b.resolveLease(leaseID, token)
 	if err != nil {
 		return err
 	}
-	j.done(nil, "", cause)
+	b.resolve(j, nil, cause, false)
 	return nil
 }
 
-// Cancel terminally resolves a job (FailFast skips) with err. A pending
-// job is dequeued; a leased job's lease is invalidated so the claimant's
-// eventual commit is rejected — a remote worker's next heartbeat reports
-// the lease lost, an in-process simulation is stopped through its context.
-// Unknown keys (already resolved) are ignored.
-func (b *board) Cancel(key string, err error) {
+// resolve takes j out of the job table and notifies every waiter still on
+// it with the outcome; hit marks a value read from the cache.
+func (b *board) resolve(j *boardJob, val []byte, err error, hit bool) {
 	b.mu.Lock()
+	if b.jobs[j.key] == j {
+		delete(b.jobs, j.key)
+	}
+	ws := j.waiters
+	j.waiters = nil
+	b.mu.Unlock()
+	for _, w := range ws {
+		w.done(val, err, err == nil && (hit || w.joined))
+	}
+}
+
+// Cancel detaches w from key's job and notifies it with err (FailFast
+// skips). The job itself is revoked only when no waiter is left; a waiter
+// no longer on key's job (already notified) is ignored.
+func (b *board) Cancel(key string, w *waiter, err error) {
+	b.mu.Lock()
+	i := -1
 	j, ok := b.jobs[key]
-	if !ok {
+	if ok {
+		i = slices.Index(j.waiters, w)
+	}
+	if i < 0 {
 		b.mu.Unlock()
 		return
 	}
-	delete(b.jobs, key)
-	if j.lease == nil { // pending: dequeue it
-		for i, q := range b.queue {
-			if q == j {
-				last := len(b.queue) - 1
-				copy(b.queue[i:], b.queue[i+1:])
-				b.queue[last] = nil // as in Claim: do not retain the job
-				b.queue = b.queue[:last]
-				b.cond.Broadcast() // as in Claim: the head may have changed
-				break
-			}
-		}
-	}
-	if j.lease != nil {
-		b.release(j.lease)
+	j.waiters = slices.Delete(j.waiters, i, i+1)
+	if len(j.waiters) == 0 {
+		b.revoke(j)
 	}
 	b.mu.Unlock()
-	j.done(nil, "", err)
+	w.done(nil, err, false)
 }
 
-// Close shuts the board down: claims unblock, every unresolved job is
-// failed with errBoardClosed (wrapping cause when non-nil), in-process
-// simulations are stopped, and the reaper exits. Idempotent.
+// revoke drops a job nobody waits for (the caller holds mu). A pending job
+// is dequeued; a leased job's lease is invalidated so the claimant's
+// eventual commit is rejected — a remote worker's next heartbeat reports
+// the lease lost, an in-process simulation is stopped through its context.
+// A job between the two, whose creator is reading the cache or whose commit
+// is storing its value, is left to them: both take it out of the table.
+func (b *board) revoke(j *boardJob) {
+	if j.lease != nil {
+		b.release(j.lease)
+	} else if i := slices.Index(b.queue, j); i >= 0 {
+		// Delete clears the vacated slot: as in Claim, do not retain the job.
+		b.queue = slices.Delete(b.queue, i, i+1)
+		b.cond.Broadcast() // as in Claim: the head may have changed
+	} else {
+		return
+	}
+	delete(b.jobs, j.key)
+}
+
+// Close shuts the board down: claims unblock, every waiter of an unresolved
+// job is notified with errBoardClosed (wrapping cause when non-nil),
+// in-process simulations are stopped, and the reaper exits. Idempotent.
 func (b *board) Close(cause error) {
 	b.mu.Lock()
 	if b.closed {
@@ -510,7 +589,11 @@ func (b *board) Close(cause error) {
 	if cause != nil {
 		err = fmt.Errorf("%w: %w", errBoardClosed, cause)
 	}
-	unresolved := b.jobs // a resolved job has left the table
+	var ws []*waiter
+	for _, j := range b.jobs { // a resolved job has left the table
+		ws = append(ws, j.waiters...)
+		j.waiters = nil
+	}
 	for _, l := range b.leases {
 		b.release(l)
 	}
@@ -520,8 +603,8 @@ func (b *board) Close(cause error) {
 	b.mu.Unlock()
 	close(b.stopReaper)
 	<-b.reaperDone
-	for _, j := range unresolved {
-		j.done(nil, "", err)
+	for _, w := range ws {
+		w.done(nil, err, false)
 	}
 }
 

@@ -238,6 +238,71 @@ func TestDistributedFailFastRemote(t *testing.T) {
 	}
 }
 
+// eventually polls cond until it holds, failing the test after 30 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestFailFastSparesAnotherSweepsJob: FailFast skips the failing sweep's own
+// jobs and nobody else's. Sweep A (FailFast) posts BFS and SM, and sweep B
+// joins A's SM job. With SM leased, A's BFS fails: A's SM ends skipped, but
+// the job keeps its lease because B still waits on it, and B's SM ends done
+// with the bytes of an in-process run.
+func TestFailFastSparesAnotherSweepsJob(t *testing.T) {
+	specB := Spec{Apps: []string{"SM"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"memory"}, Scale: 0.1}
+	want := localResults(t, specB)
+	s := newService(t, remoteConfig(time.Hour, 3))
+	worker := s.board.Register(false)
+
+	swA, err := s.Submit(Spec{Apps: []string{"BFS", "SM"}, GPUs: specB.GPUs, Sims: specB.Sims, Scale: specB.Scale, FailFast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "sweep A's two jobs on the board", func() bool { return s.Stats().Remote.Pending == 2 })
+	swB, err := s.Submit(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "sweep B to join A's SM job", func() bool { return s.Stats().Cache.Waits == 1 })
+
+	bfs, _, err := claimWire(context.Background(), s.board, worker)
+	if err != nil || bfs.App != "BFS" {
+		t.Fatalf("first claim = %s, %v; want BFS", bfs.App, err)
+	}
+	sm, _, err := claimWire(context.Background(), s.board, worker)
+	if err != nil || sm.App != "SM" {
+		t.Fatalf("second claim = %s, %v; want SM", sm.App, err)
+	}
+	if err := s.board.Fail(bfs.LeaseID, bfs.Token, errors.New("injected failure")); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, swA)
+	if st := swA.Status(); st.Jobs[0].State != StateFailed || st.Jobs[1].State != StateSkipped {
+		t.Errorf("sweep A = %+v, want BFS failed and SM skipped", st.Jobs)
+	}
+
+	// Commit what a worker computes from the SM grant.
+	val, err := (&Worker{}).runJob(context.Background(), sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.board.Fulfill(sm.LeaseID, sm.Token, val, ""); err != nil {
+		t.Fatalf("commit of the job sweep B waits on: %v", err)
+	}
+	waitDone(t, swB)
+	if st := swB.Status(); st.Ok != 1 || st.Jobs[0].State != StateDone {
+		t.Fatalf("sweep B = %+v, want its SM job done", st)
+	}
+	if res, _ := swB.Results(); !bytes.Equal(res, want) {
+		t.Errorf("sweep B's result differs from an in-process run:\n%s", res)
+	}
+}
+
 // TestDistributedWorkerReregisters: a worker the daemon has forgotten (a
 // restart, or aged out) is told so by a 404 and registers again under a
 // new id instead of retrying the dead one for ever; the sweep completes.
@@ -280,7 +345,7 @@ func TestDistributedWorkerReregisters(t *testing.T) {
 // of live workers, not of registrations since boot — and never the
 // daemon's own executor pool, which does not heartbeat.
 func TestBoardForgetsSilentWorkers(t *testing.T) {
-	b := newBoard(inertTTL, 3)
+	b := testBoard(t, 3)
 	defer b.Close(nil)
 	dead, alive := b.Register(false), b.Register(false)
 	b.Register(true)

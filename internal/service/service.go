@@ -8,8 +8,9 @@
 //   - Persistent caching: every job's canonical result is stored on disk
 //     keyed by (code version, GPU config, trace content hash, simulator
 //     options) — see key.go — so a repeated submission is served without
-//     simulating, across restarts. In-process, identical concurrent jobs
-//     are single-flighted: one simulates, the rest wait for its value.
+//     simulating, across restarts. Identical concurrent jobs are
+//     single-flighted on the lease board: one simulates, and the others'
+//     waiters are attached to it and notified with its value.
 //   - Admission control: the total number of queued-plus-running jobs is
 //     bounded by Config.QueueDepth. A submission that would exceed it is
 //     shed immediately (ErrQueueFull → HTTP 429) instead of building an
@@ -18,9 +19,11 @@
 //     lets admitted sweeps finish, and hard-cancels in-flight simulations
 //     only when its context expires.
 //
-// Execution has one plane: every cache miss is posted to the lease board
-// (lease.go) and simulated by whoever claims it — the daemon's own
-// executors, or swiftsim-worker processes over HTTP.
+// Execution has one plane and one job table: every cache miss is posted to
+// the lease board (lease.go), which holds each unresolved job once with the
+// sweeps waiting for it, and is simulated by whoever claims it — the
+// daemon's own executors, or swiftsim-worker processes over HTTP. The
+// result cache (cache.go) only maps a key to a verified blob.
 package service
 
 import (
@@ -228,12 +231,10 @@ type Service struct {
 	cfg   Config
 	cache *Cache
 	store *Store // the cache's blob store, served over /v1/store
-	board *board // the job table: every cache miss is posted here
+	board *board // the one job table: every cache miss is posted here
 
-	ctx    context.Context // canceled only by hard drain
-	cancel context.CancelFunc
-	wg     sync.WaitGroup // running sweeps
-	execs  sync.WaitGroup // the daemon's own executors
+	wg    sync.WaitGroup // running sweeps
+	execs sync.WaitGroup // the daemon's own executors
 
 	mu       sync.Mutex
 	sweeps   map[string]*Sweep
@@ -286,14 +287,11 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:    cfg,
 		cache:  cache,
 		store:  cache.BlobStore(),
-		board:  newBoard(cfg.Remote.LeaseTTL, cfg.Remote.MaxAttempts),
-		ctx:    ctx,
-		cancel: cancel,
+		board:  newBoard(cfg.Remote.LeaseTTL, cfg.Remote.MaxAttempts, cache),
 		sweeps: make(map[string]*Sweep),
 	}
 	if !cfg.Remote.Enabled {
@@ -511,9 +509,8 @@ func (s *Service) Close(ctx context.Context) error {
 	case <-done:
 		s.board.Close(nil)
 	case <-ctx.Done():
-		s.cancel() // hard drain: stop waiting on other sweeps' flights
-		// Resolving the board's outstanding jobs is what unblocks sweeps
-		// waiting on them, so it happens before waiting for the sweeps.
+		// Notifying the waiters of the board's outstanding jobs is what
+		// unblocks the sweeps, so it happens before waiting for them.
 		s.board.Close(context.Canceled)
 		<-done
 		err = ctx.Err()
@@ -561,9 +558,9 @@ func simulate(ctx context.Context, slot int, j *boardJob) ([]byte, error) {
 	return regress.Canonical(o.Result), nil
 }
 
-// runSweep executes one sweep: for each job a cache hit, a wait on another
-// claimant's flight, or an owned miss; then the owned misses are posted to
-// the board, and when every job has resolved the tally is emitted.
+// runSweep executes one sweep: each job is a cache hit, or a post to the
+// board, which joins it to an identical unresolved job or creates it. When
+// every job has resolved the tally is emitted.
 func (s *Service) runSweep(sw *Sweep) {
 	defer s.wg.Done()
 	if hook := s.execHook; hook != nil {
@@ -572,62 +569,47 @@ func (s *Service) runSweep(sw *Sweep) {
 
 	start := time.Now()
 
+	type post struct {
+		j *boardJob
+		w *waiter
+	}
 	var (
 		wg      sync.WaitGroup
 		tripped atomic.Bool
-		owned   []*boardJob
+		posts   []post
 	)
 	for i := range sw.jobs {
 		jb := &sw.jobs[i]
-		val, hit, owner, flight := s.cache.Claim(jb.key)
-		switch {
-		case hit:
+		if val, ok := s.cache.lookup(jb.key); ok {
 			s.finishJob(sw, i, val, nil, true)
-		case owner:
-			j := &boardJob{
-				job: jb, timeout: sw.jobTimeout, trace: sw.trace, index: i, start: start,
-				onStart: func(string) { s.startJob(sw, i) },
-				done: func(val []byte, hash string, err error) {
-					defer wg.Done()
-					if err != nil {
-						s.cache.Fail(flight, err)
-					} else {
-						// A failed ref write only costs persistence; the
-						// value still serves this sweep and its joiners.
-						_ = s.cache.fulfill(flight, val, hash)
-					}
-					s.finishJob(sw, i, val, err, false)
-					// FailFast: terminally skip the sweep's other board jobs.
-					// Cancel ignores keys that already resolved; a job still
-					// running stops through its context (in-process) or at
-					// its worker's next heartbeat (remote). Each skip comes
-					// back through done as a failure, so the first failure
-					// trips a flag: a sync.Once may not be re-entered.
-					if err != nil && sw.failFast && tripped.CompareAndSwap(false, true) {
-						for _, o := range owned {
-							s.board.Cancel(o.key, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
-						}
-					}
-				},
-			}
-			owned = append(owned, j)
-		default:
-			// Joined another claimant's flight. Owners always resolve their
-			// flights (even for skipped jobs), so the wait terminates; s.ctx
-			// guards against a hard drain racing an owner.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				val, err := flight.Wait(s.ctx)
-				s.finishJob(sw, i, val, err, err == nil)
-			}()
+			continue
 		}
+		w := &waiter{
+			start: func(string) { s.startJob(sw, i) },
+			done: func(val []byte, err error, cached bool) {
+				defer wg.Done()
+				s.finishJob(sw, i, val, err, cached)
+				// FailFast: terminally skip the sweep's other jobs, posted or
+				// joined. Cancel detaches only this sweep's waiter and ignores
+				// one already notified; a job nobody else waits for stops
+				// through its context (in-process) or at its worker's next
+				// heartbeat (remote). Each skip comes back through done as a
+				// failure, so the first failure trips a flag: a sync.Once may
+				// not be re-entered.
+				if err != nil && sw.failFast && tripped.CompareAndSwap(false, true) {
+					for _, p := range posts {
+						s.board.Cancel(p.j.key, p.w, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
+					}
+				}
+			},
+		}
+		posts = append(posts, post{&boardJob{job: jb, timeout: sw.jobTimeout, trace: sw.trace, index: i, start: start}, w})
 	}
-	// Posting starts only once owned is complete: the first failure may
-	// come back before the last Enqueue, and FailFast must see them all.
-	wg.Add(len(owned))
-	for _, j := range owned {
-		s.board.Enqueue(j)
+	// Posting starts only once posts is complete: the first failure may
+	// come back before the last Post, and FailFast must see them all.
+	wg.Add(len(posts))
+	for _, p := range posts {
+		s.board.Post(p.j, p.w)
 	}
 	wg.Wait()
 

@@ -216,7 +216,7 @@ func TestHardDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.execHook = func(*Sweep) { <-s.ctx.Done() } // wedge until hard cancel
+	s.runHook = func(l *lease) { <-l.ctx.Done() } // wedge until hard cancel
 	sw, err := s.Submit(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -501,5 +501,35 @@ func TestJobKeyAllocations(t *testing.T) {
 	t.Logf("%v allocations per key", allocs)
 	if ceiling := 18.0; allocs > ceiling {
 		t.Errorf("jobKey allocated %v objects, ceiling %v", allocs, ceiling)
+	}
+}
+
+// TestWarmResubmitAllocations: a resubmitted sweep whose jobs are all cached
+// is served by disk reads alone, with no table entry and no waiter, so its
+// cost is held as allocations per job, sweep overhead included. The ceiling
+// sits about 25% above the measured 35 (the key derivation is 14 of them);
+// a flight record and channel per hit made it 37.
+func TestWarmResubmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := newService(t, Config{})
+	spec := Spec{Apps: []string{"BFS", "SM", "GEMM", "LU", "NW", "ADI", "ATAX", "GRU"}, GPUs: []string{"RTX2080Ti"}, Sims: []string{"memory"}, Scale: 0.1}
+	resubmit := func() *Sweep {
+		sw, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, sw)
+		return sw
+	}
+	resubmit() // cold
+	if st := resubmit().Status(); st.Cached != len(spec.Apps) {
+		t.Fatalf("resubmit: %+v, want every job cached", st)
+	}
+	perJob := testing.AllocsPerRun(10, func() { resubmit() }) / float64(len(spec.Apps))
+	t.Logf("%.1f allocations per warm job", perJob)
+	if ceiling := 44.0; perJob > ceiling {
+		t.Errorf("a warm job allocated %.1f objects, ceiling %v", perJob, ceiling)
 	}
 }
