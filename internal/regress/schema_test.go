@@ -26,9 +26,11 @@ var writeSnapshotFixture = flag.Bool("write-snapshot-fixture", false, "write tes
 // scale 0.1 on the RTX 2080 Ti under Swift-Sim-Memory, halfway through. One
 // written at the current snap.Version must restore to the canonical bytes of
 // the uninterrupted run; one written at any other version must be refused
-// with snap.ErrVersion, never misread. A layout change that bumps
-// snap.Version keeps the old fixture, which then checks the refusal, and
-// adds one at the new version with -write-snapshot-fixture.
+// with snap.ErrVersion, never misread. This build must also write the
+// current version's fixture byte for byte when it checkpoints the same run.
+// A layout change that bumps snap.Version keeps the old fixture, which then
+// checks the refusal, and adds one at the new version with
+// -write-snapshot-fixture.
 func TestSnapshotFixtures(t *testing.T) {
 	cs := Case{App: "BFS", Scale: 0.1, GPU: config.RTX2080Ti(), Opts: sim.Options{Kind: sim.Memory}}
 	base, err := cs.Run()
@@ -36,16 +38,20 @@ func TestSnapshotFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Canonical(base)
+	var buf bytes.Buffer
+	c := cs
+	c.Opts.SnapshotAt, c.Opts.SnapshotTo = base.Cycles/2, &buf
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	currentPath := filepath.Join("testdata", "schema", fmt.Sprintf("v%d.snap", snap.Version))
 	if *writeSnapshotFixture {
-		var buf bytes.Buffer
-		c := cs
-		c.Opts.SnapshotAt, c.Opts.SnapshotTo = base.Cycles/2, &buf
-		if _, err := c.Run(); err != nil {
+		if err := os.WriteFile(currentPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join("testdata", "schema", fmt.Sprintf("v%d.snap", snap.Version)), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if data, err := os.ReadFile(currentPath); err == nil && !bytes.Equal(data, buf.Bytes()) {
+		t.Errorf("this build checkpoints the fixture's run to other bytes than %s (a layout change bumps snap.Version)", currentPath)
 	}
 
 	paths, err := filepath.Glob(filepath.Join("testdata", "schema", "v*.snap"))
