@@ -10,63 +10,27 @@ import (
 	"swiftsim/internal/snap"
 )
 
-// SnapSave implements snap.Stateful.
-func (u *ALUModel) SnapSave(w *snap.Writer) {
-	w.U64(u.freeAt)
-}
+// Snap implements snap.Stateful.
+func (u *ALUModel) Snap(c *snap.Codec) { c.U64(&u.freeAt) }
 
-// SnapLoad implements snap.Stateful.
-func (u *ALUModel) SnapLoad(r *snap.Reader) error {
-	u.freeAt = r.U64()
-	return r.Err()
-}
-
-// snapSave serializes the meter's booked-until time; the service rate is
+// snap walks the meter's booked-until time; the service rate is
 // configuration-derived.
-func (m *BandwidthMeter) snapSave(w *snap.Writer) { w.F64(m.freeAt) }
+func (m *BandwidthMeter) snap(c *snap.Codec) { c.F64(&m.freeAt) }
 
-func (m *BandwidthMeter) snapLoad(r *snap.Reader) { m.freeAt = r.F64() }
-
-// SnapSave implements snap.Stateful.
-func (u *MemModel) SnapSave(w *snap.Writer) {
-	w.U64(u.freeAt)
+// Snap implements snap.Stateful.
+func (u *MemModel) Snap(c *snap.Codec) {
+	c.U64(&u.freeAt)
 	for _, m := range []*BandwidthMeter{u.dram, u.l1port, u.noc, u.mshr} {
-		w.Bool(m != nil)
-		if m != nil {
-			m.snapSave(w)
+		if c.Has(m != nil, "bandwidth meter") {
+			m.snap(c)
 		}
 	}
 }
 
-// SnapLoad implements snap.Stateful.
-func (u *MemModel) SnapLoad(r *snap.Reader) error {
-	u.freeAt = r.U64()
-	for _, m := range []*BandwidthMeter{u.dram, u.l1port, u.noc, u.mshr} {
-		if has := r.Bool(); has != (m != nil) {
-			r.Failf("memory model %s: bandwidth-meter presence mismatch", u.name)
-			return r.Err()
-		}
-		if m != nil {
-			m.snapLoad(r)
-		}
-	}
-	return r.Err()
-}
-
-// SnapSave implements snap.Stateful: the warmed functional L2 plus the
-// shared bandwidth meters.
-func (b *Backend) SnapSave(w *snap.Writer) {
-	b.l2.SnapSave(w)
-	b.noc.snapSave(w)
-	b.dram.snapSave(w)
-}
-
-// SnapLoad implements snap.Stateful.
-func (b *Backend) SnapLoad(r *snap.Reader) error {
-	if err := b.l2.SnapLoad(r); err != nil {
-		return err
-	}
-	b.noc.snapLoad(r)
-	b.dram.snapLoad(r)
-	return r.Err()
+// Snap implements snap.Stateful: the warmed functional L2 plus the shared
+// bandwidth meters.
+func (b *Backend) Snap(c *snap.Codec) {
+	b.l2.Snap(c)
+	b.noc.snap(c)
+	b.dram.snap(c)
 }

@@ -155,9 +155,8 @@ func (r *refTags) rng() uint64 {
 }
 
 func snapBytes(t *tags) []byte {
-	var w snap.Writer
-	t.snapSave(&w)
-	return w.Bytes()
+	b, _ := snap.Save(t.snap)
+	return b
 }
 
 var policies = []config.Replacement{config.LRU, config.FIFO, config.Random}

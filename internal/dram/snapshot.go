@@ -10,32 +10,18 @@ import (
 	"swiftsim/internal/snap"
 )
 
-// SnapSave implements snap.Stateful.
-func (p *Partition) SnapSave(w *snap.Writer) {
+// Snap implements snap.Stateful.
+func (p *Partition) Snap(c *snap.Codec) {
 	if len(p.queue) != 0 {
-		w.Fail(fmt.Errorf("%w: DRAM partition %s holds %d queued requests", snap.ErrNotQuiescent, p.name, len(p.queue)))
+		c.Fail(fmt.Errorf("%w: DRAM partition %s holds %d queued requests", snap.ErrNotQuiescent, p.name, len(p.queue)))
 		return
 	}
-	w.U64(uint64(p.banks))
-	for b := 0; b < p.banks; b++ {
-		w.U64(p.bankFreeAt[b])
-		w.U64(p.openRow[b])
-		w.Bool(p.rowOpen[b])
-	}
-}
-
-// SnapLoad implements snap.Stateful.
-func (p *Partition) SnapLoad(r *snap.Reader) error {
-	if n := r.Count(17); n != p.banks {
-		if r.Err() == nil {
-			r.Failf("DRAM partition %s: snapshot has %d banks, assembly has %d", p.name, n, p.banks)
-		}
-		return r.Err()
+	if !c.Match(p.banks, 17, "banks") {
+		return
 	}
 	for b := 0; b < p.banks; b++ {
-		p.bankFreeAt[b] = r.U64()
-		p.openRow[b] = r.U64()
-		p.rowOpen[b] = r.Bool()
+		c.U64(&p.bankFreeAt[b])
+		c.U64(&p.openRow[b])
+		c.Bool(&p.rowOpen[b])
 	}
-	return r.Err()
 }

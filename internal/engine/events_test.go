@@ -313,10 +313,8 @@ func requireNotQuiescent(t *testing.T, e *Engine, when string) {
 	if err := e.AdvanceTime(1); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("%s: AdvanceTime = %v, want ErrNotQuiescent", when, err)
 	}
-	var w snap.Writer
-	e.SaveState(&w)
-	if err := w.Err(); !errors.Is(err, snap.ErrNotQuiescent) {
-		t.Fatalf("%s: SaveState error = %v, want snap.ErrNotQuiescent", when, err)
+	if _, err := snap.Save(e.Snap); !errors.Is(err, snap.ErrNotQuiescent) {
+		t.Fatalf("%s: Snap error = %v, want snap.ErrNotQuiescent", when, err)
 	}
 }
 
@@ -341,10 +339,8 @@ func TestEventStoreGatesSeeBothStores(t *testing.T) {
 		if err := e.AdvanceTime(5); err != nil {
 			t.Errorf("delay %d: AdvanceTime after the drain: %v", delay, err)
 		}
-		var w snap.Writer
-		e.SaveState(&w)
-		if err := w.Err(); err != nil {
-			t.Errorf("delay %d: SaveState after the drain: %v", delay, err)
+		if _, err := snap.Save(e.Snap); err != nil {
+			t.Errorf("delay %d: Snap after the drain: %v", delay, err)
 		}
 	}
 }

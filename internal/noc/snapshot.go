@@ -1,6 +1,6 @@
 // Snapshot support (snap.Stateful) for the interconnects. A NoC carries no
 // cross-kernel state: at a quiescent point both directions are empty, so
-// the snapshot payload is empty and save/load only verify quiescence.
+// the snapshot payload is empty and the walk only verifies quiescence.
 package noc
 
 import (
@@ -9,22 +9,16 @@ import (
 	"swiftsim/internal/snap"
 )
 
-// SnapSave implements snap.Stateful.
-func (x *Crossbar) SnapSave(w *snap.Writer) {
+// Snap implements snap.Stateful.
+func (x *Crossbar) Snap(c *snap.Codec) {
 	if x.busyCnt != 0 {
-		w.Fail(fmt.Errorf("%w: crossbar %s has %d messages in flight", snap.ErrNotQuiescent, x.name, x.busyCnt))
+		c.Fail(fmt.Errorf("%w: crossbar %s has %d messages in flight", snap.ErrNotQuiescent, x.name, x.busyCnt))
 	}
 }
 
-// SnapLoad implements snap.Stateful.
-func (x *Crossbar) SnapLoad(r *snap.Reader) error { return r.Err() }
-
-// SnapSave implements snap.Stateful.
-func (r *Ring) SnapSave(w *snap.Writer) {
+// Snap implements snap.Stateful.
+func (r *Ring) Snap(c *snap.Codec) {
 	if r.busyCnt != 0 {
-		w.Fail(fmt.Errorf("%w: ring %s has %d messages in flight", snap.ErrNotQuiescent, r.name, r.busyCnt))
+		c.Fail(fmt.Errorf("%w: ring %s has %d messages in flight", snap.ErrNotQuiescent, r.name, r.busyCnt))
 	}
 }
-
-// SnapLoad implements snap.Stateful.
-func (r *Ring) SnapLoad(rd *snap.Reader) error { return rd.Err() }

@@ -14,7 +14,7 @@ import (
 
 // Snapshot decode hardening: a corrupt checkpoint — truncated mid-field,
 // counts inflated past the payload, module sections reordered — must
-// degrade into a structured "cannot restore" error via the snap.Reader's
+// degrade into a structured "cannot restore" error via the snap.Codec's
 // sticky error, never a panic or a silent misparse. These tests corrupt a
 // real checkpoint structurally (not random bit flips — that is
 // FuzzParseSnapshot's job in internal/sim) and assert the decoder refuses

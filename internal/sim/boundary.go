@@ -138,16 +138,13 @@ func (b *epochBoundary) Tick(cycle uint64) {
 	}
 }
 
-// SnapSave implements snap.Stateful: at a quiescent point no traffic is
-// parked here.
-func (b *epochBoundary) SnapSave(w *snap.Writer) {
+// Snap implements snap.Stateful: at a quiescent point no traffic is parked
+// here, so there is no state.
+func (b *epochBoundary) Snap(c *snap.Codec) {
 	if b.Busy() {
-		w.Fail(fmt.Errorf("%w: epoch boundary %s holds in-flight messages", snap.ErrNotQuiescent, b.name))
+		c.Fail(fmt.Errorf("%w: epoch boundary %s holds in-flight messages", snap.ErrNotQuiescent, b.name))
 	}
 }
-
-// SnapLoad implements snap.Stateful.
-func (b *epochBoundary) SnapLoad(r *snap.Reader) error { return r.Err() }
 
 // boundaryPort is one L1's private entry into the boundary.
 type boundaryPort struct {

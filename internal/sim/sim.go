@@ -166,7 +166,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: restore: %w", app.Name, err)
 		}
-		firstKernel = st.nextKernel
+		firstKernel = int(st.next)
 		kernelCycles = append(kernelCycles, st.kernelCycles...)
 		extrapolated = st.extrapolated
 		overhead = st.overhead

@@ -3,10 +3,17 @@
 // module state at a quiescent cycle so runs can be checkpointed, resumed,
 // and fanned out across configurations.
 //
+// A state layout is written once, as a walk over a Codec. The walk names
+// each field by a pointer, so the same walk saves (appends every field) and
+// loads (overwrites every field), and the two directions cannot disagree
+// about the field sequence. Geometry the assembly fixes goes through Match
+// and optional parts through Has: saving writes the assembly's value, and
+// loading refuses a stream that disagrees with it.
+//
 // The package is dependency-free by design — every simulated-hardware
 // package (engine, smcore, cache, noc, dram, analytic) implements
-// Stateful against it without import cycles. Decoding is hardened for
-// untrusted input: the Reader carries a sticky error, every allocation is
+// Stateful against it without import cycles. Loading is hardened for
+// untrusted input: the Codec carries a sticky error, every allocation is
 // capped by the bytes actually remaining, and all failures are structured
 // errors (never panics) so a corrupt checkpoint file degrades into a
 // clean "cannot restore" result.
@@ -24,7 +31,7 @@ import (
 const Magic = "SSIM"
 
 // Version is the current snapshot format version. Bump on any
-// incompatible layout change; LoadHeader rejects mismatches with
+// incompatible layout change; LoadStream rejects mismatches with
 // ErrVersion so a skewed binary never misparses old state as new.
 const Version uint32 = 2
 
@@ -44,241 +51,265 @@ var ErrVersion = errors.New("snap: unsupported snapshot version")
 var ErrNotQuiescent = errors.New("snap: module not quiescent")
 
 // Stateful is a module whose simulation state can be serialized into a
-// snapshot and restored from one. Implementations write and read the
-// exact same field sequence; the engine frames each module's payload with
-// its name and length, so a mismatch is detected, not silently misread.
+// snapshot and restored from one. The engine frames each module's state
+// with its name and length, so a mismatch is detected, not silently
+// misread.
 type Stateful interface {
-	// SnapSave appends the module's state to w. It must only be called at
-	// a quiescent point (no in-flight requests or scheduled events); the
-	// implementation may return an error through w via Fail when its
-	// invariants do not hold.
-	SnapSave(w *Writer)
-	// SnapLoad restores the module's state from r. The module was just
-	// assembled, so every field not read keeps its initial value.
-	SnapLoad(r *Reader) error
+	// Snap walks the module's state. Saving happens only at a quiescent
+	// point; a module that finds in-flight work fails c with
+	// ErrNotQuiescent. Loading runs on a module that was just assembled, so
+	// every field the walk does not name keeps its initial value.
+	Snap(c *Codec)
 }
 
-// Writer builds a snapshot payload in memory. The zero value is ready to
-// use. Writers never fail on I/O (they buffer); Fail records a semantic
-// error (a module asked to snapshot non-quiescent state), surfaced by
-// Err.
-type Writer struct {
-	buf []byte
-	err error
+// Codec walks a state layout in one direction: saving appends each field
+// to a buffer, loading overwrites each field from one. Its error is
+// sticky: after the first failure every method does nothing, so a walk
+// stays linear and its caller checks Err (Save and Load do) at the end.
+type Codec struct {
+	buf     []byte
+	pos     int // loading: offset of the next unread byte
+	loading bool
+	err     error
 }
 
-// Bytes returns the accumulated payload.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Save walks in the saving direction and returns the payload, or the first
+// error the walk recorded.
+func Save(walk func(*Codec)) ([]byte, error) {
+	var c Codec
+	walk(&c)
+	return c.buf, c.err
+}
 
-// Err returns the first semantic error recorded with Fail, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Fail records a semantic error; the first one sticks.
-func (w *Writer) Fail(err error) {
-	if w.err == nil {
-		w.err = err
+// Load walks payload b in the loading direction and returns the first
+// error; bytes the walk leaves unread are ErrCorrupt.
+func Load(b []byte, walk func(*Codec)) error {
+	c := Codec{buf: b, loading: true}
+	walk(&c)
+	if c.err == nil && c.pos != len(b) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-c.pos)
 	}
+	return c.err
 }
 
-// U64 appends a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-// U32 appends a fixed-width little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-// Bool appends a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+// WriteStream writes the magic, the format version and walk's payload to
+// out.
+func WriteStream(out io.Writer, walk func(*Codec)) error {
+	c := Codec{buf: binary.LittleEndian.AppendUint32([]byte(Magic), Version)}
+	walk(&c)
+	if c.err != nil {
+		return c.err
 	}
+	_, err := out.Write(c.buf)
+	return err
 }
 
-// F64 appends a float64 by its IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes64 appends a length-prefixed byte slice.
-func (w *Writer) Bytes64(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String appends a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// WriteTo writes the magic, the format version and the payload to out.
-func (w *Writer) WriteTo(out io.Writer) (int64, error) {
-	if w.err != nil {
-		return 0, w.err
+// LoadStream validates the magic and version of a full snapshot stream and
+// Loads its payload.
+func LoadStream(data []byte, walk func(*Codec)) error {
+	if len(data) < 8 {
+		return fmt.Errorf("%w: %d-byte stream is shorter than the header", ErrTruncated, len(data))
 	}
-	var hdr [8]byte
-	copy(hdr[:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], Version)
-	n, err := out.Write(hdr[:])
-	if err != nil {
-		return int64(n), err
+	if string(data[:4]) != Magic {
+		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:4])
 	}
-	m, err := out.Write(w.buf)
-	return int64(n + m), err
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
+		return fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
+	}
+	return Load(data[8:], walk)
 }
 
-// Reader decodes a snapshot payload with a sticky error: after the first
-// failure every accessor returns the zero value, so decode sequences stay
-// linear and check Err (or the per-call error helpers) at section
-// boundaries.
-type Reader struct {
-	buf []byte
-	pos int
-	err error
-}
+// Loading reports the direction: true when the walk overwrites fields from
+// a stream, false when it appends them to one.
+func (c *Codec) Loading() bool { return c.loading }
 
-// NewReader returns a Reader over raw payload bytes (no header).
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+// Err returns the sticky error, if any.
+func (c *Codec) Err() error { return c.err }
 
-// LoadHeader validates the magic and version of a full snapshot stream
-// and returns a Reader positioned at the payload.
-func LoadHeader(b []byte) (*Reader, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: %d-byte stream is shorter than the header", ErrTruncated, len(b))
-	}
-	if string(b[:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
-	}
-	v := binary.LittleEndian.Uint32(b[4:8])
-	if v != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
-	}
-	return NewReader(b[8:]), nil
-}
-
-// Err returns the sticky decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread payload bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
-
-// fail records the sticky error (first one wins).
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// Fail records an error; the first one sticks.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// Failf records a formatted semantic decode error (first one wins). Module
-// SnapLoad implementations use it for invariant violations (for example a
-// count that exceeds the assembled geometry).
-func (r *Reader) Failf(format string, args ...any) {
-	r.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+// Failf records a formatted ErrCorrupt, for a stream that breaks an
+// invariant of the assembly (for example a count past its geometry).
+func (c *Codec) Failf(format string, args ...any) {
+	c.Fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
 }
 
-// U64 reads a fixed-width little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 8 {
-		r.fail(fmt.Errorf("%w: u64 at offset %d", ErrTruncated, r.pos))
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-
-// U32 reads a fixed-width little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 4 {
-		r.fail(fmt.Errorf("%w: u32 at offset %d", ErrTruncated, r.pos))
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v
-}
-
-// Bool reads a one-byte bool; any value other than 0 or 1 is corrupt.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.Remaining() < 1 {
-		r.fail(fmt.Errorf("%w: bool at offset %d", ErrTruncated, r.pos))
-		return false
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	if b > 1 {
-		r.fail(fmt.Errorf("%w: bool byte 0x%02x at offset %d", ErrCorrupt, b, r.pos-1))
-		return false
-	}
-	return b == 1
-}
-
-// F64 reads a float64 from its IEEE-754 bits.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Len reads a length prefix and validates it against the remaining bytes
-// (assuming at least one byte per element), so a corrupt length can never
-// trigger a huge allocation.
-func (r *Reader) Len() int {
-	n := r.U64()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.Remaining()) {
-		r.fail(fmt.Errorf("%w: length %d exceeds %d remaining bytes", ErrCorrupt, n, r.Remaining()))
-		return 0
-	}
-	return int(n)
-}
-
-// Count reads an element count for fixed-size elements of elemBytes bytes
-// each, validating count*elemBytes against the remaining payload.
-func (r *Reader) Count(elemBytes int) int {
-	n := r.U64()
-	if r.err != nil {
-		return 0
-	}
-	if elemBytes < 1 {
-		elemBytes = 1
-	}
-	if n > uint64(r.Remaining())/uint64(elemBytes) {
-		r.fail(fmt.Errorf("%w: count %d × %dB exceeds %d remaining bytes", ErrCorrupt, n, elemBytes, r.Remaining()))
-		return 0
-	}
-	return int(n)
-}
-
-// BytesN reads a length-prefixed byte slice (copied out of the buffer).
-func (r *Reader) BytesN() []byte {
-	n := r.Len()
-	if r.err != nil {
+// take returns the next n unread bytes, or nil once the walk has failed or
+// after recording that the stream ends before them.
+func (c *Codec) take(n int, what string) []byte {
+	if c.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.pos:r.pos+n])
-	r.pos += n
-	return b
+	if len(c.buf)-c.pos < n {
+		c.Fail(fmt.Errorf("%w: %s at offset %d", ErrTruncated, what, c.pos))
+		return nil
+	}
+	c.pos += n
+	return c.buf[c.pos-n : c.pos]
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len()
-	if r.err != nil {
-		return ""
+// U64 walks a fixed-width little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	switch {
+	case c.err != nil:
+	case !c.loading:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	default:
+		if b := c.take(8, "u64"); b != nil {
+			*p = binary.LittleEndian.Uint64(b)
+		}
 	}
-	s := string(r.buf[r.pos : r.pos+n])
-	r.pos += n
-	return s
+}
+
+// U32 walks a fixed-width little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	switch {
+	case c.err != nil:
+	case !c.loading:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+	default:
+		if b := c.take(4, "u32"); b != nil {
+			*p = binary.LittleEndian.Uint32(b)
+		}
+	}
+}
+
+// Int walks an int as a uint64.
+func (c *Codec) Int(p *int) {
+	v := uint64(*p)
+	c.U64(&v)
+	*p = int(v)
+}
+
+// F64 walks a float64 by its IEEE-754 bits.
+func (c *Codec) F64(p *float64) {
+	v := math.Float64bits(*p)
+	c.U64(&v)
+	*p = math.Float64frombits(v)
+}
+
+// Bool walks a bool as one byte; loading any value other than 0 or 1 is
+// corrupt.
+func (c *Codec) Bool(p *bool) {
+	var v byte
+	if *p {
+		v = 1
+	}
+	switch {
+	case c.err != nil:
+	case !c.loading:
+		c.buf = append(c.buf, v)
+	default:
+		b := c.take(1, "bool")
+		if b != nil && b[0] > 1 {
+			c.Fail(fmt.Errorf("%w: bool byte 0x%02x at offset %d", ErrCorrupt, b[0], c.pos-1))
+		} else if b != nil {
+			*p = b[0] == 1
+		}
+	}
+}
+
+// Count walks an element count. elemBytes is the least number of bytes one
+// element takes in the stream: loading refuses a count the remaining bytes
+// cannot hold, so a corrupt count can never trigger a huge allocation.
+// Zero elemBytes refuses no count; use it only where nothing is allocated
+// by the count.
+func (c *Codec) Count(n *int, elemBytes int) {
+	v := uint64(*n)
+	c.U64(&v)
+	if !c.loading || c.err != nil {
+		return
+	}
+	if rem := uint64(len(c.buf) - c.pos); elemBytes > 0 && v > rem/uint64(elemBytes) {
+		c.Fail(fmt.Errorf("%w: count %d × %dB exceeds %d remaining bytes", ErrCorrupt, v, elemBytes, rem))
+		return
+	}
+	*n = int(v)
+}
+
+// Slice walks the length of *s as Count does and, when loading, makes *s
+// that long; the caller then walks the elements.
+func Slice[T any](c *Codec, s *[]T, elemBytes int) {
+	n := len(*s)
+	c.Count(&n, elemBytes)
+	if c.loading && c.err == nil {
+		*s = make([]T, n)
+	}
+}
+
+// Match walks a count the assembly fixes, such as a tag array's lines:
+// saving writes n, loading fails with ErrCorrupt unless the stream's count
+// is n. It reports whether the walk is still sound.
+func (c *Codec) Match(n, elemBytes int, what string) bool {
+	got := n
+	c.Count(&got, elemBytes)
+	if c.err == nil && got != n {
+		c.Failf("%s: snapshot has %d, assembly has %d", what, got, n)
+	}
+	return c.err == nil
+}
+
+// Has walks whether an optional part is present, as Match walks a count: it
+// reports whether to walk the part.
+func (c *Codec) Has(present bool, what string) bool {
+	got := present
+	c.Bool(&got)
+	if c.err == nil && got != present {
+		c.Failf("%s: presence mismatch", what)
+	}
+	return present && c.err == nil
+}
+
+// String walks a length-prefixed UTF-8 string.
+func (c *Codec) String(p *string) {
+	n := len(*p)
+	c.Count(&n, 1)
+	switch {
+	case c.err != nil:
+	case !c.loading:
+		c.buf = append(c.buf, *p...)
+	default:
+		*p = string(c.take(n, "string"))
+	}
+}
+
+// Bytes walks a length-prefixed byte slice. Loading aliases the stream.
+func (c *Codec) Bytes(p *[]byte) {
+	n := len(*p)
+	c.Count(&n, 1)
+	switch {
+	case c.err != nil:
+	case !c.loading:
+		c.buf = append(c.buf, *p...)
+	default:
+		*p = c.take(n, "bytes")
+	}
+}
+
+// Frame walks a named, length-framed section: the name, then body's
+// payload behind its byte length. Loading reads the stream's name into
+// *name before body runs over exactly the framed bytes, so body can check
+// it; bytes body leaves unread are ErrCorrupt. A nil body saves an empty
+// frame and, loading, skips the payload unread.
+func (c *Codec) Frame(name *string, body func(*Codec)) {
+	c.String(name)
+	var payload []byte
+	var err error
+	if !c.loading && body != nil && c.err == nil {
+		payload, err = Save(body)
+	}
+	if err == nil {
+		c.Bytes(&payload)
+	}
+	if c.loading && body != nil && c.err == nil {
+		err = Load(payload, body)
+	}
+	if err != nil {
+		c.Fail(fmt.Errorf("section %q: %w", *name, err))
+	}
 }

@@ -7,115 +7,101 @@ import (
 	"testing"
 )
 
-// TestWriterReaderRoundTrip pins every primitive through a full encode,
-// WriteTo, LoadHeader, decode cycle.
-func TestWriterReaderRoundTrip(t *testing.T) {
-	var w Writer
-	w.U64(0)
-	w.U64(math.MaxUint64)
-	w.U32(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.F64(3.5)
-	w.F64(math.Inf(-1))
-	w.String("hello")
-	w.String("")
-	w.Bytes64([]byte{1, 2, 3})
-	w.Bytes64(nil)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
+// fields is a layout with one field of every primitive, walked by walk.
+type fields struct {
+	zero, max uint64
+	u32       uint32
+	i         int
+	t, f      bool
+	half, inf float64
+	s, empty  string
+	b, none   []byte
+	list      []uint64
+}
 
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := LoadHeader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.U64(); got != 0 {
-		t.Errorf("U64 = %d, want 0", got)
-	}
-	if got := r.U64(); got != math.MaxUint64 {
-		t.Errorf("U64 = %d, want MaxUint64", got)
-	}
-	if got := r.U32(); got != 7 {
-		t.Errorf("U32 = %d, want 7", got)
-	}
-	if got := r.Bool(); !got {
-		t.Error("Bool = false, want true")
-	}
-	if got := r.Bool(); got {
-		t.Error("Bool = true, want false")
-	}
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v, want 3.5", got)
-	}
-	if got := r.F64(); !math.IsInf(got, -1) {
-		t.Errorf("F64 = %v, want -Inf", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q, want hello", got)
-	}
-	if got := r.String(); got != "" {
-		t.Errorf("String = %q, want empty", got)
-	}
-	if got := r.BytesN(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("BytesN = %v", got)
-	}
-	if got := r.BytesN(); len(got) != 0 {
-		t.Errorf("BytesN = %v, want empty", got)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d trailing bytes", r.Remaining())
+func (x *fields) walk(c *Codec) {
+	c.U64(&x.zero)
+	c.U64(&x.max)
+	c.U32(&x.u32)
+	c.Int(&x.i)
+	c.Bool(&x.t)
+	c.Bool(&x.f)
+	c.F64(&x.half)
+	c.F64(&x.inf)
+	c.String(&x.s)
+	c.String(&x.empty)
+	c.Bytes(&x.b)
+	c.Bytes(&x.none)
+	Slice(c, &x.list, 8)
+	for i := range x.list {
+		c.U64(&x.list[i])
 	}
 }
 
-// TestReaderTruncation pins the sticky ErrTruncated contract: reads past the
-// end fail once and every subsequent read keeps failing with zero values.
-func TestReaderTruncation(t *testing.T) {
-	var w Writer
-	w.U64(42)
+// TestCodecRoundTrip pins every primitive through a full WriteStream,
+// LoadStream cycle of one walk.
+func TestCodecRoundTrip(t *testing.T) {
+	want := fields{max: math.MaxUint64, u32: 7, i: -3, t: true, half: 3.5, inf: math.Inf(-1),
+		s: "hello", b: []byte{1, 2, 3}, list: []uint64{4, 5}}
 	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
+	if err := WriteStream(&buf, want.walk); err != nil {
 		t.Fatal(err)
 	}
-	r, err := LoadHeader(buf.Bytes())
+	var got fields
+	if err := LoadStream(buf.Bytes(), got.walk); err != nil {
+		t.Fatal(err)
+	}
+	if got.zero != 0 || got.max != want.max || got.u32 != 7 || got.i != -3 || !got.t || got.f ||
+		got.half != 3.5 || !math.IsInf(got.inf, -1) || got.s != "hello" || got.empty != "" ||
+		!bytes.Equal(got.b, want.b) || len(got.none) != 0 || len(got.list) != 2 || got.list[1] != 5 {
+		t.Errorf("loaded %+v, saved %+v", got, want)
+	}
+	if err := Load(append(buf.Bytes()[8:], 0), got.walk); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing byte: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCodecTruncation pins the sticky ErrTruncated contract: a read past the
+// end fails once, leaves its field alone, and every later read keeps the
+// first error.
+func TestCodecTruncation(t *testing.T) {
+	x := uint64(42)
+	payload, err := Save(func(c *Codec) { c.U64(&x) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.U64()
-	if got := r.U64(); got != 0 {
-		t.Errorf("read past end = %d, want 0", got)
+	var a, b uint64
+	var s string
+	err = Load(payload, func(c *Codec) {
+		c.U64(&a)
+		c.U64(&b)
+		if !errors.Is(c.Err(), ErrTruncated) {
+			t.Errorf("Err() = %v, want ErrTruncated", c.Err())
+		}
+		c.String(&s)
+	})
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("Load = %v, want ErrTruncated", err)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Errorf("Err() = %v, want ErrTruncated", r.Err())
-	}
-	// Sticky: later reads keep the first error.
-	r.U32()
-	_ = r.String()
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Errorf("Err() after more reads = %v, want ErrTruncated", r.Err())
+	if a != 42 || b != 0 {
+		t.Errorf("read %d, %d; want 42 and the untouched 0", a, b)
 	}
 }
 
 // TestLoadHeaderRejects pins the header validation: short input, a wrong
 // magic and a future version all fail with the right sentinel.
 func TestLoadHeaderRejects(t *testing.T) {
-	if _, err := LoadHeader(nil); !errors.Is(err, ErrTruncated) {
+	nop := func(*Codec) {}
+	if err := LoadStream(nil, nop); !errors.Is(err, ErrTruncated) {
 		t.Errorf("empty: %v, want ErrTruncated", err)
 	}
-	if _, err := LoadHeader([]byte("SS")); !errors.Is(err, ErrTruncated) {
+	if err := LoadStream([]byte("SS"), nop); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short: %v, want ErrTruncated", err)
 	}
-	if _, err := LoadHeader([]byte("XXXX\x01\x00\x00\x00")); !errors.Is(err, ErrCorrupt) {
+	if err := LoadStream([]byte("XXXX\x01\x00\x00\x00"), nop); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v, want ErrCorrupt", err)
 	}
-	if _, err := LoadHeader([]byte("SSIM\xff\x00\x00\x00")); !errors.Is(err, ErrVersion) {
+	if err := LoadStream([]byte("SSIM\xff\x00\x00\x00"), nop); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: %v, want ErrVersion", err)
 	}
 }
@@ -123,40 +109,100 @@ func TestLoadHeaderRejects(t *testing.T) {
 // TestCountCapsAllocation pins the attacker-controlled-length guard: a count
 // field far beyond the remaining payload fails instead of allocating.
 func TestCountCapsAllocation(t *testing.T) {
-	var w Writer
-	w.U64(math.MaxUint64)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := LoadHeader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r.Count(16); n != 0 {
-		t.Errorf("Count = %d, want 0", n)
-	}
-	if r.Err() == nil {
-		t.Error("absurd count accepted")
+	huge := uint64(math.MaxUint64)
+	payload, _ := Save(func(c *Codec) { c.U64(&huge) })
+	var list []uint64
+	err := Load(payload, func(c *Codec) { Slice(c, &list, 16) })
+	if !errors.Is(err, ErrCorrupt) || list != nil {
+		t.Errorf("absurd count: %v with %d elements, want ErrCorrupt and none", err, len(list))
 	}
 }
 
-// TestFailSticky pins Writer.Fail: once failed, the payload is poisoned and
-// WriteTo refuses to emit it.
+// TestFailSticky pins Fail: once failed, a saving walk writes nothing more
+// and the stream is refused.
 func TestFailSticky(t *testing.T) {
-	var w Writer
-	w.U64(1)
 	wantErr := errors.New("boom")
-	w.Fail(wantErr)
-	w.U64(2)
-	if !errors.Is(w.Err(), wantErr) {
-		t.Errorf("Err() = %v, want boom", w.Err())
+	walk := func(c *Codec) {
+		one, two := uint64(1), uint64(2)
+		c.U64(&one)
+		c.Fail(wantErr)
+		c.Fail(errors.New("later"))
+		c.U64(&two)
+	}
+	if payload, err := Save(walk); !errors.Is(err, wantErr) || len(payload) != 8 {
+		t.Errorf("Save = %d bytes, %v; want 8 bytes and boom", len(payload), err)
 	}
 	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); !errors.Is(err, wantErr) {
-		t.Errorf("WriteTo = %v, want boom", err)
+	if err := WriteStream(&buf, walk); !errors.Is(err, wantErr) {
+		t.Errorf("WriteStream = %v, want boom", err)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("WriteTo emitted %d bytes after Fail", buf.Len())
+		t.Errorf("WriteStream emitted %d bytes after Fail", buf.Len())
+	}
+}
+
+// TestMatchAndHasRefuseDisagreement: a loaded count or presence flag that
+// disagrees with the assembly is ErrCorrupt, and the walk reports it so the
+// caller does not walk the part.
+func TestMatchAndHasRefuseDisagreement(t *testing.T) {
+	payload, _ := Save(func(c *Codec) {
+		c.Match(3, 0, "lines")
+		c.Has(true, "meter")
+	})
+	for _, tc := range []struct {
+		name string
+		walk func(c *Codec) bool
+	}{
+		{"count", func(c *Codec) bool { return c.Match(4, 0, "lines") }},
+		{"presence", func(c *Codec) bool { return c.Match(3, 0, "lines") && c.Has(false, "meter") }},
+	} {
+		sound := true
+		err := Load(payload, func(c *Codec) { sound = tc.walk(c) })
+		if sound || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: sound %v, %v; want false and ErrCorrupt", tc.name, sound, err)
+		}
+	}
+	if err := Load(payload, func(c *Codec) {
+		if !c.Match(3, 0, "lines") || !c.Has(true, "meter") {
+			t.Error("an agreeing stream was refused")
+		}
+	}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFrame: a frame's body loads exactly its own bytes, a nil body skips
+// them, a body that leaves bytes unread is ErrCorrupt, and a body's error
+// names the frame.
+func TestFrame(t *testing.T) {
+	x, y := uint64(5), uint64(6)
+	frames := func(name string, body func(*Codec)) func(*Codec) {
+		return func(c *Codec) {
+			c.Frame(&name, body)
+			c.U64(&y)
+		}
+	}
+	payload, err := Save(frames("a", func(c *Codec) { c.U64(&x) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	var gotX, gotY uint64
+	if err := Load(payload, func(c *Codec) {
+		c.Frame(&name, func(c *Codec) { c.U64(&gotX) })
+		c.U64(&gotY)
+	}); err != nil || name != "a" || gotX != 5 || gotY != 6 {
+		t.Errorf("loaded %q %d %d, %v", name, gotX, gotY, err)
+	}
+	gotY = 0
+	if err := Load(payload, func(c *Codec) { c.Frame(&name, nil); c.U64(&gotY) }); err != nil || gotY != 6 {
+		t.Errorf("skipped frame: %d, %v", gotY, err)
+	}
+	if err := Load(payload, frames("", func(*Codec) {})); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("unread frame bytes: %v, want ErrCorrupt", err)
+	}
+	_, err = Save(frames("busy", func(c *Codec) { c.Fail(ErrNotQuiescent) }))
+	if !errors.Is(err, ErrNotQuiescent) || !bytes.Contains([]byte(err.Error()), []byte(`"busy"`)) {
+		t.Errorf("frame error = %v, want ErrNotQuiescent naming the frame", err)
 	}
 }
