@@ -4,13 +4,14 @@
 
 GO ?= go
 
-.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e bench-quick profile update-golden envelopes loc
+.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick profile update-golden envelopes loc
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
-# the four decoders + the multi-worker lease-plane scenarios + one run of
-# every benchmark. This is the full pre-commit gate. It gates no host time:
-# the BENCHMARK.json harness (`bash bench/run.sh`) measures that.
-verify: tier1 lint golden fuzz-smoke distributed-e2e bench-quick
+# the four decoders + the multi-worker lease-plane scenarios + the short
+# suite run twice in one process + one run of every benchmark. This is the
+# full pre-commit gate. It gates no host time: the BENCHMARK.json harness
+# (`bash bench/run.sh`) measures that.
+verify: tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick
 
 # tier1 is the repo's baseline check (ROADMAP.md): everything builds,
 # vets, and tests green, with the race detector on the concurrent
@@ -69,6 +70,12 @@ fuzz-smoke:
 # verify stage.
 distributed-e2e:
 	$(GO) test -race -count=2 -run 'TestDistributed' ./internal/service/
+
+# repeat runs the short suite twice in one process: a test that passes only
+# on its first run (a process-wide memo or counter it finds warm, a global
+# it leaves set) fails here.
+repeat:
+	$(GO) test -count=2 -short ./...
 
 # update-golden regenerates the golden fixtures after an intended metrics
 # change. Review the fixture diff like any other code change.

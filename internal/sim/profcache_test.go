@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"swiftsim/internal/config"
@@ -94,7 +95,7 @@ func TestProfileCacheDistinguishesContent(t *testing.T) {
 // must not share phase one; 6 and 9 SMs both give every block its own SM
 // and must.
 func TestProfileCachePartitionIsMinOfSMsAndBlocks(t *testing.T) {
-	app := randomApp(rand.New(rand.NewSource(41)), []int{3, 5, 2})
+	app := randomApp(coldRand(), []int{3, 5, 2})
 	gpu := smallGPU()
 	before := phaseOne.Stats().Computes
 	profiles := map[int]*reuse.Profile{}
@@ -115,6 +116,16 @@ func TestProfileCachePartitionIsMinOfSMsAndBlocks(t *testing.T) {
 		t.Error("NumSMs 4 and 6 shared a profile instance")
 	}
 }
+
+// coldSeeds counts the seeds coldRand hands out. The profile memos are
+// process-wide and keyed by trace content, so a test that counts their
+// computes needs traces no earlier test built, and go test -count=2 runs
+// every test twice in one process.
+var coldSeeds atomic.Int64
+
+// coldRand returns a generator whose seed no earlier call drew, for the
+// traces of a test that needs the profile memos cold.
+func coldRand() *rand.Rand { return rand.New(rand.NewSource(1000 + coldSeeds.Add(1))) }
 
 // randomApp builds a seeded application with the given block count per
 // kernel: two warps a block, each a random mix of arithmetic and global
@@ -197,7 +208,7 @@ func TestProfileCacheMatchesFreshProfiles(t *testing.T) {
 	for _, name := range workload.Names() {
 		apps = append(apps, mustApp(t, name, 0.05))
 	}
-	r := rand.New(rand.NewSource(7))
+	r := coldRand()
 	for i := 0; i < 6; i++ {
 		apps = append(apps, randomApp(r, []int{1 + r.Intn(6), 1 + r.Intn(12), 1 + r.Intn(3)}))
 	}
@@ -343,7 +354,7 @@ func TestProfileKeysReflectEveryFieldRead(t *testing.T) {
 // runs exactly once, phase two once per geometry, and every caller of a
 // geometry gets the same instance. Run under -race in tier 1.
 func TestProfileCacheSingleFlight(t *testing.T) {
-	app := randomApp(rand.New(rand.NewSource(23)), []int{6, 10})
+	app := randomApp(coldRand(), []int{6, 10})
 	gpus := make([]config.GPU, 3)
 	for i := range gpus {
 		gpus[i] = smallGPU()
@@ -499,8 +510,6 @@ func TestSampledProfileKeepsOriginalIndices(t *testing.T) {
 	}
 }
 
-var concurrentRunsSeed int64 = 31
-
 // TestConcurrentMemoryRunsShareOneProfile: runs of one trace and geometry
 // share one memoised, immutable profile, while the powers Eq. 1 fills in as
 // it issues belong to each run. Four runs start at once on a trace no other
@@ -509,8 +518,7 @@ var concurrentRunsSeed int64 = 31
 // -race (make tier1) a table shared by mistake is reported as a race.
 func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 	gpu := smallGPU()
-	concurrentRunsSeed++ // a trace of its own on every -count
-	app := randomApp(rand.New(rand.NewSource(concurrentRunsSeed)), []int{6, 10, 4})
+	app := randomApp(coldRand(), []int{6, 10, 4})
 	opts := Options{Kind: Memory}
 	canonical := func(res *Result) string {
 		var b strings.Builder
