@@ -56,8 +56,8 @@ type counter struct {
 	value uint64
 }
 
-// snap is the checkpoint's layout, the one walk of its sections.
-func (ck *checkpoint) snap(c *snap.Codec) {
+// walk is the checkpoint's layout: the one list of its sections.
+func (ck *checkpoint) walk(c *snap.Codec) {
 	c.String(&ck.app)
 	c.U64(&ck.kernels)
 	c.String(&ck.gpu)
@@ -109,7 +109,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	for _, n := range a.g.Names() {
 		ck.metrics = append(ck.metrics, counter{n, a.g.Value(n)})
 	}
-	if err := snap.WriteStream(opts.SnapshotTo, ck.snap); err != nil {
+	if err := snap.WriteStream(opts.SnapshotTo, ck.walk); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -125,7 +125,7 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options) 
 		return nil, err
 	}
 	var ck checkpoint
-	if err := snap.LoadStream(data, ck.snap); err != nil {
+	if err := snap.LoadStream(data, ck.walk); err != nil {
 		return nil, err
 	}
 	switch want := opts.Identity(); {
@@ -156,7 +156,7 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options) 
 // integrity check before shipping a checkpoint elsewhere.
 func ParseSnapshot(data []byte) error {
 	var ck checkpoint
-	if err := snap.LoadStream(data, ck.snap); err != nil {
+	if err := snap.LoadStream(data, ck.walk); err != nil {
 		return err
 	}
 	return snap.Load(ck.engine, engine.ParseState)

@@ -303,9 +303,7 @@ func (c *Codec) Frame(name *string, body func(*Codec)) {
 	if !c.loading && body != nil && c.err == nil {
 		payload, err = Save(body)
 	}
-	if err == nil {
-		c.Bytes(&payload)
-	}
+	c.Bytes(&payload)
 	if c.loading && body != nil && c.err == nil {
 		err = Load(payload, body)
 	}
