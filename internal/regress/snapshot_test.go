@@ -181,8 +181,8 @@ var snapshotDigestsPath = filepath.Join("testdata", "snapshot_digests.txt")
 //
 // The fixture holds digests because an L2Hybrid checkpoint is megabytes.
 func TestSnapshotDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the pin runs 100 simulations, half of them cycle-accurate")
+	if testing.Short() || raceEnabled {
+		t.Skip("the pin runs 100 simulations, half of them cycle-accurate; the race-free pass runs it")
 	}
 	gpu := DefaultCorpus().GPUs[0]
 	var got strings.Builder
