@@ -2,6 +2,7 @@ package regress
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,6 +56,13 @@ var sampleEnvelopeApps = []struct {
 // sampled-execution error envelope: testdata/sample/<gpu>.envelope.
 func SampleEnvelopePath(gpuName string) string {
 	return filepath.Join("testdata", "sample", gpuName+".envelope")
+}
+
+// sampleDigestsPath is the fixture pinning one GPU preset's sampled runs:
+// testdata/sample/<gpu>.digests, one line per envelope app, "app scale
+// sha256(Canonical)".
+func sampleDigestsPath(gpuName string) string {
+	return filepath.Join("testdata", "sample", gpuName+".digests")
 }
 
 // sampleEnvelopeHeader identifies the fixture format and operating point
@@ -164,7 +172,9 @@ func parseSampleEnvelope(t *testing.T, path string) map[string]uint64 {
 // baseline, bounded by the committed envelope. Sampled runs are
 // deterministic, so any change in these numbers is a real behavior change
 // and reviewed like a golden diff; regenerate intended changes with
-// -update (or `make envelopes`).
+// -update (or `make envelopes`). The sampled runs' canonical bytes are
+// pinned too (sampleDigestsPath), so sampling's output, not only its
+// error, is fixed.
 func TestSampleEnvelope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("envelope oracle runs the full preset sweep")
@@ -173,6 +183,7 @@ func TestSampleEnvelope(t *testing.T) {
 		gpu := sampleGPU(preset)
 		t.Run(preset.Name, func(t *testing.T) {
 			got := make(map[string]uint64, len(sampleEnvelopeApps))
+			var digests strings.Builder
 			for _, c := range sampleEnvelopeApps {
 				app, err := workload.Generate(c.name, c.scale)
 				if err != nil {
@@ -188,6 +199,7 @@ func TestSampleEnvelope(t *testing.T) {
 					t.Fatalf("%s sampled: %v", c.name, err)
 				}
 				got[c.name] = relErrPermille(exact.Cycles, sampled.Cycles)
+				fmt.Fprintf(&digests, "%s %g %x\n", c.name, c.scale, sha256.Sum256(Canonical(sampled)))
 				t.Logf("%s@%g: exact %d cycles, sampled %d cycles (ticked %d vs %d), error %d‰",
 					c.name, c.scale, exact.Cycles, sampled.Cycles,
 					sampled.TickedCycles, exact.TickedCycles, got[c.name])
@@ -205,7 +217,18 @@ func TestSampleEnvelope(t *testing.T) {
 				if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 					t.Fatal(err)
 				}
+				if err := os.WriteFile(sampleDigestsPath(preset.Name), []byte(digests.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
 				return
+			}
+			pinned, err := os.ReadFile(sampleDigestsPath(preset.Name))
+			if err != nil {
+				t.Fatalf("missing sampled-run digest fixture (regenerate with -update): %v", err)
+			}
+			if d := DiffLines(pinned, []byte(digests.String()), 20); d != "" {
+				t.Errorf("sampled results moved from %s (regenerate with -update only if intended):\n%s",
+					sampleDigestsPath(preset.Name), d)
 			}
 			want := parseSampleEnvelope(t, path)
 			for _, c := range sampleEnvelopeApps {
