@@ -6,7 +6,9 @@
 // configuration comes from a preset (-gpu) or a configuration file
 // (-config); the simulator configuration from -sim. The execution-mode
 // flags (-epoch-cycles, -sample, -sample-frac, -sample-stride) are the
-// block every front end shares (cliutil.RunFlags).
+// block every front end shares (cliutil.RunFlags). -snapshot-at checkpoints
+// the run at the first kernel boundary at or after the given cycle, under
+// every simulator, and -restore resumes from there.
 //
 // Examples:
 //
@@ -14,8 +16,8 @@
 //	swiftsim -trace run.sgt -config mygpu.cfg -sim detailed -metrics
 //	swiftsim -app GEMM -sim detailed -epoch-cycles 8
 //	swiftsim -app GRU -sim basic -sample
-//	swiftsim -app BFS -sim l2 -snapshot-at 5000 -snapshot-out warm.snap
-//	swiftsim -app BFS -sim l2 -restore warm.snap
+//	swiftsim -app BFS -sim basic -snapshot-at 5000 -snapshot-out warm.snap
+//	swiftsim -app BFS -sim basic -restore warm.snap
 //	swiftsim -list
 package main
 
@@ -61,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	simName := fs.String("sim", "detailed", "simulator: detailed|basic|memory|l2")
 	hitSrc := fs.String("hitrates", "functional", "memory-model hit-rate source: functional|reuse")
 	runFlags := cliutil.RunFlags(fs)
-	snapshotAt := fs.Uint64("snapshot-at", 0, "write a snapshot at the first quiescent kernel boundary at or after this cycle (requires -snapshot-out)")
+	snapshotAt := fs.Uint64("snapshot-at", 0, "write a snapshot at the first kernel boundary at or after this cycle (requires -snapshot-out)")
 	snapshotOut := fs.String("snapshot-out", "", "snapshot output file (see -snapshot-at; cycle 0 checkpoints before the first kernel)")
 	restorePath := fs.String("restore", "", "resume from a snapshot file written by -snapshot-out (app and config must match)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the simulation (0 = none)")

@@ -72,7 +72,7 @@ func (b *Backend) Accept(r *mem.Request) bool {
 			b.dram.Reserve(now, 1)
 		}
 		if r.WantsReply() {
-			b.eng.Schedule(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
+			b.eng.ScheduleRetirement(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
 		} else {
 			r.Complete(mem.LevelL2)
 		}
@@ -80,12 +80,12 @@ func (b *Backend) Accept(r *mem.Request) bool {
 	}
 	if hit {
 		b.hits.Inc()
-		b.eng.Schedule(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
+		b.eng.ScheduleRetirement(nocDelay+b.latL2, r.Retirement(b, mem.LevelL2))
 		return true
 	}
 	b.misses.Inc()
 	dramDelay := b.dram.Reserve(now, 1)
-	b.eng.Schedule(nocDelay+dramDelay+b.latDRAM, r.Retirement(b, mem.LevelDRAM))
+	b.eng.ScheduleRetirement(nocDelay+dramDelay+b.latDRAM, r.Retirement(b, mem.LevelDRAM))
 	return true
 }
 

@@ -1,14 +1,16 @@
-// Snapshot support (snap.Stateful) for the cache substrate. At a quiescent
-// kernel boundary a timed cache has no queued, in-flight or pending
-// downstream requests; what persists is the tag array (the L2's warmed
-// contents are the whole point of checkpoint fan-out), the replacement
-// policy's clock and, for Random replacement, the xorshift stream state.
+// Snapshot support (snap.Stateful) for the cache substrate. What persists
+// across a kernel boundary is the tag array (the L2's warmed contents are
+// the whole point of checkpoint fan-out), the replacement policy's clock
+// and, for Random replacement, the xorshift stream state. A timed cache also
+// holds the writes still draining through it at the boundary, by value: its
+// bank queues, its downstream queue and the count of requests it has taken
+// and not yet retired. Its MSHR is empty there, since every read has been
+// answered.
 package cache
 
 import (
-	"fmt"
-
 	"swiftsim/internal/config"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/snap"
 )
 
@@ -39,18 +41,12 @@ func (t *tags) snap(c *snap.Codec) {
 
 // Snap implements snap.Stateful.
 func (c *Timed) Snap(sc *snap.Codec) {
-	if c.inflight != 0 || c.toDown.Len() != 0 || c.mshr.used() != 0 {
-		sc.Fail(fmt.Errorf("%w: cache %s has %d in-flight requests, %d pending downstream, %d MSHR entries",
-			snap.ErrNotQuiescent, c.name, c.inflight, c.toDown.Len(), c.mshr.used()))
-		return
-	}
+	sc.Empty(c.mshr.used(), c.name+" MSHR")
+	sc.Int(&c.inflight)
 	for b := range c.banks {
-		if c.banks[b].Len() != 0 {
-			sc.Fail(fmt.Errorf("%w: cache %s bank %d holds %d queued requests",
-				snap.ErrNotQuiescent, c.name, b, c.banks[b].Len()))
-			return
-		}
+		c.banks[b].Snap(sc, mem.RequestBytes, mem.SnapValue)
 	}
+	c.toDown.Snap(sc, mem.RequestBytes, mem.SnapValue)
 	c.tags.snap(sc)
 }
 

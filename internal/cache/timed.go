@@ -288,7 +288,7 @@ func (c *Timed) evict(by *mem.Request, ev evicted) {
 
 // complete retires an upstream request after the hit latency.
 func (c *Timed) complete(r *mem.Request, lvl mem.Level) {
-	c.eng.Schedule(uint64(c.cfg.HitLatency), r.Retirement(c, lvl))
+	c.eng.ScheduleRetirement(uint64(c.cfg.HitLatency), r.Retirement(c, lvl))
 }
 
 // Retire implements mem.Stage: the hit latency of a request passed to

@@ -191,9 +191,9 @@ func (p *Partition) service(cycle uint64, r *mem.Request) {
 		p.reads.Inc()
 	}
 	if hit {
-		p.eng.Schedule(lat, r.Retirement((*rowHit)(p), mem.LevelDRAM))
+		p.eng.ScheduleRetirement(lat, r.Retirement((*rowHit)(p), mem.LevelDRAM))
 	} else {
-		p.eng.Schedule(lat, r.Retirement((*rowMiss)(p), mem.LevelDRAM))
+		p.eng.ScheduleRetirement(lat, r.Retirement((*rowMiss)(p), mem.LevelDRAM))
 	}
 }
 
@@ -206,6 +206,10 @@ type (
 	rowHit  Partition
 	rowMiss Partition
 )
+
+// Stages implements engine.Stager: a checkpoint names a pending access by
+// its place in this list.
+func (p *Partition) Stages() []mem.Stage { return []mem.Stage{(*rowMiss)(p), (*rowHit)(p)} }
 
 // Retire implements mem.Stage.
 func (p *rowHit) Retire(r *mem.Request, _ mem.Level) { (*Partition)(p).retire(r, 1) }

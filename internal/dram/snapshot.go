@@ -1,20 +1,21 @@
 // Snapshot support (snap.Stateful) for the DRAM partition. Bank timing is
 // kept in absolute cycles, so bank-free times and open-row state carry
 // across a checkpoint unchanged (a bank may legitimately be booked past the
-// snapshot cycle by the last access before quiescence).
+// snapshot cycle). The queue holds the writes still waiting for a bank at
+// the kernel boundary, by value; an access already issued is a retirement
+// in the engine section.
 package dram
 
 import (
-	"fmt"
-
+	"swiftsim/internal/mem"
 	"swiftsim/internal/snap"
 )
 
 // Snap implements snap.Stateful.
 func (p *Partition) Snap(c *snap.Codec) {
-	if len(p.queue) != 0 {
-		c.Fail(fmt.Errorf("%w: DRAM partition %s holds %d queued requests", snap.ErrNotQuiescent, p.name, len(p.queue)))
-		return
+	snap.Slice(c, &p.queue, mem.RequestBytes)
+	for i := range p.queue {
+		mem.SnapValue(c, &p.queue[i])
 	}
 	if !c.Match(p.banks, 17, "banks") {
 		return

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"swiftsim/internal/mem"
 	"swiftsim/internal/obs"
 )
 
@@ -363,7 +364,15 @@ func (e *Engine) Inventory() []ModuleInfo {
 // cycle if the engine has not yet processed events for it, otherwise at the
 // next cycle boundary; analytical modules should use delays >= 1.
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.enqueue(e.cycle+delay, fn)
+	e.enqueue(e.cycle+delay, fn, nil)
+}
+
+// ScheduleRetirement runs r's retirement (r.Retirement names its stage)
+// after delay cycles. It is Schedule for the memory side's request
+// completions, which the store keeps as the request so that a checkpoint can
+// hold them.
+func (e *Engine) ScheduleRetirement(delay uint64, r *mem.Request) {
+	e.enqueue(e.cycle+delay, nil, r)
 }
 
 // ErrDeadlock is returned by Run when no ticker is busy, no events are
@@ -582,8 +591,7 @@ func (e *Engine) anyBusy() bool {
 }
 
 // Quiescent reports whether the engine holds no pending work at all: no
-// scheduled events and no busy ticker. Snapshots are only taken at
-// quiescent points — there is no in-flight state to serialize then.
+// scheduled events and no busy ticker, the condition AdvanceTime needs.
 func (e *Engine) Quiescent() bool {
 	return e.ev.next == noEvent && !e.anyBusy()
 }

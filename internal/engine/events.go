@@ -20,9 +20,19 @@
 // seq only grows, so it holds the larger seq. Within the bucket append
 // order is seq order. (The relaxed fold enqueues at the fold's cycle, not
 // the capture cycle; the argument only needs the cycle the enqueue ran at.)
+//
+// An event is a closure (Schedule) or a memory request's retirement
+// (ScheduleRetirement). A retirement is kept as the request, whose stage
+// slot names what retires it, so a checkpoint can write it as a value
+// (snapshot.go); one event kind a store entry may hold, one fire loop.
 package engine
 
-import "math/bits"
+import (
+	"math/bits"
+	"sort"
+
+	"swiftsim/internal/mem"
+)
 
 const (
 	// wheelSize is the number of one-cycle buckets. It is a constant, chosen
@@ -55,6 +65,16 @@ type event struct {
 	cycle uint64
 	seq   uint64 // FIFO tie-break within a cycle
 	fn    func()
+	r     *mem.Request // a retirement, when fn is nil
+}
+
+// fire runs one event.
+func fire(fn func(), r *mem.Request) {
+	if r != nil {
+		r.Retire()
+		return
+	}
+	fn()
 }
 
 // eventQueue is a binary min-heap ordered by (cycle, seq): the far store.
@@ -116,6 +136,7 @@ func (q *eventQueue) siftDown(i int) {
 // is never handed out).
 type wheelNode struct {
 	fn   func()
+	r    *mem.Request
 	next int32
 }
 
@@ -148,27 +169,34 @@ func (s *eventStore) init() {
 // pending returns the number of scheduled, unfired events in both stores.
 func (s *eventStore) pending() int { return s.near + len(s.far) }
 
-// enqueue files fn to run in cycle's event phase (the next one, if cycle's
-// has already run). cycle must not lie before the current cycle. Schedule
-// and the relaxed fold both end here; seq advances once per event because
-// it is part of the engine's snapshot section.
-func (e *Engine) enqueue(cycle uint64, fn func()) {
+// enqueue files fn, or r's retirement when fn is nil, to run in cycle's
+// event phase (the next one, if cycle's has already run). cycle must not lie
+// before the current cycle. Schedule, ScheduleRetirement and the relaxed
+// fold all end here; seq advances once per event because it is part of the
+// engine's snapshot section.
+func (e *Engine) enqueue(cycle uint64, fn func(), r *mem.Request) {
 	e.seq++
+	e.file(cycle, e.seq, fn, r)
+}
+
+// file puts one event with sequence number seq into the store: enqueue's
+// body, and a restored checkpoint's way back in.
+func (e *Engine) file(cycle, seq uint64, fn func(), r *mem.Request) {
 	s := &e.ev
 	if cycle < s.next {
 		s.next = cycle
 	}
 	if cycle-e.cycle >= horizon {
-		s.far.push(event{cycle: cycle, seq: e.seq, fn: fn})
+		s.far.push(event{cycle: cycle, seq: seq, fn: fn, r: r})
 		return
 	}
 	i := s.free
 	if i != 0 {
 		s.free = s.nodes[i].next
-		s.nodes[i] = wheelNode{fn: fn}
+		s.nodes[i] = wheelNode{fn: fn, r: r}
 	} else {
 		i = int32(len(s.nodes))
-		s.nodes = append(s.nodes, wheelNode{fn: fn})
+		s.nodes = append(s.nodes, wheelNode{fn: fn, r: r})
 	}
 	b := cycle & wheelMask
 	if s.head[b] == 0 {
@@ -195,18 +223,18 @@ func (e *Engine) fireBurst() {
 		for len(s.far) > 0 && s.far[0].cycle <= n {
 			ev := s.far.pop()
 			e.firedEvents++
-			ev.fn()
+			fire(ev.fn, ev.r)
 		}
 		b := n & wheelMask
 		for i := s.head[b]; i != 0; i = s.head[b] {
 			nd := &s.nodes[i]
-			fn := nd.fn
+			fn, r := nd.fn, nd.r
 			s.head[b] = nd.next
 			*nd = wheelNode{next: s.free}
 			s.free = i
 			s.near--
 			e.firedEvents++
-			fn()
+			fire(fn, r)
 		}
 		s.occ[b>>6] &^= 1 << (b & 63)
 		s.next = s.after(n)
@@ -241,4 +269,22 @@ func (s *eventStore) after(n uint64) uint64 {
 		next = s.far[0].cycle
 	}
 	return next
+}
+
+// pending returns the pending events in the order they will fire: each
+// cycle's far events by seq, then its bucket in FIFO order. A near event
+// gets a seq above every real one, in bucket order, for the sort.
+func (e *Engine) pending() eventQueue {
+	s := &e.ev
+	evs := append(eventQueue(nil), s.far...)
+	for b, i := range s.head {
+		for ; i != 0; i = s.nodes[i].next {
+			// Bucket b holds the one cycle of [now-1, now+horizon-1]
+			// congruent to b (see horizon).
+			c := e.cycle - 1 + (uint64(b)-e.cycle+1)&wheelMask
+			evs = append(evs, event{cycle: c, seq: e.seq + uint64(len(evs)), fn: s.nodes[i].fn, r: s.nodes[i].r})
+		}
+	}
+	sort.Slice(evs, evs.less)
+	return evs
 }

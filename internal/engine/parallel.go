@@ -71,6 +71,8 @@ package engine
 import (
 	"fmt"
 	"sort"
+
+	"swiftsim/internal/mem"
 )
 
 const maxInt = int(^uint(0) >> 1)
@@ -88,6 +90,9 @@ type Context interface {
 	// Schedule runs fn after delay cycles. During a segment pass the event
 	// is staged and enqueued at the fold in deterministic order.
 	Schedule(delay uint64, fn func())
+	// ScheduleRetirement runs r's retirement after delay cycles, staged
+	// like Schedule during a segment pass.
+	ScheduleRetirement(delay uint64, r *mem.Request)
 	// Defer runs fn immediately outside a segment pass, and at the fold (in
 	// the order the calls were made) during one. Use it for side effects
 	// that escape the segment: completion notifications, trace emits whose
@@ -106,13 +111,15 @@ type PreTicker interface {
 	PreTick(cycle uint64)
 }
 
-// stagedOp is a Schedule or Defer call captured during a segment pass. A
-// Schedule carries the absolute cycle it was issued at and its delay.
+// stagedOp is a Schedule, ScheduleRetirement or Defer call captured during a
+// segment pass. A scheduled event carries the absolute cycle it was issued
+// at and its delay.
 type stagedOp struct {
 	cyc   uint64
 	delay uint64
 	fn    func()
-	call  bool // a Defer: run fn at the fold instead of enqueueing it
+	r     *mem.Request // a ScheduleRetirement's request
+	call  bool         // a Defer: run fn at the fold instead of enqueueing it
 }
 
 // segment is the epoch-local segment's staging context and pass state. In
@@ -148,12 +155,17 @@ type segment struct {
 func (sg *segment) Cycle() uint64        { return sg.e.cycle + sg.off }
 func (sg *segment) TickedCycles() uint64 { return sg.e.tickedCycles + sg.off }
 
-func (sg *segment) Schedule(delay uint64, fn func()) {
+func (sg *segment) Schedule(delay uint64, fn func()) { sg.schedule(delay, fn, nil) }
+
+func (sg *segment) ScheduleRetirement(delay uint64, r *mem.Request) { sg.schedule(delay, nil, r) }
+
+// schedule stages an event during the pass and enqueues it otherwise.
+func (sg *segment) schedule(delay uint64, fn func(), r *mem.Request) {
 	if sg.staging {
-		sg.ops = append(sg.ops, stagedOp{cyc: sg.Cycle(), delay: delay, fn: fn})
+		sg.ops = append(sg.ops, stagedOp{cyc: sg.Cycle(), delay: delay, fn: fn, r: r})
 		return
 	}
-	sg.e.Schedule(delay, fn)
+	sg.e.enqueue(sg.e.cycle+delay, fn, r)
 }
 
 func (sg *segment) Defer(fn func()) {
@@ -408,9 +420,9 @@ func (e *Engine) releaseStaged() {
 		if op.call {
 			calls = append(calls, op.fn)
 		} else {
-			e.enqueue(op.cyc+op.delay, op.fn)
+			e.enqueue(op.cyc+op.delay, op.fn, op.r)
 		}
-		op.fn = nil
+		op.fn, op.r = nil, nil
 	}
 	e.seg.ops = ops[:0]
 	for i, fn := range calls {

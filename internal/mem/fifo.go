@@ -1,5 +1,7 @@
 package mem
 
+import "swiftsim/internal/snap"
+
 // FIFO is the queue every memory-system module keeps its in-flight work
 // in: a ring over one backing array that is reused for ever, where the
 // slice idiom (q = q[1:] to pop, append to push) walks the array forward
@@ -49,4 +51,18 @@ func (q *FIFO[T]) grow() {
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
+}
+
+// Snap walks the queue oldest first, each element with elem; loading
+// fills a queue that a freshly assembled module has empty. elemBytes is the
+// least one element takes in the stream.
+func (q *FIFO[T]) Snap(c *snap.Codec, elemBytes int, elem func(*snap.Codec, *T)) {
+	n := q.n
+	c.Count(&n, elemBytes)
+	for c.Loading() && c.Err() == nil && q.n < n {
+		q.Push(*new(T))
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		elem(c, &q.buf[(q.head+i)&(len(q.buf)-1)])
+	}
 }

@@ -7,8 +7,11 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
+
+	"swiftsim/internal/snap"
 )
 
 // Level identifies which level of the hierarchy serviced a request.
@@ -102,13 +105,10 @@ type Request struct {
 	// The hop slot: the interconnect the request entered the memory side
 	// through and must return over, with (hopTag) its routing tag.
 	hop Hop
-	// The stage slot: the module that will retire the request when the
-	// event returned by Retirement fires, and (lvl) the level it retires
-	// at.
+	// The stage slot: the module that will retire the request when its
+	// scheduled retirement (Retirement) fires, and (lvl) the level it
+	// retires at.
 	stage Stage
-	// fire is r.retire bound once, when the request is first scheduled,
-	// and kept across recycling.
-	fire func()
 
 	// The one- and four-byte fields sit together at the end so the struct
 	// stays in the 112-byte size class: the benchmark rigs and tests
@@ -155,18 +155,20 @@ func (r *Request) WantsReply() bool { return r.Owner != nil || r.Done != nil }
 // it back the same way.
 func (r *Request) Via(h Hop, tag int) { r.hop, r.hopTag = h, int32(tag) }
 
-// Retirement returns the function to hand to the engine's Schedule so that
-// s.Retire(r, lvl) runs when the event fires. The function is bound to r
-// once and reused, not built per call.
-func (r *Request) Retirement(s Stage, lvl Level) func() {
+// Retirement names s as the stage that retires r at lvl and returns r, for
+// the engine's ScheduleRetirement: the scheduled event is the request
+// itself, a value a checkpoint can walk, not a closure.
+func (r *Request) Retirement(s Stage, lvl Level) *Request {
 	r.stage, r.lvl = s, lvl
-	if r.fire == nil {
-		r.fire = r.retire
-	}
-	return r.fire
+	return r
 }
 
-func (r *Request) retire() {
+// Retiring returns the stage and level Retirement named.
+func (r *Request) Retiring() (Stage, Level) { return r.stage, r.lvl }
+
+// Retire runs the retirement Retirement named; the engine calls it when the
+// scheduled event fires.
+func (r *Request) Retire() {
 	s := r.stage
 	r.stage = nil
 	s.Retire(r, r.lvl)
@@ -318,7 +320,7 @@ func PutRequest(r *Request) {
 	if r.home == 0 {
 		return
 	}
-	*r = Request{fire: r.fire, home: r.home}
+	*r = Request{home: r.home}
 	l := &pools[r.home-1]
 	if Pool(r.home-1) != SharedPool {
 		l.put(r)
@@ -327,6 +329,30 @@ func PutRequest(r *Request) {
 	l.mu.Lock()
 	l.put(r)
 	l.mu.Unlock()
+}
+
+// RequestBytes is the least a request walked by SnapValue takes in a
+// stream.
+const RequestBytes = 8 + 8 + 8 + 8 + 1
+
+// SnapValue walks *p by value: the fields of a write nobody waits for
+// (Addr, Size, PC, SMID, Write). Those are the only requests in flight at a
+// kernel boundary, the L1 write-throughs and L2 writebacks, so saving fails
+// with snap.ErrNotQuiescent for one with an Owner, a Done or a return hop.
+// Loading makes *p a literal, which no pool takes back.
+func SnapValue(c *snap.Codec, p **Request) {
+	if c.Loading() {
+		*p = new(Request)
+	} else if r := *p; r.Owner != nil || r.Done != nil || r.hop != nil {
+		c.Fail(fmt.Errorf("%w: the request for %#x is awaited", snap.ErrNotQuiescent, r.Addr))
+		return
+	}
+	r := *p
+	c.U64(&r.Addr)
+	c.Int(&r.Size)
+	c.U64(&r.PC)
+	c.Int(&r.SMID)
+	c.Bool(&r.Write)
 }
 
 // Port accepts memory requests with backpressure: Accept returns false when

@@ -82,8 +82,7 @@ func TestCompletionChain(t *testing.T) {
 		t.Fatal("request with an owner does not want a reply")
 	}
 	r.Via(&c, 3)
-	fire := r.Retirement(&c, LevelL2)
-	fire()
+	r.Retirement(&c, LevelL2).Retire()
 	if c.returned != r {
 		t.Fatalf("Complete did not take the hop back; log %v", c.log)
 	}
@@ -114,13 +113,12 @@ func TestPoolRecyclesOnlyPooledRequests(t *testing.T) {
 	var c recorder
 	p := SharedPool.Get()
 	p.Addr, p.Owner = 64, &c
-	bound := p.Retirement(&c, LevelDRAM)
-	bound()
+	p.Retirement(&c, LevelDRAM).Retire()
 	if p.Addr != 0 || p.Owner != nil || p.ServicedBy != LevelNone || p.stage != nil {
 		t.Errorf("pooled request not zeroed by Complete: %+v", p)
 	}
-	if p.home == 0 || p.fire == nil {
-		t.Error("recycling dropped the pool mark or the bound retirement")
+	if p.home == 0 {
+		t.Error("recycling dropped the pool mark")
 	}
 
 	lit := &Request{Addr: 32, Write: true}

@@ -1,24 +1,45 @@
-// Snapshot support (snap.Stateful) for the interconnects. A NoC carries no
-// cross-kernel state: at a quiescent point both directions are empty, so
-// the snapshot payload is empty and the walk only verifies quiescence.
+// Snapshot support (snap.Stateful) for the interconnects. At a kernel
+// boundary the only messages in flight are writes nobody waits for on their
+// way to the L2: each forward-queue entry is walked by value with the cycle
+// its traversal ends, and a return queue, which carries only answers, is
+// empty.
 package noc
 
 import (
-	"fmt"
-
+	"swiftsim/internal/mem"
 	"swiftsim/internal/snap"
 )
 
-// Snap implements snap.Stateful.
-func (x *Crossbar) Snap(c *snap.Codec) {
-	if x.busyCnt != 0 {
-		c.Fail(fmt.Errorf("%w: crossbar %s has %d messages in flight", snap.ErrNotQuiescent, x.name, x.busyCnt))
+// entryBytes is the least a forward-queue entry takes in the stream.
+const entryBytes = mem.RequestBytes + 8
+
+// snapEntry walks one forward-queue entry.
+func snapEntry(c *snap.Codec, e *entry) {
+	mem.SnapValue(c, &e.r)
+	c.U64(&e.ready)
+}
+
+// snapQueues walks an interconnect's queues; loading adds the entries it
+// queues to *busy, the in-flight count.
+func snapQueues(c *snap.Codec, name string, fwd, ret []mem.FIFO[entry], busy *int) {
+	for i := range ret {
+		c.Empty(ret[i].Len(), name+" return queue")
+	}
+	for i := range fwd {
+		fwd[i].Snap(c, entryBytes, snapEntry)
+		if c.Loading() {
+			*busy += fwd[i].Len()
+		}
 	}
 }
 
 // Snap implements snap.Stateful.
+func (x *Crossbar) Snap(c *snap.Codec) { snapQueues(c, x.name, x.fwd, x.ret, &x.busyCnt) }
+
+// Snap implements snap.Stateful. The injection count is the bisection
+// budget already spent in the cycle the ring last ticked, which a write
+// entering the ring before its next tick still sees.
 func (r *Ring) Snap(c *snap.Codec) {
-	if r.busyCnt != 0 {
-		c.Fail(fmt.Errorf("%w: ring %s has %d messages in flight", snap.ErrNotQuiescent, r.name, r.busyCnt))
-	}
+	c.Int(&r.injected)
+	snapQueues(c, r.name, r.fwd, r.ret, &r.busyCnt)
 }

@@ -25,11 +25,19 @@ import (
 // format exactly as the decoder does.
 type checkpointLayout struct {
 	nkcOff     int      // run-position kernel-duration count (u64)
-	boolOff    int      // first L1 tag's valid flag (bool byte)
+	boolOff    int      // the first DRAM partition's last row-open flag (bool byte)
+	emptyOff   int      // the crossbar's first return-queue count (u64), always 0
 	modCntOff  int      // engine-section module count (u64)
 	modFrames  [][2]int // [start,end) of each module frame (name + payload)
+	retCntOff  int      // engine-section pending-retirement count (u64)
+	retOffs    []int    // start of each pending retirement
 	metricsOff int      // metrics-section counter count (u64)
 }
+
+// retirementBytes is one pending retirement's size in the engine section:
+// due cycle, stage, level, and the request's address, size, PC, SM and
+// write flag.
+const retirementBytes = 8 + 8 + 4 + 8 + 8 + 8 + 8 + 1
 
 // walkCheckpoint recovers the layout of a valid checkpoint stream. It
 // mirrors the writer's field sequence (see internal/sim/snapshot.go); a
@@ -72,24 +80,39 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 		name := string(data[pos : pos+int(nameLen)])
 		pos += int(nameLen)
 		plen := u64() // payload frame
-		if name == "l1" && lay.boolOff == 0 {
-			// An LRU tag array: clock, line count, then per line the
-			// address followed by the valid flag (internal/cache).
-			lay.boolOff = pos + 3*8
+		switch {
+		case name == "dram" && lay.boolOff == 0:
+			// The bank table ends the payload: per bank the free cycle,
+			// the open row and the row-open flag (internal/dram).
+			lay.boolOff = pos + int(plen) - 1
+		case name == "noc":
+			// The crossbar's payload opens with its return-queue counts
+			// (internal/noc).
+			lay.emptyOff = pos
 		}
 		pos += int(plen)
 		lay.modFrames = append(lay.modFrames, [2]int{start, pos})
 	}
+	lay.retCntOff = pos
+	for n := u64(); n > 0; n-- {
+		lay.retOffs = append(lay.retOffs, pos)
+		pos += retirementBytes
+	}
 	if pos != engineEnd {
 		t.Fatalf("walk desynced: engine section ends at %d, walk reached %d", engineEnd, pos)
+	}
+	if len(lay.retOffs) == 0 || lay.boolOff == 0 || lay.emptyOff == 0 {
+		t.Fatalf("checkpoint has %d pending retirements, DRAM flag at %d, return-queue count at %d: want all three",
+			len(lay.retOffs), lay.boolOff, lay.emptyOff)
 	}
 	lay.metricsOff = pos
 	return lay
 }
 
-// makeCheckpoint runs BFS mid-run checkpointing on the L2Hybrid
-// configuration (its kernel boundaries are quiescent) and returns the
-// checkpoint bytes plus the app for restore attempts.
+// makeCheckpoint runs BFS under Swift-Sim-Basic, checkpointing at the
+// first kernel boundary past half its cycles, where stores are still in
+// flight, and returns the checkpoint bytes plus the app for restore
+// attempts.
 func makeCheckpoint(t *testing.T) ([]byte, *trace.App) {
 	t.Helper()
 	gpu := DefaultCorpus().GPUs[0]
@@ -97,13 +120,13 @@ func makeCheckpoint(t *testing.T) ([]byte, *trace.App) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sim.Run(app, gpu, sim.Options{Kind: sim.L2Hybrid})
+	base, err := sim.Run(app, gpu, sim.Options{Kind: sim.Basic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if _, err := sim.Run(app, gpu, sim.Options{
-		Kind: sim.L2Hybrid, SnapshotAt: base.Cycles / 2, SnapshotTo: &buf,
+		Kind: sim.Basic, SnapshotAt: base.Cycles / 2, SnapshotTo: &buf,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +139,7 @@ func makeCheckpoint(t *testing.T) ([]byte, *trace.App) {
 func restoreErr(t *testing.T, app *trace.App, data []byte) error {
 	t.Helper()
 	_, err := sim.Run(app, DefaultCorpus().GPUs[0], sim.Options{
-		Kind: sim.L2Hybrid, RestoreFrom: bytes.NewReader(data),
+		Kind: sim.Basic, RestoreFrom: bytes.NewReader(data),
 	})
 	return err
 }
@@ -125,10 +148,12 @@ func TestSnapshotCorruptTruncated(t *testing.T) {
 	data, app := makeCheckpoint(t)
 	lay := walkCheckpoint(t, data)
 	// Cut points spanning every section: inside the header, inside the
-	// identity strings, mid-count, mid-engine-frame, mid-metrics, and one
-	// byte short of a valid stream.
+	// identity strings, mid-count, mid-engine-frame, inside the pending
+	// retirements, mid-metrics, and one byte short of a valid stream.
+	last := lay.retOffs[len(lay.retOffs)-1]
 	cuts := []int{0, 3, 7, 8, 12, lay.nkcOff + 4, lay.boolOff,
 		lay.modCntOff + 2, (lay.modFrames[0][0] + lay.modFrames[0][1]) / 2,
+		lay.retCntOff + 4, lay.retOffs[0] + 12, last + retirementBytes/2, last + retirementBytes - 1,
 		lay.metricsOff + 1, len(data) - 1}
 	for _, cut := range cuts {
 		if cut >= len(data) {
@@ -158,6 +183,7 @@ func TestSnapshotCorruptOverCapCounts(t *testing.T) {
 	}{
 		{"kernel-duration count", lay.nkcOff},
 		{"module count", lay.modCntOff},
+		{"pending-retirement count", lay.retCntOff},
 		{"metrics count", lay.metricsOff},
 	}
 	for _, c := range cases {
@@ -222,5 +248,32 @@ func TestSnapshotCorruptSectionOrder(t *testing.T) {
 	}
 	if !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("swapped module sections: error %v, want snap.ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotCorruptRetirementStage: a pending retirement names its stage
+// by its place among the modules' stages; an index past the module list
+// must be refused.
+func TestSnapshotCorruptRetirementStage(t *testing.T) {
+	data, app := makeCheckpoint(t)
+	lay := walkCheckpoint(t, data)
+	corrupt := append([]byte(nil), data...)
+	// The stage index follows the due cycle.
+	binary.LittleEndian.PutUint64(corrupt[lay.retOffs[0]+8:], uint64(len(lay.modFrames)))
+	if err := restoreErr(t, app, corrupt); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("restore of a stage index past the module list: error %v, want snap.ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotCorruptNonEmptyReturnQueue: a crossbar return queue carries
+// only answers, which no kernel boundary has in flight, so the checkpoint
+// holds its count as 0; a stream claiming a request there must be refused.
+func TestSnapshotCorruptNonEmptyReturnQueue(t *testing.T) {
+	data, app := makeCheckpoint(t)
+	lay := walkCheckpoint(t, data)
+	corrupt := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(corrupt[lay.emptyOff:], 1)
+	if err := restoreErr(t, app, corrupt); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("restore of a request in a return queue: error %v, want snap.ErrCorrupt", err)
 	}
 }

@@ -16,22 +16,21 @@ import (
 )
 
 // snapInput is one run the snapshot tests checkpoint: a catalog app at the
-// corpus scale, or its load-only variant (loadOnly), on a GPU under options.
+// corpus scale on a GPU under options.
 type snapInput struct {
-	app   string
-	loads bool
-	gpu   config.GPU
-	opts  sim.Options
+	app  string
+	gpu  config.GPU
+	opts sim.Options
 }
 
-// String names the input as "kind topology app", the app suffixed "+loads"
-// for a load-only variant.
+// String names the input as "kind topology app", followed by "k=N" for a
+// relaxed run.
 func (in snapInput) String() string {
-	app := in.app
-	if in.loads {
-		app += "+loads"
+	s := fmt.Sprintf("%s %s %s", in.opts.Kind, in.gpu.NoCTopology, in.app)
+	if k := in.opts.EpochCycles; k > 1 {
+		s += fmt.Sprintf(" k=%d", k)
 	}
-	return fmt.Sprintf("%s %s %s", in.opts.Kind, in.gpu.NoCTopology, app)
+	return s
 }
 
 // trace generates the input's trace.
@@ -41,64 +40,48 @@ func (in snapInput) trace(t *testing.T) *trace.App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.loads {
-		return loadOnly(app)
-	}
 	return app
 }
 
-// loadOnly returns a copy of app with every global store rewritten as a
-// global load. Basic and Detailed write a store through to the L2 and DRAM
-// without the warp waiting for it, so a kernel boundary of a catalog trace
-// still has stores in flight and those kinds never checkpoint mid-run. With
-// loads only every boundary drains, and a checkpoint holds the pipelines,
-// the instruction caches, the timed L2, the NoC and DRAM.
-func loadOnly(app *trace.App) *trace.App {
-	out := &trace.App{Name: app.Name, Suite: app.Suite}
-	for _, k := range app.Kernels {
-		nk := *k
-		nk.Blocks = make([]trace.BlockTrace, len(k.Blocks))
-		for bi, b := range k.Blocks {
-			nk.Blocks[bi].Warps = make([]trace.WarpTrace, len(b.Warps))
-			for wi, w := range b.Warps {
-				nw := append(trace.WarpTrace(nil), w...)
-				for i := range nw {
-					if nw[i].Op == trace.OpStoreGlobal {
-						nw[i].Op = trace.OpLoadGlobal
-					}
-				}
-				nk.Blocks[bi].Warps[wi] = nw
-			}
-		}
-		out.Kernels = append(out.Kernels, &nk)
-	}
-	return out
-}
-
-// loadOnlyApps are the apps whose load-only variants carry Basic and
-// Detailed checkpoints.
-var loadOnlyApps = []string{"BFS", "GEMM", "HOTSPOT", "ALEXNET", "NW"}
-
-// loadOnlyInputs are Basic and Detailed over the load-only variants of
-// loadOnlyApps, on the crossbar and on the ring, on the corpus's first GPU.
-func loadOnlyInputs() []snapInput {
+// cycleAccurateInputs are Basic and Detailed over apps, on the crossbar and
+// on the ring, on the corpus's first GPU. Their checkpoints hold the
+// pipelines, the instruction caches, the timed L1s and L2, the NoC, DRAM and
+// the stores still draining through them.
+func cycleAccurateInputs(apps []string) []snapInput {
 	var out []snapInput
 	for _, kind := range []sim.Kind{sim.Detailed, sim.Basic} {
 		for _, topology := range []string{"crossbar", "ring"} {
 			gpu := DefaultCorpus().GPUs[0]
 			gpu.NoCTopology = topology
-			for _, app := range loadOnlyApps {
-				out = append(out, snapInput{app: app, loads: true, gpu: gpu, opts: sim.Options{Kind: kind}})
+			for _, app := range apps {
+				out = append(out, snapInput{app: app, gpu: gpu, opts: sim.Options{Kind: kind}})
 			}
+		}
+	}
+	return out
+}
+
+// pinApps are the apps whose cycle-accurate checkpoints TestSnapshotDigests
+// pins and TestSnapshotRoundTrip also restores under relaxed epochs.
+var pinApps = []string{"BFS", "GEMM", "HOTSPOT", "ALEXNET", "NW"}
+
+// relaxed returns the crossbar inputs of ins at EpochCycles 8: their
+// checkpoints also hold the epoch boundary's parked writes.
+func relaxed(ins []snapInput) []snapInput {
+	var out []snapInput
+	for _, in := range ins {
+		if in.gpu.NoCTopology == "crossbar" {
+			in.opts.EpochCycles = 8
+			out = append(out, in)
 		}
 	}
 	return out
 }
 
 // checkpointMid runs in twice: uninterrupted, and checkpointing at the first
-// quiescent kernel boundary at or after half the uninterrupted run's cycles.
-// Taking the checkpoint must not perturb the run. It returns the
-// uninterrupted run's canonical bytes and the checkpoint.
+// kernel boundary at or after half the uninterrupted run's cycles. Taking
+// the checkpoint must not perturb the run. It returns the uninterrupted
+// run's canonical bytes and the checkpoint.
 func checkpointMid(t *testing.T, app *trace.App, in snapInput) (want, ck []byte) {
 	t.Helper()
 	base, err := sim.Run(app, in.gpu, in.opts)
@@ -122,15 +105,16 @@ func checkpointMid(t *testing.T, app *trace.App, in snapInput) (want, ck []byte)
 	return want, buf.Bytes()
 }
 
-// TestSnapshotRoundTrip is the checkpoint determinism oracle over the golden
-// corpus: every app is checkpointed at a mid-run quiescent kernel boundary,
-// the checkpoint is structurally validated, restored into a fresh assembly,
-// and the resumed run's canonical result must be byte-identical to an
-// uninterrupted run. The snapshotting run itself must also be unperturbed —
-// taking a checkpoint is observationally free. The corpus runs under
-// Swift-Sim-Memory; the load-only inputs add Basic and Detailed on the
-// crossbar and the ring (one of them under -short), whose checkpoints hold
-// the cycle-accurate modules' state.
+// TestSnapshotRoundTrip is the checkpoint determinism oracle: every input
+// is checkpointed at a mid-run kernel boundary, the checkpoint is
+// structurally validated, restored into a fresh assembly, and the resumed
+// run's canonical result must be byte-identical to an uninterrupted run.
+// The snapshotting run itself must also be unperturbed — taking a
+// checkpoint is observationally free. The inputs are the golden corpus
+// under Swift-Sim-Memory, the 20 apps under Basic and Detailed on the
+// crossbar and the ring, and pinApps under both at EpochCycles 8. The
+// cycle-accurate ones run one per kind under -short and none under the race
+// detector, whose pass covers them no better.
 func TestSnapshotRoundTrip(t *testing.T) {
 	var inputs []snapInput
 	var names []string
@@ -138,11 +122,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		inputs = append(inputs, snapInput{app: cs.App, gpu: cs.GPU, opts: cs.Opts})
 		names = append(names, fmt.Sprintf("%s/%s", cs.GPU.Name, cs.App))
 	}
-	loads := loadOnlyInputs()
-	if testing.Short() {
-		loads = loads[:1]
+	var timed []snapInput
+	switch all := cycleAccurateInputs(workload.Names()); {
+	case raceEnabled:
+	case testing.Short():
+		timed = []snapInput{all[0], all[len(all)-1]}
+	default:
+		timed = append(all, relaxed(cycleAccurateInputs(pinApps))...)
 	}
-	for _, in := range loads {
+	for _, in := range timed {
 		inputs = append(inputs, in)
 		names = append(names, strings.ReplaceAll(in.String(), " ", "/"))
 	}
@@ -175,9 +163,10 @@ var snapshotDigestsPath = filepath.Join("testdata", "snapshot_digests.txt")
 // change to how modules serialise their state cannot move the format
 // without bumping snap.Version:
 //   - Memory and L2Hybrid over the 20 apps, checkpointed mid-run;
-//   - Basic and Detailed over the load-only inputs, mid-run;
-//   - every kind over loadOnlyApps' catalog traces at cycle 0, the first
-//     boundary, where every module of a fresh assembly is written.
+//   - Basic and Detailed over pinApps on the crossbar and the ring, mid-run,
+//     with stores in flight;
+//   - every kind over pinApps at cycle 0, the first boundary, where every
+//     module of a fresh assembly is written.
 //
 // The fixture holds digests because an L2Hybrid checkpoint is megabytes.
 func TestSnapshotDigests(t *testing.T) {
@@ -192,12 +181,12 @@ func TestSnapshotDigests(t *testing.T) {
 			mid = append(mid, snapInput{app: app, gpu: gpu, opts: sim.Options{Kind: kind}})
 		}
 	}
-	for _, in := range append(mid, loadOnlyInputs()...) {
+	for _, in := range append(mid, cycleAccurateInputs(pinApps)...) {
 		_, ck := checkpointMid(t, in.trace(t), in)
 		fmt.Fprintf(&got, "%v mid %x\n", in, sha256.Sum256(ck))
 	}
 	for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory, sim.L2Hybrid} {
-		for _, app := range loadOnlyApps {
+		for _, app := range pinApps {
 			in := snapInput{app: app, gpu: gpu, opts: sim.Options{Kind: kind}}
 			var buf bytes.Buffer
 			opts := in.opts
@@ -225,14 +214,9 @@ func TestSnapshotDigests(t *testing.T) {
 }
 
 // TestSnapshotCrossThreads pins that EngineThreads is absent from the
-// snapshot identity: a checkpoint of a cycle-accurate run that sets the
-// deprecated field restores into a run that leaves it unset, with a
-// byte-identical final result.
-//
-// The oracle runs the L2Hybrid configuration: its kernel boundaries are
-// quiescent (the analytic backend completes in-kernel), whereas Basic and
-// Detailed boundaries typically still carry fire-and-forget store
-// completions — those runs take the designed skip-or-fail path instead.
+// snapshot identity: a checkpoint of a run that sets the deprecated field,
+// taken at the first kernel boundary past half its cycles, restores into a
+// run that leaves it unset, with a byte-identical final result.
 func TestSnapshotCrossThreads(t *testing.T) {
 	gpu := DefaultCorpus().GPUs[0]
 	apps := []string{"BFS", "GEMM"}

@@ -32,7 +32,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"swiftsim/internal/engine"
@@ -138,11 +137,26 @@ func (b *epochBoundary) Tick(cycle uint64) {
 	}
 }
 
-// Snap implements snap.Stateful: at a quiescent point no traffic is parked
-// here, so there is no state.
+// itemBytes is the least a boundary item takes in a stream.
+const itemBytes = 8 + 8 + mem.RequestBytes
+
+// Snap implements snap.Stateful: the writes parked here at a kernel
+// boundary, by value with their capture metadata.
 func (b *epochBoundary) Snap(c *snap.Codec) {
-	if b.Busy() {
-		c.Fail(fmt.Errorf("%w: epoch boundary %s holds in-flight messages", snap.ErrNotQuiescent, b.name))
+	snapItems(c, &b.queue)
+	for _, p := range b.ports {
+		snapItems(c, &p.buf)
+	}
+}
+
+// snapItems walks one list of boundary items.
+func snapItems(c *snap.Codec, items *[]boundaryItem) {
+	snap.Slice(c, items, itemBytes)
+	for i := range *items {
+		it := &(*items)[i]
+		c.U64(&it.cyc)
+		c.Int(&it.ord)
+		mem.SnapValue(c, &it.r)
 	}
 }
 

@@ -10,33 +10,43 @@ import (
 	"swiftsim/internal/workload"
 )
 
-// fuzzSeedSnapshot produces one real checkpoint to seed the corpus: a tiny
-// Memory-kind run snapshotted at its first kernel boundary.
-func fuzzSeedSnapshot(f *testing.F) []byte {
-	f.Helper()
+// seedCheckpoint checkpoints app at scale 0.25 on the RTX 2080 Ti under kind
+// at the first kernel boundary at or after cycle at.
+func seedCheckpoint(tb testing.TB, name string, kind Kind, at uint64) []byte {
+	tb.Helper()
 	gpu, ok := config.Preset("RTX2080Ti")
 	if !ok {
-		f.Fatal("missing RTX2080Ti preset")
+		tb.Fatal("missing RTX2080Ti preset")
 	}
-	app, err := workload.Generate("GEMM", 0.25)
+	app, err := workload.Generate(name, 0.25)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := Run(app, gpu, Options{Kind: Memory, SnapshotTo: &buf}); err != nil {
-		f.Fatal(err)
+	if _, err := Run(app, gpu, Options{Kind: kind, SnapshotAt: at, SnapshotTo: &buf}); err != nil {
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
+
+// fuzzSeedSnapshot is the corpus's first checkpoint: a tiny Memory-kind run
+// snapshotted at its first kernel boundary.
+func fuzzSeedSnapshot(tb testing.TB) []byte { return seedCheckpoint(tb, "GEMM", Memory, 0) }
 
 // FuzzParseSnapshot drives the checkpoint decoder with arbitrary bytes: it
 // must return a structured error or nil, never panic, and never allocate
 // proportionally to an attacker-controlled count field. The seed corpus
 // covers the interesting prefixes: a real checkpoint, truncations at every
-// framing layer, a corrupt magic, and a version from the future.
+// framing layer, a corrupt magic, and a version from the future. A Basic
+// checkpoint taken mid-run, with stores in flight, seeds the sections that
+// hold them: the timed caches', the NoC's and DRAM's queues and the engine's
+// pending retirements.
 func FuzzParseSnapshot(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
+	inflight := seedCheckpoint(f, "BFS", Basic, 1000)
+	f.Add(inflight)
+	f.Add(inflight[:len(inflight)-len(inflight)/8]) // truncated
 	f.Add([]byte{})
 	f.Add([]byte("SSIM"))
 	f.Add(valid[:4+4])                           // header only
@@ -70,7 +80,7 @@ func FuzzParseSnapshot(f *testing.F) {
 // TestParseSnapshotErrors pins the decoder's structured-error contract on
 // the corpus the fuzzer starts from.
 func TestParseSnapshotErrors(t *testing.T) {
-	valid := fuzzSeedSnapshotT(t)
+	valid := fuzzSeedSnapshot(t)
 	if err := ParseSnapshot(valid); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
@@ -97,23 +107,6 @@ func TestParseSnapshotErrors(t *testing.T) {
 	if err := ParseSnapshot(long); err == nil {
 		t.Error("trailing garbage accepted")
 	}
-}
-
-func fuzzSeedSnapshotT(t *testing.T) []byte {
-	t.Helper()
-	gpu, ok := config.Preset("RTX2080Ti")
-	if !ok {
-		t.Fatal("missing RTX2080Ti preset")
-	}
-	app, err := workload.Generate("GEMM", 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := Run(app, gpu, Options{Kind: Memory, SnapshotTo: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestRestoreRejectsMismatch pins the identity checks: a checkpoint of one

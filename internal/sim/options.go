@@ -124,15 +124,15 @@ type Options struct {
 	// exact — see Effective.
 	EpochCycles int `json:"epoch_cycles,omitempty"`
 	// SnapshotAt, together with SnapshotTo, checkpoints the run at the
-	// first quiescent kernel boundary at or after this cycle (0 = the
-	// first boundary); the run then continues normally. Taking a
-	// checkpoint never perturbs the run, so like the hook it positions it
-	// is in no identity.
+	// first kernel boundary at or after this cycle (0 = the first
+	// boundary, before the first kernel), under every Kind; the run then
+	// continues normally. Taking a checkpoint never perturbs the run, so
+	// like the hook it positions it is in no identity.
 	SnapshotAt uint64 `json:"-"`
 	// SnapshotTo receives the versioned binary checkpoint (internal/snap
-	// format). nil disables snapshotting. If no kernel boundary at or
-	// after SnapshotAt is quiescent before the run ends, the run fails
-	// with a structured error rather than silently writing nothing.
+	// format). nil disables snapshotting. A SnapshotAt past the run's
+	// last cycle fails the run with a structured error rather than
+	// silently writing nothing.
 	SnapshotTo io.Writer `json:"-"`
 	// RestoreFrom, when non-nil, resumes the run from a checkpoint written
 	// by SnapshotTo: already-simulated kernels are skipped and all module

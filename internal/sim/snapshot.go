@@ -14,13 +14,11 @@
 //	         record decodes before anything is restored
 //	metrics  the gatherer's counters by sorted name
 //
-// Snapshots are taken only at quiescent kernel boundaries: no scheduled
-// events, no busy module, no in-flight memory traffic. Boundaries that are
-// not quiescent (for example fire-and-forget stores still draining through
-// the cycle-accurate L2/DRAM) are skipped and the next boundary is tried;
-// if no quiescent boundary at or after SnapshotAt exists before the run
-// ends, the run fails with a structured error rather than silently writing
-// nothing.
+// Every kind checkpoints by one rule: the first kernel boundary at or after
+// SnapshotAt is the checkpoint (the run's end, when that is the first). No
+// warp is resident there and every read has been answered; the stores still
+// draining through the timed L1s, NoC, L2 and DRAM are written by value by
+// the modules and the engine's event section that hold them.
 package sim
 
 import (
@@ -83,23 +81,13 @@ func (ck *checkpoint) walk(c *snap.Codec) {
 	}
 }
 
-// writeSnapshot checkpoints the run at the current kernel boundary, with
-// nextKernel the index of the first kernel not yet simulated. It returns
-// (false, nil) when the boundary is not quiescent — the caller retries at
-// the next boundary — and (true, nil) once the checkpoint has been written
-// to opts.SnapshotTo.
-func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
-	if !a.eng.Quiescent() {
-		return false, nil
-	}
+// writeSnapshot checkpoints the run at the current kernel boundary to
+// opts.SnapshotTo, with nextKernel the index of the first kernel not yet
+// simulated.
+func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) error {
 	eng, err := snap.Save(a.eng.Snap)
-	if errors.Is(err, snap.ErrNotQuiescent) {
-		// A module still holds in-flight work the engine-level check
-		// cannot see; treat like any other non-quiescent boundary.
-		return false, nil
-	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	ck := checkpoint{
 		app: app.Name, kernels: uint64(len(app.Kernels)), gpu: gpu.Name, options: opts.Identity(),
@@ -109,10 +97,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	for _, n := range a.g.Names() {
 		ck.metrics = append(ck.metrics, counter{n, a.g.Value(n)})
 	}
-	if err := snap.WriteStream(opts.SnapshotTo, ck.walk); err != nil {
-		return false, err
-	}
-	return true, nil
+	return snap.WriteStream(opts.SnapshotTo, ck.walk)
 }
 
 // readSnapshot restores a freshly assembled simulator from opts.RestoreFrom

@@ -1,7 +1,7 @@
 // Package snap implements Swift-Sim's versioned binary snapshot format:
 // a little-endian, length-prefixed encoding used to serialize engine and
-// module state at a quiescent cycle so runs can be checkpointed, resumed,
-// and fanned out across configurations.
+// module state at the first kernel boundary at or after a chosen cycle, so
+// runs can be checkpointed, resumed, and fanned out across configurations.
 //
 // A state layout is written once, as a walk over a Codec. The walk names
 // each field by a pointer, so the same walk saves (appends every field) and
@@ -33,7 +33,7 @@ const Magic = "SSIM"
 // Version is the current snapshot format version. Bump on any
 // incompatible layout change; LoadStream rejects mismatches with
 // ErrVersion so a skewed binary never misparses old state as new.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // ErrCorrupt reports structurally invalid snapshot data.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
@@ -44,10 +44,10 @@ var ErrTruncated = errors.New("snap: truncated snapshot")
 // ErrVersion reports a snapshot written by an incompatible format version.
 var ErrVersion = errors.New("snap: unsupported snapshot version")
 
-// ErrNotQuiescent reports an attempt to snapshot a module that still holds
-// in-flight work (queued requests, occupied pipeline stages). Snapshots are
-// only defined at quiescent points; callers should retry at the next kernel
-// boundary.
+// ErrNotQuiescent reports an attempt to snapshot in-flight work that no
+// checkpoint layout holds: a resident warp, an occupied pipeline, a memory
+// request somebody waits for. None of it is left at a kernel boundary, so
+// this error means a checkpoint was attempted mid-kernel.
 var ErrNotQuiescent = errors.New("snap: module not quiescent")
 
 // Stateful is a module whose simulation state can be serialized into a
@@ -55,8 +55,8 @@ var ErrNotQuiescent = errors.New("snap: module not quiescent")
 // with its name and length, so a mismatch is detected, not silently
 // misread.
 type Stateful interface {
-	// Snap walks the module's state. Saving happens only at a quiescent
-	// point; a module that finds in-flight work fails c with
+	// Snap walks the module's state. Saving happens at a kernel boundary;
+	// a module that finds work its layout does not hold fails c with
 	// ErrNotQuiescent. Loading runs on a module that was just assembled, so
 	// every field the walk does not name keeps its initial value.
 	Snap(c *Codec)
@@ -252,6 +252,17 @@ func (c *Codec) Match(n, elemBytes int, what string) bool {
 		c.Failf("%s: snapshot has %d, assembly has %d", what, got, n)
 	}
 	return c.err == nil
+}
+
+// Empty walks the size of a part that holds nothing at a kernel boundary,
+// such as a queue of requests somebody waits for: saving fails with
+// ErrNotQuiescent unless n is 0, and loading refuses any other count.
+func (c *Codec) Empty(n int, what string) {
+	if !c.loading && n != 0 {
+		c.Fail(fmt.Errorf("%w: %s holds %d", ErrNotQuiescent, what, n))
+		return
+	}
+	c.Match(0, 0, what)
 }
 
 // Has walks whether an optional part is present, as Match walks a count: it
