@@ -28,19 +28,16 @@ type entry struct {
 	enq   uint64 // enqueue cycle, stamped only while tracing at RequestLevel
 }
 
-// Crossbar is a cycle-accurate SM↔partition crossbar. One instance handles
-// both directions: requests flow to partition ports, and a request somebody
-// waits for is marked (mem.Request.Via) so that its completion comes back
-// through Return and is delivered to the requesting L1 after the return
-// traversal.
-type Crossbar struct {
-	name     string
-	eng      *engine.Engine
-	wake     func() // engine activation callback (nil when standalone)
-	latency  uint64
-	perCycle int // requests per destination per cycle
-	targets  []mem.Port
-	mapAddr  func(addr uint64) int
+// link is what both interconnects are: per-partition queues in each
+// direction over the same targets, an in-flight count, and the engine
+// plumbing, counters and tracing around them. Crossbar and Ring differ only
+// in how long a traversal takes and how much traffic moves per cycle.
+type link struct {
+	name    string
+	eng     *engine.Engine
+	wake    func() // engine activation callback (nil when standalone)
+	targets []mem.Port
+	mapAddr func(addr uint64) int
 
 	fwd []mem.FIFO[entry] // per-destination request queues, queueCap deep
 	ret []mem.FIFO[entry] // per-source-partition response queues
@@ -54,34 +51,10 @@ type Crossbar struct {
 	trOn  bool
 }
 
-// SetTracer installs the crossbar's tracer (nil for off) and registers
-// its trace track. Traversal spans (enqueue → delivery) are emitted at
-// RequestLevel for both network directions.
-func (x *Crossbar) SetTracer(t *obs.Tracer) {
-	x.tr = t
-	x.trOn = t.Enabled(obs.RequestLevel)
-	if x.trOn {
-		x.trTid = t.RegisterTrack(x.name)
-	}
-}
-
-// Occupancy returns the number of messages currently in flight on the
-// network (both directions) — the NoC column of the counter timeline.
-func (x *Crossbar) Occupancy() int { return x.busyCnt }
-
-// NewCrossbar builds a crossbar delivering to targets (one port per memory
-// partition). mapAddr maps a sector address to its partition index; latency
-// is the one-way traversal in cycles; perCycle the per-destination
-// per-cycle throughput.
-func NewCrossbar(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, latency uint64, perCycle int, g *metrics.Gatherer) *Crossbar {
-	if perCycle <= 0 {
-		perCycle = 1
-	}
-	return &Crossbar{
+func newLink(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, g *metrics.Gatherer) link {
+	return link{
 		name:     name,
 		eng:      eng,
-		latency:  latency,
-		perCycle: perCycle,
 		targets:  targets,
 		mapAddr:  mapAddr,
 		fwd:      make([]mem.FIFO[entry], len(targets)),
@@ -91,20 +64,123 @@ func NewCrossbar(name string, eng *engine.Engine, targets []mem.Port, mapAddr fu
 	}
 }
 
+// SetTracer installs the interconnect's tracer (nil for off) and registers
+// its trace track. Traversal spans (enqueue → delivery) are emitted at
+// RequestLevel for both network directions.
+func (l *link) SetTracer(t *obs.Tracer) {
+	l.tr = t
+	l.trOn = t.Enabled(obs.RequestLevel)
+	if l.trOn {
+		l.trTid = t.RegisterTrack(l.name)
+	}
+}
+
+// Occupancy returns the number of messages currently in flight on the
+// network (both directions) — the NoC column of the counter timeline.
+func (l *link) Occupancy() int { return l.busyCnt }
+
 // Name implements engine.Module.
-func (x *Crossbar) Name() string { return x.name }
+func (l *link) Name() string { return l.name }
 
 // Kind implements engine.Module.
-func (x *Crossbar) Kind() engine.ModelKind { return engine.CycleAccurate }
+func (l *link) Kind() engine.ModelKind { return engine.CycleAccurate }
 
 // Busy implements engine.Ticker.
-func (x *Crossbar) Busy() bool { return x.busyCnt > 0 }
+func (l *link) Busy() bool { return l.busyCnt > 0 }
 
-// SetWake implements engine.Ticker: the crossbar is ticked only while
-// flits are in flight. Accept (forward path) and Return (return path,
-// reached from completion events while the crossbar may be idle) both
-// re-activate it.
-func (x *Crossbar) SetWake(wake func()) { x.wake = wake }
+// SetWake implements engine.Ticker: the interconnect is ticked only while
+// messages are in flight. Accept (forward path) and Return (return path,
+// reached from completion events while it may be idle) both re-activate it.
+func (l *link) SetWake(wake func()) { l.wake = wake }
+
+// send queues r on q, to arrive after delay cycles.
+func (l *link) send(q *mem.FIFO[entry], r *mem.Request, delay uint64) {
+	e := entry{r: r, ready: l.eng.Cycle() + delay}
+	if l.trOn {
+		e.enq = l.eng.Cycle()
+	}
+	q.Push(e)
+	l.busyCnt++
+	if l.wake != nil {
+		l.wake()
+	}
+}
+
+// accept is the forward half of Accept once the caller has admitted r to
+// destination dst: a request somebody waits for is marked (mem.Request.Via)
+// so that its completion comes back through Return.
+func (l *link) accept(hop mem.Hop, r *mem.Request, dst int, delay uint64) {
+	l.requests.Inc()
+	if r.WantsReply() {
+		r.Via(hop, dst)
+	}
+	l.send(&l.fwd[dst], r, delay)
+}
+
+// drain moves up to fwdMax ready entries per destination into the target
+// ports, and delivers up to retMax ready responses per source partition.
+func (l *link) drain(cycle uint64, fwdMax, retMax int) {
+	for dst := range l.fwd {
+		q := &l.fwd[dst]
+		for n := 0; n < fwdMax && q.Len() > 0; n++ {
+			head := q.Front()
+			if head.ready > cycle {
+				break
+			}
+			if !l.targets[dst].Accept(head.r) {
+				l.stalls.Inc()
+				break
+			}
+			if l.trOn {
+				l.emitSpan("fwd", &head, cycle)
+			}
+			q.Pop()
+			l.busyCnt--
+		}
+	}
+	for src := range l.ret {
+		q := &l.ret[src]
+		for n := 0; n < retMax && q.Len() > 0; n++ {
+			if q.Front().ready > cycle {
+				break
+			}
+			head := q.Pop()
+			l.busyCnt--
+			if l.trOn {
+				// Emit before Deliver, which may recycle the request.
+				l.emitSpan("ret", &head, cycle)
+			}
+			head.r.Deliver()
+		}
+	}
+}
+
+func (l *link) emitSpan(dir string, e *entry, cycle uint64) {
+	l.tr.Emit(obs.Event{Name: dir, Cat: "noc", Ph: obs.PhaseSpan,
+		Ts: e.enq, Dur: cycle - e.enq, Tid: l.trTid,
+		Arg1Name: "addr", Arg1: e.r.Addr})
+}
+
+// Crossbar is a cycle-accurate SM↔partition crossbar. One instance handles
+// both directions: requests flow to partition ports, and a request somebody
+// waits for comes back through Return and is delivered to the requesting L1
+// after the return traversal.
+type Crossbar struct {
+	link
+	latency  uint64
+	perCycle int // requests per destination per cycle
+}
+
+// NewCrossbar builds a crossbar delivering to targets (one port per memory
+// partition). mapAddr maps a sector address to its partition index; latency
+// is the one-way traversal in cycles; perCycle the per-destination
+// per-cycle throughput.
+func NewCrossbar(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, latency uint64, perCycle int, g *metrics.Gatherer) *Crossbar {
+	if perCycle <= 0 {
+		perCycle = 1
+	}
+	return &Crossbar{link: newLink(name, eng, targets, mapAddr, g), latency: latency, perCycle: perCycle}
+}
 
 // Accept implements mem.Port: requests enter the forward network.
 func (x *Crossbar) Accept(r *mem.Request) bool {
@@ -113,83 +189,18 @@ func (x *Crossbar) Accept(r *mem.Request) bool {
 		x.stalls.Inc()
 		return false
 	}
-	x.requests.Inc()
-	e := entry{r: r, ready: x.eng.Cycle() + x.latency}
-	if x.trOn {
-		e.enq = x.eng.Cycle()
-	}
-	if r.WantsReply() {
-		// Interpose on the response path: when the memory side
-		// completes the request, it travels back through the return
-		// network before the L1 sees it.
-		r.Via(x, dst)
-	}
-	x.fwd[dst].Push(e)
-	x.busyCnt++
-	if x.wake != nil {
-		x.wake()
-	}
+	x.accept(x, r, dst, x.latency)
 	return true
 }
 
 // Return implements mem.Hop: it enqueues a completed request on the return
-// network of the partition it was routed to.
-func (x *Crossbar) Return(r *mem.Request, src int) {
-	// The return queue is not backpressured toward the L2 (responses in
-	// real hardware use a separate virtual network with guaranteed
-	// sinking); bandwidth is still bounded per cycle at drain time.
-	e := entry{r: r, ready: x.eng.Cycle() + x.latency}
-	if x.trOn {
-		e.enq = x.eng.Cycle()
-	}
-	x.ret[src].Push(e)
-	x.busyCnt++
-	if x.wake != nil {
-		x.wake()
-	}
-}
+// network of the partition it was routed to. The return queue is not
+// backpressured toward the L2 (responses in real hardware use a separate
+// virtual network with guaranteed sinking); bandwidth is still bounded per
+// cycle at drain time.
+func (x *Crossbar) Return(r *mem.Request, src int) { x.send(&x.ret[src], r, x.latency) }
 
 // Tick implements engine.Ticker: move up to perCycle ready entries per
 // destination into the target ports, and drain up to perCycle responses per
 // source partition.
-func (x *Crossbar) Tick(cycle uint64) {
-	for dst := range x.fwd {
-		q := &x.fwd[dst]
-		for n := 0; n < x.perCycle && q.Len() > 0; n++ {
-			head := q.Front()
-			if head.ready > cycle {
-				break
-			}
-			if !x.targets[dst].Accept(head.r) {
-				x.stalls.Inc()
-				break
-			}
-			if x.trOn {
-				x.emitSpan("fwd", &head, cycle)
-			}
-			q.Pop()
-			x.busyCnt--
-		}
-	}
-	for src := range x.ret {
-		q := &x.ret[src]
-		for n := 0; n < x.perCycle && q.Len() > 0; n++ {
-			if q.Front().ready > cycle {
-				break
-			}
-			head := q.Pop()
-			x.busyCnt--
-			if x.trOn {
-				// Emit before Deliver, which may recycle the request.
-				x.emitSpan("ret", &head, cycle)
-			}
-			head.r.Deliver()
-		}
-	}
-}
-
-func (x *Crossbar) emitSpan(dir string, e *entry, cycle uint64) {
-	x.tr.Emit(obs.Event{Name: dir, Cat: "noc", Ph: obs.PhaseSpan,
-		Ts: e.enq, Dur: cycle - e.enq, Tid: x.trTid,
-		Arg1Name: "addr", Arg1: e.r.Addr})
-}
+func (x *Crossbar) Tick(cycle uint64) { x.drain(cycle, x.perCycle, x.perCycle) }

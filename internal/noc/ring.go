@@ -4,7 +4,6 @@ import (
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
-	"swiftsim/internal/obs"
 )
 
 // Ring is an alternative cycle-accurate interconnect: SMs and memory
@@ -18,44 +17,16 @@ import (
 // interface: assemblies switch between Crossbar and Ring with one
 // configuration key (gpu.noc_topology) and nothing else changes.
 type Ring struct {
-	name       string
-	eng        *engine.Engine
-	wake       func() // engine activation callback (nil when standalone)
+	link
 	hopLatency uint64
 	nodes      int // ring positions (SM count + partition count)
 	bisection  int // messages accepted onto the ring per cycle
-	targets    []mem.Port
-	mapAddr    func(addr uint64) int
 	smPos      func(smID int) int
 	partPos    func(part int) int
 
-	fwd []mem.FIFO[entry] // per-destination-partition queues, queueCap deep
-	ret []mem.FIFO[entry] // per-source-partition response queues
-
-	requests *metrics.Counter
-	stalls   *metrics.Counter
 	hopsAcc  *metrics.Counter
-	busyCnt  int
 	injected int // messages injected this cycle (bisection budget)
-
-	tr    *obs.Tracer
-	trTid int32
-	trOn  bool
 }
-
-// SetTracer installs the ring's tracer (nil for off) and registers its
-// trace track; traversal spans are emitted at RequestLevel.
-func (r *Ring) SetTracer(t *obs.Tracer) {
-	r.tr = t
-	r.trOn = t.Enabled(obs.RequestLevel)
-	if r.trOn {
-		r.trTid = t.RegisterTrack(r.name)
-	}
-}
-
-// Occupancy returns the number of messages currently in flight on the
-// ring (both directions).
-func (r *Ring) Occupancy() int { return r.busyCnt }
 
 // NewRing builds a ring over numSMs SM nodes and the target partitions,
 // interleaved evenly around the ring. mapAddr maps sector addresses to
@@ -68,17 +39,10 @@ func NewRing(name string, eng *engine.Engine, numSMs int, targets []mem.Port, ma
 	parts := len(targets)
 	nodes := numSMs + parts
 	r := &Ring{
-		name:       name,
-		eng:        eng,
+		link:       newLink(name, eng, targets, mapAddr, g),
 		hopLatency: hopLatency,
 		nodes:      nodes,
 		bisection:  bisection,
-		targets:    targets,
-		mapAddr:    mapAddr,
-		fwd:        make([]mem.FIFO[entry], parts),
-		ret:        make([]mem.FIFO[entry], parts),
-		requests:   g.Counter(name + ".request"),
-		stalls:     g.Counter(name + ".stall"),
 		hopsAcc:    g.Counter(name + ".hops"),
 	}
 	// SMs and partitions are each spread evenly around the ring, so
@@ -110,21 +74,6 @@ func (r *Ring) hops(a, b int) int {
 	return d
 }
 
-// Name implements engine.Module.
-func (r *Ring) Name() string { return r.name }
-
-// Kind implements engine.Module.
-func (r *Ring) Kind() engine.ModelKind { return engine.CycleAccurate }
-
-// Busy implements engine.Ticker.
-func (r *Ring) Busy() bool { return r.busyCnt > 0 }
-
-// SetWake implements engine.Ticker: the ring is ticked only while
-// messages are in flight. Any message since the last tick re-activates it,
-// so the per-tick bisection-budget reset still happens before the next
-// cycle's injections, exactly as when it was ticked unconditionally.
-func (r *Ring) SetWake(wake func()) { r.wake = wake }
-
 // Accept implements mem.Port: inject a request onto the ring, bounded by
 // queue capacity and the cycle's bisection budget.
 func (r *Ring) Accept(req *mem.Request) bool {
@@ -136,19 +85,7 @@ func (r *Ring) Accept(req *mem.Request) bool {
 	r.injected++
 	h := r.hops(r.smPos(req.SMID), r.partPos(dst))
 	r.hopsAcc.Add(uint64(h))
-	r.requests.Inc()
-	e := entry{r: req, ready: r.eng.Cycle() + uint64(h)*r.hopLatency}
-	if r.trOn {
-		e.enq = r.eng.Cycle()
-	}
-	if req.WantsReply() {
-		req.Via(r, dst)
-	}
-	r.fwd[dst].Push(e)
-	r.busyCnt++
-	if r.wake != nil {
-		r.wake()
-	}
+	r.accept(r, req, dst, uint64(h)*r.hopLatency)
 	return true
 }
 
@@ -156,57 +93,15 @@ func (r *Ring) Accept(req *mem.Request) bool {
 // partition it was routed to back to its SM.
 func (r *Ring) Return(req *mem.Request, src int) {
 	h := r.hops(r.partPos(src), r.smPos(req.SMID))
-	e := entry{r: req, ready: r.eng.Cycle() + uint64(h)*r.hopLatency}
-	if r.trOn {
-		e.enq = r.eng.Cycle()
-	}
-	r.ret[src].Push(e)
-	r.busyCnt++
-	if r.wake != nil {
-		r.wake()
-	}
+	r.send(&r.ret[src], req, uint64(h)*r.hopLatency)
 }
 
 // Tick implements engine.Ticker: refresh the bisection budget, deliver
-// arrived requests to partitions, and drain responses.
+// arrived requests to partitions, and drain one response per partition.
+// A message since the last tick re-activates the ring, so the budget is
+// reset before the next cycle's injections, exactly as when the ring was
+// ticked unconditionally.
 func (r *Ring) Tick(cycle uint64) {
 	r.injected = 0
-	for dst := range r.fwd {
-		q := &r.fwd[dst]
-		for q.Len() > 0 {
-			head := q.Front()
-			if head.ready > cycle {
-				break
-			}
-			if !r.targets[dst].Accept(head.r) {
-				r.stalls.Inc()
-				break
-			}
-			if r.trOn {
-				r.emitSpan("fwd", &head, cycle)
-			}
-			q.Pop()
-			r.busyCnt--
-		}
-	}
-	for src := range r.ret {
-		// One response per partition per cycle leaves the ring.
-		q := &r.ret[src]
-		if q.Len() == 0 || q.Front().ready > cycle {
-			continue
-		}
-		head := q.Pop()
-		r.busyCnt--
-		if r.trOn {
-			// Emit before Deliver, which may recycle the request.
-			r.emitSpan("ret", &head, cycle)
-		}
-		head.r.Deliver()
-	}
-}
-
-func (r *Ring) emitSpan(dir string, e *entry, cycle uint64) {
-	r.tr.Emit(obs.Event{Name: dir, Cat: "noc", Ph: obs.PhaseSpan,
-		Ts: e.enq, Dur: cycle - e.enq, Tid: r.trTid,
-		Arg1Name: "addr", Arg1: e.r.Addr})
+	r.drain(cycle, queueCap, 1)
 }

@@ -19,27 +19,24 @@ func snapEntry(c *snap.Codec, e *entry) {
 	c.U64(&e.ready)
 }
 
-// snapQueues walks an interconnect's queues; loading adds the entries it
-// queues to *busy, the in-flight count.
-func snapQueues(c *snap.Codec, name string, fwd, ret []mem.FIFO[entry], busy *int) {
-	for i := range ret {
-		c.Empty(ret[i].Len(), name+" return queue")
+// Snap implements snap.Stateful: a return queue must be empty, and loading
+// counts the forward entries in flight.
+func (l *link) Snap(c *snap.Codec) {
+	for i := range l.ret {
+		c.Empty(l.ret[i].Len(), l.name+" return queue")
 	}
-	for i := range fwd {
-		fwd[i].Snap(c, entryBytes, snapEntry)
+	for i := range l.fwd {
+		l.fwd[i].Snap(c, entryBytes, snapEntry)
 		if c.Loading() {
-			*busy += fwd[i].Len()
+			l.busyCnt += l.fwd[i].Len()
 		}
 	}
 }
-
-// Snap implements snap.Stateful.
-func (x *Crossbar) Snap(c *snap.Codec) { snapQueues(c, x.name, x.fwd, x.ret, &x.busyCnt) }
 
 // Snap implements snap.Stateful. The injection count is the bisection
 // budget already spent in the cycle the ring last ticked, which a write
 // entering the ring before its next tick still sees.
 func (r *Ring) Snap(c *snap.Codec) {
 	c.Int(&r.injected)
-	snapQueues(c, r.name, r.fwd, r.ret, &r.busyCnt)
+	r.link.Snap(c)
 }
