@@ -37,7 +37,6 @@ import (
 
 	"swiftsim/internal/cliutil"
 	"swiftsim/internal/experiments"
-	"swiftsim/internal/obs"
 )
 
 func main() {
@@ -57,8 +56,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	threads := fs.Int("threads", 0, "parallel workers for the fig5 and fig6 sweeps (0 = NumCPU; fig4 measures single-thread wall clock and always runs serially)")
 	runFlags := cliutil.RunFlags(fs)
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file for the sweep")
-	traceLevel := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
+	openTrace := cliutil.TraceFlags(fs, "the sweep")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -98,37 +96,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}()
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		level, err := obs.ParseLevel(*traceLevel)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: -trace-level: %v\n", err)
-			return 1
-		}
-		if level == obs.Off {
-			// -trace-out with the level forced off writes nothing; without
-			// this warning the flag silently produces no file and users
-			// hunt for an I/O failure that never happened.
-			fmt.Fprintf(stderr, "sweep: warning: -trace-out %s ignored because -trace-level is off; no trace file will be written\n", *traceOut)
-		} else {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "sweep: -trace-out: %v\n", err)
-				return 1
-			}
-			rec := obs.NewJSONStream(f)
-			// Close on every exit path — including exit code 2 (failed
-			// jobs, e.g. per-job timeouts) and Ctrl-C cancellation — so a
-			// truncated sweep still leaves a well-terminated, loadable
-			// trace file instead of an unparseable fragment.
-			defer func() {
-				if cerr := rec.Close(); cerr != nil {
-					fmt.Fprintf(stderr, "sweep: -trace-out: %v\n", cerr)
-				}
-			}()
-			tracer = obs.New(rec, level)
-		}
+	tracer, closeTrace, err := openTrace("sweep", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
 	}
+	defer closeTrace()
 
 	p := experiments.Params{
 		Scale:      *scale,

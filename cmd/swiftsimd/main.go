@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"swiftsim/internal/cliutil"
-	"swiftsim/internal/obs"
 	"swiftsim/internal/service"
 )
 
@@ -79,8 +78,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	maxJobTimeout := fs.Duration("max-job-timeout", 5*time.Minute, "cap and default for per-job wall-clock budgets (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for queued sweeps on shutdown")
 	runFlags := cliutil.RunFlags(fs)
-	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file for all sweeps")
-	traceLevel := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
+	openTrace := cliutil.TraceFlags(fs, "all sweeps")
 	remote := fs.Bool("remote", false, "start no in-process executors: every job waits for a swiftsim-worker process to claim it over HTTP (without it, registered workers claim alongside the daemon's executors)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "how long a job claimed by a swiftsim-worker survives without its heartbeat before it is requeued")
 	leaseRetries := fs.Int("lease-retries", 3, "how many expired worker leases a job may burn through before failing terminally")
@@ -93,30 +91,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 1
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		level, err := obs.ParseLevel(*traceLevel)
-		if err != nil {
-			fmt.Fprintf(stderr, "swiftsimd: -trace-level: %v\n", err)
-			return 1
-		}
-		if level == obs.Off {
-			fmt.Fprintf(stderr, "swiftsimd: warning: -trace-out %s ignored because -trace-level is off; no trace file will be written\n", *traceOut)
-		} else {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "swiftsimd: -trace-out: %v\n", err)
-				return 1
-			}
-			rec := obs.NewJSONStream(f)
-			defer func() {
-				if cerr := rec.Close(); cerr != nil {
-					fmt.Fprintf(stderr, "swiftsimd: -trace-out: %v\n", cerr)
-				}
-			}()
-			tracer = obs.New(rec, level)
-		}
+	tracer, closeTrace, err := openTrace("swiftsimd", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "swiftsimd:", err)
+		return 1
 	}
+	defer closeTrace()
 
 	if *leaseTTL <= 0 || *leaseRetries < 1 {
 		fmt.Fprintln(stderr, "swiftsimd: -lease-ttl must be > 0 and -lease-retries >= 1")

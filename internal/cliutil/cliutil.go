@@ -1,13 +1,17 @@
 // Package cliutil holds what the command-line front ends (cmd/swiftsim,
-// cmd/sweep, cmd/explore, cmd/swiftsimd) share: list-valued flag parsing
-// and the one registration of the execution-mode flags.
+// cmd/sweep, cmd/explore, cmd/swiftsimd) share: list-valued flag parsing,
+// the one registration of the execution-mode flags, and the trace-file
+// flags of the commands that run many jobs.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
+	"swiftsim/internal/obs"
 	"swiftsim/internal/sim"
 )
 
@@ -47,5 +51,43 @@ func RunFlags(fs *flag.FlagSet) func() (sim.Options, error) {
 				o.EpochCycles, o.Sampling.Enabled, o.Sampling.BlockFraction, o.Sampling.ReplayStride, err)
 		}
 		return o, nil
+	}
+}
+
+// TraceFlags registers on fs -trace-out and -trace-level, for a command
+// that writes one Chrome trace-event file of everything it runs (what names
+// that, as in "for the sweep"), and returns the function to call once fs is
+// parsed. It opens the file and returns the tracer, nil when -trace-out is
+// unset or when the level is off, which it warns about on stderr as prog.
+// The caller defers the returned close: closing on every exit path, failed
+// jobs and cancellation included, leaves a well-terminated, loadable trace
+// instead of an unparseable fragment. An error names its flag; the caller
+// prints it after its prefix and exits 1.
+func TraceFlags(fs *flag.FlagSet, what string) func(prog string, stderr io.Writer) (*obs.Tracer, func(), error) {
+	out := fs.String("trace-out", "", "write a Chrome trace-event JSON file for "+what)
+	levelName := fs.String("trace-level", "kernel", "trace detail: off|kernel|module|request")
+	return func(prog string, stderr io.Writer) (*obs.Tracer, func(), error) {
+		level, err := obs.ParseLevel(*levelName)
+		switch {
+		case *out == "":
+			return nil, func() {}, nil
+		case err != nil:
+			return nil, nil, fmt.Errorf("-trace-level: %w", err)
+		case level == obs.Off:
+			// Without this warning the flag silently produces no file and
+			// users hunt for an I/O failure that never happened.
+			fmt.Fprintf(stderr, "%s: warning: -trace-out %s ignored because -trace-level is off; no trace file will be written\n", prog, *out)
+			return nil, func() {}, nil
+		}
+		f, err := os.Create(*out)
+		if err != nil {
+			return nil, nil, fmt.Errorf("-trace-out: %w", err)
+		}
+		rec := obs.NewJSONStream(f)
+		return obs.New(rec, level), func() {
+			if err := rec.Close(); err != nil {
+				fmt.Fprintf(stderr, "%s: -trace-out: %v\n", prog, err)
+			}
+		}, nil
 	}
 }
