@@ -464,7 +464,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		if opts.Kind != Detailed {
 			// The hybrids drop the front end and model the ALUs analytically.
 			units.ALU = analyticalALUs(smCfg, gpu.NumSMs, eng, ctx, g)
-			units.ICache, units.ModelFrontEnd = nil, false
+			units.ICache = nil
 		}
 	case Memory:
 		// Eq. 1's level latencies are end-to-end from the core: an L2

@@ -70,5 +70,5 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 	icache := func(smID, sub int) *ICache {
 		return NewICache("icache", icacheCapacityLines, icacheMissLatency, g)
 	}
-	return UnitSet{ALU: alu, LDST: ldst, ICache: icache, ModelFrontEnd: true}
+	return UnitSet{ALU: alu, LDST: ldst, ICache: icache}
 }

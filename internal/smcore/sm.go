@@ -24,14 +24,12 @@ type UnitSet struct {
 	ALU func(smID, sub int, class trace.OpClass) Unit
 	// LDST returns the load/store unit for sub-core sub of SM smID.
 	LDST func(smID, sub int) Unit
-	// ICache optionally returns a per-sub-core instruction cache; nil
-	// runs without one (the hybrid configurations simplify it away).
+	// ICache optionally returns a per-sub-core instruction cache, and with
+	// it the detailed front end: instructions are fetched through the cache
+	// into per-warp instruction buffers every cycle before they become
+	// eligible for issue. nil runs without either (the hybrid
+	// configurations simplify both away).
 	ICache func(smID, sub int) *ICache
-	// ModelFrontEnd enables the detailed fetch stage: instructions are
-	// fetched through the ICache into per-warp instruction buffers every
-	// cycle before they become eligible for issue. The hybrid
-	// configurations leave it off (another simplified module).
-	ModelFrontEnd bool
 	// Scheduler optionally installs a custom warp-scheduling policy per
 	// sub-core, overriding the configuration's built-in policy — the
 	// paper's new-warp-scheduler exploration hook. nil keeps the
@@ -131,7 +129,7 @@ func (sc *subCore) fetch(cycle uint64) {
 			continue
 		}
 		pc := w.insts[w.pc+w.ibuf].PC
-		if sc.icache != nil && !sc.icache.Ready(pc, cycle) {
+		if !sc.icache.Ready(pc, cycle) {
 			continue
 		}
 		w.ibuf++
@@ -416,6 +414,7 @@ type SM struct {
 	// sm.stall bit-identical to the tick-everything engine.
 	accounted uint64
 
+	// frontEnd runs the fetch stage: the unit set gave instruction caches.
 	frontEnd bool
 
 	onBlockDone func(sm *SM)
@@ -526,7 +525,7 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 		id:          id,
 		cfg:         cfg,
 		eng:         eng,
-		frontEnd:    us.ModelFrontEnd,
+		frontEnd:    us.ICache != nil,
 		onBlockDone: onBlockDone,
 		issued:      g.Counter("sm.issued"),
 		stalls:      g.Counter("sm.stall"),
