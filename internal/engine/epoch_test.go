@@ -196,7 +196,7 @@ func TestEpochEventsNeverEarly(t *testing.T) {
 	}
 }
 
-// TestEpochQuiescent pins the snapshot gate: quiescent means no events and
+// TestEpochQuiescent pins AdvanceTime's gate: quiescent means no events and
 // no busy or pending module.
 func TestEpochQuiescent(t *testing.T) {
 	e := New()

@@ -24,7 +24,7 @@
 // An event is a closure (Schedule) or a memory request's retirement
 // (ScheduleRetirement). A retirement is kept as the request, whose stage
 // slot names what retires it, so a checkpoint can write it as a value
-// (snapshot.go); one event kind a store entry may hold, one fire loop.
+// (snapshot.go). Both kinds share the store's entries and its fire loop.
 package engine
 
 import (

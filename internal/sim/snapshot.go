@@ -15,10 +15,10 @@
 //	metrics  the gatherer's counters by sorted name
 //
 // Every kind checkpoints by one rule: the first kernel boundary at or after
-// SnapshotAt is the checkpoint (the run's end, when that is the first). No
-// warp is resident there and every read has been answered; the stores still
-// draining through the timed L1s, NoC, L2 and DRAM are written by value by
-// the modules and the engine's event section that hold them.
+// SnapshotAt is the checkpoint (the run's end, for a SnapshotAt in the last
+// kernel). No warp is resident there and every read has been answered; the
+// stores still draining through the timed L1s, NoC, L2 and DRAM are written
+// by value by the modules and the engine's event section that hold them.
 package sim
 
 import (
