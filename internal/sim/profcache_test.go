@@ -414,8 +414,8 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		ceiling float64
 	}{
 		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,508
-		{Detailed, "SM", 0.4, wide, 13900},     // measured 11,121
-		{Basic, "SM", 0.4, wide, 3730},         // measured 2,979-2,980
+		{Detailed, "SM", 0.4, wide, 4850},      // measured 3,882
+		{Basic, "SM", 0.4, wide, 3380},         // measured 2,706
 		{Memory, "SM", 0.4, wide, 1048},        // measured 836
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {

@@ -14,9 +14,11 @@ type ReadyCheck struct {
 }
 
 // CheckReadySets makes every SM, for the rest of the test, compare each
-// sub-core's ready set with a fresh issuable() scan of its slots after every
-// Tick and every completion. The scan lives here, in a test file, so the
-// product build holds only the nil hook.
+// sub-core's ready set with a fresh issuable() scan of its slots, and its
+// fetch set with a fresh wantsFetch scan, after every Tick and every
+// completion; a sub-core without an instruction cache must keep its fetch
+// set empty. The scans live here, in a test file, so the product build
+// holds only the nil hook.
 func CheckReadySets(tb testing.TB) *ReadyCheck {
 	rc := &ReadyCheck{}
 	readyCheck = func(sm *SM) {
@@ -32,6 +34,15 @@ func CheckReadySets(tb testing.TB) *ReadyCheck {
 					rc.Mismatch = fmt.Sprintf("SM%d sub-core %d slot %d: ready bit %v, issuable() %v (check %d)",
 						sm.id, sc.index, slot, got, want, rc.Checks)
 				}
+				want = w != nil && w.wantsFetch(ibufDepth)
+				if got := hasBit(sc.wants, slot); got != want && rc.Mismatch == "" {
+					rc.Mismatch = fmt.Sprintf("SM%d sub-core %d slot %d: fetch bit %v, wantsFetch %v (check %d)",
+						sm.id, sc.index, slot, got, want, rc.Checks)
+				}
+			}
+			if sc.icache == nil && anyBit(sc.wants) && rc.Mismatch == "" {
+				rc.Mismatch = fmt.Sprintf("SM%d sub-core %d: fetch set %x without an instruction cache",
+					sm.id, sc.index, sc.wants)
 			}
 			if resident != sc.resident && rc.Mismatch == "" {
 				rc.Mismatch = fmt.Sprintf("SM%d sub-core %d: resident count %d, %d slots occupied",

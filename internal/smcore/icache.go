@@ -42,6 +42,19 @@ func NewICache(name string, capacityLines, missLatency int, g *metrics.Gatherer)
 	}
 }
 
+// sibling returns an empty instruction cache of ic's class: its name,
+// geometry and counters, with lines of its own.
+func (ic *ICache) sibling() *ICache {
+	return &ICache{
+		name:        ic.name,
+		capacity:    ic.capacity,
+		missLatency: ic.missLatency,
+		lines:       make(map[uint64]uint64, ic.capacity),
+		hits:        ic.hits,
+		misses:      ic.misses,
+	}
+}
+
 // Name implements engine.Module.
 func (ic *ICache) Name() string { return ic.name }
 

@@ -172,6 +172,26 @@ func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes
 	}
 }
 
+// sibling returns an LD/ST unit of u's class feeding l1 for SM smid: u's
+// name, parameters and counters, with a queue, free list and request pool
+// of its own.
+func (u *LDSTUnit) sibling(l1 mem.Port, smid int) *LDSTUnit {
+	return &LDSTUnit{
+		name:         u.name,
+		eng:          u.eng,
+		l1:           l1,
+		smid:         smid,
+		sectorBytes:  u.sectorBytes,
+		lanes:        u.lanes,
+		shmemLat:     u.shmemLat,
+		queueCap:     u.queueCap,
+		issued:       u.issued,
+		transactions: u.transactions,
+		shConflicts:  u.shConflicts,
+		portStall:    u.portStall,
+	}
+}
+
 // SetRequestPool makes the unit draw its sector requests from p. The
 // levels below take the requests they create from the pool of the request
 // they serve, so the LD/ST units are the only modules that are told.

@@ -18,7 +18,8 @@ const collectorSlots = 4
 type collectEntry struct {
 	in      *trace.Inst
 	done    func()
-	pending []int // register banks still to read
+	pending [len(trace.Inst{}.Src)]uint8 // register banks still to read
+	npend   int
 }
 
 // OperandCollector models the operand-collection stage of the detailed
@@ -28,10 +29,14 @@ type collectEntry struct {
 // execution pipeline. Swift-Sim-Basic drops this stage — it is one of the
 // "less critical modules" the paper simplifies — so it exists only in the
 // fully cycle-accurate configuration.
+//
+// The collector units are a fixed array held by value, oldest first, so
+// an instruction passing through allocates nothing.
 type OperandCollector struct {
-	name  string
-	inner Unit
-	queue []*collectEntry
+	name    string
+	inner   Unit
+	entries [collectorSlots]collectEntry
+	n       int // occupied entries, entries[:n]
 
 	collected *metrics.Counter
 	conflicts *metrics.Counter
@@ -47,6 +52,12 @@ func NewOperandCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCo
 	}
 }
 
+// sibling returns a collector of oc's class wrapping unit: oc's name and
+// counters, with empty collector units of its own.
+func (oc *OperandCollector) sibling(unit Unit) *OperandCollector {
+	return &OperandCollector{name: oc.name, inner: unit, collected: oc.collected, conflicts: oc.conflicts}
+}
+
 // Name implements engine.Module.
 func (oc *OperandCollector) Name() string { return oc.name }
 
@@ -54,20 +65,22 @@ func (oc *OperandCollector) Name() string { return oc.name }
 func (oc *OperandCollector) Kind() engine.ModelKind { return engine.CycleAccurate }
 
 // Busy implements Unit.
-func (oc *OperandCollector) Busy() bool { return len(oc.queue) > 0 || oc.inner.Busy() }
+func (oc *OperandCollector) Busy() bool { return oc.n > 0 || oc.inner.Busy() }
 
 // TryIssue implements Unit: accept the instruction into a collector slot.
 func (oc *OperandCollector) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
-	if len(oc.queue) >= collectorSlots {
+	if oc.n >= collectorSlots {
 		return false
 	}
-	e := &collectEntry{in: in, done: done}
+	e := &oc.entries[oc.n]
+	oc.n++
+	e.in, e.done, e.npend = in, done, 0
 	for _, src := range in.Src {
 		if src != trace.RegNone {
-			e.pending = append(e.pending, int(src)%regFileBanks)
+			e.pending[e.npend] = uint8(src % regFileBanks)
+			e.npend++
 		}
 	}
-	oc.queue = append(oc.queue, e)
 	return true
 }
 
@@ -76,28 +89,33 @@ func (oc *OperandCollector) TryIssue(cycle uint64, in *trace.Inst, done func()) 
 // execution pipeline, then advance the pipeline itself.
 func (oc *OperandCollector) Tick(cycle uint64) {
 	oc.inner.Tick(cycle)
+	if oc.n == 0 {
+		return
+	}
 
 	var bankUsed [regFileBanks]bool
-	remaining := oc.queue[:0]
-	for _, e := range oc.queue {
+	kept := 0
+	for i := 0; i < oc.n; i++ {
+		e := oc.entries[i]
 		// Read as many pending operands as bank ports allow.
-		keep := e.pending[:0]
-		for _, b := range e.pending {
+		left := 0
+		for _, b := range e.pending[:e.npend] {
 			if bankUsed[b] {
 				oc.conflicts.Inc()
-				keep = append(keep, b)
+				e.pending[left] = b
+				left++
 				continue
 			}
 			bankUsed[b] = true
 		}
-		e.pending = keep
-		if len(e.pending) == 0 {
-			if oc.inner.TryIssue(cycle, e.in, e.done) {
-				oc.collected.Inc()
-				continue // leaves the collector
-			}
+		e.npend = left
+		if left == 0 && oc.inner.TryIssue(cycle, e.in, e.done) {
+			oc.collected.Inc()
+			continue // leaves the collector
 		}
-		remaining = append(remaining, e)
+		oc.entries[kept] = e
+		kept++
 	}
-	oc.queue = remaining
+	clear(oc.entries[kept:oc.n])
+	oc.n = kept
 }

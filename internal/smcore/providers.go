@@ -26,34 +26,47 @@ const (
 //
 // sectorBytes is the memory-system transaction size (the L1 sector size);
 // l1For returns the L1 data-cache port of the given SM.
+//
+// The first unit of each class is built by its constructor, which resolves
+// the class's counters; every later one is its sibling, sharing those
+// counters with state of its own, so an assembly names each counter once
+// rather than once per sub-core.
 func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
 	type dpKey struct{ sm, pair int }
 	sharedDP := make(map[dpKey]Unit)
 
-	pipe := func(name string, lat, lanes int) Unit {
+	var first [4]*OperandCollector // indexed by trace.OpInt..trace.OpSFU
+	pipe := func(class trace.OpClass, lat, lanes int) Unit {
 		// Each arithmetic pipeline sits behind an operand-collection
 		// stage reading through the banked register file — part of the
 		// per-cycle detail that the hybrid configurations drop.
-		return NewOperandCollector("oc."+name[4:],
-			NewALUPipeline(name, lat, cfg.IssueInterval(lanes), 1, g), g)
+		oc := first[class]
+		if oc == nil {
+			name := class.String()
+			oc = NewOperandCollector("oc."+name,
+				NewALUPipeline("alu."+name, lat, cfg.IssueInterval(lanes), g), g)
+			first[class] = oc
+			return oc
+		}
+		return oc.sibling(oc.inner.(*ALUPipeline).sibling())
 	}
 	alu := func(smID, sub int, class trace.OpClass) Unit {
 		switch class {
 		case trace.OpInt:
-			return pipe("alu.INT", cfg.IntLatency, cfg.IntLanes)
+			return pipe(class, cfg.IntLatency, cfg.IntLanes)
 		case trace.OpSP:
-			return pipe("alu.SP", cfg.SPLatency, cfg.SPLanes)
+			return pipe(class, cfg.SPLatency, cfg.SPLanes)
 		case trace.OpSFU:
-			return pipe("alu.SFU", cfg.SFULatency, cfg.SFULanes)
+			return pipe(class, cfg.SFULatency, cfg.SFULanes)
 		case trace.OpDP:
 			if !cfg.DPLanesHalf {
-				return pipe("alu.DP", cfg.DPLatency, cfg.DPLanes)
+				return pipe(class, cfg.DPLatency, cfg.DPLanes)
 			}
 			key := dpKey{smID, sub / 2}
 			if u, ok := sharedDP[key]; ok {
 				return u
 			}
-			u := pipe("alu.DP", cfg.DPLatency, cfg.DPLanes)
+			u := pipe(class, cfg.DPLatency, cfg.DPLanes)
 			sharedDP[key] = u
 			return u
 		default:
@@ -63,12 +76,22 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 			return nil
 		}
 	}
+	var firstLDST *LDSTUnit
 	ldst := func(smID, sub int) Unit {
-		return NewLDSTUnit("ldst", eng, l1For(smID), smID, sectorBytes,
-			cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap, g)
+		if firstLDST == nil {
+			firstLDST = NewLDSTUnit("ldst", eng, l1For(smID), smID, sectorBytes,
+				cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap, g)
+			return firstLDST
+		}
+		return firstLDST.sibling(l1For(smID), smID)
 	}
+	var firstICache *ICache
 	icache := func(smID, sub int) *ICache {
-		return NewICache("icache", icacheCapacityLines, icacheMissLatency, g)
+		if firstICache == nil {
+			firstICache = NewICache("icache", icacheCapacityLines, icacheMissLatency, g)
+			return firstICache
+		}
+		return firstICache.sibling()
 	}
 	return UnitSet{ALU: alu, LDST: ldst, ICache: icache}
 }

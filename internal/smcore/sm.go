@@ -98,6 +98,12 @@ type subCore struct {
 	// and fetch. A new Warp field that issuable() reads needs a refresh at
 	// every write.
 	ready []uint64
+	// wants is the fetch set: bit i is set exactly when warps[i] holds a
+	// warp that wantsFetch(ibufDepth). refresh keeps it beside ready (every
+	// field wantsFetch reads, pc, ibuf, exited and residency, changes at a
+	// refresh point), and only under the detailed front end: without an
+	// instruction cache ibuf stays -1 and the set stays empty.
+	wants []uint64
 	// cand is issueOldest's scratch copy of ready, minus the warps whose
 	// dispatch the round has seen refused.
 	cand []uint64
@@ -119,55 +125,74 @@ type subCore struct {
 
 // fetch runs the detailed front-end: fill per-warp instruction buffers
 // through the instruction cache, round-robin, up to fetchPerCycle fetches.
+// It visits the fetch set's slots in the order the slot scan it replaced
+// did: the cursor moves to each fetched slot inside the loop, so a second
+// fetch resumes i slots past the first one, not one (ROADMAP.md records
+// the quirk). The order of ICache.Ready calls decides fills, prefetches
+// and evictions, so it must not change.
 func (sc *subCore) fetch(cycle uint64) {
+	if !sc.fetchPending() {
+		return
+	}
 	n := len(sc.warps)
 	fetched := 0
 	for i := 1; i <= n && fetched < fetchPerCycle; i++ {
 		idx := (sc.fetchCursor + i) % n
-		w := sc.warps[idx]
-		if w == nil || !w.wantsFetch(ibufDepth) {
+		if !hasBit(sc.wants, idx) {
 			continue
 		}
+		w := sc.warps[idx]
 		pc := w.insts[w.pc+w.ibuf].PC
 		if !sc.icache.Ready(pc, cycle) {
 			continue
 		}
 		w.ibuf++
-		if w.ibuf == 1 {
-			sc.refresh(w)
-		}
+		sc.refresh(w)
 		fetched++
 		sc.fetchCursor = idx
 	}
 }
 
 // fetchPending reports whether some warp still needs front-end work.
-func (sc *subCore) fetchPending() bool {
-	for _, w := range sc.warps {
-		if w != nil && w.wantsFetch(ibufDepth) {
+func (sc *subCore) fetchPending() bool { return anyBit(sc.wants) }
+
+// refresh brings w's bit of the ready set in line with w.issuable(), which
+// stays the one definition of "issuable", and under the front end w's bit
+// of the fetch set in line with w.wantsFetch.
+func (sc *subCore) refresh(w *Warp) {
+	setBit(sc.ready, w.slot, w.issuable())
+	if sc.icache != nil {
+		setBit(sc.wants, w.slot, w.wantsFetch(ibufDepth))
+	}
+}
+
+// setBit sets or clears bit slot of a slot set.
+func setBit(set []uint64, slot int, on bool) {
+	bit := uint64(1) << (slot & 63)
+	if on {
+		set[slot>>6] |= bit
+	} else {
+		set[slot>>6] &^= bit
+	}
+}
+
+// hasBit reports whether bit slot of a slot set is set.
+func hasBit(set []uint64, slot int) bool {
+	return set[slot>>6]&(1<<(slot&63)) != 0
+}
+
+// anyBit reports whether a slot set has any bit set.
+func anyBit(set []uint64) bool {
+	for _, word := range set {
+		if word != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// refresh brings w's bit of the ready set in line with w.issuable(), which
-// stays the one definition of "issuable".
-func (sc *subCore) refresh(w *Warp) { sc.setReady(w.slot, w.issuable()) }
-
-func (sc *subCore) setReady(slot int, on bool) {
-	bit := uint64(1) << (slot & 63)
-	if on {
-		sc.ready[slot>>6] |= bit
-	} else {
-		sc.ready[slot>>6] &^= bit
-	}
-}
-
 // isReady reports whether the warp in slot is issuable.
-func (sc *subCore) isReady(slot int) bool {
-	return sc.ready[slot>>6]&(1<<(slot&63)) != 0
-}
+func (sc *subCore) isReady(slot int) bool { return hasBit(sc.ready, slot) }
 
 // issue performs one scheduling round: pick a ready warp per the policy
 // and dispatch its next instruction. Returns true if an instruction issued.
@@ -333,14 +358,7 @@ func (w *Warp) maybeComplete() {
 // anyIssuable reports whether some resident warp could issue (ignoring
 // unit availability); it drives SM.Busy so the engine keeps ticking while
 // forward progress is possible.
-func (sc *subCore) anyIssuable() bool {
-	for _, word := range sc.ready {
-		if word != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (sc *subCore) anyIssuable() bool { return anyBit(sc.ready) }
 
 func (sc *subCore) addWarp(w *Warp) error {
 	for i, slot := range sc.warps {
@@ -364,7 +382,8 @@ func (sc *subCore) removeWarp(w *Warp) {
 		return
 	}
 	sc.warps[w.slot] = nil
-	sc.setReady(w.slot, false)
+	setBit(sc.ready, w.slot, false)
+	setBit(sc.wants, w.slot, false)
 	sc.resident--
 	if sc.last == w {
 		sc.last = nil
@@ -547,18 +566,20 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 		}
 		sm.unitList = append(sm.unitList, u)
 	}
-	// One slab each for the sub-cores, their warp slots and their ready-set
-	// words (ready and cand), sliced per sub-core: an SM is built per run.
+	// One slab each for the sub-cores, their warp slots and their slot-set
+	// words (ready, wants and cand), sliced per sub-core: an SM is built per
+	// run.
 	readyWords := (warpsPerSub + 63) / 64
 	subs := make([]subCore, cfg.SubCores)
 	slots := make([]*Warp, cfg.SubCores*warpsPerSub)
-	words := make([]uint64, 2*cfg.SubCores*readyWords)
+	words := make([]uint64, 3*cfg.SubCores*readyWords)
 	sm.subcores = make([]*subCore, cfg.SubCores)
 	for s := range subs {
 		sc := &subs[s]
 		sc.sm, sc.index = sm, s
 		sc.warps, slots = slots[:warpsPerSub:warpsPerSub], slots[warpsPerSub:]
 		sc.ready, words = words[:readyWords:readyWords], words[readyWords:]
+		sc.wants, words = words[:readyWords:readyWords], words[readyWords:]
 		sc.cand, words = words[:readyWords:readyWords], words[readyWords:]
 		for _, class := range []trace.OpClass{trace.OpInt, trace.OpSP, trace.OpDP, trace.OpSFU} {
 			u := us.ALU(id, s, class)

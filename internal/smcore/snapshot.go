@@ -75,8 +75,8 @@ func (u *ALUPipeline) Snap(c *snap.Codec) {
 // Snap implements snap.Stateful: collector slots must be empty; the inner
 // unit's state follows inline.
 func (oc *OperandCollector) Snap(c *snap.Codec) {
-	if len(oc.queue) != 0 {
-		c.Fail(fmt.Errorf("%w: operand collector %s holds %d entries", snap.ErrNotQuiescent, oc.name, len(oc.queue)))
+	if oc.n != 0 {
+		c.Fail(fmt.Errorf("%w: operand collector %s holds %d entries", snap.ErrNotQuiescent, oc.name, oc.n))
 		return
 	}
 	if s, ok := oc.inner.(snap.Stateful); ok {

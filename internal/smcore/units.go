@@ -33,14 +33,21 @@ type pipeSlot struct {
 
 // ALUPipeline is the cycle-accurate arithmetic unit model: an issue port
 // with an initiation interval derived from the lane count, and a pipeline
-// register per latency stage through which every in-flight instruction is
-// physically moved each cycle — the GPGPU-Sim/Accel-Sim modeling style
+// register per latency stage that every in-flight instruction passes
+// through, one stage per tick — the GPGPU-Sim/Accel-Sim modeling style
 // whose per-cycle cost the analytical ALU model of §III-D1 eliminates.
+//
+// Every occupied register advances on every tick (writeback retires the
+// oldest, so the next one is always free), which makes the pipeline a
+// delay line: the registers are a ring, and a tick moves its head instead
+// of the instructions. An occupied pipeline still reports Busy, so the SM
+// holding it is ticked every cycle exactly as before.
 type ALUPipeline struct {
 	name      string
 	interval  uint64
 	nextIssue uint64
-	stages    []pipeSlot // stages[i] retires in i+1 ticks
+	stages    []pipeSlot // stages[(head+i)%len] retires in i+1 ticks
+	head      int
 	occupancy int
 
 	issued    *metrics.Counter
@@ -49,22 +56,26 @@ type ALUPipeline struct {
 
 // NewALUPipeline builds a pipeline with the given execution latency (stage
 // count) and initiation interval (cycles the issue port is held per
-// instruction). wbPerCycle is retained for interface stability; the
-// register pipeline inherently writes back one instruction per cycle.
-func NewALUPipeline(name string, latency, interval, wbPerCycle int, g *metrics.Gatherer) *ALUPipeline {
-	if interval < 1 {
-		interval = 1
-	}
-	if latency < 1 {
-		latency = 1
-	}
-	_ = wbPerCycle
+// instruction). It writes back at most one instruction per cycle.
+func NewALUPipeline(name string, latency, interval int, g *metrics.Gatherer) *ALUPipeline {
 	return &ALUPipeline{
 		name:      name,
-		interval:  uint64(interval),
-		stages:    make([]pipeSlot, latency),
+		interval:  uint64(max(interval, 1)),
+		stages:    make([]pipeSlot, max(latency, 1)),
 		issued:    g.Counter(name + ".issued"),
 		portStall: g.Counter(name + ".port_stall"),
+	}
+}
+
+// sibling returns a pipeline of u's class: its name, parameters and
+// counters, with registers and an issue port of its own.
+func (u *ALUPipeline) sibling() *ALUPipeline {
+	return &ALUPipeline{
+		name:      u.name,
+		interval:  u.interval,
+		stages:    make([]pipeSlot, len(u.stages)),
+		issued:    u.issued,
+		portStall: u.portStall,
 	}
 }
 
@@ -77,6 +88,16 @@ func (u *ALUPipeline) Kind() engine.ModelKind { return engine.CycleAccurate }
 // Busy implements Unit.
 func (u *ALUPipeline) Busy() bool { return u.occupancy > 0 }
 
+// tail is the register an issued instruction enters: the deepest, the one
+// the head reaches last.
+func (u *ALUPipeline) tail() *pipeSlot {
+	i := u.head - 1
+	if i < 0 {
+		i = len(u.stages) - 1
+	}
+	return &u.stages[i]
+}
+
 // TryIssue implements Unit: place the instruction in the deepest pipeline
 // register; it reaches writeback after latency ticks.
 func (u *ALUPipeline) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
@@ -84,31 +105,31 @@ func (u *ALUPipeline) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 		u.portStall.Inc()
 		return false
 	}
-	last := len(u.stages) - 1
-	if u.stages[last].done != nil {
+	tail := u.tail()
+	if tail.done != nil {
 		u.portStall.Inc()
 		return false
 	}
 	u.nextIssue = cycle + u.interval
 	u.issued.Inc()
-	u.stages[last].done = done
+	tail.done = done
 	u.occupancy++
 	return true
 }
 
 // Tick implements Unit: retire the head register, then advance every
-// instruction one stage — per-cycle pipeline-register movement, as in the
-// detailed simulators this configuration reproduces.
+// instruction one stage by moving the head. An empty ring has no order to
+// keep, so it does nothing.
 func (u *ALUPipeline) Tick(cycle uint64) {
-	if head := u.stages[0].done; head != nil {
-		u.stages[0].done = nil
-		u.occupancy--
-		head()
+	if u.occupancy == 0 {
+		return
 	}
-	for i := 1; i < len(u.stages); i++ {
-		if u.stages[i].done != nil && u.stages[i-1].done == nil {
-			u.stages[i-1].done = u.stages[i].done
-			u.stages[i].done = nil
-		}
+	if done := u.stages[u.head].done; done != nil {
+		u.stages[u.head].done = nil
+		u.occupancy--
+		done()
+	}
+	if u.head++; u.head == len(u.stages) {
+		u.head = 0
 	}
 }

@@ -164,7 +164,7 @@ func TestSharedBankConflicts(t *testing.T) {
 
 func TestALUPipelineLatency(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 4, 2, 1, g)
+	u := NewALUPipeline("alu.test", 4, 2, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	completedAt := uint64(0)
 	u.Tick(10)
@@ -188,7 +188,7 @@ func TestALUPipelineLatency(t *testing.T) {
 
 func TestALUPipelineInitiationInterval(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 4, 2, 4, g)
+	u := NewALUPipeline("alu.test", 4, 2, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	u.Tick(0)
 	if !u.TryIssue(0, in, func() {}) {
@@ -212,7 +212,7 @@ func TestALUPipelineWritebackOrder(t *testing.T) {
 	// ticking, as the SM does: writebacks come back in order, one per
 	// cycle, at issue+latency.
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 2, 1, 1, g)
+	u := NewALUPipeline("alu.test", 2, 1, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	var order []int
 	var wbCycles []uint64
@@ -245,7 +245,7 @@ func TestALUPipelineWritebackOrder(t *testing.T) {
 
 func TestALUPipelineParameterClamping(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 0, 0, 0, g)
+	u := NewALUPipeline("alu.test", 0, 0, g)
 	if u.interval != 1 || len(u.stages) != 1 {
 		t.Errorf("clamping failed: interval=%d stages=%d", u.interval, len(u.stages))
 	}
