@@ -94,7 +94,10 @@ bench-quick:
 # end-to-end mix over the engine's hot path) into prof/, with the test
 # binary kept alongside for symbolization:
 #   go tool pprof prof/golden.test prof/golden.cpu.pprof
-# It then writes the table allocation work starts from: every heap object
+# It then writes the tables CPU and allocation work start from: the CPU
+# time of a Basic and a Detailed simulation by function (go tool pprof
+# -top), into prof/cpu.basic.txt and prof/cpu.detailed.txt, and every heap
+# object
 # of a Basic, a Detailed and a Memory simulation (-memprofilerate 1),
 # ranked by allocating function, into prof/allocs.basic.txt,
 # prof/allocs.detailed.txt and prof/allocs.memory.txt (`go tool pprof
@@ -116,6 +119,12 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Swift-Sim-Memory' -benchtime 5x \
 		-memprofile prof/allocs.memory.pprof -memprofilerate 1 -o prof/allocs.test .
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/allocs.test prof/allocs.memory.pprof > prof/allocs.memory.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Swift-Sim-Basic' -benchtime 20x \
+		-cpuprofile prof/cpu.basic.pprof -o prof/cpu.test .
+	$(GO) tool pprof -top prof/cpu.test prof/cpu.basic.pprof > prof/cpu.basic.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Detailed' -benchtime 20x \
+		-cpuprofile prof/cpu.detailed.pprof -o prof/cpu.test .
+	$(GO) tool pprof -top prof/cpu.test prof/cpu.detailed.pprof > prof/cpu.detailed.txt
 	@head -25 prof/allocs.basic.txt
 
 # envelopes regenerates every committed accuracy envelope — the relaxed-

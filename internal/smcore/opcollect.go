@@ -18,7 +18,7 @@ const collectorSlots = 4
 type collectEntry struct {
 	in      *trace.Inst
 	done    func()
-	pending [len(trace.Inst{}.Src)]uint8 // register banks still to read
+	pending [len(trace.Inst{}.Src)]uint8 // register banks still to read: pending[:npend]
 	npend   int
 }
 

@@ -141,3 +141,35 @@ func TestOperandCollectorRetriesWhenInnerBusy(t *testing.T) {
 		t.Fatal("instruction lost after inner unit freed up")
 	}
 }
+
+// TestOperandCollectorAllocatesNothing: in steady state an instruction
+// enters a collector unit, reads its operands (two in one bank, so it
+// waits a cycle), enters the pipeline and completes without allocating.
+func TestOperandCollectorAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := metrics.New()
+	oc := NewOperandCollector("oc", NewALUPipeline("alu", 4, 1, g), g)
+	in := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, 1 + regFileBanks}, ActiveMask: 1}
+	completed := 0
+	done := func() { completed++ }
+	cycle := uint64(0)
+	round := func() {
+		want := completed + 2
+		if !oc.TryIssue(cycle, in, done) || !oc.TryIssue(cycle, in, done) {
+			t.Fatal("collector refused an instruction with free units")
+		}
+		for completed < want {
+			cycle++
+			oc.Tick(cycle)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("an instruction through the collector allocated %v objects, want 0", allocs)
+	}
+	if oc.Busy() {
+		t.Error("collector busy after every instruction completed")
+	}
+}

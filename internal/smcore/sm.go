@@ -95,7 +95,7 @@ type subCore struct {
 	// scoreboard, ibuf, atBarrier, exited, and slot residency (done only
 	// ever follows exited). Those places are addWarp and removeWarp, the
 	// three arms of dispatch, inflight.complete, residentBlock.maybeRelease
-	// and fetch. A new Warp field that issuable() reads needs a refresh at
+	// and fetch (after every ibuf++). A new Warp field that issuable() reads needs a refresh at
 	// every write.
 	ready []uint64
 	// wants is the fetch set: bit i is set exactly when warps[i] holds a
@@ -126,9 +126,10 @@ type subCore struct {
 // fetch runs the detailed front-end: fill per-warp instruction buffers
 // through the instruction cache, round-robin, up to fetchPerCycle fetches.
 // It visits the fetch set's slots in the order the slot scan it replaced
-// did: the cursor moves to each fetched slot inside the loop, so a second
-// fetch resumes i slots past the first one, not one (ROADMAP.md records
-// the quirk). The order of ICache.Ready calls decides fills, prefetches
+// did: the cursor moves to each fetched slot inside the loop, so after a
+// first fetch k slots past the cursor the second resumes k+1 slots past
+// that fetch, not one, and may fetch the same warp again (ROADMAP.md
+// records the quirk). The order of ICache.Ready calls decides fills, prefetches
 // and evictions, so it must not change.
 func (sc *subCore) fetch(cycle uint64) {
 	if !sc.fetchPending() {

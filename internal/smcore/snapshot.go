@@ -63,7 +63,8 @@ func (bs *BlockScheduler) Snap(c *snap.Codec) {
 }
 
 // Snap implements snap.Stateful: the pipeline registers must be empty at a
-// quiescent point; only the issue port's next-free cycle persists.
+// quiescent point; only the issue port's next-free cycle persists. The
+// ring's head is not walked: an empty ring has no order to keep.
 func (u *ALUPipeline) Snap(c *snap.Codec) {
 	if u.occupancy != 0 {
 		c.Fail(fmt.Errorf("%w: pipeline %s holds %d in-flight instructions", snap.ErrNotQuiescent, u.name, u.occupancy))
