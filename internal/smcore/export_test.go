@@ -1,9 +1,51 @@
 package smcore
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
+
+var updatePins = flag.Bool("update-pins", false, "rewrite the package's pinned testdata fixtures (only from a tree whose scheduling and front end are known good)")
+
+// CheckPinned compares got with the pinned fixture at path, or rewrites the
+// fixture under -update-pins.
+func CheckPinned(t *testing.T, path, got string) {
+	t.Helper()
+	if *updatePins {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s moved (-update-pins rewrites it):\n%s", path, diffFirst(string(want), got))
+	}
+}
+
+// diffFirst names the first line where two texts differ.
+func diffFirst(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d: want %q, got %q", i+1, wl, gl)
+		}
+	}
+	return "texts equal"
+}
 
 // ReadyCheck is the ready-set oracle's tally: how often it ran, the first
 // disagreement it found, and the most warps it saw resident in one sub-core.

@@ -1,16 +1,12 @@
 package smcore
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"swiftsim/internal/trace"
 )
-
-var updateFetch = flag.Bool("update-fetch", false, "rewrite testdata/fetch_order.txt (only from a tree whose front end is known good)")
 
 // fetchKernel is a kernel for one 8-slot sub-core whose warps each run
 // their own code region, so every warp starts on an instruction-cache miss
@@ -71,7 +67,6 @@ func fetchKernel() *trace.Kernel {
 // issue consumes one buffered instruction). Of two different slots fetched
 // in one cycle, the second is where the cursor stops.
 func TestFetchOrderIsPinned(t *testing.T) {
-	const path = "testdata/fetch_order.txt"
 	cfg := testSMConfig()
 	cfg.SubCores = 1
 	cfg.MaxWarps = 8
@@ -123,36 +118,5 @@ func TestFetchOrderIsPinned(t *testing.T) {
 	if doubles == 0 {
 		t.Error("no cycle fetched one warp twice; the kernel no longer reaches the cursor quirk")
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	if *updateFetch {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("fetch order moved (-update-fetch rewrites it):\n%s", diffFirst(string(want), got))
-	}
-}
-
-// diffFirst names the first line where two texts differ.
-func diffFirst(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			return fmt.Sprintf("line %d: want %q, got %q", i+1, wl, gl)
-		}
-	}
-	return "texts equal"
+	CheckPinned(t, "testdata/fetch_order.txt", strings.Join(lines, "\n")+"\n")
 }

@@ -15,43 +15,42 @@ const icacheLineBytes = 64
 // Swift-Sim-Basic explicitly simplifies the instruction cache away, so the
 // hybrid configurations run without one.
 type ICache struct {
-	name        string
+	icacheClass
 	capacity    int
 	missLatency uint64
 	lines       map[uint64]uint64 // line -> cycle at which it is usable
 	order       []uint64          // FIFO eviction order
 	lastPending uint64            // latest outstanding fill completion
+}
 
+// icacheClass is what every instruction cache of an assembly shares: its
+// name and its counters.
+type icacheClass struct {
+	name   string
 	hits   *metrics.Counter
 	misses *metrics.Counter
+}
+
+func newICacheClass(name string, g *metrics.Gatherer) icacheClass {
+	return icacheClass{name: name, hits: g.Counter(name + ".hit"), misses: g.Counter(name + ".miss")}
 }
 
 // NewICache builds an instruction cache with the given capacity in lines
 // and miss (fill) latency in cycles.
 func NewICache(name string, capacityLines, missLatency int, g *metrics.Gatherer) *ICache {
+	return newICache(newICacheClass(name, g), capacityLines, missLatency)
+}
+
+// newICache builds an empty instruction cache of class c.
+func newICache(c icacheClass, capacityLines, missLatency int) *ICache {
 	if capacityLines < 1 {
 		capacityLines = 1
 	}
 	return &ICache{
-		name:        name,
+		icacheClass: c,
 		capacity:    capacityLines,
 		missLatency: uint64(missLatency),
 		lines:       make(map[uint64]uint64, capacityLines),
-		hits:        g.Counter(name + ".hit"),
-		misses:      g.Counter(name + ".miss"),
-	}
-}
-
-// sibling returns an empty instruction cache of ic's class: its name,
-// geometry and counters, with lines of its own.
-func (ic *ICache) sibling() *ICache {
-	return &ICache{
-		name:        ic.name,
-		capacity:    ic.capacity,
-		missLatency: ic.missLatency,
-		lines:       make(map[uint64]uint64, ic.capacity),
-		hits:        ic.hits,
-		misses:      ic.misses,
 	}
 }
 

@@ -126,7 +126,7 @@ type ldstInst struct {
 // acknowledges the Warp Scheduler when all transactions of an instruction
 // complete.
 type LDSTUnit struct {
-	name        string
+	ldstClass
 	eng         engine.Context
 	l1          mem.Port
 	smid        int
@@ -142,29 +142,21 @@ type LDSTUnit struct {
 	// reqs is where the unit's sector requests come from: the run's pool
 	// once the assembly has called SetRequestPool, the shared one before.
 	reqs mem.Pool
+}
 
+// ldstClass is what every LD/ST unit of an assembly shares: its name and
+// its counters.
+type ldstClass struct {
+	name         string
 	issued       *metrics.Counter
 	transactions *metrics.Counter
 	shConflicts  *metrics.Counter
 	portStall    *metrics.Counter
 }
 
-// NewLDSTUnit builds a cycle-accurate LD/ST unit feeding the given L1 port.
-// lanes is the LD/ST lane count (sector requests injected per cycle);
-// queueCap bounds concurrently tracked memory instructions.
-func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, g *metrics.Gatherer) *LDSTUnit {
-	if queueCap < 1 {
-		queueCap = 8
-	}
-	return &LDSTUnit{
+func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
+	return ldstClass{
 		name:         name,
-		eng:          eng,
-		l1:           l1,
-		smid:         smid,
-		sectorBytes:  sectorBytes,
-		lanes:        lanes,
-		shmemLat:     uint64(shmemLatency),
-		queueCap:     queueCap,
 		issued:       g.Counter(name + ".issued"),
 		transactions: g.Counter(name + ".transactions"),
 		shConflicts:  g.Counter(name + ".shmem_conflict"),
@@ -172,23 +164,28 @@ func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes
 	}
 }
 
-// sibling returns an LD/ST unit of u's class feeding l1 for SM smid: u's
-// name, parameters and counters, with a queue, free list and request pool
-// of its own.
-func (u *LDSTUnit) sibling(l1 mem.Port, smid int) *LDSTUnit {
+// NewLDSTUnit builds a cycle-accurate LD/ST unit feeding the given L1 port.
+// lanes is the LD/ST lane count (sector requests injected per cycle);
+// queueCap bounds concurrently tracked memory instructions.
+func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, g *metrics.Gatherer) *LDSTUnit {
+	return newLDSTUnit(newLDSTClass(name, g), eng, l1, smid, sectorBytes, lanes, shmemLatency, queueCap)
+}
+
+// newLDSTUnit builds an LD/ST unit of class c with a queue, free list and
+// request pool of its own.
+func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int) *LDSTUnit {
+	if queueCap < 1 {
+		queueCap = 8
+	}
 	return &LDSTUnit{
-		name:         u.name,
-		eng:          u.eng,
-		l1:           l1,
-		smid:         smid,
-		sectorBytes:  u.sectorBytes,
-		lanes:        u.lanes,
-		shmemLat:     u.shmemLat,
-		queueCap:     u.queueCap,
-		issued:       u.issued,
-		transactions: u.transactions,
-		shConflicts:  u.shConflicts,
-		portStall:    u.portStall,
+		ldstClass:   c,
+		eng:         eng,
+		l1:          l1,
+		smid:        smid,
+		sectorBytes: sectorBytes,
+		lanes:       lanes,
+		shmemLat:    uint64(shmemLatency),
+		queueCap:    queueCap,
 	}
 }
 

@@ -33,29 +33,33 @@ type collectEntry struct {
 // The collector units are a fixed array held by value, oldest first, so
 // an instruction passing through allocates nothing.
 type OperandCollector struct {
-	name    string
+	collectorClass
 	inner   Unit
 	entries [collectorSlots]collectEntry
 	n       int // occupied entries, entries[:n]
+}
 
+// collectorClass is what every collector of one arithmetic class shares:
+// its name and its counters.
+type collectorClass struct {
+	name      string
 	collected *metrics.Counter
 	conflicts *metrics.Counter
 }
 
-// NewOperandCollector wraps unit with an operand-collection stage.
-func NewOperandCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCollector {
-	return &OperandCollector{
-		name:      name,
-		inner:     unit,
-		collected: g.Counter(name + ".collected"),
-		conflicts: g.Counter(name + ".bank_conflict"),
-	}
+func newCollectorClass(name string, g *metrics.Gatherer) collectorClass {
+	return collectorClass{name: name, collected: g.Counter(name + ".collected"), conflicts: g.Counter(name + ".bank_conflict")}
 }
 
-// sibling returns a collector of oc's class wrapping unit: oc's name and
-// counters, with empty collector units of its own.
-func (oc *OperandCollector) sibling(unit Unit) *OperandCollector {
-	return &OperandCollector{name: oc.name, inner: unit, collected: oc.collected, conflicts: oc.conflicts}
+// NewOperandCollector wraps unit with an operand-collection stage.
+func NewOperandCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCollector {
+	return newOperandCollector(newCollectorClass(name, g), unit)
+}
+
+// newOperandCollector wraps unit with a collector of class c whose
+// collector units are its own.
+func newOperandCollector(c collectorClass, unit Unit) *OperandCollector {
+	return &OperandCollector{collectorClass: c, inner: unit}
 }
 
 // Name implements engine.Module.

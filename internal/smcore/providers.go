@@ -27,28 +27,28 @@ const (
 // sectorBytes is the memory-system transaction size (the L1 sector size);
 // l1For returns the L1 data-cache port of the given SM.
 //
-// The first unit of each class is built by its constructor, which resolves
-// the class's counters; every later one is its sibling, sharing those
-// counters with state of its own, so an assembly names each counter once
-// rather than once per sub-core.
+// Each class's name and counters are resolved once, when its first unit is
+// built, and shared by every later unit of the class, so an assembly names
+// each counter once rather than once per sub-core.
 func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
 	type dpKey struct{ sm, pair int }
 	sharedDP := make(map[dpKey]Unit)
 
-	var first [4]*OperandCollector // indexed by trace.OpInt..trace.OpSFU
+	type pipeClass struct {
+		alu aluClass
+		oc  collectorClass
+	}
+	var classes [4]pipeClass // indexed by trace.OpInt..trace.OpSFU
 	pipe := func(class trace.OpClass, lat, lanes int) Unit {
 		// Each arithmetic pipeline sits behind an operand-collection
 		// stage reading through the banked register file — part of the
 		// per-cycle detail that the hybrid configurations drop.
-		oc := first[class]
-		if oc == nil {
+		c := &classes[class]
+		if c.alu.issued == nil {
 			name := class.String()
-			oc = NewOperandCollector("oc."+name,
-				NewALUPipeline("alu."+name, lat, cfg.IssueInterval(lanes), g), g)
-			first[class] = oc
-			return oc
+			*c = pipeClass{alu: newALUClass("alu."+name, g), oc: newCollectorClass("oc."+name, g)}
 		}
-		return oc.sibling(oc.inner.(*ALUPipeline).sibling())
+		return newOperandCollector(c.oc, newALUPipeline(c.alu, lat, cfg.IssueInterval(lanes)))
 	}
 	alu := func(smID, sub int, class trace.OpClass) Unit {
 		switch class {
@@ -76,22 +76,20 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 			return nil
 		}
 	}
-	var firstLDST *LDSTUnit
+	var ldstC ldstClass
 	ldst := func(smID, sub int) Unit {
-		if firstLDST == nil {
-			firstLDST = NewLDSTUnit("ldst", eng, l1For(smID), smID, sectorBytes,
-				cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap, g)
-			return firstLDST
+		if ldstC.issued == nil {
+			ldstC = newLDSTClass("ldst", g)
 		}
-		return firstLDST.sibling(l1For(smID), smID)
+		return newLDSTUnit(ldstC, eng, l1For(smID), smID, sectorBytes,
+			cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap)
 	}
-	var firstICache *ICache
+	var icacheC icacheClass
 	icache := func(smID, sub int) *ICache {
-		if firstICache == nil {
-			firstICache = NewICache("icache", icacheCapacityLines, icacheMissLatency, g)
-			return firstICache
+		if icacheC.hits == nil {
+			icacheC = newICacheClass("icache", g)
 		}
-		return firstICache.sibling()
+		return newICache(icacheC, icacheCapacityLines, icacheMissLatency)
 	}
 	return UnitSet{ALU: alu, LDST: ldst, ICache: icache}
 }

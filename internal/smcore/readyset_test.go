@@ -3,7 +3,6 @@ package smcore_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -132,8 +131,6 @@ func TestReadySetSnapshotRestore(t *testing.T) {
 // wideApps have grids of more than 64 warps at scale 0.5.
 var wideApps = []string{"HOTSPOT", "SM", "PATHFINDER", "SRAD"}
 
-var updateWide = flag.Bool("update-wide", false, "rewrite testdata/wide_subcore_digests.txt (only from a tree whose scheduling is known good)")
-
 // wideGPU is a configuration whose one SM has one sub-core of 128 warp
 // slots, two ready-set words, and residency limits loose enough that a
 // half-scale grid fills them. config accepts any MaxWarps divisible by
@@ -156,7 +153,6 @@ func wideGPU(policy config.SchedPolicy) config.GPU {
 // configuration, recorded at the commit before the ready set existed, under
 // all three built-in policies, with the oracle on.
 func TestReadySetWideSubCore(t *testing.T) {
-	const path = "testdata/wide_subcore_digests.txt"
 	var lines []string
 	for _, policy := range []config.SchedPolicy{config.GTO, config.LRR, config.OldestFirst} {
 		gpu := wideGPU(policy)
@@ -172,18 +168,5 @@ func TestReadySetWideSubCore(t *testing.T) {
 			lines = append(lines, fmt.Sprintf("%s %s %x", name, gpu.Name, sha256.Sum256(regress.Canonical(res))))
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	if *updateWide {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("128-slot sub-core digests moved:\n%s", regress.DiffLines(want, []byte(got), 0))
-	}
+	smcore.CheckPinned(t, "testdata/wide_subcore_digests.txt", strings.Join(lines, "\n")+"\n")
 }

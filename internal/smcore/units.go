@@ -43,39 +43,40 @@ type pipeSlot struct {
 // of the instructions. An occupied pipeline still reports Busy, so the SM
 // holding it is ticked every cycle exactly as before.
 type ALUPipeline struct {
-	name      string
+	aluClass
 	interval  uint64
 	nextIssue uint64
 	stages    []pipeSlot // stages[(head+i)%len] retires in i+1 ticks
 	head      int
 	occupancy int
+}
 
+// aluClass is what every pipeline of one arithmetic class shares: its name
+// and its counters.
+type aluClass struct {
+	name      string
 	issued    *metrics.Counter
 	portStall *metrics.Counter
+}
+
+func newALUClass(name string, g *metrics.Gatherer) aluClass {
+	return aluClass{name: name, issued: g.Counter(name + ".issued"), portStall: g.Counter(name + ".port_stall")}
 }
 
 // NewALUPipeline builds a pipeline with the given execution latency (stage
 // count) and initiation interval (cycles the issue port is held per
 // instruction). It writes back at most one instruction per cycle.
 func NewALUPipeline(name string, latency, interval int, g *metrics.Gatherer) *ALUPipeline {
-	return &ALUPipeline{
-		name:      name,
-		interval:  uint64(max(interval, 1)),
-		stages:    make([]pipeSlot, max(latency, 1)),
-		issued:    g.Counter(name + ".issued"),
-		portStall: g.Counter(name + ".port_stall"),
-	}
+	return newALUPipeline(newALUClass(name, g), latency, interval)
 }
 
-// sibling returns a pipeline of u's class: its name, parameters and
-// counters, with registers and an issue port of its own.
-func (u *ALUPipeline) sibling() *ALUPipeline {
+// newALUPipeline builds a pipeline of class c with registers and an issue
+// port of its own.
+func newALUPipeline(c aluClass, latency, interval int) *ALUPipeline {
 	return &ALUPipeline{
-		name:      u.name,
-		interval:  u.interval,
-		stages:    make([]pipeSlot, len(u.stages)),
-		issued:    u.issued,
-		portStall: u.portStall,
+		aluClass: c,
+		interval: uint64(max(interval, 1)),
+		stages:   make([]pipeSlot, max(latency, 1)),
 	}
 }
 
