@@ -95,8 +95,8 @@ type subCore struct {
 	// scoreboard, ibuf, atBarrier, exited, and slot residency (done only
 	// ever follows exited). Those places are addWarp and removeWarp, the
 	// three arms of dispatch, inflight.complete, residentBlock.maybeRelease
-	// and fetch (after every ibuf++). A new Warp field that issuable() reads needs a refresh at
-	// every write.
+	// and fetch (after every ibuf++). A new Warp field that issuable() reads
+	// needs a refresh at every write.
 	ready []uint64
 	// wants is the fetch set: bit i is set exactly when warps[i] holds a
 	// warp that wantsFetch(ibufDepth). refresh keeps it beside ready (every
@@ -129,8 +129,8 @@ type subCore struct {
 // did: the cursor moves to each fetched slot inside the loop, so after a
 // first fetch k slots past the cursor the second resumes k+1 slots past
 // that fetch, not one, and may fetch the same warp again (ROADMAP.md
-// records the quirk). The order of ICache.Ready calls decides fills, prefetches
-// and evictions, so it must not change.
+// records the quirk). The order of ICache.Ready calls decides fills,
+// prefetches and evictions, so it must not change.
 func (sc *subCore) fetch(cycle uint64) {
 	if !sc.fetchPending() {
 		return
