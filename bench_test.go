@@ -23,6 +23,7 @@ import (
 	"swiftsim/internal/regress"
 	"swiftsim/internal/runner"
 	"swiftsim/internal/sim"
+	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
 
@@ -223,6 +224,45 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 				insts = res.Instructions
 			}
 			b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "warp-insts/s")
+		})
+	}
+}
+
+// BenchmarkCatalog runs the traffic the benchmark harness's basic_serial
+// and detailed_serial workloads measure: the 20 catalog apps at scale 0.5 on
+// the RTX 2080 Ti, one job after another, under Swift-Sim-Basic and under
+// Detailed. `make profile` takes its CPU tables from it. -short runs two
+// apps at scale 0.15.
+func BenchmarkCatalog(b *testing.B) {
+	names, scale := workload.Names(), 0.5
+	if testing.Short() {
+		names, scale = names[:2], 0.15
+	}
+	apps := make([]*trace.App, len(names))
+	for i, name := range names {
+		app, err := workload.Generate(name, scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps[i] = app
+	}
+	gpu := config.RTX2080Ti()
+	for _, kind := range []struct {
+		name string
+		kind sim.Kind
+	}{{"Basic", sim.Basic}, {"Detailed", sim.Detailed}} {
+		b.Run(kind.name, func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				for _, app := range apps {
+					res, err := sim.Run(app, gpu, sim.Options{Kind: kind.kind})
+					if err != nil {
+						b.Fatalf("%s: %v", app.Name, err)
+					}
+					insts += res.Instructions
+				}
+			}
+			b.ReportMetric(float64(insts)/1e3/b.Elapsed().Seconds(), "kinst/s")
 		})
 	}
 }

@@ -104,8 +104,10 @@ func TestRandomPolicyDeterministic(t *testing.T) {
 // pendingWaiters returns the total number of requests parked in m.
 func (m *mshrTable) pendingWaiters() int {
 	n := 0
-	for _, e := range m.entries {
-		n += len(e.waiters)
+	for _, e := range m.buckets {
+		for ; e != nil; e = e.next {
+			n += len(e.waiters)
+		}
 	}
 	return n
 }
@@ -150,7 +152,7 @@ func TestMSHRRecyclesEntries(t *testing.T) {
 	m.add(7, 0, &mem.Request{})
 	m.add(7, 0, &mem.Request{})
 	m.add(7, 2, &mem.Request{})
-	first := m.entries[7]
+	first := m.find(7)
 	if got := m.fill(7, 0); len(got) != 2 {
 		t.Fatalf("fill sector 0 released %d, want 2", len(got))
 	}
@@ -166,7 +168,7 @@ func TestMSHRRecyclesEntries(t *testing.T) {
 	if got := m.add(9, 1, r); got != mshrNewEntry {
 		t.Fatalf("add after release = %v, want new entry", got)
 	}
-	e := m.entries[9]
+	e := m.find(9)
 	if e != first {
 		t.Error("released entry was not reused")
 	}

@@ -1,6 +1,10 @@
 package cache
 
-import "swiftsim/internal/mem"
+import (
+	"math/bits"
+
+	"swiftsim/internal/mem"
+)
 
 // mshrWaiter is one request parked on an MSHR entry, waiting for its
 // sector to arrive.
@@ -17,19 +21,24 @@ type mshrEntry struct {
 	sectorsPending uint32
 	waiters        []mshrWaiter // capacity maxMerge, never regrown
 	merged         int          // total requests attached, bounded by maxMerge
+	next           *mshrEntry   // the next entry of the same bucket
 }
 
 // mshrSlab is how many entries the table allocates at a time.
 const mshrSlab = 16
 
 // mshrTable is a fully associative miss-status holding register file keyed
-// by line address. Entries are recycled: a released entry goes to the free
-// list with its waiters array, and new entries come from there, or from a
-// fresh slab while the table is still growing toward its working size
-// (an RTX 2080 Ti assembly builds 68 L1 tables of 256 entries inside the
-// timed section; most never hold more than a few misses at once).
+// by line address: a chained hash over at least capacity buckets, so a
+// chain averages under one entry. Entries are recycled: a released entry
+// goes to the free list with its waiters array, and new entries come from
+// there, or from a fresh slab while the table is still growing toward its
+// working size (an RTX 2080 Ti assembly builds 68 L1 tables of 256 entries
+// inside the timed section; most never hold more than a few misses at once).
+// Nothing iterates the table, so the chains' order is never observable.
 type mshrTable struct {
-	entries  map[uint64]*mshrEntry
+	buckets  []*mshrEntry // chain heads; a power of two of them
+	shift    uint         // 64 - log2(len(buckets)): hash keeps the top bits
+	live     int          // entries in the chains
 	free     []*mshrEntry
 	slabbed  int            // entries allocated so far, at most capacity
 	filled   []*mem.Request // fill's result, valid until the next fill
@@ -38,11 +47,32 @@ type mshrTable struct {
 }
 
 func newMSHR(entries, maxMerge int) *mshrTable {
+	n := 1
+	for n < entries {
+		n <<= 1
+	}
 	return &mshrTable{
-		entries:  make(map[uint64]*mshrEntry, entries),
+		buckets:  make([]*mshrEntry, n),
+		shift:    uint(64 - bits.TrailingZeros(uint(n))),
 		capacity: entries,
 		maxMerge: maxMerge,
 	}
+}
+
+// bucket returns the chain head of lineAddr (Fibonacci hashing: the
+// multiply spreads lines that share their low bits, as one L2 slice's do).
+func (m *mshrTable) bucket(lineAddr uint64) **mshrEntry {
+	return &m.buckets[lineAddr*0x9E3779B97F4A7C15>>m.shift]
+}
+
+// find returns the live entry of lineAddr, or nil.
+func (m *mshrTable) find(lineAddr uint64) *mshrEntry {
+	for e := *m.bucket(lineAddr); e != nil; e = e.next {
+		if e.lineAddr == lineAddr {
+			return e
+		}
+	}
+	return nil
 }
 
 // alloc returns an entry with no waiters. The caller has checked that the
@@ -85,7 +115,7 @@ const (
 // the caller issues a downstream fetch for outcomes mshrNewSector and
 // mshrNewEntry.
 func (m *mshrTable) add(lineAddr uint64, sector uint, req *mem.Request) mshrOutcome {
-	if e, ok := m.entries[lineAddr]; ok {
+	if e := m.find(lineAddr); e != nil {
 		if e.merged >= m.maxMerge {
 			return mshrStall
 		}
@@ -97,7 +127,7 @@ func (m *mshrTable) add(lineAddr uint64, sector uint, req *mem.Request) mshrOutc
 		e.sectorsPending |= 1 << sector
 		return mshrNewSector
 	}
-	if len(m.entries) >= m.capacity {
+	if m.live >= m.capacity {
 		return mshrStall
 	}
 	e := m.alloc()
@@ -105,7 +135,10 @@ func (m *mshrTable) add(lineAddr uint64, sector uint, req *mem.Request) mshrOutc
 	e.sectorsPending = 1 << sector
 	e.waiters = append(e.waiters[:0], mshrWaiter{req: req, sector: sector})
 	e.merged = 1
-	m.entries[lineAddr] = e
+	head := m.bucket(lineAddr)
+	e.next = *head
+	*head = e
+	m.live++
 	return mshrNewEntry
 }
 
@@ -113,8 +146,12 @@ func (m *mshrTable) add(lineAddr uint64, sector uint, req *mem.Request) mshrOutc
 // were waiting on that sector, in a slice the table reuses on the next
 // call, and releases the entry once all sectors have arrived.
 func (m *mshrTable) fill(lineAddr uint64, sector uint) []*mem.Request {
-	e, ok := m.entries[lineAddr]
-	if !ok {
+	link := m.bucket(lineAddr)
+	for *link != nil && (*link).lineAddr != lineAddr {
+		link = &(*link).next
+	}
+	e := *link
+	if e == nil {
 		return nil
 	}
 	done := m.filled[:0]
@@ -131,12 +168,14 @@ func (m *mshrTable) fill(lineAddr uint64, sector uint) []*mem.Request {
 	m.filled = done
 	e.sectorsPending &^= 1 << sector
 	if e.sectorsPending == 0 {
-		delete(m.entries, lineAddr)
+		*link = e.next
+		e.next = nil
 		e.merged = 0
+		m.live--
 		m.free = append(m.free, e)
 	}
 	return done
 }
 
 // used returns the number of live entries.
-func (m *mshrTable) used() int { return len(m.entries) }
+func (m *mshrTable) used() int { return m.live }

@@ -5,7 +5,7 @@
 // holds the writes still draining through it at the boundary, by value: its
 // bank queues, its downstream queue and the count of requests it has taken
 // and not yet retired. Its MSHR is empty there, since every read has been
-// answered.
+// answered. Loading recounts the bank-queued requests from the queues.
 package cache
 
 import (
@@ -45,6 +45,9 @@ func (c *Timed) Snap(sc *snap.Codec) {
 	sc.Int(&c.inflight)
 	for b := range c.banks {
 		c.banks[b].Snap(sc, mem.RequestBytes, mem.SnapValue)
+		if sc.Loading() {
+			c.queued += c.banks[b].Len()
+		}
 	}
 	c.toDown.Snap(sc, mem.RequestBytes, mem.SnapValue)
 	c.tags.snap(sc)

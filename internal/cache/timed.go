@@ -38,6 +38,8 @@ type Timed struct {
 
 	// inflight counts upstream requests accepted but not yet completed.
 	inflight int
+	// queued counts the requests in the bank queues.
+	queued int
 
 	hits, misses *metrics.Counter
 	// readHits/readMisses count the read subset of hits/misses, so hit
@@ -109,8 +111,15 @@ func (c *Timed) Busy() bool {
 	return c.inflight > 0 || c.toDown.Len() > 0
 }
 
-// SetWake implements engine.Ticker: an idle cache leaves the engine's
-// per-cycle tick set and re-enters it when a request arrives.
+// Waiting implements engine.Waiter: with its bank queues and downstream
+// queue empty, a busy cache only waits for fills and hit latencies, which
+// arrive as events; ticking it would do nothing.
+func (c *Timed) Waiting() bool { return c.queued == 0 && c.toDown.Len() == 0 }
+
+// SetWake implements engine.Ticker: an idle or waiting cache leaves the
+// engine's per-cycle tick set. It re-enters when a request arrives, when a
+// fill queues writebacks, and when its last request retires (so the engine
+// polls Busy turning false on the cycle it does).
 func (c *Timed) SetWake(wake func()) { c.wake = wake }
 
 // Accept implements mem.Port. Requests are routed to a bank by sector
@@ -122,6 +131,7 @@ func (c *Timed) Accept(r *mem.Request) bool {
 		return false
 	}
 	c.banks[b].Push(r)
+	c.queued++
 	c.inflight++
 	if c.trOn {
 		r.T0 = c.eng.Cycle()
@@ -154,6 +164,7 @@ func (c *Timed) Tick(cycle uint64) {
 				break
 			}
 			q.Pop()
+			c.queued--
 		}
 	}
 }
@@ -255,7 +266,9 @@ func (c *Timed) forwardWrite(r *mem.Request) {
 // and release the requests parked on it.
 func (c *Timed) RequestDone(dr *mem.Request) {
 	from := dr.ServicedBy
-	c.evict(dr, c.tags.install(dr.Addr))
+	if c.evict(dr, c.tags.install(dr.Addr)) && c.wake != nil {
+		c.wake()
+	}
 	for _, waiter := range c.mshr.fill(c.tags.lineAddr(dr.Addr), c.tags.sector(dr.Addr)) {
 		waiter.ServicedBy = from
 		c.complete(waiter, from)
@@ -263,14 +276,15 @@ func (c *Timed) RequestDone(dr *mem.Request) {
 }
 
 // evict accounts for the line an install displaced, if any, emitting
-// writebacks (from by's pool) for its dirty sectors.
-func (c *Timed) evict(by *mem.Request, ev evicted) {
+// writebacks (from by's pool) for its dirty sectors. It reports whether it
+// queued any.
+func (c *Timed) evict(by *mem.Request, ev evicted) bool {
 	if !ev.wasValid {
-		return
+		return false
 	}
 	c.evictions.Inc()
 	if !c.cfg.WriteBack || ev.dirtySector == 0 {
-		return
+		return false
 	}
 	base := ev.lineAddr << c.tags.lineShift
 	for s := 0; s < c.tags.sectorsPerLine; s++ {
@@ -284,6 +298,7 @@ func (c *Timed) evict(by *mem.Request, ev evicted) {
 		wb.Size = c.cfg.SectorBytes
 		c.toDown.Push(wb)
 	}
+	return true
 }
 
 // complete retires an upstream request after the hit latency.
@@ -295,6 +310,9 @@ func (c *Timed) complete(r *mem.Request, lvl mem.Level) {
 // complete has elapsed.
 func (c *Timed) Retire(r *mem.Request, lvl mem.Level) {
 	c.inflight--
+	if c.inflight == 0 && c.wake != nil {
+		c.wake()
+	}
 	if c.trOn {
 		// Emit before Complete, which may recycle r.
 		c.tr.Emit(obs.Event{Name: lvl.String(), Cat: "mem", Ph: obs.PhaseSpan,

@@ -35,10 +35,15 @@ type Partition struct {
 	banks      int
 	latency    uint64 // row-miss (full) access latency
 	rowHitLat  uint64
-	queue      []*mem.Request
+	queue      []queued
 	bankFreeAt []uint64
 	openRow    []uint64
 	rowOpen    []bool
+	// blockedUntil is the earliest cycle a bank of the scheduling window
+	// frees, recorded when a tick found nothing to issue: until then no
+	// tick can issue, unless an Accept lands inside the window, which
+	// clears it. It is derived, not state: a restore leaves it 0.
+	blockedUntil uint64
 
 	reads     *metrics.Counter
 	writes    *metrics.Counter
@@ -49,6 +54,13 @@ type Partition struct {
 	tr    *obs.Tracer
 	trTid int32
 	trOn  bool
+}
+
+// queued is a request waiting for its bank, decoded once at Accept.
+type queued struct {
+	r    *mem.Request
+	bank int
+	row  uint64
 }
 
 // SetTracer installs the partition's tracer (nil for off) and registers
@@ -111,7 +123,10 @@ func (p *Partition) Accept(r *mem.Request) bool {
 		p.stalls.Inc()
 		return false
 	}
-	p.queue = append(p.queue, r)
+	if len(p.queue) < frfcfsWindow {
+		p.blockedUntil = 0
+	}
+	p.queue = append(p.queue, p.decode(r))
 	if p.trOn {
 		r.T0 = p.eng.Cycle()
 	}
@@ -121,56 +136,58 @@ func (p *Partition) Accept(r *mem.Request) bool {
 	return true
 }
 
-func (p *Partition) bankOf(addr uint64) int {
-	return int((addr / rowBytes) % uint64(p.banks))
-}
-
-func (p *Partition) rowOf(addr uint64) uint64 {
-	return addr / rowBytes / uint64(p.banks)
+// decode maps r's address to its bank and row.
+func (p *Partition) decode(r *mem.Request) queued {
+	page := r.Addr / rowBytes
+	return queued{r: r, bank: int(page % uint64(p.banks)), row: page / uint64(p.banks)}
 }
 
 // Tick implements engine.Ticker: issue as many queued requests as have a
 // free bank, preferring row hits within the scheduling window (FR-FCFS).
 func (p *Partition) Tick(cycle uint64) {
+	if cycle < p.blockedUntil {
+		return
+	}
 	for {
 		idx := p.pick(cycle)
 		if idx < 0 {
 			return
 		}
-		r := p.queue[idx]
+		q := p.queue[idx]
 		p.queue = append(p.queue[:idx], p.queue[idx+1:]...)
-		p.service(cycle, r)
+		p.service(cycle, q)
 	}
 }
 
 // pick returns the queue index of the next request to service, or -1.
 // Row hits within the window win over older row misses; otherwise the
-// oldest request with a free bank is chosen.
+// oldest request with a free bank is chosen. Finding none, it records when
+// the window's first bank frees.
 func (p *Partition) pick(cycle uint64) int {
-	window := len(p.queue)
-	if window > frfcfsWindow {
-		window = frfcfsWindow
-	}
+	window := p.queue[:min(len(p.queue), frfcfsWindow)]
 	oldest := -1
-	for i := 0; i < window; i++ {
-		r := p.queue[i]
-		b := p.bankOf(r.Addr)
-		if p.bankFreeAt[b] > cycle {
+	freeAt := ^uint64(0)
+	for i := range window {
+		q := &window[i]
+		if at := p.bankFreeAt[q.bank]; at > cycle {
+			freeAt = min(freeAt, at)
 			continue
 		}
-		if p.rowOpen[b] && p.openRow[b] == p.rowOf(r.Addr) {
+		if p.rowOpen[q.bank] && p.openRow[q.bank] == q.row {
 			return i // row hit wins immediately
 		}
 		if oldest < 0 {
 			oldest = i
 		}
 	}
+	if oldest < 0 && len(window) > 0 {
+		p.blockedUntil = freeAt
+	}
 	return oldest
 }
 
-func (p *Partition) service(cycle uint64, r *mem.Request) {
-	b := p.bankOf(r.Addr)
-	row := p.rowOf(r.Addr)
+func (p *Partition) service(cycle uint64, q queued) {
+	r, b, row := q.r, q.bank, q.row
 	hit := p.rowOpen[b] && p.openRow[b] == row
 
 	var lat, busy uint64

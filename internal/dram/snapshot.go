@@ -3,7 +3,8 @@
 // across a checkpoint unchanged (a bank may legitimately be booked past the
 // snapshot cycle). The queue holds the writes still waiting for a bank at
 // the kernel boundary, by value; an access already issued is a retirement
-// in the engine section.
+// in the engine section. Each queued request is decoded again on load; the
+// record of a blocked window is not state.
 package dram
 
 import (
@@ -15,7 +16,13 @@ import (
 func (p *Partition) Snap(c *snap.Codec) {
 	snap.Slice(c, &p.queue, mem.RequestBytes)
 	for i := range p.queue {
-		mem.SnapValue(c, &p.queue[i])
+		mem.SnapValue(c, &p.queue[i].r)
+		if c.Loading() && c.Err() == nil {
+			p.queue[i] = p.decode(p.queue[i].r)
+		}
+	}
+	if c.Loading() {
+		p.blockedUntil = 0
 	}
 	if !c.Match(p.banks, 17, "banks") {
 		return

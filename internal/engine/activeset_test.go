@@ -210,6 +210,156 @@ func containsCycle(log []uint64, c uint64) bool {
 	return false
 }
 
+// waitTicker models a cache: each unit of work it is given costs one tick,
+// which sends a request whose completion returns lat cycles later. It is
+// busy while it has work or a request outstanding, and waiting while only
+// requests are outstanding. It keeps the wake contract: give wakes it, and
+// so does the completion that ends its last outstanding request.
+type waitTicker struct {
+	wakeTicker
+	eng         *Engine
+	lat         uint64
+	outstanding int
+	sentAt      []uint64 // the cycle of each request sent
+}
+
+func (w *waitTicker) Busy() bool    { return w.work > 0 || w.outstanding > 0 }
+func (w *waitTicker) Waiting() bool { return w.work == 0 }
+func (w *waitTicker) Tick(cycle uint64) {
+	sent := w.work > 0
+	w.wakeTicker.Tick(cycle)
+	if sent {
+		w.sentAt = append(w.sentAt, cycle)
+		w.outstanding++
+		w.eng.Schedule(w.lat, func() {
+			if w.outstanding--; w.outstanding == 0 && w.wake != nil {
+				w.wake()
+			}
+		})
+	}
+}
+
+// tickedTwin is w as a plain Ticker: the engine cannot see it wait, so it
+// ticks it every cycle it is busy, as it did every busy cache before the
+// waiting class.
+type tickedTwin struct{ w *waitTicker }
+
+func (t tickedTwin) Name() string        { return t.w.name }
+func (t tickedTwin) Kind() ModelKind     { return CycleAccurate }
+func (t tickedTwin) Busy() bool          { return t.w.Busy() }
+func (t tickedTwin) SetWake(wake func()) { t.w.SetWake(wake) }
+func (t tickedTwin) Tick(cycle uint64)   { t.w.Tick(cycle) }
+
+// waitScenario registers a waiter (as itself, or as its always-ticked twin)
+// and an observer after it, gives the waiter one unit of work at cycle 10
+// and another from the observer's tick at cycle 300, and runs to cycle
+// 1000. It returns the engine and the waiter.
+func waitScenario(t *testing.T, twin bool) (*Engine, *waitTicker) {
+	t.Helper()
+	e := New()
+	w := &waitTicker{wakeTicker: wakeTicker{name: "cache"}, eng: e, lat: 100}
+	obs := &wakeTicker{name: "observer"}
+	if twin {
+		e.Register(tickedTwin{w})
+	} else {
+		e.Register(w)
+	}
+	e.Register(obs)
+	obs.onTick = func(cycle uint64) {
+		if cycle == 300 {
+			w.give(1)
+		}
+	}
+	e.Schedule(10, func() { w.give(1) })
+	e.Schedule(300, func() { obs.give(0) })
+	done := false
+	e.Schedule(1000, func() { done = true })
+	if _, err := e.Run(func() bool { return done }, 0); err != nil {
+		t.Fatal(err)
+	}
+	return e, w
+}
+
+// TestWaiterIsNotTickedYetHoldsTheClock: a busy waiter leaves the tick set,
+// but it still keeps the engine from fast-forwarding past its outstanding
+// request, so the run's ticked and skipped cycles are those of ticking it
+// every cycle.
+func TestWaiterIsNotTickedYetHoldsTheClock(t *testing.T) {
+	e, w := waitScenario(t, false)
+	twinEng, twin := waitScenario(t, true)
+	// The registration tick, the tick that sends each request, and the tick
+	// each last completion's wake brings.
+	if want := []uint64{0, 10, 110, 301, 401}; fmt.Sprint(w.tickLog) != fmt.Sprint(want) {
+		t.Errorf("waiter ticked at %v, want %v", w.tickLog, want)
+	}
+	if twin.ticks < 200 {
+		t.Errorf("the always-ticked twin ticked only %d times", twin.ticks)
+	}
+	if e.TickedCycles() != twinEng.TickedCycles() || e.SkippedCycles() != twinEng.SkippedCycles() {
+		t.Errorf("ticked/skipped %d/%d, the always-ticked twin's %d/%d",
+			e.TickedCycles(), e.SkippedCycles(), twinEng.TickedCycles(), twinEng.SkippedCycles())
+	}
+	if e.TickedCycles() < 200 {
+		t.Errorf("ticked %d cycles: the waiting cache did not hold the clock through its requests", e.TickedCycles())
+	}
+	if got, want := e.ModuleTicks(), twinEng.ModuleTicks(); got >= want {
+		t.Errorf("module ticks %d, not fewer than the twin's %d", got, want)
+	}
+}
+
+// TestWaiterWakeVisibility: a waiter woken from the event phase is ticked
+// the same cycle (the completion at 110), and one woken from a
+// later-registered module's Tick the next cycle (the observer's give at
+// 300 is sent at 301), which is when an always-ticked waiter, already
+// ticked at 300, would see it too.
+func TestWaiterWakeVisibility(t *testing.T) {
+	_, w := waitScenario(t, false)
+	_, twin := waitScenario(t, true)
+	if !containsCycle(w.tickLog, 110) {
+		t.Errorf("not ticked in the cycle of the event-phase wake; log=%v", w.tickLog)
+	}
+	if containsCycle(w.tickLog, 300) || !containsCycle(w.tickLog, 301) {
+		t.Errorf("a later module's wake at 300 should tick it at 301 only; log=%v", w.tickLog)
+	}
+	if fmt.Sprint(w.sentAt) != "[10 301]" || fmt.Sprint(twin.sentAt) != fmt.Sprint(w.sentAt) {
+		t.Errorf("requests sent at %v, the twin's at %v, want [10 301]", w.sentAt, twin.sentAt)
+	}
+}
+
+// TestWaiterBusyFalseWakeCountsOnItsCycle: the wake a waiter gives when its
+// Busy turns false brings the tick that takes it out of busyCount on that
+// cycle, so the engine fast-forwards from there as it would have.
+func TestWaiterBusyFalseWakeCountsOnItsCycle(t *testing.T) {
+	e := New()
+	w := &waitTicker{wakeTicker: wakeTicker{name: "cache"}, eng: e, lat: 100}
+	obs := &wakeTicker{name: "observer"}
+	e.Register(w)
+	e.Register(obs)
+	var seen []string
+	obs.onTick = func(cycle uint64) {
+		seen = append(seen, fmt.Sprintf("%d:%d/%d", cycle, e.busyCount, e.ActiveTickers()))
+	}
+	e.Schedule(10, func() { w.give(1) })
+	for _, c := range []uint64{50, 110} {
+		e.Schedule(c, func() { obs.give(0) })
+	}
+	done := false
+	e.Schedule(1000, func() { done = true })
+	if _, err := e.Run(func() bool { return done }, 0); err != nil {
+		t.Fatal(err)
+	}
+	// At 50 the waiter is counted busy but off the tick set, where the
+	// observer ticks alone. At 110 the completion's wake has ticked it, ahead
+	// of the observer, and it is counted out.
+	if want := "[0:0/1 50:1/1 110:0/1]"; fmt.Sprint(seen) != want {
+		t.Errorf("observer saw cycle:busy/active %v, want %s", seen, want)
+	}
+	// Skipped: 1..9 before the work, and 111..999 after the waiter went idle.
+	if want := uint64(9 + 889); e.SkippedCycles() != want {
+		t.Errorf("skipped %d cycles, want %d", e.SkippedCycles(), want)
+	}
+}
+
 // BenchmarkEngineActiveSet quantifies the scheduling win: many registered
 // tickers, few busy — the common late-simulation state where most SMs have
 // drained.

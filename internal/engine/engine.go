@@ -83,19 +83,39 @@ type Ticker interface {
 	SetWake(wake func())
 }
 
+// Waiter is a Ticker that can hold the clock without needing a tick: a
+// cache whose requests all wait on fills or on their hit latency is Busy
+// (the run must not fast-forward past those completions) but has nothing to
+// do per cycle. After a tick that leaves a waiter Busy and Waiting, the
+// engine takes it off the tick set and keeps counting it busy, so the
+// ticked and skipped cycles are those of ticking it every cycle.
+//
+// The contract: a waiter invokes its wake callback whenever it gets
+// per-cycle work (a request to process, traffic to push downstream) and
+// whenever its Busy turns false. The tick that the wake brings then polls
+// Busy on the cycle an every-cycle tick would have.
+type Waiter interface {
+	// Waiting reports that the module is Busy only for work that arrives
+	// by itself (completion events); a Tick now would do nothing.
+	Waiting() bool
+}
+
 // tickerEntry is the engine's per-ticker scheduling state.
 type tickerEntry struct {
 	t Ticker
 	// pre is non-nil for tickers implementing PreTicker: the engine runs
 	// PreTick immediately before Tick.
 	pre PreTicker
+	// wait is non-nil for tickers implementing Waiter.
+	wait Waiter
 	// staged marks an entry of the epoch-local segment (RegisterSharded).
 	staged bool
-	// active marks membership in the active list: the ticker is busy (as
-	// of its last Busy poll) or pending.
+	// active marks membership in the active list: the ticker is pending,
+	// or busy (as of its last Busy poll) and not waiting.
 	active bool
 	// busy is the ticker's last polled Busy() state. Only busy tickers
-	// keep the engine from fast-forwarding.
+	// keep the engine from fast-forwarding; a waiter off the active list
+	// keeps its busy state until its wake brings the next poll.
 	busy bool
 	// pending guarantees at least one tick at the next simulated cycle
 	// (set by the wake callback; cleared when the tick happens). A
@@ -132,6 +152,9 @@ type Engine struct {
 	tickedCycles  uint64
 	skippedCycles uint64
 	firedEvents   uint64
+	// moduleTicks counts Tick calls: host work, not simulated state, so it
+	// is in no result and no checkpoint.
+	moduleTicks uint64
 
 	// tracing. traceOn caches tr.Enabled(ModuleLevel) so the run loop's
 	// per-iteration observability cost with tracing off is one bool test.
@@ -213,8 +236,14 @@ func (e *Engine) AddProbe(name string, fn func() uint64) {
 }
 
 // ActiveTickers returns the size of the active set — how many
-// cycle-accurate modules are currently being ticked.
+// cycle-accurate modules are currently being ticked (a waiter off the tick
+// set is busy but not counted).
 func (e *Engine) ActiveTickers() int { return len(e.active) }
+
+// ModuleTicks returns the number of module Tick calls so far: the host
+// work of the cycle-accurate modules, which the active set and the waiting
+// class keep to the modules that can make progress.
+func (e *Engine) ModuleTicks() uint64 { return e.moduleTicks }
 
 // sample emits one counter timeline row at the current cycle.
 func (e *Engine) sample() {
@@ -287,6 +316,7 @@ func (e *Engine) register(t Ticker, staged bool) int {
 	idx := len(e.entries)
 	en := tickerEntry{t: t, staged: staged}
 	en.pre, _ = t.(PreTicker)
+	en.wait, _ = t.(Waiter)
 	e.entries = append(e.entries, en)
 	e.modules = append(e.modules, t)
 	if staged {
@@ -337,8 +367,8 @@ func (e *Engine) activate(idx int) {
 	}
 	// Poll Busy on insertion: a module woken at a position the current tick
 	// pass has already visited is only ticked next cycle, but it must gate
-	// fast-forwarding now.
-	if en.t.Busy() && !en.busy {
+	// fast-forwarding now. A returning waiter is still counted busy.
+	if !en.busy && en.t.Busy() {
 		en.busy = true
 		e.busyCount++
 	}
@@ -453,6 +483,9 @@ func (e *Engine) RunCtx(ctx context.Context, done func() bool, maxCycles uint64)
 		if e.traceOn && e.cycle >= e.nextSample {
 			e.sample()
 		}
+		if wakeCheck != nil {
+			wakeCheck(e)
+		}
 
 		if done() {
 			return e.cycle, nil
@@ -520,10 +553,14 @@ func (e *Engine) flushWakes() {
 	e.wakeBuf = wb[:0]
 }
 
+// wakeCheck, when a test sets it, is called after every visited cycle.
+var wakeCheck func(e *Engine)
+
 // tickSerialRange advances tickPos through the active list, ticking every
 // entry whose registration index is <= hi, in registration order. After
-// each tick the entry's Busy() is re-polled: a ticker that is idle and not
-// re-woken leaves the active set and is not touched again until a wake.
+// each tick the entry's Busy() is re-polled: a ticker that is idle, or a
+// waiter that is waiting, and is not re-woken leaves the active set and is
+// not touched again until a wake; a waiter leaves still counted busy.
 // Activations occurring during the pass (a scheduler assigning work to a
 // downstream module, for instance) are ticked this same cycle when their
 // registration index has not been passed yet. PreTicker entries get their
@@ -542,6 +579,7 @@ func (e *Engine) tickSerialRange(hi int) {
 			en.pre.PreTick(e.cycle)
 		}
 		en.t.Tick(e.cycle)
+		e.moduleTicks++
 		nowBusy := en.t.Busy()
 		if nowBusy != en.busy {
 			en.busy = nowBusy
@@ -551,7 +589,7 @@ func (e *Engine) tickSerialRange(hi int) {
 				e.busyCount--
 			}
 		}
-		if !nowBusy && !en.pending {
+		if !en.pending && (!nowBusy || en.wait != nil && en.wait.Waiting()) {
 			en.active = false
 			if en.staged {
 				e.segCount--

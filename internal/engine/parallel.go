@@ -238,6 +238,7 @@ func (sg *segment) runPass(k int) {
 				en.pre.PreTick(cyc)
 			}
 			en.t.Tick(cyc)
+			e.moduleTicks++
 			nowBusy := en.t.Busy()
 			if nowBusy != en.busy {
 				en.busy = nowBusy

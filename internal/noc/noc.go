@@ -12,6 +12,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
@@ -41,6 +43,9 @@ type link struct {
 
 	fwd []mem.FIFO[entry] // per-destination request queues, queueCap deep
 	ret []mem.FIFO[entry] // per-source-partition response queues
+	// fwdOcc and retOcc have bit i set while fwd[i] (ret[i]) is non-empty,
+	// so a drain visits only the occupied queues.
+	fwdOcc, retOcc []uint64
 
 	requests *metrics.Counter
 	stalls   *metrics.Counter
@@ -59,6 +64,8 @@ func newLink(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(u
 		mapAddr:  mapAddr,
 		fwd:      make([]mem.FIFO[entry], len(targets)),
 		ret:      make([]mem.FIFO[entry], len(targets)),
+		fwdOcc:   make([]uint64, (len(targets)+63)/64),
+		retOcc:   make([]uint64, (len(targets)+63)/64),
 		requests: g.Counter(name + ".request"),
 		stalls:   g.Counter(name + ".stall"),
 	}
@@ -93,13 +100,15 @@ func (l *link) Busy() bool { return l.busyCnt > 0 }
 // reached from completion events while it may be idle) both re-activate it.
 func (l *link) SetWake(wake func()) { l.wake = wake }
 
-// send queues r on q, to arrive after delay cycles.
-func (l *link) send(q *mem.FIFO[entry], r *mem.Request, delay uint64) {
+// send queues r on queue i of qs, whose occupancy bits are occ, to arrive
+// after delay cycles.
+func (l *link) send(qs []mem.FIFO[entry], occ []uint64, i int, r *mem.Request, delay uint64) {
 	e := entry{r: r, ready: l.eng.Cycle() + delay}
 	if l.trOn {
 		e.enq = l.eng.Cycle()
 	}
-	q.Push(e)
+	qs[i].Push(e)
+	occ[i>>6] |= 1 << (i & 63)
 	l.busyCnt++
 	if l.wake != nil {
 		l.wake()
@@ -114,13 +123,32 @@ func (l *link) accept(hop mem.Hop, r *mem.Request, dst int, delay uint64) {
 	if r.WantsReply() {
 		r.Via(hop, dst)
 	}
-	l.send(&l.fwd[dst], r, delay)
+	l.send(l.fwd, l.fwdOcc, dst, r, delay)
+}
+
+// nextOccupied returns the first queue index >= i whose bit is set in occ,
+// or -1. It reads the bits afresh, so a drain that visits queues through it
+// sees a queue filled meanwhile exactly when an index loop would.
+func nextOccupied(occ []uint64, i int) int {
+	w := i >> 6
+	if w >= len(occ) {
+		return -1
+	}
+	word := occ[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(occ) {
+			return -1
+		}
+		word = occ[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // drain moves up to fwdMax ready entries per destination into the target
 // ports, and delivers up to retMax ready responses per source partition.
+// Queues are visited in ascending index order, the occupied ones only.
 func (l *link) drain(cycle uint64, fwdMax, retMax int) {
-	for dst := range l.fwd {
+	for dst := nextOccupied(l.fwdOcc, 0); dst >= 0; dst = nextOccupied(l.fwdOcc, dst+1) {
 		q := &l.fwd[dst]
 		for n := 0; n < fwdMax && q.Len() > 0; n++ {
 			head := q.Front()
@@ -137,8 +165,11 @@ func (l *link) drain(cycle uint64, fwdMax, retMax int) {
 			q.Pop()
 			l.busyCnt--
 		}
+		if q.Len() == 0 {
+			l.fwdOcc[dst>>6] &^= 1 << (dst & 63)
+		}
 	}
-	for src := range l.ret {
+	for src := nextOccupied(l.retOcc, 0); src >= 0; src = nextOccupied(l.retOcc, src+1) {
 		q := &l.ret[src]
 		for n := 0; n < retMax && q.Len() > 0; n++ {
 			if q.Front().ready > cycle {
@@ -151,6 +182,9 @@ func (l *link) drain(cycle uint64, fwdMax, retMax int) {
 				l.emitSpan("ret", &head, cycle)
 			}
 			head.r.Deliver()
+		}
+		if q.Len() == 0 {
+			l.retOcc[src>>6] &^= 1 << (src & 63)
 		}
 	}
 }
@@ -198,7 +232,7 @@ func (x *Crossbar) Accept(r *mem.Request) bool {
 // backpressured toward the L2 (responses in real hardware use a separate
 // virtual network with guaranteed sinking); bandwidth is still bounded per
 // cycle at drain time.
-func (x *Crossbar) Return(r *mem.Request, src int) { x.send(&x.ret[src], r, x.latency) }
+func (x *Crossbar) Return(r *mem.Request, src int) { x.send(x.ret, x.retOcc, src, r, x.latency) }
 
 // Tick implements engine.Ticker: move up to perCycle ready entries per
 // destination into the target ports, and drain up to perCycle responses per

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"swiftsim/internal/engine"
@@ -14,6 +15,7 @@ type sink struct {
 	latency  uint64
 	accepted []*mem.Request
 	refuse   bool
+	onAccept func() // called for each request accepted, when set
 }
 
 func (s *sink) Accept(r *mem.Request) bool {
@@ -21,6 +23,9 @@ func (s *sink) Accept(r *mem.Request) bool {
 		return false
 	}
 	s.accepted = append(s.accepted, r)
+	if s.onAccept != nil {
+		s.onAccept()
+	}
 	if !r.Write {
 		s.eng.Schedule(s.latency, func() {
 			r.Complete(mem.LevelL2)
@@ -180,5 +185,36 @@ func TestCrossbarBusyLifecycle(t *testing.T) {
 	}
 	if x.Busy() {
 		t.Error("crossbar busy after completion")
+	}
+}
+
+// TestCrossbarDrainsOccupiedQueuesInOrder: with more partitions than one
+// occupancy word holds, a drain still visits the occupied queues in
+// ascending partition order, both ways, and clears every bit once the
+// queues are empty.
+func TestCrossbarDrainsOccupiedQueuesInOrder(t *testing.T) {
+	const parts = 130 // three occupancy words
+	eng, x, sinks, _ := setup(parts, 2, 1)
+	var fwd, ret []int
+	for i, s := range sinks {
+		s.onAccept = func() { fwd = append(fwd, i) }
+	}
+	for _, dst := range []int{129, 0, 64, 63, 65, 7, 128} {
+		r := &mem.Request{Addr: uint64(dst) * 32, Size: 32, Done: func() { ret = append(ret, dst) }}
+		if !x.Accept(r) {
+			t.Fatal("Accept rejected")
+		}
+	}
+	if _, err := eng.Run(func() bool { return len(ret) == 7 }, 10000); err != nil {
+		t.Fatal(err)
+	}
+	want := "[0 7 63 64 65 128 129]"
+	if fmt.Sprint(fwd) != want || fmt.Sprint(ret) != want {
+		t.Errorf("forward order %v, return order %v, want %s both ways", fwd, ret, want)
+	}
+	for w := range x.fwdOcc {
+		if x.fwdOcc[w] != 0 || x.retOcc[w] != 0 {
+			t.Errorf("word %d: occupancy %x/%x left set with every queue empty", w, x.fwdOcc[w], x.retOcc[w])
+		}
 	}
 }

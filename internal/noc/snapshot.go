@@ -20,15 +20,16 @@ func snapEntry(c *snap.Codec, e *entry) {
 }
 
 // Snap implements snap.Stateful: a return queue must be empty, and loading
-// counts the forward entries in flight.
+// counts the forward entries in flight and marks their queues occupied.
 func (l *link) Snap(c *snap.Codec) {
 	for i := range l.ret {
 		c.Empty(l.ret[i].Len(), l.name+" return queue")
 	}
 	for i := range l.fwd {
 		l.fwd[i].Snap(c, entryBytes, snapEntry)
-		if c.Loading() {
+		if c.Loading() && l.fwd[i].Len() > 0 {
 			l.busyCnt += l.fwd[i].Len()
+			l.fwdOcc[i>>6] |= 1 << (i & 63)
 		}
 	}
 }

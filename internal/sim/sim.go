@@ -249,6 +249,9 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		}
 	}
 
+	if ranOn != nil {
+		ranOn(a.eng)
+	}
 	total := extrapolated + overhead
 	a.g.Set("gpu.cycles", total)
 	return &Result{
@@ -271,6 +274,10 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 // poolHeld, when a test sets it, is told which request pool a run holds and
 // returns what to call just before the run releases it.
 var poolHeld func(p mem.Pool) (released func())
+
+// ranOn, when a test sets it, is handed the engine of each run that
+// completes, for the host-work counts a Result does not carry.
+var ranOn func(e *engine.Engine)
 
 // scaleLat applies the golden model's latency scale.
 func scaleLat(l int, scale float64) int {
