@@ -95,9 +95,10 @@ bench-quick:
 # binary kept alongside for symbolization:
 #   go tool pprof prof/golden.test prof/golden.cpu.pprof
 # It then writes the tables CPU and allocation work start from: the CPU
-# time of the benchmark's Basic and Detailed catalog jobs by function
-# (BenchmarkCatalog, go tool pprof -top), into prof/cpu.basic.txt and
-# prof/cpu.detailed.txt, and every heap
+# time of the benchmark's Basic and Detailed catalog jobs, and of the same
+# jobs under Memory with a warm profile memo, by function (BenchmarkCatalog,
+# go tool pprof -top), into prof/cpu.basic.txt, prof/cpu.detailed.txt and
+# prof/cpu.memory.txt, and every heap
 # object
 # of a Basic, a Detailed and a Memory simulation (-memprofilerate 1),
 # ranked by allocating function, into prof/allocs.basic.txt,
@@ -126,6 +127,9 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Detailed' -benchtime 20x \
 		-cpuprofile prof/cpu.detailed.pprof -o prof/cpu.test .
 	$(GO) tool pprof -top prof/cpu.test prof/cpu.detailed.pprof > prof/cpu.detailed.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Memory' -benchtime 20x \
+		-cpuprofile prof/cpu.memory.pprof -o prof/cpu.test .
+	$(GO) tool pprof -top prof/cpu.test prof/cpu.memory.pprof > prof/cpu.memory.txt
 	@head -25 prof/allocs.basic.txt
 
 # envelopes regenerates every committed accuracy envelope — the relaxed-

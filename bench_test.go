@@ -231,8 +231,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkCatalog runs the traffic the benchmark harness's basic_serial
 // and detailed_serial workloads measure: the 20 catalog apps at scale 0.5 on
 // the RTX 2080 Ti, one job after another, under Swift-Sim-Basic and under
-// Detailed. `make profile` takes its CPU tables from it. -short runs two
-// apps at scale 0.15.
+// Detailed, and the same jobs under Swift-Sim-Memory. After the first
+// iteration Memory's profile memo is warm, so its table shows the
+// simulation itself. `make profile` takes its CPU tables from it. -short
+// runs two apps at scale 0.15.
 func BenchmarkCatalog(b *testing.B) {
 	names, scale := workload.Names(), 0.5
 	if testing.Short() {
@@ -250,7 +252,7 @@ func BenchmarkCatalog(b *testing.B) {
 	for _, kind := range []struct {
 		name string
 		kind sim.Kind
-	}{{"Basic", sim.Basic}, {"Detailed", sim.Detailed}} {
+	}{{"Basic", sim.Basic}, {"Detailed", sim.Detailed}, {"Memory", sim.Memory}} {
 		b.Run(kind.name, func(b *testing.B) {
 			var insts uint64
 			for i := 0; i < b.N; i++ {

@@ -46,6 +46,12 @@ type link struct {
 	// fwdOcc and retOcc have bit i set while fwd[i] (ret[i]) is non-empty,
 	// so a drain visits only the occupied queues.
 	fwdOcc, retOcc []uint64
+	// fwdHead and retHead hold, for each occupied queue, the ready cycle of
+	// its head, so a drain passes over a queue whose head has not arrived
+	// without reading the queue. Only the head is cached: a ring queue's
+	// entries arrive out of order, since their hop counts differ. send sets
+	// an entry when it fills an empty queue, drain after popping.
+	fwdHead, retHead []uint64
 
 	requests *metrics.Counter
 	stalls   *metrics.Counter
@@ -57,15 +63,21 @@ type link struct {
 }
 
 func newLink(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, g *metrics.Gatherer) link {
+	// One slab for the occupancy words and the head cycles of both
+	// directions.
+	n, words := len(targets), (len(targets)+63)/64
+	slab := make([]uint64, 2*words+2*n)
 	return link{
 		name:     name,
 		eng:      eng,
 		targets:  targets,
 		mapAddr:  mapAddr,
-		fwd:      make([]mem.FIFO[entry], len(targets)),
-		ret:      make([]mem.FIFO[entry], len(targets)),
-		fwdOcc:   make([]uint64, (len(targets)+63)/64),
-		retOcc:   make([]uint64, (len(targets)+63)/64),
+		fwd:      make([]mem.FIFO[entry], n),
+		ret:      make([]mem.FIFO[entry], n),
+		fwdOcc:   slab[:words:words],
+		retOcc:   slab[words : 2*words : 2*words],
+		fwdHead:  slab[2*words : 2*words+n : 2*words+n],
+		retHead:  slab[2*words+n:],
 		requests: g.Counter(name + ".request"),
 		stalls:   g.Counter(name + ".stall"),
 	}
@@ -100,12 +112,15 @@ func (l *link) Busy() bool { return l.busyCnt > 0 }
 // reached from completion events while it may be idle) both re-activate it.
 func (l *link) SetWake(wake func()) { l.wake = wake }
 
-// send queues r on queue i of qs, whose occupancy bits are occ, to arrive
-// after delay cycles.
-func (l *link) send(qs []mem.FIFO[entry], occ []uint64, i int, r *mem.Request, delay uint64) {
+// send queues r on queue i of qs, whose occupancy bits are occ and head
+// cycles head, to arrive after delay cycles.
+func (l *link) send(qs []mem.FIFO[entry], occ, head []uint64, i int, r *mem.Request, delay uint64) {
 	e := entry{r: r, ready: l.eng.Cycle() + delay}
 	if l.trOn {
 		e.enq = l.eng.Cycle()
+	}
+	if qs[i].Len() == 0 {
+		head[i] = e.ready
 	}
 	qs[i].Push(e)
 	occ[i>>6] |= 1 << (i & 63)
@@ -123,7 +138,7 @@ func (l *link) accept(hop mem.Hop, r *mem.Request, dst int, delay uint64) {
 	if r.WantsReply() {
 		r.Via(hop, dst)
 	}
-	l.send(l.fwd, l.fwdOcc, dst, r, delay)
+	l.send(l.fwd, l.fwdOcc, l.fwdHead, dst, r, delay)
 }
 
 // nextOccupied returns the first queue index >= i whose bit is set in occ,
@@ -146,9 +161,13 @@ func nextOccupied(occ []uint64, i int) int {
 
 // drain moves up to fwdMax ready entries per destination into the target
 // ports, and delivers up to retMax ready responses per source partition.
-// Queues are visited in ascending index order, the occupied ones only.
+// Queues are visited in ascending index order, the occupied ones whose head
+// has arrived only; a queue left non-empty has its head cycle refreshed.
 func (l *link) drain(cycle uint64, fwdMax, retMax int) {
 	for dst := nextOccupied(l.fwdOcc, 0); dst >= 0; dst = nextOccupied(l.fwdOcc, dst+1) {
+		if l.fwdHead[dst] > cycle {
+			continue
+		}
 		q := &l.fwd[dst]
 		for n := 0; n < fwdMax && q.Len() > 0; n++ {
 			head := q.Front()
@@ -167,9 +186,14 @@ func (l *link) drain(cycle uint64, fwdMax, retMax int) {
 		}
 		if q.Len() == 0 {
 			l.fwdOcc[dst>>6] &^= 1 << (dst & 63)
+		} else {
+			l.fwdHead[dst] = q.Front().ready
 		}
 	}
 	for src := nextOccupied(l.retOcc, 0); src >= 0; src = nextOccupied(l.retOcc, src+1) {
+		if l.retHead[src] > cycle {
+			continue
+		}
 		q := &l.ret[src]
 		for n := 0; n < retMax && q.Len() > 0; n++ {
 			if q.Front().ready > cycle {
@@ -185,6 +209,8 @@ func (l *link) drain(cycle uint64, fwdMax, retMax int) {
 		}
 		if q.Len() == 0 {
 			l.retOcc[src>>6] &^= 1 << (src & 63)
+		} else {
+			l.retHead[src] = q.Front().ready
 		}
 	}
 }
@@ -232,7 +258,9 @@ func (x *Crossbar) Accept(r *mem.Request) bool {
 // backpressured toward the L2 (responses in real hardware use a separate
 // virtual network with guaranteed sinking); bandwidth is still bounded per
 // cycle at drain time.
-func (x *Crossbar) Return(r *mem.Request, src int) { x.send(x.ret, x.retOcc, src, r, x.latency) }
+func (x *Crossbar) Return(r *mem.Request, src int) {
+	x.send(x.ret, x.retOcc, x.retHead, src, r, x.latency)
+}
 
 // Tick implements engine.Ticker: move up to perCycle ready entries per
 // destination into the target ports, and drain up to perCycle responses per

@@ -2,6 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"swiftsim/internal/engine"
@@ -215,6 +217,183 @@ func TestCrossbarDrainsOccupiedQueuesInOrder(t *testing.T) {
 	for w := range x.fwdOcc {
 		if x.fwdOcc[w] != 0 || x.retOcc[w] != 0 {
 			t.Errorf("word %d: occupancy %x/%x left set with every queue empty", w, x.fwdOcc[w], x.retOcc[w])
+		}
+	}
+}
+
+// indexDrain is the drain before the occupancy bits and head cycles: every
+// queue, both ways, in ascending index order, each read afresh.
+func indexDrain(l *link, cycle uint64, fwdMax, retMax int) {
+	for dst := range l.fwd {
+		q := &l.fwd[dst]
+		for n := 0; n < fwdMax && q.Len() > 0; n++ {
+			head := q.Front()
+			if head.ready > cycle {
+				break
+			}
+			if !l.targets[dst].Accept(head.r) {
+				l.stalls.Inc()
+				break
+			}
+			q.Pop()
+			l.busyCnt--
+		}
+	}
+	for src := range l.ret {
+		q := &l.ret[src]
+		for n := 0; n < retMax && q.Len() > 0; n++ {
+			if q.Front().ready > cycle {
+				break
+			}
+			head := q.Pop()
+			l.busyCnt--
+			head.r.Deliver()
+		}
+	}
+}
+
+// indexTicker registers an interconnect with the engine but ticks it with
+// indexDrain.
+type indexTicker struct {
+	engine.Ticker
+	l              *link
+	ring           *Ring // nil for a crossbar
+	fwdMax, retMax int
+}
+
+func (it *indexTicker) Tick(cycle uint64) {
+	if it.ring != nil {
+		it.ring.injected = 0
+	}
+	indexDrain(it.l, cycle, it.fwdMax, it.retMax)
+}
+
+// logSink is a partition port that logs what it accepts, refuses while
+// refuse says so, and completes reads after a latency that varies with the
+// address.
+type logSink struct {
+	eng    *engine.Engine
+	part   int
+	log    *[]string
+	refuse func(cycle uint64) bool
+}
+
+func (s *logSink) Accept(r *mem.Request) bool {
+	if s.refuse(s.eng.Cycle()) {
+		*s.log = append(*s.log, fmt.Sprintf("%d refuse p%d %#x", s.eng.Cycle(), s.part, r.Addr))
+		return false
+	}
+	*s.log = append(*s.log, fmt.Sprintf("%d accept p%d %#x", s.eng.Cycle(), s.part, r.Addr))
+	if !r.Write {
+		s.eng.Schedule(5+r.Addr/32%7, func() { r.Complete(mem.LevelL2) })
+	}
+	return true
+}
+
+// driveNoC offers a seeded stream of reads and writes from many SMs to a
+// few partitions whose ports refuse in bursts, and returns everything that
+// happened in cycle order: offers the interconnect refused, partition
+// accepts and refusals, deliveries, and the final stall count. build makes
+// the interconnect over the given ports and registers it; index says it
+// ticks with indexDrain, which keeps no head cycles to check.
+func driveNoC(t *testing.T, seed int64, parts int, index bool, build func(eng *engine.Engine, ports []mem.Port, g *metrics.Gatherer) (mem.Port, *link)) []string {
+	t.Helper()
+	eng, g := engine.New(), metrics.New()
+	var log []string
+	ports := make([]mem.Port, parts)
+	for i := range ports {
+		ports[i] = &logSink{eng: eng, part: i, log: &log, refuse: func(c uint64) bool { return (c/9+uint64(i))%4 == 0 }}
+	}
+	x, l := build(eng, ports, g)
+	rng := rand.New(rand.NewSource(seed))
+	const offers = 600
+	fired, reads := 0, 0
+	for i := 0; i < offers; i++ {
+		addr := uint64(rng.Intn(1<<12)) &^ 31
+		req := &mem.Request{Addr: addr, SMID: rng.Intn(24), Size: 32, Write: rng.Intn(4) == 0}
+		if !req.Write {
+			req.Done = func() { log = append(log, fmt.Sprintf("%d deliver %#x", eng.Cycle(), addr)); reads-- }
+		}
+		eng.Schedule(uint64(i/3), func() {
+			fired++
+			if !x.Accept(req) {
+				log = append(log, fmt.Sprintf("%d full %#x", eng.Cycle(), addr))
+			} else if !req.Write {
+				reads++
+			}
+			if !index {
+				checkHeads(t, l)
+			}
+		})
+	}
+	if _, err := eng.Run(func() bool {
+		if !index {
+			checkHeads(t, l)
+		}
+		return fired == offers && reads == 0 && !l.Busy()
+	}, 100000); err != nil {
+		t.Fatal(err)
+	}
+	return append(log, fmt.Sprintf("stalls %d", l.stalls.Value()))
+}
+
+// checkHeads fails unless every occupied queue's head cycle is its head's
+// ready cycle. A stale head cycle below it would only cost visits, so the
+// delivery logs alone cannot see one.
+func checkHeads(t *testing.T, l *link) {
+	t.Helper()
+	for dir, qs := range map[string][]mem.FIFO[entry]{"forward": l.fwd, "return": l.ret} {
+		head := l.fwdHead
+		if dir == "return" {
+			head = l.retHead
+		}
+		for i := range qs {
+			if qs[i].Len() > 0 && head[i] != qs[i].Front().ready {
+				t.Fatalf("%s queue %d: head cycle %d, head ready at %d", dir, i, head[i], qs[i].Front().ready)
+			}
+		}
+	}
+}
+
+// TestCrossbarMatchesIndexLoop: partition ports that refuse in bursts hold
+// queue heads that have arrived, and skipped heads that have not; the drain
+// through occupancy bits and head cycles must accept, refuse and deliver
+// exactly what the index loop does, in the same cycles.
+func TestCrossbarMatchesIndexLoop(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		build := func(index bool) func(*engine.Engine, []mem.Port, *metrics.Gatherer) (mem.Port, *link) {
+			return func(eng *engine.Engine, ports []mem.Port, g *metrics.Gatherer) (mem.Port, *link) {
+				mapAddr := func(addr uint64) int { return int(addr / 32 % uint64(len(ports))) }
+				x := NewCrossbar("noc", eng, ports, mapAddr, 3, 2, g)
+				if index {
+					eng.Register(&indexTicker{Ticker: x, l: &x.link, fwdMax: 2, retMax: 2})
+				} else {
+					eng.Register(x)
+				}
+				return x, &x.link
+			}
+		}
+		equalLogs(t, fmt.Sprintf("seed %d", seed), driveNoC(t, seed, 3, false, build(false)), driveNoC(t, seed, 3, true, build(true)))
+	}
+}
+
+// equalLogs fails at the first line where the two runs part, and checks
+// that some partition refused a queue head in the reference run.
+func equalLogs(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if !strings.Contains(strings.Join(want, "\n"), "refuse") {
+		t.Fatalf("%s: no partition ever refused a queue head", what)
+	}
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("%s: line %d of %d: got %q, index loop %q", what, i, len(want), g, w)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (r *Ring) Accept(req *mem.Request) bool {
 // partition it was routed to back to its SM.
 func (r *Ring) Return(req *mem.Request, src int) {
 	h := r.hops(r.partPos(src), r.smPos(req.SMID))
-	r.send(r.ret, r.retOcc, src, req, uint64(h)*r.hopLatency)
+	r.send(r.ret, r.retOcc, r.retHead, src, req, uint64(h)*r.hopLatency)
 }
 
 // Tick implements engine.Ticker: refresh the bisection budget, deliver

@@ -1,11 +1,13 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/snap"
 )
 
 func ringSetup(numSMs, nParts int, hopLat uint64, bisection int) (*engine.Engine, *Ring, []*sink, *metrics.Gatherer) {
@@ -143,5 +145,93 @@ func TestRingWritesNoReturn(t *testing.T) {
 	idle := func() bool { return !r.Busy() && len(sinks[0].accepted) == 1 }
 	if _, err := eng.Run(idle, 100000); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingMatchesIndexLoop: a ring queue's entries come from SMs at
+// different distances, so a later entry can arrive before the head; with
+// partition ports refusing in bursts, the drain through occupancy bits and
+// head cycles must accept, refuse and deliver exactly what the index loop
+// does, in the same cycles.
+func TestRingMatchesIndexLoop(t *testing.T) {
+	overtaken := false
+	for seed := int64(1); seed <= 3; seed++ {
+		build := func(index bool) func(*engine.Engine, []mem.Port, *metrics.Gatherer) (mem.Port, *link) {
+			return func(eng *engine.Engine, ports []mem.Port, g *metrics.Gatherer) (mem.Port, *link) {
+				mapAddr := func(addr uint64) int { return int(addr / 32 % uint64(len(ports))) }
+				r := NewRing("ring", eng, 24, ports, mapAddr, 2, 3, g)
+				if index {
+					eng.Register(&indexTicker{Ticker: r, l: &r.link, ring: r, fwdMax: queueCap, retMax: 1})
+					return r, &r.link
+				}
+				eng.Register(r)
+				// Record whether an accepted request ever arrives before
+				// the head of the queue it joins.
+				return mem.PortFunc(func(req *mem.Request) bool {
+					dst := mapAddr(req.Addr)
+					ready := eng.Cycle() + uint64(r.hops(r.smPos(req.SMID), r.partPos(dst)))*r.hopLatency
+					if !r.Accept(req) {
+						return false
+					}
+					if r.fwd[dst].Len() > 1 && ready < r.fwdHead[dst] {
+						overtaken = true
+					}
+					return true
+				}), &r.link
+			}
+		}
+		equalLogs(t, fmt.Sprintf("seed %d", seed), driveNoC(t, seed, 3, false, build(false)), driveNoC(t, seed, 3, true, build(true)))
+	}
+	if !overtaken {
+		t.Error("no ring queue ever held an entry arriving before its head")
+	}
+}
+
+// TestLoadedCheckpointSetsHeads: a ring saved with writes queued toward a
+// refusing partition loads into a fresh ring whose head cycles are those of
+// the queues it loads, and both deliver every write in the same cycles.
+func TestLoadedCheckpointSetsHeads(t *testing.T) {
+	run := func(r *Ring, sinks []*sink) []string {
+		var got []string
+		for cycle := uint64(0); cycle < 64; cycle++ {
+			before := len(sinks[0].accepted) + len(sinks[1].accepted)
+			r.Tick(cycle)
+			if n := len(sinks[0].accepted) + len(sinks[1].accepted); n != before {
+				got = append(got, fmt.Sprintf("%d: %d delivered", cycle, n-before))
+			}
+		}
+		return got
+	}
+	_, saved, savedSinks, _ := ringSetup(16, 2, 3, 32)
+	for _, s := range savedSinks {
+		s.refuse = true
+	}
+	for i := 0; i < 12; i++ {
+		if !saved.Accept(&mem.Request{Addr: uint64(i) * 32, SMID: 15 - i, Size: 32, Write: true}) {
+			t.Fatal("write refused")
+		}
+	}
+	b, err := snap.Save(saved.Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, loadedSinks, _ := ringSetup(16, 2, 3, 32)
+	for i := range loaded.fwdHead {
+		loaded.fwdHead[i] = ^uint64(0) // a head cycle the load must overwrite
+	}
+	if err := snap.Load(b, loaded.Snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range saved.fwd {
+		if saved.fwd[i].Len() == 0 || loaded.fwdHead[i] != saved.fwdHead[i] {
+			t.Errorf("queue %d: %d entries, head cycle %d loaded, %d saved", i, saved.fwd[i].Len(), loaded.fwdHead[i], saved.fwdHead[i])
+		}
+	}
+	for _, s := range savedSinks {
+		s.refuse = false
+	}
+	want, got := run(saved, savedSinks), run(loaded, loadedSinks)
+	if fmt.Sprint(got) != fmt.Sprint(want) || len(want) == 0 {
+		t.Errorf("loaded ring delivered %v, saved ring %v", got, want)
 	}
 }

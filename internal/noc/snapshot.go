@@ -20,7 +20,8 @@ func snapEntry(c *snap.Codec, e *entry) {
 }
 
 // Snap implements snap.Stateful: a return queue must be empty, and loading
-// counts the forward entries in flight and marks their queues occupied.
+// counts the forward entries in flight, marks their queues occupied and
+// sets their head cycles.
 func (l *link) Snap(c *snap.Codec) {
 	for i := range l.ret {
 		c.Empty(l.ret[i].Len(), l.name+" return queue")
@@ -30,6 +31,7 @@ func (l *link) Snap(c *snap.Codec) {
 		if c.Loading() && l.fwd[i].Len() > 0 {
 			l.busyCnt += l.fwd[i].Len()
 			l.fwdOcc[i>>6] |= 1 << (i & 63)
+			l.fwdHead[i] = l.fwd[i].Front().ready
 		}
 	}
 }

@@ -414,7 +414,7 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		ceiling float64
 	}{
 		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,508
-		{Detailed, "SM", 0.4, wide, 4765},      // measured 3,812
+		{Detailed, "SM", 0.4, wide, 4373},      // measured 3,498
 		{Basic, "SM", 0.4, wide, 3294},         // measured 2,635
 		{Memory, "SM", 0.4, wide, 1048},        // measured 836
 	} {

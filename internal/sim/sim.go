@@ -250,7 +250,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	}
 
 	if ranOn != nil {
-		ranOn(a.eng)
+		ranOn(a)
 	}
 	total := extrapolated + overhead
 	a.g.Set("gpu.cycles", total)
@@ -275,9 +275,9 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 // returns what to call just before the run releases it.
 var poolHeld func(p mem.Pool) (released func())
 
-// ranOn, when a test sets it, is handed the engine of each run that
+// ranOn, when a test sets it, is handed the assembly of each run that
 // completes, for the host-work counts a Result does not carry.
-var ranOn func(e *engine.Engine)
+var ranOn func(a *gpuAssembly)
 
 // scaleLat applies the golden model's latency scale.
 func scaleLat(l int, scale float64) int {

@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/engine"
 )
 
 // moduleTicks runs app under opts and returns the engine's module Tick
 // calls and ticked cycles.
 func moduleTicks(t *testing.T, app string, scale float64, gpu config.GPU, opts Options) (ticks, cycles uint64) {
 	t.Helper()
-	ranOn = func(e *engine.Engine) { ticks, cycles = e.ModuleTicks(), e.TickedCycles() }
+	ranOn = func(a *gpuAssembly) { ticks, cycles = a.eng.ModuleTicks(), a.eng.TickedCycles() }
 	defer func() { ranOn = nil }()
 	if _, err := Run(mustApp(t, app, scale), gpu, opts); err != nil {
 		t.Fatal(err)
@@ -38,6 +37,42 @@ func TestWaitingModulesAreNotTicked(t *testing.T) {
 		t.Logf("%s: %d module ticks over %d ticked cycles, %.2f a cycle", row.kind, ticks, cycles, per)
 		if per > row.ceiling {
 			t.Errorf("%s: %.2f module ticks per ticked cycle, ceiling %v", row.kind, per, row.ceiling)
+		}
+	}
+}
+
+// TestIdleUnitsAreNotTicked: an SM ticks only the execution units that hold
+// an instruction, so a tick costs the units in use, not every unit the SM
+// has. Each ceiling sits about 25% above its measured count. Ticking every
+// cycle-accurate unit, as the SM did before its busy-unit set, reads 18
+// unit ticks per SM tick under Detailed (four collector-fronted pipelines
+// per sub-core, a DP pipeline per sub-core pair, four LD/ST units) and 4
+// under Basic (the LD/ST units).
+func TestIdleUnitsAreNotTicked(t *testing.T) {
+	for _, row := range []struct {
+		kind    Kind
+		ceiling float64
+	}{
+		{Basic, 1.16},   // measured 0.93
+		{Detailed, 1.3}, // measured 1.04
+	} {
+		var smTicks, unitTicks uint64
+		ranOn = func(a *gpuAssembly) {
+			for _, sm := range a.sms {
+				s, u := sm.UnitTicks()
+				smTicks += s
+				unitTicks += u
+			}
+		}
+		if _, err := Run(mustApp(t, "BFS", 0.25), config.RTX2080Ti(), Options{Kind: row.kind}); err != nil {
+			ranOn = nil
+			t.Fatal(err)
+		}
+		ranOn = nil
+		per := float64(unitTicks) / float64(smTicks)
+		t.Logf("%s: %d unit ticks over %d SM ticks, %.2f a tick", row.kind, unitTicks, smTicks, per)
+		if per > row.ceiling {
+			t.Errorf("%s: %.2f unit ticks per SM tick, ceiling %v", row.kind, per, row.ceiling)
 		}
 	}
 }

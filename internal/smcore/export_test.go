@@ -47,6 +47,18 @@ func diffFirst(want, got string) string {
 	return "texts equal"
 }
 
+// order returns the instruction cache's resident lines, oldest first.
+func (ic *ICache) order() []uint64 {
+	lines := make([]uint64, ic.n)
+	for i := range lines {
+		lines[i] = ic.lines[ic.slot(i)]
+	}
+	return lines
+}
+
+// RaceEnabled reports that the race detector is on.
+const RaceEnabled = raceEnabled
+
 // ReadyCheck is the ready-set oracle's tally: how often it ran, the first
 // disagreement it found, and the most warps it saw resident in one sub-core.
 type ReadyCheck struct {
@@ -56,14 +68,15 @@ type ReadyCheck struct {
 }
 
 // CheckReadySets makes every SM, for the rest of the test, compare each
-// sub-core's ready set with a fresh issuable() scan of its slots, and its
-// fetch set with a fresh wantsFetch scan, after every Tick and every
-// completion; a sub-core without an instruction cache must keep its fetch
-// set empty. The scans live here, in a test file, so the product build
-// holds only the nil hook.
+// sub-core's ready set with a fresh issuable() scan of its slots, its fetch
+// set with a fresh wantsFetch scan, and its busy-unit set with a fresh
+// Busy() scan of its units, after every Tick and every completion (where a
+// busy unit must have its bit); a sub-core without an instruction cache
+// must keep its fetch set empty. The scans live here, in a test file, so
+// the product build holds only the nil hook.
 func CheckReadySets(tb testing.TB) *ReadyCheck {
 	rc := &ReadyCheck{}
-	readyCheck = func(sm *SM) {
+	readyCheck = func(sm *SM, tick bool) {
 		rc.Checks++
 		for _, sc := range sm.subcores {
 			resident := 0
@@ -91,6 +104,16 @@ func CheckReadySets(tb testing.TB) *ReadyCheck {
 					sm.id, sc.index, sc.resident, resident)
 			}
 			rc.MaxResident = max(rc.MaxResident, resident)
+		}
+		for i, u := range sm.unitList {
+			// Mid-tick, a unit drained by its own Tick may keep its bit
+			// until the walk reaches the clear; a busy unit without its bit
+			// would never be ticked again.
+			got, want := hasBit(sm.busyUnits, i), u.Busy()
+			if (got != want && (tick || want)) && rc.Mismatch == "" {
+				rc.Mismatch = fmt.Sprintf("SM%d unit %d (%s): busy bit %v, Busy() %v (check %d)",
+					sm.id, i, u.Name(), got, want, rc.Checks)
+			}
 		}
 	}
 	tb.Cleanup(func() { readyCheck = nil })

@@ -78,7 +78,7 @@ func TestFetchOrderIsPinned(t *testing.T) {
 	last := map[*Warp]seen{}
 	var lines []string
 	doubles := 0
-	readyCheck = func(sm *SM) {
+	readyCheck = func(sm *SM, _ bool) {
 		for _, w := range sc.warps {
 			if _, ok := last[w]; w != nil && !ok {
 				tracked = append(tracked, w)
@@ -114,7 +114,7 @@ func TestFetchOrderIsPinned(t *testing.T) {
 	ic := sc.icache
 	lines = append(lines,
 		fmt.Sprintf("cycles %d, icache hit %d miss %d", cycles, h.g.Value("icache.hit"), h.g.Value("icache.miss")),
-		fmt.Sprintf("icache lines %x", ic.order))
+		fmt.Sprintf("icache lines %x", ic.order()))
 	if doubles == 0 {
 		t.Error("no cycle fetched one warp twice; the kernel no longer reaches the cursor quirk")
 	}

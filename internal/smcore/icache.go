@@ -14,13 +14,19 @@ const icacheLineBytes = 64
 // for the fill latency, and capacity is managed FIFO. The paper's
 // Swift-Sim-Basic explicitly simplifies the instruction cache away, so the
 // hybrid configurations run without one.
+//
+// The resident lines are a FIFO ring over two fixed arrays of capacity
+// slots, each line's ready cycle beside it: the oldest line at head, the
+// newest n-1 slots on. A fetch stream mostly asks for its newest lines, so
+// a lookup scans from the newest back, and nothing allocates after the
+// cache is built.
 type ICache struct {
 	icacheClass
-	capacity    int
 	missLatency uint64
-	lines       map[uint64]uint64 // line -> cycle at which it is usable
-	order       []uint64          // FIFO eviction order
-	lastPending uint64            // latest outstanding fill completion
+	lines       []uint64 // resident line numbers, a ring of capacity slots
+	ready       []uint64 // ready[i]: cycle at which lines[i] is usable
+	head, n     int      // oldest slot and resident line count
+	lastPending uint64   // latest outstanding fill completion
 }
 
 // icacheClass is what every instruction cache of an assembly shares: its
@@ -43,14 +49,13 @@ func NewICache(name string, capacityLines, missLatency int, g *metrics.Gatherer)
 
 // newICache builds an empty instruction cache of class c.
 func newICache(c icacheClass, capacityLines, missLatency int) *ICache {
-	if capacityLines < 1 {
-		capacityLines = 1
-	}
+	capacityLines = max(capacityLines, 1)
+	slab := make([]uint64, 2*capacityLines)
 	return &ICache{
 		icacheClass: c,
-		capacity:    capacityLines,
 		missLatency: uint64(missLatency),
-		lines:       make(map[uint64]uint64, capacityLines),
+		lines:       slab[:capacityLines:capacityLines],
+		ready:       slab[capacityLines:],
 	}
 }
 
@@ -77,8 +82,8 @@ func (ic *ICache) Ready(pc, cycle uint64) bool {
 	for d := uint64(1); d <= prefetchDepth; d++ {
 		ic.fill(line+d, cycle)
 	}
-	if readyAt, ok := ic.lines[line]; ok {
-		if cycle >= readyAt {
+	if i := ic.find(line); i >= 0 {
+		if cycle >= ic.ready[i] {
 			ic.hits.Inc()
 			return true
 		}
@@ -89,19 +94,38 @@ func (ic *ICache) Ready(pc, cycle uint64) bool {
 	return false
 }
 
-// fill starts fetching a line if it is absent.
+// slot returns the ring slot of the i-th oldest resident line.
+func (ic *ICache) slot(i int) int {
+	if i += ic.head; i >= len(ic.lines) {
+		i -= len(ic.lines)
+	}
+	return i
+}
+
+// find returns the slot holding line, or -1 if it is not resident.
+func (ic *ICache) find(line uint64) int {
+	for i := ic.n - 1; i >= 0; i-- {
+		if s := ic.slot(i); ic.lines[s] == line {
+			return s
+		}
+	}
+	return -1
+}
+
+// fill starts fetching a line if it is absent, evicting the oldest line
+// when the cache is full.
 func (ic *ICache) fill(line, cycle uint64) {
-	if _, ok := ic.lines[line]; ok {
+	if ic.find(line) >= 0 {
 		return
 	}
-	if len(ic.lines) >= ic.capacity {
-		victim := ic.order[0]
-		ic.order = ic.order[1:]
-		delete(ic.lines, victim)
+	if ic.n == len(ic.lines) {
+		ic.head = ic.slot(1)
+		ic.n--
 	}
 	readyAt := cycle + ic.missLatency
-	ic.lines[line] = readyAt
-	ic.order = append(ic.order, line)
+	s := ic.slot(ic.n)
+	ic.lines[s], ic.ready[s] = line, readyAt
+	ic.n++
 	if readyAt > ic.lastPending {
 		ic.lastPending = readyAt
 	}

@@ -1,6 +1,8 @@
 package smcore
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"swiftsim/internal/metrics"
@@ -61,7 +63,7 @@ func TestICacheCapacityEviction(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		ic.Ready(i*64*10, 100*(i+1))
 	}
-	if got := len(ic.lines); got > 2 {
+	if got := len(ic.order()); got > 2 {
 		t.Errorf("resident lines = %d, want <= capacity 2", got)
 	}
 	// The earliest line was evicted: fetching it again misses.
@@ -89,7 +91,111 @@ func TestICacheBusyWindow(t *testing.T) {
 
 func TestICacheCapacityClamp(t *testing.T) {
 	ic := NewICache("ic", 0, 10, metrics.New())
-	if ic.capacity != 1 {
-		t.Errorf("capacity = %d, want clamped to 1", ic.capacity)
+	if len(ic.lines) != 1 {
+		t.Errorf("capacity = %d, want clamped to 1", len(ic.lines))
+	}
+}
+
+// refICache is the instruction cache as it was before its ring: a map from
+// line to ready cycle beside a FIFO slice of lines that is popped from the
+// front and appended to.
+type refICache struct {
+	capacity     int
+	missLatency  uint64
+	lines        map[uint64]uint64
+	order        []uint64
+	lastPending  uint64
+	hits, misses uint64
+}
+
+func newRefICache(capacity, missLatency int) *refICache {
+	return &refICache{capacity: max(capacity, 1), missLatency: uint64(missLatency), lines: map[uint64]uint64{}}
+}
+
+func (ic *refICache) Ready(pc, cycle uint64) bool {
+	line := pc / icacheLineBytes
+	for d := uint64(1); d <= prefetchDepth; d++ {
+		ic.fill(line+d, cycle)
+	}
+	if readyAt, ok := ic.lines[line]; ok {
+		if cycle >= readyAt {
+			ic.hits++
+			return true
+		}
+		return false
+	}
+	ic.misses++
+	ic.fill(line, cycle)
+	return false
+}
+
+func (ic *refICache) fill(line, cycle uint64) {
+	if _, ok := ic.lines[line]; ok {
+		return
+	}
+	if len(ic.lines) >= ic.capacity {
+		victim := ic.order[0]
+		ic.order = ic.order[1:]
+		delete(ic.lines, victim)
+	}
+	readyAt := cycle + ic.missLatency
+	ic.lines[line] = readyAt
+	ic.order = append(ic.order, line)
+	if readyAt > ic.lastPending {
+		ic.lastPending = readyAt
+	}
+}
+
+// TestICacheMatchesReference replays seeded fetch streams, mostly
+// sequential with jumps back into recent code and far away, through the
+// ring and the map-and-slice reference. Small capacities evict through the
+// prefetcher, and cycles advance slower than the fill latency, so lines are
+// often asked for while their fill is in flight. After every call the
+// answers, counters, latest fill and FIFO order must agree.
+func TestICacheMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			g := metrics.New()
+			ic := NewICache("ic", capacity, 40, g)
+			ref := newRefICache(capacity, 40)
+			rng := rand.New(rand.NewSource(seed))
+			pc, cycle := uint64(0), uint64(0)
+			for call := 0; call < 4000; call++ {
+				switch r := rng.Intn(100); {
+				case r < 70:
+					pc += 8
+				case r < 85:
+					pc -= min(pc, uint64(rng.Intn(8*icacheLineBytes)))
+				case r < 95:
+					pc = uint64(rng.Intn(1<<16)) &^ 7
+				}
+				cycle += uint64(rng.Intn(12))
+				got, want := ic.Ready(pc, cycle), ref.Ready(pc, cycle)
+				if got != want || g.Value("ic.hit") != ref.hits || g.Value("ic.miss") != ref.misses ||
+					ic.lastPending != ref.lastPending || fmt.Sprint(ic.order()) != fmt.Sprint(ref.order) {
+					t.Fatalf("capacity %d seed %d call %d (pc %#x cycle %d): ring %v hits %d misses %d pending %d lines %x; reference %v hits %d misses %d pending %d lines %x",
+						capacity, seed, call, pc, cycle, got, g.Value("ic.hit"), g.Value("ic.miss"), ic.lastPending, ic.order(),
+						want, ref.hits, ref.misses, ref.lastPending, ref.order)
+				}
+			}
+		}
+	}
+}
+
+// TestICacheAllocatesNothing: once built, the ring takes every fetch, fill
+// and eviction in its two arrays.
+func TestICacheAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ic := NewICache("ic", 4, 40, metrics.New())
+	pc, cycle := uint64(0), uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		pc += 3 * icacheLineBytes // a new line and both prefetches every call
+		cycle += 7
+		ic.Ready(pc, cycle)
+	})
+	if allocs != 0 {
+		t.Errorf("a fetch allocated %v objects, want 0", allocs)
 	}
 }

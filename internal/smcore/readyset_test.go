@@ -18,7 +18,8 @@ import (
 // The ready set is the scan: with the oracle of export_test.go on, whole
 // simulations run under every assembly that reaches a different refresh
 // point, and after each SM tick and each completion every sub-core's ready
-// set must equal a fresh issuable() scan of its warp slots.
+// set must equal a fresh issuable() scan of its warp slots, and every SM's
+// busy-unit set a fresh Busy() scan of its units.
 
 const readyScale = 0.25
 
@@ -102,6 +103,28 @@ func TestReadySetAssemblies(t *testing.T) {
 			}
 			for _, name := range apps {
 				runChecked(t, name, g, tc.opts)
+			}
+		})
+	}
+}
+
+// TestReadySetCatalog runs the whole catalog under the two assemblies with
+// cycle-accurate units, Basic's LD/ST units and Detailed's collectors and
+// pipelines, so every unit's busy bit is checked on inputs nobody picked
+// for it.
+func TestReadySetCatalog(t *testing.T) {
+	if smcore.RaceEnabled {
+		t.Skip("the catalog under the oracle is too slow for the race detector")
+	}
+	apps := workload.Names()
+	if testing.Short() {
+		apps = apps[:4]
+	}
+	gpu := config.RTX2080Ti()
+	for _, kind := range []sim.Kind{sim.Basic, sim.Detailed} {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, name := range apps {
+				runChecked(t, name, gpu, sim.Options{Kind: kind})
 			}
 		})
 	}

@@ -16,8 +16,10 @@ import (
 // the modeling style per unit here: the detailed simulator installs
 // cycle-accurate ALUPipelines and LDSTUnits, Swift-Sim-Basic swaps the ALUs
 // for analytical models, Swift-Sim-Memory also swaps the LD/ST unit.
-// Providers may return shared instances (e.g. one DP pipeline per two
-// sub-cores, Table II's "DP:0.5x").
+// Providers may return instances shared by sub-cores of one SM (e.g. one
+// DP pipeline per two sub-cores, Table II's "DP:0.5x"), not by two SMs: an
+// SM ticks a cycle-accurate unit only while that SM's busy-unit set holds
+// it.
 type UnitSet struct {
 	// ALU returns the unit executing the given arithmetic class
 	// (OpInt, OpSP, OpDP, OpSFU) for sub-core sub of SM smID.
@@ -114,6 +116,11 @@ type subCore struct {
 	ldst   Unit
 	icache *ICache // nil when the configuration simplifies it away
 	picker Picker  // nil = built-in policy; installed by setPicker
+	// unitIdx and ldstIdx are the units' indices in SM.unitList, the bits
+	// of SM.busyUnits they own; -1 for an analytical unit, which is never
+	// ticked.
+	unitIdx [4]int
+	ldstIdx int
 	// tried is issueCustom's predicate for Picker.Pick, bound once when the
 	// picker is installed so a scheduling round allocates nothing.
 	tried       func(*Warp) bool
@@ -281,16 +288,20 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		w.maybeComplete()
 		return true
 	default:
-		var u Unit
-		if in.Op.IsMem() {
-			u = sc.ldst
-		} else {
-			u = sc.units[in.Op]
+		u, idx := sc.ldst, sc.ldstIdx
+		if !in.Op.IsMem() {
+			u, idx = sc.units[in.Op], sc.unitIdx[in.Op]
 		}
 		f := sc.sm.takeInflight(w, in.Dst)
 		if !u.TryIssue(cycle, in, f.done) {
 			sc.sm.free = append(sc.sm.free, f)
 			return false
+		}
+		// The one place a unit leaves the idle state (the Unit contract).
+		// A shared-memory access only schedules its completion and leaves
+		// the LD/ST unit idle, so the bit follows Busy, not the issue.
+		if idx >= 0 && u.Busy() {
+			setBit(sc.sm.busyUnits, idx, true)
 		}
 		w.sb.set(in.Dst)
 		w.outstanding++
@@ -345,7 +356,7 @@ func (f *inflight) complete() {
 	w.outstanding--
 	w.maybeComplete()
 	if readyCheck != nil {
-		readyCheck(sm)
+		readyCheck(sm, false)
 	}
 }
 
@@ -406,7 +417,7 @@ type SM struct {
 	eng       engine.Context
 	wake      func() // engine activation callback (nil when standalone)
 	subcores  []*subCore
-	unitList  []Unit // distinct units across all sub-cores
+	unitList  []Unit // distinct cycle-accurate units across all sub-cores
 	blocks    []*residentBlock
 	nextAge   uint64
 	lastCycle uint64
@@ -414,6 +425,15 @@ type SM struct {
 	usedWarps int
 	usedRegs  int
 	usedShmem int
+
+	// busyUnits is the busy-unit set: bit i is set exactly when
+	// unitList[i].Busy(). dispatch sets a bit, Tick clears it when the unit
+	// drains, and only the set bits are ticked: by the Unit contract an
+	// idle unit's Tick does nothing, and only TryIssue makes it busy.
+	busyUnits []uint64
+	// ticks and unitTicks count SM ticks and the unit Tick calls they made:
+	// host work, kept out of the metrics (UnitTicks reads them).
+	ticks, unitTicks uint64
 
 	// finished holds completed blocks awaiting finishBlock, popped by
 	// finishOldest; finishFn is that method, bound once so handing it to
@@ -553,27 +573,32 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 	}
 	sm.finishFn = sm.finishOldest
 	warpsPerSub := cfg.MaxWarps / cfg.SubCores
-	addUnit := func(u Unit) {
-		// Only cycle-accurate units enter the per-cycle tick list;
-		// analytical units interact purely through scheduled events —
-		// the mechanism behind the hybrid configurations' speed.
+	// addUnit returns u's index in the tick list, or -1 for a unit that
+	// is not in it. Only cycle-accurate units enter the list; analytical
+	// units interact purely through scheduled events — the mechanism
+	// behind the hybrid configurations' speed. A unit shared by several
+	// sub-cores has one index.
+	addUnit := func(u Unit) int {
 		if u == nil || u.Kind() != engine.CycleAccurate {
-			return
+			return -1
 		}
-		for _, have := range sm.unitList {
+		for i, have := range sm.unitList {
 			if have == u {
-				return
+				return i
 			}
 		}
 		sm.unitList = append(sm.unitList, u)
+		return len(sm.unitList) - 1
 	}
 	// One slab each for the sub-cores, their warp slots and their slot-set
-	// words (ready, wants and cand), sliced per sub-core: an SM is built per
-	// run.
+	// words (ready, wants and cand, sliced per sub-core, then the busy-unit
+	// set over at most five units per sub-core): an SM is built per run.
 	readyWords := (warpsPerSub + 63) / 64
+	unitWords := (5*cfg.SubCores + 63) / 64
 	subs := make([]subCore, cfg.SubCores)
 	slots := make([]*Warp, cfg.SubCores*warpsPerSub)
-	words := make([]uint64, 3*cfg.SubCores*readyWords)
+	words := make([]uint64, 3*cfg.SubCores*readyWords+unitWords)
+	sm.busyUnits, words = words[:unitWords:unitWords], words[unitWords:]
 	sm.subcores = make([]*subCore, cfg.SubCores)
 	for s := range subs {
 		sc := &subs[s]
@@ -588,13 +613,13 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 				return nil, fmt.Errorf("smcore: SM%d sub-core %d: no ALU unit for class %v", id, s, class)
 			}
 			sc.units[class] = u
-			addUnit(u)
+			sc.unitIdx[class] = addUnit(u)
 		}
 		sc.ldst = us.LDST(id, s)
 		if sc.ldst == nil {
 			return nil, fmt.Errorf("smcore: SM%d sub-core %d: no LD/ST unit", id, s)
 		}
-		addUnit(sc.ldst)
+		sc.ldstIdx = addUnit(sc.ldst)
 		if us.ICache != nil {
 			sc.icache = us.ICache(id, s)
 		}
@@ -667,10 +692,8 @@ func (sm *SM) computeBusy() bool {
 			return true
 		}
 	}
-	for _, u := range sm.unitList {
-		if u.Busy() {
-			return true
-		}
+	if anyBit(sm.busyUnits) {
+		return true
 	}
 	for _, sc := range sm.subcores {
 		if sc.icache != nil && sc.icache.Busy(sm.lastCycle+1) {
@@ -688,9 +711,8 @@ func (sm *SM) computeBusy() bool {
 func (sm *SM) Tick(cycle uint64) {
 	sm.settle()
 	sm.lastCycle = cycle
-	for _, u := range sm.unitList {
-		u.Tick(cycle)
-	}
+	sm.ticks++
+	sm.tickUnits(cycle)
 	if sm.frontEnd {
 		for _, sc := range sm.subcores {
 			sc.fetch(cycle)
@@ -716,15 +738,40 @@ func (sm *SM) Tick(cycle uint64) {
 		sm.accounted = sm.eng.TickedCycles() + 1
 	}
 	if readyCheck != nil {
-		readyCheck(sm)
+		readyCheck(sm, true)
 	}
 }
 
-// readyCheck, when set, is called after every SM.Tick and every completion
-// to compare each sub-core's ready set with a fresh issuable() scan of its
-// slots. Only tests set it (export_test.go holds the scan); the product
-// build pays one nil test at each of the two call sites.
-var readyCheck func(sm *SM)
+// tickUnits ticks the busy units in unitList order and drops from the set
+// each one its tick drained. Nothing a unit's tick calls issues, so no bit
+// is set during the walk.
+func (sm *SM) tickUnits(cycle uint64) {
+	for wi, word := range sm.busyUnits {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			u := sm.unitList[i]
+			u.Tick(cycle)
+			sm.unitTicks++
+			if !u.Busy() {
+				setBit(sm.busyUnits, i, false)
+			}
+		}
+	}
+}
+
+// UnitTicks returns the SM's Tick calls and the unit Tick calls they made
+// so far: the host work the busy-unit set keeps to the units holding
+// instructions. Neither is a simulated count.
+func (sm *SM) UnitTicks() (smTicks, unitTicks uint64) { return sm.ticks, sm.unitTicks }
+
+// readyCheck, when set, is called after every SM.Tick (tick true) and every
+// completion to compare each sub-core's ready set with a fresh issuable()
+// scan of its slots, and the busy-unit set with a fresh Busy() scan of the
+// units. A completion can run inside a unit's Tick, before tickUnits has
+// cleared the bit of a unit it drained, so only a tick's check holds the set
+// to equality. Only tests set it (export_test.go holds the scan); the
+// product build pays one nil test at each of the two call sites.
+var readyCheck func(sm *SM, tick bool)
 
 // blockCost returns the warp count, register and shared-memory footprint
 // of one block of k.

@@ -40,9 +40,12 @@ func (sm *SM) Snap(c *snap.Codec) {
 	if !c.Match(len(sm.unitList), 0, "units") {
 		return
 	}
-	for _, u := range sm.unitList {
+	for i, u := range sm.unitList {
 		if s, ok := u.(snap.Stateful); ok {
 			s.Snap(c)
+		}
+		if c.Loading() {
+			setBit(sm.busyUnits, i, u.Busy())
 		}
 	}
 }
@@ -93,26 +96,30 @@ func (u *LDSTUnit) Snap(c *snap.Codec) {
 	}
 }
 
-// snap walks the instruction cache through its FIFO order slice, so map
-// iteration order never reaches the snapshot bytes.
+// snap walks the instruction cache's resident lines oldest first, each as
+// its (line, ready cycle) pair after their count. Loading lays them out from
+// slot 0 and refuses more lines than the capacity and a line twice.
 func (ic *ICache) snap(c *snap.Codec) {
 	c.U64(&ic.lastPending)
-	snap.Slice(c, &ic.order, 16)
-	if c.Loading() {
-		if len(ic.order) > ic.capacity {
-			c.Failf("icache %s: %d lines exceed capacity %d", ic.name, len(ic.order), ic.capacity)
+	n := ic.n
+	c.Count(&n, 16)
+	if c.Loading() && c.Err() == nil {
+		if n > len(ic.lines) {
+			c.Failf("icache %s: %d lines exceed capacity %d", ic.name, n, len(ic.lines))
 			return
 		}
-		ic.lines = make(map[uint64]uint64, len(ic.order))
+		ic.head, ic.n = 0, 0
 	}
-	for i := 0; i < len(ic.order) && c.Err() == nil; i++ {
-		c.U64(&ic.order[i])
-		ready, dup := ic.lines[ic.order[i]]
-		c.U64(&ready)
-		if c.Loading() && dup {
-			c.Failf("icache %s: duplicate line %#x", ic.name, ic.order[i])
-		} else if c.Loading() {
-			ic.lines[ic.order[i]] = ready
+	for i := 0; i < n && c.Err() == nil; i++ {
+		s := ic.slot(i)
+		c.U64(&ic.lines[s])
+		c.U64(&ic.ready[s])
+		if c.Loading() {
+			if ic.find(ic.lines[s]) >= 0 {
+				c.Failf("icache %s: duplicate line %#x", ic.name, ic.lines[s])
+				return
+			}
+			ic.n++
 		}
 	}
 }

@@ -22,7 +22,10 @@ type Unit interface {
 	// analytical units no-op.
 	Tick(cycle uint64)
 	// Busy reports whether the unit holds in-flight work that needs
-	// per-cycle evaluation.
+	// per-cycle evaluation. The SM ticks a cycle-accurate unit only while
+	// Busy is true (SM.busyUnits): an idle unit's Tick must do nothing, and
+	// a unit leaves the idle state only through TryIssue, never from a
+	// completion or another unit's tick.
 	Busy() bool
 }
 
