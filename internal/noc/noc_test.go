@@ -342,14 +342,14 @@ func driveNoC(t *testing.T, seed int64, parts int, index bool, build func(eng *e
 // delivery logs alone cannot see one.
 func checkHeads(t *testing.T, l *link) {
 	t.Helper()
-	for dir, qs := range map[string][]mem.FIFO[entry]{"forward": l.fwd, "return": l.ret} {
-		head := l.fwdHead
-		if dir == "return" {
-			head = l.retHead
-		}
-		for i := range qs {
-			if qs[i].Len() > 0 && head[i] != qs[i].Front().ready {
-				t.Fatalf("%s queue %d: head cycle %d, head ready at %d", dir, i, head[i], qs[i].Front().ready)
+	for _, d := range []struct {
+		name string
+		qs   []mem.FIFO[entry]
+		head []uint64
+	}{{"forward", l.fwd, l.fwdHead}, {"return", l.ret, l.retHead}} {
+		for i := range d.qs {
+			if d.qs[i].Len() > 0 && d.head[i] != d.qs[i].Front().ready {
+				t.Fatalf("%s queue %d: head cycle %d, head ready at %d", d.name, i, d.head[i], d.qs[i].Front().ready)
 			}
 		}
 	}

@@ -64,11 +64,11 @@ func TestIdleUnitsAreNotTicked(t *testing.T) {
 				unitTicks += u
 			}
 		}
-		if _, err := Run(mustApp(t, "BFS", 0.25), config.RTX2080Ti(), Options{Kind: row.kind}); err != nil {
-			ranOn = nil
+		_, err := Run(mustApp(t, "BFS", 0.25), config.RTX2080Ti(), Options{Kind: row.kind})
+		ranOn = nil
+		if err != nil {
 			t.Fatal(err)
 		}
-		ranOn = nil
 		per := float64(unitTicks) / float64(smTicks)
 		t.Logf("%s: %d unit ticks over %d SM ticks, %.2f a tick", row.kind, unitTicks, smTicks, per)
 		if per > row.ceiling {
