@@ -95,10 +95,11 @@ bench-quick:
 # binary kept alongside for symbolization:
 #   go tool pprof prof/golden.test prof/golden.cpu.pprof
 # It then writes the tables CPU and allocation work start from: the CPU
-# time of the benchmark's Basic and Detailed catalog jobs, and of the same
-# jobs under Memory with a warm profile memo, by function (BenchmarkCatalog,
-# go tool pprof -top), into prof/cpu.basic.txt, prof/cpu.detailed.txt and
-# prof/cpu.memory.txt, and every heap
+# time of the benchmark's Basic and Detailed catalog jobs, of the same
+# jobs under Memory with a warm profile memo, and of Basic on the scatter
+# apps alone (PAGERANK, BFS, SSSP), by function (BenchmarkCatalog, go tool
+# pprof -top), into prof/cpu.basic.txt, prof/cpu.detailed.txt,
+# prof/cpu.memory.txt and prof/cpu.scatter.txt, and every heap
 # object
 # of a Basic, a Detailed and a Memory simulation (-memprofilerate 1),
 # ranked by allocating function, into prof/allocs.basic.txt,
@@ -121,9 +122,12 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput/Swift-Sim-Memory' -benchtime 5x \
 		-memprofile prof/allocs.memory.pprof -memprofilerate 1 -o prof/allocs.test .
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/allocs.test prof/allocs.memory.pprof > prof/allocs.memory.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Basic' -benchtime 20x \
+	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Basic' -skip 'BenchmarkCatalog/Basic/scatter' -benchtime 20x \
 		-cpuprofile prof/cpu.basic.pprof -o prof/cpu.test .
 	$(GO) tool pprof -top prof/cpu.test prof/cpu.basic.pprof > prof/cpu.basic.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Basic/scatter' -benchtime 20x \
+		-cpuprofile prof/cpu.scatter.pprof -o prof/cpu.test .
+	$(GO) tool pprof -top -relative_percentages -tagfocus catalog=Basic/scatter prof/cpu.test prof/cpu.scatter.pprof > prof/cpu.scatter.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkCatalog/Detailed' -benchtime 20x \
 		-cpuprofile prof/cpu.detailed.pprof -o prof/cpu.test .
 	$(GO) tool pprof -top prof/cpu.test prof/cpu.detailed.pprof > prof/cpu.detailed.txt

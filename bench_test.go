@@ -13,9 +13,11 @@
 package swiftsim
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"swiftsim/internal/config"
@@ -233,37 +235,55 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // the RTX 2080 Ti, one job after another, under Swift-Sim-Basic and under
 // Detailed, and the same jobs under Swift-Sim-Memory. After the first
 // iteration Memory's profile memo is warm, so its table shows the
-// simulation itself. `make profile` takes its CPU tables from it. -short
-// runs two apps at scale 0.15.
+// simulation itself. Basic/scatter is Basic on PAGERANK, BFS and SSSP
+// alone: the irregular apps that touch one sector per line per instruction
+// and take about half of Basic's host time, so a memory-side change shows
+// there undiluted. `make profile` takes its CPU tables from it; each row's
+// samples carry the pprof label catalog=<row>, because -bench selecting
+// Basic/scatter also runs the Basic row once to look for sub-benchmarks.
+// -short runs two apps at scale 0.15 (one for scatter).
 func BenchmarkCatalog(b *testing.B) {
 	names, scale := workload.Names(), 0.5
+	scatter := []string{"PAGERANK", "BFS", "SSSP"}
 	if testing.Short() {
-		names, scale = names[:2], 0.15
+		names, scale, scatter = names[:2], 0.15, scatter[:1]
 	}
-	apps := make([]*trace.App, len(names))
-	for i, name := range names {
-		app, err := workload.Generate(name, scale)
-		if err != nil {
-			b.Fatal(err)
+	gen := func(names []string) []*trace.App {
+		apps := make([]*trace.App, len(names))
+		for i, name := range names {
+			app, err := workload.Generate(name, scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			apps[i] = app
 		}
-		apps[i] = app
+		return apps
 	}
+	all, scattered := gen(names), gen(scatter)
 	gpu := config.RTX2080Ti()
-	for _, kind := range []struct {
+	for _, row := range []struct {
 		name string
 		kind sim.Kind
-	}{{"Basic", sim.Basic}, {"Detailed", sim.Detailed}, {"Memory", sim.Memory}} {
-		b.Run(kind.name, func(b *testing.B) {
+		apps []*trace.App
+	}{
+		{"Basic", sim.Basic, all},
+		{"Basic/scatter", sim.Basic, scattered},
+		{"Detailed", sim.Detailed, all},
+		{"Memory", sim.Memory, all},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			var insts uint64
-			for i := 0; i < b.N; i++ {
-				for _, app := range apps {
-					res, err := sim.Run(app, gpu, sim.Options{Kind: kind.kind})
-					if err != nil {
-						b.Fatalf("%s: %v", app.Name, err)
+			pprof.Do(context.Background(), pprof.Labels("catalog", row.name), func(context.Context) {
+				for i := 0; i < b.N; i++ {
+					for _, app := range row.apps {
+						res, err := sim.Run(app, gpu, sim.Options{Kind: row.kind})
+						if err != nil {
+							b.Fatalf("%s: %v", app.Name, err)
+						}
+						insts += res.Instructions
 					}
-					insts += res.Instructions
 				}
-			}
+			})
 			b.ReportMetric(float64(insts)/1e3/b.Elapsed().Seconds(), "kinst/s")
 		})
 	}

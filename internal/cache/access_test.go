@@ -81,7 +81,7 @@ func (r *refTags) find(addr uint64) *line {
 	la := r.t.lineAddr(addr)
 	set := r.t.set(la)
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
+		if set[i].sectorValid != 0 && set[i].lineAddr == la {
 			return &set[i]
 		}
 	}
@@ -103,7 +103,7 @@ func (r *refTags) install(addr uint64) evicted {
 	set := r.t.set(la)
 	r.t.clock++
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
+		if set[i].sectorValid != 0 && set[i].lineAddr == la {
 			set[i].sectorValid |= 1 << r.t.sector(addr)
 			r.pol.touch(&set[i], r.t.clock)
 			return evicted{}
@@ -111,7 +111,7 @@ func (r *refTags) install(addr uint64) evicted {
 	}
 	way := -1
 	for i := range set {
-		if !set[i].valid {
+		if set[i].sectorValid == 0 {
 			way = i
 			break
 		}
@@ -122,7 +122,7 @@ func (r *refTags) install(addr uint64) evicted {
 		v := &set[way]
 		ev = evicted{lineAddr: v.lineAddr, dirtySector: v.sectorDirty, wasValid: true}
 	}
-	set[way] = line{lineAddr: la, valid: true, sectorValid: 1 << r.t.sector(addr)}
+	set[way] = line{lineAddr: la, sectorValid: 1 << r.t.sector(addr)}
 	r.pol.filled(&set[way], r.t.clock)
 	return ev
 }

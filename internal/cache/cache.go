@@ -14,11 +14,13 @@ import (
 	"swiftsim/internal/config"
 )
 
-// line is one cache line with per-sector valid and dirty bits.
+// line is one cache line with per-sector valid and dirty bits. A line is
+// valid when any of its sectors is: every fill validates one, and only a
+// whole-array clear drops them. At 32 bytes, a set of 4 ways (an L2 slice)
+// is two host cache lines and a set of 8 is four (DESIGN.md §10.2).
 type line struct {
 	lineAddr    uint64 // addr >> lineShift; tag+index combined
-	valid       bool
-	sectorValid uint32
+	sectorValid uint32 // non-zero exactly when the line is valid
 	sectorDirty uint32
 	lastUse     uint64 // LRU stamp
 	fillSeq     uint64 // FIFO stamp
@@ -96,9 +98,9 @@ func (t *tags) touch(l *line) {
 	}
 }
 
-// fill (re)allocates l to line la with sector mask valid.
+// fill (re)allocates l to line la with sector mask valid, which is not 0.
 func (t *tags) fill(l *line, la uint64, valid uint32) {
-	*l = line{lineAddr: la, valid: true, sectorValid: valid}
+	*l = line{lineAddr: la, sectorValid: valid}
 	switch t.repl {
 	case config.LRU:
 		l.lastUse, l.fillSeq = t.clock, t.clock
@@ -139,7 +141,7 @@ func (t *tags) lookup(addr uint64) (l *line, sectorHit bool) {
 	la := t.lineAddr(addr)
 	set := t.set(la)
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
+		if set[i].lineAddr == la && set[i].sectorValid != 0 {
 			t.clock++
 			t.touch(&set[i])
 			return &set[i], set[i].sectorValid&(1<<t.sector(addr)) != 0
@@ -166,7 +168,7 @@ func (t *tags) install(addr uint64) evicted {
 	free := -1
 	for i := range set {
 		l := &set[i]
-		if !l.valid {
+		if l.sectorValid == 0 {
 			if free < 0 {
 				free = i
 			}
@@ -206,7 +208,7 @@ func (t *tags) access(addr uint64, write bool) (hit bool, ev evicted) {
 	free := -1
 	for i := range set {
 		l := &set[i]
-		if !l.valid {
+		if l.sectorValid == 0 {
 			if free < 0 {
 				free = i
 			}

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/mem"
@@ -112,6 +113,15 @@ func (m *mshrTable) pendingWaiters() int {
 	return n
 }
 
+// freeCount returns the length of m's free list.
+func (m *mshrTable) freeCount() int {
+	n := 0
+	for e := m.free; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
 func TestMSHRMergeAndFill(t *testing.T) {
 	m := newMSHR(2, 4)
 	r1 := &mem.Request{Addr: 0}
@@ -156,12 +166,12 @@ func TestMSHRRecyclesEntries(t *testing.T) {
 	if got := m.fill(7, 0); len(got) != 2 {
 		t.Fatalf("fill sector 0 released %d, want 2", len(got))
 	}
-	if len(m.free) != 1 {
-		t.Fatalf("entry with a pending sector on the free list (%d free)", len(m.free))
+	if m.freeCount() != 1 {
+		t.Fatalf("entry with a pending sector on the free list (%d free)", m.freeCount())
 	}
 	m.fill(7, 2)
-	if m.used() != 0 || len(m.free) != 2 {
-		t.Fatalf("used/free = %d/%d after the last fill, want 0/2", m.used(), len(m.free))
+	if m.used() != 0 || m.freeCount() != 2 {
+		t.Fatalf("used/free = %d/%d after the last fill, want 0/2", m.used(), m.freeCount())
 	}
 
 	r := &mem.Request{}
@@ -194,6 +204,47 @@ func TestMSHRRecyclesEntries(t *testing.T) {
 	m.add(2, 0, &mem.Request{})
 	if m.slabbed != 2 || m.add(3, 0, &mem.Request{}) != mshrStall {
 		t.Errorf("slabbed = %d entries for capacity 2, or third line not stalled", m.slabbed)
+	}
+}
+
+// TestHotStateSizes pins the host layout of the state every simulated
+// sector touches (DESIGN.md §10.2): a line is 32 bytes, so a 4-way set (an
+// L2 slice's) spans two 64-byte host cache lines and an 8-way set (an L1's)
+// four; an MSHR entry's waiters lie inside the entry, so a slab is one
+// allocation, for every preset's merge limits. A limit above the inline
+// array gets one waiter array beside each slab.
+func TestHotStateSizes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(line{}) = %d, want 32", got)
+	}
+	for _, g := range []config.GPU{config.RTX2080Ti(), config.RTX3060(), config.RTX3090()} {
+		for _, c := range []config.Cache{g.L1, g.L2} {
+			if c.MSHRMaxMerge > mshrInline {
+				t.Errorf("%s: MSHRMaxMerge %d does not fit an entry's %d inline waiters", g.Name, c.MSHRMaxMerge, mshrInline)
+			}
+		}
+	}
+	for _, tc := range []struct{ maxMerge, allocs int }{{4, 2}, {8, 2}, {12, 3}} {
+		var inside bool
+		r := &mem.Request{}
+		// A table's buckets, then one slab for its first mshrSlab lines.
+		allocs := testing.AllocsPerRun(10, func() {
+			m := newMSHR(mshrSlab, tc.maxMerge)
+			for la := uint64(0); la < mshrSlab; la++ {
+				m.add(la, 0, r)
+			}
+			e := m.find(3)
+			lo := uintptr(unsafe.Pointer(e))
+			w := uintptr(unsafe.Pointer(unsafe.SliceData(e.waiters)))
+			end := w + uintptr(cap(e.waiters))*unsafe.Sizeof(mshrWaiter{})
+			inside = w >= lo && end <= lo+unsafe.Sizeof(*e)
+		})
+		if want := tc.maxMerge <= mshrInline; inside != want {
+			t.Errorf("maxMerge %d: waiters inside their entry = %v, want %v", tc.maxMerge, inside, want)
+		}
+		if int(allocs) != tc.allocs {
+			t.Errorf("maxMerge %d: a table and its first slab took %v allocations, want %d", tc.maxMerge, allocs, tc.allocs)
+		}
 	}
 }
 

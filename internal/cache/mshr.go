@@ -16,13 +16,23 @@ type mshrWaiter struct {
 // mshrEntry tracks all outstanding misses to one cache line. Sectors are
 // requested downstream individually; requests to an already-pending sector
 // merge without new downstream traffic (Table II: "8 maximum merge / MSHR").
+// The fields find reads come first, and the waiters follow in the entry
+// itself, so a miss touches one slab allocation, not an entry and a
+// separate waiter array.
 type mshrEntry struct {
 	lineAddr       uint64
+	next           *mshrEntry // the next entry of the same bucket, or of the free list
 	sectorsPending uint32
+	merged         int32        // total requests attached, bounded by maxMerge
 	waiters        []mshrWaiter // capacity maxMerge, never regrown
-	merged         int          // total requests attached, bounded by maxMerge
-	next           *mshrEntry   // the next entry of the same bucket
+	inline         [mshrInline]mshrWaiter
 }
+
+// mshrInline is how many waiters an entry holds in itself: Table II's L1
+// merge limit, which covers every preset (the L2's is 4). Under a larger
+// limit each slab gets one waiter array beside it, and e.waiters points
+// there instead; add and fill read e.waiters either way.
+const mshrInline = 8
 
 // mshrSlab is how many entries the table allocates at a time.
 const mshrSlab = 16
@@ -30,28 +40,29 @@ const mshrSlab = 16
 // mshrTable is a fully associative miss-status holding register file keyed
 // by line address: a chained hash over at least capacity buckets, so a
 // chain averages under one entry. Entries are recycled: a released entry
-// goes to the free list with its waiters array, and new entries come from
-// there, or from a fresh slab while the table is still growing toward its
-// working size (an RTX 2080 Ti assembly builds 68 L1 tables of 256 entries
-// inside the timed section; most never hold more than a few misses at once).
-// Nothing iterates the table, so the chains' order is never observable.
+// goes onto the free list (linked through next) with its waiters array, and
+// new entries come from there, or from a fresh slab while the table is
+// still growing toward its working size (an RTX 2080 Ti assembly builds 68
+// L1 tables of 256 entries inside the timed section; most never hold more
+// than a few misses at once). Nothing iterates the table, so the chains'
+// order is never observable.
 type mshrTable struct {
 	buckets  []*mshrEntry // chain heads; a power of two of them
 	shift    uint         // 64 - log2(len(buckets)): hash keeps the top bits
 	live     int          // entries in the chains
-	free     []*mshrEntry
+	free     *mshrEntry
 	slabbed  int            // entries allocated so far, at most capacity
 	filled   []*mem.Request // fill's result, valid until the next fill
 	capacity int
 	maxMerge int
 }
 
-func newMSHR(entries, maxMerge int) *mshrTable {
+func newMSHR(entries, maxMerge int) mshrTable {
 	n := 1
 	for n < entries {
 		n <<= 1
 	}
-	return &mshrTable{
+	return mshrTable{
 		buckets:  make([]*mshrEntry, n),
 		shift:    uint(64 - bits.TrailingZeros(uint(n))),
 		capacity: entries,
@@ -78,18 +89,28 @@ func (m *mshrTable) find(lineAddr uint64) *mshrEntry {
 // alloc returns an entry with no waiters. The caller has checked that the
 // table is below capacity.
 func (m *mshrTable) alloc() *mshrEntry {
-	if len(m.free) == 0 {
+	if m.free == nil {
 		n := min(mshrSlab, m.capacity-m.slabbed)
 		m.slabbed += n
 		slab := make([]mshrEntry, n)
-		waiters := make([]mshrWaiter, n*m.maxMerge)
-		for i := range slab {
-			slab[i].waiters = waiters[i*m.maxMerge : i*m.maxMerge : (i+1)*m.maxMerge]
-			m.free = append(m.free, &slab[i])
+		var spill []mshrWaiter
+		if m.maxMerge > mshrInline {
+			spill = make([]mshrWaiter, n*m.maxMerge)
+		}
+		for i := n - 1; i >= 0; i-- {
+			e := &slab[i]
+			if spill == nil {
+				e.waiters = e.inline[:0:m.maxMerge]
+			} else {
+				e.waiters = spill[i*m.maxMerge : i*m.maxMerge : (i+1)*m.maxMerge]
+			}
+			e.next = m.free
+			m.free = e
 		}
 	}
-	e := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
+	e := m.free
+	m.free = e.next
+	e.next = nil
 	return e
 }
 
@@ -116,7 +137,7 @@ const (
 // mshrNewEntry.
 func (m *mshrTable) add(lineAddr uint64, sector uint, req *mem.Request) mshrOutcome {
 	if e := m.find(lineAddr); e != nil {
-		if e.merged >= m.maxMerge {
+		if int(e.merged) >= m.maxMerge {
 			return mshrStall
 		}
 		e.merged++
@@ -169,10 +190,10 @@ func (m *mshrTable) fill(lineAddr uint64, sector uint) []*mem.Request {
 	e.sectorsPending &^= 1 << sector
 	if e.sectorsPending == 0 {
 		*link = e.next
-		e.next = nil
+		e.next = m.free
 		e.merged = 0
 		m.live--
-		m.free = append(m.free, e)
+		m.free = e
 	}
 	return done
 }

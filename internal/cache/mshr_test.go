@@ -66,12 +66,16 @@ func (m *refMSHR) fill(lineAddr uint64, sector uint) []*mem.Request {
 // TestMSHRMatchesReference replays seeded random add and fill streams into
 // the table and into the map-based reference: merges, new sectors,
 // capacity and merge-limit stalls, fills of unknown lines and of sectors
-// not pending. After every operation the outcome, the waiters a fill
-// releases, in order, and used() must be equal.
+// not pending, under merge limits the entries hold inline and larger ones.
+// After every operation the outcome, the waiters a fill releases, in order,
+// and used() must be equal.
 func TestMSHRMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity, maxMerge := 1+rng.Intn(40), 1+rng.Intn(8)
+		if seed > 50 {
+			maxMerge += mshrInline // waiters beside the slab, not inline
+		}
 		m := newMSHR(capacity, maxMerge)
 		ref := &refMSHR{entries: map[uint64]*refEntry{}, capacity: capacity, maxMerge: maxMerge}
 		// Lines drawn from a few times the capacity, some sharing their low

@@ -15,7 +15,8 @@ import (
 )
 
 // lineSnapBytes is the serialized size of one cache line (for allocation
-// capping during decode).
+// capping during decode). The stream keeps a valid byte per line, which
+// must agree with the sector mask the line's validity is derived from.
 const lineSnapBytes = 8 + 1 + 4 + 4 + 8 + 8
 
 // snap walks the tag array; the snapshot's geometry must match the
@@ -30,12 +31,17 @@ func (t *tags) snap(c *snap.Codec) {
 	}
 	for i := range t.lines {
 		l := &t.lines[i]
+		valid := l.sectorValid != 0
 		c.U64(&l.lineAddr)
-		c.Bool(&l.valid)
+		c.Bool(&valid)
 		c.U32(&l.sectorValid)
 		c.U32(&l.sectorDirty)
 		c.U64(&l.lastUse)
 		c.U64(&l.fillSeq)
+		if c.Loading() && c.Err() == nil && valid != (l.sectorValid != 0) {
+			c.Failf("tag line %d: valid byte %v with sector mask %#x", i, valid, l.sectorValid)
+			return
+		}
 	}
 }
 

@@ -28,8 +28,10 @@ type Timed struct {
 	wake  func() // engine activation callback (nil when standalone)
 	down  mem.Port
 
-	tags  *tags
-	mshr  *mshrTable
+	// tags and mshr are held by value, so a request reaches its set and its
+	// MSHR bucket without loading a pointer from the cache first.
+	tags  tags
+	mshr  mshrTable
 	banks []mem.FIFO[*mem.Request] // per-bank input queues, bankQueueDepth deep
 
 	// toDown holds downstream requests (fetches, write-throughs,
@@ -81,7 +83,6 @@ func NewTimed(name string, cfg config.Cache, level mem.Level, eng engine.Context
 		level:         level,
 		eng:           eng,
 		down:          down,
-		tags:          newTags(cfg),
 		mshr:          newMSHR(cfg.MSHREntries, cfg.MSHRMaxMerge),
 		banks:         make([]mem.FIFO[*mem.Request], cfg.Banks),
 		hits:          g.Counter(name + ".hit"),
@@ -96,6 +97,7 @@ func NewTimed(name string, cfg config.Cache, level mem.Level, eng engine.Context
 		writebacks:    g.Counter(name + ".writeback"),
 		writeAccesses: g.Counter(name + ".write"),
 	}
+	c.tags.reset(cfg)
 	return c
 }
 

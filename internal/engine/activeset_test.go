@@ -152,52 +152,50 @@ func TestActiveSetRegistrationOrder(t *testing.T) {
 // TestActiveSetSameCycleVisibility: waking a later-registered idle module
 // ticks it the same cycle (downstream visibility); waking an
 // earlier-registered one defers to the next visited cycle — the
-// registration-order semantics of ticking every module every cycle.
+// registration-order semantics of ticking every module every cycle. With
+// more than 128 modules the waker and the woken sit in different words of
+// the active set, in both orders.
 func TestActiveSetSameCycleVisibility(t *testing.T) {
-	e := New()
-	up := &wakeTicker{name: "up"}
-	down := &wakeTicker{name: "down"}
-	e.Register(up)   // idx 0
-	e.Register(down) // idx 1
-
-	const fireAt = 100
-	up.onTick = func(cycle uint64) {
-		if cycle == fireAt {
-			down.give(1) // downstream accept during upstream tick
+	for _, tc := range []struct{ modules, waker, woken int }{
+		{2, 0, 1},     // down accepts during up's tick
+		{2, 1, 0},     // an upstream response path
+		{200, 5, 150}, // word 0 wakes word 2
+		{200, 150, 5}, // word 2 wakes word 0
+		{200, 63, 64}, // adjacent words
+		{200, 64, 63},
+	} {
+		e := New()
+		ts := make([]*wakeTicker, tc.modules)
+		for i := range ts {
+			ts[i] = &wakeTicker{name: fmt.Sprintf("m%d", i)}
+			e.Register(ts[i])
 		}
-	}
-	e.Schedule(fireAt, func() { up.give(1) })
-	done := false
-	e.Schedule(fireAt+5, func() { done = true })
-	if _, err := e.Run(func() bool { return done }, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !containsCycle(down.tickLog, fireAt) {
-		t.Errorf("downstream not ticked same cycle %d; log=%v", fireAt, down.tickLog)
-	}
-
-	// Reverse direction: down wakes up (an upstream response path).
-	e2 := New()
-	up2 := &wakeTicker{name: "up"}
-	down2 := &wakeTicker{name: "down"}
-	e2.Register(up2)
-	e2.Register(down2)
-	down2.onTick = func(cycle uint64) {
-		if cycle == fireAt {
-			up2.give(1)
+		const fireAt = 100
+		waker, woken := ts[tc.waker], ts[tc.woken]
+		waker.onTick = func(cycle uint64) {
+			if cycle == fireAt {
+				woken.give(1)
+			}
 		}
-	}
-	e2.Schedule(fireAt, func() { down2.give(1) })
-	done2 := false
-	e2.Schedule(fireAt+5, func() { done2 = true })
-	if _, err := e2.Run(func() bool { return done2 }, 0); err != nil {
-		t.Fatal(err)
-	}
-	if containsCycle(up2.tickLog, fireAt) {
-		t.Errorf("upstream ticked same cycle it was woken by a later-registered module; log=%v", up2.tickLog)
-	}
-	if !containsCycle(up2.tickLog, fireAt+1) {
-		t.Errorf("upstream not ticked the cycle after its wake; log=%v", up2.tickLog)
+		e.Schedule(fireAt, func() { waker.give(1) })
+		done := false
+		e.Schedule(fireAt+5, func() { done = true })
+		if _, err := e.Run(func() bool { return done }, 0); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%d modules, %d wakes %d", tc.modules, tc.waker, tc.woken)
+		if tc.woken > tc.waker {
+			if !containsCycle(woken.tickLog, fireAt) {
+				t.Errorf("%s: woken module not ticked the same cycle %d; log=%v", name, fireAt, woken.tickLog)
+			}
+			continue
+		}
+		if containsCycle(woken.tickLog, fireAt) {
+			t.Errorf("%s: earlier module ticked the same cycle it was woken by a later-registered one; log=%v", name, woken.tickLog)
+		}
+		if !containsCycle(woken.tickLog, fireAt+1) {
+			t.Errorf("%s: earlier module not ticked the cycle after its wake; log=%v", name, woken.tickLog)
+		}
 	}
 }
 

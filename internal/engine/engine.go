@@ -15,7 +15,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
 	"time"
 
 	"swiftsim/internal/mem"
@@ -110,11 +110,8 @@ type tickerEntry struct {
 	wait Waiter
 	// staged marks an entry of the epoch-local segment (RegisterSharded).
 	staged bool
-	// active marks membership in the active list: the ticker is pending,
-	// or busy (as of its last Busy poll) and not waiting.
-	active bool
 	// busy is the ticker's last polled Busy() state. Only busy tickers
-	// keep the engine from fast-forwarding; a waiter off the active list
+	// keep the engine from fast-forwarding; a waiter off the active set
 	// keeps its busy state until its wake brings the next poll.
 	busy bool
 	// pending guarantees at least one tick at the next simulated cycle
@@ -134,15 +131,15 @@ type Engine struct {
 	cycle   uint64
 	seq     uint64
 	entries []tickerEntry
-	// active holds the indices of active entries, sorted ascending so the
-	// tick order within the active set is registration order.
-	active []int
+	// active has one bit per registration index, set while the entry is on
+	// the tick set: it is pending, or busy (as of its last Busy poll) and
+	// not waiting. Walking the set bits upward is registration order.
+	active []uint64
 	// busyCount counts entries whose last poll reported busy; the all-idle
 	// check is busyCount == 0.
 	busyCount int
-	// tickPos is the current index into active during the tick phase, or
-	// -1 outside it; activations during the phase use it to decide whether
-	// the woken ticker is still reachable this cycle.
+	// tickPos is where tickSerialRange starts its walk: tickCycle sets it
+	// to 0 for the head and past the segment for the tail of a relaxed run.
 	tickPos int
 	modules []Module
 	// ev holds the scheduled events; see events.go.
@@ -174,11 +171,6 @@ type Engine struct {
 	seg      segment
 	nShards  int
 	pLo, pHi int // contiguous registration-index range of segment entries
-	// segCount is the number of segment entries currently on the active
-	// list. They always occupy one contiguous run of positions (the active
-	// list is sorted and [pLo, pHi] contains only segment entries), so the
-	// catch-up cycles skip the whole segment in O(1) instead of scanning it.
-	segCount int
 	// headHi is the run's execution mode, chosen once per RunCtx (beginRun):
 	// the last registration index of tickCycle's serial head. pLo-1 stages
 	// the segment (a relaxed run); maxInt lets the head cover every entry,
@@ -187,17 +179,9 @@ type Engine struct {
 	// epochK > 1 makes the run relaxed: the segment runs epochK local cycles
 	// per pass; see parallel.go.
 	epochK int
-	// activeScratch/deferScratch are retained buffers for the fold's
-	// active-list rebuild and defer release (no per-epoch allocations in
-	// steady state).
-	activeScratch []int
-	deferScratch  []func()
-	// batchWake diverts activations into wakeBuf during the event-fire
-	// phase, where a burst of completion events would otherwise pay one
-	// O(active) list insertion each; flushWakes folds the batch with a
-	// single merge.
-	batchWake bool
-	wakeBuf   []int
+	// deferScratch is the fold's retained buffer for releasing defers (no
+	// per-epoch allocations in steady state).
+	deferScratch []func()
 }
 
 // probe is a named read-only gauge sampled into the counter timeline.
@@ -238,7 +222,13 @@ func (e *Engine) AddProbe(name string, fn func() uint64) {
 // ActiveTickers returns the size of the active set — how many
 // cycle-accurate modules are currently being ticked (a waiter off the tick
 // set is busy but not counted).
-func (e *Engine) ActiveTickers() int { return len(e.active) }
+func (e *Engine) ActiveTickers() int {
+	n := 0
+	for _, w := range e.active {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // ModuleTicks returns the number of module Tick calls so far: the host
 // work of the cycle-accurate modules, which the active set and the waiting
@@ -247,7 +237,7 @@ func (e *Engine) ModuleTicks() uint64 { return e.moduleTicks }
 
 // sample emits one counter timeline row at the current cycle.
 func (e *Engine) sample() {
-	e.tr.Counter(obs.ModuleLevel, "active_tickers", e.trTid, e.cycle, uint64(len(e.active)))
+	e.tr.Counter(obs.ModuleLevel, "active_tickers", e.trTid, e.cycle, uint64(e.ActiveTickers()))
 	for _, p := range e.probes {
 		e.tr.Counter(obs.ModuleLevel, p.name, e.trTid, e.cycle, p.fn())
 	}
@@ -256,7 +246,7 @@ func (e *Engine) sample() {
 
 // New returns an empty engine at cycle 0.
 func New() *Engine {
-	e := &Engine{tickPos: -1, nShards: 1, pLo: -1, headHi: maxInt, epochK: 1}
+	e := &Engine{nShards: 1, pLo: -1, headHi: maxInt, epochK: 1}
 	e.seg.e = e
 	e.ev.init()
 	return e
@@ -319,52 +309,31 @@ func (e *Engine) register(t Ticker, staged bool) int {
 	en.wait, _ = t.(Waiter)
 	e.entries = append(e.entries, en)
 	e.modules = append(e.modules, t)
-	if staged {
-		t.SetWake(func() { e.wakeEntry(idx) })
-	} else {
-		// Serial entries wake through activate directly: they are never
-		// woken from inside a segment pass (effects that leave the segment
-		// go through Defer/Schedule, released at the fold with staging
-		// off), so wakeEntry's staging check would be a dead branch on a
-		// hot path.
-		t.SetWake(func() { e.activate(idx) })
+	if idx>>6 == len(e.active) {
+		e.active = append(e.active, 0)
 	}
+	t.SetWake(func() { e.activate(idx) })
 	// Start pending so the first simulated cycle ticks every module once,
 	// letting it publish its initial busy state.
 	e.activate(idx)
 	return idx
 }
 
-// activate marks entry idx pending and inserts it into the active list. It
-// is idempotent and cheap when the ticker is already active. Activations
-// that land at or before the current tick position take effect next cycle
-// (the registration-order pass has already moved past them): a module woken
-// by a later-registered module's tick sees the new state only on its next
-// tick.
+// activate marks entry idx pending and sets its bit in the active set. It
+// is idempotent and cheap when the ticker is already active. An activation
+// at or below the index the tick pass is at takes effect next cycle (the
+// registration-order pass has already moved past it): a module woken by a
+// later-registered module's tick sees the new state only on its next tick.
+// A segment pass (parallel.go) walks the same bits, so the rule holds there
+// too.
 func (e *Engine) activate(idx int) {
 	en := &e.entries[idx]
 	en.pending = true
-	if en.active {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	if e.active[w]&bit != 0 {
 		return
 	}
-	en.active = true
-	if en.staged {
-		e.segCount++
-	}
-	if e.batchWake {
-		// Event-fire phase: defer the list insertion to flushWakes, which
-		// folds the whole burst in one merge. The flags above are already
-		// set, so re-wakes of the same entry stay idempotent.
-		e.wakeBuf = append(e.wakeBuf, idx)
-	} else {
-		pos := sort.SearchInts(e.active, idx)
-		e.active = append(e.active, 0)
-		copy(e.active[pos+1:], e.active[pos:])
-		e.active[pos] = idx
-		if e.tickPos >= 0 && pos <= e.tickPos {
-			e.tickPos++
-		}
-	}
+	e.active[w] |= bit
 	// Poll Busy on insertion: a module woken at a position the current tick
 	// pass has already visited is only ticked next cycle, but it must gate
 	// fast-forwarding now. A returning waiter is still counted busy.
@@ -522,57 +491,45 @@ func (e *Engine) fireDue() {
 	}
 }
 
-// flushWakes ends a batchWake window, merging the buffered activations
-// into the active list in one backward in-place pass: O(active + batch)
-// for the whole burst instead of O(active) per wake. It must only run
-// outside the tick phase (tickPos == -1) — the event-fire window — so no
-// tickPos adjustment is needed.
-func (e *Engine) flushWakes() {
-	e.batchWake = false
-	wb := e.wakeBuf
-	if len(wb) == 0 {
-		return
-	}
-	// Completion events usually wake entries in firing order, not index
-	// order; the buffer is tiny, so sorting it is cheap (and allocation
-	// free since Go's sort.Ints runs in place).
-	sort.Ints(wb)
-	n := len(e.active)
-	e.active = append(e.active, wb...)
-	i, j, k := n-1, len(wb)-1, len(e.active)-1
-	for j >= 0 {
-		if i >= 0 && e.active[i] > wb[j] {
-			e.active[k] = e.active[i]
-			i--
-		} else {
-			e.active[k] = wb[j]
-			j--
-		}
-		k--
-	}
-	e.wakeBuf = wb[:0]
-}
-
 // wakeCheck, when a test sets it, is called after every visited cycle.
 var wakeCheck func(e *Engine)
 
-// tickSerialRange advances tickPos through the active list, ticking every
-// entry whose registration index is <= hi, in registration order. After
-// each tick the entry's Busy() is re-polled: a ticker that is idle, or a
-// waiter that is waiting, and is not re-woken leaves the active set and is
-// not touched again until a wake; a waiter leaves still counted busy.
-// Activations occurring during the pass (a scheduler assigning work to a
-// downstream module, for instance) are ticked this same cycle when their
-// registration index has not been passed yet. PreTicker entries get their
-// PreTick immediately before Tick. With hi = maxInt this is a serial run's
-// whole cycle; otherwise it is the head or tail of a relaxed one (see
-// tickCycle in parallel.go).
-func (e *Engine) tickSerialRange(hi int) {
-	for e.tickPos < len(e.active) {
-		idx := e.active[e.tickPos]
-		if idx > hi {
-			return
+// deactivate takes entry idx off the tick set.
+func (e *Engine) deactivate(idx int) { e.active[idx>>6] &^= 1 << (idx & 63) }
+
+// nextActive returns the lowest registration index >= from on the tick
+// set, or maxInt when there is none. It reads the words afresh, so a bit a
+// tick has just set above from is found.
+func (e *Engine) nextActive(from int) int {
+	w := from >> 6
+	if w >= len(e.active) {
+		return maxInt
+	}
+	if word := e.active[w] >> (from & 63); word != 0 {
+		return from + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(e.active); w++ {
+		if e.active[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(e.active[w])
 		}
+	}
+	return maxInt
+}
+
+// tickSerialRange walks the active set up from tickPos, ticking every
+// entry whose registration index is <= hi, in registration order, and
+// leaves tickPos just above hi. After each tick the entry's Busy() is
+// re-polled: a ticker that is idle, or a waiter that is waiting, and is not
+// re-woken leaves the active set and is not touched again until a wake; a
+// waiter leaves still counted busy. Activations occurring during the pass
+// (a scheduler assigning work to a downstream module, for instance) are
+// ticked this same cycle when their registration index is above the entry
+// being ticked. PreTicker entries get their PreTick immediately before
+// Tick. With hi = maxInt this is a serial run's whole cycle; otherwise it
+// is the head or tail of a relaxed one (see tickCycle in parallel.go).
+func (e *Engine) tickSerialRange(hi int) {
+	hi = min(hi, len(e.entries)-1)
+	for idx := e.nextActive(e.tickPos); idx <= hi; idx = e.nextActive(idx + 1) {
 		en := &e.entries[idx]
 		en.pending = false
 		if en.pre != nil {
@@ -590,15 +547,10 @@ func (e *Engine) tickSerialRange(hi int) {
 			}
 		}
 		if !en.pending && (!nowBusy || en.wait != nil && en.wait.Waiting()) {
-			en.active = false
-			if en.staged {
-				e.segCount--
-			}
-			e.active = append(e.active[:e.tickPos], e.active[e.tickPos+1:]...)
-			continue
+			e.deactivate(idx)
 		}
-		e.tickPos++
 	}
+	e.tickPos = hi + 1
 }
 
 // anyBusy reports whether any ticker still has per-cycle work: an O(1)
@@ -615,11 +567,8 @@ func (e *Engine) anyBusy() bool {
 	if e.busyCount > 0 {
 		return true
 	}
-	if e.epochK > 1 && e.segCount > 0 {
-		// The segment entries sit in one contiguous run of the sorted
-		// active list; scan only that window.
-		lo := sort.SearchInts(e.active, e.pLo)
-		for _, idx := range e.active[lo : lo+e.segCount] {
+	if e.epochK > 1 && e.pLo >= 0 {
+		for idx := e.nextActive(e.pLo); idx <= e.pHi; idx = e.nextActive(idx + 1) {
 			if e.entries[idx].pending {
 				return true
 			}

@@ -214,9 +214,7 @@ func (e *Engine) file(cycle, seq uint64, fn func(), r *mem.Request) {
 // the file comment derives. Events may schedule more events for the cycle
 // being drained; they append to its bucket and run in FIFO order after it.
 // They may also grow the slab, so no node pointer is held across fn().
-// Wakes are batched across the burst and folded in one merge.
 func (e *Engine) fireBurst() {
-	e.batchWake = true
 	s := &e.ev
 	for s.next <= e.cycle {
 		n := s.next
@@ -239,7 +237,6 @@ func (e *Engine) fireBurst() {
 		s.occ[b>>6] &^= 1 << (b & 63)
 		s.next = s.after(n)
 	}
-	e.flushWakes()
 }
 
 // after returns the smallest pending cycle once cycle n has been drained:

@@ -31,7 +31,7 @@ func CheckWakes(tb testing.TB) *WakeCheck {
 				continue
 			}
 			busy++
-			if en.active {
+			if e.isActive(i) {
 				continue
 			}
 			waiting := en.wait != nil && en.wait.Waiting()
@@ -48,3 +48,6 @@ func CheckWakes(tb testing.TB) *WakeCheck {
 	tb.Cleanup(func() { wakeCheck = nil })
 	return wc
 }
+
+// isActive reports whether entry idx is on the tick set.
+func (e *Engine) isActive(idx int) bool { return e.active[idx>>6]&(1<<(idx&63)) != 0 }

@@ -12,15 +12,13 @@
 //  1. serial head at T — active entries registered before the segment
 //     (the block scheduler);
 //  2. segment pass — the segment's active entries tick in registration
-//     order for k local cycles, the pass list rebuilt from the members'
-//     active flags between local cycles. Everything that leaves the
-//     segment (Schedule, Defer) is staged into its arena, an event with
-//     the absolute cycle it was scheduled at, instead of being applied;
-//  3. fold — the pass's busy delta is added, the active segment is rebuilt
-//     if the pass changed its membership, and the staged records are
-//     released in arena order, which is ascending (capture cycle,
-//     registration index): events get their sequence numbers in that
-//     order, then the defers run in it;
+//     order for k local cycles, each local cycle a walk of the active
+//     set's bits over [pLo, pHi]. Everything that leaves the segment
+//     (Schedule, Defer) is staged into its arena, an event with the
+//     absolute cycle it was scheduled at, instead of being applied;
+//  3. fold — the staged records are released in arena order, which is
+//     ascending (capture cycle, registration index): events get their
+//     sequence numbers in that order, then the defers run in it;
 //  4. serial tail at T — active entries registered after the segment
 //     (NoC, L2, DRAM);
 //  5. catch-up — for each remaining cycle T+1..T+k-1, fire due events and
@@ -51,17 +49,16 @@
 //     overshoot its natural end by up to k-1 cycles; the error-envelope
 //     harness in internal/regress quantifies the resulting metric drift.
 //
-// Wakes *within* the segment during a pass are applied locally with the
-// same same-cycle visibility rule the serial active list uses. Wakes of a
-// segment entry from the serial phases go through the normal activate
-// path. Segment modules must not wake a serial entry from their tick — that
-// is only legal through Schedule/Defer (the standard assemblies reach the
-// serial modules exclusively through memory ports and the block scheduler,
-// which already obey this).
+// Every wake sets the entry's bit in the one active set, so a wake within
+// the segment during a pass follows the serial visibility rule against the
+// pass's cursor. Segment modules must not wake a serial entry from their
+// tick — that is only legal through Schedule/Defer (the standard assemblies
+// reach the serial modules exclusively through memory ports and the block
+// scheduler, which already obey this).
 //
-// The staging arena and the pass list are slices truncated (never freed) at
-// the fold, so their capacity is retained and a steady-state epoch performs
-// no heap allocation.
+// The staging arena is a slice truncated (never freed) at the fold, so its
+// capacity is retained and a steady-state epoch performs no heap
+// allocation.
 //
 // SetParallel, RegisterSharded's shard argument and ShardContext's exist for
 // callers written against a sharded engine (the frozen benchmark harness
@@ -70,7 +67,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"swiftsim/internal/mem"
 )
@@ -128,19 +124,9 @@ type stagedOp struct {
 type segment struct {
 	e *Engine
 
-	// staging is set around the pass. While set, Schedule/Defer/wakes stage
+	// staging is set around the pass. While set, Schedule/Defer stage
 	// instead of applying.
 	staging bool
-
-	// dirty records that the pass changed the segment's active membership
-	// (an entry went idle, or a local wake activated one): the fold must
-	// rebuild the global active segment.
-	dirty bool
-
-	// pass state: list is the segment's active entries this local cycle
-	// (ascending registration index), lpos the cursor.
-	list []int
-	lpos int
 
 	// off is the local cycle offset within the pass, so
 	// Cycle()/TickedCycles() report the segment's local time.
@@ -148,8 +134,7 @@ type segment struct {
 
 	// ops is the staged side-effect arena (truncated at the fold, capacity
 	// retained).
-	ops       []stagedOp
-	busyDelta int
+	ops []stagedOp
 }
 
 func (sg *segment) Cycle() uint64        { return sg.e.cycle + sg.off }
@@ -176,63 +161,27 @@ func (sg *segment) Defer(fn func()) {
 	fn()
 }
 
-// wakeLocal is activate's segment-pass twin: same pending/active/Busy-poll
-// semantics, but the insertion targets the pass list and the busy
-// transition lands in the pass's delta. Visibility matches the serial
-// rule — an entry woken after its registration index has been passed is
-// ticked next cycle.
-func (sg *segment) wakeLocal(idx int, en *tickerEntry) {
-	en.pending = true
-	if en.active {
-		return
-	}
-	en.active = true
-	sg.dirty = true
-	if idx > sg.list[sg.lpos] {
-		tail := sg.list[sg.lpos+1:]
-		pos := sg.lpos + 1 + sort.SearchInts(tail, idx)
-		sg.list = append(sg.list, 0)
-		copy(sg.list[pos+1:], sg.list[pos:])
-		sg.list[pos] = idx
-	}
-	if en.t.Busy() && !en.busy {
-		en.busy = true
-		sg.busyDelta++
-	}
-}
-
-// activeMembers rebuilds the pass list from the members' active flags (the
-// segment's members are exactly the registration range [pLo, pHi]).
-func (sg *segment) activeMembers() []int {
-	e := sg.e
-	list := sg.list[:0]
-	for idx := e.pLo; idx <= e.pHi; idx++ {
-		if e.entries[idx].active {
-			list = append(list, idx)
-		}
-	}
-	sg.list = list
-	return list
-}
+// segmentActive reports whether any segment entry is on the tick set.
+func (e *Engine) segmentActive() bool { return e.pLo >= 0 && e.nextActive(e.pLo) <= e.pHi }
 
 // runPass ticks the segment's active entries for k local cycles, each in
 // registration order, mirroring tickSerialRange: clear pending, PreTick,
-// Tick, re-poll Busy. Entries that go idle are only flagged (active =
-// false); the fold rebuilds the global active list. Between local cycles
-// the pass list is rebuilt from the members' active flags, so entries that
-// went idle drop out and entries woken locally (fills completing inside the
-// segment) are picked up.
+// Tick, re-poll Busy. An entry that goes idle leaves the active set (a
+// waiting one stays), and a wake from a segment module's tick sets its
+// bit, so the walk picks it up this local cycle above the cursor and the
+// next one below it. The pass ends early once the segment has no active
+// entry.
 func (sg *segment) runPass(k int) {
 	e := sg.e
 	sg.staging = true
 	for off := 0; off < k; off++ {
 		sg.off = uint64(off)
-		if off > 0 && len(sg.activeMembers()) == 0 {
+		if off > 0 && !e.segmentActive() {
 			break
 		}
 		cyc := e.cycle + sg.off
-		for sg.lpos = 0; sg.lpos < len(sg.list); sg.lpos++ {
-			en := &e.entries[sg.list[sg.lpos]]
+		for idx := e.nextActive(e.pLo); idx <= e.pHi; idx = e.nextActive(idx + 1) {
+			en := &e.entries[idx]
 			en.pending = false
 			if en.pre != nil {
 				en.pre.PreTick(cyc)
@@ -243,14 +192,13 @@ func (sg *segment) runPass(k int) {
 			if nowBusy != en.busy {
 				en.busy = nowBusy
 				if nowBusy {
-					sg.busyDelta++
+					e.busyCount++
 				} else {
-					sg.busyDelta--
+					e.busyCount--
 				}
 			}
 			if !nowBusy && !en.pending {
-				en.active = false
-				sg.dirty = true
+				e.deactivate(idx)
 			}
 		}
 	}
@@ -307,19 +255,6 @@ func (e *Engine) RegisterSharded(t Ticker, shard int) {
 	e.pHi = idx
 }
 
-// wakeEntry routes a segment entry's wake to the right mechanism: during
-// the pass, the entry is woken locally (the only legal waker at that point
-// is another segment module); everywhere else — event phase, fold, serial
-// head/tail — the normal activate path applies. Serial entries bypass this
-// and wake through activate directly (see register).
-func (e *Engine) wakeEntry(idx int) {
-	if e.seg.staging {
-		e.seg.wakeLocal(idx, &e.entries[idx])
-		return
-	}
-	e.activate(idx)
-}
-
 // beginRun picks the run's execution mode, once: a relaxed run (k > 1)
 // stages the segment, otherwise the head covers every entry. It also
 // verifies that the segment's registration range [pLo, pHi] contains no
@@ -350,57 +285,29 @@ func (e *Engine) tickCycle() {
 	e.tickPos = 0
 	e.tickSerialRange(e.headHi)
 	catchUp := 0
-	if e.headHi != maxInt && e.segCount > 0 {
-		// The segment's entries sit in segCount contiguous positions of the
-		// active list starting here.
-		segStart := e.tickPos
-		e.seg.list = append(e.seg.list[:0], e.active[segStart:segStart+e.segCount]...)
+	if e.headHi != maxInt && e.segmentActive() {
 		e.seg.runPass(e.epochK)
-		e.fold(segStart)
+		if len(e.seg.ops) > 0 {
+			e.releaseStaged()
+		}
+		// Every entry up to pHi has had its turn this cycle; the tail
+		// resumes above it, so a tail entry a defer just woke still ticks
+		// this cycle.
+		e.tickPos = e.pHi + 1
 		catchUp = e.epochK - 1
 	}
 	e.tickSerialRange(maxInt)
 	for ; catchUp > 0; catchUp-- {
 		// Entries of the segment woken meanwhile (fill completions) tick at
 		// the next epoch.
-		e.tickPos = -1
 		e.cycle++
 		e.tickedCycles++
 		e.fireDue()
 		e.tickPos = 0
 		e.tickSerialRange(e.headHi)
-		e.tickPos += e.segCount
+		e.tickPos = e.pHi + 1
 		e.tickSerialRange(maxInt)
 	}
-	e.tickPos = -1
-}
-
-// fold ends a segment pass: add its busy delta, rebuild the active segment
-// if the pass changed its membership, release what was staged, and leave
-// tickPos at the first tail entry.
-func (e *Engine) fold(segStart int) {
-	sg := &e.seg
-	e.busyCount += sg.busyDelta
-	sg.busyDelta = 0
-	if sg.dirty {
-		sg.dirty = false
-		// segCount still holds the pre-pass segment length, so the old
-		// segment occupies [segStart, segStart+segCount).
-		segEnd := segStart + e.segCount
-		seg := sg.activeMembers()
-		na := append(e.activeScratch[:0], e.active[:segStart]...)
-		na = append(na, seg...)
-		na = append(na, e.active[segEnd:]...)
-		e.activeScratch, e.active = e.active, na
-		e.segCount = len(seg)
-	}
-	if len(sg.ops) > 0 {
-		e.releaseStaged()
-	}
-	// Every entry up to pHi has had its turn this cycle. The tail resumes
-	// at the first entry above it, found by index rather than position so
-	// that a tail entry a defer just woke still ticks this cycle.
-	e.tickPos = sort.SearchInts(e.active, e.pHi+1)
 }
 
 // releaseStaged walks the arena, which the pass filled cycle by cycle in
@@ -410,9 +317,8 @@ func (e *Engine) fold(segStart int) {
 // pass starts there) but may be the fold's cycle itself, whose event phase
 // is over — the next event phase fires it: late, never early.
 // Defers are collected in the same order and run once every staged event is
-// enqueued. They run with staging off, against the rebuilt active list, so
-// anything they do (wake the block scheduler, emit a trace event, schedule)
-// applies directly.
+// enqueued. They run with staging off, so anything they do (wake the block
+// scheduler, emit a trace event, schedule) applies directly.
 func (e *Engine) releaseStaged() {
 	calls := e.deferScratch[:0]
 	ops := e.seg.ops

@@ -196,7 +196,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // notification a segment module sends to a serial module through Defer is
 // held in the arena and released at the fold, with staging off and the
 // engine's clock still at the epoch's first cycle — never applied inline,
-// where it would move the active list under the pass.
+// where it would change the active set under the pass.
 func TestParallelWakeDeferral(t *testing.T) {
 	const k = 8
 	e := New()

@@ -27,12 +27,18 @@ type checkpointLayout struct {
 	nkcOff     int      // run-position kernel-duration count (u64)
 	boolOff    int      // the first DRAM partition's last row-open flag (bool byte)
 	emptyOff   int      // the crossbar's first return-queue count (u64), always 0
+	validOff   int      // the valid byte of a valid line of the first L2's tag array
+	invalidOff int      // the valid byte of an invalid line of the same array
 	modCntOff  int      // engine-section module count (u64)
 	modFrames  [][2]int // [start,end) of each module frame (name + payload)
 	retCntOff  int      // engine-section pending-retirement count (u64)
 	retOffs    []int    // start of each pending retirement
 	metricsOff int      // metrics-section counter count (u64)
 }
+
+// tagLineBytes is one tag line's size in a cache's payload: line address,
+// valid byte, sector valid and dirty masks, LRU and FIFO stamps.
+const tagLineBytes = 8 + 1 + 4 + 4 + 8 + 8
 
 // retirementBytes is one pending retirement's size in the engine section:
 // due cycle, stage, level, and the request's address, size, PC, SM and
@@ -89,6 +95,10 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 			// The crossbar's payload opens with its return-queue counts
 			// (internal/noc).
 			lay.emptyOff = pos
+		case name == "l2" && lay.validOff == 0:
+			// The tag array ends the payload: its line count, then the
+			// lines (internal/cache).
+			lay.validOff, lay.invalidOff = tagLines(t, data, pos+int(plen))
 		}
 		pos += int(plen)
 		lay.modFrames = append(lay.modFrames, [2]int{start, pos})
@@ -105,8 +115,33 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 		t.Fatalf("checkpoint has %d pending retirements, DRAM flag at %d, return-queue count at %d: want all three",
 			len(lay.retOffs), lay.boolOff, lay.emptyOff)
 	}
+	if lay.validOff == 0 || lay.invalidOff == 0 {
+		t.Fatalf("first L2 has a valid line's flag at %d and an invalid line's at %d: want both", lay.validOff, lay.invalidOff)
+	}
 	lay.metricsOff = pos
 	return lay
+}
+
+// tagLines finds, in the L2 tag array whose payload ends at end, the valid
+// byte of a valid line and of an invalid one (0 when the array has none).
+func tagLines(t *testing.T, data []byte, end int) (validOff, invalidOff int) {
+	t.Helper()
+	l2 := DefaultCorpus().GPUs[0].L2
+	n := l2.Sets * l2.Ways
+	start := end - n*tagLineBytes
+	if got := binary.LittleEndian.Uint64(data[start-8:]); got != uint64(n) {
+		t.Fatalf("L2 tag array: line count %d before its %d lines", got, n)
+	}
+	for off := start + 8; off < end; off += tagLineBytes {
+		mask := binary.LittleEndian.Uint32(data[off+1:])
+		switch {
+		case data[off] == 1 && mask != 0 && validOff == 0:
+			validOff = off
+		case data[off] == 0 && mask == 0 && invalidOff == 0:
+			invalidOff = off
+		}
+	}
+	return validOff, invalidOff
 }
 
 // makeCheckpoint runs BFS under Swift-Sim-Basic, checkpointing at the
@@ -275,5 +310,27 @@ func TestSnapshotCorruptNonEmptyReturnQueue(t *testing.T) {
 	binary.LittleEndian.PutUint64(corrupt[lay.emptyOff:], 1)
 	if err := restoreErr(t, app, corrupt); !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("restore of a request in a return queue: error %v, want snap.ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotCorruptTagLineValid: a tag line is valid exactly when its
+// sector mask is non-zero, so a valid byte that disagrees with the mask,
+// either way, must be refused.
+func TestSnapshotCorruptTagLineValid(t *testing.T) {
+	data, app := makeCheckpoint(t)
+	lay := walkCheckpoint(t, data)
+	for _, c := range []struct {
+		name string
+		off  int
+		b    byte
+	}{
+		{"a valid line flagged invalid", lay.validOff, 0},
+		{"an invalid line flagged valid", lay.invalidOff, 1},
+	} {
+		corrupt := append([]byte(nil), data...)
+		corrupt[c.off] = c.b
+		if err := restoreErr(t, app, corrupt); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("restore of %s: error %v, want snap.ErrCorrupt", c.name, err)
+		}
 	}
 }

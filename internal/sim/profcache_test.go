@@ -413,10 +413,10 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		gpu     config.GPU
 		ceiling float64
 	}{
-		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,508
-		{Detailed, "SM", 0.4, wide, 4373},      // measured 3,498
-		{Basic, "SM", 0.4, wide, 3294},         // measured 2,635
-		{Memory, "SM", 0.4, wide, 1048},        // measured 836
+		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,500
+		{Detailed, "SM", 0.4, wide, 4166},      // measured 3,333
+		{Basic, "SM", 0.4, wide, 3085},         // measured 2,468
+		{Memory, "SM", 0.4, wide, 1048},        // measured 827
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
 			app := mustApp(t, row.app, row.scale)
