@@ -13,12 +13,14 @@ package sim
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"swiftsim/internal/obs"
 	"swiftsim/internal/smcore"
 )
 
-// Kind selects a simulator configuration.
+// Kind selects a simulator configuration. What a Kind means is its row of
+// kinds below; nothing else interprets one.
 type Kind int
 
 const (
@@ -35,37 +37,67 @@ const (
 	L2Hybrid
 )
 
+// model is how an assembly builds one module position.
+type model uint8
+
+const (
+	absent model = iota
+	analytical
+	cycleAccurate
+)
+
+// layout gives each module position of an assembly its model, from the
+// SM's front end down to the memory below its L1s.
+type layout struct {
+	frontEnd model // instruction cache and per-warp instruction buffers
+	alus     model // the INT, SP, DP and SFU units
+	ldst     model // the LD/ST unit with its L1: timed L1s or Eq. 1
+	lower    model // NoC, L2 and DRAM, or the analytical backend
+}
+
+// kinds is the one place a Kind is interpreted: its report name, its flag
+// spelling (-sim, the service's "sims") and the model each module position
+// gets.
+var kinds = [...]struct {
+	name, flag string
+	layout
+}{
+	Detailed: {"Detailed", "detailed", layout{cycleAccurate, cycleAccurate, cycleAccurate, cycleAccurate}},
+	Basic:    {"Swift-Sim-Basic", "basic", layout{absent, analytical, cycleAccurate, cycleAccurate}},
+	Memory:   {"Swift-Sim-Memory", "memory", layout{absent, analytical, analytical, absent}},
+	L2Hybrid: {"Swift-Sim-L2", "l2", layout{absent, analytical, cycleAccurate, analytical}},
+}
+
+// declared reports whether k has a row in kinds.
+func (k Kind) declared() bool { return k >= 0 && int(k) < len(kinds) }
+
+// layout returns k's module positions; an undeclared Kind has none.
+func (k Kind) layout() layout {
+	if !k.declared() {
+		return layout{}
+	}
+	return kinds[k].layout
+}
+
 // String returns the configuration name used in reports.
 func (k Kind) String() string {
-	switch k {
-	case Detailed:
-		return "Detailed"
-	case Basic:
-		return "Swift-Sim-Basic"
-	case Memory:
-		return "Swift-Sim-Memory"
-	case L2Hybrid:
-		return "Swift-Sim-L2"
-	default:
+	if !k.declared() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kinds[k].name
 }
 
 // ParseKind maps the front ends' simulator spelling (-sim flags, the
 // service's "sims" field) to a Kind.
 func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "detailed":
-		return Detailed, nil
-	case "basic":
-		return Basic, nil
-	case "memory":
-		return Memory, nil
-	case "l2":
-		return L2Hybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown simulator %q (want detailed|basic|memory|l2)", name)
+	flags := make([]string, len(kinds))
+	for k, row := range kinds {
+		if row.flag == name {
+			return Kind(k), nil
+		}
+		flags[k] = row.flag
 	}
+	return 0, fmt.Errorf("unknown simulator %q (want %s)", name, strings.Join(flags, "|"))
 }
 
 // HitRateSource selects where Swift-Sim-Memory's Eq. 1 rates come from.
@@ -119,9 +151,9 @@ type Options struct {
 	// module ever observes a value from its future. 0 or 1 keeps the exact
 	// cycle-by-cycle run and byte-identical results; k > 1 trades a bounded,
 	// per-preset-quantified metric drift for fewer engine round trips. For a
-	// given (configuration, k) results are still bit-reproducible. Memory,
-	// which has no cycle-accurate SM-to-memory traffic to relax, always runs
-	// exact — see Effective.
+	// given (configuration, k) results are still bit-reproducible. A kind
+	// without cycle-accurate L1s (Memory) has no SM-to-memory traffic to
+	// relax and always runs exact — see Effective.
 	EpochCycles int `json:"epoch_cycles,omitempty"`
 	// SnapshotAt, together with SnapshotTo, checkpoints the run at the
 	// first kernel boundary at or after this cycle (0 = the first
@@ -167,7 +199,7 @@ type Options struct {
 //     ReplayStride; tuning fields on a disabled Sampling would be dead.
 //   - Sampling does not combine with snapshot/restore.
 func (o Options) Validate() error {
-	if o.Kind < Detailed || o.Kind > L2Hybrid {
+	if !o.Kind.declared() {
 		return fmt.Errorf("unknown simulator kind %d", int(o.Kind))
 	}
 	if o.HitRates < FunctionalCaches || o.HitRates > ReuseDistance {
@@ -212,12 +244,14 @@ func (o Options) WithDefaults(def Options) Options {
 	return o
 }
 
-// Effective returns o as an assembly actually runs it: the epoch
-// length forced to 1 (exact) for Memory, the zero EpochCycles, MaxCycles
-// and Sampling fields replaced by their defaults. It is idempotent, and
-// running Effective options is indistinguishable from running o.
+// Effective returns o as an assembly actually runs it: the zero
+// EpochCycles, MaxCycles and Sampling fields replaced by their defaults, and
+// the epoch length forced to 1 (exact) unless the kind's LD/ST position has
+// cycle-accurate L1s, whose traffic to the memory below them is what an
+// epoch relaxes. It is idempotent, and running Effective options is
+// indistinguishable from running o.
 func (o Options) Effective() Options {
-	if o.EpochCycles < 1 || o.Kind == Memory {
+	if o.EpochCycles < 1 || o.Kind.layout().ldst != cycleAccurate {
 		o.EpochCycles = 1
 	}
 	if o.MaxCycles == 0 {

@@ -76,14 +76,28 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestParseKind: every row of kinds round-trips through its flag spelling,
+// and a spelling outside the table is refused with the table's spellings.
 func TestParseKind(t *testing.T) {
 	for name, want := range map[string]Kind{"detailed": Detailed, "basic": Basic, "memory": Memory, "l2": L2Hybrid} {
 		if got, err := ParseKind(name); err != nil || got != want {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseKind("Detailed"); err == nil {
-		t.Error("ParseKind accepted a spelling outside the vocabulary")
+	var flags []string
+	for k, row := range kinds {
+		got, err := ParseKind(row.flag)
+		if err != nil || got != Kind(k) || got.String() != row.name {
+			t.Errorf("ParseKind(%q) = %v, %v; want %s", row.flag, got, err, row.name)
+		}
+		flags = append(flags, row.flag)
+	}
+	_, err := ParseKind("Detailed")
+	if err == nil {
+		t.Fatal("ParseKind accepted a spelling outside the vocabulary")
+	}
+	if want := "(want " + strings.Join(flags, "|") + ")"; !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseKind error %q does not list %q", err, want)
 	}
 }
 
@@ -127,7 +141,10 @@ func TestEffective(t *testing.T) {
 	}{
 		{"zero value is exact", Options{}, 1},
 		{"relaxed kept", Options{Kind: Basic, EpochCycles: 8}, 8},
+		{"Detailed relaxed kept", Options{Kind: Detailed, EpochCycles: 8}, 8},
+		{"L2Hybrid relaxed kept", Options{Kind: L2Hybrid, EpochCycles: 4}, 4},
 		{"Memory has nothing to relax, so exact", Options{Kind: Memory, EpochCycles: 8}, 1},
+		{"Memory zero is exact", Options{Kind: Memory}, 1},
 	}
 	for _, tt := range tests {
 		got := tt.o.Effective()
@@ -293,7 +310,8 @@ func TestIdentityNormalised(t *testing.T) {
 // FuzzOptionsJSON drives the wire decoder with arbitrary bytes: a decode
 // either errors or yields options, and whatever then passes Validate must
 // assemble on a 2-SM GPU without panicking — the worker's path from a lease
-// grant's opts object to a wired simulator.
+// grant's opts object to a wired simulator — into the layout its kind's row
+// gives it.
 func FuzzOptionsJSON(f *testing.F) {
 	seed := func(o Options) {
 		data, err := json.Marshal(o)
@@ -328,7 +346,14 @@ func FuzzOptionsJSON(f *testing.F) {
 		if o.Validate() != nil {
 			return
 		}
-		// Assembly errors are fine (structured); panics are not.
-		_, _ = assemble(gpu, o, prof, mem.SharedPool)
+		// Assembly errors are fine (structured); panics are not. An
+		// assembly builds each module position as the kind's row says.
+		a, err := assemble(gpu, o, prof, mem.SharedPool)
+		if err != nil {
+			return
+		}
+		if err := checkLayout(a, o.Kind); err != nil {
+			t.Error(err)
+		}
 	})
 }

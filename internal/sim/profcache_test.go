@@ -413,10 +413,10 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		gpu     config.GPU
 		ceiling float64
 	}{
-		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,500
-		{Detailed, "SM", 0.4, wide, 4166},      // measured 3,333
-		{Basic, "SM", 0.4, wide, 3085},         // measured 2,468
-		{Memory, "SM", 0.4, wide, 1048},        // measured 827
+		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,504
+		{Detailed, "SM", 0.4, wide, 4166},      // measured 3,334
+		{Basic, "SM", 0.4, wide, 3085},         // measured 2,469
+		{Memory, "SM", 0.4, wide, 1048},        // measured 821
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
 			app := mustApp(t, row.app, row.scale)

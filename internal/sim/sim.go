@@ -1,16 +1,21 @@
 // Package sim assembles complete GPU performance simulators out of the
-// Swift-Sim modules, reproducing the three configurations the paper
-// evaluates:
+// Swift-Sim modules. Each Kind is a layout (options.go) that gives every
+// module position — front end, ALUs, LD/ST unit with L1, and the hierarchy
+// below the L1 — a cycle-accurate model, an analytical one or none, and
+// assemble builds exactly that. The four kinds are:
 //
 //   - Detailed: the fully cycle-accurate baseline in the Accel-Sim class —
-//     cycle-accurate warp scheduling, ALU pipelines, LD/ST units, sectored
-//     L1/L2 caches with MSHRs, a crossbar NoC, and partitioned DRAM, all
-//     ticked every cycle.
+//     cycle-accurate warp scheduling, instruction fetch, ALU pipelines,
+//     LD/ST units, sectored L1/L2 caches with MSHRs, a crossbar NoC, and
+//     partitioned DRAM, all ticked every cycle.
 //   - Swift-Sim-Basic: the ALU pipelines are replaced by the analytical
-//     model of §III-D1; the memory hierarchy stays cycle-accurate.
+//     model of §III-D1 and the front end is dropped; the memory hierarchy
+//     stays cycle-accurate.
 //   - Swift-Sim-Memory: Basic, plus the entire memory path (LD/ST unit,
 //     L1, NoC, L2, DRAM) replaced by the Eq. 1 analytical model of
 //     §III-D2 driven by reuse-distance/cache-simulation hit rates.
+//   - Swift-Sim-L2: Basic with the NoC, L2 and DRAM replaced by an
+//     analytical backend behind the cycle-accurate L1s.
 //
 // Every configuration shares the identical Block Scheduler and Warp
 // Scheduler & Dispatch modules, demonstrating the paper's claim that
@@ -127,9 +132,10 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 
 	var prof *reuse.Profile
 	var profileWall time.Duration
-	if opts.Kind == Memory {
-		// Hit-rate extraction is part of Swift-Sim-Memory's cost; it is
-		// memoized across runs of the same trace and geometry.
+	if opts.Kind.layout().ldst == analytical {
+		// Hit-rate extraction is part of Swift-Sim-Memory's cost (Eq. 1
+		// reads the rates); it is memoized across runs of the same trace
+		// and geometry.
 		pStart := time.Now()
 		prof = profileCached(app, gpu, opts.HitRates)
 		profileWall = time.Since(pStart)
@@ -291,7 +297,9 @@ func scaleLat(l int, scale float64) int {
 	return v
 }
 
-// assemble wires one simulator instance per opts.Kind. Unsatisfiable unit
+// assemble wires one simulator instance, building each module position as
+// opts.Kind's layout says, bottom up: the hierarchy below the L1s, then the
+// LD/ST units with their L1s, the ALUs and the front end. Unsatisfiable unit
 // or warp-slot configurations are reported as errors here, at assembly
 // time, rather than as panics mid-simulation. reqs is the pool the LD/ST
 // units draw memory requests from.
@@ -300,7 +308,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	g := metrics.New()
 	a := &gpuAssembly{eng: eng, g: g}
 	eng.SetTracer(opts.Trace)
-	traceModule := opts.Trace.Enabled(obs.ModuleLevel)
+	lay := opts.Kind.layout()
 
 	// SMs (with their private L1s and units) form the engine's epoch-local
 	// segment, which a relaxed run (EpochCycles > 1) ticks several cycles at
@@ -322,220 +330,64 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		smCfg.SharedMemLatency = scaleLat(smCfg.SharedMemLatency, scale)
 	}
 
-	// Memory hierarchy (all configurations except Memory, which models
-	// the entire path analytically): one L1 per SM in front of either the
-	// cycle-accurate NoC/L2/DRAM or the analytical Backend. buildL1s makes
-	// the L1s (with the epoch boundary and the L1 probe) over whichever
-	// downstream port the configuration has, and returns their deferred
-	// registration: SMs are built below and registered first, so issue
-	// happens before same-cycle memory processing, and the segment's entries
-	// (SMs, then L1s) form a contiguous registration range with the shared
-	// modules serial after it.
-	var l1For func(smID int) mem.Port
-	buildL1s := func(down mem.Port) (register func()) {
+	// Below the L1s: what an L1 miss goes to.
+	var down mem.Port
+	var ms *memorySystem
+	switch lay.lower {
+	case cycleAccurate:
+		ms = newMemorySystem(eng, gpu, scale, g, opts.Trace)
+		down = ms.noc
+	case analytical:
+		backend := analytic.NewBackend("membackend", eng, gpu, g)
+		eng.AddModule(backend)
+		down = backend
+	}
+
+	// The cycle-accurate units, for the SM positions that take them (built
+	// only then: the providers allocate even unused).
+	var ca smcore.UnitSet
+	if lay.frontEnd == cycleAccurate || lay.alus == cycleAccurate || lay.ldst == cycleAccurate {
+		ca = smcore.NewCycleAccurateUnits(smCfg, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
+	}
+	units := smcore.UnitSet{Scheduler: opts.Scheduler}
+
+	// The LD/ST units: cycle-accurate ones in front of one timed L1 per SM
+	// (behind the epoch boundary in a relaxed run), or Eq. 1 models.
+	var boundary *epochBoundary
+	switch lay.ldst {
+	case cycleAccurate:
 		l1cfg := gpu.L1
 		l1cfg.HitLatency = scaleLat(l1cfg.HitLatency, scale)
-		var boundary *epochBoundary
 		if epochK > 1 {
 			boundary = newEpochBoundary("epochq", down, g)
 		}
-		l1s := make([]*cache.Timed, gpu.NumSMs)
-		for i := range l1s {
+		a.l1s = make([]*cache.Timed, gpu.NumSMs)
+		for i := range a.l1s {
 			l1down := down
 			if boundary != nil {
 				l1down = boundary.port(i, ctx)
 			}
-			l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctx, l1down, g)
-			l1s[i].SetTracer(opts.Trace)
+			a.l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctx, l1down, g)
+			a.l1s[i].SetTracer(opts.Trace)
 		}
-		a.l1s = l1s
-		l1For = func(smID int) mem.Port { return l1s[smID] }
-		if traceModule {
-			l1w := metrics.NewWindow(g.Counter("l1.hit"), g.Counter("l1.miss"))
-			eng.AddProbe("l1_hit_permille", l1w.DeltaPermille)
-		}
-		return func() {
-			for _, l1 := range l1s {
-				eng.RegisterSharded(l1, 0)
-			}
-			// The boundary ticks after the L1s and before the NoC, so
-			// released traffic enters the interconnect the same cycle an
-			// exact run's L1 drain would have delivered it.
-			if boundary != nil {
-				eng.Register(boundary)
-			}
-		}
-	}
-	if opts.Kind == L2Hybrid {
-		backend := analytic.NewBackend("membackend", eng, gpu, g)
-		eng.AddModule(backend)
-		defer buildL1s(backend)()
-	} else if opts.Kind != Memory {
-		l2cfg := gpu.L2
-		l2cfg.HitLatency = scaleLat(l2cfg.HitLatency, scale)
-		dramLat := scaleLat(gpu.DRAMLatency, scale)
-
-		targets := make([]mem.Port, gpu.MemPartitions)
-		var l2s []*cache.Timed
-		var drams []*dram.Partition
-		for p := 0; p < gpu.MemPartitions; p++ {
-			dp := dram.New("dram", eng, gpu.DRAMBanksPerPartition, dramLat, gpu.DRAMRowHitLatency, g)
-			l2 := cache.NewTimed("l2", l2cfg, mem.LevelL2, eng, dp, g)
-			dp.SetTracer(opts.Trace)
-			l2.SetTracer(opts.Trace)
-			drams = append(drams, dp)
-			l2s = append(l2s, l2)
-			targets[p] = l2
-		}
-		lineBytes := uint64(gpu.L2.LineBytes)
-		parts := uint64(gpu.MemPartitions)
-		// XOR-hashed slice interleaving, as on real GPUs and Accel-Sim:
-		// plain modulo would send power-of-two strides to one partition
-		// (partition camping) and serialize the whole memory system.
-		mapAddr := func(addr uint64) int {
-			line := addr / lineBytes
-			line ^= line >> 7
-			line ^= line >> 13
-			return int(line % parts)
-		}
-		var interconnect interface {
-			mem.Port
-			engine.Ticker
-			SetTracer(*obs.Tracer)
-			Occupancy() int
-		}
-		if gpu.NoCTopology == "ring" {
-			// NoCLatency is the crossbar's end-to-end traversal; a
-			// ring pays per hop, so the per-hop cost is derived from
-			// it (≈2 cycles per hop for the default 12).
-			hop := scaleLat(gpu.NoCLatency, scale) / 6
-			if hop < 1 {
-				hop = 1
-			}
-			interconnect = noc.NewRing("noc", eng, gpu.NumSMs, targets, mapAddr,
-				uint64(hop), 2*gpu.MemPartitions, g)
-		} else {
-			// Per-destination throughput in sector-sized messages. Custom
-			// configs can make the quotient zero (flit narrower than a
-			// sector); clamp to 1 so the crossbar still drains. Validate()
-			// rejects non-positive NoCFlitBytes, but assemblies built from
-			// hand-rolled config.GPU values skip validation.
-			flitsPerSector := gpu.NoCFlitBytes / gpu.L1.SectorBytes
-			if flitsPerSector < 1 {
-				flitsPerSector = 1
-			}
-			interconnect = noc.NewCrossbar("noc", eng, targets, mapAddr,
-				uint64(scaleLat(gpu.NoCLatency, scale)), flitsPerSector, g)
-		}
-
-		interconnect.SetTracer(opts.Trace)
-
-		registerL1s := buildL1s(interconnect)
-
-		if traceModule {
-			l2w := metrics.NewWindow(g.Counter("l2.hit"), g.Counter("l2.miss"))
-			eng.AddProbe("l2_hit_permille", l2w.DeltaPermille)
-			eng.AddProbe("noc_occupancy", func() uint64 { return uint64(interconnect.Occupancy()) })
-			eng.AddProbe("dram_queue", func() uint64 {
-				n := 0
-				for _, dp := range drams {
-					n += dp.QueueDepth()
-				}
-				return uint64(n)
-			})
-		}
-
-		defer func() {
-			registerL1s()
-			eng.Register(interconnect)
-			for _, l2 := range l2s {
-				eng.Register(l2)
-			}
-			for _, dp := range drams {
-				eng.Register(dp)
-			}
-		}()
-	}
-
-	// Execution units per configuration.
-	var units smcore.UnitSet
-	switch opts.Kind {
-	case Detailed, Basic, L2Hybrid:
-		units = smcore.NewCycleAccurateUnits(smCfg, ctx, g, gpu.L1.SectorBytes, l1For)
-		ldst := units.LDST
 		units.LDST = func(smID, sub int) smcore.Unit {
-			u := ldst(smID, sub)
+			u := ca.LDST(smID, sub)
 			u.(*smcore.LDSTUnit).SetRequestPool(reqs)
 			return u
 		}
-		if opts.Kind != Detailed {
-			// The hybrids drop the front end and model the ALUs analytically.
-			units.ALU = analyticalALUs(smCfg, gpu.NumSMs, eng, ctx, g)
-			units.ICache = nil
-		}
-	case Memory:
-		// Eq. 1's level latencies are end-to-end from the core: an L2
-		// hit pays the L1 lookup, the NoC round trip and the L2 access;
-		// a DRAM access additionally pays the DRAM latency. The DRAM
-		// channel meter is rated from the detailed model's bank
-		// occupancy (≈16 cycles per sector across banks×partitions);
-		// each SM also has an L1-port meter at the banked L1's rate.
-		l1Hit := scaleLat(gpu.L1.HitLatency, scale)
-		l2End := l1Hit + 2*scaleLat(gpu.NoCLatency, scale) + scaleLat(gpu.L2.HitLatency, scale)
-		dramEnd := l2End + scaleLat(gpu.DRAMLatency, scale)
-		dramRate := 24.0 / float64(gpu.DRAMBanksPerPartition*gpu.MemPartitions)
-		meter := analytic.NewBandwidthMeterRate(dramRate)
-		nocMeter := analytic.NewBandwidthMeterRate(1 / float64(gpu.MemPartitions))
-		l1Meters := make(map[int]*analytic.BandwidthMeter)
-		params := analytic.MemModelParams{
-			Profile:          prof,
-			KernelIndex:      &a.kernelIndex,
-			L1Latency:        l1Hit,
-			L2Latency:        l2End,
-			DRAMLatency:      dramEnd,
-			SharedMemLatency: smCfg.SharedMemLatency,
-			SectorBytes:      gpu.L1.SectorBytes,
-			Lanes:            smCfg.LDSTLanes,
-			DRAM:             meter,
-			NoC:              nocMeter,
-			DivergeCost:      20,
-		}
-		mshrMeters := make(map[int]*analytic.BandwidthMeter)
-		var first *analytic.MemModel // the rest are its siblings
-		var spare []analytic.MemModel
-		units = smcore.UnitSet{
-			ALU: analyticalALUs(smCfg, gpu.NumSMs, eng, eng, g),
-			LDST: func(smID, sub int) smcore.Unit {
-				l1Port, ok := l1Meters[smID]
-				if !ok {
-					l1Port = analytic.NewBandwidthMeterRate(1 / float64(gpu.L1.Banks*gpu.L1.Throughput))
-					l1Meters[smID] = l1Port
-				}
-				mshr, ok := mshrMeters[smID]
-				if !ok {
-					mshr = analytic.NewBandwidthMeterRate(1)
-					mshrMeters[smID] = mshr
-				}
-				var u *analytic.MemModel
-				if first == nil {
-					p := params
-					p.L1Port, p.MSHR, p.MSHREntries = l1Port, mshr, gpu.L1.MSHREntries
-					u = analytic.NewMemModel("mem", eng, p, g)
-					first = u
-				} else {
-					if len(spare) == 0 {
-						spare = first.Siblings(max(gpu.NumSMs*smCfg.SubCores-1, 1))
-					}
-					u, spare = &spare[0], spare[1:]
-					u.SetSMMeters(l1Port, mshr)
-				}
-				eng.AddModule(u)
-				return u
-			},
-		}
+	case analytical:
+		units.LDST = eq1LDST(eng, gpu, smCfg, scale, prof, &a.kernelIndex, g)
 	}
 
-	units.Scheduler = opts.Scheduler
+	switch lay.alus {
+	case cycleAccurate:
+		units.ALU = ca.ALU
+	case analytical:
+		units.ALU = analyticalALUs(smCfg, gpu.NumSMs, eng, ctx, g)
+	}
+	if lay.frontEnd == cycleAccurate {
+		units.ICache = ca.ICache
+	}
 
 	// SMs and the Block Scheduler.
 	sms := make([]*smcore.SM, gpu.NumSMs)
@@ -550,7 +402,52 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		sms[i] = sm
 	}
 	a.sms = sms
-	if traceModule {
+	bs = smcore.NewBlockScheduler(sms, g)
+	a.bs = bs
+
+	// Registration order is tick order: the SMs issue before same-cycle
+	// memory processing, and the segment's entries (SMs, then L1s) form a
+	// contiguous range with the shared modules serial around it. The
+	// boundary ticks after the L1s and before the NoC, so released traffic
+	// enters the interconnect the same cycle an exact run's L1 drain would
+	// have delivered it.
+	eng.Register(bs)
+	for _, sm := range sms {
+		eng.RegisterSharded(sm, 0)
+	}
+	for _, l1 := range a.l1s {
+		eng.RegisterSharded(l1, 0)
+	}
+	if boundary != nil {
+		eng.Register(boundary)
+	}
+	if ms != nil {
+		eng.Register(ms.noc)
+		for _, l2 := range ms.l2s {
+			eng.Register(l2)
+		}
+		for _, dp := range ms.drams {
+			eng.Register(dp)
+		}
+	}
+
+	if opts.Trace.Enabled(obs.ModuleLevel) {
+		if a.l1s != nil {
+			l1w := metrics.NewWindow(g.Counter("l1.hit"), g.Counter("l1.miss"))
+			eng.AddProbe("l1_hit_permille", l1w.DeltaPermille)
+		}
+		if ms != nil {
+			l2w := metrics.NewWindow(g.Counter("l2.hit"), g.Counter("l2.miss"))
+			eng.AddProbe("l2_hit_permille", l2w.DeltaPermille)
+			eng.AddProbe("noc_occupancy", func() uint64 { return uint64(ms.noc.Occupancy()) })
+			eng.AddProbe("dram_queue", func() uint64 {
+				n := 0
+				for _, dp := range ms.drams {
+					n += dp.QueueDepth()
+				}
+				return uint64(n)
+			})
+		}
 		// "Active" means holding resident blocks — a memory-stalled SM is
 		// still occupied. Busy() would report the idle-aware issue state
 		// and zero out the timeline during long stalls.
@@ -564,66 +461,155 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 			return uint64(n)
 		})
 	}
-	bs = smcore.NewBlockScheduler(sms, g)
-	a.bs = bs
-	eng.Register(bs)
-	for _, sm := range sms {
-		eng.RegisterSharded(sm, 0)
-	}
 	return a, nil
 }
 
+// memorySystem is the cycle-accurate hierarchy below the L1s: an
+// interconnect in front of one L2 slice and one DRAM partition per memory
+// partition.
+type memorySystem struct {
+	noc interface {
+		mem.Port
+		engine.Ticker
+		SetTracer(*obs.Tracer)
+		Occupancy() int
+	}
+	l2s   []*cache.Timed
+	drams []*dram.Partition
+}
+
+// newMemorySystem builds gpu's NoC, L2 slices and DRAM partitions, with
+// latencies scaled by scale.
+func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metrics.Gatherer, tr *obs.Tracer) *memorySystem {
+	l2cfg := gpu.L2
+	l2cfg.HitLatency = scaleLat(l2cfg.HitLatency, scale)
+	dramLat := scaleLat(gpu.DRAMLatency, scale)
+
+	ms := &memorySystem{}
+	targets := make([]mem.Port, gpu.MemPartitions)
+	for p := range targets {
+		dp := dram.New("dram", eng, gpu.DRAMBanksPerPartition, dramLat, gpu.DRAMRowHitLatency, g)
+		l2 := cache.NewTimed("l2", l2cfg, mem.LevelL2, eng, dp, g)
+		dp.SetTracer(tr)
+		l2.SetTracer(tr)
+		ms.drams = append(ms.drams, dp)
+		ms.l2s = append(ms.l2s, l2)
+		targets[p] = l2
+	}
+	lineBytes := uint64(gpu.L2.LineBytes)
+	parts := uint64(gpu.MemPartitions)
+	// XOR-hashed slice interleaving, as on real GPUs and Accel-Sim:
+	// plain modulo would send power-of-two strides to one partition
+	// (partition camping) and serialize the whole memory system.
+	mapAddr := func(addr uint64) int {
+		line := addr / lineBytes
+		line ^= line >> 7
+		line ^= line >> 13
+		return int(line % parts)
+	}
+	if gpu.NoCTopology == "ring" {
+		// NoCLatency is the crossbar's end-to-end traversal; a
+		// ring pays per hop, so the per-hop cost is derived from
+		// it (≈2 cycles per hop for the default 12).
+		hop := scaleLat(gpu.NoCLatency, scale) / 6
+		if hop < 1 {
+			hop = 1
+		}
+		ms.noc = noc.NewRing("noc", eng, gpu.NumSMs, targets, mapAddr,
+			uint64(hop), 2*gpu.MemPartitions, g)
+	} else {
+		// Per-destination throughput in sector-sized messages. Custom
+		// configs can make the quotient zero (flit narrower than a
+		// sector); clamp to 1 so the crossbar still drains. Validate()
+		// rejects non-positive NoCFlitBytes, but assemblies built from
+		// hand-rolled config.GPU values skip validation.
+		flitsPerSector := gpu.NoCFlitBytes / gpu.L1.SectorBytes
+		if flitsPerSector < 1 {
+			flitsPerSector = 1
+		}
+		ms.noc = noc.NewCrossbar("noc", eng, targets, mapAddr,
+			uint64(scaleLat(gpu.NoCLatency, scale)), flitsPerSector, g)
+	}
+	ms.noc.SetTracer(tr)
+	return ms
+}
+
+// eq1LDST returns Swift-Sim-Memory's LD/ST provider: one Eq. 1 MemModel
+// per sub-core, reading the profile's rates for the kernel at
+// *kernelIndex. Eq. 1's level latencies are end-to-end from the core: an
+// L2 hit pays the L1 lookup, the NoC round trip and the L2 access; a DRAM
+// access additionally pays the DRAM latency. The DRAM channel meter is
+// rated from the detailed model's bank occupancy (≈16 cycles per sector
+// across banks×partitions); each SM also has an L1-port meter at the
+// banked L1's rate and an MSHR meter, shared by its sub-cores.
+func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64, prof *reuse.Profile, kernelIndex *int, g *metrics.Gatherer) func(smID, sub int) smcore.Unit {
+	l1Hit := scaleLat(gpu.L1.HitLatency, scale)
+	l2End := l1Hit + 2*scaleLat(gpu.NoCLatency, scale) + scaleLat(gpu.L2.HitLatency, scale)
+	params := analytic.MemModelParams{
+		Profile:          prof,
+		KernelIndex:      kernelIndex,
+		L1Latency:        l1Hit,
+		L2Latency:        l2End,
+		DRAMLatency:      l2End + scaleLat(gpu.DRAMLatency, scale),
+		SharedMemLatency: smCfg.SharedMemLatency,
+		SectorBytes:      gpu.L1.SectorBytes,
+		Lanes:            smCfg.LDSTLanes,
+		DRAM:             analytic.NewBandwidthMeterRate(24.0 / float64(gpu.DRAMBanksPerPartition*gpu.MemPartitions)),
+		NoC:              analytic.NewBandwidthMeterRate(1 / float64(gpu.MemPartitions)),
+		MSHREntries:      gpu.L1.MSHREntries,
+		DivergeCost:      20,
+	}
+	l1Rate := 1 / float64(gpu.L1.Banks*gpu.L1.Throughput)
+	numUnits := gpu.NumSMs * smCfg.SubCores
+	meters := make([]struct{ l1Port, mshr *analytic.BandwidthMeter }, gpu.NumSMs)
+	var first *analytic.MemModel // the rest are its siblings
+	var spare []analytic.MemModel
+	return func(smID, sub int) smcore.Unit {
+		m := &meters[smID]
+		if m.l1Port == nil {
+			m.l1Port = analytic.NewBandwidthMeterRate(l1Rate)
+			m.mshr = analytic.NewBandwidthMeterRate(1)
+		}
+		var u *analytic.MemModel
+		if first == nil {
+			p := params
+			p.L1Port, p.MSHR = m.l1Port, m.mshr
+			u = analytic.NewMemModel("mem", eng, p, g)
+			first = u
+		} else {
+			if len(spare) == 0 {
+				spare = first.Siblings(max(numUnits-1, 1))
+			}
+			u, spare = &spare[0], spare[1:]
+			u.SetSMMeters(m.l1Port, m.mshr)
+		}
+		eng.AddModule(u)
+		return u
+	}
+}
+
 // analyticalALUs returns the ALU provider of the hybrid configurations:
-// one ALUModel per sub-core per class, with DP shared per sub-core pair
-// when the configuration is "DP:0.5x" — identical structure to the
-// cycle-accurate provider, different modeling. ctx is the engine context
-// the models schedule completions through (the segment's, for units inside
-// an SM); eng is only used for the module inventory. The first unit
+// smcore.ALUs' layout of units, each an ALUModel. ctx is the engine context
+// the models schedule completions through (the segment's, as for every unit
+// inside an SM); eng is only used for the module inventory. The first unit
 // of a class resolves the class's counters; the others are its siblings,
-// built in one slice sized for the numSMs SMs the provider will be asked
-// about.
+// built in one slice sized for one unit per sub-core of the numSMs SMs the
+// provider will be asked about.
 func analyticalALUs(cfg config.SM, numSMs int, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
-	type dpKey struct{ sm, pair int }
-	sharedDP := make(map[dpKey]*analytic.ALUModel)
 	var first [4]*analytic.ALUModel // indexed by trace.OpInt..trace.OpSFU
 	var spare [4][]analytic.ALUModel
-	mk := func(class trace.OpClass, lat, lanes int) *analytic.ALUModel {
+	return smcore.ALUs(cfg, func(class trace.OpClass, lat, lanes int) smcore.Unit {
 		u := first[class]
 		if u == nil {
 			u = analytic.NewALUModel("alu."+class.String(), ctx, lat, cfg.IssueInterval(lanes), g)
 			first[class] = u
 		} else {
 			if len(spare[class]) == 0 {
-				perSM := cfg.SubCores
-				if class == trace.OpDP && cfg.DPLanesHalf {
-					perSM = (cfg.SubCores + 1) / 2
-				}
-				spare[class] = u.Siblings(max(numSMs*perSM-1, 1))
+				spare[class] = u.Siblings(max(numSMs*cfg.SubCores-1, 1))
 			}
 			u, spare[class] = &spare[class][0], spare[class][1:]
 		}
 		eng.AddModule(u)
 		return u
-	}
-	return func(smID, sub int, class trace.OpClass) smcore.Unit {
-		switch class {
-		case trace.OpInt:
-			return mk(class, cfg.IntLatency, cfg.IntLanes)
-		case trace.OpSP:
-			return mk(class, cfg.SPLatency, cfg.SPLanes)
-		case trace.OpSFU:
-			return mk(class, cfg.SFULatency, cfg.SFULanes)
-		default: // OpDP
-			if !cfg.DPLanesHalf {
-				return mk(trace.OpDP, cfg.DPLatency, cfg.DPLanes)
-			}
-			key := dpKey{smID, sub / 2}
-			if u, ok := sharedDP[key]; ok {
-				return u
-			}
-			u := mk(trace.OpDP, cfg.DPLatency, cfg.DPLanes)
-			sharedDP[key] = u
-			return u
-		}
-	}
+	})
 }

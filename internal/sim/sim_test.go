@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,41 +111,109 @@ func TestMemorySkipsMoreCycles(t *testing.T) {
 	}
 }
 
+// positionNames and modelNames render a layout's positions and models in
+// failure messages.
+var (
+	positionNames = [4]string{"front end", "ALUs", "LD/ST with L1", "below L1"}
+	modelNames    = [...]string{absent: "absent", analytical: "analytical", cycleAccurate: "cycle-accurate"}
+)
+
+// checkLayout reads back from an assembly of kind k the model each module
+// position got, and fails unless it is the one k's row of kinds gives it.
+// Engine modules show their position by inventory name and their model by
+// ModelKind. The units an SM holds inside it are not engine modules, so
+// they show by the counters their class registers: "icache." (the front
+// end), "oc." (the cycle-accurate ALUs' operand collectors) and "ldst."
+// (the cycle-accurate LD/ST unit). A position built of two models fails
+// too.
+func checkLayout(a *gpuAssembly, k Kind) error {
+	var got [4]model
+	var errs []error
+	show := func(part string, pos int, m model) {
+		if got[pos] != absent && got[pos] != m {
+			errs = append(errs, fmt.Errorf("%v: %s %s is %s, another part of it %s",
+				k, positionNames[pos], part, modelNames[m], modelNames[got[pos]]))
+		}
+		got[pos] = m
+	}
+	for _, mi := range a.eng.Inventory() {
+		m := analytical
+		if mi.Kind == engine.CycleAccurate {
+			m = cycleAccurate
+		}
+		switch mi.Name {
+		case "alu.INT", "alu.SP", "alu.DP", "alu.SFU":
+			show(mi.Name, 1, m)
+		case "l1", "mem":
+			show(mi.Name, 2, m)
+		case "noc", "l2", "dram", "membackend":
+			show(mi.Name, 3, m)
+		}
+	}
+	for _, c := range a.g.Names() {
+		for pos, prefix := range [3]string{"icache.", "oc.", "ldst."} {
+			if strings.HasPrefix(c, prefix) {
+				show(c, pos, cycleAccurate)
+			}
+		}
+	}
+	l := kinds[k].layout
+	for pos, want := range [4]model{l.frontEnd, l.alus, l.ldst, l.lower} {
+		if got[pos] != want {
+			errs = append(errs, fmt.Errorf("%v: %s is %s, its row says %s",
+				k, positionNames[pos], modelNames[got[pos]], modelNames[want]))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// TestInventoryReflectsHybridization runs every kind and checks each module
+// position against the kind's row, then what the rows must say: only
+// Detailed has a front end and no analytical module, only Detailed and
+// Basic a cycle-accurate NoC, L2 and DRAM, only L2Hybrid the analytical
+// backend, L2Hybrid an L1 per SM, and Memory more analytical modules than
+// Basic.
 func TestInventoryReflectsHybridization(t *testing.T) {
 	gpu := smallGPU()
 	app := mustApp(t, "GAUSSIAN", 0.1)
-	countKinds := func(inv []engine.ModuleInfo) (ca, an int) {
-		for _, m := range inv {
+	var asm *gpuAssembly
+	ranOn = func(a *gpuAssembly) { asm = a }
+	defer func() { ranOn = nil }()
+	nAnalytical := map[Kind]int{}
+	for k := range kinds {
+		kind := Kind(k)
+		if _, err := Run(app, gpu, Options{Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkLayout(asm, kind); err != nil {
+			t.Error(err)
+		}
+		names := map[string]int{}
+		for _, m := range asm.eng.Inventory() {
+			names[m.Name]++
 			if m.Kind == engine.Analytical {
-				an++
-			} else {
-				ca++
+				nAnalytical[kind]++
 			}
 		}
-		return
+		if (nAnalytical[kind] > 0) != (kind != Detailed) {
+			t.Errorf("%v: %d analytical modules, want some only outside Detailed", kind, nAnalytical[kind])
+		}
+		icache := slices.ContainsFunc(asm.g.Names(), func(c string) bool { return strings.HasPrefix(c, "icache.") })
+		if icache != (kind == Detailed) {
+			t.Errorf("%v: instruction cache %v, want one only under Detailed", kind, icache)
+		}
+		if lower := names["noc"] + names["l2"] + names["dram"]; (lower > 0) != (kind == Detailed || kind == Basic) {
+			t.Errorf("%v: %d noc, l2 and dram modules", kind, lower)
+		}
+		if (names["membackend"] > 0) != (kind == L2Hybrid) {
+			t.Errorf("%v: %d membackend modules", kind, names["membackend"])
+		}
+		if kind == L2Hybrid && names["l1"] != gpu.NumSMs {
+			t.Errorf("%v: %d l1 modules, want %d", kind, names["l1"], gpu.NumSMs)
+		}
 	}
-	det, err := Run(app, gpu, Options{Kind: Detailed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, an := countKinds(det.Inventory); an != 0 {
-		t.Errorf("Detailed inventory contains %d analytical modules", an)
-	}
-	bas, err := Run(app, gpu, Options{Kind: Basic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, an := countKinds(bas.Inventory); an == 0 {
-		t.Error("Basic inventory contains no analytical modules")
-	}
-	memr, err := Run(app, gpu, Options{Kind: Memory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, anBasic := countKinds(bas.Inventory)
-	_, anMem := countKinds(memr.Inventory)
-	if anMem <= anBasic {
-		t.Errorf("Memory (%d analytical) not more hybridized than Basic (%d)", anMem, anBasic)
+	if nAnalytical[Memory] <= nAnalytical[Basic] {
+		t.Errorf("Memory (%d analytical) not more hybridized than Basic (%d)", nAnalytical[Memory], nAnalytical[Basic])
 	}
 }
 
@@ -234,11 +304,25 @@ func TestExtraKernelOverhead(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	if Detailed.String() != "Detailed" || Basic.String() != "Swift-Sim-Basic" ||
-		Memory.String() != "Swift-Sim-Memory" {
+		Memory.String() != "Swift-Sim-Memory" || L2Hybrid.String() != "Swift-Sim-L2" {
 		t.Error("Kind names wrong")
 	}
-	if Kind(9).String() == "" {
-		t.Error("unknown kind must stringify")
+	// A Kind with no row in kinds renders, normalises and identifies
+	// without panicking, and fails Validate.
+	for _, k := range []Kind{-1, Kind(len(kinds)), 9} {
+		o := Options{Kind: k, EpochCycles: 8}
+		if got, want := k.String(), fmt.Sprintf("Kind(%d)", int(k)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := o.Effective().EpochCycles; got != 1 {
+			t.Errorf("%v: effective epoch %d, want 1 (no cycle-accurate L1s)", k, got)
+		}
+		if id := o.Identity(); !strings.Contains(id, fmt.Sprintf("kind=%d ", int(k))) {
+			t.Errorf("%v: identity %q", k, id)
+		}
+		if o.Validate() == nil {
+			t.Errorf("%v validated", k)
+		}
 	}
 }
 
@@ -392,9 +476,9 @@ func TestRunCtxDeadline(t *testing.T) {
 
 func TestL2HybridConfiguration(t *testing.T) {
 	// The fourth hybridization point: cycle-accurate L1 over an
-	// analytical below-L1 backend. It must complete all work, sit
-	// between Basic and Memory in hybridization, and predict cycles in
-	// the same band.
+	// analytical below-L1 backend. It must complete all work and predict
+	// cycles in the same band as Basic (its inventory is checked in
+	// TestInventoryReflectsHybridization).
 	gpu := smallGPU()
 	app := mustApp(t, "SM", 0.15)
 	basic, err := Run(app, gpu, Options{Kind: Basic})
@@ -411,20 +495,6 @@ func TestL2HybridConfiguration(t *testing.T) {
 	ratio := float64(hyb.Cycles) / float64(basic.Cycles)
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("L2Hybrid %d cycles vs Basic %d (ratio %.2f)", hyb.Cycles, basic.Cycles, ratio)
-	}
-	// Its inventory has analytical modules (the backend + ALUs) and
-	// cycle-accurate L1s.
-	an, l1 := 0, 0
-	for _, m := range hyb.Inventory {
-		if m.Kind == engine.Analytical {
-			an++
-		}
-		if m.Name == "l1" {
-			l1++
-		}
-	}
-	if an == 0 || l1 != gpu.NumSMs {
-		t.Errorf("inventory: %d analytical, %d l1 modules (want >0, %d)", an, l1, gpu.NumSMs)
 	}
 	if hyb.Kind.String() != "Swift-Sim-L2" {
 		t.Errorf("Kind = %q", hyb.Kind.String())

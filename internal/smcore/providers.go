@@ -20,9 +20,9 @@ const (
 )
 
 // NewCycleAccurateUnits returns the fully cycle-accurate UnitSet used by
-// the detailed (Accel-Sim-class) simulator: ALUPipelines for every
-// arithmetic class — with one DP pipeline shared per sub-core pair when the
-// configuration says "DP:0.5x" — and an LDSTUnit feeding the SM's L1 port.
+// the detailed (Accel-Sim-class) simulator: ALUPipelines laid out by ALUs,
+// an LDSTUnit feeding the SM's L1 port and an instruction cache per
+// sub-core.
 //
 // sectorBytes is the memory-system transaction size (the L1 sector size);
 // l1For returns the L1 data-cache port of the given SM.
@@ -31,15 +31,12 @@ const (
 // built, and shared by every later unit of the class, so an assembly names
 // each counter once rather than once per sub-core.
 func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
-	type dpKey struct{ sm, pair int }
-	sharedDP := make(map[dpKey]Unit)
-
 	type pipeClass struct {
 		alu aluClass
 		oc  collectorClass
 	}
 	var classes [4]pipeClass // indexed by trace.OpInt..trace.OpSFU
-	pipe := func(class trace.OpClass, lat, lanes int) Unit {
+	alu := ALUs(cfg, func(class trace.OpClass, lat, lanes int) Unit {
 		// Each arithmetic pipeline sits behind an operand-collection
 		// stage reading through the banked register file — part of the
 		// per-cycle detail that the hybrid configurations drop.
@@ -49,33 +46,7 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 			*c = pipeClass{alu: newALUClass("alu."+name, g), oc: newCollectorClass("oc."+name, g)}
 		}
 		return newOperandCollector(c.oc, newALUPipeline(c.alu, lat, cfg.IssueInterval(lanes)))
-	}
-	alu := func(smID, sub int, class trace.OpClass) Unit {
-		switch class {
-		case trace.OpInt:
-			return pipe(class, cfg.IntLatency, cfg.IntLanes)
-		case trace.OpSP:
-			return pipe(class, cfg.SPLatency, cfg.SPLanes)
-		case trace.OpSFU:
-			return pipe(class, cfg.SFULatency, cfg.SFULanes)
-		case trace.OpDP:
-			if !cfg.DPLanesHalf {
-				return pipe(class, cfg.DPLatency, cfg.DPLanes)
-			}
-			key := dpKey{smID, sub / 2}
-			if u, ok := sharedDP[key]; ok {
-				return u
-			}
-			u := pipe(class, cfg.DPLatency, cfg.DPLanes)
-			sharedDP[key] = u
-			return u
-		default:
-			// Unknown arithmetic class: report the hole by returning nil;
-			// NewSM turns a nil unit into a validation error at assembly
-			// time instead of a process-killing panic mid-sweep.
-			return nil
-		}
-	}
+	})
 	var ldstC ldstClass
 	ldst := func(smID, sub int) Unit {
 		if ldstC.issued == nil {
@@ -92,4 +63,39 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 		return newICache(icacheC, icacheCapacityLines, icacheMissLatency)
 	}
 	return UnitSet{ALU: alu, LDST: ldst, ICache: icache}
+}
+
+// ALUs returns an ALU provider that lays out a sub-core's arithmetic units,
+// building each with unit(class, latency, lanes): one unit per class per
+// sub-core, except that a "DP:0.5x" configuration (Table II) shares one DP
+// unit per sub-core pair. The cycle-accurate pipelines and the hybrid
+// configurations' analytical models share this layout. An unknown class
+// gets nil, which NewSM turns into a validation error at assembly time
+// instead of a process-killing panic mid-sweep.
+func ALUs(cfg config.SM, unit func(class trace.OpClass, lat, lanes int) Unit) func(smID, sub int, class trace.OpClass) Unit {
+	type dpKey struct{ sm, pair int }
+	sharedDP := make(map[dpKey]Unit)
+	return func(smID, sub int, class trace.OpClass) Unit {
+		switch class {
+		case trace.OpInt:
+			return unit(class, cfg.IntLatency, cfg.IntLanes)
+		case trace.OpSP:
+			return unit(class, cfg.SPLatency, cfg.SPLanes)
+		case trace.OpSFU:
+			return unit(class, cfg.SFULatency, cfg.SFULanes)
+		case trace.OpDP:
+			if !cfg.DPLanesHalf {
+				return unit(class, cfg.DPLatency, cfg.DPLanes)
+			}
+			key := dpKey{smID, sub / 2}
+			if u, ok := sharedDP[key]; ok {
+				return u
+			}
+			u := unit(class, cfg.DPLatency, cfg.DPLanes)
+			sharedDP[key] = u
+			return u
+		default:
+			return nil
+		}
+	}
 }

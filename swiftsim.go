@@ -6,11 +6,13 @@
 // performance model in which every component — block scheduler, warp
 // scheduler & dispatch, execution units, LD/ST unit, caches, NoC, DRAM —
 // sits behind a fixed interface and can be modeled either cycle-accurately
-// or analytically. Three ready-made configurations mirror the paper:
+// or analytically. Four ready-made configurations: the first three mirror
+// the paper, the fourth moves the hybridization point below the L1:
 //
 //	Detailed          fully cycle-accurate baseline (Accel-Sim class)
 //	SwiftSimBasic     analytical ALU pipelines (§III-D1)
 //	SwiftSimMemory    analytical ALUs + analytical memory model (§III-D2)
+//	SwiftSimL2        analytical ALUs + analytical NoC, L2 and DRAM
 //
 // A minimal session:
 //
@@ -39,7 +41,7 @@ import (
 // Simulator selects one of the framework's assembled configurations.
 type Simulator = sim.Kind
 
-// The three configurations evaluated in the paper.
+// The configurations: the three evaluated in the paper, and SwiftSimL2.
 const (
 	// Detailed is the fully cycle-accurate baseline simulator.
 	Detailed Simulator = sim.Detailed
