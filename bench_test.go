@@ -241,7 +241,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // there undiluted. `make profile` takes its CPU tables from it; each row's
 // samples carry the pprof label catalog=<row>, because -bench selecting
 // Basic/scatter also runs the Basic row once to look for sub-benchmarks.
-// -short runs two apps at scale 0.15 (one for scatter).
+// -short runs two apps at scale 0.15 (one for scatter). Each row reports
+// allocs/kinst beside kinst/s, the heap objects its runs allocated per
+// thousand instructions (a runtime.MemStats.Mallocs delta): the host-
+// independent number the benchmark harness's allocs_per_kinst reads.
 func BenchmarkCatalog(b *testing.B) {
 	names, scale := workload.Names(), 0.5
 	scatter := []string{"PAGERANK", "BFS", "SSSP"}
@@ -273,6 +276,8 @@ func BenchmarkCatalog(b *testing.B) {
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			var insts uint64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			pprof.Do(context.Background(), pprof.Labels("catalog", row.name), func(context.Context) {
 				for i := 0; i < b.N; i++ {
 					for _, app := range row.apps {
@@ -284,7 +289,9 @@ func BenchmarkCatalog(b *testing.B) {
 					}
 				}
 			})
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(insts)/1e3/b.Elapsed().Seconds(), "kinst/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/(float64(insts)/1e3), "allocs/kinst")
 		})
 	}
 }

@@ -36,33 +36,30 @@ type ALUModel struct {
 }
 
 // NewALUModel builds an analytical ALU with the same parameters as the
-// cycle-accurate pipeline it replaces.
+// cycle-accurate pipeline it replaces. It is NewALUModels' batch of one.
 func NewALUModel(name string, eng engine.Context, latency, interval int, g *metrics.Gatherer) *ALUModel {
-	if interval < 1 {
-		interval = 1
-	}
-	return &ALUModel{
+	return &NewALUModels(1, name, eng, latency, interval, g)[0]
+}
+
+// NewALUModels builds n units of one class in one slice: the same
+// parameters and the same counters, each with an issue port of its own. An
+// assembly builds each class's NumSMs×SubCores units with one call, so the
+// counter names are built and resolved once per class and the units cost
+// one allocation, not one each.
+func NewALUModels(n int, name string, eng engine.Context, latency, interval int, g *metrics.Gatherer) []ALUModel {
+	u := ALUModel{
 		name:       name,
 		eng:        eng,
 		latency:    uint64(latency),
-		interval:   uint64(interval),
+		interval:   uint64(max(interval, 1)),
 		issued:     g.Counter(name + ".issued"),
 		contention: g.Counter(name + ".contention_cycles"),
 	}
-}
-
-// Siblings returns n more units of u's class, in one slice: the same
-// parameters and the same counters, each with an issue port of its own. An
-// assembly builds one unit per class with NewALUModel and the class's other
-// NumSMs×SubCores−1 from it, so the counter names are built and resolved
-// once per class and the units cost one allocation, not one each.
-func (u *ALUModel) Siblings(n int) []ALUModel {
-	sibs := make([]ALUModel, n)
-	for i := range sibs {
-		sibs[i] = *u
-		sibs[i].freeAt = 0
+	units := make([]ALUModel, n)
+	for i := range units {
+		units[i] = u
 	}
-	return sibs
+	return units
 }
 
 // Name implements engine.Module.
@@ -109,20 +106,28 @@ type BandwidthMeter struct {
 // NewBandwidthMeter builds a meter for a GPU with the given number of
 // memory partitions, each able to transfer one sector per cycle.
 func NewBandwidthMeter(partitions int) *BandwidthMeter {
-	if partitions < 1 {
-		partitions = 1
-	}
-	return &BandwidthMeter{cyclesPerSector: 1 / float64(partitions)}
+	return NewBandwidthMeterRate(1 / float64(max(partitions, 1)))
 }
 
 // NewBandwidthMeterRate builds a meter with an explicit aggregate service
 // cost per sector, for channels whose rate is not one sector per cycle per
-// unit (e.g. DRAM banks with multi-cycle occupancy).
+// unit (e.g. DRAM banks with multi-cycle occupancy). It is
+// NewBandwidthMeters' batch of one.
 func NewBandwidthMeterRate(cyclesPerSector float64) *BandwidthMeter {
+	return &NewBandwidthMeters(1, cyclesPerSector)[0]
+}
+
+// NewBandwidthMeters builds n meters of one rate in one slice, such as the
+// per-SM L1-port meters of an assembly.
+func NewBandwidthMeters(n int, cyclesPerSector float64) []BandwidthMeter {
 	if cyclesPerSector <= 0 {
 		cyclesPerSector = 1
 	}
-	return &BandwidthMeter{cyclesPerSector: cyclesPerSector}
+	meters := make([]BandwidthMeter, n)
+	for i := range meters {
+		meters[i].cyclesPerSector = cyclesPerSector
+	}
+	return meters
 }
 
 // Reserve books sectors×weight sector transfers starting no earlier than
@@ -258,21 +263,25 @@ type MemModelParams struct {
 	MSHREntries int
 }
 
-// NewMemModel builds one analytical LD/ST replacement (one per sub-core),
-// with the Eq. 1 rows of a run: build the run's other units with Siblings,
-// so they share them. It panics on a profile coalesced at a sector size
-// other than p.SectorBytes, whose sector counts would be wrong.
+// NewMemModel builds one analytical LD/ST replacement (one per sub-core).
+// It is NewMemModels' batch of one.
 func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.Gatherer) *MemModel {
+	return &NewMemModels(1, name, eng, p, g)[0]
+}
+
+// NewMemModels builds n units of one class in one slice, as NewALUModels
+// does. They share the Eq. 1 rows of a run, so a run fills each power once,
+// and each stands behind p's per-SM meters until the assembly moves it
+// behind its own SM's with SetSMMeters. It panics on a profile coalesced at
+// a sector size other than p.SectorBytes, whose sector counts would be
+// wrong.
+func NewMemModels(n int, name string, eng *engine.Engine, p MemModelParams, g *metrics.Gatherer) []MemModel {
 	if p.Profile.SectorBytes != p.SectorBytes {
 		panic(fmt.Sprintf("analytic: memory model %s models %d-byte sectors, its profile was coalesced at %d",
 			name, p.SectorBytes, p.Profile.SectorBytes))
 	}
-	lanes := p.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
 	base, rows := newEq1Rows(p.Profile)
-	return &MemModel{
+	u := MemModel{
 		name:         name,
 		eng:          eng,
 		facts:        p.Profile.Facts,
@@ -283,7 +292,7 @@ func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.G
 		latL2:        float64(p.L2Latency),
 		latDRAM:      float64(p.DRAMLatency),
 		shmemLat:     uint64(p.SharedMemLatency),
-		lanes:        lanes,
+		lanes:        max(p.Lanes, 1),
 		dram:         p.DRAM,
 		l1port:       p.L1Port,
 		noc:          p.NoC,
@@ -294,19 +303,11 @@ func NewMemModel(name string, eng *engine.Engine, p MemModelParams, g *metrics.G
 		transactions: g.Counter(name + ".transactions"),
 		contention:   g.Counter(name + ".contention_cycles"),
 	}
-}
-
-// Siblings returns n more units of u's class in one slice, as
-// ALUModel.Siblings does. They share u's Eq. 1 rows, so a run fills each
-// power once. Each still stands behind u's per-SM meters; the assembly
-// moves it behind its own SM's with SetSMMeters.
-func (u *MemModel) Siblings(n int) []MemModel {
-	sibs := make([]MemModel, n)
-	for i := range sibs {
-		sibs[i] = *u
-		sibs[i].freeAt = 0
+	units := make([]MemModel, n)
+	for i := range units {
+		units[i] = u
 	}
-	return sibs
+	return units
 }
 
 // SetSMMeters puts u behind the given per-SM meters

@@ -516,10 +516,9 @@ func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) s
 	eng := engine.New()
 	g := metrics.New()
 	kernel := 0
-	// One unit per sub-core, as an assembly builds them: the first and its
-	// siblings, sharing the run's Eq. 1 rows.
-	first := NewMemModel("mem", eng, memParams(reuse.ProfileApp(app, config.RTX2080Ti()), &kernel), g)
-	sibs := first.Siblings(config.RTX2080Ti().SM.SubCores)
+	// One unit per sub-core, as an assembly builds them: one class, sharing
+	// the run's Eq. 1 rows.
+	sibs := NewMemModels(config.RTX2080Ti().SM.SubCores, "mem", eng, memParams(reuse.ProfileApp(app, config.RTX2080Ti()), &kernel), g)
 	units := NewHybridUnits(
 		func(smID, sub int, class trace.OpClass) smcore.Unit {
 			return NewALUModel("alu."+class.String(), eng, 4, 1, g)

@@ -63,6 +63,12 @@ func (t *tags) reset(cfg config.Cache) {
 	} else {
 		lines = make([]line, n)
 	}
+	t.init(cfg, lines)
+}
+
+// init makes t an empty tag array of cfg over lines, which hold
+// cfg.Sets×cfg.Ways zero lines.
+func (t *tags) init(cfg config.Cache, lines []line) {
 	repl := cfg.Replacement
 	if repl != config.FIFO && repl != config.Random {
 		repl = config.LRU

@@ -41,11 +41,12 @@ const mshrSlab = 16
 // by line address: a chained hash over at least capacity buckets, so a
 // chain averages under one entry. Entries are recycled: a released entry
 // goes onto the free list (linked through next) with its waiters array, and
-// new entries come from there, or from a fresh slab while the table is
-// still growing toward its working size (an RTX 2080 Ti assembly builds 68
-// L1 tables of 256 entries inside the timed section; most never hold more
-// than a few misses at once). Nothing iterates the table, so the chains'
-// order is never observable.
+// new entries come from there, or from a fresh slab of mshrSlab, carved
+// from the cache class's, while the table is still growing toward its
+// working size (an RTX 2080 Ti assembly builds 68 L1 tables of 256 entries
+// inside the timed section; most never hold more than a few misses at
+// once). Nothing iterates the table, so the chains' order is never
+// observable.
 type mshrTable struct {
 	buckets  []*mshrEntry // chain heads; a power of two of them
 	shift    uint         // 64 - log2(len(buckets)): hash keeps the top bits
@@ -55,18 +56,31 @@ type mshrTable struct {
 	filled   []*mem.Request // fill's result, valid until the next fill
 	capacity int
 	maxMerge int
+	// slabs and fills are where the table's entry slabs and fill's result
+	// array come from: the cache class's, or nil for a table of its own.
+	slabs *mem.Slab[mshrEntry]
+	fills *mem.Slab[*mem.Request]
 }
 
-func newMSHR(entries, maxMerge int) mshrTable {
+// mshrBuckets returns the bucket count of a table of the given capacity.
+func mshrBuckets(entries int) int {
 	n := 1
 	for n < entries {
 		n <<= 1
 	}
+	return n
+}
+
+// newMSHRIn builds a table over buckets, mshrBuckets(entries) nil heads,
+// that takes its entries from slabs and fill's result array from fills.
+func newMSHRIn(entries, maxMerge int, buckets []*mshrEntry, slabs *mem.Slab[mshrEntry], fills *mem.Slab[*mem.Request]) mshrTable {
 	return mshrTable{
-		buckets:  make([]*mshrEntry, n),
-		shift:    uint(64 - bits.TrailingZeros(uint(n))),
+		buckets:  buckets,
+		shift:    uint(64 - bits.TrailingZeros(uint(len(buckets)))),
 		capacity: entries,
 		maxMerge: maxMerge,
+		slabs:    slabs,
+		fills:    fills,
 	}
 }
 
@@ -92,7 +106,7 @@ func (m *mshrTable) alloc() *mshrEntry {
 	if m.free == nil {
 		n := min(mshrSlab, m.capacity-m.slabbed)
 		m.slabbed += n
-		slab := make([]mshrEntry, n)
+		slab := m.slabs.Take(n)
 		var spill []mshrWaiter
 		if m.maxMerge > mshrInline {
 			spill = make([]mshrWaiter, n*m.maxMerge)
@@ -174,6 +188,9 @@ func (m *mshrTable) fill(lineAddr uint64, sector uint) []*mem.Request {
 	e := *link
 	if e == nil {
 		return nil
+	}
+	if m.filled == nil {
+		m.filled = m.fills.Take(m.maxMerge)
 	}
 	done := m.filled[:0]
 	remaining := e.waiters[:0]

@@ -8,6 +8,12 @@ import (
 	"swiftsim/internal/mem"
 )
 
+// newMSHR builds a table of its own, as no cache class does: its buckets,
+// entry slabs and fill results are allocated for it alone.
+func newMSHR(entries, maxMerge int) mshrTable {
+	return newMSHRIn(entries, maxMerge, make([]*mshrEntry, mshrBuckets(entries)), nil, nil)
+}
+
 // refMSHR is the MSHR as a Go map of line address to entry, as the table
 // was before its chained hash: the oracle of TestMSHRMatchesReference.
 type refMSHR struct {

@@ -76,15 +76,32 @@ func (c *Timed) SetTracer(t *obs.Tracer) {
 
 // NewTimed constructs a cycle-accurate cache named name (the metrics
 // prefix), at hierarchy level level, writing downstream traffic to down.
+// It is NewTimedCaches' batch of one.
 func NewTimed(name string, cfg config.Cache, level mem.Level, eng engine.Context, down mem.Port, g *metrics.Gatherer) *Timed {
-	c := &Timed{
+	return NewTimedCaches(1, name, cfg, level, eng, []mem.Port{down}, g)[0]
+}
+
+const (
+	// toDownDepth is the depth a cache's downstream queue starts at; it
+	// has no bound and grows past it when it must.
+	toDownDepth = 16
+	// mshrChunk is how many MSHR entries a cache class allocates at a
+	// time: the first slabs of eight tables.
+	mshrChunk = 8 * mshrSlab
+)
+
+// NewTimedCaches constructs n caches of one class as NewTimed does, cache i
+// writing to down[i]. The caches, their tag lines, MSHR buckets, bank
+// queues and downstream queues are carved from one slice each, their
+// counters are resolved once, and their tables take MSHR entries and fill
+// results from slabs the class shares, so building the class costs the
+// same few allocations at any n.
+func NewTimedCaches(n int, name string, cfg config.Cache, level mem.Level, eng engine.Context, down []mem.Port, g *metrics.Gatherer) []*Timed {
+	proto := Timed{
 		name:          name,
 		cfg:           cfg,
 		level:         level,
 		eng:           eng,
-		down:          down,
-		mshr:          newMSHR(cfg.MSHREntries, cfg.MSHRMaxMerge),
-		banks:         make([]mem.FIFO[*mem.Request], cfg.Banks),
 		hits:          g.Counter(name + ".hit"),
 		misses:        g.Counter(name + ".miss"),
 		readHits:      g.Counter(name + ".read_hit"),
@@ -97,8 +114,32 @@ func NewTimed(name string, cfg config.Cache, level mem.Level, eng engine.Context
 		writebacks:    g.Counter(name + ".writeback"),
 		writeAccesses: g.Counter(name + ".write"),
 	}
-	c.tags.reset(cfg)
-	return c
+	perLines, perBuckets := cfg.Sets*cfg.Ways, mshrBuckets(cfg.MSHREntries)
+	perQueued := cfg.Banks*bankQueueDepth + toDownDepth
+	caches := make([]Timed, n)
+	ptrs := make([]*Timed, n)
+	lines := make([]line, n*perLines)
+	buckets := make([]*mshrEntry, n*perBuckets)
+	banks := make([]mem.FIFO[*mem.Request], n*cfg.Banks)
+	queued := make([]*mem.Request, n*perQueued)
+	slabs := mem.NewSlab[mshrEntry](mshrChunk)
+	fills := mem.NewSlab[*mem.Request](n * cfg.MSHRMaxMerge)
+	for i := range caches {
+		c := &caches[i]
+		*c = proto
+		c.down = down[i]
+		c.tags.init(cfg, lines[:perLines:perLines])
+		c.mshr = newMSHRIn(cfg.MSHREntries, cfg.MSHRMaxMerge, buckets[:perBuckets:perBuckets], slabs, fills)
+		c.banks = banks[:cfg.Banks:cfg.Banks]
+		q := queued[:perQueued:perQueued]
+		for b := range c.banks {
+			c.banks[b] = mem.FIFOOver(q[b*bankQueueDepth : (b+1)*bankQueueDepth : (b+1)*bankQueueDepth])
+		}
+		c.toDown = mem.FIFOOver(q[cfg.Banks*bankQueueDepth:])
+		lines, buckets, banks, queued = lines[perLines:], buckets[perBuckets:], banks[cfg.Banks:], queued[perQueued:]
+		ptrs[i] = c
+	}
+	return ptrs
 }
 
 // Name implements engine.Module.

@@ -79,26 +79,45 @@ func (p *Partition) SetTracer(t *obs.Tracer) {
 func (p *Partition) QueueDepth() int { return len(p.queue) }
 
 // New constructs a DRAM partition. latency and rowHitLatency are end-to-end
-// access latencies in core cycles.
+// access latencies in core cycles. It is NewPartitions' batch of one.
 func New(name string, eng *engine.Engine, banks int, latency, rowHitLatency int, g *metrics.Gatherer) *Partition {
+	return NewPartitions(1, name, eng, banks, latency, rowHitLatency, g)[0]
+}
+
+// NewPartitions constructs n partitions of one class as New does. The
+// partitions, their bank arrays and their queues (queueCap deep) are carved
+// from one slice each and their counters resolved once, so building the
+// class costs the same few allocations at any n.
+func NewPartitions(n int, name string, eng *engine.Engine, banks int, latency, rowHitLatency int, g *metrics.Gatherer) []*Partition {
 	if rowHitLatency <= 0 || rowHitLatency > latency {
 		rowHitLatency = latency
 	}
-	return &Partition{
-		name:       name,
-		eng:        eng,
-		banks:      banks,
-		latency:    uint64(latency),
-		rowHitLat:  uint64(rowHitLatency),
-		bankFreeAt: make([]uint64, banks),
-		openRow:    make([]uint64, banks),
-		rowOpen:    make([]bool, banks),
-		reads:      g.Counter(name + ".read"),
-		writes:     g.Counter(name + ".write"),
-		rowHits:    g.Counter(name + ".row_hit"),
-		rowMisses:  g.Counter(name + ".row_miss"),
-		stalls:     g.Counter(name + ".stall"),
+	proto := Partition{
+		name:      name,
+		eng:       eng,
+		banks:     banks,
+		latency:   uint64(latency),
+		rowHitLat: uint64(rowHitLatency),
+		reads:     g.Counter(name + ".read"),
+		writes:    g.Counter(name + ".write"),
+		rowHits:   g.Counter(name + ".row_hit"),
+		rowMisses: g.Counter(name + ".row_miss"),
+		stalls:    g.Counter(name + ".stall"),
 	}
+	parts := make([]Partition, n)
+	ptrs := make([]*Partition, n)
+	words := make([]uint64, 2*n*banks)
+	open := make([]bool, n*banks)
+	queues := make([]queued, n*queueCap)
+	for i := range parts {
+		p := &parts[i]
+		*p = proto
+		p.bankFreeAt, p.openRow, words = words[:banks:banks], words[banks:2*banks:2*banks], words[2*banks:]
+		p.rowOpen, open = open[:banks:banks], open[banks:]
+		p.queue, queues = queues[:0:queueCap], queues[queueCap:]
+		ptrs[i] = p
+	}
+	return ptrs
 }
 
 // Name implements engine.Module.

@@ -256,3 +256,55 @@ func TestRequestSizeClass(t *testing.T) {
 		t.Errorf("sizeof(Request) = %d, want at most 112", got)
 	}
 }
+
+// TestSlabCarvesChunks: takes from a slab share its chunk until it runs out,
+// each capped so that an append past one reallocates instead of writing
+// into the next; a nil slab allocates every take on its own.
+func TestSlabCarvesChunks(t *testing.T) {
+	s := NewSlab[uint64](8)
+	var a, b []uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		s = NewSlab[uint64](8)
+		a, b = s.Take(3), s.Take(5)
+	})
+	if allocs != 2 { // the slab and its first chunk
+		t.Errorf("a slab and two takes within its chunk allocated %v objects, want 2", allocs)
+	}
+	if cap(a) != 3 || cap(b) != 5 {
+		t.Fatalf("takes have capacities %d and %d, want 3 and 5", cap(a), cap(b))
+	}
+	b[0] = 7
+	a = append(a, 1)
+	if b[0] != 7 {
+		t.Error("an append past a take wrote into the next take")
+	}
+	if c := s.Take(10); len(c) != 10 || c[9] != 0 {
+		t.Errorf("a take larger than the chunk returned %d elements", len(c))
+	}
+	var none *Slab[uint64]
+	if allocs := testing.AllocsPerRun(10, func() { slabSink = none.One() }); allocs != 1 {
+		t.Errorf("a nil slab's take allocated %v objects, want 1", allocs)
+	}
+}
+
+// slabSink keeps a take on the heap.
+var slabSink *uint64
+
+// TestFIFOOverStartsAtItsArray: a queue over a carved array fills it before
+// it grows, and keeps its order across the growth.
+func TestFIFOOverStartsAtItsArray(t *testing.T) {
+	buf := make([]int, 4)
+	q := FIFOOver(buf)
+	for i := 0; i < 4; i++ {
+		q.Push(i)
+	}
+	if &q.buf[0] != &buf[0] {
+		t.Fatal("a queue over an array of its depth left it before it was full")
+	}
+	q.Push(4)
+	for want := 0; want < 5; want++ {
+		if got := q.Pop(); got != want {
+			t.Fatalf("Pop = %d, want %d", got, want)
+		}
+	}
+}

@@ -64,16 +64,23 @@ type link struct {
 
 func newLink(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, g *metrics.Gatherer) link {
 	// One slab for the occupancy words and the head cycles of both
-	// directions.
+	// directions, one for the queues of both, and one for the queues'
+	// arrays, queueCap deep: a return queue has no bound and grows past it
+	// when it must.
 	n, words := len(targets), (len(targets)+63)/64
 	slab := make([]uint64, 2*words+2*n)
+	queues := make([]mem.FIFO[entry], 2*n)
+	entries := make([]entry, 2*n*queueCap)
+	for i := range queues {
+		queues[i] = mem.FIFOOver(entries[i*queueCap : (i+1)*queueCap : (i+1)*queueCap])
+	}
 	return link{
 		name:     name,
 		eng:      eng,
 		targets:  targets,
 		mapAddr:  mapAddr,
-		fwd:      make([]mem.FIFO[entry], n),
-		ret:      make([]mem.FIFO[entry], n),
+		fwd:      queues[:n:n],
+		ret:      queues[n:],
 		fwdOcc:   slab[:words:words],
 		retOcc:   slab[words : 2*words : 2*words],
 		fwdHead:  slab[2*words : 2*words+n : 2*words+n],

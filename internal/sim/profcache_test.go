@@ -393,12 +393,13 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 
 // TestWarmRunAllocatesOnlyItsAssembly: once warm (the trace generated, its
 // profile memoised), a whole run allocates what building the simulator and
-// making blocks resident costs (units, SMs, warps, in-flight records and
-// queues up to their working size) and nothing per instruction or per
-// memory request. Allocation counts repeat exactly, so each ceiling sits
-// about 25% above its measured count and holds on any host; one closure or
-// buffer per instruction back on the issue path adds the run's instruction
-// count, which takes every row past its ceiling.
+// making blocks resident costs (a few slices per module class, a wake
+// closure per ticking module, warps, and in-flight records by the chunk)
+// and nothing per instruction or per memory request. Allocation counts
+// repeat exactly, so each ceiling sits about 25% above its measured count
+// and holds on any host; one closure or buffer per instruction back on the
+// issue path adds the run's instruction count, which takes every row past
+// its ceiling.
 func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -413,10 +414,10 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		gpu     config.GPU
 		ceiling float64
 	}{
-		{Memory, "BFS", 1.0, smallGPU(), 1885}, // measured 1,504
-		{Detailed, "SM", 0.4, wide, 4166},      // measured 3,334
-		{Basic, "SM", 0.4, wide, 3085},         // measured 2,469
-		{Memory, "SM", 0.4, wide, 1048},        // measured 821
+		{Memory, "BFS", 1.0, smallGPU(), 489}, // measured 391
+		{Detailed, "SM", 0.4, wide, 625},      // measured 500
+		{Basic, "SM", 0.4, wide, 594},         // measured 475
+		{Memory, "SM", 0.4, wide, 356},        // measured 285
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
 			app := mustApp(t, row.app, row.scale)
@@ -558,5 +559,45 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 		if got[i] != canonical(serial) {
 			t.Errorf("concurrent run %d differs from the serial one", i)
 		}
+	}
+}
+
+// TestAllocationsDoNotGrowWithModuleCount: a run allocates per module
+// class, not per module instance (DESIGN.md §10.2), so quadrupling the SMs
+// and memory partitions of a warm run adds at most a few objects per added
+// SM: the engine's wake closure for each registered ticker, an SM's defer
+// callback and report name. Building every unit, cache, partition and meter
+// one by one cost 12.6 (Memory), 37.7 (L2Hybrid), 55.1 (Basic) and 108.3
+// (Detailed) objects per added SM here.
+func TestAllocationsDoNotGrowWithModuleCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 6 // allocations per added SM
+	app := mustApp(t, "SM", 0.4)
+	sized := func(sms, parts int) config.GPU {
+		g := config.RTX2080Ti()
+		g.NumSMs, g.MemPartitions = sms, parts
+		return g
+	}
+	narrow, wide := sized(16, 8), sized(64, 32)
+	for _, kind := range []Kind{Memory, L2Hybrid, Basic, Detailed} {
+		t.Run(kind.String(), func(t *testing.T) {
+			allocs := func(gpu config.GPU) float64 {
+				run := func() {
+					if _, err := Run(app, gpu, Options{Kind: kind}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run()
+				return testing.AllocsPerRun(5, run)
+			}
+			n, w := allocs(narrow), allocs(wide)
+			per := (w - n) / float64(wide.NumSMs-narrow.NumSMs)
+			t.Logf("%v allocations at %d SMs, %v at %d: %.2f per added SM", n, narrow.NumSMs, w, wide.NumSMs, per)
+			if per > ceiling {
+				t.Errorf("%.2f allocations per added SM, ceiling %d", per, ceiling)
+			}
+		})
 	}
 }

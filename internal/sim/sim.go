@@ -347,7 +347,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	// only then: the providers allocate even unused).
 	var ca smcore.UnitSet
 	if lay.frontEnd == cycleAccurate || lay.alus == cycleAccurate || lay.ldst == cycleAccurate {
-		ca = smcore.NewCycleAccurateUnits(smCfg, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
+		ca = smcore.CycleAccurateUnits(gpu.NumSMs, smCfg, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
 	}
 	units := smcore.UnitSet{Scheduler: opts.Scheduler}
 
@@ -361,14 +361,16 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		if epochK > 1 {
 			boundary = newEpochBoundary("epochq", down, g)
 		}
-		a.l1s = make([]*cache.Timed, gpu.NumSMs)
-		for i := range a.l1s {
-			l1down := down
+		downs := make([]mem.Port, gpu.NumSMs)
+		for i := range downs {
+			downs[i] = down
 			if boundary != nil {
-				l1down = boundary.port(i, ctx)
+				downs[i] = boundary.port(i, ctx)
 			}
-			a.l1s[i] = cache.NewTimed("l1", l1cfg, mem.LevelL1, ctx, l1down, g)
-			a.l1s[i].SetTracer(opts.Trace)
+		}
+		a.l1s = cache.NewTimedCaches(gpu.NumSMs, "l1", l1cfg, mem.LevelL1, ctx, downs, g)
+		for _, l1 := range a.l1s {
+			l1.SetTracer(opts.Trace)
 		}
 		units.LDST = func(smID, sub int) smcore.Unit {
 			u := ca.LDST(smID, sub)
@@ -390,16 +392,14 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	}
 
 	// SMs and the Block Scheduler.
-	sms := make([]*smcore.SM, gpu.NumSMs)
 	var bs *smcore.BlockScheduler
 	onBlockDone := func(sm *smcore.SM) { bs.BlockDone(sm) }
-	for i := range sms {
-		sm, err := smcore.NewSM(i, smCfg, ctx, units, g, onBlockDone)
-		if err != nil {
-			return nil, err
-		}
+	sms, err := smcore.NewSMs(gpu.NumSMs, smCfg, ctx, units, g, onBlockDone)
+	if err != nil {
+		return nil, err
+	}
+	for _, sm := range sms {
 		sm.SetTracer(opts.Trace)
-		sms[i] = sm
 	}
 	a.sms = sms
 	bs = smcore.NewBlockScheduler(sms, g)
@@ -486,14 +486,17 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 	dramLat := scaleLat(gpu.DRAMLatency, scale)
 
 	ms := &memorySystem{}
+	ms.drams = dram.NewPartitions(gpu.MemPartitions, "dram", eng, gpu.DRAMBanksPerPartition, dramLat, gpu.DRAMRowHitLatency, g)
+	// targets first holds each L2 slice's DRAM partition, then, for the
+	// interconnect, the slices themselves.
 	targets := make([]mem.Port, gpu.MemPartitions)
-	for p := range targets {
-		dp := dram.New("dram", eng, gpu.DRAMBanksPerPartition, dramLat, gpu.DRAMRowHitLatency, g)
-		l2 := cache.NewTimed("l2", l2cfg, mem.LevelL2, eng, dp, g)
+	for p, dp := range ms.drams {
 		dp.SetTracer(tr)
+		targets[p] = dp
+	}
+	ms.l2s = cache.NewTimedCaches(gpu.MemPartitions, "l2", l2cfg, mem.LevelL2, eng, targets, g)
+	for p, l2 := range ms.l2s {
 		l2.SetTracer(tr)
-		ms.drams = append(ms.drams, dp)
-		ms.l2s = append(ms.l2s, l2)
 		targets[p] = l2
 	}
 	lineBytes := uint64(gpu.L2.LineBytes)
@@ -541,7 +544,8 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 // access additionally pays the DRAM latency. The DRAM channel meter is
 // rated from the detailed model's bank occupancy (≈16 cycles per sector
 // across banks×partitions); each SM also has an L1-port meter at the
-// banked L1's rate and an MSHR meter, shared by its sub-cores.
+// banked L1's rate and an MSHR meter, shared by its sub-cores. The units
+// and the per-SM meters are one class each.
 func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64, prof *reuse.Profile, kernelIndex *int, g *metrics.Gatherer) func(smID, sub int) smcore.Unit {
 	l1Hit := scaleLat(gpu.L1.HitLatency, scale)
 	l2End := l1Hit + 2*scaleLat(gpu.NoCLatency, scale) + scaleLat(gpu.L2.HitLatency, scale)
@@ -559,30 +563,12 @@ func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64,
 		MSHREntries:      gpu.L1.MSHREntries,
 		DivergeCost:      20,
 	}
-	l1Rate := 1 / float64(gpu.L1.Banks*gpu.L1.Throughput)
-	numUnits := gpu.NumSMs * smCfg.SubCores
-	meters := make([]struct{ l1Port, mshr *analytic.BandwidthMeter }, gpu.NumSMs)
-	var first *analytic.MemModel // the rest are its siblings
-	var spare []analytic.MemModel
+	l1Ports := analytic.NewBandwidthMeters(gpu.NumSMs, 1/float64(gpu.L1.Banks*gpu.L1.Throughput))
+	mshrs := analytic.NewBandwidthMeters(gpu.NumSMs, 1)
+	units := analytic.NewMemModels(gpu.NumSMs*smCfg.SubCores, "mem", eng, params, g)
 	return func(smID, sub int) smcore.Unit {
-		m := &meters[smID]
-		if m.l1Port == nil {
-			m.l1Port = analytic.NewBandwidthMeterRate(l1Rate)
-			m.mshr = analytic.NewBandwidthMeterRate(1)
-		}
-		var u *analytic.MemModel
-		if first == nil {
-			p := params
-			p.L1Port, p.MSHR = m.l1Port, m.mshr
-			u = analytic.NewMemModel("mem", eng, p, g)
-			first = u
-		} else {
-			if len(spare) == 0 {
-				spare = first.Siblings(max(numUnits-1, 1))
-			}
-			u, spare = &spare[0], spare[1:]
-			u.SetSMMeters(m.l1Port, m.mshr)
-		}
+		u := &units[smID*smCfg.SubCores+sub]
+		u.SetSMMeters(&l1Ports[smID], &mshrs[smID])
 		eng.AddModule(u)
 		return u
 	}
@@ -591,24 +577,17 @@ func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64,
 // analyticalALUs returns the ALU provider of the hybrid configurations:
 // smcore.ALUs' layout of units, each an ALUModel. ctx is the engine context
 // the models schedule completions through (the segment's, as for every unit
-// inside an SM); eng is only used for the module inventory. The first unit
-// of a class resolves the class's counters; the others are its siblings,
-// built in one slice sized for one unit per sub-core of the numSMs SMs the
-// provider will be asked about.
+// inside an SM); eng is only used for the module inventory. Each class's
+// units come from one slice, sized for one unit per sub-core of the numSMs
+// SMs the provider will be asked about.
 func analyticalALUs(cfg config.SM, numSMs int, eng *engine.Engine, ctx engine.Context, g *metrics.Gatherer) func(smID, sub int, class trace.OpClass) smcore.Unit {
-	var first [4]*analytic.ALUModel // indexed by trace.OpInt..trace.OpSFU
-	var spare [4][]analytic.ALUModel
+	var spare [4][]analytic.ALUModel // indexed by trace.OpInt..trace.OpSFU
 	return smcore.ALUs(cfg, func(class trace.OpClass, lat, lanes int) smcore.Unit {
-		u := first[class]
-		if u == nil {
-			u = analytic.NewALUModel("alu."+class.String(), ctx, lat, cfg.IssueInterval(lanes), g)
-			first[class] = u
-		} else {
-			if len(spare[class]) == 0 {
-				spare[class] = u.Siblings(max(numSMs*cfg.SubCores-1, 1))
-			}
-			u, spare[class] = &spare[class][0], spare[class][1:]
+		if len(spare[class]) == 0 {
+			spare[class] = analytic.NewALUModels(numSMs*cfg.SubCores, "alu."+class.String(), ctx, lat, cfg.IssueInterval(lanes), g)
 		}
+		u := &spare[class][0]
+		spare[class] = spare[class][1:]
 		eng.AddModule(u)
 		return u
 	})

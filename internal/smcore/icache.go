@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 )
 
@@ -44,19 +45,22 @@ func newICacheClass(name string, g *metrics.Gatherer) icacheClass {
 // NewICache builds an instruction cache with the given capacity in lines
 // and miss (fill) latency in cycles.
 func NewICache(name string, capacityLines, missLatency int, g *metrics.Gatherer) *ICache {
-	return newICache(newICacheClass(name, g), capacityLines, missLatency)
+	return newICache(newICacheClass(name, g), capacityLines, missLatency, nil, nil)
 }
 
-// newICache builds an empty instruction cache of class c.
-func newICache(c icacheClass, capacityLines, missLatency int) *ICache {
+// newICache builds an empty instruction cache of class c, taking it from
+// caches and its line and ready arrays from words.
+func newICache(c icacheClass, capacityLines, missLatency int, caches *mem.Slab[ICache], words *mem.Slab[uint64]) *ICache {
 	capacityLines = max(capacityLines, 1)
-	slab := make([]uint64, 2*capacityLines)
-	return &ICache{
+	slab := words.Take(2 * capacityLines)
+	ic := caches.One()
+	*ic = ICache{
 		icacheClass: c,
 		missLatency: uint64(missLatency),
 		lines:       slab[:capacityLines:capacityLines],
 		ready:       slab[capacityLines:],
 	}
+	return ic
 }
 
 // Name implements engine.Module.

@@ -1,6 +1,8 @@
 package smcore
 
 import (
+	"math/bits"
+
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
@@ -118,6 +120,47 @@ type ldstInst struct {
 	buf     []uint64 // full coalesce buffer backing sectors, reused on recycle
 	waiting int      // accepted sectors whose responses are outstanding
 	smid    int
+	next    *ldstInst // the next free record
+}
+
+// ldstRecords is where the LD/ST units of one class take their instruction
+// records: from a free list, else from a slab a chunk at a time, each with
+// a coalesce buffer of one sector per lane from a second slab.
+type ldstRecords struct {
+	insts *mem.Slab[ldstInst]
+	bufs  *mem.Slab[uint64]
+	free  *ldstInst
+}
+
+const (
+	// ldstChunk is how many instruction records an LD/ST class allocates
+	// at a time.
+	ldstChunk = 16
+	// warpLanes bounds the sectors one warp instruction coalesces into.
+	warpLanes = 32
+)
+
+func newLDSTRecords() *ldstRecords {
+	return &ldstRecords{insts: mem.NewSlab[ldstInst](ldstChunk), bufs: mem.NewSlab[uint64](ldstChunk * warpLanes)}
+}
+
+// take returns a record with an empty coalesce buffer.
+func (r *ldstRecords) take() *ldstInst {
+	if li := r.free; li != nil {
+		r.free = li.next
+		li.next = nil
+		return li
+	}
+	li := r.insts.One()
+	li.buf = r.bufs.Take(warpLanes)[:0]
+	return li
+}
+
+// put recycles li, keeping its coalesce buffer for the next occupant.
+func (r *ldstRecords) put(li *ldstInst) {
+	li.u, li.in, li.done, li.sectors = nil, nil, nil, nil
+	li.next = r.free
+	r.free = li
 }
 
 // LDSTUnit is the cycle-accurate Load/Store unit of one sub-core: it
@@ -136,22 +179,21 @@ type LDSTUnit struct {
 	queueCap    int
 
 	queue mem.FIFO[*ldstInst]
-	// free holds recycled instructions. TryIssue pops it and sectorDone
-	// pushes it from completion events.
-	free []*ldstInst
 	// reqs is where the unit's sector requests come from: the run's pool
 	// once the assembly has called SetRequestPool, the shared one before.
 	reqs mem.Pool
 }
 
-// ldstClass is what every LD/ST unit of an assembly shares: its name and
-// its counters.
+// ldstClass is what every LD/ST unit of an assembly shares: its name, its
+// counters and the records its instructions are tracked in. TryIssue takes
+// a record and sectorDone, from a completion event, puts it back.
 type ldstClass struct {
 	name         string
 	issued       *metrics.Counter
 	transactions *metrics.Counter
 	shConflicts  *metrics.Counter
 	portStall    *metrics.Counter
+	records      *ldstRecords
 }
 
 func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
@@ -161,6 +203,7 @@ func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
 		transactions: g.Counter(name + ".transactions"),
 		shConflicts:  g.Counter(name + ".shmem_conflict"),
 		portStall:    g.Counter(name + ".port_stall"),
+		records:      newLDSTRecords(),
 	}
 }
 
@@ -168,16 +211,18 @@ func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
 // lanes is the LD/ST lane count (sector requests injected per cycle);
 // queueCap bounds concurrently tracked memory instructions.
 func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, g *metrics.Gatherer) *LDSTUnit {
-	return newLDSTUnit(newLDSTClass(name, g), eng, l1, smid, sectorBytes, lanes, shmemLatency, queueCap)
+	return newLDSTUnit(newLDSTClass(name, g), eng, l1, smid, sectorBytes, lanes, shmemLatency, queueCap, nil, nil)
 }
 
-// newLDSTUnit builds an LD/ST unit of class c with a queue, free list and
-// request pool of its own.
-func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int) *LDSTUnit {
+// newLDSTUnit builds an LD/ST unit of class c with a queue and request pool
+// of its own, taking it from units and its queue's array, queueCap deep
+// rounded up to a power of two, from queues.
+func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, units *mem.Slab[LDSTUnit], queues *mem.Slab[*ldstInst]) *LDSTUnit {
 	if queueCap < 1 {
 		queueCap = 8
 	}
-	return &LDSTUnit{
+	u := units.One()
+	*u = LDSTUnit{
 		ldstClass:   c,
 		eng:         eng,
 		l1:          l1,
@@ -186,7 +231,14 @@ func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes
 		lanes:       lanes,
 		shmemLat:    uint64(shmemLatency),
 		queueCap:    queueCap,
+		queue:       mem.FIFOOver(queues.Take(ringSize(queueCap))),
 	}
+	return u
+}
+
+// ringSize returns the least power of two at or above n.
+func ringSize(n int) int {
+	return 1 << bits.Len(uint(max(n, 1)-1))
 }
 
 // SetRequestPool makes the unit draw its sector requests from p. The
@@ -222,13 +274,8 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 		return true
 	}
 
-	var li *ldstInst
-	if n := len(u.free); n > 0 {
-		li = u.free[n-1]
-		u.free = u.free[:n-1]
-	} else {
-		li = &ldstInst{u: u}
-	}
+	li := u.records.take()
+	li.u = u
 	li.in = in
 	li.done = done
 	li.sectors = CoalesceInto(li.buf, in.Addrs, u.sectorBytes)
@@ -288,11 +335,8 @@ func (u *LDSTUnit) sectorDone(li *ldstInst) {
 	if li.waiting == 0 && len(li.sectors) == 0 {
 		done := li.done
 		// Every sector has completed: the instruction can be
-		// recycled. The coalesce buffer is kept for the next occupant.
-		li.in = nil
-		li.done = nil
-		li.sectors = nil
-		u.free = append(u.free, li)
+		// recycled.
+		u.records.put(li)
 		done()
 	}
 }

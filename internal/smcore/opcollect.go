@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/trace"
 )
@@ -53,13 +54,15 @@ func newCollectorClass(name string, g *metrics.Gatherer) collectorClass {
 
 // NewOperandCollector wraps unit with an operand-collection stage.
 func NewOperandCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCollector {
-	return newOperandCollector(newCollectorClass(name, g), unit)
+	return newOperandCollector(newCollectorClass(name, g), unit, nil)
 }
 
 // newOperandCollector wraps unit with a collector of class c whose
-// collector units are its own.
-func newOperandCollector(c collectorClass, unit Unit) *OperandCollector {
-	return &OperandCollector{collectorClass: c, inner: unit}
+// collector units are its own, taken from ocs.
+func newOperandCollector(c collectorClass, unit Unit, ocs *mem.Slab[OperandCollector]) *OperandCollector {
+	oc := ocs.One()
+	*oc = OperandCollector{collectorClass: c, inner: unit}
+	return oc
 }
 
 // Name implements engine.Module.

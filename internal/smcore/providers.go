@@ -22,20 +22,36 @@ const (
 // NewCycleAccurateUnits returns the fully cycle-accurate UnitSet used by
 // the detailed (Accel-Sim-class) simulator: ALUPipelines laid out by ALUs,
 // an LDSTUnit feeding the SM's L1 port and an instruction cache per
-// sub-core.
+// sub-core. It is CycleAccurateUnits sized for one SM.
 //
 // sectorBytes is the memory-system transaction size (the L1 sector size);
 // l1For returns the L1 data-cache port of the given SM.
-//
-// Each class's name and counters are resolved once, when its first unit is
-// built, and shared by every later unit of the class, so an assembly names
-// each counter once rather than once per sub-core.
 func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
+	return CycleAccurateUnits(1, cfg, eng, g, sectorBytes, l1For)
+}
+
+// CycleAccurateUnits is NewCycleAccurateUnits for numSMs SMs, built per
+// class: the pipelines and their registers, the operand collectors, the
+// LD/ST units and their queues, and the instruction caches and their line
+// arrays each come from one slab sized for numSMs SMs, which grows by
+// further chunks of that size if asked for more. Each class's name and
+// counters are resolved once, when its first unit is built, and shared by
+// every later unit of the class, so an assembly names each counter once
+// rather than once per sub-core.
+func CycleAccurateUnits(numSMs int, cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
+	subs := max(numSMs, 1) * max(cfg.SubCores, 1)
+	stagesPerSub := 0
+	for _, lat := range []int{cfg.IntLatency, cfg.SPLatency, cfg.DPLatency, cfg.SFULatency} {
+		stagesPerSub += max(lat, 1)
+	}
 	type pipeClass struct {
 		alu aluClass
 		oc  collectorClass
 	}
 	var classes [4]pipeClass // indexed by trace.OpInt..trace.OpSFU
+	pipes := mem.NewSlab[ALUPipeline](4 * subs)
+	stages := mem.NewSlab[pipeSlot](stagesPerSub * subs)
+	ocs := mem.NewSlab[OperandCollector](4 * subs)
 	alu := ALUs(cfg, func(class trace.OpClass, lat, lanes int) Unit {
 		// Each arithmetic pipeline sits behind an operand-collection
 		// stage reading through the banked register file — part of the
@@ -45,22 +61,26 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 			name := class.String()
 			*c = pipeClass{alu: newALUClass("alu."+name, g), oc: newCollectorClass("oc."+name, g)}
 		}
-		return newOperandCollector(c.oc, newALUPipeline(c.alu, lat, cfg.IssueInterval(lanes)))
+		return newOperandCollector(c.oc, newALUPipeline(c.alu, lat, cfg.IssueInterval(lanes), pipes, stages), ocs)
 	})
 	var ldstC ldstClass
+	ldstUnits := mem.NewSlab[LDSTUnit](subs)
+	queues := mem.NewSlab[*ldstInst](subs * ringSize(ldstQueueCap))
 	ldst := func(smID, sub int) Unit {
 		if ldstC.issued == nil {
 			ldstC = newLDSTClass("ldst", g)
 		}
 		return newLDSTUnit(ldstC, eng, l1For(smID), smID, sectorBytes,
-			cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap)
+			cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap, ldstUnits, queues)
 	}
 	var icacheC icacheClass
+	icaches := mem.NewSlab[ICache](subs)
+	lines := mem.NewSlab[uint64](subs * 2 * icacheCapacityLines)
 	icache := func(smID, sub int) *ICache {
 		if icacheC.hits == nil {
 			icacheC = newICacheClass("icache", g)
 		}
-		return newICache(icacheC, icacheCapacityLines, icacheMissLatency)
+		return newICache(icacheC, icacheCapacityLines, icacheMissLatency, icaches, lines)
 	}
 	return UnitSet{ALU: alu, LDST: ldst, ICache: icache}
 }
@@ -73,8 +93,9 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 // gets nil, which NewSM turns into a validation error at assembly time
 // instead of a process-killing panic mid-sweep.
 func ALUs(cfg config.SM, unit func(class trace.OpClass, lat, lanes int) Unit) func(smID, sub int, class trace.OpClass) Unit {
-	type dpKey struct{ sm, pair int }
-	sharedDP := make(map[dpKey]Unit)
+	// sharedDP[smID*pairs+sub/2] is the DP unit of a sub-core pair.
+	pairs := (cfg.SubCores + 1) / 2
+	var sharedDP []Unit
 	return func(smID, sub int, class trace.OpClass) Unit {
 		switch class {
 		case trace.OpInt:
@@ -87,13 +108,14 @@ func ALUs(cfg config.SM, unit func(class trace.OpClass, lat, lanes int) Unit) fu
 			if !cfg.DPLanesHalf {
 				return unit(class, cfg.DPLatency, cfg.DPLanes)
 			}
-			key := dpKey{smID, sub / 2}
-			if u, ok := sharedDP[key]; ok {
-				return u
+			i := smID*pairs + sub/2
+			if i >= len(sharedDP) {
+				sharedDP = append(sharedDP, make([]Unit, i+1-len(sharedDP))...)
 			}
-			u := unit(class, cfg.DPLatency, cfg.DPLanes)
-			sharedDP[key] = u
-			return u
+			if sharedDP[i] == nil {
+				sharedDP[i] = unit(class, cfg.DPLatency, cfg.DPLanes)
+			}
+			return sharedDP[i]
 		default:
 			return nil
 		}

@@ -18,7 +18,7 @@ func TestALUsLayout(t *testing.T) {
 		g := metrics.New()
 		built := map[Unit][2]int{} // unit -> latency, lanes
 		alus := ALUs(cfg, func(class trace.OpClass, lat, lanes int) Unit {
-			u := newALUPipeline(newALUClass("alu."+class.String(), g), lat, cfg.IssueInterval(lanes))
+			u := newALUPipeline(newALUClass("alu."+class.String(), g), lat, cfg.IssueInterval(lanes), nil, nil)
 			built[u] = [2]int{lat, lanes}
 			return u
 		})

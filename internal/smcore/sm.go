@@ -3,6 +3,8 @@ package smcore
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/engine"
@@ -42,8 +44,8 @@ type UnitSet struct {
 // residentBlock tracks one thread block resident on an SM.
 type residentBlock struct {
 	sm        *SM
-	index     int // block index within the kernel
-	warps     []*Warp
+	index     int    // block index within the kernel
+	warps     []Warp // one slice per AssignBlock
 	liveWarps int
 	atBarrier int
 	regs      int
@@ -51,6 +53,8 @@ type residentBlock struct {
 	// launchCycle is the assignment cycle, recorded only while tracing so
 	// blockDone can emit the block's residency span.
 	launchCycle uint64
+	// next links the block into its class's free list once it is done.
+	next *residentBlock
 }
 
 func (b *residentBlock) barrierArrive() {
@@ -61,7 +65,8 @@ func (b *residentBlock) barrierArrive() {
 func (b *residentBlock) maybeRelease() {
 	if b.liveWarps > 0 && b.atBarrier >= b.liveWarps {
 		b.atBarrier = 0
-		for _, w := range b.warps {
+		for i := range b.warps {
+			w := &b.warps[i]
 			w.atBarrier = false
 			w.sc.refresh(w)
 		}
@@ -294,7 +299,7 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 		}
 		f := sc.sm.takeInflight(w, in.Dst)
 		if !u.TryIssue(cycle, in, f.done) {
-			sc.sm.free = append(sc.sm.free, f)
+			f.release()
 			return false
 		}
 		// The one place a unit leaves the idle state (the Unit contract).
@@ -316,27 +321,39 @@ func (sc *subCore) dispatch(w *Warp, cycle uint64) bool {
 
 // inflight is the writeback record of one issued, incomplete instruction:
 // what its completion needs, with done bound once to complete so that
-// handing it to Unit.TryIssue allocates nothing. Records are recycled
-// through SM.free.
+// handing it to Unit.TryIssue allocates nothing. Records come from the SM
+// class's slab, a chunk at a time, and are recycled through its free list.
 type inflight struct {
 	sm   *SM
 	w    *Warp
 	dst  trace.Reg
 	done func()
+	next *inflight // the next free record
 }
+
+// inflightChunk is how many in-flight records an SM class allocates at a
+// time.
+const inflightChunk = 64
 
 // takeInflight returns a record for w's instruction writing dst.
 func (sm *SM) takeInflight(w *Warp, dst trace.Reg) *inflight {
-	var f *inflight
-	if n := len(sm.free); n > 0 {
-		f = sm.free[n-1]
-		sm.free = sm.free[:n-1]
+	c := sm.class
+	f := c.free
+	if f != nil {
+		c.free = f.next
 	} else {
-		f = &inflight{sm: sm}
+		f = c.inflights.One()
 		f.done = f.complete
 	}
-	f.w, f.dst = w, dst
+	f.sm, f.w, f.dst = sm, w, dst
 	return f
+}
+
+// release puts f back on its class's free list.
+func (f *inflight) release() {
+	c := f.sm.class
+	f.sm, f.w, f.next = nil, nil, c.free
+	c.free = f
 }
 
 // complete is the unit's writeback acknowledgment. The record returns to
@@ -344,8 +361,7 @@ func (sm *SM) takeInflight(w *Warp, dst trace.Reg) *inflight {
 // is done with it.
 func (f *inflight) complete() {
 	sm, w, dst := f.sm, f.w, f.dst
-	f.w = nil
-	sm.free = append(sm.free, f)
+	f.release()
 	// A completing instruction may make the warp (or a sibling past a
 	// barrier) issuable: re-activate the SM so the next cycle ticks it.
 	if sm.wake != nil {
@@ -413,8 +429,10 @@ type finishedBlock struct {
 // and shared memory.
 type SM struct {
 	id        int
+	name      string
 	cfg       config.SM
 	eng       engine.Context
+	class     *smClass
 	wake      func() // engine activation callback (nil when standalone)
 	subcores  []*subCore
 	unitList  []Unit // distinct cycle-accurate units across all sub-cores
@@ -431,6 +449,10 @@ type SM struct {
 	// drains, and only the set bits are ticked: by the Unit contract an
 	// idle unit's Tick does nothing, and only TryIssue makes it busy.
 	busyUnits []uint64
+	// readyOrBusy spans every sub-core's ready words and then busyUnits,
+	// which lie next to each other in the SM's words: computeBusy reads
+	// them in one pass.
+	readyOrBusy []uint64
 	// ticks and unitTicks count SM ticks and the unit Tick calls they made:
 	// host work, kept out of the metrics (UnitTicks reads them).
 	ticks, unitTicks uint64
@@ -440,12 +462,6 @@ type SM struct {
 	// Defer allocates nothing (see blockDone).
 	finished mem.FIFO[finishedBlock]
 	finishFn func()
-
-	// free holds recycled in-flight records. It is touched where the SM's
-	// other state is: dispatch takes from it during the SM's tick and
-	// completions return to it from engine events or from a cycle-accurate
-	// unit's Tick inside the SM's own.
-	free []*inflight
 
 	// accounted is the number of engine iterations whose scheduler-stall
 	// contribution has been recorded, either by an actual Tick or by
@@ -542,37 +558,135 @@ func (sm *SM) FlushTrace(cycle uint64) {
 	}
 }
 
+// smClass is what the SMs of one assembly share: the slabs their
+// in-flight records and resident blocks come from, and the free lists
+// those return to. Every SM of a class is touched by one goroutine, so a
+// record taken by one SM may next serve another.
+type smClass struct {
+	inflights  *mem.Slab[inflight]
+	free       *inflight
+	blocks     *mem.Slab[residentBlock]
+	freeBlocks *residentBlock
+}
+
+const (
+	// blockChunk is how many resident-block records an SM class allocates
+	// at a time.
+	blockChunk = 16
+	// finishedDepth is the depth an SM's queue of finished blocks starts
+	// at, where an empty queue's first push would grow it: an exact run
+	// holds one block there at a time, a relaxed one those its segment
+	// pass finishes before the fold.
+	finishedDepth = 4
+)
+
 // NewSM builds an SM with units supplied by us. onBlockDone is invoked
 // whenever a resident block finishes (the Block Scheduler uses it to
-// assign further blocks and detect kernel completion).
+// assign further blocks and detect kernel completion). It is NewSMs' batch
+// of one, numbered id.
 //
 // NewSM validates that the unit set and configuration are satisfiable: every
 // arithmetic class must resolve to a unit, the LD/ST provider must return a
 // unit, and every sub-core must get at least one warp slot. Violations are
 // reported as errors at assembly time rather than panics mid-simulation.
 func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gatherer, onBlockDone func(sm *SM)) (*SM, error) {
+	sms, err := newSMs(id, 1, cfg, eng, us, g, onBlockDone)
+	if err != nil {
+		return nil, err
+	}
+	return sms[0], nil
+}
+
+// NewSMs builds SMs 0..n-1 as NewSM does, as one class: the SMs, their
+// sub-cores, warp slots, slot-set words, unit lists, resident-block lists
+// and names are carved from one slice each, and the SMs share the slabs
+// their in-flight records and resident blocks grow from. Building the class
+// costs the same few allocations at any n, plus each SM's defer callback.
+func NewSMs(n int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gatherer, onBlockDone func(sm *SM)) ([]*SM, error) {
+	return newSMs(0, n, cfg, eng, us, g, onBlockDone)
+}
+
+// newSMs builds the class of n SMs numbered from first.
+func newSMs(first, n int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gatherer, onBlockDone func(sm *SM)) ([]*SM, error) {
 	if cfg.SubCores <= 0 {
-		return nil, fmt.Errorf("smcore: SM%d: SubCores must be positive, got %d", id, cfg.SubCores)
+		return nil, fmt.Errorf("smcore: SM%d: SubCores must be positive, got %d", first, cfg.SubCores)
 	}
 	if cfg.MaxWarps/cfg.SubCores < 1 {
 		return nil, fmt.Errorf("smcore: SM%d: MaxWarps %d gives %d sub-cores no warp slots",
-			id, cfg.MaxWarps, cfg.SubCores)
+			first, cfg.MaxWarps, cfg.SubCores)
 	}
 	if us.ALU == nil || us.LDST == nil {
-		return nil, fmt.Errorf("smcore: SM%d: unit set missing ALU or LDST provider", id)
+		return nil, fmt.Errorf("smcore: SM%d: unit set missing ALU or LDST provider", first)
 	}
-	sm := &SM{
-		id:          id,
-		cfg:         cfg,
-		eng:         eng,
-		frontEnd:    us.ICache != nil,
-		onBlockDone: onBlockDone,
-		issued:      g.Counter("sm.issued"),
-		stalls:      g.Counter("sm.stall"),
-		blocksRun:   g.Counter("sm.blocks"),
+	class := &smClass{
+		inflights: mem.NewSlab[inflight](inflightChunk),
+		blocks:    mem.NewSlab[residentBlock](blockChunk),
 	}
-	sm.finishFn = sm.finishOldest
-	warpsPerSub := cfg.MaxWarps / cfg.SubCores
+	issued, stalls, blocksRun := g.Counter("sm.issued"), g.Counter("sm.stall"), g.Counter("sm.blocks")
+	// Per SM: the sub-cores, their warp slots, the slot-set words (every
+	// sub-core's ready words, then the busy-unit set over at most five
+	// units per sub-core, then the wants and cand words), the unit list,
+	// the resident-block list and the finished-block queue.
+	subCores, warpsPerSub := cfg.SubCores, cfg.MaxWarps/cfg.SubCores
+	readyWords := (warpsPerSub + 63) / 64
+	maxUnits := 5 * subCores
+	unitWords := (maxUnits + 63) / 64
+	smWords := 3*subCores*readyWords + unitWords
+	machines := make([]SM, n)
+	sms := make([]*SM, n)
+	subs := make([]subCore, n*subCores)
+	subPtrs := make([]*subCore, n*subCores)
+	slots := make([]*Warp, n*subCores*warpsPerSub)
+	words := make([]uint64, n*smWords)
+	unitLists := make([]Unit, n*maxUnits)
+	blockLists := make([]*residentBlock, n*cfg.MaxBlocks)
+	finished := make([]finishedBlock, n*finishedDepth)
+	names := smNames(first, n)
+	for i := range machines {
+		sm := &machines[i]
+		*sm = SM{
+			id:          first + i,
+			name:        names[i],
+			cfg:         cfg,
+			eng:         eng,
+			class:       class,
+			frontEnd:    us.ICache != nil,
+			onBlockDone: onBlockDone,
+			issued:      issued,
+			stalls:      stalls,
+			blocksRun:   blocksRun,
+		}
+		sm.finishFn = sm.finishOldest
+		sm.subcores, subPtrs = subPtrs[:subCores:subCores], subPtrs[subCores:]
+		sm.unitList, unitLists = unitLists[:0:maxUnits], unitLists[maxUnits:]
+		sm.blocks, blockLists = blockLists[:0:cfg.MaxBlocks], blockLists[cfg.MaxBlocks:]
+		sm.finished, finished = mem.FIFOOver(finished[:finishedDepth:finishedDepth]), finished[finishedDepth:]
+		w := words[:smWords:smWords]
+		words = words[smWords:]
+		ready := subCores * readyWords
+		sm.readyOrBusy = w[: ready+unitWords : ready+unitWords]
+		sm.busyUnits = w[ready : ready+unitWords : ready+unitWords]
+		wants, cand := w[ready+unitWords:], w[ready+unitWords+ready:]
+		for s := range sm.subcores {
+			sc := &subs[0]
+			subs = subs[1:]
+			sc.sm, sc.index = sm, s
+			sc.warps, slots = slots[:warpsPerSub:warpsPerSub], slots[warpsPerSub:]
+			lo, hi := s*readyWords, (s+1)*readyWords
+			sc.ready, sc.wants, sc.cand = w[lo:hi:hi], wants[lo:hi:hi], cand[lo:hi:hi]
+			sm.subcores[s] = sc
+			if err := sm.attachUnits(sc, us); err != nil {
+				return nil, err
+			}
+		}
+		sms[i] = sm
+	}
+	return sms, nil
+}
+
+// attachUnits asks us for sub-core sc's units and enters the cycle-accurate
+// ones into the SM's unit list.
+func (sm *SM) attachUnits(sc *subCore, us UnitSet) error {
 	// addUnit returns u's index in the tick list, or -1 for a unit that
 	// is not in it. Only cycle-accurate units enter the list; analytical
 	// units interact purely through scheduled events — the mechanism
@@ -590,52 +704,53 @@ func NewSM(id int, cfg config.SM, eng engine.Context, us UnitSet, g *metrics.Gat
 		sm.unitList = append(sm.unitList, u)
 		return len(sm.unitList) - 1
 	}
-	// One slab each for the sub-cores, their warp slots and their slot-set
-	// words (ready, wants and cand, sliced per sub-core, then the busy-unit
-	// set over at most five units per sub-core): an SM is built per run.
-	readyWords := (warpsPerSub + 63) / 64
-	unitWords := (5*cfg.SubCores + 63) / 64
-	subs := make([]subCore, cfg.SubCores)
-	slots := make([]*Warp, cfg.SubCores*warpsPerSub)
-	words := make([]uint64, 3*cfg.SubCores*readyWords+unitWords)
-	sm.busyUnits, words = words[:unitWords:unitWords], words[unitWords:]
-	sm.subcores = make([]*subCore, cfg.SubCores)
-	for s := range subs {
-		sc := &subs[s]
-		sc.sm, sc.index = sm, s
-		sc.warps, slots = slots[:warpsPerSub:warpsPerSub], slots[warpsPerSub:]
-		sc.ready, words = words[:readyWords:readyWords], words[readyWords:]
-		sc.wants, words = words[:readyWords:readyWords], words[readyWords:]
-		sc.cand, words = words[:readyWords:readyWords], words[readyWords:]
-		for _, class := range []trace.OpClass{trace.OpInt, trace.OpSP, trace.OpDP, trace.OpSFU} {
-			u := us.ALU(id, s, class)
-			if u == nil {
-				return nil, fmt.Errorf("smcore: SM%d sub-core %d: no ALU unit for class %v", id, s, class)
-			}
-			sc.units[class] = u
-			sc.unitIdx[class] = addUnit(u)
+	id, s := sm.id, sc.index
+	for _, class := range [...]trace.OpClass{trace.OpInt, trace.OpSP, trace.OpDP, trace.OpSFU} {
+		u := us.ALU(id, s, class)
+		if u == nil {
+			return fmt.Errorf("smcore: SM%d sub-core %d: no ALU unit for class %v", id, s, class)
 		}
-		sc.ldst = us.LDST(id, s)
-		if sc.ldst == nil {
-			return nil, fmt.Errorf("smcore: SM%d sub-core %d: no LD/ST unit", id, s)
-		}
-		sc.ldstIdx = addUnit(sc.ldst)
-		if us.ICache != nil {
-			sc.icache = us.ICache(id, s)
-		}
-		if us.Scheduler != nil {
-			sc.setPicker(us.Scheduler(id, s))
-		}
-		sm.subcores[s] = sc
+		sc.units[class] = u
+		sc.unitIdx[class] = addUnit(u)
 	}
-	return sm, nil
+	sc.ldst = us.LDST(id, s)
+	if sc.ldst == nil {
+		return fmt.Errorf("smcore: SM%d sub-core %d: no LD/ST unit", id, s)
+	}
+	sc.ldstIdx = addUnit(sc.ldst)
+	if us.ICache != nil {
+		sc.icache = us.ICache(id, s)
+	}
+	if us.Scheduler != nil {
+		sc.setPicker(us.Scheduler(id, s))
+	}
+	return nil
+}
+
+// smNames returns the report names of the n SMs numbered from first, as
+// substrings of one string.
+func smNames(first, n int) []string {
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(n * (len("SM") + len(strconv.AppendInt(num[:0], int64(first+n-1), 10))))
+	for i := 0; i < n; i++ {
+		b.WriteString("SM")
+		b.Write(strconv.AppendInt(num[:0], int64(first+i), 10))
+	}
+	all := b.String()
+	names := make([]string, n)
+	for i := range names {
+		k := len("SM") + len(strconv.AppendInt(num[:0], int64(first+i), 10))
+		names[i], all = all[:k], all[k:]
+	}
+	return names
 }
 
 // ID returns the SM's index.
 func (sm *SM) ID() int { return sm.id }
 
 // Name implements engine.Module.
-func (sm *SM) Name() string { return fmt.Sprintf("SM%d", sm.id) }
+func (sm *SM) Name() string { return sm.name }
 
 // Kind implements engine.Module: the Warp Scheduler & Dispatch module is
 // cycle-accurate in every Swift-Sim assembly in the paper.
@@ -687,19 +802,17 @@ func (sm *SM) settle() {
 func (sm *SM) Busy() bool { return sm.busyCache }
 
 func (sm *SM) computeBusy() bool {
-	for _, sc := range sm.subcores {
-		if sc.anyIssuable() {
-			return true
-		}
-	}
-	if anyBit(sm.busyUnits) {
+	if anyBit(sm.readyOrBusy) {
 		return true
+	}
+	if !sm.frontEnd {
+		return false
 	}
 	for _, sc := range sm.subcores {
 		if sc.icache != nil && sc.icache.Busy(sm.lastCycle+1) {
 			return true
 		}
-		if sm.frontEnd && sc.fetchPending() {
+		if sc.fetchPending() {
 			return true
 		}
 	}
@@ -707,7 +820,12 @@ func (sm *SM) computeBusy() bool {
 }
 
 // Tick implements engine.Ticker: advance unit pipelines, then run one
-// scheduling round per sub-core scheduler.
+// scheduling round per sub-core scheduler. A built-in policy has nothing to
+// pick from an empty ready set, so such a round is skipped, keeping the
+// one effect its failed issue had: the round count, which a Picker's tried
+// predicate reads and a checkpoint saves. The test is made round by round,
+// so a barrier that an earlier sub-core's dispatch released this tick
+// still issues. A Picker is always asked: it may keep state.
 func (sm *SM) Tick(cycle uint64) {
 	sm.settle()
 	sm.lastCycle = cycle
@@ -720,15 +838,18 @@ func (sm *SM) Tick(cycle uint64) {
 	}
 	for _, sc := range sm.subcores {
 		for s := 0; s < sm.cfg.SchedulersPerSubCore; s++ {
-			if !sc.issue(cycle) {
-				if len(sm.blocks) > 0 {
-					sm.stalls.Inc()
-					if sm.trOn {
-						sm.stallReasons[sc.classifyStall()]++
-					}
-				}
-				break
+			if sc.picker == nil && !sc.anyIssuable() {
+				sc.epoch++
+			} else if sc.issue(cycle) {
+				continue
 			}
+			if len(sm.blocks) > 0 {
+				sm.stalls.Inc()
+				if sm.trOn {
+					sm.stallReasons[sc.classifyStall()]++
+				}
+			}
+			break
 		}
 	}
 	sm.busyCache = sm.computeBusy()
@@ -821,11 +942,13 @@ func (sm *SM) CanAccept(k *trace.Kernel) bool {
 func (sm *SM) AssignBlock(k *trace.Kernel, index int) error {
 	sm.settle() // stall accounting up to here used the old resident set
 	warps, regs, shmem := blockCost(sm.cfg, k)
-	rb := &residentBlock{sm: sm, index: index, liveWarps: warps, regs: regs, shmem: shmem}
+	rb := sm.class.takeBlock()
+	*rb = residentBlock{sm: sm, index: index, warps: make([]Warp, warps), liveWarps: warps, regs: regs, shmem: shmem}
 	bt := &k.Blocks[index]
-	for wi := 0; wi < warps; wi++ {
+	for wi := range rb.warps {
 		sm.nextAge++
-		w := &Warp{
+		w := &rb.warps[wi]
+		*w = Warp{
 			ID:    sm.id*4096 + index*64 + wi,
 			Age:   sm.nextAge,
 			block: rb,
@@ -834,12 +957,12 @@ func (sm *SM) AssignBlock(k *trace.Kernel, index int) error {
 		if !sm.frontEnd {
 			w.ibuf = -1 // instructions always available
 		}
-		rb.warps = append(rb.warps, w)
 		if err := sm.subcores[wi%sm.cfg.SubCores].addWarp(w); err != nil {
 			// Unwind the partially placed block.
-			for pwi, pw := range rb.warps[:len(rb.warps)-1] {
-				sm.subcores[pwi%sm.cfg.SubCores].removeWarp(pw)
+			for pwi := range rb.warps[:wi] {
+				sm.subcores[pwi%sm.cfg.SubCores].removeWarp(&rb.warps[pwi])
 			}
+			sm.class.putBlock(rb)
 			return fmt.Errorf("smcore: SM%d block %d of kernel %s: %w", sm.id, index, k.Name, err)
 		}
 	}
@@ -858,6 +981,23 @@ func (sm *SM) AssignBlock(k *trace.Kernel, index int) error {
 	return nil
 }
 
+// takeBlock returns a resident-block record from the class's free list or
+// slab.
+func (c *smClass) takeBlock() *residentBlock {
+	if rb := c.freeBlocks; rb != nil {
+		c.freeBlocks = rb.next
+		return rb
+	}
+	return c.blocks.One()
+}
+
+// putBlock returns a record whose block is gone. Its warps stay where they
+// are: a Picker may still hold one.
+func (c *smClass) putBlock(rb *residentBlock) {
+	*rb = residentBlock{next: c.freeBlocks}
+	c.freeBlocks = rb
+}
+
 // blockDone releases a finished block's resources.
 func (sm *SM) blockDone(rb *residentBlock) {
 	sm.settle() // stall accounting up to here included rb
@@ -867,12 +1007,14 @@ func (sm *SM) blockDone(rb *residentBlock) {
 			break
 		}
 	}
-	for wi, w := range rb.warps {
-		sm.subcores[wi%sm.cfg.SubCores].removeWarp(w)
+	for wi := range rb.warps {
+		sm.subcores[wi%sm.cfg.SubCores].removeWarp(&rb.warps[wi])
 	}
-	sm.usedWarps -= rb.liveWarpsTotal()
+	sm.usedWarps -= len(rb.warps)
 	sm.usedRegs -= rb.regs
 	sm.usedShmem -= rb.shmem
+	launchCycle, index := rb.launchCycle, rb.index
+	sm.class.putBlock(rb)
 	// The block-completion notification (and its trace span) escapes the
 	// SM: onBlockDone wakes the shared Block Scheduler. During a relaxed
 	// run's segment pass that effect leaves the segment, so it goes through
@@ -882,10 +1024,10 @@ func (sm *SM) blockDone(rb *residentBlock) {
 	// callback pops, so the per-block path allocates in neither case: an
 	// SM's defers run in the order it issued them.
 	if sm.eng == nil {
-		sm.finishBlock(rb.launchCycle, rb.index)
+		sm.finishBlock(launchCycle, index)
 		return
 	}
-	sm.finished.Push(finishedBlock{rb.launchCycle, rb.index})
+	sm.finished.Push(finishedBlock{launchCycle, index})
 	sm.eng.Defer(sm.finishFn)
 }
 
@@ -919,8 +1061,6 @@ func (sm *SM) finishBlock(launchCycle uint64, index int) {
 func (sm *SM) SetBlockObserver(fn func(index int, launch, end uint64)) {
 	sm.blockObs = fn
 }
-
-func (b *residentBlock) liveWarpsTotal() int { return len(b.warps) }
 
 // ResidentBlocks returns the number of blocks currently resident (for
 // tests and occupancy metrics).

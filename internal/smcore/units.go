@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/trace"
 )
@@ -70,17 +71,19 @@ func newALUClass(name string, g *metrics.Gatherer) aluClass {
 // count) and initiation interval (cycles the issue port is held per
 // instruction). It writes back at most one instruction per cycle.
 func NewALUPipeline(name string, latency, interval int, g *metrics.Gatherer) *ALUPipeline {
-	return newALUPipeline(newALUClass(name, g), latency, interval)
+	return newALUPipeline(newALUClass(name, g), latency, interval, nil, nil)
 }
 
 // newALUPipeline builds a pipeline of class c with registers and an issue
-// port of its own.
-func newALUPipeline(c aluClass, latency, interval int) *ALUPipeline {
-	return &ALUPipeline{
+// port of its own, taking it from pipes and its registers from stages.
+func newALUPipeline(c aluClass, latency, interval int, pipes *mem.Slab[ALUPipeline], stages *mem.Slab[pipeSlot]) *ALUPipeline {
+	u := pipes.One()
+	*u = ALUPipeline{
 		aluClass: c,
 		interval: uint64(max(interval, 1)),
-		stages:   make([]pipeSlot, max(latency, 1)),
+		stages:   stages.Take(max(latency, 1)),
 	}
+	return u
 }
 
 // Name implements engine.Module.
