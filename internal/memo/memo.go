@@ -1,6 +1,7 @@
 // Package memo is the process-wide memo of a pure function that the
 // simulator keeps wherever it would otherwise recompute: trace digests,
-// generated traces and the two hit-rate profile phases.
+// trace validations, generated traces, the two hit-rate profile phases and
+// the sweep service's job keys.
 package memo
 
 import (
@@ -40,7 +41,9 @@ type Stats struct {
 }
 
 // New returns a memo that retains completed values while their summed
-// weight stays within limit.
+// weight stays within limit. A value that weighs less than zero is handed
+// to its callers, those already waiting included, and not retained: a memo
+// of a check keeps its passes and recomputes its failures.
 func New[K comparable, V any](limit int, weight func(V) int) *Memo[K, V] {
 	return &Memo[K, V]{limit: limit, weight: weight, entries: make(map[K]*entry[V])}
 }
@@ -86,6 +89,11 @@ func (m *Memo[K, V]) fill(key K, e *entry[V], compute func(K) V) V {
 	e.ok = true
 
 	m.mu.Lock()
+	if e.weight < 0 {
+		delete(m.entries, key)
+		m.mu.Unlock()
+		return e.val
+	}
 	m.order.Push(key)
 	m.held += e.weight
 	// A value heavier than the whole limit is its own first victim: handed

@@ -3,8 +3,10 @@ package service
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 )
 
@@ -30,6 +32,12 @@ import (
 type Cache struct {
 	dir   string
 	store *Store
+
+	// refs remembers the blob hash of each key a lookup has served, so a
+	// repeated hit opens no ref file; its blob is still read and verified.
+	// It is emptied when it reaches maxRefs entries.
+	refMu sync.Mutex
+	refs  map[string]string
 
 	// The counters behind CacheStats. lookup counts hits and corrupt
 	// entries; the board counts misses and waits, the outcomes of its posts.
@@ -66,8 +74,11 @@ func NewCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{dir: dir, store: store}, nil
+	return &Cache{dir: dir, store: store, refs: make(map[string]string)}, nil
 }
+
+// maxRefs bounds Cache.refs: at about 200 bytes an entry, 13 MB.
+const maxRefs = 1 << 16
 
 // BlobStore returns the content-addressed store backing the cache's
 // values. Workers publish results into it; the cache commits a published
@@ -80,24 +91,46 @@ func (c *Cache) path(key string) string {
 }
 
 // lookup resolves a key via its ref and the store, with integrity
-// verification, and counts a hit. A corrupt blob (or a dangling ref) evicts
-// the entry and reads as a miss, so the caller recomputes instead of
-// serving bad bytes. A miss counts nothing: whether it becomes a
-// computation is the board's to say.
+// verification, and counts a hit. The ref comes from refs when a lookup has
+// served the key before, else from its file. An entry whose blob is corrupt
+// or gone, or whose ref is malformed, is evicted (ref file and remembered
+// hash) and reads as a miss, so the caller recomputes instead of serving
+// bad bytes; a blob that fails to read for any other reason is a miss that
+// leaves the entry for a later lookup. A miss counts nothing: whether it
+// becomes a computation is the board's to say.
 func (c *Cache) lookup(key string) ([]byte, bool) {
-	ref, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
+	c.refMu.Lock()
+	ref, known := c.refs[key]
+	c.refMu.Unlock()
+	if !known {
+		b, err := os.ReadFile(c.path(key))
+		if err != nil {
+			return nil, false
+		}
+		ref = string(b)
 	}
-	data, err := c.store.Get(string(ref))
+	data, err := c.store.Get(ref)
 	if err != nil {
-		// ErrBlobCorrupt already evicted the blob; either way the ref
-		// points at nothing servable, so drop it and recompute.
-		os.Remove(c.path(key))
-		if errors.Is(err, ErrBlobCorrupt) {
+		// ErrBlobCorrupt already evicted the blob.
+		corrupt := errors.Is(err, ErrBlobCorrupt)
+		if corrupt || errors.Is(err, fs.ErrNotExist) || !validBlobHash(ref) {
+			c.refMu.Lock()
+			delete(c.refs, key)
+			c.refMu.Unlock()
+			os.Remove(c.path(key))
+		}
+		if corrupt {
 			c.corrupt.Add(1)
 		}
 		return nil, false
+	}
+	if !known {
+		c.refMu.Lock()
+		if len(c.refs) >= maxRefs {
+			clear(c.refs)
+		}
+		c.refs[key] = ref
+		c.refMu.Unlock()
 	}
 	c.hits.Add(1)
 	return data, true

@@ -135,6 +135,52 @@ func TestCacheCorruptBlobEvicted(t *testing.T) {
 	}
 }
 
+// TestCacheTransientBlobReadKeepsEntry: a blob that is there but cannot be
+// read (a directory in its place fails with EISDIR) is a miss that evicts
+// nothing and counts no corruption, so the entry is served again once the
+// blob reads.
+func TestCacheTransientBlobReadKeepsEntry(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, f := c.Claim("k")
+	if err := c.Fulfill(f, []byte("good bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, _, _ := c.Claim("k"); !hit {
+		t.Fatal("claim after fulfil missed")
+	}
+	blob := filepath.Join(dir, "blobs", BlobHash([]byte("good bytes"))+".blob")
+	if err := os.Rename(blob, blob+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(blob, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	if val, hit, _, _ := c.Claim("k"); hit {
+		t.Fatalf("claim over an unreadable blob hit with %q", val)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "k.ref")); err != nil {
+		t.Errorf("an unreadable blob evicted the ref: %v", err)
+	}
+	if st := c.Stats(); st.Corrupt != 0 {
+		t.Errorf("stats.Corrupt = %d, want 0", st.Corrupt)
+	}
+
+	if err := os.Remove(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(blob+".aside", blob); err != nil {
+		t.Fatal(err)
+	}
+	if val, hit, _, _ := c.Claim("k"); !hit || string(val) != "good bytes" {
+		t.Errorf("claim after the blob reads again: hit=%v val=%q", hit, val)
+	}
+}
+
 // writeCacheFixture adds a cache entry stored by this build to the committed
 // ones:
 //

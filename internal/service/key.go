@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/memo"
 	"swiftsim/internal/regress"
 	"swiftsim/internal/sim"
 	"swiftsim/internal/trace"
@@ -37,15 +38,38 @@ const keySchema = "swiftsim-service-key 4"
 //     documented there; Scheduler must be unset — the service never sets
 //     it, and a custom scheduler would change results without changing
 //     the key.
+//
+// Every warm resubmit derives its jobs' keys again, so the derivation is
+// memoized on exactly its inputs that vary within a process: the trace's
+// content hash, the whole configuration value (not its name, which an
+// explored variant of a preset keeps) and the options' Identity.
 func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
+	return keyMemo.Get(keyInputs{trace.ContentHash(app), gpu, opts.Identity()}, deriveKey)
+}
+
+// keyInputs is the memo key of jobKey: everything the derivation reads that
+// is not a process constant.
+type keyInputs struct {
+	trace    [32]byte
+	gpu      config.GPU
+	identity string
+}
+
+// keyMemo holds the last keyMemoEntries derived keys, each weighing 1: a
+// sweep over every app, preset and kind is 240 of them.
+const keyMemoEntries = 4096
+
+var keyMemo = memo.New[keyInputs](keyMemoEntries, func(string) int { return 1 })
+
+// deriveKey is jobKey's computation, on the memo's key.
+func deriveKey(in keyInputs) string {
 	h := sha256.New()
 	io.WriteString(h, keySchema+"\n")
 	io.WriteString(h, regress.CanonicalVersion+"\n")
 	io.WriteString(h, codeVersion()+"\n")
-	h.Write(config.Marshal(gpu))
-	th := trace.ContentHash(app)
-	h.Write(th[:])
-	io.WriteString(h, opts.Identity()+"\n")
+	h.Write(config.Marshal(in.gpu))
+	h.Write(in.trace[:])
+	io.WriteString(h, in.identity+"\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 

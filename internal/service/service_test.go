@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/sim"
+	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
 
@@ -482,10 +485,103 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// TestJobKeyMemoExact: the key memo answers what the derivation computes,
+// on the derivation's whole input: a configuration is told apart by its
+// values, not its name, and an app by its content, not its pointer.
+func TestJobKeyMemoExact(t *testing.T) {
+	spec, _ := workload.ByName("BFS")
+	app, copied := spec.Generate(0.1), spec.Generate(0.1)
+	if app == copied {
+		t.Fatal("two generations returned one *trace.App")
+	}
+	content := trace.ContentHash(app)
+	for _, name := range config.PresetNames() {
+		gpu, _ := config.Preset(name)
+		for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory, sim.L2Hybrid} {
+			opts := sim.Options{Kind: kind}
+			if got, want := jobKey(app, gpu, opts), deriveKey(keyInputs{content, gpu, opts.Identity()}); got != want {
+				t.Errorf("%s %v: memoized key %s, derived %s", name, kind, got, want)
+			}
+		}
+	}
+
+	gpu, _ := config.Preset("RTX2080Ti")
+	opts := sim.Options{Kind: sim.Memory}
+	variant := gpu
+	variant.DRAMLatency++
+	if jobKey(app, variant, opts) == jobKey(app, gpu, opts) {
+		t.Error("a configuration that keeps its preset's name shares the preset's key")
+	}
+	if got, want := jobKey(app, variant, opts), deriveKey(keyInputs{content, variant, opts.Identity()}); got != want {
+		t.Errorf("variant: memoized key %s, derived %s", got, want)
+	}
+
+	key := jobKey(app, gpu, opts)
+	before := keyMemo.Stats().Computes
+	if jobKey(copied, gpu, opts) != key {
+		t.Error("two generated copies of one app got different keys")
+	}
+	if n := keyMemo.Stats().Computes - before; n != 0 {
+		t.Errorf("a copy of a keyed app derived its key again (%d computes): the memo is keyed on the pointer", n)
+	}
+}
+
+// TestWarmHitSkipsRefNotCheck: a key a lookup has served is resolved from
+// memory, so its ref file is not read again, but its blob still is and is
+// verified: overwritten bytes are caught, evicted and recomputed.
+func TestWarmHitSkipsRefNotCheck(t *testing.T) {
+	dir := t.TempDir()
+	s := newService(t, Config{CacheDir: dir})
+	run := func() (Status, []byte) {
+		t.Helper()
+		sw := submit(t, s, smallSpec())
+		waitDone(t, sw)
+		res, err := sw.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw.Status(), res
+	}
+	_, first := run()
+	if st, _ := run(); st.Cached != 1 {
+		t.Fatalf("warm resubmit: %+v, want the job cached", st)
+	}
+
+	refs, err := filepath.Glob(filepath.Join(dir, "*.ref"))
+	if err != nil || len(refs) != 1 {
+		t.Fatalf("refs %v (%v), want one", refs, err)
+	}
+	if err := os.Remove(refs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st, res := run(); st.Cached != 1 || !bytes.Equal(res, first) {
+		t.Errorf("resubmit without the ref file: %+v, want the job served as a hit with the first bytes", st)
+	}
+
+	blob := filepath.Join(dir, "blobs", BlobHash(first)+".blob")
+	if err := os.WriteFile(blob, []byte("other bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, res := run()
+	if st.Cached != 0 || st.Ok != 1 {
+		t.Errorf("resubmit over an overwritten blob: %+v, want the job run again", st)
+	}
+	if c := s.Stats().Cache.Corrupt; c != 1 {
+		t.Errorf("Cache.Corrupt = %d, want 1", c)
+	}
+	if !bytes.Equal(res, first) {
+		t.Error("the re-run's bytes differ from the first run's")
+	}
+	if st, _ := run(); st.Cached != 1 {
+		t.Errorf("resubmit after the re-run: %+v, want a hit again", st)
+	}
+}
+
 // TestJobKeyAllocations: every warm resubmit derives its job's key, so the
 // derivation's cost is held as an allocation count, which repeats on any
-// host. The ceiling sits about 25% above the measured 14; rendering the
-// configuration through an intermediate map with a sort per call costs 166.
+// host. A memoized key costs the measured 2 (rendering the options'
+// Identity); deriving it on every call costs 14, and rendering the
+// configuration through an intermediate map with a sort per call 166.
 func TestJobKeyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -499,16 +595,17 @@ func TestJobKeyAllocations(t *testing.T) {
 	jobKey(app, gpu, opts) // the content hash and the code version, once
 	allocs := testing.AllocsPerRun(100, func() { jobKey(app, gpu, opts) })
 	t.Logf("%v allocations per key", allocs)
-	if ceiling := 18.0; allocs > ceiling {
+	if ceiling := 3.0; allocs > ceiling {
 		t.Errorf("jobKey allocated %v objects, ceiling %v", allocs, ceiling)
 	}
 }
 
 // TestWarmResubmitAllocations: a resubmitted sweep whose jobs are all cached
-// is served by disk reads alone, with no table entry and no waiter, so its
+// is served by blob reads alone, with no table entry and no waiter, so its
 // cost is held as allocations per job, sweep overhead included. The ceiling
-// sits about 25% above the measured 35 (the key derivation is 14 of them);
-// a flight record and channel per hit made it 37.
+// sits about 25% above the measured 15; deriving every key again made it
+// 27, reading every ref file as well 35, and a flight record and channel
+// per hit on top of those 37.
 func TestWarmResubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -529,7 +626,7 @@ func TestWarmResubmitAllocations(t *testing.T) {
 	}
 	perJob := testing.AllocsPerRun(10, func() { resubmit() }) / float64(len(spec.Apps))
 	t.Logf("%.1f allocations per warm job", perJob)
-	if ceiling := 44.0; perJob > ceiling {
+	if ceiling := 19.0; perJob > ceiling {
 		t.Errorf("a warm job allocated %.1f objects, ceiling %v", perJob, ceiling)
 	}
 }

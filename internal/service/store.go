@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -118,8 +119,10 @@ func (st *Store) Put(data []byte) (string, error) {
 }
 
 // Get returns the blob named hash after verifying its content still
-// hashes to its name. A missing or malformed hash is ErrBlobNotFound; a
-// blob that fails verification is evicted from disk and reported as
+// hashes to its name. A malformed hash, or a blob that cannot be read, is
+// ErrBlobNotFound, wrapping the read's cause: fs.ErrNotExist for a blob
+// that is gone, anything else for one that may be readable later. A blob
+// that fails verification is evicted from disk and reported as
 // ErrBlobCorrupt — the caller treats it as a miss and recomputes, never
 // serving bad bytes.
 func (st *Store) Get(hash string) ([]byte, error) {
@@ -128,7 +131,13 @@ func (st *Store) Get(hash string) ([]byte, error) {
 	}
 	data, err := os.ReadFile(st.path(hash))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrBlobNotFound, hash)
+		// The cause stays inspectable (errors.Is(err, fs.ErrNotExist)),
+		// without the store's directory, which HTTP clients would see.
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return nil, fmt.Errorf("%w: %s: %w", ErrBlobNotFound, hash, err)
 	}
 	if BlobHash(data) != hash {
 		os.Remove(st.path(hash))

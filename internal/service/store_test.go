@@ -2,8 +2,10 @@ package service
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -117,12 +119,28 @@ func TestStoreRejectsMalformedHashes(t *testing.T) {
 	}
 }
 
+// TestStoreGetMissing: a blob that is not there, or cannot be read, is
+// ErrBlobNotFound (a 404 over HTTP) that keeps its cause, so a caller tells
+// a blob that is gone from one that failed to read; the message leaves out
+// the store's directory.
 func TestStoreGetMissing(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get(BlobHash([]byte("never stored"))); !errors.Is(err, ErrBlobNotFound) {
-		t.Errorf("Get = %v, want ErrBlobNotFound", err)
+	_, err = st.Get(BlobHash([]byte("never stored")))
+	if !errors.Is(err, ErrBlobNotFound) || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Get = %v, want ErrBlobNotFound wrapping fs.ErrNotExist", err)
+	}
+	if err != nil && strings.Contains(err.Error(), dir) {
+		t.Errorf("Get's error names the store directory: %v", err)
+	}
+	hash := BlobHash([]byte("a directory"))
+	if err := os.Mkdir(filepath.Join(dir, hash+".blob"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(hash); !errors.Is(err, ErrBlobNotFound) || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Get of an unreadable blob = %v, want ErrBlobNotFound not wrapping fs.ErrNotExist", err)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"swiftsim/internal/dram"
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
+	"swiftsim/internal/memo"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/noc"
 	"swiftsim/internal/obs"
@@ -93,6 +94,17 @@ func Run(app *trace.App, gpu config.GPU, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), app, gpu, opts)
 }
 
+// validApps remembers the last 256 apps whose Validate passed, so a run of
+// an app already run skips the walk over its every instruction and address
+// (apps are immutable once built, as ContentHash relies on too). A failure
+// weighs -1 and is not retained: the next run validates again.
+var validApps = memo.New[*trace.App](256, func(err error) int {
+	if err != nil {
+		return -1
+	}
+	return 1
+})
+
 // RunCtx is Run with cooperative cancellation: the context is threaded into
 // the simulation engine, which polls it every few thousand scheduler
 // iterations. Canceling the context (or passing one with a deadline) stops
@@ -104,7 +116,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if err := gpu.Validate(); err != nil {
 		return nil, err
 	}
-	if err := app.Validate(); err != nil {
+	if err := validApps.Get(app, (*trace.App).Validate); err != nil {
 		return nil, err
 	}
 	if err := opts.Validate(); err != nil {

@@ -250,6 +250,31 @@ func TestRunRejectsInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestRunValidatesAnAppOnce: a run of an app that an earlier run validated
+// skips the walk over its instructions, and a failed validation is not
+// remembered, so an app fixed after it was refused runs.
+func TestRunValidatesAnAppOnce(t *testing.T) {
+	gpu := smallGPU()
+	app := copyApp(mustApp(t, "LU", 0.1)) // a pointer no other test has run
+	before := validApps.Stats().Computes
+	for i := 0; i < 2; i++ {
+		if _, err := Run(app, gpu, Options{Kind: Memory}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := validApps.Stats().Computes - before; n != 1 {
+		t.Errorf("two runs of one app validated it %d times, want 1", n)
+	}
+	fixed := &trace.App{Name: "x"}
+	if _, err := Run(fixed, gpu, Options{Kind: Memory}); err == nil {
+		t.Fatal("an app with no kernels accepted")
+	}
+	fixed.Kernels = app.Kernels
+	if _, err := Run(fixed, gpu, Options{Kind: Memory}); err != nil {
+		t.Errorf("the app refused before it had kernels: %v", err)
+	}
+}
+
 func TestDeterministicCycles(t *testing.T) {
 	gpu := smallGPU()
 	app := mustApp(t, "SSSP", 0.15)
