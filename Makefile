@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick profile update-golden envelopes loc
+.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick profile update-golden envelopes loc loc-head
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
 # the four decoders + the multi-worker lease-plane scenarios + the short
@@ -154,3 +154,12 @@ loc:
 		/^$$/ || /^\/\// { next } \
 		{ n[pkg]++; total++ } \
 		END { for (p in n) printf "%6d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d  total\n", total }'
+
+# loc-head prints loc for the committed tree: HEAD, from `git archive`
+# unpacked into a temp dir, counted by this Makefile's rule. Run it and
+# `make loc` before committing, and the two are the change's before and
+# after.
+loc-head:
+	@d="$$(mktemp -d)"; git archive HEAD | tar -x -C "$$d" && \
+		$(MAKE) --no-print-directory -s -C "$$d" -f "$(CURDIR)/Makefile" loc; \
+		s=$$?; rm -rf "$$d"; exit $$s

@@ -103,16 +103,11 @@ type BandwidthMeter struct {
 	freeAt          float64
 }
 
-// NewBandwidthMeter builds a meter for a GPU with the given number of
-// memory partitions, each able to transfer one sector per cycle.
-func NewBandwidthMeter(partitions int) *BandwidthMeter {
-	return NewBandwidthMeterRate(1 / float64(max(partitions, 1)))
-}
-
-// NewBandwidthMeterRate builds a meter with an explicit aggregate service
-// cost per sector, for channels whose rate is not one sector per cycle per
-// unit (e.g. DRAM banks with multi-cycle occupancy). It is
-// NewBandwidthMeters' batch of one.
+// NewBandwidthMeterRate builds a meter with the given aggregate service
+// cost per sector: 1/partitions for partitions that each transfer one
+// sector per cycle, more for channels with multi-cycle occupancy (DRAM
+// banks). A cost <= 0 is taken as 1. It is NewBandwidthMeters' batch of
+// one.
 func NewBandwidthMeterRate(cyclesPerSector float64) *BandwidthMeter {
 	return &NewBandwidthMeters(1, cyclesPerSector)[0]
 }

@@ -117,7 +117,7 @@ func TestQuickALUModelMatchesPipelineThroughput(t *testing.T) {
 }
 
 func TestBandwidthMeter(t *testing.T) {
-	m := NewBandwidthMeter(2) // 0.5 cycles per sector
+	m := NewBandwidthMeterRate(0.5) // two partitions
 	if d := m.Reserve(0, 4); d != 0 {
 		t.Errorf("first reserve delay = %d, want 0", d)
 	}
@@ -132,7 +132,7 @@ func TestBandwidthMeter(t *testing.T) {
 }
 
 func TestBandwidthMeterClamp(t *testing.T) {
-	m := NewBandwidthMeter(0)
+	m := NewBandwidthMeterRate(0)
 	if m.cyclesPerSector != 1 {
 		t.Errorf("cyclesPerSector = %v, want 1 (clamped)", m.cyclesPerSector)
 	}
@@ -148,7 +148,7 @@ func memParams(prof *reuse.Profile, kernel *int) MemModelParams {
 		SharedMemLatency: 24,
 		SectorBytes:      32,
 		Lanes:            4,
-		DRAM:             NewBandwidthMeter(22),
+		DRAM:             NewBandwidthMeterRate(1.0 / 22),
 	}
 }
 
@@ -360,7 +360,7 @@ func TestMemModelDRAMBandwidthContention(t *testing.T) {
 		prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 8}: rates}, loads)
 		eng := engine.New()
 		p := memParams(prof, &kernel)
-		p.DRAM = NewBandwidthMeter(1) // narrow channel
+		p.DRAM = NewBandwidthMeterRate(1) // narrow channel
 		u := NewMemModel("mem", eng, p, metrics.New())
 		done := false
 		rem := len(insts[0])

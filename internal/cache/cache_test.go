@@ -224,10 +224,12 @@ func TestHotStateSizes(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range []struct{ maxMerge, allocs int }{{4, 2}, {8, 2}, {12, 3}} {
+	for _, tc := range []struct{ maxMerge, allocs int }{{4, 4}, {8, 4}, {12, 5}} {
 		var inside bool
 		r := &mem.Request{}
-		// A table's buckets, then one slab for its first mshrSlab lines.
+		// A table's buckets and its two class slabs, then one slab chunk
+		// for its first mshrSlab lines (and, past mshrInline, their
+		// waiter array).
 		allocs := testing.AllocsPerRun(10, func() {
 			m := newMSHR(mshrSlab, tc.maxMerge)
 			for la := uint64(0); la < mshrSlab; la++ {

@@ -57,7 +57,7 @@ type mshrTable struct {
 	capacity int
 	maxMerge int
 	// slabs and fills are where the table's entry slabs and fill's result
-	// array come from: the cache class's, or nil for a table of its own.
+	// array come from: the cache class's.
 	slabs *mem.Slab[mshrEntry]
 	fills *mem.Slab[*mem.Request]
 }

@@ -8,10 +8,11 @@ import (
 	"swiftsim/internal/mem"
 )
 
-// newMSHR builds a table of its own, as no cache class does: its buckets,
-// entry slabs and fill results are allocated for it alone.
+// newMSHR builds a table as the class of one cache would: its buckets, and
+// the slabs its entries and fill results come from, are its own.
 func newMSHR(entries, maxMerge int) mshrTable {
-	return newMSHRIn(entries, maxMerge, make([]*mshrEntry, mshrBuckets(entries)), nil, nil)
+	return newMSHRIn(entries, maxMerge, make([]*mshrEntry, mshrBuckets(entries)),
+		mem.NewSlab[mshrEntry](mshrChunk), mem.NewSlab[*mem.Request](maxMerge))
 }
 
 // refMSHR is the MSHR as a Go map of line address to entry, as the table

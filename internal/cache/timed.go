@@ -25,7 +25,7 @@ type Timed struct {
 	cfg   config.Cache
 	level mem.Level
 	eng   engine.Context
-	wake  func() // engine activation callback (nil when standalone)
+	wake  func() // engine activation callback
 	down  mem.Port
 
 	// tags and mshr are held by value, so a request reaches its set and its
@@ -179,9 +179,7 @@ func (c *Timed) Accept(r *mem.Request) bool {
 	if c.trOn {
 		r.T0 = c.eng.Cycle()
 	}
-	if c.wake != nil {
-		c.wake()
-	}
+	c.wake()
 	return true
 }
 
@@ -189,15 +187,10 @@ func (c *Timed) bankOf(addr uint64) int {
 	return int((addr >> c.tags.sectorShift) % uint64(c.cfg.Banks))
 }
 
-// PreTick implements engine.PreTicker: drain pending downstream traffic.
-// The engine runs it immediately before Tick.
-func (c *Timed) PreTick(cycle uint64) {
-	c.drainDown()
-}
-
-// Tick implements engine.Ticker: let each bank process up to Throughput
-// requests. Downstream drains happen in PreTick.
+// Tick implements engine.Ticker: push pending downstream traffic, then let
+// each bank process up to Throughput requests.
 func (c *Timed) Tick(cycle uint64) {
+	c.drainDown()
 	for b := range c.banks {
 		q := &c.banks[b]
 		for n := 0; n < c.cfg.Throughput && q.Len() > 0; n++ {
@@ -309,7 +302,7 @@ func (c *Timed) forwardWrite(r *mem.Request) {
 // and release the requests parked on it.
 func (c *Timed) RequestDone(dr *mem.Request) {
 	from := dr.ServicedBy
-	if c.evict(dr, c.tags.install(dr.Addr)) && c.wake != nil {
+	if c.evict(dr, c.tags.install(dr.Addr)) {
 		c.wake()
 	}
 	for _, waiter := range c.mshr.fill(c.tags.lineAddr(dr.Addr), c.tags.sector(dr.Addr)) {
@@ -353,7 +346,7 @@ func (c *Timed) complete(r *mem.Request, lvl mem.Level) {
 // complete has elapsed.
 func (c *Timed) Retire(r *mem.Request, lvl mem.Level) {
 	c.inflight--
-	if c.inflight == 0 && c.wake != nil {
+	if c.inflight == 0 {
 		c.wake()
 	}
 	if c.trOn {
@@ -372,9 +365,6 @@ func (c *Timed) Retire(r *mem.Request, lvl mem.Level) {
 func (c *Timed) Invalidate() {
 	c.tags.invalidateAll()
 }
-
-// MSHRUsed exposes MSHR occupancy for tests and debugging.
-func (c *Timed) MSHRUsed() int { return c.mshr.used() }
 
 func (c *Timed) String() string {
 	return fmt.Sprintf("%s: %d KiB %d-way sectored cache (%s)", c.name,

@@ -177,6 +177,27 @@ func TestTimedBankBackpressure(t *testing.T) {
 	}
 }
 
+// TestTimedTickSendsQueuedMiss: a miss the down port refused stays queued,
+// and the first Tick after the port accepts again sends it, with no other
+// call.
+func TestTimedTickSendsQueuedMiss(t *testing.T) {
+	h := newHarness(t, smallCache())
+	h.down.refuse = true
+	if !h.cache.Accept(&mem.Request{Addr: 0x4000, Size: 32, Done: func() {}}) {
+		t.Fatal("Accept rejected")
+	}
+	h.cache.Tick(0) // the miss is processed and queued
+	h.cache.Tick(1) // the down port refuses it
+	if len(h.down.reads) != 0 || h.cache.toDown.Len() != 1 {
+		t.Fatalf("with the port refusing: %d sent, %d queued, want 0 and 1", len(h.down.reads), h.cache.toDown.Len())
+	}
+	h.down.refuse = false
+	h.cache.Tick(2)
+	if len(h.down.reads) != 1 || h.cache.toDown.Len() != 0 {
+		t.Errorf("after the port accepts: %d sent, %d queued, want 1 and 0", len(h.down.reads), h.cache.toDown.Len())
+	}
+}
+
 func TestTimedWriteThroughForwardsWrites(t *testing.T) {
 	cfg := smallCache()
 	cfg.WriteBack = false

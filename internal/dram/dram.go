@@ -31,7 +31,7 @@ const (
 type Partition struct {
 	name       string
 	eng        *engine.Engine
-	wake       func() // engine activation callback (nil when standalone)
+	wake       func() // engine activation callback
 	banks      int
 	latency    uint64 // row-miss (full) access latency
 	rowHitLat  uint64
@@ -149,9 +149,7 @@ func (p *Partition) Accept(r *mem.Request) bool {
 	if p.trOn {
 		r.T0 = p.eng.Cycle()
 	}
-	if p.wake != nil {
-		p.wake()
-	}
+	p.wake()
 	return true
 }
 

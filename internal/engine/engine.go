@@ -78,8 +78,8 @@ type Ticker interface {
 	// the module is already active, so modules may call it conservatively.
 	// It must only be invoked from within the engine's run loop (module
 	// ticks or scheduled events) or while the engine is stopped — never
-	// from another goroutine. Modules must tolerate running without a
-	// callback installed (standalone unit tests drive Tick directly).
+	// from another goroutine. A module is used only once registered, so
+	// the callback is always installed.
 	SetWake(wake func())
 }
 
@@ -103,9 +103,6 @@ type Waiter interface {
 // tickerEntry is the engine's per-ticker scheduling state.
 type tickerEntry struct {
 	t Ticker
-	// pre is non-nil for tickers implementing PreTicker: the engine runs
-	// PreTick immediately before Tick.
-	pre PreTicker
 	// wait is non-nil for tickers implementing Waiter.
 	wait Waiter
 	// staged marks an entry of the epoch-local segment (RegisterSharded).
@@ -305,7 +302,6 @@ func (e *Engine) Register(t Ticker) { e.register(t, false) }
 func (e *Engine) register(t Ticker, staged bool) int {
 	idx := len(e.entries)
 	en := tickerEntry{t: t, staged: staged}
-	en.pre, _ = t.(PreTicker)
 	en.wait, _ = t.(Waiter)
 	e.entries = append(e.entries, en)
 	e.modules = append(e.modules, t)
@@ -524,17 +520,14 @@ func (e *Engine) nextActive(from int) int {
 // waiter leaves still counted busy. Activations occurring during the pass
 // (a scheduler assigning work to a downstream module, for instance) are
 // ticked this same cycle when their registration index is above the entry
-// being ticked. PreTicker entries get their PreTick immediately before
-// Tick. With hi = maxInt this is a serial run's whole cycle; otherwise it
-// is the head or tail of a relaxed one (see tickCycle in parallel.go).
+// being ticked. With hi = maxInt this is a serial run's whole cycle;
+// otherwise it is the head or tail of a relaxed one (see tickCycle in
+// parallel.go).
 func (e *Engine) tickSerialRange(hi int) {
 	hi = min(hi, len(e.entries)-1)
 	for idx := e.nextActive(e.tickPos); idx <= hi; idx = e.nextActive(idx + 1) {
 		en := &e.entries[idx]
 		en.pending = false
-		if en.pre != nil {
-			en.pre.PreTick(e.cycle)
-		}
 		en.t.Tick(e.cycle)
 		e.moduleTicks++
 		nowBusy := en.t.Busy()

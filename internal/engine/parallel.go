@@ -28,9 +28,10 @@
 // A cycle whose segment is empty is just head and tail at T — no staging,
 // no catch-up — so idle stretches fast-forward event to event at any k.
 //
-// PreTick (a module's drain into its downstream port) runs inside the pass
-// immediately before Tick, so a relaxed assembly must give every segment
-// module a segment-private downstream port (internal/sim's epoch boundary).
+// A segment module's Tick pushes into its downstream port (a cache drains
+// its miss queue first) inside the pass, so a relaxed assembly must give
+// every segment module a segment-private downstream port (internal/sim's
+// epoch boundary).
 //
 // k > 1 relaxes the semantics to *bounded staleness*:
 //
@@ -100,13 +101,6 @@ type Context interface {
 // there is nothing to stage.
 func (e *Engine) Defer(fn func()) { fn() }
 
-// PreTicker is a Ticker whose per-cycle work starts by pushing into a
-// downstream module (a cache draining its miss queue into the NoC). The
-// engine runs PreTick immediately before Tick.
-type PreTicker interface {
-	PreTick(cycle uint64)
-}
-
 // stagedOp is a Schedule, ScheduleRetirement or Defer call captured during a
 // segment pass. A scheduled event carries the absolute cycle it was issued
 // at and its delay.
@@ -165,8 +159,8 @@ func (sg *segment) Defer(fn func()) {
 func (e *Engine) segmentActive() bool { return e.pLo >= 0 && e.nextActive(e.pLo) <= e.pHi }
 
 // runPass ticks the segment's active entries for k local cycles, each in
-// registration order, mirroring tickSerialRange: clear pending, PreTick,
-// Tick, re-poll Busy. An entry that goes idle leaves the active set (a
+// registration order, mirroring tickSerialRange: clear pending, Tick,
+// re-poll Busy. An entry that goes idle leaves the active set (a
 // waiting one stays), and a wake from a segment module's tick sets its
 // bit, so the walk picks it up this local cycle above the cursor and the
 // next one below it. The pass ends early once the segment has no active
@@ -183,9 +177,6 @@ func (sg *segment) runPass(k int) {
 		for idx := e.nextActive(e.pLo); idx <= e.pHi; idx = e.nextActive(idx + 1) {
 			en := &e.entries[idx]
 			en.pending = false
-			if en.pre != nil {
-				en.pre.PreTick(cyc)
-			}
 			en.t.Tick(cyc)
 			e.moduleTicks++
 			nowBusy := en.t.Busy()
@@ -216,8 +207,8 @@ func (e *Engine) SetParallel(n int) { e.nShards = max(n, 1) }
 // exact serial tick (the default); k > 1 lets the segment run k local
 // cycles per pass. Call before Run. The assembly enabling epochs must route
 // every segment module's downstream traffic through segment-private ports
-// (bounded-staleness queues), because PreTick drains then run inside the
-// pass.
+// (bounded-staleness queues), because their ticks' pushes then run inside
+// the pass.
 func (e *Engine) SetEpoch(k int) { e.epochK = max(k, 1) }
 
 // EpochCycles returns the configured epoch length (1 = exact).

@@ -7,9 +7,9 @@ import (
 )
 
 // shardSM is a synthetic segment module shaped like an SM+L1 pair:
-// wake-aware, busy while it holds work, pushing downstream traffic in
-// PreTick, scheduling completion events through its Context, and notifying
-// a serial collector through Defer. All its behavior is a deterministic
+// wake-aware, busy while it holds work, pushing downstream traffic at the
+// start of its Tick, scheduling completion events through its Context, and
+// notifying a serial collector through Defer. All its behavior is a deterministic
 // function of (id, tick count), so a plain-Register run and an exact run
 // through RegisterSharded must produce identical histories.
 type shardSM struct {
@@ -19,8 +19,8 @@ type shardSM struct {
 	wake    func()
 	work    int
 	budget  int  // self-rescheduling allowance, bounds the run
-	pending int  // downstream pushes emitted at the next PreTick
-	relaxed bool // epoch mode: PreTick pushes must escape via Defer
+	pending int  // downstream pushes emitted at the next Tick
+	relaxed bool // epoch mode: downstream pushes must escape via Defer
 	down    *wakeTicker
 	coll    *wakeTicker
 	ticks   int
@@ -32,7 +32,7 @@ func (s *shardSM) Name() string    { return s.name }
 func (s *shardSM) Kind() ModelKind { return CycleAccurate }
 
 // Busy includes undrained downstream pushes: a module holding work for its
-// next PreTick must stay active (real cache models are Busy while their
+// next Tick must stay active (real cache models are Busy while their
 // miss queues are non-empty for the same reason).
 func (s *shardSM) Busy() bool          { return s.work > 0 || s.pending > 0 }
 func (s *shardSM) SetWake(wake func()) { s.wake = wake }
@@ -44,14 +44,16 @@ func (s *shardSM) give(n int) {
 	}
 }
 
-func (s *shardSM) PreTick(cycle uint64) {
+// drain pushes the traffic the previous tick queued, as a cache drains its
+// miss queue at the start of its Tick.
+func (s *shardSM) drain() {
 	if s.pending == 0 {
 		return
 	}
 	n := s.pending
 	s.pending = 0
 	if s.relaxed {
-		// In relaxed mode (k > 1) PreTick runs inside the segment pass, so
+		// In relaxed mode (k > 1) Tick runs inside the segment pass, so
 		// a push into the serial downstream must escape through Defer —
 		// standing in for the segment-private boundary ports a real
 		// relaxed assembly inserts (see internal/sim's epoch boundary).
@@ -62,6 +64,7 @@ func (s *shardSM) PreTick(cycle uint64) {
 }
 
 func (s *shardSM) Tick(cycle uint64) {
+	s.drain()
 	s.ticks++
 	s.tickLog = append(s.tickLog, cycle)
 	if s.work > 0 {
@@ -79,7 +82,7 @@ func (s *shardSM) Tick(cycle uint64) {
 		// through Defer, applied at the fold.
 		s.ctx.Defer(func() { s.coll.give(1) })
 	case 2:
-		// Downstream traffic, drained at the next cycle's PreTick.
+		// Downstream traffic, drained at the start of the next tick.
 		s.pending++
 	case 3:
 		if s.sibling != nil {
@@ -143,7 +146,7 @@ func newParallelFixture(nSMs, nShards, sibStep int) *parallelFixture {
 }
 
 // relax switches the fixture into relaxed-epoch mode: SetEpoch(k) on the
-// engine, plus the SMs route their PreTick pushes through Defer — the
+// engine, plus the SMs route their downstream pushes through Defer — the
 // fixture analog of the segment-private boundary ports a relaxed assembly
 // must give its segment modules (SetEpoch's documented contract).
 func (f *parallelFixture) relax(k int) {

@@ -259,7 +259,7 @@ func TestRequestSizeClass(t *testing.T) {
 
 // TestSlabCarvesChunks: takes from a slab share its chunk until it runs out,
 // each capped so that an append past one reallocates instead of writing
-// into the next; a nil slab allocates every take on its own.
+// into the next; One takes from the same chunk.
 func TestSlabCarvesChunks(t *testing.T) {
 	s := NewSlab[uint64](8)
 	var a, b []uint64
@@ -281,9 +281,10 @@ func TestSlabCarvesChunks(t *testing.T) {
 	if c := s.Take(10); len(c) != 10 || c[9] != 0 {
 		t.Errorf("a take larger than the chunk returned %d elements", len(c))
 	}
-	var none *Slab[uint64]
-	if allocs := testing.AllocsPerRun(10, func() { slabSink = none.One() }); allocs != 1 {
-		t.Errorf("a nil slab's take allocated %v objects, want 1", allocs)
+	s = NewSlab[uint64](64)
+	s.Take(1)
+	if allocs := testing.AllocsPerRun(10, func() { slabSink = s.One() }); allocs != 0 {
+		t.Errorf("One within a slab's chunk allocated %v objects, want 0", allocs)
 	}
 }
 

@@ -8,9 +8,6 @@ package mem
 // blocks, MSHR entries) come from a slab shared by the class, chunk by
 // chunk. A slab is touched only by its run's goroutine, like everything
 // else a module recycles.
-//
-// A nil *Slab allocates every take on its own, exactly the size asked: the
-// single constructors (the batch of one) pass nil.
 type Slab[T any] struct {
 	spare []T
 	chunk int
@@ -22,9 +19,6 @@ func NewSlab[T any](chunk int) *Slab[T] { return &Slab[T]{chunk: chunk} }
 // Take returns n zeroed elements, capped at n so that an append past them
 // reallocates instead of running into the next take's.
 func (s *Slab[T]) Take(n int) []T {
-	if s == nil {
-		return make([]T, n)
-	}
 	if n > len(s.spare) {
 		s.spare = make([]T, max(n, s.chunk))
 	}
@@ -35,9 +29,6 @@ func (s *Slab[T]) Take(n int) []T {
 
 // One returns one zeroed element.
 func (s *Slab[T]) One() *T {
-	if s == nil {
-		return new(T)
-	}
 	return &s.Take(1)[0]
 }
 

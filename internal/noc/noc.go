@@ -37,7 +37,7 @@ type entry struct {
 type link struct {
 	name    string
 	eng     *engine.Engine
-	wake    func() // engine activation callback (nil when standalone)
+	wake    func() // engine activation callback
 	targets []mem.Port
 	mapAddr func(addr uint64) int
 
@@ -132,9 +132,7 @@ func (l *link) send(qs []mem.FIFO[entry], occ, head []uint64, i int, r *mem.Requ
 	qs[i].Push(e)
 	occ[i>>6] |= 1 << (i & 63)
 	l.busyCnt++
-	if l.wake != nil {
-		l.wake()
-	}
+	l.wake()
 }
 
 // accept is the forward half of Accept once the caller has admitted r to

@@ -17,15 +17,16 @@ import (
 // every sweep is posted here and nowhere else, and "where it runs" is a
 // property of who claims it.
 //
-// The table holds each unresolved job once, keyed by its cache key, with
-// the (sweep, index) waiters that want its result. A post of a key already
-// in the table attaches its waiter to that job (single-flight: identical
-// jobs of concurrent sweeps simulate once); a post of a new key creates the
-// job, and the creator reads the cache again before queueing it, so a
-// commit that landed since the sweep's own read is served as a hit. A
-// commit writes the key's ref before the job leaves the table, so a post
-// either finds the job or finds the value on disk. Resolution, Cancel and
-// Close each notify the waiters they take off a job, and each waiter is
+// The table holds each unresolved job once, keyed by its cache key and its
+// wall-clock budget, with the (sweep, index) waiters that want its result.
+// A post of a key and budget already in the table attaches its waiter to
+// that job (single-flight: identical jobs of concurrent sweeps simulate
+// once); any other post creates a job, so a joiner never inherits another
+// sweep's deadline. The creator reads the cache again before queueing the
+// job, so a commit that landed since the sweep's own read is served as a
+// hit. A commit writes the key's ref before the job leaves the table, so a
+// post either finds the job or finds the value on disk. Resolution, Cancel
+// and Close each notify the waiters they take off a job, and each waiter is
 // taken off once. Cancel takes off only the canceling sweep's waiter, and
 // revokes the job only when no waiter is left.
 //
@@ -177,6 +178,15 @@ type boardJob struct {
 	waiters []*waiter
 }
 
+// slot is a job's entry in the board's table: its cache key and its
+// budget. Only posts of one slot share a job.
+type slot struct {
+	key     string
+	timeout time.Duration
+}
+
+func (j *boardJob) slot() slot { return slot{j.key, j.timeout} }
+
 // waiter is one (sweep, index) cell waiting for a job. start fires at each
 // grant it is attached for (a requeued job "starts" again); done fires
 // exactly once, with the job's outcome or with the error that detached it.
@@ -222,8 +232,8 @@ type board struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*boardJob          // pending, FIFO; requeues go to the front
-	jobs    map[string]*boardJob // every unresolved job, by key
+	queue   []*boardJob        // pending, FIFO; requeues go to the front
+	jobs    map[slot]*boardJob // every unresolved job
 	leases  map[string]*lease
 	workers map[string]*boardWorker
 	nextID  int
@@ -246,7 +256,7 @@ func newBoard(ttl time.Duration, maxTries int, cache *Cache) *board {
 		ttl:        ttl,
 		maxTries:   maxTries,
 		cache:      cache,
-		jobs:       make(map[string]*boardJob),
+		jobs:       make(map[slot]*boardJob),
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]*boardWorker),
 		stopReaper: make(chan struct{}),
@@ -328,7 +338,7 @@ func (b *board) Register(local bool) string {
 	return id
 }
 
-// Post attaches w to the unresolved job of j's key, or makes j that job:
+// Post attaches w to the unresolved job of j's slot, or makes j that job:
 // it reads the cache again, serving a value committed since the caller's
 // own read as a hit, and queues j only on a miss. w's done fires exactly
 // once, from a board goroutine, an executor, an HTTP handler or the
@@ -340,7 +350,7 @@ func (b *board) Post(j *boardJob, w *waiter) {
 		w.done(nil, errBoardClosed, false)
 		return
 	}
-	if cur, ok := b.jobs[j.key]; ok {
+	if cur, ok := b.jobs[j.slot()]; ok {
 		w.joined = true
 		cur.waiters = append(cur.waiters, w)
 		b.cache.waits.Add(1)
@@ -348,7 +358,7 @@ func (b *board) Post(j *boardJob, w *waiter) {
 		return
 	}
 	j.waiters = []*waiter{w}
-	b.jobs[j.key] = j
+	b.jobs[j.slot()] = j
 	b.mu.Unlock()
 
 	if val, ok := b.cache.lookup(j.key); ok {
@@ -359,7 +369,7 @@ func (b *board) Post(j *boardJob, w *waiter) {
 	switch {
 	case b.closed: // Close took the waiters
 	case len(j.waiters) == 0: // Cancel took the last one
-		delete(b.jobs, j.key)
+		delete(b.jobs, j.slot())
 	default:
 		b.cache.misses.Add(1)
 		b.queue = append(b.queue, j)
@@ -523,8 +533,8 @@ func (b *board) Fail(leaseID string, token uint64, cause error) error {
 // it with the outcome; hit marks a value read from the cache.
 func (b *board) resolve(j *boardJob, val []byte, err error, hit bool) {
 	b.mu.Lock()
-	if b.jobs[j.key] == j {
-		delete(b.jobs, j.key)
+	if b.jobs[j.slot()] == j {
+		delete(b.jobs, j.slot())
 	}
 	ws := j.waiters
 	j.waiters = nil
@@ -534,13 +544,14 @@ func (b *board) resolve(j *boardJob, val []byte, err error, hit bool) {
 	}
 }
 
-// Cancel detaches w from key's job and notifies it with err (FailFast
-// skips). The job itself is revoked only when no waiter is left; a waiter
-// no longer on key's job (already notified) is ignored.
-func (b *board) Cancel(key string, w *waiter, err error) {
+// Cancel detaches w from the job Post(posted, w) attached it to and
+// notifies it with err (FailFast skips). The job itself is revoked only
+// when no waiter is left; a waiter no longer on that job (already
+// notified) is ignored.
+func (b *board) Cancel(posted *boardJob, w *waiter, err error) {
 	b.mu.Lock()
 	i := -1
-	j, ok := b.jobs[key]
+	j, ok := b.jobs[posted.slot()]
 	if ok {
 		i = slices.Index(j.waiters, w)
 	}
@@ -572,7 +583,7 @@ func (b *board) revoke(j *boardJob) {
 	} else {
 		return
 	}
-	delete(b.jobs, j.key)
+	delete(b.jobs, j.slot())
 }
 
 // Close shuts the board down: claims unblock, every waiter of an unresolved
@@ -597,7 +608,7 @@ func (b *board) Close(cause error) {
 	for _, l := range b.leases {
 		b.release(l)
 	}
-	b.jobs = make(map[string]*boardJob)
+	b.jobs = make(map[slot]*boardJob)
 	b.queue = nil
 	b.cond.Broadcast()
 	b.mu.Unlock()

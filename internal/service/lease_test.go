@@ -351,14 +351,14 @@ func TestBoardCancel(t *testing.T) {
 	}
 
 	slot := b.queue[:1] // shares the queue's backing array
-	b.Cancel("pending", pendingW, skip)
+	b.Cancel(pending, pendingW, skip)
 	if o := waitOutcome(t, chPending); !errors.Is(o.err, skip) {
 		t.Errorf("pending outcome = %v", o.err)
 	}
 	if slot[0] != nil {
 		t.Error("Cancel left the removed job in the queue's backing array")
 	}
-	b.Cancel("leased", leasedW, skip)
+	b.Cancel(leased, leasedW, skip)
 	if o := waitOutcome(t, chLeased); !errors.Is(o.err, skip) {
 		t.Errorf("leased outcome = %v", o.err)
 	}
@@ -368,7 +368,8 @@ func TestBoardCancel(t *testing.T) {
 	if _, lost, _ := b.Heartbeat(w, []string{wire.LeaseID}); len(lost) != 1 {
 		t.Errorf("heartbeat lost = %v, want the canceled lease", lost)
 	}
-	b.Cancel("neither", leasedW, skip) // unknown key: no-op, no panic
+	neither, _, _ := testJob("neither", nil)
+	b.Cancel(neither, leasedW, skip) // unknown key: no-op, no panic
 	if st := b.Stats(); st.Pending != 0 || st.Leased != 0 {
 		t.Errorf("stats = %+v, want empty board", st)
 	}
@@ -535,8 +536,8 @@ func TestBoardCancelDetachesOneWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Cancel("k", jw, skip)
-	b.Cancel("k", jw, skip)
+	b.Cancel(j, jw, skip)
+	b.Cancel(j, jw, skip)
 	if o := waitOutcome(t, ch); !errors.Is(o.err, skip) {
 		t.Errorf("canceled waiter = %v, want the skip", o.err)
 	}

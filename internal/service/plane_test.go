@@ -172,6 +172,49 @@ func TestDistributedLocalFailFastCancelsRunningJob(t *testing.T) {
 	}
 }
 
+// TestJoinerKeepsItsOwnBudget: an identical job of a sweep with no budget
+// does not join one posted with a budget, whose deadline it would inherit.
+// The budgeted job's claim is held until the second sweep has posted
+// (joined it, or queued a job of its own).
+func TestJoinerKeepsItsOwnBudget(t *testing.T) {
+	s := newService(t, Config{Threads: 1})
+	claimed := make(chan struct{})
+	s.runHook = func(l *lease) {
+		if l.job.timeout == 0 {
+			return
+		}
+		close(claimed)
+		for give := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st := s.Stats(); st.Cache.Waits+uint64(st.Remote.Pending) > 0 {
+				return
+			}
+			if time.Now().After(give) {
+				t.Error("timed out waiting for the second sweep's post")
+				return
+			}
+		}
+	}
+	budgeted := smallSpec()
+	budgeted.JobTimeout = "1ns"
+	first, err := s.Submit(budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitSignal(t, claimed, "the budgeted job's claim")
+	second, err := s.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, first)
+	waitDone(t, second)
+	if st := first.Status(); st.Jobs[0].State != StateFailed || !strings.Contains(st.Jobs[0].Error, "deadline") {
+		t.Errorf("budgeted job = %+v, want failed on its deadline", st.Jobs[0])
+	}
+	if st := second.Status(); st.Jobs[0].State != StateDone {
+		t.Errorf("unbudgeted job = %+v, want done", st.Jobs[0])
+	}
+}
+
 // TestDistributedLocalThreadBudget: the thread budget holds daemon-wide.
 // Every job occupies one of the Threads executors, so no more than two run
 // at once, in the executors and in the event log alike.

@@ -559,8 +559,8 @@ func simulate(ctx context.Context, slot int, j *boardJob) ([]byte, error) {
 }
 
 // runSweep executes one sweep: each job is a cache hit, or a post to the
-// board, which joins it to an identical unresolved job or creates it. When
-// every job has resolved the tally is emitted.
+// board, which joins it to an identical unresolved job with the same budget
+// or creates it. When every job has resolved the tally is emitted.
 func (s *Service) runSweep(sw *Sweep) {
 	defer s.wg.Done()
 	if hook := s.execHook; hook != nil {
@@ -598,7 +598,7 @@ func (s *Service) runSweep(sw *Sweep) {
 				// not be re-entered.
 				if err != nil && sw.failFast && tripped.CompareAndSwap(false, true) {
 					for _, p := range posts {
-						s.board.Cancel(p.j.key, p.w, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
+						s.board.Cancel(p.j, p.w, fmt.Errorf("%w: fail-fast after another job's failure", runner.ErrJobSkipped))
 					}
 				}
 			},

@@ -174,7 +174,7 @@ type boundaryPort struct {
 // shared interconnect mid-epoch. Runs inside the segment's pass, so the
 // boundary's wake escapes through Defer.
 func (p *boundaryPort) Accept(r *mem.Request) bool {
-	if len(p.buf) == 0 && p.b.wake != nil {
+	if len(p.buf) == 0 {
 		p.ctx.Defer(p.b.wake)
 	}
 	p.buf = append(p.buf, boundaryItem{cyc: p.ctx.Cycle(), ord: p.ord, r: r})

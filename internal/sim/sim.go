@@ -327,7 +327,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	// a stretch; the shared modules (block scheduler, NoC, L2, DRAM) stay
 	// serial around it. Segment modules reach the engine through ctx. An
 	// epoch boundary (boundary.go) then carries each L1's downstream
-	// traffic, because its PreTick drains run inside the segment's pass.
+	// traffic, because its Tick's drain runs inside the segment's pass.
 	epochK := opts.Effective().EpochCycles
 	eng.SetEpoch(epochK)
 	ctx := eng.ShardContext(0)

@@ -13,7 +13,7 @@ import (
 // simulation cycles from here (paper §III-C).
 type BlockScheduler struct {
 	sms    []*SM
-	wake   func() // engine activation callback (nil when standalone)
+	wake   func() // engine activation callback
 	kernel *trace.Kernel
 	next   int // next block to assign
 	done   int // completed blocks
@@ -41,9 +41,7 @@ func (bs *BlockScheduler) LaunchKernel(k *trace.Kernel) {
 	bs.next = 0
 	bs.done = 0
 	bs.kernelsRun.Inc()
-	if bs.wake != nil {
-		bs.wake() // distribute the new kernel's blocks at the next tick
-	}
+	bs.wake() // distribute the new kernel's blocks at the next tick
 }
 
 // SetWake implements engine.Ticker. The scheduler only has work right
@@ -68,9 +66,7 @@ func (bs *BlockScheduler) Err() error { return bs.err }
 func (bs *BlockScheduler) BlockDone(*SM) {
 	bs.done++
 	bs.blocksTotal.Inc()
-	if bs.wake != nil {
-		bs.wake() // freed residency may admit further blocks
-	}
+	bs.wake() // freed residency may admit further blocks
 }
 
 // Name implements engine.Module.

@@ -42,13 +42,8 @@ func newICacheClass(name string, g *metrics.Gatherer) icacheClass {
 	return icacheClass{name: name, hits: g.Counter(name + ".hit"), misses: g.Counter(name + ".miss")}
 }
 
-// NewICache builds an instruction cache with the given capacity in lines
-// and miss (fill) latency in cycles.
-func NewICache(name string, capacityLines, missLatency int, g *metrics.Gatherer) *ICache {
-	return newICache(newICacheClass(name, g), capacityLines, missLatency, nil, nil)
-}
-
-// newICache builds an empty instruction cache of class c, taking it from
+// newICache builds an empty instruction cache of class c with the given
+// capacity in lines and miss (fill) latency in cycles, taking it from
 // caches and its line and ready arrays from words.
 func newICache(c icacheClass, capacityLines, missLatency int, caches *mem.Slab[ICache], words *mem.Slab[uint64]) *ICache {
 	capacityLines = max(capacityLines, 1)

@@ -10,7 +10,7 @@ import (
 
 func TestICacheMissThenHit(t *testing.T) {
 	g := metrics.New()
-	ic := NewICache("ic", 8, 40, g)
+	ic := testICache("ic", 8, 40, g)
 	if ic.Ready(0, 0) {
 		t.Fatal("cold fetch ready")
 	}
@@ -30,7 +30,7 @@ func TestICacheMissThenHit(t *testing.T) {
 
 func TestICacheSameLineSharesFill(t *testing.T) {
 	g := metrics.New()
-	ic := NewICache("ic", 8, 40, g)
+	ic := testICache("ic", 8, 40, g)
 	ic.Ready(0, 0)
 	// PC 8..56 are in the same 64-byte line: no extra misses.
 	for pc := uint64(8); pc < 64; pc += 8 {
@@ -43,7 +43,7 @@ func TestICacheSameLineSharesFill(t *testing.T) {
 
 func TestICacheNextLinePrefetch(t *testing.T) {
 	g := metrics.New()
-	ic := NewICache("ic", 8, 40, g)
+	ic := testICache("ic", 8, 40, g)
 	ic.Ready(0, 0) // miss line 0; prefetch lines 1..2
 	// After the fill window, sequential code hits without new misses.
 	for pc := uint64(64); pc < 64*3; pc += 8 {
@@ -58,7 +58,7 @@ func TestICacheNextLinePrefetch(t *testing.T) {
 
 func TestICacheCapacityEviction(t *testing.T) {
 	g := metrics.New()
-	ic := NewICache("ic", 2, 10, g)
+	ic := testICache("ic", 2, 10, g)
 	// Touch many distinct lines far apart (no prefetch overlap).
 	for i := uint64(0); i < 8; i++ {
 		ic.Ready(i*64*10, 100*(i+1))
@@ -76,7 +76,7 @@ func TestICacheCapacityEviction(t *testing.T) {
 
 func TestICacheBusyWindow(t *testing.T) {
 	g := metrics.New()
-	ic := NewICache("ic", 8, 40, g)
+	ic := testICache("ic", 8, 40, g)
 	if ic.Busy(0) {
 		t.Fatal("fresh icache busy")
 	}
@@ -90,7 +90,7 @@ func TestICacheBusyWindow(t *testing.T) {
 }
 
 func TestICacheCapacityClamp(t *testing.T) {
-	ic := NewICache("ic", 0, 10, metrics.New())
+	ic := testICache("ic", 0, 10, metrics.New())
 	if len(ic.lines) != 1 {
 		t.Errorf("capacity = %d, want clamped to 1", len(ic.lines))
 	}
@@ -156,7 +156,7 @@ func TestICacheMatchesReference(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			g := metrics.New()
-			ic := NewICache("ic", capacity, 40, g)
+			ic := testICache("ic", capacity, 40, g)
 			ref := newRefICache(capacity, 40)
 			rng := rand.New(rand.NewSource(seed))
 			pc, cycle := uint64(0), uint64(0)
@@ -188,7 +188,7 @@ func TestICacheAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	ic := NewICache("ic", 4, 40, metrics.New())
+	ic := testICache("ic", 4, 40, metrics.New())
 	pc, cycle := uint64(0), uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		pc += 3 * icacheLineBytes // a new line and both prefetches every call

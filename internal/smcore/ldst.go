@@ -207,16 +207,11 @@ func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
 	}
 }
 
-// NewLDSTUnit builds a cycle-accurate LD/ST unit feeding the given L1 port.
-// lanes is the LD/ST lane count (sector requests injected per cycle);
-// queueCap bounds concurrently tracked memory instructions.
-func NewLDSTUnit(name string, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, g *metrics.Gatherer) *LDSTUnit {
-	return newLDSTUnit(newLDSTClass(name, g), eng, l1, smid, sectorBytes, lanes, shmemLatency, queueCap, nil, nil)
-}
-
-// newLDSTUnit builds an LD/ST unit of class c with a queue and request pool
-// of its own, taking it from units and its queue's array, queueCap deep
-// rounded up to a power of two, from queues.
+// newLDSTUnit builds a cycle-accurate LD/ST unit of class c feeding the
+// given L1 port, with a queue and request pool of its own, taking it from
+// units and its queue's array, queueCap deep rounded up to a power of two,
+// from queues. lanes is the LD/ST lane count (sector requests injected per
+// cycle); queueCap bounds concurrently tracked memory instructions.
 func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, units *mem.Slab[LDSTUnit], queues *mem.Slab[*ldstInst]) *LDSTUnit {
 	if queueCap < 1 {
 		queueCap = 8

@@ -52,11 +52,6 @@ func newCollectorClass(name string, g *metrics.Gatherer) collectorClass {
 	return collectorClass{name: name, collected: g.Counter(name + ".collected"), conflicts: g.Counter(name + ".bank_conflict")}
 }
 
-// NewOperandCollector wraps unit with an operand-collection stage.
-func NewOperandCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCollector {
-	return newOperandCollector(newCollectorClass(name, g), unit, nil)
-}
-
 // newOperandCollector wraps unit with a collector of class c whose
 // collector units are its own, taken from ocs.
 func newOperandCollector(c collectorClass, unit Unit, ocs *mem.Slab[OperandCollector]) *OperandCollector {

@@ -36,7 +36,7 @@ func (u *immediateUnit) Tick(cycle uint64) {
 func TestOperandCollectorSameBankSerializes(t *testing.T) {
 	g := metrics.New()
 	inner := &immediateUnit{}
-	oc := NewOperandCollector("oc", inner, g)
+	oc := testCollector("oc", inner, g)
 	// Two source registers in the same bank (1 and 1+regFileBanks): the
 	// instruction needs two cycles of collection.
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3,
@@ -60,7 +60,7 @@ func TestOperandCollectorSameBankSerializes(t *testing.T) {
 func TestOperandCollectorDistinctBanksOneCycle(t *testing.T) {
 	g := metrics.New()
 	inner := &immediateUnit{}
-	oc := NewOperandCollector("oc", inner, g)
+	oc := testCollector("oc", inner, g)
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, 2}, ActiveMask: 1}
 	oc.TryIssue(0, in, func() {})
 	oc.Tick(1)
@@ -74,7 +74,7 @@ func TestOperandCollectorDistinctBanksOneCycle(t *testing.T) {
 
 func TestOperandCollectorNoSourcesImmediate(t *testing.T) {
 	inner := &immediateUnit{}
-	oc := NewOperandCollector("oc", inner, metrics.New())
+	oc := testCollector("oc", inner, metrics.New())
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3, ActiveMask: 1} // no sources
 	oc.TryIssue(0, in, func() {})
 	oc.Tick(1)
@@ -85,7 +85,7 @@ func TestOperandCollectorNoSourcesImmediate(t *testing.T) {
 
 func TestOperandCollectorSlotLimit(t *testing.T) {
 	inner := &immediateUnit{refuse: true} // inner full: entries pile up
-	oc := NewOperandCollector("oc", inner, metrics.New())
+	oc := testCollector("oc", inner, metrics.New())
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, 2}, ActiveMask: 1}
 	for i := 0; i < collectorSlots; i++ {
 		if !oc.TryIssue(0, in, func() {}) {
@@ -103,7 +103,7 @@ func TestOperandCollectorSlotLimit(t *testing.T) {
 func TestOperandCollectorCrossEntryBankArbitration(t *testing.T) {
 	// Two entries both needing bank 1: the older entry reads first.
 	inner := &immediateUnit{}
-	oc := NewOperandCollector("oc", inner, metrics.New())
+	oc := testCollector("oc", inner, metrics.New())
 	in1 := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, trace.RegNone}, ActiveMask: 1}
 	in2 := &trace.Inst{Op: trace.OpInt, Dst: 4, Src: [2]trace.Reg{1 + regFileBanks, trace.RegNone}, ActiveMask: 1}
 	first, second := false, false
@@ -125,7 +125,7 @@ func TestOperandCollectorCrossEntryBankArbitration(t *testing.T) {
 
 func TestOperandCollectorRetriesWhenInnerBusy(t *testing.T) {
 	inner := &immediateUnit{refuse: true}
-	oc := NewOperandCollector("oc", inner, metrics.New())
+	oc := testCollector("oc", inner, metrics.New())
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, 2}, ActiveMask: 1}
 	done := false
 	oc.TryIssue(0, in, func() { done = true })
@@ -150,7 +150,7 @@ func TestOperandCollectorAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	g := metrics.New()
-	oc := NewOperandCollector("oc", NewALUPipeline("alu", 4, 1, g), g)
+	oc := testCollector("oc", testALU("alu", 4, 1, g), g)
 	in := &trace.Inst{Op: trace.OpInt, Dst: 3, Src: [2]trace.Reg{1, 1 + regFileBanks}, ActiveMask: 1}
 	completed := 0
 	done := func() { completed++ }

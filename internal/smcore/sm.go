@@ -364,9 +364,7 @@ func (f *inflight) complete() {
 	f.release()
 	// A completing instruction may make the warp (or a sibling past a
 	// barrier) issuable: re-activate the SM so the next cycle ticks it.
-	if sm.wake != nil {
-		sm.wake()
-	}
+	sm.wake()
 	w.sb.clear(dst)
 	w.sc.refresh(w)
 	w.outstanding--
@@ -433,7 +431,7 @@ type SM struct {
 	cfg       config.SM
 	eng       engine.Context
 	class     *smClass
-	wake      func() // engine activation callback (nil when standalone)
+	wake      func() // engine activation callback
 	subcores  []*subCore
 	unitList  []Unit // distinct cycle-accurate units across all sub-cores
 	blocks    []*residentBlock
@@ -770,9 +768,6 @@ func (sm *SM) SetWake(wake func()) { sm.wake = wake }
 // must be called before anything changes len(sm.blocks) and at the start
 // of each Tick.
 func (sm *SM) settle() {
-	if sm.eng == nil {
-		return
-	}
 	now := sm.eng.TickedCycles()
 	if now <= sm.accounted {
 		return
@@ -853,11 +848,9 @@ func (sm *SM) Tick(cycle uint64) {
 		}
 	}
 	sm.busyCache = sm.computeBusy()
-	if sm.eng != nil {
-		// This tick covers the engine iteration in progress (the engine
-		// counts it after the tick phase completes).
-		sm.accounted = sm.eng.TickedCycles() + 1
-	}
+	// This tick covers the engine iteration in progress (the engine counts
+	// it after the tick phase completes).
+	sm.accounted = sm.eng.TickedCycles() + 1
 	if readyCheck != nil {
 		readyCheck(sm, true)
 	}
@@ -971,13 +964,11 @@ func (sm *SM) AssignBlock(k *trace.Kernel, index int) error {
 	sm.usedRegs += regs
 	sm.usedShmem += shmem
 	sm.blocksRun.Inc()
-	if (sm.trOn || sm.blockObs != nil) && sm.eng != nil {
+	if sm.trOn || sm.blockObs != nil {
 		rb.launchCycle = sm.eng.Cycle()
 	}
 	sm.busyCache = true // newly resident warps have work
-	if sm.wake != nil {
-		sm.wake()
-	}
+	sm.wake()
 	return nil
 }
 
@@ -1023,10 +1014,6 @@ func (sm *SM) blockDone(rb *residentBlock) {
 	// (launch cycle, index) ride in a per-SM FIFO that the one preallocated
 	// callback pops, so the per-block path allocates in neither case: an
 	// SM's defers run in the order it issued them.
-	if sm.eng == nil {
-		sm.finishBlock(launchCycle, index)
-		return
-	}
 	sm.finished.Push(finishedBlock{launchCycle, index})
 	sm.eng.Defer(sm.finishFn)
 }
@@ -1041,12 +1028,12 @@ func (sm *SM) finishOldest() {
 // Scheduler. It runs through the engine context's Defer from blockDone: at
 // the engine's fold when the SM's pass was staged, inline otherwise.
 func (sm *SM) finishBlock(launchCycle uint64, index int) {
-	if sm.trOn && sm.eng != nil {
+	if sm.trOn {
 		sm.tr.Emit(obs.Event{Name: "block", Cat: "sm", Ph: obs.PhaseSpan,
 			Ts: launchCycle, Dur: sm.eng.Cycle() - launchCycle, Tid: sm.trTid,
 			Arg1Name: "index", Arg1: uint64(index)})
 	}
-	if sm.blockObs != nil && sm.eng != nil {
+	if sm.blockObs != nil {
 		sm.blockObs(index, launchCycle, sm.eng.Cycle())
 	}
 	if sm.onBlockDone != nil {

@@ -366,7 +366,7 @@ func TestGTOGreedinessDiffersFromLRR(t *testing.T) {
 func TestLDSTSharedMemoryConflictLatency(t *testing.T) {
 	eng := engine.New()
 	g := metrics.New()
-	u := NewLDSTUnit("ldst.t", eng, nil, 0, 32, 4, 24, 8, g)
+	u := testLDST("ldst.t", eng, nil, 8, g)
 
 	measure := func(addrs []uint64) uint64 {
 		done := false
@@ -400,7 +400,7 @@ func TestLDSTQueueBackpressure(t *testing.T) {
 	eng := engine.New()
 	g := metrics.New()
 	refuse := mem.PortFunc(func(*mem.Request) bool { return false })
-	u := NewLDSTUnit("ldst.t", eng, refuse, 0, 32, 4, 24, 2, g)
+	u := testLDST("ldst.t", eng, refuse, 2, g)
 	in := &trace.Inst{Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}
 	if !u.TryIssue(0, in, func() {}) || !u.TryIssue(0, in, func() {}) {
 		t.Fatal("first two issues refused")

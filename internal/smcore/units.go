@@ -67,15 +67,11 @@ func newALUClass(name string, g *metrics.Gatherer) aluClass {
 	return aluClass{name: name, issued: g.Counter(name + ".issued"), portStall: g.Counter(name + ".port_stall")}
 }
 
-// NewALUPipeline builds a pipeline with the given execution latency (stage
-// count) and initiation interval (cycles the issue port is held per
-// instruction). It writes back at most one instruction per cycle.
-func NewALUPipeline(name string, latency, interval int, g *metrics.Gatherer) *ALUPipeline {
-	return newALUPipeline(newALUClass(name, g), latency, interval, nil, nil)
-}
-
-// newALUPipeline builds a pipeline of class c with registers and an issue
-// port of its own, taking it from pipes and its registers from stages.
+// newALUPipeline builds a pipeline of class c with the given execution
+// latency (stage count) and initiation interval (cycles the issue port is
+// held per instruction), with registers and an issue port of its own,
+// taking it from pipes and its registers from stages. It writes back at
+// most one instruction per cycle.
 func newALUPipeline(c aluClass, latency, interval int, pipes *mem.Slab[ALUPipeline], stages *mem.Slab[pipeSlot]) *ALUPipeline {
 	u := pipes.One()
 	*u = ALUPipeline{

@@ -5,9 +5,35 @@ import (
 	"testing"
 	"testing/quick"
 
+	"swiftsim/internal/engine"
+	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/trace"
 )
+
+// The unit tests build each unit through its class constructor, with
+// slabs of its own, the path CycleAccurateUnits runs for an assembly.
+
+func testALU(name string, latency, interval int, g *metrics.Gatherer) *ALUPipeline {
+	return newALUPipeline(newALUClass(name, g), latency, interval,
+		mem.NewSlab[ALUPipeline](1), mem.NewSlab[pipeSlot](max(latency, 1)))
+}
+
+func testCollector(name string, unit Unit, g *metrics.Gatherer) *OperandCollector {
+	return newOperandCollector(newCollectorClass(name, g), unit, mem.NewSlab[OperandCollector](1))
+}
+
+func testICache(name string, capacityLines, missLatency int, g *metrics.Gatherer) *ICache {
+	return newICache(newICacheClass(name, g), capacityLines, missLatency,
+		mem.NewSlab[ICache](1), mem.NewSlab[uint64](2*max(capacityLines, 1)))
+}
+
+// testLDST builds an LD/ST unit of SM 0 with 32-byte sectors, 4 lanes and
+// a 24-cycle shared-memory latency.
+func testLDST(name string, eng engine.Context, l1 mem.Port, queueCap int, g *metrics.Gatherer) *LDSTUnit {
+	return newLDSTUnit(newLDSTClass(name, g), eng, l1, 0, 32, 4, 24, queueCap,
+		mem.NewSlab[LDSTUnit](1), mem.NewSlab[*ldstInst](ringSize(queueCap)))
+}
 
 func TestScoreboard(t *testing.T) {
 	var sb scoreboard
@@ -164,7 +190,7 @@ func TestSharedBankConflicts(t *testing.T) {
 
 func TestALUPipelineLatency(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 4, 2, g)
+	u := testALU("alu.test", 4, 2, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	completedAt := uint64(0)
 	u.Tick(10)
@@ -188,7 +214,7 @@ func TestALUPipelineLatency(t *testing.T) {
 
 func TestALUPipelineInitiationInterval(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 4, 2, g)
+	u := testALU("alu.test", 4, 2, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	u.Tick(0)
 	if !u.TryIssue(0, in, func() {}) {
@@ -212,7 +238,7 @@ func TestALUPipelineWritebackOrder(t *testing.T) {
 	// ticking, as the SM does: writebacks come back in order, one per
 	// cycle, at issue+latency.
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 2, 1, g)
+	u := testALU("alu.test", 2, 1, g)
 	in := &trace.Inst{Op: trace.OpInt, ActiveMask: 1}
 	var order []int
 	var wbCycles []uint64
@@ -245,7 +271,7 @@ func TestALUPipelineWritebackOrder(t *testing.T) {
 
 func TestALUPipelineParameterClamping(t *testing.T) {
 	g := metrics.New()
-	u := NewALUPipeline("alu.test", 0, 0, g)
+	u := testALU("alu.test", 0, 0, g)
 	if u.interval != 1 || len(u.stages) != 1 {
 		t.Errorf("clamping failed: interval=%d stages=%d", u.interval, len(u.stages))
 	}

@@ -1,28 +1,12 @@
 // Package stats provides the small statistical helpers the evaluation
 // harness uses: geometric means (the paper reports geometric-mean
-// speedups), arithmetic means, and relative cycle-prediction errors.
+// speedups) and relative cycle-prediction errors.
 package stats
 
 import (
 	"fmt"
 	"math"
 )
-
-// Geomean returns the geometric mean of xs. It returns 0 for an empty
-// slice and NaN if any value is non-positive.
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
 
 // GeomeanSkipNonPositive returns the geometric mean of the usable values
 // of xs along with the number of values skipped. Non-positive values, NaN
@@ -43,18 +27,6 @@ func GeomeanSkipNonPositive(xs []float64) (geomean float64, skipped int) {
 		return 0, skipped
 	}
 	return math.Exp(sum / float64(n)), skipped
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // RelError returns |predicted-actual| / actual — the prediction-error

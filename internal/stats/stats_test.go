@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); g != 4 {
-		t.Errorf("Geomean(2,8) = %v, want 4", g)
-	}
-	if g := Geomean([]float64{5}); g != 5 {
-		t.Errorf("Geomean(5) = %v, want 5", g)
-	}
-	if g := Geomean(nil); g != 0 {
-		t.Errorf("Geomean(nil) = %v, want 0", g)
-	}
-	if g := Geomean([]float64{1, -2}); !math.IsNaN(g) {
-		t.Errorf("Geomean with negative = %v, want NaN", g)
-	}
-	if g := Geomean([]float64{1, 0}); !math.IsNaN(g) {
-		t.Errorf("Geomean with zero = %v, want NaN", g)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %v, want 2", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", m)
-	}
-}
-
 func TestRelError(t *testing.T) {
 	if e := RelError(110, 100); math.Abs(e-0.1) > 1e-12 {
 		t.Errorf("RelError(110,100) = %v, want 0.1", e)
@@ -61,7 +34,7 @@ func TestPct(t *testing.T) {
 }
 
 // TestQuickGeomeanBounds: the geometric mean of positive values lies
-// between their minimum and maximum.
+// between their minimum and maximum, and none of them is skipped.
 func TestQuickGeomeanBounds(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -74,8 +47,8 @@ func TestQuickGeomeanBounds(t *testing.T) {
 			lo = math.Min(lo, xs[i])
 			hi = math.Max(hi, xs[i])
 		}
-		g := Geomean(xs)
-		return g >= lo-1e-9 && g <= hi+1e-9
+		g, skipped := GeomeanSkipNonPositive(xs)
+		return skipped == 0 && g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -83,7 +56,7 @@ func TestQuickGeomeanBounds(t *testing.T) {
 }
 
 func TestGeomeanSkipNonPositive(t *testing.T) {
-	// Clean input: identical to Geomean, nothing skipped.
+	// Clean input: the plain geometric mean, nothing skipped.
 	g, skipped := GeomeanSkipNonPositive([]float64{2, 8})
 	if g != 4 || skipped != 0 {
 		t.Errorf("clean input: got %v (skipped %d), want 4 (skipped 0)", g, skipped)
