@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick profile update-golden envelopes loc loc-head
+.PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e repeat bench-quick profile update-golden envelopes loc loc-head mutate
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
 # the four decoders + the multi-worker lease-plane scenarios + the short
@@ -142,6 +142,16 @@ profile:
 # golden diffs.
 envelopes:
 	$(GO) test -run 'TestEpochRelaxedEnvelope|TestSampleEnvelope' ./internal/regress/ -update
+
+# mutate runs the mutation driver (internal/regress/mutate_test.go,
+# DESIGN.md §8) over the eight core simulator packages and rewrites
+# internal/regress/testdata/mutate.txt: 25 seeded mutants a package, each
+# run against its package's tests and, if they miss it, against
+# internal/regress and internal/sim. A survivor the record does not
+# triage fails TestMutationRecord. It is not part of tier1 or verify,
+# where TestMutate skips: it took 28 minutes (1,699 s) on a 2-vCPU host.
+mutate:
+	$(GO) test ./internal/regress/ -run '^TestMutate$$' -mutate -timeout 0 -v
 
 # loc prints the size metric ROADMAP.md calls a headline: non-blank,
 # non-comment lines of non-test Go, per package and in total, with the

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -198,6 +199,44 @@ func profiled(t *testing.T, rates map[reuse.Key]reuse.Rates, kernels ...[]trace.
 		}
 	}
 	return prof, issued
+}
+
+// TestEq1RowPowers: a row's memoized powers are math.Pow's for each sector
+// count, whatever order the counts first arrive in; a count past a warp's
+// is computed without the memo.
+func TestEq1RowPowers(t *testing.T) {
+	r := eq1Row{rates: reuse.Rates{L1: 0.5, DRAM: 0.25}}
+	for _, s := range []int{3, 2, 1, 2, 3, 32, 33} {
+		l1, noDRAM := r.powers(s)
+		if l1 != math.Pow(0.5, float64(s)) || noDRAM != math.Pow(0.75, float64(s)) {
+			t.Errorf("powers(%d) = %v, %v, want %v, %v", s, l1, noDRAM, math.Pow(0.5, float64(s)), math.Pow(0.75, float64(s)))
+		}
+	}
+}
+
+// TestExtrapolateBlocks: the unsimulated blocks cost the occupancy floor
+// (mean block time / waveCap) unless the saturated completions come in
+// bursts, a largest gap more than twice the mean gap, whose mean gap
+// exceeds the floor.
+func TestExtrapolateBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		launch, end               []uint64
+		waveCap, total, simulated int
+		want                      uint64
+	}{
+		// Completions 10, 10, 20: largest gap 10 is exactly twice the mean
+		// gap 5, not more, so the floor 50/4/4 = 3.125 a block holds.
+		{"even", []uint64{0, 0, 0, 20}, []uint64{10, 10, 20, 30}, 4, 12, 4, 25},
+		// Completions 10, 10, 10, 19: gap 9 is over twice the mean 3,
+		// and 3 exceeds the floor 59/5/5 = 2.36.
+		{"burst", []uint64{0, 0, 0, 0, 20}, []uint64{10, 10, 10, 19, 30}, 5, 10, 5, 15},
+		{"whole", []uint64{0}, []uint64{10}, 1, 1, 1, 0},
+	} {
+		if got := ExtrapolateBlocks(tc.launch, tc.end, tc.waveCap, tc.total, tc.simulated); got != tc.want {
+			t.Errorf("%s: ExtrapolateBlocks = %d, want %d", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestMemModelEquation1(t *testing.T) {

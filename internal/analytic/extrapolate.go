@@ -34,15 +34,13 @@ import "sort"
 // price. Sums, extrema, and the sorted gap scan are order-independent,
 // keeping the result deterministic.
 //
-// Returns 0 when nothing was left unsimulated or nothing was measured.
+// waveCap is at least 1. Returns 0 when nothing was left unsimulated or
+// nothing was measured.
 // Rounding is half-up, matching the wave extrapolation of legacy prefix
 // sampling (truncation systematically under-predicts).
 func ExtrapolateBlocks(launch, end []uint64, waveCap, total, simulated int) uint64 {
 	if total <= simulated || len(launch) == 0 || len(launch) != len(end) {
 		return 0
-	}
-	if waveCap < 1 {
-		waveCap = 1
 	}
 	var sum, lastLaunch uint64
 	for i, l := range launch {

@@ -8,7 +8,6 @@
 package cache
 
 import (
-	"fmt"
 	"math/bits"
 
 	"swiftsim/internal/config"
@@ -278,14 +277,6 @@ func (f *Functional) Access(addr uint64, write bool) bool {
 	return hit
 }
 
-// HitRate returns the fraction of accesses that hit.
-func (f *Functional) HitRate() float64 {
-	if f.Accesses == 0 {
-		return 0
-	}
-	return float64(f.Hits) / float64(f.Accesses)
-}
-
 // Reset makes f the cache NewFunctional(cfg) returns — statistics, tags,
 // replacement clock and Random stream all at their start — reusing f's tag
 // memory when it is large enough, so a profiler replaying stream after
@@ -293,9 +284,4 @@ func (f *Functional) HitRate() float64 {
 func (f *Functional) Reset(cfg config.Cache) {
 	f.t.reset(cfg)
 	f.Accesses, f.Hits = 0, 0
-}
-
-func (f *Functional) String() string {
-	return fmt.Sprintf("functional cache %d sets × %d ways, %.2f%% hit",
-		f.t.cfg.Sets, f.t.cfg.Ways, 100*f.HitRate())
 }

@@ -28,9 +28,6 @@ func TestFunctionalHitAfterMiss(t *testing.T) {
 	if f.Accesses != 2 || f.Hits != 1 {
 		t.Errorf("accesses/hits = %d/%d, want 2/1", f.Accesses, f.Hits)
 	}
-	if got := f.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
-	}
 }
 
 func TestFunctionalSectorGranularity(t *testing.T) {

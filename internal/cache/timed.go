@@ -319,7 +319,7 @@ func (c *Timed) evict(by *mem.Request, ev evicted) bool {
 		return false
 	}
 	c.evictions.Inc()
-	if !c.cfg.WriteBack || ev.dirtySector == 0 {
+	if ev.dirtySector == 0 {
 		return false
 	}
 	base := ev.lineAddr << c.tags.lineShift

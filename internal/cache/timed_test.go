@@ -8,6 +8,7 @@ import (
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/obs"
 )
 
 // stubDown is a downstream port with fixed latency and optional refusal.
@@ -84,6 +85,36 @@ func TestTimedMissThenHitLatency(t *testing.T) {
 	}
 	if h.g.Value("l1.hit") != 1 || h.g.Value("l1.miss") != 1 {
 		t.Errorf("hit/miss = %d/%d, want 1/1", h.g.Value("l1.hit"), h.g.Value("l1.miss"))
+	}
+}
+
+// TestTimedTraceSpans: a cache traced at RequestLevel records each request
+// it retires as one span on its own track, from the cycle it accepted the
+// request to the cycle it completed, named by the level that serviced it.
+func TestTimedTraceSpans(t *testing.T) {
+	h := newHarness(t, smallCache())
+	ring := obs.NewRing(16)
+	h.cache.SetTracer(obs.New(ring, obs.RequestLevel))
+	missLat := h.access(t, 0x1000, false)
+	hitLat := h.access(t, 0x1000, false)
+	var got []obs.Event
+	for _, ev := range ring.Events() {
+		if ev.Ph == obs.PhaseSpan {
+			got = append(got, ev)
+		}
+	}
+	want := []struct {
+		name string
+		ts   uint64
+		dur  uint64
+	}{{mem.LevelDRAM.String(), 0, missLat}, {mem.LevelL1.String(), missLat, hitLat}}
+	if len(got) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if ev := got[i]; ev.Name != w.name || ev.Ts != w.ts || ev.Dur != w.dur || ev.Arg1 != 0x1000 || ev.Tid == 0 {
+			t.Errorf("span %d = %+v, want %s at %d for %d cycles, addr 0x1000, on the cache's track", i, ev, w.name, w.ts, w.dur)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/obs"
 )
 
 func setup(banks, latency, rowHitLatency int) (*engine.Engine, *Partition, *metrics.Gatherer) {
@@ -53,6 +54,38 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	}
 	if g.Value("dram0.row_hit") != 1 {
 		t.Errorf("row_hit = %d, want 1", g.Value("dram0.row_hit"))
+	}
+}
+
+// TestTraceSpans: a partition traced at RequestLevel records each access
+// as one span on its own track, from the cycle it accepted the request to
+// the cycle the data returned, with the row hit as an argument.
+func TestTraceSpans(t *testing.T) {
+	eng, p, _ := setup(4, 227, 100)
+	ring := obs.NewRing(16)
+	p.SetTracer(obs.New(ring, obs.RequestLevel))
+	done := 0
+	var want []obs.Event
+	for i, addr := range []uint64{0x100, 0x120} { // a row miss, then a hit
+		start := eng.Cycle()
+		p.Accept(&mem.Request{Addr: addr, Size: 32, Done: func() { done++ }})
+		run(t, eng, &done, i+1)
+		want = append(want, obs.Event{Name: "access", Cat: "dram", Ph: obs.PhaseSpan, Ts: start, Dur: eng.Cycle() - start,
+			Arg1Name: "addr", Arg1: addr, Arg2Name: "row_hit", Arg2: uint64(i)})
+	}
+	var got []obs.Event
+	for _, ev := range ring.Events() {
+		if ev.Ph == obs.PhaseSpan {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if want[i].Tid = got[i].Tid; got[i] != want[i] || got[i].Tid == 0 {
+			t.Errorf("span %d = %+v, want %+v on the partition's track", i, got[i], want[i])
+		}
 	}
 }
 

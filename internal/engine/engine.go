@@ -205,10 +205,6 @@ func (e *Engine) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Tracer returns the engine's tracer (nil when tracing is off), so
-// modules wired to the same engine can share it.
-func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
 // AddProbe registers a gauge sampled into the trace's counter timeline
 // every DefaultSampleInterval visited cycles (at ModuleLevel). fn must be
 // a pure read of simulator state.

@@ -3,11 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"swiftsim/internal/obs"
 )
 
 // fakeTicker counts ticks and stays busy for a configured number of cycles.
@@ -105,6 +108,38 @@ func TestFastForwardSkipsIdleCycles(t *testing.T) {
 	}
 	if e.SkippedCycles() < 999_000 {
 		t.Errorf("SkippedCycles = %d, want ~1e6", e.SkippedCycles())
+	}
+}
+
+// TestTraceTimeline: a traced engine samples its probes on the first
+// visited cycle and every DefaultSampleInterval cycles after, and records
+// a skipped stretch as one fast-forward span from the first skipped cycle
+// to the cycle it lands on.
+func TestTraceTimeline(t *testing.T) {
+	ring := obs.NewRing(64)
+	e := New()
+	e.SetTracer(obs.New(ring, obs.ModuleLevel))
+	e.AddProbe("probe", func() uint64 { return 7 })
+	e.Register(&fakeTicker{name: "busy", busyUntil: 600})
+	done := false
+	e.Schedule(2000, func() { done = true })
+	if _, err := e.Run(func() bool { return done }, 0); err != nil {
+		t.Fatal(err)
+	}
+	var samples, spans []uint64
+	for _, ev := range ring.Events() {
+		switch {
+		case ev.Ph == obs.PhaseCounter && ev.Name == "probe":
+			samples = append(samples, ev.Ts)
+		case ev.Ph == obs.PhaseSpan && ev.Name == "fast-forward":
+			spans = append(spans, ev.Ts, ev.Ts+ev.Dur)
+		}
+	}
+	if want := []uint64{0, 256, 512, 2000}; fmt.Sprint(samples) != fmt.Sprint(want) {
+		t.Errorf("probe sampled at %v, want %v", samples, want)
+	}
+	if want := []uint64{601, 2000}; fmt.Sprint(spans) != fmt.Sprint(want) {
+		t.Errorf("fast-forward spans %v, want %v", spans, want)
 	}
 }
 

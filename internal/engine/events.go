@@ -166,9 +166,6 @@ func (s *eventStore) init() {
 	s.nodes = make([]wheelNode, 1, 256)
 }
 
-// pending returns the number of scheduled, unfired events in both stores.
-func (s *eventStore) pending() int { return s.near + len(s.far) }
-
 // enqueue files fn, or r's retirement when fn is nil, to run in cycle's
 // event phase (the next one, if cycle's has already run). cycle must not lie
 // before the current cycle. Schedule, ScheduleRetirement and the relaxed

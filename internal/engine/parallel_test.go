@@ -333,11 +333,12 @@ func TestShardLayoutValidation(t *testing.T) {
 // engine itself.
 func TestRegisterShardedValidation(t *testing.T) {
 	for _, tc := range []struct {
-		parallel int // SetParallel argument, 0 = not called
+		parallel int // SetParallel argument, -1 = not called
 		shard    int
 		ok       bool
 	}{
-		{2, 1, true}, {2, 2, false}, {2, -1, false}, {0, 0, true}, {0, 1, false},
+		{2, 1, true}, {2, 2, false}, {2, -1, false}, {-1, 0, true}, {-1, 1, false},
+		{0, 0, true}, {0, 1, false},
 	} {
 		calls := map[string]func(*Engine){
 			"RegisterSharded": func(e *Engine) { e.RegisterSharded(&wakeTicker{name: "x"}, tc.shard) },
@@ -345,7 +346,7 @@ func TestRegisterShardedValidation(t *testing.T) {
 		}
 		for name, call := range calls {
 			e := New()
-			if tc.parallel > 0 {
+			if tc.parallel >= 0 {
 				e.SetParallel(tc.parallel)
 			}
 			msg := func() (msg string) {

@@ -81,8 +81,8 @@ func TestRetirementsRoundTrip(t *testing.T) {
 	if _, err := orig.e.Run(func() bool { return len(orig.log) >= 600 }, 0); err != nil {
 		t.Fatal(err)
 	}
-	if orig.e.ev.pending() < 100 || len(orig.e.ev.far) == 0 {
-		t.Fatalf("checkpoint holds %d pending events, %d far: want a full store", orig.e.ev.pending(), len(orig.e.ev.far))
+	if n := orig.e.ev.near + len(orig.e.ev.far); n < 100 || len(orig.e.ev.far) == 0 {
+		t.Fatalf("checkpoint holds %d pending events, %d far: want a full store", n, len(orig.e.ev.far))
 	}
 	data, err := snap.Save(orig.e.Snap)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestRetirementsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := len(orig.log)
-	done := func(m *retirer) func() bool { return func() bool { return m.e.ev.pending() == 0 } }
+	done := func(m *retirer) func() bool { return func() bool { return m.e.ev.near+len(m.e.ev.far) == 0 } }
 	if _, err := orig.e.Run(done(orig), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -200,12 +200,6 @@ func WriteCanonical(w io.Writer, m map[string]uint64) error {
 	return nil
 }
 
-// WriteCanonical writes the gatherer's counters in canonical, byte-stable
-// form (see the package-level WriteCanonical).
-func (g *Gatherer) WriteCanonical(w io.Writer) error {
-	return WriteCanonical(w, g.Snapshot())
-}
-
 // Report writes all counters to w, one "name value" line in sorted order,
 // followed by derived rates for any pair of counters named "<p>.hit" and
 // "<p>.miss".

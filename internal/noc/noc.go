@@ -239,11 +239,8 @@ type Crossbar struct {
 // NewCrossbar builds a crossbar delivering to targets (one port per memory
 // partition). mapAddr maps a sector address to its partition index; latency
 // is the one-way traversal in cycles; perCycle the per-destination
-// per-cycle throughput.
+// per-cycle throughput, at least 1.
 func NewCrossbar(name string, eng *engine.Engine, targets []mem.Port, mapAddr func(uint64) int, latency uint64, perCycle int, g *metrics.Gatherer) *Crossbar {
-	if perCycle <= 0 {
-		perCycle = 1
-	}
 	return &Crossbar{link: newLink(name, eng, targets, mapAddr, g), latency: latency, perCycle: perCycle}
 }
 

@@ -31,11 +31,8 @@ type Ring struct {
 // NewRing builds a ring over numSMs SM nodes and the target partitions,
 // interleaved evenly around the ring. mapAddr maps sector addresses to
 // partition indices; hopLatency is the per-hop traversal cost; bisection
-// the per-cycle injection budget.
+// the per-cycle injection budget, at least 1.
 func NewRing(name string, eng *engine.Engine, numSMs int, targets []mem.Port, mapAddr func(uint64) int, hopLatency uint64, bisection int, g *metrics.Gatherer) *Ring {
-	if bisection < 1 {
-		bisection = 1
-	}
 	parts := len(targets)
 	nodes := numSMs + parts
 	r := &Ring{

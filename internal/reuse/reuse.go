@@ -581,6 +581,3 @@ func (d *distanceTracker) prefix(i int) uint64 {
 	}
 	return s
 }
-
-// Distinct returns the number of distinct sectors seen (for tests).
-func (d *distanceTracker) Distinct() int { return len(d.last) }

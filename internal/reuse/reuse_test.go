@@ -28,8 +28,8 @@ func TestDistanceTrackerBasics(t *testing.T) {
 	if got := d.access(0x100); got != 2 {
 		t.Fatalf("distance after 2 distinct = %d, want 2", got)
 	}
-	if d.Distinct() != 3 {
-		t.Fatalf("Distinct = %d, want 3", d.Distinct())
+	if len(d.last) != 3 {
+		t.Fatalf("distinct sectors = %d, want 3", len(d.last))
 	}
 }
 
@@ -236,7 +236,7 @@ func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a 
 					if i >= len(w) || !w[i].Op.IsGlobalMem() {
 						continue
 					}
-					for _, s := range smcore.Coalesce(w[i].Addrs, gpu.L1.SectorBytes) {
+					for _, s := range smcore.CoalesceInto(nil, w[i].Addrs, gpu.L1.SectorBytes) {
 						visit(access{
 							key:    Key{ki, w[i].PC},
 							sector: s,
@@ -319,7 +319,7 @@ func serialProfile(app *trace.App, gpu config.GPU,
 					case in.Op.IsSharedMem():
 						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(in.Addrs))})
 					case in.Op.IsGlobalMem():
-						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.Coalesce(in.Addrs, gpu.L1.SectorBytes)))})
+						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.CoalesceInto(nil, in.Addrs, gpu.L1.SectorBytes)))})
 					}
 				}
 			}

@@ -148,16 +148,6 @@ func (st *Store) Get(hash string) ([]byte, error) {
 	return data, nil
 }
 
-// Has reports whether a well-formed hash names a stored blob (without
-// verifying its content; Get does that).
-func (st *Store) Has(hash string) bool {
-	if !validBlobHash(hash) {
-		return false
-	}
-	_, err := os.Stat(st.path(hash))
-	return err == nil
-}
-
 // count mutates the stats under the lock.
 func (st *Store) count(f func(*StoreStats)) {
 	st.mu.Lock()

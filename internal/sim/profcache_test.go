@@ -474,7 +474,7 @@ func TestSampledProfileKeepsOriginalIndices(t *testing.T) {
 							t.Fatalf("kernel %d MemIndex %d: bank degree %d, want %d", ki, in.MemIndex, f.N, want)
 						}
 					default:
-						if want := len(smcore.Coalesce(in.Addrs, gpu.L1.SectorBytes)); int(f.N) != want {
+						if want := len(smcore.CoalesceInto(nil, in.Addrs, gpu.L1.SectorBytes)); int(f.N) != want {
 							t.Fatalf("kernel %d MemIndex %d: %d sectors, want %d", ki, in.MemIndex, f.N, want)
 						}
 						if prof.ByID[ki][f.ID] != prof.PerPC[reuse.Key{Kernel: ki, PC: in.PC}] {

@@ -166,10 +166,9 @@ func newSampler(app *trace.App, gpu config.GPU, opts Sampling) (*sampler, *trace
 			}
 		}
 		out.Kernels = append(out.Kernels, sk)
+		// RunCtx has validated NumSMs and every kernel (ValidateKernel),
+		// so a wave holds at least one block.
 		wave := smcore.BlocksPerSM(gpu.SM, k) * gpu.NumSMs
-		if wave < 1 {
-			wave = 1
-		}
 		key := trace.LaunchKey(sk)
 		s.kernels[i] = sampleKernel{
 			fp:        launchFP{key: key, prev: prev},

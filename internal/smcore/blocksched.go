@@ -107,13 +107,11 @@ func (bs *BlockScheduler) Busy() bool { return false }
 // The returned indices are strictly increasing, always include index 0,
 // and are a pure function of (cfg, k, numSMs, frac, seed) — the selection
 // is deterministic and reproducible across hosts and thread counts.
-// Kernels whose tail is no larger than one window are returned whole.
+// Kernels whose tail is no larger than one window are returned whole. k
+// must pass ValidateKernel, and numSMs be positive.
 func SelectBlockSample(cfg config.SM, k *trace.Kernel, numSMs int, frac float64, seed uint64) []int {
 	n := len(k.Blocks)
 	wave := BlocksPerSM(cfg, k) * numSMs
-	if wave < 1 {
-		wave = 1
-	}
 	wlen := wave + (wave+1)/2
 	tail := n - wave
 	if tail <= wlen {

@@ -3,10 +3,34 @@ package smcore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/snap"
 )
+
+// TestICacheSnapshotRefusesDuplicateLine: a checkpoint that lists one line
+// twice, the oldest included, does not load.
+func TestICacheSnapshotRefusesDuplicateLine(t *testing.T) {
+	ic := testICache("ic", 8, 40, metrics.New())
+	for _, pc := range []uint64{0, 4096, 8192} {
+		ic.Ready(pc, 0)
+	}
+	for _, dup := range []int{1, 2} {
+		saved := *ic
+		saved.lines = append([]uint64(nil), ic.lines...)
+		saved.lines[saved.slot(dup)] = saved.lines[saved.slot(dup-1)]
+		b, err := snap.Save(saved.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = snap.Load(b, testICache("ic", 8, 40, metrics.New()).snap)
+		if err == nil || !strings.Contains(err.Error(), "duplicate line") {
+			t.Errorf("line %d saved as line %d: Load = %v, want a duplicate-line refusal", dup, dup-1, err)
+		}
+	}
+}
 
 func TestICacheMissThenHit(t *testing.T) {
 	g := metrics.New()

@@ -9,19 +9,14 @@ import (
 	"swiftsim/internal/trace"
 )
 
-// Coalesce merges the per-lane byte addresses of a warp memory instruction
-// into the minimal set of unique sector addresses (sectorBytes-aligned),
-// preserving first-touch order. This is the memory coalescer every LD/ST
-// model shares: the number of returned sectors is the instruction's
-// transaction count.
-func Coalesce(addrs []uint64, sectorBytes int) []uint64 {
-	return CoalesceInto(make([]uint64, 0, 4), addrs, sectorBytes)
-}
-
-// CoalesceInto is Coalesce appending into dst[:0]'s backing array, so a
-// per-instruction path reuses one buffer: the LD/ST unit's per pooled
-// instruction, the hit-rate profiler's per kernel walk, the analytical
-// memory model's on its stack.
+// CoalesceInto merges the per-lane byte addresses of a warp memory
+// instruction into the minimal set of unique sector addresses
+// (sectorBytes-aligned), preserving first-touch order, appending into
+// dst[:0]'s backing array. This is the memory coalescer every LD/ST model
+// shares: the number of returned sectors is the instruction's transaction
+// count. A per-instruction path reuses one buffer: the LD/ST unit's per
+// pooled instruction, the hit-rate profiler's per kernel walk, the
+// analytical memory model's on its stack.
 //
 // While an access has at most coalesceScan unique sectors a lane is checked
 // against them by a scan; at the next one the remaining lanes go through an

@@ -82,6 +82,9 @@ func TestYoungestFirstOrder(t *testing.T) {
 	if got := p.Pick(0, warps, func(*Warp) bool { return false }); got != 1 {
 		t.Errorf("Pick = %d, want 1 (youngest)", got)
 	}
+	if got := p.Pick(0, warps, func(*Warp) bool { return true }); got != -1 {
+		t.Errorf("Pick with every warp tried = %d, want -1", got)
+	}
 }
 
 // brokenPicker returns out-of-range and already-tried indices; the

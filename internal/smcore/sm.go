@@ -744,9 +744,6 @@ func smNames(first, n int) []string {
 	return names
 }
 
-// ID returns the SM's index.
-func (sm *SM) ID() int { return sm.id }
-
 // Name implements engine.Module.
 func (sm *SM) Name() string { return sm.name }
 

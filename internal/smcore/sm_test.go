@@ -1,6 +1,8 @@
 package smcore
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +10,7 @@ import (
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
 	"swiftsim/internal/metrics"
+	"swiftsim/internal/snap"
 	"swiftsim/internal/trace"
 )
 
@@ -453,5 +456,97 @@ func TestQuickSMAnyKernelCompletes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockSchedulerSnapshotRefusals: a scheduler does not checkpoint
+// mid-kernel, and does not load a round-robin cursor beyond its SMs.
+func TestBlockSchedulerSnapshotRefusals(t *testing.T) {
+	g := metrics.New()
+	bs := NewBlockScheduler(make([]*SM, 4), g)
+	bs.kernel = &trace.Kernel{Name: "k", Blocks: make([]trace.BlockTrace, 2)}
+	if _, err := snap.Save(bs.Snap); !errors.Is(err, snap.ErrNotQuiescent) {
+		t.Errorf("Save mid-kernel = %v, want ErrNotQuiescent", err)
+	}
+	bs.done = 2
+	bs.cursor = 3
+	b, err := snap.Save(bs.Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Load(b, NewBlockScheduler(make([]*SM, 4), g).Snap); err != nil {
+		t.Errorf("Load onto 4 SMs: %v", err)
+	}
+	err = snap.Load(b, NewBlockScheduler(make([]*SM, 2), g).Snap)
+	if err == nil || !strings.Contains(err.Error(), "cursor 3 out of range") {
+		t.Errorf("Load of cursor 3 onto 2 SMs = %v, want an out-of-range refusal", err)
+	}
+}
+
+// TestAssignBlockPastSlotsUnwinds: a block assigned without CanAccept to an
+// SM whose warp slots are full fails with an error naming the SM and the
+// block, and leaves the warps already resident as they were.
+func TestAssignBlockPastSlotsUnwinds(t *testing.T) {
+	h := newSMHarness(t, testSMConfig())
+	k := simpleKernel(2, 16, func(b *kbuilder) { b.intOp(1) })
+	if err := h.sm.AssignBlock(k, 0); err != nil {
+		t.Fatal(err)
+	}
+	err := h.sm.AssignBlock(k, 1)
+	if err == nil || !strings.Contains(err.Error(), "SM0 block 1 of kernel test") {
+		t.Fatalf("AssignBlock past the warp slots = %v, want an error naming SM0 block 1", err)
+	}
+	resident := 0
+	for _, sc := range h.sm.subcores {
+		resident += sc.resident
+	}
+	if resident != 16 || len(h.sm.blocks) != 1 {
+		t.Errorf("after the failed assignment: %d warps in %d blocks resident, want 16 in 1", resident, len(h.sm.blocks))
+	}
+}
+
+// TestClassifyStall: a failed issue round is charged to memory if a warp
+// waits on a load, else to a barrier, else to a drain (a warp that
+// exited but is not done), else to "other".
+func TestClassifyStall(t *testing.T) {
+	for _, tc := range []struct {
+		warps []*Warp
+		want  int
+	}{
+		{[]*Warp{nil, {}}, stallOther},
+		{[]*Warp{{exited: true}, {}}, stallDrain},
+		{[]*Warp{{exited: true, done: true}}, stallOther},
+		{[]*Warp{{exited: true}, {atBarrier: true}}, stallBarrier},
+		{[]*Warp{{atBarrier: true}, {exited: true}, {outstanding: 1}}, stallMem},
+	} {
+		sc := &subCore{warps: tc.warps}
+		if got := sc.classifyStall(); got != tc.want {
+			t.Errorf("%d warps: classifyStall = %s, want %s", len(tc.warps), stallReasonNames[got], stallReasonNames[tc.want])
+		}
+	}
+}
+
+// TestBlocksPerSM: occupancy is the tightest of the block, warp, register
+// and shared-memory limits, and a block's shared memory limits it down to
+// a single byte.
+func TestBlocksPerSM(t *testing.T) {
+	k := simpleKernel(1, 2, func(b *kbuilder) { b.intOp(1) }) // 2 warps, 16 regs a thread
+	for _, tc := range []struct {
+		name string
+		set  func(*config.SM, *trace.Kernel)
+		want int
+	}{
+		{"blocks", func(c *config.SM, _ *trace.Kernel) { c.MaxBlocks = 3 }, 3},
+		{"warps", func(c *config.SM, _ *trace.Kernel) { c.MaxWarps = 6 }, 3},
+		{"registers", func(c *config.SM, _ *trace.Kernel) { c.Registers = 3 * 2 * 32 * 16 }, 3},
+		{"shared memory", func(c *config.SM, k *trace.Kernel) { k.SharedMemPerBlock, c.SharedMemBytes = 1, 3 }, 3},
+		{"nothing fits", func(c *config.SM, _ *trace.Kernel) { c.MaxWarps = 1 }, 0},
+	} {
+		cfg, kk := testSMConfig(), *k
+		cfg.MaxBlocks, cfg.MaxWarps, cfg.Registers, cfg.SharedMemBytes = 32, 64, 1<<16, 1<<16
+		tc.set(&cfg, &kk)
+		if got := BlocksPerSM(cfg, &kk); got != tc.want {
+			t.Errorf("%s: BlocksPerSM = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

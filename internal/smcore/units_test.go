@@ -103,7 +103,7 @@ func TestCoalesceFullyCoalesced(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i)*4
 	}
-	got := Coalesce(addrs, 32)
+	got := CoalesceInto(nil, addrs, 32)
 	if len(got) != 4 {
 		t.Fatalf("coalesced sectors = %d, want 4", len(got))
 	}
@@ -120,7 +120,7 @@ func TestCoalesceBroadcast(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x2008
 	}
-	got := Coalesce(addrs, 32)
+	got := CoalesceInto(nil, addrs, 32)
 	if len(got) != 1 || got[0] != 0x2000 {
 		t.Fatalf("broadcast coalesce = %v", got)
 	}
@@ -131,7 +131,7 @@ func TestCoalesceScattered(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i) * 512 // all distinct sectors
 	}
-	if got := Coalesce(addrs, 32); len(got) != 32 {
+	if got := CoalesceInto(nil, addrs, 32); len(got) != 32 {
 		t.Fatalf("scattered coalesce = %d sectors, want 32", len(got))
 	}
 }
@@ -147,7 +147,7 @@ func TestQuickCoalesce(t *testing.T) {
 		for i, r := range raw {
 			addrs[i] = uint64(r)
 		}
-		out := Coalesce(addrs, 32)
+		out := CoalesceInto(nil, addrs, 32)
 		seen := map[uint64]bool{}
 		for _, s := range out {
 			if s%32 != 0 || seen[s] {

@@ -110,7 +110,6 @@ func newWalker(tag string, names, addrs bool) *walker {
 }
 
 func (w *walker) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *walker) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 func (w *walker) str(s string) {
 	w.u32(uint32(len(s)))

@@ -84,9 +84,6 @@ type Reg uint8
 // RegNone is the absent-register sentinel.
 const RegNone Reg = 0
 
-// MaxReg is the largest usable register index.
-const MaxReg Reg = 255
-
 // Inst is one warp-level instruction.
 type Inst struct {
 	// PC is the program counter; instructions at the same PC across

@@ -118,8 +118,6 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // ---------------------------------------------------------------------------
