@@ -38,13 +38,15 @@ tier1:
 	$(GO) test -race ./internal/runner/... ./internal/engine/... ./internal/mem/... ./internal/memo/... ./internal/smcore/... ./internal/cache/... ./internal/reuse/... ./internal/analytic/... ./internal/trace/... ./internal/workload/... ./internal/noc/... ./internal/dram/... ./internal/obs/... ./internal/service/... ./internal/sim/... ./internal/snap/... ./cmd/swiftsimd/... ./cmd/swiftsim-worker/...
 	$(GO) test -race -run 'TestEpoch|TestSnapshot|TestSample' ./internal/regress/
 
-# lint enforces gofmt and go vet, and additionally runs staticcheck and
-# govulncheck when they are installed (they are optional: the build must
-# stay dependency-free on machines without them).
+# lint enforces gofmt and go vet, holds every CHANGES.md line (one per
+# change) to 1,200 bytes, and additionally runs staticcheck and govulncheck
+# when they are installed (they are optional: the build must stay
+# dependency-free on machines without them).
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	@LC_ALL=C awk 'length > 1200 { printf "CHANGES.md:%d: %d bytes, over 1200\n", NR, length; bad = 1 } END { exit bad }' CHANGES.md
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi
@@ -106,8 +108,8 @@ bench-quick:
 # prof/allocs.detailed.txt and prof/allocs.memory.txt (`go tool pprof
 # -sample_index=alloc_objects -list <func>` on the kept profile gives the
 # lines).
-# EXPERIMENTS.md documents how the committed numbers were derived from
-# these profiles. prof/ is gitignored; profiles are host artifacts.
+# EXPERIMENTS.md quotes these profiles where a change's attribution used
+# them. prof/ is gitignored; profiles are host artifacts.
 profile:
 	mkdir -p prof
 	$(GO) test -run '^$$' -bench BenchmarkGoldenCorpus -benchtime 1x \

@@ -24,9 +24,7 @@ func readTraceJSON(t *testing.T, path string) []map[string]any {
 }
 
 // TestSweepTraceOut: a successful sweep writes a loadable trace with
-// kernel spans from every simulation it ran (fig4 drives its simulations
-// directly; the runner's job spans are covered by the fig5 path in
-// internal/runner's tests).
+// kernel spans from every simulation it ran.
 func TestSweepTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sweep.json")
 	code, _, stderr := runSweep(t,

@@ -250,7 +250,7 @@ func TestFunctionalReset(t *testing.T) {
 	}
 }
 
-// TestAggregateL2ReachableSets pins a modelling finding (DESIGN.md §10.4)
+// TestAggregateL2ReachableSets pins a modelling finding (DESIGN.md §12.3)
 // without fixing it: the profiler and the L2Hybrid backend give each
 // preset's aggregate L2 Sets × MemPartitions sets, not a power of two, and
 // setIndex masks with Sets-1, so only the sets whose index is a bit-subset

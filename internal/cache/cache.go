@@ -16,7 +16,7 @@ import (
 // line is one cache line with per-sector valid and dirty bits. A line is
 // valid when any of its sectors is: every fill validates one, and only a
 // whole-array clear drops them. At 32 bytes, a set of 4 ways (an L2 slice)
-// is two host cache lines and a set of 8 is four (DESIGN.md §10.2).
+// is two host cache lines and a set of 8 is four (DESIGN.md §11.3).
 type line struct {
 	lineAddr    uint64 // addr >> lineShift; tag+index combined
 	sectorValid uint32 // non-zero exactly when the line is valid
@@ -88,7 +88,7 @@ func (t *tags) lineAddr(addr uint64) uint64 { return addr >> t.lineShift }
 func (t *tags) sector(addr uint64) uint     { return uint(addr>>t.sectorShift) & uint(t.sectorsPerLine-1) }
 
 // setIndex masks with Sets-1, so a Sets that is not a power of two reaches
-// only the sets whose index is a bit-subset of Sets-1 (DESIGN.md §10.4).
+// only the sets whose index is a bit-subset of Sets-1 (DESIGN.md §12.3).
 func (t *tags) setIndex(lineAddr uint64) int { return int(lineAddr & t.setMask) }
 
 func (t *tags) set(lineAddr uint64) []line {

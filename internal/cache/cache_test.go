@@ -205,7 +205,7 @@ func TestMSHRRecyclesEntries(t *testing.T) {
 }
 
 // TestHotStateSizes pins the host layout of the state every simulated
-// sector touches (DESIGN.md §10.2): a line is 32 bytes, so a 4-way set (an
+// sector touches (DESIGN.md §11.3): a line is 32 bytes, so a 4-way set (an
 // L2 slice's) spans two 64-byte host cache lines and an 8-way set (an L1's)
 // four; an MSHR entry's waiters lie inside the entry, so a slab is one
 // allocation, for every preset's merge limits. A limit above the inline

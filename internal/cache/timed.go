@@ -16,10 +16,10 @@ const bankQueueDepth = 16
 
 // Timed is the cycle-accurate sectored cache module. It models banked
 // access with conflicts, hit latency, MSHR allocation/merging with stalls,
-// streaming (non-reserving) L1 behaviour, write-through or write-back
-// policies, and dirty evictions. It implements engine.Ticker on the
-// upstream side and mem.Port for request entry; downstream traffic goes out
-// through the port supplied at construction.
+// write-through (no-allocate on a write miss) or write-back policies, and
+// dirty evictions. It implements engine.Ticker on the upstream side and
+// mem.Port for request entry; downstream traffic goes out through the port
+// supplied at construction.
 type Timed struct {
 	name  string
 	cfg   config.Cache

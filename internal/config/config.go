@@ -6,6 +6,8 @@ package config
 
 import (
 	"fmt"
+
+	"swiftsim/internal/trace"
 )
 
 // Replacement selects a cache replacement policy. The paper motivates
@@ -118,10 +120,6 @@ type Cache struct {
 	// WriteBack selects write-back (true, L2) or write-through (false,
 	// L1) behaviour.
 	WriteBack bool
-	// Streaming marks the L1 streaming behaviour of Turing/Ampere L1s:
-	// misses do not reserve a line and bypass allocation when the MSHR
-	// would otherwise stall allocation.
-	Streaming bool
 	// Throughput is the number of accesses each bank accepts per cycle.
 	Throughput int
 }
@@ -136,8 +134,6 @@ func (c Cache) SectorsPerLine() int { return c.LineBytes / c.SectorBytes }
 type SM struct {
 	// SubCores is the number of sub-cores (warp-scheduler partitions).
 	SubCores int
-	// WarpSize is the number of threads per warp.
-	WarpSize int
 	// MaxWarps and MaxBlocks bound concurrent residency per SM.
 	MaxWarps  int
 	MaxBlocks int
@@ -152,10 +148,10 @@ type SM struct {
 	SchedulersPerSubCore int
 
 	// Execution-unit lane counts per sub-core. A warp instruction of
-	// width WarpSize issued to a unit with L lanes occupies the unit for
-	// ceil(WarpSize/L) cycles (its initiation interval). DPLanesHalf
-	// handles the "DP:0.5x" entry of Table II: when true, DPLanes is the
-	// lane count per *two* sub-cores.
+	// width trace.WarpSize issued to a unit with L lanes occupies the unit
+	// for ceil(trace.WarpSize/L) cycles (its initiation interval).
+	// DPLanesHalf handles the "DP:0.5x" entry of Table II: when true,
+	// DPLanes is the lane count per *two* sub-cores.
 	IntLanes    int
 	SPLanes     int
 	DPLanes     int
@@ -176,9 +172,9 @@ type SM struct {
 // instruction executed on a unit with the given lane count.
 func (s SM) IssueInterval(lanes int) int {
 	if lanes <= 0 {
-		return s.WarpSize * 2
+		return trace.WarpSize * 2
 	}
-	return (s.WarpSize + lanes - 1) / lanes
+	return (trace.WarpSize + lanes - 1) / lanes
 }
 
 // GPU is the complete hardware description consumed by the performance
@@ -272,8 +268,6 @@ func validateSM(s SM) error {
 	switch {
 	case s.SubCores <= 0:
 		return fmt.Errorf("SM.SubCores must be positive, got %d", s.SubCores)
-	case s.WarpSize <= 0:
-		return fmt.Errorf("SM.WarpSize must be positive, got %d", s.WarpSize)
 	case s.MaxWarps <= 0:
 		return fmt.Errorf("SM.MaxWarps must be positive, got %d", s.MaxWarps)
 	case s.MaxWarps%s.SubCores != 0:

@@ -75,8 +75,8 @@ func TestTable2Values(t *testing.T) {
 		t.Errorf("L1 MSHR/merge/latency = %d/%d/%d, want 256/8/32",
 			g.L1.MSHREntries, g.L1.MSHRMaxMerge, g.L1.HitLatency)
 	}
-	if g.L1.WriteBack || !g.L1.Streaming {
-		t.Error("L1 must be write-through and streaming")
+	if g.L1.WriteBack {
+		t.Error("L1 must be write-through")
 	}
 	if g.L2.MSHREntries != 192 || g.L2.MSHRMaxMerge != 4 || g.L2.HitLatency != 188 {
 		t.Errorf("L2 MSHR/merge/latency = %d/%d/%d, want 192/4/188",
@@ -91,7 +91,7 @@ func TestTable2Values(t *testing.T) {
 }
 
 func TestIssueInterval(t *testing.T) {
-	sm := SM{WarpSize: 32}
+	var sm SM
 	cases := []struct{ lanes, want int }{
 		{32, 1}, {16, 2}, {8, 4}, {4, 8}, {1, 32}, {0, 64}, {5, 7},
 	}
@@ -120,9 +120,9 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 // to them, even a reordering, moves every key.
 func TestMarshalPresetBytes(t *testing.T) {
 	for name, want := range map[string]string{
-		"RTX2080Ti": "fe2b39c908da26d97710e413e9b39d75383116717c759c691a2959423d625b1f",
-		"RTX3060":   "d7491fe31f2f620688b60a6e934760df1cb33e44b904ea1653c83ca0b7827af5",
-		"RTX3090":   "25c69c5711be9b368f7177ad52026e241d1a4687c83be3150f5bdb1ad6ddb946",
+		"RTX2080Ti": "7078027f2614a279f714fbdf18a183ad2371ba3bf689b2c39cccac3625621649",
+		"RTX3060":   "d77fb5a2a58682ea800c9010339b29a3032bf4683a30716355132c6a8c154485",
+		"RTX3090":   "3f7d1fa2127a4e3c35aeef509c0cbcb2ef4e9515ee34523c3cf82770b545f74f",
 	} {
 		g, _ := Preset(name)
 		if got := fmt.Sprintf("%x", sha256.Sum256(Marshal(g))); got != want {
@@ -216,8 +216,12 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"garbage line", "gpu.base = RTX2080Ti\nnot a config line\n", "expected key = value"},
 		{"unknown key", "gpu.base = RTX2080Ti\ngpu.bogus = 3\n", "unknown configuration key"},
+		// Keys of fields no model read; an old file naming one fails loudly.
+		{"removed sm.warp_size", "gpu.base = RTX2080Ti\nsm.warp_size = 32\n", "unknown configuration key"},
+		{"removed l1.streaming", "gpu.base = RTX2080Ti\nl1.streaming = true\n", "unknown configuration key"},
+		{"removed l2.streaming", "gpu.base = RTX2080Ti\nl2.streaming = false\n", "unknown configuration key"},
 		{"bad int", "gpu.base = RTX2080Ti\ngpu.num_sms = many\n", "not an integer"},
-		{"bad bool", "gpu.base = RTX2080Ti\nl1.streaming = si\n", "not a boolean"},
+		{"bad bool", "gpu.base = RTX2080Ti\nl1.write_back = si\n", "not a boolean"},
 		{"bad policy", "gpu.base = RTX2080Ti\nsm.scheduler = FAIR\n", "unknown scheduler policy"},
 		{"bad replacement", "gpu.base = RTX2080Ti\nl2.replacement = PLRU\n", "unknown replacement policy"},
 		{"unknown base", "gpu.base = GTX285\n", "unknown preset"},
@@ -265,7 +269,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative noc", func(g *GPU) { g.NoCLatency = -1 }},
 		{"zero dram latency", func(g *GPU) { g.DRAMLatency = 0 }},
 		{"zero dram banks", func(g *GPU) { g.DRAMBanksPerPartition = 0 }},
-		{"zero warp size", func(g *GPU) { g.SM.WarpSize = 0 }},
 		{"warps not divisible", func(g *GPU) { g.SM.MaxWarps = 33 }},
 		{"zero blocks", func(g *GPU) { g.SM.MaxBlocks = 0 }},
 		{"zero regs", func(g *GPU) { g.SM.Registers = 0 }},

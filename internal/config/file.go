@@ -49,7 +49,6 @@ var (
 		{"gpu.noc_flit_bytes", func(g *GPU) any { return &g.NoCFlitBytes }},
 		{"gpu.noc_topology", func(g *GPU) any { return (*topology)(&g.NoCTopology) }},
 		{"sm.sub_cores", func(g *GPU) any { return &g.SM.SubCores }},
-		{"sm.warp_size", func(g *GPU) any { return &g.SM.WarpSize }},
 		{"sm.max_warps", func(g *GPU) any { return &g.SM.MaxWarps }},
 		{"sm.max_blocks", func(g *GPU) any { return &g.SM.MaxBlocks }},
 		{"sm.registers", func(g *GPU) any { return &g.SM.Registers }},
@@ -94,7 +93,6 @@ func levelKeys(prefix string, level func(*GPU) *Cache) []key {
 		field("hit_latency", func(c *Cache) any { return &c.HitLatency }),
 		field("replacement", func(c *Cache) any { return &c.Replacement }),
 		field("write_back", func(c *Cache) any { return &c.WriteBack }),
-		field("streaming", func(c *Cache) any { return &c.Streaming }),
 		field("throughput", func(c *Cache) any { return &c.Throughput }),
 	}
 }

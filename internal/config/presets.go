@@ -6,14 +6,13 @@ package config
 
 // RTX2080Ti returns the NVIDIA RTX 2080 Ti (Turing, TU102) configuration of
 // Table II: 68 SMs, 4 sub-cores each, GTO scheduling, sectored
-// streaming L1, 22 memory partitions.
+// write-through L1, 22 memory partitions.
 func RTX2080Ti() GPU {
 	return GPU{
 		Name:   "RTX2080Ti",
 		NumSMs: 68,
 		SM: SM{
 			SubCores:             4,
-			WarpSize:             32,
 			MaxWarps:             32,
 			MaxBlocks:            16,
 			Registers:            65536,
@@ -43,7 +42,6 @@ func RTX2080Ti() GPU {
 			HitLatency:   32,
 			Replacement:  LRU,
 			WriteBack:    false,
-			Streaming:    true,
 			Throughput:   1,
 		},
 		L2: Cache{
@@ -58,7 +56,6 @@ func RTX2080Ti() GPU {
 			HitLatency:   188,
 			Replacement:  LRU,
 			WriteBack:    true,
-			Streaming:    false,
 			Throughput:   1,
 		},
 		MemPartitions:         22,

@@ -59,9 +59,10 @@ type Params struct {
 	// the remaining jobs.
 	JobTimeout time.Duration
 	// Trace is the observability handle threaded into every simulation of
-	// the experiment (nil records nothing). Parallel phases derive per-job
-	// tracers from it; cmd/sweep owns the recorder behind it and must
-	// close it on every exit path so partial traces stay well-formed.
+	// the experiment (nil records nothing). Every simulation is a runner
+	// job and records on a per-job tracer derived from it; cmd/sweep owns
+	// the recorder behind it and must close it on every exit path so
+	// partial traces stay well-formed.
 	Trace *obs.Tracer
 }
 
@@ -87,19 +88,6 @@ func (p *Params) ctx() context.Context {
 		return p.Ctx
 	}
 	return context.Background()
-}
-
-// runSim runs one simulation under the experiment context and per-job
-// timeout.
-func (p *Params) runSim(app *trace.App, gpu config.GPU, opts sim.Options) (*sim.Result, error) {
-	ctx := p.ctx()
-	if p.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.JobTimeout)
-		defer cancel()
-	}
-	opts.Trace = p.Trace
-	return sim.RunCtx(ctx, app, gpu, opts.WithDefaults(p.Defaults))
 }
 
 func (p *Params) fill() {
@@ -163,7 +151,7 @@ func Table2(w io.Writer) {
 	p("Exec Units", fmt.Sprintf("INT:%dx, SP:%dx, DP:%sx, SFU:%dx",
 		g.SM.IntLanes, g.SM.SPLanes, dp, g.SM.SFULanes))
 	p("LD/ST Units", fmt.Sprintf("%dx", g.SM.LDSTLanes))
-	p("L1 in SM", fmt.Sprintf("sectored, streaming, write-through, %d banks, %dB/line, %dB/sector, %d MSHR, %d max merge, %s, %d cycles",
+	p("L1 in SM", fmt.Sprintf("sectored, write-through, %d banks, %dB/line, %dB/sector, %d MSHR, %d max merge, %s, %d cycles",
 		g.L1.Banks, g.L1.LineBytes, g.L1.SectorBytes, g.L1.MSHREntries, g.L1.MSHRMaxMerge, g.L1.Replacement, g.L1.HitLatency))
 	p("L2 Cache", fmt.Sprintf("sectored, write-back, %dB/line, %dB/sector, %d MSHR, %d max merge, %s, %d cycles",
 		g.L2.LineBytes, g.L2.SectorBytes, g.L2.MSHREntries, g.L2.MSHRMaxMerge, g.L2.Replacement, g.L2.HitLatency))
@@ -221,7 +209,12 @@ func Figure4(p Params) (*Fig4Result, error) {
 	res := &Fig4Result{}
 	var errSum [3]float64
 	var spBasic, spMem []float64
-	for _, app := range apps {
+	// Each simulation is one runner job, numbered by app and kind, so it
+	// has the runner's panic isolation and its own trace pid.
+	kinds := []sim.Kind{sim.Detailed, sim.Basic, sim.Memory}
+	ropts := runner.Options{JobTimeout: p.JobTimeout, Trace: p.Trace, Defaults: p.Defaults}
+	start := time.Now()
+	for i, app := range apps {
 		if cerr := p.ctx().Err(); cerr != nil {
 			res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: "canceled", Err: cerr})
 			continue
@@ -233,13 +226,15 @@ func Figure4(p Params) (*Fig4Result, error) {
 		}
 		row := Fig4Row{App: app.Name, HWCycles: hw.Cycles}
 		ok := true
-		for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory} {
-			r, err := p.runSim(app, p.GPU, sim.Options{Kind: kind, EpochCycles: 1})
-			if err != nil {
-				res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: kind.String(), Err: err})
+		for k, kind := range kinds {
+			job := runner.Job{App: app, GPU: p.GPU, Opts: sim.Options{Kind: kind, EpochCycles: 1}}
+			o := runner.RunJob(p.ctx(), 0, i*len(kinds)+k, job, start, &ropts)
+			if o.Err != nil {
+				res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: kind.String(), Err: simErr(o.Err)})
 				ok = false
 				break
 			}
+			r := o.Result
 			row.Cycles[kind] = r.Cycles
 			row.Err[kind] = stats.RelError(float64(r.Cycles), float64(hw.Cycles))
 			row.Wall[kind] = r.Wall

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/obs"
 	"swiftsim/internal/sim"
 )
 
@@ -130,6 +131,31 @@ func TestParamsFillDefaults(t *testing.T) {
 	}
 	if p.Scale != 1.0 || p.GPU.Name != "RTX2080Ti" {
 		t.Errorf("defaults wrong: scale=%v gpu=%s", p.Scale, p.GPU.Name)
+	}
+}
+
+// TestFigure4TracesOnePidPerSimulation: each of Figure 4's simulations is
+// a runner job, so under a tracer its kernel spans land on a pid of its
+// own, not on the experiment tracer's.
+func TestFigure4TracesOnePidPerSimulation(t *testing.T) {
+	p := smallParams()
+	ring := obs.NewRing(0)
+	p.Trace = obs.New(ring, obs.KernelLevel)
+	res, err := Figure4(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 0 {
+		t.Fatalf("failures: %v", res.Failed)
+	}
+	pids := map[int32]bool{}
+	for _, ev := range ring.Events() {
+		if ev.Cat == "kernel" && ev.Ph == obs.PhaseSpan {
+			pids[ev.Pid] = true
+		}
+	}
+	if want := 3 * len(p.Apps); len(pids) != want || pids[p.Trace.Pid()] {
+		t.Errorf("kernel spans on pids %v, want %d pids other than the tracer's %d", pids, want, p.Trace.Pid())
 	}
 }
 

@@ -2,7 +2,7 @@ package mem
 
 // Slab hands out runs of elements carved from slices it allocates chunk
 // elements at a time. It is how a run allocates per module class rather
-// than per module instance (DESIGN.md §10.2): a class constructor sizes one
+// than per module instance (DESIGN.md §11.2): a class constructor sizes one
 // slab for its n instances' arrays and carves each instance's from it, and
 // the records a run grows from empty (in-flight instructions, resident
 // blocks, MSHR entries) come from a slab shared by the class, chunk by

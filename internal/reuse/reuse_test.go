@@ -394,7 +394,7 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 // TestL2LevelSetsAreNotPowersOfTwo pins the aggregate L2 set counts phase
 // two models for each preset, which internal/cache's
 // TestAggregateL2ReachableSets shows are only partly reachable (DESIGN.md
-// §10.4): a fix to either moves Memory profiles, so it must be deliberate.
+// §12.3): a fix to either moves Memory profiles, so it must be deliberate.
 func TestL2LevelSetsAreNotPowersOfTwo(t *testing.T) {
 	for preset, sets := range map[string]int{"RTX2080Ti": 11264, "RTX3060": 6144, "RTX3090": 12288} {
 		gpu, _ := config.Preset(preset)

@@ -278,8 +278,8 @@ func leafPaths(paths []string, prefix string, v reflect.Value) []string {
 func TestProfileKeysReflectEveryFieldRead(t *testing.T) {
 	notRead := []string{
 		"Name", "SM.",
-		"L1.Banks", "L1.MSHREntries", "L1.MSHRMaxMerge", "L1.HitLatency", "L1.WriteBack", "L1.Streaming", "L1.Throughput",
-		"L2.Banks", "L2.MSHREntries", "L2.MSHRMaxMerge", "L2.HitLatency", "L2.WriteBack", "L2.Streaming", "L2.Throughput",
+		"L1.Banks", "L1.MSHREntries", "L1.MSHRMaxMerge", "L1.HitLatency", "L1.WriteBack", "L1.Throughput",
+		"L2.Banks", "L2.MSHREntries", "L2.MSHRMaxMerge", "L2.HitLatency", "L2.WriteBack", "L2.Throughput",
 		"DRAMLatency", "DRAMBanksPerPartition", "DRAMRowHitLatency", "NoCLatency", "NoCFlitBytes", "NoCTopology",
 	}
 	// Stack distances are LRU by construction.
@@ -563,7 +563,7 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 }
 
 // TestAllocationsDoNotGrowWithModuleCount: a run allocates per module
-// class, not per module instance (DESIGN.md §10.2), so quadrupling the SMs
+// class, not per module instance (DESIGN.md §11.2), so quadrupling the SMs
 // and memory partitions of a warm run adds at most a few objects per added
 // SM: the engine's wake closure for each registered ticker, an SM's defer
 // callback and report name. Building every unit, cache, partition and meter
