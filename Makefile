@@ -53,10 +53,11 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-# golden re-checks the committed 240-case fixture corpus only (fast drift
-# check without the rest of the suite).
+# golden re-checks the committed 240-case fixture corpus and the reference
+# cycles every error figure divides by (internal/hwmodel/testdata/cycles.txt)
+# only (fast drift check without the rest of the suite).
 golden:
-	$(GO) test -run Golden ./internal/regress/...
+	$(GO) test -run Golden ./internal/regress/... ./internal/hwmodel/
 
 # fuzz-smoke runs each fuzz target for 10s — long enough to catch easy
 # parser regressions, short enough for every commit.
@@ -79,10 +80,11 @@ distributed-e2e:
 repeat:
 	$(GO) test -count=2 -short ./...
 
-# update-golden regenerates the golden fixtures after an intended metrics
-# change. Review the fixture diff like any other code change.
+# update-golden regenerates the golden fixtures, the reference's cycles
+# included, after an intended metrics change. Review the fixture diff like
+# any other code change.
 update-golden:
-	$(GO) test -run Golden ./internal/regress/ -update
+	$(GO) test -run Golden ./internal/regress/ ./internal/hwmodel/ -update
 
 # bench-quick runs every benchmark once, in its -short form: it checks that
 # each compiles and completes, and it runs the assertions that live inside

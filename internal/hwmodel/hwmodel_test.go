@@ -1,12 +1,65 @@
 package hwmodel
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/regress"
 	"swiftsim/internal/sim"
 	"swiftsim/internal/workload"
 )
+
+// update rewrites testdata/cycles.txt from the current reference:
+//
+//	go test ./internal/hwmodel/ -run Golden -update
+var update = flag.Bool("update", false, "rewrite testdata/cycles.txt from the current reference")
+
+// goldenCyclesPath is TestGoldenCycles' fixture: one line per preset and
+// app, "gpu app cycles kernel-cycles...".
+var goldenCyclesPath = filepath.Join("testdata", "cycles.txt")
+
+// TestGoldenCycles pins the reference every cycle_err_pct divides by: Run's
+// Cycles and KernelCycles for the 20 apps at scale 0.25 on the three
+// presets, under DefaultParams. A change that moves the reference fails
+// here first.
+func TestGoldenCycles(t *testing.T) {
+	c := regress.DefaultCorpus()
+	var got strings.Builder
+	for _, gpu := range c.GPUs {
+		for _, name := range c.Apps {
+			app, err := workload.Generate(name, c.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(app, gpu, DefaultParams())
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, gpu.Name, err)
+			}
+			fmt.Fprintf(&got, "%s %s %d %v\n", gpu.Name, name, res.Cycles, res.KernelCycles)
+		}
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(goldenCyclesPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenCyclesPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenCyclesPath)
+	if err != nil {
+		t.Fatalf("missing fixture (regenerate with -update): %v", err)
+	}
+	if d := regress.DiffLines(want, []byte(got.String()), 20); d != "" {
+		t.Errorf("reference cycles drifted from %s (regenerate with -update only if intended):\n%s", goldenCyclesPath, d)
+	}
+}
 
 func smallGPU() config.GPU {
 	g := config.RTX2080Ti()
