@@ -5,7 +5,8 @@
 //
 // The golden model is the Detailed cycle-accurate simulator augmented with
 // effects that none of the three performance simulators model — the same
-// mechanism that produces prediction error in real validation studies:
+// mechanism that produces prediction error in real validation studies. Each
+// lives here, not in the simulator's options:
 //
 //   - undisclosed timing: every latency parameter is scaled by a factor
 //     representing the gap between public configuration files and actual
@@ -33,8 +34,8 @@ import (
 // chosen so simulator-vs-hardware errors land in the paper's observed
 // range (mean ≈ 20% for the detailed simulator).
 type Params struct {
-	// LatencyScale multiplies all latency parameters (silicon vs
-	// config-file gap).
+	// LatencyScale multiplies the GPU's latency parameters (silicon vs
+	// config-file gap); 0 leaves them as configured.
 	LatencyScale float64
 	// KernelLaunchCycles is the per-kernel dispatch overhead.
 	KernelLaunchCycles uint64
@@ -61,16 +62,18 @@ func DefaultParams() Params {
 	}
 }
 
-// Run produces the golden "hardware" cycle count for app on gpu.
+// Run produces the golden "hardware" cycle count for app on gpu: Detailed on
+// gpu with its latencies scaled, plus the launch cost of every kernel and the
+// effects below.
 func Run(app *trace.App, gpu config.GPU, p Params) (*sim.Result, error) {
-	res, err := sim.Run(app, gpu, sim.Options{
-		Kind:                sim.Detailed,
-		LatencyScale:        p.LatencyScale,
-		ExtraKernelOverhead: p.KernelLaunchCycles,
-	})
+	if err := gpu.Validate(); err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(app, scaleLatencies(gpu, p.LatencyScale), sim.Options{Kind: sim.Detailed})
 	if err != nil {
 		return nil, err
 	}
+	res.Cycles += p.KernelLaunchCycles * uint64(len(app.Kernels))
 	res.Cycles += icacheWarmup(app, p)
 	// TLB walks overlap heavily with execution on real hardware; the
 	// visible stall component is capped at a fraction of run time.
@@ -82,6 +85,22 @@ func Run(app *trace.App, gpu config.GPU, p Params) (*sim.Result, error) {
 	res.Cycles += uint64(float64(res.Cycles) * p.RefreshFraction)
 	res.GPUName = gpu.Name + "-hw"
 	return res, nil
+}
+
+// scaleLatencies returns gpu with its unit, cache, DRAM and interconnect
+// latencies multiplied by f, each at least one cycle; a zero f leaves gpu
+// as it is. The DRAM row-hit latency keeps its configured value.
+func scaleLatencies(gpu config.GPU, f float64) config.GPU {
+	if f <= 0 {
+		return gpu
+	}
+	for _, l := range []*int{
+		&gpu.SM.IntLatency, &gpu.SM.SPLatency, &gpu.SM.DPLatency, &gpu.SM.SFULatency, &gpu.SM.SharedMemLatency,
+		&gpu.L1.HitLatency, &gpu.L2.HitLatency, &gpu.DRAMLatency, &gpu.NoCLatency,
+	} {
+		*l = max(int(float64(*l)*f), 1)
+	}
+	return gpu
 }
 
 // icacheWarmup estimates first-wave instruction-fetch stalls: each kernel

@@ -157,6 +157,24 @@ func TestEffectKnobs(t *testing.T) {
 	}
 }
 
+func TestKernelLaunchCycles(t *testing.T) {
+	// Launch cost is exact: kernels × KernelLaunchCycles on top of the
+	// same run without it.
+	gpu := smallGPU()
+	app, _ := workload.Generate("GRU", 0.1)
+	base, err := Run(app, gpu, Params{LatencyScale: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLaunch, err := Run(app, gpu, Params{LatencyScale: 1.0, KernelLaunchCycles: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := withLaunch.Cycles-base.Cycles, uint64(len(app.Kernels))*10_000; got != want {
+		t.Errorf("launch delta = %d, want %d", got, want)
+	}
+}
+
 func TestTLBCostCountsUniquePages(t *testing.T) {
 	gpu := smallGPU()
 	p := Params{TLBMissCycles: 100, PageBytes: 64 << 10}

@@ -60,7 +60,8 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	str := func() { n := u64(); pos += int(n) }
 
 	var lay checkpointLayout
-	// Identity section: app, kernel count, gpu, options identity.
+	// Identity section: app, kernel count, gpu configuration, options
+	// identity.
 	str()
 	u64()
 	str()
@@ -71,7 +72,6 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	nkc := u64()
 	pos += int(nkc) * 8
 	u64() // extrapolated
-	u64() // overhead
 	// Engine section: one length-framed payload.
 	elen := u64()
 	engineEnd := pos + int(elen)

@@ -17,8 +17,10 @@ import (
 // keySchema versions the key derivation itself; bump it when the fields
 // folded into the key change. Schema 4 hashes sim.Options.Identity in
 // place of a field list of its own; schema 5 hashes a config.Marshal text
-// without sm.warp_size, l1.streaming and l2.streaming.
-const keySchema = "swiftsim-service-key 5"
+// without sm.warp_size, l1.streaming and l2.streaming; schema 6 hashes an
+// Identity without maxcycles, latencyscale and overhead, whose hit-rate
+// source is FunctionalCaches for every kind but Memory.
+const keySchema = "swiftsim-service-key 6"
 
 // jobKey derives the persistent cache key of one simulation job. Two jobs
 // share a key exactly when they are guaranteed byte-identical canonical

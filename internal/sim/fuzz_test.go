@@ -115,6 +115,9 @@ func TestParseSnapshotErrors(t *testing.T) {
 func TestRestoreRejectsMismatch(t *testing.T) {
 	gpu, _ := config.Preset("RTX2080Ti")
 	other, _ := config.Preset("RTX3060")
+	slower := gpu
+	slower.L1.HitLatency += 40
+	slower.DRAMLatency += 100
 	app, err := workload.Generate("GEMM", 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +141,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		{"different app", bfs, gpu, Options{Kind: Memory}},
 		{"different GPU", app, other, Options{Kind: Memory}},
 		{"different kind", app, gpu, Options{Kind: Basic}},
-		{"different latency scale", app, gpu, Options{Kind: Memory, LatencyScale: 2}},
-		{"different max cycles", app, gpu, Options{Kind: Memory, MaxCycles: 12345}},
+		{"same name, other latencies", app, slower, Options{Kind: Memory}},
 	}
 	for _, c := range cases {
 		c.opts.RestoreFrom = bytes.NewReader(snapBytes)

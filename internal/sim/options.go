@@ -119,16 +119,6 @@ type Options struct {
 	Kind Kind `json:"kind"`
 	// HitRates selects Swift-Sim-Memory's hit-rate source.
 	HitRates HitRateSource `json:"hit_rates,omitempty"`
-	// MaxCycles bounds simulated time per kernel (0 = default guard of
-	// one billion cycles).
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// LatencyScale multiplies memory/unit latencies; the golden hardware
-	// model uses it (>1) to represent undisclosed real-hardware timing.
-	// 0 means 1.0.
-	LatencyScale float64 `json:"latency_scale,omitempty"`
-	// ExtraKernelOverhead adds fixed cycles per kernel launch (golden
-	// model: driver/launch overhead no performance simulator models).
-	ExtraKernelOverhead uint64 `json:"extra_kernel_overhead,omitempty"`
 	// Scheduler optionally installs a custom warp-scheduling policy
 	// (smcore.Picker) per sub-core in place of the configured built-in —
 	// the paper's new-scheduler exploration hook. Works with every Kind.
@@ -245,17 +235,20 @@ func (o Options) WithDefaults(def Options) Options {
 }
 
 // Effective returns o as an assembly actually runs it: the zero
-// EpochCycles, MaxCycles and Sampling fields replaced by their defaults, and
-// the epoch length forced to 1 (exact) unless the kind's LD/ST position has
+// EpochCycles and Sampling fields replaced by their defaults, the epoch
+// length forced to 1 (exact) unless the kind's LD/ST position has
 // cycle-accurate L1s, whose traffic to the memory below them is what an
-// epoch relaxes. It is idempotent, and running Effective options is
-// indistinguishable from running o.
+// epoch relaxes, and HitRates reset to FunctionalCaches unless that position
+// is analytical, the one model that reads a hit-rate source. It is
+// idempotent, and running Effective options is indistinguishable from
+// running o.
 func (o Options) Effective() Options {
-	if o.EpochCycles < 1 || o.Kind.layout().ldst != cycleAccurate {
+	ldst := o.Kind.layout().ldst
+	if o.EpochCycles < 1 || ldst != cycleAccurate {
 		o.EpochCycles = 1
 	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 1_000_000_000
+	if ldst != analytical {
+		o.HitRates = FunctionalCaches
 	}
 	o.Sampling = o.Sampling.Effective()
 	return o
@@ -272,7 +265,6 @@ func (o Options) Effective() Options {
 func (o Options) Identity() string {
 	o = o.Effective()
 	s := o.Sampling
-	return fmt.Sprintf("kind=%d hitrates=%d maxcycles=%d latencyscale=%g overhead=%d epoch=%d sampling=%t frac=%g stride=%d seed=%d",
-		o.Kind, o.HitRates, o.MaxCycles, o.LatencyScale, o.ExtraKernelOverhead, o.EpochCycles,
-		s.Enabled, s.BlockFraction, s.ReplayStride, s.Seed)
+	return fmt.Sprintf("kind=%d hitrates=%d epoch=%d sampling=%t frac=%g stride=%d seed=%d",
+		o.Kind, o.HitRates, o.EpochCycles, s.Enabled, s.BlockFraction, s.ReplayStride, s.Seed)
 }

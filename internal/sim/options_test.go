@@ -104,7 +104,7 @@ func TestParseKind(t *testing.T) {
 // TestWithDefaults pins the one overlay rule: what the job sets wins, a
 // zero epoch value and a disabled Sampling take the default's.
 func TestWithDefaults(t *testing.T) {
-	def := Options{Kind: Basic, EngineThreads: 4, EpochCycles: 8, MaxCycles: 99,
+	def := Options{Kind: Basic, EngineThreads: 4, EpochCycles: 8, HitRates: ReuseDistance,
 		Sampling: Sampling{Enabled: true, BlockFraction: 0.5}}
 	own := Sampling{Enabled: true, ReplayStride: 2}
 	tests := []struct {
@@ -119,8 +119,8 @@ func TestWithDefaults(t *testing.T) {
 			Options{EpochCycles: 8, Sampling: own}},
 		{"a disabled Sampling takes the default's", Options{Sampling: Sampling{}},
 			Options{EpochCycles: 8, Sampling: def.Sampling}},
-		{"only the two dials overlay", Options{MaxCycles: 5, EngineThreads: 2, EpochCycles: 1, Sampling: own},
-			Options{MaxCycles: 5, EngineThreads: 2, EpochCycles: 1, Sampling: own}},
+		{"only the two dials overlay", Options{EngineThreads: 2, EpochCycles: 1, Sampling: own},
+			Options{EngineThreads: 2, EpochCycles: 1, Sampling: own}},
 	}
 	for _, tt := range tests {
 		if got := tt.job.WithDefaults(def); !reflect.DeepEqual(got, tt.want) {
@@ -159,8 +159,8 @@ func TestEffective(t *testing.T) {
 		}
 	}
 	got := (Options{Sampling: Sampling{Enabled: true}}).Effective()
-	if got.MaxCycles != 1_000_000_000 || got.Sampling.BlockFraction != DefaultBlockFraction || got.Sampling.ReplayStride != DefaultReplayStride {
-		t.Errorf("zero MaxCycles/Sampling fields not defaulted: %+v", got)
+	if got.Sampling.BlockFraction != DefaultBlockFraction || got.Sampling.ReplayStride != DefaultReplayStride {
+		t.Errorf("zero Sampling fields not defaulted: %+v", got)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestEngineThreadsInert(t *testing.T) {
 			}
 		}
 	}
-	const parent = "kind=1 hitrates=0 maxcycles=1000000000 latencyscale=0 overhead=0 epoch=8 sampling=false frac=0 stride=0 seed=0"
+	const parent = "kind=1 hitrates=0 epoch=8 sampling=false frac=0 stride=0 seed=0"
 	for _, o := range []Options{{Kind: Basic, EngineThreads: 2, EpochCycles: 8}, {Kind: Basic, EpochCycles: 8}} {
 		if got := o.Identity(); got != parent {
 			t.Errorf("%+v: identity %q, want the parent commit's %q", o, got, parent)
@@ -244,9 +244,14 @@ func bump(t *testing.T, v reflect.Value) {
 // JSON round trip, and changing it either moves Identity or the field is on
 // the exempt list above.
 func TestOptionsFieldsAccountedFor(t *testing.T) {
-	// The base is a valid relaxed sampled run, so no change below is
-	// normalised away (Memory forces the epoch, sampling knobs need Enabled).
-	base := Options{Kind: Basic, EpochCycles: 2, Sampling: Sampling{Enabled: true}}
+	// The bases are valid sampled runs, one relaxed and one of the kind that
+	// reads HitRates, so every field moves the identity from one of them
+	// (Memory forces the epoch, other kinds the hit-rate source, sampling
+	// knobs need Enabled).
+	bases := []Options{
+		{Kind: Basic, EpochCycles: 2, Sampling: Sampling{Enabled: true}},
+		{Kind: Memory, Sampling: Sampling{Enabled: true}},
+	}
 
 	var walk func(prefix string, typ reflect.Type, at func(*Options) reflect.Value)
 	walk = func(prefix string, typ reflect.Type, at func(*Options) reflect.Value) {
@@ -267,21 +272,25 @@ func TestOptionsFieldsAccountedFor(t *testing.T) {
 				}
 				continue
 			}
-			o := base
-			bump(t, field(&o))
-			data, err := json.Marshal(o)
-			if err != nil {
-				t.Fatal(err)
+			moved := false
+			for _, base := range bases {
+				o := base
+				bump(t, field(&o))
+				data, err := json.Marshal(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back Options
+				if err := json.Unmarshal(data, &back); err != nil {
+					t.Fatalf("%s: %s: %v", name, data, err)
+				}
+				if !reflect.DeepEqual(back, o) {
+					t.Errorf("%s did not survive the wire: sent %+v, got %+v (%s)", name, o, back, data)
+				}
+				moved = moved || o.Identity() != base.Identity()
 			}
-			var back Options
-			if err := json.Unmarshal(data, &back); err != nil {
-				t.Fatalf("%s: %s: %v", name, data, err)
-			}
-			if !reflect.DeepEqual(back, o) {
-				t.Errorf("%s did not survive the wire: sent %+v, got %+v (%s)", name, o, back, data)
-			}
-			if moved := o.Identity() != base.Identity(); moved == identityExempt[name] {
-				t.Errorf("%s: changing it moved the identity: %v, exempt: %v (%q)", name, moved, identityExempt[name], o.Identity())
+			if moved == identityExempt[name] {
+				t.Errorf("%s: changing it moved the identity: %v, exempt: %v", name, moved, identityExempt[name])
 			}
 		}
 	}
@@ -292,8 +301,11 @@ func TestOptionsFieldsAccountedFor(t *testing.T) {
 // identity, so they share a cache line and restore into one another.
 func TestIdentityNormalised(t *testing.T) {
 	same := [][2]Options{
-		{{}, {EpochCycles: 1, MaxCycles: 1_000_000_000}},
+		{{}, {EpochCycles: 1}},
 		{{Kind: Memory, EpochCycles: 8}, {Kind: Memory}},
+		{{Kind: Basic, HitRates: ReuseDistance}, {Kind: Basic}},
+		{{Kind: Detailed, HitRates: ReuseDistance}, {Kind: Detailed}},
+		{{Kind: L2Hybrid, HitRates: ReuseDistance}, {Kind: L2Hybrid}},
 		{{Sampling: Sampling{Enabled: true}},
 			{Sampling: Sampling{Enabled: true, BlockFraction: DefaultBlockFraction, ReplayStride: DefaultReplayStride}}},
 	}
@@ -304,6 +316,9 @@ func TestIdentityNormalised(t *testing.T) {
 	}
 	if a, b := (Options{EpochCycles: 8}).Identity(), (Options{}).Identity(); a == b {
 		t.Errorf("relaxed and exact epochs share the identity %q", a)
+	}
+	if a, b := (Options{Kind: Memory, HitRates: ReuseDistance}).Identity(), (Options{Kind: Memory}).Identity(); a == b {
+		t.Errorf("Memory's two hit-rate sources share the identity %q", a)
 	}
 }
 
@@ -321,14 +336,14 @@ func FuzzOptionsJSON(f *testing.F) {
 		f.Add(data)
 	}
 	seed(Options{})
-	seed(Options{Kind: Memory, HitRates: ReuseDistance, MaxCycles: 1 << 40})
-	seed(Options{Kind: Basic, EngineThreads: 2, EpochCycles: 8, LatencyScale: 1.5, ExtraKernelOverhead: 100})
+	seed(Options{Kind: Memory, HitRates: ReuseDistance})
+	seed(Options{Kind: Basic, EngineThreads: 2, EpochCycles: 8})
 	seed(Options{Kind: L2Hybrid, EngineThreads: 64, Sampling: Sampling{Enabled: true, BlockFraction: 0.25, ReplayStride: 4, Seed: 9}})
 	f.Add([]byte(`{"kind":9}`))
 	f.Add([]byte(`{"kind":1,"epoch_cycles":8}`))
 	f.Add([]byte(`{"kind":0,"engine_threads":-3,"sampling":{"block_fraction":2}}`))
 	f.Add([]byte(`{"kind":"basic"}`))
-	f.Add([]byte(`{"latency_scale":1e308,"engine_threads":4,"epoch_cycles":4611686018427387904}`))
+	f.Add([]byte(`{"engine_threads":4,"epoch_cycles":4611686018427387904}`))
 	f.Add([]byte(`[`))
 
 	gpu := smallGPU()

@@ -43,7 +43,6 @@ package sim
 
 import (
 	"context"
-	"math"
 
 	"swiftsim/internal/analytic"
 	"swiftsim/internal/config"
@@ -214,7 +213,7 @@ func (s *sampler) observe(index int, launch, end uint64) {
 // returned duration: in a full run it overlaps the next kernel's execution,
 // and the recorded duration was measured from a launch with the same
 // overlap.
-func (s *sampler) tryReplay(ctx context.Context, a *gpuAssembly, ki int, maxCycles uint64) (uint64, bool) {
+func (s *sampler) tryReplay(ctx context.Context, a *gpuAssembly, ki int) (uint64, bool) {
 	fp := s.kernels[ki].fp
 	rec, ok := s.memo[fp]
 	if !ok {
@@ -226,11 +225,7 @@ func (s *sampler) tryReplay(ctx context.Context, a *gpuAssembly, ki int, maxCycl
 		return 0, false
 	}
 	if !a.eng.Quiescent() {
-		limit := a.eng.Cycle() + maxCycles
-		if limit < a.eng.Cycle() {
-			limit = math.MaxUint64
-		}
-		if _, err := a.eng.RunCtx(ctx, a.eng.Quiescent, limit); err != nil {
+		if _, err := a.eng.RunCtx(ctx, a.eng.Quiescent, a.eng.Cycle()+maxKernelCycles); err != nil {
 			// Could not quiesce within budget (or canceled): simulate the
 			// launch instead; a real error will resurface there.
 			return 0, false

@@ -25,7 +25,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"swiftsim/internal/analytic"
@@ -105,6 +104,10 @@ var validApps = memo.New[*trace.App](256, func(err error) int {
 	return 1
 })
 
+// maxKernelCycles bounds the simulated time of one kernel launch: a launch
+// still running after a billion cycles fails the run as a deadlock.
+const maxKernelCycles = 1_000_000_000
+
 // RunCtx is Run with cooperative cancellation: the context is threaded into
 // the simulation engine, which polls it every few thousand scheduler
 // iterations. Canceling the context (or passing one with a deadline) stops
@@ -167,7 +170,6 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if smp != nil {
 		smp.install(a)
 	}
-	maxCycles := opts.MaxCycles
 
 	tr := opts.Trace
 	var ktid int32
@@ -176,7 +178,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		ktid = tr.RegisterTrack("kernels")
 	}
 
-	var overhead, extrapolated uint64
+	var extrapolated uint64
 	kernelCycles := make([]uint64, 0, len(app.Kernels))
 	firstKernel := 0
 	if opts.RestoreFrom != nil {
@@ -187,25 +189,23 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		firstKernel = int(st.next)
 		kernelCycles = append(kernelCycles, st.kernelCycles...)
 		extrapolated = st.extrapolated
-		overhead = st.overhead
 	}
 	snapshotPending := opts.SnapshotTo != nil
 	for ki := firstKernel; ki < len(app.Kernels); ki++ {
 		k := app.Kernels[ki]
 		if snapshotPending && a.eng.Cycle() >= opts.SnapshotAt {
-			if err := writeSnapshot(a, app, gpu, opts, ki, kernelCycles, extrapolated, overhead); err != nil {
+			if err := writeSnapshot(a, app, gpu, opts, ki, kernelCycles, extrapolated); err != nil {
 				return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 			}
 			snapshotPending = false
 		}
 		a.kernelIndex = ki
 		if smp != nil {
-			if kc, ok := smp.tryReplay(ctx, a, ki, maxCycles); ok {
+			if kc, ok := smp.tryReplay(ctx, a, ki); ok {
 				// Memoized launch: time advanced analytically, counters
 				// gained the recorded delta, nothing was simulated.
 				kernelCycles = append(kernelCycles, kc)
 				extrapolated += kc
-				overhead += opts.ExtraKernelOverhead
 				if tr.Enabled(obs.KernelLevel) {
 					tr.Emit(obs.Event{Name: k.Name, Cat: "kernel-replay", Ph: obs.PhaseSpan,
 						Ts: a.eng.Cycle() - kc, Dur: kc, Tid: ktid,
@@ -223,14 +223,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		}
 		kStart := a.eng.Cycle()
 		a.bs.LaunchKernel(k)
-		// The per-kernel budget is relative to the current cycle; clamp
-		// the absolute limit so MaxCycles near math.MaxUint64 cannot wrap
-		// into the past and turn the budget into an instant timeout.
-		limit := kStart + maxCycles
-		if limit < kStart {
-			limit = math.MaxUint64
-		}
-		if _, err := a.eng.RunCtx(ctx, a.bs.KernelDone, limit); err != nil {
+		if _, err := a.eng.RunCtx(ctx, a.bs.KernelDone, kStart+maxKernelCycles); err != nil {
 			return nil, fmt.Errorf("sim: %s kernel %d (%s): %w", app.Name, ki, k.Name, err)
 		}
 		if err := a.bs.Err(); err != nil {
@@ -242,7 +235,6 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		}
 		kernelCycles = append(kernelCycles, kc)
 		extrapolated += kc
-		overhead += opts.ExtraKernelOverhead
 		if tr.Enabled(obs.KernelLevel) {
 			tr.Emit(obs.Event{Name: k.Name, Cat: "kernel", Ph: obs.PhaseSpan,
 				Ts: kStart, Dur: a.eng.Cycle() - kStart, Tid: ktid,
@@ -257,7 +249,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 			return nil, fmt.Errorf("sim: %s: snapshot at cycle %d never taken: the run ended at cycle %d",
 				app.Name, opts.SnapshotAt, a.eng.Cycle())
 		}
-		if err := writeSnapshot(a, app, gpu, opts, len(app.Kernels), kernelCycles, extrapolated, overhead); err != nil {
+		if err := writeSnapshot(a, app, gpu, opts, len(app.Kernels), kernelCycles, extrapolated); err != nil {
 			return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 		}
 	}
@@ -270,13 +262,12 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if ranOn != nil {
 		ranOn(a)
 	}
-	total := extrapolated + overhead
-	a.g.Set("gpu.cycles", total)
+	a.g.Set("gpu.cycles", extrapolated)
 	return &Result{
 		App:           app.Name,
 		GPUName:       gpu.Name,
 		Kind:          opts.Kind,
-		Cycles:        total,
+		Cycles:        extrapolated,
 		Wall:          time.Since(start),
 		ProfileWall:   profileWall,
 		Instructions:  a.g.Value("sm.issued"),
@@ -296,18 +287,6 @@ var poolHeld func(p mem.Pool) (released func())
 // ranOn, when a test sets it, is handed the assembly of each run that
 // completes, for the host-work counts a Result does not carry.
 var ranOn func(a *gpuAssembly)
-
-// scaleLat applies the golden model's latency scale.
-func scaleLat(l int, scale float64) int {
-	if scale <= 0 {
-		return l
-	}
-	v := int(float64(l) * scale)
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
 
 // assemble wires one simulator instance, building each module position as
 // opts.Kind's layout says, bottom up: the hierarchy below the L1s, then the
@@ -332,22 +311,12 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	eng.SetEpoch(epochK)
 	ctx := eng.ShardContext(0)
 
-	scale := opts.LatencyScale
-	smCfg := gpu.SM
-	if scale > 0 {
-		smCfg.IntLatency = scaleLat(smCfg.IntLatency, scale)
-		smCfg.SPLatency = scaleLat(smCfg.SPLatency, scale)
-		smCfg.DPLatency = scaleLat(smCfg.DPLatency, scale)
-		smCfg.SFULatency = scaleLat(smCfg.SFULatency, scale)
-		smCfg.SharedMemLatency = scaleLat(smCfg.SharedMemLatency, scale)
-	}
-
 	// Below the L1s: what an L1 miss goes to.
 	var down mem.Port
 	var ms *memorySystem
 	switch lay.lower {
 	case cycleAccurate:
-		ms = newMemorySystem(eng, gpu, scale, g, opts.Trace)
+		ms = newMemorySystem(eng, gpu, g, opts.Trace)
 		down = ms.noc
 	case analytical:
 		backend := analytic.NewBackend("membackend", eng, gpu, g)
@@ -359,7 +328,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	// only then: the providers allocate even unused).
 	var ca smcore.UnitSet
 	if lay.frontEnd == cycleAccurate || lay.alus == cycleAccurate || lay.ldst == cycleAccurate {
-		ca = smcore.CycleAccurateUnits(gpu.NumSMs, smCfg, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
+		ca = smcore.CycleAccurateUnits(gpu.NumSMs, gpu.SM, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
 	}
 	units := smcore.UnitSet{Scheduler: opts.Scheduler}
 
@@ -368,8 +337,6 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	var boundary *epochBoundary
 	switch lay.ldst {
 	case cycleAccurate:
-		l1cfg := gpu.L1
-		l1cfg.HitLatency = scaleLat(l1cfg.HitLatency, scale)
 		if epochK > 1 {
 			boundary = newEpochBoundary("epochq", down, g)
 		}
@@ -380,7 +347,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 				downs[i] = boundary.port(i, ctx)
 			}
 		}
-		a.l1s = cache.NewTimedCaches(gpu.NumSMs, "l1", l1cfg, mem.LevelL1, ctx, downs, g)
+		a.l1s = cache.NewTimedCaches(gpu.NumSMs, "l1", gpu.L1, mem.LevelL1, ctx, downs, g)
 		for _, l1 := range a.l1s {
 			l1.SetTracer(opts.Trace)
 		}
@@ -390,14 +357,14 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 			return u
 		}
 	case analytical:
-		units.LDST = eq1LDST(eng, gpu, smCfg, scale, prof, &a.kernelIndex, g)
+		units.LDST = eq1LDST(eng, gpu, prof, &a.kernelIndex, g)
 	}
 
 	switch lay.alus {
 	case cycleAccurate:
 		units.ALU = ca.ALU
 	case analytical:
-		units.ALU = analyticalALUs(smCfg, gpu.NumSMs, eng, ctx, g)
+		units.ALU = analyticalALUs(gpu.SM, gpu.NumSMs, eng, ctx, g)
 	}
 	if lay.frontEnd == cycleAccurate {
 		units.ICache = ca.ICache
@@ -406,7 +373,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	// SMs and the Block Scheduler.
 	var bs *smcore.BlockScheduler
 	onBlockDone := func(sm *smcore.SM) { bs.BlockDone(sm) }
-	sms, err := smcore.NewSMs(gpu.NumSMs, smCfg, ctx, units, g, onBlockDone)
+	sms, err := smcore.NewSMs(gpu.NumSMs, gpu.SM, ctx, units, g, onBlockDone)
 	if err != nil {
 		return nil, err
 	}
@@ -490,15 +457,10 @@ type memorySystem struct {
 	drams []*dram.Partition
 }
 
-// newMemorySystem builds gpu's NoC, L2 slices and DRAM partitions, with
-// latencies scaled by scale.
-func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metrics.Gatherer, tr *obs.Tracer) *memorySystem {
-	l2cfg := gpu.L2
-	l2cfg.HitLatency = scaleLat(l2cfg.HitLatency, scale)
-	dramLat := scaleLat(gpu.DRAMLatency, scale)
-
+// newMemorySystem builds gpu's NoC, L2 slices and DRAM partitions.
+func newMemorySystem(eng *engine.Engine, gpu config.GPU, g *metrics.Gatherer, tr *obs.Tracer) *memorySystem {
 	ms := &memorySystem{}
-	ms.drams = dram.NewPartitions(gpu.MemPartitions, "dram", eng, gpu.DRAMBanksPerPartition, dramLat, gpu.DRAMRowHitLatency, g)
+	ms.drams = dram.NewPartitions(gpu.MemPartitions, "dram", eng, gpu.DRAMBanksPerPartition, gpu.DRAMLatency, gpu.DRAMRowHitLatency, g)
 	// targets first holds each L2 slice's DRAM partition, then, for the
 	// interconnect, the slices themselves.
 	targets := make([]mem.Port, gpu.MemPartitions)
@@ -506,7 +468,7 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 		dp.SetTracer(tr)
 		targets[p] = dp
 	}
-	ms.l2s = cache.NewTimedCaches(gpu.MemPartitions, "l2", l2cfg, mem.LevelL2, eng, targets, g)
+	ms.l2s = cache.NewTimedCaches(gpu.MemPartitions, "l2", gpu.L2, mem.LevelL2, eng, targets, g)
 	for p, l2 := range ms.l2s {
 		l2.SetTracer(tr)
 		targets[p] = l2
@@ -526,7 +488,7 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 		// NoCLatency is the crossbar's end-to-end traversal; a
 		// ring pays per hop, so the per-hop cost is derived from
 		// it (≈2 cycles per hop for the default 12).
-		hop := scaleLat(gpu.NoCLatency, scale) / 6
+		hop := gpu.NoCLatency / 6
 		if hop < 1 {
 			hop = 1
 		}
@@ -543,7 +505,7 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 			flitsPerSector = 1
 		}
 		ms.noc = noc.NewCrossbar("noc", eng, targets, mapAddr,
-			uint64(scaleLat(gpu.NoCLatency, scale)), flitsPerSector, g)
+			uint64(gpu.NoCLatency), flitsPerSector, g)
 	}
 	ms.noc.SetTracer(tr)
 	return ms
@@ -558,18 +520,18 @@ func newMemorySystem(eng *engine.Engine, gpu config.GPU, scale float64, g *metri
 // across banks×partitions); each SM also has an L1-port meter at the
 // banked L1's rate and an MSHR meter, shared by its sub-cores. The units
 // and the per-SM meters are one class each.
-func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64, prof *reuse.Profile, kernelIndex *int, g *metrics.Gatherer) func(smID, sub int) smcore.Unit {
-	l1Hit := scaleLat(gpu.L1.HitLatency, scale)
-	l2End := l1Hit + 2*scaleLat(gpu.NoCLatency, scale) + scaleLat(gpu.L2.HitLatency, scale)
+func eq1LDST(eng *engine.Engine, gpu config.GPU, prof *reuse.Profile, kernelIndex *int, g *metrics.Gatherer) func(smID, sub int) smcore.Unit {
+	l1Hit := gpu.L1.HitLatency
+	l2End := l1Hit + 2*gpu.NoCLatency + gpu.L2.HitLatency
 	params := analytic.MemModelParams{
 		Profile:          prof,
 		KernelIndex:      kernelIndex,
 		L1Latency:        l1Hit,
 		L2Latency:        l2End,
-		DRAMLatency:      l2End + scaleLat(gpu.DRAMLatency, scale),
-		SharedMemLatency: smCfg.SharedMemLatency,
+		DRAMLatency:      l2End + gpu.DRAMLatency,
+		SharedMemLatency: gpu.SM.SharedMemLatency,
 		SectorBytes:      gpu.L1.SectorBytes,
-		Lanes:            smCfg.LDSTLanes,
+		Lanes:            gpu.SM.LDSTLanes,
 		DRAM:             analytic.NewBandwidthMeterRate(24.0 / float64(gpu.DRAMBanksPerPartition*gpu.MemPartitions)),
 		NoC:              analytic.NewBandwidthMeterRate(1 / float64(gpu.MemPartitions)),
 		MSHREntries:      gpu.L1.MSHREntries,
@@ -577,9 +539,9 @@ func eq1LDST(eng *engine.Engine, gpu config.GPU, smCfg config.SM, scale float64,
 	}
 	l1Ports := analytic.NewBandwidthMeters(gpu.NumSMs, 1/float64(gpu.L1.Banks*gpu.L1.Throughput))
 	mshrs := analytic.NewBandwidthMeters(gpu.NumSMs, 1)
-	units := analytic.NewMemModels(gpu.NumSMs*smCfg.SubCores, "mem", eng, params, g)
+	units := analytic.NewMemModels(gpu.NumSMs*gpu.SM.SubCores, "mem", eng, params, g)
 	return func(smID, sub int) smcore.Unit {
-		u := &units[smID*smCfg.SubCores+sub]
+		u := &units[smID*gpu.SM.SubCores+sub]
 		u.SetSMMeters(&l1Ports[smID], &mshrs[smID])
 		eng.AddModule(u)
 		return u

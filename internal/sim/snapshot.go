@@ -4,12 +4,13 @@
 // A sim snapshot is one snap stream: the header (magic "SSIM" and format
 // version) and one checkpoint record, whose walk lists its sections:
 //
-//	identity app name, kernel count, GPU name and Options.Identity — the
-//	         one rendering of everything that shapes the timing of the
+//	identity app name, kernel count, the GPU configuration as
+//	         config.Marshal writes it and Options.Identity — the one
+//	         rendering of everything that shapes the timing of the
 //	         remainder of the run (options.go says what is in it). Restore
 //	         refuses a mismatch with ErrSnapshotMismatch.
-//	run pos  next kernel index, per-kernel durations so far, extrapolated
-//	         and overhead cycle accumulators
+//	run pos  next kernel index, per-kernel durations so far and their
+//	         extrapolated sum
 //	engine   the engine section (engine.Engine.Snap), length-framed so the
 //	         record decodes before anything is restored
 //	metrics  the gatherer's counters by sorted name
@@ -38,12 +39,11 @@ var ErrSnapshotMismatch = errors.New("sim: snapshot does not match this run")
 
 // checkpoint is the record a sim snapshot holds.
 type checkpoint struct {
-	app, gpu, options string
+	app, gpu, options string // gpu is config.Marshal's text
 	kernels           uint64
 	next              uint64 // index of the first kernel not yet simulated
 	kernelCycles      []uint64
 	extrapolated      uint64
-	overhead          uint64
 	engine            []byte
 	metrics           []counter
 }
@@ -67,7 +67,6 @@ func (ck *checkpoint) walk(c *snap.Codec) {
 		c.U64(&ck.kernelCycles[i])
 	}
 	c.U64(&ck.extrapolated)
-	c.U64(&ck.overhead)
 	if c.Err() == nil && (ck.next > ck.kernels || ck.next != uint64(len(ck.kernelCycles))) {
 		c.Failf("resumes at kernel %d of %d but records %d kernel durations", ck.next, ck.kernels, len(ck.kernelCycles))
 	}
@@ -84,14 +83,14 @@ func (ck *checkpoint) walk(c *snap.Codec) {
 // writeSnapshot checkpoints the run at the current kernel boundary to
 // opts.SnapshotTo, with nextKernel the index of the first kernel not yet
 // simulated.
-func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) error {
+func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, nextKernel int, kernelCycles []uint64, extrapolated uint64) error {
 	eng, err := snap.Save(a.eng.Snap)
 	if err != nil {
 		return err
 	}
 	ck := checkpoint{
-		app: app.Name, kernels: uint64(len(app.Kernels)), gpu: gpu.Name, options: opts.Identity(),
-		next: uint64(nextKernel), kernelCycles: kernelCycles, extrapolated: extrapolated, overhead: overhead,
+		app: app.Name, kernels: uint64(len(app.Kernels)), gpu: string(config.Marshal(gpu)), options: opts.Identity(),
+		next: uint64(nextKernel), kernelCycles: kernelCycles, extrapolated: extrapolated,
 		engine: eng,
 	}
 	for _, n := range a.g.Names() {
@@ -118,8 +117,8 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options) 
 		return nil, fmt.Errorf("%w: snapshot is of app %q, this run simulates %q", ErrSnapshotMismatch, ck.app, app.Name)
 	case ck.kernels != uint64(len(app.Kernels)):
 		return nil, fmt.Errorf("%w: snapshot has %d kernels, this run has %d", ErrSnapshotMismatch, ck.kernels, len(app.Kernels))
-	case ck.gpu != gpu.Name:
-		return nil, fmt.Errorf("%w: snapshot is for GPU %q, this run uses %q", ErrSnapshotMismatch, ck.gpu, gpu.Name)
+	case ck.gpu != string(config.Marshal(gpu)):
+		return nil, fmt.Errorf("%w: snapshot is for another GPU configuration than this run's %q", ErrSnapshotMismatch, gpu.Name)
 	case ck.options != want:
 		return nil, fmt.Errorf("%w: snapshot options are %q, this run's are %q", ErrSnapshotMismatch, ck.options, want)
 	}

@@ -33,7 +33,7 @@ const Magic = "SSIM"
 // Version is the current snapshot format version. Bump on any
 // incompatible layout change; LoadStream rejects mismatches with
 // ErrVersion so a skewed binary never misparses old state as new.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // ErrCorrupt reports structurally invalid snapshot data.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
