@@ -162,11 +162,11 @@ func TestKernelLaunchCycles(t *testing.T) {
 	// same run without it.
 	gpu := smallGPU()
 	app, _ := workload.Generate("GRU", 0.1)
-	base, err := Run(app, gpu, Params{LatencyScale: 1.0})
+	base, err := Run(app, gpu, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withLaunch, err := Run(app, gpu, Params{LatencyScale: 1.0, KernelLaunchCycles: 10_000})
+	withLaunch, err := Run(app, gpu, Params{KernelLaunchCycles: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
