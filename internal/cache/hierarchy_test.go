@@ -20,11 +20,12 @@ type access struct {
 // hierarchy is the timed memory path of one SM and one partition: a
 // write-through L1 over a crossbar, a write-back L2 and a DRAM channel,
 // fed by a scripted driver that owns its requests the way the LD/ST unit
-// does (pooled, Owner set, no closure).
+// does (from a store, Owner set, no closure).
 type hierarchy struct {
 	eng    *engine.Engine
 	l1     *Timed
 	g      *metrics.Gatherer
+	reqs   mem.Store
 	script []access
 	next   int
 	done   int
@@ -59,7 +60,7 @@ func (h *hierarchy) SetWake(wake func())    { h.wake = wake }
 func (h *hierarchy) Tick(uint64) {
 	for n := 0; n < 2 && h.next < len(h.script); n++ {
 		a := h.script[h.next]
-		r := mem.SharedPool.Get()
+		r := h.reqs.Get()
 		r.Addr, r.Write, r.Size, r.Owner = a.addr, a.write, 32, h
 		if !h.l1.Accept(r) {
 			mem.PutRequest(r)
@@ -103,7 +104,7 @@ func mixedStream() []access {
 // TestTimedPathSteadyStateAllocatesNothing is the gate on the per-request
 // allocations this path used to make (a closure per fetch, per completion
 // and per NoC hop, an MSHR entry per miss, a slice regrowth per queue):
-// once pools and rings have reached their working size, a replay of the
+// once the store and rings have reached their working size, a replay of the
 // stream allocates nothing at all.
 func TestTimedPathSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -128,7 +129,7 @@ func TestTimedPathSteadyStateAllocatesNothing(t *testing.T) {
 
 // TestLiteralRequestCrossesHierarchyOnce: a request an outside caller built
 // with a literal goes down L1 → NoC → L2 → DRAM and back, fires its Done
-// exactly once, and is never recycled into the pool.
+// exactly once, and is never recycled into a store.
 func TestLiteralRequestCrossesHierarchyOnce(t *testing.T) {
 	h := newHierarchy()
 	fired := 0
@@ -149,13 +150,13 @@ func TestLiteralRequestCrossesHierarchyOnce(t *testing.T) {
 		t.Errorf("ServicedBy = %v, want DRAM", r.ServicedBy)
 	}
 	// A recycled request is zeroed and handed to the next Get; this
-	// one kept its fields and is not what the pool returns.
+	// one kept its fields and is not what a store returns.
 	if r.Addr != 0x4020 || r.PC != 0x88 || r.SMID != 3 || r.Done == nil {
 		t.Errorf("literal request was recycled: %+v", r)
 	}
 	for i := 0; i < 64; i++ {
-		if p := mem.SharedPool.Get(); p == r {
-			t.Fatal("literal request came back out of the pool")
+		if p := h.reqs.Get(); p == r {
+			t.Fatal("literal request came back out of a store")
 		}
 	}
 }

@@ -312,7 +312,7 @@ func (c *Timed) RequestDone(dr *mem.Request) {
 }
 
 // evict accounts for the line an install displaced, if any, emitting
-// writebacks (from by's pool) for its dirty sectors. It reports whether it
+// writebacks (from by's store) for its dirty sectors. It reports whether it
 // queued any.
 func (c *Timed) evict(by *mem.Request, ev evicted) bool {
 	if !ev.wasValid {

@@ -50,8 +50,6 @@ type Params struct {
 	// columns are single-thread wall clocks — and takes only the sampling
 	// default.
 	Defaults sim.Options
-	// HW holds the golden-model coefficients (zero value = defaults).
-	HW hwmodel.Params
 	// Ctx cancels the whole experiment (nil = context.Background).
 	Ctx context.Context
 	// JobTimeout bounds each simulation's wall-clock time (0 = none). A
@@ -99,9 +97,6 @@ func (p *Params) fill() {
 	}
 	if p.GPU.Name == "" {
 		p.GPU = config.RTX2080Ti()
-	}
-	if p.HW == (hwmodel.Params{}) {
-		p.HW = hwmodel.DefaultParams()
 	}
 }
 
@@ -219,7 +214,7 @@ func Figure4(p Params) (*Fig4Result, error) {
 			res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: "canceled", Err: cerr})
 			continue
 		}
-		hw, err := hwmodel.Run(app, p.GPU, p.HW)
+		hw, err := hwmodel.Run(app, p.GPU, hwmodel.DefaultParams())
 		if err != nil {
 			res.Failed = append(res.Failed, Failure{GPU: p.GPU.Name, App: app.Name, Stage: "hwmodel", Err: err})
 			continue
@@ -468,7 +463,7 @@ func Figure6(p Params) (*Fig6Result, error) {
 				res.Failed = append(res.Failed, Failure{GPU: gpu.Name, App: app.Name, Stage: "canceled", Err: cerr})
 				continue
 			}
-			hw, err := hwmodel.Run(app, gpu, p.HW)
+			hw, err := hwmodel.Run(app, gpu, hwmodel.DefaultParams())
 			if err != nil {
 				res.Failed = append(res.Failed, Failure{GPU: gpu.Name, App: app.Name, Stage: "hwmodel", Err: err})
 				continue

@@ -83,6 +83,7 @@ func Run(app *trace.App, gpu config.GPU, p Params) (*sim.Result, error) {
 	}
 	res.Cycles += tlb
 	res.Cycles += uint64(float64(res.Cycles) * p.RefreshFraction)
+	res.Metrics["gpu.cycles"] = res.Cycles
 	res.GPUName = gpu.Name + "-hw"
 	return res, nil
 }

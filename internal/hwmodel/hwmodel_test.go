@@ -198,6 +198,30 @@ func TestICacheWarmupScalesWithCode(t *testing.T) {
 	}
 }
 
+// TestCanonicalCyclesAgree: a reference result states one cycle count, so
+// its canonical cycles line and its gpu.cycles metric agree.
+func TestCanonicalCyclesAgree(t *testing.T) {
+	app, err := workload.Generate("GRU", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(app, smallGPU(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles, metric string
+	for _, l := range strings.Split(string(regress.Canonical(res)), "\n") {
+		if v, ok := strings.CutPrefix(l, "cycles "); ok {
+			cycles = v
+		} else if v, ok := strings.CutPrefix(l, "gpu.cycles "); ok {
+			metric = v
+		}
+	}
+	if cycles == "" || cycles != metric {
+		t.Errorf("canonical reference result says cycles %q and gpu.cycles %q", cycles, metric)
+	}
+}
+
 func TestRunRejectsInvalidInput(t *testing.T) {
 	app, _ := workload.Generate("BFS", 0.1)
 	bad := smallGPU()

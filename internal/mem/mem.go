@@ -8,8 +8,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"swiftsim/internal/snap"
 )
@@ -55,11 +53,11 @@ func (l Level) String() string {
 // of the request's life: it carries the request back over the
 // interconnect hop it came in by (if one interposed with Via), notifies
 // the creator (Owner, or Done for callers outside the module tree) and
-// then, if the request came from a Pool, returns it there. So
+// then, if the request came from a Store, returns it there. So
 // nobody frees a request explicitly, nobody touches one after calling
 // Complete, and the notified creator must not keep the pointer past its
 // callback. A request built with a literal (&Request{...}) never enters
-// the pool and stays valid for as long as its creator keeps it.
+// a store and stays valid for as long as its creator keeps it.
 //
 // The continuation a request needs at each step is data on the request
 // (Owner, the hop slot, the stage slot below) rather than a closure built
@@ -68,12 +66,9 @@ func (l Level) String() string {
 // accepted by one cache/DRAM level at a time: a level that misses sends a
 // request of its own downstream and parks the original.
 //
-// A pool held through AcquirePool belongs to one simulation, which is one
-// goroutine, and takes no lock; SharedPool is locked and may be used from
-// any goroutine (see Pool). Everything else a module recycles (LD/ST
-// instructions, MSHR entries, queue slots) lives on a free list private to
-// that module, touched only by its simulation's goroutine, so the lists
-// need no locks.
+// Everything a module recycles (requests, LD/ST instructions, MSHR
+// entries, queue slots) belongs to one run and is touched only by that
+// run's goroutine, so none of it takes a lock.
 type Request struct {
 	// Addr is the byte address, sector-aligned by the coalescer.
 	Addr uint64
@@ -109,15 +104,14 @@ type Request struct {
 	// scheduled retirement (Retirement) fires, and (lvl) the level it
 	// retires at.
 	stage Stage
+	// store is the Store the request came from; nil marks a literal.
+	store *Store
 
 	// The one- and four-byte fields sit together at the end so the struct
 	// stays in the 112-byte size class: the benchmark rigs and tests
 	// allocate one literal per request.
 	hopTag int32
 	lvl    Level
-	// home is the pool the request came from, plus one; zero marks a
-	// literal.
-	home uint8
 	// Write distinguishes stores from loads.
 	Write bool
 	// ServicedBy records the level that ultimately supplied the data.
@@ -190,8 +184,8 @@ func (r *Request) Complete(lvl Level) {
 }
 
 // Deliver notifies the request's creator and recycles the request if it
-// is pooled. Modules call Complete; Deliver is for a Hop finishing the
-// return traversal it started in Return.
+// came from a store. Modules call Complete; Deliver is for a Hop finishing
+// the return traversal it started in Return.
 func (r *Request) Deliver() {
 	if r.Owner != nil {
 		r.Owner.RequestDone(r)
@@ -201,134 +195,66 @@ func (r *Request) Deliver() {
 	PutRequest(r)
 }
 
-// Pool is a free list of Request structs for the L1/NoC/DRAM hot path,
-// where the detailed configurations use one per sector transaction. A
-// simulation run holds a pool of its own from AcquirePool to Release, so
-// concurrent runs (a parallel sweep, the daemon's executors) do not contend
-// and a run's allocations depend on that run and on the runs that held the
-// pool before it, not on when the collector ran: a sync.Pool here made
-// allocs_per_kinst of one workload differ by 4% between identical passes,
-// because a collection between two jobs dropped the first job's requests.
-// Released pools keep their requests (at most poolCap each) and the lowest
-// free pool is handed out first, so back-to-back runs reuse one warm list.
-//
-// Only the shared pool is locked: concurrent callers use it side by side.
-// A pool from AcquirePool has a single owner from acquire to Release, and
-// that owner is one goroutine: sim.Run acquires it, simulates on the calling
-// goroutine (a simulation has been one goroutine since the sharded engine
-// went) and releases it on return, after the engine has stopped, so none of
-// its requests completes later. Hand-over between two runs is ordered by
-// poolsMu, which Release and the next AcquirePool both take. Get, Sibling,
-// Complete and PutRequest on such a pool therefore take no lock, and must
-// not be called from a second goroutine while it is held.
-type Pool uint8
-
-// SharedPool serves callers that hold no pool of their own (tests, rigs
-// feeding literals into a cache) and runs beyond the numPools-th at once.
-const SharedPool Pool = 0
-
-const (
-	numPools = 64
-	// poolCap bounds the requests an idle pool retains (3.5 MiB).
-	poolCap = 1 << 15
-)
-
-// freeList is one pool's storage.
-type freeList struct {
-	mu   sync.Mutex // taken for the shared pool only; see Pool
-	free []*Request
-	_    [32]byte // a cache line each
+// Store is one run's supply of requests for the L1/NoC/DRAM hot path,
+// where the detailed configurations use one per sector transaction. A run
+// whose layout has cycle-accurate LD/ST units makes one store; its units
+// draw sector requests from it, and every request a level sends on a
+// request's behalf comes from that request's store (Sibling). Requests are
+// carved storeChunk at a time and come back to a free stack sized for
+// every request carved, so neither Get nor a recycling Complete allocates
+// once the run has reached its peak of requests in flight. A store is
+// touched only by its run's goroutine and takes no lock; it is reachable
+// only from its run's assembly and from its own requests, so a request
+// still in flight when the run ends is collected with them. The zero Store
+// is ready to use.
+type Store struct {
+	spare  []Request  // the uncarved rest of the newest chunk
+	free   []*Request // recycled requests, with room for every one carved
+	carved int
 }
 
-var (
-	pools     [numPools]freeList
-	poolsMu   sync.Mutex
-	poolsBusy uint64 = 1 // bit p: pool p is held; the shared pool always is
-)
+// storeChunk is how many requests a store carves at a time.
+const storeChunk = 256
 
-// AcquirePool returns the lowest-numbered pool nobody holds, or SharedPool
-// when all are held.
-func AcquirePool() Pool {
-	poolsMu.Lock()
-	defer poolsMu.Unlock()
-	p := bits.TrailingZeros64(^poolsBusy)
-	if p == numPools {
-		return SharedPool
+// Get returns a zeroed request of s. Complete returns it.
+func (s *Store) Get() *Request {
+	if n := len(s.free); n > 0 {
+		r := s.free[n-1]
+		s.free = s.free[:n-1]
+		return r
 	}
-	poolsBusy |= 1 << p
-	return Pool(p)
-}
-
-// Release gives the pool up for the next AcquirePool. The holder must have
-// stopped completing p's requests: one still in flight is simply never put
-// back.
-func (p Pool) Release() {
-	if p == SharedPool {
-		return
+	if len(s.spare) == 0 {
+		s.carved += storeChunk
+		if cap(s.free) < s.carved {
+			// Every carved request is out, so the stack is empty.
+			s.free = make([]*Request, 0, 2*s.carved)
+		}
+		s.spare = make([]Request, storeChunk)
 	}
-	poolsMu.Lock()
-	poolsBusy &^= 1 << p
-	poolsMu.Unlock()
-}
-
-// Get returns a zeroed Request from the pool. Complete returns it.
-func (p Pool) Get() *Request {
-	l := &pools[p]
-	if p != SharedPool {
-		return l.take(p)
-	}
-	l.mu.Lock()
-	r := l.take(p)
-	l.mu.Unlock()
+	r := &s.spare[0]
+	s.spare = s.spare[1:]
+	r.store = s
 	return r
 }
 
-// take pops a recycled request of pool p, or makes one.
-func (l *freeList) take(p Pool) *Request {
-	if n := len(l.free); n > 0 {
-		r := l.free[n-1]
-		// A request still in flight when its run ends is never put back;
-		// a stale slot would keep it, and through its hop and stage the
-		// whole finished assembly, alive.
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		return r
-	}
-	return &Request{home: uint8(p) + 1}
-}
-
-// put keeps r for the next take, up to poolCap.
-func (l *freeList) put(r *Request) {
-	if len(l.free) < poolCap {
-		l.free = append(l.free, r)
-	}
-}
-
-// Sibling returns a zeroed Request from the pool r came from, for the
-// request a level sends downstream on r's behalf; from the shared pool if
-// r is a literal.
+// Sibling returns a zeroed request from r's store, for the request a level
+// sends downstream on r's behalf; a literal if r is one.
 func (r *Request) Sibling() *Request {
-	if r.home == 0 {
-		return SharedPool.Get()
+	if r.store == nil {
+		return new(Request)
 	}
-	return Pool(r.home - 1).Get()
+	return r.store.Get()
 }
 
-// PutRequest recycles a pooled request that no Port accepted; accepted
+// PutRequest recycles a request of a store that no Port accepted; accepted
 // requests are recycled by Complete. Literals are left alone.
 func PutRequest(r *Request) {
-	if r.home == 0 {
+	s := r.store
+	if s == nil {
 		return
 	}
-	*r = Request{home: r.home}
-	l := &pools[r.home-1]
-	if Pool(r.home-1) != SharedPool {
-		l.put(r)
-		return
-	}
-	l.mu.Lock()
-	l.put(r)
-	l.mu.Unlock()
+	*r = Request{store: s}
+	s.free = append(s.free, r)
 }
 
 // RequestBytes is the least a request walked by SnapValue takes in a
@@ -339,7 +265,7 @@ const RequestBytes = 8 + 8 + 8 + 8 + 1
 // (Addr, Size, PC, SMID, Write). Those are the only requests in flight at a
 // kernel boundary, the L1 write-throughs and L2 writebacks, so saving fails
 // with snap.ErrNotQuiescent for one with an Owner, a Done or a return hop.
-// Loading makes *p a literal, which no pool takes back.
+// Loading makes *p a literal, which no store takes back.
 func SnapValue(c *snap.Codec, p **Request) {
 	if c.Loading() {
 		*p = new(Request)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -107,85 +108,86 @@ func TestCompletionChain(t *testing.T) {
 	}
 }
 
-// TestPoolRecyclesOnlyPooledRequests: Complete zeroes a pooled request for
-// its next user and leaves a literal one alone, PutRequest likewise.
-func TestPoolRecyclesOnlyPooledRequests(t *testing.T) {
+// TestStoreRecyclesOnlyItsRequests: Complete zeroes a request of a store
+// for its next user and keeps it in that store; a literal one is left
+// alone by Complete and PutRequest, and its siblings are literals too.
+func TestStoreRecyclesOnlyItsRequests(t *testing.T) {
 	var c recorder
-	p := SharedPool.Get()
+	var s Store
+	p := s.Get()
 	p.Addr, p.Owner = 64, &c
 	p.Retirement(&c, LevelDRAM).Retire()
 	if p.Addr != 0 || p.Owner != nil || p.ServicedBy != LevelNone || p.stage != nil {
-		t.Errorf("pooled request not zeroed by Complete: %+v", p)
+		t.Errorf("request of a store not zeroed by Complete: %+v", p)
 	}
-	if p.home == 0 {
-		t.Error("recycling dropped the pool mark")
+	if p.store != &s {
+		t.Error("recycling dropped the request's store")
+	}
+	if got := s.Get(); got != p {
+		t.Error("a completed request was not the store's next Get")
+	}
+	if sib := p.Sibling(); sib.store != &s || sib == p {
+		t.Error("a sibling did not come from its request's store")
 	}
 
 	lit := &Request{Addr: 32, Write: true}
 	PutRequest(lit)
 	lit.Complete(LevelL2)
 	if lit.Addr != 32 || lit.ServicedBy != LevelL2 {
-		t.Errorf("literal request touched by the pool: %+v", lit)
+		t.Errorf("literal request touched by a store: %+v", lit)
+	}
+	if sib := lit.Sibling(); sib.store != nil {
+		t.Error("the sibling of a literal came from a store")
 	}
 }
 
-// TestPoolsAreHeldOneRunAtATime: the lowest free pool is handed out, a
-// released one is handed out again with the requests it kept, and when all
-// are held the shared pool serves.
-func TestPoolsAreHeldOneRunAtATime(t *testing.T) {
-	a, b := AcquirePool(), AcquirePool()
-	if a == SharedPool || b == SharedPool || a == b {
-		t.Fatalf("AcquirePool gave %d and %d", a, b)
-	}
-	r := a.Get()
-	if s := r.Sibling(); s.home != r.home {
-		t.Errorf("sibling of a pool-%d request came from pool %d", r.home-1, s.home-1)
-	}
-	if s := (&Request{}).Sibling(); s.home != uint8(SharedPool)+1 {
-		t.Errorf("sibling of a literal came from pool %d, want the shared one", s.home-1)
-	}
-	r.Complete(LevelL1)
-	a.Release()
-	if c := AcquirePool(); c != a {
-		t.Errorf("after releasing pool %d AcquirePool gave %d", a, c)
-	} else if got := c.Get(); got != r {
-		t.Error("a released pool did not keep its requests for the next holder")
-	}
-
-	held := []Pool{a, b}
-	for {
-		p := AcquirePool()
-		if p == SharedPool {
-			break
+// TestStoreCarvesChunks: a store allocates a chunk of requests, and a free
+// stack with room for every request carved, only when all it has carved are
+// out; recycling never allocates, and a run that stays under its peak
+// allocates nothing.
+func TestStoreCarvesChunks(t *testing.T) {
+	var s Store
+	out := make([]*Request, 0, 3*storeChunk)
+	take := func(n int) {
+		for range n {
+			out = append(out, s.Get())
 		}
-		held = append(held, p)
 	}
-	if len(held) != numPools-1 {
-		t.Errorf("%d pools could be held at once, want %d", len(held), numPools-1)
+	mallocs := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
 	}
-	for _, p := range held {
-		p.Release()
+	if n := mallocs(func() { take(storeChunk) }); n != 2 {
+		t.Errorf("the first chunk cost %d allocations, want 2 (requests and stack)", n)
 	}
-	SharedPool.Release() // a no-op: the shared pool is never free to acquire
-	if p := AcquirePool(); p == SharedPool {
-		t.Error("SharedPool handed out after Release")
-	} else {
-		p.Release()
+	if n := mallocs(func() { take(storeChunk) }); n != 1 {
+		t.Errorf("a chunk within the stack's room cost %d allocations, want 1", n)
 	}
-}
-
-// TestPoolForgetsRequestsItHandsOut: a request that never completes (its
-// run ended first) must not stay reachable from the pool, or every finished
-// assembly would through its hop and stage slots.
-func TestPoolForgetsRequestsItHandsOut(t *testing.T) {
-	p := AcquirePool()
-	defer p.Release()
-	p.Get().Complete(LevelL1)
-	l := &pools[p]
-	n := len(l.free)
-	r := p.Get()
-	if got := l.free[:n][n-1]; got != nil {
-		t.Errorf("slot of handed-out request %p still holds %p", r, got)
+	if n := mallocs(func() { take(storeChunk) }); n != 2 {
+		t.Errorf("a chunk past the stack's room cost %d allocations, want 2", n)
+	}
+	if n := mallocs(func() {
+		for _, r := range out {
+			r.Complete(LevelL1)
+		}
+		out = out[:0]
+	}); n != 0 {
+		t.Errorf("recycling %d requests allocated %d objects", 3*storeChunk, n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		take(3 * storeChunk)
+		for _, r := range out {
+			PutRequest(r)
+		}
+		out = out[:0]
+	}); allocs != 0 {
+		t.Errorf("a replay under the store's peak allocated %v objects, want 0", allocs)
+	}
+	if s.carved != 3*storeChunk {
+		t.Errorf("the store carved %d requests for a peak of %d", s.carved, 3*storeChunk)
 	}
 }
 
@@ -292,8 +294,14 @@ func TestSlabCarvesChunks(t *testing.T) {
 var slabSink *uint64
 
 // TestFIFOOverStartsAtItsArray: a queue over a carved array fills it before
-// it grows, and keeps its order across the growth.
+// it grows, and keeps its order across the growth. A one-slot array, an LD/ST
+// queue of depth 1, is a power of two too.
 func TestFIFOOverStartsAtItsArray(t *testing.T) {
+	one := FIFOOver(make([]int, 1))
+	one.Push(7)
+	if one.Pop() != 7 {
+		t.Error("a one-slot queue lost its element")
+	}
 	buf := make([]int, 4)
 	q := FIFOOver(buf)
 	for i := 0; i < 4; i++ {

@@ -400,7 +400,8 @@ func takeWalk(g L1Geometry) *kernelWalk {
 // FilterL1 runs phase one — the per-kernel L1 filtering — on a worker pool
 // bounded by GOMAXPROCS. L1s are invalidated at kernel boundaries, exactly
 // as the timing simulators model the non-coherent L1 flush of real GPUs, so
-// kernels are L1-independent.
+// kernels are L1-independent. A kernel whose walk panics panics FilterL1 on
+// the caller's goroutine, where a worker's would end the process.
 func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 	f := &L1Filtered{
 		kernels:     make([]kernelProfile, len(app.Kernels)),
@@ -421,12 +422,19 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	panics := make([]any, workers)
+	for w := range panics {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			kw := takeWalk(g)
 			defer walks.Put(kw)
+			defer func() {
+				if panics[w] = recover(); panics[w] != nil {
+					for range next { // let the feeder finish
+					}
+				}
+			}()
 			for ki := range next {
 				f.kernels[ki], f.facts[ki] = kw.kernel(app.Kernels[ki])
 			}
@@ -437,6 +445,11 @@ func FilterL1(app *trace.App, g L1Geometry) *L1Filtered {
 	}
 	close(next)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	return f
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -402,6 +403,27 @@ func TestL2LevelSetsAreNotPowersOfTwo(t *testing.T) {
 			t.Errorf("%s: aggregate L2 has %d sets, pinned %d", preset, got, sets)
 		}
 	}
+}
+
+// TestFilterL1PanicsOnItsCaller: a kernel walk that panics on one of phase
+// one's workers panics FilterL1 on the caller's goroutine, which can recover
+// it; on the worker it would end the process.
+func TestFilterL1PanicsOnItsCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	app, err := workload.Generate("GRU", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(app.Kernels) < 2 {
+		t.Fatal("want a multi-kernel app, so that workers walk it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a walk over no SMs returned")
+		}
+	}()
+	// No SMs divides by zero in the walk.
+	FilterL1(app, L1Geometry{CoalesceBytes: 32, L1: L1GeometryOf(app, smallGPU(), false).L1})
 }
 
 // TestConcurrentPhasesMatchSerial: filters and replays running at once,

@@ -153,8 +153,8 @@ func NewHandler(s *Service) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
 			return
 		}
-		if req.Version != "" && req.Version != codeVersion() {
-			httpError(w, http.StatusConflict, fmt.Errorf("worker built at %s, daemon at %s: run both from one build", req.Version, codeVersion()))
+		if req.Version != "" && req.Version != codeVersion {
+			httpError(w, http.StatusConflict, fmt.Errorf("worker built at %s, daemon at %s: run both from one build", req.Version, codeVersion))
 			return
 		}
 		id := s.board.Register(false)

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"io"
 	"runtime/debug"
-	"sync"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/memo"
@@ -69,44 +68,39 @@ func deriveKey(in keyInputs) string {
 	h := sha256.New()
 	io.WriteString(h, keySchema+"\n")
 	io.WriteString(h, regress.CanonicalVersion+"\n")
-	io.WriteString(h, codeVersion()+"\n")
+	io.WriteString(h, codeVersion+"\n")
 	h.Write(config.Marshal(in.gpu))
 	h.Write(in.trace[:])
 	io.WriteString(h, in.identity+"\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-var (
-	codeVersionOnce sync.Once
-	codeVersionVal  string
-)
-
 // codeVersion identifies the running build: the VCS revision (plus a
 // dirty marker) when available, else a fixed placeholder. Builds without
 // VCS stamping — go test binaries, plain `go run` — share one cold
 // namespace, which only ever costs recomputation, never staleness within
-// a single test process.
-func codeVersion() string {
-	codeVersionOnce.Do(func() {
-		codeVersionVal = "unversioned"
-		info, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
-		}
-		var rev, dirty string
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				if s.Value == "true" {
-					dirty = "+dirty"
-				}
+// a single test process. It is read when the package is initialized, so no
+// caller waits on it or finds it half set.
+var codeVersion = readCodeVersion()
+
+func readCodeVersion() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unversioned"
+	}
+	var rev, dirty string
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
 			}
 		}
-		if rev != "" {
-			codeVersionVal = rev + dirty
-		}
-	})
-	return codeVersionVal
+	}
+	if rev == "" {
+		return "unversioned"
+	}
+	return rev + dirty
 }

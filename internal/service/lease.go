@@ -425,10 +425,28 @@ func (b *board) Claim(ctx context.Context, workerID string) (*lease, error) {
 	// A copy: Cancel edits the waiter list in place.
 	starts := append([]*waiter(nil), j.waiters...)
 	b.mu.Unlock()
-	for _, w := range starts {
-		w.start(workerID)
-	}
+	notify(starts, func(w *waiter) { w.start(workerID) })
 	return l, nil
+}
+
+// notify calls tell for every waiter of ws, outside the board lock. A
+// waiter whose callback panics does not cost the others theirs: the first
+// panic goes on up the caller's stack once all have been told.
+func notify(ws []*waiter, tell func(w *waiter)) {
+	var first any
+	for _, w := range ws {
+		func() {
+			defer func() {
+				if p := recover(); p != nil && first == nil {
+					first = p
+				}
+			}()
+			tell(w)
+		}()
+	}
+	if first != nil {
+		panic(first)
+	}
 }
 
 // release ends grant l (the caller holds mu): its lease id stops resolving
@@ -539,9 +557,7 @@ func (b *board) resolve(j *boardJob, val []byte, err error, hit bool) {
 	ws := j.waiters
 	j.waiters = nil
 	b.mu.Unlock()
-	for _, w := range ws {
-		w.done(val, err, err == nil && (hit || w.joined))
-	}
+	notify(ws, func(w *waiter) { w.done(val, err, err == nil && (hit || w.joined)) })
 }
 
 // Cancel detaches w from the job Post(posted, w) attached it to and
@@ -614,9 +630,7 @@ func (b *board) Close(cause error) {
 	b.mu.Unlock()
 	close(b.stopReaper)
 	<-b.reaperDone
-	for _, w := range ws {
-		w.done(nil, err, false)
-	}
+	notify(ws, func(w *waiter) { w.done(nil, err, false) })
 }
 
 // Stats snapshots the board counters.

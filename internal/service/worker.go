@@ -151,7 +151,7 @@ func (w *Worker) register(ctx context.Context) error {
 			HeartbeatM int64  `json:"heartbeat_ms"`
 			Error      string `json:"error"`
 		}
-		code, err := w.postJSON(ctx, "/v1/workers", map[string]string{"name": w.cfg.Name, "version": codeVersion()}, &resp)
+		code, err := w.postJSON(ctx, "/v1/workers", map[string]string{"name": w.cfg.Name, "version": codeVersion}, &resp)
 		switch {
 		case err == nil && code == http.StatusOK && resp.ID != "":
 			w.id.Store(&resp.ID)

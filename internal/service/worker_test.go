@@ -76,7 +76,7 @@ func TestWorkerOfAnotherBuildIsTurnedAway(t *testing.T) {
 			want int
 		}{
 			{`{"name":"old","version":"` + other + `"}`, http.StatusConflict},
-			{`{"name":"same","version":"` + codeVersion() + `"}`, http.StatusOK},
+			{`{"name":"same","version":"` + codeVersion + `"}`, http.StatusOK},
 			{`{"name":"unstated"}`, http.StatusOK},
 		} {
 			resp, err := http.Post(srv.URL+"/v1/workers", "application/json", strings.NewReader(tc.body))
@@ -88,7 +88,7 @@ func TestWorkerOfAnotherBuildIsTurnedAway(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Errorf("register %s = HTTP %d %s, want %d", tc.body, resp.StatusCode, body, tc.want)
 			}
-			if tc.want == http.StatusConflict && (!bytes.Contains(body, []byte(other)) || !bytes.Contains(body, []byte(codeVersion()))) {
+			if tc.want == http.StatusConflict && (!bytes.Contains(body, []byte(other)) || !bytes.Contains(body, []byte(codeVersion))) {
 				t.Errorf("rejection %s does not name both versions", body)
 			}
 		}
@@ -125,7 +125,7 @@ func TestWorkerOfAnotherBuildIsTurnedAway(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "HTTP 409") || !strings.Contains(err.Error(), other) ||
-				!strings.Contains(err.Error(), codeVersion()) {
+				!strings.Contains(err.Error(), codeVersion) {
 				t.Errorf("Run = %v, want the 409 naming both versions", err)
 			}
 		case <-time.After(10 * time.Second):

@@ -10,14 +10,10 @@ import (
 	"swiftsim/internal/workload"
 )
 
-// seedCheckpoint checkpoints app at scale 0.25 on the RTX 2080 Ti under kind
-// at the first kernel boundary at or after cycle at.
-func seedCheckpoint(tb testing.TB, name string, kind Kind, at uint64) []byte {
+// seedCheckpoint checkpoints app at scale 0.25 on gpu under kind at the
+// first kernel boundary at or after cycle at.
+func seedCheckpoint(tb testing.TB, gpu config.GPU, name string, kind Kind, at uint64) []byte {
 	tb.Helper()
-	gpu, ok := config.Preset("RTX2080Ti")
-	if !ok {
-		tb.Fatal("missing RTX2080Ti preset")
-	}
 	app, err := workload.Generate(name, 0.25)
 	if err != nil {
 		tb.Fatal(err)
@@ -29,9 +25,21 @@ func seedCheckpoint(tb testing.TB, name string, kind Kind, at uint64) []byte {
 	return buf.Bytes()
 }
 
+// seedGPU is the fuzz corpus's machine: the RTX 2080 Ti with two SMs, two
+// memory partitions and 16-set caches. Its checkpoints take kilobytes where
+// the whole GPU's take megabytes. Every execution copies its input, and a
+// worker minimizes each new input by running the target on cut after cut
+// of it, at a cost that grows with the square of the input's length.
+func seedGPU() config.GPU {
+	g := config.RTX2080Ti()
+	g.NumSMs, g.MemPartitions = 2, 2
+	g.L1.Sets, g.L2.Sets = 16, 16
+	return g
+}
+
 // fuzzSeedSnapshot is the corpus's first checkpoint: a tiny Memory-kind run
 // snapshotted at its first kernel boundary.
-func fuzzSeedSnapshot(tb testing.TB) []byte { return seedCheckpoint(tb, "GEMM", Memory, 0) }
+func fuzzSeedSnapshot(tb testing.TB) []byte { return seedCheckpoint(tb, seedGPU(), "GEMM", Memory, 0) }
 
 // FuzzParseSnapshot drives the checkpoint decoder with arbitrary bytes: it
 // must return a structured error or nil, never panic, and never allocate
@@ -44,7 +52,7 @@ func fuzzSeedSnapshot(tb testing.TB) []byte { return seedCheckpoint(tb, "GEMM", 
 func FuzzParseSnapshot(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
-	inflight := seedCheckpoint(f, "BFS", Basic, 1000)
+	inflight := seedCheckpoint(f, seedGPU(), "BFS", Basic, 1000)
 	f.Add(inflight)
 	f.Add(inflight[:len(inflight)-len(inflight)/8]) // truncated
 	f.Add([]byte{})
@@ -78,11 +86,19 @@ func FuzzParseSnapshot(f *testing.F) {
 }
 
 // TestParseSnapshotErrors pins the decoder's structured-error contract on
-// the corpus the fuzzer starts from.
+// the corpus the fuzzer starts from, and on a whole RTX 2080 Ti's
+// checkpoint taken with stores in flight.
 func TestParseSnapshotErrors(t *testing.T) {
 	valid := fuzzSeedSnapshot(t)
 	if err := ParseSnapshot(valid); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+	full := seedCheckpoint(t, config.RTX2080Ti(), "BFS", Basic, 1000)
+	if err := ParseSnapshot(full); err != nil {
+		t.Fatalf("valid full-size checkpoint rejected: %v", err)
+	}
+	if err := ParseSnapshot(full[:len(full)-len(full)/8]); err == nil {
+		t.Error("truncated full-size checkpoint accepted")
 	}
 
 	bad := append([]byte{}, valid...)

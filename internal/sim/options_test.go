@@ -3,15 +3,12 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/mem"
-	"swiftsim/internal/metrics"
 	"swiftsim/internal/reuse"
 	"swiftsim/internal/workload"
 )
@@ -172,12 +169,6 @@ func TestEffective(t *testing.T) {
 func TestEngineThreadsInert(t *testing.T) {
 	gpu := config.RTX2080Ti()
 	app := mustApp(t, "GEMM", 0.25)
-	render := func(res *Result) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d %d %d %d %v\n", res.Cycles, res.Instructions, res.TickedCycles, res.SkippedCycles, res.KernelCycles)
-		_ = metrics.WriteCanonical(&b, res.Metrics)
-		return b.String()
-	}
 	for _, epoch := range []int{1, 8} {
 		var id, bytes string
 		for _, threads := range []int{0, 1, 2, 64} {
@@ -190,12 +181,12 @@ func TestEngineThreadsInert(t *testing.T) {
 				t.Fatalf("threads=%d epoch=%d: %v", threads, epoch, err)
 			}
 			if id == "" {
-				id, bytes = o.Identity(), render(res)
+				id, bytes = o.Identity(), resultBytes(res)
 			}
 			if got := o.Identity(); got != id {
 				t.Errorf("threads=%d epoch=%d: identity %q, want %q", threads, epoch, got, id)
 			}
-			if got := render(res); got != bytes {
+			if got := resultBytes(res); got != bytes {
 				t.Errorf("threads=%d epoch=%d: result differs from threads=0", threads, epoch)
 			}
 		}
@@ -363,7 +354,7 @@ func FuzzOptionsJSON(f *testing.F) {
 		}
 		// Assembly errors are fine (structured); panics are not. An
 		// assembly builds each module position as the kind's row says.
-		a, err := assemble(gpu, o, prof, mem.SharedPool)
+		a, err := assemble(gpu, o, prof)
 		if err != nil {
 			return
 		}

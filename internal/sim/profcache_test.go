@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"swiftsim/internal/config"
-	"swiftsim/internal/metrics"
 	"swiftsim/internal/reuse"
 	"swiftsim/internal/smcore"
 	"swiftsim/internal/trace"
@@ -415,8 +414,8 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		ceiling float64
 	}{
 		{Memory, "BFS", 1.0, smallGPU(), 489}, // measured 391
-		{Detailed, "SM", 0.4, wide, 625},      // measured 500
-		{Basic, "SM", 0.4, wide, 594},         // measured 475
+		{Detailed, "SM", 0.4, wide, 625},      // measured 483
+		{Basic, "SM", 0.4, wide, 594},         // measured 458
 		{Memory, "SM", 0.4, wide, 356},        // measured 285
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
@@ -521,12 +520,6 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 	gpu := smallGPU()
 	app := randomApp(coldRand(), []int{6, 10, 4})
 	opts := Options{Kind: Memory}
-	canonical := func(res *Result) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d %v\n", res.Cycles, res.KernelCycles)
-		_ = metrics.WriteCanonical(&b, res.Metrics)
-		return b.String()
-	}
 	twos := phaseTwo.Stats().Computes
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -539,7 +532,7 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 			<-start
 			res, err := Run(app, gpu, opts)
 			if errs[i] = err; err == nil {
-				got[i] = canonical(res)
+				got[i] = resultBytes(res)
 			}
 		}()
 	}
@@ -556,7 +549,7 @@ func TestConcurrentMemoryRunsShareOneProfile(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if got[i] != canonical(serial) {
+		if got[i] != resultBytes(serial) {
 			t.Errorf("concurrent run %d differs from the serial one", i)
 		}
 	}

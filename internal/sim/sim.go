@@ -85,6 +85,7 @@ type gpuAssembly struct {
 	bs          *smcore.BlockScheduler
 	l1s         []*cache.Timed
 	sms         []*smcore.SM
+	reqs        *mem.Store // the LD/ST units' requests; nil when no unit is cycle-accurate
 	kernelIndex int
 }
 
@@ -156,14 +157,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		profileWall = time.Since(pStart)
 	}
 
-	// The run's memory requests recycle through a pool it holds alone, on
-	// this goroutine, from here to the return: mem.Pool takes no lock on it.
-	reqs := mem.AcquirePool()
-	defer reqs.Release()
-	if poolHeld != nil {
-		defer poolHeld(reqs)()
-	}
-	a, err := assemble(gpu, opts, prof, reqs)
+	a, err := assemble(gpu, opts, prof)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
 	}
@@ -280,10 +274,6 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	}, nil
 }
 
-// poolHeld, when a test sets it, is told which request pool a run holds and
-// returns what to call just before the run releases it.
-var poolHeld func(p mem.Pool) (released func())
-
 // ranOn, when a test sets it, is handed the assembly of each run that
 // completes, for the host-work counts a Result does not carry.
 var ranOn func(a *gpuAssembly)
@@ -292,9 +282,8 @@ var ranOn func(a *gpuAssembly)
 // opts.Kind's layout says, bottom up: the hierarchy below the L1s, then the
 // LD/ST units with their L1s, the ALUs and the front end. Unsatisfiable unit
 // or warp-slot configurations are reported as errors here, at assembly
-// time, rather than as panics mid-simulation. reqs is the pool the LD/ST
-// units draw memory requests from.
-func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) (*gpuAssembly, error) {
+// time, rather than as panics mid-simulation.
+func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, error) {
 	eng := engine.New()
 	g := metrics.New()
 	a := &gpuAssembly{eng: eng, g: g}
@@ -325,10 +314,15 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 	}
 
 	// The cycle-accurate units, for the SM positions that take them (built
-	// only then: the providers allocate even unused).
+	// only then: the providers allocate even unused). The run's memory
+	// requests come from a store of its own, made only for cycle-accurate
+	// LD/ST units: nothing else starts a request.
+	if lay.ldst == cycleAccurate {
+		a.reqs = new(mem.Store)
+	}
 	var ca smcore.UnitSet
 	if lay.frontEnd == cycleAccurate || lay.alus == cycleAccurate || lay.ldst == cycleAccurate {
-		ca = smcore.CycleAccurateUnits(gpu.NumSMs, gpu.SM, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] })
+		ca = smcore.CycleAccurateUnits(gpu.NumSMs, gpu.SM, ctx, g, gpu.L1.SectorBytes, func(smID int) mem.Port { return a.l1s[smID] }, a.reqs)
 	}
 	units := smcore.UnitSet{Scheduler: opts.Scheduler}
 
@@ -351,11 +345,7 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile, reqs mem.Pool) 
 		for _, l1 := range a.l1s {
 			l1.SetTracer(opts.Trace)
 		}
-		units.LDST = func(smID, sub int) smcore.Unit {
-			u := ca.LDST(smID, sub)
-			u.(*smcore.LDSTUnit).SetRequestPool(reqs)
-			return u
-		}
+		units.LDST = ca.LDST
 	case analytical:
 		units.LDST = eq1LDST(eng, gpu, prof, &a.kernelIndex, g)
 	}

@@ -8,9 +8,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"swiftsim/internal/config"
 	"swiftsim/internal/engine"
@@ -26,6 +26,16 @@ func smallGPU() config.GPU {
 	g.NumSMs = 8
 	g.MemPartitions = 4
 	return g
+}
+
+// resultBytes renders everything of a result but its wall times, for
+// comparing two runs.
+func resultBytes(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s %s %d %d %d %d %t %v\n", res.App, res.GPUName, res.Kind, res.Cycles,
+		res.Instructions, res.TickedCycles, res.SkippedCycles, res.Sampled, res.KernelCycles)
+	_ = metrics.WriteCanonical(&b, res.Metrics)
+	return b.String()
 }
 
 func mustApp(t *testing.T, name string, scale float64) *trace.App {
@@ -586,62 +596,67 @@ func TestRunAllocationsDoNotDependOnTheCollector(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsHoldDistinctPools: a pool from mem.AcquirePool takes no
-// lock because one run holds it, on one goroutine, from acquire to release.
-// Eight runs are made to hold their pools at the same moment, then they and
-// eight more simulate side by side; no pool other than the shared one may
-// have two holders at once. Under -race (make tier1) the same runs would
-// also report any two of them touching one free list.
-func TestConcurrentRunsHoldDistinctPools(t *testing.T) {
-	const workers, runsEach = 8, 2
+// TestConcurrentRunsAgree: a run shares nothing it writes with another,
+// its request store included, so Basic runs side by side each return the
+// bytes a run alone does. Under -race (make tier1) two runs touching one
+// store or free list would also be reported.
+func TestConcurrentRunsAgree(t *testing.T) {
+	const runs = 8
 	gpu := smallGPU()
 	app := mustApp(t, "BFS", 0.25)
-
-	var holders [256]atomic.Int32
-	var shared, clashes atomic.Int32
-	var together sync.WaitGroup // the first run of every worker, all holding
-	together.Add(workers)
-	var arrivals atomic.Int32
-	poolHeld = func(p mem.Pool) func() {
-		if p == mem.SharedPool {
-			shared.Add(1)
-		} else if holders[p].Add(1) != 1 {
-			clashes.Add(1)
-		}
-		if arrivals.Add(1) <= workers {
-			together.Done()
-			together.Wait()
-		}
-		return func() {
-			if p != mem.SharedPool {
-				holders[p].Add(-1)
-			}
-		}
-	}
-	defer func() { poolHeld = nil }()
-
+	opts := Options{Kind: Basic}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	errs := make(chan error, workers*runsEach)
-	for w := 0; w < workers; w++ {
+	got := make([]string, runs)
+	errs := make([]error, runs)
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < runsEach; i++ {
-				if _, err := Run(app, gpu, Options{Kind: Basic}); err != nil {
-					errs <- err
-				}
+			<-start
+			res, err := Run(app, gpu, opts)
+			if errs[i] = err; err == nil {
+				got[i] = resultBytes(res)
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	serial, err := Run(app, gpu, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := clashes.Load(); n != 0 {
-		t.Errorf("%d times a run acquired a pool another run was holding", n)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != resultBytes(serial) {
+			t.Errorf("concurrent run %d differs from the serial one", i)
+		}
 	}
-	if n := shared.Load(); n != 0 {
-		t.Errorf("%d of %d runs fell back to the shared pool with only %d at once", n, workers*runsEach, workers)
+}
+
+// TestFinishedRunStoreIsCollected: a run's request store is reachable only
+// from its assembly and its requests, so nothing keeps it, or a finished
+// assembly through a request's hop and stage slots, once the run has
+// returned. A Memory run has no cycle-accurate LD/ST unit and makes none.
+func TestFinishedRunStoreIsCollected(t *testing.T) {
+	gpu := smallGPU()
+	app := mustApp(t, "BFS", 0.25)
+	var store weak.Pointer[mem.Store]
+	made := false
+	ranOn = func(a *gpuAssembly) { store, made = weak.Make(a.reqs), a.reqs != nil }
+	defer func() { ranOn = nil }()
+	for _, kind := range []Kind{Basic, Detailed, Memory} {
+		if _, err := Run(app, gpu, Options{Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		if want := kind != Memory; made != want {
+			t.Errorf("%s run made a request store: %v, want %v", kind, made, want)
+		}
+		runtime.GC()
+		if store.Value() != nil {
+			t.Errorf("the request store of a finished %s run is still reachable", kind)
+		}
 	}
 }

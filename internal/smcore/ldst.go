@@ -174,14 +174,12 @@ type LDSTUnit struct {
 	queueCap    int
 
 	queue mem.FIFO[*ldstInst]
-	// reqs is where the unit's sector requests come from: the run's pool
-	// once the assembly has called SetRequestPool, the shared one before.
-	reqs mem.Pool
 }
 
 // ldstClass is what every LD/ST unit of an assembly shares: its name, its
-// counters and the records its instructions are tracked in. TryIssue takes
-// a record and sectorDone, from a completion event, puts it back.
+// counters, the records its instructions are tracked in and the run's
+// request store its sector requests come from. TryIssue takes a record and
+// sectorDone, from a completion event, puts it back.
 type ldstClass struct {
 	name         string
 	issued       *metrics.Counter
@@ -189,9 +187,10 @@ type ldstClass struct {
 	shConflicts  *metrics.Counter
 	portStall    *metrics.Counter
 	records      *ldstRecords
+	reqs         *mem.Store
 }
 
-func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
+func newLDSTClass(name string, g *metrics.Gatherer, reqs *mem.Store) ldstClass {
 	return ldstClass{
 		name:         name,
 		issued:       g.Counter(name + ".issued"),
@@ -199,14 +198,15 @@ func newLDSTClass(name string, g *metrics.Gatherer) ldstClass {
 		shConflicts:  g.Counter(name + ".shmem_conflict"),
 		portStall:    g.Counter(name + ".port_stall"),
 		records:      newLDSTRecords(),
+		reqs:         reqs,
 	}
 }
 
 // newLDSTUnit builds a cycle-accurate LD/ST unit of class c feeding the
-// given L1 port, with a queue and request pool of its own, taking it from
-// units and its queue's array, queueCap deep rounded up to a power of two,
-// from queues. lanes is the LD/ST lane count (sector requests injected per
-// cycle); queueCap bounds concurrently tracked memory instructions.
+// given L1 port, with a queue of its own, taking it from units and its
+// queue's array, queueCap deep rounded up to a power of two, from queues.
+// lanes is the LD/ST lane count (sector requests injected per cycle);
+// queueCap bounds concurrently tracked memory instructions.
 func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes, lanes int, shmemLatency int, queueCap int, units *mem.Slab[LDSTUnit], queues *mem.Slab[*ldstInst]) *LDSTUnit {
 	if queueCap < 1 {
 		queueCap = 8
@@ -230,11 +230,6 @@ func newLDSTUnit(c ldstClass, eng engine.Context, l1 mem.Port, smid, sectorBytes
 func ringSize(n int) int {
 	return 1 << bits.Len(uint(max(n, 1)-1))
 }
-
-// SetRequestPool makes the unit draw its sector requests from p. The
-// levels below take the requests they create from the pool of the request
-// they serve, so the LD/ST units are the only modules that are told.
-func (u *LDSTUnit) SetRequestPool(p mem.Pool) { u.reqs = p }
 
 // Name implements engine.Module.
 func (u *LDSTUnit) Name() string { return u.name }

@@ -25,9 +25,10 @@ const (
 // sub-core. It is CycleAccurateUnits sized for one SM.
 //
 // sectorBytes is the memory-system transaction size (the L1 sector size);
-// l1For returns the L1 data-cache port of the given SM.
+// l1For returns the L1 data-cache port of the given SM. The LD/ST unit
+// draws its requests from a store of its own.
 func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
-	return CycleAccurateUnits(1, cfg, eng, g, sectorBytes, l1For)
+	return CycleAccurateUnits(1, cfg, eng, g, sectorBytes, l1For, new(mem.Store))
 }
 
 // CycleAccurateUnits is NewCycleAccurateUnits for numSMs SMs, built per
@@ -37,8 +38,9 @@ func NewCycleAccurateUnits(cfg config.SM, eng engine.Context, g *metrics.Gathere
 // further chunks of that size if asked for more. Each class's name and
 // counters are resolved once, when its first unit is built, and shared by
 // every later unit of the class, so an assembly names each counter once
-// rather than once per sub-core.
-func CycleAccurateUnits(numSMs int, cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port) UnitSet {
+// rather than once per sub-core. The LD/ST units draw their requests from
+// reqs, the run's store; it may be nil if no LD/ST unit is built.
+func CycleAccurateUnits(numSMs int, cfg config.SM, eng engine.Context, g *metrics.Gatherer, sectorBytes int, l1For func(smID int) mem.Port, reqs *mem.Store) UnitSet {
 	subs := max(numSMs, 1) * max(cfg.SubCores, 1)
 	stagesPerSub := 0
 	for _, lat := range []int{cfg.IntLatency, cfg.SPLatency, cfg.DPLatency, cfg.SFULatency} {
@@ -68,7 +70,7 @@ func CycleAccurateUnits(numSMs int, cfg config.SM, eng engine.Context, g *metric
 	queues := mem.NewSlab[*ldstInst](subs * ringSize(ldstQueueCap))
 	ldst := func(smID, sub int) Unit {
 		if ldstC.issued == nil {
-			ldstC = newLDSTClass("ldst", g)
+			ldstC = newLDSTClass("ldst", g, reqs)
 		}
 		return newLDSTUnit(ldstC, eng, l1For(smID), smID, sectorBytes,
 			cfg.LDSTLanes, cfg.SharedMemLatency, ldstQueueCap, ldstUnits, queues)

@@ -28,10 +28,10 @@ func testICache(name string, capacityLines, missLatency int, g *metrics.Gatherer
 		mem.NewSlab[ICache](1), mem.NewSlab[uint64](2*max(capacityLines, 1)))
 }
 
-// testLDST builds an LD/ST unit of SM 0 with 32-byte sectors, 4 lanes and
-// a 24-cycle shared-memory latency.
+// testLDST builds an LD/ST unit of SM 0 with 32-byte sectors, 4 lanes, a
+// 24-cycle shared-memory latency and a request store of its own.
 func testLDST(name string, eng engine.Context, l1 mem.Port, queueCap int, g *metrics.Gatherer) *LDSTUnit {
-	return newLDSTUnit(newLDSTClass(name, g), eng, l1, 0, 32, 4, 24, queueCap,
+	return newLDSTUnit(newLDSTClass(name, g, new(mem.Store)), eng, l1, 0, 32, 4, 24, queueCap,
 		mem.NewSlab[LDSTUnit](1), mem.NewSlab[*ldstInst](ringSize(queueCap)))
 }
 
