@@ -199,18 +199,17 @@ func (r *Request) Deliver() {
 // where the detailed configurations use one per sector transaction. A run
 // whose layout has cycle-accurate LD/ST units makes one store; its units
 // draw sector requests from it, and every request a level sends on a
-// request's behalf comes from that request's store (Sibling). Requests are
-// carved storeChunk at a time and come back to a free stack sized for
-// every request carved, so neither Get nor a recycling Complete allocates
-// once the run has reached its peak of requests in flight. A store is
-// touched only by its run's goroutine and takes no lock; it is reachable
-// only from its run's assembly and from its own requests, so a request
-// still in flight when the run ends is collected with them. The zero Store
-// is ready to use.
+// request's behalf comes from that request's store (Sibling). Like every
+// other record a run grows, requests are carved from a slab, storeChunk at
+// a time, and come back to a free list that grows only to the number
+// carved, so the steady state allocates nothing. A store is touched only
+// by its run's goroutine and takes no lock; it is reachable only from its
+// run's assembly and from its own requests, so a request still in flight
+// when the run ends is collected with them. The zero Store is ready to
+// use.
 type Store struct {
-	spare  []Request  // the uncarved rest of the newest chunk
-	free   []*Request // recycled requests, with room for every one carved
-	carved int
+	slab Slab[Request]
+	free []*Request
 }
 
 // storeChunk is how many requests a store carves at a time.
@@ -223,16 +222,8 @@ func (s *Store) Get() *Request {
 		s.free = s.free[:n-1]
 		return r
 	}
-	if len(s.spare) == 0 {
-		s.carved += storeChunk
-		if cap(s.free) < s.carved {
-			// Every carved request is out, so the stack is empty.
-			s.free = make([]*Request, 0, 2*s.carved)
-		}
-		s.spare = make([]Request, storeChunk)
-	}
-	r := &s.spare[0]
-	s.spare = s.spare[1:]
+	s.slab.chunk = storeChunk
+	r := s.slab.One()
 	r.store = s
 	return r
 }

@@ -141,53 +141,35 @@ func TestStoreRecyclesOnlyItsRequests(t *testing.T) {
 	}
 }
 
-// TestStoreCarvesChunks: a store allocates a chunk of requests, and a free
-// stack with room for every request carved, only when all it has carved are
-// out; recycling never allocates, and a run that stays under its peak
-// allocates nothing.
+// TestStoreCarvesChunks: a store allocates requests a chunk at a time, and
+// a run that stays under its peak of requests in flight allocates nothing.
 func TestStoreCarvesChunks(t *testing.T) {
 	var s Store
-	out := make([]*Request, 0, 3*storeChunk)
+	out := make([]*Request, 0, 2*storeChunk)
 	take := func(n int) {
 		for range n {
 			out = append(out, s.Get())
 		}
 	}
-	mallocs := func(f func()) uint64 {
+	for i := range 2 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		f()
+		take(storeChunk)
 		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		if n := m1.Mallocs - m0.Mallocs; n != 1 {
+			t.Errorf("chunk %d of requests cost %d allocations, want 1", i, n)
+		}
 	}
-	if n := mallocs(func() { take(storeChunk) }); n != 2 {
-		t.Errorf("the first chunk cost %d allocations, want 2 (requests and stack)", n)
-	}
-	if n := mallocs(func() { take(storeChunk) }); n != 1 {
-		t.Errorf("a chunk within the stack's room cost %d allocations, want 1", n)
-	}
-	if n := mallocs(func() { take(storeChunk) }); n != 2 {
-		t.Errorf("a chunk past the stack's room cost %d allocations, want 2", n)
-	}
-	if n := mallocs(func() {
+	replay := func() {
 		for _, r := range out {
 			r.Complete(LevelL1)
 		}
 		out = out[:0]
-	}); n != 0 {
-		t.Errorf("recycling %d requests allocated %d objects", 3*storeChunk, n)
+		take(2 * storeChunk)
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		take(3 * storeChunk)
-		for _, r := range out {
-			PutRequest(r)
-		}
-		out = out[:0]
-	}); allocs != 0 {
+	replay()
+	if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
 		t.Errorf("a replay under the store's peak allocated %v objects, want 0", allocs)
-	}
-	if s.carved != 3*storeChunk {
-		t.Errorf("the store carved %d requests for a peak of %d", s.carved, 3*storeChunk)
 	}
 }
 

@@ -414,8 +414,8 @@ func TestWarmRunAllocatesOnlyItsAssembly(t *testing.T) {
 		ceiling float64
 	}{
 		{Memory, "BFS", 1.0, smallGPU(), 489}, // measured 391
-		{Detailed, "SM", 0.4, wide, 625},      // measured 483
-		{Basic, "SM", 0.4, wide, 594},         // measured 458
+		{Detailed, "SM", 0.4, wide, 625},      // measured 492
+		{Basic, "SM", 0.4, wide, 594},         // measured 467
 		{Memory, "SM", 0.4, wide, 356},        // measured 285
 	} {
 		t.Run(fmt.Sprintf("%s/%s", row.kind, row.app), func(t *testing.T) {
