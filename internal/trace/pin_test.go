@@ -3,19 +3,28 @@ package trace_test
 import (
 	"bytes"
 	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
 )
 
+var updateHashes = flag.Bool("update-hashes", false, "rewrite testdata/content_hashes.txt (only from a tree whose traces are known good)")
+
 // TestDigestsPinned pins both digests of one catalog app to the values the
-// two separate walkers produced before they were folded into one. The
-// digests key the profile memo, the service cache and the sampled-launch
-// memo, so the fold (and any later change to the walker) must keep them
-// bit-equal.
+// two separate walkers produced before they were folded into one, and the
+// ContentHash of every catalog app at scales 0.25 and 0.5 to
+// testdata/content_hashes.txt. The digests key the profile memo, the
+// service cache and the sampled-launch memo, so neither a change to the
+// walker nor one to how a generator or the .sgt reader lays a trace out in
+// memory may move a bit of them.
 func TestDigestsPinned(t *testing.T) {
+	t.Run("catalog", pinCatalogHashes)
 	app, err := workload.Generate("BFS", 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +43,40 @@ func TestDigestsPinned(t *testing.T) {
 	} {
 		if got := hex.EncodeToString(c.got[:]); got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+func pinCatalogHashes(t *testing.T) {
+	const path = "testdata/content_hashes.txt"
+	var lines []string
+	for _, scale := range []float64{0.25, 0.5} {
+		for _, name := range workload.Names() {
+			app, err := workload.Generate(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%s %g %x", name, scale, trace.ContentHash(app)))
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateHashes {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%d hashes, %d pinned", len(lines), len(wantLines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("ContentHash moved:\n  got  %s\n  want %s", lines[i], wantLines[i])
 		}
 	}
 }
