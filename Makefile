@@ -62,11 +62,12 @@ golden:
 # fuzz-smoke runs each fuzz target for 10s — long enough to catch easy
 # parser regressions, short enough for every commit. A worker minimizes
 # each new input it finds, at a cost that grows with the square of the
-# input's length; for checkpoint-sized inputs that took the whole 10s, so
-# the snapshot target minimizes for at most 100 runs of its target.
+# input's length; for checkpoint-sized inputs that took the whole 10s, and
+# the trace and config targets stalled for seconds at a time, so the three
+# text decoders minimize for at most 100 runs of their target.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParseTrace -fuzztime=10s ./internal/trace/
-	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config/
+	$(GO) test -fuzz=FuzzParseTrace -fuzztime=10s -fuzzminimizetime=100x ./internal/trace/
+	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s -fuzzminimizetime=100x ./internal/config/
 	$(GO) test -fuzz=FuzzParseSnapshot -fuzztime=10s -fuzzminimizetime=100x ./internal/sim/
 	$(GO) test -fuzz=FuzzOptionsJSON -fuzztime=10s ./internal/sim/
 

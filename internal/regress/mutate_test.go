@@ -742,11 +742,17 @@ func TestMutantSites(t *testing.T) {
 	}
 }
 
+// normalizeSpace collapses each run of white space in s to one space and
+// trims the ends.
+func normalizeSpace(s string) string { return strings.Join(strings.Fields(s), " ") }
+
 var testFunc = regexp.MustCompile(`(?m)^func ((Test|Example)\w*)\(`)
 
 // TestMutationRecord checks the committed record: each header's counts are
-// its mutant lines' counts, every survivor is triaged as equivalent with a
-// reason, and every test the kill matrix names is a test in the module.
+// its mutant lines' counts, each mutant's source line is still the line at
+// its file:line (whitespace aside, so a gofmt realignment does not count),
+// every survivor is triaged as equivalent with a reason, and every test the
+// kill matrix names is a test in the module.
 func TestMutationRecord(t *testing.T) {
 	tallies, mutants, err := readRecord(mutateRecord)
 	if err != nil {
@@ -769,6 +775,22 @@ func TestMutationRecord(t *testing.T) {
 	}
 	if len(tallies) != len(mutatePackages) {
 		t.Errorf("record has %d packages, want %d", len(tallies), len(mutatePackages))
+	}
+	sources := map[string][]string{} // package/file → its lines
+	for _, m := range mutants {
+		path := filepath.Join(root, "internal", m.pkg, m.site.file)
+		lines, ok := sources[path]
+		if !ok {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("%s %s: %v", m.pkg, m.site.pos(), err)
+			}
+			lines = strings.Split(string(b), "\n")
+			sources[path] = lines
+		}
+		if n := m.site.line; n < 1 || n > len(lines) || normalizeSpace(lines[n-1]) != normalizeSpace(m.site.text) {
+			t.Errorf("%s %s: the record's source line %q is no longer there; run make mutate", m.pkg, m.site.pos(), m.site.text)
+		}
 	}
 	for _, p := range tallies {
 		got := pkgTally{pkg: p.pkg, sites: p.sites}

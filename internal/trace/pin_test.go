@@ -124,3 +124,45 @@ func TestSGTRoundTripKeepsMemIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestTracesHaveExactCapacities: both trace producers carve warps and lane
+// addresses from a shared backing store with each slice's capacity clamped
+// to its length, so that an append to one can never write into its
+// neighbour. Every catalog app, as generated and as read back from .sgt,
+// must hold that for every warp and every instruction.
+func TestTracesHaveExactCapacities(t *testing.T) {
+	check := func(how string, app *trace.App) {
+		t.Helper()
+		for ki, k := range app.Kernels {
+			for bi := range k.Blocks {
+				for wi, w := range k.Blocks[bi].Warps {
+					if cap(w) != len(w) {
+						t.Fatalf("%s %s kernel %d block %d warp %d: cap %d, len %d", how, app.Name, ki, bi, wi, cap(w), len(w))
+					}
+					for i := range w {
+						if a := w[i].Addrs; cap(a) != len(a) {
+							t.Fatalf("%s %s kernel %d block %d warp %d inst %d: addresses cap %d, len %d",
+								how, app.Name, ki, bi, wi, i, cap(a), len(a))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, name := range workload.Names() {
+		app, err := workload.Generate(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("generated", app)
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, app); err != nil {
+			t.Fatal(err)
+		}
+		read, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("read", read)
+	}
+}

@@ -106,8 +106,10 @@ func ReadFile(path string) (*App, error) {
 }
 
 type sgtReader struct {
-	sc   *bufio.Scanner
-	line int
+	sc    *bufio.Scanner
+	line  int
+	arena Arena  // the current kernel's
+	insts []Inst // scratch for the warp being read, reused across warps
 }
 
 func (r *sgtReader) next() (string, bool) {
@@ -181,6 +183,7 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 		return nil, r.errf("malformed kernel line %q", line)
 	}
 	k := &Kernel{Name: f[1]}
+	r.arena = Arena{}
 	var err error
 	if k.Grid, err = parseDim3(f[3]); err != nil {
 		return nil, r.errf("grid: %v", err)
@@ -258,23 +261,23 @@ func (r *sgtReader) readWarp(want int) (WarpTrace, error) {
 	if err != nil || n <= 0 || n > maxWarpInsts {
 		return nil, r.errf("bad instruction count %q", f[3])
 	}
-	// Grow the trace as instructions actually arrive instead of trusting
-	// the declared count: a hostile header claiming maxWarpInsts
+	// Grow the scratch as instructions actually arrive instead of
+	// trusting the declared count: a hostile header claiming maxWarpInsts
 	// instructions must not allocate gigabytes before the (truncated)
 	// body is read.
-	warp := make(WarpTrace, 0, min(n, 4096))
+	r.insts = r.insts[:0]
 	for i := 0; i < n; i++ {
 		line, ok := r.next()
 		if !ok {
 			return nil, r.errf("truncated warp: %d of %d instructions", i, n)
 		}
 		var in Inst
-		if err := parseInst(line, &in); err != nil {
+		if err := parseInst(line, &in, &r.arena); err != nil {
 			return nil, r.errf("%v", err)
 		}
-		warp = append(warp, in)
+		r.insts = append(r.insts, in)
 	}
-	return warp, nil
+	return r.arena.Warp(r.insts), nil
 }
 
 // Parser bounds. maxWarpInsts caps one warp's declared instruction count
@@ -300,7 +303,9 @@ func checkDim3(d Dim3, limit int) error {
 	return nil
 }
 
-func parseInst(line string, in *Inst) error {
+// parseInst parses one instruction line into in, carving its lane
+// addresses from arena.
+func parseInst(line string, in *Inst, arena *Arena) error {
 	f := strings.Fields(line)
 	if len(f) < 6 {
 		return fmt.Errorf("malformed instruction %q", line)
@@ -331,7 +336,7 @@ func parseInst(line string, in *Inst) error {
 	}
 	*in = Inst{PC: pc, Op: op, Dst: dst, Src: [2]Reg{s0, s1}, ActiveMask: uint32(mask)}
 	if naddr := len(f) - 6; naddr > 0 {
-		in.Addrs = make([]uint64, naddr)
+		in.Addrs = arena.Addrs(naddr)
 		for i := 0; i < naddr; i++ {
 			a, err := strconv.ParseUint(f[6+i], 16, 64)
 			if err != nil {

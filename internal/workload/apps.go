@@ -55,13 +55,13 @@ func registerRodinia() {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
 						tid := b.alu(trace.OpInt)
 						base := uint64(arrA + (block*8+warp)*1024)
-						frontier := b.load(coalesced(base, 4), tid)
+						frontier := b.load(b.coalesced(base, 4), tid)
 						b.loop(6, func(e int) {
-							m := divergentMask(seed, frac)
-							nbr := b.loadMasked(m, gatherMasked(seed, m, arrB, bigRegion), frontier)
-							dist := b.loadMasked(m, gatherMasked(seed, m, arrC, bigRegion), nbr)
+							m := divergentMask(&seed, frac)
+							nbr := b.loadMasked(m, b.gatherMasked(&seed, m, arrB, bigRegion), frontier)
+							dist := b.loadMasked(m, b.gatherMasked(&seed, m, arrC, bigRegion), nbr)
 							upd := b.aluMasked(trace.OpInt, m, nbr, dist)
-							b.storeMasked(m, gatherMasked(seed, m, arrC, bigRegion), upd)
+							b.storeMasked(m, b.gatherMasked(&seed, m, arrC, bigRegion), upd)
 						})
 					})
 				kernels = append(kernels, k)
@@ -79,22 +79,22 @@ func registerRodinia() {
 				func(b *wb, block, warp int) {
 					row := uint64(arrA + (block*256+warp*32)*4)
 					// Load tile + halo into shared memory.
-					t0 := b.load(coalesced(row, 4), 0)
-					b.shStore(shBank(uint64(warp*128), 4), t0)
-					t1 := b.load(coalesced(row+1024, 4), 0)
-					b.shStore(shBank(uint64(warp*128+4096), 4), t1)
+					t0 := b.load(b.coalesced(row, 4), 0)
+					b.shStore(b.shBank(uint64(warp*128), 4), t0)
+					t1 := b.load(b.coalesced(row+1024, 4), 0)
+					b.shStore(b.shBank(uint64(warp*128+4096), 4), t1)
 					b.barrier()
 					b.loop(24, func(it int) {
-						n := b.shLoad(shBank(uint64(warp*128), 4))
-						s := b.shLoad(shBank(uint64(warp*128+4096), 4))
+						n := b.shLoad(b.shBank(uint64(warp*128), 4))
+						s := b.shLoad(b.shBank(uint64(warp*128+4096), 4))
 						e := b.alu(trace.OpSP, n, s)
 						w := b.alu(trace.OpSP, e, n)
 						acc := b.alu(trace.OpSP, w, e)
-						b.shStore(shBank(uint64(warp*128), 4), acc)
+						b.shStore(b.shBank(uint64(warp*128), 4), acc)
 						b.barrier()
 					})
-					res := b.shLoad(shBank(uint64(warp*128), 4))
-					b.store(coalesced(arrB+row, 4), res)
+					res := b.shLoad(b.shBank(uint64(warp*128), 4))
+					b.store(b.coalesced(arrB+row, 4), res)
 				})
 			return app("HOTSPOT", "Rodinia", k)
 		},
@@ -112,12 +112,12 @@ func registerRodinia() {
 						b.loop(20, func(d int) {
 							// Wavefront diagonal: strided (uncoalesced) row
 							// and column reads over a big matrix.
-							up := b.load(strided(base+uint64(d)*2048, 512), 0)
-							left := b.load(strided(base+uint64(d)*2048+4, 512), 0)
-							ref := b.load(coalesced(arrD+base%bigRegion+uint64(d)*128, 4), 0)
+							up := b.load(b.strided(base+uint64(d)*2048, 512), 0)
+							left := b.load(b.strided(base+uint64(d)*2048+4, 512), 0)
+							ref := b.load(b.coalesced(arrD+base%bigRegion+uint64(d)*128, 4), 0)
 							sc := b.alu(trace.OpInt, up, left)
 							sc2 := b.alu(trace.OpInt, sc, ref)
-							b.store(strided(base+uint64(d+1)*2048, 512), sc2)
+							b.store(b.strided(base+uint64(d+1)*2048, 512), sc2)
 						})
 					})
 			}
@@ -133,16 +133,16 @@ func registerRodinia() {
 			k := kernel1D("pathfinder_rows", blocks, 256, 20, 2048,
 				func(b *wb, block, warp int) {
 					base := uint64(arrA + (block*2048+warp*256)*4)
-					prev := b.load(coalesced(base, 4), 0)
+					prev := b.load(b.coalesced(base, 4), 0)
 					b.loop(12, func(row int) {
-						l := b.load(coalesced(base+uint64(row)*8192, 4), 0)
-						c := b.load(coalesced(base+uint64(row)*8192+128, 4), 0)
+						l := b.load(b.coalesced(base+uint64(row)*8192, 4), 0)
+						c := b.load(b.coalesced(base+uint64(row)*8192+128, 4), 0)
 						m1 := b.alu(trace.OpInt, prev, l)
 						m2 := b.alu(trace.OpInt, m1, c)
 						prev = b.alu(trace.OpInt, m2, l)
 						b.barrier()
 					})
-					b.store(coalesced(arrB+base%bigRegion, 4), prev)
+					b.store(b.coalesced(arrB+base%bigRegion, 4), prev)
 				})
 			return app("PATHFINDER", "Rodinia", k)
 		},
@@ -165,14 +165,14 @@ func registerRodinia() {
 						base := uint64(arrA+phase*0x100_0000) +
 							uint64(block)*16*rowStride + uint64(warp)*128
 						b.loop(10, func(i int) {
-							c := b.load(coalesced(base+uint64(i)*rowStride, 4), 0)
-							s := b.load(coalesced(base+uint64(i+1)*rowStride, 4), 0)
+							c := b.load(b.coalesced(base+uint64(i)*rowStride, 4), 0)
+							s := b.load(b.coalesced(base+uint64(i+1)*rowStride, 4), 0)
 							g := b.alu(trace.OpSP, c, s)
 							d := b.alu(trace.OpSFU, g)
 							e := b.alu(trace.OpSP, d, c)
 							f := b.alu(trace.OpSFU, e)
 							out := b.alu(trace.OpSP, f, g)
-							b.store(coalesced(arrC+base%bigRegion+uint64(i)*rowStride, 4), out)
+							b.store(b.coalesced(arrC+base%bigRegion+uint64(i)*rowStride, 4), out)
 						})
 					})
 			}
@@ -189,20 +189,20 @@ func registerRodinia() {
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(14, func(i int) {
-						w := b.load(coalesced(uint64(arrA+(block*14+i)*8192+warp*1024), 4), 0)
-						x := b.load(broadcast(uint64(arrB+i*512)), 0)
+						w := b.load(b.coalesced(uint64(arrA+(block*14+i)*8192+warp*1024), 4), 0)
+						x := b.load(b.broadcast(uint64(arrB+i*512)), 0)
 						acc = b.alu(trace.OpSP, w, x)
 					})
 					act := b.alu(trace.OpSFU, acc)
-					b.store(coalesced(uint64(arrC+(block*256+warp*32)*4), 4), act)
+					b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), act)
 				})
 			bwd := kernel1D("backprop_adjust", blocks, 256, 26, 8192,
 				func(b *wb, block, warp int) {
-					g := b.load(coalesced(uint64(arrC+(block*256+warp*32)*4), 4), 0)
+					g := b.load(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), 0)
 					b.loop(10, func(i int) {
-						w := b.load(coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), 0)
+						w := b.load(b.coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), 0)
 						d := b.alu(trace.OpSP, g, w)
-						b.store(coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), d)
+						b.store(b.coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), d)
 					})
 				})
 			return app("BACKPROP", "Rodinia", fwd, bwd)
@@ -219,12 +219,12 @@ func registerRodinia() {
 				k := kernel1D(fmt.Sprintf("gaussian_step%d", step), blocks, 128, 22, 0,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA + (block*512+warp*64)*4)
-						piv := b.load(broadcast(uint64(arrB+step*256)), 0)
+						piv := b.load(b.broadcast(uint64(arrB+step*256)), 0)
 						b.loop(8-2*step, func(i int) {
-							row := b.load(coalesced(base+uint64(i)*2048, 4), 0)
+							row := b.load(b.coalesced(base+uint64(i)*2048, 4), 0)
 							f := b.alu(trace.OpSP, row, piv)
 							u := b.alu(trace.OpSP, f, row)
-							b.store(coalesced(base+uint64(i)*2048, 4), u)
+							b.store(b.coalesced(base+uint64(i)*2048, 4), u)
 						})
 					})
 				kernels = append(kernels, k)
@@ -244,20 +244,20 @@ func registerPolybench() {
 				acc := b.alu(trace.OpSP)
 				b.loop(depth, func(t int) {
 					// Tiled: load A and B tiles to shared, then FMA chain.
-					a := b.load(coalesced(uint64(arrA+(block*depth+t)*4096+warp*1024), 4), 0)
-					b.shStore(shBank(uint64(warp*256), 4), a)
-					bb := b.load(coalesced(uint64(arrB+t*4096+warp*1024), 4), 0)
-					b.shStore(shBank(uint64(8192+warp*256), 4), bb)
+					a := b.load(b.coalesced(uint64(arrA+(block*depth+t)*4096+warp*1024), 4), 0)
+					b.shStore(b.shBank(uint64(warp*256), 4), a)
+					bb := b.load(b.coalesced(uint64(arrB+t*4096+warp*1024), 4), 0)
+					b.shStore(b.shBank(uint64(8192+warp*256), 4), bb)
 					b.barrier()
 					b.loop(6, func(u int) {
-						x := b.shLoad(shBank(uint64(warp*256), 4))
-						y := b.shLoad(shBank(uint64(8192+warp*256), 4))
+						x := b.shLoad(b.shBank(uint64(warp*256), 4))
+						y := b.shLoad(b.shBank(uint64(8192+warp*256), 4))
 						acc = b.alu(trace.OpSP, x, y)
 						acc = b.alu(trace.OpSP, acc, x)
 					})
 					b.barrier()
 				})
-				b.store(coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc)
+				b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc)
 			})
 	}
 
@@ -288,22 +288,22 @@ func registerPolybench() {
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(12, func(i int) {
-						a := b.load(coalesced(uint64(arrA+(block*12+i)*8192+warp*1024), 4), 0)
-						x := b.load(broadcast(uint64(arrB+i*128)), 0)
+						a := b.load(b.coalesced(uint64(arrA+(block*12+i)*8192+warp*1024), 4), 0)
+						x := b.load(b.broadcast(uint64(arrB+i*128)), 0)
 						acc = b.alu(trace.OpSP, a, x)
 					})
-					b.store(coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc)
+					b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc)
 				})
 			colPass := kernel1D("atax_aty", blocks, 256, 24, 0,
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(12, func(i int) {
 						// Column-major: strided, poorly coalesced.
-						a := b.load(strided(uint64(arrA+(block*256+warp*32)*4+i*128), 8192), 0)
-						y := b.load(broadcast(uint64(arrC+i*128)), 0)
+						a := b.load(b.strided(uint64(arrA+(block*256+warp*32)*4+i*128), 8192), 0)
+						y := b.load(b.broadcast(uint64(arrC+i*128)), 0)
 						acc = b.alu(trace.OpSP, a, y)
 					})
-					b.store(coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc)
+					b.store(b.coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc)
 				})
 			return app("ATAX", "Polybench", rowPass, colPass)
 		},
@@ -319,14 +319,14 @@ func registerPolybench() {
 					acc1 := b.alu(trace.OpSP)
 					acc2 := b.alu(trace.OpSP)
 					b.loop(10, func(i int) {
-						a := b.load(coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), 0)
-						v := b.load(broadcast(uint64(arrB+i*64)), 0)
+						a := b.load(b.coalesced(uint64(arrA+(block*10+i)*8192+warp*1024), 4), 0)
+						v := b.load(b.broadcast(uint64(arrB+i*64)), 0)
 						acc1 = b.alu(trace.OpSP, a, v)
-						at := b.load(strided(uint64(arrA+(block*256+warp*32)*4+i*64), 8192), 0)
+						at := b.load(b.strided(uint64(arrA+(block*256+warp*32)*4+i*64), 8192), 0)
 						acc2 = b.alu(trace.OpSP, at, acc1)
 					})
-					b.store(coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc1)
-					b.store(coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc2)
+					b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc1)
+					b.store(b.coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc2)
 				})
 			return app("MVT", "Polybench", k)
 		},
@@ -344,18 +344,18 @@ func registerPolybench() {
 						b.loop(24, func(i int) {
 							var cur, prev trace.Reg
 							if vertical {
-								cur = b.load(strided(base+uint64(i)*4096, 2048), 0)
-								prev = b.load(strided(base+uint64(i)*4096+2048, 2048), 0)
+								cur = b.load(b.strided(base+uint64(i)*4096, 2048), 0)
+								prev = b.load(b.strided(base+uint64(i)*4096+2048, 2048), 0)
 							} else {
-								cur = b.load(coalesced(base+uint64(i)*4096, 4), 0)
-								prev = b.load(coalesced(base+uint64(i)*4096+128, 4), 0)
+								cur = b.load(b.coalesced(base+uint64(i)*4096, 4), 0)
+								prev = b.load(b.coalesced(base+uint64(i)*4096+128, 4), 0)
 							}
 							u := b.alu(trace.OpSP, cur, prev)
 							u2 := b.alu(trace.OpSP, u, cur)
 							if vertical {
-								b.store(strided(base+uint64(i)*4096, 2048), u2)
+								b.store(b.strided(base+uint64(i)*4096, 2048), u2)
 							} else {
-								b.store(coalesced(base+uint64(i)*4096, 4), u2)
+								b.store(b.coalesced(base+uint64(i)*4096, 4), u2)
 							}
 						})
 					})
@@ -375,13 +375,13 @@ func registerPolybench() {
 				k := kernel1D(fmt.Sprintf("lu_step%d", step), blocks, 128, 26, 0,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA + (block*1024+warp*128)*4)
-						piv := b.load(broadcast(uint64(arrB+step*512)), 0)
+						piv := b.load(b.broadcast(uint64(arrB+step*512)), 0)
 						inv := b.alu(trace.OpSFU, piv)
 						b.loop(10-3*step, func(i int) {
-							row := b.load(coalesced(base+uint64(i)*8192, 4), 0)
+							row := b.load(b.coalesced(base+uint64(i)*8192, 4), 0)
 							l := b.alu(trace.OpSP, row, inv)
 							u := b.alu(trace.OpSP, l, row)
-							b.store(coalesced(base+uint64(i)*8192, 4), u)
+							b.store(b.coalesced(base+uint64(i)*8192, 4), u)
 						})
 					})
 				kernels = append(kernels, k)
@@ -408,11 +408,11 @@ func registerMars() {
 					base := uint64(arrA) + uint64(block*8+warp)*262144
 					// The search pattern is loaded once and kept in
 					// registers; the scan itself streams large chunks.
-					pat := b.load(broadcast(uint64(arrB+warp*128)), 0)
+					pat := b.load(b.broadcast(uint64(arrB+warp*128)), 0)
 					b.loop(22, func(i int) {
-						chunk := b.load(coalesced(base+uint64(i)*8192, 4), 0)
+						chunk := b.load(b.coalesced(base+uint64(i)*8192, 4), 0)
 						cmp := b.alu(trace.OpInt, chunk, pat)
-						b.store(coalesced(uint64(arrC)+base%bigRegion+uint64(i)*8192, 4), cmp)
+						b.store(b.coalesced(uint64(arrC)+base%bigRegion+uint64(i)*8192, 4), cmp)
 					})
 				})
 			reduceK := kernel1D("sm_reduce", blocks/2+1, 256, 18, 0,
@@ -420,10 +420,10 @@ func registerMars() {
 					acc := b.alu(trace.OpInt)
 					base := uint64(arrC) + uint64(block*8+warp)*262144
 					b.loop(12, func(i int) {
-						v := b.load(coalesced(base+uint64(i)*16384, 4), 0)
+						v := b.load(b.coalesced(base+uint64(i)*16384, 4), 0)
 						acc = b.alu(trace.OpInt, acc, v)
 					})
-					b.store(coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc)
+					b.store(b.coalesced(uint64(arrD+(block*256+warp*32)*4), 4), acc)
 				})
 			return app("SM", "Mars", mapK, reduceK)
 		},
@@ -440,11 +440,11 @@ func registerMars() {
 					seed := newRNG(r.next() ^ uint64(block*64+warp))
 					base := uint64(arrA) + uint64(block*256+warp*32)*4096
 					b.loop(14, func(i int) {
-						chunk := b.load(coalesced(base+uint64(i)*65536, 4), 0)
+						chunk := b.load(b.coalesced(base+uint64(i)*65536, 4), 0)
 						isSep := b.alu(trace.OpInt, chunk)
-						m := divergentMask(seed, 0.4)
+						m := divergentMask(&seed, 0.4)
 						cnt := b.aluMasked(trace.OpInt, m, isSep)
-						b.storeMasked(m, coalescedMasked(m, uint64(arrB)+base%bigRegion+uint64(i)*65536, 4), cnt)
+						b.storeMasked(m, b.coalescedMasked(m, uint64(arrB)+base%bigRegion+uint64(i)*65536, 4), cnt)
 					})
 				})
 			return app("WC", "Mars", k)
@@ -466,20 +466,20 @@ func registerTango() {
 				k := kernel1D(fmt.Sprintf("alexnet_conv%d", li+1), blocks, 256, 40, 12288,
 					func(b *wb, block, warp int) {
 						// Load filter once to shared, stream activations.
-						f := b.load(coalesced(uint64(arrA+li*0x100_0000+warp*1024), 4), 0)
-						b.shStore(shBank(uint64(warp*256), 4), f)
+						f := b.load(b.coalesced(uint64(arrA+li*0x100_0000+warp*1024), 4), 0)
+						b.shStore(b.shBank(uint64(warp*256), 4), f)
 						b.barrier()
 						acc := b.alu(trace.OpSP)
 						b.loop(10, func(t int) {
-							x := b.load(coalesced(uint64(arrB+li*0x100_0000+(block*10+t)*4096+warp*512), 4), 0)
-							w := b.shLoad(shBank(uint64(warp*256), 4))
+							x := b.load(b.coalesced(uint64(arrB+li*0x100_0000+(block*10+t)*4096+warp*512), 4), 0)
+							w := b.shLoad(b.shBank(uint64(warp*256), 4))
 							b.loop(5, func(u int) {
 								acc = b.alu(trace.OpSP, x, w)
 								acc = b.alu(trace.OpSP, acc, x)
 							})
 						})
 						act := b.alu(trace.OpSFU, acc)
-						b.store(coalesced(uint64(arrC+li*0x100_0000+(block*256+warp*32)*4), 4), act)
+						b.store(b.coalesced(uint64(arrC+li*0x100_0000+(block*256+warp*32)*4), 4), act)
 					})
 				kernels = append(kernels, k)
 			}
@@ -503,12 +503,12 @@ func registerTango() {
 						base := uint64(arrA) + uint64(s%3)*0x800_0000 + uint64(block*16+warp)*262144
 						z := b.alu(trace.OpSP)
 						b.loop(16, func(i int) {
-							w := b.load(coalesced(base+uint64(i)*16384, 4), 0)
-							h := b.load(broadcast(uint64(arrD+s*4096+i*64)), 0)
+							w := b.load(b.coalesced(base+uint64(i)*16384, 4), 0)
+							h := b.load(b.broadcast(uint64(arrD+s*4096+i*64)), 0)
 							z = b.alu(trace.OpSP, w, h)
 						})
 						g := b.alu(trace.OpSFU, z)
-						b.store(coalesced(uint64(arrE+(block*128+warp*32)*4+s*8192), 4), g)
+						b.store(b.coalesced(uint64(arrE+(block*128+warp*32)*4+s*8192), 4), g)
 					})
 				kernels = append(kernels, k)
 			}
@@ -531,8 +531,8 @@ func registerTango() {
 						b.loop(len(gates), func(gi int) {
 							acc := b.alu(trace.OpSP)
 							b.loop(6, func(i int) {
-								w := b.load(coalesced(base+uint64(gi*6+i)*8192, 4), 0)
-								h := b.load(broadcast(uint64(arrD+s*2048+i*64)), 0)
+								w := b.load(b.coalesced(base+uint64(gi*6+i)*8192, 4), 0)
+								h := b.load(b.broadcast(uint64(arrD+s*2048+i*64)), 0)
 								acc = b.alu(trace.OpSP, w, h)
 							})
 							gates[gi] = b.alu(trace.OpSFU, acc)
@@ -540,7 +540,7 @@ func registerTango() {
 						c := b.alu(trace.OpSP, gates[0], gates[1])
 						c2 := b.alu(trace.OpSP, c, gates[2])
 						hOut := b.alu(trace.OpSP, c2, gates[3])
-						b.store(coalesced(uint64(arrE+(block*128+warp*32)*4+s*8192), 4), hOut)
+						b.store(b.coalesced(uint64(arrE+(block*128+warp*32)*4+s*8192), 4), hOut)
 					})
 				kernels = append(kernels, k)
 			}
@@ -564,15 +564,15 @@ func registerPannotia() {
 				k := kernel1D(fmt.Sprintf("pagerank_iter%d", it), blocks, 256, 24, 0,
 					func(b *wb, block, warp int) {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
-						off := b.load(coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)
+						off := b.load(b.coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)
 						acc := b.alu(trace.OpSP)
 						b.loop(10, func(e int) {
-							nbr := b.load(gather(seed, arrB, bigRegion), off)
-							rank := b.load(gather(seed, arrC, bigRegion), nbr)
+							nbr := b.load(b.gather(&seed, arrB, bigRegion), off)
+							rank := b.load(b.gather(&seed, arrC, bigRegion), nbr)
 							acc = b.alu(trace.OpSP, acc, rank)
 						})
 						norm := b.alu(trace.OpSFU, acc)
-						b.store(coalesced(uint64(arrD+(block*256+warp*32)*4), 4), norm)
+						b.store(b.coalesced(uint64(arrD+(block*256+warp*32)*4), 4), norm)
 					})
 				kernels = append(kernels, k)
 			}
@@ -592,12 +592,12 @@ func registerPannotia() {
 				k := kernel1D(fmt.Sprintf("sssp_iter%d", it), blocks, 256, 22, 0,
 					func(b *wb, block, warp int) {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
-						dist := b.load(coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)
+						dist := b.load(b.coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)
 						b.loop(8, func(e int) {
-							m := divergentMask(seed, frac)
-							wgt := b.loadMasked(m, gatherMasked(seed, m, arrB, bigRegion), dist)
+							m := divergentMask(&seed, frac)
+							wgt := b.loadMasked(m, b.gatherMasked(&seed, m, arrB, bigRegion), dist)
 							nd := b.aluMasked(trace.OpInt, m, dist, wgt)
-							b.storeMasked(m, gatherMasked(seed, m, arrC, bigRegion), nd)
+							b.storeMasked(m, b.gatherMasked(&seed, m, arrC, bigRegion), nd)
 						})
 					})
 				kernels = append(kernels, k)

@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"swiftsim/internal/memo"
@@ -108,7 +109,7 @@ func Generate(name string, scale float64) (*trace.App, error) {
 
 type rng struct{ s uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
+func newRNG(seed uint64) rng { return rng{s: seed} }
 
 func (r *rng) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
@@ -125,23 +126,28 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 const fullMask = 0xffffffff
 
-// wb builds one warp's instruction stream.
+// wb builds the warps of one kernel. Each warp is emitted into a scratch
+// slice the builder reuses, and exit keeps an exact-length copy; lane
+// addresses and the kept copies are carved from the kernel's arena. The
+// zero wb is ready to build a kernel's first warp.
 type wb struct {
-	insts []trace.Inst
+	arena trace.Arena
+	insts []trace.Inst // the warp being built
 	pc    uint64
-	reg   trace.Reg // rotating destination register
+	regs  uint8 // destination registers handed out in this warp, mod 31
 }
 
-func newWB() *wb { return &wb{reg: 1} }
+// startWarp readies b for the next warp of its kernel.
+func (b *wb) startWarp() {
+	b.insts = b.insts[:0]
+	b.pc, b.regs = 0, 0
+}
 
 // nextReg rotates through registers 1..31, creating realistic dependency
 // chains without exceeding typical register footprints.
 func (b *wb) nextReg() trace.Reg {
-	r := b.reg
-	b.reg++
-	if b.reg > 31 {
-		b.reg = 1
-	}
+	r := trace.Reg(b.regs + 1)
+	b.regs = (b.regs + 1) % 31
 	return r
 }
 
@@ -229,16 +235,17 @@ func (b *wb) barrier() {
 
 func (b *wb) exit() trace.WarpTrace {
 	b.emit(trace.Inst{Op: trace.OpExit, ActiveMask: fullMask})
-	return b.insts
+	return b.arena.Warp(b.insts)
 }
 
 // ---------------------------------------------------------------------------
-// Address-pattern helpers. All return one address per active lane.
+// Address-pattern helpers. Each carves exactly one address per active lane
+// from the kernel's arena.
 
 // coalesced returns perfectly coalesced lane addresses: lane i accesses
 // base + i*width (width 4 = dense fp32 array).
-func coalesced(base uint64, width uint64) []uint64 {
-	a := make([]uint64, trace.WarpSize)
+func (b *wb) coalesced(base uint64, width uint64) []uint64 {
+	a := b.arena.Addrs(trace.WarpSize)
 	for i := range a {
 		a[i] = base + uint64(i)*width
 	}
@@ -246,8 +253,8 @@ func coalesced(base uint64, width uint64) []uint64 {
 }
 
 // coalescedMasked is coalesced for the active lanes of mask only.
-func coalescedMasked(mask uint32, base uint64, width uint64) []uint64 {
-	var a []uint64
+func (b *wb) coalescedMasked(mask uint32, base uint64, width uint64) []uint64 {
+	a := b.arena.Addrs(bits.OnesCount32(mask))[:0]
 	for i := 0; i < trace.WarpSize; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			a = append(a, base+uint64(i)*width)
@@ -258,8 +265,8 @@ func coalescedMasked(mask uint32, base uint64, width uint64) []uint64 {
 
 // strided returns lane addresses with a large stride (uncoalesced,
 // column-major style): lane i accesses base + i*stride.
-func strided(base, stride uint64) []uint64 {
-	a := make([]uint64, trace.WarpSize)
+func (b *wb) strided(base, stride uint64) []uint64 {
+	a := b.arena.Addrs(trace.WarpSize)
 	for i := range a {
 		a[i] = base + uint64(i)*stride
 	}
@@ -269,8 +276,8 @@ func strided(base, stride uint64) []uint64 {
 // gather returns irregular per-lane addresses drawn from a region
 // [base, base+size), 4-byte aligned — the access pattern of graph
 // workloads.
-func gather(r *rng, base, size uint64) []uint64 {
-	a := make([]uint64, trace.WarpSize)
+func (b *wb) gather(r *rng, base, size uint64) []uint64 {
+	a := b.arena.Addrs(trace.WarpSize)
 	for i := range a {
 		a[i] = base + (r.next()%(size/4))*4
 	}
@@ -278,8 +285,8 @@ func gather(r *rng, base, size uint64) []uint64 {
 }
 
 // gatherMasked is gather over the active lanes only.
-func gatherMasked(r *rng, mask uint32, base, size uint64) []uint64 {
-	var a []uint64
+func (b *wb) gatherMasked(r *rng, mask uint32, base, size uint64) []uint64 {
+	a := b.arena.Addrs(bits.OnesCount32(mask))[:0]
 	for i := 0; i < trace.WarpSize; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			a = append(a, base+(r.next()%(size/4))*4)
@@ -290,8 +297,8 @@ func gatherMasked(r *rng, mask uint32, base, size uint64) []uint64 {
 
 // broadcast returns the same address for every lane (fully merged by the
 // coalescer into one sector).
-func broadcast(base uint64) []uint64 {
-	a := make([]uint64, trace.WarpSize)
+func (b *wb) broadcast(base uint64) []uint64 {
+	a := b.arena.Addrs(trace.WarpSize)
 	for i := range a {
 		a[i] = base
 	}
@@ -300,8 +307,8 @@ func broadcast(base uint64) []uint64 {
 
 // shBank returns shared-memory addresses spread across banks
 // (conflict-free when stride is 4).
-func shBank(base uint64, stride uint64) []uint64 {
-	a := make([]uint64, trace.WarpSize)
+func (b *wb) shBank(base uint64, stride uint64) []uint64 {
+	a := b.arena.Addrs(trace.WarpSize)
 	for i := range a {
 		a[i] = base + uint64(i)*stride
 	}
@@ -333,7 +340,8 @@ func scaleDim(n int, s float64, lo int) int {
 }
 
 // kernel1D assembles a kernel from a per-(block, warp) builder function,
-// numbering each warp's memory instructions as soon as it is built.
+// numbering each warp's memory instructions as soon as it is built. One
+// builder, and so one arena, serves all the kernel's warps.
 func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
 	build func(b *wb, block, warp int)) *trace.Kernel {
 	k := &trace.Kernel{
@@ -346,11 +354,12 @@ func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
 	wpb := k.WarpsPerBlock()
 	k.Blocks = make([]trace.BlockTrace, blocks)
 	var next uint32
+	var b wb
 	for bi := 0; bi < blocks; bi++ {
 		warps := make([]trace.WarpTrace, wpb)
 		for wi := 0; wi < wpb; wi++ {
-			b := newWB()
-			build(b, bi, wi)
+			b.startWarp()
+			build(&b, bi, wi)
 			warps[wi] = b.exit()
 			next = warps[wi].NumberMem(next)
 		}

@@ -154,32 +154,34 @@ func TestTracesRoundTripSGT(t *testing.T) {
 }
 
 func TestAddressHelpers(t *testing.T) {
-	c := coalesced(0x1000, 4)
+	var b wb
+	c := b.coalesced(0x1000, 4)
 	if len(c) != trace.WarpSize || c[0] != 0x1000 || c[31] != 0x1000+31*4 {
 		t.Errorf("coalesced = %v", c[:3])
 	}
-	s := strided(0x1000, 512)
+	s := b.strided(0x1000, 512)
 	if s[1]-s[0] != 512 {
 		t.Errorf("strided stride = %d", s[1]-s[0])
 	}
-	bc := broadcast(0x42)
+	bc := b.broadcast(0x42)
 	for _, a := range bc {
 		if a != 0x42 {
 			t.Fatal("broadcast addresses differ")
 		}
 	}
-	cm := coalescedMasked(0b101, 0, 4)
+	cm := b.coalescedMasked(0b101, 0, 4)
 	if len(cm) != 2 || cm[0] != 0 || cm[1] != 8 {
 		t.Errorf("coalescedMasked = %v", cm)
 	}
 	r := newRNG(1)
-	g := gather(r, 0x1000, 4096)
+	g := b.gather(&r, 0x1000, 4096)
 	for _, a := range g {
 		if a < 0x1000 || a >= 0x1000+4096 || a%4 != 0 {
 			t.Fatalf("gather address %#x out of range or misaligned", a)
 		}
 	}
-	gm := gatherMasked(newRNG(1), 0xf, 0x1000, 4096)
+	r = newRNG(1)
+	gm := b.gatherMasked(&r, 0xf, 0x1000, 4096)
 	if len(gm) != 4 {
 		t.Errorf("gatherMasked length = %d, want 4", len(gm))
 	}
@@ -188,13 +190,13 @@ func TestAddressHelpers(t *testing.T) {
 func TestDivergentMask(t *testing.T) {
 	r := newRNG(7)
 	for i := 0; i < 100; i++ {
-		m := divergentMask(r, 0.3)
+		m := divergentMask(&r, 0.3)
 		if m == 0 {
 			t.Fatal("divergentMask returned empty mask")
 		}
 	}
 	// frac=0 still yields at least one active lane.
-	if divergentMask(newRNG(1), 0) == 0 {
+	if r := newRNG(1); divergentMask(&r, 0) == 0 {
 		t.Fatal("zero-fraction mask empty")
 	}
 }
@@ -221,9 +223,11 @@ func TestQuickMaskedHelpersAgree(t *testing.T) {
 				want++
 			}
 		}
-		cm := coalescedMasked(mask, 0x1000, 4)
-		gm := gatherMasked(newRNG(seed), mask, 0x1000, 1<<20)
-		return len(cm) == want && len(gm) == want
+		var b wb
+		cm := b.coalescedMasked(mask, 0x1000, 4)
+		r := newRNG(seed)
+		gm := b.gatherMasked(&r, mask, 0x1000, 1<<20)
+		return len(cm) == want && cap(cm) == want && len(gm) == want && cap(gm) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -231,7 +235,7 @@ func TestQuickMaskedHelpersAgree(t *testing.T) {
 }
 
 func TestWarpBuilderRegisterRotation(t *testing.T) {
-	b := newWB()
+	var b wb
 	seen := map[trace.Reg]bool{}
 	for i := 0; i < 64; i++ {
 		r := b.nextReg()
@@ -308,5 +312,61 @@ func TestGeneratePanicDoesNotPoison(t *testing.T) {
 	wg.Wait()
 	if app := <-waiter; app == nil {
 		t.Error("the waiter on a panicked generation got a nil app")
+	}
+}
+
+// TestGenerateAllocationCeiling holds generating the whole catalog at the
+// benchmark's scale 0.5 to a ceiling about 25% above the 1,413 allocations
+// it measured with per-kernel arenas (one allocation per memory
+// instruction, as before them, made about 131,500).
+func TestGenerateAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 1770
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, s := range Catalog() {
+			s.Generate(0.5)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("generating the catalog at scale 0.5 made %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestGenerateAllocationsTrackStructure: an app's allocations are bounded
+// at every scale by its kernels, its blocks and the chunks its trace fills,
+// not by its instructions. A kernel pays for its builder's scratch and its
+// arena's first chunks, a block for its warp table, and the instructions
+// and lane addresses for the arena's chunks of 1,024 and 8,192 elements,
+// with a quarter more for the tails that warps and lanes too long for them
+// leave behind. One more allocation per warp, let alone one per memory
+// instruction, breaks the bound for every app at scale 4.
+func TestGenerateAllocationsTrackStructure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, s := range Catalog() {
+		for _, scale := range []float64{0.5, 2, 4} {
+			var app *trace.App
+			allocs := testing.AllocsPerRun(1, func() { app = s.Generate(scale) })
+			kernels, blocks, insts, lanes := len(app.Kernels), 0, 0, 0
+			for _, k := range app.Kernels {
+				blocks += k.NumBlocks()
+				for _, b := range k.Blocks {
+					for _, w := range b.Warps {
+						insts += len(w)
+						for i := range w {
+							lanes += len(w[i].Addrs)
+						}
+					}
+				}
+			}
+			chunks := insts/1024 + lanes/8192
+			if bound := 24*kernels + 2*blocks + 5*chunks/4; allocs > float64(bound) {
+				t.Errorf("%s at scale %g: %.0f allocations for %d kernels, %d blocks, %d instructions, %d lanes; bound %d",
+					s.Name, scale, allocs, kernels, blocks, insts, lanes, bound)
+			}
+		}
 	}
 }
