@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -14,7 +15,7 @@ import (
 	"swiftsim/internal/workload"
 )
 
-var updateHashes = flag.Bool("update-hashes", false, "rewrite testdata/content_hashes.txt (only from a tree whose traces are known good)")
+var updateHashes = flag.Bool("update-hashes", false, "rewrite testdata/content_hashes.txt and testdata/sgt_hashes.txt (only from a tree whose traces are known good)")
 
 // TestDigestsPinned pins both digests of one catalog app to the values the
 // two separate walkers produced before they were folded into one, and the
@@ -48,7 +49,6 @@ func TestDigestsPinned(t *testing.T) {
 }
 
 func pinCatalogHashes(t *testing.T) {
-	const path = "testdata/content_hashes.txt"
 	var lines []string
 	for _, scale := range []float64{0.25, 0.5} {
 		for _, name := range workload.Names() {
@@ -59,6 +59,33 @@ func pinCatalogHashes(t *testing.T) {
 			lines = append(lines, fmt.Sprintf("%s %g %x", name, scale, trace.ContentHash(app)))
 		}
 	}
+	checkPinned(t, "testdata/content_hashes.txt", "ContentHash", lines)
+}
+
+// TestSGTBytesPinned pins the SHA-256 of every catalog app's .sgt bytes at
+// scale 0.25 to testdata/sgt_hashes.txt: a change to how Write formats a
+// line, or to how a trace holds its lane addresses, may not move a byte of
+// a written trace.
+func TestSGTBytesPinned(t *testing.T) {
+	var lines []string
+	for _, name := range workload.Names() {
+		app, err := workload.Generate(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := sha256.New()
+		if err := trace.Write(d, app); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, fmt.Sprintf("%s 0.25 %x", name, d.Sum(nil)))
+	}
+	checkPinned(t, "testdata/sgt_hashes.txt", ".sgt bytes", lines)
+}
+
+// checkPinned compares lines with the fixture at path, or rewrites it
+// under -update-hashes.
+func checkPinned(t *testing.T, path, what string, lines []string) {
+	t.Helper()
 	got := strings.Join(lines, "\n") + "\n"
 	if *updateHashes {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -76,7 +103,7 @@ func pinCatalogHashes(t *testing.T) {
 	}
 	for i := range lines {
 		if lines[i] != wantLines[i] {
-			t.Errorf("ContentHash moved:\n  got  %s\n  want %s", lines[i], wantLines[i])
+			t.Errorf("%s moved:\n  got  %s\n  want %s", what, lines[i], wantLines[i])
 		}
 	}
 }
