@@ -333,6 +333,9 @@ func (s *Service) Submit(spec Spec) (*Sweep, error) {
 		failFast:   spec.FailFast,
 		status:     make([]JobStatus, len(jobs)),
 		result:     make([][]byte, len(jobs)),
+		// Every job ends in an event and the sweep in a tally; a job
+		// that runs adds a start event, which grows the list once.
+		events: make([]Event, 0, len(jobs)+1),
 	}
 	// The sweep's trace pids: a disjoint block per sweep, derived from
 	// the daemon tracer (pid 0 stays the daemon's own row).
@@ -436,7 +439,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 		kinds[i] = k
 	}
 
-	var jobs []job
+	jobs := make([]job, 0, len(gpus)*len(apps)*len(kinds))
 	for _, g := range gpus {
 		for _, a := range apps {
 			for _, k := range kinds {
@@ -744,7 +747,11 @@ func (sw *Sweep) Results() ([]byte, error) {
 	if !sw.done {
 		return nil, fmt.Errorf("service: sweep %s still running", sw.id)
 	}
-	var out []byte
+	n := 0
+	for _, r := range sw.result {
+		n += len(r)
+	}
+	out := make([]byte, 0, n)
 	for _, r := range sw.result {
 		out = append(out, r...)
 	}
