@@ -31,8 +31,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"swiftsim/internal/cliutil"
@@ -57,8 +55,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	runFlags := cliutil.RunFlags(fs)
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
 	openTrace := cliutil.TraceFlags(fs, "the sweep")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -68,33 +65,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 1
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "sweep: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := startProfiles("sweep", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(stderr, "sweep: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "sweep: -memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	tracer, closeTrace, err := openTrace("sweep", stderr)
 	if err != nil {

@@ -8,7 +8,8 @@
 // flags (-epoch-cycles, -sample, -sample-frac, -sample-stride) are the
 // block every front end shares (cliutil.RunFlags). -snapshot-at checkpoints
 // the run at the first kernel boundary at or after the given cycle, under
-// every simulator, and -restore resumes from there.
+// every simulator, and -restore resumes from there. -cpuprofile and
+// -memprofile write pprof files of the run (cliutil.ProfileFlags).
 //
 // Examples:
 //
@@ -18,6 +19,7 @@
 //	swiftsim -app GRU -sim basic -sample
 //	swiftsim -app BFS -sim basic -snapshot-at 5000 -snapshot-out warm.snap
 //	swiftsim -app BFS -sim basic -restore warm.snap
+//	swiftsim -app GEMM -sim detailed -cpuprofile cpu.prof -memprofile mem.prof
 //	swiftsim -list
 package main
 
@@ -73,6 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceCSV := fs.String("trace-csv", "", "write the per-kernel counter timeline as CSV")
 	traceStalls := fs.Bool("trace-stalls", false, "print the top stall reasons after the run")
 	list := fs.Bool("list", false, "list bundled workloads and exit")
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,6 +83,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles("swiftsim", stderr)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	if *snapshotAt > 0 && *snapshotOut == "" {
 		return fmt.Errorf("-snapshot-at requires -snapshot-out")
 	}

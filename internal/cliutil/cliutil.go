@@ -1,7 +1,7 @@
 // Package cliutil holds what the command-line front ends (cmd/swiftsim,
 // cmd/sweep, cmd/explore, cmd/swiftsimd) share: list-valued flag parsing,
-// the one registration of the execution-mode flags, and the trace-file
-// flags of the commands that run many jobs.
+// the one registration of the execution-mode flags, the trace-file flags
+// of the commands that run many jobs, and the profiling flags.
 package cliutil
 
 import (
@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"swiftsim/internal/obs"
@@ -90,4 +92,54 @@ func TraceFlags(fs *flag.FlagSet, what string) func(prog string, stderr io.Write
 			}
 		}, nil
 	}
+}
+
+// ProfileFlags registers on fs -cpuprofile and -memprofile and returns the
+// function to call once fs is parsed. It starts the CPU profile and
+// returns the function the caller defers: it stops the CPU profile and
+// writes the heap profile, reporting a failure on stderr as prog. An error
+// names its flag; the caller prints it after its prefix and exits 1.
+func ProfileFlags(fs *flag.FlagSet) func(prog string, stderr io.Writer) (func(), error) {
+	cpuPath := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	heapPath := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	return func(prog string, stderr io.Writer) (func(), error) {
+		var cpu *os.File
+		if *cpuPath != "" {
+			f, err := os.Create(*cpuPath)
+			if err != nil {
+				return nil, fmt.Errorf("-cpuprofile: %w", err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("-cpuprofile: %w", err)
+			}
+			cpu = f
+		}
+		return func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				if err := cpu.Close(); err != nil {
+					fmt.Fprintf(stderr, "%s: -cpuprofile: %v\n", prog, err)
+				}
+			}
+			if *heapPath != "" {
+				if err := writeHeapProfile(*heapPath); err != nil {
+					fmt.Fprintf(stderr, "%s: -memprofile: %v\n", prog, err)
+				}
+			}
+		}, nil
+	}
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle allocations so the heap profile reflects live data
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package cliutil
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,5 +70,41 @@ func TestRunFlags(t *testing.T) {
 		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), flagName) {
 			t.Errorf("%v: error %v does not name %s", args, err, flagName)
 		}
+	}
+}
+
+// TestProfileFlagsWriteBothProfiles: -cpuprofile and -memprofile, parsed
+// by the helper every front end shares, each leave a non-empty pprof file
+// once the returned stop runs, and a bad path fails with the flag's name.
+func TestProfileFlagsWriteBothProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	start := ProfileFlags(fs)
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", heap}); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	stop, err := start("t", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if stderr.Len() != 0 {
+		t.Errorf("stop reported: %s", stderr.String())
+	}
+	for _, path := range []string{cpu, heap} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, %v", filepath.Base(path), fi, err)
+		}
+	}
+
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	start = ProfileFlags(fs)
+	if err := fs.Parse([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := start("t", io.Discard); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("an unwritable -cpuprofile gave %v, want an error naming the flag", err)
 	}
 }
