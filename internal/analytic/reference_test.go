@@ -28,14 +28,15 @@ type refMemModel struct {
 func (u *refMemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	u.issued.Inc()
 
+	var addrs [32]uint64
 	if in.Op.IsSharedMem() {
-		deg := smcore.SharedBankConflicts(in.Addrs)
+		deg := smcore.SharedBankConflicts(in.Lanes(&addrs))
 		u.eng.Schedule(u.shmemLat+uint64(4*(deg-1)), done)
 		return true
 	}
 
 	var lanes [32]uint64
-	sectors := len(smcore.CoalesceInto(lanes[:0], in.Addrs, u.sectorBytes))
+	sectors := len(smcore.CoalesceInto(lanes[:0], in.Lanes(&addrs), u.sectorBytes))
 	u.transactions.Add(uint64(sectors))
 
 	start := cycle

@@ -125,14 +125,16 @@ func tlbCost(app *trace.App, gpu config.GPU, p Params) uint64 {
 		return 0
 	}
 	pages := make(map[uint64]struct{})
+	var lanes [trace.WarpSize]uint64
 	for _, k := range app.Kernels {
 		for bi := range k.Blocks {
 			for _, w := range k.Blocks[bi].Warps {
 				for i := range w {
-					for _, a := range w[i].Addrs {
-						if w[i].Op.IsGlobalMem() {
-							pages[a/p.PageBytes] = struct{}{}
-						}
+					if !w[i].Op.IsGlobalMem() {
+						continue
+					}
+					for _, a := range w[i].Lanes(&lanes) {
+						pages[a/p.PageBytes] = struct{}{}
 					}
 				}
 			}

@@ -308,7 +308,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) (kernelProfile, []Fact) {
 				if w[i].Op.IsMem() {
 					rows = max(rows, int(w[i].MemIndex)+1)
 					if w[i].Op.IsGlobalMem() {
-						bound += len(w[i].Addrs)
+						bound += w[i].ActiveLanes()
 					}
 				}
 			}
@@ -319,6 +319,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) (kernelProfile, []Fact) {
 	}
 	sectors, ops := kw.sectors[:0], kw.ops[:0]
 	facts := make([]Fact, rows)
+	var lanes [trace.WarpSize]uint64
 	for bi := range k.Blocks {
 		sm := bi % kw.g.SMs
 		l1 := &kw.l1[sm]
@@ -335,13 +336,14 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) (kernelProfile, []Fact) {
 					continue
 				}
 				in := &w[i]
+				addrs := in.Lanes(&lanes)
 				if in.Op.IsSharedMem() {
-					facts[in.MemIndex].N = uint32(smcore.SharedBankConflicts(in.Addrs))
+					facts[in.MemIndex].N = uint32(smcore.SharedBankConflicts(addrs))
 					continue
 				}
 				// A valid trace gives every memory instruction a lane, so
 				// every global one coalesces to a sector or more and has an id.
-				kw.coalesce = smcore.CoalesceInto(kw.coalesce, in.Addrs, kw.g.CoalesceBytes)
+				kw.coalesce = smcore.CoalesceInto(kw.coalesce, addrs, kw.g.CoalesceBytes)
 				id, ok := kw.ids[in.PC]
 				if !ok {
 					id = uint32(len(kp.pcs))

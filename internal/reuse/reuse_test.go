@@ -222,6 +222,7 @@ type access struct {
 // against each other: blocks round-robin over SMs, warps interleaved
 // instruction by instruction, addresses coalesced per instruction.
 func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a access)) {
+	var lanes [trace.WarpSize]uint64
 	for ki, k := range app.Kernels {
 		onKernel(ki)
 		for bi := range k.Blocks {
@@ -237,7 +238,7 @@ func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a 
 					if i >= len(w) || !w[i].Op.IsGlobalMem() {
 						continue
 					}
-					for _, s := range smcore.CoalesceInto(nil, w[i].Addrs, gpu.L1.SectorBytes) {
+					for _, s := range smcore.CoalesceInto(nil, w[i].Lanes(&lanes), gpu.L1.SectorBytes) {
 						visit(access{
 							key:    Key{ki, w[i].PC},
 							sector: s,
@@ -305,6 +306,7 @@ func serialProfile(app *trace.App, gpu config.GPU,
 	for k, c := range per {
 		p.PerPC[k] = c.rates()
 	}
+	var lanes [trace.WarpSize]uint64
 	for ki, k := range app.Kernels {
 		p.ByID[ki] = make([]Rates, len(ids[ki]))
 		id := make(map[uint64]uint32)
@@ -318,9 +320,9 @@ func serialProfile(app *trace.App, gpu config.GPU,
 				for _, in := range w {
 					switch {
 					case in.Op.IsSharedMem():
-						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(in.Addrs))})
+						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(in.Lanes(&lanes)))})
 					case in.Op.IsGlobalMem():
-						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.CoalesceInto(nil, in.Addrs, gpu.L1.SectorBytes)))})
+						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.CoalesceInto(nil, in.Lanes(&lanes), gpu.L1.SectorBytes)))})
 					}
 				}
 			}

@@ -452,6 +452,7 @@ func TestSampledProfileKeepsOriginalIndices(t *testing.T) {
 	_, sampled := newSampler(app, gpu, Sampling{Enabled: true})
 	prof := profileCached(sampled, gpu, FunctionalCaches)
 	truncated := 0
+	var lanes [trace.WarpSize]uint64
 	for ki, k := range sampled.Kernels {
 		if len(k.Blocks) < len(app.Kernels[ki].Blocks) {
 			truncated++
@@ -469,11 +470,11 @@ func TestSampledProfileKeepsOriginalIndices(t *testing.T) {
 					f := prof.Facts[ki][in.MemIndex]
 					switch {
 					case in.Op.IsSharedMem():
-						if want := smcore.SharedBankConflicts(in.Addrs); int(f.N) != want {
+						if want := smcore.SharedBankConflicts(in.Lanes(&lanes)); int(f.N) != want {
 							t.Fatalf("kernel %d MemIndex %d: bank degree %d, want %d", ki, in.MemIndex, f.N, want)
 						}
 					default:
-						if want := len(smcore.CoalesceInto(nil, in.Addrs, gpu.L1.SectorBytes)); int(f.N) != want {
+						if want := len(smcore.CoalesceInto(nil, in.Lanes(&lanes), gpu.L1.SectorBytes)); int(f.N) != want {
 							t.Fatalf("kernel %d MemIndex %d: %d sectors, want %d", ki, in.MemIndex, f.N, want)
 						}
 						if prof.ByID[ki][f.ID] != prof.PerPC[reuse.Key{Kernel: ki, PC: in.PC}] {

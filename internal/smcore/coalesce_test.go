@@ -62,10 +62,12 @@ func corpusGlobalInsts(tb testing.TB) []*trace.Inst {
 func TestCoalesceMatchesScan(t *testing.T) {
 	insts := corpusGlobalInsts(t)
 	var buf []uint64
+	var lanes [trace.WarpSize]uint64
 	hashed := 0
 	for _, in := range insts {
-		buf = smcore.CoalesceInto(buf, in.Addrs, 32)
-		if want := scanCoalesce(in.Addrs, 32); !slices.Equal(buf, want) {
+		addrs := in.Lanes(&lanes)
+		buf = smcore.CoalesceInto(buf, addrs, 32)
+		if want := scanCoalesce(addrs, 32); !slices.Equal(buf, want) {
 			t.Fatalf("PC %#x: coalesced %v, the scan %v", in.PC, buf, want)
 		}
 		if len(buf) > 8 {
@@ -94,10 +96,11 @@ func TestCoalesceMatchesScan(t *testing.T) {
 func BenchmarkCoalesceCorpus(b *testing.B) {
 	insts := corpusGlobalInsts(b)
 	var buf []uint64
+	var lanes [trace.WarpSize]uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range insts {
-			buf = smcore.CoalesceInto(buf, in.Addrs, 32)
+			buf = smcore.CoalesceInto(buf, in.Lanes(&lanes), 32)
 		}
 	}
 }

@@ -248,10 +248,12 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	}
 	u.issued.Inc()
 
+	var lanes [trace.WarpSize]uint64
+	addrs := in.Lanes(&lanes)
 	if in.Op.IsSharedMem() {
 		// Shared memory: latency plus serialization from bank
 		// conflicts; no global traffic.
-		deg := SharedBankConflicts(in.Addrs)
+		deg := SharedBankConflicts(addrs)
 		if deg > 1 {
 			u.shConflicts.Add(uint64(deg - 1))
 		}
@@ -263,7 +265,7 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	li.u = u
 	li.in = in
 	li.done = done
-	li.sectors = CoalesceInto(li.buf, in.Addrs, u.sectorBytes)
+	li.sectors = CoalesceInto(li.buf, addrs, u.sectorBytes)
 	li.buf = li.sectors
 	li.smid = u.smid
 	u.transactions.Add(uint64(len(li.sectors)))

@@ -4,8 +4,9 @@ import "swiftsim/internal/mem"
 
 // Arena carves one kernel's warp instruction streams and lane addresses
 // from two chunked backing stores (mem.Slab), so that building a kernel
-// costs a few allocations per chunk instead of one per instruction. Both
-// trace producers use it: the workload generators and the .sgt reader.
+// costs a few allocations per chunk instead of one per instruction, and
+// keeps an evenly spaced instruction's lanes as one address and a stride.
+// Both trace producers use it: the workload generators and the .sgt reader.
 //
 // Every slice it returns has its capacity clamped to its length, so an
 // append to an Inst.Addrs or a WarpTrace reallocates instead of writing
@@ -28,13 +29,41 @@ const (
 	addrChunk = 8192
 )
 
-// Addrs returns n zeroed lane addresses for one memory instruction's
-// Inst.Addrs.
-func (a *Arena) Addrs(n int) []uint64 {
+// SetLanes gives in the lane addresses lanes, one per active lane in
+// ascending lane order, copied into the arena. When there are as many as
+// in has active lanes, at least two, and they are evenly spaced by a stride
+// that fits an int32, in keeps them strided: lanes[0] and the stride (see
+// Inst.Addrs). Otherwise they stay listed, as they are for a scatter.
+func (a *Arena) SetLanes(in *Inst, lanes []uint64) {
 	if a.addrs == nil {
 		a.addrs = mem.NewSlab[uint64](addrChunk)
 	}
-	return a.addrs.Take(n)
+	in.Stride = 0
+	if s, ok := strideOf(lanes); ok && len(lanes) == in.ActiveLanes() {
+		in.Stride = s
+		lanes = lanes[:1]
+	}
+	in.Addrs = a.addrs.Take(len(lanes))
+	copy(in.Addrs, lanes)
+}
+
+// strideOf returns the stride of two or more lane addresses evenly spaced
+// in wrapping arithmetic, if it fits an int32.
+func strideOf(lanes []uint64) (int32, bool) {
+	if len(lanes) < 2 {
+		return 0, false
+	}
+	s := int32(lanes[1] - lanes[0])
+	step := uint64(int64(s))
+	if lanes[0]+step != lanes[1] {
+		return 0, false
+	}
+	for i := 2; i < len(lanes); i++ {
+		if lanes[i]-lanes[i-1] != step {
+			return 0, false
+		}
+	}
+	return s, true
 }
 
 // Warp returns a copy of insts carved from the arena. A producer builds

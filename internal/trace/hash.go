@@ -138,6 +138,7 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 	// append costs the walk about a tenth.
 	le, buf := binary.LittleEndian, w.buf
 	var next uint32
+	var lanes [WarpSize]uint64
 	for bi := range k.Blocks {
 		b := &k.Blocks[bi]
 		buf = le.AppendUint32(buf, uint32(len(b.Warps)))
@@ -152,9 +153,10 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 				buf = le.AppendUint64(buf, in.PC)
 				buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src[0]), byte(in.Src[1]))
 				buf = le.AppendUint32(buf, in.ActiveMask)
-				buf = le.AppendUint32(buf, uint32(len(in.Addrs)))
+				addrs := in.Lanes(&lanes)
+				buf = le.AppendUint32(buf, uint32(len(addrs)))
 				if w.addrs {
-					for _, addr := range in.Addrs {
+					for _, addr := range addrs {
 						buf = le.AppendUint64(buf, addr)
 					}
 				}

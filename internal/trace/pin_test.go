@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"swiftsim/internal/trace"
 	"swiftsim/internal/workload"
@@ -156,10 +158,15 @@ func TestSGTRoundTripKeepsMemIndex(t *testing.T) {
 // addresses from a shared backing store with each slice's capacity clamped
 // to its length, so that an append to one can never write into its
 // neighbour. Every catalog app, as generated and as read back from .sgt,
-// must hold that for every warp and every instruction.
+// must hold that for every warp and every instruction, in both lane forms:
+// a strided instruction's one address and a listed one's every lane. The
+// catalog has instructions of both forms, and its scatter apps most of the
+// listed ones.
 func TestTracesHaveExactCapacities(t *testing.T) {
+	forms := map[string][2]int{} // per producer: strided and listed instructions
 	check := func(how string, app *trace.App) {
 		t.Helper()
+		n := forms[how]
 		for ki, k := range app.Kernels {
 			for bi := range k.Blocks {
 				for wi, w := range k.Blocks[bi].Warps {
@@ -171,10 +178,18 @@ func TestTracesHaveExactCapacities(t *testing.T) {
 							t.Fatalf("%s %s kernel %d block %d warp %d inst %d: addresses cap %d, len %d",
 								how, app.Name, ki, bi, wi, i, cap(a), len(a))
 						}
+						switch lanes := w[i].ActiveLanes(); {
+						case !w[i].Op.IsMem():
+						case len(w[i].Addrs) == 1 && lanes > 1:
+							n[0]++
+						case len(w[i].Addrs) == lanes:
+							n[1]++
+						}
 					}
 				}
 			}
 		}
+		forms[how] = n
 	}
 	for _, name := range workload.Names() {
 		app, err := workload.Generate(name, 0.25)
@@ -191,5 +206,124 @@ func TestTracesHaveExactCapacities(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		check("read", read)
+	}
+	for how, n := range forms {
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("%s: %d strided and %d listed memory instructions, want both forms", how, n[0], n[1])
+		}
+	}
+}
+
+// TestInstSize pins trace.Inst at 48 bytes: a strided instruction's Stride
+// fills the padding after MemIndex, so the second lane form costs no
+// instruction a byte.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(trace.Inst{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(trace.Inst{}) = %d, want 48", got)
+	}
+}
+
+// shape counts what a trace's size is bounded by.
+type shape struct {
+	kernels, blocks, warps, insts, maxWarp int
+	listed, strided                        int // lanes listed; strided instructions
+}
+
+func shapeOf(app *trace.App) shape {
+	s := shape{kernels: len(app.Kernels)}
+	for _, k := range app.Kernels {
+		s.blocks += len(k.Blocks)
+		for _, b := range k.Blocks {
+			s.warps += len(b.Warps)
+			for _, w := range b.Warps {
+				s.insts += len(w)
+				s.maxWarp = max(s.maxWarp, len(w))
+				for i := range w {
+					if len(w[i].Addrs) == 1 && w[i].ActiveLanes() > 1 {
+						s.strided++
+					} else {
+						s.listed += len(w[i].Addrs)
+					}
+				}
+			}
+		}
+	}
+	return s
+}
+
+// chunks is how many arena chunks the trace fills.
+func (s shape) chunks() int {
+	return s.insts/trace.InstChunk + (s.listed+s.strided)/trace.AddrChunk
+}
+
+// TestReadAllocationsTrackStructure: reading a .sgt trace allocates per
+// kernel, per block and per arena chunk, as generating one does
+// (TestGenerateAllocationsTrackStructure), not per line. A kernel pays for
+// its name, launch dimensions, block table and arena; a block for its warp
+// table; the instructions and lane addresses for the arena's chunks, with a
+// quarter more for the tails warps and lanes leave behind. One more
+// allocation per warp breaks the bound for every catalog app; one per
+// instruction line, as parsing through strings did, for every app many
+// times over (GEMM at scale 0.5: 39,026 allocations, 64 now).
+func TestReadAllocationsTrackStructure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, scale := range []float64{0.5, 2} {
+		for _, name := range workload.Names() {
+			app, err := workload.Generate(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := trace.Write(&buf, app); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := trace.Read(bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			s := shapeOf(app)
+			if bound := 32 + 16*s.kernels + 2*s.blocks + 5*s.chunks()/4; allocs > float64(bound) {
+				t.Errorf("%s at scale %g: reading made %.0f allocations for %d kernels, %d blocks, %d instructions; bound %d",
+					name, scale, allocs, s.kernels, s.blocks, s.insts, bound)
+			}
+		}
+	}
+}
+
+// TestTraceBytesTrackStructure holds the bytes generating an app allocates,
+// its trace and the builder's scratch, at scales 0.5, 2 and 4 to 48 per
+// instruction, 8 per listed lane and per strided instruction, 24 per warp
+// and per block (the warp and block tables), and the arena's chunk slack:
+// each kernel's last chunk of each store and its builder's scratch, and
+// per full chunk a tail shorter than the take that did not fit it (a warp
+// of instructions, a warp's lanes). A strided instruction costs one
+// address here where listing its lanes cost up to 32. Any cost per
+// instruction or lane beyond these breaks the bound as the scale grows:
+// an 8-byte word more per trace.Inst breaks it for 16 of the 20 apps at
+// scale 4.
+func TestTraceBytesTrackStructure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	for _, spec := range workload.Catalog() {
+		for _, scale := range []float64{0.5, 2, 4} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			app := spec.Generate(scale)
+			runtime.ReadMemStats(&after)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			s := shapeOf(app)
+			slack := s.kernels*(trace.InstChunk*48+trace.AddrChunk*8+2*48*s.maxWarp) +
+				s.insts/trace.InstChunk*48*s.maxWarp + (s.listed+s.strided)/trace.AddrChunk*8*trace.WarpSize
+			bound := 48*s.insts + 8*(s.listed+s.strided) + 24*(s.warps+s.blocks) + slack + 4096
+			if bytes > uint64(bound) {
+				t.Errorf("%s at scale %g: %d bytes for %d instructions, %d listed lanes, %d strided instructions, %d kernels; bound %d",
+					spec.Name, scale, bytes, s.insts, s.listed, s.strided, s.kernels, bound)
+			}
+		}
 	}
 }

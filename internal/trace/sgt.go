@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The .sgt ("Swift GPU trace") text format:
@@ -30,15 +33,22 @@ func Write(w io.Writer, app *App) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintln(bw, "sgt 1")
 	fmt.Fprintf(bw, "app %s suite %s kernels %d\n", app.Name, app.Suite, len(app.Kernels))
+	// Each line is formatted into line and written whole: formatting
+	// through fmt would box every value, one allocation per lane.
+	var line []byte
 	for _, k := range app.Kernels {
 		fmt.Fprintf(bw, "kernel %s grid %s block %s regs %d shmem %d\n",
 			k.Name, k.Grid, k.Block, k.RegsPerThread, k.SharedMemPerBlock)
 		for bi := range k.Blocks {
-			fmt.Fprintf(bw, "blocktrace %d\n", bi)
+			line = strconv.AppendInt(append(line[:0], "blocktrace "...), int64(bi), 10)
+			bw.Write(append(line, '\n'))
 			for wi, warp := range k.Blocks[bi].Warps {
-				fmt.Fprintf(bw, "warp %d insts %d\n", wi, len(warp))
+				line = strconv.AppendInt(append(line[:0], "warp "...), int64(wi), 10)
+				line = strconv.AppendInt(append(line, " insts "...), int64(len(warp)), 10)
+				bw.Write(append(line, '\n'))
 				for i := range warp {
-					writeInst(bw, &warp[i])
+					line = appendInst(line[:0], &warp[i])
+					bw.Write(line)
 				}
 			}
 		}
@@ -47,12 +57,19 @@ func Write(w io.Writer, app *App) error {
 	return bw.Flush()
 }
 
-func writeInst(bw *bufio.Writer, in *Inst) {
-	fmt.Fprintf(bw, "%d %s %d %d %d %x", in.PC, in.Op, in.Dst, in.Src[0], in.Src[1], in.ActiveMask)
-	for _, a := range in.Addrs {
-		fmt.Fprintf(bw, " %x", a)
+// appendInst appends in's line, with every lane's address listed.
+func appendInst(b []byte, in *Inst) []byte {
+	b = strconv.AppendUint(b, in.PC, 10)
+	b = append(append(b, ' '), in.Op.String()...)
+	for _, r := range [...]Reg{in.Dst, in.Src[0], in.Src[1]} {
+		b = strconv.AppendUint(append(b, ' '), uint64(r), 10)
 	}
-	bw.WriteByte('\n')
+	b = strconv.AppendUint(append(b, ' '), uint64(in.ActiveMask), 16)
+	var lanes [WarpSize]uint64
+	for _, a := range in.Lanes(&lanes) {
+		b = strconv.AppendUint(append(b, ' '), a, 16)
+	}
+	return append(b, '\n')
 }
 
 // WriteFile serializes app to the file at path. Paths ending in ".gz" are
@@ -105,23 +122,70 @@ func ReadFile(path string) (*App, error) {
 	return app, nil
 }
 
+// sgtReader reads a .sgt stream line by line. It parses each line in the
+// scanner's own buffer, split into fields it reuses, so that reading an
+// instruction allocates nothing beyond its share of the kernel's arena.
 type sgtReader struct {
-	sc    *bufio.Scanner
-	line  int
-	arena Arena  // the current kernel's
-	insts []Inst // scratch for the warp being read, reused across warps
+	sc     *bufio.Scanner
+	line   int
+	fields [][]byte // the current line's, valid until the next line is read
+	arena  Arena    // the current kernel's
+	insts  []Inst   // scratch for the warp being read, reused across warps
+	lanes  [WarpSize]uint64
 }
 
-func (r *sgtReader) next() (string, bool) {
+// next reads the next line that is neither blank nor a comment, splits it
+// into r.fields and returns it.
+func (r *sgtReader) next() ([]byte, bool) {
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(r.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
+		r.fields = appendFields(r.fields[:0], line)
 		return line, true
 	}
-	return "", false
+	return nil, false
+}
+
+// appendFields appends the fields of line to dst, split where
+// strings.Fields splits: around each run of Unicode white space.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		c, size := rune(line[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(c) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// is reports whether the current line has n fields whose even-indexed ones
+// (counted from 0) are the keywords kw.
+func (r *sgtReader) is(n int, kw ...string) bool {
+	if len(r.fields) != n {
+		return false
+	}
+	for i, k := range kw {
+		if string(r.fields[2*i]) != k {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *sgtReader) errf(format string, args ...any) error {
@@ -138,7 +202,7 @@ func Read(rd io.Reader) (*App, error) {
 	if !ok {
 		return nil, fmt.Errorf("empty trace")
 	}
-	if header != "sgt 1" {
+	if string(header) != "sgt 1" {
 		return nil, r.errf("bad header %q, want \"sgt 1\"", header)
 	}
 
@@ -146,15 +210,15 @@ func Read(rd io.Reader) (*App, error) {
 	if !ok {
 		return nil, r.errf("missing app line")
 	}
-	f := strings.Fields(line)
-	if len(f) != 6 || f[0] != "app" || f[2] != "suite" || f[4] != "kernels" {
+	if !r.is(6, "app", "suite", "kernels") {
 		return nil, r.errf("malformed app line %q", line)
 	}
-	nKernels, err := strconv.Atoi(f[5])
+	f := r.fields
+	nKernels, err := strconv.Atoi(string(f[5]))
 	if err != nil || nKernels <= 0 {
 		return nil, r.errf("bad kernel count %q", f[5])
 	}
-	app := &App{Name: f[1], Suite: f[3]}
+	app := &App{Name: string(f[1]), Suite: string(f[3])}
 
 	for ki := 0; ki < nKernels; ki++ {
 		k, err := r.readKernel()
@@ -164,7 +228,7 @@ func Read(rd io.Reader) (*App, error) {
 		app.Kernels = append(app.Kernels, k)
 	}
 	end, ok := r.next()
-	if !ok || end != "endapp" {
+	if !ok || string(end) != "endapp" {
 		return nil, r.errf("missing endapp (got %q)", end)
 	}
 	if err := app.Validate(); err != nil {
@@ -178,23 +242,23 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 	if !ok {
 		return nil, r.errf("missing kernel line")
 	}
-	f := strings.Fields(line)
-	if len(f) != 10 || f[0] != "kernel" || f[2] != "grid" || f[4] != "block" || f[6] != "regs" || f[8] != "shmem" {
+	if !r.is(10, "kernel", "grid", "block", "regs", "shmem") {
 		return nil, r.errf("malformed kernel line %q", line)
 	}
-	k := &Kernel{Name: f[1]}
+	f := r.fields
+	k := &Kernel{Name: string(f[1])}
 	r.arena = Arena{}
 	var err error
-	if k.Grid, err = parseDim3(f[3]); err != nil {
+	if k.Grid, err = parseDim3(string(f[3])); err != nil {
 		return nil, r.errf("grid: %v", err)
 	}
-	if k.Block, err = parseDim3(f[5]); err != nil {
+	if k.Block, err = parseDim3(string(f[5])); err != nil {
 		return nil, r.errf("block: %v", err)
 	}
-	if k.RegsPerThread, err = strconv.Atoi(f[7]); err != nil {
+	if k.RegsPerThread, err = strconv.Atoi(string(f[7])); err != nil {
 		return nil, r.errf("regs: %v", err)
 	}
-	if k.SharedMemPerBlock, err = strconv.Atoi(f[9]); err != nil {
+	if k.SharedMemPerBlock, err = strconv.Atoi(string(f[9])); err != nil {
 		return nil, r.errf("shmem: %v", err)
 	}
 
@@ -225,12 +289,11 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 		if !ok {
 			return nil, r.errf("missing blocktrace %d", bi)
 		}
-		bf := strings.Fields(line)
-		if len(bf) != 2 || bf[0] != "blocktrace" {
+		if !r.is(2, "blocktrace") {
 			return nil, r.errf("malformed blocktrace line %q", line)
 		}
-		if idx, err := strconv.Atoi(bf[1]); err != nil || idx != bi {
-			return nil, r.errf("blocktrace index %q, want %d", bf[1], bi)
+		if idx, err := strconv.Atoi(string(r.fields[1])); err != nil || idx != bi {
+			return nil, r.errf("blocktrace index %q, want %d", r.fields[1], bi)
 		}
 		k.Blocks[bi].Warps = make([]WarpTrace, wpb)
 		for wi := 0; wi < wpb; wi++ {
@@ -250,14 +313,14 @@ func (r *sgtReader) readWarp(want int) (WarpTrace, error) {
 	if !ok {
 		return nil, r.errf("missing warp %d header", want)
 	}
-	f := strings.Fields(line)
-	if len(f) != 4 || f[0] != "warp" || f[2] != "insts" {
+	if !r.is(4, "warp", "insts") {
 		return nil, r.errf("malformed warp line %q", line)
 	}
-	if idx, err := strconv.Atoi(f[1]); err != nil || idx != want {
+	f := r.fields
+	if idx, err := strconv.Atoi(string(f[1])); err != nil || idx != want {
 		return nil, r.errf("warp index %q, want %d", f[1], want)
 	}
-	n, err := strconv.Atoi(f[3])
+	n, err := strconv.Atoi(string(f[3]))
 	if err != nil || n <= 0 || n > maxWarpInsts {
 		return nil, r.errf("bad instruction count %q", f[3])
 	}
@@ -272,7 +335,7 @@ func (r *sgtReader) readWarp(want int) (WarpTrace, error) {
 			return nil, r.errf("truncated warp: %d of %d instructions", i, n)
 		}
 		var in Inst
-		if err := parseInst(line, &in, &r.arena); err != nil {
+		if err := r.parseInst(line, &in); err != nil {
 			return nil, r.errf("%v", err)
 		}
 		r.insts = append(r.insts, in)
@@ -303,20 +366,20 @@ func checkDim3(d Dim3, limit int) error {
 	return nil
 }
 
-// parseInst parses one instruction line into in, carving its lane
-// addresses from arena.
-func parseInst(line string, in *Inst, arena *Arena) error {
-	f := strings.Fields(line)
+// parseInst parses the instruction line in r.fields into in, committing
+// its lane addresses to the kernel's arena.
+func (r *sgtReader) parseInst(line []byte, in *Inst) error {
+	f := r.fields
 	if len(f) < 6 {
 		return fmt.Errorf("malformed instruction %q", line)
 	}
-	pc, err := strconv.ParseUint(f[0], 10, 64)
+	pc, err := strconv.ParseUint(string(f[0]), 10, 64)
 	if err != nil {
 		return fmt.Errorf("pc: %v", err)
 	}
-	op, err := ParseOpClass(f[1])
-	if err != nil {
-		return err
+	op, ok := opClassOf(f[1])
+	if !ok {
+		return fmt.Errorf("trace: unknown opcode class %q", f[1])
 	}
 	dst, err := parseReg(f[2])
 	if err != nil {
@@ -330,26 +393,31 @@ func parseInst(line string, in *Inst, arena *Arena) error {
 	if err != nil {
 		return fmt.Errorf("src1: %v", err)
 	}
-	mask, err := strconv.ParseUint(f[5], 16, 32)
+	mask, err := strconv.ParseUint(string(f[5]), 16, 32)
 	if err != nil {
 		return fmt.Errorf("mask: %v", err)
 	}
 	*in = Inst{PC: pc, Op: op, Dst: dst, Src: [2]Reg{s0, s1}, ActiveMask: uint32(mask)}
-	if naddr := len(f) - 6; naddr > 0 {
-		in.Addrs = arena.Addrs(naddr)
-		for i := 0; i < naddr; i++ {
-			a, err := strconv.ParseUint(f[6+i], 16, 64)
-			if err != nil {
-				return fmt.Errorf("addr %d: %v", i, err)
-			}
-			in.Addrs[i] = a
+	naddr := len(f) - 6
+	if naddr == 0 {
+		return nil
+	}
+	// A line lists every active lane's address; one that lists fewer
+	// must not pass for a strided instruction.
+	if naddr != in.ActiveLanes() {
+		return fmt.Errorf("%d addresses for %d active lanes", naddr, in.ActiveLanes())
+	}
+	for i, a := range f[6:] {
+		if r.lanes[i], err = strconv.ParseUint(string(a), 16, 64); err != nil {
+			return fmt.Errorf("addr %d: %v", i, err)
 		}
 	}
+	r.arena.SetLanes(in, r.lanes[:naddr])
 	return nil
 }
 
-func parseReg(s string) (Reg, error) {
-	n, err := strconv.ParseUint(s, 10, 8)
+func parseReg(b []byte) (Reg, error) {
+	n, err := strconv.ParseUint(string(b), 10, 8)
 	if err != nil {
 		return 0, err
 	}

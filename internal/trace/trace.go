@@ -56,12 +56,20 @@ func (op OpClass) String() string {
 
 // ParseOpClass converts a trace-file mnemonic into an OpClass.
 func ParseOpClass(s string) (OpClass, error) {
-	for i, n := range opNames {
-		if n == s {
-			return OpClass(i), nil
-		}
+	if op, ok := opClassOf(s); ok {
+		return op, nil
 	}
 	return 0, fmt.Errorf("trace: unknown opcode class %q", s)
+}
+
+// opClassOf looks a mnemonic up without converting a []byte to a string.
+func opClassOf[T string | []byte](s T) (OpClass, bool) {
+	for i, n := range opNames {
+		if string(s) == n {
+			return OpClass(i), true
+		}
+	}
+	return 0, false
 }
 
 // IsGlobalMem reports whether op accesses global memory.
@@ -108,14 +116,41 @@ type Inst struct {
 	// where it departs from that numbering, as in a sampled kernel) and the
 	// .sgt format does not carry it.
 	MemIndex uint32
-	// Addrs holds one byte address per active lane, in ascending lane
-	// order, for global and shared memory instructions; it is empty for
-	// all other opcode classes.
+	// Stride is the spacing of a strided instruction's lane addresses (see
+	// Addrs); it is 0 for every other instruction.
+	Stride int32
+	// Addrs holds a memory instruction's byte addresses, one per active
+	// lane in ascending lane order, in one of two forms. Listed, it holds
+	// every lane's address. Strided (len(Addrs) == 1 < ActiveLanes()), it
+	// holds lane 0's, and active lane i is at Addrs[0] + i·Stride in
+	// wrapping arithmetic; a Stride of 0 is a broadcast. Lanes returns
+	// either form listed, and Arena.SetLanes picks the form. Addrs is empty
+	// for all other opcode classes.
 	Addrs []uint64
 }
 
 // ActiveLanes returns the number of active lanes.
 func (in Inst) ActiveLanes() int { return bits.OnesCount32(in.ActiveMask) }
+
+// strided reports whether in keeps its lane addresses as Addrs[0] and
+// Stride.
+func (in *Inst) strided() bool { return len(in.Addrs) == 1 && in.ActiveLanes() > 1 }
+
+// Lanes returns in's lane addresses, one per active lane in ascending lane
+// order. A strided instruction's are expanded into buf; a listed one's are
+// Addrs itself. Either way the caller must not modify them.
+func (in *Inst) Lanes(buf *[WarpSize]uint64) []uint64 {
+	if !in.strided() {
+		return in.Addrs
+	}
+	n := in.ActiveLanes()
+	a, s := in.Addrs[0], uint64(int64(in.Stride))
+	for i := range buf[:n] {
+		buf[i] = a
+		a += s
+	}
+	return buf[:n]
+}
 
 // Dim3 is a CUDA-style three-dimensional extent.
 type Dim3 struct {
@@ -249,6 +284,7 @@ func validateWarp(w WarpTrace, next *uint32) error {
 	if len(w) == 0 {
 		return fmt.Errorf("empty warp trace")
 	}
+	var lanes [WarpSize]uint64
 	for i := range w {
 		in := &w[i]
 		if in.Op >= numOpClasses {
@@ -257,8 +293,11 @@ func validateWarp(w WarpTrace, next *uint32) error {
 		if in.ActiveMask == 0 && in.Op != OpExit && in.Op != OpBarrier {
 			return fmt.Errorf("inst %d (%v): zero active mask", i, in.Op)
 		}
+		if in.Stride != 0 && !in.strided() {
+			return fmt.Errorf("inst %d (%v): stride %d with %d addresses listed", i, in.Op, in.Stride, len(in.Addrs))
+		}
 		if in.Op.IsMem() {
-			if got, want := len(in.Addrs), in.ActiveLanes(); got != want {
+			if got, want := len(in.Lanes(&lanes)), in.ActiveLanes(); got != want {
 				return fmt.Errorf("inst %d (%v): %d addresses for %d active lanes", i, in.Op, got, want)
 			}
 			if in.MemIndex != *next {

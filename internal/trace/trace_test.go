@@ -11,16 +11,23 @@ import (
 	"testing/quick"
 )
 
-// tinyApp builds a small, valid application for tests.
+// tinyApp builds a small, valid application for tests. Its lane addresses
+// are committed through an Arena, as both trace producers commit theirs, so
+// its evenly spaced lanes are held strided, as Read returns them.
 func tinyApp() *App {
+	var arena Arena
+	lanes := func(in Inst, addrs ...uint64) Inst {
+		arena.SetLanes(&in, addrs)
+		return in
+	}
 	mkWarp := func(seed uint64) WarpTrace {
 		return WarpTrace{
 			{PC: 0, Op: OpInt, Dst: 1, ActiveMask: 0xffffffff},
-			{PC: 8, Op: OpLoadGlobal, Dst: 2, Src: [2]Reg{1, RegNone}, ActiveMask: 0xf,
-				Addrs: []uint64{seed, seed + 32, seed + 64, seed + 96}},
+			lanes(Inst{PC: 8, Op: OpLoadGlobal, Dst: 2, Src: [2]Reg{1, RegNone}, ActiveMask: 0xf},
+				seed, seed+32, seed+64, seed+96),
 			{PC: 16, Op: OpSP, Dst: 3, Src: [2]Reg{2, 1}, ActiveMask: 0xffffffff},
-			{PC: 24, Op: OpStoreGlobal, Src: [2]Reg{3, RegNone}, ActiveMask: 0x3,
-				Addrs: []uint64{seed + 128, seed + 160}},
+			lanes(Inst{PC: 24, Op: OpStoreGlobal, Src: [2]Reg{3, RegNone}, ActiveMask: 0x3},
+				seed+128, seed+160),
 			{PC: 32, Op: OpBarrier, ActiveMask: 0xffffffff},
 			{PC: 40, Op: OpExit, ActiveMask: 0xffffffff},
 		}
@@ -125,6 +132,10 @@ func TestValidateRejections(t *testing.T) {
 		{"zero mask", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].ActiveMask = 0 }},
 		{"addr count mismatch", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].Addrs = nil }},
 		{"addrs on ALU op", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Addrs = []uint64{1} }},
+		{"stride on listed lanes", func(a *App) {
+			in := &a.Kernels[0].Blocks[0].Warps[0][1]
+			in.Addrs, in.Stride = []uint64{0, 32, 64, 96}, 32
+		}},
 		{"early exit", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][2].Op = OpExit }},
 		{"no exit", func(a *App) {
 			w := a.Kernels[0].Blocks[0].Warps[0]

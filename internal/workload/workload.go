@@ -127,12 +127,15 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 const fullMask = 0xffffffff
 
 // wb builds the warps of one kernel. Each warp is emitted into a scratch
-// slice the builder reuses, and exit keeps an exact-length copy; lane
-// addresses and the kept copies are carved from the kernel's arena. The
-// zero wb is ready to build a kernel's first warp.
+// slice the builder reuses, and exit keeps an exact-length copy; each
+// memory instruction's lane addresses are written into a scratch of one
+// warp's lanes and committed to the kernel's arena as the instruction is
+// emitted, as are the kept copies. The zero wb is ready to build a
+// kernel's first warp.
 type wb struct {
 	arena trace.Arena
 	insts []trace.Inst // the warp being built
+	lanes [trace.WarpSize]uint64
 	pc    uint64
 	regs  uint8 // destination registers handed out in this warp, mod 31
 }
@@ -194,39 +197,40 @@ func (b *wb) aluMasked(op trace.OpClass, mask uint32, srcs ...trace.Reg) trace.R
 	return dst
 }
 
+// mem emits a memory instruction whose active lanes access addrs.
+func (b *wb) mem(in trace.Inst, addrs []uint64) {
+	b.arena.SetLanes(&in, addrs)
+	b.emit(in)
+}
+
 func (b *wb) load(addrs []uint64, addrReg trace.Reg) trace.Reg {
 	dst := b.nextReg()
-	b.emit(trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, Src: [2]trace.Reg{addrReg},
-		ActiveMask: fullMask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, Src: [2]trace.Reg{addrReg}, ActiveMask: fullMask}, addrs)
 	return dst
 }
 
 func (b *wb) loadMasked(mask uint32, addrs []uint64, addrReg trace.Reg) trace.Reg {
 	dst := b.nextReg()
-	b.emit(trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, Src: [2]trace.Reg{addrReg},
-		ActiveMask: mask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, Src: [2]trace.Reg{addrReg}, ActiveMask: mask}, addrs)
 	return dst
 }
 
 func (b *wb) store(addrs []uint64, data trace.Reg) {
-	b.emit(trace.Inst{Op: trace.OpStoreGlobal, Src: [2]trace.Reg{data},
-		ActiveMask: fullMask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpStoreGlobal, Src: [2]trace.Reg{data}, ActiveMask: fullMask}, addrs)
 }
 
 func (b *wb) storeMasked(mask uint32, addrs []uint64, data trace.Reg) {
-	b.emit(trace.Inst{Op: trace.OpStoreGlobal, Src: [2]trace.Reg{data},
-		ActiveMask: mask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpStoreGlobal, Src: [2]trace.Reg{data}, ActiveMask: mask}, addrs)
 }
 
 func (b *wb) shLoad(addrs []uint64) trace.Reg {
 	dst := b.nextReg()
-	b.emit(trace.Inst{Op: trace.OpLoadShared, Dst: dst, ActiveMask: fullMask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpLoadShared, Dst: dst, ActiveMask: fullMask}, addrs)
 	return dst
 }
 
 func (b *wb) shStore(addrs []uint64, data trace.Reg) {
-	b.emit(trace.Inst{Op: trace.OpStoreShared, Src: [2]trace.Reg{data},
-		ActiveMask: fullMask, Addrs: addrs})
+	b.mem(trace.Inst{Op: trace.OpStoreShared, Src: [2]trace.Reg{data}, ActiveMask: fullMask}, addrs)
 }
 
 func (b *wb) barrier() {
@@ -239,13 +243,14 @@ func (b *wb) exit() trace.WarpTrace {
 }
 
 // ---------------------------------------------------------------------------
-// Address-pattern helpers. Each carves exactly one address per active lane
-// from the kernel's arena.
+// Address-pattern helpers. Each writes exactly one address per active lane
+// into the builder's lane scratch and returns it, for the memory
+// instruction it is passed to: the next helper call overwrites it.
 
 // coalesced returns perfectly coalesced lane addresses: lane i accesses
 // base + i*width (width 4 = dense fp32 array).
 func (b *wb) coalesced(base uint64, width uint64) []uint64 {
-	a := b.arena.Addrs(trace.WarpSize)
+	a := b.lanes[:]
 	for i := range a {
 		a[i] = base + uint64(i)*width
 	}
@@ -254,7 +259,7 @@ func (b *wb) coalesced(base uint64, width uint64) []uint64 {
 
 // coalescedMasked is coalesced for the active lanes of mask only.
 func (b *wb) coalescedMasked(mask uint32, base uint64, width uint64) []uint64 {
-	a := b.arena.Addrs(bits.OnesCount32(mask))[:0]
+	a := b.lanes[:0:bits.OnesCount32(mask)]
 	for i := 0; i < trace.WarpSize; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			a = append(a, base+uint64(i)*width)
@@ -266,7 +271,7 @@ func (b *wb) coalescedMasked(mask uint32, base uint64, width uint64) []uint64 {
 // strided returns lane addresses with a large stride (uncoalesced,
 // column-major style): lane i accesses base + i*stride.
 func (b *wb) strided(base, stride uint64) []uint64 {
-	a := b.arena.Addrs(trace.WarpSize)
+	a := b.lanes[:]
 	for i := range a {
 		a[i] = base + uint64(i)*stride
 	}
@@ -277,7 +282,7 @@ func (b *wb) strided(base, stride uint64) []uint64 {
 // [base, base+size), 4-byte aligned — the access pattern of graph
 // workloads.
 func (b *wb) gather(r *rng, base, size uint64) []uint64 {
-	a := b.arena.Addrs(trace.WarpSize)
+	a := b.lanes[:]
 	for i := range a {
 		a[i] = base + (r.next()%(size/4))*4
 	}
@@ -286,7 +291,7 @@ func (b *wb) gather(r *rng, base, size uint64) []uint64 {
 
 // gatherMasked is gather over the active lanes only.
 func (b *wb) gatherMasked(r *rng, mask uint32, base, size uint64) []uint64 {
-	a := b.arena.Addrs(bits.OnesCount32(mask))[:0]
+	a := b.lanes[:0:bits.OnesCount32(mask)]
 	for i := 0; i < trace.WarpSize; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			a = append(a, base+(r.next()%(size/4))*4)
@@ -298,7 +303,7 @@ func (b *wb) gatherMasked(r *rng, mask uint32, base, size uint64) []uint64 {
 // broadcast returns the same address for every lane (fully merged by the
 // coalescer into one sector).
 func (b *wb) broadcast(base uint64) []uint64 {
-	a := b.arena.Addrs(trace.WarpSize)
+	a := b.lanes[:]
 	for i := range a {
 		a[i] = base
 	}
@@ -308,7 +313,7 @@ func (b *wb) broadcast(base uint64) []uint64 {
 // shBank returns shared-memory addresses spread across banks
 // (conflict-free when stride is 4).
 func (b *wb) shBank(base uint64, stride uint64) []uint64 {
-	a := b.arena.Addrs(trace.WarpSize)
+	a := b.lanes[:]
 	for i := range a {
 		a[i] = base + uint64(i)*stride
 	}
