@@ -63,7 +63,7 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id": sw.ID(), "jobs": len(sw.jobs),
+			"id": sw.ID(), "jobs": sw.total,
 		})
 	})
 

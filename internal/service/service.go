@@ -205,9 +205,15 @@ type job struct {
 
 // Sweep is one submitted sweep. All mutable state is guarded by mu;
 // waiters block on cond (broadcast on every event and at completion).
+//
+// A finished sweep keeps only what its endpoints serve: each job's status,
+// the events and the result bytes, which it shares with every other sweep
+// the store served them to. runSweep releases the resolved jobs, whose
+// traces and configurations a retained sweep has no use for.
 type Sweep struct {
 	id         string
-	jobs       []job
+	total      int   // the sweep's job count
+	jobs       []job // the resolved jobs, runSweep's alone; nil once it is done
 	jobTimeout time.Duration
 	failFast   bool
 	trace      *obs.Tracer // nil records nothing
@@ -328,6 +334,7 @@ func (s *Service) Submit(spec Spec) (*Sweep, error) {
 	s.nextID++
 	sw := &Sweep{
 		id:         fmt.Sprintf("s%d", s.nextID),
+		total:      len(jobs),
 		jobs:       jobs,
 		jobTimeout: timeout,
 		failFast:   spec.FailFast,
@@ -615,6 +622,7 @@ func (s *Service) runSweep(sw *Sweep) {
 		s.board.Post(p.j, p.w)
 	}
 	wg.Wait()
+	sw.jobs = nil
 
 	// Retention first, so whoever sees the tally also sees its effect.
 	s.mu.Lock()
@@ -628,7 +636,7 @@ func (s *Service) runSweep(sw *Sweep) {
 	sw.mu.Lock()
 	sw.done = true
 	sw.appendEventLocked(Event{
-		Type: "sweep", Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: len(sw.jobs),
+		Type: "sweep", Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
 	})
 	sw.mu.Unlock()
 
@@ -645,7 +653,7 @@ func (s *Service) startJob(sw *Sweep, i int) {
 	sw.appendEventLocked(Event{
 		Type: "job", Job: i, App: st.App, GPU: st.GPU, Sim: st.Sim,
 		State: StateRunning,
-		Done:  sw.okJobs + sw.failed, Failed: sw.failed, Total: len(sw.jobs),
+		Done:  sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
 	})
 	sw.mu.Unlock()
 }
@@ -673,7 +681,7 @@ func (s *Service) finishJob(sw *Sweep, i int, val []byte, err error, cached bool
 	ev := Event{
 		Type: "job", Job: i, App: st.App, GPU: st.GPU, Sim: st.Sim,
 		State: st.State, Cached: st.Cached, Error: st.Error,
-		Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: len(sw.jobs),
+		Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
 	}
 	sw.appendEventLocked(ev)
 	sw.mu.Unlock()
@@ -696,7 +704,7 @@ func (sw *Sweep) Status() Status {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	st := Status{
-		ID: sw.id, Done: sw.done, Total: len(sw.jobs),
+		ID: sw.id, Done: sw.done, Total: sw.total,
 		Ok: sw.okJobs, Failed: sw.failed,
 		Jobs: append([]JobStatus(nil), sw.status...),
 	}

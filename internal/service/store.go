@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -9,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"swiftsim/internal/memo"
 )
 
 // Store is the service's content-addressed blob store: immutable byte
@@ -24,12 +27,33 @@ import (
 // of ever serving bad bytes. Writes are atomic (tmp + rename) and
 // idempotent — putting a blob that already exists is a no-op — so any
 // number of daemons and workers can share a directory safely.
+//
+// In memory the store is content-addressed too: Get reads each blob into a
+// pooled buffer, and once it is verified returns the one copy the store
+// holds for that hash, copying only a hash it does not hold yet. Every
+// sweep served a result therefore shares its bytes, so what a long-lived
+// daemon holds follows its distinct results, not the sweeps it has served.
 type Store struct {
 	dir string
+
+	// held is the retained copy of each blob Get has served, by hash,
+	// bounded by its bytes (maxHeldBytes). Every copy has cap == len, so no
+	// caller can append into another's bytes.
+	held *memo.Memo[string, []byte]
+	// bufs are the read buffers Get verifies a blob in before it looks its
+	// copy up: a blob already held costs no allocation of its size.
+	bufs sync.Pool
 
 	mu    sync.Mutex
 	stats StoreStats
 }
+
+// maxHeldBytes bounds the copies Store.held retains. The daemon keeps 256
+// finished sweeps (maxFinishedSweeps) of at most a default queue depth's 64
+// jobs, and a canonical result weighs about 1 KB, so 16 MiB holds every
+// result those sweeps can serve. A copy evicted past the bound is still
+// shared by the sweeps that hold it; the next Get of its hash makes another.
+const maxHeldBytes = 16 << 20
 
 // StoreStats counts blob-store outcomes since process start.
 type StoreStats struct {
@@ -79,7 +103,11 @@ func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: store dir: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{
+		dir:  dir,
+		held: memo.New[string](maxHeldBytes, func(b []byte) int { return len(b) }),
+		bufs: sync.Pool{New: func() any { return new(bytes.Buffer) }},
+	}, nil
 }
 
 // path maps a hash to its blob file.
@@ -125,12 +153,18 @@ func (st *Store) Put(data []byte) (string, error) {
 // that fails verification is evicted from disk and reported as
 // ErrBlobCorrupt — the caller treats it as a miss and recomputes, never
 // serving bad bytes.
+//
+// Every call reads and verifies the disk copy. The bytes returned are the
+// store's one copy for hash, shared with every other caller, so they must
+// not be modified; their capacity is their length.
 func (st *Store) Get(hash string) ([]byte, error) {
 	if !validBlobHash(hash) {
 		return nil, fmt.Errorf("%w: malformed hash %q", ErrBlobNotFound, hash)
 	}
-	data, err := os.ReadFile(st.path(hash))
-	if err != nil {
+	buf := st.bufs.Get().(*bytes.Buffer)
+	defer st.bufs.Put(buf)
+	buf.Reset()
+	if err := readInto(buf, st.path(hash)); err != nil {
 		// The cause stays inspectable (errors.Is(err, fs.ErrNotExist)),
 		// without the store's directory, which HTTP clients would see.
 		var pe *fs.PathError
@@ -139,13 +173,40 @@ func (st *Store) Get(hash string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: %s: %w", ErrBlobNotFound, hash, err)
 	}
-	if BlobHash(data) != hash {
+	data := buf.Bytes()
+	if !hashes(data, hash) {
 		os.Remove(st.path(hash))
 		st.count(func(s *StoreStats) { s.Corrupt++ })
 		return nil, fmt.Errorf("%w: %s", ErrBlobCorrupt, hash)
 	}
+	held := st.held.Get(hash, func(string) []byte {
+		held := make([]byte, len(data))
+		copy(held, data)
+		return held
+	})
 	st.count(func(s *StoreStats) { s.Gets++ })
-	return data, nil
+	return held, nil
+}
+
+// readInto appends the file at path to buf.
+func readInto(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	_, err = buf.ReadFrom(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// hashes reports whether data's content hash is hash, without allocating.
+func hashes(data []byte, hash string) bool {
+	sum := sha256.Sum256(data)
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], sum[:])
+	return string(name[:]) == hash
 }
 
 // count mutates the stats under the lock.

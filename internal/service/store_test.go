@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestStorePutGetRoundTrip(t *testing.T) {
@@ -142,5 +143,45 @@ func TestStoreGetMissing(t *testing.T) {
 	}
 	if _, err := st.Get(hash); !errors.Is(err, ErrBlobNotFound) || errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("Get of an unreadable blob = %v, want ErrBlobNotFound not wrapping fs.ErrNotExist", err)
+	}
+}
+
+// TestStoreGetSharesOneCopy: every Get of a hash returns the store's one copy
+// of the blob, with cap == len, and still reads and verifies the disk copy:
+// a held blob corrupted on disk is evicted, and a deleted one is not found.
+func TestStoreGetSharesOneCopy(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("canonical result")
+	hash, err := st.Put(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, errA := st.Get(hash)
+	b, errB := st.Get(hash)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if unsafe.SliceData(a) != unsafe.SliceData(b) || cap(a) != len(a) || string(a) != string(data) {
+		t.Errorf("two Gets returned %q at %p (cap %d) and %p, want one copy of %q with cap == len",
+			a, unsafe.SliceData(a), cap(a), unsafe.SliceData(b), data)
+	}
+	if unsafe.SliceData(a) == unsafe.SliceData(data) {
+		t.Error("Get returned the caller's Put slice, want the store's own copy")
+	}
+
+	if err := os.WriteFile(st.path(hash), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(hash); !errors.Is(err, ErrBlobCorrupt) {
+		t.Errorf("Get of a held blob corrupted on disk: %v, want ErrBlobCorrupt", err)
+	}
+	if _, err := st.Get(hash); !errors.Is(err, ErrBlobNotFound) || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Get of an evicted held blob: %v, want ErrBlobNotFound wrapping fs.ErrNotExist", err)
+	}
+	if s := st.Stats(); s.Gets != 2 || s.Corrupt != 1 {
+		t.Errorf("stats = %+v, want 2 gets, 1 corrupt", s)
 	}
 }
