@@ -18,8 +18,10 @@ import (
 // place of a field list of its own; schema 5 hashes a config.Marshal text
 // without sm.warp_size, l1.streaming and l2.streaming; schema 6 hashes an
 // Identity without maxcycles, latencyscale and overhead, whose hit-rate
-// source is FunctionalCaches for every kind but Memory.
-const keySchema = "swiftsim-service-key 6"
+// source is FunctionalCaches for every kind but Memory; schema 7 hashes a
+// trace content hash that hashes evenly spaced lanes as lane 0 and a stride
+// ("swiftsim-trace-hash 2").
+const keySchema = "swiftsim-service-key 7"
 
 // jobKey derives the persistent cache key of one simulation job. Two jobs
 // share a key exactly when they are guaranteed byte-identical canonical

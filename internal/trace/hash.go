@@ -10,7 +10,10 @@ import (
 
 // ContentHash returns a SHA-256 digest over an application's full semantic
 // content: names, every kernel's launch geometry and resource footprint,
-// and every instruction of every warp including per-lane addresses. Two
+// and every instruction of every warp including per-lane addresses. The
+// lanes are hashed as Arena.SetLanes would store them, evenly spaced ones
+// as lane 0 and a stride, so an instruction hashes alike in either lane
+// form and a strided one is not expanded to be hashed. Two
 // apps with equal content hash simulate identically under every
 // configuration, regardless of how (or how many times) the trace was
 // parsed or generated — which is exactly what pointer identity cannot
@@ -65,7 +68,7 @@ func weighOne([32]byte) int { return 1 }
 // follow the last kernel: each kernel's encoding is self-delimiting, so the
 // trailer cannot collide with a trace that has none.
 func computeContentHash(a *App) [32]byte {
-	w := newWalker("swiftsim-trace-hash 1", true, true)
+	w := newWalker("swiftsim-trace-hash 2", true, true)
 	w.str(a.Name)
 	w.str(a.Suite)
 	w.u32(uint32(len(a.Kernels)))
@@ -138,7 +141,6 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 	// append costs the walk about a tenth.
 	le, buf := binary.LittleEndian, w.buf
 	var next uint32
-	var lanes [WarpSize]uint64
 	for bi := range k.Blocks {
 		b := &k.Blocks[bi]
 		buf = le.AppendUint32(buf, uint32(len(b.Warps)))
@@ -153,12 +155,13 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 				buf = le.AppendUint64(buf, in.PC)
 				buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src[0]), byte(in.Src[1]))
 				buf = le.AppendUint32(buf, in.ActiveMask)
-				addrs := in.Lanes(&lanes)
-				buf = le.AppendUint32(buf, uint32(len(addrs)))
-				if w.addrs {
-					for _, addr := range addrs {
-						buf = le.AppendUint64(buf, addr)
-					}
+				n, strided := len(in.Addrs), in.strided()
+				if strided {
+					n = in.ActiveLanes()
+				}
+				buf = le.AppendUint32(buf, uint32(n))
+				if w.addrs && n > 0 {
+					buf = appendLanes(buf, in, n, strided)
 				}
 				if len(buf) >= 1<<15-64 {
 					w.d.Write(buf)
@@ -169,6 +172,33 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 	}
 	w.buf = buf
 	return renumbered
+}
+
+// Lane forms in the content hash: the byte after a lane count.
+const (
+	hashListed  = 0
+	hashStrided = 1
+)
+
+// appendLanes appends the n lanes of in, strided or listed as the lane form
+// byte says: lane 0 and the stride when strideOf accepts them, as it does
+// every strided instruction's and a listed instruction's that SetLanes
+// would have kept strided, else every listed address.
+func appendLanes(buf []byte, in *Inst, n int, strided bool) []byte {
+	le, s := binary.LittleEndian, in.Stride
+	if !strided && n == in.ActiveLanes() {
+		s, strided = strideOf(in.Addrs)
+	}
+	if strided {
+		buf = append(buf, hashStrided)
+		buf = le.AppendUint64(buf, in.Addrs[0])
+		return le.AppendUint32(buf, uint32(s))
+	}
+	buf = append(buf, hashListed)
+	for _, addr := range in.Addrs {
+		buf = le.AppendUint64(buf, addr)
+	}
+	return buf
 }
 
 // memIndices digests the MemIndex of k's memory instructions in order.

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // hashTestApp builds a small two-kernel app exercising every hashed field.
 func hashTestApp() *App {
@@ -160,5 +163,78 @@ func TestContentHashMemoBounded(t *testing.T) {
 	}
 	if ContentHash(first) != want || hashMemo.Stats().Computes == before {
 		t.Error("the oldest digest was not evicted, or came back changed")
+	}
+}
+
+// TestContentHashLaneForms: an instruction's lanes hash alike kept strided
+// and listed, for strides up, down, zero (a broadcast) and wrapping past
+// the top of the address space, and a changed base, stride or lane count
+// moves the hash in either form. The launch key, which hashes no address,
+// is the same for both forms as well.
+func TestContentHashLaneForms(t *testing.T) {
+	appOf := func(in Inst) *App {
+		k := &Kernel{
+			Name: "k", Grid: Dim3{X: 1, Y: 1, Z: 1}, Block: Dim3{X: 32, Y: 1, Z: 1},
+			Blocks: []BlockTrace{{Warps: []WarpTrace{{in, {PC: 8, Op: OpExit, ActiveMask: 0xffffffff}}}}},
+		}
+		return &App{Name: "LANES", Suite: "test", Kernels: []*Kernel{k}}
+	}
+	load := func(mask uint32) Inst { return Inst{Op: OpLoadGlobal, Dst: 1, ActiveMask: mask} }
+	strided := func(mask uint32, base uint64, stride int32) *App {
+		in := load(mask)
+		in.Addrs, in.Stride = []uint64{base}, stride
+		return appOf(in)
+	}
+	listed := func(mask uint32, base uint64, stride int32) *App {
+		in := load(mask)
+		for i := 0; i < in.ActiveLanes(); i++ {
+			in.Addrs = append(in.Addrs, base+uint64(i)*uint64(int64(stride)))
+		}
+		return appOf(in)
+	}
+	for _, c := range []struct {
+		name   string
+		mask   uint32
+		base   uint64
+		stride int32
+	}{
+		{"coalesced", 0xffffffff, 0x1000, 4},
+		{"broadcast", 0xffffffff, 0x40, 0},
+		{"negative", 0x0f0f0f0f, 0x2000, -8},
+		{"wrapping", 0xffff0000, ^uint64(0) - 15, 4},
+		{"two lanes", 0x11, 0x100, 1 << 30},
+	} {
+		h := computeContentHash(strided(c.mask, c.base, c.stride))
+		if got := computeContentHash(listed(c.mask, c.base, c.stride)); got != h {
+			t.Errorf("%s: listed lanes hash %x, strided %x", c.name, got[:4], h[:4])
+		}
+		if a, b := strided(c.mask, c.base, c.stride), listed(c.mask, c.base, c.stride); computeLaunchKey(a.Kernels[0]) != computeLaunchKey(b.Kernels[0]) {
+			t.Errorf("%s: the two forms have different launch keys", c.name)
+		}
+		fewer := c.mask &^ (1 << 31 >> bits.LeadingZeros32(c.mask))
+		for what, moved := range map[string][2]*App{
+			"base":       {strided(c.mask, c.base+4, c.stride), listed(c.mask, c.base+4, c.stride)},
+			"stride":     {strided(c.mask, c.base, c.stride+4), listed(c.mask, c.base, c.stride+4)},
+			"lane count": {strided(fewer, c.base, c.stride), listed(fewer, c.base, c.stride)},
+		} {
+			for form, a := range moved {
+				if computeContentHash(a) == h {
+					t.Errorf("%s: a changed %s leaves the hash of form %d unmoved", c.name, what, form)
+				}
+			}
+		}
+	}
+
+	// Lanes that are not evenly spaced, or whose stride does not fit an
+	// int32, are hashed listed: each differs from its strided near miss.
+	scatter := load(0x7)
+	scatter.Addrs = []uint64{0x100, 0x104, 0x10c}
+	if computeContentHash(appOf(scatter)) == computeContentHash(strided(0x7, 0x100, 4)) {
+		t.Error("a scatter hashes like the strided lanes it starts as")
+	}
+	wide := load(0x3)
+	wide.Addrs = []uint64{0, 1 << 40}
+	if computeContentHash(appOf(wide)) == computeContentHash(strided(0x3, 0, 0)) {
+		t.Error("lanes spaced beyond an int32 hash like a broadcast")
 	}
 }

@@ -19,11 +19,12 @@ import (
 
 var updateHashes = flag.Bool("update-hashes", false, "rewrite testdata/content_hashes.txt and testdata/sgt_hashes.txt (only from a tree whose traces are known good)")
 
-// TestDigestsPinned pins both digests of one catalog app to the values the
-// two separate walkers produced before they were folded into one, and the
-// ContentHash of every catalog app at scales 0.25 and 0.5 to
-// testdata/content_hashes.txt. The digests key the profile memo, the
-// service cache and the sampled-launch memo, so neither a change to the
+// TestDigestsPinned pins one catalog app's launch keys to the values the
+// two separate walkers produced before they were folded into one, its
+// ContentHash to the value since lanes are hashed as stored ("swiftsim-
+// trace-hash 2"), and the ContentHash of every catalog app at scales 0.25
+// and 0.5 to testdata/content_hashes.txt. The digests key the profile memo,
+// the service cache and the sampled-launch memo, so neither a change to the
 // walker nor one to how a generator or the .sgt reader lays a trace out in
 // memory may move a bit of them.
 func TestDigestsPinned(t *testing.T) {
@@ -40,7 +41,7 @@ func TestDigestsPinned(t *testing.T) {
 		got  [32]byte
 		want string
 	}{
-		{"ContentHash", trace.ContentHash(app), "a765901ebfe19d6820770d2093daf6c7ce1d0f097e10977e4eea4f73cdff67b4"},
+		{"ContentHash", trace.ContentHash(app), "d192e77b5a94089c8e32a8de13da173ea883591c69a5947588e325003cd4d960"},
 		{"LaunchKey(first)", trace.LaunchKey(app.Kernels[0]), "74d205f1ce04380e1e931cab4a4aae8d2f739d32de76b2c4ef23759138342b17"},
 		{"LaunchKey(last)", trace.LaunchKey(app.Kernels[3]), "cbcf4dc4c6f29a061f65f3247ede2cfd4b8f3104f101075c4377d3e5e5f5f8a9"},
 	} {
