@@ -2,11 +2,13 @@ package trace
 
 import "swiftsim/internal/mem"
 
-// Arena carves one kernel's warp instruction streams and lane addresses
-// from two chunked backing stores (mem.Slab), so that building a kernel
-// costs a few allocations per chunk instead of one per instruction, and
-// keeps an evenly spaced instruction's lanes as one address and a stride.
-// Both trace producers use it: the workload generators and the .sgt reader.
+// Arena carves one app's warp instruction streams and lane addresses, all
+// its kernels', from two chunked backing stores (mem.Slab), so that
+// building a trace costs a few allocations per chunk instead of one per
+// instruction, and keeps an evenly spaced instruction's lanes as one
+// address and a stride. Both trace producers use one per app: the workload
+// generators and the .sgt reader. An app's only partly filled chunks are
+// its last of each store.
 //
 // Every slice it returns has its capacity clamped to its length, so an
 // append to an Inst.Addrs or a WarpTrace reallocates instead of writing
@@ -23,7 +25,7 @@ type Arena struct {
 // Chunk sizes in elements: 48 KiB of instructions, 64 KiB of addresses.
 // A take that the current chunk's tail cannot hold abandons that tail,
 // which is shorter than the take (a warp, or one instruction's lanes), and
-// a kernel's last chunks are at most these sizes.
+// an app's last chunks are at most these sizes.
 const (
 	instChunk = 1024
 	addrChunk = 8192

@@ -260,12 +260,13 @@ func (s shape) chunks() int {
 // TestReadAllocationsTrackStructure: reading a .sgt trace allocates per
 // kernel, per block and per arena chunk, as generating one does
 // (TestGenerateAllocationsTrackStructure), not per line. A kernel pays for
-// its name, launch dimensions, block table and arena; a block for its warp
-// table; the instructions and lane addresses for the arena's chunks, with a
-// quarter more for the tails warps and lanes leave behind. One more
-// allocation per warp breaks the bound for every catalog app; one per
-// instruction line, as parsing through strings did, for every app many
-// times over (GEMM at scale 0.5: 39,026 allocations, 64 now).
+// its name, launch dimensions and block table; a block for its warp table;
+// the instructions and lane addresses for the chunks of the app's one
+// arena, with a quarter more for the tails warps and lanes leave behind.
+// One more allocation per warp breaks the bound for every catalog app; one
+// per instruction line, as parsing through strings did, for every app many
+// times over (GEMM at scale 0.5: 39,026 allocations, 64 before its kernels
+// shared an arena).
 func TestReadAllocationsTrackStructure(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -299,13 +300,14 @@ func TestReadAllocationsTrackStructure(t *testing.T) {
 // its trace and the builder's scratch, at scales 0.5, 2 and 4 to 48 per
 // instruction, 8 per listed lane and per strided instruction, 24 per warp
 // and per block (the warp and block tables), and the arena's chunk slack:
-// each kernel's last chunk of each store and its builder's scratch, and
-// per full chunk a tail shorter than the take that did not fit it (a warp
-// of instructions, a warp's lanes). A strided instruction costs one
-// address here where listing its lanes cost up to 32. Any cost per
-// instruction or lane beyond these breaks the bound as the scale grows:
-// an 8-byte word more per trace.Inst breaks it for 16 of the 20 apps at
-// scale 4.
+// the app's last chunk of each store and its builder's scratch, once per
+// app since its kernels share them, and per full chunk a tail shorter than
+// the take that did not fit it (a warp of instructions, a warp's lanes). A
+// strided instruction costs one address here where listing its lanes cost
+// up to 32. Any cost per instruction or lane beyond these breaks the bound
+// as the scale grows: an 8-byte word more per trace.Inst broke it for 16 of
+// the 20 apps at scale 4 when the slack was per kernel, and an arena and
+// builder per kernel break it for 21 of the 60 rows.
 func TestTraceBytesTrackStructure(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
@@ -318,7 +320,7 @@ func TestTraceBytesTrackStructure(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes := after.TotalAlloc - before.TotalAlloc
 			s := shapeOf(app)
-			slack := s.kernels*(trace.InstChunk*48+trace.AddrChunk*8+2*48*s.maxWarp) +
+			slack := trace.InstChunk*48 + trace.AddrChunk*8 + 2*48*s.maxWarp +
 				s.insts/trace.InstChunk*48*s.maxWarp + (s.listed+s.strided)/trace.AddrChunk*8*trace.WarpSize
 			bound := 48*s.insts + 8*(s.listed+s.strided) + 24*(s.warps+s.blocks) + slack + 4096
 			if bytes > uint64(bound) {

@@ -129,7 +129,7 @@ type sgtReader struct {
 	sc     *bufio.Scanner
 	line   int
 	fields [][]byte // the current line's, valid until the next line is read
-	arena  Arena    // the current kernel's
+	arena  Arena    // the app's, shared by its kernels
 	insts  []Inst   // scratch for the warp being read, reused across warps
 	lanes  [WarpSize]uint64
 }
@@ -247,7 +247,6 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 	}
 	f := r.fields
 	k := &Kernel{Name: string(f[1])}
-	r.arena = Arena{}
 	var err error
 	if k.Grid, err = parseDim3(string(f[3])); err != nil {
 		return nil, r.errf("grid: %v", err)

@@ -44,13 +44,14 @@ func registerRodinia() {
 		Name: "BFS", Suite: "Rodinia",
 		Description: "level-synchronous breadth-first search: divergent gathers over CSR arrays",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
 			var kernels []*trace.Kernel
 			// Each BFS level is one kernel; frontier shrinks/grows.
 			fracs := []float64{0.9, 0.5, 0.25, 0.6}
 			for lvl, frac := range fracs {
 				r := newRNG(uint64(0xBF5 + lvl))
-				k := kernel1D(fmt.Sprintf("bfs_level%d", lvl), blocks, 256, 24, 0,
+				k := kernel1D(b, fmt.Sprintf("bfs_level%d", lvl), blocks, 256, 24, 0,
 					func(b *wb, block, warp int) {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
 						tid := b.alu(trace.OpInt)
@@ -74,8 +75,9 @@ func registerRodinia() {
 		Name: "HOTSPOT", Suite: "Rodinia",
 		Description: "2D thermal stencil with shared-memory tiles and halo reuse",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(24, scale, 2)
-			k := kernel1D("hotspot_stencil", blocks, 256, 30, 4096,
+			k := kernel1D(b, "hotspot_stencil", blocks, 256, 30, 4096,
 				func(b *wb, block, warp int) {
 					row := uint64(arrA + (block*256+warp*32)*4)
 					// Load tile + halo into shared memory.
@@ -104,9 +106,10 @@ func registerRodinia() {
 		Name: "NW", Suite: "Rodinia", MemoryBound: true,
 		Description: "Needleman-Wunsch wavefront: strided matrix sweeps, minimal reuse",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(12, scale, 2)
 			mk := func(name string, pass int) *trace.Kernel {
-				return kernel1D(name, blocks, 128, 28, 2048,
+				return kernel1D(b, name, blocks, 128, 28, 2048,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA + pass*0x400_0000 + (block*16+warp)*65536)
 						b.loop(20, func(d int) {
@@ -129,8 +132,9 @@ func registerRodinia() {
 		Name: "PATHFINDER", Suite: "Rodinia",
 		Description: "dynamic-programming row relaxation with neighbour reuse",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(20, scale, 2)
-			k := kernel1D("pathfinder_rows", blocks, 256, 20, 2048,
+			k := kernel1D(b, "pathfinder_rows", blocks, 256, 20, 2048,
 				func(b *wb, block, warp int) {
 					base := uint64(arrA + (block*2048+warp*256)*4)
 					prev := b.load(b.coalesced(base, 4), 0)
@@ -152,9 +156,10 @@ func registerRodinia() {
 		Name: "SRAD", Suite: "Rodinia",
 		Description: "speckle-reducing anisotropic diffusion: stencil + transcendental-heavy updates",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(20, scale, 2)
 			mk := func(name string, phase int) *trace.Kernel {
-				return kernel1D(name, blocks, 256, 32, 0,
+				return kernel1D(b, name, blocks, 256, 32, 0,
 					func(b *wb, block, warp int) {
 						// 2D stencil over row-major tiles: each warp
 						// sweeps down its column slice reading the
@@ -184,8 +189,9 @@ func registerRodinia() {
 		Name: "BACKPROP", Suite: "Rodinia",
 		Description: "MLP back-propagation: dense matvec layers with SFU activations",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
-			fwd := kernel1D("backprop_forward", blocks, 256, 26, 8192,
+			fwd := kernel1D(b, "backprop_forward", blocks, 256, 26, 8192,
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(14, func(i int) {
@@ -196,7 +202,7 @@ func registerRodinia() {
 					act := b.alu(trace.OpSFU, acc)
 					b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), act)
 				})
-			bwd := kernel1D("backprop_adjust", blocks, 256, 26, 8192,
+			bwd := kernel1D(b, "backprop_adjust", blocks, 256, 26, 8192,
 				func(b *wb, block, warp int) {
 					g := b.load(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), 0)
 					b.loop(10, func(i int) {
@@ -213,10 +219,11 @@ func registerRodinia() {
 		Name: "GAUSSIAN", Suite: "Rodinia",
 		Description: "Gaussian elimination: shrinking row updates, broadcast pivot reads",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(12, scale, 2)
 			var kernels []*trace.Kernel
 			for step := 0; step < 3; step++ {
-				k := kernel1D(fmt.Sprintf("gaussian_step%d", step), blocks, 128, 22, 0,
+				k := kernel1D(b, fmt.Sprintf("gaussian_step%d", step), blocks, 128, 22, 0,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA + (block*512+warp*64)*4)
 						piv := b.load(b.broadcast(uint64(arrB+step*256)), 0)
@@ -238,8 +245,8 @@ func registerRodinia() {
 // Polybench
 
 func registerPolybench() {
-	gemmLike := func(name string, blocks int, depth int) *trace.Kernel {
-		return kernel1D(name, blocks, 256, 32, 8192,
+	gemmLike := func(b *wb, name string, blocks int, depth int) *trace.Kernel {
+		return kernel1D(b, name, blocks, 256, 32, 8192,
 			func(b *wb, block, warp int) {
 				acc := b.alu(trace.OpSP)
 				b.loop(depth, func(t int) {
@@ -265,7 +272,8 @@ func registerPolybench() {
 		Name: "GEMM", Suite: "Polybench",
 		Description: "dense matrix multiply with shared-memory tiling",
 		Generate: func(scale float64) *trace.App {
-			return app("GEMM", "Polybench", gemmLike("gemm", scaleDim(16, scale, 2), 10))
+			b := new(wb)
+			return app("GEMM", "Polybench", gemmLike(b, "gemm", scaleDim(16, scale, 2), 10))
 		},
 	})
 
@@ -273,9 +281,10 @@ func registerPolybench() {
 		Name: "2MM", Suite: "Polybench",
 		Description: "two chained dense matrix multiplies",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(12, scale, 2)
 			return app("2MM", "Polybench",
-				gemmLike("mm1", blocks, 8), gemmLike("mm2", blocks, 8))
+				gemmLike(b, "mm1", blocks, 8), gemmLike(b, "mm2", blocks, 8))
 		},
 	})
 
@@ -283,8 +292,9 @@ func registerPolybench() {
 		Name: "ATAX", Suite: "Polybench",
 		Description: "A^T A x: two matvec passes, row-major then column-major",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
-			rowPass := kernel1D("atax_ax", blocks, 256, 24, 0,
+			rowPass := kernel1D(b, "atax_ax", blocks, 256, 24, 0,
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(12, func(i int) {
@@ -294,7 +304,7 @@ func registerPolybench() {
 					})
 					b.store(b.coalesced(uint64(arrC+(block*256+warp*32)*4), 4), acc)
 				})
-			colPass := kernel1D("atax_aty", blocks, 256, 24, 0,
+			colPass := kernel1D(b, "atax_aty", blocks, 256, 24, 0,
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpSP)
 					b.loop(12, func(i int) {
@@ -313,8 +323,9 @@ func registerPolybench() {
 		Name: "MVT", Suite: "Polybench",
 		Description: "matrix-vector product twice (row and column sweeps)",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
-			k := kernel1D("mvt", blocks, 256, 22, 0,
+			k := kernel1D(b, "mvt", blocks, 256, 22, 0,
 				func(b *wb, block, warp int) {
 					acc1 := b.alu(trace.OpSP)
 					acc2 := b.alu(trace.OpSP)
@@ -336,9 +347,10 @@ func registerPolybench() {
 		Name: "ADI", Suite: "Polybench", MemoryBound: true,
 		Description: "alternating-direction implicit sweeps: long strided streams, no reuse",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(12, scale, 2)
 			mk := func(name string, vertical bool, region uint64) *trace.Kernel {
-				return kernel1D(name, blocks, 128, 26, 0,
+				return kernel1D(b, name, blocks, 128, 26, 0,
 					func(b *wb, block, warp int) {
 						base := region + uint64(block*32+warp)*131072
 						b.loop(24, func(i int) {
@@ -369,10 +381,11 @@ func registerPolybench() {
 		Name: "LU", Suite: "Polybench",
 		Description: "LU decomposition: pivot broadcasts and shrinking trailing updates",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(12, scale, 2)
 			var kernels []*trace.Kernel
 			for step := 0; step < 3; step++ {
-				k := kernel1D(fmt.Sprintf("lu_step%d", step), blocks, 128, 26, 0,
+				k := kernel1D(b, fmt.Sprintf("lu_step%d", step), blocks, 128, 26, 0,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA + (block*1024+warp*128)*4)
 						piv := b.load(b.broadcast(uint64(arrB+step*512)), 0)
@@ -399,8 +412,9 @@ func registerMars() {
 		Name: "SM", Suite: "Mars", MemoryBound: true,
 		Description: "map-reduce string match: pure streaming scans over huge keys/values",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(20, scale, 2)
-			mapK := kernel1D("sm_map", blocks, 256, 18, 0,
+			mapK := kernel1D(b, "sm_map", blocks, 256, 18, 0,
 				func(b *wb, block, warp int) {
 					// Disjoint per-warp streaming regions: pure
 					// cold-miss scans, the bandwidth-bound profile of
@@ -415,7 +429,7 @@ func registerMars() {
 						b.store(b.coalesced(uint64(arrC)+base%bigRegion+uint64(i)*8192, 4), cmp)
 					})
 				})
-			reduceK := kernel1D("sm_reduce", blocks/2+1, 256, 18, 0,
+			reduceK := kernel1D(b, "sm_reduce", blocks/2+1, 256, 18, 0,
 				func(b *wb, block, warp int) {
 					acc := b.alu(trace.OpInt)
 					base := uint64(arrC) + uint64(block*8+warp)*262144
@@ -433,9 +447,10 @@ func registerMars() {
 		Name: "WC", Suite: "Mars",
 		Description: "map-reduce word count: streaming scan with divergent token boundaries",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
 			r := newRNG(0x3C)
-			k := kernel1D("wc_map", blocks, 256, 20, 1024,
+			k := kernel1D(b, "wc_map", blocks, 256, 20, 1024,
 				func(b *wb, block, warp int) {
 					seed := newRNG(r.next() ^ uint64(block*64+warp))
 					base := uint64(arrA) + uint64(block*256+warp*32)*4096
@@ -460,10 +475,11 @@ func registerTango() {
 		Name: "ALEXNET", Suite: "Tango",
 		Description: "convolution layers: high arithmetic intensity, shared-memory filter reuse",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			var kernels []*trace.Kernel
 			layerBlocks := []int{scaleDim(20, scale, 2), scaleDim(14, scale, 2), scaleDim(10, scale, 2)}
 			for li, blocks := range layerBlocks {
-				k := kernel1D(fmt.Sprintf("alexnet_conv%d", li+1), blocks, 256, 40, 12288,
+				k := kernel1D(b, fmt.Sprintf("alexnet_conv%d", li+1), blocks, 256, 40, 12288,
 					func(b *wb, block, warp int) {
 						// Load filter once to shared, stream activations.
 						f := b.load(b.coalesced(uint64(arrA+li*0x100_0000+warp*1024), 4), 0)
@@ -491,11 +507,12 @@ func registerTango() {
 		Name: "GRU", Suite: "Tango", MemoryBound: true,
 		Description: "gated recurrent unit: many small memory-bound matvec kernels in sequence",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			steps := scaleDim(6, scale, 2)
 			blocks := scaleDim(10, scale, 2)
 			var kernels []*trace.Kernel
 			for s := 0; s < steps; s++ {
-				k := kernel1D(fmt.Sprintf("gru_step%d", s), blocks, 128, 30, 0,
+				k := kernel1D(b, fmt.Sprintf("gru_step%d", s), blocks, 128, 30, 0,
 					func(b *wb, block, warp int) {
 						// Weight matrices far exceed cache: streamed anew
 						// every timestep (the recurrent-weight reload that
@@ -520,11 +537,12 @@ func registerTango() {
 		Name: "LSTM", Suite: "Tango",
 		Description: "LSTM cell: four gate matvecs per step, mixed compute/memory",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			steps := scaleDim(4, scale, 1)
 			blocks := scaleDim(10, scale, 2)
 			var kernels []*trace.Kernel
 			for s := 0; s < steps; s++ {
-				k := kernel1D(fmt.Sprintf("lstm_step%d", s), blocks, 128, 36, 4096,
+				k := kernel1D(b, fmt.Sprintf("lstm_step%d", s), blocks, 128, 36, 4096,
 					func(b *wb, block, warp int) {
 						base := uint64(arrA) + uint64(s%2)*0x400_0000 + uint64(block*16+warp)*131072
 						var gates [4]trace.Reg
@@ -557,11 +575,12 @@ func registerPannotia() {
 		Name: "PAGERANK", Suite: "Pannotia",
 		Description: "pagerank power iteration: irregular gathers of neighbour ranks",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(16, scale, 2)
 			var kernels []*trace.Kernel
 			for it := 0; it < 2; it++ {
 				r := newRNG(uint64(0x9A + it))
-				k := kernel1D(fmt.Sprintf("pagerank_iter%d", it), blocks, 256, 24, 0,
+				k := kernel1D(b, fmt.Sprintf("pagerank_iter%d", it), blocks, 256, 24, 0,
 					func(b *wb, block, warp int) {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
 						off := b.load(b.coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)
@@ -584,12 +603,13 @@ func registerPannotia() {
 		Name: "SSSP", Suite: "Pannotia",
 		Description: "single-source shortest paths: divergent relaxations with scattered updates",
 		Generate: func(scale float64) *trace.App {
+			b := new(wb)
 			blocks := scaleDim(14, scale, 2)
 			var kernels []*trace.Kernel
 			fracs := []float64{0.8, 0.45, 0.2}
 			for it, frac := range fracs {
 				r := newRNG(uint64(0x55 + it))
-				k := kernel1D(fmt.Sprintf("sssp_iter%d", it), blocks, 256, 22, 0,
+				k := kernel1D(b, fmt.Sprintf("sssp_iter%d", it), blocks, 256, 22, 0,
 					func(b *wb, block, warp int) {
 						seed := newRNG(r.next() ^ uint64(block*64+warp))
 						dist := b.load(b.coalesced(uint64(arrA+(block*256+warp*32)*4), 4), 0)

@@ -126,12 +126,12 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 const fullMask = 0xffffffff
 
-// wb builds the warps of one kernel. Each warp is emitted into a scratch
-// slice the builder reuses, and exit keeps an exact-length copy; each
-// memory instruction's lane addresses are written into a scratch of one
-// warp's lanes and committed to the kernel's arena as the instruction is
-// emitted, as are the kept copies. The zero wb is ready to build a
-// kernel's first warp.
+// wb builds the warps of one app's kernels. Each warp is emitted into a
+// scratch slice the builder reuses, and exit keeps an exact-length copy;
+// each memory instruction's lane addresses are written into a scratch of
+// one warp's lanes and committed to the app's arena as the instruction is
+// emitted, as are the kept copies. The zero wb is ready to build an app's
+// first warp.
 type wb struct {
 	arena trace.Arena
 	insts []trace.Inst // the warp being built
@@ -345,9 +345,10 @@ func scaleDim(n int, s float64, lo int) int {
 }
 
 // kernel1D assembles a kernel from a per-(block, warp) builder function,
-// numbering each warp's memory instructions as soon as it is built. One
-// builder, and so one arena, serves all the kernel's warps.
-func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
+// numbering each warp's memory instructions as soon as it is built. An app
+// builds all its kernels with one builder, and so carves them from one
+// arena.
+func kernel1D(b *wb, name string, blocks, threadsPerBlock, regs, shmem int,
 	build func(b *wb, block, warp int)) *trace.Kernel {
 	k := &trace.Kernel{
 		Name:              name,
@@ -359,12 +360,11 @@ func kernel1D(name string, blocks, threadsPerBlock, regs, shmem int,
 	wpb := k.WarpsPerBlock()
 	k.Blocks = make([]trace.BlockTrace, blocks)
 	var next uint32
-	var b wb
 	for bi := 0; bi < blocks; bi++ {
 		warps := make([]trace.WarpTrace, wpb)
 		for wi := 0; wi < wpb; wi++ {
 			b.startWarp()
-			build(&b, bi, wi)
+			build(b, bi, wi)
 			warps[wi] = b.exit()
 			next = warps[wi].NumberMem(next)
 		}
