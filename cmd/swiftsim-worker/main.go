@@ -26,10 +26,12 @@
 // Usage:
 //
 //	swiftsim-worker -daemon http://host:8080 [-name lab-3] [-jobs 2]
-//	                [-poll 25s]
+//	                [-poll 25s] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // SIGINT/SIGTERM stops the worker; jobs in flight are abandoned and
-// requeued by the daemon after the lease TTL.
+// requeued by the daemon after the lease TTL. -cpuprofile profiles the
+// worker's whole life and -memprofile writes its heap once it has stopped
+// (cliutil.ProfileFlags).
 package main
 
 import (
@@ -42,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"swiftsim/internal/cliutil"
 	"swiftsim/internal/service"
 )
 
@@ -62,6 +65,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	name := fs.String("name", "", "worker label in daemon accounting (default: the hostname)")
 	jobs := fs.Int("jobs", 1, "jobs executed concurrently on this worker")
 	poll := fs.Duration("poll", 25*time.Second, "long-poll duration per claim request")
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -76,6 +80,12 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			*name = "worker"
 		}
 	}
+	stopProfiles, err := startProfiles("swiftsim-worker", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "swiftsim-worker:", err)
+		return 1
+	}
+	defer stopProfiles()
 
 	w := service.NewWorker(service.WorkerConfig{
 		BaseURL:  *daemon,

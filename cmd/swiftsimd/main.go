@@ -35,11 +35,16 @@
 //	          [-threads 8] [-max-job-timeout 5m] [-drain-timeout 30s]
 //	          [-epoch-cycles 8] [-sample]
 //	          [-remote -lease-ttl 10s -lease-retries 3]
+//	          [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // The execution-mode flags (-epoch-cycles, -sample, -sample-frac,
 // -sample-stride) are the block every front end shares (cliutil.RunFlags);
 // here they are the daemon-wide default for specs that leave epoch_cycles
 // or sample unset. -threads is how many jobs the daemon runs at a time.
+//
+// -cpuprofile profiles the daemon's whole life, and -memprofile writes its
+// heap once it has drained (cliutil.ProfileFlags): what a long-lived daemon
+// still holds after its sweeps, such as retained sweeps and result blobs.
 package main
 
 import (
@@ -82,9 +87,18 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	remote := fs.Bool("remote", false, "start no in-process executors: every job waits for a swiftsim-worker process to claim it over HTTP (without it, registered workers claim alongside the daemon's executors)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "how long a job claimed by a swiftsim-worker survives without its heartbeat before it is requeued")
 	leaseRetries := fs.Int("lease-retries", 3, "how many expired worker leases a job may burn through before failing terminally")
+	startProfiles := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	// Deferred first, so it runs last: the heap profile is of the drained
+	// daemon.
+	stopProfiles, err := startProfiles("swiftsimd", stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "swiftsimd:", err)
+		return 1
+	}
+	defer stopProfiles()
 	defaults, err := runFlags()
 	if err != nil {
 		fmt.Fprintln(stderr, "swiftsimd:", err)

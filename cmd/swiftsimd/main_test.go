@@ -3,8 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -184,4 +188,24 @@ func TestDaemonTraceLevelOffWarns(t *testing.T) {
 	}
 	stop()
 	<-done
+}
+
+// TestDaemonWritesProfilesOnShutdown: -cpuprofile and -memprofile write
+// their files when the daemon exits after its drain, and not before.
+func TestDaemonWritesProfilesOnShutdown(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	_, stop, done, _, errw := startDaemon(t, "-cpuprofile", cpu, "-memprofile", heap)
+	if _, err := os.Stat(heap); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("heap profile before shutdown: %v, want none yet", err)
+	}
+	stop()
+	if code := <-done; code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errw.String())
+	}
+	for _, path := range []string{cpu, heap} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s after shutdown: %v, want a non-empty profile", filepath.Base(path), err)
+		}
+	}
 }
