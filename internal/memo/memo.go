@@ -1,7 +1,8 @@
 // Package memo is the process-wide memo of a pure function that the
 // simulator keeps wherever it would otherwise recompute: trace digests,
 // trace validations, generated traces, the two hit-rate profile phases and
-// the sweep service's job keys.
+// the sweep service's job keys. The service's blob store also keeps one,
+// of its own, for the one in-memory copy of each result blob.
 package memo
 
 import (

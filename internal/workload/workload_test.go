@@ -337,12 +337,11 @@ func TestGenerateAllocationCeiling(t *testing.T) {
 
 // TestGenerateAllocationsTrackStructure: an app's allocations are bounded
 // at every scale by its kernels, its blocks and the chunks its trace fills,
-// not by its instructions. A kernel pays for its record and block table
-// (and, before an app's kernels shared them, for a builder's scratch and
-// an arena's first chunks), a block for its warp table, and the instructions
-// and lane addresses for the arena's chunks of 1,024 and 8,192 elements,
-// with a quarter more for the tails that warps and lanes too long for them
-// leave behind. One more allocation per warp, let alone one per memory
+// not by its instructions. A kernel pays for its record and block table,
+// the app for its builder's scratch and its arena's first chunks, a block
+// for its warp table, and the instructions and lane addresses for the
+// arena's chunks of 1,024 and 8,192 elements, with a quarter more for the
+// tails that warps and lanes too long for them leave behind. One more allocation per warp, let alone one per memory
 // instruction, breaks the bound for every app at scale 4.
 func TestGenerateAllocationsTrackStructure(t *testing.T) {
 	if raceEnabled {
