@@ -13,13 +13,13 @@ import (
 // and every instruction of every warp including per-lane addresses. The
 // lanes are hashed as Arena.SetLanes would store them, evenly spaced ones
 // as lane 0 and a stride, so an instruction hashes alike in either lane
-// form and a strided one is not expanded to be hashed. Two
-// apps with equal content hash simulate identically under every
-// configuration, regardless of how (or how many times) the trace was
-// parsed or generated — which is exactly what pointer identity cannot
-// express. The sweep service keys its persistent result cache on this
-// hash, and the profile memoization in internal/sim uses it so
-// separately-parsed copies of the same trace share one profile.
+// form and a strided one is not expanded to be hashed. Two apps with equal
+// content hash simulate identically under every configuration, regardless
+// of how (or how many times) the trace was parsed or generated — which is
+// exactly what pointer identity cannot express. The sweep service keys its
+// persistent result cache on this hash, and the profile memoization in
+// internal/sim uses it so separately-parsed copies of the same trace share
+// one profile.
 //
 // Apps are immutable once built (the simulator relies on this already), so
 // the digest is memoized per *App. The memo is bounded: sampled runs hash
