@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,6 +182,21 @@ type Event struct {
 	Total  int `json:"total,omitempty"`
 }
 
+// eventRec is how a sweep keeps one of its events: the job, its state and
+// cache flag at the transition, and the tally. WaitEvents renders it as an
+// Event, taking the job's app, GPU, sim and error from its status, which
+// holds them already: a finished 40-job sweep keeps its 41 events in 656
+// bytes instead of 5.9 KB.
+type eventRec struct {
+	job          int32 // -1 for the trailing "sweep" tally
+	done, failed int32
+	state        uint8 // index into eventStates
+	cached       bool
+}
+
+// eventStates are the job states an eventRec names by index.
+var eventStates = [...]string{StatePending, StateRunning, StateDone, StateFailed, StateSkipped}
+
 // Status is a sweep's poll response.
 type Status struct {
 	ID     string      `json:"id"`
@@ -221,7 +237,7 @@ type Sweep struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	status []JobStatus
-	events []Event
+	events []eventRec
 	result [][]byte // canonical bytes per succeeded job
 	okJobs int
 	failed int
@@ -342,7 +358,7 @@ func (s *Service) Submit(spec Spec) (*Sweep, error) {
 		result:     make([][]byte, len(jobs)),
 		// Every job ends in an event and the sweep in a tally; a job
 		// that runs adds a start event, which grows the list once.
-		events: make([]Event, 0, len(jobs)+1),
+		events: make([]eventRec, 0, len(jobs)+1),
 	}
 	// The sweep's trace pids: a disjoint block per sweep, derived from
 	// the daemon tracer (pid 0 stays the daemon's own row).
@@ -635,9 +651,7 @@ func (s *Service) runSweep(sw *Sweep) {
 
 	sw.mu.Lock()
 	sw.done = true
-	sw.appendEventLocked(Event{
-		Type: "sweep", Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
-	})
+	sw.appendEventLocked(-1)
 	sw.mu.Unlock()
 
 	// Flushing keeps a streaming trace file current between sweeps; a
@@ -649,12 +663,7 @@ func (s *Service) runSweep(sw *Sweep) {
 func (s *Service) startJob(sw *Sweep, i int) {
 	sw.mu.Lock()
 	sw.status[i].State = StateRunning
-	st := sw.status[i]
-	sw.appendEventLocked(Event{
-		Type: "job", Job: i, App: st.App, GPU: st.GPU, Sim: st.Sim,
-		State: StateRunning,
-		Done:  sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
-	})
+	sw.appendEventLocked(i)
 	sw.mu.Unlock()
 }
 
@@ -678,12 +687,7 @@ func (s *Service) finishJob(sw *Sweep, i int, val []byte, err error, cached bool
 		st.Error = err.Error()
 		sw.failed++
 	}
-	ev := Event{
-		Type: "job", Job: i, App: st.App, GPU: st.GPU, Sim: st.Sim,
-		State: st.State, Cached: st.Cached, Error: st.Error,
-		Done: sw.okJobs + sw.failed, Failed: sw.failed, Total: sw.total,
-	}
-	sw.appendEventLocked(ev)
+	sw.appendEventLocked(i)
 	sw.mu.Unlock()
 
 	s.mu.Lock()
@@ -691,12 +695,36 @@ func (s *Service) finishJob(sw *Sweep, i int, val []byte, err error, cached bool
 	s.mu.Unlock()
 }
 
-// appendEventLocked stamps, stores and broadcasts an event. Callers hold
+// appendEventLocked stores and broadcasts the event of job i's transition
+// to its current status, or with i -1 the sweep's final tally. Callers hold
 // sw.mu.
-func (sw *Sweep) appendEventLocked(ev Event) {
-	ev.Seq = len(sw.events)
+func (sw *Sweep) appendEventLocked(i int) {
+	ev := eventRec{job: int32(i), done: int32(sw.okJobs + sw.failed), failed: int32(sw.failed)}
+	if i >= 0 {
+		st := &sw.status[i]
+		ev.state = uint8(slices.Index(eventStates[:], st.State))
+		ev.cached = st.Cached
+	}
 	sw.events = append(sw.events, ev)
 	sw.cond.Broadcast()
+}
+
+// eventLocked renders event seq. A job's app, GPU and sim never change, and
+// its error is set with its one terminal state, so its status holds what
+// the event carried. Callers hold sw.mu.
+func (sw *Sweep) eventLocked(seq int) Event {
+	r := sw.events[seq]
+	ev := Event{Seq: seq, Type: "sweep", Done: int(r.done), Failed: int(r.failed), Total: sw.total}
+	if r.job < 0 {
+		return ev
+	}
+	st := &sw.status[r.job]
+	ev.Type, ev.Job, ev.App, ev.GPU, ev.Sim = "job", int(r.job), st.App, st.GPU, st.Sim
+	ev.State, ev.Cached = eventStates[r.state], r.cached
+	if ev.State == StateFailed || ev.State == StateSkipped {
+		ev.Error = st.Error
+	}
+	return ev
 }
 
 // Status snapshots the sweep.
@@ -740,7 +768,14 @@ func (sw *Sweep) WaitEvents(ctx context.Context, from int) ([]Event, bool, error
 	if from > len(sw.events) {
 		from = len(sw.events)
 	}
-	return append([]Event(nil), sw.events[from:]...), sw.done, nil
+	var evs []Event
+	if n := len(sw.events) - from; n > 0 {
+		evs = make([]Event, n)
+		for i := range evs {
+			evs[i] = sw.eventLocked(from + i)
+		}
+	}
+	return evs, sw.done, nil
 }
 
 // Results renders the sweep's results: the canonical metric blocks of its
