@@ -30,20 +30,23 @@ func thrashApp(bufBytes int) *swiftsim.App {
 	const passes = 3
 	lines := bufBytes / 128
 	var wt trace.WarpTrace
+	var arena trace.Arena // holds the kernel's lanes that are not evenly spaced
+	addrs := make([]uint64, 32)
 	pc := uint64(0)
 	for p := 0; p < passes; p++ {
 		pc = 0 // all passes share static PCs, like a real loop
 		for l := 0; l < lines; l++ {
-			addrs := make([]uint64, 32)
 			for lane := range addrs {
 				addrs[lane] = uint64(0x1000_0000 + l*128 + lane*4)
 			}
 			// Every instruction but the EXIT is a load, so its ordinal among
 			// the kernel's memory instructions is its position.
-			wt = append(wt, trace.Inst{
+			in := trace.Inst{
 				PC: pc, Op: trace.OpLoadGlobal, Dst: trace.Reg(l%30 + 1),
-				ActiveMask: 0xffffffff, MemIndex: uint32(len(wt)), Addrs: addrs,
-			})
+				ActiveMask: 0xffffffff, MemIndex: uint32(len(wt)),
+			}
+			arena.SetLanes(&in, addrs)
+			wt = append(wt, in)
 			pc += 8
 		}
 	}
@@ -54,6 +57,7 @@ func thrashApp(bufBytes int) *swiftsim.App {
 		Block:         trace.Dim3{X: 32, Y: 1, Z: 1},
 		RegsPerThread: 32,
 		Blocks:        []trace.BlockTrace{{Warps: []trace.WarpTrace{wt}}},
+		Store:         arena.Store(),
 	}
 	return &swiftsim.App{Name: "THRASH", Suite: "custom", Kernels: []*trace.Kernel{k}}
 }

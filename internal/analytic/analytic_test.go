@@ -153,6 +153,16 @@ func memParams(prof *reuse.Profile, kernel *int) MemModelParams {
 	}
 }
 
+// testLanes holds the listed lanes of the tests' hand-built memory
+// instructions; every kernel they build refers to its store.
+var testLanes trace.Arena
+
+// laned returns in with the lane addresses addrs.
+func laned(in trace.Inst, addrs ...uint64) trace.Inst {
+	testLanes.SetLanes(&in, addrs)
+	return in
+}
+
 func coalescedAddrs(base uint64) []uint64 {
 	a := make([]uint64, 32)
 	for i := range a {
@@ -175,7 +185,7 @@ func profiled(t *testing.T, rates map[reuse.Key]reuse.Rates, kernels ...[]trace.
 		w := append(trace.WarpTrace(slices.Clone(insts)), trace.Inst{Op: trace.OpExit, ActiveMask: 1})
 		k := &trace.Kernel{
 			Name: fmt.Sprintf("k%d", ki), Grid: trace.Dim3{X: 1, Y: 1, Z: 1}, Block: trace.Dim3{X: 32, Y: 1, Z: 1},
-			RegsPerThread: 16, Blocks: []trace.BlockTrace{{Warps: []trace.WarpTrace{w}}},
+			RegsPerThread: 16, Blocks: []trace.BlockTrace{{Warps: []trace.WarpTrace{w}}}, Store: testLanes.Store(),
 		}
 		k.NumberMem()
 		app.Kernels = append(app.Kernels, k)
@@ -244,7 +254,7 @@ func TestMemModelEquation1(t *testing.T) {
 	// exactly Eq. 1's expected latency (zero contention, first access).
 	kernel := 0
 	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
-		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 1, Addrs: []uint64{0x1000}}})
+		[]trace.Inst{laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 1}, 0x1000)})
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
@@ -264,7 +274,7 @@ func TestMemModelMultiSectorSlower(t *testing.T) {
 	// divergence serialization penalty.
 	kernel := 0
 	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 16}: {L1: 0.5, L2: 0.25, DRAM: 0.25}},
-		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 0xffffffff, Addrs: coalescedAddrs(0x1000)}})
+		[]trace.Inst{laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 16, Dst: 1, ActiveMask: 0xffffffff}, coalescedAddrs(0x1000)...)})
 	if n := prof.Facts[0][0].N; n != 4 {
 		t.Fatalf("the profiler recorded %d sectors for 32 coalesced lanes, want 4", n)
 	}
@@ -285,7 +295,7 @@ func TestMemModelColdLoadPaysDRAM(t *testing.T) {
 	// Left as profiled, the only access of a trace misses both caches.
 	kernel := 0
 	prof, insts := profiled(t, nil,
-		[]trace.Inst{{Op: trace.OpLoadGlobal, PC: 99, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}})
+		[]trace.Inst{laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 99, Dst: 1, ActiveMask: 1}, 0)})
 	if r := prof.ByID[0][0]; r != (reuse.Rates{DRAM: 1}) {
 		t.Fatalf("a cold load profiled at %+v, want all DRAM", r)
 	}
@@ -300,7 +310,7 @@ func TestMemModelColdLoadPaysDRAM(t *testing.T) {
 
 func TestMemModelKernelIndexDisambiguates(t *testing.T) {
 	kernel := 1
-	load := []trace.Inst{{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}}
+	load := []trace.Inst{laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1}, 0)}
 	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{
 		{Kernel: 0, PC: 8}: {DRAM: 1},
 		{Kernel: 1, PC: 8}: {L1: 1},
@@ -317,7 +327,7 @@ func TestMemModelKernelIndexDisambiguates(t *testing.T) {
 func TestMemModelStore(t *testing.T) {
 	kernel := 0
 	prof, insts := profiled(t, nil,
-		[]trace.Inst{{Op: trace.OpStoreGlobal, PC: 8, ActiveMask: 1, Addrs: []uint64{0}}})
+		[]trace.Inst{laned(trace.Inst{Op: trace.OpStoreGlobal, PC: 8, ActiveMask: 1}, 0)})
 	eng := engine.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), metrics.New())
 	done := false
@@ -336,7 +346,7 @@ func TestMemModelSharedMemory(t *testing.T) {
 		addrs[i] = uint64(i) * 128
 	}
 	prof, insts := profiled(t, nil,
-		[]trace.Inst{{Op: trace.OpLoadShared, PC: 8, Dst: 1, ActiveMask: 0xffffffff, Addrs: addrs}})
+		[]trace.Inst{laned(trace.Inst{Op: trace.OpLoadShared, PC: 8, Dst: 1, ActiveMask: 0xffffffff}, addrs...)})
 	eng := engine.New()
 	g := metrics.New()
 	u := NewMemModel("mem", eng, memParams(prof, &kernel), g)
@@ -355,8 +365,8 @@ func TestMemModelPortOccupancySerializes(t *testing.T) {
 	kernel := 0
 	var loads []trace.Inst
 	for i := 0; i < 3; i++ {
-		loads = append(loads, trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
-			Addrs: coalescedAddrs(uint64(i) * 0x10000)})
+		loads = append(loads, laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff},
+			coalescedAddrs(uint64(i)*0x10000)...))
 	}
 	prof, insts := profiled(t, map[reuse.Key]reuse.Rates{{Kernel: 0, PC: 8}: {L1: 1}}, loads)
 	eng := engine.New()
@@ -391,8 +401,8 @@ func TestMemModelDRAMBandwidthContention(t *testing.T) {
 	// queueing), unlike L1-bound loads.
 	var loads []trace.Inst
 	for i := 0; i < 50; i++ {
-		loads = append(loads, trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff,
-			Addrs: coalescedAddrs(uint64(i) * 0x10000)})
+		loads = append(loads, laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 0xffffffff},
+			coalescedAddrs(uint64(i)*0x10000)...))
 	}
 	measure := func(rates reuse.Rates) uint64 {
 		kernel := 0
@@ -424,7 +434,7 @@ func TestMemModelDRAMBandwidthContention(t *testing.T) {
 // refuses it at construction instead of issuing with wrong counts.
 func TestMemModelRefusesOtherSectorSize(t *testing.T) {
 	kernel := 0
-	prof, _ := profiled(t, nil, []trace.Inst{{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}})
+	prof, _ := profiled(t, nil, []trace.Inst{laned(trace.Inst{Op: trace.OpLoadGlobal, PC: 8, Dst: 1, ActiveMask: 1}, 0)})
 	p := memParams(prof, &kernel)
 	p.SectorBytes = 64
 	defer func() {
@@ -532,11 +542,14 @@ func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) s
 			in := trace.Inst{PC: uint64(8 * (i % 100)), Dst: trace.Reg(1 + i%8), ActiveMask: 0xffffffff}
 			switch i % 5 {
 			case 0:
-				in.Op, in.Addrs = trace.OpLoadGlobal, scattered
+				in.Op = trace.OpLoadGlobal
+				in = laned(in, scattered...)
 			case 1:
-				in.Op, in.Addrs = trace.OpStoreGlobal, coalescedAddrs(0x1000)
+				in.Op = trace.OpStoreGlobal
+				in = laned(in, coalescedAddrs(0x1000)...)
 			case 2:
-				in.Op, in.Addrs = trace.OpLoadShared, coalescedAddrs(0)
+				in.Op = trace.OpLoadShared
+				in = laned(in, coalescedAddrs(0)...)
 			case 3:
 				in.Op = trace.OpSP
 			default:
@@ -547,6 +560,7 @@ func issueToWritebackAllocatesNothing(t *testing.T, picker func(smID, sub int) s
 		k.Blocks[0].Warps = append(k.Blocks[0].Warps, append(wt, trace.Inst{Op: trace.OpExit, ActiveMask: 0xffffffff}))
 	}
 	k.NumberMem()
+	k.Store = testLanes.Store()
 	app := &trace.App{Name: "stream", Suite: "test", Kernels: []*trace.Kernel{k}}
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)

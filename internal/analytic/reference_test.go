@@ -23,6 +23,7 @@ type refMemModel struct {
 	*MemModel
 	prof        *reuse.Profile
 	sectorBytes int
+	store       *trace.LaneStore // the issuing kernel's
 }
 
 func (u *refMemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
@@ -30,13 +31,13 @@ func (u *refMemModel) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 
 	var addrs [32]uint64
 	if in.Op.IsSharedMem() {
-		deg := smcore.SharedBankConflicts(in.Lanes(&addrs))
+		deg := smcore.SharedBankConflicts(u.store.Lanes(in, &addrs))
 		u.eng.Schedule(u.shmemLat+uint64(4*(deg-1)), done)
 		return true
 	}
 
 	var lanes [32]uint64
-	sectors := len(smcore.CoalesceInto(lanes[:0], in.Lanes(&addrs), u.sectorBytes))
+	sectors := len(smcore.CoalesceInto(lanes[:0], u.store.Lanes(in, &addrs), u.sectorBytes))
 	u.transactions.Add(uint64(sectors))
 
 	start := cycle
@@ -177,7 +178,7 @@ func TestMemModelMatchesReference(t *testing.T) {
 				want.try = ref.TryIssue
 				calls := 0
 				for ki, k := range app.Kernels {
-					kernel = ki
+					kernel, ref.store = ki, k.Store
 					for bi := range k.Blocks {
 						for wi, w := range k.Blocks[bi].Warps {
 							for i := range w {

@@ -133,7 +133,7 @@ func tlbCost(app *trace.App, gpu config.GPU, p Params) uint64 {
 					if !w[i].Op.IsGlobalMem() {
 						continue
 					}
-					for _, a := range w[i].Lanes(&lanes) {
+					for _, a := range k.Store.Lanes(&w[i], &lanes) {
 						pages[a/p.PageBytes] = struct{}{}
 					}
 				}

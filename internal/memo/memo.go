@@ -108,6 +108,18 @@ func (m *Memo[K, V]) fill(key K, e *entry[V], compute func(K) V) V {
 	return e.val
 }
 
+// Flush drops every retained value, so the next caller of each key
+// computes it again: a measurement that must start cold starts so. A
+// computation in flight completes for its callers and is retained as usual.
+func (m *Memo[K, V]) Flush() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.order.Len() > 0 {
+		delete(m.entries, m.order.Pop())
+	}
+	m.held = 0
+}
+
 // Stats reports the memo's current entries and the computes it has started.
 func (m *Memo[K, V]) Stats() Stats {
 	m.mu.Lock()

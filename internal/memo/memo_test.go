@@ -127,3 +127,23 @@ func TestMemoNegativeWeightNotRetained(t *testing.T) {
 		t.Errorf("retained value = %d, want 1", v)
 	}
 }
+
+// TestFlushDropsRetainedValues: after Flush a memo retains nothing and
+// computes each key again on its next use, and its weight bound counts
+// from zero: values retained since fill it as if the memo were new.
+func TestFlushDropsRetainedValues(t *testing.T) {
+	m := New[int](2, func(int) int { return 1 })
+	id := func(k int) int { return k }
+	m.Get(1, id)
+	m.Get(2, id)
+	m.Flush()
+	if s := m.Stats(); s.Entries != 0 || s.Computes != 2 {
+		t.Fatalf("after Flush: %+v, want no entries and 2 computes", s)
+	}
+	m.Get(1, id)
+	m.Get(3, id)
+	m.Get(1, id)
+	if s := m.Stats(); s.Entries != 2 || s.Computes != 4 {
+		t.Errorf("after refilling: %+v, want 2 entries and 4 computes", s)
+	}
+}

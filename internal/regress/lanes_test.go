@@ -15,6 +15,7 @@ import (
 // address per active lane, as traces held them before the strided form.
 func listedCopy(app *trace.App) *trace.App {
 	out := &trace.App{Name: app.Name, Suite: app.Suite}
+	var arena trace.Arena
 	var lanes [trace.WarpSize]uint64
 	for _, k := range app.Kernels {
 		nk := *k
@@ -24,14 +25,14 @@ func listedCopy(app *trace.App) *trace.App {
 			for wi, w := range b.Warps {
 				nw := append(trace.WarpTrace(nil), w...)
 				for i := range nw {
-					if len(nw[i].Addrs) > 0 {
-						nw[i].Addrs = append([]uint64(nil), w[i].Lanes(&lanes)...)
-						nw[i].Stride = 0
+					if nw[i].Op.IsMem() {
+						arena.ListLanes(&nw[i], k.Store.Lanes(&w[i], &lanes))
 					}
 				}
 				nk.Blocks[bi].Warps[wi] = nw
 			}
 		}
+		nk.Store = arena.Store()
 		out.Kernels = append(out.Kernels, &nk)
 	}
 	return out

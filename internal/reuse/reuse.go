@@ -336,7 +336,7 @@ func (kw *kernelWalk) kernel(k *trace.Kernel) (kernelProfile, []Fact) {
 					continue
 				}
 				in := &w[i]
-				addrs := in.Lanes(&lanes)
+				addrs := k.Store.Lanes(in, &lanes)
 				if in.Op.IsSharedMem() {
 					facts[in.MemIndex].N = uint32(smcore.SharedBankConflicts(addrs))
 					continue

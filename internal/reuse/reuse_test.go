@@ -192,13 +192,17 @@ func TestStreamCoalesces(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000
 	}
+	var arena trace.Arena
+	load := trace.Inst{PC: 0, Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 0xffffffff}
+	arena.SetLanes(&load, addrs)
 	k := &trace.Kernel{
 		Name: "k", Grid: trace.Dim3{X: 1, Y: 1, Z: 1}, Block: trace.Dim3{X: 32, Y: 1, Z: 1},
 		RegsPerThread: 8,
 		Blocks: []trace.BlockTrace{{Warps: []trace.WarpTrace{{
-			{PC: 0, Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 0xffffffff, Addrs: addrs},
+			load,
 			{PC: 8, Op: trace.OpExit, ActiveMask: 0xffffffff},
 		}}}},
+		Store: arena.Store(),
 	}
 	app := &trace.App{Name: "t", Suite: "unit", Kernels: []*trace.Kernel{k}}
 	if err := app.Validate(); err != nil {
@@ -238,7 +242,7 @@ func stream(app *trace.App, gpu config.GPU, onKernel func(ki int), visit func(a 
 					if i >= len(w) || !w[i].Op.IsGlobalMem() {
 						continue
 					}
-					for _, s := range smcore.CoalesceInto(nil, w[i].Lanes(&lanes), gpu.L1.SectorBytes) {
+					for _, s := range smcore.CoalesceInto(nil, k.Store.Lanes(&w[i], &lanes), gpu.L1.SectorBytes) {
 						visit(access{
 							key:    Key{ki, w[i].PC},
 							sector: s,
@@ -317,12 +321,12 @@ func serialProfile(app *trace.App, gpu config.GPU,
 		p.Facts[ki] = []Fact{}
 		for bi := range k.Blocks {
 			for _, w := range k.Blocks[bi].Warps {
-				for _, in := range w {
-					switch {
+				for i := range w {
+					switch in := &w[i]; {
 					case in.Op.IsSharedMem():
-						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(in.Lanes(&lanes)))})
+						p.Facts[ki] = append(p.Facts[ki], Fact{N: uint32(smcore.SharedBankConflicts(k.Store.Lanes(in, &lanes)))})
 					case in.Op.IsGlobalMem():
-						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.CoalesceInto(nil, in.Lanes(&lanes), gpu.L1.SectorBytes)))})
+						p.Facts[ki] = append(p.Facts[ki], Fact{ID: id[in.PC], N: uint32(len(smcore.CoalesceInto(nil, k.Store.Lanes(in, &lanes), gpu.L1.SectorBytes)))})
 					}
 				}
 			}

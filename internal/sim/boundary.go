@@ -32,7 +32,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
@@ -115,12 +116,9 @@ func (b *epochBoundary) Tick(cycle uint64) {
 	}
 	if folded {
 		// Stable: items of one port at one cycle keep their FIFO order.
-		sort.SliceStable(b.queue, func(i, j int) bool {
-			if b.queue[i].cyc != b.queue[j].cyc {
-				return b.queue[i].cyc < b.queue[j].cyc
-			}
-			return b.queue[i].ord < b.queue[j].ord
-		})
+		// A generic sort with a named function allocates nothing, where
+		// sort.SliceStable allocated a swapper and a closure every fold.
+		slices.SortStableFunc(b.queue, deliveryOrder)
 	}
 	n := 0
 	for n < len(b.queue) && b.queue[n].cyc <= cycle {
@@ -135,6 +133,14 @@ func (b *epochBoundary) Tick(cycle uint64) {
 	if n > 0 {
 		b.queue = append(b.queue[:0], b.queue[n:]...)
 	}
+}
+
+// deliveryOrder orders boundary items by capture cycle, then port.
+func deliveryOrder(x, y boundaryItem) int {
+	if c := cmp.Compare(x.cyc, y.cyc); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.ord, y.ord)
 }
 
 // itemBytes is the least a boundary item takes in a stream.

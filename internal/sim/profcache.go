@@ -48,6 +48,16 @@ var (
 	})
 )
 
+// FlushMemos drops what the package's memos retain: both hit-rate profile
+// phases and the validated apps. A measurement that must pay profiling
+// inside its wall time, as a cold Figure 5 pass does, calls it first, with
+// trace.FlushMemos for the digests the profiles are keyed on.
+func FlushMemos() {
+	phaseOne.Flush()
+	phaseTwo.Flush()
+	validApps.Flush()
+}
+
 // profileCached returns the memoized hit-rate profile for (app, gpu, src),
 // computing on first use whichever of its two phases no earlier call paid.
 func profileCached(app *trace.App, gpu config.GPU, src HitRateSource) *reuse.Profile {

@@ -162,6 +162,7 @@ func newSampler(app *trace.App, gpu config.GPU, opts Sampling) (*sampler, *trace
 				RegsPerThread:     k.RegsPerThread,
 				SharedMemPerBlock: k.SharedMemPerBlock,
 				Blocks:            blocks,
+				Store:             k.Store,
 			}
 		}
 		out.Kernels = append(out.Kernels, sk)

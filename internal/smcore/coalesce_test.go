@@ -31,10 +31,16 @@ func scanCoalesce(addrs []uint64, sectorBytes int) []uint64 {
 	return out
 }
 
+// corpusInst is a memory instruction and the kernel holding its lanes.
+type corpusInst struct {
+	k  *trace.Kernel
+	in *trace.Inst
+}
+
 // corpusGlobalInsts returns every global-memory instruction of the 20
 // catalog apps at scale 0.5, the benchmark's traces.
-func corpusGlobalInsts(tb testing.TB) []*trace.Inst {
-	var insts []*trace.Inst
+func corpusGlobalInsts(tb testing.TB) []corpusInst {
+	var insts []corpusInst
 	for _, name := range workload.Names() {
 		app, err := workload.Generate(name, 0.5)
 		if err != nil {
@@ -45,7 +51,7 @@ func corpusGlobalInsts(tb testing.TB) []*trace.Inst {
 				for _, w := range k.Blocks[bi].Warps {
 					for i := range w {
 						if w[i].Op.IsGlobalMem() {
-							insts = append(insts, &w[i])
+							insts = append(insts, corpusInst{k, &w[i]})
 						}
 					}
 				}
@@ -64,11 +70,11 @@ func TestCoalesceMatchesScan(t *testing.T) {
 	var buf []uint64
 	var lanes [trace.WarpSize]uint64
 	hashed := 0
-	for _, in := range insts {
-		addrs := in.Lanes(&lanes)
+	for _, c := range insts {
+		addrs := c.k.Store.Lanes(c.in, &lanes)
 		buf = smcore.CoalesceInto(buf, addrs, 32)
 		if want := scanCoalesce(addrs, 32); !slices.Equal(buf, want) {
-			t.Fatalf("PC %#x: coalesced %v, the scan %v", in.PC, buf, want)
+			t.Fatalf("PC %#x: coalesced %v, the scan %v", c.in.PC, buf, want)
 		}
 		if len(buf) > 8 {
 			hashed++
@@ -99,8 +105,8 @@ func BenchmarkCoalesceCorpus(b *testing.B) {
 	var lanes [trace.WarpSize]uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, in := range insts {
-			buf = smcore.CoalesceInto(buf, in.Lanes(&lanes), 32)
+		for _, c := range insts {
+			buf = smcore.CoalesceInto(buf, c.k.Store.Lanes(c.in, &lanes), 32)
 		}
 	}
 }

@@ -172,6 +172,7 @@ type LDSTUnit struct {
 	lanes       int // sectors pushed to L1 per cycle
 	shmemLat    uint64
 	queueCap    int
+	store       *trace.LaneStore // the running kernel's lane store (LaneUser)
 
 	queue mem.FIFO[*ldstInst]
 }
@@ -240,6 +241,9 @@ func (u *LDSTUnit) Kind() engine.ModelKind { return engine.CycleAccurate }
 // Busy implements Unit.
 func (u *LDSTUnit) Busy() bool { return u.queue.Len() > 0 }
 
+// UseLanes implements LaneUser.
+func (u *LDSTUnit) UseLanes(lanes *trace.LaneStore) { u.store = lanes }
+
 // TryIssue implements Unit.
 func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	if u.queue.Len() >= u.queueCap {
@@ -249,7 +253,7 @@ func (u *LDSTUnit) TryIssue(cycle uint64, in *trace.Inst, done func()) bool {
 	u.issued.Inc()
 
 	var lanes [trace.WarpSize]uint64
-	addrs := in.Lanes(&lanes)
+	addrs := u.store.Lanes(in, &lanes)
 	if in.Op.IsSharedMem() {
 		// Shared memory: latency plus serialization from bank
 		// conflicts; no global traffic.

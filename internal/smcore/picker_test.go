@@ -51,7 +51,7 @@ func TestMemFirstPrefersMemoryWarp(t *testing.T) {
 		{Op: trace.OpExit, ActiveMask: 1},
 	}}
 	memWarp := &Warp{ID: 2, Age: 2, ibuf: -1, insts: trace.WarpTrace{
-		{Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}},
+		{Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 1}, // one lane, at address 0
 		{Op: trace.OpExit, ActiveMask: 1},
 	}}
 	warps := []*Warp{aluWarp, memWarp}

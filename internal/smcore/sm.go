@@ -934,6 +934,11 @@ func (sm *SM) AssignBlock(k *trace.Kernel, index int) error {
 	warps, regs, shmem := blockCost(sm.cfg, k)
 	rb := sm.class.takeBlock()
 	*rb = residentBlock{sm: sm, index: index, warps: make([]Warp, warps), liveWarps: warps, regs: regs, shmem: shmem}
+	for _, sc := range sm.subcores {
+		if u, ok := sc.ldst.(LaneUser); ok {
+			u.UseLanes(k.Store)
+		}
+	}
 	bt := &k.Blocks[index]
 	for wi := range rb.warps {
 		sm.nextAge++

@@ -115,12 +115,17 @@ func (b *kbuilder) intOp(dst trace.Reg, srcs ...trace.Reg) {
 	b.emit(trace.Inst{Op: trace.OpInt, Dst: dst, Src: s, ActiveMask: 0xffffffff})
 }
 
+// loadAt emits a coalesced load: its strided lanes are held in the
+// instruction, so the kernel needs no lane store.
 func (b *kbuilder) loadAt(dst trace.Reg, base uint64) {
 	addrs := make([]uint64, 32)
 	for i := range addrs {
 		addrs[i] = base + uint64(i)*4
 	}
-	b.emit(trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, ActiveMask: 0xffffffff, Addrs: addrs})
+	in := trace.Inst{Op: trace.OpLoadGlobal, Dst: dst, ActiveMask: 0xffffffff}
+	var arena trace.Arena
+	arena.SetLanes(&in, addrs)
+	b.emit(in)
 }
 
 func (b *kbuilder) barrier() {
@@ -373,7 +378,10 @@ func TestLDSTSharedMemoryConflictLatency(t *testing.T) {
 
 	measure := func(addrs []uint64) uint64 {
 		done := false
-		in := &trace.Inst{Op: trace.OpLoadShared, ActiveMask: 0xffffffff, Addrs: addrs}
+		in := &trace.Inst{Op: trace.OpLoadShared, ActiveMask: 0xffffffff}
+		var arena trace.Arena
+		arena.SetLanes(in, addrs)
+		u.UseLanes(arena.Store())
 		if !u.TryIssue(eng.Cycle(), in, func() { done = true }) {
 			t.Fatal("issue refused")
 		}
@@ -404,7 +412,7 @@ func TestLDSTQueueBackpressure(t *testing.T) {
 	g := metrics.New()
 	refuse := mem.PortFunc(func(*mem.Request) bool { return false })
 	u := testLDST("ldst.t", eng, refuse, 2, g)
-	in := &trace.Inst{Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 1, Addrs: []uint64{0}}
+	in := &trace.Inst{Op: trace.OpLoadGlobal, Dst: 1, ActiveMask: 1} // one lane, at address 0
 	if !u.TryIssue(0, in, func() {}) || !u.TryIssue(0, in, func() {}) {
 		t.Fatal("first two issues refused")
 	}

@@ -30,6 +30,15 @@ type Unit interface {
 	Busy() bool
 }
 
+// LaneUser is implemented by a unit that reads its memory instructions'
+// lane addresses. Before a block of a kernel becomes resident, the SM hands
+// each sub-core's LD/ST unit that implements it the kernel's lane store
+// (trace.Kernel.Store), where the kernel's listed lanes are: kernels run one
+// at a time, so a unit issues only the current kernel's instructions.
+type LaneUser interface {
+	UseLanes(lanes *trace.LaneStore)
+}
+
 // pipeSlot is one pipeline register; empty slots hold a nil done.
 type pipeSlot struct {
 	done func()

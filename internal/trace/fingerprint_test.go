@@ -16,12 +16,8 @@ func launchKernel(name string, base uint64) *Kernel {
 	for b := 0; b < 2; b++ {
 		var bt BlockTrace
 		for w := 0; w < 2; w++ {
-			addrs := make([]uint64, 32)
-			for i := range addrs {
-				addrs[i] = base + uint64(b*2+w)*128 + uint64(i)*4
-			}
 			bt.Warps = append(bt.Warps, WarpTrace{
-				{PC: 0, Op: OpLoadGlobal, Dst: 1, ActiveMask: 0xffffffff, Addrs: addrs},
+				coalescedLoad(0xffffffff, base+uint64(b*2+w)*128),
 				{PC: 8, Op: OpInt, Dst: 2, Src: [2]Reg{1, 1}, ActiveMask: 0xffffffff},
 				{PC: 16, Op: OpExit, ActiveMask: 0xffffffff},
 			})
@@ -29,6 +25,19 @@ func launchKernel(name string, base uint64) *Kernel {
 		k.Blocks = append(k.Blocks, bt)
 	}
 	return k
+}
+
+// coalescedLoad is a load whose active lanes read consecutive words from
+// base: strided lanes, held in the instruction.
+func coalescedLoad(mask uint32, base uint64) Inst {
+	in := Inst{PC: 0, Op: OpLoadGlobal, Dst: 1, ActiveMask: mask}
+	addrs := make([]uint64, in.ActiveLanes())
+	for i := range addrs {
+		addrs[i] = base + uint64(i)*4
+	}
+	var arena Arena
+	arena.SetLanes(&in, addrs)
+	return in
 }
 
 // TestLaunchKeyIgnoresNameAndAddressValues pins the memoization unit of
@@ -61,10 +70,7 @@ func TestLaunchKeyDistinguishesStaticContent(t *testing.T) {
 		{"src register", func(k *Kernel) { k.Blocks[0].Warps[0][1].Src[0] = 7 }},
 		{"pc", func(k *Kernel) { k.Blocks[1].Warps[1][1].PC += 8 }},
 		{"active mask", func(k *Kernel) { k.Blocks[0].Warps[1][0].ActiveMask = 0xffff }},
-		{"address count", func(k *Kernel) {
-			w := &k.Blocks[0].Warps[0]
-			(*w)[0].Addrs = (*w)[0].Addrs[:16]
-		}},
+		{"address count", func(k *Kernel) { k.Blocks[0].Warps[0][0] = coalescedLoad(0xffff, 0) }},
 		{"stream length", func(k *Kernel) {
 			w := &k.Blocks[1].Warps[0]
 			*w = append(WarpTrace{{PC: 0, Op: OpInt, ActiveMask: 0xffffffff}}, *w...)

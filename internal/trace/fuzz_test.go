@@ -86,9 +86,9 @@ func TestReadKeepsEachLaneForm(t *testing.T) {
 	w := app.Kernels[0].Blocks[0].Warps[0]
 	for i, want := range lanesWant {
 		in := &w[i]
-		if listed := len(in.Addrs) == in.ActiveLanes(); listed != want.listed || in.Stride != want.stride {
-			t.Errorf("inst %d: %d addresses for %d lanes, stride %d; want listed %v, stride %d",
-				i, len(in.Addrs), in.ActiveLanes(), in.Stride, want.listed, want.stride)
+		if listed := in.Listed(); listed != want.listed || !listed && in.Stride != want.stride {
+			t.Errorf("inst %d: listed %v, stride %d; want listed %v, stride %d",
+				i, listed, in.Stride, want.listed, want.stride)
 		}
 	}
 	var buf bytes.Buffer

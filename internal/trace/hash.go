@@ -59,6 +59,13 @@ var (
 
 func weighOne([32]byte) int { return 1 }
 
+// FlushMemos drops the retained content hashes and launch keys, so each is
+// computed again on its next use.
+func FlushMemos() {
+	hashMemo.Flush()
+	launchMemo.Flush()
+}
+
 // computeContentHash digests the app in declaration order, names and
 // address values included. Where every kernel numbers its memory
 // instructions as Validate requires, MemIndex follows from what is hashed
@@ -155,13 +162,13 @@ func (w *walker) kernel(k *Kernel) (renumbered bool) {
 				buf = le.AppendUint64(buf, in.PC)
 				buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src[0]), byte(in.Src[1]))
 				buf = le.AppendUint32(buf, in.ActiveMask)
-				n, strided := len(in.Addrs), in.strided()
-				if strided {
+				n := 0
+				if in.Op.IsMem() {
 					n = in.ActiveLanes()
 				}
 				buf = le.AppendUint32(buf, uint32(n))
 				if w.addrs && n > 0 {
-					buf = appendLanes(buf, in, n, strided)
+					buf = appendLanes(buf, k.Store, in, n)
 				}
 				if len(buf) >= 1<<15-64 {
 					w.d.Write(buf)
@@ -183,22 +190,31 @@ const (
 // appendLanes appends the n lanes of in, strided or listed as the lane form
 // byte says: lane 0 and the stride when strideOf accepts them, as it does
 // every strided instruction's and a listed instruction's that SetLanes
-// would have kept strided, else every listed address.
-func appendLanes(buf []byte, in *Inst, n int, strided bool) []byte {
-	le, s := binary.LittleEndian, in.Stride
-	if !strided && n == in.ActiveLanes() {
-		s, strided = strideOf(in.Addrs)
+// would have kept strided, else every address, as for one lane.
+func appendLanes(buf []byte, lanes *LaneStore, in *Inst, n int) []byte {
+	le := binary.LittleEndian
+	switch {
+	case !in.Listed() && n > 1:
+		return appendStrided(buf, in.lane, in.Stride)
+	case !in.Listed():
+		return le.AppendUint64(append(buf, hashListed), in.lane)
 	}
-	if strided {
-		buf = append(buf, hashStrided)
-		buf = le.AppendUint64(buf, in.Addrs[0])
-		return le.AppendUint32(buf, uint32(s))
+	run := lanes.run(in.lane, n)
+	if s, ok := strideOf(run); ok {
+		return appendStrided(buf, run[0], s)
 	}
 	buf = append(buf, hashListed)
-	for _, addr := range in.Addrs {
+	for _, addr := range run {
 		buf = le.AppendUint64(buf, addr)
 	}
 	return buf
+}
+
+// appendStrided appends strided lanes from lane 0 and their stride.
+func appendStrided(buf []byte, lane0 uint64, stride int32) []byte {
+	buf = append(buf, hashStrided)
+	buf = binary.LittleEndian.AppendUint64(buf, lane0)
+	return binary.LittleEndian.AppendUint32(buf, uint32(stride))
 }
 
 // memIndices digests the MemIndex of k's memory instructions in order.

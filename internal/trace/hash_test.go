@@ -17,7 +17,7 @@ func hashTestApp() *App {
 			Blocks: []BlockTrace{
 				{Warps: []WarpTrace{{
 					{PC: 0, Op: OpInt, Dst: 1, ActiveMask: 0xffffffff},
-					{PC: 8, Op: OpLoadGlobal, Dst: 2, Src: [2]Reg{1}, ActiveMask: 0x1, Addrs: []uint64{base}},
+					{PC: 8, Op: OpLoadGlobal, Dst: 2, Src: [2]Reg{1}, ActiveMask: 0x1, lane: base},
 					{PC: 16, Op: OpExit, ActiveMask: 0xffffffff},
 				}}},
 				{Warps: []WarpTrace{{
@@ -30,9 +30,10 @@ func hashTestApp() *App {
 	return &App{Name: "HASH", Suite: "test", Kernels: []*Kernel{k("k0", 0x100), k("k1", 0x200)}}
 }
 
-// deepCopyApp clones an app down to the instruction slices, producing a
-// structurally identical trace at entirely new addresses — the
-// "separately parsed copy" case the content hash exists for.
+// deepCopyApp clones an app down to the instruction slices and lane
+// stores, producing a structurally identical trace at entirely new
+// addresses — the "separately parsed copy" case the content hash exists
+// for.
 func deepCopyApp(a *App) *App {
 	out := &App{Name: a.Name, Suite: a.Suite}
 	for _, k := range a.Kernels {
@@ -40,14 +41,17 @@ func deepCopyApp(a *App) *App {
 			Name: k.Name, Grid: k.Grid, Block: k.Block,
 			RegsPerThread: k.RegsPerThread, SharedMemPerBlock: k.SharedMemPerBlock,
 		}
+		if k.Store != nil {
+			nk.Store = &LaneStore{}
+			for _, c := range k.Store.chunks {
+				nk.Store.chunks = append(nk.Store.chunks, append([]uint64(nil), c...))
+			}
+		}
 		for _, b := range k.Blocks {
 			nb := BlockTrace{}
 			for _, w := range b.Warps {
 				nw := make(WarpTrace, len(w))
 				copy(nw, w)
-				for i := range nw {
-					nw[i].Addrs = append([]uint64(nil), w[i].Addrs...)
-				}
 				nb.Warps = append(nb.Warps, nw)
 			}
 			nk.Blocks = append(nk.Blocks, nb)
@@ -83,7 +87,7 @@ func TestContentHashSensitivity(t *testing.T) {
 		"opcode":      func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Op = OpSFU },
 		"dst reg":     func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Dst = 9 },
 		"mask":        func(a *App) { a.Kernels[1].Blocks[0].Warps[0][0].ActiveMask = 0x3 },
-		"address":     func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].Addrs[0]++ },
+		"address":     func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].lane++ },
 		"pc":          func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].PC += 8 },
 	}
 	want := ContentHash(base)
@@ -172,25 +176,36 @@ func TestContentHashMemoBounded(t *testing.T) {
 // moves the hash in either form. The launch key, which hashes no address,
 // is the same for both forms as well.
 func TestContentHashLaneForms(t *testing.T) {
-	appOf := func(in Inst) *App {
+	appOf := func(in Inst, lanes *LaneStore) *App {
 		k := &Kernel{
 			Name: "k", Grid: Dim3{X: 1, Y: 1, Z: 1}, Block: Dim3{X: 32, Y: 1, Z: 1},
 			Blocks: []BlockTrace{{Warps: []WarpTrace{{in, {PC: 8, Op: OpExit, ActiveMask: 0xffffffff}}}}},
+			Store:  lanes,
 		}
 		return &App{Name: "LANES", Suite: "test", Kernels: []*Kernel{k}}
 	}
 	load := func(mask uint32) Inst { return Inst{Op: OpLoadGlobal, Dst: 1, ActiveMask: mask} }
 	strided := func(mask uint32, base uint64, stride int32) *App {
 		in := load(mask)
-		in.Addrs, in.Stride = []uint64{base}, stride
-		return appOf(in)
+		in.lane, in.Stride = base, stride
+		return appOf(in, nil)
 	}
 	listed := func(mask uint32, base uint64, stride int32) *App {
 		in := load(mask)
+		var lanes []uint64
 		for i := 0; i < in.ActiveLanes(); i++ {
-			in.Addrs = append(in.Addrs, base+uint64(i)*uint64(int64(stride)))
+			lanes = append(lanes, base+uint64(i)*uint64(int64(stride)))
 		}
-		return appOf(in)
+		var arena Arena
+		arena.ListLanes(&in, lanes)
+		return appOf(in, arena.Store())
+	}
+	// setLanes is load(mask) with lanes as SetLanes keeps them.
+	setLanes := func(mask uint32, lanes ...uint64) *App {
+		in := load(mask)
+		var arena Arena
+		arena.SetLanes(&in, lanes)
+		return appOf(in, arena.Store())
 	}
 	for _, c := range []struct {
 		name   string
@@ -227,14 +242,10 @@ func TestContentHashLaneForms(t *testing.T) {
 
 	// Lanes that are not evenly spaced, or whose stride does not fit an
 	// int32, are hashed listed: each differs from its strided near miss.
-	scatter := load(0x7)
-	scatter.Addrs = []uint64{0x100, 0x104, 0x10c}
-	if computeContentHash(appOf(scatter)) == computeContentHash(strided(0x7, 0x100, 4)) {
+	if computeContentHash(setLanes(0x7, 0x100, 0x104, 0x10c)) == computeContentHash(strided(0x7, 0x100, 4)) {
 		t.Error("a scatter hashes like the strided lanes it starts as")
 	}
-	wide := load(0x3)
-	wide.Addrs = []uint64{0, 1 << 40}
-	if computeContentHash(appOf(wide)) == computeContentHash(strided(0x3, 0, 0)) {
+	if computeContentHash(setLanes(0x3, 0, 1<<40)) == computeContentHash(strided(0x3, 0, 0)) {
 		t.Error("lanes spaced beyond an int32 hash like a broadcast")
 	}
 }

@@ -155,19 +155,19 @@ func TestSGTRoundTripKeepsMemIndex(t *testing.T) {
 	}
 }
 
-// TestTracesHaveExactCapacities: both trace producers carve warps and lane
-// addresses from a shared backing store with each slice's capacity clamped
-// to its length, so that an append to one can never write into its
+// TestTracesHaveExactCapacities: both trace producers carve warps and
+// listed lane runs from a shared backing store with each slice's capacity
+// clamped to its length, so that an append to one can never write into its
 // neighbour. Every catalog app, as generated and as read back from .sgt,
-// must hold that for every warp and every instruction, in both lane forms:
-// a strided instruction's one address and a listed one's every lane. The
-// catalog has instructions of both forms, and its scatter apps most of the
-// listed ones.
+// must hold that for every warp and every listed instruction's lanes. The
+// catalog has instructions of both lane forms, strided and listed, and its
+// scatter apps most of the listed ones.
 func TestTracesHaveExactCapacities(t *testing.T) {
 	forms := map[string][2]int{} // per producer: strided and listed instructions
 	check := func(how string, app *trace.App) {
 		t.Helper()
 		n := forms[how]
+		var buf [trace.WarpSize]uint64
 		for ki, k := range app.Kernels {
 			for bi := range k.Blocks {
 				for wi, w := range k.Blocks[bi].Warps {
@@ -175,16 +175,16 @@ func TestTracesHaveExactCapacities(t *testing.T) {
 						t.Fatalf("%s %s kernel %d block %d warp %d: cap %d, len %d", how, app.Name, ki, bi, wi, cap(w), len(w))
 					}
 					for i := range w {
-						if a := w[i].Addrs; cap(a) != len(a) {
-							t.Fatalf("%s %s kernel %d block %d warp %d inst %d: addresses cap %d, len %d",
-								how, app.Name, ki, bi, wi, i, cap(a), len(a))
-						}
-						switch lanes := w[i].ActiveLanes(); {
+						switch {
 						case !w[i].Op.IsMem():
-						case len(w[i].Addrs) == 1 && lanes > 1:
-							n[0]++
-						case len(w[i].Addrs) == lanes:
+						case w[i].Listed():
+							if a := k.Store.Lanes(&w[i], &buf); cap(a) != len(a) {
+								t.Fatalf("%s %s kernel %d block %d warp %d inst %d: addresses cap %d, len %d",
+									how, app.Name, ki, bi, wi, i, cap(a), len(a))
+							}
 							n[1]++
+						case w[i].ActiveLanes() > 1:
+							n[0]++
 						}
 					}
 				}
@@ -215,19 +215,44 @@ func TestTracesHaveExactCapacities(t *testing.T) {
 	}
 }
 
-// TestInstSize pins trace.Inst at 48 bytes: a strided instruction's Stride
-// fills the padding after MemIndex, so the second lane form costs no
-// instruction a byte.
+// TestInstSize pins trace.Inst at 32 bytes: one lane word holds an
+// instruction's lane 0 or the index of its listed lanes, and a strided
+// instruction's Stride fills the padding after MemIndex.
 func TestInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(trace.Inst{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(trace.Inst{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(trace.Inst{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(trace.Inst{}) = %d, want 32", got)
 	}
+}
+
+// TestInstHoldsNoPointer: no field of trace.Inst, at any depth, is or holds
+// a Go pointer, so an app's instruction chunks are memory the collector
+// allocates as holding none and never scans. A slice, map, string,
+// interface, func, channel or pointer field fails it.
+func TestInstHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %v: trace.Inst must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("Inst", reflect.TypeOf(trace.Inst{}))
 }
 
 // shape counts what a trace's size is bounded by.
 type shape struct {
 	kernels, blocks, warps, insts, maxWarp int
-	listed, strided                        int // lanes listed; strided instructions
+	listed                                 int // lanes listed in the lane store
 }
 
 func shapeOf(app *trace.App) shape {
@@ -240,10 +265,8 @@ func shapeOf(app *trace.App) shape {
 				s.insts += len(w)
 				s.maxWarp = max(s.maxWarp, len(w))
 				for i := range w {
-					if len(w[i].Addrs) == 1 && w[i].ActiveLanes() > 1 {
-						s.strided++
-					} else {
-						s.listed += len(w[i].Addrs)
+					if w[i].Listed() {
+						s.listed += w[i].ActiveLanes()
 					}
 				}
 			}
@@ -254,7 +277,7 @@ func shapeOf(app *trace.App) shape {
 
 // chunks is how many arena chunks the trace fills.
 func (s shape) chunks() int {
-	return s.insts/trace.InstChunk + (s.listed+s.strided)/trace.AddrChunk
+	return s.insts/trace.InstChunk + s.listed/trace.AddrChunk
 }
 
 // TestReadAllocationsTrackStructure: reading a .sgt trace allocates per
@@ -297,17 +320,18 @@ func TestReadAllocationsTrackStructure(t *testing.T) {
 }
 
 // TestTraceBytesTrackStructure holds the bytes generating an app allocates,
-// its trace and the builder's scratch, at scales 0.5, 2 and 4 to 48 per
-// instruction, 8 per listed lane and per strided instruction, 24 per warp
-// and per block (the warp and block tables), and the arena's chunk slack:
-// the app's last chunk of each store and its builder's scratch, once per
-// app since its kernels share them, and per full chunk a tail shorter than
-// the take that did not fit it (a warp of instructions, a warp's lanes). A
-// strided instruction costs one address here where listing its lanes cost
-// up to 32. Any cost per instruction or lane beyond these breaks the bound
-// as the scale grows: an 8-byte word more per trace.Inst broke it for 16 of
-// the 20 apps at scale 4 when the slack was per kernel, and an arena and
-// builder per kernel break it for 21 of the 60 rows.
+// its trace and the builder's scratch, at scales 0.5, 2 and 4 to 32 per
+// instruction, 8 per listed lane and nothing per strided or one-lane
+// instruction, 24 per warp and per block (the warp and block tables), and
+// the arena's chunk slack: the app's last chunk of each store and its
+// builder's scratch, once per app since its kernels share them, per full
+// chunk a tail shorter than the take that did not fit it (a warp of
+// instructions, a warp's lanes), and twice a slice header per lane chunk
+// for the lane store's chunk table. Any cost per instruction or lane beyond
+// these breaks the bound as the scale grows: an 8-byte word more per
+// trace.Inst broke it for 16 of the 20 apps at scale 4 when the slack was
+// per kernel, and an arena and builder per kernel break it for 21 of the
+// 60 rows.
 func TestTraceBytesTrackStructure(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
@@ -320,12 +344,13 @@ func TestTraceBytesTrackStructure(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes := after.TotalAlloc - before.TotalAlloc
 			s := shapeOf(app)
-			slack := trace.InstChunk*48 + trace.AddrChunk*8 + 2*48*s.maxWarp +
-				s.insts/trace.InstChunk*48*s.maxWarp + (s.listed+s.strided)/trace.AddrChunk*8*trace.WarpSize
-			bound := 48*s.insts + 8*(s.listed+s.strided) + 24*(s.warps+s.blocks) + slack + 4096
+			laneChunks := s.listed/trace.AddrChunk + 1
+			slack := trace.InstChunk*32 + trace.AddrChunk*8 + 2*32*s.maxWarp +
+				s.insts/trace.InstChunk*32*s.maxWarp + laneChunks*(8*trace.WarpSize+2*24)
+			bound := 32*s.insts + 8*s.listed + 24*(s.warps+s.blocks) + slack + 4096
 			if bytes > uint64(bound) {
-				t.Errorf("%s at scale %g: %d bytes for %d instructions, %d listed lanes, %d strided instructions, %d kernels; bound %d",
-					spec.Name, scale, bytes, s.insts, s.listed, s.strided, s.kernels, bound)
+				t.Errorf("%s at scale %g: %d bytes for %d instructions, %d listed lanes, %d kernels; bound %d",
+					spec.Name, scale, bytes, s.insts, s.listed, s.kernels, bound)
 			}
 		}
 	}

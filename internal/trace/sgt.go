@@ -47,7 +47,7 @@ func Write(w io.Writer, app *App) error {
 				line = strconv.AppendInt(append(line, " insts "...), int64(len(warp)), 10)
 				bw.Write(append(line, '\n'))
 				for i := range warp {
-					line = appendInst(line[:0], &warp[i])
+					line = appendInst(line[:0], k, &warp[i])
 					bw.Write(line)
 				}
 			}
@@ -57,8 +57,9 @@ func Write(w io.Writer, app *App) error {
 	return bw.Flush()
 }
 
-// appendInst appends in's line, with every lane's address listed.
-func appendInst(b []byte, in *Inst) []byte {
+// appendInst appends the line of in, an instruction of k, with every
+// lane's address listed.
+func appendInst(b []byte, k *Kernel, in *Inst) []byte {
 	b = strconv.AppendUint(b, in.PC, 10)
 	b = append(append(b, ' '), in.Op.String()...)
 	for _, r := range [...]Reg{in.Dst, in.Src[0], in.Src[1]} {
@@ -66,7 +67,7 @@ func appendInst(b []byte, in *Inst) []byte {
 	}
 	b = strconv.AppendUint(append(b, ' '), uint64(in.ActiveMask), 16)
 	var lanes [WarpSize]uint64
-	for _, a := range in.Lanes(&lanes) {
+	for _, a := range k.Store.Lanes(in, &lanes) {
 		b = strconv.AppendUint(append(b, ' '), a, 16)
 	}
 	return append(b, '\n')
@@ -304,6 +305,7 @@ func (r *sgtReader) readKernel() (*Kernel, error) {
 			k.Blocks[bi].Warps[wi] = warp
 		}
 	}
+	k.Store = r.arena.Store()
 	return k, nil
 }
 
@@ -398,11 +400,14 @@ func (r *sgtReader) parseInst(line []byte, in *Inst) error {
 	}
 	*in = Inst{PC: pc, Op: op, Dst: dst, Src: [2]Reg{s0, s1}, ActiveMask: uint32(mask)}
 	naddr := len(f) - 6
-	if naddr == 0 {
+	if !op.IsMem() {
+		if naddr != 0 {
+			return fmt.Errorf("non-memory instruction carries addresses")
+		}
 		return nil
 	}
-	// A line lists every active lane's address; one that lists fewer
-	// must not pass for a strided instruction.
+	// A memory instruction's line lists every active lane's address; one
+	// that lists fewer must not pass for a strided instruction.
 	if naddr != in.ActiveLanes() {
 		return fmt.Errorf("%d addresses for %d active lanes", naddr, in.ActiveLanes())
 	}

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -116,41 +117,35 @@ type Inst struct {
 	// where it departs from that numbering, as in a sampled kernel) and the
 	// .sgt format does not carry it.
 	MemIndex uint32
-	// Stride is the spacing of a strided instruction's lane addresses (see
-	// Addrs); it is 0 for every other instruction.
+	// Stride is the spacing of a strided instruction's lane addresses, and
+	// listedStride for a listed one (see lane); it is 0 for every other
+	// instruction.
 	Stride int32
-	// Addrs holds a memory instruction's byte addresses, one per active
-	// lane in ascending lane order, in one of two forms. Listed, it holds
-	// every lane's address. Strided (len(Addrs) == 1 < ActiveLanes()), it
-	// holds lane 0's, and active lane i is at Addrs[0] + i·Stride in
-	// wrapping arithmetic; a Stride of 0 is a broadcast. Lanes returns
-	// either form listed, and Arena.SetLanes picks the form. Addrs is empty
-	// for all other opcode classes.
-	Addrs []uint64
+	// lane is a memory instruction's lane word, which holds its byte
+	// addresses, one per active lane in ascending lane order, in one of
+	// three forms. One lane: the word is that lane's address. Strided
+	// (ActiveLanes() > 1, Stride not listedStride): it is lane 0's, and
+	// active lane i is at lane + i·Stride in wrapping arithmetic; a Stride
+	// of 0 is a broadcast. Listed (Stride == listedStride): it is the index
+	// of the instruction's run of ActiveLanes() addresses in its kernel's
+	// LaneStore. Arena.SetLanes picks the form, and LaneStore.Lanes returns
+	// any of them listed. It is 0 for all other opcode classes.
+	//
+	// Inst holds no Go pointer, so an app's instruction chunks, most of
+	// what it holds, are memory the collector never scans.
+	lane uint64
 }
+
+// listedStride is the Stride of a listed instruction. SetLanes keeps lanes
+// evenly spaced by it listed, so it is no stride of a strided one.
+const listedStride = math.MinInt32
 
 // ActiveLanes returns the number of active lanes.
 func (in Inst) ActiveLanes() int { return bits.OnesCount32(in.ActiveMask) }
 
-// strided reports whether in keeps its lane addresses as Addrs[0] and
-// Stride.
-func (in *Inst) strided() bool { return len(in.Addrs) == 1 && in.ActiveLanes() > 1 }
-
-// Lanes returns in's lane addresses, one per active lane in ascending lane
-// order. A strided instruction's are expanded into buf; a listed one's are
-// Addrs itself. Either way the caller must not modify them.
-func (in *Inst) Lanes(buf *[WarpSize]uint64) []uint64 {
-	if !in.strided() {
-		return in.Addrs
-	}
-	n := in.ActiveLanes()
-	a, s := in.Addrs[0], uint64(int64(in.Stride))
-	for i := range buf[:n] {
-		buf[i] = a
-		a += s
-	}
-	return buf[:n]
-}
+// Listed reports whether in's lane addresses are listed in its kernel's
+// LaneStore rather than held in the instruction.
+func (in *Inst) Listed() bool { return in.Stride == listedStride }
 
 // Dim3 is a CUDA-style three-dimensional extent.
 type Dim3 struct {
@@ -210,6 +205,11 @@ type Kernel struct {
 	// Blocks holds one BlockTrace per thread block, in linearized grid
 	// order.
 	Blocks []BlockTrace
+	// Store holds the lanes of the kernel's listed memory instructions: its
+	// app's lane store, shared by the app's kernels. It is nil for a kernel
+	// with no listed instruction. Every reader gets an instruction's lanes
+	// through it (LaneStore.Lanes).
+	Store *LaneStore
 }
 
 // WarpSize is the fixed number of threads per warp.
@@ -272,7 +272,7 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("trace: kernel %s block %d: %d warps, want %d", k.Name, bi, len(b.Warps), wpb)
 		}
 		for wi, w := range b.Warps {
-			if err := validateWarp(w, &next); err != nil {
+			if err := validateWarp(w, k.Store, &next); err != nil {
 				return fmt.Errorf("trace: kernel %s block %d warp %d: %w", k.Name, bi, wi, err)
 			}
 		}
@@ -280,11 +280,10 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-func validateWarp(w WarpTrace, next *uint32) error {
+func validateWarp(w WarpTrace, lanes *LaneStore, next *uint32) error {
 	if len(w) == 0 {
 		return fmt.Errorf("empty warp trace")
 	}
-	var lanes [WarpSize]uint64
 	for i := range w {
 		in := &w[i]
 		if in.Op >= numOpClasses {
@@ -293,19 +292,20 @@ func validateWarp(w WarpTrace, next *uint32) error {
 		if in.ActiveMask == 0 && in.Op != OpExit && in.Op != OpBarrier {
 			return fmt.Errorf("inst %d (%v): zero active mask", i, in.Op)
 		}
-		if in.Stride != 0 && !in.strided() {
-			return fmt.Errorf("inst %d (%v): stride %d with %d addresses listed", i, in.Op, in.Stride, len(in.Addrs))
-		}
 		if in.Op.IsMem() {
-			if got, want := len(in.Lanes(&lanes)), in.ActiveLanes(); got != want {
-				return fmt.Errorf("inst %d (%v): %d addresses for %d active lanes", i, in.Op, got, want)
+			if n := in.ActiveLanes(); in.Listed() {
+				if !lanes.holds(in.lane, n) {
+					return fmt.Errorf("inst %d (%v): its %d listed lanes at %d fall outside the kernel's lane store", i, in.Op, n, in.lane)
+				}
+			} else if n == 1 && in.Stride != 0 {
+				return fmt.Errorf("inst %d (%v): stride %d on one lane", i, in.Op, in.Stride)
 			}
 			if in.MemIndex != *next {
 				return fmt.Errorf("inst %d (%v): MemIndex %d, want %d: memory instructions are numbered 0, 1, ... "+
 					"in block, warp, instruction order (Kernel.NumberMem)", i, in.Op, in.MemIndex, *next)
 			}
 			*next++
-		} else if len(in.Addrs) != 0 {
+		} else if in.lane != 0 || in.Stride != 0 {
 			return fmt.Errorf("inst %d (%v): non-memory instruction carries addresses", i, in.Op)
 		}
 		if in.Op == OpExit && i != len(w)-1 {

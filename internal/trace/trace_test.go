@@ -45,6 +45,7 @@ func tinyApp() *App {
 		})
 	}
 	k.NumberMem()
+	k.Store = arena.Store()
 	return &App{Name: "tiny", Suite: "unit", Kernels: []*Kernel{k}}
 }
 
@@ -130,11 +131,26 @@ func TestValidateRejections(t *testing.T) {
 		{"empty warp", func(a *App) { a.Kernels[0].Blocks[0].Warps[0] = nil }},
 		{"bad opcode", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Op = numOpClasses }},
 		{"zero mask", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].ActiveMask = 0 }},
-		{"addr count mismatch", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].Addrs = nil }},
-		{"addrs on ALU op", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Addrs = []uint64{1} }},
-		{"stride on listed lanes", func(a *App) {
+		{"listed lanes with no store", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][1].Stride = listedStride }},
+		{"listed lanes past the store", func(a *App) {
+			var arena Arena
 			in := &a.Kernels[0].Blocks[0].Warps[0][1]
-			in.Addrs, in.Stride = []uint64{0, 32, 64, 96}, 32
+			arena.SetLanes(in, []uint64{0, 8, 12, 96})
+			a.Kernels[0].Store = arena.Store()
+			in.lane = addrChunk - 2
+		}},
+		{"listed lanes past the chunks", func(a *App) {
+			var arena Arena
+			in := &a.Kernels[0].Blocks[0].Warps[0][1]
+			arena.SetLanes(in, []uint64{0, 8, 12, 96})
+			a.Kernels[0].Store = arena.Store()
+			in.lane += addrChunk
+		}},
+		{"addrs on ALU op", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].lane = 1 }},
+		{"stride on ALU op", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][0].Stride = 4 }},
+		{"stride on one lane", func(a *App) {
+			in := &a.Kernels[0].Blocks[0].Warps[0][1]
+			in.ActiveMask, in.Stride = 1, 32
 		}},
 		{"early exit", func(a *App) { a.Kernels[0].Blocks[0].Warps[0][2].Op = OpExit }},
 		{"no exit", func(a *App) {
@@ -293,8 +309,8 @@ func TestSGTIgnoresCommentsAndBlanks(t *testing.T) {
 }
 
 // randomWarp builds a structurally valid warp from a PRNG, for property
-// tests.
-func randomWarp(r *rand.Rand, n int) WarpTrace {
+// tests, committing its lanes to arena.
+func randomWarp(r *rand.Rand, n int, arena *Arena) WarpTrace {
 	w := make(WarpTrace, 0, n+1)
 	for i := 0; i < n; i++ {
 		op := OpClass(r.Intn(int(OpBarrier + 1)))
@@ -310,10 +326,11 @@ func randomWarp(r *rand.Rand, n int) WarpTrace {
 			ActiveMask: mask,
 		}
 		if op.IsMem() {
-			in.Addrs = make([]uint64, bits.OnesCount32(mask))
-			for j := range in.Addrs {
-				in.Addrs[j] = uint64(r.Int63()) &^ 3
+			lanes := make([]uint64, bits.OnesCount32(mask))
+			for j := range lanes {
+				lanes[j] = uint64(r.Int63()) &^ 3
 			}
+			arena.SetLanes(&in, lanes)
 		}
 		w = append(w, in)
 	}
@@ -334,12 +351,14 @@ func TestQuickSGTRoundTrip(t *testing.T) {
 			Block:         Dim3{64, 1, 1},
 			RegsPerThread: 16,
 		}
+		var arena Arena
 		for b := 0; b < nBlocks; b++ {
 			k.Blocks = append(k.Blocks, BlockTrace{
-				Warps: []WarpTrace{randomWarp(r, nInsts), randomWarp(r, nInsts)},
+				Warps: []WarpTrace{randomWarp(r, nInsts, &arena), randomWarp(r, nInsts, &arena)},
 			})
 		}
 		k.NumberMem()
+		k.Store = arena.Store()
 		app := &App{Name: "q", Suite: "quick", Kernels: []*Kernel{k}}
 		if err := app.Validate(); err != nil {
 			t.Logf("generated invalid app: %v", err)

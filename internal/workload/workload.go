@@ -370,6 +370,7 @@ func kernel1D(b *wb, name string, blocks, threadsPerBlock, regs, shmem int,
 		}
 		k.Blocks[bi].Warps = warps
 	}
+	k.Store = b.arena.Store()
 	return k
 }
 

@@ -339,7 +339,7 @@ func TestGenerateAllocationCeiling(t *testing.T) {
 // at every scale by its kernels, its blocks and the chunks its trace fills,
 // not by its instructions. A kernel pays for its record and block table,
 // the app for its builder's scratch and its arena's first chunks, a block
-// for its warp table, and the instructions and lane addresses for the
+// for its warp table, and the instructions and listed lane addresses for the
 // arena's chunks of 1,024 and 8,192 elements, with a quarter more for the
 // tails that warps and lanes too long for them leave behind. One more allocation per warp, let alone one per memory
 // instruction, breaks the bound for every app at scale 4.
@@ -358,7 +358,9 @@ func TestGenerateAllocationsTrackStructure(t *testing.T) {
 					for _, w := range b.Warps {
 						insts += len(w)
 						for i := range w {
-							lanes += len(w[i].Addrs)
+							if w[i].Listed() {
+								lanes += w[i].ActiveLanes()
+							}
 						}
 					}
 				}
