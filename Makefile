@@ -39,12 +39,18 @@ tier1:
 	$(GO) test -race -run 'TestEpoch|TestSnapshot|TestSample' ./internal/regress/
 
 # lint enforces gofmt and go vet, holds every CHANGES.md line (one per
-# change) to 1,200 bytes, and additionally runs staticcheck and govulncheck
-# when they are installed (they are optional: the build must stay
-# dependency-free on machines without them).
+# change) to 1,200 bytes, refuses a memo keyed by a pointer in non-test Go
+# (`memo.New[*`: it keeps every object it has seen reachable; a fact about
+# one immutable object is kept on the object, DESIGN.md §12.1), and
+# additionally runs staticcheck and govulncheck when they are installed
+# (they are optional: the build must stay dependency-free on machines
+# without them).
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@keyed="$$(grep -rn --include='*.go' --exclude='*_test.go' 'memo\.New\[\*' .)"; if [ -n "$$keyed" ]; then \
+		echo "a memo keyed by a pointer (keep the fact on the object, DESIGN.md §12.1):"; echo "$$keyed"; exit 1; \
 	fi
 	@LC_ALL=C awk 'length > 1200 { printf "CHANGES.md:%d: %d bytes, over 1200\n", NR, length; bad = 1 } END { exit bad }' CHANGES.md
 	$(GO) vet ./...

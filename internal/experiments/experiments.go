@@ -317,9 +317,11 @@ type Fig5Result struct {
 // Figure5 reproduces the contribution analysis: hybrid-modeling speedup at
 // one thread, then the additional factor from running applications in
 // parallel. Each Memory pass, single-thread and parallel, starts with cold
-// profile, validation and digest memos, so its wall time holds the hit-rate
-// profiling Swift-Sim-Memory pays, whatever ran before it in the process,
-// and the parallel factor compares two passes in the same state. Failed
+// profile memos, so its wall time holds the hit-rate profiling
+// Swift-Sim-Memory pays, whatever ran before it in the process, and the
+// parallel factor compares two passes in the same state. A trace's digest
+// and validity are kept on the trace, which every pass shares, so no pass
+// hashes or validates it again. Failed
 // jobs are recorded in Failed and excluded from the measurements rather
 // than aborting the figure.
 func Figure5(p Params) (*Fig5Result, error) {
@@ -341,8 +343,11 @@ func Figure5(p Params) (*Fig5Result, error) {
 	}
 	// suiteWall measures the wall time of one sweep, summing only the
 	// successful jobs' contribution (the sweep itself runs to completion;
-	// failures are recorded, not fatal).
+	// failures are recorded, not fatal). A Memory sweep profiles cold.
 	suiteWall := func(kind sim.Kind, threads int) (time.Duration, error) {
+		if kind == sim.Memory {
+			sim.FlushMemos()
+		}
 		start := time.Now()
 		outs := runner.Run(mkJobs(kind), threads, runner.Options{
 			Ctx: p.Ctx, JobTimeout: p.JobTimeout, Trace: p.Trace, Defaults: p.Defaults,
@@ -360,11 +365,6 @@ func Figure5(p Params) (*Fig5Result, error) {
 		}
 		return time.Since(start), nil
 	}
-	coldMemory := func(threads int) (time.Duration, error) {
-		sim.FlushMemos()
-		trace.FlushMemos()
-		return suiteWall(sim.Memory, threads)
-	}
 
 	wallDet1, err := suiteWall(sim.Detailed, 1)
 	if err != nil {
@@ -374,7 +374,7 @@ func Figure5(p Params) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wallMem1, err := coldMemory(1)
+	wallMem1, err := suiteWall(sim.Memory, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +382,7 @@ func Figure5(p Params) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wallMemN, err := coldMemory(res.Threads)
+	wallMemN, err := suiteWall(sim.Memory, res.Threads)
 	if err != nil {
 		return nil, err
 	}

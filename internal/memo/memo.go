@@ -1,8 +1,10 @@
-// Package memo is the process-wide memo of a pure function that the
-// simulator keeps wherever it would otherwise recompute: trace digests,
-// trace validations, generated traces, the two hit-rate profile phases and
-// the sweep service's job keys. The service's blob store also keeps one,
-// of its own, for the one in-memory copy of each result blob.
+// Package memo is the memo of a pure function that the simulator keeps
+// wherever it would otherwise recompute: generated traces and the two
+// hit-rate profile phases, process-wide, and the job keys a sweep service
+// or worker derives, for its lifetime. The service's blob store also keeps
+// one, of its own, for the one in-memory copy of each result blob. A memo
+// is keyed by content, never by pointer: a fact about one immutable object,
+// such as a trace's digest, is kept on that object.
 package memo
 
 import (
@@ -42,9 +44,7 @@ type Stats struct {
 }
 
 // New returns a memo that retains completed values while their summed
-// weight stays within limit. A value that weighs less than zero is handed
-// to its callers, those already waiting included, and not retained: a memo
-// of a check keeps its passes and recomputes its failures.
+// weight stays within limit.
 func New[K comparable, V any](limit int, weight func(V) int) *Memo[K, V] {
 	return &Memo[K, V]{limit: limit, weight: weight, entries: make(map[K]*entry[V])}
 }
@@ -90,11 +90,6 @@ func (m *Memo[K, V]) fill(key K, e *entry[V], compute func(K) V) V {
 	e.ok = true
 
 	m.mu.Lock()
-	if e.weight < 0 {
-		delete(m.entries, key)
-		m.mu.Unlock()
-		return e.val
-	}
 	m.order.Push(key)
 	m.held += e.weight
 	// A value heavier than the whole limit is its own first victim: handed

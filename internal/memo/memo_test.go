@@ -93,41 +93,6 @@ func TestMemoEvictsOldestByBytes(t *testing.T) {
 	}
 }
 
-// TestMemoNegativeWeightNotRetained: a value weighing less than zero reaches
-// its caller and a caller waiting on it, leaves no entry and evicts nothing,
-// so the next caller of its key computes again.
-func TestMemoNegativeWeightNotRetained(t *testing.T) {
-	m := New[string](2, func(v int) int {
-		if v < 0 {
-			return -1
-		}
-		return 1
-	})
-	m.Get("kept", func(string) int { return 1 })
-	entered, release := make(chan struct{}), make(chan struct{})
-	done := make(chan int)
-	go func() { done <- m.Get("failed", func(string) int { close(entered); <-release; return -5 }) }()
-	<-entered
-	waiter := make(chan int)
-	go func() { waiter <- m.Get("failed", func(string) int { return -7 }) }()
-	close(release)
-	if v := <-done; v != -5 {
-		t.Errorf("the computing caller got %d, want -5", v)
-	}
-	if v := <-waiter; v != -5 && v != -7 {
-		t.Errorf("the waiting caller got %d, want the shared -5 or its own -7", v)
-	}
-	if st := m.Stats(); st.Entries != 1 {
-		t.Errorf("%d entries after a negative-weight value, want only the kept one", st.Entries)
-	}
-	if v := m.Get("failed", func(string) int { return -9 }); v != -9 {
-		t.Errorf("a later caller got %d, want its own recomputed -9", v)
-	}
-	if v := m.Get("kept", func(string) int { t.Error("recomputed a retained key"); return 0 }); v != 1 {
-		t.Errorf("retained value = %d, want 1", v)
-	}
-}
-
 // TestFlushDropsRetainedValues: after Flush a memo retains nothing and
 // computes each key again on its next use, and its weight bound counts
 // from zero: values retained since fill it as if the memo were new.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"swiftsim/internal/config"
+	"swiftsim/internal/reuse"
 	"swiftsim/internal/sim"
 	"swiftsim/internal/workload"
 )
@@ -84,5 +85,61 @@ func TestMemoryLatencyDirection(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProfilerInclusion is Mattson's inclusion property as a direction
+// oracle for the hit-rate profiler: under LRU at fixed sets, a cache with
+// more ways holds everything the smaller one holds, so doubling the L1's
+// ways never lowers phase one's L1 hit rate, over loads
+// (Profile.DefaultReads) or over every access (Profile.Default), and
+// doubling the L2's ways behind the same phase-one result never lowers the
+// L1+L2 rate. It runs the 20 catalog apps at scale 0.1 on all three
+// presets (-short: the first preset). A doubling that raised no rate
+// anywhere would check nothing, so the test also wants each to raise one.
+func TestProfilerInclusion(t *testing.T) {
+	presets := config.PresetNames()
+	if testing.Short() {
+		presets = presets[:1]
+	}
+	var l1Rose, l2Rose bool
+	for _, preset := range presets {
+		gpu, ok := config.Preset(preset)
+		if !ok {
+			t.Fatalf("no preset %s", preset)
+		}
+		gpu.L1.Replacement, gpu.L2.Replacement = config.LRU, config.LRU
+		wideL1, wideL2 := gpu, gpu
+		wideL1.L1.Ways *= 2
+		wideL2.L2.Ways *= 2
+		for _, name := range workload.Names() {
+			app, err := workload.Generate(name, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := reuse.FilterL1(app, reuse.L1GeometryOf(app, gpu, false))
+			base := one.ReplayL2(reuse.L2LevelOf(gpu, false))
+			l1 := reuse.ProfileApp(app, wideL1)
+			l2 := one.ReplayL2(reuse.L2LevelOf(wideL2, false))
+			for _, r := range []struct {
+				of           string
+				base, l1, l2 reuse.Rates
+			}{
+				{"load", base.DefaultReads, l1.DefaultReads, l2.DefaultReads},
+				{"total", base.Default, l1.Default, l2.Default},
+			} {
+				if r.l1.L1 < r.base.L1 {
+					t.Errorf("%s on %s: doubling the L1's ways lowered its %s hit rate from %g to %g", name, preset, r.of, r.base.L1, r.l1.L1)
+				}
+				if got, was := r.l2.L1+r.l2.L2, r.base.L1+r.base.L2; got < was {
+					t.Errorf("%s on %s: doubling the L2's ways lowered the %s L1+L2 hit rate from %g to %g", name, preset, r.of, was, got)
+				}
+				l1Rose = l1Rose || r.l1.L1 > r.base.L1
+				l2Rose = l2Rose || r.l2.L2 > r.base.L2
+			}
+		}
+	}
+	if !l1Rose || !l2Rose {
+		t.Errorf("doubling the ways raised no L1 rate (%v) or no L2 rate (%v): the check does not bind", !l1Rose, !l2Rose)
 	}
 }

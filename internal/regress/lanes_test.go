@@ -18,8 +18,8 @@ func listedCopy(app *trace.App) *trace.App {
 	var arena trace.Arena
 	var lanes [trace.WarpSize]uint64
 	for _, k := range app.Kernels {
-		nk := *k
-		nk.Blocks = make([]trace.BlockTrace, len(k.Blocks))
+		nk := &trace.Kernel{Name: k.Name, Grid: k.Grid, Block: k.Block, RegsPerThread: k.RegsPerThread,
+			SharedMemPerBlock: k.SharedMemPerBlock, Blocks: make([]trace.BlockTrace, len(k.Blocks))}
 		for bi, b := range k.Blocks {
 			nk.Blocks[bi].Warps = make([]trace.WarpTrace, len(b.Warps))
 			for wi, w := range b.Warps {
@@ -33,7 +33,7 @@ func listedCopy(app *trace.App) *trace.App {
 			}
 		}
 		nk.Store = arena.Store()
-		out.Kernels = append(out.Kernels, &nk)
+		out.Kernels = append(out.Kernels, nk)
 	}
 	return out
 }

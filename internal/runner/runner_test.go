@@ -361,9 +361,10 @@ func TestSweepSurvivesOneBadTrace(t *testing.T) {
 			// One thread's registers exceed the whole SM register file:
 			// no block of this kernel can ever be scheduled. Generated
 			// traces are memoized and shared, so mutate a clone.
-			bad := *app.Kernels[0]
-			bad.RegsPerThread = gpu.SM.Registers
-			kernels := append([]*trace.Kernel{&bad}, app.Kernels[1:]...)
+			k := app.Kernels[0]
+			bad := &trace.Kernel{Name: k.Name, Grid: k.Grid, Block: k.Block, RegsPerThread: gpu.SM.Registers,
+				SharedMemPerBlock: k.SharedMemPerBlock, Blocks: k.Blocks, Store: k.Store}
+			kernels := append([]*trace.Kernel{bad}, app.Kernels[1:]...)
 			app = &trace.App{Name: app.Name, Suite: app.Suite, Kernels: kernels}
 		}
 		jobs = append(jobs, Job{App: app, GPU: gpu, Opts: sim.Options{Kind: sim.Memory}})

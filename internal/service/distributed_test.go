@@ -444,7 +444,7 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := jobKey(app, preset, job.Opts); key != job.Key {
+	if key := jobKey(newKeyMemo(), app, preset, job.Opts); key != job.Key {
 		t.Errorf("wire job inputs derive key %s, the grant says %s", key, job.Key)
 	}
 

@@ -44,11 +44,11 @@ const keySchema = "swiftsim-service-key 7"
 //     the key.
 //
 // Every warm resubmit derives its jobs' keys again, so the derivation is
-// memoized on exactly its inputs that vary within a process: the trace's
-// content hash, the whole configuration value (not its name, which an
-// explored variant of a preset keeps) and the options' Identity.
-func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
-	return keyMemo.Get(keyInputs{trace.ContentHash(app), gpu, opts.Identity()}, deriveKey)
+// memoized, in keys, on exactly its inputs that vary within a process: the
+// trace's content hash, the whole configuration value (not its name, which
+// an explored variant of a preset keeps) and the options' Identity.
+func jobKey(keys *keyMemo, app *trace.App, gpu config.GPU, opts sim.Options) string {
+	return keys.Get(keyInputs{trace.ContentHash(app), gpu, opts.Identity()}, deriveKey)
 }
 
 // keyInputs is the memo key of jobKey: everything the derivation reads that
@@ -59,11 +59,12 @@ type keyInputs struct {
 	identity string
 }
 
-// keyMemo holds the last keyMemoEntries derived keys, each weighing 1: a
-// sweep over every app, preset and kind is 240 of them.
-const keyMemoEntries = 4096
+// keyMemo holds the last 4,096 derived keys, each weighing 1: a sweep over
+// every app, preset and kind is 240 of them. A Service and a Worker each
+// hold one for their lifetime.
+type keyMemo = memo.Memo[keyInputs, string]
 
-var keyMemo = memo.New[keyInputs](keyMemoEntries, func(string) int { return 1 })
+func newKeyMemo() *keyMemo { return memo.New[keyInputs](4096, func(string) int { return 1 }) }
 
 // deriveKey is jobKey's computation, on the memo's key.
 func deriveKey(in keyInputs) string {

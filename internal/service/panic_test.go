@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"swiftsim/internal/config"
@@ -32,11 +30,11 @@ func TestPanicPoisonsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copied := *app // the validApps memo's key, unvalidated
-	// The job-key memo outlives the test: each run keys a GPU of its own.
-	keyGPU := gpu
-	keyGPU.Name = fmt.Sprintf("poison-%d", poisonRuns.Add(1))
-	keyIn := keyInputs{trace.ContentHash(app), keyGPU, sim.Options{}.Identity()}
+	// The test's own copies of app, unvalidated and unhashed.
+	validated := &trace.App{Name: app.Name, Suite: app.Suite, Kernels: app.Kernels}
+	hashed := &trace.App{Name: app.Name, Suite: app.Suite, Kernels: app.Kernels}
+	keys := NewWorker(WorkerConfig{}).keys // a worker's job-key memo
+	keyIn := keyInputs{trace.ContentHash(app), gpu, sim.Options{}.Identity()}
 	geom := reuse.L1GeometryOf(app, gpu, false)
 	l2 := reuse.L2LevelOf(gpu, false)
 	var m *memo.Memo[string, int]
@@ -76,18 +74,28 @@ func TestPanicPoisonsNothing(t *testing.T) {
 	}, {
 		name:   "job-key memo",
 		want:   func(*testing.T) any { return deriveKey(keyIn) },
-		poison: func(*testing.T) { keyMemo.Get(keyIn, panicking[keyInputs, string]) },
-		got:    func(*testing.T) any { return jobKey(app, keyGPU, sim.Options{}) },
+		poison: func(*testing.T) { keys.Get(keyIn, panicking[keyInputs, string]) },
+		got:    func(*testing.T) any { return jobKey(keys, app, gpu, sim.Options{}) },
 	}, {
-		// A nil kernel panics App.Validate under the memo of validated apps.
-		name: "validApps memo",
+		// A nil kernel panics App.Validate, which keeps a pass on the app.
+		name: "validation kept on the app",
 		want: func(t *testing.T) any { return runCycles(t, app, gpu) },
 		poison: func(t *testing.T) {
-			copied.Kernels = []*trace.Kernel{nil}
-			defer func() { copied.Kernels = app.Kernels }()
-			sim.Run(&copied, gpu, sim.Options{Kind: sim.Memory})
+			validated.Kernels = []*trace.Kernel{nil}
+			defer func() { validated.Kernels = app.Kernels }()
+			sim.Run(validated, gpu, sim.Options{Kind: sim.Memory})
 		},
-		got: func(t *testing.T) any { return runCycles(t, &copied, gpu) },
+		got: func(t *testing.T) any { return runCycles(t, validated, gpu) },
+	}, {
+		// A nil kernel panics the walk of the digest kept on the app.
+		name: "ContentHash",
+		want: func(*testing.T) any { return trace.ContentHash(app) },
+		poison: func(t *testing.T) {
+			hashed.Kernels = append([]*trace.Kernel{nil}, app.Kernels...)
+			defer func() { hashed.Kernels = app.Kernels }()
+			trace.ContentHash(hashed)
+		},
+		got: func(*testing.T) any { return trace.ContentHash(hashed) },
 	}, {
 		// No SMs divides by zero inside a phase-one walk, on a worker.
 		name: "reuse walks",
@@ -160,9 +168,6 @@ func TestPanicPoisonsNothing(t *testing.T) {
 		})
 	}
 }
-
-// poisonRuns counts runs of TestPanicPoisonsNothing in this process.
-var poisonRuns atomic.Int32
 
 // panicking is a memo compute that panics.
 func panicking[K, V any](K) V { panic("compute") }

@@ -330,7 +330,7 @@ func TestFailFastSparesAnotherSweepsJob(t *testing.T) {
 	}
 
 	// Commit what a worker computes from the SM grant.
-	val, err := (&Worker{}).runJob(context.Background(), sm)
+	val, err := NewWorker(WorkerConfig{}).runJob(context.Background(), sm)
 	if err != nil {
 		t.Fatal(err)
 	}

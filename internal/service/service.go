@@ -254,6 +254,7 @@ type Service struct {
 	cache *Cache
 	store *Store // the cache's blob store, served over /v1/store
 	board *board // the one job table: every cache miss is posted here
+	keys  *keyMemo
 
 	wg    sync.WaitGroup // running sweeps
 	execs sync.WaitGroup // the daemon's own executors
@@ -314,6 +315,7 @@ func New(cfg Config) (*Service, error) {
 		cache:  cache,
 		store:  cache.BlobStore(),
 		board:  newBoard(cfg.Remote.LeaseTTL, cfg.Remote.MaxAttempts, cache),
+		keys:   newKeyMemo(),
 		sweeps: make(map[string]*Sweep),
 	}
 	if !cfg.Remote.Enabled {
@@ -470,7 +472,7 @@ func (s *Service) resolve(spec Spec) ([]job, time.Duration, error) {
 				opts.Kind = k
 				jobs = append(jobs, job{
 					app: a, scale: scale, gpu: g, opts: opts, sim: k.String(),
-					key: jobKey(a, g, opts),
+					key: jobKey(s.keys, a, g, opts),
 				})
 			}
 		}

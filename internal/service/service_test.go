@@ -451,16 +451,17 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	}
 	a2, _ := workload.Generate("SM", 0.1)
 	a3, _ := workload.Generate("BFS", 0.2)
-	base := jobKey(a1, gpu, sim.Options{Kind: sim.Memory})
-	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory}) != base {
+	keys := newKeyMemo()
+	base := jobKey(keys, a1, gpu, sim.Options{Kind: sim.Memory})
+	if jobKey(keys, a1, gpu, sim.Options{Kind: sim.Memory}) != base {
 		t.Error("identical jobs got different keys")
 	}
 	diff := map[string]string{
-		"app":   jobKey(a2, gpu, sim.Options{Kind: sim.Memory}),
-		"scale": jobKey(a3, gpu, sim.Options{Kind: sim.Memory}),
-		"gpu":   jobKey(a1, gpu2, sim.Options{Kind: sim.Memory}),
-		"kind":  jobKey(a1, gpu, sim.Options{Kind: sim.Basic}),
-		"rates": jobKey(a1, gpu, sim.Options{Kind: sim.Memory, HitRates: sim.ReuseDistance}),
+		"app":   jobKey(keys, a2, gpu, sim.Options{Kind: sim.Memory}),
+		"scale": jobKey(keys, a3, gpu, sim.Options{Kind: sim.Memory}),
+		"gpu":   jobKey(keys, a1, gpu2, sim.Options{Kind: sim.Memory}),
+		"kind":  jobKey(keys, a1, gpu, sim.Options{Kind: sim.Basic}),
+		"rates": jobKey(keys, a1, gpu, sim.Options{Kind: sim.Memory, HitRates: sim.ReuseDistance}),
 	}
 	for dim, k := range diff {
 		if k == base {
@@ -470,19 +471,19 @@ func TestJobKeyDiscriminates(t *testing.T) {
 	// A relaxed epoch length has its own line wherever an assembly runs it,
 	// and shares the exact line where it cannot (Memory always runs exact).
 	relaxed := sim.Options{Kind: sim.Basic, EpochCycles: 8}
-	if jobKey(a1, gpu, relaxed) == jobKey(a1, gpu, sim.Options{Kind: sim.Basic}) {
+	if jobKey(keys, a1, gpu, relaxed) == jobKey(keys, a1, gpu, sim.Options{Kind: sim.Basic}) {
 		t.Error("key ignores epoch")
 	}
 	relaxed.Kind = sim.Memory
-	if jobKey(a1, gpu, relaxed) != base {
+	if jobKey(keys, a1, gpu, relaxed) != base {
 		t.Error("key separates an epoch length Memory never runs")
 	}
 	// EngineThreads is read by nothing and must share the key; so must the
 	// unset/explicit spellings of exact mode (EpochCycles 0 and 1).
-	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4}) != base {
+	if jobKey(keys, a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4}) != base {
 		t.Error("key varies with EngineThreads")
 	}
-	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EpochCycles: 1}) != base {
+	if jobKey(keys, a1, gpu, sim.Options{Kind: sim.Memory, EpochCycles: 1}) != base {
 		t.Error("key separates EpochCycles 0 from 1 (both are exact mode)")
 	}
 }
@@ -497,11 +498,12 @@ func TestJobKeyMemoExact(t *testing.T) {
 		t.Fatal("two generations returned one *trace.App")
 	}
 	content := trace.ContentHash(app)
+	keys := newService(t, Config{Threads: 1}).keys
 	for _, name := range config.PresetNames() {
 		gpu, _ := config.Preset(name)
 		for _, kind := range []sim.Kind{sim.Detailed, sim.Basic, sim.Memory, sim.L2Hybrid} {
 			opts := sim.Options{Kind: kind}
-			if got, want := jobKey(app, gpu, opts), deriveKey(keyInputs{content, gpu, opts.Identity()}); got != want {
+			if got, want := jobKey(keys, app, gpu, opts), deriveKey(keyInputs{content, gpu, opts.Identity()}); got != want {
 				t.Errorf("%s %v: memoized key %s, derived %s", name, kind, got, want)
 			}
 		}
@@ -511,19 +513,19 @@ func TestJobKeyMemoExact(t *testing.T) {
 	opts := sim.Options{Kind: sim.Memory}
 	variant := gpu
 	variant.DRAMLatency++
-	if jobKey(app, variant, opts) == jobKey(app, gpu, opts) {
+	if jobKey(keys, app, variant, opts) == jobKey(keys, app, gpu, opts) {
 		t.Error("a configuration that keeps its preset's name shares the preset's key")
 	}
-	if got, want := jobKey(app, variant, opts), deriveKey(keyInputs{content, variant, opts.Identity()}); got != want {
+	if got, want := jobKey(keys, app, variant, opts), deriveKey(keyInputs{content, variant, opts.Identity()}); got != want {
 		t.Errorf("variant: memoized key %s, derived %s", got, want)
 	}
 
-	key := jobKey(app, gpu, opts)
-	before := keyMemo.Stats().Computes
-	if jobKey(copied, gpu, opts) != key {
+	key := jobKey(keys, app, gpu, opts)
+	before := keys.Stats().Computes
+	if jobKey(keys, copied, gpu, opts) != key {
 		t.Error("two generated copies of one app got different keys")
 	}
-	if n := keyMemo.Stats().Computes - before; n != 0 {
+	if n := keys.Stats().Computes - before; n != 0 {
 		t.Errorf("a copy of a keyed app derived its key again (%d computes): the memo is keyed on the pointer", n)
 	}
 }
@@ -594,8 +596,9 @@ func TestJobKeyAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := sim.Options{Kind: sim.Memory}
-	jobKey(app, gpu, opts) // the content hash and the code version, once
-	allocs := testing.AllocsPerRun(100, func() { jobKey(app, gpu, opts) })
+	keys := newKeyMemo()
+	jobKey(keys, app, gpu, opts) // the content hash and the code version, once
+	allocs := testing.AllocsPerRun(100, func() { jobKey(keys, app, gpu, opts) })
 	t.Logf("%v allocations per key", allocs)
 	if ceiling := 3.0; allocs > ceiling {
 		t.Errorf("jobKey allocated %v objects, ceiling %v", allocs, ceiling)

@@ -33,6 +33,7 @@ type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 	base   string
+	keys   *keyMemo
 
 	// id is the current registration. The heartbeat loop replaces it when
 	// the daemon no longer knows it; claim loops read it per request.
@@ -95,6 +96,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg:    cfg,
 		client: client,
 		base:   strings.TrimRight(cfg.BaseURL, "/"),
+		keys:   newKeyMemo(),
 		active: make(map[string]context.CancelFunc),
 	}
 }
@@ -368,7 +370,7 @@ func (w *Worker) runJob(ctx context.Context, wire WireJob) ([]byte, error) {
 	// The one check on the grant: the key covers the trace content, the
 	// configuration, the options and the code version, so whichever of them
 	// this worker sees differently, its bytes do not belong under wire.Key.
-	if key := jobKey(app, gpu, opts); key != wire.Key {
+	if key := jobKey(w.keys, app, gpu, opts); key != wire.Key {
 		return nil, fmt.Errorf("service: grant is for job %s, its inputs derive %s here (another build, or altered inputs)", wire.Key, key)
 	}
 	return simulate(ctx, 0, &boardJob{

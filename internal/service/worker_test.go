@@ -216,7 +216,7 @@ func goodGrant(t *testing.T) WireJob {
 	gpu, _ := config.Preset("RTX2080Ti")
 	opts := sim.Options{Kind: sim.Memory}
 	return WireJob{
-		Key: jobKey(app, gpu, opts), LeaseID: "l7", Token: 3,
+		Key: jobKey(newKeyMemo(), app, gpu, opts), LeaseID: "l7", Token: 3,
 		App: "BFS", Scale: 0.1, Config: string(config.Marshal(gpu)),
 		GPU: gpu.Name, Sim: opts.Kind.String(), Opts: opts, LeaseTTLMS: 60000,
 	}

@@ -8,6 +8,7 @@ import (
 	"weak"
 
 	"swiftsim/internal/mem"
+	"swiftsim/internal/trace"
 )
 
 // TestFinishedRunStoreIsCollected: a run's request store is reachable only
@@ -37,5 +38,33 @@ func TestFinishedRunStoreIsCollected(t *testing.T) {
 		if store.Value() != nil {
 			t.Errorf("the request store of a finished %s run is still reachable", kind)
 		}
+	}
+}
+
+// TestDroppedAppIsCollected: the facts kept about an app (its content hash,
+// its kernels' launch keys, a passing validation) and a Memory run's
+// profiles keep no pointer to it, so an app whose callers have dropped it
+// is collected, kernels included. A process-wide memo keyed by the app or a
+// kernel would keep it reachable.
+func TestDroppedAppIsCollected(t *testing.T) {
+	gpu := smallGPU()
+	generated := mustApp(t, "BFS", 0.25)
+	dropped, kernel := func() (weak.Pointer[trace.App], weak.Pointer[trace.Kernel]) {
+		app := copyApp(generated) // generated apps are shared: the test's own copy
+		trace.ContentHash(app)
+		for _, k := range app.Kernels {
+			trace.LaunchKey(k)
+		}
+		if err := app.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(app, gpu, Options{Kind: Memory}); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(app), weak.Make(app.Kernels[0])
+	}()
+	runtime.GC()
+	if dropped.Value() != nil || kernel.Value() != nil {
+		t.Error("a hashed, launch-keyed, validated and run app is still reachable after its callers dropped it")
 	}
 }

@@ -49,13 +49,12 @@ var (
 )
 
 // FlushMemos drops what the package's memos retain: both hit-rate profile
-// phases and the validated apps. A measurement that must pay profiling
-// inside its wall time, as a cold Figure 5 pass does, calls it first, with
-// trace.FlushMemos for the digests the profiles are keyed on.
+// phases. A measurement that must pay profiling inside its wall time, as a
+// cold Figure 5 pass does, calls it first. The trace digests the profiles
+// are keyed on are kept on the trace, and shared like it.
 func FlushMemos() {
 	phaseOne.Flush()
 	phaseTwo.Flush()
-	validApps.Flush()
 }
 
 // profileCached returns the memoized hit-rate profile for (app, gpu, src),

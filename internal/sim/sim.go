@@ -33,7 +33,6 @@ import (
 	"swiftsim/internal/dram"
 	"swiftsim/internal/engine"
 	"swiftsim/internal/mem"
-	"swiftsim/internal/memo"
 	"swiftsim/internal/metrics"
 	"swiftsim/internal/noc"
 	"swiftsim/internal/obs"
@@ -94,17 +93,6 @@ func Run(app *trace.App, gpu config.GPU, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), app, gpu, opts)
 }
 
-// validApps remembers the last 256 apps whose Validate passed, so a run of
-// an app already run skips the walk over its every instruction and address
-// (apps are immutable once built, as ContentHash relies on too). A failure
-// weighs -1 and is not retained: the next run validates again.
-var validApps = memo.New[*trace.App](256, func(err error) int {
-	if err != nil {
-		return -1
-	}
-	return 1
-})
-
 // maxKernelCycles bounds the simulated time of one kernel launch: a launch
 // still running after a billion cycles fails the run as a deadlock.
 const maxKernelCycles = 1_000_000_000
@@ -120,7 +108,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if err := gpu.Validate(); err != nil {
 		return nil, err
 	}
-	if err := validApps.Get(app, (*trace.App).Validate); err != nil {
+	if err := app.Validate(); err != nil {
 		return nil, err
 	}
 	if err := opts.Validate(); err != nil {

@@ -263,16 +263,20 @@ func TestRunRejectsInvalidInputs(t *testing.T) {
 // remembered, so an app fixed after it was refused runs.
 func TestRunValidatesAnAppOnce(t *testing.T) {
 	gpu := smallGPU()
-	app := copyApp(mustApp(t, "LU", 0.1)) // a pointer no other test has run
-	before := validApps.Stats().Computes
+	app := copyApp(mustApp(t, "LU", 0.1)) // the test's own copy, unvalidated
+	name := app.Kernels[0].Name
 	for i := 0; i < 2; i++ {
 		if _, err := Run(app, gpu, Options{Kind: Memory}); err != nil {
-			t.Fatal(err)
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		// Validate refuses a kernel with no name, which no simulation
+		// reads: a second run that validated the app again refuses it.
+		app.Kernels[0].Name = ""
+		if app.Kernels[0].Validate() == nil {
+			t.Fatal("a kernel with no name validated")
 		}
 	}
-	if n := validApps.Stats().Computes - before; n != 1 {
-		t.Errorf("two runs of one app validated it %d times, want 1", n)
-	}
+	app.Kernels[0].Name = name
 	fixed := &trace.App{Name: "x"}
 	if _, err := Run(fixed, gpu, Options{Kind: Memory}); err == nil {
 		t.Fatal("an app with no kernels accepted")
@@ -411,9 +415,11 @@ func TestUnschedulableKernelRejectedAtAssembly(t *testing.T) {
 	gpu := smallGPU()
 	// Generated traces are memoized and shared; clone before mutating.
 	shared := mustApp(t, "BFS", 0.1)
-	bad := *shared.Kernels[0]
-	bad.RegsPerThread = gpu.SM.Registers // one thread busts the file
-	app := &trace.App{Name: shared.Name, Suite: shared.Suite, Kernels: []*trace.Kernel{&bad}}
+	k := shared.Kernels[0]
+	bad := &trace.Kernel{Name: k.Name, Grid: k.Grid, Block: k.Block,
+		RegsPerThread:     gpu.SM.Registers, // one thread busts the file
+		SharedMemPerBlock: k.SharedMemPerBlock, Blocks: k.Blocks, Store: k.Store}
+	app := &trace.App{Name: shared.Name, Suite: shared.Suite, Kernels: []*trace.Kernel{bad}}
 	_, err := Run(app, gpu, Options{Kind: Basic})
 	if err == nil {
 		t.Fatal("unschedulable kernel accepted")

@@ -550,7 +550,9 @@ func TestBlocksPerSM(t *testing.T) {
 		{"shared memory", func(c *config.SM, k *trace.Kernel) { k.SharedMemPerBlock, c.SharedMemBytes = 1, 3 }, 3},
 		{"nothing fits", func(c *config.SM, _ *trace.Kernel) { c.MaxWarps = 1 }, 0},
 	} {
-		cfg, kk := testSMConfig(), *k
+		cfg := testSMConfig()
+		kk := trace.Kernel{Name: k.Name, Grid: k.Grid, Block: k.Block, RegsPerThread: k.RegsPerThread,
+			SharedMemPerBlock: k.SharedMemPerBlock, Blocks: k.Blocks, Store: k.Store}
 		cfg.MaxBlocks, cfg.MaxWarps, cfg.Registers, cfg.SharedMemBytes = 32, 64, 1<<16, 1<<16
 		tc.set(&cfg, &kk)
 		if got := BlocksPerSM(cfg, &kk); got != tc.want {

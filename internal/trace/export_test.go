@@ -5,3 +5,6 @@ const (
 	InstChunk = instChunk
 	AddrChunk = addrChunk
 )
+
+// SameTrace compares two traces field for field.
+var SameTrace = sameTrace

@@ -85,15 +85,15 @@ func TestLaunchKeyDistinguishesStaticContent(t *testing.T) {
 	}
 }
 
-// TestLaunchKeyMemoized checks the per-pointer cache returns the computed
-// digest on repeat lookups (kernels are immutable once built, so hitting
+// TestLaunchKeyMemoized checks the digest kept on the kernel is the computed
+// one on repeat lookups (kernels are immutable once built, so hitting
 // the cache must be indistinguishable from recomputing).
 func TestLaunchKeyMemoized(t *testing.T) {
 	k := launchKernel("k", 0)
-	want := computeLaunchKey(k)
+	want := k.launchKey()
 	for i := 0; i < 3; i++ {
 		if got := LaunchKey(k); got != want {
-			t.Fatalf("lookup %d: LaunchKey diverged from computeLaunchKey", i)
+			t.Fatalf("lookup %d: LaunchKey diverged from launchKey", i)
 		}
 	}
 }

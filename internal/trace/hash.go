@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-
-	"swiftsim/internal/memo"
 )
 
 // ContentHash returns a SHA-256 digest over an application's full semantic
@@ -22,10 +20,8 @@ import (
 // one profile.
 //
 // Apps are immutable once built (the simulator relies on this already), so
-// the digest is memoized per *App. The memo is bounded: sampled runs hash
-// freshly-built truncated apps whose pointers never repeat, and FIFO
-// eviction keeps those from accumulating.
-func ContentHash(a *App) [32]byte { return hashMemo.Get(a, computeContentHash) }
+// the digest is computed by the first call and kept on the app.
+func ContentHash(a *App) [32]byte { return a.hash.get(a.contentHash, nil) }
 
 // LaunchKey returns a SHA-256 digest over a kernel launch's *static*
 // content: grid/block geometry, resource footprint, and the per-warp
@@ -47,26 +43,11 @@ func ContentHash(a *App) [32]byte { return hashMemo.Get(a, computeContentHash) }
 // different address values can change cache behavior, which is exactly the
 // drift the sampling envelopes in internal/regress bound.
 //
-// Kernels are immutable once built, so the digest is memoized per *Kernel
-// with the same bounded-FIFO discipline as ContentHash.
-func LaunchKey(k *Kernel) [32]byte { return launchMemo.Get(k, computeLaunchKey) }
+// Kernels are immutable once built, so the digest is computed by the first
+// call and kept on the kernel, as ContentHash's is on the app.
+func LaunchKey(k *Kernel) [32]byte { return k.key.get(k.launchKey, nil) }
 
-// The digest memos are bounded by entry count: each digest weighs 1.
-var (
-	hashMemo   = memo.New[*App](256, weighOne)
-	launchMemo = memo.New[*Kernel](1024, weighOne)
-)
-
-func weighOne([32]byte) int { return 1 }
-
-// FlushMemos drops the retained content hashes and launch keys, so each is
-// computed again on its next use.
-func FlushMemos() {
-	hashMemo.Flush()
-	launchMemo.Flush()
-}
-
-// computeContentHash digests the app in declaration order, names and
+// contentHash digests the app in declaration order, names and
 // address values included. Where every kernel numbers its memory
 // instructions as Validate requires, MemIndex follows from what is hashed
 // and is left out. A kernel that departs from that numbering (a sampled
@@ -74,7 +55,7 @@ func FlushMemos() {
 // analytical memory model reads differently, so then every kernel's indices
 // follow the last kernel: each kernel's encoding is self-delimiting, so the
 // trailer cannot collide with a trace that has none.
-func computeContentHash(a *App) [32]byte {
+func (a *App) contentHash() [32]byte {
 	w := newWalker("swiftsim-trace-hash 2", true, true)
 	w.str(a.Name)
 	w.str(a.Suite)
@@ -94,8 +75,8 @@ func computeContentHash(a *App) [32]byte {
 	return w.sum()
 }
 
-// computeLaunchKey digests one kernel without its name or address values.
-func computeLaunchKey(k *Kernel) [32]byte {
+// launchKey digests one kernel without its name or address values.
+func (k *Kernel) launchKey() [32]byte {
 	w := newWalker("swiftsim-launch-key 1", false, false)
 	w.kernel(k)
 	return w.sum()

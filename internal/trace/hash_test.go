@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -70,9 +72,9 @@ func TestContentHashEqualForCopies(t *testing.T) {
 	if ContentHash(a) != ContentHash(b) {
 		t.Error("structurally identical apps hash differently")
 	}
-	// Memoized path must agree with the fresh computation.
-	if ContentHash(a) != computeContentHash(a) {
-		t.Error("memoized hash differs from recomputation")
+	// The kept digest must agree with the fresh computation.
+	if ContentHash(a) != a.contentHash() {
+		t.Error("kept hash differs from recomputation")
 	}
 }
 
@@ -121,7 +123,7 @@ func TestContentHashFoldsRenumbering(t *testing.T) {
 	if ContentHash(m2) != ContentHash(m) {
 		t.Error("equally renumbered copies hash differently")
 	}
-	m3 := deepCopyApp(m) // a fresh pointer: the digest memo assumes immutable apps
+	m3 := deepCopyApp(m) // a fresh copy: the digest kept on an app assumes it immutable
 	m3.Kernels[1].Blocks[0].Warps[0][1].MemIndex = 8
 	if ContentHash(m3) == ContentHash(m) {
 		t.Error("differently renumbered copies collided")
@@ -146,27 +148,68 @@ func TestContentHashFraming(t *testing.T) {
 	}
 }
 
-// TestContentHashMemoBounded: hashing more distinct apps than the memo's
-// cap of 256 leaves at most 256 retained, the first app hashed among the
-// evicted, and a retained digest is served without a recompute.
-func TestContentHashMemoBounded(t *testing.T) {
-	first := hashTestApp()
-	want := ContentHash(first)
-	for i := 0; i < 256+16; i++ {
-		ContentHash(hashTestApp())
+// TestDigestsKeptOnTheTrace: a second ContentHash of an app and a second
+// LaunchKey of a kernel read the digest kept on it and allocate nothing (a
+// compute allocates its walker), and both equal a fresh copy's digests.
+func TestDigestsKeptOnTheTrace(t *testing.T) {
+	app := hashTestApp()
+	want, key := ContentHash(app), LaunchKey(app.Kernels[0])
+	if n := testing.AllocsPerRun(10, func() { ContentHash(app) }); n != 0 {
+		t.Errorf("a second ContentHash allocated %v objects: it computed the digest again", n)
 	}
-	if n := hashMemo.Stats().Entries; n > 256 {
-		t.Errorf("hash memo grew to %d entries, cap 256", n)
+	if n := testing.AllocsPerRun(10, func() { LaunchKey(app.Kernels[0]) }); n != 0 {
+		t.Errorf("a second LaunchKey allocated %v objects: it computed the digest again", n)
 	}
-	last := hashTestApp()
-	ContentHash(last)
-	before := hashMemo.Stats().Computes
-	ContentHash(last)
-	if n := hashMemo.Stats().Computes - before; n != 0 {
-		t.Errorf("a retained digest was computed %d more times", n)
+	fresh := deepCopyApp(app)
+	if ContentHash(app) != want || ContentHash(fresh) != want {
+		t.Error("the kept content hash is not the app's")
 	}
-	if ContentHash(first) != want || hashMemo.Stats().Computes == before {
-		t.Error("the oldest digest was not evicted, or came back changed")
+	if LaunchKey(app.Kernels[0]) != key || LaunchKey(fresh.Kernels[0]) != key {
+		t.Error("the kept launch key is not the kernel's")
+	}
+}
+
+// TestDigestComputedOnce: concurrent first callers of one digest compute it
+// once, and a compute that panics keeps nothing: the panic reaches its
+// caller, and the next call computes the digest. A nil kernel panics
+// ContentHash's walk; no kernel panics LaunchKey's, so a panicking compute
+// stands in for one.
+func TestDigestComputedOnce(t *testing.T) {
+	var d fact[[32]byte]
+	var computes atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.get(func() [32]byte { computes.Add(1); return [32]byte{1} }, nil)
+		}()
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 1 || d.get(nil, nil) != [32]byte{1} {
+		t.Errorf("8 concurrent first callers computed the digest %d times", n)
+	}
+
+	mustPanic := func(what string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	app, fresh := hashTestApp(), hashTestApp()
+	kernels := app.Kernels
+	app.Kernels = []*Kernel{kernels[0], nil}
+	mustPanic("ContentHash over a nil kernel", func() { ContentHash(app) })
+	app.Kernels = kernels
+	if ContentHash(app) != ContentHash(fresh) {
+		t.Error("a ContentHash that panicked kept a digest")
+	}
+	k := app.Kernels[0]
+	mustPanic("a panicking LaunchKey compute", func() { k.key.get(func() [32]byte { panic("compute") }, nil) })
+	if LaunchKey(k) != LaunchKey(fresh.Kernels[0]) {
+		t.Error("a LaunchKey that panicked kept a digest")
 	}
 }
 
@@ -219,11 +262,11 @@ func TestContentHashLaneForms(t *testing.T) {
 		{"wrapping", 0xffff0000, ^uint64(0) - 15, 4},
 		{"two lanes", 0x11, 0x100, 1 << 30},
 	} {
-		h := computeContentHash(strided(c.mask, c.base, c.stride))
-		if got := computeContentHash(listed(c.mask, c.base, c.stride)); got != h {
+		h := strided(c.mask, c.base, c.stride).contentHash()
+		if got := listed(c.mask, c.base, c.stride).contentHash(); got != h {
 			t.Errorf("%s: listed lanes hash %x, strided %x", c.name, got[:4], h[:4])
 		}
-		if a, b := strided(c.mask, c.base, c.stride), listed(c.mask, c.base, c.stride); computeLaunchKey(a.Kernels[0]) != computeLaunchKey(b.Kernels[0]) {
+		if a, b := strided(c.mask, c.base, c.stride), listed(c.mask, c.base, c.stride); a.Kernels[0].launchKey() != b.Kernels[0].launchKey() {
 			t.Errorf("%s: the two forms have different launch keys", c.name)
 		}
 		fewer := c.mask &^ (1 << 31 >> bits.LeadingZeros32(c.mask))
@@ -233,7 +276,7 @@ func TestContentHashLaneForms(t *testing.T) {
 			"lane count": {strided(fewer, c.base, c.stride), listed(fewer, c.base, c.stride)},
 		} {
 			for form, a := range moved {
-				if computeContentHash(a) == h {
+				if a.contentHash() == h {
 					t.Errorf("%s: a changed %s leaves the hash of form %d unmoved", c.name, what, form)
 				}
 			}
@@ -242,10 +285,10 @@ func TestContentHashLaneForms(t *testing.T) {
 
 	// Lanes that are not evenly spaced, or whose stride does not fit an
 	// int32, are hashed listed: each differs from its strided near miss.
-	if computeContentHash(setLanes(0x7, 0x100, 0x104, 0x10c)) == computeContentHash(strided(0x7, 0x100, 4)) {
+	if setLanes(0x7, 0x100, 0x104, 0x10c).contentHash() == strided(0x7, 0x100, 4).contentHash() {
 		t.Error("a scatter hashes like the strided lanes it starts as")
 	}
-	if computeContentHash(setLanes(0x3, 0, 1<<40)) == computeContentHash(strided(0x3, 0, 0)) {
+	if setLanes(0x3, 0, 1<<40).contentHash() == strided(0x3, 0, 0).contentHash() {
 		t.Error("lanes spaced beyond an int32 hash like a broadcast")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // OpClass classifies an instruction by the execution unit that retires it.
@@ -191,7 +192,10 @@ func (b BlockTrace) Insts() int {
 }
 
 // Kernel is one kernel launch: a grid of thread blocks plus the static
-// resources each block consumes (which bound SM occupancy).
+// resources each block consumes (which bound SM occupancy). A kernel is
+// immutable once built, and keeps its LaunchKey once computed. It is never
+// copied by value (go vet's copylocks check refuses the copy, which would
+// carry its original's digest): a changed kernel is built field by field.
 type Kernel struct {
 	// Name identifies the kernel.
 	Name string
@@ -210,6 +214,8 @@ type Kernel struct {
 	// with no listed instruction. Every reader gets an instruction's lanes
 	// through it (LaneStore.Lanes).
 	Store *LaneStore
+
+	key fact[[32]byte] // LaunchKey's digest
 }
 
 // WarpSize is the fixed number of threads per warp.
@@ -318,7 +324,9 @@ func validateWarp(w WarpTrace, lanes *LaneStore, next *uint32) error {
 	return nil
 }
 
-// App is a traced application: an ordered list of kernel launches.
+// App is a traced application: an ordered list of kernel launches. An app
+// is immutable once built, and keeps its ContentHash and a Validate that
+// passed once computed; like a Kernel, it is never copied by value.
 type App struct {
 	// Name is the application name as used in the paper's figures
 	// (e.g. "BFS", "NW", "GRU").
@@ -327,6 +335,30 @@ type App struct {
 	Suite string
 	// Kernels are executed back to back in order.
 	Kernels []*Kernel
+
+	hash  fact[[32]byte] // ContentHash's digest
+	valid fact[error]    // Validate's pass
+}
+
+// fact is a value computed from the immutable App or Kernel that holds it,
+// kept there by the first call whose value keep, if not nil, accepts.
+// Concurrent first callers compute it once, and a compute that panics keeps
+// nothing, so the next caller computes it again (a sync.Once would count it
+// done).
+type fact[V any] struct {
+	mu   sync.Mutex
+	v    V
+	kept bool
+}
+
+func (f *fact[V]) get(compute func() V, keep func(V) bool) V {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.kept {
+		f.v = compute()
+		f.kept = keep == nil || keep(f.v)
+	}
+	return f.v
 }
 
 // Insts returns the total dynamic instruction count of the application.
@@ -338,8 +370,15 @@ func (a *App) Insts() int {
 	return n
 }
 
-// Validate checks the application and all its kernels.
-func (a *App) Validate() error {
+// Validate checks the application and all its kernels. A pass is kept on
+// the app, so a later call returns nil without walking the app again; a
+// failure is not, so an app fixed after it was refused passes. A check that
+// panics keeps nothing.
+func (a *App) Validate() error { return a.valid.get(a.validate, passed) }
+
+func passed(err error) bool { return err == nil }
+
+func (a *App) validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("trace: app with empty name")
 	}
